@@ -58,6 +58,11 @@ impl VertexProgram for Bfs {
         }
     }
 
+    /// Messages are consumed by payload alone.
+    fn reads_src(&self) -> bool {
+        false
+    }
+
     fn combine(&self) -> Option<Combine> {
         Some(u64::min as Combine)
     }

@@ -68,6 +68,11 @@ impl VertexProgram for Cdlp {
             ctx.send_all(new);
         }
     }
+
+    /// Messages are consumed by payload alone.
+    fn reads_src(&self) -> bool {
+        false
+    }
 }
 
 #[cfg(test)]

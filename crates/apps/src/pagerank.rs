@@ -79,6 +79,11 @@ impl VertexProgram for PageRank {
         }
     }
 
+    /// Messages are consumed by payload alone.
+    fn reads_src(&self) -> bool {
+        false
+    }
+
     fn combine(&self) -> Option<Combine> {
         Some(combine_add as Combine)
     }

@@ -80,6 +80,11 @@ impl VertexProgram for RandomWalk {
             ctx.send(dest, remaining);
         }
     }
+
+    /// Messages are consumed by payload alone.
+    fn reads_src(&self) -> bool {
+        false
+    }
 }
 
 #[cfg(test)]

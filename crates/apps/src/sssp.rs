@@ -76,6 +76,11 @@ impl VertexProgram for Sssp {
         }
     }
 
+    /// Messages are consumed by payload alone.
+    fn reads_src(&self) -> bool {
+        false
+    }
+
     fn combine(&self) -> Option<Combine> {
         Some(combine_min as Combine)
     }

@@ -15,7 +15,7 @@ fn make_log(ssd: &Ssd) -> mlvc_ssd::FileId {
     let ups: Vec<Update> = (0..N)
         .map(|k| Update::new(((k * 2_654_435_761) % 50_000) as u32, k as u32, 1))
         .collect();
-    mlvc_grafboost::write_log_pages(ssd, f, &ups).unwrap();
+    mlvc_grafboost::write_log_pages(ssd, f, &ups, true).unwrap();
     f
 }
 
@@ -27,12 +27,12 @@ fn setup() -> (Ssd, mlvc_ssd::FileId) {
 
 fn main() {
     micro::case("extsort/in_memory_200k", 10, Some(N), setup, |(ssd, f)| {
-        external_sort(&ssd, f, 64 << 20, None, "b")
+        external_sort(&ssd, f, 64 << 20, None, true, "b")
     });
     micro::case("extsort/external_200k", 10, Some(N), setup, |(ssd, f)| {
-        external_sort(&ssd, f, 256 << 10, None, "b")
+        external_sort(&ssd, f, 256 << 10, None, true, "b")
     });
     micro::case("extsort/external_sort_reduce_200k", 10, Some(N), setup, |(ssd, f)| {
-        external_sort(&ssd, f, 256 << 10, Some(u64::wrapping_add as _), "b")
+        external_sort(&ssd, f, 256 << 10, Some(u64::wrapping_add as _), true, "b")
     });
 }

@@ -219,6 +219,16 @@ pub trait VertexProgram: Send + Sync {
         false
     }
 
+    /// Whether `process` reads the `src` of its incoming messages. A
+    /// program that never does (PageRank, BFS, WCC, …) returns `false`:
+    /// the multi-log then stores its records without the source and
+    /// `msgs()` delivers them with `src = VertexId::MAX` — the same value
+    /// a combined message already carries. The default is always correct;
+    /// `false` only makes the logged records smaller.
+    fn reads_src(&self) -> bool {
+        true
+    }
+
     /// How to resume after a mutation batch merges into the stored CSR
     /// (DESIGN.md §17). The default — recompute from scratch — is always
     /// correct. Programs whose fixpoint is monotone under edge *additions*

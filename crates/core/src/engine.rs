@@ -18,13 +18,23 @@ use mlvc_ssd::{
 
 use crate::{
     Engine, EngineConfig, InitActive, Reconverge, RunReport, SuperstepStats, VertexCtx,
-    VertexProgram,
+    VertexOutputs, VertexProgram,
 };
 
 /// Trace records kept per run when observability is on — far above any
 /// evaluation run (the paper caps at 15 supersteps); beyond it the ring
 /// keeps the most recent records so memory stays bounded.
 const TRACE_RING_CAP: usize = 4096;
+
+/// Active vertices an interval must bring before its process and scatter
+/// stages fork. A fork/join spawns scoped threads — tens of microseconds
+/// on a quiet machine, several times that on a busy one — which a sparse
+/// frontier (a few hundred cheap vertices per interval, twice per interval
+/// per superstep) never earns back: the stages then cost more than on one
+/// thread and their wall time follows the machine's load instead of the
+/// work. Results do not depend on the choice (DESIGN.md §12). The race
+/// detector wants every fork it can get, so it keeps them all.
+const FORK_MIN_ITEMS: usize = if cfg!(feature = "race-detect") { 1 } else { 2048 };
 
 /// Engine-side observability state (active only with [`EngineConfig::obs`]).
 /// Holds the trace ring plus the unit-stats baselines subtracted to turn
@@ -406,6 +416,8 @@ impl MultiLogEngine {
                 // tracks the knob alone — the I/O-visible page stream stays
                 // identical across the pipeline toggle (DESIGN.md §16).
                 fold_scatter: self.cfg.fold_scatter,
+                // The record shape follows the program, nothing else.
+                reads_src: prog.reads_src(),
             },
             &self.cfg.tag,
         )?;
@@ -849,7 +861,8 @@ impl MultiLogEngine {
                         let t_proc = Instant::now();
                         let frozen: &[u64] = states;
                         let seed = cfg.seed;
-                        let outputs: Vec<_> = mlvc_par::par_map(&items, |item| {
+                        let fork = items.len() >= FORK_MIN_ITEMS;
+                        let process = |item: &WorkItem| {
                             states_audit.audit_read();
                             let mut ctx = VertexCtx::new(
                                 item.v,
@@ -863,7 +876,12 @@ impl MultiLogEngine {
                             );
                             prog.process(&mut ctx);
                             ctx.into_outputs()
-                        });
+                        };
+                        let outputs: Vec<_> = if fork {
+                            mlvc_par::par_map(&items, process)
+                        } else {
+                            items.iter().map(process).collect()
+                        };
                         st.process_ns += t_proc.elapsed().as_nanos() as u64;
 
                         // 5a. Update scatter. Parallel workers partition
@@ -876,18 +894,20 @@ impl MultiLogEngine {
                         //     for any thread count (DESIGN.md §12).
                         let t_scatter = Instant::now();
                         if cfg.pipeline {
-                            let scattered: Vec<Vec<Vec<Update>>> =
-                                mlvc_par::par_chunk_map(&outputs, |chunk| {
-                                    let mut bufs: Vec<Vec<Update>> =
-                                        vec![Vec::new(); num_iv];
-                                    for out in chunk {
-                                        for &u in &out.sends {
-                                            bufs[intervals.interval_of(u.dest) as usize]
-                                                .push(u);
-                                        }
+                            let route = |chunk: &[VertexOutputs]| {
+                                let mut bufs: Vec<Vec<Update>> = vec![Vec::new(); num_iv];
+                                for out in chunk {
+                                    for &u in &out.sends {
+                                        bufs[intervals.interval_of(u.dest) as usize].push(u);
                                     }
-                                    bufs
-                                });
+                                }
+                                bufs
+                            };
+                            let scattered: Vec<Vec<Vec<Update>>> = if fork {
+                                mlvc_par::par_chunk_map(&outputs, route)
+                            } else {
+                                vec![route(&outputs)]
+                            };
                             for j in 0..num_iv {
                                 for bufs in &scattered {
                                     multilog.send_batch(j as IntervalId, &bufs[j])?;
@@ -1423,6 +1443,44 @@ mod tests {
             b.push(v, (v + 1) % n as u32);
         }
         b.build()
+    }
+
+    /// The record shape follows `reads_src()` and nothing else: a program
+    /// that disclaims the source computes the same states from fewer log
+    /// bytes, and sees the sentinel where the source would have been.
+    #[test]
+    fn reads_src_alone_picks_the_record_shape() {
+        struct SrcFree(std::sync::atomic::AtomicBool);
+        impl VertexProgram for SrcFree {
+            fn name(&self) -> &'static str {
+                "flood"
+            }
+            fn init_state(&self, v: VertexId) -> u64 {
+                Flood.init_state(v)
+            }
+            fn init_active(&self, n: usize) -> InitActive {
+                Flood.init_active(n)
+            }
+            fn process(&self, ctx: &mut VertexCtx<'_>) {
+                if ctx.msgs().iter().any(|m| m.src != VertexId::MAX) {
+                    self.0.store(true, std::sync::atomic::Ordering::SeqCst);
+                }
+                Flood.process(ctx)
+            }
+            fn reads_src(&self) -> bool {
+                false
+            }
+        }
+        let (mut with, mut without) = (engine_for(ring(64)), engine_for(ring(64)));
+        let kept = with.run(&Flood, 80);
+        let saw_src = SrcFree(false.into());
+        let dropped = without.run(&saw_src, 80);
+        assert!(kept.converged && dropped.converged);
+        assert_eq!(with.states(), without.states());
+        assert!(!saw_src.0.into_inner(), "a source reached a program that disclaimed it");
+        let (kept, dropped) = (kept.multilog.unwrap(), dropped.multilog.unwrap());
+        assert_eq!(kept.updates_logged, dropped.updates_logged);
+        assert!(dropped.bytes_appended < kept.bytes_appended);
     }
 
     #[test]

@@ -51,6 +51,9 @@ impl GrafBoostEngine {
         let intervals = self.graph.intervals().clone();
         let n = intervals.num_vertices();
         let combine = prog.combine();
+        // GraFBoost logs key-value pairs; the source rides along only for
+        // programs that read it, exactly as in the multi-log.
+        let has_src = prog.reads_src();
         self.states = (0..n as VertexId).map(|v| prog.init_state(v)).collect();
 
         let log = self.ssd.open_or_create("gfb.log")?;
@@ -59,7 +62,7 @@ impl GrafBoostEngine {
         let mut all_active = false;
         match prog.init_active(n) {
             InitActive::All => all_active = true,
-            InitActive::Seeds(seeds) => write_log_pages(&self.ssd, log, &seeds)?,
+            InitActive::Seeds(seeds) => write_log_pages(&self.ssd, log, &seeds, has_src)?,
         }
         let mut self_active: Vec<VertexId> = Vec::new();
 
@@ -78,7 +81,7 @@ impl GrafBoostEngine {
 
             // --- The single-log bottleneck: sort the whole log. ---
             let (sorted, sort_stats) =
-                external_sort(&self.ssd, log, self.cfg.sort_budget(), combine, "gfb")?;
+                external_sort(&self.ssd, log, self.cfg.sort_budget(), combine, has_src, "gfb")?;
             st.messages_processed = sort_stats.updates_in;
             let buf_pages = ((self.cfg.sort_budget() / self.ssd.page_size()) / 4).max(1) as u64;
             let mut groups = SortedGroups::new(&self.ssd, sorted, buf_pages)?;
@@ -175,12 +178,12 @@ impl GrafBoostEngine {
                     sends_total += out.sends.len() as u64;
                     outbox.extend(out.sends);
                     if outbox.len() >= flush_at {
-                        write_log_pages(&self.ssd, log, &outbox)?;
+                        write_log_pages(&self.ssd, log, &outbox, has_src)?;
                         outbox.clear();
                     }
                 }
             }
-            write_log_pages(&self.ssd, log, &outbox)?;
+            write_log_pages(&self.ssd, log, &outbox, has_src)?;
 
             next_self.sort_unstable();
             next_self.dedup();

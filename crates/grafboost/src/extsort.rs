@@ -1,7 +1,7 @@
 use std::collections::BinaryHeap;
 
 use mlvc_core::Combine;
-use mlvc_log::{decode_log_page, encode_log_page, page_record_capacity, Update};
+use mlvc_log::{decode_log_page, pack_pages, PageShape, Update, ANY_DEST};
 use mlvc_ssd::{DeviceError, FileId, Ssd};
 
 /// What an external sort did — the fig. 8 diagnostic: once the log exceeds
@@ -39,16 +39,18 @@ pub enum Sorted {
 ///   stage — GraFBoost's *sort-reduce*, which shortens runs and is exactly
 ///   what non-combinable algorithms cannot use.
 ///
-/// The input file is consumed (truncated).
+/// The input file is consumed (truncated). `has_src` is the record shape
+/// of the log and of every run file written here (see [`write_log_pages`]).
 pub fn external_sort(
     ssd: &Ssd,
     input: FileId,
     sort_budget: usize,
     combine: Option<Combine>,
+    has_src: bool,
     tag: &str,
 ) -> Result<(Sorted, ExtSortStats), DeviceError> {
     let page_size = ssd.page_size();
-    let cap = page_record_capacity(page_size);
+    let cap = page_capacity(page_size, has_src);
     let budget_updates = (sort_budget / mlvc_log::UPDATE_BYTES).max(cap);
     let total_pages = ssd.num_pages(input)?;
     let mut stats = ExtSortStats::default();
@@ -83,7 +85,7 @@ pub fn external_sort(
         let run = ssd.open_or_create(&format!("{tag}.run.{next_run}"))?;
         next_run += 1;
         ssd.truncate(run)?;
-        write_log_pages(ssd, run, &chunk)?;
+        write_log_pages(ssd, run, &chunk, has_src)?;
         runs.push(run);
         p = hi;
     }
@@ -103,7 +105,8 @@ pub fn external_sort(
             }
             let out = ssd.open_or_create(&format!("{tag}.merge.{}.{}", stats.merge_passes, g))?;
             ssd.truncate(out)?;
-            merge_runs(ssd, group, out, combine, chunk_pages.max(1) / group.len() as u64 + 1)?;
+            let buf_pages = chunk_pages.max(1) / group.len() as u64 + 1;
+            merge_runs(ssd, group, out, combine, has_src, buf_pages)?;
             for &r in group {
                 ssd.truncate(r)?;
             }
@@ -118,6 +121,13 @@ pub fn external_sort(
         None => return Ok((Sorted::InMemory(Vec::new()), stats)),
     };
     Ok((Sorted::OnDisk { file }, stats))
+}
+
+/// Records per page of GraFBoost's log and run files: key-value pairs
+/// `{u32 dest, u64 data}`, plus the source vertex for programs that read
+/// it — the shared page codec's wide-destination shapes.
+fn page_capacity(page_size: usize, has_src: bool) -> usize {
+    PageShape { wide_dest: true, has_src }.capacity(page_size).max(1)
 }
 
 /// Read log pages `[lo, hi)` of `file` as one charged batch.
@@ -135,22 +145,24 @@ pub fn read_log_pages(
     let mut out = Vec::new();
     let mut useful = 0u64;
     for page in &pages {
-        useful += decode_log_page(page, &mut out) as u64;
+        useful += decode_log_page(page, &ANY_DEST, &mut out)? as u64;
     }
     ssd.declare_useful(useful);
     Ok(out)
 }
 
-/// Append `updates` to `file` as full log pages (one charged batch).
-pub fn write_log_pages(ssd: &Ssd, file: FileId, updates: &[Update]) -> Result<(), DeviceError> {
+/// Append `updates` to `file` as full log pages (one charged batch) of
+/// absolute-destination records, with the source only when `has_src`.
+pub fn write_log_pages(
+    ssd: &Ssd,
+    file: FileId,
+    updates: &[Update],
+    has_src: bool,
+) -> Result<(), DeviceError> {
     if updates.is_empty() {
         return Ok(());
     }
-    let cap = page_record_capacity(ssd.page_size());
-    let pages: Vec<Vec<u8>> = updates
-        .chunks(cap)
-        .map(|c| encode_log_page(c, ssd.page_size()))
-        .collect();
+    let pages = pack_pages(updates, ssd.page_size(), has_src, false);
     let refs: Vec<&[u8]> = pages.iter().map(|p| p.as_slice()).collect();
     ssd.append_pages(file, &refs)?;
     Ok(())
@@ -178,6 +190,7 @@ fn merge_runs(
     runs: &[FileId],
     out: FileId,
     combine: Option<Combine>,
+    has_src: bool,
     buf_pages: u64,
 ) -> Result<(), DeviceError> {
     struct Cursor {
@@ -224,8 +237,7 @@ fn merge_runs(
         .filter_map(|(k, c)| c.peek().map(|u| std::cmp::Reverse((u.dest, k))))
         .collect();
 
-    let cap = page_record_capacity(ssd.page_size());
-    let flush_at = (buf_pages as usize).max(1) * cap;
+    let flush_at = (buf_pages as usize).max(1) * page_capacity(ssd.page_size(), has_src);
     let mut outbuf: Vec<Update> = Vec::with_capacity(flush_at);
     while let Some(std::cmp::Reverse((_, k))) = heap.pop() {
         // The heap only holds cursors whose peek succeeded.
@@ -246,14 +258,14 @@ fn merge_runs(
                 if outbuf.len() >= flush_at
                     && outbuf.last().map(|l| l.dest) != Some(u.dest)
                 {
-                    write_log_pages(ssd, out, &outbuf)?;
+                    write_log_pages(ssd, out, &outbuf, has_src)?;
                     outbuf.clear();
                 }
                 outbuf.push(u);
             }
         }
     }
-    write_log_pages(ssd, out, &outbuf)
+    write_log_pages(ssd, out, &outbuf, has_src)
 }
 
 /// Streaming group iterator over a [`Sorted`] log: yields ascending
@@ -344,7 +356,7 @@ mod tests {
 
     fn write_updates(ssd: &Ssd, name: &str, ups: &[Update]) -> FileId {
         let f = ssd.open_or_create(name).unwrap();
-        write_log_pages(ssd, f, ups).unwrap();
+        write_log_pages(ssd, f, ups, true).unwrap();
         f
     }
 
@@ -359,7 +371,7 @@ mod tests {
         let ssd = ssd();
         let ups = gen_updates(30, 8);
         let f = write_updates(&ssd, "log", &ups);
-        let (sorted, stats) = external_sort(&ssd, f, 1 << 20, None, "t").unwrap();
+        let (sorted, stats) = external_sort(&ssd, f, 1 << 20, None, true, "t").unwrap();
         assert!(stats.in_memory);
         match sorted {
             Sorted::InMemory(v) => {
@@ -377,7 +389,7 @@ mod tests {
         // 1500 updates; budget of 4 pages (15 records each) forces runs.
         let ups = gen_updates(1500, 64);
         let f = write_updates(&ssd, "log", &ups);
-        let (sorted, stats) = external_sort(&ssd, f, 4 * 256, None, "t").unwrap();
+        let (sorted, stats) = external_sort(&ssd, f, 4 * 256, None, true, "t").unwrap();
         assert!(!stats.in_memory);
         assert!(stats.runs > 1, "runs {}", stats.runs);
         assert!(stats.merge_passes >= 1);
@@ -400,7 +412,7 @@ mod tests {
         // All to one destination: order must equal insertion order.
         let ups: Vec<Update> = (0..200).map(|k| Update::new(7, k, k as u64)).collect();
         let f = write_updates(&ssd, "log", &ups);
-        let (sorted, _) = external_sort(&ssd, f, 4 * 256, None, "t").unwrap();
+        let (sorted, _) = external_sort(&ssd, f, 4 * 256, None, true, "t").unwrap();
         let mut groups = SortedGroups::new(&ssd, sorted, 2).unwrap();
         let (d, g) = groups.next_group().unwrap().unwrap();
         assert_eq!(d, 7);
@@ -413,7 +425,7 @@ mod tests {
         let ssd = ssd();
         let ups: Vec<Update> = (0..500).map(|k| Update::new(k % 10, k, 1)).collect();
         let f = write_updates(&ssd, "log", &ups);
-        let (sorted, _) = external_sort(&ssd, f, 4 * 256, Some(u64::wrapping_add as _), "t").unwrap();
+        let (sorted, _) = external_sort(&ssd, f, 4 * 256, Some(u64::wrapping_add as _), true, "t").unwrap();
         let mut groups = SortedGroups::new(&ssd, sorted, 2).unwrap();
         let mut seen = 0;
         while let Some((_, g)) = groups.next_group().unwrap() {
@@ -432,7 +444,7 @@ mod tests {
         let ssd1 = Ssd::new(cfg.clone());
         let f1 = write_updates(&ssd1, "log", &ups);
         ssd1.stats().reset();
-        let (s1, _) = external_sort(&ssd1, f1, 1 << 20, None, "t").unwrap();
+        let (s1, _) = external_sort(&ssd1, f1, 1 << 20, None, true, "t").unwrap();
         let mut g1 = SortedGroups::new(&ssd1, s1, 4).unwrap();
         while g1.next_group().unwrap().is_some() {}
         let cheap = ssd1.stats().snapshot().io_time_ns();
@@ -440,7 +452,7 @@ mod tests {
         let ssd2 = Ssd::new(cfg);
         let f2 = write_updates(&ssd2, "log", &ups);
         ssd2.stats().reset();
-        let (s2, _) = external_sort(&ssd2, f2, 4 * 256, None, "t").unwrap();
+        let (s2, _) = external_sort(&ssd2, f2, 4 * 256, None, true, "t").unwrap();
         let mut g2 = SortedGroups::new(&ssd2, s2, 4).unwrap();
         while g2.next_group().unwrap().is_some() {}
         let expensive = ssd2.stats().snapshot().io_time_ns();
@@ -455,7 +467,7 @@ mod tests {
     fn empty_log_sorts_to_nothing() {
         let ssd = ssd();
         let f = ssd.open_or_create("log").unwrap();
-        let (sorted, stats) = external_sort(&ssd, f, 1 << 20, None, "t").unwrap();
+        let (sorted, stats) = external_sort(&ssd, f, 1 << 20, None, true, "t").unwrap();
         assert!(stats.in_memory);
         let mut groups = SortedGroups::new(&ssd, sorted, 2).unwrap();
         assert!(groups.next_group().unwrap().is_none());

@@ -2,8 +2,9 @@
 //!
 //! This crate implements the paper's central contribution (§IV, §V):
 //!
-//! * [`Update`] — the 16-byte logged message `<v_dest, m>` (destination,
-//!   source, payload);
+//! * [`Update`] — the logged message `<v_dest, m>` (destination, source,
+//!   payload), and [`page`] — the one codec that lays such messages out
+//!   on device pages in 10 to 16 bytes each;
 //! * [`MultiLog`] — the **Multi-Log Update Unit** (§V-A): one log per
 //!   vertex interval, page-sized top buffers in host memory, batched
 //!   page-granular eviction striped across all SSD channels, and per-
@@ -56,6 +57,7 @@
 mod bitset;
 mod edgelog;
 mod multilog;
+pub mod page;
 mod sortgroup;
 mod update;
 
@@ -64,9 +66,7 @@ pub use mlvc_ssd::checked;
 
 pub use bitset::BitSet;
 pub use edgelog::{EdgeLogConfig, EdgeLogOptimizer, EdgeLogStats};
-pub use multilog::{
-    decode_log_page, encode_log_page, page_record_capacity, BatchPlan, LogReader, MultiLog,
-    MultiLogConfig, MultiLogStats,
-};
+pub use multilog::{BatchPlan, LogReader, MultiLog, MultiLogConfig, MultiLogStats};
+pub use page::{decode_log_page, pack_pages, LogPage, PageError, PageShape, ANY_DEST};
 pub use sortgroup::{counting_sort_by_dest, group_by_dest, plan_fusion, FusedBatch, SortGroup};
-pub use update::{DecodeError, Update, UPDATE_BYTES};
+pub use update::{Update, UPDATE_BYTES};

@@ -1,4 +1,5 @@
 use crate::checked::{idx, to_u32, to_u64, to_usize};
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -8,7 +9,10 @@ use mlvc_ssd::RelaxedCounter;
 use mlvc_graph::{IntervalId, VertexIntervals, VertexId};
 use mlvc_ssd::{DeviceError, FileId, Ssd};
 
-use crate::{BitSet, Update, UPDATE_BYTES};
+use crate::page::{
+    decode_log_page, pack_pages, push_record, seal_page, LogPage, PageShape, NARROW_DEST_SPAN,
+};
+use crate::{BitSet, Update};
 
 fn elapsed_ns(since: Instant) -> u64 {
     u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX)
@@ -25,17 +29,23 @@ pub struct MultiLogConfig {
     /// *page* at append time, so each interval's top buffer is an array of
     /// page-width buckets and sealed pages are destination-clustered. The
     /// read side then needs only a per-interval counting pass instead of a
-    /// whole-inbox radix sort. Off by default: unfolded logs preserve
-    /// global insertion order, which the raw `take_log` contract exposes.
-    /// Either way the per-destination insertion order is preserved, so the
-    /// sorted inbox is bit-identical across the two layouts.
+    /// whole-inbox radix sort. On by default, as in the engine; unfolded
+    /// logs preserve global insertion order, which the raw `take_log`
+    /// contract exposes. Either way the per-destination insertion order is
+    /// preserved, so the sorted inbox is bit-identical across the two
+    /// layouts.
     pub fold_scatter: bool,
+    /// Whether the program consuming this log reads `Update::src`
+    /// (`VertexProgram::reads_src`, set by the engine). When it does not,
+    /// records are logged without their source and drain with
+    /// `src = VertexId::MAX`.
+    pub reads_src: bool,
 }
 
 impl Default for MultiLogConfig {
     fn default() -> Self {
         // 5% of the paper's default 1 GB budget, scaled: engines override.
-        MultiLogConfig { buffer_bytes: 4 << 20, fold_scatter: false }
+        MultiLogConfig { buffer_bytes: 4 << 20, fold_scatter: true, reads_src: true }
     }
 }
 
@@ -47,20 +57,32 @@ pub struct MultiLogStats {
     /// Memory-pressure eviction events (buffer exceeded its cap).
     pub evictions: u64,
     pub updates_read: u64,
-    /// Encoded record bytes appended across every interval log (count
-    /// header + records per flushed page — the observability layer's
-    /// "log bytes appended" source).
+    /// Encoded bytes appended across every interval log (page header +
+    /// records per flushed page — the observability layer's "log bytes
+    /// appended" source).
     pub bytes_appended: u64,
+}
+
+/// How one interval's log pages are laid out while they fill: the record
+/// shape of its top buffers and the page geometry that follows from it.
+#[derive(Debug, Clone, Copy)]
+struct IntervalLayout {
+    shape: PageShape,
+    /// Records on a full page of `shape`.
+    page_cap: usize,
+    /// Byte length of a full page of `shape`.
+    full_bytes: usize,
 }
 
 /// The Multi-Log Update Unit (paper §V-A).
 ///
 /// One append-only log per vertex interval. `SendUpdate` maps the
-/// destination vertex to its interval (`vId2IntervalMap`) and appends the
-/// 16-byte record to that interval's **top page** in host memory. Full
-/// pages are sealed; under memory pressure sealed pages (and, if needed,
-/// top pages) are flushed to the interval's log file in one scattered batch
-/// so the writes pipeline across all SSD channels.
+/// destination vertex to its interval (`vId2IntervalMap`) and encodes the
+/// record straight into that interval's **top page** in host memory (the
+/// page format is [`crate::page`]'s). Full pages are sealed; under memory
+/// pressure sealed pages (and, if needed, top pages) are flushed to the
+/// interval's log file in one scattered batch so the writes pipeline
+/// across all SSD channels.
 ///
 /// The unit also maintains:
 /// * per-interval message counters — "a first-order approximation of the
@@ -80,21 +102,27 @@ pub struct MultiLog {
     /// breaking BSP delivery.
     files: Vec<[FileId; 2]>,
     write_side: usize,
-    /// Top buffers. Unfolded: one slot per interval (insertion order).
-    /// Folded: one slot per destination-page *bucket*, `bucket_base[i]..
-    /// bucket_base[i+1]` covering interval `i`; each bucket spans
-    /// `page_cap` consecutive destination vertices, so a sealed full
-    /// bucket is a destination-clustered page.
-    tops: Vec<Vec<Update>>,
+    /// Top buffers: the encoded bytes of the page each slot is filling
+    /// (empty until its first record). Unfolded: one slot per interval
+    /// (insertion order). Folded: one slot per destination-page *bucket*,
+    /// `bucket_base[i]..bucket_base[i+1]` covering interval `i`; each
+    /// bucket spans one narrow page's worth of consecutive destination
+    /// vertices, so a sealed full bucket is a destination-clustered page.
+    tops: Vec<Vec<u8>>,
     /// Slot ranges into `tops` per interval (`n + 1` prefix offsets).
     bucket_base: Vec<usize>,
     /// Destination vertex → `tops` slot, precomputed so the scatter hot
     /// loop is two array reads instead of an interval lookup plus a
     /// division per record.
     slot_lut: Vec<u32>,
+    /// First destination vertex of each slot — the `dest_base` its narrow
+    /// pages count offsets from.
+    slot_dest_base: Vec<VertexId>,
+    /// Page layout per interval.
+    layouts: Vec<IntervalLayout>,
     /// Records currently sitting in interval `i`'s top buffers (all its
     /// slots together). Keeps [`Self::buffered_pages`] O(intervals) and —
-    /// counted in `page_cap` units per interval — makes memory pressure a
+    /// counted in page units per interval — makes memory pressure a
     /// function of per-interval record counts alone, independent of the
     /// bucket layout and of how the scatter interleaves intervals.
     top_records: Vec<usize>,
@@ -105,14 +133,15 @@ pub struct MultiLog {
     /// (per-slot fill state is not, once folding multiplies the slots).
     pressure_records: usize,
     /// Pressure-flush period: the buffer budget headroom above the
-    /// per-interval floor, in records.
+    /// per-interval floor, in records of the widest shape in use — so the
+    /// bytes appended between two flushes never exceed that headroom.
     evict_every: usize,
-    fold: bool,
-    sealed: Vec<(IntervalId, Vec<Update>)>,
+    has_src: bool,
+    /// Finished pages awaiting the next flush, in seal order.
+    sealed: Vec<(IntervalId, Vec<u8>)>,
     counts: Vec<u64>,
     dest_seen: BitSet,
     cap_pages: usize,
-    page_cap: usize,
     /// `updates_read` lives outside `stats` in a shared atomic so that a
     /// [`LogReader`] draining the read side on a prefetch thread counts
     /// into the same total as the owner.
@@ -161,6 +190,20 @@ pub struct BatchPlan {
     pages_per_interval: Vec<u64>,
 }
 
+impl BatchPlan {
+    /// Pages the `k`-th interval of the plan contributes to a fetch.
+    fn interval_page_count(&self, k: usize) -> Result<usize, DeviceError> {
+        to_usize("log page count", self.pages_per_interval[k])
+            .map_err(|e| DeviceError::Io(e.to_string()))
+    }
+}
+
+/// Interval index → id. Interval counts are bounded by the (u32) vertex
+/// count, so the conversion cannot saturate in practice.
+fn interval_id(ii: usize) -> IntervalId {
+    to_u32("interval id", ii).unwrap_or(IntervalId::MAX)
+}
+
 impl LogReader {
     /// Consume interval `i`'s read-side log, exactly like
     /// [`MultiLog::take_log`]: read every page in one channel-parallel
@@ -168,7 +211,7 @@ impl LogReader {
     #[track_caller]
     pub fn take_log(&self, i: IntervalId) -> Result<Vec<Update>, DeviceError> {
         self.take_audit[idx(i)].audit_write();
-        let out = drain_file(&self.ssd, self.files[idx(i)])?;
+        let out = drain_file(&self.ssd, self.files[idx(i)], &self.intervals.range(i))?;
         self.updates_read.add(to_u64(out.len()));
         Ok(out)
     }
@@ -230,11 +273,11 @@ impl LogReader {
         let mut useful = 0u64;
         for (k, i) in plan.range.clone().enumerate() {
             self.take_audit[idx(i)].audit_write();
-            let n = to_usize("log page count", plan.pages_per_interval[k])
-                .map_err(|e| DeviceError::Io(e.to_string()))?;
+            let n = plan.interval_page_count(k)?;
+            let span = self.intervals.range(i);
             let mut ups = Vec::new();
             for p in &pages[cursor..cursor + n] {
-                useful += to_u64(decode_log_page(p, &mut ups));
+                useful += to_u64(decode_log_page(p, &span, &mut ups)?);
             }
             cursor += n;
             if n > 0 {
@@ -268,19 +311,10 @@ impl LogReader {
         pages: &[Vec<u8>],
     ) -> Result<(Vec<Update>, u64, u64), DeviceError> {
         assert_eq!(pages.len(), plan.reqs.len(), "fetched pages must match the plan");
-        // Well-formed record count of a page: the header count, capped by
-        // the whole records actually present (same set `decode_log_page`
-        // yields on a torn page).
-        fn well_formed(page: &[u8]) -> (usize, &[u8]) {
-            match page.split_first_chunk::<4>() {
-                Some((hdr, body)) => {
-                    (idx(u32::from_le_bytes(*hdr)).min(body.len() / UPDATE_BYTES), body)
-                }
-                None => (0, &[][..]),
-            }
-        }
         let t_load = Instant::now();
-        let total: usize = pages.iter().map(|p| well_formed(p).0).sum();
+        let parsed: Vec<LogPage<'_>> =
+            pages.iter().map(|p| LogPage::parse(p)).collect::<Result<_, _>>()?;
+        let total: usize = parsed.iter().map(LogPage::len).sum();
         let mut out = vec![Update::new(0, 0, 0); total];
         let mut counts: Vec<usize> = Vec::new();
         let mut useful = 0u64;
@@ -289,25 +323,21 @@ impl LogReader {
         let mut base = 0usize;
         for (k, i) in plan.range.clone().enumerate() {
             self.take_audit[idx(i)].audit_write();
-            let n = to_usize("log page count", plan.pages_per_interval[k])
-                .map_err(|e| DeviceError::Io(e.to_string()))?;
-            let ival_pages = &pages[cursor..cursor + n];
+            let n = plan.interval_page_count(k)?;
+            let ival_pages = &parsed[cursor..cursor + n];
             let span = self.intervals.range(i);
             let lo = span.start;
-            // Histogram + prefix: the "sort" half of the fused pass.
+            // Histogram + prefix: the "sort" half of the fused pass. The
+            // decoder bounds every destination against `span`, so the
+            // `dest - lo` indexing below cannot leave `counts`.
             let t_sort = Instant::now();
             counts.clear();
             counts.resize(idx(span.end - lo) + 1, 0);
             let mut recs = 0usize;
             for p in ival_pages {
-                let (m, body) = well_formed(p);
-                for rec in body.chunks_exact(UPDATE_BYTES).take(m) {
-                    // dest is the first little-endian u32 of the record.
-                    let dest = u32::from_le_bytes([rec[0], rec[1], rec[2], rec[3]]);
-                    counts[idx(dest - lo) + 1] += 1;
-                }
-                recs += m;
-                useful += to_u64(4 + m * UPDATE_BYTES);
+                p.for_each(&span, |u| counts[idx(u.dest - lo) + 1] += 1)?;
+                recs += p.len();
+                useful += to_u64(p.encoded_bytes());
             }
             for w in 1..counts.len() {
                 counts[w] += counts[w - 1];
@@ -316,17 +346,11 @@ impl LogReader {
             // Decode + place: each record lands at its final sorted slot.
             let slice = &mut out[base..base + recs];
             for p in ival_pages {
-                let (m, body) = well_formed(p);
-                for rec in body.chunks_exact(UPDATE_BYTES).take(m) {
-                    match Update::decode(rec) {
-                        Ok(u) => {
-                            let slot = &mut counts[idx(u.dest - lo)];
-                            slice[*slot] = u;
-                            *slot += 1;
-                        }
-                        Err(_) => break,
-                    }
-                }
+                p.for_each(&span, |u| {
+                    let slot = &mut counts[idx(u.dest - lo)];
+                    slice[*slot] = u;
+                    *slot += 1;
+                })?;
             }
             base += recs;
             cursor += n;
@@ -343,9 +367,10 @@ impl LogReader {
     }
 }
 
-/// Read, decode, and truncate one log file (the shared tail of
-/// [`MultiLog::take_log`] and [`LogReader::take_log`]).
-fn drain_file(ssd: &Ssd, file: FileId) -> Result<Vec<Update>, DeviceError> {
+/// Read, decode, and truncate one log file whose destinations lie in
+/// `span` (the shared tail of [`MultiLog::take_log`] and
+/// [`LogReader::take_log`]).
+fn drain_file(ssd: &Ssd, file: FileId, span: &Range<VertexId>) -> Result<Vec<Update>, DeviceError> {
     if ssd.num_pages(file)? == 0 {
         return Ok(Vec::new());
     }
@@ -353,51 +378,11 @@ fn drain_file(ssd: &Ssd, file: FileId) -> Result<Vec<Update>, DeviceError> {
     let mut out = Vec::new();
     let mut useful = 0u64;
     for p in &pages {
-        useful += to_u64(decode_log_page(p, &mut out));
+        useful += to_u64(decode_log_page(p, span, &mut out)?);
     }
     ssd.declare_useful(useful);
     ssd.truncate(file)?;
     Ok(out)
-}
-
-/// Records that fit on one log page after the 4-byte count header.
-pub fn page_record_capacity(page_size: usize) -> usize {
-    (page_size - 4) / UPDATE_BYTES
-}
-
-/// Encode a full or partial page: `[u32 count][count × 16 B records]`.
-pub fn encode_log_page(updates: &[Update], page_size: usize) -> Vec<u8> {
-    assert!(updates.len() <= page_record_capacity(page_size));
-    // The capacity assert above bounds the count far below u32::MAX for
-    // any sane page size, so the saturating fallback is unreachable.
-    let count = to_u32("log page record count", updates.len()).unwrap_or(u32::MAX);
-    let mut buf = vec![0u8; 4 + updates.len() * UPDATE_BYTES];
-    buf[0..4].copy_from_slice(&count.to_le_bytes());
-    for (k, u) in updates.iter().enumerate() {
-        u.encode(&mut buf[4 + k * UPDATE_BYTES..4 + (k + 1) * UPDATE_BYTES]);
-    }
-    buf
-}
-
-/// Decode a log page produced by [`encode_log_page`]. Returns the records
-/// and the number of payload bytes they occupy (for useful-byte accounting).
-pub fn decode_log_page(page: &[u8], out: &mut Vec<Update>) -> usize {
-    // A page too short for its header or records is torn; decode what is
-    // well-formed rather than panicking mid-superstep.
-    let Some((hdr, body)) = page.split_first_chunk::<4>() else {
-        return 0;
-    };
-    let count = idx(u32::from_le_bytes(*hdr));
-    out.reserve(count);
-    let mut decoded = 0;
-    for rec in body.chunks_exact(UPDATE_BYTES).take(count) {
-        match Update::decode(rec) {
-            Ok(u) => out.push(u),
-            Err(_) => break,
-        }
-        decoded += 1;
-    }
-    4 + decoded * UPDATE_BYTES
 }
 
 impl MultiLog {
@@ -435,46 +420,61 @@ impl MultiLog {
         let eviction_batch = 8 * ssd.config().channels.max(8);
         let cap_pages = (cfg.buffer_bytes / page_size).max(n + eviction_batch);
         let num_vertices = intervals.num_vertices();
-        let page_cap = page_record_capacity(page_size);
-        // Folded: one bucket per `page_cap` destination vertices, at least
-        // one per interval. Unfolded: a single slot per interval.
+        let has_src = cfg.reads_src;
+        let narrow = PageShape { wide_dest: false, has_src };
+        // Folded: one bucket per narrow page's worth of destination
+        // vertices (so every bucket's offsets fit the narrow form), at
+        // least one per interval. Unfolded: a single slot per interval,
+        // narrow when the whole interval fits one page's offset range.
+        let bucket_width = narrow.capacity(page_size).max(1);
         let mut bucket_base = Vec::with_capacity(n + 1);
         bucket_base.push(0usize);
-        for i in 0..n {
-            let slots = if cfg.fold_scatter {
-                intervals.len_of(to_u32("interval id", i).unwrap_or(u32::MAX)).div_ceil(page_cap).max(1)
-            } else {
-                1
-            };
-            bucket_base.push(bucket_base[i] + slots);
-        }
-        let total_slots = bucket_base[n];
+        let mut layouts = Vec::with_capacity(n);
         let mut slot_lut = Vec::with_capacity(num_vertices);
-        for (i, &base) in bucket_base.iter().enumerate().take(n) {
-            let iv = to_u32("interval id", i).unwrap_or(u32::MAX);
+        let mut slot_dest_base = Vec::new();
+        for i in 0..n {
+            let iv = interval_id(i);
+            let len = intervals.len_of(iv);
+            let slots = if cfg.fold_scatter { len.div_ceil(bucket_width).max(1) } else { 1 };
+            let wide_dest = !cfg.fold_scatter && len > NARROW_DEST_SPAN;
+            let shape = PageShape { wide_dest, has_src };
+            layouts.push(IntervalLayout {
+                shape,
+                page_cap: shape.capacity(page_size).max(1),
+                full_bytes: shape.full_page_bytes(page_size),
+            });
+            let base = bucket_base[i];
             let lo = intervals.start(iv);
             for d in intervals.range(iv) {
-                let bucket = if cfg.fold_scatter { idx(d - lo) / page_cap } else { 0 };
+                let bucket = if cfg.fold_scatter { idx(d - lo) / bucket_width } else { 0 };
+                if base + bucket == slot_dest_base.len() {
+                    slot_dest_base.push(d);
+                }
                 slot_lut.push(to_u32("slot", base + bucket).unwrap_or(u32::MAX));
             }
+            // An empty interval still owns its slot.
+            slot_dest_base.resize(base + slots, lo);
+            bucket_base.push(base + slots);
         }
+        let min_page_cap = layouts.iter().map(|l| l.page_cap).min().unwrap_or(1);
         Ok(MultiLog {
             ssd,
             intervals,
             files,
             write_side: 0,
-            tops: vec![Vec::new(); total_slots],
+            tops: vec![Vec::new(); bucket_base[n]],
             bucket_base,
             slot_lut,
+            slot_dest_base,
+            layouts,
             top_records: vec![0; n],
             pressure_records: 0,
-            evict_every: cap_pages.saturating_sub(n).max(1) * page_cap,
-            fold: cfg.fold_scatter,
+            evict_every: cap_pages.saturating_sub(n).max(1) * min_page_cap,
+            has_src,
             sealed: Vec::new(),
             counts: vec![0; n],
             dest_seen: BitSet::new(num_vertices),
             cap_pages,
-            page_cap,
             stats: MultiLogStats::default(),
             updates_read: Arc::new(RelaxedCounter::new(0)),
             bytes_per_interval: vec![0; n],
@@ -512,22 +512,31 @@ impl MultiLog {
         &self.intervals
     }
 
-    /// Top-buffer slot for a destination: the interval's single slot
-    /// (unfolded) or its destination-page bucket (folded), via the
-    /// precomputed lookup table.
-    fn slot_of(&self, i: usize, dest: VertexId) -> usize {
-        if !self.fold {
-            return i;
+    /// Encode `run` (all bound for interval `ii`) onto the top pages of
+    /// their slots — the one place a logged record is serialized — sealing
+    /// every page a record fills. The loop works on borrowed parts of
+    /// `self` so nothing it reads can alias the page bytes it writes.
+    fn append_run(&mut self, ii: usize, run: &[Update]) {
+        let IntervalLayout { shape, page_cap, full_bytes } = self.layouts[ii];
+        let i = interval_id(ii);
+        let (lut, bases) = (&self.slot_lut[..], &self.slot_dest_base[..]);
+        let (tops, seen, sealed) = (&mut self.tops[..], &mut self.dest_seen, &mut self.sealed);
+        let sealed_before = sealed.len();
+        for u in run {
+            seen.set(idx(u.dest));
+            let s = idx(lut[idx(u.dest)]);
+            let top = &mut tops[s];
+            push_record(top, shape, bases[s], u);
+            if top.len() == full_bytes {
+                // Hand back a buffer with one page of capacity so the next
+                // fill never reallocates.
+                let mut full = std::mem::replace(top, Vec::with_capacity(full_bytes));
+                seal_page(&mut full);
+                sealed.push((i, full));
+            }
         }
-        idx(self.slot_lut[idx(dest)])
-    }
-
-    /// Seal slot `s`'s full top page into `sealed`, handing back a buffer
-    /// with one page of capacity so the next fill never reallocates.
-    fn seal_full_slot(&mut self, i: IntervalId, s: usize) {
-        let full = std::mem::replace(&mut self.tops[s], Vec::with_capacity(self.page_cap));
-        self.top_records[idx(i)] -= self.page_cap;
-        self.sealed.push((i, full));
+        self.top_records[ii] += run.len();
+        self.top_records[ii] -= (sealed.len() - sealed_before) * page_cap;
     }
 
     /// The paper's `SendUpdate(v_dest, m)` tail half: append to the top
@@ -537,14 +546,8 @@ impl MultiLog {
     pub fn send(&mut self, u: Update) -> Result<(), DeviceError> {
         let i = idx(self.intervals.interval_of(u.dest));
         self.counts[i] += 1;
-        self.dest_seen.set(idx(u.dest));
         self.stats.updates_logged += 1;
-        let s = self.slot_of(i, u.dest);
-        self.tops[s].push(u);
-        self.top_records[i] += 1;
-        if self.tops[s].len() == self.page_cap {
-            self.seal_full_slot(i as IntervalId, s);
-        }
+        self.append_run(i, std::slice::from_ref(&u));
         self.note_appended(1)
     }
 
@@ -565,11 +568,12 @@ impl MultiLog {
     /// a slice of updates already routed to interval `i`, preserving slice
     /// order. Equivalent to calling [`Self::send`] on each update — same
     /// page boundaries, same eviction trigger points — minus the per-update
-    /// interval lookup.
+    /// interval lookup and pressure check: the slice is appended in runs
+    /// that each end exactly where the next eviction is due. With folding
+    /// the per-record bucketing is the sort — full buckets seal as
+    /// destination-clustered pages, and the read side only needs a
+    /// per-interval counting pass.
     pub fn send_batch(&mut self, i: IntervalId, ups: &[Update]) -> Result<(), DeviceError> {
-        if ups.is_empty() {
-            return Ok(());
-        }
         debug_assert!(
             ups.iter().all(|u| self.intervals.interval_of(u.dest) == i),
             "send_batch: updates must be pre-routed to interval {i}"
@@ -577,40 +581,13 @@ impl MultiLog {
         let ii = idx(i);
         self.counts[ii] += to_u64(ups.len());
         self.stats.updates_logged += to_u64(ups.len());
-        if self.fold && self.bucket_base[ii + 1] - self.bucket_base[ii] > 1 {
-            // Sort-reduce folding: route each record to its destination-
-            // page bucket. The bucketing is the sort — full buckets seal
-            // as destination-clustered pages, and the read side only needs
-            // a per-interval counting pass. (An interval narrower than one
-            // destination page has a single bucket, where bucketing equals
-            // insertion order — it takes the slice path below instead.)
-            for &u in ups {
-                self.dest_seen.set(idx(u.dest));
-                let s = idx(self.slot_lut[idx(u.dest)]);
-                self.tops[s].push(u);
-                self.top_records[ii] += 1;
-                if self.tops[s].len() == self.page_cap {
-                    self.seal_full_slot(i, s);
-                }
-                self.note_appended(1)?;
-            }
-            return Ok(());
-        }
-        let slot = self.bucket_base[ii];
         let mut rest = ups;
         while !rest.is_empty() {
-            let room = self.page_cap - self.tops[slot].len();
+            let room = self.evict_every - self.pressure_records;
             let (now, later) = rest.split_at(room.min(rest.len()));
-            for u in now {
-                self.dest_seen.set(idx(u.dest));
-            }
-            self.tops[slot].extend_from_slice(now);
-            self.top_records[ii] += now.len();
-            rest = later;
-            if self.tops[slot].len() == self.page_cap {
-                self.seal_full_slot(i, slot);
-            }
+            self.append_run(ii, now);
             self.note_appended(now.len())?;
+            rest = later;
         }
         Ok(())
     }
@@ -623,17 +600,26 @@ impl MultiLog {
 
     /// Pages currently buffered in host memory: sealed full pages plus each
     /// interval's top records rounded up to page units. Sealed pages hold
-    /// exactly `page_cap` records, so the sum per interval telescopes to
-    /// `ceil(buffered records / page_cap)` — the same value whatever bucket
-    /// layout the records sit in (for an unfolded unit this is bit-identical
-    /// to the historical "sealed + non-empty tops" count).
+    /// exactly one page of records, so the sum per interval telescopes to
+    /// `ceil(buffered records / page capacity)` — the same value whatever
+    /// bucket layout the records sit in.
     pub fn buffered_pages(&self) -> usize {
         self.sealed.len()
             + self
                 .top_records
                 .iter()
-                .map(|&r| r.div_ceil(self.page_cap))
+                .zip(&self.layouts)
+                .map(|(&r, l)| r.div_ceil(l.page_cap))
                 .sum::<usize>()
+    }
+
+    /// Encoded bytes currently buffered in host memory (sealed pages plus
+    /// every top buffer) — what `MultiLogConfig::buffer_bytes` caps: after
+    /// any append it is at most the cap (with its floors) plus one
+    /// eviction period's worth of records.
+    pub fn buffered_bytes(&self) -> usize {
+        self.sealed.iter().map(|(_, p)| p.len()).sum::<usize>()
+            + self.tops.iter().map(Vec::len).sum::<usize>()
     }
 
     /// Messages logged (pending) per interval this superstep.
@@ -657,22 +643,49 @@ impl MultiLog {
         self.files.iter().flat_map(|f| [f[0], f[1]]).collect()
     }
 
-    /// Move every buffered top record into `sealed`, interval by interval.
-    /// Folded intervals pack their partial buckets — in bucket order, so
-    /// records stay destination-clustered — into full pages before a final
-    /// partial one; an unfolded interval's single top is one partial page,
-    /// exactly as before.
-    fn seal_all_tops(&mut self) {
-        for ii in 0..self.files.len() {
-            let mut pending: Vec<Update> = Vec::new();
-            for s in self.bucket_base[ii]..self.bucket_base[ii + 1] {
-                pending.append(&mut self.tops[s]);
-            }
-            for chunk in pending.chunks(self.page_cap) {
-                self.sealed.push((ii as IntervalId, chunk.to_vec()));
-            }
-            self.top_records[ii] = 0;
+    /// Seal and decode interval `ii`'s top buffers in bucket order onto
+    /// `out`, leaving them empty (capacity kept).
+    fn drain_tops(&mut self, ii: usize, out: &mut Vec<Update>) -> Result<(), DeviceError> {
+        let span = self.intervals.range(interval_id(ii));
+        for top in &mut self.tops[self.bucket_base[ii]..self.bucket_base[ii + 1]] {
+            seal_page(top);
+            decode_log_page(top, &span, out)?;
+            top.clear();
         }
+        self.top_records[ii] = 0;
+        Ok(())
+    }
+
+    /// Move every buffered top record into `sealed`, interval by interval.
+    /// An interval with a single partial top (always, when unfolded) seals
+    /// it as is. A folded interval packs its partial buckets — in bucket
+    /// order, so records stay destination-clustered — into full pages
+    /// before a final partial one: offsets are re-based on each packed
+    /// page's own smallest destination, and a page whose destinations span
+    /// more than the narrow form addresses falls back to absolute ones.
+    fn seal_all_tops(&mut self) -> Result<(), DeviceError> {
+        let page_size = self.ssd.page_size();
+        for ii in 0..self.files.len() {
+            if self.top_records[ii] == 0 {
+                continue;
+            }
+            let i = interval_id(ii);
+            let slots = self.bucket_base[ii]..self.bucket_base[ii + 1];
+            let mut live = slots.filter(|&s| !self.tops[s].is_empty());
+            if let (Some(s), None) = (live.next(), live.next()) {
+                let mut page = std::mem::take(&mut self.tops[s]);
+                seal_page(&mut page);
+                self.sealed.push((i, page));
+                self.top_records[ii] = 0;
+                continue;
+            }
+            let mut pending = Vec::with_capacity(self.top_records[ii]);
+            self.drain_tops(ii, &mut pending)?;
+            for page in pack_pages(&pending, page_size, self.has_src, true) {
+                self.sealed.push((i, page));
+            }
+        }
+        Ok(())
     }
 
     fn evict(&mut self) -> Result<(), DeviceError> {
@@ -680,32 +693,32 @@ impl MultiLog {
         self.flush_sealed()?;
         if self.buffered_pages() > self.cap_pages {
             // Still over: flush every non-empty top page too.
-            self.seal_all_tops();
+            self.seal_all_tops()?;
             self.flush_sealed()?;
         }
         Ok(())
     }
 
+    /// Hand every sealed page to the device in one scattered batch. The
+    /// pages were encoded when their records were appended; nothing is
+    /// touched per record here.
     fn flush_sealed(&mut self) -> Result<(), DeviceError> {
         if self.sealed.is_empty() {
             return Ok(());
         }
-        let page_size = self.ssd.page_size();
         let side = self.write_side;
-        let encoded: Vec<(IntervalId, FileId, Vec<u8>)> = self
+        let writes: Vec<(FileId, &[u8])> = self
             .sealed
-            .drain(..)
-            .map(|(i, ups)| (i, self.files[idx(i)][side], encode_log_page(&ups, page_size)))
+            .iter()
+            .map(|(i, page)| (self.files[idx(*i)][side], page.as_slice()))
             .collect();
-        let writes: Vec<(FileId, &[u8])> =
-            encoded.iter().map(|(_, f, p)| (*f, p.as_slice())).collect();
         self.ssd.append_scattered(&writes)?;
-        for (i, _, p) in &encoded {
-            let appended = to_u64(p.len());
-            self.stats.bytes_appended += appended;
-            self.bytes_per_interval[idx(*i)] += appended;
-        }
         self.stats.pages_flushed += to_u64(writes.len());
+        for (i, page) in self.sealed.drain(..) {
+            let appended = to_u64(page.len());
+            self.stats.bytes_appended += appended;
+            self.bytes_per_interval[idx(i)] += appended;
+        }
         Ok(())
     }
 
@@ -713,7 +726,7 @@ impl MultiLog {
     /// Returns the per-interval pending message counts (the fusing input
     /// for the next superstep) and resets counters and the seen bit vector.
     pub fn finish_superstep(&mut self) -> Result<Vec<u64>, DeviceError> {
-        self.seal_all_tops();
+        self.seal_all_tops()?;
         self.flush_sealed()?;
         self.pressure_records = 0;
         self.dest_seen.clear();
@@ -740,26 +753,28 @@ impl MultiLog {
     /// Inverse of [`Self::snapshot_pending`]: place checkpointed log pages
     /// back on the read side and return the per-interval pending record
     /// counts (what [`Self::finish_superstep`] returned when the snapshot
-    /// was taken). Records are re-counted through the torn-tolerant
-    /// decoder, so a tail that does not decode into whole records (see
-    /// [`crate::DecodeError`]) is truncated rather than trusted.
+    /// was taken). Every page goes through the decoder first, so a
+    /// snapshot whose pages are not this format's (or carry destinations
+    /// outside their interval) is refused before anything is written.
     pub fn restore_pending(&mut self, snapshot: &[Vec<Vec<u8>>]) -> Result<Vec<u64>, DeviceError> {
         assert_eq!(snapshot.len(), self.files.len(), "snapshot interval count mismatch");
         let side = 1 - self.write_side;
         let mut counts = vec![0u64; self.files.len()];
-        for (i, pages) in snapshot.iter().enumerate() {
-            let file = self.files[i][side];
-            self.ssd.truncate(file)?;
-            if pages.is_empty() {
-                continue;
-            }
-            let refs: Vec<&[u8]> = pages.iter().map(|p| p.as_slice()).collect();
-            self.ssd.append_pages(file, &refs)?;
-            let mut decoded = Vec::new();
+        let mut decoded = Vec::new();
+        for ((pages, count), i) in snapshot.iter().zip(&mut counts).zip(self.intervals.iter_ids()) {
+            let span = self.intervals.range(i);
+            decoded.clear();
             for p in pages {
-                decode_log_page(p, &mut decoded);
+                decode_log_page(p, &span, &mut decoded)?;
             }
-            counts[i] = to_u64(decoded.len());
+            *count = to_u64(decoded.len());
+        }
+        for (pages, f) in snapshot.iter().zip(&self.files) {
+            self.ssd.truncate(f[side])?;
+            if !pages.is_empty() {
+                let refs: Vec<&[u8]> = pages.iter().map(|p| p.as_slice()).collect();
+                self.ssd.append_pages(f[side], &refs)?;
+            }
         }
         Ok(counts)
     }
@@ -768,33 +783,19 @@ impl MultiLog {
     /// source vertices will be delivered to the target vertices, either
     /// from the current superstep or the previous one"): consume every
     /// update logged for interval `i` *during the current superstep* —
-    /// flushed write-side pages, sealed pages, and the top page — in log
+    /// flushed write-side pages, sealed pages, and the top pages — in log
     /// order. Pending counters are rolled back so the consumed updates are
     /// not double-scheduled for the next superstep.
     pub fn take_log_current(&mut self, i: IntervalId) -> Result<Vec<Update>, DeviceError> {
-        let mut out = Vec::new();
-        let file = self.files[idx(i)][self.write_side];
-        if self.ssd.num_pages(file)? > 0 {
-            let pages = self.ssd.read_all(file, |_| 0)?;
-            let mut useful = 0u64;
-            for p in &pages {
-                useful += to_u64(decode_log_page(p, &mut out));
-            }
-            self.ssd.declare_useful(useful);
-            self.ssd.truncate(file)?;
+        let span = self.intervals.range(i);
+        let mut out = drain_file(&self.ssd, self.files[idx(i)][self.write_side], &span)?;
+        let (mine, others): (Vec<_>, Vec<_>) =
+            std::mem::take(&mut self.sealed).into_iter().partition(|(j, _)| *j == i);
+        self.sealed = others;
+        for (_, page) in &mine {
+            decode_log_page(page, &span, &mut out)?;
         }
-        let sealed = std::mem::take(&mut self.sealed);
-        for (j, ups) in sealed {
-            if j == i {
-                out.extend(ups);
-            } else {
-                self.sealed.push((j, ups));
-            }
-        }
-        for s in self.bucket_base[idx(i)]..self.bucket_base[idx(i) + 1] {
-            out.append(&mut self.tops[s]);
-        }
-        self.top_records[idx(i)] = 0;
+        self.drain_tops(idx(i), &mut out)?;
         self.counts[idx(i)] -= to_u64(out.len());
         self.updates_read.add(to_u64(out.len()));
         Ok(out)
@@ -804,7 +805,8 @@ impl MultiLog {
     /// batch), decode in log order, truncate the file. Useful bytes are
     /// declared from the in-page record counts.
     pub fn take_log(&mut self, i: IntervalId) -> Result<Vec<Update>, DeviceError> {
-        let out = drain_file(&self.ssd, self.files[idx(i)][1 - self.write_side])?;
+        let file = self.files[idx(i)][1 - self.write_side];
+        let out = drain_file(&self.ssd, file, &self.intervals.range(i))?;
         self.updates_read.add(to_u64(out.len()));
         Ok(out)
     }
@@ -813,6 +815,7 @@ impl MultiLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::page::PAGE_HEADER_BYTES;
     use mlvc_ssd::SsdConfig;
 
     fn setup(buffer_bytes: usize) -> MultiLog {
@@ -820,26 +823,15 @@ mod tests {
     }
 
     fn setup_fold(buffer_bytes: usize, fold_scatter: bool) -> MultiLog {
-        let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
-        // 256-byte pages: 15 records per page.
+        setup_on(Arc::new(Ssd::new(SsdConfig::test_small())), buffer_bytes, fold_scatter, true)
+    }
+
+    fn setup_on(ssd: Arc<Ssd>, buffer_bytes: usize, fold_scatter: bool, reads_src: bool) -> MultiLog {
+        // 256-byte pages, intervals of 25 vertices: narrow pages of 17
+        // records with a source, 24 without.
         let iv = VertexIntervals::uniform(100, 4);
-        MultiLog::new(ssd, iv, MultiLogConfig { buffer_bytes, fold_scatter }, "t").unwrap()
-    }
-
-    #[test]
-    fn page_capacity_math() {
-        assert_eq!(page_record_capacity(256), 15);
-        assert_eq!(page_record_capacity(16 * 1024), 1023);
-    }
-
-    #[test]
-    fn encode_decode_page_roundtrip() {
-        let ups: Vec<Update> = (0..15).map(|k| Update::new(k, k + 1, k as u64 * 99)).collect();
-        let page = encode_log_page(&ups, 256);
-        let mut out = Vec::new();
-        let useful = decode_log_page(&page, &mut out);
-        assert_eq!(out, ups);
-        assert_eq!(useful, 4 + 15 * 16);
+        MultiLog::new(ssd, iv, MultiLogConfig { buffer_bytes, fold_scatter, reads_src }, "t")
+            .unwrap()
     }
 
     #[test]
@@ -859,7 +851,7 @@ mod tests {
     #[test]
     fn log_preserves_insertion_order() {
         let mut ml = setup(1 << 20);
-        // 40 messages to interval 0, spanning several pages (15/page).
+        // 40 messages to interval 0, spanning several pages (17/page).
         let sent: Vec<Update> = (0..40).map(|k| Update::new(k % 25, k, k as u64)).collect();
         for &u in &sent {
             ml.send(u).unwrap();
@@ -1034,9 +1026,11 @@ mod tests {
         }
         ml.finish_superstep().unwrap();
         let per = ml.bytes_appended_per_interval().to_vec();
-        assert_eq!(per[0], to_u64(4 + 3 * UPDATE_BYTES), "header + 3 records");
+        // Was 4 + 3 * 16 and 4 + 16 with the fixed-width layout.
+        let rec = PageShape { wide_dest: false, has_src: true }.record_bytes();
+        assert_eq!(per[0], to_u64(PAGE_HEADER_BYTES + 3 * rec), "header + 3 records");
         assert_eq!(per[1], 0);
-        assert_eq!(per[2], to_u64(4 + UPDATE_BYTES));
+        assert_eq!(per[2], to_u64(PAGE_HEADER_BYTES + rec));
         assert_eq!(per[3], 0);
         assert_eq!(ml.stats().bytes_appended, per.iter().sum::<u64>());
         // Accounting is cumulative across supersteps and agrees between
@@ -1047,6 +1041,134 @@ mod tests {
             ml.stats().bytes_appended,
             ml.bytes_appended_per_interval().iter().sum::<u64>()
         );
-        assert_eq!(ml.bytes_appended_per_interval()[3], to_u64(4 + UPDATE_BYTES));
+        assert_eq!(ml.bytes_appended_per_interval()[3], to_u64(PAGE_HEADER_BYTES + rec));
+    }
+
+    #[test]
+    fn dropped_src_drains_as_the_sentinel_and_packs_more_per_page() {
+        let ssds: Vec<Arc<Ssd>> =
+            (0..2).map(|_| Arc::new(Ssd::new(SsdConfig::test_small()))).collect();
+        let mut with = setup_on(Arc::clone(&ssds[0]), 1 << 20, true, true);
+        let mut without = setup_on(Arc::clone(&ssds[1]), 1 << 20, true, false);
+        let sent: Vec<Update> =
+            (0..2000u32).map(|k| Update::new((k * 13) % 100, k, u64::from(k))).collect();
+        for &u in &sent {
+            with.send(u).unwrap();
+            without.send(u).unwrap();
+        }
+        assert_eq!(with.finish_superstep().unwrap(), without.finish_superstep().unwrap());
+        let (rw, ro) = (with.reader(), without.reader());
+        for i in 0..4u32 {
+            let want: Vec<Update> = rw
+                .take_log_sorted(i)
+                .unwrap()
+                .into_iter()
+                .map(|u| Update { src: VertexId::MAX, ..u })
+                .collect();
+            assert_eq!(ro.take_log_sorted(i).unwrap(), want, "interval {i}");
+        }
+        let pages = |s: &Ssd| s.stats().snapshot().pages_written;
+        // 2000 records at 17 vs 24 per page, one partial page per interval.
+        assert_eq!((pages(&ssds[0]), pages(&ssds[1])), (120, 84));
+        assert!(without.stats().bytes_appended < with.stats().bytes_appended);
+    }
+
+    /// `buffer_bytes` caps encoded bytes: whatever the record shape, what
+    /// sits in host memory after any append is at most the cap (with its
+    /// interval + eviction-batch floors) plus one eviction period.
+    #[test]
+    fn buffered_bytes_stay_under_the_cap_plus_one_eviction_batch() {
+        for (fold, reads_src) in [(false, true), (true, true), (true, false)] {
+            let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
+            let page_size = ssd.page_size();
+            let cap_pages = 4 + 8 * ssd.config().channels.max(8);
+            let mut ml = setup_on(ssd, page_size, fold, reads_src);
+            let cap_bytes = cap_pages * page_size;
+            let batch_bytes = (cap_pages - 4) * page_size;
+            let (mut evictions, mut peak) = (0, 0);
+            for k in 0..20_000u32 {
+                ml.send(Update::new((k * 37) % 100, k, u64::from(k))).unwrap();
+                let now = ml.stats().evictions;
+                if now > evictions {
+                    evictions = now;
+                    assert!(ml.buffered_bytes() <= cap_bytes, "fold={fold}: over cap after evicting");
+                }
+                peak = peak.max(ml.buffered_bytes());
+            }
+            assert!(evictions > 3, "pressure must evict repeatedly");
+            assert!(peak > cap_bytes / 2, "the budget is actually used (peak {peak})");
+            assert!(
+                peak <= cap_bytes + batch_bytes,
+                "fold={fold} src={reads_src}: peak {peak} over {cap_bytes} + {batch_bytes}"
+            );
+        }
+    }
+
+    /// One flipped destination bit in a flushed page is a typed error on
+    /// every read path, never a panic or an out-of-bounds index.
+    #[test]
+    fn flipped_destination_bit_is_an_error_on_every_read_path() {
+        // Rewrite page 0 of interval 1's log (vertices 25..50) with the top
+        // bit of its first record's destination offset flipped.
+        fn corrupt(ssd: &Ssd, name: &str) {
+            let f = ssd.lookup(name).unwrap();
+            let mut pages = ssd.read_all(f, |_| 0).unwrap();
+            pages[0][PAGE_HEADER_BYTES + 1] ^= 0x80;
+            ssd.truncate(f).unwrap();
+            let refs: Vec<&[u8]> = pages.iter().map(|p| p.as_slice()).collect();
+            ssd.append_pages(f, &refs).unwrap();
+        }
+        fn assert_corrupt<T: std::fmt::Debug>(r: Result<T, DeviceError>, path: &str) {
+            match r {
+                Err(DeviceError::Corrupt { what: "log page", .. }) => {}
+                other => panic!("{path}: expected a corrupt-page error, got {other:?}"),
+            }
+        }
+        let fill = |ml: &mut MultiLog| {
+            for k in 0..200u32 {
+                ml.send(Update::new(25 + k % 25, k, u64::from(k))).unwrap();
+            }
+        };
+        for fold in [false, true] {
+            let fresh = || {
+                let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
+                let mut ml = setup_on(Arc::clone(&ssd), 1 << 20, fold, true);
+                fill(&mut ml);
+                ml.finish_superstep().unwrap();
+                corrupt(&ssd, "t.mlog.1.a");
+                (ssd, ml)
+            };
+            let (_, mut ml) = fresh();
+            assert_corrupt(ml.take_log(1), "MultiLog::take_log");
+            let (_, ml) = fresh();
+            assert_corrupt(ml.reader().take_log(1), "LogReader::take_log");
+            let (_, ml) = fresh();
+            assert_corrupt(ml.reader().take_log_sorted(1), "take_log_sorted");
+            for sorted in [false, true] {
+                let (ssd, ml) = fresh();
+                let reader = ml.reader();
+                let plan = reader.plan_reads(0..4).unwrap();
+                let pages = ssd.read_batch(&plan.reqs).unwrap();
+                if sorted {
+                    assert_corrupt(reader.take_prefetched_sorted(&plan, &pages), "take_prefetched_sorted");
+                } else {
+                    assert_corrupt(reader.take_prefetched(&plan, &pages), "take_prefetched");
+                }
+            }
+            // Checkpoint restore: the snapshot carries the corrupt page.
+            let (ssd, ml) = fresh();
+            let snapshot = ml.snapshot_pending().unwrap();
+            let mut other = setup_on(ssd, 1 << 20, fold, true);
+            assert_corrupt(other.restore_pending(&snapshot), "restore_pending");
+            // Async drain: the corrupt page is on the current write side.
+            let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
+            let mut ml = setup_on(Arc::clone(&ssd), 4 * 256, fold, true);
+            for _ in 0..20 {
+                fill(&mut ml);
+            }
+            assert!(ssd.num_pages(ssd.lookup("t.mlog.1.a").unwrap()).unwrap() > 0);
+            corrupt(&ssd, "t.mlog.1.a");
+            assert_corrupt(ml.take_log_current(1), "take_log_current");
+        }
     }
 }

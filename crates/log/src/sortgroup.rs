@@ -361,7 +361,7 @@ mod tests {
                 let mut ml = MultiLog::new(
                     ssd,
                     iv,
-                    MultiLogConfig { buffer_bytes: buffer_pages * 256, fold_scatter },
+                    MultiLogConfig { buffer_bytes: buffer_pages * 256, fold_scatter, reads_src: true },
                     "p",
                 )
                 .unwrap();
@@ -433,7 +433,7 @@ mod tests {
                     MultiLog::new(
                         Arc::clone(ssd),
                         iv,
-                        MultiLogConfig { buffer_bytes: 8 * 256, fold_scatter: fold },
+                        MultiLogConfig { buffer_bytes: 8 * 256, fold_scatter: fold, reads_src: true },
                         &format!("tw{k}"),
                     )
                     .unwrap()

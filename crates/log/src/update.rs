@@ -1,5 +1,3 @@
-use std::fmt;
-
 use mlvc_graph::VertexId;
 
 /// One logged message: `<v_dest, m>` where `m` carries the sending vertex
@@ -7,9 +5,9 @@ use mlvc_graph::VertexId;
 /// of the format <v_dest, m>").
 ///
 /// The payload is an opaque `u64`; applications encode labels, ranks,
-/// colors, walk states, … into it (helpers in `mlvc-apps`). 16 bytes per
-/// update matches the conservative interval-sizing arithmetic used
-/// throughout the reproduction.
+/// colors, walk states, … into it (helpers in `mlvc-apps`). This is the
+/// in-memory form; how a message is laid out on a log page is
+/// [`crate::page`]'s business.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Update {
     pub dest: VertexId,
@@ -17,87 +15,13 @@ pub struct Update {
     pub data: u64,
 }
 
-/// Encoded size of one update on a log page.
+/// Size of one update in host memory — the width the interval sizing and
+/// the sort budget count messages in. A logged record is never wider
+/// (`crate::page`), so budgets sized with it stay conservative.
 pub const UPDATE_BYTES: usize = 16;
-
-/// A buffer handed to [`Update::decode`] was not exactly [`UPDATE_BYTES`]
-/// long — a torn log page or a corrupt record offset.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DecodeError {
-    /// Bytes actually available.
-    pub len: usize,
-}
-
-impl fmt::Display for DecodeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "update record needs exactly {UPDATE_BYTES} bytes, got {}", self.len)
-    }
-}
-
-impl std::error::Error for DecodeError {}
 
 impl Update {
     pub fn new(dest: VertexId, src: VertexId, data: u64) -> Self {
         Update { dest, src, data }
-    }
-
-    /// Serialize into exactly [`UPDATE_BYTES`] little-endian bytes.
-    pub fn encode(&self, out: &mut [u8]) {
-        out[0..4].copy_from_slice(&self.dest.to_le_bytes());
-        out[4..8].copy_from_slice(&self.src.to_le_bytes());
-        out[8..16].copy_from_slice(&self.data.to_le_bytes());
-    }
-
-    /// Deserialize from exactly [`UPDATE_BYTES`] bytes, with a typed error
-    /// on any other length instead of a panic mid-superstep.
-    pub fn decode(buf: &[u8]) -> Result<Self, DecodeError> {
-        let err = DecodeError { len: buf.len() };
-        if buf.len() != UPDATE_BYTES {
-            return Err(err);
-        }
-        let (dest, rest) = buf.split_first_chunk::<4>().ok_or(err)?;
-        let (src, rest) = rest.split_first_chunk::<4>().ok_or(err)?;
-        let (data, _) = rest.split_first_chunk::<8>().ok_or(err)?;
-        Ok(Update {
-            dest: u32::from_le_bytes(*dest),
-            src: u32::from_le_bytes(*src),
-            data: u64::from_le_bytes(*data),
-        })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use mlvc_gen::rng::SeededRng;
-
-    #[test]
-    fn encode_decode_roundtrip() {
-        let u = Update::new(42, 7, 0xDEADBEEF_CAFEBABE);
-        let mut buf = [0u8; UPDATE_BYTES];
-        u.encode(&mut buf);
-        assert_eq!(Update::decode(&buf), Ok(u));
-    }
-
-    #[test]
-    fn decode_rejects_wrong_lengths() {
-        assert_eq!(Update::decode(&[0u8; 15]), Err(DecodeError { len: 15 }));
-        assert_eq!(Update::decode(&[0u8; 17]), Err(DecodeError { len: 17 }));
-        assert_eq!(Update::decode(&[]), Err(DecodeError { len: 0 }));
-    }
-
-    #[test]
-    fn roundtrip_any() {
-        let mut rng = SeededRng::seed_from_u64(0x5EED);
-        for _ in 0..4096 {
-            let u = Update::new(
-                rng.next_u64() as u32,
-                rng.next_u64() as u32,
-                rng.next_u64(),
-            );
-            let mut buf = [0u8; UPDATE_BYTES];
-            u.encode(&mut buf);
-            assert_eq!(Update::decode(&buf), Ok(u));
-        }
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! Ingested batches are deduplicated, bucketed by the *source* vertex's
 //! interval (the merge rewrites the source's CSR partition), and buffered
-//! in memory using the multi-log's page format — `[u32 count][count ×
-//! 16-byte records]` with `dest = dst`, `src = src`, `data = opcode` —
-//! spilling whole interval buffers to `<tag>.mut.<i>` extents under memory
+//! in memory as multi-log records — `dest = dst`, `src = src`, `data =
+//! opcode`, laid out by the shared page codec (`mlvc_log::page`) with the
+//! source kept — spilling whole interval buffers to `<tag>.mut.<i>` extents under memory
 //! pressure with multi-log-style eviction accounting.
 //!
 //! The merge follows the PR-2 data-before-manifest protocol (DESIGN.md
@@ -24,7 +24,7 @@ use mlvc_graph::{
     append_u32s, append_u64s, IntervalId, StoredGraph, VertexId, VertexIntervals, COL_IDX_BYTES,
     ROW_PTR_BYTES,
 };
-use mlvc_log::{decode_log_page, encode_log_page, page_record_capacity, Update};
+use mlvc_log::{decode_log_page, pack_pages, LogPage, PageShape, Update};
 use mlvc_recover::crc32;
 use mlvc_ssd::{DeviceError, FileId, IoQueue, Ssd};
 
@@ -134,7 +134,6 @@ pub struct MutationLog {
     /// Flush threshold in records, derived from the config budget but at
     /// least one page so eviction always makes progress.
     cap_records: usize,
-    page_cap: usize,
     log_files: Vec<FileId>,
     shadow_rowptr: Vec<FileId>,
     shadow_colidx: Vec<FileId>,
@@ -158,7 +157,8 @@ impl MutationLog {
         cfg: MutationConfig,
         tag: &str,
     ) -> Result<Self, MutationError> {
-        let page_cap = page_record_capacity(ssd.page_size());
+        // One page of the widest record shape the log writes.
+        let page_cap = PageShape { wide_dest: true, has_src: true }.capacity(ssd.page_size());
         let cap_records = (cfg.buffer_bytes / mlvc_log::UPDATE_BYTES).max(page_cap);
         let n_iv = intervals.num_intervals();
         let mut log_files = Vec::with_capacity(n_iv);
@@ -174,14 +174,14 @@ impl MutationLog {
             ssd.open_or_create(&format!("{tag}.mut.manifest.1"))?,
         ];
 
+        // Surviving log pages are only counted here, from their headers;
+        // `merge` decodes (and validates) them, `recover` discards them.
         let mut device_records = vec![0u64; n_iv];
         for (k, &f) in log_files.iter().enumerate() {
-            let mut records = Vec::new();
             for p in 0..ssd.num_pages(f)? {
                 let page = ssd.read_page(f, p, ssd.page_size())?;
-                decode_log_page(&page, &mut records);
+                device_records[k] += to_u64(LogPage::parse(&page).map_or(0, |p| p.len()));
             }
-            device_records[k] = to_u64(records.len());
         }
         let seq = {
             let mut best = 0u64;
@@ -199,7 +199,6 @@ impl MutationLog {
             device_records,
             buffered: 0,
             cap_records,
-            page_cap,
             log_files,
             shadow_rowptr,
             shadow_colidx,
@@ -280,10 +279,7 @@ impl MutationLog {
             return Ok(0);
         }
         let records = std::mem::take(&mut self.buffers[i]);
-        let pages: Vec<Vec<u8>> = records
-            .chunks(self.page_cap)
-            .map(|c| encode_log_page(c, self.ssd.page_size()))
-            .collect();
+        let pages = pack_pages(&records, self.ssd.page_size(), true, true);
         let refs: Vec<&[u8]> = pages.iter().map(|p| p.as_slice()).collect();
         self.ssd.append_pages(self.log_files[i], &refs)?;
         self.buffered -= records.len();
@@ -317,6 +313,7 @@ impl MutationLog {
 
         let ioq = IoQueue::new(Arc::clone(&self.ssd), queue_depth.max(1));
         let page_size = self.ssd.page_size();
+        let num_vertices = to_u32("vertex count", self.intervals.num_vertices())?;
 
         // Stage 1: drain and decode each interval's log, collapse to one
         // op per edge (device order is ingest order, so last-op-wins over
@@ -332,7 +329,7 @@ impl MutationLog {
             let pages = queued_read(&ioq, reqs)?;
             let mut records = Vec::new();
             for page in &pages {
-                decode_log_page(page, &mut records);
+                decode_log_page(page, &(0..num_vertices), &mut records)?;
             }
             let mut muts = Vec::with_capacity(records.len());
             for u in records {

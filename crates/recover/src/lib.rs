@@ -41,6 +41,6 @@ pub mod manifest;
 pub use crc::{crc32, crc32_update};
 pub use manager::{CheckpointManager, CheckpointState};
 pub use manifest::{
-    Manifest, SegmentDesc, CKPT_MAGIC, CKPT_VERSION, MANIFEST_HEADER_BYTES, NUM_SEGMENTS,
-    SEG_ACTIVE, SEG_MSGS, SEG_STATES,
+    Manifest, SegmentDesc, UnsupportedVersion, CKPT_MAGIC, CKPT_VERSION, MANIFEST_HEADER_BYTES,
+    NUM_SEGMENTS, SEG_ACTIVE, SEG_MSGS, SEG_STATES,
 };

@@ -192,7 +192,8 @@ impl CheckpointManager {
             return Ok(None);
         }
         let page = self.ssd.read_page(f, 0, self.ssd.page_size())?;
-        Ok(Manifest::decode(&page))
+        Manifest::decode(&page)
+            .map_err(|e| DeviceError::Corrupt { what: "checkpoint", detail: e.to_string() })
     }
 
     fn segments_valid(&self, slot: usize, manifest: &Manifest) -> Result<bool, DeviceError> {
@@ -440,6 +441,29 @@ mod tests {
         let (seq, got) = mgr.load_latest().unwrap().unwrap();
         assert_eq!(seq, 1, "must fall back to the intact slot");
         assert_eq!(got.superstep, 2);
+    }
+
+    #[test]
+    fn previous_format_checkpoint_is_refused_with_a_typed_error() {
+        use crate::manifest::{MAGIC_BYTES, MANIFEST_CRC_BYTES, MANIFEST_HEADER_BYTES};
+        let ssd = ssd();
+        let mut mgr = CheckpointManager::open(&ssd, "t").unwrap();
+        mgr.write(&sample_state(2)).unwrap();
+        // Re-stamp the manifest as version 1 (valid CRC): its pending
+        // messages would be fixed-width pages this build cannot decode.
+        let f = ssd.open_or_create("t.ckpt.manifest.a").unwrap();
+        let mut page = ssd.read_page(f, 0, 0).unwrap();
+        page.truncate(MANIFEST_HEADER_BYTES - MANIFEST_CRC_BYTES);
+        page[MAGIC_BYTES..MAGIC_BYTES + 4].copy_from_slice(&1u32.to_le_bytes());
+        let crc = crc32(&page);
+        page.extend_from_slice(&crc.to_le_bytes());
+        ssd.write_page(f, 0, &page).unwrap();
+        for err in [mgr.load_latest().unwrap_err(), CheckpointManager::open(&ssd, "t").err().unwrap()] {
+            assert!(
+                matches!(&err, DeviceError::Corrupt { what: "checkpoint", detail } if detail.contains("version 1")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

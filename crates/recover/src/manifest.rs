@@ -33,8 +33,25 @@ use crate::crc::crc32;
 /// big-endian ASCII.
 pub const CKPT_MAGIC: u64 = 0x4D4C_5643_434B_5054;
 
-/// On-disk checkpoint format version.
-pub const CKPT_VERSION: u32 = 1;
+/// On-disk checkpoint format version. Version 2 is version 1 with the
+/// pending-messages segment holding `mlvc_log::page` pages (8-byte header,
+/// 10–16-byte records) instead of fixed 16-byte-record pages; the manifest
+/// itself is unchanged.
+pub const CKPT_VERSION: u32 = 2;
+
+/// An intact manifest written in a checkpoint format this build does not
+/// read (its segments cannot be interpreted, so it is refused rather than
+/// skipped like a torn one).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct UnsupportedVersion(pub u32);
+
+impl std::fmt::Display for UnsupportedVersion {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "format version {}, this build reads version {CKPT_VERSION}", self.0)
+    }
+}
+
+impl std::error::Error for UnsupportedVersion {}
 
 /// Width of the magic field.
 pub const MAGIC_BYTES: usize = 8;
@@ -121,23 +138,23 @@ impl Manifest {
         buf
     }
 
-    /// Parse a manifest page. Returns `None` for anything that is not an
-    /// intact current-version manifest — short pages, bad magic, version
-    /// mismatch, or CRC failure (the torn-write case).
-    pub fn decode(page: &[u8]) -> Option<Manifest> {
-        let header = page.get(..MANIFEST_HEADER_BYTES)?;
-        let (body, crc_bytes) = header.split_at(MANIFEST_HEADER_BYTES - MANIFEST_CRC_BYTES);
-        if crc32(body) != read_u32(crc_bytes, 0)? {
-            return None;
+    /// Parse a manifest page. `Ok(None)` for anything that is not an
+    /// intact manifest — short pages, bad magic, or CRC failure (the
+    /// torn-write case); an error for an intact manifest of another format
+    /// version.
+    pub fn decode(page: &[u8]) -> Result<Option<Manifest>, UnsupportedVersion> {
+        let Some(body) = intact_body(page) else {
+            return Ok(None);
+        };
+        match read_u32(body, MAGIC_BYTES) {
+            Some(CKPT_VERSION) => Ok(Self::decode_body(body)),
+            Some(other) => Err(UnsupportedVersion(other)),
+            None => Ok(None),
         }
-        let mut off = 0;
-        let magic = read_u64(body, off)?;
-        off += MAGIC_BYTES;
-        let version = read_u32(body, off)?;
-        off += VERSION_BYTES;
-        if magic != CKPT_MAGIC || version != CKPT_VERSION {
-            return None;
-        }
+    }
+
+    fn decode_body(body: &[u8]) -> Option<Manifest> {
+        let mut off = MAGIC_BYTES + VERSION_BYTES;
         let seq = read_u64(body, off)?;
         off += SEQ_BYTES;
         let superstep = read_u64(body, off)?;
@@ -160,6 +177,14 @@ impl Manifest {
             segments,
         })
     }
+}
+
+/// The CRC-covered header bytes of `page`, when the CRC checks out and the
+/// magic is ours.
+fn intact_body(page: &[u8]) -> Option<&[u8]> {
+    let header = page.get(..MANIFEST_HEADER_BYTES)?;
+    let (body, crc_bytes) = header.split_at(MANIFEST_HEADER_BYTES - MANIFEST_CRC_BYTES);
+    (crc32(body) == read_u32(crc_bytes, 0)? && read_u64(body, 0)? == CKPT_MAGIC).then_some(body)
 }
 
 fn read_u64(buf: &[u8], off: usize) -> Option<u64> {
@@ -195,14 +220,14 @@ mod tests {
         let m = sample();
         let buf = m.encode();
         assert_eq!(buf.len(), MANIFEST_HEADER_BYTES);
-        assert_eq!(Manifest::decode(&buf), Some(m));
+        assert_eq!(Manifest::decode(&buf), Ok(Some(m)));
     }
 
     #[test]
     fn decode_accepts_zero_padded_page() {
         let mut page = sample().encode();
         page.resize(256, 0);
-        assert_eq!(Manifest::decode(&page), Some(sample()));
+        assert_eq!(Manifest::decode(&page), Ok(Some(sample())));
     }
 
     #[test]
@@ -211,26 +236,29 @@ mod tests {
         for k in 0..buf.len() {
             let mut bad = buf.clone();
             bad[k] ^= 0x40;
-            assert_eq!(Manifest::decode(&bad), None, "flip at byte {k}");
+            assert_eq!(Manifest::decode(&bad), Ok(None), "flip at byte {k}");
         }
     }
 
     #[test]
     fn short_and_empty_pages_rejected() {
-        assert_eq!(Manifest::decode(&[]), None);
+        assert_eq!(Manifest::decode(&[]), Ok(None));
         let buf = sample().encode();
-        assert_eq!(Manifest::decode(&buf[..buf.len() - 1]), None);
+        assert_eq!(Manifest::decode(&buf[..buf.len() - 1]), Ok(None));
     }
 
     #[test]
-    fn wrong_version_rejected() {
-        // Re-encode with a bumped version and a freshly valid CRC.
-        let mut body = sample().encode();
-        body.truncate(MANIFEST_HEADER_BYTES - MANIFEST_CRC_BYTES);
-        body[MAGIC_BYTES..MAGIC_BYTES + VERSION_BYTES]
-            .copy_from_slice(&(CKPT_VERSION + 1).to_le_bytes());
-        let crc = crc32(&body);
-        body.extend_from_slice(&crc.to_le_bytes());
-        assert_eq!(Manifest::decode(&body), None);
+    fn other_versions_are_a_typed_error() {
+        // Re-encode with another version and a freshly valid CRC: the
+        // previous format (whose pending-message pages this build cannot
+        // read) and a future one.
+        for version in [CKPT_VERSION - 1, CKPT_VERSION + 1] {
+            let mut body = sample().encode();
+            body.truncate(MANIFEST_HEADER_BYTES - MANIFEST_CRC_BYTES);
+            body[MAGIC_BYTES..MAGIC_BYTES + VERSION_BYTES].copy_from_slice(&version.to_le_bytes());
+            let crc = crc32(&body);
+            body.extend_from_slice(&crc.to_le_bytes());
+            assert_eq!(Manifest::decode(&body), Err(UnsupportedVersion(version)));
+        }
     }
 }

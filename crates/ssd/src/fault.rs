@@ -45,6 +45,11 @@ pub enum DeviceError {
     PayloadTooLarge { len: usize, page_size: usize },
     /// Host filesystem failure in the file-backed store.
     Io(String),
+    /// Stored bytes failed validation when decoded: a log page whose
+    /// header or records cannot be what the writer produced (a flipped
+    /// bit), or an intact checkpoint of a format version this build does
+    /// not read. `what` names the format, `detail` the failed check.
+    Corrupt { what: &'static str, detail: String },
 }
 
 impl std::fmt::Display for DeviceError {
@@ -63,6 +68,7 @@ impl std::fmt::Display for DeviceError {
                 write!(f, "payload of {len} bytes exceeds the {page_size}-byte page")
             }
             DeviceError::Io(msg) => write!(f, "host I/O failure: {msg}"),
+            DeviceError::Corrupt { what, detail } => write!(f, "corrupt {what}: {detail}"),
         }
     }
 }

@@ -258,7 +258,7 @@ pub fn check_file_with_waivers(path: &str, scanned: &Scanned) -> (Vec<Diagnostic
                     lineno,
                     "no-magic-layout-literal",
                     "update-record byte literal outside its defining module; \
-                     use `UPDATE_BYTES`"
+                     use `UPDATE_BYTES` (in memory) or `mlvc_log::page` (on a log page)"
                         .to_string(),
                 );
             }

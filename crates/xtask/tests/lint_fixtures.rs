@@ -9,11 +9,12 @@ use std::process::Command;
 use xtask::Diagnostic;
 
 /// (fixture path under tests/fixtures/, scope path the CLI derives).
-const FIXTURES: [(&str, &str); 14] = [
+const FIXTURES: [(&str, &str); 15] = [
     ("crates/ssd/src/bad_cast.rs", "no-truncating-cast"),
     ("crates/ssd/src/bad_cache.rs", "no-truncating-cast"),
     ("crates/core/src/bad_panic.rs", "no-panic-in-lib"),
     ("crates/log/src/bad_layout.rs", "no-magic-layout-literal"),
+    ("crates/log/src/bad_logpage.rs", "no-magic-layout-literal"),
     ("crates/ssd/src/bad_wallclock.rs", "no-wallclock-in-sim"),
     ("crates/apps/src/bad_lock.rs", "no-lock-across-par"),
     ("crates/recover/src/bad_ckpt.rs", "no-truncating-cast"),
@@ -73,6 +74,16 @@ fn layout_fixture_fires_at_expected_lines_and_allow_suppresses() {
     // 16 * 1024 at 5, 16384 at 9, record-byte 16 at 13; allow-suppressed
     // page literal at 19; the 0..16 loop bound never fires.
     assert_eq!(lines_of(&d, "no-magic-layout-literal"), vec![5, 9, 13]);
+    assert!(d.iter().all(|d| d.rule == "no-magic-layout-literal"), "{d:?}");
+}
+
+#[test]
+fn logpage_fixture_fires_at_expected_lines_and_allow_suppresses() {
+    let d = lint_fixture("crates/log/src/bad_logpage.rs");
+    // Hand-derived page capacity (16 * 1024) at 5, widest-record byte
+    // literal at 9, flat page size at 14; the allow-suppressed record
+    // width at 19 and the codec-derived arithmetic never fire.
+    assert_eq!(lines_of(&d, "no-magic-layout-literal"), vec![5, 9, 14]);
     assert!(d.iter().all(|d| d.rule == "no-magic-layout-literal"), "{d:?}");
 }
 

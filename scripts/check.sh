@@ -39,3 +39,13 @@ echo "== mutation smoke (DESIGN.md §17) =="
 # pins incremental re-convergence bit-identical to a cold recompute.
 cargo test -q -p mlvc-bench --test schema_smoke bench_mutate_json_matches_schema
 cargo test -q --test mutation_equivalence
+
+echo "== benchmark package (read-only use of benchmark/) =="
+# The perf ledger is a package of its own that reaches the workspace only
+# through the `multilogvc` facade, so the workspace build above never
+# compiles it: build and smoke it here, so a public-API break against its
+# allow-list (benchmark/README.md) fails before merge instead of in the
+# acceptance run. `--smoke` runs both passes, every workload and drill at
+# scale 10 and checks every golden.
+cargo test -q --manifest-path benchmark/Cargo.toml
+cargo run -q --release --manifest-path benchmark/Cargo.toml -- --smoke

@@ -5,13 +5,13 @@
 
 use std::sync::Arc;
 
-use multilogvc::apps::{Bfs, Cdlp, Coloring, KCore, Mis, PageRank, RandomWalk, Wcc};
+use multilogvc::apps::{Bfs, Cdlp, Coloring, KCore, Mis, PageRank, RandomWalk, Sssp, Wcc};
 use multilogvc::core::{
     Combine, Engine, EngineConfig, InitActive, MultiLogEngine, ReferenceEngine, TraceRecord,
-    VertexCtx, VertexProgram,
+    Update, VertexCtx, VertexProgram,
 };
 use multilogvc::grafboost::GrafBoostEngine;
-use multilogvc::graph::{Csr, StoredGraph, VertexId, VertexIntervals};
+use multilogvc::graph::{Csr, EdgeListBuilder, StoredGraph, VertexId, VertexIntervals};
 use multilogvc::graphchi::GraphChiEngine;
 use multilogvc::ssd::{Ssd, SsdConfig};
 
@@ -189,6 +189,118 @@ impl VertexProgram for NoCombine {
     fn needs_weights(&self) -> bool {
         self.0.needs_weights()
     }
+    fn reads_src(&self) -> bool {
+        self.0.reads_src()
+    }
+}
+
+/// Forwards a program but hands its `process` every incoming message with
+/// `src` replaced by the sentinel a source-less log page decodes to — what
+/// `reads_src() == false` asks the engine to do. Outputs are copied back,
+/// and the inner context is built with the outer run's seed so the random
+/// streams match.
+struct DropSrc {
+    inner: Box<dyn VertexProgram>,
+    seed: u64,
+}
+
+impl VertexProgram for DropSrc {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+    fn init_state(&self, v: VertexId) -> u64 {
+        self.inner.init_state(v)
+    }
+    fn init_active(&self, num_vertices: usize) -> InitActive {
+        self.inner.init_active(num_vertices)
+    }
+    fn process(&self, ctx: &mut VertexCtx<'_>) {
+        let msgs: Vec<Update> =
+            ctx.msgs().iter().map(|m| Update { src: VertexId::MAX, ..*m }).collect();
+        let edges = ctx.edges().to_vec();
+        let weights = ctx.weights().map(<[f32]>::to_vec);
+        let mut inner = VertexCtx::new(
+            ctx.vertex(),
+            ctx.superstep(),
+            ctx.num_vertices(),
+            ctx.state(),
+            &msgs,
+            &edges,
+            weights.as_deref(),
+            self.seed,
+        );
+        self.inner.process(&mut inner);
+        let out = inner.into_outputs();
+        ctx.set_state(out.state);
+        for u in out.sends {
+            ctx.send(u.dest, u.data);
+        }
+        if out.keep_active {
+            ctx.keep_active();
+        }
+    }
+    fn combine(&self) -> Option<Combine> {
+        self.inner.combine()
+    }
+    fn needs_weights(&self) -> bool {
+        self.inner.needs_weights()
+    }
+}
+
+/// `reads_src` honesty: every shipped app that declares it does not read
+/// `Update::src` computes bit-identical states when the sources really are
+/// gone — with its combiner and with every message delivered singly. Some
+/// app that does read it must notice, or the wrapper tests nothing (MIS
+/// only breaks priority ties by `src`, so not every reader does).
+#[test]
+fn apps_that_disclaim_src_do_not_read_it() {
+    const SEED: u64 = 0xC0FFEE;
+    let g = mlvc_gen::cf_mini(9, 11).graph;
+    let weighted = {
+        let mut b = EdgeListBuilder::new(g.num_vertices());
+        for v in 0..g.num_vertices() as VertexId {
+            for &d in g.out_edges(v) {
+                b.push_weighted(v, d, 1.0 + ((v ^ d) % 7) as f32);
+            }
+        }
+        b.build()
+    };
+    type Factory = Box<dyn Fn() -> Box<dyn VertexProgram>>;
+    let apps: Vec<(usize, Factory)> = vec![
+        (60, Box::new(|| Box::new(Bfs::new(1)))),
+        (12, Box::new(|| Box::new(Cdlp))),
+        (500, Box::new(|| Box::new(Coloring::new()))),
+        (200, Box::new(|| Box::new(KCore::new()))),
+        (300, Box::new(|| Box::new(Mis))),
+        (20, Box::new(|| Box::new(PageRank::new(0.85, 1e-9)))),
+        (25, Box::new(|| Box::new(RandomWalk::new(4, 1, 20)))),
+        (200, Box::new(|| Box::new(Sssp::new(1)))),
+        (80, Box::new(|| Box::new(Wcc))),
+    ];
+    let run = |prog: &dyn VertexProgram, steps: usize| {
+        let graph = if prog.needs_weights() { weighted.clone() } else { g.clone() };
+        let mut r = ReferenceEngine::new(graph, SEED);
+        r.run(prog, steps);
+        r.states().to_vec()
+    };
+    let mut disclaimers = Vec::new();
+    let mut readers_that_noticed = 0;
+    for (steps, make) in apps {
+        let name = make().name();
+        let dropped = run(&DropSrc { inner: make(), seed: SEED }, steps);
+        if make().reads_src() {
+            readers_that_noticed += usize::from(run(make().as_ref(), steps) != dropped);
+            continue;
+        }
+        disclaimers.push(name);
+        assert_eq!(run(make().as_ref(), steps), dropped, "{name} claims not to read src");
+        let single = run(&NoCombine(make()), steps);
+        let single_dropped =
+            run(&NoCombine(Box::new(DropSrc { inner: make(), seed: SEED })), steps);
+        assert_eq!(single, single_dropped, "{name} without its combiner");
+    }
+    assert_eq!(disclaimers, ["bfs", "cdlp", "pagerank", "randomwalk", "sssp", "wcc"]);
+    assert!(readers_that_noticed > 0, "dropping src changed no src-reading app");
 }
 
 /// One MultiLogVC run with the observability layer on, returning final

@@ -103,10 +103,13 @@ fn read_amplification_within_golden_bounds() {
     let (pr, _) = run_with_obs(&PageRank::new(0.85, 1e-9), 40);
     let bfs_amp = bfs.read_amplification().expect("bfs read amplification");
     let pr_amp = pr.read_amplification().expect("pagerank read amplification");
-    // Measured on the seed workload: bfs ≈ 1.06, pagerank ≈ 1.03; the log
-    // pages the engine reads are nearly fully useful by construction.
-    assert!((1.0..1.5).contains(&bfs_amp), "bfs read amplification {bfs_amp}");
-    assert!((1.0..1.5).contains(&pr_amp), "pagerank read amplification {pr_amp}");
+    // Measured on the seed workload: bfs 1.136, pagerank 1.036 (1.123 and
+    // 1.048 with fixed 16-byte log records: a sparse tail page now carries
+    // fewer useful bytes, a full one more messages). The log pages the
+    // engine reads are nearly fully useful by construction, so the band
+    // sits close above the measurement.
+    assert!((1.0..1.25).contains(&bfs_amp), "bfs read amplification {bfs_amp}");
+    assert!((1.0..1.15).contains(&pr_amp), "pagerank read amplification {pr_amp}");
     // Flash write amplification exists and is sane (fresh device, little GC).
     let wa = bfs.write_amplification().expect("bfs write amplification");
     assert!((1.0..2.0).contains(&wa), "bfs write amplification {wa}");

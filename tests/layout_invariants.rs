@@ -8,7 +8,8 @@
 //! further copies from appearing elsewhere.
 
 use multilogvc::graph;
-use multilogvc::log::{DecodeError, Update, UPDATE_BYTES};
+use multilogvc::log::page::{self, PageShape};
+use multilogvc::log::{Update, UPDATE_BYTES};
 
 #[test]
 fn update_record_width_agrees_across_crates() {
@@ -16,14 +17,52 @@ fn update_record_width_agrees_across_crates() {
 }
 
 #[test]
-fn update_record_width_matches_its_field_layout() {
-    // dest: u32, src: u32, data: u64 — little-endian, no padding.
+fn update_width_is_its_in_memory_size_and_bounds_every_logged_record() {
+    // dest: u32, src: u32, data: u64 — no padding. Interval sizing and the
+    // sort budget count messages at this width; no page shape logs a wider
+    // record, so budgets sized with it hold for every shape.
     assert_eq!(UPDATE_BYTES, 4 + 4 + 8);
-    let u = Update::new(1, 2, 3);
-    let mut buf = [0u8; UPDATE_BYTES];
-    u.encode(&mut buf);
-    assert_eq!(Update::decode(&buf), Ok(u));
-    assert_eq!(Update::decode(&buf[..UPDATE_BYTES - 1]), Err(DecodeError { len: UPDATE_BYTES - 1 }));
+    assert_eq!(UPDATE_BYTES, std::mem::size_of::<Update>());
+    for wide_dest in [false, true] {
+        for has_src in [false, true] {
+            assert!(PageShape { wide_dest, has_src }.record_bytes() <= UPDATE_BYTES);
+        }
+    }
+}
+
+#[test]
+fn log_page_format_is_pinned() {
+    // Header: count u16 | flags u16 | dest_base u32, little-endian.
+    assert_eq!((page::COUNT_BYTES, page::FLAGS_BYTES, page::DEST_BASE_BYTES), (2, 2, 4));
+    assert_eq!(page::PAGE_HEADER_BYTES, 8);
+    assert_eq!((page::FLAG_WIDE_DEST, page::FLAG_HAS_SRC), (1, 2));
+    assert_eq!(page::NARROW_DEST_SPAN, 65_536);
+    // The four record widths: {u16 offset | u32 dest}{u32 src?}{u64 data}.
+    let width = |wide_dest, has_src| PageShape { wide_dest, has_src }.record_bytes();
+    assert_eq!(
+        [width(false, false), width(true, false), width(false, true), width(true, true)],
+        [10, 12, 14, 16]
+    );
+    // Byte-exact image of a one-record page in the narrowest and the
+    // widest shape.
+    let u = Update::new(0x0102_0304, 0x0A0B_0C0D, 0x1122_3344_5566_7788);
+    let mut narrow = Vec::new();
+    page::push_record(&mut narrow, PageShape { wide_dest: false, has_src: false }, 0x0102_0300, &u);
+    page::seal_page(&mut narrow);
+    assert_eq!(
+        narrow,
+        [1, 0, 0, 0, 0x00, 0x03, 0x02, 0x01, 0x04, 0x00, 0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11]
+    );
+    let mut wide = Vec::new();
+    page::push_record(&mut wide, PageShape { wide_dest: true, has_src: true }, 0x0102_0300, &u);
+    page::seal_page(&mut wide);
+    assert_eq!(
+        wide,
+        [
+            1, 0, 3, 0, 0, 0, 0, 0, 0x04, 0x03, 0x02, 0x01, 0x0D, 0x0C, 0x0B, 0x0A, 0x88, 0x77,
+            0x66, 0x55, 0x44, 0x33, 0x22, 0x11
+        ]
+    );
 }
 
 #[test]
@@ -41,7 +80,8 @@ fn checkpoint_manifest_constants_are_pinned() {
     // every checkpoint on disk, so changes here must be deliberate.
     assert_eq!(rec::CKPT_MAGIC, 0x4D4C_5643_434B_5054);
     assert_eq!(rec::CKPT_MAGIC.to_be_bytes(), *b"MLVCCKPT");
-    assert_eq!(rec::CKPT_VERSION, 1);
+    // Version 2: the pending-messages segment holds `log::page` pages.
+    assert_eq!(rec::CKPT_VERSION, 2);
     assert_eq!(rec::NUM_SEGMENTS, 3);
     assert_eq!(
         [rec::SEG_STATES, rec::SEG_ACTIVE, rec::SEG_MSGS],
@@ -81,7 +121,7 @@ fn checkpoint_manifest_header_matches_its_field_layout() {
     };
     let bytes = m.encode();
     assert_eq!(bytes.len(), rec::MANIFEST_HEADER_BYTES);
-    assert_eq!(rec::Manifest::decode(&bytes), Some(m));
+    assert_eq!(rec::Manifest::decode(&bytes), Ok(Some(m)));
 }
 
 #[test]

@@ -379,7 +379,7 @@ fn folded_log_drain_matches_radix_sort_oracle() {
                     MultiLog::new(
                         ssd,
                         iv.clone(),
-                        MultiLogConfig { buffer_bytes: buffer, fold_scatter },
+                        MultiLogConfig { buffer_bytes: buffer, fold_scatter, reads_src: true },
                         "prop",
                     )
                     .unwrap()
@@ -424,6 +424,130 @@ fn folded_log_drain_matches_radix_sort_oracle() {
         }
         set_thread_override(None);
     }
+}
+
+/// Compact-page oracle (DESIGN.md §19): whatever record shape a page ends
+/// up with — narrow or absolute destinations, source kept or dropped,
+/// re-based tail pages, the wide fallback — a log drains exactly the
+/// records that were sent, in per-destination send order, with `src`
+/// masked to `VertexId::MAX` when the program does not read it. Interval
+/// widths sit on both sides of the 65 536-vertex narrow span, sends mix
+/// `send` and `send_batch`, buffers are small enough to evict
+/// mid-superstep, and both read paths (direct and queue-prefetched) are
+/// drained at every thread count.
+#[test]
+fn compact_pages_drain_exactly_what_was_sent() {
+    use multilogvc::log::{LogPage, MultiLog, MultiLogConfig, Update};
+    use multilogvc::par::set_thread_override;
+
+    let mut rng = SeededRng::seed_from_u64(113);
+    // Page shapes met on the device, as (wide_dest, has_src): the cases
+    // below must produce all four, or the test stopped testing the format.
+    let mut shapes_seen = std::collections::BTreeSet::new();
+    for case in 0..CASES {
+        // (vertices, intervals): tiny, one interval just under / just over
+        // the narrow span, and intervals far wider than it.
+        let (n, k) = match case % 4 {
+            0 => (rng.gen_range(2usize..120), rng.gen_range(1usize..6)),
+            1 => (rng.gen_range(65_000usize..65_537), 1),
+            2 => (rng.gen_range(65_537usize..66_000), 1),
+            _ => (rng.gen_range(150_000usize..200_000), rng.gen_range(1usize..3)),
+        };
+        // From a handful of records (sparse tails: packed pages span more
+        // than the narrow form addresses) to thousands (full buckets).
+        let m = if rng.gen_bool(0.3) { rng.gen_range(0usize..60) } else { rng.gen_range(60usize..2500) };
+        let buffer = rng.gen_range(1usize..9) << 10;
+        let clustered = rng.gen_bool(0.5);
+        let hot = rng.gen_range(0u32..n as u32);
+        let ups: Vec<Update> = (0..m)
+            .map(|i| {
+                let dest = if clustered && rng.gen_bool(0.7) {
+                    (hot + rng.gen_range(0u32..40)) % n as u32
+                } else {
+                    rng.gen_range(0u32..n as u32)
+                };
+                Update::new(dest, rng.gen_range(0u32..999), i as u64)
+            })
+            .collect();
+        let chunks: Vec<(usize, bool)> = {
+            let mut out = Vec::new();
+            let mut at = 0;
+            while at < m {
+                let len = rng.gen_range(1usize..40).min(m - at);
+                out.push((len, rng.gen_bool(0.5)));
+                at += len;
+            }
+            out
+        };
+        let iv = VertexIntervals::uniform(n, k);
+
+        for threads in [1usize, 2, 8] {
+            set_thread_override(Some(threads));
+            for (fold_scatter, reads_src) in
+                [(false, false), (false, true), (true, false), (true, true)]
+            {
+                let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
+                let mut ml = MultiLog::new(
+                    Arc::clone(&ssd),
+                    iv.clone(),
+                    MultiLogConfig { buffer_bytes: buffer, fold_scatter, reads_src },
+                    "prop",
+                )
+                .unwrap();
+                let mut at = 0;
+                for &(len, batched) in &chunks {
+                    let chunk = &ups[at..at + len];
+                    if batched {
+                        for i in iv.iter_ids() {
+                            let routed: Vec<Update> = chunk
+                                .iter()
+                                .copied()
+                                .filter(|u| iv.interval_of(u.dest) == i)
+                                .collect();
+                            ml.send_batch(i, &routed).unwrap();
+                        }
+                    } else {
+                        for &u in chunk {
+                            ml.send(u).unwrap();
+                        }
+                    }
+                    at += len;
+                }
+                let counts = ml.finish_superstep().unwrap();
+                assert_eq!(counts.iter().sum::<u64>(), m as u64);
+                let reader = ml.reader();
+                for i in iv.iter_ids() {
+                    let file = ssd.lookup(&format!("prop.mlog.{i}.a")).unwrap();
+                    for page in ssd.read_all(file, |_| 0).unwrap() {
+                        let shape = LogPage::parse(&page).unwrap().shape();
+                        assert_eq!(shape.has_src, reads_src);
+                        shapes_seen.insert((shape.wide_dest, shape.has_src));
+                    }
+                    // Oracle: this interval's sends, stable by destination.
+                    let mut want: Vec<Update> = ups
+                        .iter()
+                        .filter(|u| iv.interval_of(u.dest) == i)
+                        .map(|&u| Update { src: if reads_src { u.src } else { VertexId::MAX }, ..u })
+                        .collect();
+                    want.sort_by_key(|u| u.dest);
+                    let got = if case % 2 == 0 {
+                        reader.take_log_sorted(i).unwrap()
+                    } else {
+                        let plan = reader.plan_reads(i..i + 1).unwrap();
+                        let pages = ssd.read_batch(&plan.reqs).unwrap();
+                        reader.take_prefetched_sorted(&plan, &pages).unwrap().0
+                    };
+                    assert_eq!(
+                        got, want,
+                        "case {case} n={n} k={k} m={m} interval {i} threads={threads} \
+                         fold={fold_scatter} src={reads_src}"
+                    );
+                }
+            }
+        }
+        set_thread_override(None);
+    }
+    assert_eq!(shapes_seen.len(), 4, "shapes exercised: {shapes_seen:?}");
 }
 
 /// Queue knobs never change results: for any graph, flood under a random

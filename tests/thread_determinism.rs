@@ -21,16 +21,34 @@ use multilogvc::ssd::{Ssd, SsdConfig};
 /// Per-superstep fingerprint: (messages consumed, messages sent, actives).
 type StepCounts = Vec<(u64, u64, u64)>;
 
-fn run_once(prog: &dyn VertexProgram, async_mode: bool) -> (Vec<u64>, StepCounts) {
-    let g = mlvc_gen::rmat(RmatParams::social(10, 8), 0xD7);
+/// Graph shape of one sweep: R-MAT scale, interval count, engine memory
+/// and superstep cap.
+#[derive(Clone, Copy)]
+struct Shape {
+    scale: u32,
+    intervals: usize,
+    memory: usize,
+    steps: usize,
+}
+
+/// Many small intervals under tight memory: supersteps split into several
+/// fused batches, so the prefetch thread is genuinely exercised. Every
+/// interval stays below the engine's fork threshold, so process and
+/// scatter run on the owner thread.
+const SMALL: Shape = Shape { scale: 10, intervals: 16, memory: 64 << 10, steps: 40 };
+/// Two intervals of 4096 vertices: an all-active superstep brings each
+/// well over the fork threshold, so the parallel process and scatter
+/// stages are what runs.
+const WIDE: Shape = Shape { scale: 13, intervals: 2, memory: 1 << 20, steps: 6 };
+
+fn run_once(prog: &dyn VertexProgram, async_mode: bool, shape: Shape) -> (Vec<u64>, StepCounts) {
+    let g = mlvc_gen::rmat(RmatParams::social(shape.scale, 8), 0xD7);
     let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
-    let iv = VertexIntervals::uniform(g.num_vertices(), 16);
+    let iv = VertexIntervals::uniform(g.num_vertices(), shape.intervals);
     let sg = StoredGraph::store_with(&ssd, &g, "det", iv).unwrap();
-    // Tight memory: supersteps split into several fused batches, so the
-    // prefetch thread and the parallel scatter are genuinely exercised.
-    let cfg = EngineConfig::default().with_memory(64 << 10).with_async(async_mode);
+    let cfg = EngineConfig::default().with_memory(shape.memory).with_async(async_mode);
     let mut eng = MultiLogEngine::new(ssd, sg, cfg);
-    let r = eng.run(prog, 40);
+    let r = eng.run(prog, shape.steps);
     assert!(r.interrupted.is_none());
     let steps = r
         .supersteps
@@ -48,7 +66,7 @@ fn states_and_message_counts_bit_identical_across_thread_counts() {
         ("coloring", Box::new(Coloring::new())),
     ];
     for (name, prog) in &progs {
-        for async_mode in [false, true] {
+        for (async_mode, shape) in [(false, SMALL), (true, SMALL), (false, WIDE)] {
             // Only monotone algorithms are valid under the asynchronous
             // model (see `EngineConfig::async_mode`); of the three, that
             // is BFS.
@@ -58,19 +76,22 @@ fn states_and_message_counts_bit_identical_across_thread_counts() {
             let mut baseline: Option<(Vec<u64>, StepCounts)> = None;
             for threads in [1usize, 2, 8] {
                 multilogvc::par::set_thread_override(Some(threads));
-                let got = run_once(prog.as_ref(), async_mode);
+                let got = run_once(prog.as_ref(), async_mode, shape);
                 multilogvc::par::set_thread_override(None);
                 match &baseline {
                     None => baseline = Some(got),
                     Some(base) => {
                         assert_eq!(
                             base.0, got.0,
-                            "{name} (async={async_mode}): states differ at {threads} threads"
+                            "{name} (async={async_mode}, scale {}): states differ at \
+                             {threads} threads",
+                            shape.scale
                         );
                         assert_eq!(
                             base.1, got.1,
-                            "{name} (async={async_mode}): per-superstep counts differ at \
-                             {threads} threads"
+                            "{name} (async={async_mode}, scale {}): per-superstep counts \
+                             differ at {threads} threads",
+                            shape.scale
                         );
                     }
                 }
