@@ -30,7 +30,6 @@ fn main() {
         figures::ablation_async(&s),
         figures::ablation_ftl(&s),
         figures::ablation_checkpoint(&s),
-        mlvc_bench::engine_bench::section(&s),
         mlvc_bench::cache_bench::section(&s),
     ] {
         println!("{section}");

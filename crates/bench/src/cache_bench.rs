@@ -3,16 +3,14 @@
 //!
 //! Holds the *total* extra DRAM budget fixed and sweeps how it is spent:
 //!
-//! - **clock** — the whole budget as a CLOCK page cache (the historical
-//!   daemon cache; the no-pin baseline the reduction floor is against).
-//! - **clock+pin** — half cache, half pin budget.
-//! - **2q** — the whole budget as a scan-resistant 2Q cache.
-//! - **2q+pin** — half 2Q cache, half pin budget (the shipped default
-//!   for `mlvc run --cache-kb --pin-budget-kb`).
-//! - **2q+maxpin** — an eighth of the budget as 2Q cache, the rest as
-//!   pin budget. Under the engine's pure-scan traffic the cache share
-//!   earns almost nothing beyond what pinning and retention capture, so
-//!   this split is where the tiering thesis shows up strongest.
+//! - **cache** — the whole budget as a page cache (the no-pin baseline
+//!   the reduction floor is against).
+//! - **cache+pin** — half cache, half pin budget (the shipped default for
+//!   `mlvc run --cache-kb --pin-budget-kb`).
+//! - **cache+maxpin** — an eighth of the budget as cache, the rest as pin
+//!   budget. Under the engine's pure-scan traffic the cache share earns
+//!   almost nothing beyond what pinning and retention capture, so this
+//!   split is where the tiering thesis shows up strongest.
 //!
 //! The pin budget is spent two ways by the engine (DESIGN.md §18): the
 //! hottest intervals' CSR extents are pinned, and whatever the topology
@@ -23,9 +21,13 @@
 //! Measured on PageRank and WCC: device pages actually read (the flash
 //! channel traffic the paper's evaluation is about), cache hit/miss/
 //! eviction counters, and the read reduction of each split against the
-//! no-pin CLOCK baseline. Every configuration must produce bit-identical
-//! states to an uncached run — the cache is an I/O optimization, never a
-//! semantic one. Emitted as `BENCH_cache.json` by the `bench_cache` bin.
+//! no-pin baseline. Every configuration must produce bit-identical states
+//! to an uncached run — the cache is an I/O optimization, never a
+//! semantic one. Every counter is a pure function of the workload (the
+//! engine touches the cache on its owner thread only, DESIGN.md §12), so
+//! the numbers — and the CI floor on `best_read_reduction` — repeat
+//! exactly at any thread count. Emitted as `BENCH_cache.json` by the
+//! `bench_cache` bin.
 //!
 //! Extra knob: `MLVC_CACHE_KB` — the total tiering budget in KiB. The
 //! default 8192 (512 device pages) is on the order of the default
@@ -35,26 +37,19 @@
 //! the scan order defeats its replacement policy, while spending the
 //! same bytes on pinned topology plus retained log tails captures the
 //! reuse deterministically.
-//!
-//! The bench runs the engine with pipeline prefetch off: prefetch moves
-//! batch loads onto fetch workers whose cache accesses interleave with
-//! the owner's by OS scheduling, which makes hit counts — and so the
-//! measured reduction — vary run to run. Inline loads issue every read
-//! in plan order, so the numbers here (and the CI floor on
-//! `best_read_reduction`) are bit-reproducible at any thread count.
 
 use std::sync::Arc;
 
 use mlvc_core::{Engine, MultiLogEngine, TieringConfig, VertexProgram};
 use mlvc_gen::Dataset;
 use mlvc_graph::StoredGraph;
-use mlvc_ssd::{CachePolicy, Ssd, SsdConfig};
+use mlvc_ssd::{Ssd, SsdConfig};
 
 use crate::harness::Settings;
 
 /// One tiering split of the fixed budget.
 pub struct CacheRow {
-    pub policy: &'static str,
+    pub split: &'static str,
     pub cache_kb: usize,
     pub pin_kb: usize,
     pub pages_read: u64,
@@ -62,8 +57,8 @@ pub struct CacheRow {
     pub misses: u64,
     pub evictions: u64,
     pub pinned_pages: usize,
-    /// `1 - pages_read / baseline_pages_read` against the no-pin CLOCK
-    /// row of the same workload.
+    /// `1 - pages_read / baseline_pages_read` against the no-pin row of
+    /// the same workload.
     pub reduction: f64,
 }
 
@@ -73,14 +68,14 @@ pub struct CacheWorkload {
     pub dataset: &'static str,
     /// Device reads with no cache at all (context, not the baseline).
     pub uncached_pages_read: u64,
-    /// Device reads of the no-pin CLOCK row (the reduction baseline).
+    /// Device reads of the no-pin row (the reduction baseline).
     pub baseline_pages_read: u64,
     pub rows: Vec<CacheRow>,
 }
 
 impl CacheWorkload {
     /// Largest device-read reduction any split achieves over the no-pin
-    /// CLOCK baseline (the ≥ 0.25 floor the perf gate enforces).
+    /// baseline (the ≥ 0.25 floor the perf gate enforces).
     pub fn best_reduction(&self) -> f64 {
         self.rows.iter().map(|r| r.reduction).fold(0.0, f64::max)
     }
@@ -119,11 +114,11 @@ impl CacheBenchReport {
             ));
             for (j, r) in w.rows.iter().enumerate() {
                 out.push_str(&format!(
-                    "      {{\"policy\": \"{}\", \"cache_kb\": {}, \"pin_kb\": {}, \
+                    "      {{\"split\": \"{}\", \"cache_kb\": {}, \"pin_kb\": {}, \
                      \"pages_read\": {}, \"cache_hits\": {}, \"cache_misses\": {}, \
                      \"cache_evictions\": {}, \"pinned_pages\": {}, \
                      \"read_reduction\": {:.3}}}{}\n",
-                    r.policy,
+                    r.split,
                     r.cache_kb,
                     r.pin_kb,
                     r.pages_read,
@@ -150,15 +145,14 @@ impl CacheBenchReport {
         let mut out = String::new();
         out.push_str("## BENCH: adaptive memory tiering (device reads)\n\n");
         out.push_str(&format!(
-            "A fixed {} KiB DRAM budget split between a page cache (CLOCK vs \
-             scan-resistant 2Q) and a pin budget the engine spends on hot-interval \
-             CSR extents plus retained log tails (DESIGN.md §18). Reduction is device \
-             pages read vs the no-pin CLOCK row; every split produces bit-identical \
-             states.\n\n",
+            "A fixed {} KiB DRAM budget split between a scan-resistant 2Q page cache \
+             and a pin budget the engine spends on hot-interval CSR extents plus \
+             retained log tails (DESIGN.md §18). Reduction is device pages read vs \
+             the no-pin row; every split produces bit-identical states.\n\n",
             self.budget_kb
         ));
         out.push_str(
-            "| app | dataset | policy | cache KiB | pin KiB | pages read | hits | \
+            "| app | dataset | split | cache KiB | pin KiB | pages read | hits | \
              evictions | pinned | reduction |\n\
              |---|---|---|---|---|---|---|---|---|---|\n",
         );
@@ -168,7 +162,7 @@ impl CacheBenchReport {
                     "| {} | {} | {} | {} | {} | {} | {} | {} | {} | {:.1}% |\n",
                     w.app,
                     w.dataset,
-                    r.policy,
+                    r.split,
                     r.cache_kb,
                     r.pin_kb,
                     r.pages_read,
@@ -204,14 +198,7 @@ fn tiered_run(
     let ssd = Arc::new(Ssd::new(SsdConfig::default()));
     let sg = StoredGraph::store_with(&ssd, &d.graph, "g", s.intervals(&d.graph)).unwrap();
     ssd.stats().reset();
-    // Pipeline prefetch off: batch loads run on fetch workers whose cache
-    // accesses interleave with the owner's by OS scheduling, which makes
-    // hit/miss counts (and so the measured reduction) vary run to run.
-    // With loads inline every read issues in plan order, the reference
-    // stream is a pure function of the workload, and the CI floor on
-    // `best_read_reduction` is reproducible. States are bit-identical
-    // either way.
-    let cfg = s.engine_config().with_pipeline(false).with_tiering(tiering);
+    let cfg = s.engine_config().with_tiering(tiering);
     let mut eng = MultiLogEngine::new(Arc::clone(&ssd), sg, cfg);
     eng.run(prog, s.supersteps);
     let pages_read = ssd.stats().snapshot().pages_read;
@@ -232,7 +219,7 @@ pub fn budget_from_env() -> usize {
         << 10
 }
 
-/// Run the benchmark: PageRank and WCC on the CF dataset, four splits of
+/// Run the benchmark: PageRank and WCC on the CF dataset, three splits of
 /// the fixed budget each, plus an uncached context run.
 pub fn run(s: &Settings) -> CacheBenchReport {
     let budget = budget_from_env();
@@ -241,12 +228,10 @@ pub fn run(s: &Settings) -> CacheBenchReport {
         ("wcc", Box::new(mlvc_apps::Wcc)),
     ];
     let d = &s.datasets()[0];
-    let splits: [(&'static str, CachePolicy, usize, usize); 5] = [
-        ("clock", CachePolicy::Clock, budget, 0),
-        ("clock+pin", CachePolicy::Clock, budget / 2, budget / 2),
-        ("2q", CachePolicy::TwoQ, budget, 0),
-        ("2q+pin", CachePolicy::TwoQ, budget / 2, budget / 2),
-        ("2q+maxpin", CachePolicy::TwoQ, budget / 8, budget - budget / 8),
+    let splits: [(&'static str, usize, usize); 3] = [
+        ("cache", budget, 0),
+        ("cache+pin", budget / 2, budget / 2),
+        ("cache+maxpin", budget / 8, budget - budget / 8),
     ];
     let mut workloads = Vec::new();
     for (app, prog) in &progs {
@@ -254,23 +239,19 @@ pub fn run(s: &Settings) -> CacheBenchReport {
             tiered_run(s, d, prog.as_ref(), TieringConfig::default());
         let mut rows = Vec::new();
         let mut baseline_pages_read = 0u64;
-        for (name, policy, cache_bytes, pin_bytes) in splits {
-            let tiering = TieringConfig {
-                cache_bytes,
-                pin_budget_bytes: pin_bytes,
-                policy,
-            };
+        for (name, cache_bytes, pin_bytes) in splits {
+            let tiering = TieringConfig { cache_bytes, pin_budget_bytes: pin_bytes };
             let (states, pages_read, cache) = tiered_run(s, d, prog.as_ref(), tiering);
             assert_eq!(
                 states, base_states,
                 "{app}/{name}: tiering must not change results"
             );
-            if name == "clock" {
+            if name == "cache" {
                 baseline_pages_read = pages_read;
             }
             let (hits, misses, evictions, pinned_pages) = cache.unwrap_or_default();
             rows.push(CacheRow {
-                policy: name,
+                split: name,
                 cache_kb: cache_bytes >> 10,
                 pin_kb: pin_bytes >> 10,
                 pages_read,

@@ -17,7 +17,6 @@
 //! * `MLVC_SEED` — RNG seed (default 42).
 
 pub mod cache_bench;
-pub mod engine_bench;
 pub mod figures;
 pub mod harness;
 pub mod micro;

@@ -1,4 +1,4 @@
-use mlvc_ssd::CachePolicy;
+use std::fmt;
 
 /// Adaptive memory-tiering configuration (DESIGN.md §18): a device-level
 /// page cache plus a GraphMP-style pinned tier for topology-hot interval
@@ -15,8 +15,6 @@ pub struct TieringConfig {
     /// Byte budget for pinning the hottest interval topology extents
     /// (0 = no pinning; requires `cache_bytes > 0` to take effect).
     pub pin_budget_bytes: usize,
-    /// Replacement policy of the cache's frame pool.
-    pub policy: CachePolicy,
 }
 
 impl TieringConfig {
@@ -43,6 +41,14 @@ pub struct CostModel {
     pub edge_scan_ns: u64,
     /// Per-record cost of the in-memory sort & group pass, nanoseconds.
     pub sort_ns: u64,
+}
+
+impl CostModel {
+    /// Simulated compute time of `processed` sorted records, `delivered`
+    /// messages handed to `process`, and `scanned` adjacency entries.
+    pub fn compute_ns(&self, processed: u64, delivered: u64, scanned: u64) -> u64 {
+        processed * self.sort_ns + delivered * self.msg_process_ns + scanned * self.edge_scan_ns
+    }
 }
 
 impl Default for CostModel {
@@ -77,29 +83,16 @@ pub struct EngineConfig {
     /// (BFS, WCC, SSSP, delta-PageRank); phase-structured ones (MIS,
     /// coloring rounds) require the default synchronous model.
     pub async_mode: bool,
-    /// Pipelined superstep dataflow (DESIGN.md §12): prefetch the next
-    /// fused batch on a background thread while the current one is
-    /// processed, and scatter outgoing updates into the multi-log from
-    /// parallel per-interval buffers instead of a serial per-update loop.
-    /// Results are bit-identical either way; `false` reproduces the
-    /// pre-pipeline engine and serves as the perf baseline (`bench_engine`).
-    pub pipeline: bool,
-    /// Per-channel depth of the submission/completion I/O queue the
-    /// pipelined engine reads fused log batches through (DESIGN.md §16).
-    /// Depth never changes *when* a request completes on the simulated
-    /// channels, only when submission stalls — results are bit-identical
-    /// at any depth; only `sim_time_ns` / `io_wait_ns` shift.
+    /// Per-channel depth of the submission/completion I/O queue the engine
+    /// reads fused log batches through (DESIGN.md §12). Depth never changes
+    /// *when* a request completes on the simulated channels, only when
+    /// submission stalls — results are bit-identical at any depth; only
+    /// `sim_time_ns` / `io_wait_ns` shift.
     pub queue_depth: usize,
     /// Fused log batches kept in flight on the I/O queue (K). The engine
     /// submits up to K batch reads ahead and drains completions strictly
     /// in plan order, so results are bit-identical at any K.
     pub inflight_batches: usize,
-    /// Sort-reduce folding: bucket updates by destination page at append
-    /// time (`MultiLogConfig::fold_scatter`) and replace the whole-inbox
-    /// radix sort with per-interval counting passes merged by
-    /// concatenation. Results are bit-identical either way (both read
-    /// sides are stable by destination).
-    pub fold_scatter: bool,
     /// Pending structural updates per interval that trigger a merge (§V-E).
     pub structural_merge_threshold: usize,
     /// Write a crash-consistent checkpoint every `k` supersteps (`None`
@@ -135,10 +128,8 @@ impl Default for EngineConfig {
             edgelog_frac: 0.05,
             enable_edge_log: true,
             async_mode: false,
-            pipeline: true,
             queue_depth: 16,
             inflight_batches: 4,
-            fold_scatter: true,
             structural_merge_threshold: 1024,
             checkpoint_every: None,
             obs: false,
@@ -172,13 +163,7 @@ impl EngineConfig {
         self
     }
 
-    /// Toggle the pipelined superstep dataflow (DESIGN.md §12).
-    pub fn with_pipeline(mut self, yes: bool) -> Self {
-        self.pipeline = yes;
-        self
-    }
-
-    /// Per-channel I/O queue depth for batch reads (DESIGN.md §16).
+    /// Per-channel I/O queue depth for batch reads (DESIGN.md §12).
     pub fn with_queue_depth(mut self, depth: usize) -> Self {
         self.queue_depth = depth;
         self
@@ -187,12 +172,6 @@ impl EngineConfig {
     /// Number of fused batches kept in flight on the I/O queue (K).
     pub fn with_inflight_batches(mut self, k: usize) -> Self {
         self.inflight_batches = k;
-        self
-    }
-
-    /// Toggle sort-reduce folding of the scatter phase (DESIGN.md §16).
-    pub fn with_fold_scatter(mut self, yes: bool) -> Self {
-        self.fold_scatter = yes;
         self
     }
 
@@ -235,24 +214,83 @@ impl EngineConfig {
         ((self.memory_bytes as f64) * self.edgelog_frac) as usize
     }
 
-    fn validate(&self) {
-        assert!(self.memory_bytes >= 1 << 12, "budget unrealistically small");
-        let f = self.sort_frac + self.multilog_frac + self.edgelog_frac;
-        assert!(f <= 1.0 + 1e-9, "memory fractions exceed the budget");
-        assert!(self.sort_frac > 0.0 && self.multilog_frac > 0.0 && self.edgelog_frac > 0.0);
-        if let Some(k) = self.checkpoint_every {
-            assert!(k > 0, "checkpoint cadence must be at least 1 superstep");
+    /// Check every sizing rule the engines rely on.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.memory_bytes < 1 << 12 {
+            return Err(ConfigError::BudgetTooSmall { memory_bytes: self.memory_bytes });
         }
-        assert!(self.queue_depth >= 1, "queue depth must be at least 1");
-        assert!(self.inflight_batches >= 1, "at least one batch must be in flight");
+        if !(self.sort_frac > 0.0 && self.multilog_frac > 0.0 && self.edgelog_frac > 0.0) {
+            return Err(ConfigError::NonPositiveFraction);
+        }
+        let sum = self.sort_frac + self.multilog_frac + self.edgelog_frac;
+        if sum > 1.0 + 1e-9 {
+            return Err(ConfigError::FractionsExceedBudget { sum });
+        }
+        if self.checkpoint_every == Some(0) {
+            return Err(ConfigError::ZeroCheckpointCadence);
+        }
+        if self.queue_depth == 0 {
+            return Err(ConfigError::ZeroQueueDepth);
+        }
+        if self.inflight_batches == 0 {
+            return Err(ConfigError::ZeroInflightBatches);
+        }
+        Ok(())
     }
 
-    /// Validate and return self (builder terminal).
+    /// Validate and return self (builder terminal). Panics with the
+    /// [`ConfigError`] text; callers holding outside input use
+    /// [`Self::validate`].
     pub fn validated(self) -> Self {
-        self.validate();
+        let error = self.validate().err();
+        assert!(
+            error.is_none(),
+            "invalid engine configuration: {}",
+            error.map_or(String::new(), |e| e.to_string())
+        );
         self
     }
 }
+
+/// A sizing rule [`EngineConfig::validate`] found broken.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ConfigError {
+    /// `memory_bytes` is below one 4 KiB page.
+    BudgetTooSmall { memory_bytes: usize },
+    /// A memory fraction is zero, negative or NaN.
+    NonPositiveFraction,
+    /// The three memory fractions sum past 1.
+    FractionsExceedBudget { sum: f64 },
+    /// `checkpoint_every` is `Some(0)`.
+    ZeroCheckpointCadence,
+    /// `queue_depth` is 0.
+    ZeroQueueDepth,
+    /// `inflight_batches` is 0.
+    ZeroInflightBatches,
+}
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ConfigError::BudgetTooSmall { memory_bytes } => {
+                write!(f, "budget unrealistically small ({memory_bytes} bytes, minimum 4096)")
+            }
+            ConfigError::NonPositiveFraction => f.write_str("memory fractions must be positive"),
+            ConfigError::FractionsExceedBudget { sum } => {
+                write!(f, "memory fractions exceed the budget (sum {sum})")
+            }
+            ConfigError::ZeroCheckpointCadence => {
+                f.write_str("checkpoint cadence must be at least 1 superstep")
+            }
+            ConfigError::ZeroQueueDepth => f.write_str("queue depth must be at least 1"),
+            ConfigError::ZeroInflightBatches => {
+                f.write_str("at least one batch must be in flight")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
 
 #[cfg(test)]
 mod tests {
@@ -267,9 +305,47 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
+    fn budget_too_small_rejected() {
+        let c = EngineConfig::default().with_memory(1 << 10);
+        assert_eq!(c.validate(), Err(ConfigError::BudgetTooSmall { memory_bytes: 1 << 10 }));
+        assert!(c.validate().unwrap_err().to_string().starts_with("budget unrealistically small"));
+    }
+
+    #[test]
+    fn non_positive_fraction_rejected() {
+        for bad in [0.0, -0.1, f64::NAN] {
+            let c = EngineConfig { edgelog_frac: bad, ..Default::default() };
+            assert_eq!(c.validate(), Err(ConfigError::NonPositiveFraction));
+        }
+    }
+
+    #[test]
     fn over_allocated_fractions_rejected() {
         let c = EngineConfig { sort_frac: 0.9, multilog_frac: 0.1, edgelog_frac: 0.1, ..Default::default() };
-        c.validated();
+        assert!(matches!(c.validate(), Err(ConfigError::FractionsExceedBudget { .. })));
+    }
+
+    #[test]
+    fn zero_checkpoint_cadence_rejected() {
+        let c = EngineConfig::default().with_checkpoint_every(0);
+        assert_eq!(c.validate(), Err(ConfigError::ZeroCheckpointCadence));
+    }
+
+    #[test]
+    fn zero_queue_depth_rejected() {
+        let c = EngineConfig::default().with_queue_depth(0);
+        assert_eq!(c.validate(), Err(ConfigError::ZeroQueueDepth));
+    }
+
+    #[test]
+    fn zero_inflight_batches_rejected() {
+        let c = EngineConfig::default().with_inflight_batches(0);
+        assert_eq!(c.validate(), Err(ConfigError::ZeroInflightBatches));
+    }
+
+    #[test]
+    #[should_panic(expected = "budget unrealistically small")]
+    fn validated_panics_with_the_error_text() {
+        EngineConfig::default().with_memory(1).validated();
     }
 }

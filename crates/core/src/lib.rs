@@ -20,13 +20,17 @@
 //!   statistics; the raw material for every figure in the evaluation.
 
 mod api;
+mod checkpoint;
 mod config;
 mod engine;
+mod merge;
 mod reference;
 mod report;
+mod tiering;
+mod trace;
 
 pub use api::{Combine, InitActive, Reconverge, VertexCtx, VertexOutputs, VertexProgram};
-pub use config::{CostModel, EngineConfig, TieringConfig};
+pub use config::{ConfigError, CostModel, EngineConfig, TieringConfig};
 pub use engine::MultiLogEngine;
 pub use reference::ReferenceEngine;
 pub use report::{RunReport, SuperstepStats};

@@ -38,7 +38,7 @@ pub struct SuperstepStats {
     /// Simulated time the engine spent blocked on the I/O queue this
     /// superstep (submission stalls + residual completion waits). Already
     /// included in `io.read_time_ns`; broken out to show overlap: deeper
-    /// queues / more in-flight batches shrink it (DESIGN.md §16).
+    /// queues / more in-flight batches shrink it (DESIGN.md §12).
     pub io_wait_ns: u64,
     /// High-water mark of requests in flight on the I/O queue this
     /// superstep.
@@ -46,11 +46,11 @@ pub struct SuperstepStats {
     /// Host wall-clock time of the superstep (reference only; experiment
     /// claims use simulated time).
     pub wall_ns: u64,
-    /// Wall-clock time of the pipeline stages (reference only, like
+    /// Wall-clock time of the dataflow stages (reference only, like
     /// `wall_ns`): log load + decode, in-memory sort, parallel vertex
-    /// processing, and update scatter into the multi-log. With batch
-    /// prefetch enabled, load + sort of batch *k+1* overlap the process +
-    /// scatter of batch *k*, so these stage times can sum past `wall_ns`.
+    /// processing, and update scatter into the multi-log. Load + sort of
+    /// batch *k+1* overlap the process + scatter of batch *k* (DESIGN.md
+    /// §12), so these stage times can sum past `wall_ns`.
     pub load_ns: u64,
     pub sort_ns: u64,
     pub process_ns: u64,

@@ -340,9 +340,9 @@ impl GraphChiEngine {
             all_active = false;
             st.messages_sent = sends_total;
             st.io = self.ssd.stats().snapshot().since(&io0);
-            st.compute_ns = st.messages_processed * self.cfg.cost.sort_ns
-                + st.messages_delivered * self.cfg.cost.msg_process_ns
-                + st.edges_scanned * self.cfg.cost.edge_scan_ns;
+            let cost = &self.cfg.cost;
+            st.compute_ns =
+                cost.compute_ns(st.messages_processed, st.messages_delivered, st.edges_scanned);
             st.wall_ns = wall0.elapsed().as_nanos() as u64;
             report.supersteps.push(st);
         }

@@ -39,8 +39,8 @@
 //! assert_eq!(counts.iter().sum::<u64>(), 2);
 //!
 //! // Next superstep: fuse, load, sort in memory, group by destination.
-//! // The reader is a shared-nothing read-side handle, so a prefetch
-//! // thread can run `load_batch` while the owner keeps sending.
+//! // The reader is a shared-nothing read-side handle, so workers can
+//! // decode fetched batches while the owner keeps sending.
 //! let sg = SortGroup::new(1 << 20);
 //! let reader = mlog.reader();
 //! let mut seen = 0;
@@ -68,5 +68,5 @@ pub use bitset::BitSet;
 pub use edgelog::{EdgeLogConfig, EdgeLogOptimizer, EdgeLogStats};
 pub use multilog::{BatchPlan, LogReader, MultiLog, MultiLogConfig, MultiLogStats};
 pub use page::{decode_log_page, pack_pages, LogPage, PageError, PageShape, ANY_DEST};
-pub use sortgroup::{counting_sort_by_dest, group_by_dest, plan_fusion, FusedBatch, SortGroup};
+pub use sortgroup::{group_by_dest, plan_fusion, FusedBatch, SortGroup};
 pub use update::{Update, UPDATE_BYTES};

@@ -1,5 +1,4 @@
 use crate::checked::{idx, to_u32, to_u64, to_usize};
-use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -10,9 +9,9 @@ use mlvc_graph::{IntervalId, VertexIntervals, VertexId};
 use mlvc_ssd::{DeviceError, FileId, Ssd};
 
 use crate::page::{
-    decode_log_page, pack_pages, push_record, seal_page, LogPage, PageShape, NARROW_DEST_SPAN,
+    decode_log_page, pack_pages, push_record, seal_page, LogPage, PageShape,
 };
-use crate::{BitSet, Update};
+use crate::{BitSet, FusedBatch, Update};
 
 fn elapsed_ns(since: Instant) -> u64 {
     u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX)
@@ -25,16 +24,6 @@ pub struct MultiLogConfig {
     /// total memory (§V-A3, default 5% of 1 GB). At least one page per
     /// vertex interval is always retained, as the paper requires.
     pub buffer_bytes: usize,
-    /// Sort-reduce folding (BigSparse): bucket updates by destination
-    /// *page* at append time, so each interval's top buffer is an array of
-    /// page-width buckets and sealed pages are destination-clustered. The
-    /// read side then needs only a per-interval counting pass instead of a
-    /// whole-inbox radix sort. On by default, as in the engine; unfolded
-    /// logs preserve global insertion order, which the raw `take_log`
-    /// contract exposes. Either way the per-destination insertion order is
-    /// preserved, so the sorted inbox is bit-identical across the two
-    /// layouts.
-    pub fold_scatter: bool,
     /// Whether the program consuming this log reads `Update::src`
     /// (`VertexProgram::reads_src`, set by the engine). When it does not,
     /// records are logged without their source and drain with
@@ -45,7 +34,7 @@ pub struct MultiLogConfig {
 impl Default for MultiLogConfig {
     fn default() -> Self {
         // 5% of the paper's default 1 GB budget, scaled: engines override.
-        MultiLogConfig { buffer_bytes: 4 << 20, fold_scatter: true, reads_src: true }
+        MultiLogConfig { buffer_bytes: 4 << 20, reads_src: true }
     }
 }
 
@@ -63,26 +52,20 @@ pub struct MultiLogStats {
     pub bytes_appended: u64,
 }
 
-/// How one interval's log pages are laid out while they fill: the record
-/// shape of its top buffers and the page geometry that follows from it.
-#[derive(Debug, Clone, Copy)]
-struct IntervalLayout {
-    shape: PageShape,
-    /// Records on a full page of `shape`.
-    page_cap: usize,
-    /// Byte length of a full page of `shape`.
-    full_bytes: usize,
-}
-
 /// The Multi-Log Update Unit (paper §V-A).
 ///
 /// One append-only log per vertex interval. `SendUpdate` maps the
 /// destination vertex to its interval (`vId2IntervalMap`) and encodes the
-/// record straight into that interval's **top page** in host memory (the
-/// page format is [`crate::page`]'s). Full pages are sealed; under memory
-/// pressure sealed pages (and, if needed, top pages) are flushed to the
-/// interval's log file in one scattered batch so the writes pipeline
-/// across all SSD channels.
+/// record straight into a **top page** of that interval in host memory
+/// (the page format is [`crate::page`]'s). Each interval keeps one top page
+/// per destination-page *bucket* (sort-reduce folding, BigSparse): records
+/// are bucketed by destination at append time, so sealed pages are
+/// destination-clustered and the read side needs only a per-interval
+/// counting pass, never a whole-inbox sort. Per-destination insertion
+/// order is preserved. Full pages are sealed; under memory pressure sealed
+/// pages (and, if needed, top pages) are flushed to the interval's log
+/// file in one scattered batch so the writes pipeline across all SSD
+/// channels.
 ///
 /// The unit also maintains:
 /// * per-interval message counters — "a first-order approximation of the
@@ -103,10 +86,9 @@ pub struct MultiLog {
     files: Vec<[FileId; 2]>,
     write_side: usize,
     /// Top buffers: the encoded bytes of the page each slot is filling
-    /// (empty until its first record). Unfolded: one slot per interval
-    /// (insertion order). Folded: one slot per destination-page *bucket*,
-    /// `bucket_base[i]..bucket_base[i+1]` covering interval `i`; each
-    /// bucket spans one narrow page's worth of consecutive destination
+    /// (empty until its first record). One slot per destination-page
+    /// *bucket*, `bucket_base[i]..bucket_base[i+1]` covering interval `i`;
+    /// each bucket spans one narrow page's worth of consecutive destination
     /// vertices, so a sealed full bucket is a destination-clustered page.
     tops: Vec<Vec<u8>>,
     /// Slot ranges into `tops` per interval (`n + 1` prefix offsets).
@@ -118,8 +100,13 @@ pub struct MultiLog {
     /// First destination vertex of each slot — the `dest_base` its narrow
     /// pages count offsets from.
     slot_dest_base: Vec<VertexId>,
-    /// Page layout per interval.
-    layouts: Vec<IntervalLayout>,
+    /// Record shape of every top buffer: narrow destinations (a bucket
+    /// never spans more than one narrow page's offsets), source kept or
+    /// dropped as the program asked.
+    shape: PageShape,
+    /// Records on, and byte length of, a full page of `shape`.
+    page_cap: usize,
+    full_bytes: usize,
     /// Records currently sitting in interval `i`'s top buffers (all its
     /// slots together). Keeps [`Self::buffered_pages`] O(intervals) and —
     /// counted in page units per interval — makes memory pressure a
@@ -130,21 +117,20 @@ pub struct MultiLog {
     /// `evict_every`. Pressure is measured in appended records — a global
     /// count, so eviction points (and with them the `evictions` stat) are
     /// identical however the scatter interleaves intervals or buckets
-    /// (per-slot fill state is not, once folding multiplies the slots).
+    /// (per-slot fill state is not).
     pressure_records: usize,
     /// Pressure-flush period: the buffer budget headroom above the
-    /// per-interval floor, in records of the widest shape in use — so the
-    /// bytes appended between two flushes never exceed that headroom.
+    /// per-interval floor, in records — so the bytes appended between two
+    /// flushes never exceed that headroom.
     evict_every: usize,
-    has_src: bool,
     /// Finished pages awaiting the next flush, in seal order.
     sealed: Vec<(IntervalId, Vec<u8>)>,
     counts: Vec<u64>,
     dest_seen: BitSet,
     cap_pages: usize,
     /// `updates_read` lives outside `stats` in a shared atomic so that a
-    /// [`LogReader`] draining the read side on a prefetch thread counts
-    /// into the same total as the owner.
+    /// [`LogReader`] consuming the read side counts into the same total as
+    /// the owner's `take_log_current`.
     stats: MultiLogStats,
     updates_read: Arc<RelaxedCounter>,
     /// Per-interval share of `stats.bytes_appended` (same counting).
@@ -153,38 +139,40 @@ pub struct MultiLog {
 
 /// Shared-nothing handle onto the **read side** of the multi-log — the
 /// superstep's inbox, what the sort & group unit consumes. It holds its own
-/// device handle and the read-side file ids captured at creation, so a
-/// prefetch thread can drain the next fused batch while the owning
-/// [`MultiLog`] keeps appending to the write side (the two sides are
-/// disjoint files, and every [`Ssd`] method takes `&self`).
+/// device handle and the read-side file ids captured at creation, so fetch
+/// workers can decode the next fused batches while the owning [`MultiLog`]
+/// keeps appending to the write side (the two sides are disjoint files,
+/// and every [`Ssd`] method takes `&self`).
+///
+/// Draining a fused batch is three steps: [`Self::plan_reads`] on the
+/// owner, [`Self::decode_sorted`] on whichever thread holds the fetched
+/// page bytes, and [`Self::consume`] back on the owner — the only step
+/// that touches the device or any counter.
 ///
 /// The sides flip at [`MultiLog::finish_superstep`], so a reader is only
 /// valid for the superstep it was created in: create one per superstep via
-/// [`MultiLog::reader`]. Reads are counted into the owner's
-/// `updates_read` statistic through a shared atomic.
+/// [`MultiLog::reader`].
 pub struct LogReader {
-    ssd: Arc<Ssd>,
+    pub(crate) ssd: Arc<Ssd>,
     files: Vec<FileId>,
     intervals: VertexIntervals,
     updates_read: Arc<RelaxedCounter>,
     /// One shadow cell per interval auditing the take-once protocol:
-    /// `take_log(i)` consumes (truncates) interval `i`'s log, so two
-    /// unordered takes of the same interval — e.g. the prefetch thread and
-    /// the owner racing on one batch — are a protocol violation the race
+    /// [`Self::consume`] truncates interval `i`'s log, so two unordered
+    /// consumes of the same interval are a protocol violation the race
     /// detector reports with both call sites (DESIGN.md §14).
     take_audit: Vec<Tracked<()>>,
 }
 
 /// The page reads needed to drain a fused interval range — the submission
-/// half of the queue read path. Built on the owning engine thread (so the
+/// half of the read path. Built on the owning engine thread (so the
 /// submission order is deterministic), fetched through an
-/// [`mlvc_ssd::IoQueue`], and decoded on whichever worker joins the
-/// completion via [`LogReader::take_prefetched`].
+/// [`mlvc_ssd::IoQueue`] or a plain `read_batch`, and decoded via
+/// [`LogReader::decode_sorted`].
 #[derive(Debug, Clone)]
 pub struct BatchPlan {
     pub range: std::ops::Range<IntervalId>,
-    /// `(file, page, useful=0)` requests, interval-major then page order —
-    /// exactly what `Ssd::read_all` would issue per interval.
+    /// `(file, page, useful=0)` requests, interval-major then page order.
     pub reqs: Vec<(FileId, u64, usize)>,
     /// Page count per interval of `range`, aligned with it.
     pages_per_interval: Vec<u64>,
@@ -205,38 +193,9 @@ fn interval_id(ii: usize) -> IntervalId {
 }
 
 impl LogReader {
-    /// Consume interval `i`'s read-side log, exactly like
-    /// [`MultiLog::take_log`]: read every page in one channel-parallel
-    /// batch, decode in log order, truncate the file.
-    #[track_caller]
-    pub fn take_log(&self, i: IntervalId) -> Result<Vec<Update>, DeviceError> {
-        self.take_audit[idx(i)].audit_write();
-        let out = drain_file(&self.ssd, self.files[idx(i)], &self.intervals.range(i))?;
-        self.updates_read.add(to_u64(out.len()));
-        Ok(out)
-    }
-
-    /// [`Self::take_log`] + stable sort by destination, folded into one
-    /// pass: a counting sort over the interval's (dense, narrow) vertex
-    /// span. Works for any stored log layout — folded logs arrive nearly
-    /// clustered already, unfolded ones pay one distribution pass — and
-    /// preserves per-destination insertion order either way.
-    #[track_caller]
-    pub fn take_log_sorted(&self, i: IntervalId) -> Result<Vec<Update>, DeviceError> {
-        let mut out = self.take_log(i)?;
-        let span = self.intervals.range(i);
-        crate::sortgroup::counting_sort_by_dest(&mut out, span.start, span.end);
-        Ok(out)
-    }
-
-    /// The vertex intervals this reader's logs are keyed by.
-    pub fn intervals(&self) -> &VertexIntervals {
-        &self.intervals
-    }
-
     /// Enumerate the page reads that draining every interval in `range`
-    /// will need. Owner-thread half of the queue read path: the returned
-    /// plan's request order is deterministic (interval-major, page order),
+    /// will need. Owner-thread half of the read path: the returned plan's
+    /// request order is deterministic (interval-major, page order),
     /// independent of which worker later decodes the completion.
     pub fn plan_reads(
         &self,
@@ -255,61 +214,24 @@ impl LogReader {
         Ok(BatchPlan { range, reqs, pages_per_interval })
     }
 
-    /// Completion half of the queue read path: decode pages fetched for
-    /// `plan` (one `Vec<u8>` per request, in plan order), consume the
-    /// take-once audit per interval, declare useful bytes, and truncate
-    /// the drained files — everything [`Self::take_log`] does, minus the
-    /// device read that already happened through the queue. Returns the
-    /// per-interval records in log order, aligned with `plan.range`.
-    #[track_caller]
-    pub fn take_prefetched(
+    /// The one decoder of log pages into inbox order: decode the pages
+    /// fetched for `plan` (one `Vec<u8>` per request, in plan order) and
+    /// stable counting-sort each interval by destination in one pass pair —
+    /// a histogram pass straight off the page bytes, then a decode pass
+    /// that places every record at its final slot. Interval spans are
+    /// disjoint and ascending, so the interval-major output is the fused
+    /// batch sorted by destination, per-destination log order preserved.
+    ///
+    /// A pure function of `plan` and `pages`: it touches neither the device
+    /// nor any counter, so it may run on any thread without moving a
+    /// deterministic number. [`Self::consume`] does the rest. `load_ns` /
+    /// `sort_ns` of the result split the wall time between the decode/place
+    /// work and the histogram/prefix work for stage reporting.
+    pub fn decode_sorted(
         &self,
         plan: &BatchPlan,
         pages: &[Vec<u8>],
-    ) -> Result<Vec<Vec<Update>>, DeviceError> {
-        assert_eq!(pages.len(), plan.reqs.len(), "fetched pages must match the plan");
-        let mut out = Vec::with_capacity(plan.pages_per_interval.len());
-        let mut cursor = 0usize;
-        let mut useful = 0u64;
-        for (k, i) in plan.range.clone().enumerate() {
-            self.take_audit[idx(i)].audit_write();
-            let n = plan.interval_page_count(k)?;
-            let span = self.intervals.range(i);
-            let mut ups = Vec::new();
-            for p in &pages[cursor..cursor + n] {
-                useful += to_u64(decode_log_page(p, &span, &mut ups)?);
-            }
-            cursor += n;
-            if n > 0 {
-                self.ssd.truncate(self.files[idx(i)])?;
-            }
-            self.updates_read.add(to_u64(ups.len()));
-            out.push(ups);
-        }
-        if useful > 0 {
-            self.ssd.declare_useful(useful);
-        }
-        Ok(out)
-    }
-
-    /// Fused read half of sort-reduce folding: decode the fetched pages
-    /// and stable counting-sort each interval by destination in one pass
-    /// pair — a histogram pass straight off the page bytes, then a decode
-    /// pass that places every record at its final slot. No intermediate
-    /// per-interval vectors, so the records are touched half as often as
-    /// `take_prefetched` + a separate sort. Consumes the same take-once
-    /// audits, truncates, and accounts exactly like
-    /// [`Self::take_prefetched`], and the output (interval-major, spans
-    /// disjoint and ascending) is bit-identical to counting-sorting that
-    /// drain per interval. The returned `(load_ns, sort_ns)` split the
-    /// wall time between the decode/place work and the histogram/prefix
-    /// work for stage reporting.
-    #[track_caller]
-    pub fn take_prefetched_sorted(
-        &self,
-        plan: &BatchPlan,
-        pages: &[Vec<u8>],
-    ) -> Result<(Vec<Update>, u64, u64), DeviceError> {
+    ) -> Result<FusedBatch, DeviceError> {
         assert_eq!(pages.len(), plan.reqs.len(), "fetched pages must match the plan");
         let t_load = Instant::now();
         let parsed: Vec<LogPage<'_>> =
@@ -317,12 +239,11 @@ impl LogReader {
         let total: usize = parsed.iter().map(LogPage::len).sum();
         let mut out = vec![Update::new(0, 0, 0); total];
         let mut counts: Vec<usize> = Vec::new();
-        let mut useful = 0u64;
+        let mut useful_bytes = 0u64;
         let mut sort_ns = 0u64;
         let mut cursor = 0usize;
         let mut base = 0usize;
         for (k, i) in plan.range.clone().enumerate() {
-            self.take_audit[idx(i)].audit_write();
             let n = plan.interval_page_count(k)?;
             let ival_pages = &parsed[cursor..cursor + n];
             let span = self.intervals.range(i);
@@ -337,7 +258,7 @@ impl LogReader {
             for p in ival_pages {
                 p.for_each(&span, |u| counts[idx(u.dest - lo) + 1] += 1)?;
                 recs += p.len();
-                useful += to_u64(p.encoded_bytes());
+                useful_bytes += to_u64(p.encoded_bytes());
             }
             for w in 1..counts.len() {
                 counts[w] += counts[w - 1];
@@ -354,35 +275,30 @@ impl LogReader {
             }
             base += recs;
             cursor += n;
-            if n > 0 {
-                self.ssd.truncate(self.files[idx(i)])?;
-            }
-            self.updates_read.add(to_u64(recs));
-        }
-        if useful > 0 {
-            self.ssd.declare_useful(useful);
         }
         let load_ns = elapsed_ns(t_load).saturating_sub(sort_ns);
-        Ok((out, load_ns, sort_ns))
+        Ok(FusedBatch { range: plan.range.clone(), updates: out, load_ns, sort_ns, useful_bytes })
     }
-}
 
-/// Read, decode, and truncate one log file whose destinations lie in
-/// `span` (the shared tail of [`MultiLog::take_log`] and
-/// [`LogReader::take_log`]).
-fn drain_file(ssd: &Ssd, file: FileId, span: &Range<VertexId>) -> Result<Vec<Update>, DeviceError> {
-    if ssd.num_pages(file)? == 0 {
-        return Ok(Vec::new());
+    /// Consume the logs `batch` was decoded from: the take-once audit per
+    /// interval, the truncate of every drained file (and with it cache
+    /// invalidation, pin drops and FTL trims), the useful-byte declaration
+    /// and the `updates_read` count. Owner thread, plan order — everything
+    /// here moves device or cache state, so running it where the batch's
+    /// ticket is retired is what keeps every counter identical at any
+    /// worker-thread count (DESIGN.md §12).
+    #[track_caller]
+    pub fn consume(&self, plan: &BatchPlan, batch: &FusedBatch) -> Result<(), DeviceError> {
+        for (k, i) in plan.range.clone().enumerate() {
+            self.take_audit[idx(i)].audit_write();
+            if plan.pages_per_interval[k] > 0 {
+                self.ssd.truncate(self.files[idx(i)])?;
+            }
+        }
+        self.ssd.declare_useful(batch.useful_bytes);
+        self.updates_read.add(to_u64(batch.updates.len()));
+        Ok(())
     }
-    let pages = ssd.read_all(file, |_| 0)?;
-    let mut out = Vec::new();
-    let mut useful = 0u64;
-    for p in &pages {
-        useful += to_u64(decode_log_page(p, span, &mut out)?);
-    }
-    ssd.declare_useful(useful);
-    ssd.truncate(file)?;
-    Ok(out)
 }
 
 impl MultiLog {
@@ -420,33 +336,22 @@ impl MultiLog {
         let eviction_batch = 8 * ssd.config().channels.max(8);
         let cap_pages = (cfg.buffer_bytes / page_size).max(n + eviction_batch);
         let num_vertices = intervals.num_vertices();
-        let has_src = cfg.reads_src;
-        let narrow = PageShape { wide_dest: false, has_src };
-        // Folded: one bucket per narrow page's worth of destination
-        // vertices (so every bucket's offsets fit the narrow form), at
-        // least one per interval. Unfolded: a single slot per interval,
-        // narrow when the whole interval fits one page's offset range.
-        let bucket_width = narrow.capacity(page_size).max(1);
+        let shape = PageShape { wide_dest: false, has_src: cfg.reads_src };
+        let page_cap = shape.capacity(page_size).max(1);
+        // One bucket per narrow page's worth of destination vertices (so
+        // every bucket's offsets fit the narrow form), at least one per
+        // interval.
         let mut bucket_base = Vec::with_capacity(n + 1);
         bucket_base.push(0usize);
-        let mut layouts = Vec::with_capacity(n);
         let mut slot_lut = Vec::with_capacity(num_vertices);
         let mut slot_dest_base = Vec::new();
         for i in 0..n {
             let iv = interval_id(i);
-            let len = intervals.len_of(iv);
-            let slots = if cfg.fold_scatter { len.div_ceil(bucket_width).max(1) } else { 1 };
-            let wide_dest = !cfg.fold_scatter && len > NARROW_DEST_SPAN;
-            let shape = PageShape { wide_dest, has_src };
-            layouts.push(IntervalLayout {
-                shape,
-                page_cap: shape.capacity(page_size).max(1),
-                full_bytes: shape.full_page_bytes(page_size),
-            });
+            let slots = intervals.len_of(iv).div_ceil(page_cap).max(1);
             let base = bucket_base[i];
             let lo = intervals.start(iv);
             for d in intervals.range(iv) {
-                let bucket = if cfg.fold_scatter { idx(d - lo) / bucket_width } else { 0 };
+                let bucket = idx(d - lo) / page_cap;
                 if base + bucket == slot_dest_base.len() {
                     slot_dest_base.push(d);
                 }
@@ -456,7 +361,6 @@ impl MultiLog {
             slot_dest_base.resize(base + slots, lo);
             bucket_base.push(base + slots);
         }
-        let min_page_cap = layouts.iter().map(|l| l.page_cap).min().unwrap_or(1);
         Ok(MultiLog {
             ssd,
             intervals,
@@ -466,11 +370,12 @@ impl MultiLog {
             bucket_base,
             slot_lut,
             slot_dest_base,
-            layouts,
+            shape,
+            page_cap,
+            full_bytes: shape.full_page_bytes(page_size),
             top_records: vec![0; n],
             pressure_records: 0,
-            evict_every: cap_pages.saturating_sub(n).max(1) * min_page_cap,
-            has_src,
+            evict_every: cap_pages.saturating_sub(n).max(1) * page_cap,
             sealed: Vec::new(),
             counts: vec![0; n],
             dest_seen: BitSet::new(num_vertices),
@@ -517,7 +422,7 @@ impl MultiLog {
     /// every page a record fills. The loop works on borrowed parts of
     /// `self` so nothing it reads can alias the page bytes it writes.
     fn append_run(&mut self, ii: usize, run: &[Update]) {
-        let IntervalLayout { shape, page_cap, full_bytes } = self.layouts[ii];
+        let (shape, page_cap, full_bytes) = (self.shape, self.page_cap, self.full_bytes);
         let i = interval_id(ii);
         let (lut, bases) = (&self.slot_lut[..], &self.slot_dest_base[..]);
         let (tops, seen, sealed) = (&mut self.tops[..], &mut self.dest_seen, &mut self.sealed);
@@ -540,8 +445,8 @@ impl MultiLog {
     }
 
     /// The paper's `SendUpdate(v_dest, m)` tail half: append to the top
-    /// page of the destination's interval log (folded: to the
-    /// destination-page bucket within it). Fallible: memory pressure may
+    /// page of the destination's bucket within its interval log. Fallible:
+    /// memory pressure may
     /// force an eviction flush to the device.
     pub fn send(&mut self, u: Update) -> Result<(), DeviceError> {
         let i = idx(self.intervals.interval_of(u.dest));
@@ -569,10 +474,9 @@ impl MultiLog {
     /// order. Equivalent to calling [`Self::send`] on each update — same
     /// page boundaries, same eviction trigger points — minus the per-update
     /// interval lookup and pressure check: the slice is appended in runs
-    /// that each end exactly where the next eviction is due. With folding
-    /// the per-record bucketing is the sort — full buckets seal as
-    /// destination-clustered pages, and the read side only needs a
-    /// per-interval counting pass.
+    /// that each end exactly where the next eviction is due. The per-record
+    /// bucketing is the sort — full buckets seal as destination-clustered
+    /// pages, and the read side only needs a per-interval counting pass.
     pub fn send_batch(&mut self, i: IntervalId, ups: &[Update]) -> Result<(), DeviceError> {
         debug_assert!(
             ups.iter().all(|u| self.intervals.interval_of(u.dest) == i),
@@ -605,12 +509,7 @@ impl MultiLog {
     /// bucket layout the records sit in.
     pub fn buffered_pages(&self) -> usize {
         self.sealed.len()
-            + self
-                .top_records
-                .iter()
-                .zip(&self.layouts)
-                .map(|(&r, l)| r.div_ceil(l.page_cap))
-                .sum::<usize>()
+            + self.top_records.iter().map(|r| r.div_ceil(self.page_cap)).sum::<usize>()
     }
 
     /// Encoded bytes currently buffered in host memory (sealed pages plus
@@ -657,9 +556,9 @@ impl MultiLog {
     }
 
     /// Move every buffered top record into `sealed`, interval by interval.
-    /// An interval with a single partial top (always, when unfolded) seals
-    /// it as is. A folded interval packs its partial buckets — in bucket
-    /// order, so records stay destination-clustered — into full pages
+    /// An interval with a single partial top seals it as is. Otherwise its
+    /// partial buckets are packed — in bucket order, so records stay
+    /// destination-clustered — into full pages
     /// before a final partial one: offsets are re-based on each packed
     /// page's own smallest destination, and a page whose destinations span
     /// more than the narrow form addresses falls back to absolute ones.
@@ -681,7 +580,7 @@ impl MultiLog {
             }
             let mut pending = Vec::with_capacity(self.top_records[ii]);
             self.drain_tops(ii, &mut pending)?;
-            for page in pack_pages(&pending, page_size, self.has_src, true) {
+            for page in pack_pages(&pending, page_size, self.shape.has_src, true) {
                 self.sealed.push((i, page));
             }
         }
@@ -788,7 +687,16 @@ impl MultiLog {
     /// not double-scheduled for the next superstep.
     pub fn take_log_current(&mut self, i: IntervalId) -> Result<Vec<Update>, DeviceError> {
         let span = self.intervals.range(i);
-        let mut out = drain_file(&self.ssd, self.files[idx(i)][self.write_side], &span)?;
+        let file = self.files[idx(i)][self.write_side];
+        let mut out = Vec::new();
+        if self.ssd.num_pages(file)? > 0 {
+            let mut useful = 0u64;
+            for p in &self.ssd.read_all(file, |_| 0)? {
+                useful += to_u64(decode_log_page(p, &span, &mut out)?);
+            }
+            self.ssd.declare_useful(useful);
+            self.ssd.truncate(file)?;
+        }
         let (mine, others): (Vec<_>, Vec<_>) =
             std::mem::take(&mut self.sealed).into_iter().partition(|(j, _)| *j == i);
         self.sealed = others;
@@ -800,38 +708,35 @@ impl MultiLog {
         self.updates_read.add(to_u64(out.len()));
         Ok(out)
     }
-
-    /// Consume interval `i`'s log: read every page (full channel-parallel
-    /// batch), decode in log order, truncate the file. Useful bytes are
-    /// declared from the in-page record counts.
-    pub fn take_log(&mut self, i: IntervalId) -> Result<Vec<Update>, DeviceError> {
-        let file = self.files[idx(i)][1 - self.write_side];
-        let out = drain_file(&self.ssd, file, &self.intervals.range(i))?;
-        self.updates_read.add(to_u64(out.len()));
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::page::PAGE_HEADER_BYTES;
+    use crate::SortGroup;
     use mlvc_ssd::SsdConfig;
 
     fn setup(buffer_bytes: usize) -> MultiLog {
-        setup_fold(buffer_bytes, false)
+        setup_on(Arc::new(Ssd::new(SsdConfig::test_small())), buffer_bytes, true)
     }
 
-    fn setup_fold(buffer_bytes: usize, fold_scatter: bool) -> MultiLog {
-        setup_on(Arc::new(Ssd::new(SsdConfig::test_small())), buffer_bytes, fold_scatter, true)
-    }
-
-    fn setup_on(ssd: Arc<Ssd>, buffer_bytes: usize, fold_scatter: bool, reads_src: bool) -> MultiLog {
+    fn setup_on(ssd: Arc<Ssd>, buffer_bytes: usize, reads_src: bool) -> MultiLog {
         // 256-byte pages, intervals of 25 vertices: narrow pages of 17
         // records with a source, 24 without.
         let iv = VertexIntervals::uniform(100, 4);
-        MultiLog::new(ssd, iv, MultiLogConfig { buffer_bytes, fold_scatter, reads_src }, "t")
-            .unwrap()
+        MultiLog::new(ssd, iv, MultiLogConfig { buffer_bytes, reads_src }, "t").unwrap()
+    }
+
+    /// Consume interval `i`'s read side through the one read path.
+    fn drain(ml: &MultiLog, i: IntervalId) -> Result<Vec<Update>, DeviceError> {
+        Ok(SortGroup::new(1 << 20).load_batch(&ml.reader(), i..i + 1)?.updates)
+    }
+
+    /// What a drain must return for `sent`: stable by destination.
+    fn sorted(mut sent: Vec<Update>) -> Vec<Update> {
+        sent.sort_by_key(|u| u.dest);
+        sent
     }
 
     #[test]
@@ -842,14 +747,14 @@ mod tests {
         ml.send(Update::new(0, 2, 8)).unwrap();
         ml.send(Update::new(99, 3, 9)).unwrap();
         ml.finish_superstep().unwrap();
-        assert_eq!(ml.take_log(2).unwrap(), vec![Update::new(60, 1, 7)]);
-        assert_eq!(ml.take_log(0).unwrap(), vec![Update::new(0, 2, 8)]);
-        assert_eq!(ml.take_log(3).unwrap(), vec![Update::new(99, 3, 9)]);
-        assert!(ml.take_log(1).unwrap().is_empty());
+        assert_eq!(drain(&ml, 2).unwrap(), vec![Update::new(60, 1, 7)]);
+        assert_eq!(drain(&ml, 0).unwrap(), vec![Update::new(0, 2, 8)]);
+        assert_eq!(drain(&ml, 3).unwrap(), vec![Update::new(99, 3, 9)]);
+        assert!(drain(&ml, 1).unwrap().is_empty());
     }
 
     #[test]
-    fn log_preserves_insertion_order() {
+    fn log_preserves_insertion_order_per_destination() {
         let mut ml = setup(1 << 20);
         // 40 messages to interval 0, spanning several pages (17/page).
         let sent: Vec<Update> = (0..40).map(|k| Update::new(k % 25, k, k as u64)).collect();
@@ -857,27 +762,37 @@ mod tests {
             ml.send(u).unwrap();
         }
         ml.finish_superstep().unwrap();
-        assert_eq!(ml.take_log(0).unwrap(), sent);
+        assert_eq!(drain(&ml, 0).unwrap(), sorted(sent));
     }
 
+    /// Under eviction pressure the drain is still exactly the sent stream,
+    /// stable by destination (the oracle is `slice::sort_by_key`), with
+    /// identical counters whatever the pressure.
     #[test]
-    fn inserted_equals_retrieved_under_eviction_pressure() {
+    fn drain_matches_stable_sort_of_sent_stream_under_eviction_pressure() {
         // Tiny buffer (the cap floor of intervals + one eviction batch
         // still applies): enough traffic to overflow it repeatedly.
-        let mut ml = setup(4 * 256);
+        let mut tight = setup(4 * 256);
+        let mut roomy = setup(1 << 20);
         let mut sent_per_interval = vec![Vec::new(); 4];
         for k in 0..3000u32 {
-            let u = Update::new(k % 100, k, (k as u64) << 3);
-            sent_per_interval[(k % 100 / 25) as usize].push(u);
-            ml.send(u).unwrap();
+            let u = Update::new((k * 7) % 100, k, (k as u64) << 2);
+            sent_per_interval[(u.dest / 25) as usize].push(u);
+            tight.send(u).unwrap();
+            roomy.send(u).unwrap();
         }
-        let counts = ml.finish_superstep().unwrap();
+        let counts = tight.finish_superstep().unwrap();
+        assert_eq!(counts, roomy.finish_superstep().unwrap());
         assert_eq!(counts.iter().sum::<u64>(), 3000);
-        assert!(ml.stats().evictions > 0, "pressure must trigger evictions");
+        assert!(tight.stats().evictions > 0, "pressure must trigger evictions");
+        assert_eq!(roomy.stats().evictions, 0);
         for i in 0..4u32 {
-            let got = ml.take_log(i).unwrap();
-            assert_eq!(got, sent_per_interval[i as usize], "interval {i}");
+            let want = sorted(std::mem::take(&mut sent_per_interval[i as usize]));
+            assert_eq!(drain(&tight, i).unwrap(), want, "interval {i}");
+            assert_eq!(drain(&roomy, i).unwrap(), want, "interval {i}");
         }
+        assert_eq!(tight.stats().updates_read, 3000);
+        assert_eq!(roomy.stats().updates_read, 3000);
     }
 
     #[test]
@@ -902,12 +817,43 @@ mod tests {
     }
 
     #[test]
-    fn take_log_consumes() {
+    fn consume_truncates_and_counts_into_owner_stats() {
         let mut ml = setup(1 << 20);
-        ml.send(Update::new(5, 0, 1)).unwrap();
+        ml.send(Update::new(60, 1, 7)).unwrap();
         ml.finish_superstep().unwrap();
-        assert_eq!(ml.take_log(0).unwrap().len(), 1);
-        assert!(ml.take_log(0).unwrap().is_empty(), "second take finds nothing");
+        assert_eq!(drain(&ml, 2).unwrap().len(), 1);
+        assert!(drain(&ml, 2).unwrap().is_empty(), "second drain finds nothing");
+        assert!(drain(&ml, 0).unwrap().is_empty());
+        assert_eq!(ml.stats().updates_read, 1, "reads flow into owner stats");
+    }
+
+    /// Decoding is a pure function of the page bytes: until `consume`
+    /// runs, the device, its counters and the log files are untouched.
+    #[test]
+    fn decode_sorted_alone_moves_no_device_state() {
+        let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
+        let mut ml = setup_on(Arc::clone(&ssd), 1 << 20, true);
+        for k in 0..200u32 {
+            ml.send(Update::new(k % 100, k, u64::from(k))).unwrap();
+        }
+        ml.finish_superstep().unwrap();
+        let reader = ml.reader();
+        let plan = reader.plan_reads(0..4).unwrap();
+        let pages = ssd.read_batch(&plan.reqs).unwrap();
+        let before = ssd.stats().snapshot();
+        let batch = reader.decode_sorted(&plan, &pages).unwrap();
+        assert_eq!(batch.updates.len(), 200);
+        assert_eq!(ssd.stats().snapshot(), before, "decode charged the device");
+        assert_eq!(ml.stats().updates_read, 0);
+        let file = ssd.lookup("t.mlog.0.a").unwrap();
+        assert!(ssd.num_pages(file).unwrap() > 0, "decode truncated the log");
+        reader.consume(&plan, &batch).unwrap();
+        assert_eq!(ssd.num_pages(file).unwrap(), 0);
+        assert_eq!(ml.stats().updates_read, 200);
+        assert_eq!(
+            ssd.stats().snapshot().useful_bytes_read - before.useful_bytes_read,
+            batch.useful_bytes
+        );
     }
 
     #[test]
@@ -922,16 +868,16 @@ mod tests {
         for &u in &current {
             ml.send(u).unwrap();
         }
-        // Async drain returns exactly the current superstep's messages, in
-        // order, without touching the read side.
+        // Async drain returns exactly the current superstep's messages,
+        // per-destination order kept, without touching the read side.
         let got = ml.take_log_current(0).unwrap();
-        assert_eq!(got, current);
+        assert_eq!(sorted(got), sorted(current));
         assert_eq!(ml.pending_counts()[0], 0, "counter rolled back");
-        assert_eq!(ml.take_log(0).unwrap(), vec![Update::new(1, 0, 11)], "read side intact");
+        assert_eq!(drain(&ml, 0).unwrap(), vec![Update::new(1, 0, 11)], "read side intact");
         // Nothing left on either side for interval 0.
         assert!(ml.take_log_current(0).unwrap().is_empty());
         ml.finish_superstep().unwrap();
-        assert!(ml.take_log(0).unwrap().is_empty());
+        assert!(drain(&ml, 0).unwrap().is_empty());
     }
 
     #[test]
@@ -952,45 +898,7 @@ mod tests {
         assert!(b.dest_seen(7));
         a.finish_superstep().unwrap();
         b.finish_superstep().unwrap();
-        assert_eq!(a.take_log(0).unwrap(), b.take_log(0).unwrap());
-    }
-
-    #[test]
-    fn folded_append_matches_unfolded_sorted_drain() {
-        // Same traffic into an unfolded and a folded unit, under eviction
-        // pressure: identical counters and bit-identical dest-sorted
-        // drains (the fold only changes page layout, never content).
-        let mut a = setup(4 * 256);
-        let mut b = setup_fold(4 * 256, true);
-        for k in 0..3000u32 {
-            let u = Update::new((k * 7) % 100, k, (k as u64) << 2);
-            a.send(u).unwrap();
-            b.send(u).unwrap();
-        }
-        let ca = a.finish_superstep().unwrap();
-        let cb = b.finish_superstep().unwrap();
-        assert_eq!(ca, cb);
-        assert_eq!(a.stats().updates_logged, b.stats().updates_logged);
-        assert!(b.stats().evictions > 0, "pressure must trigger evictions");
-        let (ra, rb) = (a.reader(), b.reader());
-        for i in 0..4u32 {
-            let got = rb.take_log_sorted(i).unwrap();
-            assert_eq!(got, ra.take_log_sorted(i).unwrap(), "interval {i}");
-            assert!(got.windows(2).all(|w| w[0].dest <= w[1].dest));
-        }
-        assert_eq!(a.stats().updates_read, b.stats().updates_read);
-    }
-
-    #[test]
-    fn reader_drains_read_side_and_counts_into_stats() {
-        let mut ml = setup(1 << 20);
-        ml.send(Update::new(60, 1, 7)).unwrap();
-        ml.finish_superstep().unwrap();
-        let r = ml.reader();
-        assert_eq!(r.take_log(2).unwrap(), vec![Update::new(60, 1, 7)]);
-        assert!(r.take_log(2).unwrap().is_empty(), "reader consumes the log");
-        assert!(r.take_log(0).unwrap().is_empty());
-        assert_eq!(ml.stats().updates_read, 1, "reads flow into owner stats");
+        assert_eq!(drain(&a, 0).unwrap(), drain(&b, 0).unwrap());
     }
 
     #[test]
@@ -1048,8 +956,8 @@ mod tests {
     fn dropped_src_drains_as_the_sentinel_and_packs_more_per_page() {
         let ssds: Vec<Arc<Ssd>> =
             (0..2).map(|_| Arc::new(Ssd::new(SsdConfig::test_small()))).collect();
-        let mut with = setup_on(Arc::clone(&ssds[0]), 1 << 20, true, true);
-        let mut without = setup_on(Arc::clone(&ssds[1]), 1 << 20, true, false);
+        let mut with = setup_on(Arc::clone(&ssds[0]), 1 << 20, true);
+        let mut without = setup_on(Arc::clone(&ssds[1]), 1 << 20, false);
         let sent: Vec<Update> =
             (0..2000u32).map(|k| Update::new((k * 13) % 100, k, u64::from(k))).collect();
         for &u in &sent {
@@ -1057,15 +965,13 @@ mod tests {
             without.send(u).unwrap();
         }
         assert_eq!(with.finish_superstep().unwrap(), without.finish_superstep().unwrap());
-        let (rw, ro) = (with.reader(), without.reader());
         for i in 0..4u32 {
-            let want: Vec<Update> = rw
-                .take_log_sorted(i)
+            let want: Vec<Update> = drain(&with, i)
                 .unwrap()
                 .into_iter()
                 .map(|u| Update { src: VertexId::MAX, ..u })
                 .collect();
-            assert_eq!(ro.take_log_sorted(i).unwrap(), want, "interval {i}");
+            assert_eq!(drain(&without, i).unwrap(), want, "interval {i}");
         }
         let pages = |s: &Ssd| s.stats().snapshot().pages_written;
         // 2000 records at 17 vs 24 per page, one partial page per interval.
@@ -1078,11 +984,11 @@ mod tests {
     /// interval + eviction-batch floors) plus one eviction period.
     #[test]
     fn buffered_bytes_stay_under_the_cap_plus_one_eviction_batch() {
-        for (fold, reads_src) in [(false, true), (true, true), (true, false)] {
+        for reads_src in [true, false] {
             let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
             let page_size = ssd.page_size();
             let cap_pages = 4 + 8 * ssd.config().channels.max(8);
-            let mut ml = setup_on(ssd, page_size, fold, reads_src);
+            let mut ml = setup_on(ssd, page_size, reads_src);
             let cap_bytes = cap_pages * page_size;
             let batch_bytes = (cap_pages - 4) * page_size;
             let (mut evictions, mut peak) = (0, 0);
@@ -1091,7 +997,7 @@ mod tests {
                 let now = ml.stats().evictions;
                 if now > evictions {
                     evictions = now;
-                    assert!(ml.buffered_bytes() <= cap_bytes, "fold={fold}: over cap after evicting");
+                    assert!(ml.buffered_bytes() <= cap_bytes, "over cap after evicting");
                 }
                 peak = peak.max(ml.buffered_bytes());
             }
@@ -1099,7 +1005,7 @@ mod tests {
             assert!(peak > cap_bytes / 2, "the budget is actually used (peak {peak})");
             assert!(
                 peak <= cap_bytes + batch_bytes,
-                "fold={fold} src={reads_src}: peak {peak} over {cap_bytes} + {batch_bytes}"
+                "src={reads_src}: peak {peak} over {cap_bytes} + {batch_bytes}"
             );
         }
     }
@@ -1129,46 +1035,34 @@ mod tests {
                 ml.send(Update::new(25 + k % 25, k, u64::from(k))).unwrap();
             }
         };
-        for fold in [false, true] {
-            let fresh = || {
-                let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
-                let mut ml = setup_on(Arc::clone(&ssd), 1 << 20, fold, true);
-                fill(&mut ml);
-                ml.finish_superstep().unwrap();
-                corrupt(&ssd, "t.mlog.1.a");
-                (ssd, ml)
-            };
-            let (_, mut ml) = fresh();
-            assert_corrupt(ml.take_log(1), "MultiLog::take_log");
-            let (_, ml) = fresh();
-            assert_corrupt(ml.reader().take_log(1), "LogReader::take_log");
-            let (_, ml) = fresh();
-            assert_corrupt(ml.reader().take_log_sorted(1), "take_log_sorted");
-            for sorted in [false, true] {
-                let (ssd, ml) = fresh();
-                let reader = ml.reader();
-                let plan = reader.plan_reads(0..4).unwrap();
-                let pages = ssd.read_batch(&plan.reqs).unwrap();
-                if sorted {
-                    assert_corrupt(reader.take_prefetched_sorted(&plan, &pages), "take_prefetched_sorted");
-                } else {
-                    assert_corrupt(reader.take_prefetched(&plan, &pages), "take_prefetched");
-                }
-            }
-            // Checkpoint restore: the snapshot carries the corrupt page.
-            let (ssd, ml) = fresh();
-            let snapshot = ml.snapshot_pending().unwrap();
-            let mut other = setup_on(ssd, 1 << 20, fold, true);
-            assert_corrupt(other.restore_pending(&snapshot), "restore_pending");
-            // Async drain: the corrupt page is on the current write side.
+        let fresh = || {
             let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
-            let mut ml = setup_on(Arc::clone(&ssd), 4 * 256, fold, true);
-            for _ in 0..20 {
-                fill(&mut ml);
-            }
-            assert!(ssd.num_pages(ssd.lookup("t.mlog.1.a").unwrap()).unwrap() > 0);
+            let mut ml = setup_on(Arc::clone(&ssd), 1 << 20, true);
+            fill(&mut ml);
+            ml.finish_superstep().unwrap();
             corrupt(&ssd, "t.mlog.1.a");
-            assert_corrupt(ml.take_log_current(1), "take_log_current");
+            (ssd, ml)
+        };
+        let (_, ml) = fresh();
+        assert_corrupt(drain(&ml, 1), "SortGroup::load_batch");
+        let (ssd, ml) = fresh();
+        let reader = ml.reader();
+        let plan = reader.plan_reads(0..4).unwrap();
+        let pages = ssd.read_batch(&plan.reqs).unwrap();
+        assert_corrupt(reader.decode_sorted(&plan, &pages), "decode_sorted");
+        // Checkpoint restore: the snapshot carries the corrupt page.
+        let (ssd, ml) = fresh();
+        let snapshot = ml.snapshot_pending().unwrap();
+        let mut other = setup_on(ssd, 1 << 20, true);
+        assert_corrupt(other.restore_pending(&snapshot), "restore_pending");
+        // Async drain: the corrupt page is on the current write side.
+        let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
+        let mut ml = setup_on(Arc::clone(&ssd), 4 * 256, true);
+        for _ in 0..20 {
+            fill(&mut ml);
         }
+        assert!(ssd.num_pages(ssd.lookup("t.mlog.1.a").unwrap()).unwrap() > 0);
+        corrupt(&ssd, "t.mlog.1.a");
+        assert_corrupt(ml.take_log_current(1), "take_log_current");
     }
 }

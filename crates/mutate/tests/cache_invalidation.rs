@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use mlvc_graph::{Csr, EdgeListBuilder, StoredGraph, VertexIntervals};
 use mlvc_mutate::{EdgeMutation, MutationConfig, MutationLog};
-use mlvc_ssd::{CachePolicy, FileId, PageCache, Ssd, SsdConfig};
+use mlvc_ssd::{FileId, PageCache, Ssd, SsdConfig};
 
 const NUM_INTERVALS: u32 = 8;
 
@@ -45,7 +45,7 @@ fn merge_invalidates_exactly_the_dirty_partitions_cached_pages() {
     let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
     // Cache far larger than the graph: nothing is ever evicted, so any
     // device read after warming can only come from invalidation.
-    ssd.attach_cache(Arc::new(PageCache::with_policy(512, CachePolicy::TwoQ)));
+    ssd.attach_cache(Arc::new(PageCache::new(512)));
     let g = ring(64);
     let iv = VertexIntervals::uniform(g.num_vertices(), NUM_INTERVALS as usize);
     let sg = StoredGraph::store_with(&ssd, &g, "inv", iv.clone()).unwrap();

@@ -1,7 +1,7 @@
 //! Minimal panic-free JSON parser.
 //!
 //! Just enough JSON for the observability layer's own needs: the schema
-//! smoke tests parse `BENCH_engine.json`, metrics snapshots, and trace
+//! smoke tests parse the `BENCH_*.json` files, metrics snapshots, and trace
 //! JSONL back and validate their shape, and the crate's unit tests
 //! round-trip every emitter through it. Strictly `Result`-based — no
 //! panics, no recursion past [`MAX_DEPTH`] — and dependency-free like the

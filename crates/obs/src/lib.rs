@@ -18,7 +18,7 @@
 //! * a [`MetricsSnapshot`] with deterministic (sorted) iteration order and
 //!   Prometheus-text / JSON emitters;
 //! * a tiny panic-free JSON parser ([`json`]) used by the schema smoke
-//!   tests to validate `BENCH_engine.json` and the emitted traces.
+//!   tests to validate the `BENCH_*.json` files and the emitted traces.
 //!
 //! Everything is `std`-only, consistent with the workspace's
 //! `mlvc-par` / `mlvc_ssd::sync` substitution, and deterministic: a

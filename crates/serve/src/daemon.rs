@@ -27,8 +27,8 @@ use mlvc_mutate::{
 use mlvc_obs::MetricsSnapshot;
 use mlvc_ssd::sync::Mutex as PoisonFreeMutex;
 use mlvc_ssd::{
-    CachePolicy, DeviceError, FaultPlan, FileId, FtlConfig, PageCache, Ssd, SsdConfig,
-    SsdStatsSnapshot, TenantCacheStats, TenantId,
+    DeviceError, FaultPlan, FileId, FtlConfig, PageCache, Ssd, SsdConfig, SsdStatsSnapshot,
+    TenantCacheStats, TenantId,
 };
 use std::sync::Arc;
 
@@ -59,9 +59,6 @@ pub struct ServeConfig {
     /// Pinned bytes are carved out of `memory_budget` — DRAM holding
     /// pinned pages cannot be handed to jobs. 0 disables pinning.
     pub pin_budget_bytes: usize,
-    /// Frame replacement policy of the shared cache (default scan-
-    /// resistant 2Q; `Clock` reproduces the historical daemon cache).
-    pub cache_policy: CachePolicy,
 }
 
 impl Default for ServeConfig {
@@ -71,7 +68,6 @@ impl Default for ServeConfig {
             cache_pages: 512,
             workers: 4,
             pin_budget_bytes: 0,
-            cache_policy: CachePolicy::TwoQ,
         }
     }
 }
@@ -159,7 +155,7 @@ impl Daemon {
     /// A daemon over a caller-provided device (e.g. file-backed via
     /// `--ssd-dir`). Attaches the shared page cache to it.
     pub fn with_device(cfg: ServeConfig, ssd: Arc<Ssd>) -> Self {
-        let cache = Arc::new(PageCache::with_policy(cfg.cache_pages, cfg.cache_policy));
+        let cache = Arc::new(PageCache::new(cfg.cache_pages));
         ssd.attach_cache(Arc::clone(&cache));
         // Attach the live FTL now, before any worker exists: every job
         // runs with obs on and would otherwise race to install it from
@@ -430,8 +426,8 @@ impl Daemon {
             .with_seed(req.seed)
             .with_async(req.async_mode)
             .with_obs(true)
-            .with_tag(&req.id)
-            .validated();
+            .with_tag(&req.id);
+        cfg.validate().map_err(|e| JobError::Failed(e.to_string()))?;
         let bound = Arc::new(graph.with_device(Arc::clone(&view)));
         let mut engine = MultiLogEngine::with_shared_graph(Arc::clone(&view), bound, cfg);
         let report = engine.run(prog.as_ref(), req.steps);

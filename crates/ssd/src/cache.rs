@@ -8,16 +8,14 @@
 //!
 //! Design:
 //!
-//! * **Replacement policy** — [`CachePolicy::TwoQ`] (the default) is the
-//!   classic scan-resistant 2Q: new pages enter a probationary FIFO
-//!   (*A1in*); a page evicted from A1in leaves only its key behind in a
-//!   ghost queue (*A1out*); a fault on a ghosted key proves re-reference
-//!   and admits the page to the hot LRU (*Am*). Hits inside A1in do
-//!   *not* promote — a one-pass scan flows through A1in and the ghosts
-//!   without ever displacing Am (FlashGraph's SAFS insight: partial
-//!   caching only pays off if sequential scans can't flush the hot set).
-//!   [`CachePolicy::Clock`] keeps the PR-6 second-chance sweep as a
-//!   measured baseline. Queue order is maintained lazily: entries carry a
+//! * **Replacement policy** — the classic scan-resistant 2Q: new pages
+//!   enter a probationary FIFO (*A1in*); a page evicted from A1in leaves
+//!   only its key behind in a ghost queue (*A1out*); a fault on a ghosted
+//!   key proves re-reference and admits the page to the hot LRU (*Am*).
+//!   Hits inside A1in do *not* promote — a one-pass scan flows through
+//!   A1in and the ghosts without ever displacing Am (FlashGraph's SAFS
+//!   insight: partial caching only pays off if sequential scans can't
+//!   flush the hot set). Queue order is maintained lazily: entries carry a
 //!   stamp and are validated against the owning frame on pop, so an Am
 //!   hit is O(1) (push a fresh stamped entry) instead of an unlink.
 //! * **Pinned tier** — [`PageCache::pin_pages`] copies an extent into a
@@ -40,8 +38,8 @@
 //!   to [`SsdStats`]; every non-hit request ends as exactly one charged
 //!   device page read. Therefore, per tenant: `cache hits + cached-run
 //!   pages_read == uncached-run pages_read`, exactly, under eviction,
-//!   merging, pinning and dirty skips — for *any* policy (pinned by
-//!   `crates/serve` tests and the policy-identity test below).
+//!   merging, pinning and dirty skips (pinned by `crates/serve` tests and
+//!   the identity tests below).
 //!
 //! The interior lock is a raw `std::sync::Mutex` (poison-recovered, the
 //! `mlvc_obs` precedent) because `Condvar` cannot wait on the workspace's
@@ -65,18 +63,6 @@ pub type TenantId = u32;
 
 type PageKey = (FileId, u64);
 
-/// Replacement policy for the frame pool (the pinned tier is policy-free).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub enum CachePolicy {
-    /// Second-chance CLOCK sweep — the original PR-6 policy, kept as the
-    /// measured baseline for the `BENCH_cache.json` sweep.
-    Clock,
-    /// Scan-resistant 2Q: probationary A1in FIFO + A1out ghost keys + hot
-    /// Am LRU. The default for every constructor except [`PageCache::with_policy`].
-    #[default]
-    TwoQ,
-}
-
 /// Which 2Q queue a resident frame currently belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum QueueKind {
@@ -89,10 +75,7 @@ enum QueueKind {
 struct Frame {
     key: Option<PageKey>,
     data: Vec<u8>,
-    /// CLOCK reference bit (unused under 2Q).
-    referenced: bool,
     inserter: TenantId,
-    /// 2Q membership (unused under CLOCK).
     queue: QueueKind,
     /// Matches the live queue entry for this frame; stale entries with an
     /// older stamp are skipped on pop.
@@ -128,7 +111,6 @@ pub struct TenantCacheStats {
 /// Point-in-time view of the whole cache (per-tenant + global counters).
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct CacheSnapshot {
-    pub policy: CachePolicy,
     pub capacity_pages: usize,
     /// Frames currently holding a page (pinned pages not counted).
     pub resident_pages: usize,
@@ -165,15 +147,12 @@ impl CacheSnapshot {
 }
 
 struct CacheInner {
-    policy: CachePolicy,
     frames: Vec<Frame>,
     /// Resident pages: key -> frame index.
     map: HashMap<PageKey, usize>,
     /// Pages being fetched right now, each by exactly one owner.
     in_flight: HashMap<PageKey, InFlight>,
-    /// CLOCK sweep position (unused under 2Q).
-    hand: usize,
-    /// Unoccupied frame indices (2Q only; CLOCK finds empties by sweeping).
+    /// Unoccupied frame indices.
     free: Vec<usize>,
     /// Probationary FIFO: stamped entries, validated lazily on pop.
     a1in: VecDeque<(PageKey, u64)>,
@@ -225,37 +204,27 @@ fn locked(m: &Mutex<CacheInner>) -> MutexGuard<'_, CacheInner> {
 
 impl PageCache {
     /// A cache holding at most `capacity_pages` resident pages (clamped to
-    /// at least one frame), using the default scan-resistant 2Q policy.
+    /// at least one frame).
     pub fn new(capacity_pages: usize) -> Self {
-        PageCache::with_policy(capacity_pages, CachePolicy::default())
-    }
-
-    /// A cache with an explicit replacement policy (CLOCK is kept for
-    /// baseline measurements and the policy-identity tests).
-    pub fn with_policy(capacity_pages: usize, policy: CachePolicy) -> Self {
         let cap = capacity_pages.max(1);
         let mut frames = Vec::with_capacity(cap);
         for _ in 0..cap {
             frames.push(Frame {
                 key: None,
                 data: Vec::new(),
-                referenced: false,
                 inserter: 0,
                 queue: QueueKind::A1in,
                 stamp: 0,
             });
         }
-        // Reverse order so `pop()` hands out frame 0 first — keeps frame
-        // assignment deterministic and matches the CLOCK fill order.
-        let free = if policy == CachePolicy::TwoQ { (0..cap).rev().collect() } else { Vec::new() };
         PageCache {
             state: Mutex::new(CacheInner {
-                policy,
                 frames,
                 map: HashMap::new(),
                 in_flight: HashMap::new(),
-                hand: 0,
-                free,
+                // Reverse order so `pop()` hands out frame 0 first — keeps
+                // frame assignment deterministic.
+                free: (0..cap).rev().collect(),
                 a1in: VecDeque::new(),
                 am: VecDeque::new(),
                 a1in_live: 0,
@@ -286,11 +255,6 @@ impl PageCache {
         locked(&self.state).frames.len()
     }
 
-    /// Replacement policy of the frame pool.
-    pub fn policy(&self) -> CachePolicy {
-        locked(&self.state).policy
-    }
-
     /// Bytes currently held by the pinned tier.
     pub fn pinned_bytes(&self) -> u64 {
         locked(&self.state).pinned_bytes
@@ -305,7 +269,6 @@ impl PageCache {
     pub fn snapshot(&self) -> CacheSnapshot {
         let inner = locked(&self.state);
         CacheSnapshot {
-            policy: inner.policy,
             capacity_pages: inner.frames.len(),
             resident_pages: inner.map.len(),
             evictions: inner.evictions,
@@ -579,70 +542,30 @@ impl PageCache {
     }
 }
 
-/// Record a hit on frame `fi`: CLOCK sets the reference bit; 2Q refreshes
-/// Am recency (stale-stamp trick) and deliberately ignores A1in hits —
-/// that non-promotion is the scan resistance.
+/// Record a hit on frame `fi`: refresh Am recency (stale-stamp trick) and
+/// deliberately ignore A1in hits — that non-promotion is the scan
+/// resistance.
 fn touch_frame(inner: &mut CacheInner, fi: usize) {
-    match inner.policy {
-        CachePolicy::Clock => inner.frames[fi].referenced = true,
-        CachePolicy::TwoQ => {
-            if inner.frames[fi].queue == QueueKind::Am {
-                let Some(key) = inner.frames[fi].key else { return };
-                inner.stamp += 1;
-                let stamp = inner.stamp;
-                inner.frames[fi].stamp = stamp;
-                inner.am.push_back((key, stamp));
-                prune_stale(inner);
-            }
-        }
+    if inner.frames[fi].queue == QueueKind::Am {
+        let Some(key) = inner.frames[fi].key else { return };
+        inner.stamp += 1;
+        let stamp = inner.stamp;
+        inner.frames[fi].stamp = stamp;
+        inner.am.push_back((key, stamp));
+        prune_stale(inner);
     }
 }
 
-/// Insert a fetched page into the frame pool (policy dispatch). Already
-/// resident or pinned pages are left alone.
+/// Insert a fetched page into the frame pool — the one frame-replacement
+/// routine. Already resident or pinned pages are left alone; a key with a
+/// ghost entry proved re-reference and goes straight to Am; everything
+/// else enters probationary A1in.
 fn insert_frame(inner: &mut CacheInner, key: PageKey, data: Vec<u8>, tenant: TenantId) {
-    if inner.map.contains_key(&key) || inner.pinned.contains_key(&key) || inner.frames.is_empty() {
+    if inner.map.contains_key(&key) || inner.pinned.contains_key(&key) {
         return;
     }
-    match inner.policy {
-        CachePolicy::Clock => insert_clock(inner, key, data, tenant),
-        CachePolicy::TwoQ => insert_twoq(inner, key, data, tenant),
-    }
-}
-
-/// CLOCK insertion: sweep from the hand giving referenced frames a second
-/// chance; take the first empty or unreferenced frame. Bounded by two full
-/// sweeps (the first clears every reference bit).
-fn insert_clock(inner: &mut CacheInner, key: PageKey, data: Vec<u8>, tenant: TenantId) {
-    let n = inner.frames.len();
-    let mut steps = 0usize;
-    while steps < 2 * n + 1 {
-        let at = inner.hand;
-        inner.hand = (inner.hand + 1) % n;
-        steps += 1;
-        let victim = &mut inner.frames[at];
-        if victim.referenced {
-            victim.referenced = false;
-            continue;
-        }
-        if let Some(old) = victim.key.take() {
-            inner.map.remove(&old);
-            inner.evictions += 1;
-        }
-        victim.key = Some(key);
-        victim.data = data;
-        victim.referenced = true;
-        victim.inserter = tenant;
-        inner.map.insert(key, at);
-        return;
-    }
-}
-
-/// 2Q insertion: a key with a ghost entry proved re-reference and goes
-/// straight to Am; everything else enters probationary A1in.
-fn insert_twoq(inner: &mut CacheInner, key: PageKey, data: Vec<u8>, tenant: TenantId) {
     let hot = inner.ghost_set.remove(&key);
-    let Some(fi) = reclaim_twoq(inner) else {
+    let Some(fi) = reclaim_frame(inner) else {
         return;
     };
     inner.stamp += 1;
@@ -650,7 +573,6 @@ fn insert_twoq(inner: &mut CacheInner, key: PageKey, data: Vec<u8>, tenant: Tena
     let f = &mut inner.frames[fi];
     f.key = Some(key);
     f.data = data;
-    f.referenced = false;
     f.inserter = tenant;
     f.stamp = stamp;
     if hot {
@@ -666,11 +588,11 @@ fn insert_twoq(inner: &mut CacheInner, key: PageKey, data: Vec<u8>, tenant: Tena
     prune_stale(inner);
 }
 
-/// Find a frame for a new 2Q insertion: a free frame if any, else evict —
+/// Find a frame for a new insertion: a free frame if any, else evict —
 /// from A1in while it is over its Kin target (or Am is empty), else from
 /// Am. An A1in victim leaves its key in the ghost queue; an Am victim is
 /// simply forgotten.
-fn reclaim_twoq(inner: &mut CacheInner) -> Option<usize> {
+fn reclaim_frame(inner: &mut CacheInner) -> Option<usize> {
     if let Some(fi) = inner.free.pop() {
         return Some(fi);
     }
@@ -754,21 +676,18 @@ fn prune_stale(inner: &mut CacheInner) {
 }
 
 /// Clear a frame whose map entry was already removed (invalidation or pin
-/// take-over — *not* a policy eviction). Under 2Q the frame returns to the
-/// free list and leaves its queue entries stale.
+/// take-over — *not* a policy eviction). The frame returns to the free
+/// list and leaves its queue entries stale.
 fn release_frame(inner: &mut CacheInner, fi: usize) {
     if inner.frames[fi].key.take().is_none() {
         return;
     }
-    if inner.policy == CachePolicy::TwoQ {
-        match inner.frames[fi].queue {
-            QueueKind::A1in => inner.a1in_live = inner.a1in_live.saturating_sub(1),
-            QueueKind::Am => inner.am_live = inner.am_live.saturating_sub(1),
-        }
-        inner.free.push(fi);
+    match inner.frames[fi].queue {
+        QueueKind::A1in => inner.a1in_live = inner.a1in_live.saturating_sub(1),
+        QueueKind::Am => inner.am_live = inner.am_live.saturating_sub(1),
     }
+    inner.free.push(fi);
     inner.frames[fi].data = Vec::new();
-    inner.frames[fi].referenced = false;
 }
 
 #[cfg(test)]
@@ -842,12 +761,10 @@ mod tests {
         assert!(snap.evictions > 0, "a 4-frame cache over 8 pages must churn");
     }
 
-    /// Satellite: the accounting identity holds for *both* policies under
-    /// a seeded random trace with heavy eviction pressure, and the two
-    /// policies agree on the total (hits + device reads) even though they
-    /// disagree on which requests hit.
+    /// The accounting identity holds under a seeded random trace with
+    /// heavy eviction pressure.
     #[test]
-    fn policy_identity_under_random_eviction_pressure() {
+    fn accounting_identity_under_random_eviction_pressure() {
         // Uncached baseline: 300 requests = 300 device page reads.
         let reqs_for = |f: FileId| -> Vec<(FileId, u64, usize)> {
             let mut s: u64 = 0x5eed_cafe;
@@ -868,22 +785,16 @@ mod tests {
         let uncached = base.stats().snapshot().pages_read;
         assert_eq!(uncached, 300);
 
-        for policy in [CachePolicy::Clock, CachePolicy::TwoQ] {
-            let (ssd, f) = dev_with_pages(16);
-            ssd.attach_cache(Arc::new(PageCache::with_policy(4, policy)));
-            ssd.stats().reset();
-            for r in reqs_for(f) {
-                ssd.read_batch(&[r]).unwrap();
-            }
-            let snap = ssd.cache().unwrap().snapshot();
-            let cached = ssd.stats().snapshot().pages_read;
-            assert_eq!(
-                snap.tenant(0).hits + cached,
-                uncached,
-                "identity must hold for {policy:?} under churn"
-            );
-            assert!(snap.evictions > 0, "{policy:?} must churn with 4 frames over 16 pages");
+        let (ssd, f) = dev_with_pages(16);
+        ssd.attach_cache(Arc::new(PageCache::new(4)));
+        ssd.stats().reset();
+        for r in reqs_for(f) {
+            ssd.read_batch(&[r]).unwrap();
         }
+        let snap = ssd.cache().unwrap().snapshot();
+        let cached = ssd.stats().snapshot().pages_read;
+        assert_eq!(snap.tenant(0).hits + cached, uncached, "identity must hold under churn");
+        assert!(snap.evictions > 0, "4 frames over 16 pages must churn");
     }
 
     #[test]
@@ -924,31 +835,12 @@ mod tests {
         assert_eq!(snap.tenant(2).misses, 0);
     }
 
-    #[test]
-    fn clock_evicts_unreferenced_frame_before_referenced_one() {
-        let (ssd, f) = dev_with_pages(4);
-        ssd.attach_cache(Arc::new(PageCache::with_policy(2, CachePolicy::Clock)));
-        ssd.read_page(f, 0, 4).unwrap(); // frame 0 = page 0, referenced
-        ssd.read_page(f, 1, 4).unwrap(); // frame 1 = page 1, referenced
-        // Page 2 sweeps once (clearing both bits), evicts page 0, and
-        // lands referenced; page 1's bit stays cleared.
-        ssd.read_page(f, 2, 4).unwrap();
-        // Page 3 must take the unreferenced frame (page 1) and give the
-        // referenced page 2 its second chance.
-        ssd.read_page(f, 3, 4).unwrap();
-        ssd.stats().reset();
-        ssd.read_page(f, 2, 4).unwrap();
-        assert_eq!(ssd.stats().snapshot().pages_read, 0, "page 2 stayed resident");
-        ssd.read_page(f, 1, 4).unwrap();
-        assert_eq!(ssd.stats().snapshot().pages_read, 1, "page 1 was the victim");
-    }
-
     /// The 2Q scan-resistance claim: a page that proved re-reference (Am)
-    /// survives a long one-pass cold scan that would flush CLOCK.
+    /// survives a long one-pass cold scan.
     #[test]
     fn twoq_hot_page_survives_cold_scan() {
         let (ssd, f) = dev_with_pages(32);
-        ssd.attach_cache(Arc::new(PageCache::with_policy(4, CachePolicy::TwoQ)));
+        ssd.attach_cache(Arc::new(PageCache::new(4)));
         // Fill A1in, push page 0 out into the ghost queue, then re-fault
         // it: the ghost hit admits page 0 to Am.
         for p in 0..5u64 {
@@ -962,20 +854,6 @@ mod tests {
         ssd.stats().reset();
         ssd.read_page(f, 0, 4).unwrap();
         assert_eq!(ssd.stats().snapshot().pages_read, 0, "hot page must survive the scan");
-
-        // The CLOCK baseline loses the same page to the same scan.
-        let (ssd2, f2) = dev_with_pages(32);
-        ssd2.attach_cache(Arc::new(PageCache::with_policy(4, CachePolicy::Clock)));
-        for p in 0..5u64 {
-            ssd2.read_page(f2, p, 4).unwrap();
-        }
-        ssd2.read_page(f2, 0, 4).unwrap();
-        for p in 10..26u64 {
-            ssd2.read_page(f2, p, 4).unwrap();
-        }
-        ssd2.stats().reset();
-        ssd2.read_page(f2, 0, 4).unwrap();
-        assert_eq!(ssd2.stats().snapshot().pages_read, 1, "CLOCK loses the page to the scan");
     }
 
     /// Hits inside the probationary A1in FIFO must not promote: the page
@@ -984,7 +862,7 @@ mod tests {
     #[test]
     fn twoq_probationary_hit_does_not_promote() {
         let (ssd, f) = dev_with_pages(8);
-        ssd.attach_cache(Arc::new(PageCache::with_policy(4, CachePolicy::TwoQ)));
+        ssd.attach_cache(Arc::new(PageCache::new(4)));
         ssd.read_page(f, 0, 4).unwrap();
         ssd.read_page(f, 0, 4).unwrap(); // A1in hit — must NOT promote
         for p in 1..5u64 {
@@ -1004,7 +882,7 @@ mod tests {
     #[test]
     fn pinned_pages_survive_eviction_and_serve_hits() {
         let (ssd, f) = dev_with_pages(16);
-        let cache = Arc::new(PageCache::with_policy(2, CachePolicy::TwoQ));
+        let cache = Arc::new(PageCache::new(2));
         ssd.attach_cache(Arc::clone(&cache));
         assert_eq!(cache.pin_pages(&ssd, f, 0..2).unwrap(), 2);
         assert_eq!(cache.pinned_bytes(), 512, "two full 256-byte pages held");
@@ -1061,7 +939,7 @@ mod tests {
         let uncached = base.stats().snapshot().pages_read;
 
         let (ssd, f) = dev_with_pages(8);
-        let cache = Arc::new(PageCache::with_policy(2, CachePolicy::TwoQ));
+        let cache = Arc::new(PageCache::new(2));
         ssd.attach_cache(Arc::clone(&cache));
         ssd.stats().reset();
         cache.pin_pages(&ssd, f, 0..2).unwrap();

@@ -53,7 +53,7 @@ mod queue;
 mod stats;
 pub mod sync;
 
-pub use cache::{CachePolicy, CacheSnapshot, PageCache, TenantCacheStats, TenantId};
+pub use cache::{CacheSnapshot, PageCache, TenantCacheStats, TenantId};
 pub use config::SsdConfig;
 pub use cost::{batch_time_ns, channel_of, PageAddr};
 pub use device::{Backend, FileId, Ssd};

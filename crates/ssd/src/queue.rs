@@ -20,17 +20,22 @@
 //! * [`IoQueue::fetch`] moves the data with counts charged but **no**
 //!   service time — the queue's clocks own time. Exactly one `read_batches`
 //!   is charged per ticket, however many channels or cache passes serve it.
-//!   `fetch` may run on any thread; the engine runs it on the prefetch
+//!   `fetch` may run on any thread; the engine runs it on the fetch
 //!   workers. When a page cache is attached, the data is actually moved at
 //!   *submit* time (plan order, owner thread) and `fetch` just hands it
-//!   over — so the cache's hit/miss/eviction sequence is bit-identical for
-//!   any worker-thread count.
+//!   over — so the queue's own cache traffic is in plan order. That alone
+//!   does not make the cache's eviction sequence thread-invariant: whoever
+//!   receives the pages must not touch the device either. A truncate from
+//!   a fetch worker invalidates frames while the owner is inserting, and
+//!   the frames freed first decide who is evicted next. The engine
+//!   therefore decodes on the workers and consumes (truncates) on the
+//!   owner, where it retires the ticket (DESIGN.md §12).
 //! * [`IoQueue::complete`] retires a ticket on the owner's clock, charging
 //!   only the *remaining* wait `max(0, completion − now)`. Compute time the
 //!   owner spends between completions is reported via [`IoQueue::advance`],
 //!   which moves `now` forward so later completions overlap it.
 //!
-//! Determinism contract (DESIGN.md §16): `submit_read`, `complete` and
+//! Determinism contract (DESIGN.md §12): `submit_read`, `complete` and
 //! `advance` are called by the engine owner thread in plan order — the
 //! completion-drain rule — so every virtual timestamp is a pure function of
 //! the plan, independent of worker-thread count and wall-clock scheduling.
@@ -69,9 +74,8 @@ struct TicketState {
     reqs: Option<Vec<(FileId, u64, usize)>>,
     /// Data eagerly moved at submit time when a page cache is attached
     /// (`None` otherwise, or once fetched). Keeping cache traffic on the
-    /// plan-order submit path makes the cache's hit/miss/eviction sequence
-    /// independent of which prefetch worker later calls [`IoQueue::fetch`]
-    /// — the determinism contract extends to cache state.
+    /// plan-order submit path makes the cache's request sequence
+    /// independent of which fetch worker later calls [`IoQueue::fetch`].
     prefetched: Option<Result<Vec<Vec<u8>>, DeviceError>>,
 }
 

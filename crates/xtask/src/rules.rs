@@ -32,11 +32,19 @@
 //!   only in the `mlvc-obs` metrics registry and the `RelaxedCounter`
 //!   statistics type (PR 4's contract); anywhere else the missing
 //!   ordering is a correctness bug the detector cannot model.
+//! * `fn-too-long` — a non-test function under `crates/core/src/` longer
+//!   than [`MAX_FN_LINES`] lines. The engine's superstep driver once grew
+//!   to 874 lines one "block at the boundary" at a time; a stage that
+//!   needs more room belongs in its own method or file.
 
 use crate::scan::Scanned;
 
+/// Longest a non-test function in `crates/core/src/` may be, counted from
+/// the line of its `fn` keyword through the line of its closing brace.
+pub const MAX_FN_LINES: usize = 150;
+
 /// All rule names, in diagnostic order.
-pub const RULES: [&str; 8] = [
+pub const RULES: [&str; 9] = [
     "no-truncating-cast",
     "no-panic-in-lib",
     "no-magic-layout-literal",
@@ -45,6 +53,7 @@ pub const RULES: [&str; 8] = [
     "no-raw-thread-spawn",
     "no-shared-mut-capture-in-par",
     "no-relaxed-ordering-outside-obs",
+    "fn-too-long",
 ];
 
 /// One lint finding.
@@ -373,6 +382,11 @@ pub fn check_file_with_waivers(path: &str, scanned: &Scanned) -> (Vec<Diagnostic
         check_par_captures(path, scanned, &mut out);
     }
 
+    // ---- fn-too-long (span-based) -----------------------------------
+    if path.starts_with("crates/core/src/") {
+        check_fn_lengths(path, scanned, &mut out);
+    }
+
     // ---- allow() escape hatch ---------------------------------------
     let mut suppressed = vec![false; out.len()];
     let mut waivers: Vec<WaiverUse> = Vec::new();
@@ -427,6 +441,67 @@ pub fn check_file_with_waivers(path: &str, scanned: &Scanned) -> (Vec<Diagnostic
         .map(|(d, _)| d.clone())
         .collect();
     (diags, waivers)
+}
+
+/// Span-based scan for `fn-too-long`: match every non-test `fn` item to
+/// the braces of its body and flag the ones spanning more than
+/// [`MAX_FN_LINES`] lines, at the line of the `fn` keyword (so a waiver
+/// goes above the signature). Bodiless declarations (`fn f();`) and `fn(..)`
+/// pointer types are not functions; nested functions are measured on their
+/// own and count toward their parent.
+fn check_fn_lengths(path: &str, scanned: &Scanned, out: &mut Vec<Diagnostic>) {
+    // Functions whose end is not yet seen: (line of `fn`, brace depth the
+    // body closes at — `None` until its `{` opens).
+    let mut open: Vec<(usize, Option<i64>)> = Vec::new();
+    let (mut braces, mut parens) = (0i64, 0i64);
+    for (idx, l) in scanned.lines.iter().enumerate() {
+        let code = l.code.as_str();
+        let starts: Vec<usize> = find_words(code, "fn")
+            .filter(|&p| code[p + 2..].trim_start().chars().next().is_some_and(|c| ident_char(&c)))
+            .collect();
+        for (ci, ch) in code.char_indices() {
+            if !l.in_test && starts.contains(&ci) {
+                open.push((idx + 1, None));
+            }
+            match ch {
+                '(' | '[' => parens += 1,
+                ')' | ']' => parens -= 1,
+                '{' => {
+                    if let Some((_, body @ None)) = open.last_mut() {
+                        *body = Some(braces);
+                    }
+                    braces += 1;
+                }
+                '}' => {
+                    braces -= 1;
+                    if let Some(&(start, Some(body))) = open.last() {
+                        if body == braces {
+                            open.pop();
+                            let len = idx + 2 - start;
+                            if len > MAX_FN_LINES {
+                                out.push(Diagnostic {
+                                    file: path.to_string(),
+                                    line: start,
+                                    rule: "fn-too-long",
+                                    message: format!(
+                                        "function spans {len} lines (limit {MAX_FN_LINES}); \
+                                         split it along its stages"
+                                    ),
+                                });
+                            }
+                        }
+                    }
+                }
+                // `;` outside any `(..)`/`[..; n]` ends a bodiless signature.
+                ';' if parens == 0 => {
+                    if let Some((_, None)) = open.last() {
+                        open.pop();
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
 }
 
 /// Span-based scan for `no-shared-mut-capture-in-par`: find each `par_*`
@@ -772,5 +847,30 @@ mod tests {
         assert_eq!(w[1].suppressed, 0, "waiver with nothing to suppress is stale");
         assert_eq!(w[0].rules, vec!["no-panic-in-lib".to_string()]);
         assert_eq!(w[1].reason, "stale");
+    }
+
+    #[test]
+    fn fn_length_rule_measures_fn_line_through_closing_brace() {
+        let func = |name: &str, body_lines: usize| {
+            format!("fn {name}(x: [u8; 4]) -> u64 {{\n{}}}\n", "    step();\n".repeat(body_lines))
+        };
+        // Signature + 148 body lines + closing brace = 150: at the limit.
+        assert!(lint("crates/core/src/engine.rs", &func("fits", 148)).is_empty());
+        let src = format!("{}{}", func("fits", 148), func("too_long", 149));
+        let d = lint("crates/core/src/engine.rs", &src);
+        assert_eq!(d.len(), 1);
+        assert_eq!((d[0].rule, d[0].line), ("fn-too-long", 151));
+        // Scoped to the engine crate; test code, bodiless declarations and
+        // `fn` pointer types are exempt; a waiver above the signature works.
+        assert!(lint("crates/log/src/multilog.rs", &src).is_empty());
+        let in_test = format!("#[cfg(test)]\nmod tests {{\n{}}}\n", func("long_test", 200));
+        assert!(lint("crates/core/src/engine.rs", &in_test).is_empty());
+        let decls = format!(
+            "trait T {{ fn decl(&self); }}\ntype F = fn(u64) -> u64;\n{}",
+            "const X: u64 = 0;\n".repeat(200)
+        );
+        assert!(lint("crates/core/src/api.rs", &decls).is_empty());
+        let waived = format!("// mlvc-lint: allow(fn-too-long) -- demo\n{}", func("waived", 149));
+        assert!(lint("crates/core/src/engine.rs", &waived).is_empty());
     }
 }

@@ -9,7 +9,7 @@ use std::process::Command;
 use xtask::Diagnostic;
 
 /// (fixture path under tests/fixtures/, scope path the CLI derives).
-const FIXTURES: [(&str, &str); 15] = [
+const FIXTURES: [(&str, &str); 16] = [
     ("crates/ssd/src/bad_cast.rs", "no-truncating-cast"),
     ("crates/ssd/src/bad_cache.rs", "no-truncating-cast"),
     ("crates/core/src/bad_panic.rs", "no-panic-in-lib"),
@@ -25,6 +25,7 @@ const FIXTURES: [(&str, &str); 15] = [
     ("src/bin/bad_facade.rs", "no-raw-thread-spawn"),
     ("crates/serve/src/bad_serve.rs", "no-truncating-cast"),
     ("crates/mutate/src/bad_mutate.rs", "no-truncating-cast"),
+    ("crates/core/src/bad_long_fn.rs", "fn-too-long"),
 ];
 
 fn fixture_dir() -> PathBuf {
@@ -172,6 +173,14 @@ fn relaxed_fixture_fires_at_expected_lines_and_allow_suppresses() {
     // test module never fire.
     assert_eq!(lines_of(&d, "no-relaxed-ordering-outside-obs"), vec![7, 11]);
     assert!(d.iter().all(|d| d.rule == "no-relaxed-ordering-outside-obs"), "{d:?}");
+}
+
+#[test]
+fn long_fn_fixture_fires_at_the_fn_line_only() {
+    let d = lint_fixture("crates/core/src/bad_long_fn.rs");
+    // The 151-line `drive` opens at 7; the one-line `step` at 4 never fires.
+    assert_eq!(lines_of(&d, "fn-too-long"), vec![7]);
+    assert_eq!(d.len(), 1, "{d:?}");
 }
 
 #[test]

@@ -36,7 +36,7 @@ use multilogvc::io::{
 use multilogvc::graph::StoredGraph;
 use multilogvc::mutate::{EdgeMutation, MutationConfig, MutationLog};
 use multilogvc::serve::{Daemon, ServeConfig};
-use multilogvc::ssd::{CachePolicy, DeviceError, FaultPlan, Ssd, SsdConfig};
+use multilogvc::ssd::{DeviceError, FaultPlan, Ssd, SsdConfig};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -62,14 +62,12 @@ usage:
            [--steps N] [--memory-kb K] [--source V] [--seed S] [--async]
            [--ssd-dir DIR] [--checkpoint-every K] [--crash-after N]
            [--metrics FILE] [--cache-kb K] [--pin-budget-kb K]
-           [--cache-policy 2q|clock]
   mlvc resume --app <app> --graph <file> --ssd-dir DIR
            [--steps N] [--memory-kb K] [--source V] [--seed S]
            [--checkpoint-every K]
   mlvc serve --graphs <name=file[,name=file...]> [--memory-kb K]
-           [--cache-kb K] [--pin-budget-kb K] [--cache-policy 2q|clock]
-           [--workers N] [--requests FILE] [--metrics FILE]
-           [--ssd-dir DIR]
+           [--cache-kb K] [--pin-budget-kb K] [--workers N]
+           [--requests FILE] [--metrics FILE] [--ssd-dir DIR]
   mlvc ingest --graph <file> --batch <file> [--out FILE]
            [--app <bfs|pagerank|wcc|...>] [--steps N] [--memory-kb K]
            [--source V] [--seed S] [--ssd-dir DIR]
@@ -88,12 +86,11 @@ mlvc-engine run from its last durable checkpoint.
 lines and a Prometheus text snapshot of the run counters to FILE.prom;
 the run summary then also reports read/write amplification.
 
---cache-kb K (mlvc engine only) attaches a K-KiB device page cache
-(adaptive memory tiering, DESIGN.md §18); --pin-budget-kb K adds a
-pinned tier that holds the hottest intervals' CSR extents resident,
-and --cache-policy picks the frame replacement policy (default 2q,
-scan-resistant; clock reproduces the plain daemon cache). Cache hit,
-eviction, and pin counters flow into the --metrics artifacts.
+--cache-kb K (mlvc engine only) attaches a K-KiB scan-resistant (2Q)
+device page cache (adaptive memory tiering, DESIGN.md §18);
+--pin-budget-kb K adds a pinned tier that holds the hottest intervals'
+CSR extents resident. Cache hit, eviction, and pin counters flow into
+the --metrics artifacts.
 
 `ingest` applies an edge-mutation batch to a stored graph through the
 on-device mutation log (DESIGN.md §17). The batch file is text, one
@@ -110,8 +107,7 @@ to stdout. --memory-kb is the global admission budget shared by all
 concurrent jobs, --cache-kb sizes the shared page cache, --workers
 bounds concurrency. --pin-budget-kb carves DRAM from the admission
 budget to hold dataset CSR extents pinned in the cache (DESIGN.md
-§18); --cache-policy picks the replacement policy (default 2q).
---metrics FILE writes the daemon-wide Prometheus rollup (per-job
+§18). --metrics FILE writes the daemon-wide Prometheus rollup (per-job
 labeled series) on shutdown.";
 
 /// Minimal flag parser: `--key value` pairs plus positionals.
@@ -299,11 +295,6 @@ fn cmd_run(a: &Args, resume: bool) -> Result<(), String> {
     let crash_after: u64 = a.get_parsed("crash-after", 0)?;
     let cache_kb: usize = a.get_parsed("cache-kb", 0)?;
     let pin_budget_kb: usize = a.get_parsed("pin-budget-kb", 0)?;
-    let policy = match a.get("cache-policy").unwrap_or("2q") {
-        "2q" => CachePolicy::TwoQ,
-        "clock" => CachePolicy::Clock,
-        other => return Err(format!("unknown --cache-policy {other} (use 2q or clock)")),
-    };
     let metrics_path = a.get("metrics");
     if metrics_path.is_some() && engine_name != "mlvc" {
         return Err("--metrics supports only --engine mlvc".into());
@@ -340,9 +331,9 @@ fn cmd_run(a: &Args, resume: bool) -> Result<(), String> {
         cfg = cfg.with_tiering(TieringConfig {
             cache_bytes: cache_kb << 10,
             pin_budget_bytes: pin_budget_kb << 10,
-            policy,
         });
     }
+    cfg.validate().map_err(|e| e.to_string())?;
     let iv = VertexIntervals::for_graph(&g, 16, cfg.sort_budget());
 
     println!(
@@ -469,11 +460,6 @@ fn cmd_serve(a: &Args) -> Result<(), String> {
     let cache_kb: usize = a.get_parsed("cache-kb", 8192)?;
     let pin_budget_kb: usize = a.get_parsed("pin-budget-kb", 0)?;
     let workers: usize = a.get_parsed("workers", 4)?;
-    let cache_policy = match a.get("cache-policy").unwrap_or("2q") {
-        "2q" => CachePolicy::TwoQ,
-        "clock" => CachePolicy::Clock,
-        other => return Err(format!("unknown --cache-policy {other} (use 2q or clock)")),
-    };
 
     let ssd = make_ssd(a)?;
     let cache_pages = ((cache_kb << 10) / ssd.page_size()).max(1);
@@ -482,7 +468,6 @@ fn cmd_serve(a: &Args) -> Result<(), String> {
         cache_pages,
         workers,
         pin_budget_bytes: pin_budget_kb << 10,
-        cache_policy,
     };
     let mut daemon = Daemon::with_device(cfg, Arc::clone(&ssd));
     for spec in specs.split(',') {
@@ -578,6 +563,7 @@ fn cmd_ingest(a: &Args) -> Result<(), String> {
     }
 
     let cfg = EngineConfig::default().with_memory(memory_kb << 10).with_seed(seed);
+    cfg.validate().map_err(|e| e.to_string())?;
     let iv = VertexIntervals::for_graph(&g, 16, cfg.sort_budget());
     let ssd = make_ssd(a)?;
     let sg = StoredGraph::store_with(&ssd, &g, "cli", iv.clone()).map_err(dev)?;

@@ -309,13 +309,11 @@ fn run_obs(
     csr: &Csr,
     prog: &dyn VertexProgram,
     steps: usize,
-    pipeline: bool,
     async_mode: bool,
 ) -> (Vec<u64>, Vec<TraceRecord>) {
     let iv = VertexIntervals::uniform(csr.num_vertices(), 5);
     let cfg = EngineConfig::default()
         .with_memory(512 << 10)
-        .with_pipeline(pipeline)
         .with_async(async_mode)
         .with_obs(true);
     let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
@@ -348,37 +346,14 @@ fn assert_traces_eq(a: &[TraceRecord], b: &[TraceRecord], ctx: &str) {
     }
 }
 
-/// The trace with the simulated-time fields zeroed. The pipeline toggle
-/// regroups reads into different batches, the simulated-time model charges
-/// a per-batch overhead, and only the pipelined path runs batch reads
-/// through the I/O queue (so wait time and the in-flight high-water mark
-/// exist only there) — while every count (pages, bytes, messages, log
+/// The trace with the simulated-time fields zeroed: queue depth and the
+/// number of batches in flight change when reads are charged and how much
+/// of them compute hides, while every count (pages, bytes, messages, log
 /// activity, FTL) must not move.
 fn trace_modulo_sim_time(trace: &[TraceRecord]) -> Vec<TraceRecord> {
     trace
         .iter()
         .map(|r| TraceRecord { sim_time_ns: 0, io_wait_ns: 0, max_inflight: 0, ..*r })
-        .collect()
-}
-
-/// Only the algorithmic fields of the trace: per-superstep vertex and
-/// message counts, which are invariant even where the I/O schedule is not.
-/// In asynchronous mode (§V-F) the pipelined scatter changes *when* a
-/// same-superstep update reaches its interval log, so page/byte traffic
-/// shifts between supersteps — but what the algorithm computed cannot.
-fn trace_algorithmic_counts(trace: &[TraceRecord]) -> Vec<TraceRecord> {
-    trace
-        .iter()
-        .map(|r| TraceRecord {
-            superstep: r.superstep,
-            active_vertices: r.active_vertices,
-            messages_processed: r.messages_processed,
-            messages_delivered: r.messages_delivered,
-            messages_sent: r.messages_sent,
-            edges_scanned: r.edges_scanned,
-            fused_batches: r.fused_batches,
-            ..Default::default()
-        })
         .collect()
 }
 
@@ -399,15 +374,13 @@ fn trace_modulo_combine(trace: &[TraceRecord]) -> Vec<TraceRecord> {
         .collect()
 }
 
-/// Full execution-mode cross-product {pipeline}×{sync/async}×{combine}:
-/// final states are bit-identical within each computation model, trace
-/// counts are bit-identical across the pipeline toggle (only the
-/// batching-sensitive simulated time moves), and the combine toggle changes
-/// only the delivery count and its derived compute time. BFS additionally
-/// reaches the same vertex set across sync/async, with async levels
-/// bounded below by the sync (shortest) ones.
+/// Execution-mode cross-product {sync/async}×{combine}: final states are
+/// bit-identical within each computation model, and the combine toggle
+/// changes only the delivery count and its derived compute time. BFS
+/// additionally reaches the same vertex set across sync/async, with async
+/// levels bounded below by the sync (shortest) ones.
 #[test]
-fn obs_trace_invariant_across_pipeline_async_combine() {
+fn obs_trace_invariant_across_async_combine() {
     let g = mlvc_gen::cf_mini(9, 11).graph;
     type Factory = Box<dyn Fn() -> Box<dyn VertexProgram>>;
     let apps: Vec<(&str, usize, Factory)> = vec![
@@ -418,43 +391,13 @@ fn obs_trace_invariant_across_pipeline_async_combine() {
     for (name, steps, make) in apps {
         let mut sync_states: Option<Vec<u64>> = None;
         for async_mode in [false, true] {
-            // (pipeline, combine stripped) -> (states, trace)
-            let mut runs: Vec<(bool, bool, Vec<u64>, Vec<TraceRecord>)> = Vec::new();
-            for pipeline in [false, true] {
-                for stripped in [false, true] {
-                    let prog: Box<dyn VertexProgram> =
-                        if stripped { Box::new(NoCombine(make())) } else { make() };
-                    let (st, tr) = run_obs(&g, prog.as_ref(), steps, pipeline, async_mode);
-                    runs.push((pipeline, stripped, st, tr));
-                }
-            }
-            let tag = |p: bool, c: bool| {
-                format!("{name} async={async_mode} pipeline={p} no-combine={c}")
-            };
-            // Final states: bit-identical across the whole group.
-            for (p, c, st, _) in &runs[1..] {
-                assert_eq!(st, &runs[0].2, "states diverge at {}", tag(*p, *c));
-            }
-            // Traces across the pipeline toggle (same combine): in sync
-            // mode every count is identical and only the batching-sensitive
-            // simulated time moves; in async mode the scatter-timing shift
-            // also moves log I/O between supersteps, so the invariant is
-            // the algorithmic counts.
-            for stripped in [false, true] {
-                let pair: Vec<&Vec<TraceRecord>> =
-                    runs.iter().filter(|r| r.1 == stripped).map(|r| &r.3).collect();
-                let (a, b) = if async_mode {
-                    (trace_algorithmic_counts(pair[0]), trace_algorithmic_counts(pair[1]))
-                } else {
-                    (trace_modulo_sim_time(pair[0]), trace_modulo_sim_time(pair[1]))
-                };
-                assert_traces_eq(&a, &b, &format!("pipeline toggle, {}", tag(true, stripped)));
-            }
-            // …and invariant modulo delivery/compute across the combine
-            // toggle (runs 0 and 1 share pipeline=false).
+            let (states, trace) = run_obs(&g, make().as_ref(), steps, async_mode);
+            let (stripped_states, stripped_trace) =
+                run_obs(&g, &NoCombine(make()), steps, async_mode);
+            assert_eq!(states, stripped_states, "{name} async={async_mode}: combine changed states");
             assert_traces_eq(
-                &trace_modulo_combine(&runs[0].3),
-                &trace_modulo_combine(&runs[1].3),
+                &trace_modulo_combine(&trace),
+                &trace_modulo_combine(&stripped_trace),
                 &format!("combine leaks into I/O accounting: {name} async={async_mode}"),
             );
             if async_mode {
@@ -464,7 +407,7 @@ fn obs_trace_invariant_across_pipeline_async_combine() {
                     // level is the length of *some* path (>= the sync
                     // shortest level), and reachability is identical.
                     let sync = sync_states.as_ref().unwrap();
-                    for (v, (&a, &s)) in runs[0].2.iter().zip(sync).enumerate() {
+                    for (v, (&a, &s)) in states.iter().zip(sync).enumerate() {
                         assert_eq!(
                             Bfs::level(a).is_some(),
                             Bfs::level(s).is_some(),
@@ -474,18 +417,18 @@ fn obs_trace_invariant_across_pipeline_async_combine() {
                     }
                 }
             } else {
-                sync_states = Some(runs[0].2.clone());
                 if name == "coloring" {
-                    let colors: Vec<u32> = runs[0].2.iter().map(|&s| s as u32).collect();
+                    let colors: Vec<u32> = states.iter().map(|&s| s as u32).collect();
                     assert!(mlvc_apps::is_proper_coloring(&g, &colors));
                 }
+                sync_states = Some(states);
             }
         }
     }
 }
 
 /// One MultiLogVC run with explicit queue-depth / in-flight-batch knobs
-/// (pipelined, synchronous, observability on).
+/// (synchronous, observability on).
 fn run_obs_queued(
     csr: &Csr,
     prog: &dyn VertexProgram,
@@ -506,12 +449,15 @@ fn run_obs_queued(
     (e.states().to_vec(), r.trace)
 }
 
-/// Queue-knob determinism (DESIGN.md §16): states are bit-identical across
+/// Queue-knob determinism (DESIGN.md §12): states are bit-identical across
 /// the full worker-threads × queue-depth × in-flight-batches cross-product;
 /// traces are bit-identical across thread counts at any fixed (depth, K),
 /// and across (depth, K) bit-identical modulo the simulated-time fields
 /// (`sim_time_ns`, `io_wait_ns`, `max_inflight`) — deeper queues and more
-/// batches in flight may only move *time*, never a count.
+/// batches in flight may only move *time*, never a count. And the time
+/// they move goes one way: at a fixed K, the simulated time the owner
+/// spends blocked on the queue does not grow as the per-channel queues
+/// deepen.
 #[test]
 fn states_and_traces_invariant_across_queue_depth_and_inflight() {
     let g = mlvc_gen::cf_mini(9, 11).graph;
@@ -554,6 +500,19 @@ fn states_and_traces_invariant_across_queue_depth_and_inflight() {
                 &trace_modulo_sim_time(tr0),
                 &trace_modulo_sim_time(tr),
                 &ctx,
+            );
+        }
+        for k in [1usize, 4] {
+            let wait: Vec<u64> = [1usize, 4, 16]
+                .iter()
+                .map(|&qd| {
+                    let (_, _, tr) = base.iter().find(|(key, _, _)| *key == (qd, k)).unwrap();
+                    tr.iter().map(|r| r.io_wait_ns).sum()
+                })
+                .collect();
+            assert!(
+                wait[0] >= wait[1] && wait[1] >= wait[2],
+                "{name} k={k}: io_wait_ns grew with queue depth 1 -> 4 -> 16: {wait:?}"
             );
         }
     }

@@ -331,17 +331,16 @@ fn par_sorts_thread_count_invariant() {
     set_thread_override(None);
 }
 
-/// Sort-reduce folding oracle (DESIGN.md §16): for any update stream and
-/// any buffer pressure, draining a page-bucketed (folded) multi-log sorted
-/// by destination equals the old read path — insertion-order drain of an
-/// unfolded log followed by the stable `par_sort_by_u32_key` radix kernel —
-/// bit-exactly, at every thread count. Each update's payload carries its
-/// send index, so a stability violation among equal destinations is
+/// Sort-reduce folding oracle (DESIGN.md §12): for any update stream and
+/// any buffer pressure, draining the page-bucketed multi-log equals a
+/// stable sort by destination (`slice::sort_by_key`) of the stream that was
+/// sent — bit-exactly, at every thread count. Each update's payload carries
+/// its send index, so a stability violation among equal destinations is
 /// visible, not masked.
 #[test]
-fn folded_log_drain_matches_radix_sort_oracle() {
-    use multilogvc::log::{MultiLog, MultiLogConfig, Update};
-    use multilogvc::par::{par_sort_by_u32_key, set_thread_override};
+fn folded_log_drain_matches_stable_sort_oracle() {
+    use multilogvc::log::{MultiLog, MultiLogConfig, SortGroup, Update};
+    use multilogvc::par::set_thread_override;
 
     let mut rng = SeededRng::seed_from_u64(111);
     for case in 0..CASES {
@@ -357,7 +356,7 @@ fn folded_log_drain_matches_radix_sort_oracle() {
             .collect();
         // Random mix of the per-record and pre-routed batch append paths:
         // split the stream into chunks, each sent via `send` or
-        // `send_batch`. Both logs see the identical call sequence.
+        // `send_batch`.
         let chunks: Vec<(usize, bool)> = {
             let mut out = Vec::new();
             let mut at = 0;
@@ -372,53 +371,40 @@ fn folded_log_drain_matches_radix_sort_oracle() {
 
         for threads in [1usize, 2, 8] {
             set_thread_override(Some(threads));
-            let mut units: Vec<MultiLog> = [false, true]
-                .iter()
-                .map(|&fold_scatter| {
-                    let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
-                    MultiLog::new(
-                        ssd,
-                        iv.clone(),
-                        MultiLogConfig { buffer_bytes: buffer, fold_scatter, reads_src: true },
-                        "prop",
-                    )
-                    .unwrap()
-                })
-                .collect();
-            for ml in &mut units {
-                let mut at = 0;
-                for &(len, batched) in &chunks {
-                    let chunk = &ups[at..at + len];
-                    if batched {
-                        for i in iv.iter_ids() {
-                            let routed: Vec<Update> = chunk
-                                .iter()
-                                .copied()
-                                .filter(|u| iv.interval_of(u.dest) == i)
-                                .collect();
-                            ml.send_batch(i, &routed).unwrap();
-                        }
-                    } else {
-                        for &u in chunk {
-                            ml.send(u).unwrap();
-                        }
+            let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
+            let cfg = MultiLogConfig { buffer_bytes: buffer, reads_src: true };
+            let mut ml = MultiLog::new(ssd, iv.clone(), cfg, "prop").unwrap();
+            let mut at = 0;
+            for &(len, batched) in &chunks {
+                let chunk = &ups[at..at + len];
+                if batched {
+                    for i in iv.iter_ids() {
+                        let routed: Vec<Update> = chunk
+                            .iter()
+                            .copied()
+                            .filter(|u| iv.interval_of(u.dest) == i)
+                            .collect();
+                        ml.send_batch(i, &routed).unwrap();
                     }
-                    at += len;
+                } else {
+                    for &u in chunk {
+                        ml.send(u).unwrap();
+                    }
                 }
-                ml.finish_superstep().unwrap();
+                at += len;
             }
-            let unfold = units[0].reader();
-            let fold = units[1].reader();
+            ml.finish_superstep().unwrap();
+            let reader = ml.reader();
+            let sg = SortGroup::new(1 << 20);
             for i in iv.iter_ids() {
-                // Oracle: the unfolded log preserves insertion order; the
-                // radix kernel is the sort the engine ran before folding.
-                let mut want = unfold.take_log(i).unwrap();
-                par_sort_by_u32_key(&mut want, |u| u.dest);
-                let got = fold.take_log_sorted(i).unwrap();
+                let mut want: Vec<Update> =
+                    ups.iter().copied().filter(|u| iv.interval_of(u.dest) == i).collect();
+                want.sort_by_key(|u| u.dest);
+                let got = sg.load_batch(&reader, i..i + 1).unwrap().updates;
                 assert_eq!(
                     got, want,
-                    "case {case} interval {i} threads={threads}: folded drain \
-                     diverges from the radix oracle"
+                    "case {case} interval {i} threads={threads}: drain diverges from \
+                     the stable-sort oracle"
                 );
             }
         }
@@ -433,11 +419,11 @@ fn folded_log_drain_matches_radix_sort_oracle() {
 /// masked to `VertexId::MAX` when the program does not read it. Interval
 /// widths sit on both sides of the 65 536-vertex narrow span, sends mix
 /// `send` and `send_batch`, buffers are small enough to evict
-/// mid-superstep, and both read paths (direct and queue-prefetched) are
-/// drained at every thread count.
+/// mid-superstep, and both read paths (inline per interval and planned
+/// batch) are drained at every thread count.
 #[test]
 fn compact_pages_drain_exactly_what_was_sent() {
-    use multilogvc::log::{LogPage, MultiLog, MultiLogConfig, Update};
+    use multilogvc::log::{LogPage, MultiLog, MultiLogConfig, SortGroup, Update};
     use multilogvc::par::set_thread_override;
 
     let mut rng = SeededRng::seed_from_u64(113);
@@ -483,14 +469,12 @@ fn compact_pages_drain_exactly_what_was_sent() {
 
         for threads in [1usize, 2, 8] {
             set_thread_override(Some(threads));
-            for (fold_scatter, reads_src) in
-                [(false, false), (false, true), (true, false), (true, true)]
-            {
+            for reads_src in [false, true] {
                 let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
                 let mut ml = MultiLog::new(
                     Arc::clone(&ssd),
                     iv.clone(),
-                    MultiLogConfig { buffer_bytes: buffer, fold_scatter, reads_src },
+                    MultiLogConfig { buffer_bytes: buffer, reads_src },
                     "prop",
                 )
                 .unwrap();
@@ -531,16 +515,18 @@ fn compact_pages_drain_exactly_what_was_sent() {
                         .collect();
                     want.sort_by_key(|u| u.dest);
                     let got = if case % 2 == 0 {
-                        reader.take_log_sorted(i).unwrap()
+                        SortGroup::new(1 << 20).load_batch(&reader, i..i + 1).unwrap().updates
                     } else {
                         let plan = reader.plan_reads(i..i + 1).unwrap();
                         let pages = ssd.read_batch(&plan.reqs).unwrap();
-                        reader.take_prefetched_sorted(&plan, &pages).unwrap().0
+                        let batch = reader.decode_sorted(&plan, &pages).unwrap();
+                        reader.consume(&plan, &batch).unwrap();
+                        batch.updates
                     };
                     assert_eq!(
                         got, want,
                         "case {case} n={n} k={k} m={m} interval {i} threads={threads} \
-                         fold={fold_scatter} src={reads_src}"
+                         src={reads_src}"
                     );
                 }
             }
@@ -551,8 +537,8 @@ fn compact_pages_drain_exactly_what_was_sent() {
 }
 
 /// Queue knobs never change results: for any graph, flood under a random
-/// (queue depth, in-flight K, fold toggle) configuration matches the
-/// default configuration bit-exactly.
+/// (queue depth, in-flight K) configuration matches the default
+/// configuration bit-exactly.
 #[test]
 fn queue_knobs_invariant_any_graph() {
     struct Flood;
@@ -580,7 +566,6 @@ fn queue_knobs_invariant_any_graph() {
         let csr = build(n, &edges);
         let qd = rng.gen_range(1usize..20);
         let inflight = rng.gen_range(1usize..6);
-        let fold = rng.gen_bool(0.5);
 
         let run = |cfg: EngineConfig| {
             let (ssd, sg) = store(&csr, 4);
@@ -590,16 +575,9 @@ fn queue_knobs_invariant_any_graph() {
             eng.states().to_vec()
         };
         let base = run(EngineConfig::default());
-        let knobs = run(
-            EngineConfig::default()
-                .with_queue_depth(qd)
-                .with_inflight_batches(inflight)
-                .with_fold_scatter(fold),
-        );
-        assert_eq!(
-            base, knobs,
-            "case {case}: qd={qd} k={inflight} fold={fold} changed flood results"
-        );
+        let knobs =
+            run(EngineConfig::default().with_queue_depth(qd).with_inflight_batches(inflight));
+        assert_eq!(base, knobs, "case {case}: qd={qd} k={inflight} changed flood results");
     }
 }
 

@@ -1,9 +1,9 @@
-//! Thread-count determinism: the pipelined engine (batch prefetch +
-//! parallel update scatter, DESIGN.md §12) must produce bit-identical
-//! vertex states *and* per-superstep message counts for any worker thread
-//! count. This is the guarantee the unit tests cannot check — a
-//! scatter-order bug shows up only when multiple workers race to emit
-//! updates into the multi-log.
+//! Thread-count determinism: the engine (queued batch fetch + parallel
+//! update scatter, DESIGN.md §12) must produce bit-identical vertex states,
+//! per-superstep message counts *and* — with tiering on — whole traces,
+//! cache counters included, for any worker thread count. This is the
+//! guarantee the unit tests cannot check — a scatter-order or consume-order
+//! bug shows up only when multiple workers race.
 //!
 //! Everything runs inside one `#[test]` because the thread-count override
 //! is process-global: parallel test functions sweeping it concurrently
@@ -13,7 +13,9 @@
 use std::sync::Arc;
 
 use multilogvc::apps::{Bfs, Coloring, PageRank};
-use multilogvc::core::{Engine, EngineConfig, MultiLogEngine, VertexProgram};
+use multilogvc::core::{
+    Engine, EngineConfig, MultiLogEngine, TieringConfig, TraceRecord, VertexProgram,
+};
 use multilogvc::graph::{StoredGraph, VertexIntervals};
 use multilogvc::prelude::RmatParams;
 use multilogvc::ssd::{Ssd, SsdConfig};
@@ -32,7 +34,7 @@ struct Shape {
 }
 
 /// Many small intervals under tight memory: supersteps split into several
-/// fused batches, so the prefetch thread is genuinely exercised. Every
+/// fused batches, so the fetch workers are genuinely exercised. Every
 /// interval stays below the engine's fork threshold, so process and
 /// scatter run on the owner thread.
 const SMALL: Shape = Shape { scale: 10, intervals: 16, memory: 64 << 10, steps: 40 };
@@ -58,8 +60,60 @@ fn run_once(prog: &dyn VertexProgram, async_mode: bool, shape: Shape) -> (Vec<u6
     (eng.states().to_vec(), steps)
 }
 
+/// One tiered PageRank run on the `SMALL` shape, observability on: a cache
+/// of a handful of frames (so the replacement policy evicts all the time)
+/// plus a pin budget (so topology pins and retained log tails come and go
+/// with every consume).
+fn run_tiered(inflight_batches: usize) -> (Vec<u64>, Vec<TraceRecord>) {
+    let g = mlvc_gen::rmat(RmatParams::social(SMALL.scale, 8), 0xD7);
+    let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
+    let page = ssd.page_size();
+    let iv = VertexIntervals::uniform(g.num_vertices(), SMALL.intervals);
+    let sg = StoredGraph::store_with(&ssd, &g, "det", iv).unwrap();
+    let cfg = EngineConfig::default()
+        .with_memory(SMALL.memory)
+        .with_inflight_batches(inflight_batches)
+        .with_obs(true)
+        .with_tiering(TieringConfig { cache_bytes: 6 * page, pin_budget_bytes: 24 * page });
+    let mut eng = MultiLogEngine::new(ssd, sg, cfg);
+    let r = eng.run(&PageRank::new(0.85, 1e-4), 12);
+    assert!(r.interrupted.is_none());
+    (eng.states().to_vec(), r.trace)
+}
+
+/// The tiered leg: at a fixed K, states and the whole trace — including
+/// `cache_evictions`, `pinned_pages` and the `ftl_*` fields — are equal
+/// across thread counts and across repeated runs.
+fn tiered_traces_bit_identical_across_thread_counts() {
+    for k in [1usize, 4] {
+        let mut baseline: Option<(Vec<u64>, Vec<TraceRecord>)> = None;
+        for threads in [1usize, 2, 8] {
+            for rep in 0..2 {
+                multilogvc::par::set_thread_override(Some(threads));
+                let got = run_tiered(k);
+                multilogvc::par::set_thread_override(None);
+                let ctx = format!("tiered pagerank k={k} threads={threads} rep={rep}");
+                let Some(base) = &baseline else {
+                    let evictions: u64 = got.1.iter().map(|t| t.cache_evictions).sum();
+                    assert!(evictions > 0, "{ctx}: the cache never evicted");
+                    assert!(got.1.iter().any(|t| t.pinned_pages > 0), "{ctx}: nothing pinned");
+                    assert!(got.1.iter().any(|t| t.fused_batches > 1), "{ctx}: one batch only");
+                    baseline = Some(got);
+                    continue;
+                };
+                assert_eq!(base.0, got.0, "{ctx}: states differ");
+                assert_eq!(base.1.len(), got.1.len(), "{ctx}: trace length differs");
+                for (a, b) in base.1.iter().zip(&got.1) {
+                    assert_eq!(a, b, "{ctx}: trace differs at superstep {}", a.superstep);
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn states_and_message_counts_bit_identical_across_thread_counts() {
+    tiered_traces_bit_identical_across_thread_counts();
     let progs: Vec<(&str, Box<dyn VertexProgram>)> = vec![
         ("bfs", Box::new(Bfs::new(0))),
         ("pagerank", Box::new(PageRank::new(0.85, 1e-4))),
