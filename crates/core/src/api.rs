@@ -1,4 +1,4 @@
-use mlvc_graph::{StructuralUpdate, VertexId};
+use mlvc_graph::{StructuralUpdate, VertexId, VertexIntervals};
 use mlvc_log::Update;
 use mlvc_mutate::MutationDelta;
 
@@ -19,11 +19,96 @@ pub enum InitActive {
     Seeds(Vec<Update>),
 }
 
+/// Where processing calls put their outgoing messages: buffers the engine
+/// owns, hands to one [`VertexCtx`] after another, drains and reuses. A
+/// routed sink keeps one buffer per destination interval — the multi-log's
+/// append unit — so a message is written once, where its log will take it
+/// from; a flat sink keeps a single buffer. Each buffer holds its messages
+/// in send order.
+pub struct SendSink {
+    intervals: Option<VertexIntervals>,
+    bufs: Vec<Vec<Update>>,
+    /// The buffer the last message went to and the destinations it takes
+    /// (inclusive): neighbours mostly share an interval, so most sends skip
+    /// the interval search.
+    cur: usize,
+    cur_lo: VertexId,
+    cur_hi: VertexId,
+}
+
+impl SendSink {
+    /// One buffer for everything.
+    pub fn flat() -> Self {
+        SendSink {
+            intervals: None,
+            bufs: vec![Vec::new()],
+            cur: 0,
+            cur_lo: 0,
+            cur_hi: VertexId::MAX,
+        }
+    }
+
+    /// One buffer per interval of `intervals`.
+    pub fn routed(intervals: &VertexIntervals) -> Self {
+        SendSink {
+            bufs: vec![Vec::new(); intervals.num_intervals()],
+            // An empty range: the first send seeks.
+            cur: 0,
+            cur_lo: 1,
+            cur_hi: 0,
+            intervals: Some(intervals.clone()),
+        }
+    }
+
+    /// The buffers, by destination interval (a flat sink has one).
+    pub fn buffers(&self) -> &[Vec<Update>] {
+        &self.bufs
+    }
+
+    /// Empty every buffer, keeping its capacity for the next fill.
+    pub fn clear(&mut self) {
+        self.bufs.iter_mut().for_each(Vec::clear);
+    }
+
+    /// Make `cur` the buffer that takes `dest`.
+    fn seek(&mut self, dest: VertexId) {
+        if (self.cur_lo..=self.cur_hi).contains(&dest) {
+            return;
+        }
+        if let Some(iv) = &self.intervals {
+            let i = iv.interval_of(dest);
+            (self.cur, self.cur_lo, self.cur_hi) = (i as usize, iv.start(i), iv.end(i) - 1);
+        }
+    }
+
+    fn push(&mut self, u: Update) {
+        self.seek(u.dest);
+        self.bufs[self.cur].push(u);
+    }
+
+    /// `data` from `src` to every vertex of `dests`, a run of neighbours
+    /// bound for one buffer at a time — each run reserves once.
+    fn push_all(&mut self, src: VertexId, dests: &[VertexId], data: u64) {
+        let mut rest = dests;
+        while let Some(&first) = rest.first() {
+            self.seek(first);
+            let (lo, hi) = (self.cur_lo, self.cur_hi);
+            let run = rest.iter().position(|d| !(lo..=hi).contains(d)).unwrap_or(rest.len());
+            // `seek` put `first` in range; the `max` only keeps a send to a
+            // vertex the graph does not have from looping here.
+            let (now, later) = rest.split_at(run.max(1));
+            self.bufs[self.cur].extend(now.iter().map(|&d| Update::new(d, src, data)));
+            rest = later;
+        }
+    }
+}
+
 /// Everything a vertex sees and does during its processing call — the
 /// paper's `ProcessVertex(VertexId, VertexData, VertexUpdates)` plus the
 /// `SendUpdate` / `deactivate` surface (Algorithm 2).
 ///
-/// Engines construct one per processed vertex and collect the outputs.
+/// Engines construct one per processed vertex over a [`SendSink`] they own
+/// and collect the outputs.
 pub struct VertexCtx<'a> {
     v: VertexId,
     superstep: usize,
@@ -32,17 +117,17 @@ pub struct VertexCtx<'a> {
     msgs: &'a [Update],
     edges: &'a [VertexId],
     weights: Option<&'a [f32]>,
-    sends: Vec<Update>,
+    sink: &'a mut SendSink,
     keep_active: bool,
     structural: Vec<StructuralUpdate>,
     seed: u64,
     rng_counter: u64,
 }
 
-/// What a processing call produced, drained by the engine.
+/// What a processing call produced besides the messages in its sink,
+/// drained by the engine.
 pub struct VertexOutputs {
     pub state: u64,
-    pub sends: Vec<Update>,
     pub keep_active: bool,
     pub structural: Vec<StructuralUpdate>,
 }
@@ -59,6 +144,7 @@ impl<'a> VertexCtx<'a> {
         edges: &'a [VertexId],
         weights: Option<&'a [f32]>,
         seed: u64,
+        sink: &'a mut SendSink,
     ) -> Self {
         VertexCtx {
             v,
@@ -68,7 +154,7 @@ impl<'a> VertexCtx<'a> {
             msgs,
             edges,
             weights,
-            sends: Vec::new(),
+            sink,
             keep_active: false,
             structural: Vec::new(),
             seed,
@@ -80,7 +166,6 @@ impl<'a> VertexCtx<'a> {
     pub fn into_outputs(self) -> VertexOutputs {
         VertexOutputs {
             state: self.state,
-            sends: self.sends,
             keep_active: self.keep_active,
             structural: self.structural,
         }
@@ -135,15 +220,12 @@ impl<'a> VertexCtx<'a> {
     /// destination interval's log and delivered next superstep. The
     /// source id is filled in automatically.
     pub fn send(&mut self, dest: VertexId, data: u64) {
-        self.sends.push(Update::new(dest, self.v, data));
+        self.sink.push(Update::new(dest, self.v, data));
     }
 
     /// Send the same payload over every out-edge.
     pub fn send_all(&mut self, data: u64) {
-        for k in 0..self.edges.len() {
-            let dest = self.edges[k];
-            self.sends.push(Update::new(dest, self.v, data));
-        }
+        self.sink.push_all(self.v, self.edges, data);
     }
 
     /// Stay active next superstep even without incoming messages (the
@@ -265,19 +347,44 @@ mod tests {
     #[test]
     fn ctx_send_fills_source() {
         let edges = [5u32, 6];
-        let mut ctx = VertexCtx::new(3, 1, 10, 0, &[], &edges, None, 42);
+        let mut sink = SendSink::flat();
+        let mut ctx = VertexCtx::new(3, 1, 10, 0, &[], &edges, None, 42, &mut sink);
         ctx.send(5, 99);
         ctx.send_all(7);
-        let out = ctx.into_outputs();
-        assert_eq!(out.sends.len(), 3);
-        assert!(out.sends.iter().all(|u| u.src == 3));
-        assert_eq!(out.sends[1].dest, 5);
-        assert_eq!(out.sends[2].dest, 6);
+        let sends = &sink.buffers()[0];
+        assert_eq!(sends.len(), 3);
+        assert!(sends.iter().all(|u| u.src == 3));
+        assert_eq!(sends[1].dest, 5);
+        assert_eq!(sends[2].dest, 6);
+    }
+
+    #[test]
+    fn routed_sink_buckets_by_interval_in_send_order() {
+        // Three intervals; neighbours unsorted on purpose.
+        let iv = VertexIntervals::uniform(10, 3);
+        let edges = [9u32, 1, 2, 5, 0, 8];
+        let mut sink = SendSink::routed(&iv);
+        let mut ctx = VertexCtx::new(3, 1, 10, 0, &[], &edges, None, 42, &mut sink);
+        ctx.send(7, 1);
+        ctx.send_all(2);
+        ctx.send(0, 3);
+        let sent = [(7u32, 1u64), (9, 2), (1, 2), (2, 2), (5, 2), (0, 2), (8, 2), (0, 3)];
+        for i in iv.iter_ids() {
+            let got: Vec<(u32, u64)> =
+                sink.buffers()[i as usize].iter().map(|u| (u.dest, u.data)).collect();
+            let want: Vec<(u32, u64)> =
+                sent.iter().copied().filter(|&(d, _)| iv.interval_of(d) == i).collect();
+            assert_eq!(got, want, "interval {i}");
+            assert!(!want.is_empty(), "every interval must be exercised");
+        }
+        sink.clear();
+        assert!(sink.buffers().iter().all(Vec::is_empty));
     }
 
     #[test]
     fn ctx_state_and_flags() {
-        let mut ctx = VertexCtx::new(0, 2, 4, 11, &[], &[], None, 0);
+        let mut sink = SendSink::flat();
+        let mut ctx = VertexCtx::new(0, 2, 4, 11, &[], &[], None, 0, &mut sink);
         assert_eq!(ctx.state(), 11);
         ctx.set_state(22);
         ctx.keep_active();
@@ -291,11 +398,12 @@ mod tests {
 
     #[test]
     fn rand_is_deterministic_and_varies() {
-        let mut a = VertexCtx::new(1, 1, 4, 0, &[], &[], None, 7);
-        let mut b = VertexCtx::new(1, 1, 4, 0, &[], &[], None, 7);
+        let (mut sa, mut sb, mut sc) = (SendSink::flat(), SendSink::flat(), SendSink::flat());
+        let mut a = VertexCtx::new(1, 1, 4, 0, &[], &[], None, 7, &mut sa);
+        let mut b = VertexCtx::new(1, 1, 4, 0, &[], &[], None, 7, &mut sb);
         assert_eq!(a.rand_u64(), b.rand_u64());
         assert_ne!(a.rand_u64(), a.rand_u64(), "stream advances");
-        let mut c = VertexCtx::new(2, 1, 4, 0, &[], &[], None, 7);
+        let mut c = VertexCtx::new(2, 1, 4, 0, &[], &[], None, 7, &mut sc);
         assert_ne!(b.rand_u64(), c.rand_u64(), "different vertex, different value");
         let f = c.rand_f64();
         assert!((0.0..1.0).contains(&f));

@@ -5,7 +5,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use mlvc_graph::{
-    GraphLoader, IntervalId, LoadedVertex, StoredGraph, StructuralUpdateBuffer, VertexId,
+    Adjacency, GraphLoader, IntervalId, StoredGraph, StructuralUpdateBuffer, VertexId,
 };
 use mlvc_log::{
     group_by_dest, BatchPlan, BitSet, EdgeLogConfig, EdgeLogOptimizer, FusedBatch, LogReader,
@@ -22,8 +22,8 @@ use crate::merge::merge_pending;
 use crate::tiering::{attach_cache, Tiering};
 use crate::trace::Tracer;
 use crate::{
-    Engine, EngineConfig, InitActive, Reconverge, RunReport, SuperstepStats, VertexCtx,
-    VertexOutputs, VertexProgram,
+    Engine, EngineConfig, InitActive, Reconverge, RunReport, SendSink, SuperstepStats,
+    VertexCtx, VertexOutputs, VertexProgram,
 };
 
 /// Active vertices an interval must bring before its process and scatter
@@ -279,6 +279,10 @@ pub(crate) struct Drive<'a> {
     checkpointer: Option<Checkpointer>,
     /// The reusable combiner scratch (one slot per active vertex).
     combined: Vec<Option<Update>>,
+    /// The send buffers, one set per worker thread of the process stage:
+    /// filled there, drained by the scatter stage, reused by every interval
+    /// of every superstep.
+    sinks: Vec<SendSink>,
 
     /// Messages pending per interval, the all-active flag of a run's first
     /// superstep, and the vertices that asked to stay active.
@@ -338,6 +342,7 @@ impl<'a> Drive<'a> {
             tracer,
             checkpointer: Checkpointer::open(ssd, &cfg.tag, cfg.checkpoint_every)?,
             combined: Vec::new(),
+            sinks: Vec::new(),
             pending: Vec::new(),
             all_active: false,
             self_active: Vec::new(),
@@ -422,9 +427,9 @@ impl<'a> Drive<'a> {
 }
 
 /// Work unit handed to the parallel processing stage. Everything is
-/// borrowed in place — message slices from the fused batch, adjacency from
-/// the loader / edge log / combine buffer — so assembling the items copies
-/// nothing (DESIGN.md §12).
+/// borrowed in place — message slices from the fused batch or the combine
+/// buffer, adjacency from the interval's arena — so assembling the items
+/// copies nothing (DESIGN.md §12).
 struct WorkItem<'a> {
     v: VertexId,
     msgs: &'a [Update],
@@ -433,12 +438,6 @@ struct WorkItem<'a> {
     /// CSR page span of the vertex's edges; `None` when served from the
     /// edge log.
     csr_pages: Option<(u64, u64)>,
-}
-
-/// Adjacency of one interval's active vertices, split by source.
-struct Adjacency {
-    loaded: Vec<LoadedVertex>,
-    elog: Vec<(VertexId, Vec<VertexId>)>,
 }
 
 /// Stable merge of two dest-sorted runs; on equal destinations `a` (the
@@ -676,9 +675,8 @@ impl<'d, 'a> Superstep<'d, 'a> {
         let adj = self.load(i, &actives)?;
         let mut combined = std::mem::take(&mut self.d.combined);
         let items = self.assemble(&actives, &inbox, &adj, &mut combined);
-        let fork = items.len() >= FORK_MIN_ITEMS;
-        let outputs = self.process(&items, fork);
-        self.scatter(&outputs, fork)?;
+        let outputs = self.process(&items);
+        self.scatter()?;
         self.apply(i, &items, outputs)?;
         drop(items);
         self.d.combined = combined;
@@ -711,26 +709,31 @@ impl<'d, 'a> Superstep<'d, 'a> {
         Ok(Cow::Owned(merge_by_dest(previous, &extra)))
     }
 
-    /// Fetch adjacency for the interval's active vertices: from the edge
-    /// log where the previous superstep staged it, from the CSR pages that
-    /// actually hold active data otherwise.
+    /// Fetch adjacency for the interval's active vertices into one arena:
+    /// from the edge log where the previous superstep staged it, from the
+    /// CSR pages that actually hold active data otherwise.
     fn load(
         &mut self,
         i: IntervalId,
         actives: &[(VertexId, Range<usize>)],
     ) -> Result<Adjacency, DeviceError> {
+        let t_adj = Instant::now();
         let d = &mut *self.d;
-        let (use_elog, needs_weights) = (d.use_elog(), d.prog.needs_weights());
+        // Most supersteps stage nothing: probe the edge log per vertex only
+        // when it holds something.
+        let probe = d.use_elog() && !d.edgelog.read_side_is_empty();
         let (elog_vs, csr_vs): (Vec<VertexId>, Vec<VertexId>) =
-            actives.iter().map(|(v, _)| *v).partition(|&v| use_elog && d.edgelog.contains(v));
+            actives.iter().map(|(v, _)| *v).partition(|&v| probe && d.edgelog.contains(v));
         self.st.edge_log_hits += elog_vs.len() as u64;
-        let loaded =
-            d.loader.load_active(d.graph, i, &csr_vs, needs_weights, Some(&d.structural))?;
-        let mut elog = d.edgelog.fetch(&elog_vs)?;
-        for (v, edges) in &mut elog {
-            d.structural.patch_adjacency(*v, edges);
+        let mut adj =
+            d.loader.load_active(d.graph, i, &csr_vs, d.prog.needs_weights(), None)?;
+        if !elog_vs.is_empty() {
+            d.edgelog.fetch(&elog_vs, &mut adj)?;
+            adj.sort_by_vertex();
         }
-        Ok(Adjacency { loaded, elog })
+        d.structural.patch(i, &mut adj);
+        self.st.adjacency_ns += t_adj.elapsed().as_nanos() as u64;
+        Ok(adj)
     }
 
     /// Assemble work items in vertex order — borrows only, no adjacency
@@ -756,37 +759,44 @@ impl<'d, 'a> Superstep<'d, 'a> {
             })
         }));
         let combined: &'x [Option<Update>] = combined;
+        assert_eq!(adj.len(), actives.len(), "one adjacency per active vertex");
         let mut items: Vec<WorkItem> = Vec::with_capacity(actives.len());
-        let (mut li, mut ei) = (0usize, 0usize);
-        for (k, (v, r)) in actives.iter().enumerate() {
-            let (edges, weights, csr_pages) = if li < adj.loaded.len() && adj.loaded[li].v == *v {
-                let lv = &adj.loaded[li];
-                li += 1;
-                let span = (lv.page_lo <= lv.page_hi).then_some((lv.page_lo, lv.page_hi));
-                (lv.edges.as_slice(), lv.weights.as_deref(), span)
-            } else {
-                debug_assert_eq!(adj.elog[ei].0, *v);
-                ei += 1;
-                (adj.elog[ei - 1].1.as_slice(), None, None)
-            };
+        for (k, ((v, r), a)) in actives.iter().zip(adj.vertices()).enumerate() {
+            debug_assert_eq!(a.v, *v);
+            let edges = adj.edges(k);
             self.st.edges_scanned += edges.len() as u64;
             let msgs: &[Update] = match &combined[k] {
                 Some(u) => std::slice::from_ref(u),
                 None => &inbox[r.clone()],
             };
             self.st.messages_delivered += msgs.len() as u64;
-            items.push(WorkItem { v: *v, msgs, edges, weights, csr_pages });
+            items.push(WorkItem {
+                v: *v,
+                msgs,
+                edges,
+                weights: adj.weights(k),
+                csr_pages: a.csr_pages(),
+            });
         }
         items
     }
 
-    /// Parallel vertex processing over the frozen states.
-    fn process(&mut self, items: &[WorkItem], fork: bool) -> Vec<VertexOutputs> {
+    /// Parallel vertex processing over the frozen states. Each worker
+    /// thread writes the messages of its chunk of `items` straight into its
+    /// own sink, already split by destination interval.
+    fn process(&mut self, items: &[WorkItem]) -> Vec<VertexOutputs> {
         let t_proc = Instant::now();
-        let frozen: &[u64] = self.d.states;
-        let (audit, prog, seed) = (self.d.states_audit, self.d.prog, self.d.cfg.seed);
+        let d = &mut *self.d;
+        let fork = items.len() >= FORK_MIN_ITEMS;
+        let workers = if fork { mlvc_par::max_threads() } else { 1 };
+        if d.sinks.len() < workers {
+            let intervals = d.graph.intervals();
+            d.sinks.resize_with(workers, || SendSink::routed(intervals));
+        }
+        let frozen: &[u64] = d.states;
+        let (audit, prog, seed) = (d.states_audit, d.prog, d.cfg.seed);
         let (superstep, n) = (self.st.superstep, frozen.len());
-        let process = |item: &WorkItem| {
+        let process = |item: &WorkItem, sink: &mut SendSink| {
             audit.audit_read();
             let mut ctx = VertexCtx::new(
                 item.v,
@@ -797,44 +807,31 @@ impl<'d, 'a> Superstep<'d, 'a> {
                 item.edges,
                 item.weights,
                 seed,
+                sink,
             );
             prog.process(&mut ctx);
             ctx.into_outputs()
         };
-        let outputs: Vec<_> = if fork {
-            mlvc_par::par_map(items, process)
-        } else {
-            items.iter().map(process).collect()
-        };
+        let outputs = mlvc_par::par_map_with(items, &mut d.sinks[..workers], process);
         self.st.process_ns += t_proc.elapsed().as_nanos() as u64;
         outputs
     }
 
-    /// Update scatter. Parallel workers partition each output chunk's
-    /// sends by destination interval; draining interval-major, chunk order
-    /// within an interval, appends every interval's messages in item-index
-    /// order — exactly what a serial per-update loop would produce, so log
-    /// pages stay bit-identical for any thread count (DESIGN.md §12).
-    fn scatter(&mut self, outputs: &[VertexOutputs], fork: bool) -> Result<(), DeviceError> {
+    /// Update scatter: drain the sinks interval-major, worker order within
+    /// an interval. A worker holds the sends of one contiguous chunk of
+    /// items in item order, so every interval's messages are appended in
+    /// item-index order — exactly what a serial per-update loop would
+    /// produce, and log pages stay bit-identical for any thread count
+    /// (DESIGN.md §12).
+    fn scatter(&mut self) -> Result<(), DeviceError> {
         let t_scatter = Instant::now();
-        let intervals = self.d.graph.intervals();
-        let num_iv = intervals.num_intervals();
-        let route = |chunk: &[VertexOutputs]| {
-            let mut bufs: Vec<Vec<Update>> = vec![Vec::new(); num_iv];
-            for out in chunk {
-                for &u in &out.sends {
-                    bufs[intervals.interval_of(u.dest) as usize].push(u);
-                }
-            }
-            bufs
-        };
-        let scattered: Vec<Vec<Vec<Update>>> =
-            if fork { mlvc_par::par_chunk_map(outputs, route) } else { vec![route(outputs)] };
-        for j in 0..num_iv {
-            for bufs in &scattered {
-                self.d.multilog.send_batch(j as IntervalId, &bufs[j])?;
+        let d = &mut *self.d;
+        for j in d.graph.intervals().iter_ids() {
+            for sink in &d.sinks {
+                d.multilog.send_batch(j, &sink.buffers()[j as usize])?;
             }
         }
+        d.sinks.iter_mut().for_each(SendSink::clear);
         self.st.scatter_ns += t_scatter.elapsed().as_nanos() as u64;
         Ok(())
     }

@@ -29,7 +29,9 @@ mod report;
 mod tiering;
 mod trace;
 
-pub use api::{Combine, InitActive, Reconverge, VertexCtx, VertexOutputs, VertexProgram};
+pub use api::{
+    Combine, InitActive, Reconverge, SendSink, VertexCtx, VertexOutputs, VertexProgram,
+};
 pub use config::{ConfigError, CostModel, EngineConfig, TieringConfig};
 pub use engine::MultiLogEngine;
 pub use reference::ReferenceEngine;

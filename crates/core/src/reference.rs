@@ -3,7 +3,7 @@ use std::time::Instant;
 use mlvc_graph::{Csr, VertexId};
 use mlvc_log::Update;
 
-use crate::{Engine, InitActive, RunReport, SuperstepStats, VertexCtx, VertexProgram};
+use crate::{Engine, InitActive, RunReport, SendSink, SuperstepStats, VertexCtx, VertexProgram};
 
 /// Purely in-memory reference engine: the vertex-centric semantics with no
 /// storage machinery at all.
@@ -135,6 +135,7 @@ impl Engine for ReferenceEngine {
                         Some(u) => std::slice::from_ref(u),
                         None => &inbox_ref[r.clone()],
                     };
+                    let mut sink = SendSink::flat();
                     let mut ctx = VertexCtx::new(
                         *v,
                         superstep,
@@ -144,14 +145,15 @@ impl Engine for ReferenceEngine {
                         graph.out_edges(*v),
                         if needs_weights { graph.out_weights(*v) } else { None },
                         seed,
+                        &mut sink,
                     );
                     prog.process(&mut ctx);
-                    ctx.into_outputs()
+                    (ctx.into_outputs(), sink)
                 });
 
             let mut next_inbox = Vec::new();
             let mut next_self = Vec::new();
-            for ((v, r), out) in work.iter().zip(outputs) {
+            for ((v, r), (out, sink)) in work.iter().zip(outputs) {
                 self.states[*v as usize] = out.state;
                 st.active_vertices += 1;
                 st.messages_delivered += if combine.is_some() && !r.is_empty() {
@@ -167,7 +169,7 @@ impl Engine for ReferenceEngine {
                 if out.keep_active {
                     next_self.push(*v);
                 }
-                next_inbox.extend(out.sends);
+                next_inbox.extend_from_slice(&sink.buffers()[0]);
             }
             st.messages_sent = next_inbox.len() as u64;
             st.wall_ns = wall0.elapsed().as_nanos() as u64;

@@ -55,6 +55,9 @@ pub struct SuperstepStats {
     pub sort_ns: u64,
     pub process_ns: u64,
     pub scatter_ns: u64,
+    /// Wall-clock time of the adjacency loads (graph loader + edge log),
+    /// which run on the owner thread between the stages above.
+    pub adjacency_ns: u64,
     /// True if a crash-consistency checkpoint was written at this
     /// superstep's close-out (its I/O is charged to `io`).
     pub checkpointed: bool,
@@ -160,6 +163,12 @@ impl RunReport {
             t[3] += s.scatter_ns;
         }
         t
+    }
+
+    /// Wall-clock total of the adjacency loads, the stage
+    /// [`Self::stage_totals_ns`] has no slot for.
+    pub fn adjacency_total_ns(&self) -> u64 {
+        self.supersteps.iter().map(|s| s.adjacency_ns).sum()
     }
 
     /// Storage fraction of the whole run (Fig. 5c).

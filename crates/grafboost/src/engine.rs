@@ -2,7 +2,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use mlvc_core::{
-    Engine, EngineConfig, InitActive, RunReport, SuperstepStats, Update, VertexCtx, VertexProgram,
+    Engine, EngineConfig, InitActive, RunReport, SendSink, SuperstepStats, Update, VertexCtx,
+    VertexProgram,
 };
 use mlvc_graph::{StoredGraph, VertexId};
 use mlvc_ssd::{DeviceError, Ssd};
@@ -149,6 +150,7 @@ impl GrafBoostEngine {
                 let seed = self.cfg.seed;
                 let outputs: Vec<_> =
                     mlvc_par::par_map(&work, |(v, msgs)| {
+                        let mut sink = SendSink::flat();
                         let mut ctx = VertexCtx::new(
                             *v,
                             superstep,
@@ -158,12 +160,13 @@ impl GrafBoostEngine {
                             adj(*v),
                             None,
                             seed,
+                            &mut sink,
                         );
                         prog.process(&mut ctx);
-                        ctx.into_outputs()
+                        (ctx.into_outputs(), sink)
                     });
 
-                for ((v, msgs), out) in work.iter().zip(outputs) {
+                for ((v, msgs), (out, sink)) in work.iter().zip(outputs) {
                     self.states[*v as usize] = out.state;
                     st.active_vertices += 1;
                     st.messages_delivered += msgs.len() as u64;
@@ -175,8 +178,9 @@ impl GrafBoostEngine {
                     if out.keep_active {
                         next_self.push(*v);
                     }
-                    sends_total += out.sends.len() as u64;
-                    outbox.extend(out.sends);
+                    let sends = &sink.buffers()[0];
+                    sends_total += sends.len() as u64;
+                    outbox.extend_from_slice(sends);
                     if outbox.len() >= flush_at {
                         write_log_pages(&self.ssd, log, &outbox, has_src)?;
                         outbox.clear();

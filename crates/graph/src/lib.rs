@@ -32,7 +32,7 @@ pub use mlvc_ssd::checked;
 pub use builder::EdgeListBuilder;
 pub use csr::Csr;
 pub use intervals::{IntervalId, VertexIntervals};
-pub use loader::{GraphLoader, LoadedVertex, PageUsage};
+pub use loader::{AdjVertex, Adjacency, GraphLoader, PageUsage};
 pub use stored::{
     append_u32s, append_u64s, read_u32s, read_u64s, StoredGraph, UPDATE_BYTES,
 };

@@ -1,23 +1,106 @@
-use std::collections::HashMap;
-
-use mlvc_ssd::{DeviceError, FileId};
+use mlvc_ssd::{DeviceError, FileId, Ssd};
 
 use crate::checked::{idx, mem_idx, to_u32, to_u64};
 use crate::{
     IntervalId, StoredGraph, StructuralUpdateBuffer, VertexId, COL_IDX_BYTES, ROW_PTR_BYTES,
 };
 
-/// Adjacency of one active vertex as returned by the loader.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LoadedVertex {
+/// One active vertex of an [`Adjacency`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AdjVertex {
     pub v: VertexId,
-    pub edges: Vec<VertexId>,
-    pub weights: Option<Vec<f32>>,
+    /// This vertex's out-edges, as a range of the arena.
+    lo: usize,
+    hi: usize,
     /// Column-index pages of the interval extent holding this vertex's
-    /// edges (`page_lo > page_hi` for zero-degree vertices). The edge-log
-    /// optimizer keys its page-efficiency decision on this span.
+    /// edges; `page_lo > page_hi` when none were read for it (a zero-degree
+    /// vertex, or one the edge log served). The edge-log optimizer keys its
+    /// page-efficiency decision on this span.
     pub page_lo: u64,
     pub page_hi: u64,
+}
+
+impl AdjVertex {
+    /// The column-index page span, `None` when it is empty.
+    pub fn csr_pages(&self) -> Option<(u64, u64)> {
+        (self.page_lo <= self.page_hi).then_some((self.page_lo, self.page_hi))
+    }
+}
+
+/// Adjacency of one interval's active vertices: one flat edge array (and
+/// one parallel weight array when weights were asked for) that every
+/// vertex's out-edges are a range of, whichever source they came from —
+/// the CSR pages via [`GraphLoader::load_active`] or the edge log via
+/// [`Adjacency::push`].
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Adjacency {
+    vertices: Vec<AdjVertex>,
+    edges: Vec<VertexId>,
+    /// Parallel to `edges` when `weighted`, empty otherwise.
+    weights: Vec<f32>,
+    weighted: bool,
+}
+
+impl Adjacency {
+    pub fn len(&self) -> usize {
+        self.vertices.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.vertices.is_empty()
+    }
+
+    /// The vertices in the order they were added (ascending once
+    /// [`Self::sort_by_vertex`] ran).
+    pub fn vertices(&self) -> &[AdjVertex] {
+        &self.vertices
+    }
+
+    /// Out-edges of the `k`-th vertex.
+    pub fn edges(&self, k: usize) -> &[VertexId] {
+        let a = &self.vertices[k];
+        &self.edges[a.lo..a.hi]
+    }
+
+    /// Out-edge weights of the `k`-th vertex, when weights were loaded.
+    pub fn weights(&self, k: usize) -> Option<&[f32]> {
+        let a = &self.vertices[k];
+        self.weighted.then(|| &self.weights[a.lo..a.hi])
+    }
+
+    /// Append a vertex whose edges come from somewhere other than the CSR
+    /// pages (the edge log): an empty page span, weights zero.
+    pub fn push(&mut self, v: VertexId, edges: impl IntoIterator<Item = VertexId>) {
+        let lo = self.edges.len();
+        self.edges.extend(edges);
+        if self.weighted {
+            self.weights.resize(self.edges.len(), 0.0);
+        }
+        self.vertices.push(AdjVertex { v, lo, hi: self.edges.len(), page_lo: 1, page_hi: 0 });
+    }
+
+    /// Bring the vertices into ascending order after sorted runs from
+    /// several sources were appended (the stable sort merges runs in linear
+    /// time; the edges stay where they are).
+    pub fn sort_by_vertex(&mut self) {
+        self.vertices.sort_by_key(|a| a.v);
+    }
+
+    /// Replace the `k`-th vertex's edge list (a structural patch). The new
+    /// list goes to the end of the arena; its weights are the old ones cut
+    /// or zero-padded to the new length, as a structural merge leaves them.
+    pub(crate) fn replace_edges(&mut self, k: usize, edges: &[VertexId]) {
+        let (lo, hi) = (self.vertices[k].lo, self.vertices[k].hi);
+        let new_lo = self.edges.len();
+        self.edges.extend_from_slice(edges);
+        if self.weighted {
+            let keep = (hi - lo).min(edges.len());
+            self.weights.extend_from_within(lo..lo + keep);
+            self.weights.resize(self.edges.len(), 0.0);
+        }
+        let a = &mut self.vertices[k];
+        (a.lo, a.hi) = (new_lo, self.edges.len());
+    }
 }
 
 /// Utilization of one column-index page accessed during a superstep.
@@ -54,28 +137,104 @@ impl PageUsage {
 /// * the edge-log optimizer's page-efficiency predictor (§V-C), which uses
 ///   the *current* superstep's utilization to predict the next one's.
 pub struct GraphLoader {
-    colidx_usage: HashMap<(FileId, u64), u32>,
+    /// `(file, page, useful bytes)` per column-index page per call, in call
+    /// order; [`Self::take_page_usage`] sorts and sums it once a superstep.
+    colidx_usage: Vec<(FileId, u64, u32)>,
     rowptr_pages_read: u64,
     colidx_pages_read: u64,
     vertices_loaded: u64,
     edges_loaded: u64,
+    /// Every request list handed to the device, for the test that pins them.
+    #[cfg(test)]
+    issued: Vec<Vec<(FileId, u64, usize)>>,
+}
+
+fn corrupt(detail: String) -> DeviceError {
+    DeviceError::Corrupt { what: "csr", detail }
+}
+
+/// Count `bytes` useful bytes on `page` in a request list that is being
+/// built in ascending page order.
+fn note_useful(reqs: &mut Vec<(FileId, u64, usize)>, file: FileId, page: u64, bytes: usize) {
+    match reqs.last_mut() {
+        Some(r) if r.1 == page => r.2 += bytes,
+        _ => reqs.push((file, page, bytes)),
+    }
+}
+
+/// Decode the entry ranges `[lo, hi)` of a 4-byte-entry extent out of the
+/// pages read for `reqs`, appending to `out` a page segment at a time.
+/// Ranges ascend and every page a range overlaps was requested, so one
+/// cursor walks the request list. (`COL_IDX_BYTES` divides the page size,
+/// so entries never straddle a page boundary.)
+fn decode_u32s<T>(
+    out: &mut Vec<T>,
+    ranges: &[(u64, u64)],
+    reqs: &[(FileId, u64, usize)],
+    pages: &[Vec<u8>],
+    page_size: usize,
+    conv: impl Fn(u32) -> T,
+) -> Result<(), DeviceError> {
+    let (cib, psz) = (to_u64(COL_IDX_BYTES), to_u64(page_size));
+    let mut k = 0usize;
+    for &(lo, hi) in ranges {
+        let (mut byte, byte_hi) = (lo * cib, hi * cib);
+        while byte < byte_hi {
+            while reqs[k].1 < byte / psz {
+                k += 1;
+            }
+            let pg_start = reqs[k].1 * psz;
+            let seg_end = byte_hi.min(pg_start + psz);
+            let seg = pages[k]
+                .get(mem_idx(byte - pg_start)..mem_idx(seg_end - pg_start))
+                .ok_or_else(|| {
+                    corrupt(format!(
+                        "page {} of file {} holds {} bytes, {} taken from it",
+                        reqs[k].1,
+                        reqs[k].0,
+                        pages[k].len(),
+                        seg_end - pg_start
+                    ))
+                })?;
+            out.extend(
+                seg.chunks_exact(COL_IDX_BYTES)
+                    .map(|c| conv(u32::from_le_bytes([c[0], c[1], c[2], c[3]]))),
+            );
+            byte = seg_end;
+        }
+    }
+    Ok(())
 }
 
 impl GraphLoader {
     pub fn new() -> Self {
         GraphLoader {
-            colidx_usage: HashMap::new(),
+            colidx_usage: Vec::new(),
             rowptr_pages_read: 0,
             colidx_pages_read: 0,
             vertices_loaded: 0,
             edges_loaded: 0,
+            #[cfg(test)]
+            issued: Vec::new(),
         }
     }
 
+    fn read(
+        &mut self,
+        ssd: &Ssd,
+        reqs: &[(FileId, u64, usize)],
+    ) -> Result<Vec<Vec<u8>>, DeviceError> {
+        #[cfg(test)]
+        self.issued.push(reqs.to_vec());
+        ssd.read_batch(reqs)
+    }
+
     /// Load the out-adjacency of the given **sorted** active vertices of
-    /// interval `i`. Only pages overlapping active vertex data are read,
-    /// each exactly once per call. `patch` applies pending (un-merged)
-    /// structural updates so callers always observe the current graph.
+    /// interval `i` into one arena. Only pages overlapping active vertex
+    /// data are read, each exactly once per call. `patch` applies pending
+    /// (un-merged) structural updates so callers always observe the current
+    /// graph. What is decoded is validated: stored bytes that cannot be a
+    /// CSR come back as [`DeviceError::Corrupt`], never as a panic.
     pub fn load_active(
         &mut self,
         graph: &StoredGraph,
@@ -83,9 +242,10 @@ impl GraphLoader {
         active: &[VertexId],
         want_weights: bool,
         patch: Option<&StructuralUpdateBuffer>,
-    ) -> Result<Vec<LoadedVertex>, DeviceError> {
+    ) -> Result<Adjacency, DeviceError> {
+        let mut adj = Adjacency::default();
         if active.is_empty() {
-            return Ok(Vec::new());
+            return Ok(adj);
         }
         let ssd = graph.ssd();
         let page_size = ssd.page_size();
@@ -98,147 +258,125 @@ impl GraphLoader {
         );
 
         // --- Row pointers: entries (v-start) and (v-start+1) per vertex. ---
+        // The actives ascend, so their entries' pages do: the request list
+        // comes out sorted and each page's useful bytes sum in place.
         let rp_file = graph.rowptr_file(i);
         let rp_per_page = page_size / ROW_PTR_BYTES;
-        let mut rp_pages: HashMap<u64, usize> = HashMap::new(); // page -> useful bytes
+        let mut rp_reqs: Vec<(FileId, u64, usize)> = Vec::new();
         for &v in active {
             let j = idx(v - start);
             for e in [j, j + 1] {
-                *rp_pages.entry(to_u64(e / rp_per_page)).or_insert(0) += ROW_PTR_BYTES;
+                note_useful(&mut rp_reqs, rp_file, to_u64(e / rp_per_page), ROW_PTR_BYTES);
             }
         }
-        let mut rp_reqs: Vec<(FileId, u64, usize)> = rp_pages
-            .iter()
-            .map(|(&p, &u)| (rp_file, p, u.min(page_size)))
-            .collect();
-        rp_reqs.sort_unstable_by_key(|r| r.1);
-        let rp_data = ssd.read_batch(&rp_reqs)?;
+        for r in &mut rp_reqs {
+            r.2 = r.2.min(page_size);
+        }
+        let rp_data = self.read(ssd, &rp_reqs)?;
         self.rowptr_pages_read += to_u64(rp_reqs.len());
-        // The request list is sorted by page, so a binary search replaces
-        // the hash lookup this resolver runs twice per active vertex.
-        let rp_pages_sorted: Vec<u64> = rp_reqs.iter().map(|r| r.1).collect();
-        let rp_entry = |e: usize| -> u64 {
-            let page = to_u64(e / rp_per_page);
+        let mut rk = 0usize;
+        let mut rp_entry = |e: usize| -> Result<u64, DeviceError> {
+            while rp_reqs[rk].1 < to_u64(e / rp_per_page) {
+                rk += 1;
+            }
             let off = (e % rp_per_page) * ROW_PTR_BYTES;
-            let k = rp_pages_sorted.partition_point(|&p| p < page);
-            let d = &rp_data[k][off..off + ROW_PTR_BYTES];
-            // The slice is exactly ROW_PTR_BYTES long; Err is unreachable.
-            d.try_into().map_or(0, u64::from_le_bytes)
+            rp_data[rk]
+                .get(off..off + ROW_PTR_BYTES)
+                .and_then(|b| b.try_into().ok())
+                .map(u64::from_le_bytes)
+                .ok_or_else(|| {
+                    corrupt(format!(
+                        "row-pointer page {} of interval {i} holds {} bytes, entry ends at {}",
+                        rp_reqs[rk].1,
+                        rp_data[rk].len(),
+                        off + ROW_PTR_BYTES
+                    ))
+                })
         };
 
         // --- Column indices: byte range [lo*4, hi*4) per vertex. ---
+        // Row pointers must ascend and stay inside the extent; that also
+        // bounds the arena by what the device really holds.
         let ci_file = graph.colidx_file(i);
-        let mut ranges: Vec<(VertexId, u64, u64)> = Vec::with_capacity(active.len());
-        let mut ci_pages: HashMap<u64, usize> = HashMap::new();
         let cib = to_u64(COL_IDX_BYTES);
         let psz = to_u64(page_size);
+        let extent = ssd.num_pages(ci_file)? * (psz / cib);
+        let mut ranges: Vec<(u64, u64)> = Vec::with_capacity(active.len());
+        let mut ci_reqs: Vec<(FileId, u64, usize)> = Vec::new();
+        adj.vertices.reserve_exact(active.len());
+        let (mut prev_hi, mut total) = (0u64, 0usize);
         for &v in active {
             let j = idx(v - start);
-            let lo = rp_entry(j);
-            let hi = rp_entry(j + 1);
-            ranges.push((v, lo, hi));
+            let lo = rp_entry(j)?;
+            let hi = rp_entry(j + 1)?;
+            if lo < prev_hi || hi < lo || hi > extent {
+                return Err(corrupt(format!(
+                    "row pointers of vertex {v} are [{lo}, {hi}) after {prev_hi}, \
+                     in a column-index extent of {extent} entries"
+                )));
+            }
+            prev_hi = hi;
+            ranges.push((lo, hi));
+            let (mut page_lo, mut page_hi) = (1, 0);
             if hi > lo {
                 let byte_lo = lo * cib;
                 let byte_hi = hi * cib;
-                let p_lo = byte_lo / psz;
-                let p_hi = (byte_hi - 1) / psz;
-                for p in p_lo..=p_hi {
+                (page_lo, page_hi) = (byte_lo / psz, (byte_hi - 1) / psz);
+                for p in page_lo..=page_hi {
                     let pg_start = p * psz;
-                    let pg_end = pg_start + psz;
-                    let overlap = byte_hi.min(pg_end) - byte_lo.max(pg_start);
+                    let overlap = byte_hi.min(pg_start + psz) - byte_lo.max(pg_start);
                     // Overlap is bounded by the page size, so it fits usize.
-                    *ci_pages.entry(p).or_insert(0) += mem_idx(overlap);
+                    note_useful(&mut ci_reqs, ci_file, p, mem_idx(overlap));
                 }
             }
+            let len = mem_idx(hi - lo);
+            adj.vertices.push(AdjVertex { v, lo: total, hi: total + len, page_lo, page_hi });
+            total += len;
         }
-        let mut ci_reqs: Vec<(FileId, u64, usize)> = ci_pages
-            .iter()
-            .map(|(&p, &u)| (ci_file, p, u.min(page_size)))
-            .collect();
-        ci_reqs.sort_unstable_by_key(|r| r.1);
-        let ci_data = ssd.read_batch(&ci_reqs)?;
-        self.colidx_pages_read += to_u64(ci_reqs.len());
-        let ci_pages_sorted: Vec<u64> = ci_reqs.iter().map(|r| r.1).collect();
-        for (&p, &u) in &ci_pages {
-            let e = self.colidx_usage.entry((ci_file, p)).or_insert(0);
+        for r in &mut ci_reqs {
             // Per-page useful bytes saturate at the u32 the predictor uses.
-            *e = (*e).saturating_add(to_u32("page useful bytes", u).unwrap_or(u32::MAX));
+            let useful = to_u32("page useful bytes", r.2).unwrap_or(u32::MAX);
+            self.colidx_usage.push((ci_file, r.1, useful));
+            r.2 = r.2.min(page_size);
         }
+        let ci_data = self.read(ssd, &ci_reqs)?;
+        self.colidx_pages_read += to_u64(ci_reqs.len());
+        adj.edges.reserve_exact(total);
+        decode_u32s(&mut adj.edges, &ranges, &ci_reqs, &ci_data, page_size, |e| e)?;
 
         // Weights ride on a parallel extent with identical offsets.
-        let val_file = if want_weights { graph.val_file(i) } else { None };
-        let val_data: Option<Vec<Vec<u8>>> = match val_file {
-            Some(vf) => {
-                let reqs: Vec<(FileId, u64, usize)> =
-                    ci_reqs.iter().map(|&(_, p, u)| (vf, p, u)).collect();
-                Some(ssd.read_batch(&reqs)?)
-            }
-            None => None,
-        };
-
-        // A vertex's extent spans contiguous pages, all of which were
-        // requested, so they sit consecutively in the sorted request list:
-        // one binary search per vertex and a sequential walk replace the
-        // per-entry hash lookup and div/mod. (`COL_IDX_BYTES` divides the
-        // page size, so entries never straddle a page boundary.)
-        let extract_u32 = |data: &[Vec<u8>], pages: &[u64], lo: u64, hi: u64| {
-            let mut out: Vec<u32> = Vec::with_capacity(mem_idx(hi - lo));
-            if hi <= lo {
-                return out;
-            }
-            let byte0 = lo * cib;
-            let mut k = pages.partition_point(|&p| p < byte0 / psz);
-            let mut off = mem_idx(byte0 % psz);
-            for _ in lo..hi {
-                let d = &data[k][off..off + COL_IDX_BYTES];
-                // The slice is exactly COL_IDX_BYTES long; Err is unreachable.
-                out.push(d.try_into().map_or(0, u32::from_le_bytes));
-                off += COL_IDX_BYTES;
-                if off >= page_size {
-                    off = 0;
-                    k += 1;
-                }
-            }
-            out
-        };
-
-        let mut out = Vec::with_capacity(active.len());
-        for (v, lo, hi) in ranges {
-            let mut edges = extract_u32(&ci_data, &ci_pages_sorted, lo, hi);
-            let weights = val_data.as_ref().map(|data| {
-                extract_u32(data, &ci_pages_sorted, lo, hi)
-                    .into_iter()
-                    .map(f32::from_bits)
-                    .collect::<Vec<f32>>()
-            });
-            if let Some(buf) = patch {
-                buf.patch_adjacency(v, &mut edges);
-            }
-            self.edges_loaded += to_u64(edges.len());
-            let (page_lo, page_hi) = if hi > lo {
-                (lo * cib / psz, (hi * cib - 1) / psz)
-            } else {
-                (1, 0)
-            };
-            out.push(LoadedVertex { v, edges, weights, page_lo, page_hi });
+        if let Some(vf) = graph.val_file(i).filter(|_| want_weights) {
+            let reqs: Vec<(FileId, u64, usize)> =
+                ci_reqs.iter().map(|&(_, p, u)| (vf, p, u)).collect();
+            let val_data = self.read(ssd, &reqs)?;
+            adj.weighted = true;
+            adj.weights.reserve_exact(total);
+            decode_u32s(&mut adj.weights, &ranges, &reqs, &val_data, page_size, f32::from_bits)?;
         }
-        self.vertices_loaded += to_u64(out.len());
-        Ok(out)
+
+        if let Some(buf) = patch {
+            buf.patch(i, &mut adj);
+        }
+        self.edges_loaded += adj.vertices.iter().map(|a| to_u64(a.hi - a.lo)).sum::<u64>();
+        self.vertices_loaded += to_u64(adj.len());
+        Ok(adj)
     }
 
     /// Per-page utilization of column-index pages accessed since the last
     /// call; clears the record (call once per superstep).
     pub fn take_page_usage(&mut self, page_size: usize) -> Vec<PageUsage> {
-        let mut v: Vec<PageUsage> = self
-            .colidx_usage
-            .drain()
-            .map(|((file, page), useful)| {
-                let cap = to_u32("page size", page_size).unwrap_or(u32::MAX);
-                PageUsage { file, page, useful_bytes: useful.min(cap), page_bytes: cap }
-            })
-            .collect();
-        v.sort_unstable_by_key(|p| (p.file, p.page));
-        v
+        let cap = to_u32("page size", page_size).unwrap_or(u32::MAX);
+        self.colidx_usage.sort_unstable_by_key(|&(file, page, _)| (file, page));
+        let mut out: Vec<PageUsage> = Vec::new();
+        for (file, page, useful) in self.colidx_usage.drain(..) {
+            match out.last_mut() {
+                Some(u) if (u.file, u.page) == (file, page) => {
+                    u.useful_bytes = u.useful_bytes.saturating_add(useful).min(cap);
+                }
+                _ => out.push(PageUsage { file, page, useful_bytes: useful.min(cap), page_bytes: cap }),
+            }
+        }
+        out
     }
 
     pub fn rowptr_pages_read(&self) -> u64 {
@@ -292,10 +430,10 @@ mod tests {
         let mut loader = GraphLoader::new();
         let got = loader.load_active(&sg, 0, &[0, 3, 9], false, None).unwrap();
         assert_eq!(got.len(), 3);
-        assert_eq!(got[0].v, 0);
-        assert_eq!(got[0].edges, vec![1, 7, 31]);
-        assert_eq!(got[2].edges, vec![10, 16, 40]);
-        assert!(got[0].weights.is_none());
+        assert_eq!(got.vertices()[0].v, 0);
+        assert_eq!(got.edges(0), &[1, 7, 31]);
+        assert_eq!(got.edges(2), &[10, 16, 40]);
+        assert!(got.weights(0).is_none());
     }
 
     #[test]
@@ -325,6 +463,48 @@ mod tests {
         assert!(sparse < full, "sparse {sparse} vs full {full}");
         assert_eq!(sparse, 2, "one rowptr page + one colidx page");
         assert_eq!(full, 6);
+    }
+
+    /// The `(file, page, useful)` lists the device is asked for are part
+    /// of the simulated clock: `pages_read` and `useful_bytes_read` are
+    /// sums over them. Pinned literally on a fixed input.
+    #[test]
+    fn request_lists_are_pinned() {
+        // One interval, 256-byte pages: 65 row pointers on 3 pages (32 a
+        // page), 192 column indices on 3 pages (64 a page), 3 per vertex —
+        // vertex 21's list straddles pages 0 and 1.
+        let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
+        let mut b = EdgeListBuilder::new(64);
+        for v in 0..64u32 {
+            for d in [1, 7, 31] {
+                b.push_weighted(v, (v + d) % 64, d as f32);
+            }
+        }
+        let sg =
+            StoredGraph::store_with(&ssd, &b.build(), "pin", VertexIntervals::uniform(64, 1))
+                .unwrap();
+        let (rp, ci, val) = (sg.rowptr_file(0), sg.colidx_file(0), sg.val_file(0).unwrap());
+        let mut loader = GraphLoader::new();
+        loader.load_active(&sg, 0, &[0, 20, 21, 31, 32, 63], true, None).unwrap();
+        assert_eq!(
+            loader.issued,
+            vec![
+                vec![(rp, 0, 56), (rp, 1, 32), (rp, 2, 8)],
+                vec![(ci, 0, 28), (ci, 1, 32), (ci, 2, 12)],
+                vec![(val, 0, 28), (val, 1, 32), (val, 2, 12)],
+            ]
+        );
+        // Dense: every page whole (the row-pointer sum saturates at the page).
+        loader.issued.clear();
+        let all: Vec<u32> = (0..64).collect();
+        loader.load_active(&sg, 0, &all, false, None).unwrap();
+        assert_eq!(
+            loader.issued,
+            vec![
+                vec![(rp, 0, 256), (rp, 1, 256), (rp, 2, 8)],
+                vec![(ci, 0, 256), (ci, 1, 256), (ci, 2, 256)],
+            ]
+        );
     }
 
     #[test]
@@ -384,9 +564,9 @@ mod tests {
         let sg = StoredGraph::store_with(&ssd, &g, "w", VertexIntervals::uniform(8, 2)).unwrap();
         let mut loader = GraphLoader::new();
         let got = loader.load_active(&sg, 0, &[0], true, None).unwrap();
-        assert_eq!(got[0].weights.as_deref().unwrap(), &[1.5, 2.5]);
+        assert_eq!(got.weights(0).unwrap(), &[1.5, 2.5]);
         let got = loader.load_active(&sg, 1, &[4], true, None).unwrap();
-        assert_eq!(got[0].weights.as_deref().unwrap(), &[4.5]);
+        assert_eq!(got.weights(0).unwrap(), &[4.5]);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 use crate::checked::{idx, mem_idx};
-use crate::{IntervalId, StoredGraph, VertexIntervals, VertexId};
+use crate::{Adjacency, IntervalId, StoredGraph, VertexIntervals, VertexId};
 use mlvc_ssd::DeviceError;
 
 /// One graph mutation generated during vertex processing (paper §V-E).
@@ -74,6 +74,22 @@ impl StructuralUpdateBuffer {
                     }
                 }
                 _ => {}
+            }
+        }
+    }
+
+    /// Bring interval `i`'s freshly loaded arena (vertices ascending) up to
+    /// date: [`Self::patch_adjacency`] on exactly the vertices the pending
+    /// updates name, so an interval nothing is pending for costs nothing.
+    pub fn patch(&self, i: IntervalId, adj: &mut Adjacency) {
+        let mut named: Vec<VertexId> = self.pending[idx(i)].iter().map(|u| u.src()).collect();
+        named.sort_unstable();
+        named.dedup();
+        for v in named {
+            if let Ok(k) = adj.vertices().binary_search_by_key(&v, |a| a.v) {
+                let mut edges = adj.edges(k).to_vec();
+                self.patch_adjacency(v, &mut edges);
+                adj.replace_edges(k, &edges);
             }
         }
     }

@@ -3,7 +3,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use mlvc_core::{
-    Engine, EngineConfig, InitActive, RunReport, SuperstepStats, Update, VertexCtx, VertexProgram,
+    Engine, EngineConfig, InitActive, RunReport, SendSink, SuperstepStats, Update, VertexCtx,
+    VertexProgram,
 };
 use mlvc_graph::{Csr, IntervalId, VertexIntervals, VertexId};
 use mlvc_log::BitSet;
@@ -230,6 +231,7 @@ impl GraphChiEngine {
                             Some(u) => std::slice::from_ref(u),
                             None => m,
                         };
+                        let mut sink = SendSink::flat();
                         let mut ctx = VertexCtx::new(
                             *v,
                             superstep,
@@ -239,9 +241,10 @@ impl GraphChiEngine {
                             edges,
                             None,
                             seed,
+                            &mut sink,
                         );
                         prog.process(&mut ctx);
-                        ctx.into_outputs()
+                        (ctx.into_outputs(), sink)
                     });
 
                 // --- Apply outputs: states, on-edge sends, activity. ---
@@ -252,7 +255,7 @@ impl GraphChiEngine {
                     .iter()
                     .map(|im| vec![false; im.records.len().div_ceil(per_page)])
                     .collect();
-                for ((v, m, edges), out) in work.iter().zip(outputs) {
+                for ((v, m, edges), (out, sink)) in work.iter().zip(outputs) {
                     self.states[*v as usize] = out.state;
                     st.active_vertices += 1;
                     st.messages_processed += m.len() as u64;
@@ -264,7 +267,7 @@ impl GraphChiEngine {
                     if out.keep_active {
                         next_active.set(*v as usize);
                     }
-                    for u in out.sends {
+                    for u in &sink.buffers()[0] {
                         sends_total += 1;
                         next_active.set(u.dest as usize);
                         // Locate the edge record v→dest.

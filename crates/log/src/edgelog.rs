@@ -2,7 +2,7 @@ use crate::checked::{idx, to_u32, to_u64};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
-use mlvc_graph::{PageUsage, VertexId};
+use mlvc_graph::{Adjacency, PageUsage, VertexId};
 use mlvc_ssd::{DeviceError, FileId, Ssd};
 
 use crate::BitSet;
@@ -111,6 +111,9 @@ pub struct EdgeLogOptimizer {
 
     num_vertices: usize,
     stats: EdgeLogStats,
+    /// Every request list handed to the device, for the test that pins them.
+    #[cfg(test)]
+    issued: Vec<Vec<(FileId, u64, usize)>>,
 }
 
 impl EdgeLogOptimizer {
@@ -143,6 +146,8 @@ impl EdgeLogOptimizer {
             predicted_inefficient: HashSet::new(),
             num_vertices,
             stats: EdgeLogStats::default(),
+            #[cfg(test)]
+            issued: Vec::new(),
         })
     }
 
@@ -270,52 +275,74 @@ impl EdgeLogOptimizer {
         }
     }
 
-    /// Little-endian `u32` at byte offset `off`. The slice indexing
-    /// bounds-checks; the width-conversion `Err` arm is unreachable
-    /// because the slice is exactly four bytes.
-    fn le_u32(page: &[u8], off: usize) -> u32 {
-        page[off..off + 4].try_into().map_or(0, u32::from_le_bytes)
+    /// Whether the read side holds nothing at all — most supersteps of most
+    /// runs — so callers can skip probing it per vertex.
+    pub fn read_side_is_empty(&self) -> bool {
+        self.read_index.is_empty()
     }
 
     /// Fetch logged adjacencies for the given vertices (all must satisfy
-    /// [`Self::contains`]). Pages are read once per batch; utilization of
-    /// edge-log pages is high by construction — that is the optimization.
-    pub fn fetch(&mut self, vs: &[VertexId]) -> Result<Vec<(VertexId, Vec<VertexId>)>, DeviceError> {
+    /// [`Self::contains`]), appending them to `adj` in `vs` order. Pages
+    /// are read once per batch; utilization of edge-log pages is high by
+    /// construction — that is the optimization. A page whose bytes are not
+    /// the record the index points at is [`DeviceError::Corrupt`].
+    pub fn fetch(&mut self, vs: &[VertexId], adj: &mut Adjacency) -> Result<(), DeviceError> {
         if vs.is_empty() {
-            return Ok(Vec::new());
+            return Ok(());
         }
         let file = self.files[1 - self.write_side];
-        let mut page_useful: HashMap<u64, usize> = HashMap::new();
-        for &v in vs {
-            let loc = self.read_index[&v];
-            *page_useful.entry(loc.page).or_insert(0) += (idx(loc.len) + 2) * 4;
-        }
-        let mut reqs: Vec<(FileId, u64, usize)> = page_useful
-            .iter()
-            .map(|(&p, &u)| (file, p, u.min(self.ssd.page_size())))
-            .collect();
-        reqs.sort_unstable_by_key(|r| r.1);
-        let data = self.ssd.read_batch(&reqs)?;
-        let page_index: HashMap<u64, usize> =
-            reqs.iter().enumerate().map(|(k, r)| (r.1, k)).collect();
-        let mut out = Vec::with_capacity(vs.len());
-        for &v in vs {
-            let loc = self.read_index[&v];
-            let page = &data[page_index[&loc.page]];
-            let base = idx(loc.offset_entries) * 4;
-            let stored_v = Self::le_u32(page, base);
-            let stored_len = Self::le_u32(page, base + 4);
-            debug_assert_eq!(stored_v, v);
-            debug_assert_eq!(stored_len, loc.len);
-            let mut edges = Vec::with_capacity(idx(loc.len));
-            for k in 0..idx(loc.len) {
-                let o = base + 8 + k * 4;
-                edges.push(Self::le_u32(page, o));
+        let page_size = self.ssd.page_size();
+        let locs: Vec<RecordLoc> = vs.iter().map(|v| self.read_index[v]).collect();
+        // One request per distinct page, ascending, its useful bytes the
+        // records fetched from it. Records are logged in vertex order, so
+        // the sort has nothing to move when `vs` ascends.
+        let mut touched: Vec<(u64, usize)> =
+            locs.iter().map(|l| (l.page, (idx(l.len) + 2) * 4)).collect();
+        touched.sort_by_key(|t| t.0);
+        let mut reqs: Vec<(FileId, u64, usize)> = Vec::new();
+        for (page, bytes) in touched {
+            match reqs.last_mut() {
+                Some(r) if r.1 == page => r.2 = (r.2 + bytes).min(page_size),
+                _ => reqs.push((file, page, bytes.min(page_size))),
             }
-            out.push((v, edges));
+        }
+        #[cfg(test)]
+        self.issued.push(reqs.clone());
+        let data = self.ssd.read_batch(&reqs)?;
+        // Callers pass exactly four bytes.
+        let le_u32 = |c: &[u8]| u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        let mut k = 0usize;
+        for (&v, loc) in vs.iter().zip(&locs) {
+            if reqs[k].1 != loc.page {
+                k = reqs.partition_point(|r| r.1 < loc.page);
+            }
+            let base = idx(loc.offset_entries) * 4;
+            let rec = data[k]
+                .get(base..base + (idx(loc.len) + 2) * 4)
+                .ok_or_else(|| DeviceError::Corrupt {
+                    what: "edgelog",
+                    detail: format!(
+                        "page {} holds {} bytes, vertex {v}'s record ends at {}",
+                        loc.page,
+                        data[k].len(),
+                        base + (idx(loc.len) + 2) * 4
+                    ),
+                })?;
+            let (stored_v, stored_len) = (le_u32(&rec[..4]), le_u32(&rec[4..8]));
+            if (stored_v, stored_len) != (v, loc.len) {
+                return Err(DeviceError::Corrupt {
+                    what: "edgelog",
+                    detail: format!(
+                        "record of vertex {v} with {} edges reads back as vertex {stored_v} \
+                         with {stored_len}",
+                        loc.len
+                    ),
+                });
+            }
+            adj.push(v, rec[8..].chunks_exact(4).map(le_u32));
         }
         self.stats.hits += to_u64(vs.len());
-        Ok(out)
+        Ok(())
     }
 
     /// End-of-superstep bookkeeping:
@@ -368,6 +395,13 @@ mod tests {
         (ssd, opt)
     }
 
+    /// What `fetch` appends for `vs`, as `(vertex, edges)` pairs.
+    fn fetched(opt: &mut EdgeLogOptimizer, vs: &[u32]) -> Vec<(u32, Vec<u32>)> {
+        let mut adj = Adjacency::default();
+        opt.fetch(vs, &mut adj).unwrap();
+        (0..adj.len()).map(|k| (adj.vertices()[k].v, adj.edges(k).to_vec())).collect()
+    }
+
     fn active_set(vs: &[u32]) -> BitSet {
         let mut b = BitSet::new(128);
         for &v in vs {
@@ -384,9 +418,31 @@ mod tests {
         opt.end_superstep(&active_set(&[3, 90]), &[]).unwrap();
         assert!(opt.contains(3) && opt.contains(90));
         assert!(!opt.contains(4));
-        let got = opt.fetch(&[3, 90]).unwrap();
+        let got = fetched(&mut opt, &[3, 90]);
         assert_eq!(got, vec![(3, vec![10, 11, 12]), (90, vec![1])]);
         assert_eq!(opt.stats().hits, 2);
+    }
+
+    /// The request list of a fetch is part of the simulated clock
+    /// (`pages_read`, `useful_bytes_read`); pinned literally.
+    #[test]
+    fn fetch_request_list_is_pinned() {
+        let (_ssd, mut opt) = setup();
+        // 64 entries a page, a record is its edges + 2: vertices 1, 2, 3
+        // fill 5 + 22 + 32 = 59 entries of page 0, vertices 4 and 5 open
+        // page 1 with 12 + 3.
+        for (v, deg) in [(1u32, 3u32), (2, 20), (3, 30), (4, 10), (5, 1)] {
+            opt.log_edges(v, &(0..deg).collect::<Vec<_>>()).unwrap();
+        }
+        opt.end_superstep(&active_set(&[1, 2, 3, 4, 5]), &[]).unwrap();
+        let file = opt.files[1 - opt.write_side];
+        fetched(&mut opt, &[1, 3, 4, 5]);
+        // Any order of `vs` asks for the same pages in ascending order.
+        fetched(&mut opt, &[5, 1]);
+        assert_eq!(
+            opt.issued,
+            vec![vec![(file, 0, 148), (file, 1, 60)], vec![(file, 0, 20), (file, 1, 12)]]
+        );
     }
 
     #[test]
@@ -400,7 +456,7 @@ mod tests {
         }
         opt.end_superstep(&active_set(&(0..10).collect::<Vec<_>>()), &[]).unwrap();
         for v in 0..10u32 {
-            let got = opt.fetch(&[v]).unwrap();
+            let got = fetched(&mut opt, &[v]);
             assert_eq!(got[0].1.len(), 20);
             assert_eq!(got[0].1[0], v * 100);
         }
@@ -413,10 +469,10 @@ mod tests {
         opt.end_superstep(&active_set(&[5]), &[]).unwrap();
         // Next superstep logs new data while the old is being read.
         opt.log_edges(6, &[60]).unwrap();
-        assert_eq!(opt.fetch(&[5]).unwrap(), vec![(5, vec![50, 51])]);
+        assert_eq!(fetched(&mut opt, &[5]), vec![(5, vec![50, 51])]);
         opt.end_superstep(&active_set(&[6]), &[]).unwrap();
         assert!(!opt.contains(5), "old log rotated out");
-        assert_eq!(opt.fetch(&[6]).unwrap(), vec![(6, vec![60])]);
+        assert_eq!(fetched(&mut opt, &[6]), vec![(6, vec![60])]);
     }
 
     #[test]
@@ -520,7 +576,7 @@ mod tests {
             assert!(!opt.contains(v));
         }
         assert!(!opt.page_predicted_inefficient(0, 0..=1024));
-        assert_eq!(opt.fetch(&[]).unwrap(), vec![]);
+        assert_eq!(fetched(&mut opt, &[]), vec![]);
         let s = opt.stats();
         assert_eq!((s.vertices_logged, s.pages_written, s.hits), (0, 0, 0));
         assert_eq!(s.prediction_accuracy(), None, "no inefficient pages yet");
@@ -560,7 +616,7 @@ mod tests {
         let edges: Vec<u32> = (100..162).collect();
         opt.log_edges(1, &edges).unwrap();
         opt.end_superstep(&active_set(&[1]), &[]).unwrap();
-        assert_eq!(opt.fetch(&[1]).unwrap(), vec![(1, edges)]);
+        assert_eq!(fetched(&mut opt, &[1]), vec![(1, edges)]);
     }
 
     #[test]
@@ -603,7 +659,7 @@ mod tests {
         for v in [3u32, 4, 6] {
             assert!(!opt.contains(v), "vertex {v} must not be in the log");
         }
-        let got = opt.fetch(&[2]).unwrap();
+        let got = fetched(&mut opt, &[2]);
         assert_eq!(got[0].1.len(), 62);
         assert_eq!(got[0].1[0], 2000);
     }
@@ -618,7 +674,7 @@ mod tests {
         }
         assert!(opt.stats().pages_written > 0, "pressure flushed mid-superstep");
         opt.end_superstep(&BitSet::new(4096), &[]).unwrap();
-        let got = opt.fetch(&[0, 99, 199]).unwrap();
+        let got = fetched(&mut opt, &[0, 99, 199]);
         assert_eq!(got[1], (99, vec![100, 101, 102]));
     }
 }

@@ -1,8 +1,8 @@
 //! # mlvc-par — scoped-thread data-parallel helpers
 //!
-//! The engines need exactly four parallel shapes: map a slice, map two
-//! zipped slices, map contiguous chunks of a slice, and stable-sort a slice
-//! by key. This crate provides them on plain `std::thread::scope`, with no
+//! The engines need exactly five parallel shapes: map a slice, map a slice
+//! with per-worker state, map two zipped slices, map contiguous chunks of a
+//! slice, and stable-sort a slice by key. This crate provides them on plain `std::thread::scope`, with no
 //! external dependencies, so the workspace builds offline and the
 //! parallelism story stays auditable.
 //!
@@ -231,6 +231,45 @@ where
         let jobs: Vec<_> = items
             .chunks(chunk)
             .map(|c| move || c.iter().map(f).collect::<Vec<R>>())
+            .collect();
+        for h in spawn_ordered(s, jobs) {
+            out.extend(join_unwind(h.join()));
+        }
+    });
+    out
+}
+
+/// [`par_map`] with per-worker state: `items` splits into at most
+/// `workers.len()` contiguous chunks, chunk `k` is mapped by one thread
+/// holding `&mut workers[k]`, and the results are concatenated in input
+/// order. Whatever a worker accumulates in its state is therefore in input
+/// order within the worker, and visiting `workers` by index afterwards
+/// visits it in input order overall — for any thread count. Panics if
+/// `workers` is empty while `items` is not (caller bug).
+pub fn par_map_with<T, S, R, F>(items: &[T], workers: &mut [S], f: F) -> Vec<R>
+where
+    T: Sync,
+    S: Send,
+    R: Send,
+    F: Fn(&T, &mut S) -> R + Sync,
+{
+    let n = items.len();
+    if n == 0 {
+        return Vec::new();
+    }
+    let threads = threads_for(n).min(workers.len());
+    if threads <= 1 {
+        let w = &mut workers[0];
+        return items.iter().map(|x| f(x, w)).collect();
+    }
+    let chunk = n.div_ceil(threads);
+    let f = &f;
+    let mut out = Vec::with_capacity(n);
+    scope(|s| {
+        let jobs: Vec<_> = items
+            .chunks(chunk)
+            .zip(workers.iter_mut())
+            .map(|(c, w)| move || c.iter().map(|x| f(x, w)).collect::<Vec<R>>())
             .collect();
         for h in spawn_ordered(s, jobs) {
             out.extend(join_unwind(h.join()));
@@ -476,6 +515,28 @@ mod tests {
         let empty: Vec<u32> = Vec::new();
         assert!(par_map(&empty, |x| *x).is_empty());
         assert_eq!(par_map(&[7u32], |x| x + 1), vec![8]);
+    }
+
+    #[test]
+    fn par_map_with_keeps_worker_state_in_input_order() {
+        let items: Vec<u32> = (0..10_000).collect();
+        for t in [1, 2, 3, 8] {
+            set_thread_override(Some(t));
+            let mut seen: Vec<Vec<u32>> = vec![Vec::new(); 8];
+            let out = par_map_with(&items, &mut seen, |x, mine| {
+                mine.push(*x);
+                x + 1
+            });
+            assert_eq!(out, items.iter().map(|x| x + 1).collect::<Vec<_>>(), "threads {t}");
+            assert_eq!(seen.concat(), items, "threads {t}");
+        }
+        set_thread_override(None);
+        // Fewer workers than threads: the workers bound the fan-out.
+        let mut one = vec![0u64];
+        assert_eq!(par_map_with(&items, &mut one, |x, sum| { *sum += u64::from(*x); *x }), items);
+        assert_eq!(one[0], items.iter().map(|&x| u64::from(x)).sum::<u64>());
+        let none: &mut [u8] = &mut [];
+        assert!(par_map_with(&[] as &[u32], none, |x, _| *x).is_empty());
     }
 
     #[test]

@@ -11,6 +11,9 @@
 //! cargo run -p xtask -- lint --report-waivers  # audit every allow directive
 //! ```
 //!
+//! and **sim-pins** ([`sim_pins`]), which holds the benchmark's
+//! simulated-clock metrics to the values committed in `BENCH_sim.json`.
+//!
 //! A violation can be acknowledged in place with a trailing or
 //! immediately-preceding comment:
 //!
@@ -24,6 +27,7 @@
 
 pub mod rules;
 pub mod scan;
+pub mod sim_pins;
 
 use std::fs;
 use std::io;

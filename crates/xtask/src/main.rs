@@ -1,5 +1,5 @@
-//! `cargo run -p xtask -- lint [--report-waivers | FILE...]` — see the
-//! library docs.
+//! `cargo run -p xtask -- lint [--report-waivers | FILE...]` and
+//! `cargo run -p xtask -- sim-pins` — see the library docs.
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -11,8 +11,31 @@ fn main() -> ExitCode {
             report_waivers()
         }
         Some("lint") => lint(&args[1..]),
+        Some("sim-pins") => sim_pins(),
         _ => {
             eprintln!("usage: cargo run -p xtask -- lint [--report-waivers | FILE...]");
+            eprintln!("       cargo run -p xtask -- sim-pins");
+            ExitCode::from(2)
+        }
+    }
+}
+
+/// Hold the benchmark's simulated-clock metrics to `BENCH_sim.json`.
+fn sim_pins() -> ExitCode {
+    match xtask::sim_pins::check(&xtask::workspace_root()) {
+        Ok(mismatches) if mismatches.is_empty() => {
+            eprintln!("sim-pins: every pinned metric repeats");
+            ExitCode::SUCCESS
+        }
+        Ok(mismatches) => {
+            for m in &mismatches {
+                println!("{m}");
+            }
+            eprintln!("sim-pins: {} metric(s) moved", mismatches.len());
+            ExitCode::FAILURE
+        }
+        Err(e) => {
+            eprintln!("error: {e}");
             ExitCode::from(2)
         }
     }

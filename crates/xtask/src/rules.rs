@@ -295,6 +295,7 @@ pub fn check_file_with_waivers(path: &str, scanned: &Scanned) -> (Vec<Diagnostic
             // 2. Fan-out or I/O with a live guard?
             let fans_out = [
                 "par_map",
+                "par_map_with",
                 "par_map2",
                 "par_chunk_map",
                 "par_sort_by_key",
@@ -512,8 +513,14 @@ fn check_fn_lengths(path: &str, scanned: &Scanned, out: &mut Vec<Diagnostic>) {
 /// interior-mutability escape hatches. `let mut` locals and closure
 /// parameters are private to one worker and stay exempt.
 fn check_par_captures(path: &str, scanned: &Scanned, out: &mut Vec<Diagnostic>) {
-    const FAN_OUTS: [&str; 5] =
-        ["par_map", "par_map2", "par_chunk_map", "par_sort_by_key", "par_sort_by_u32_key"];
+    const FAN_OUTS: [&str; 6] = [
+        "par_map",
+        "par_map_with",
+        "par_map2",
+        "par_chunk_map",
+        "par_sort_by_key",
+        "par_sort_by_u32_key",
+    ];
     for (idx, l) in scanned.lines.iter().enumerate() {
         if l.in_test {
             continue;
@@ -814,6 +821,13 @@ mod tests {
         let ok = "fn f() {\n par_map(&xs, |x| {\n  let mut acc = 0;\n  add(&mut acc);\n  acc + x\n });\n}\n";
         assert!(lint("crates/apps/src/kcore.rs", ok).is_empty());
 
+        // par_map_with's worker state is a closure parameter: private.
+        let with =
+            "fn f() { par_map_with(&xs, &mut sinks, |x, sink| { push(&mut sink.buf, x); 0 }); }\n";
+        assert!(lint("crates/apps/src/kcore.rs", with).is_empty());
+        let with_bad =
+            "fn f() { par_map_with(&xs, &mut sinks, |x, sink| { push(&mut shared, x); 0 }); }\n";
+        assert_eq!(lint("crates/apps/src/kcore.rs", with_bad).len(), 1);
         // par_map2's combiner parameter is worker-private.
         let comb = "fn f() { par_map2(&xs, mk, |x, comb| { use_both(x, &mut comb.scratch); 0 }); }\n";
         assert!(lint("crates/apps/src/kcore.rs", comb).is_empty());

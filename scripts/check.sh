@@ -49,3 +49,9 @@ echo "== benchmark package (read-only use of benchmark/) =="
 # scale 10 and checks every golden.
 cargo test -q --manifest-path benchmark/Cargo.toml
 cargo run -q --release --manifest-path benchmark/Cargo.toml -- --smoke
+
+echo "== simulated-clock pins (BENCH_sim.json) =="
+# The deterministic columns are hard gates: three workloads at seed 42
+# must report exactly the sim_ms / pages_read / pages_written / read_amp
+# committed in BENCH_sim.json. A change that means to move one re-pins it.
+cargo run -q -p xtask -- sim-pins

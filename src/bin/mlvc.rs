@@ -405,6 +405,21 @@ fn cmd_run(a: &Args, resume: bool) -> Result<(), String> {
             if s.checkpointed { "  ckpt" } else { "" }
         );
     }
+    // Host wall-clock, beside the simulated clock above and never mixed
+    // with it. Load + sort of one batch overlap process + scatter of the
+    // one before, so the stage rows can sum past the supersteps row.
+    let [load, sort, process, scatter] = report.stage_totals_ns();
+    println!("\nstage      | host wall ms");
+    for (stage, ns) in [
+        ("load", load),
+        ("sort", sort),
+        ("adjacency", report.adjacency_total_ns()),
+        ("process", process),
+        ("scatter", scatter),
+        ("supersteps", report.supersteps.iter().map(|s| s.wall_ns).sum()),
+    ] {
+        println!("{stage:10} | {:12.2}", ns as f64 / 1e6);
+    }
     if let Some(from) = report.resumed_from {
         println!("\nresumed from the checkpoint at superstep {from}");
     }

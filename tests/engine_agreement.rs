@@ -7,8 +7,8 @@ use std::sync::Arc;
 
 use multilogvc::apps::{Bfs, Cdlp, Coloring, KCore, Mis, PageRank, RandomWalk, Sssp, Wcc};
 use multilogvc::core::{
-    Combine, Engine, EngineConfig, InitActive, MultiLogEngine, ReferenceEngine, TraceRecord,
-    Update, VertexCtx, VertexProgram,
+    Combine, Engine, EngineConfig, InitActive, MultiLogEngine, ReferenceEngine, SendSink,
+    TraceRecord, Update, VertexCtx, VertexProgram,
 };
 use multilogvc::grafboost::GrafBoostEngine;
 use multilogvc::graph::{Csr, EdgeListBuilder, StoredGraph, VertexId, VertexIntervals};
@@ -219,6 +219,7 @@ impl VertexProgram for DropSrc {
             ctx.msgs().iter().map(|m| Update { src: VertexId::MAX, ..*m }).collect();
         let edges = ctx.edges().to_vec();
         let weights = ctx.weights().map(<[f32]>::to_vec);
+        let mut sink = SendSink::flat();
         let mut inner = VertexCtx::new(
             ctx.vertex(),
             ctx.superstep(),
@@ -228,11 +229,12 @@ impl VertexProgram for DropSrc {
             &edges,
             weights.as_deref(),
             self.seed,
+            &mut sink,
         );
         self.inner.process(&mut inner);
         let out = inner.into_outputs();
         ctx.set_state(out.state);
-        for u in out.sends {
+        for u in &sink.buffers()[0] {
             ctx.send(u.dest, u.data);
         }
         if out.keep_active {

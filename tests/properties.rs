@@ -10,10 +10,11 @@ use std::sync::Arc;
 use multilogvc::apps::{Bfs, Coloring, Mis, MisState};
 use multilogvc::core::{Engine, EngineConfig, InitActive, MultiLogEngine, VertexCtx, VertexProgram};
 use multilogvc::graph::{
-    Csr, EdgeListBuilder, GraphLoader, StoredGraph, StructuralUpdate, StructuralUpdateBuffer,
-    VertexId, VertexIntervals,
+    Adjacency, Csr, EdgeListBuilder, GraphLoader, StoredGraph, StructuralUpdate,
+    StructuralUpdateBuffer, VertexId, VertexIntervals,
 };
-use multilogvc::ssd::{Ssd, SsdConfig};
+use multilogvc::log::{BitSet, EdgeLogConfig, EdgeLogOptimizer};
+use multilogvc::ssd::{DeviceError, FileId, Ssd, SsdConfig};
 
 use mlvc_gen::rng::SeededRng;
 
@@ -40,6 +41,17 @@ fn build(n: usize, edges: &[(u32, u32)]) -> Csr {
     b.build()
 }
 
+/// `plain` with a weight on every edge.
+fn with_weights(plain: &Csr, weight: impl Fn(VertexId, VertexId) -> f32) -> Csr {
+    let mut b = EdgeListBuilder::new(plain.num_vertices());
+    for v in 0..plain.num_vertices() as VertexId {
+        for &d in plain.out_edges(v) {
+            b.push_weighted(v, d, weight(v, d));
+        }
+    }
+    b.build()
+}
+
 fn store(csr: &Csr, k: usize) -> (Arc<Ssd>, StoredGraph) {
     let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
     let iv = VertexIntervals::uniform(csr.num_vertices(), k);
@@ -60,32 +72,183 @@ fn stored_graph_roundtrip() {
     }
 }
 
-/// The selective loader returns exactly the CSR adjacency for any
-/// active subset of any interval.
+/// The selective loader returns one arena holding exactly the current
+/// adjacency — the CSR's, patched by whatever the structural buffer has
+/// pending — for any sorted active subset of any interval, weighted or
+/// not, at page sizes that make a hub's list straddle many, one or no page
+/// boundary, with the column-index page span the row pointers imply.
 #[test]
-fn loader_matches_csr() {
+fn loader_arena_matches_csr() {
     let mut rng = SeededRng::seed_from_u64(102);
-    for _ in 0..CASES {
-        let (n, edges) = arb_graph(&mut rng);
+    for case in 0..CASES {
+        let (n, mut edges) = arb_graph(&mut rng);
+        // A hub, so some list is longer than a small page.
+        edges.extend((1..n as u32).map(|d| (0, d)));
         let k = rng.gen_range(1usize..6);
-        let pick = rng.next_u64();
-        let csr = build(n, &edges);
-        let (_ssd, sg) = store(&csr, k);
+        let page_size = [64usize, 256, 4096][case % 3];
+        let weighted = (case / 3) % 2 == 1;
+        let plain = build(n, &edges);
+        let csr = if weighted {
+            with_weights(&plain, |v, d| 0.5 + (v * 31 + d) as f32)
+        } else {
+            plain
+        };
+        let ssd = Arc::new(Ssd::new(SsdConfig::default().with_page_size(page_size)));
+        let iv = VertexIntervals::uniform(n, k);
+        let sg = StoredGraph::store_with(&ssd, &csr, "p", iv.clone()).unwrap();
+
+        // Pending structural updates: adds, removes of stored edges, and
+        // removes of edges that are not there.
+        let mut buf = StructuralUpdateBuffer::new(iv.clone(), 1 << 20);
+        for _ in 0..rng.gen_range(1usize..12) {
+            let src = rng.gen_range(0u32..n as u32);
+            let stored = csr.out_edges(src);
+            buf.push(if !stored.is_empty() && rng.gen_range(0u32..2) == 0 {
+                StructuralUpdate::RemoveEdge { src, dst: stored[rng.gen_range(0..stored.len())] }
+            } else if rng.gen_range(0u32..4) == 0 {
+                StructuralUpdate::RemoveEdge { src, dst: rng.gen_range(0u32..n as u32) }
+            } else {
+                StructuralUpdate::AddEdge { src, dst: rng.gen_range(0u32..n as u32) }
+            });
+        }
+
         let mut loader = GraphLoader::new();
-        for i in sg.intervals().iter_ids() {
-            // Pseudo-random subset of the interval.
-            let active: Vec<VertexId> = sg
-                .intervals()
-                .range(i)
-                .filter(|v| (pick >> (v % 61)) & 1 == 1)
-                .collect();
-            let got = loader.load_active(&sg, i, &active, false, None).unwrap();
-            assert_eq!(got.len(), active.len());
-            for lv in got {
-                assert_eq!(lv.edges.as_slice(), csr.out_edges(lv.v), "vertex {}", lv.v);
+        let pick = rng.next_u64();
+        for patch in [None, Some(&buf)] {
+            for i in iv.iter_ids() {
+                let active: Vec<VertexId> =
+                    iv.range(i).filter(|v| (pick >> (v % 61)) & 1 == 1).collect();
+                let adj = loader.load_active(&sg, i, &active, weighted, patch).unwrap();
+                assert_eq!(adj.len(), active.len());
+                let base = csr.row_ptr()[iv.start(i) as usize];
+                for (j, (a, &v)) in adj.vertices().iter().zip(&active).enumerate() {
+                    assert_eq!(a.v, v);
+                    let mut want = csr.out_edges(v).to_vec();
+                    if let Some(buf) = patch {
+                        buf.patch_adjacency(v, &mut want);
+                    }
+                    assert_eq!(adj.edges(j), want, "case {case} vertex {v}");
+                    match adj.weights(j) {
+                        Some(w) if want == csr.out_edges(v) => {
+                            assert_eq!(Some(w), csr.out_weights(v), "case {case} vertex {v}")
+                        }
+                        Some(w) => assert_eq!(w.len(), want.len()),
+                        None => assert!(!weighted),
+                    }
+                    let (lo, hi) = (
+                        csr.row_ptr()[v as usize] - base,
+                        csr.row_ptr()[v as usize + 1] - base,
+                    );
+                    let span = if hi > lo {
+                        (lo * 4 / page_size as u64, (hi * 4 - 1) / page_size as u64)
+                    } else {
+                        (1, 0)
+                    };
+                    assert_eq!((a.page_lo, a.page_hi), span, "case {case} vertex {v}");
+                }
             }
         }
     }
+}
+
+/// Damage one page of `file` the way a flash fault would: flip one to three
+/// bits, or cut the page short (the device zero-fills what a short write
+/// leaves). Returns whether there was a page to damage.
+fn damage_a_page(ssd: &Ssd, file: FileId, rng: &mut SeededRng) -> bool {
+    let pages = ssd.num_pages(file).unwrap();
+    if pages == 0 {
+        return false;
+    }
+    let page = rng.gen_range(0..pages);
+    let mut data = ssd.read_page(file, page, 0).unwrap();
+    if rng.gen_range(0u32..3) == 0 {
+        data.truncate(rng.gen_range(0..data.len()));
+    } else {
+        for _ in 0..rng.gen_range(1usize..4) {
+            let bit = rng.gen_range(0..data.len() * 8);
+            data[bit / 8] ^= 1 << (bit % 8);
+        }
+    }
+    ssd.write_page(file, page, &data).unwrap();
+    true
+}
+
+/// Seeded fuzz of the two adjacency decoders (ROADMAP 4b, CSR slice): with
+/// a damaged `rowptr.*`, `colidx.*`, `val.*` or edge-log page under them,
+/// `GraphLoader::load_active` and `EdgeLogOptimizer::fetch` return a typed
+/// `Corrupt` error or an arena with one entry per requested vertex — they
+/// never panic, and never allocate past what the extent holds. Damage the
+/// decoder can see (a row pointer out of order or out of the extent, a
+/// record header that is not the one indexed) must be rejected; damage in
+/// bytes the call did not use must leave the result untouched. A flipped
+/// neighbour id is neither: these extents carry no checksum, so it comes
+/// back as data.
+#[test]
+fn damaged_adjacency_pages_are_an_error_or_an_arena_never_a_panic() {
+    let mut rng = SeededRng::seed_from_u64(113);
+    let (mut rejected, mut intact, mut silent) = (0usize, 0usize, 0usize);
+    for case in 0..8 * CASES {
+        let (n, mut edges) = arb_graph(&mut rng);
+        edges.extend((1..n as u32).map(|d| (0, d)));
+        let csr = with_weights(&build(n, &edges), |_, _| 1.0);
+        let ssd = Arc::new(Ssd::new(SsdConfig::default().with_page_size(64)));
+        let iv = VertexIntervals::uniform(n, rng.gen_range(1usize..4));
+        let sg = StoredGraph::store_with(&ssd, &csr, "fz", iv.clone()).unwrap();
+        let i = rng.gen_range(0..iv.num_intervals() as u32);
+        let pick = rng.next_u64();
+        let active: Vec<VertexId> =
+            iv.range(i).filter(|v| (pick >> (v % 61)) & 1 == 1).collect();
+        let clean = GraphLoader::new().load_active(&sg, i, &active, true, None).unwrap();
+
+        // The edge log holds the clean adjacency of the low-degree actives.
+        let mut elog =
+            EdgeLogOptimizer::new(Arc::clone(&ssd), n, EdgeLogConfig::default(), "fz").unwrap();
+        let logged: Vec<VertexId> = (0..clean.len())
+            .filter(|&k| clean.edges(k).len() + 2 <= 16)
+            .map(|k| {
+                elog.log_edges(active[k], clean.edges(k)).unwrap();
+                active[k]
+            })
+            .collect();
+        elog.end_superstep(&BitSet::new(n), &[]).unwrap();
+        let mut clean_log = Adjacency::default();
+        elog.fetch(&logged, &mut clean_log).unwrap();
+
+        let target = match case % 4 {
+            0 => sg.rowptr_file(i),
+            1 => sg.colidx_file(i),
+            2 => ssd.lookup(&format!("fz.val.{i}")).unwrap(),
+            _ => ssd.lookup("fz.edgelog.a").unwrap(),
+        };
+        if !damage_a_page(&ssd, target, &mut rng) {
+            continue;
+        }
+        let (got, want, what) = if case % 4 == 3 {
+            let mut adj = Adjacency::default();
+            (elog.fetch(&logged, &mut adj).map(|()| adj), &clean_log, "edgelog")
+        } else {
+            (GraphLoader::new().load_active(&sg, i, &active, true, None), &clean, "csr")
+        };
+        match got {
+            Ok(adj) => {
+                assert_eq!(adj.len(), want.len(), "case {case}");
+                for (a, w) in adj.vertices().iter().zip(want.vertices()) {
+                    assert_eq!(a.v, w.v, "case {case}");
+                }
+                if adj == *want {
+                    intact += 1;
+                } else {
+                    silent += 1;
+                }
+            }
+            Err(DeviceError::Corrupt { what: w, .. }) => {
+                assert_eq!(w, what, "case {case}");
+                rejected += 1;
+            }
+            Err(e) => panic!("case {case}: not a corruption error: {e}"),
+        }
+    }
+    assert!(rejected > 20 && intact > 20, "{rejected} rejected, {intact} intact, {silent} silent");
 }
 
 /// Interval partitions cover every vertex exactly once, whatever the

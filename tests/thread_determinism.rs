@@ -14,9 +14,10 @@ use std::sync::Arc;
 
 use multilogvc::apps::{Bfs, Coloring, PageRank};
 use multilogvc::core::{
-    Engine, EngineConfig, MultiLogEngine, TieringConfig, TraceRecord, VertexProgram,
+    Engine, EngineConfig, InitActive, MultiLogEngine, TieringConfig, TraceRecord, VertexCtx,
+    VertexProgram,
 };
-use multilogvc::graph::{StoredGraph, VertexIntervals};
+use multilogvc::graph::{StoredGraph, VertexId, VertexIntervals};
 use multilogvc::prelude::RmatParams;
 use multilogvc::ssd::{Ssd, SsdConfig};
 
@@ -111,9 +112,82 @@ fn tiered_traces_bit_identical_across_thread_counts() {
     }
 }
 
+/// What one mixed-sends run leaves behind: states, trace, pending log pages.
+type MixedRun = (Vec<u64>, Vec<TraceRecord>, Vec<Vec<u8>>);
+
+/// Mixes both send shapes in one `process` call — a `send`, a `send_all`,
+/// another `send` — and folds its inbox in delivery order, so a message
+/// that changes place within its destination's run changes the state.
+struct MixedSends;
+
+impl VertexProgram for MixedSends {
+    fn name(&self) -> &'static str {
+        "mixed-sends"
+    }
+    fn init_state(&self, v: VertexId) -> u64 {
+        v as u64
+    }
+    fn init_active(&self, _n: usize) -> InitActive {
+        InitActive::All
+    }
+    fn process(&self, ctx: &mut VertexCtx<'_>) {
+        let h = ctx.msgs().iter().fold(ctx.state(), |h, m| {
+            h.wrapping_mul(0x100_0000_01B3).wrapping_add(m.data ^ ((m.src as u64) << 32))
+        });
+        ctx.set_state(h);
+        let (first, last) = (ctx.edges().first().copied(), ctx.edges().last().copied());
+        if let Some(d) = first {
+            ctx.send(d, h);
+        }
+        ctx.send_all(h ^ 1);
+        if let Some(d) = last {
+            ctx.send(d, h ^ 2);
+        }
+    }
+}
+
+/// The send-sink leg, on both sides of the engine's fork threshold: states,
+/// the whole trace, and the raw pages of the logs left pending when the run
+/// stops at its cap are equal across thread counts.
+fn mixed_sends_log_pages_bit_identical_across_thread_counts() {
+    for shape in [SMALL, WIDE] {
+        let mut baseline: Option<MixedRun> = None;
+        for threads in [1usize, 2, 8] {
+            multilogvc::par::set_thread_override(Some(threads));
+            let g = mlvc_gen::rmat(RmatParams::social(shape.scale, 8), 0xD7);
+            let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
+            let iv = VertexIntervals::uniform(g.num_vertices(), shape.intervals);
+            let sg = StoredGraph::store_with(&ssd, &g, "det", iv).unwrap();
+            let cfg = EngineConfig::default().with_memory(shape.memory).with_obs(true);
+            let mut eng = MultiLogEngine::new(Arc::clone(&ssd), sg, cfg);
+            let r = eng.run(&MixedSends, 4);
+            multilogvc::par::set_thread_override(None);
+            assert!(r.interrupted.is_none() && !r.converged);
+            let mut log_pages = Vec::new();
+            for i in 0..shape.intervals {
+                for side in ["a", "b"] {
+                    let f = ssd.lookup(&format!("mlvc.mlog.{i}.{side}")).unwrap();
+                    log_pages.extend(ssd.read_all(f, |_| 0).unwrap());
+                }
+            }
+            assert!(!log_pages.is_empty(), "the capped run must leave logs pending");
+            let got: MixedRun = (eng.states().to_vec(), r.trace, log_pages);
+            let ctx = format!("mixed sends, scale {}, {threads} threads", shape.scale);
+            let Some(base) = &baseline else {
+                baseline = Some(got);
+                continue;
+            };
+            assert_eq!(base.0, got.0, "{ctx}: states differ");
+            assert_eq!(base.1, got.1, "{ctx}: traces differ");
+            assert!(base.2 == got.2, "{ctx}: pending log pages differ");
+        }
+    }
+}
+
 #[test]
 fn states_and_message_counts_bit_identical_across_thread_counts() {
     tiered_traces_bit_identical_across_thread_counts();
+    mixed_sends_log_pages_bit_identical_across_thread_counts();
     let progs: Vec<(&str, Box<dyn VertexProgram>)> = vec![
         ("bfs", Box::new(Bfs::new(0))),
         ("pagerank", Box::new(PageRank::new(0.85, 1e-4))),
