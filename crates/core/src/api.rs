@@ -1,4 +1,4 @@
-use mlvc_graph::{StructuralUpdate, VertexId, VertexIntervals};
+use mlvc_graph::{EdgeMutation, VertexId, VertexIntervals};
 use mlvc_log::Update;
 use mlvc_mutate::MutationDelta;
 
@@ -119,7 +119,7 @@ pub struct VertexCtx<'a> {
     weights: Option<&'a [f32]>,
     sink: &'a mut SendSink,
     keep_active: bool,
-    structural: Vec<StructuralUpdate>,
+    structural: Vec<EdgeMutation>,
     seed: u64,
     rng_counter: u64,
 }
@@ -129,7 +129,7 @@ pub struct VertexCtx<'a> {
 pub struct VertexOutputs {
     pub state: u64,
     pub keep_active: bool,
-    pub structural: Vec<StructuralUpdate>,
+    pub structural: Vec<EdgeMutation>,
 }
 
 impl<'a> VertexCtx<'a> {
@@ -236,15 +236,20 @@ impl<'a> VertexCtx<'a> {
         self.keep_active = true;
     }
 
-    /// Queue a structural edge addition (merged per §V-E batching).
+    /// Queue a structural edge addition (merged per §V-E batching): from
+    /// the next superstep on `dest` is an out-neighbor of this vertex —
+    /// *ensure present*, so adding an edge that is already there changes
+    /// nothing (DESIGN.md §17's upsert rule). An endpoint outside the graph,
+    /// or any structural update on a weighted graph, ends the run with a
+    /// typed error in [`crate::RunReport::interrupted`].
     pub fn add_edge(&mut self, dest: VertexId) {
-        self.structural.push(StructuralUpdate::AddEdge { src: self.v, dst: dest });
+        self.structural.push(EdgeMutation::add(self.v, dest));
     }
 
-    /// Queue a structural edge removal.
+    /// Queue a structural edge removal: every occurrence of the edge to
+    /// `dest` goes; removing an absent edge changes nothing.
     pub fn remove_edge(&mut self, dest: VertexId) {
-        self.structural
-            .push(StructuralUpdate::RemoveEdge { src: self.v, dst: dest });
+        self.structural.push(EdgeMutation::remove(self.v, dest));
     }
 
     /// Deterministic per-(run, vertex, superstep, call) random stream —

@@ -93,8 +93,6 @@ pub struct EngineConfig {
     /// submits up to K batch reads ahead and drains completions strictly
     /// in plan order, so results are bit-identical at any K.
     pub inflight_batches: usize,
-    /// Pending structural updates per interval that trigger a merge (§V-E).
-    pub structural_merge_threshold: usize,
     /// Write a crash-consistent checkpoint every `k` supersteps (`None`
     /// disables checkpointing). See `mlvc-recover` and DESIGN.md §11.
     pub checkpoint_every: Option<usize>,
@@ -130,7 +128,6 @@ impl Default for EngineConfig {
             async_mode: false,
             queue_depth: 16,
             inflight_batches: 4,
-            structural_merge_threshold: 1024,
             checkpoint_every: None,
             obs: false,
             seed: 0xC0FFEE,

@@ -11,14 +11,14 @@ use mlvc_log::{
     group_by_dest, BatchPlan, BitSet, EdgeLogConfig, EdgeLogOptimizer, FusedBatch, LogReader,
     MultiLog, MultiLogConfig, SortGroup, Update,
 };
-use mlvc_mutate::MutationLog;
+use mlvc_mutate::{validate_range, MutationError, MutationLog};
 use mlvc_par::{Scope, ScopedJoinHandle, Tracked};
 use mlvc_recover::CheckpointState;
 use mlvc_ssd::sync::Mutex;
 use mlvc_ssd::{DeviceError, IoQueue, Ssd, SsdStatsSnapshot, Ticket};
 
 use crate::checkpoint::{load_resume_point, Checkpointer};
-use crate::merge::merge_pending;
+use crate::merge::{merge_pending, STRUCTURAL_MERGE_THRESHOLD};
 use crate::tiering::{attach_cache, Tiering};
 use crate::trace::Tracer;
 use crate::{
@@ -52,8 +52,8 @@ const FORK_MIN_ITEMS: usize = if cfg!(feature = "race-detect") { 1 } else { 2048
 ///    vertices; outgoing updates go through the **multi-log update unit**;
 /// 5. the **edge-log optimizer** stages out-edges of predicted-active
 ///    vertices sitting on inefficiently used pages;
-/// 6. logs flush, structural updates past the threshold merge, statistics
-///    are recorded.
+/// 6. logs flush, structural updates past the threshold merge through the
+///    mutation commit, statistics are recorded.
 pub struct MultiLogEngine {
     ssd: Arc<Ssd>,
     graph: Arc<StoredGraph>,
@@ -65,7 +65,10 @@ pub struct MultiLogEngine {
     states_audit: Tracked<()>,
     /// Live-ingest mutation log (DESIGN.md §17), shared with whatever is
     /// accepting edge batches (the serving daemon, `mlvc ingest`). Pending
-    /// batches merge into the stored CSR at superstep boundaries.
+    /// batches merge into the stored CSR at superstep boundaries, and the
+    /// running program's own structural updates commit through it — when
+    /// none is attached, the first such merge opens one under the run's tag
+    /// and leaves it here.
     mutations: Option<Arc<Mutex<MutationLog>>>,
 }
 
@@ -164,9 +167,11 @@ impl MultiLogEngine {
     ///
     /// The graph extents and checkpoint slots must live on the same device
     /// the interrupted run used; `RunReport::resumed_from` records the
-    /// checkpointed superstep execution restarted after. Recovery is
-    /// bit-exact for pure-compute programs (no structural updates) — see
-    /// DESIGN.md §11 for the exact guarantee.
+    /// checkpointed superstep execution restarted after. The stored CSR is
+    /// never torn and recovers to a superstep boundary, but the un-merged
+    /// pending structural updates are not in the checkpoint, so
+    /// bit-identical *states* after a resume are promised only to programs
+    /// that do not mutate the graph — see DESIGN.md §11.
     pub fn run_recoverable(
         &mut self,
         prog: &dyn VertexProgram,
@@ -247,7 +252,7 @@ impl MultiLogEngine {
             if Superstep::new(&mut d, superstep).run(report)? {
                 // Flush sub-threshold structural updates before abandoning
                 // the run — the restart rebuilds every unit from scratch.
-                d.structural.merge_all(d.graph)?;
+                d.merge_structural(1, report)?;
                 return Ok(DriveEnd::Restart);
             }
         }
@@ -261,19 +266,19 @@ impl MultiLogEngine {
 /// fields (split so stages can borrow them independently), the units built
 /// for this run, and the frontier carried from one superstep to the next.
 pub(crate) struct Drive<'a> {
-    ssd: &'a Arc<Ssd>,
+    pub(crate) ssd: &'a Arc<Ssd>,
     pub(crate) graph: &'a Arc<StoredGraph>,
     pub(crate) cfg: &'a EngineConfig,
     pub(crate) states: &'a mut Vec<u64>,
     states_audit: &'a Tracked<()>,
-    pub(crate) mutations: Option<&'a Mutex<MutationLog>>,
+    pub(crate) mutations: &'a mut Option<Arc<Mutex<MutationLog>>>,
     pub(crate) prog: &'a dyn VertexProgram,
 
     pub(crate) multilog: MultiLog,
     sortgroup: SortGroup,
     pub(crate) edgelog: EdgeLogOptimizer,
     loader: GraphLoader,
-    structural: StructuralUpdateBuffer,
+    pub(crate) structural: StructuralUpdateBuffer,
     pub(crate) tiering: Tiering,
     tracer: Option<Tracer>,
     checkpointer: Option<Checkpointer>,
@@ -328,7 +333,7 @@ impl<'a> Drive<'a> {
             cfg,
             states,
             states_audit,
-            mutations: mutations.as_deref(),
+            mutations,
             prog,
             multilog,
             sortgroup: SortGroup::new(cfg.sort_budget()),
@@ -336,7 +341,7 @@ impl<'a> Drive<'a> {
             loader: GraphLoader::new(),
             structural: StructuralUpdateBuffer::new(
                 intervals.clone(),
-                cfg.structural_merge_threshold,
+                STRUCTURAL_MERGE_THRESHOLD,
             ),
             tiering,
             tracer,
@@ -415,7 +420,7 @@ impl<'a> Drive<'a> {
     }
 
     fn finish(mut self, report: &mut RunReport) -> Result<(), DeviceError> {
-        self.structural.merge_all(self.graph)?;
+        self.merge_structural(1, report)?;
         self.ssd.disarm_append_retention();
         report.multilog = Some(self.multilog.stats());
         report.edgelog = Some(self.edgelog.stats());
@@ -720,10 +725,14 @@ impl<'d, 'a> Superstep<'d, 'a> {
         let t_adj = Instant::now();
         let d = &mut *self.d;
         // Most supersteps stage nothing: probe the edge log per vertex only
-        // when it holds something.
+        // when it holds something. A vertex with structural updates pending
+        // comes from the CSR until they merge, so the patch below is only
+        // ever applied to stored bytes.
         let probe = d.use_elog() && !d.edgelog.read_side_is_empty();
-        let (elog_vs, csr_vs): (Vec<VertexId>, Vec<VertexId>) =
-            actives.iter().map(|(v, _)| *v).partition(|&v| probe && d.edgelog.contains(v));
+        let (elog_vs, csr_vs): (Vec<VertexId>, Vec<VertexId>) = actives
+            .iter()
+            .map(|(v, _)| *v)
+            .partition(|&v| probe && d.edgelog.contains(v) && !d.structural.names(v));
         self.st.edge_log_hits += elog_vs.len() as u64;
         let mut adj =
             d.loader.load_active(d.graph, i, &csr_vs, d.prog.needs_weights(), None)?;
@@ -839,7 +848,9 @@ impl<'d, 'a> Superstep<'d, 'a> {
     /// Apply outputs: state, activity, structural updates, edge-log
     /// staging. `dest_seen` reflects every send of this interval's items
     /// (the scatter ran first) — a whole-item activity signal affecting
-    /// edge-log I/O only, never results.
+    /// edge-log I/O only, never results. A structural update the commit
+    /// would refuse — an endpoint outside the graph, any on a weighted
+    /// graph — ends the run here, in the superstep that made it.
     fn apply(
         &mut self,
         i: IntervalId,
@@ -856,8 +867,13 @@ impl<'d, 'a> Superstep<'d, 'a> {
             if out.keep_active {
                 self.next_self_active.push(item.v);
             }
-            for su in out.structural {
-                d.structural.push(su);
+            if !out.structural.is_empty() {
+                if d.graph.has_weights() {
+                    return Err(MutationError::WeightedUnsupported.into_device_error());
+                }
+                validate_range(&out.structural, d.states.len())
+                    .map_err(MutationError::into_device_error)?;
+                out.structural.into_iter().for_each(|su| d.structural.push(su));
             }
             if !use_elog {
                 continue;
@@ -871,7 +887,9 @@ impl<'d, 'a> Superstep<'d, 'a> {
                 // while the vertex stays active.
                 None => known || d.edgelog.predicted_active(item.v),
             };
-            if stage {
+            // What is staged must be the stored list: not while an update
+            // of it is pending.
+            if stage && !d.structural.names(item.v) {
                 d.edgelog.log_edges(item.v, item.edges)?;
             }
         }
@@ -906,8 +924,8 @@ impl<'d, 'a> Superstep<'d, 'a> {
 
         d.pending = d.multilog.finish_superstep()?;
         st.messages_sent = d.pending.iter().sum();
-        d.tiering.unmark_structural(&d.structural);
-        d.structural.merge_over_threshold(d.graph)?;
+        let due = d.structural.threshold();
+        st.mutations.absorb(&d.merge_structural(due, report)?);
         // Skipped on a restart superstep — the next drive clears and
         // re-ranks from scratch anyway, so pin fills here would be wasted
         // I/O.
@@ -1223,6 +1241,111 @@ mod tests {
         eng.run(&Grower, 5);
         assert_eq!(eng.state_of(1), 9);
         assert_eq!(eng.state_of(7), 9, "structurally added edge delivered");
+    }
+
+    /// Vertex 0 sends 1 over all its edges in supersteps 2–6 and, in
+    /// superstep 3, makes `reps` structural updates of its own list; every
+    /// other vertex counts what it receives.
+    struct Shortcut {
+        reps: usize,
+        update: fn(&mut VertexCtx<'_>),
+    }
+    impl VertexProgram for Shortcut {
+        fn name(&self) -> &'static str {
+            "shortcut"
+        }
+        fn init_state(&self, _v: VertexId) -> u64 {
+            0
+        }
+        fn init_active(&self, _n: usize) -> InitActive {
+            InitActive::Seeds(vec![Update::new(0, 0, 0)])
+        }
+        fn process(&self, ctx: &mut VertexCtx<'_>) {
+            if ctx.vertex() != 0 {
+                ctx.set_state(ctx.state() + ctx.msgs().len() as u64);
+                return;
+            }
+            if ctx.superstep() == 3 {
+                (0..self.reps).for_each(|_| (self.update)(ctx));
+            }
+            if (2..=6).contains(&ctx.superstep()) {
+                ctx.send_all(1);
+            }
+            if ctx.superstep() < 6 {
+                ctx.keep_active();
+            }
+        }
+    }
+
+    /// An edge a program adds carries every later send exactly once, and the
+    /// stored graph ends up holding it, whether the adjacency comes from the
+    /// CSR or the edge log and whether the update waits in the buffer or its
+    /// interval reaches the merge threshold in the superstep that made it.
+    #[test]
+    fn structural_update_is_the_same_pending_or_merged_edge_log_on_or_off() {
+        let mut seen: Option<(Vec<u64>, mlvc_graph::Csr)> = None;
+        for threads in [1usize, 8] {
+            mlvc_par::set_thread_override(Some(threads));
+            for edge_log in [true, false] {
+                for reps in [1, STRUCTURAL_MERGE_THRESHOLD] {
+                    let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
+                    let iv = mlvc_graph::VertexIntervals::uniform(1024, 4);
+                    let sg = StoredGraph::store_with(&ssd, &ring(1024), "g", iv).unwrap();
+                    let cfg = EngineConfig::default().with_edge_log(edge_log);
+                    let mut eng = MultiLogEngine::new(ssd, sg, cfg);
+                    let report = eng.run(&Shortcut { reps, update: |ctx| ctx.add_edge(700) }, 12);
+                    let ctx = format!("threads={threads} edge_log={edge_log} reps={reps}");
+                    assert!(report.converged && report.interrupted.is_none(), "{ctx}");
+                    assert_eq!(eng.state_of(700), 3, "sends of supersteps 4, 5 and 6: {ctx}");
+                    assert_eq!(eng.state_of(1), 5, "{ctx}");
+                    let csr = eng.graph().to_csr().unwrap();
+                    assert_eq!(csr.out_edges(0), &[1, 1023, 700], "{ctx}");
+                    assert_eq!(eng.graph().num_edges(), 2 * 1024 + 1, "{ctx}");
+                    let m = report.mutations.expect("a merge ran");
+                    assert_eq!((m.edges_added, m.edges_removed, m.intervals_merged), (1, 0, 1));
+                    let merged_in_run = report.supersteps.iter().any(|s| s.mutations.merges > 0);
+                    assert_eq!(merged_in_run, reps >= STRUCTURAL_MERGE_THRESHOLD, "{ctx}");
+                    match &seen {
+                        None => seen = Some((eng.states().to_vec(), csr)),
+                        Some((states, first)) => {
+                            assert_eq!(eng.states(), states.as_slice(), "{ctx}");
+                            assert_eq!(&csr, first, "{ctx}");
+                        }
+                    }
+                }
+            }
+        }
+        mlvc_par::set_thread_override(None);
+    }
+
+    /// What the commit would refuse ends the run, with a typed error, in
+    /// the superstep that asked for it — not a panic one superstep on, and
+    /// not a weighted graph with its weights zeroed.
+    #[test]
+    fn refused_structural_updates_interrupt_the_run_in_their_superstep() {
+        let mut eng = engine_for(ring(1024));
+        let before = eng.graph().to_csr().unwrap();
+        let report = eng.run(&Shortcut { reps: 1, update: |ctx| ctx.add_edge(70_000) }, 12);
+        let err = report.interrupted.expect("an endpoint outside the graph");
+        assert!(err.to_string().contains("vertex 70000 out of range"), "{err}");
+        assert_eq!(report.supersteps.len(), 2, "supersteps 1 and 2 completed");
+        assert_eq!(eng.graph().to_csr().unwrap(), before);
+
+        let mut b = mlvc_graph::EdgeListBuilder::new(8);
+        for v in 0..8u32 {
+            b.push_weighted(v, (v + 1) % 8, 1.5);
+        }
+        let weighted = b.build();
+        for update in [(|ctx| ctx.add_edge(3)) as fn(&mut VertexCtx<'_>), |ctx| ctx.remove_edge(1)] {
+            let mut eng = engine_for(weighted.clone());
+            let report = eng.run(&Shortcut { reps: 1, update }, 12);
+            assert_eq!(
+                report.interrupted,
+                Some(MutationError::WeightedUnsupported.into_device_error())
+            );
+            assert_eq!(report.supersteps.len(), 2);
+            assert_eq!(eng.graph().to_csr().unwrap(), weighted, "weights untouched");
+        }
     }
 
     #[test]

@@ -1,14 +1,14 @@
 //! Adaptive memory tiering state of one drive (DESIGN.md §18): the page
 //! cache attach, the hot-interval pinned set and the log-tail retention
 //! ledger. The superstep loop calls in at fixed points — heat after the
-//! loader's page-usage report, unmarks before a CSR rewrite, one retier per
+//! loader's page-usage report, unmarks after a CSR rewrite, one retier per
 //! boundary — and every input is plan-order data, so the pinned set (and
 //! with it every cache counter) is identical for any thread count.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use mlvc_graph::{IntervalId, PageUsage, StoredGraph, StructuralUpdateBuffer, VertexId};
+use mlvc_graph::{IntervalId, PageUsage, StoredGraph, VertexId};
 use mlvc_log::MultiLog;
 use mlvc_ssd::{DeviceError, FileId, PageCache, Ssd};
 
@@ -98,8 +98,9 @@ impl Tiering {
         }
     }
 
-    /// A mutation merge rewrote the CSR files of every interval holding a
-    /// dirty vertex — the device already dropped their pinned copies, so
+    /// A merge (of client batches or of the program's own structural
+    /// updates) rewrote CSR files only in intervals holding a dirty
+    /// vertex — the device already dropped their pinned copies, so
     /// unmark them and let the next retier re-pin whatever still ranks.
     pub(crate) fn unmark_dirty(&mut self, graph: &StoredGraph, dirty: &[VertexId]) {
         if self.cache.is_none() {
@@ -107,20 +108,6 @@ impl Tiering {
         }
         for &v in dirty {
             if let Some(p) = self.pinned_ivs.get_mut(graph.intervals().interval_of(v) as usize) {
-                *p = false;
-            }
-        }
-    }
-
-    /// Structural merges rewrite their intervals' CSR files too: unmark
-    /// every interval about to cross the merge threshold, before the
-    /// rewrite drops its pins.
-    pub(crate) fn unmark_structural(&mut self, structural: &StructuralUpdateBuffer) {
-        if self.cache.is_none() {
-            return;
-        }
-        for (i, p) in self.pinned_ivs.iter_mut().enumerate() {
-            if structural.pending_for(i as IntervalId).len() >= structural.threshold() {
                 *p = false;
             }
         }

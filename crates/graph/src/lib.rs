@@ -16,8 +16,11 @@
 //!   set it reads **only the SSD pages containing active vertex data**, and
 //!   records per-page utilization — the raw material for the paper's Fig. 3
 //!   and for the edge-log optimizer's page-efficiency predictor;
-//! * [`StructuralUpdateBuffer`] — batched graph mutations merged into the
-//!   per-interval CSR after a threshold (§V-E).
+//! * [`StructuralUpdateBuffer`] — a running program's pending graph
+//!   mutations, batched per interval and shown to the loader until a merge
+//!   (§V-E), with the edge-mutation record and the upsert rule a merge
+//!   applies ([`EdgeMutation`], [`dedup_last_wins`], [`upsert_adjacency`]);
+//!   the merge itself — the one CSR rewriter — is `mlvc-mutate`'s commit.
 
 mod builder;
 mod csr;
@@ -33,10 +36,10 @@ pub use builder::EdgeListBuilder;
 pub use csr::Csr;
 pub use intervals::{IntervalId, VertexIntervals};
 pub use loader::{AdjVertex, Adjacency, GraphLoader, PageUsage};
-pub use stored::{
-    append_u32s, append_u64s, read_u32s, read_u64s, StoredGraph, UPDATE_BYTES,
+pub use stored::{read_u32s, read_u64s, write_partition, StoredGraph, UPDATE_BYTES};
+pub use structural::{
+    dedup_last_wins, upsert_adjacency, EdgeMutation, MutationOp, StructuralUpdateBuffer,
 };
-pub use structural::{StructuralUpdate, StructuralUpdateBuffer};
 
 /// Vertex identifier. The paper uses 4-byte vertex ids (§VI).
 pub type VertexId = u32;

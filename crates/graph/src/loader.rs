@@ -86,18 +86,13 @@ impl Adjacency {
         self.vertices.sort_by_key(|a| a.v);
     }
 
-    /// Replace the `k`-th vertex's edge list (a structural patch). The new
-    /// list goes to the end of the arena; its weights are the old ones cut
-    /// or zero-padded to the new length, as a structural merge leaves them.
+    /// Replace the `k`-th vertex's edge list (a structural patch); the new
+    /// list goes to the end of the arena. Weighted graphs refuse structural
+    /// updates, so an arena being patched carries no weights.
     pub(crate) fn replace_edges(&mut self, k: usize, edges: &[VertexId]) {
-        let (lo, hi) = (self.vertices[k].lo, self.vertices[k].hi);
+        assert!(!self.weighted, "structural patch of a weighted adjacency");
         let new_lo = self.edges.len();
         self.edges.extend_from_slice(edges);
-        if self.weighted {
-            let keep = (hi - lo).min(edges.len());
-            self.weights.extend_from_within(lo..lo + keep);
-            self.weights.resize(self.edges.len(), 0.0);
-        }
         let a = &mut self.vertices[k];
         (a.lo, a.hi) = (new_lo, self.edges.len());
     }

@@ -38,9 +38,8 @@ pub struct StoredGraph {
     rowptr_files: Vec<FileId>,
     colidx_files: Vec<FileId>,
     val_files: Option<Vec<FileId>>,
-    /// A shared counter so structural merges can run behind a shared
-    /// reference — the file set never changes after construction, only
-    /// extent contents.
+    /// A shared counter so merges can run behind a shared reference — the
+    /// file set never changes after construction, only extent contents.
     num_edges: mlvc_ssd::RelaxedCounter,
 }
 
@@ -81,13 +80,9 @@ impl StoredGraph {
             // `open_or_create` preserves existing contents (so a resumed run
             // can reattach to its extents); a fresh store starts clean.
             let rp = ssd.open_or_create(&format!("{name}.rowptr.{i}"))?;
-            ssd.truncate(rp)?;
-            append_u64s(ssd, rp, &local)?;
-            rowptr_files.push(rp);
-
             let ci = ssd.open_or_create(&format!("{name}.colidx.{i}"))?;
-            ssd.truncate(ci)?;
-            append_u32s(ssd, ci, &graph.col_idx()[lo..hi])?;
+            write_partition(ssd, rp, ci, &local, &graph.col_idx()[lo..hi])?;
+            rowptr_files.push(rp);
             colidx_files.push(ci);
 
             if let (Some(vf), Some(wall)) = (val_files.as_mut(), graph.weights_all()) {
@@ -160,7 +155,7 @@ impl StoredGraph {
     }
 
     /// Row-pointer extent of interval `i` (public so the mutation merge
-    /// can rewrite partitions through its own crash-consistent protocol).
+    /// can install partitions through its crash-consistent protocol).
     pub fn rowptr_file(&self, i: IntervalId) -> FileId {
         self.rowptr_files[idx(i)]
     }
@@ -176,16 +171,16 @@ impl StoredGraph {
     }
 
     /// Read the whole interval back into memory (row pointers + adjacency).
-    /// Charged as sequential batch reads with 100% declared utilization;
-    /// used by structural merging and by tests.
+    /// Charged as sequential batch reads with 100% declared utilization.
     pub fn read_interval(&self, i: IntervalId) -> Result<IntervalCsr, DeviceError> {
         let n_local = self.intervals.len_of(i) + 1;
-        let rowptr = read_u64s(&self.ssd, self.rowptr_file(i), n_local)?;
+        let (psz, read) = (self.ssd.page_size(), |reqs: PageReqs| self.ssd.read_batch(&reqs));
+        let rowptr = read_u64s(psz, self.rowptr_file(i), n_local, read)?;
         let n_edges = rowptr.last().map_or(0, |&e| mem_idx(e));
-        let colidx = read_u32s(&self.ssd, self.colidx_file(i), n_edges)?;
+        let colidx = read_u32s(psz, self.colidx_file(i), n_edges, read)?;
         let weights = match self.val_file(i) {
             Some(f) => Some(
-                read_u32s(&self.ssd, f, n_edges)?
+                read_u32s(psz, f, n_edges, read)?
                     .into_iter()
                     .map(f32::from_bits)
                     .collect(),
@@ -193,46 +188,6 @@ impl StoredGraph {
             None => None,
         };
         Ok((rowptr, colidx, weights))
-    }
-
-    /// Replace interval `i`'s extents with new adjacency data (the merge
-    /// step of batched structural updates, §V-E). `local_adj[k]` is the new
-    /// out-neighbor list of vertex `start(i) + k`.
-    pub fn rewrite_interval(
-        &self,
-        i: IntervalId,
-        local_adj: &[Vec<VertexId>],
-    ) -> Result<(), DeviceError> {
-        assert_eq!(local_adj.len(), self.intervals.len_of(i));
-        let mut rowptr = Vec::with_capacity(local_adj.len() + 1);
-        let mut colidx = Vec::new();
-        rowptr.push(0u64);
-        for adj in local_adj {
-            colidx.extend_from_slice(adj);
-            rowptr.push(to_u64(colidx.len()));
-        }
-        let old_edges = {
-            let old = read_u64s(&self.ssd, self.rowptr_file(i), self.intervals.len_of(i) + 1)?;
-            old.last().copied().unwrap_or(0)
-        };
-        // Single writer per interval; a statistics counter is sufficient.
-        self.num_edges.add(to_u64(colidx.len()));
-        self.num_edges.sub(old_edges);
-
-        let rp = self.rowptr_file(i);
-        self.ssd.truncate(rp)?;
-        append_u64s(&self.ssd, rp, &rowptr)?;
-        let ci = self.colidx_file(i);
-        self.ssd.truncate(ci)?;
-        append_u32s(&self.ssd, ci, &colidx)?;
-        if let Some(vf) = self.val_file(i) {
-            // Structural updates on weighted graphs reset weights to zero;
-            // programs that mutate weighted graphs carry weights in vertex or
-            // message state instead.
-            self.ssd.truncate(vf)?;
-            append_u32s(&self.ssd, vf, &vec![0u32; colidx.len()])?;
-        }
-        Ok(())
     }
 
     /// Reconstruct the full in-memory CSR (test/verification path; charges
@@ -256,11 +211,27 @@ impl StoredGraph {
     }
 }
 
-/// Append a u64 slice to `file` as little-endian pages (batched). Public
-/// so the mutation merge writes extents with exactly the layout
-/// `store_with` produces — merged partitions stay bit-identical to a
-/// cold re-store of the mutated graph.
-pub fn append_u64s(ssd: &Ssd, file: FileId, data: &[u64]) -> Result<(), DeviceError> {
+/// Replace one CSR partition — a row-pointer extent and its column-index
+/// extent — with `rowptr` / `colidx`, in the layout everything here reads
+/// back. The one place an extent of either kind is written: a cold store,
+/// the mutation merge's shadow copies, its install over the primaries and
+/// its crash recovery all come through here, so a merged partition is
+/// bit-identical to a cold re-store of the mutated graph.
+pub fn write_partition(
+    ssd: &Ssd,
+    rowptr_file: FileId,
+    colidx_file: FileId,
+    rowptr: &[u64],
+    colidx: &[VertexId],
+) -> Result<(), DeviceError> {
+    ssd.truncate(rowptr_file)?;
+    append_u64s(ssd, rowptr_file, rowptr)?;
+    ssd.truncate(colidx_file)?;
+    append_u32s(ssd, colidx_file, colidx)
+}
+
+/// Append a u64 slice to `file` as little-endian pages (batched).
+fn append_u64s(ssd: &Ssd, file: FileId, data: &[u64]) -> Result<(), DeviceError> {
     let per_page = ssd.page_size() / ROW_PTR_BYTES;
     let mut pages: Vec<Vec<u8>> = Vec::with_capacity(data.len().div_ceil(per_page));
     for chunk in data.chunks(per_page) {
@@ -277,9 +248,8 @@ pub fn append_u64s(ssd: &Ssd, file: FileId, data: &[u64]) -> Result<(), DeviceEr
     Ok(())
 }
 
-/// Append a u32 slice to `file` as little-endian pages (batched); see
-/// [`append_u64s`] on why this is public.
-pub fn append_u32s(ssd: &Ssd, file: FileId, data: &[u32]) -> Result<(), DeviceError> {
+/// Append a u32 slice to `file` as little-endian pages (batched).
+fn append_u32s(ssd: &Ssd, file: FileId, data: &[u32]) -> Result<(), DeviceError> {
     let per_page = ssd.page_size() / COL_IDX_BYTES;
     let mut pages: Vec<Vec<u8>> = Vec::with_capacity(data.len().div_ceil(per_page));
     for chunk in data.chunks(per_page) {
@@ -296,52 +266,56 @@ pub fn append_u32s(ssd: &Ssd, file: FileId, data: &[u32]) -> Result<(), DeviceEr
     Ok(())
 }
 
-/// Read back `n` u64 entries packed by [`append_u64s`].
-pub fn read_u64s(ssd: &Ssd, file: FileId, n: usize) -> Result<Vec<u64>, DeviceError> {
-    let per_page = ssd.page_size() / ROW_PTR_BYTES;
-    let n_pages = to_u64(n.div_ceil(per_page));
-    let reqs: Vec<_> = (0..n_pages)
-        .map(|p| {
-            let entries = per_page.min(n - mem_idx(p) * per_page);
-            (file, p, entries * ROW_PTR_BYTES)
-        })
+/// A read request list: (file, page, useful bytes) per page.
+type PageReqs = Vec<(FileId, u64, usize)>;
+
+/// Read back the first `n` `W`-byte little-endian entries of `file`:
+/// build the request list, hand it to `read` — the device's batch read, or
+/// a submission queue in front of it — and decode the pages it returns.
+fn read_entries<const W: usize, T>(
+    page_size: usize,
+    file: FileId,
+    n: usize,
+    read: impl FnOnce(PageReqs) -> Result<Vec<Vec<u8>>, DeviceError>,
+    from_le: fn([u8; W]) -> T,
+) -> Result<Vec<T>, DeviceError> {
+    let per_page = page_size / W;
+    let reqs: PageReqs = (0..n.div_ceil(per_page))
+        .map(|p| (file, to_u64(p), per_page.min(n - p * per_page) * W))
         .collect();
-    let pages = ssd.read_batch(&reqs)?;
+    let pages = read(reqs)?;
     let mut out = Vec::with_capacity(n);
     for (k, page) in pages.iter().enumerate() {
         let entries = per_page.min(n - k * per_page);
-        for chunk in page.chunks_exact(ROW_PTR_BYTES).take(entries) {
+        for chunk in page.chunks_exact(W).take(entries) {
             // chunks_exact guarantees the width; the Err arm is unreachable.
             if let Ok(b) = chunk.try_into() {
-                out.push(u64::from_le_bytes(b));
+                out.push(from_le(b));
             }
         }
     }
     Ok(out)
 }
 
-/// Read back `n` u32 entries packed by [`append_u32s`].
-pub fn read_u32s(ssd: &Ssd, file: FileId, n: usize) -> Result<Vec<u32>, DeviceError> {
-    let per_page = ssd.page_size() / COL_IDX_BYTES;
-    let n_pages = to_u64(n.div_ceil(per_page));
-    let reqs: Vec<_> = (0..n_pages)
-        .map(|p| {
-            let entries = per_page.min(n - mem_idx(p) * per_page);
-            (file, p, entries * COL_IDX_BYTES)
-        })
-        .collect();
-    let pages = ssd.read_batch(&reqs)?;
-    let mut out = Vec::with_capacity(n);
-    for (k, page) in pages.iter().enumerate() {
-        let entries = per_page.min(n - k * per_page);
-        for chunk in page.chunks_exact(COL_IDX_BYTES).take(entries) {
-            // chunks_exact guarantees the width; the Err arm is unreachable.
-            if let Ok(b) = chunk.try_into() {
-                out.push(u32::from_le_bytes(b));
-            }
-        }
-    }
-    Ok(out)
+/// Read back `n` u64 entries of a row-pointer extent through `read`.
+pub fn read_u64s(
+    page_size: usize,
+    file: FileId,
+    n: usize,
+    read: impl FnOnce(PageReqs) -> Result<Vec<Vec<u8>>, DeviceError>,
+) -> Result<Vec<u64>, DeviceError> {
+    read_entries::<ROW_PTR_BYTES, _>(page_size, file, n, read, u64::from_le_bytes)
+}
+
+/// Read back `n` u32 entries of a column-index (or weight) extent through
+/// `read`.
+pub fn read_u32s(
+    page_size: usize,
+    file: FileId,
+    n: usize,
+    read: impl FnOnce(PageReqs) -> Result<Vec<Vec<u8>>, DeviceError>,
+) -> Result<Vec<u32>, DeviceError> {
+    read_entries::<COL_IDX_BYTES, _>(page_size, file, n, read, u32::from_le_bytes)
 }
 
 #[cfg(test)]
@@ -402,23 +376,6 @@ mod tests {
     }
 
     #[test]
-    fn rewrite_interval_changes_adjacency_and_edge_count() {
-        let ssd = ssd();
-        let g = small_graph(false);
-        let sg = StoredGraph::store_with(&ssd, &g, "g3", VertexIntervals::uniform(8, 4)).unwrap();
-        // Interval 0 covers vertices 0..2; replace their adjacency.
-        let iv0 = sg.intervals().range(0);
-        assert_eq!(iv0, 0..2);
-        sg.rewrite_interval(0, &[vec![7], vec![5, 6, 7]]).unwrap();
-        let back = sg.to_csr().unwrap();
-        assert_eq!(back.out_edges(0), &[7]);
-        assert_eq!(back.out_edges(1), &[5, 6, 7]);
-        // Other intervals untouched.
-        assert_eq!(back.out_edges(3), g.out_edges(3));
-        assert_eq!(sg.num_edges(), 10 - 3 + 4);
-    }
-
-    #[test]
     fn default_store_uses_inbound_budget_partition() {
         let ssd = ssd();
         let g = small_graph(false);
@@ -434,12 +391,13 @@ mod tests {
         // 256-byte pages hold 32 u64s; cross several page boundaries.
         let data: Vec<u64> = (0..100).map(|i| i * 1_000_000_007).collect();
         append_u64s(&ssd, f, &data).unwrap();
-        assert_eq!(read_u64s(&ssd, f, 100).unwrap(), data);
+        let read = |reqs: PageReqs| ssd.read_batch(&reqs);
+        assert_eq!(read_u64s(256, f, 100, read).unwrap(), data);
 
         let f2 = ssd.open_or_create("u32s").unwrap();
         let data2: Vec<u32> = (0..200u32).map(|i| i.wrapping_mul(2_654_435_761)).collect();
         append_u32s(&ssd, f2, &data2).unwrap();
-        assert_eq!(read_u32s(&ssd, f2, 200).unwrap(), data2);
+        assert_eq!(read_u32s(256, f2, 200, read).unwrap(), data2);
     }
 
     #[test]

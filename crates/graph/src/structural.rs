@@ -1,46 +1,107 @@
-use crate::checked::{idx, mem_idx};
-use crate::{Adjacency, IntervalId, StoredGraph, VertexIntervals, VertexId};
-use mlvc_ssd::DeviceError;
+use crate::checked::idx;
+use crate::{Adjacency, IntervalId, VertexIntervals, VertexId};
 
-/// One graph mutation generated during vertex processing (paper §V-E).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StructuralUpdate {
-    AddEdge { src: VertexId, dst: VertexId },
-    RemoveEdge { src: VertexId, dst: VertexId },
+/// What a mutation does to the edge `(src, dst)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum MutationOp {
+    /// Ensure the edge is present. If `dst` is already an out-neighbor of
+    /// `src` the adjacency list is left completely untouched (no reorder,
+    /// no duplicate), so replaying an acknowledged batch is a no-op.
+    Add,
+    /// Delete every occurrence of the edge. Removing an absent edge is a
+    /// no-op, for the same replay-idempotence reason.
+    Remove,
 }
 
-impl StructuralUpdate {
-    pub fn src(&self) -> VertexId {
-        match *self {
-            StructuralUpdate::AddEdge { src, .. } | StructuralUpdate::RemoveEdge { src, .. } => src,
-        }
+/// One requested edge mutation: a client's batch record (DESIGN.md §17) or
+/// a structural update a vertex program made while running (paper §V-E).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct EdgeMutation {
+    pub src: VertexId,
+    pub dst: VertexId,
+    pub op: MutationOp,
+}
+
+impl EdgeMutation {
+    pub fn add(src: VertexId, dst: VertexId) -> Self {
+        EdgeMutation { src, dst, op: MutationOp::Add }
+    }
+
+    pub fn remove(src: VertexId, dst: VertexId) -> Self {
+        EdgeMutation { src, dst, op: MutationOp::Remove }
     }
 }
 
-/// Buffer of pending structural updates, segregated by the *source* vertex
-/// interval (whose CSR partition they will be merged into).
+/// Collapse a batch to one operation per `(src, dst)` pair — the last
+/// request wins, matching the order the client issued them. Output is
+/// sorted by `(src, dst)` so downstream processing is deterministic
+/// regardless of request interleaving within the batch.
+pub fn dedup_last_wins(muts: &[EdgeMutation]) -> Vec<EdgeMutation> {
+    let mut last: std::collections::BTreeMap<(VertexId, VertexId), MutationOp> =
+        std::collections::BTreeMap::new();
+    for m in muts {
+        last.insert((m.src, m.dst), m.op);
+    }
+    last.into_iter()
+        .map(|((src, dst), op)| EdgeMutation { src, dst, op })
+        .collect()
+}
+
+/// Apply one vertex's deduplicated mutations to its adjacency list.
+///
+/// The upsert rule: surviving old neighbors keep their order; effective
+/// additions are appended in ascending `dst` order. Returns the new list
+/// plus the effective `(added dsts, removed dsts)` — `removed` counts
+/// pairs, not occurrences (a duplicated edge disappears as one pair).
+pub fn upsert_adjacency(
+    old: &[VertexId],
+    adds: &[VertexId],
+    removes: &[VertexId],
+) -> (Vec<VertexId>, Vec<VertexId>, Vec<VertexId>) {
+    let removed_set: std::collections::BTreeSet<VertexId> = removes.iter().copied().collect();
+    let old_set: std::collections::BTreeSet<VertexId> = old.iter().copied().collect();
+    let new_adj: Vec<VertexId> =
+        old.iter().copied().filter(|d| !removed_set.contains(d)).collect();
+    let mut eff_added: Vec<VertexId> =
+        adds.iter().copied().filter(|d| !old_set.contains(d)).collect();
+    eff_added.sort_unstable();
+    eff_added.dedup();
+    let eff_removed: Vec<VertexId> =
+        removed_set.iter().copied().filter(|d| old_set.contains(d)).collect();
+    let mut out = new_adj;
+    out.extend_from_slice(&eff_added);
+    (out, eff_added, eff_removed)
+}
+
+/// The structural updates a running program has made and no merge has
+/// written yet, segregated by the *source* vertex interval (whose CSR
+/// partition they will be merged into).
 ///
 /// The paper: "Instead of merging each update directly into the vertex
 /// interval's graph data, we batch several structural updates for a vertex
 /// interval and merge them into the graph data after a certain threshold
 /// number of structural updates. ... The Graph Loader unit always accesses
 /// these buffered updates to fetch the most current graph data" (§V-E).
+///
+/// The buffer only holds the pending set and shows it to the loader
+/// ([`Self::patch`]); the one CSR rewriter is `mlvc-mutate`'s commit, which
+/// [`Self::take`] hands the pending lists to.
 #[derive(Debug, Clone)]
 pub struct StructuralUpdateBuffer {
     intervals: VertexIntervals,
-    pending: Vec<Vec<StructuralUpdate>>,
+    pending: Vec<Vec<EdgeMutation>>,
     threshold: usize,
 }
 
 impl StructuralUpdateBuffer {
-    /// `threshold`: pending updates per interval that trigger a merge.
+    /// `threshold`: pending updates per interval that make it due for a
+    /// merge (at least 1).
     pub fn new(intervals: VertexIntervals, threshold: usize) -> Self {
-        assert!(threshold >= 1);
         let n = intervals.num_intervals();
         StructuralUpdateBuffer {
             intervals,
             pending: vec![Vec::new(); n],
-            threshold,
+            threshold: threshold.max(1),
         }
     }
 
@@ -48,8 +109,9 @@ impl StructuralUpdateBuffer {
         self.threshold
     }
 
-    pub fn push(&mut self, u: StructuralUpdate) {
-        let i = self.intervals.interval_of(u.src());
+    /// Queue `u`; its source must be a vertex of the partition.
+    pub fn push(&mut self, u: EdgeMutation) {
+        let i = self.intervals.interval_of(u.src);
         self.pending[idx(i)].push(u);
     }
 
@@ -57,98 +119,51 @@ impl StructuralUpdateBuffer {
         self.pending.iter().map(Vec::len).sum()
     }
 
-    pub fn pending_for(&self, i: IntervalId) -> &[StructuralUpdate] {
+    pub fn pending_for(&self, i: IntervalId) -> &[EdgeMutation] {
         &self.pending[idx(i)]
     }
 
-    /// Apply pending updates for vertex `v` to its freshly loaded adjacency,
-    /// in insertion order (the loader's "most current graph data" view).
-    pub fn patch_adjacency(&self, v: VertexId, edges: &mut Vec<VertexId>) {
-        let i = self.intervals.interval_of(v);
-        for u in &self.pending[idx(i)] {
-            match *u {
-                StructuralUpdate::AddEdge { src, dst } if src == v => edges.push(dst),
-                StructuralUpdate::RemoveEdge { src, dst } if src == v => {
-                    if let Some(pos) = edges.iter().position(|&e| e == dst) {
-                        edges.remove(pos);
-                    }
-                }
-                _ => {}
-            }
-        }
+    /// Whether an update of `v`'s own adjacency is pending — the stored
+    /// list (and any copy of it) is not `v`'s current one until a merge.
+    pub fn names(&self, v: VertexId) -> bool {
+        self.pending[idx(self.intervals.interval_of(v))].iter().any(|u| u.src == v)
     }
 
-    /// Bring interval `i`'s freshly loaded arena (vertices ascending) up to
-    /// date: [`Self::patch_adjacency`] on exactly the vertices the pending
-    /// updates name, so an interval nothing is pending for costs nothing.
+    /// Bring interval `i`'s freshly loaded arena (vertices ascending, edges
+    /// as stored) up to date: each vertex the pending updates name gets
+    /// `upsert_adjacency(stored, last-op-wins(pending))` — exactly the list
+    /// the merge will write, so a merge moves bytes and never changes what
+    /// a program sees. An interval nothing is pending for costs nothing.
     pub fn patch(&self, i: IntervalId, adj: &mut Adjacency) {
-        let mut named: Vec<VertexId> = self.pending[idx(i)].iter().map(|u| u.src()).collect();
-        named.sort_unstable();
-        named.dedup();
-        for v in named {
-            if let Ok(k) = adj.vertices().binary_search_by_key(&v, |a| a.v) {
-                let mut edges = adj.edges(k).to_vec();
-                self.patch_adjacency(v, &mut edges);
+        let ops = dedup_last_wins(&self.pending[idx(i)]);
+        for of_v in ops.chunk_by(|a, b| a.src == b.src) {
+            if let Ok(k) = adj.vertices().binary_search_by_key(&of_v[0].src, |a| a.v) {
+                let dsts = |op| of_v.iter().filter(move |m| m.op == op).map(|m| m.dst);
+                let adds: Vec<VertexId> = dsts(MutationOp::Add).collect();
+                let removes: Vec<VertexId> = dsts(MutationOp::Remove).collect();
+                let (edges, _, _) = upsert_adjacency(adj.edges(k), &adds, &removes);
                 adj.replace_edges(k, &edges);
             }
         }
     }
 
-    /// Merge every interval whose pending count crossed the threshold into
-    /// its CSR partition (read → patch → rewrite). Returns the number of
-    /// intervals merged. Call at superstep end (paper: "graph structure
-    /// updates in a superstep can be applied at the end of the superstep").
-    pub fn merge_over_threshold(&mut self, graph: &StoredGraph) -> Result<usize, DeviceError> {
-        let ids: Vec<IntervalId> = self
-            .intervals
-            .iter_ids()
-            .filter(|&i| self.pending[idx(i)].len() >= self.threshold)
-            .collect();
-        for &i in &ids {
-            self.merge_interval(graph, i)?;
-        }
-        Ok(ids.len())
-    }
-
-    /// Force-merge everything (e.g. at run end, so the stored graph equals
-    /// the logical graph).
-    pub fn merge_all(&mut self, graph: &StoredGraph) -> Result<usize, DeviceError> {
-        let ids: Vec<IntervalId> = self
-            .intervals
-            .iter_ids()
-            .filter(|&i| !self.pending[idx(i)].is_empty())
-            .collect();
-        for &i in &ids {
-            self.merge_interval(graph, i)?;
-        }
-        Ok(ids.len())
-    }
-
-    fn merge_interval(&mut self, graph: &StoredGraph, i: IntervalId) -> Result<(), DeviceError> {
-        let start = self.intervals.start(i);
-        let (rowptr, colidx, _w) = graph.read_interval(i)?;
-        let mut adj: Vec<Vec<VertexId>> = (0..self.intervals.len_of(i))
-            .map(|k| colidx[mem_idx(rowptr[k])..mem_idx(rowptr[k + 1])].to_vec())
-            .collect();
-        for u in self.pending[idx(i)].drain(..) {
-            match u {
-                StructuralUpdate::AddEdge { src, dst } => adj[idx(src - start)].push(dst),
-                StructuralUpdate::RemoveEdge { src, dst } => {
-                    let list = &mut adj[idx(src - start)];
-                    if let Some(pos) = list.iter().position(|&e| e == dst) {
-                        list.remove(pos);
-                    }
-                }
-            }
-        }
-        graph.rewrite_interval(i, &adj)
+    /// Hand over the pending list (arrival order) of every interval holding
+    /// at least `min` updates, indexed by interval; the others stay pending
+    /// and come back empty. `take(self.threshold())` is the superstep-end
+    /// merge set (paper: "graph structure updates in a superstep can be
+    /// applied at the end of the superstep"), `take(1)` everything.
+    pub fn take(&mut self, min: usize) -> Vec<Vec<EdgeMutation>> {
+        self.pending
+            .iter_mut()
+            .map(|p| if p.len() >= min { std::mem::take(p) } else { Vec::new() })
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::EdgeListBuilder;
+    use crate::{EdgeListBuilder, GraphLoader, StoredGraph};
     use mlvc_ssd::{Ssd, SsdConfig};
     use std::sync::Arc;
 
@@ -164,100 +179,62 @@ mod tests {
         (sg, StructuralUpdateBuffer::new(iv, 4))
     }
 
+    /// The loader view of `v` under `buf`.
+    fn view(sg: &StoredGraph, buf: &StructuralUpdateBuffer, v: VertexId) -> Vec<VertexId> {
+        let i = sg.intervals().interval_of(v);
+        let adj = GraphLoader::new().load_active(sg, i, &[v], false, Some(buf)).unwrap();
+        adj.edges(0).to_vec()
+    }
+
     #[test]
     fn patch_shows_pending_adds_and_removes() {
-        let (_sg, mut buf) = setup();
-        buf.push(StructuralUpdate::AddEdge { src: 1, dst: 5 });
-        buf.push(StructuralUpdate::RemoveEdge { src: 1, dst: 2 });
-        let mut edges = vec![2u32];
-        buf.patch_adjacency(1, &mut edges);
-        assert_eq!(edges, vec![5]);
+        let (sg, mut buf) = setup();
+        buf.push(EdgeMutation::add(1, 5));
+        buf.push(EdgeMutation::remove(1, 2));
+        assert_eq!(view(&sg, &buf, 1), vec![5]);
+        assert!(buf.names(1));
         // Other vertices in the same interval are unaffected.
-        let mut other = vec![3u32];
-        buf.patch_adjacency(2, &mut other);
-        assert_eq!(other, vec![3]);
+        assert_eq!(view(&sg, &buf, 2), vec![3]);
+        assert!(!buf.names(2));
     }
 
     #[test]
-    fn below_threshold_does_not_merge() {
+    fn patch_follows_the_upsert_rule() {
         let (sg, mut buf) = setup();
-        buf.push(StructuralUpdate::AddEdge { src: 0, dst: 3 });
-        assert_eq!(buf.merge_over_threshold(&sg).unwrap(), 0);
-        assert_eq!(buf.total_pending(), 1);
-        // The stored CSR is unchanged...
+        // Ensure-present: a stored edge is not doubled, however often asked.
+        buf.push(EdgeMutation::add(0, 1));
+        buf.push(EdgeMutation::add(0, 1));
+        // Last op wins per edge; additions land ascending at the tail.
+        buf.push(EdgeMutation::add(0, 7));
+        buf.push(EdgeMutation::add(0, 3));
+        buf.push(EdgeMutation::add(0, 5));
+        buf.push(EdgeMutation::remove(0, 5));
+        assert_eq!(view(&sg, &buf, 0), vec![1, 3, 7]);
+        // The stored CSR is unchanged until a merge.
         assert_eq!(sg.to_csr().unwrap().out_edges(0), &[1]);
-        // ...but the loader view (patch) already includes the edge.
-        let mut edges = vec![1u32];
-        buf.patch_adjacency(0, &mut edges);
-        assert_eq!(edges, vec![1, 3]);
     }
 
     #[test]
-    fn threshold_triggers_merge_into_csr() {
-        let (sg, mut buf) = setup();
-        for d in [3, 4, 5] {
-            buf.push(StructuralUpdate::AddEdge { src: 0, dst: d });
-        }
-        buf.push(StructuralUpdate::RemoveEdge { src: 1, dst: 2 });
-        assert_eq!(buf.merge_over_threshold(&sg).unwrap(), 1);
-        assert_eq!(buf.total_pending(), 0);
-        let csr = sg.to_csr().unwrap();
-        assert_eq!(csr.out_edges(0), &[1, 3, 4, 5]);
-        assert!(csr.out_edges(1).is_empty());
-        assert_eq!(sg.num_edges(), 8 + 3 - 1);
-    }
-
-    #[test]
-    fn merge_only_touches_crossing_intervals() {
-        let (sg, mut buf) = setup();
-        // Interval 0 (vertices 0..4) crosses; interval 1 does not.
+    fn take_hands_over_only_intervals_at_the_minimum() {
+        let (_sg, mut buf) = setup();
+        // Interval 0 (vertices 0..4) reaches the threshold; interval 1 not.
         for d in [2, 3, 4, 5] {
-            buf.push(StructuralUpdate::AddEdge { src: 0, dst: d });
+            buf.push(EdgeMutation::add(0, d));
         }
-        buf.push(StructuralUpdate::AddEdge { src: 6, dst: 0 });
-        assert_eq!(buf.merge_over_threshold(&sg).unwrap(), 1);
+        buf.push(EdgeMutation::add(6, 0));
+        let due = buf.take(buf.threshold());
+        assert_eq!(due[0].len(), 4);
+        assert!(due[1].is_empty());
         assert_eq!(buf.total_pending(), 1);
-        assert_eq!(buf.pending_for(1).len(), 1);
+        assert_eq!(buf.pending_for(1), &[EdgeMutation::add(6, 0)]);
+        let rest = buf.take(1);
+        assert_eq!(rest[1], vec![EdgeMutation::add(6, 0)]);
+        assert_eq!(buf.total_pending(), 0);
     }
 
     #[test]
-    fn merge_all_flushes_everything() {
-        let (sg, mut buf) = setup();
-        buf.push(StructuralUpdate::AddEdge { src: 0, dst: 7 });
-        buf.push(StructuralUpdate::AddEdge { src: 7, dst: 0 });
-        assert_eq!(buf.merge_all(&sg).unwrap(), 2);
-        let csr = sg.to_csr().unwrap();
-        assert_eq!(csr.out_edges(0), &[1, 7]);
-        assert_eq!(csr.out_edges(7), &[0, 0]);
-    }
-
-    #[test]
-    fn remove_nonexistent_edge_is_noop() {
-        let (sg, mut buf) = setup();
-        buf.push(StructuralUpdate::RemoveEdge { src: 0, dst: 99 });
-        buf.merge_all(&sg).unwrap();
-        assert_eq!(sg.to_csr().unwrap().out_edges(0), &[1]);
-    }
-
-    #[test]
-    fn batched_merge_equals_eager_merge() {
-        // Invariant from DESIGN.md: threshold-batched merging must produce
-        // the same final graph as applying every update immediately.
-        let (sg_batched, mut buf) = setup();
-        let (sg_eager, mut eager_buf) = setup();
-        let updates = [
-            StructuralUpdate::AddEdge { src: 0, dst: 4 },
-            StructuralUpdate::RemoveEdge { src: 1, dst: 2 },
-            StructuralUpdate::AddEdge { src: 5, dst: 1 },
-            StructuralUpdate::AddEdge { src: 0, dst: 6 },
-            StructuralUpdate::RemoveEdge { src: 0, dst: 4 },
-        ];
-        for u in updates {
-            buf.push(u);
-            eager_buf.push(u);
-            eager_buf.merge_all(&sg_eager).unwrap(); // eager: merge after every update
-        }
-        buf.merge_all(&sg_batched).unwrap();
-        assert_eq!(sg_batched.to_csr().unwrap(), sg_eager.to_csr().unwrap());
+    fn zero_threshold_is_raised_to_one() {
+        let (_sg, buf) = setup();
+        assert_eq!(StructuralUpdateBuffer::new(buf.intervals.clone(), 0).threshold(), 1);
     }
 }

@@ -2,41 +2,14 @@
 //! last-op-wins deduplication rule, and the pure upsert applied to an
 //! adjacency list — shared by the on-device merge, the in-memory golden
 //! path (`apply_to_csr`), and the tests that pin them against each other.
+//! The records and the two pure functions live in `mlvc-graph`, beside the
+//! structural-update buffer whose loader view is defined by them.
 
 use mlvc_graph::checked::to_u64;
+pub use mlvc_graph::{dedup_last_wins, upsert_adjacency, EdgeMutation, MutationOp};
 use mlvc_graph::{Csr, VertexId};
 
 use crate::error::MutationError;
-
-/// What a mutation does to the edge `(src, dst)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum MutationOp {
-    /// Ensure the edge is present. If `dst` is already an out-neighbor of
-    /// `src` the adjacency list is left completely untouched (no reorder,
-    /// no duplicate), so replaying an acknowledged batch is a no-op.
-    Add,
-    /// Delete every occurrence of the edge. Removing an absent edge is a
-    /// no-op, for the same replay-idempotence reason.
-    Remove,
-}
-
-/// One requested edge mutation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EdgeMutation {
-    pub src: VertexId,
-    pub dst: VertexId,
-    pub op: MutationOp,
-}
-
-impl EdgeMutation {
-    pub fn add(src: VertexId, dst: VertexId) -> Self {
-        EdgeMutation { src, dst, op: MutationOp::Add }
-    }
-
-    pub fn remove(src: VertexId, dst: VertexId) -> Self {
-        EdgeMutation { src, dst, op: MutationOp::Remove }
-    }
-}
 
 /// What a merge changed, for incremental re-convergence: the edges that
 /// actually appeared or disappeared (requests that were already satisfied
@@ -56,47 +29,6 @@ impl MutationDelta {
     pub fn is_empty(&self) -> bool {
         self.added.is_empty() && self.removed.is_empty()
     }
-}
-
-/// Collapse a batch to one operation per `(src, dst)` pair — the last
-/// request wins, matching the order the client issued them. Output is
-/// sorted by `(src, dst)` so downstream processing is deterministic
-/// regardless of request interleaving within the batch.
-pub fn dedup_last_wins(muts: &[EdgeMutation]) -> Vec<EdgeMutation> {
-    let mut last: std::collections::BTreeMap<(VertexId, VertexId), MutationOp> =
-        std::collections::BTreeMap::new();
-    for m in muts {
-        last.insert((m.src, m.dst), m.op);
-    }
-    last.into_iter()
-        .map(|((src, dst), op)| EdgeMutation { src, dst, op })
-        .collect()
-}
-
-/// Apply one vertex's deduplicated mutations to its adjacency list.
-///
-/// The upsert rule: surviving old neighbors keep their order; effective
-/// additions are appended in ascending `dst` order. Returns the new list
-/// plus the effective `(added dsts, removed dsts)` — `removed` counts
-/// pairs, not occurrences (a duplicated edge disappears as one pair).
-pub fn upsert_adjacency(
-    old: &[VertexId],
-    adds: &[VertexId],
-    removes: &[VertexId],
-) -> (Vec<VertexId>, Vec<VertexId>, Vec<VertexId>) {
-    let removed_set: std::collections::BTreeSet<VertexId> = removes.iter().copied().collect();
-    let old_set: std::collections::BTreeSet<VertexId> = old.iter().copied().collect();
-    let new_adj: Vec<VertexId> =
-        old.iter().copied().filter(|d| !removed_set.contains(d)).collect();
-    let mut eff_added: Vec<VertexId> =
-        adds.iter().copied().filter(|d| !old_set.contains(d)).collect();
-    eff_added.sort_unstable();
-    eff_added.dedup();
-    let eff_removed: Vec<VertexId> =
-        removed_set.iter().copied().filter(|d| old_set.contains(d)).collect();
-    let mut out = new_adj;
-    out.extend_from_slice(&eff_added);
-    (out, eff_added, eff_removed)
 }
 
 /// Validate that every endpoint of `muts` addresses a vertex of an

@@ -15,9 +15,10 @@ pub enum MutationError {
     Width(WidthError),
     /// An edge endpoint is outside the stored graph's vertex range.
     OutOfRange { v: VertexId, num_vertices: usize },
-    /// The stored graph carries edge weights; batched structural mutation
-    /// resets weights (see `StoredGraph::rewrite_interval`), so weighted
-    /// graphs are rejected up front instead of silently zeroing values.
+    /// The stored graph carries edge weights; a mutation names no weight
+    /// for an edge it adds and the merge rewrites no `val` extent, so
+    /// weighted graphs are rejected up front — by `ingest`'s merge and by
+    /// the engine for a program's own `add_edge` / `remove_edge`.
     WeightedUnsupported,
     /// On-device mutation state failed validation (bad opcode, interval
     /// mismatch, malformed manifest payload).

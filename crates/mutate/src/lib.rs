@@ -12,7 +12,9 @@
 //!   multi-log page format, with memory-pressure eviction accounting;
 //!   [`MutationLog::merge`] folds them into the stored CSR partitions
 //!   under the PR-2 data-before-manifest protocol (shadow extents → CRC'd
-//!   manifest in rotating slots → install → retire), and
+//!   manifest in rotating slots → install → retire),
+//!   [`MutationLog::commit`] puts a running program's own structural
+//!   updates through the same stages (the engine's only CSR rewriter), and
 //!   [`MutationLog::recover`] replays the newest committed merge after a
 //!   crash — the CSR is always the pre- or post-merge one, never torn.
 //! * [`MutationDelta`] — the *effective* changes a merge made, feeding

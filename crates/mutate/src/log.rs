@@ -21,8 +21,7 @@ use std::sync::Arc;
 
 use mlvc_graph::checked::{idx, to_u32, to_u64, to_usize};
 use mlvc_graph::{
-    append_u32s, append_u64s, IntervalId, StoredGraph, VertexId, VertexIntervals, COL_IDX_BYTES,
-    ROW_PTR_BYTES,
+    read_u32s, read_u64s, write_partition, IntervalId, StoredGraph, VertexId, VertexIntervals,
 };
 use mlvc_log::{decode_log_page, pack_pages, LogPage, PageShape, Update};
 use mlvc_recover::crc32;
@@ -297,27 +296,81 @@ impl MutationLog {
         graph: &StoredGraph,
         queue_depth: usize,
     ) -> Result<MergeOutcome, MutationError> {
-        if graph.has_weights() {
-            return Err(MutationError::WeightedUnsupported);
-        }
-        if graph.intervals() != &self.intervals {
-            return Err(MutationError::Corrupt(
-                "graph interval partition does not match the mutation log".to_string(),
-            ));
-        }
+        self.check_target(graph)?;
         // Stage 0: make the whole batch readable from the device logs.
         self.flush()?;
         if self.pending() == 0 {
             return Ok(MergeOutcome::default());
         }
-
         let ioq = IoQueue::new(Arc::clone(&self.ssd), queue_depth.max(1));
+        // Stage 1: drain and decode each interval's log (device order is
+        // ingest order, so last-op-wins over the log reproduces the
+        // client's intent).
+        let per_interval = self.drain_logs(&ioq)?;
+        let (delta, rewritten) = self.install(graph, &ioq, &per_interval)?;
+        // Stage 6: retire the consumed logs and seal.
+        for &f in &self.log_files {
+            self.ssd.truncate(f)?;
+        }
+        self.device_records.fill(0);
+        self.seal(graph, delta, rewritten)
+    }
+
+    /// Commit mutations that never went through this log — the structural
+    /// updates a running program made (paper §V-E) — into `graph` under the
+    /// same protocol as [`Self::merge`]: `per_interval[i]` holds interval
+    /// `i`'s mutations in the order they were made (last op per edge wins),
+    /// each with its source inside the interval. Batches buffered or
+    /// spilled by `ingest` are left exactly where they are.
+    pub fn commit(
+        &mut self,
+        graph: &StoredGraph,
+        queue_depth: usize,
+        per_interval: &[Vec<EdgeMutation>],
+    ) -> Result<MergeOutcome, MutationError> {
+        self.check_target(graph)?;
+        if per_interval.len() != self.intervals.num_intervals() {
+            return Err(MutationError::Corrupt(format!(
+                "{} mutation lists for {} intervals",
+                per_interval.len(),
+                self.intervals.num_intervals()
+            )));
+        }
+        for (i, muts) in self.intervals.iter_ids().zip(per_interval) {
+            validate_range(muts, self.intervals.num_vertices())?;
+            if let Some(m) = muts.iter().find(|m| !self.intervals.range(i).contains(&m.src)) {
+                return Err(MutationError::Corrupt(format!(
+                    "mutation of vertex {} handed to interval {i}",
+                    m.src
+                )));
+            }
+        }
+        let ioq = IoQueue::new(Arc::clone(&self.ssd), queue_depth.max(1));
+        let (delta, rewritten) = self.install(graph, &ioq, per_interval)?;
+        self.seal(graph, delta, rewritten)
+    }
+
+    /// A merge target must be unweighted and partitioned like this log.
+    fn check_target(&self, graph: &StoredGraph) -> Result<(), MutationError> {
+        if graph.has_weights() {
+            return Err(MutationError::WeightedUnsupported);
+        }
+        self.check_partition(graph)
+    }
+
+    fn check_partition(&self, graph: &StoredGraph) -> Result<(), MutationError> {
+        if graph.intervals() != &self.intervals {
+            return Err(MutationError::Corrupt(
+                "graph interval partition does not match the mutation log".to_string(),
+            ));
+        }
+        Ok(())
+    }
+
+    /// Read back and decode every interval's device log, in ingest order.
+    fn drain_logs(&self, ioq: &IoQueue) -> Result<Vec<Vec<EdgeMutation>>, MutationError> {
         let page_size = self.ssd.page_size();
         let num_vertices = to_u32("vertex count", self.intervals.num_vertices())?;
-
-        // Stage 1: drain and decode each interval's log, collapse to one
-        // op per edge (device order is ingest order, so last-op-wins over
-        // the log reproduces the client's intent).
         let mut per_interval: Vec<Vec<EdgeMutation>> = Vec::with_capacity(self.log_files.len());
         for (k, &f) in self.log_files.iter().enumerate() {
             if self.device_records[k] == 0 {
@@ -326,7 +379,7 @@ impl MutationLog {
             }
             let reqs: Vec<_> =
                 (0..self.ssd.num_pages(f)?).map(|p| (f, p, page_size)).collect();
-            let pages = queued_read(&ioq, reqs)?;
+            let pages = queued_read(ioq, reqs)?;
             let mut records = Vec::new();
             for page in &pages {
                 decode_log_page(page, &(0..num_vertices), &mut records)?;
@@ -344,29 +397,43 @@ impl MutationLog {
                 };
                 muts.push(EdgeMutation { src: u.src, dst: u.dest, op });
             }
-            per_interval.push(dedup_last_wins(&muts));
+            per_interval.push(muts);
         }
+        Ok(per_interval)
+    }
 
-        // Stage 2: per affected interval (ascending), read the partition,
-        // apply the upsert, and collect rewrites. Intervals whose requests
-        // were all already satisfied are skipped entirely.
+    /// Stages 2–5 of a merge — the only code that rewrites a stored CSR
+    /// partition. Returns the effective delta and the number of partitions
+    /// rewritten; [`Self::seal`] finishes the merge.
+    fn install(
+        &mut self,
+        graph: &StoredGraph,
+        ioq: &IoQueue,
+        per_interval: &[Vec<EdgeMutation>],
+    ) -> Result<(MutationDelta, usize), MutationError> {
+        let page_size = self.ssd.page_size();
+        let read = |reqs| queued_read(ioq, reqs);
+
+        // Stage 2: per affected interval (ascending), collapse to one op
+        // per edge, read the partition, apply the upsert, and collect
+        // rewrites. Intervals whose requests were all already satisfied
+        // are skipped entirely.
         let mut delta = MutationDelta::default();
         let mut rewrites: Vec<(IntervalId, Vec<u64>, Vec<VertexId>, u64)> = Vec::new();
         for i in self.intervals.iter_ids() {
-            let muts = &per_interval[idx(i)];
+            let muts = dedup_last_wins(&per_interval[idx(i)]);
             if muts.is_empty() {
                 continue;
             }
             let range = self.intervals.range(i);
             let n_local = self.intervals.len_of(i);
-            let rowptr =
-                fetch_u64s(&ioq, page_size, graph.rowptr_file(i), n_local + 1)?;
+            let rowptr = read_u64s(page_size, graph.rowptr_file(i), n_local + 1, read)?;
             let old_edges = rowptr.last().copied().unwrap_or(0);
-            let colidx = fetch_u32s(
-                &ioq,
+            let colidx = read_u32s(
                 page_size,
                 graph.colidx_file(i),
                 to_usize("interval edge count", old_edges)?,
+                read,
             )?;
 
             let mut new_rowptr: Vec<u64> = Vec::with_capacity(n_local + 1);
@@ -422,40 +489,35 @@ impl MutationLog {
         for chunk in rewrites.chunks(per_manifest.max(1)) {
             let mut entries = Vec::with_capacity(chunk.len());
             for (i, new_rowptr, new_colidx, old_edges) in chunk {
-                let srp = self.shadow_rowptr[idx(*i)];
-                self.ssd.truncate(srp)?;
-                append_u64s(&self.ssd, srp, new_rowptr)?;
-                let sci = self.shadow_colidx[idx(*i)];
-                self.ssd.truncate(sci)?;
-                append_u32s(&self.ssd, sci, new_colidx)?;
+                let (srp, sci) = (self.shadow_rowptr[idx(*i)], self.shadow_colidx[idx(*i)]);
+                write_partition(&self.ssd, srp, sci, new_rowptr, new_colidx)?;
                 new_total = new_total + to_u64(new_colidx.len()) - old_edges;
                 entries.push((*i, to_u64(new_colidx.len())));
             }
             self.write_manifest(new_total, &entries)?;
             for (i, new_rowptr, new_colidx, _) in chunk {
-                let rp = graph.rowptr_file(*i);
-                self.ssd.truncate(rp)?;
-                append_u64s(&self.ssd, rp, new_rowptr)?;
-                let ci = graph.colidx_file(*i);
-                self.ssd.truncate(ci)?;
-                append_u32s(&self.ssd, ci, new_colidx)?;
+                let (rp, ci) = (graph.rowptr_file(*i), graph.colidx_file(*i));
+                write_partition(&self.ssd, rp, ci, new_rowptr, new_colidx)?;
             }
             graph.set_num_edges(new_total);
         }
+        Ok((delta, rewrites.len()))
+    }
 
-        // Stage 6: retire the consumed logs and seal with an empty
-        // manifest, so recovery knows the merge fully landed.
-        for &f in &self.log_files {
-            self.ssd.truncate(f)?;
-        }
-        self.device_records.fill(0);
+    /// Seal a merge with an empty manifest, so recovery knows it fully
+    /// landed, and account it.
+    fn seal(
+        &mut self,
+        graph: &StoredGraph,
+        delta: MutationDelta,
+        rewritten: usize,
+    ) -> Result<MergeOutcome, MutationError> {
         self.write_manifest(graph.num_edges(), &[])?;
-
         let stats = MutationStats {
             merges: 1,
             edges_added: to_u64(delta.added.len()),
             edges_removed: to_u64(delta.removed.len()),
-            intervals_merged: to_u64(rewrites.len()),
+            intervals_merged: to_u64(rewritten),
             dirty_vertices: to_u64(delta.dirty.len()),
             ..MutationStats::default()
         };
@@ -472,11 +534,7 @@ impl MutationLog {
     /// clients replay them, which the upsert rule makes a no-op for any
     /// part that did land.
     pub fn recover(&mut self, graph: &StoredGraph) -> Result<bool, MutationError> {
-        if graph.intervals() != &self.intervals {
-            return Err(MutationError::Corrupt(
-                "graph interval partition does not match the mutation log".to_string(),
-            ));
-        }
+        self.check_partition(graph)?;
         let mut newest: Option<Manifest> = None;
         for &f in &self.manifest_files {
             if let Some(m) = read_manifest(&self.ssd, f)? {
@@ -493,20 +551,18 @@ impl MutationLog {
                             "manifest names interval {i} outside the partition"
                         )));
                     }
+                    let (psz, read) =
+                        (self.ssd.page_size(), |reqs: Vec<_>| self.ssd.read_batch(&reqs));
                     let n_local = self.intervals.len_of(i);
-                    let rowptr =
-                        mlvc_graph::read_u64s(&self.ssd, self.shadow_rowptr[idx(i)], n_local + 1)?;
-                    let colidx = mlvc_graph::read_u32s(
-                        &self.ssd,
+                    let rowptr = read_u64s(psz, self.shadow_rowptr[idx(i)], n_local + 1, read)?;
+                    let colidx = read_u32s(
+                        psz,
                         self.shadow_colidx[idx(i)],
                         to_usize("shadow colidx entries", n_colidx)?,
+                        read,
                     )?;
-                    let rp = graph.rowptr_file(i);
-                    self.ssd.truncate(rp)?;
-                    append_u64s(&self.ssd, rp, &rowptr)?;
-                    let ci = graph.colidx_file(i);
-                    self.ssd.truncate(ci)?;
-                    append_u32s(&self.ssd, ci, &colidx)?;
+                    let (rp, ci) = (graph.rowptr_file(i), graph.colidx_file(i));
+                    write_partition(&self.ssd, rp, ci, &rowptr, &colidx)?;
                 }
                 graph.set_num_edges(m.new_num_edges);
                 true
@@ -616,55 +672,6 @@ fn queued_read(
     Ok(pages)
 }
 
-/// Read `n` little-endian u64 entries from `file` through the queue
-/// (same packing as `mlvc_graph`'s extent layout).
-fn fetch_u64s(
-    ioq: &IoQueue,
-    page_size: usize,
-    file: FileId,
-    n: usize,
-) -> Result<Vec<u64>, DeviceError> {
-    let per_page = page_size / ROW_PTR_BYTES;
-    let reqs: Vec<_> = (0..n.div_ceil(per_page))
-        .map(|p| (file, to_u64(p), per_page.min(n - p * per_page) * ROW_PTR_BYTES))
-        .collect();
-    let pages = queued_read(ioq, reqs)?;
-    let mut out = Vec::with_capacity(n);
-    for (k, page) in pages.iter().enumerate() {
-        let entries = per_page.min(n - k * per_page);
-        for chunk in page.chunks_exact(ROW_PTR_BYTES).take(entries) {
-            if let Ok(b) = chunk.try_into() {
-                out.push(u64::from_le_bytes(b));
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Read `n` little-endian u32 entries from `file` through the queue.
-fn fetch_u32s(
-    ioq: &IoQueue,
-    page_size: usize,
-    file: FileId,
-    n: usize,
-) -> Result<Vec<VertexId>, DeviceError> {
-    let per_page = page_size / COL_IDX_BYTES;
-    let reqs: Vec<_> = (0..n.div_ceil(per_page))
-        .map(|p| (file, to_u64(p), per_page.min(n - p * per_page) * COL_IDX_BYTES))
-        .collect();
-    let pages = queued_read(ioq, reqs)?;
-    let mut out = Vec::with_capacity(n);
-    for (k, page) in pages.iter().enumerate() {
-        let entries = per_page.min(n - k * per_page);
-        for chunk in page.chunks_exact(COL_IDX_BYTES).take(entries) {
-            if let Ok(b) = chunk.try_into() {
-                out.push(u32::from_le_bytes(b));
-            }
-        }
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -766,6 +773,44 @@ mod tests {
         let (golden, _) = apply_to_csr(&base, &batch).unwrap();
         reopened.merge(&sg, 2).unwrap();
         assert_eq!(sg.to_csr().unwrap().col_idx(), golden.col_idx());
+    }
+
+    #[test]
+    fn commit_goes_beside_batched_client_mutations() {
+        let (_ssd, sg) = setup(6);
+        let base = sg.to_csr().unwrap();
+        let n = to_u32("n", base.num_vertices()).unwrap();
+        let mut log = log_for(&sg);
+        // A client batch waits in the log...
+        let batch = vec![EdgeMutation::add(0, 9), EdgeMutation::add(n - 1, 2)];
+        log.ingest(&batch).unwrap();
+        // ...while a program's own updates of interval 1 commit: made in
+        // this order, so the last op on (src, 3) wins.
+        let src = sg.intervals().start(1);
+        let mut due = vec![Vec::new(); sg.intervals().num_intervals()];
+        due[1] = vec![
+            EdgeMutation::remove(src, 3),
+            EdgeMutation::add(src, 3),
+            EdgeMutation::add(src, 5),
+        ];
+        let out = log.commit(&sg, 4, &due).unwrap();
+        assert_eq!(log.pending(), 2, "the client batch is still pending");
+        let (golden, golden_delta) = apply_to_csr(&base, &due[1]).unwrap();
+        assert_eq!(out.delta, golden_delta);
+        assert_eq!(sg.to_csr().unwrap().col_idx(), golden.col_idx());
+        assert_eq!(sg.num_edges(), to_u64(golden.num_edges()));
+        // The batch then merges as if nothing had happened in between.
+        log.merge(&sg, 4).unwrap();
+        let (both, _) = apply_to_csr(&golden, &batch).unwrap();
+        assert_eq!(sg.to_csr().unwrap().col_idx(), both.col_idx());
+
+        // A list in the wrong interval's slot, or an endpoint outside the
+        // graph, is refused before anything is read or written.
+        due.swap(0, 1);
+        assert!(matches!(log.commit(&sg, 4, &due), Err(MutationError::Corrupt(_))));
+        due[0] = vec![EdgeMutation::add(0, n)];
+        assert!(matches!(log.commit(&sg, 4, &due), Err(MutationError::OutOfRange { .. })));
+        assert_eq!(sg.to_csr().unwrap().col_idx(), both.col_idx());
     }
 
     #[test]

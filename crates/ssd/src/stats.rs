@@ -23,11 +23,6 @@ impl RelaxedCounter {
         self.0.fetch_add(delta, Ordering::Relaxed);
     }
 
-    pub fn sub(&self, delta: u64) {
-        // mlvc-lint: allow(no-relaxed-ordering-outside-obs) -- statistics counter; readers synchronize via join/lock edges
-        self.0.fetch_sub(delta, Ordering::Relaxed);
-    }
-
     pub fn get(&self) -> u64 {
         // mlvc-lint: allow(no-relaxed-ordering-outside-obs) -- statistics counter; readers synchronize via join/lock edges
         self.0.load(Ordering::Relaxed)
@@ -179,8 +174,7 @@ mod tests {
     fn relaxed_counter_ops() {
         let c = RelaxedCounter::new(10);
         c.add(5);
-        c.sub(3);
-        assert_eq!(c.get(), 12);
+        assert_eq!(c.get(), 15);
         c.set(0);
         assert_eq!(c.get(), 0);
     }

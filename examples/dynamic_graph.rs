@@ -1,12 +1,17 @@
 //! Graph structural updates (paper §V-E): a program that *mutates* the
 //! graph while running — new edges are buffered per vertex interval,
 //! visible to the loader immediately, and merged into the on-SSD CSR after
-//! a threshold.
+//! a threshold, through the same crash-consistent commit live mutation
+//! batches take (DESIGN.md §17). `add_edge` is *ensure present*: a shortcut
+//! to a vertex that is already a neighbor changes nothing.
 //!
-//! The scenario: a contact network grows by "introductions" — every vertex
-//! that learns of the seed introduces itself to a random neighbor's
-//! neighbor (triadic closure), then gossip (min-flood) runs over the
-//! *current* graph.
+//! The scenario: a contact network grows by "introductions" while gossip
+//! (min-flood) spreads from vertex 0. Every message announces one of its
+//! sender's contacts; a vertex meets the contact announced by the message
+//! that first reached it (triadic closure: me – introducer – contact
+//! becomes me – contact) and passes the gossip on one superstep later,
+//! over its *new* adjacency list — so the shortcuts carry messages while
+//! they are still pending in the buffer, and after they were merged.
 //!
 //! ```sh
 //! cargo run --release --example dynamic_graph
@@ -17,10 +22,25 @@ use std::sync::Arc;
 use multilogvc::core::{Engine, InitActive, Update, VertexCtx, VertexProgram};
 use multilogvc::prelude::*;
 
-/// Phase 1 (supersteps 1–3): gossip spreads from vertex 0; each newly
-/// reached vertex adds a triadic-closure edge to a neighbor's announced
-/// contact. Phase 2: gossip continues over the augmented graph.
+/// State of a vertex that added a shortcut and gossips next superstep.
+const PENDING: u64 = 1 << 63;
+/// A message is `hop | contact << 32`.
+const HOP_MASK: u64 = 0xFFFF_FFFF;
+
 struct GrowAndGossip;
+
+impl GrowAndGossip {
+    /// Pass the gossip on, announcing a pseudo-random contact of mine.
+    fn gossip(ctx: &mut VertexCtx<'_>, hop: u64) {
+        ctx.set_state(hop);
+        let pick = ctx.rand_u64() as usize;
+        let mine = match ctx.degree() {
+            0 => ctx.vertex(),
+            d => ctx.edges()[pick % d],
+        };
+        ctx.send_all((hop + 1) | (mine as u64) << 32);
+    }
+}
 
 impl VertexProgram for GrowAndGossip {
     fn name(&self) -> &'static str {
@@ -36,23 +56,22 @@ impl VertexProgram for GrowAndGossip {
     }
 
     fn process(&self, ctx: &mut VertexCtx<'_>) {
-        if ctx.state() != u64::MAX {
-            return;
-        }
-        let hop = ctx.msgs().iter().map(|m| m.data).min().unwrap();
-        ctx.set_state(hop);
-        // Triadic closure: introduce myself to the contact of the vertex
-        // that reached me (its id rides in the message source), picking a
-        // pseudo-random one of my own neighbors to also meet it.
-        if hop % 2 == 1 && ctx.degree() > 0 {
-            let introducer = ctx.msgs()[0].src;
-            let k = (ctx.rand_u64() % ctx.degree() as u64) as usize;
-            let friend = ctx.edges()[k];
-            if friend != introducer {
-                ctx.add_edge(friend); // my new shortcut
+        let state = ctx.state();
+        if state == u64::MAX {
+            let first = ctx.msgs()[0];
+            let (hop, contact) = (first.data & HOP_MASK, (first.data >> 32) as u32);
+            if contact != ctx.vertex() {
+                // My new shortcut (a no-op if we already know each other);
+                // it is part of my list from the next superstep on.
+                ctx.add_edge(contact);
+                ctx.set_state(hop | PENDING);
+                ctx.keep_active();
+            } else {
+                Self::gossip(ctx, hop);
             }
+        } else if state & PENDING != 0 {
+            Self::gossip(ctx, state & !PENDING);
         }
-        ctx.send_all(hop + 1);
     }
 }
 
@@ -72,26 +91,47 @@ fn main() {
         graph.num_edges()
     );
 
-    let ssd = Arc::new(Ssd::new(SsdConfig::default()));
-    let stored = StoredGraph::store(&ssd, &graph, "dyn").expect("fresh device");
-    ssd.stats().reset();
-    let mut engine = MultiLogEngine::new(Arc::clone(&ssd), stored, EngineConfig::default());
-    let report = engine.run(&GrowAndGossip, 4096);
-    assert!(report.converged);
+    // Same program with the edge-log optimizer on and off: where adjacency
+    // is read from must not change what the gossip computes or what the
+    // stored graph becomes.
+    let run = |edge_log: bool| {
+        let ssd = Arc::new(Ssd::new(SsdConfig::default()));
+        let stored = StoredGraph::store(&ssd, &graph, "dyn").expect("fresh device");
+        ssd.stats().reset();
+        let cfg = EngineConfig::default().with_edge_log(edge_log);
+        let mut engine = MultiLogEngine::new(Arc::clone(&ssd), stored, cfg);
+        let report = engine.run(&GrowAndGossip, 4096);
+        assert!(report.converged);
+        let final_graph = engine.graph().to_csr().expect("read back stored graph");
+        (engine.states().to_vec(), final_graph, report)
+    };
+    let (states, final_graph, report) = run(true);
 
-    let reached = engine.states().iter().filter(|&&s| s != u64::MAX).count();
-    let max_hop = engine.states().iter().filter(|&&s| s != u64::MAX).max().unwrap();
+    let reached = states.iter().filter(|&&s| s != u64::MAX).count();
+    let max_hop = states.iter().filter(|&&s| s != u64::MAX).max().unwrap();
     println!(
         "gossip reached {reached} vertices in {} supersteps (max hop {max_hop})",
         report.supersteps.len()
     );
 
-    // The structural updates really landed in the stored CSR.
-    let final_graph = engine.graph().to_csr().expect("read back stored graph");
+    // The structural updates really landed in the stored CSR: it grew by
+    // exactly the edges the merges report as effective.
+    let merged = report.mutations.expect("the program mutated the graph");
+    let in_run = report.supersteps.iter().filter(|s| s.mutations.merges > 0).count();
     println!(
-        "final graph: {} stored edges ({} added by triadic closure)",
+        "final graph: {} stored edges ({} added by triadic closure in {} merges, {in_run} of \
+         them while the gossip was still running)",
         final_graph.num_edges(),
-        final_graph.num_edges() - graph.num_edges()
+        merged.edges_added,
+        merged.merges
     );
-    assert!(final_graph.num_edges() > graph.num_edges());
+    assert!(merged.edges_added > 0 && in_run > 0);
+    assert_eq!(
+        final_graph.num_edges() as u64 - graph.num_edges() as u64,
+        merged.edges_added - merged.edges_removed
+    );
+
+    let (states_off, final_off, _) = run(false);
+    assert_eq!(states, states_off, "gossip result depends on the edge log");
+    assert!(final_graph == final_off, "stored graph depends on the edge log");
 }

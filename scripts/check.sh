@@ -40,6 +40,12 @@ echo "== mutation smoke (DESIGN.md §17) =="
 cargo test -q -p mlvc-bench --test schema_smoke bench_mutate_json_matches_schema
 cargo test -q --test mutation_equivalence
 
+echo "== dynamic-graph example (DESIGN.md §7, §17) =="
+# The only end-to-end run in which a program mutates the graph: the stored
+# CSR must grow by exactly the edges the merges report, and the gossip
+# result must not depend on whether adjacency came from the edge log.
+cargo run -q --release --example dynamic_graph
+
 echo "== benchmark package (read-only use of benchmark/) =="
 # The perf ledger is a package of its own that reaches the workspace only
 # through the `multilogvc` facade, so the workspace build above never

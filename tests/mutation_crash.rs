@@ -16,11 +16,17 @@
 //! 3. re-ingest the full batch and merge (no-op for any part that
 //!    already landed),
 //! 4. recompute cold on the recovered graph.
+//!
+//! The last leg crashes a run whose *program* edits the graph (paper
+//! §V-E): those edits commit through the same protocol, so steps 1–2
+//! alone bring the CSR back to a superstep boundary.
 
 use std::sync::Arc;
 
 use multilogvc::apps::{PageRank, Wcc};
-use multilogvc::core::{Engine, EngineConfig, MultiLogEngine, VertexProgram};
+use multilogvc::core::{
+    Engine, EngineConfig, InitActive, MultiLogEngine, VertexCtx, VertexProgram,
+};
 use multilogvc::graph::{Csr, StoredGraph, VertexIntervals};
 use multilogvc::mutate::{EdgeMutation, MutationConfig, MutationLog};
 use multilogvc::ssd::{FaultPlan, Ssd, SsdConfig};
@@ -228,5 +234,104 @@ fn attached_reconverge_survives_a_crash_at_every_write() {
         );
         assert!(rec.run(&prog, steps).interrupted.is_none());
         assert_eq!(rec.states(), golden.as_slice(), "states diverge at write {crash_at}");
+    }
+}
+
+/// A program that edits the graph while it runs (paper §V-E): every vertex
+/// adds an edge in superstep 1, some remove one in superstep 2 — where
+/// vertex 5 alone queues enough updates for its interval to reach the
+/// engine's merge threshold (1024) and commit at that boundary, the rest
+/// waiting for the end of the run — and every vertex adds another in
+/// superstep 3, with messages flowing over the current lists throughout.
+struct Rewire;
+
+impl VertexProgram for Rewire {
+    fn name(&self) -> &'static str {
+        "rewire"
+    }
+    fn init_state(&self, _v: u32) -> u64 {
+        0
+    }
+    fn init_active(&self, _n: usize) -> InitActive {
+        InitActive::All
+    }
+    fn process(&self, ctx: &mut VertexCtx<'_>) {
+        let (v, n) = (ctx.vertex(), ctx.num_vertices() as u32);
+        ctx.set_state(ctx.state() + ctx.msgs().len() as u64);
+        match ctx.superstep() {
+            1 => ctx.add_edge((v * 7 + 3) % n),
+            2 => {
+                if v % 3 == 0 && ctx.degree() > 0 {
+                    ctx.remove_edge(ctx.edges()[0]);
+                }
+                if v == 5 {
+                    (0..1024).for_each(|k| ctx.add_edge((5 + k % 11) % n));
+                }
+            }
+            3 => ctx.add_edge((v * 11 + 1) % n),
+            _ => return,
+        }
+        ctx.send_all(1);
+        ctx.keep_active();
+    }
+}
+
+/// The engine leg: in-run structural updates commit through the same
+/// protocol, so a crash at *any* page write of a mutating run — log
+/// flushes, shadow extents, manifests, installs — then `revive` and the
+/// committer's `recover` leaves a stored CSR that decodes, whose edge
+/// count is what its row pointers say, and in which every interval is that
+/// interval of the fault-free graph after some whole number of supersteps:
+/// never a row-pointer extent from one merge beside a column-index extent
+/// from another.
+#[test]
+fn in_run_structural_updates_survive_a_crash_at_every_write() {
+    const STEPS: usize = 4;
+    let g = mlvc_gen::erdos_renyi(160, 960, 9);
+    let run = |ssd: &Arc<Ssd>, sg: &Arc<StoredGraph>, steps: usize| {
+        let cfg = EngineConfig::default().with_memory(64 << 10).with_tag("job");
+        MultiLogEngine::with_shared_graph(Arc::clone(ssd), Arc::clone(sg), cfg).run(&Rewire, steps)
+    };
+
+    // Fault-free: the stored graph after 0..=STEPS whole supersteps.
+    let mut after: Vec<Csr> = Vec::new();
+    let mut total_writes = 0;
+    for steps in 0..=STEPS {
+        let (ssd, sg) = device(&g);
+        let writes_before = ssd.fault_counters().page_writes;
+        let r = run(&ssd, &sg, steps);
+        assert!(r.interrupted.is_none());
+        total_writes = ssd.fault_counters().page_writes - writes_before;
+        after.push(sg.to_csr().unwrap());
+        if steps == STEPS {
+            let merged: Vec<u64> = r.supersteps.iter().map(|s| s.mutations.intervals_merged).collect();
+            assert_eq!(merged, [0, 1, 0, 0], "vertex 5's interval commits at superstep 2");
+            assert!(r.mutations.unwrap().edges_removed > 0);
+        }
+    }
+    assert_ne!(after[STEPS], after[0]);
+    assert!(total_writes > 0);
+
+    let iv = VertexIntervals::uniform(g.num_vertices(), 8);
+    for crash_at in 1..=total_writes {
+        let (ssd, sg) = device(&g);
+        ssd.install_fault_plan(FaultPlan::crash_after(crash_at, 0xD1CE ^ crash_at));
+        let r = run(&ssd, &sg, STEPS);
+        assert!(r.interrupted.is_some() || crash_at == total_writes);
+
+        ssd.revive();
+        let mut committer =
+            MutationLog::new(Arc::clone(&ssd), iv.clone(), MutationConfig::default(), "job")
+                .unwrap();
+        committer.recover(&sg).unwrap_or_else(|e| panic!("recover at write {crash_at}: {e}"));
+        let got = sg.to_csr().unwrap_or_else(|e| panic!("CSR torn at write {crash_at}: {e}"));
+        assert_eq!(sg.num_edges(), got.num_edges() as u64, "edge count at write {crash_at}");
+        for i in iv.iter_ids() {
+            let same = |k: &Csr| iv.range(i).all(|v| k.out_edges(v) == got.out_edges(v));
+            assert!(
+                after.iter().any(same),
+                "interval {i} after a crash at write {crash_at}/{total_writes} is a mixture"
+            );
+        }
     }
 }

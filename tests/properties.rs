@@ -10,9 +10,10 @@ use std::sync::Arc;
 use multilogvc::apps::{Bfs, Coloring, Mis, MisState};
 use multilogvc::core::{Engine, EngineConfig, InitActive, MultiLogEngine, VertexCtx, VertexProgram};
 use multilogvc::graph::{
-    Adjacency, Csr, EdgeListBuilder, GraphLoader, StoredGraph, StructuralUpdate,
-    StructuralUpdateBuffer, VertexId, VertexIntervals,
+    Adjacency, Csr, EdgeListBuilder, GraphLoader, StoredGraph, StructuralUpdateBuffer, VertexId,
+    VertexIntervals,
 };
+use multilogvc::mutate::{apply_to_csr, EdgeMutation, MutationConfig, MutationLog};
 use multilogvc::log::{BitSet, EdgeLogConfig, EdgeLogOptimizer};
 use multilogvc::ssd::{DeviceError, FileId, Ssd, SsdConfig};
 
@@ -72,11 +73,30 @@ fn stored_graph_roundtrip() {
     }
 }
 
+/// Put what `buf` holds for intervals with at least `min` updates through
+/// the one CSR rewriter, as the engine does at a superstep boundary.
+fn commit_pending(mlog: &mut MutationLog, sg: &StoredGraph, buf: &mut StructuralUpdateBuffer, min: usize) {
+    let due = buf.take(min);
+    if due.iter().any(|l| !l.is_empty()) {
+        mlog.commit(sg, 4, &due).unwrap();
+    }
+}
+
+fn committer(ssd: &Arc<Ssd>, sg: &StoredGraph) -> MutationLog {
+    MutationLog::new(Arc::clone(ssd), sg.intervals().clone(), MutationConfig::default(), "p")
+        .unwrap()
+}
+
 /// The selective loader returns one arena holding exactly the current
 /// adjacency — the CSR's, patched by whatever the structural buffer has
 /// pending — for any sorted active subset of any interval, weighted or
 /// not, at page sizes that make a hub's list straddle many, one or no page
-/// boundary, with the column-index page span the row pointers imply.
+/// boundary, with the column-index page span the row pointers imply. And
+/// the patched view *is* the merge: what the loader shows before the
+/// pending updates are committed is, per vertex and in order, what the
+/// stored CSR holds after (DESIGN.md §7) — both equal to the in-memory
+/// golden `apply_to_csr`. Weighted graphs refuse structural updates, so
+/// they are loaded unpatched only.
 #[test]
 fn loader_arena_matches_csr() {
     let mut rng = SeededRng::seed_from_u64(102);
@@ -91,30 +111,37 @@ fn loader_arena_matches_csr() {
         let csr = if weighted {
             with_weights(&plain, |v, d| 0.5 + (v * 31 + d) as f32)
         } else {
-            plain
+            plain.clone()
         };
         let ssd = Arc::new(Ssd::new(SsdConfig::default().with_page_size(page_size)));
         let iv = VertexIntervals::uniform(n, k);
         let sg = StoredGraph::store_with(&ssd, &csr, "p", iv.clone()).unwrap();
 
-        // Pending structural updates: adds, removes of stored edges, and
-        // removes of edges that are not there.
+        // Pending structural updates: adds (of new and of stored edges),
+        // removes of stored edges, and removes of edges that are not there.
         let mut buf = StructuralUpdateBuffer::new(iv.clone(), 1 << 20);
+        let mut ups = Vec::new();
         for _ in 0..rng.gen_range(1usize..12) {
             let src = rng.gen_range(0u32..n as u32);
             let stored = csr.out_edges(src);
-            buf.push(if !stored.is_empty() && rng.gen_range(0u32..2) == 0 {
-                StructuralUpdate::RemoveEdge { src, dst: stored[rng.gen_range(0..stored.len())] }
+            let u = if !stored.is_empty() && rng.gen_range(0u32..2) == 0 {
+                EdgeMutation::remove(src, stored[rng.gen_range(0..stored.len())])
             } else if rng.gen_range(0u32..4) == 0 {
-                StructuralUpdate::RemoveEdge { src, dst: rng.gen_range(0u32..n as u32) }
+                EdgeMutation::remove(src, rng.gen_range(0u32..n as u32))
             } else {
-                StructuralUpdate::AddEdge { src, dst: rng.gen_range(0u32..n as u32) }
-            });
+                EdgeMutation::add(src, rng.gen_range(0u32..n as u32))
+            };
+            buf.push(u);
+            ups.push(u);
         }
+        let (golden, _) = apply_to_csr(&plain, &ups).unwrap();
 
         let mut loader = GraphLoader::new();
         let pick = rng.next_u64();
         for patch in [None, Some(&buf)] {
+            if weighted && patch.is_some() {
+                continue;
+            }
             for i in iv.iter_ids() {
                 let active: Vec<VertexId> =
                     iv.range(i).filter(|v| (pick >> (v % 61)) & 1 == 1).collect();
@@ -123,18 +150,9 @@ fn loader_arena_matches_csr() {
                 let base = csr.row_ptr()[iv.start(i) as usize];
                 for (j, (a, &v)) in adj.vertices().iter().zip(&active).enumerate() {
                     assert_eq!(a.v, v);
-                    let mut want = csr.out_edges(v).to_vec();
-                    if let Some(buf) = patch {
-                        buf.patch_adjacency(v, &mut want);
-                    }
+                    let want = if patch.is_some() { golden.out_edges(v) } else { csr.out_edges(v) };
                     assert_eq!(adj.edges(j), want, "case {case} vertex {v}");
-                    match adj.weights(j) {
-                        Some(w) if want == csr.out_edges(v) => {
-                            assert_eq!(Some(w), csr.out_weights(v), "case {case} vertex {v}")
-                        }
-                        Some(w) => assert_eq!(w.len(), want.len()),
-                        None => assert!(!weighted),
-                    }
+                    assert_eq!(adj.weights(j), csr.out_weights(v), "case {case} vertex {v}");
                     let (lo, hi) = (
                         csr.row_ptr()[v as usize] - base,
                         csr.row_ptr()[v as usize + 1] - base,
@@ -147,6 +165,11 @@ fn loader_arena_matches_csr() {
                     assert_eq!((a.page_lo, a.page_hi), span, "case {case} vertex {v}");
                 }
             }
+        }
+        if !weighted {
+            commit_pending(&mut committer(&ssd, &sg), &sg, &mut buf, 1);
+            assert_eq!(sg.to_csr().unwrap(), golden, "case {case}: merged CSR is not the view");
+            assert_eq!(sg.num_edges(), golden.num_edges() as u64);
         }
     }
 }
@@ -275,7 +298,11 @@ fn intervals_partition_vertex_space() {
 }
 
 /// Batched structural merging equals eager merging for any update
-/// sequence (DESIGN.md §7).
+/// sequence, per vertex as sets (DESIGN.md §7): the last op on an edge
+/// decides whether it is there, however the sequence was cut into merges.
+/// (Order and multiplicity may differ — an `Add` that a batch collapses
+/// onto a stored edge leaves it where it was; merged eagerly after a
+/// `Remove` it lands at the tail.)
 #[test]
 fn structural_batched_equals_eager() {
     let mut rng = SeededRng::seed_from_u64(104);
@@ -283,7 +310,7 @@ fn structural_batched_equals_eager() {
         let (n, edges) = arb_graph(&mut rng);
         let csr = build(n, &edges);
         let n_ups = rng.gen_range(0usize..40);
-        let ups: Vec<StructuralUpdate> = (0..n_ups)
+        let ups: Vec<EdgeMutation> = (0..n_ups)
             .map(|_| {
                 (
                     rng.gen_bool(0.5),
@@ -294,28 +321,42 @@ fn structural_batched_equals_eager() {
             .filter(|&(_, s, d)| (s as usize) < n && (d as usize) < n)
             .map(|(add, src, dst)| {
                 if add {
-                    StructuralUpdate::AddEdge { src, dst }
+                    EdgeMutation::add(src, dst)
                 } else {
-                    StructuralUpdate::RemoveEdge { src, dst }
+                    EdgeMutation::remove(src, dst)
                 }
             })
             .collect();
 
-        let (_s1, sg_batched) = store(&csr, 4);
+        let (s1, sg_batched) = store(&csr, 4);
+        let mut mlog = committer(&s1, &sg_batched);
         let mut buf = StructuralUpdateBuffer::new(sg_batched.intervals().clone(), 8);
         for &u in &ups {
             buf.push(u);
-            buf.merge_over_threshold(&sg_batched).unwrap();
+            commit_pending(&mut mlog, &sg_batched, &mut buf, 8);
         }
-        buf.merge_all(&sg_batched).unwrap();
+        commit_pending(&mut mlog, &sg_batched, &mut buf, 1);
 
-        let (_s2, sg_eager) = store(&csr, 4);
+        let (s2, sg_eager) = store(&csr, 4);
+        let mut mlog = committer(&s2, &sg_eager);
         let mut eager = StructuralUpdateBuffer::new(sg_eager.intervals().clone(), 1);
         for &u in &ups {
             eager.push(u);
-            eager.merge_all(&sg_eager).unwrap();
+            commit_pending(&mut mlog, &sg_eager, &mut eager, 1);
         }
-        assert_eq!(sg_batched.to_csr().unwrap(), sg_eager.to_csr().unwrap());
+
+        let (golden, _) = apply_to_csr(&csr, &ups).unwrap();
+        let (batched, eager) = (sg_batched.to_csr().unwrap(), sg_eager.to_csr().unwrap());
+        let set = |g: &Csr, v: VertexId| {
+            let mut e = g.out_edges(v).to_vec();
+            e.sort_unstable();
+            e.dedup();
+            e
+        };
+        for v in 0..n as VertexId {
+            assert_eq!(set(&batched, v), set(&eager, v), "vertex {v}");
+            assert_eq!(set(&batched, v), set(&golden, v), "vertex {v}");
+        }
     }
 }
 
