@@ -22,7 +22,7 @@ use crate::merge::{merge_pending, STRUCTURAL_MERGE_THRESHOLD};
 use crate::tiering::{attach_cache, Tiering};
 use crate::trace::Tracer;
 use crate::{
-    Engine, EngineConfig, InitActive, Reconverge, RunReport, SendSink, SuperstepStats,
+    Combine, Engine, EngineConfig, InitActive, Reconverge, RunReport, SendSink, SuperstepStats,
     VertexCtx, VertexOutputs, VertexProgram,
 };
 
@@ -282,8 +282,6 @@ pub(crate) struct Drive<'a> {
     pub(crate) tiering: Tiering,
     tracer: Option<Tracer>,
     checkpointer: Option<Checkpointer>,
-    /// The reusable combiner scratch (one slot per active vertex).
-    combined: Vec<Option<Update>>,
     /// The send buffers, one set per worker thread of the process stage:
     /// filled there, drained by the scatter stage, reused by every interval
     /// of every superstep.
@@ -315,8 +313,10 @@ impl<'a> Drive<'a> {
             intervals.clone(),
             MultiLogConfig {
                 buffer_bytes: cfg.multilog_budget(),
-                // The record shape follows the program, nothing else.
+                // The record shape and the decode follow the program,
+                // nothing else.
                 reads_src: prog.reads_src(),
+                combine: prog.combine(),
             },
             &cfg.tag,
         )?;
@@ -346,7 +346,6 @@ impl<'a> Drive<'a> {
             tiering,
             tracer,
             checkpointer: Checkpointer::open(ssd, &cfg.tag, cfg.checkpoint_every)?,
-            combined: Vec::new(),
             sinks: Vec::new(),
             pending: Vec::new(),
             all_active: false,
@@ -432,9 +431,9 @@ impl<'a> Drive<'a> {
 }
 
 /// Work unit handed to the parallel processing stage. Everything is
-/// borrowed in place — message slices from the fused batch or the combine
-/// buffer, adjacency from the interval's arena — so assembling the items
-/// copies nothing (DESIGN.md §12).
+/// borrowed in place — message slices from the interval's inbox, adjacency
+/// from the interval's arena — so assembling the items copies nothing
+/// (DESIGN.md §12).
 struct WorkItem<'a> {
     v: VertexId,
     msgs: &'a [Update],
@@ -447,21 +446,26 @@ struct WorkItem<'a> {
 
 /// Stable merge of two dest-sorted runs; on equal destinations `a` (the
 /// previous superstep's batch) stays ahead of `b` (the current superstep's
-/// drained log).
-fn merge_by_dest(a: &[Update], b: &[Update]) -> Vec<Update> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
+/// drained log). Under a `combine`, `a` arrives folded by the decode and
+/// the merge folds on: every record joins its destination's single update
+/// in merged order — the left fold over `a`'s records, then `b`'s.
+fn merge_by_dest(a: &[Update], b: &[Update], combine: Option<Combine>) -> Vec<Update> {
+    let mut out: Vec<Update> = Vec::with_capacity(a.len() + b.len());
+    let mut push = |u: Update| match (combine, out.last_mut()) {
+        (Some(f), Some(last)) if last.dest == u.dest => last.data = f(last.data, u.data),
+        (Some(_), _) => out.push(Update::new(u.dest, VertexId::MAX, u.data)),
+        (None, _) => out.push(u),
+    };
     let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        if a[i].dest <= b[j].dest {
-            out.push(a[i]);
+    while i < a.len() || j < b.len() {
+        if j >= b.len() || (i < a.len() && a[i].dest <= b[j].dest) {
+            push(a[i]);
             i += 1;
         } else {
-            out.push(b[j]);
+            push(b[j]);
             j += 1;
         }
     }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
     out
 }
 
@@ -521,8 +525,9 @@ type Fetched = Result<(BatchPlan, FusedBatch), DeviceError>;
 
 /// The fetch stage of a synchronous superstep (DESIGN.md §12): the owner
 /// keeps up to K fused-batch reads on the I/O queue, planned and submitted
-/// in plan order; scoped workers fetch the pages and decode + counting-sort
-/// them — pure functions of the page bytes; the owner retires tickets
+/// in plan order; scoped workers fetch the pages and decode them into inbox
+/// order — counting-sorted, or folded when the program declared a `combine`
+/// — pure functions of the page bytes; the owner retires tickets
 /// strictly in plan order and consumes the drained logs there. Every
 /// clock-, device- and cache-touching call runs on the owner thread, so
 /// the simulated timeline and every counter are identical at any
@@ -553,7 +558,7 @@ impl<'s, 'e> Fetch<'s, 'e> {
             let handoff = &handoffs[self.submitted];
             let worker = scope.spawn(move || {
                 let pages = ioq.fetch(ticket);
-                let batch = pages.and_then(|pages| reader.decode_sorted(&bplan, &pages));
+                let batch = pages.and_then(|pages| reader.decode(&bplan, &pages));
                 handoff.audit_write();
                 batch.map(|b| (bplan, b))
             });
@@ -623,6 +628,7 @@ impl<'d, 'a> Superstep<'d, 'a> {
                 inflight: VecDeque::new(),
             };
             for (bi, range) in plan.iter().enumerate() {
+                let t_fetch = Instant::now();
                 // The asynchronous model feeds the current superstep's own
                 // log back into later batches, so its reads must stay
                 // behind the scatter of earlier batches: it loads inline.
@@ -631,6 +637,7 @@ impl<'d, 'a> Superstep<'d, 'a> {
                 } else {
                     fetch.next(scope, bi)?
                 };
+                self.st.fetch_wait_ns += t_fetch.elapsed().as_nanos() as u64;
                 self.run_batch(range.clone(), &batch, &ioq)?;
             }
             Ok(())
@@ -648,7 +655,7 @@ impl<'d, 'a> Superstep<'d, 'a> {
             (self.st.messages_processed, self.st.messages_delivered, self.st.edges_scanned);
         self.st.load_ns += batch.load_ns;
         self.st.sort_ns += batch.sort_ns;
-        self.st.messages_processed += batch.updates.len() as u64;
+        self.st.messages_processed += batch.records;
         for i in range {
             self.run_interval(i, batch)?;
         }
@@ -667,6 +674,7 @@ impl<'d, 'a> Superstep<'d, 'a> {
     }
 
     fn run_interval(&mut self, i: IntervalId, batch: &FusedBatch) -> Result<(), DeviceError> {
+        let t_assemble = Instant::now();
         let inbox = self.inbox(i, batch)?;
         let actives = actives_for_interval(
             &inbox,
@@ -674,23 +682,21 @@ impl<'d, 'a> Superstep<'d, 'a> {
             self.d.graph.intervals().range(i),
             self.d.all_active,
         );
+        self.st.assemble_ns += t_assemble.elapsed().as_nanos() as u64;
         if actives.is_empty() {
             return Ok(());
         }
         let adj = self.load(i, &actives)?;
-        let mut combined = std::mem::take(&mut self.d.combined);
-        let items = self.assemble(&actives, &inbox, &adj, &mut combined);
+        let items = self.assemble(&actives, &inbox, &adj);
         let outputs = self.process(&items);
         self.scatter()?;
-        self.apply(i, &items, outputs)?;
-        drop(items);
-        self.d.combined = combined;
-        Ok(())
+        self.apply(i, &items, outputs)
     }
 
     /// Interval `i`'s inbox: the contiguous dest range of the sorted batch,
     /// borrowed in place — merged, in the asynchronous model, with whatever
-    /// the current superstep already logged for the interval.
+    /// the current superstep already logged for the interval. Under a
+    /// `combine` it holds one update per destination either way.
     fn inbox<'b>(
         &mut self,
         i: IntervalId,
@@ -711,7 +717,7 @@ impl<'d, 'a> Superstep<'d, 'a> {
         // `extra` is in log order: a stable sort of the small run plus a
         // two-run merge is a stable sort of the whole inbox.
         extra.sort_by_key(|u| u.dest);
-        Ok(Cow::Owned(merge_by_dest(previous, &extra)))
+        Ok(Cow::Owned(merge_by_dest(previous, &extra, self.d.prog.combine())))
     }
 
     /// Fetch adjacency for the interval's active vertices into one arena:
@@ -746,47 +752,31 @@ impl<'d, 'a> Superstep<'d, 'a> {
     }
 
     /// Assemble work items in vertex order — borrows only, no adjacency
-    /// clones or message copies. `combined` is the reusable combiner
-    /// scratch: one reduced message per active vertex when the program
-    /// installed a reduction.
+    /// clones or message copies. A vertex's messages are its group of the
+    /// inbox: every record, or the one the decode folded them into.
     fn assemble<'x>(
         &mut self,
         actives: &'x [(VertexId, Range<usize>)],
         inbox: &'x [Update],
         adj: &'x Adjacency,
-        combined: &'x mut Vec<Option<Update>>,
     ) -> Vec<WorkItem<'x>> {
-        let combine = self.d.prog.combine();
-        combined.clear();
-        combined.extend(actives.iter().map(|(v, r)| {
-            combine.and_then(|f| {
-                inbox[r.clone()]
-                    .iter()
-                    .map(|u| u.data)
-                    .reduce(f)
-                    .map(|data| Update::new(*v, VertexId::MAX, data))
-            })
-        }));
-        let combined: &'x [Option<Update>] = combined;
+        let t_assemble = Instant::now();
         assert_eq!(adj.len(), actives.len(), "one adjacency per active vertex");
         let mut items: Vec<WorkItem> = Vec::with_capacity(actives.len());
         for (k, ((v, r), a)) in actives.iter().zip(adj.vertices()).enumerate() {
             debug_assert_eq!(a.v, *v);
             let edges = adj.edges(k);
             self.st.edges_scanned += edges.len() as u64;
-            let msgs: &[Update] = match &combined[k] {
-                Some(u) => std::slice::from_ref(u),
-                None => &inbox[r.clone()],
-            };
-            self.st.messages_delivered += msgs.len() as u64;
+            self.st.messages_delivered += r.len() as u64;
             items.push(WorkItem {
                 v: *v,
-                msgs,
+                msgs: &inbox[r.clone()],
                 edges,
                 weights: adj.weights(k),
                 csr_pages: a.csr_pages(),
             });
         }
+        self.st.assemble_ns += t_assemble.elapsed().as_nanos() as u64;
         items
     }
 
@@ -857,6 +847,7 @@ impl<'d, 'a> Superstep<'d, 'a> {
         items: &[WorkItem],
         outputs: Vec<VertexOutputs>,
     ) -> Result<(), DeviceError> {
+        let t_apply = Instant::now();
         let d = &mut *self.d;
         let (use_elog, colidx_file) = (d.use_elog(), d.graph.colidx_file(i));
         d.states_audit.audit_write();
@@ -893,6 +884,7 @@ impl<'d, 'a> Superstep<'d, 'a> {
                 d.edgelog.log_edges(item.v, item.edges)?;
             }
         }
+        self.st.apply_ns += t_apply.elapsed().as_nanos() as u64;
         Ok(())
     }
 
@@ -907,6 +899,7 @@ impl<'d, 'a> Superstep<'d, 'a> {
         io0: SsdStatsSnapshot,
         report: &mut RunReport,
     ) -> Result<bool, DeviceError> {
+        let t_close = Instant::now();
         let d = &mut *self.d;
         let st = &mut self.st;
         let usage = d.loader.take_page_usage(d.ssd.page_size());
@@ -954,6 +947,7 @@ impl<'d, 'a> Superstep<'d, 'a> {
         st.io = d.ssd.stats().snapshot().since(&io0);
         st.compute_ns =
             d.cfg.cost.compute_ns(st.messages_processed, st.messages_delivered, st.edges_scanned);
+        st.close_out_ns = t_close.elapsed().as_nanos() as u64;
         st.wall_ns = wall0.elapsed().as_nanos() as u64;
         if let Some(t) = d.tracer.as_mut() {
             st.metrics = Some(t.record(d.ssd, st, fused_batches, &d.multilog, &d.edgelog));

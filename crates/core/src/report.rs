@@ -47,7 +47,8 @@ pub struct SuperstepStats {
     /// claims use simulated time).
     pub wall_ns: u64,
     /// Wall-clock time of the dataflow stages (reference only, like
-    /// `wall_ns`): log load + decode, in-memory sort, parallel vertex
+    /// `wall_ns`): log load + decode, in-memory sort (zero for a program
+    /// that declares `combine`: the decode folds instead), parallel vertex
     /// processing, and update scatter into the multi-log. Load + sort of
     /// batch *k+1* overlap the process + scatter of batch *k* (DESIGN.md
     /// §12), so these stage times can sum past `wall_ns`.
@@ -55,9 +56,19 @@ pub struct SuperstepStats {
     pub sort_ns: u64,
     pub process_ns: u64,
     pub scatter_ns: u64,
-    /// Wall-clock time of the adjacency loads (graph loader + edge log),
-    /// which run on the owner thread between the stages above.
+    /// Wall-clock time of what the owner thread does besides `process_ns`
+    /// and `scatter_ns`, so that the seven together account for `wall_ns`
+    /// ([`RunReport::owner_totals_ns`]): blocked on the next fused batch
+    /// (the fetch workers' load + sort it could not overlap; in the
+    /// asynchronous model the inline load itself), carving the interval's
+    /// inbox, active list and work items out of the batch, the adjacency
+    /// loads (graph loader + edge log), applying the processing outputs,
+    /// and the superstep close-out.
+    pub fetch_wait_ns: u64,
+    pub assemble_ns: u64,
     pub adjacency_ns: u64,
+    pub apply_ns: u64,
+    pub close_out_ns: u64,
     /// True if a crash-consistency checkpoint was written at this
     /// superstep's close-out (its I/O is charged to `io`).
     pub checkpointed: bool,
@@ -165,10 +176,26 @@ impl RunReport {
         t
     }
 
-    /// Wall-clock total of the adjacency loads, the stage
-    /// [`Self::stage_totals_ns`] has no slot for.
-    pub fn adjacency_total_ns(&self) -> u64 {
-        self.supersteps.iter().map(|s| s.adjacency_ns).sum()
+    /// Wall-clock totals of the owner thread's time, in the order it is
+    /// spent: `[fetch wait, assemble, adjacency, process, scatter, apply,
+    /// close-out]`. Unlike [`Self::stage_totals_ns`] nothing here overlaps,
+    /// so the seven sum to the supersteps' `wall_ns` less what no timer
+    /// names.
+    pub fn owner_totals_ns(&self) -> [u64; 7] {
+        let mut t = [0u64; 7];
+        for s in &self.supersteps {
+            let row = [
+                s.fetch_wait_ns,
+                s.assemble_ns,
+                s.adjacency_ns,
+                s.process_ns,
+                s.scatter_ns,
+                s.apply_ns,
+                s.close_out_ns,
+            ];
+            t.iter_mut().zip(row).for_each(|(t, ns)| *t += ns);
+        }
+        t
     }
 
     /// Storage fraction of the whole run (Fig. 5c).

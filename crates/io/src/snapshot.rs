@@ -54,6 +54,37 @@ fn read_exact_or(r: &mut impl Read, buf: &mut [u8], what: &str) -> Result<(), Io
         .map_err(|_| IoError::Format(format!("truncated snapshot while reading {what}")))
 }
 
+fn header_count(bytes: [u8; 8], what: &str) -> Result<usize, IoError> {
+    usize::try_from(u64::from_le_bytes(bytes))
+        .map_err(|_| IoError::Format(format!("{what} out of range")))
+}
+
+/// Bytes requested from the reader at a time.
+const BLOCK_BYTES: usize = 64 << 10;
+
+/// Read `count` little-endian `W`-byte words, a block at a time. `count`
+/// comes from the unvalidated header, so nothing is sized by it: the vector
+/// grows as bytes actually arrive, and a header that claims more than the
+/// file holds ends in the truncation error.
+fn read_words<const W: usize, T>(
+    r: &mut impl Read,
+    count: usize,
+    what: &str,
+    from_le: impl Fn([u8; W]) -> T,
+) -> Result<Vec<T>, IoError> {
+    let mut block = vec![0u8; BLOCK_BYTES];
+    let mut out = Vec::new();
+    let mut left = count;
+    while left > 0 {
+        let take = left.min(BLOCK_BYTES / W);
+        let bytes = &mut block[..take * W];
+        read_exact_or(r, bytes, what)?;
+        out.extend(bytes.as_chunks::<W>().0.iter().map(|word| from_le(*word)));
+        left -= take;
+    }
+    Ok(out)
+}
+
 /// Deserialize a CSR graph, validating magic, version, and structure.
 pub fn read_csr_binary<R: Read>(reader: R) -> Result<Csr, IoError> {
     let mut r = BufReader::new(reader);
@@ -78,27 +109,17 @@ pub fn read_csr_binary<R: Read>(reader: R) -> Result<Csr, IoError> {
     let weighted = flags & 1 == 1;
     let mut b8 = [0u8; 8];
     read_exact_or(&mut r, &mut b8, "vertex count")?;
-    let n = u64::from_le_bytes(b8) as usize;
+    let n = header_count(b8, "vertex count")?;
     read_exact_or(&mut r, &mut b8, "edge count")?;
-    let m = u64::from_le_bytes(b8) as usize;
+    let m = header_count(b8, "edge count")?;
 
-    let mut row_ptr = Vec::with_capacity(n + 1);
-    for _ in 0..=n {
-        read_exact_or(&mut r, &mut b8, "row_ptr")?;
-        row_ptr.push(u64::from_le_bytes(b8));
-    }
-    let mut col_idx = Vec::with_capacity(m);
-    for _ in 0..m {
-        read_exact_or(&mut r, &mut b4, "col_idx")?;
-        col_idx.push(u32::from_le_bytes(b4));
-    }
+    let rows = n
+        .checked_add(1)
+        .ok_or_else(|| IoError::Format("vertex count out of range".into()))?;
+    let row_ptr = read_words(&mut r, rows, "row_ptr", u64::from_le_bytes)?;
+    let col_idx = read_words(&mut r, m, "col_idx", u32::from_le_bytes)?;
     let weights = if weighted {
-        let mut ws = Vec::with_capacity(m);
-        for _ in 0..m {
-            read_exact_or(&mut r, &mut b4, "weights")?;
-            ws.push(f32::from_bits(u32::from_le_bytes(b4)));
-        }
-        Some(ws)
+        Some(read_words(&mut r, m, "weights", |b| f32::from_bits(u32::from_le_bytes(b)))?)
     } else {
         None
     };
@@ -169,6 +190,32 @@ mod tests {
         let mut extended = buf.clone();
         extended.push(0);
         assert!(matches!(read_csr_binary(extended.as_slice()), Err(IoError::Format(_))));
+    }
+
+    /// The header's counts size nothing: a file that claims more than it
+    /// holds is a truncated snapshot, however much it claims.
+    #[test]
+    fn header_counts_beyond_the_file_are_a_typed_error() {
+        let g = mlvc_gen::path(5);
+        let mut buf = Vec::new();
+        write_csr_binary(&mut buf, &g).unwrap();
+        let truncated = |r: Result<Csr, IoError>, what: &str| match r {
+            Err(IoError::Format(msg)) => assert!(msg.contains(what), "{msg}"),
+            other => panic!("expected a truncation error in {what}, got {other:?}"),
+        };
+        // Cut mid-`col_idx`: header + row_ptr + one and a half entries.
+        let col_off = 8 + 4 + 4 + 8 + 8 + (5 + 1) * 8;
+        truncated(read_csr_binary(&buf[..col_off + 6]), "col_idx");
+        // A 40-byte file: header claiming 2^60 edges, one row_ptr word.
+        let mut huge = buf[..16].to_vec();
+        huge.extend_from_slice(&0u64.to_le_bytes());
+        huge.extend_from_slice(&(1u64 << 60).to_le_bytes());
+        huge.extend_from_slice(&(1u64 << 60).to_le_bytes());
+        assert_eq!(huge.len(), 40);
+        truncated(read_csr_binary(huge.as_slice()), "col_idx");
+        // And 2^64 - 1 vertices: the row count itself does not fit.
+        huge[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(matches!(read_csr_binary(huge.as_slice()), Err(IoError::Format(_))));
     }
 
     #[test]

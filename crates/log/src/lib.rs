@@ -12,9 +12,10 @@
 //! * [`SortGroup`] — the **Sort & Group Unit** (§V-B): fuses consecutive
 //!   interval logs while they fit in the sort budget, loads them with full
 //!   channel parallelism, sorts **in memory** (the whole point: no external
-//!   sort), and yields per-destination message groups; an optional
-//!   `combine` reduction is applied transparently when the algorithm
-//!   permits it (§V-D);
+//!   sort), and yields per-destination message groups; when the algorithm
+//!   declares a `combine` reduction (§V-D) the groups are folded as the
+//!   pages are decoded instead, one update per destination, and nothing is
+//!   sorted at all;
 //! * [`EdgeLogOptimizer`] — the **Edge-Log Optimizer** (§V-C): predicts
 //!   next-superstep active vertices from N supersteps of history bit
 //!   vectors, predicts inefficiently used column-index pages from the

@@ -29,12 +29,17 @@ pub struct MultiLogConfig {
     /// records are logged without their source and drain with
     /// `src = VertexId::MAX`.
     pub reads_src: bool,
+    /// The consuming program's message reduction
+    /// (`VertexProgram::combine`, set by the engine). With one, the read
+    /// side folds each destination's records into a single update as it
+    /// decodes them ([`LogReader::decode`]); what is logged does not change.
+    pub combine: Option<fn(u64, u64) -> u64>,
 }
 
 impl Default for MultiLogConfig {
     fn default() -> Self {
         // 5% of the paper's default 1 GB budget, scaled: engines override.
-        MultiLogConfig { buffer_bytes: 4 << 20, reads_src: true }
+        MultiLogConfig { buffer_bytes: 4 << 20, reads_src: true, combine: None }
     }
 }
 
@@ -135,6 +140,8 @@ pub struct MultiLog {
     updates_read: Arc<RelaxedCounter>,
     /// Per-interval share of `stats.bytes_appended` (same counting).
     bytes_per_interval: Vec<u64>,
+    /// Handed to every [`LogReader`]; the write side never looks at it.
+    combine: Option<fn(u64, u64) -> u64>,
 }
 
 /// Shared-nothing handle onto the **read side** of the multi-log — the
@@ -145,9 +152,9 @@ pub struct MultiLog {
 /// and every [`Ssd`] method takes `&self`).
 ///
 /// Draining a fused batch is three steps: [`Self::plan_reads`] on the
-/// owner, [`Self::decode_sorted`] on whichever thread holds the fetched
-/// page bytes, and [`Self::consume`] back on the owner — the only step
-/// that touches the device or any counter.
+/// owner, [`Self::decode`] on whichever thread holds the fetched page
+/// bytes, and [`Self::consume`] back on the owner — the only step that
+/// touches the device or any counter.
 ///
 /// The sides flip at [`MultiLog::finish_superstep`], so a reader is only
 /// valid for the superstep it was created in: create one per superstep via
@@ -156,6 +163,7 @@ pub struct LogReader {
     pub(crate) ssd: Arc<Ssd>,
     files: Vec<FileId>,
     intervals: VertexIntervals,
+    combine: Option<fn(u64, u64) -> u64>,
     updates_read: Arc<RelaxedCounter>,
     /// One shadow cell per interval auditing the take-once protocol:
     /// [`Self::consume`] truncates interval `i`'s log, so two unordered
@@ -168,7 +176,7 @@ pub struct LogReader {
 /// half of the read path. Built on the owning engine thread (so the
 /// submission order is deterministic), fetched through an
 /// [`mlvc_ssd::IoQueue`] or a plain `read_batch`, and decoded via
-/// [`LogReader::decode_sorted`].
+/// [`LogReader::decode`].
 #[derive(Debug, Clone)]
 pub struct BatchPlan {
     pub range: std::ops::Range<IntervalId>,
@@ -214,19 +222,91 @@ impl LogReader {
         Ok(BatchPlan { range, reqs, pages_per_interval })
     }
 
-    /// The one decoder of log pages into inbox order: decode the pages
-    /// fetched for `plan` (one `Vec<u8>` per request, in plan order) and
+    /// Decode the pages fetched for `plan` (one `Vec<u8>` per request, in
+    /// plan order) into inbox order, the way the consuming program asked
+    /// for: folded to one update per destination when it declared a
+    /// `combine` ([`MultiLogConfig::combine`]), every record kept
+    /// ([`Self::decode_sorted`]) when it did not. Either way a pure
+    /// function of `plan` and `pages` — it touches neither the device nor
+    /// any counter, so it may run on any thread without moving a
+    /// deterministic number; [`Self::consume`] does the rest.
+    pub fn decode(&self, plan: &BatchPlan, pages: &[Vec<u8>]) -> Result<FusedBatch, DeviceError> {
+        match self.combine {
+            Some(f) => self.decode_folded(plan, pages, f),
+            None => self.decode_sorted(plan, pages),
+        }
+    }
+
+    /// Sort-reduce at decode (BigSparse): one pass over each interval's
+    /// pages folding every record into its destination's accumulator, then
+    /// one ascending sweep emitting an update per destination that received
+    /// anything — the sorted, un-reduced inbox never exists. Pages are
+    /// walked in plan order and records in page order, which is the
+    /// per-destination order [`Self::decode_sorted`] produces, so each
+    /// accumulator is the left fold `reduce(f)` over that destination's
+    /// group would give, to the bit, for any `f`. Folded updates carry
+    /// `src = VertexId::MAX`. There is no sort to time: `sort_ns` is zero.
+    fn decode_folded(
+        &self,
+        plan: &BatchPlan,
+        pages: &[Vec<u8>],
+        f: fn(u64, u64) -> u64,
+    ) -> Result<FusedBatch, DeviceError> {
+        assert_eq!(pages.len(), plan.reqs.len(), "fetched pages must match the plan");
+        let t_load = Instant::now();
+        let mut out = Vec::new();
+        let mut acc: Vec<u64> = Vec::new();
+        let (mut records, mut useful_bytes) = (0usize, 0u64);
+        let mut cursor = 0usize;
+        for (k, i) in plan.range.clone().enumerate() {
+            let n = plan.interval_page_count(k)?;
+            let span = self.intervals.range(i);
+            let lo = span.start;
+            // The decoder bounds every destination against `span`, so the
+            // `dest - lo` indexing below cannot leave the scratch.
+            let width = idx(span.end - lo);
+            acc.clear();
+            acc.resize(width, 0);
+            let mut present = BitSet::new(width);
+            for raw in &pages[cursor..cursor + n] {
+                let p = LogPage::parse(raw)?;
+                p.for_each(&span, |u| {
+                    let slot = idx(u.dest - lo);
+                    acc[slot] = if present.get(slot) {
+                        f(acc[slot], u.data)
+                    } else {
+                        present.set(slot);
+                        u.data
+                    };
+                })?;
+                records += p.len();
+                useful_bytes += to_u64(p.encoded_bytes());
+            }
+            out.reserve(present.count());
+            out.extend(present.iter_ones().map(|slot| {
+                let dest = lo + to_u32("vertex offset", slot).unwrap_or(VertexId::MAX);
+                Update::new(dest, VertexId::MAX, acc[slot])
+            }));
+            cursor += n;
+        }
+        Ok(FusedBatch {
+            range: plan.range.clone(),
+            updates: out,
+            records: to_u64(records),
+            load_ns: elapsed_ns(t_load),
+            sort_ns: 0,
+            useful_bytes,
+        })
+    }
+
+    /// The decoder for programs that consume every message individually:
     /// stable counting-sort each interval by destination in one pass pair —
     /// a histogram pass straight off the page bytes, then a decode pass
     /// that places every record at its final slot. Interval spans are
     /// disjoint and ascending, so the interval-major output is the fused
     /// batch sorted by destination, per-destination log order preserved.
-    ///
-    /// A pure function of `plan` and `pages`: it touches neither the device
-    /// nor any counter, so it may run on any thread without moving a
-    /// deterministic number. [`Self::consume`] does the rest. `load_ns` /
-    /// `sort_ns` of the result split the wall time between the decode/place
-    /// work and the histogram/prefix work for stage reporting.
+    /// `load_ns` / `sort_ns` of the result split the wall time between the
+    /// decode/place work and the histogram/prefix work for stage reporting.
     pub fn decode_sorted(
         &self,
         plan: &BatchPlan,
@@ -277,7 +357,14 @@ impl LogReader {
             cursor += n;
         }
         let load_ns = elapsed_ns(t_load).saturating_sub(sort_ns);
-        Ok(FusedBatch { range: plan.range.clone(), updates: out, load_ns, sort_ns, useful_bytes })
+        Ok(FusedBatch {
+            range: plan.range.clone(),
+            records: to_u64(out.len()),
+            updates: out,
+            load_ns,
+            sort_ns,
+            useful_bytes,
+        })
     }
 
     /// Consume the logs `batch` was decoded from: the take-once audit per
@@ -296,7 +383,7 @@ impl LogReader {
             }
         }
         self.ssd.declare_useful(batch.useful_bytes);
-        self.updates_read.add(to_u64(batch.updates.len()));
+        self.updates_read.add(batch.records);
         Ok(())
     }
 }
@@ -383,6 +470,7 @@ impl MultiLog {
             stats: MultiLogStats::default(),
             updates_read: Arc::new(RelaxedCounter::new(0)),
             bytes_per_interval: vec![0; n],
+            combine: cfg.combine,
         })
     }
 
@@ -406,6 +494,7 @@ impl MultiLog {
             ssd: Arc::clone(&self.ssd),
             files: self.files.iter().map(|f| f[side]).collect(),
             intervals: self.intervals.clone(),
+            combine: self.combine,
             updates_read: Arc::clone(&self.updates_read),
             take_audit: (0..self.files.len())
                 .map(|_| Tracked::new("LogReader::take_log interval", ()))
@@ -725,7 +814,8 @@ mod tests {
         // 256-byte pages, intervals of 25 vertices: narrow pages of 17
         // records with a source, 24 without.
         let iv = VertexIntervals::uniform(100, 4);
-        MultiLog::new(ssd, iv, MultiLogConfig { buffer_bytes, reads_src }, "t").unwrap()
+        let cfg = MultiLogConfig { buffer_bytes, reads_src, ..Default::default() };
+        MultiLog::new(ssd, iv, cfg, "t").unwrap()
     }
 
     /// Consume interval `i`'s read side through the one read path.
@@ -827,33 +917,42 @@ mod tests {
         assert_eq!(ml.stats().updates_read, 1, "reads flow into owner stats");
     }
 
-    /// Decoding is a pure function of the page bytes: until `consume`
-    /// runs, the device, its counters and the log files are untouched.
+    /// Decoding is a pure function of the page bytes, folding or not: until
+    /// `consume` runs, the device, its counters and the log files are
+    /// untouched.
     #[test]
     fn decode_sorted_alone_moves_no_device_state() {
-        let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
-        let mut ml = setup_on(Arc::clone(&ssd), 1 << 20, true);
-        for k in 0..200u32 {
-            ml.send(Update::new(k % 100, k, u64::from(k))).unwrap();
+        for fold in [false, true] {
+            let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
+            let mut ml = setup_on(Arc::clone(&ssd), 1 << 20, true);
+            for k in 0..200u32 {
+                ml.send(Update::new(k % 100, k, u64::from(k))).unwrap();
+            }
+            ml.finish_superstep().unwrap();
+            let reader = ml.reader();
+            let plan = reader.plan_reads(0..4).unwrap();
+            let pages = ssd.read_batch(&plan.reqs).unwrap();
+            let before = ssd.stats().snapshot();
+            let batch = if fold {
+                reader.decode_folded(&plan, &pages, u64::wrapping_add).unwrap()
+            } else {
+                reader.decode_sorted(&plan, &pages).unwrap()
+            };
+            // Two records per destination: k and k + 100.
+            assert_eq!(batch.records, 200);
+            assert_eq!(batch.updates.len(), if fold { 100 } else { 200 });
+            assert_eq!(ssd.stats().snapshot(), before, "decode charged the device");
+            assert_eq!(ml.stats().updates_read, 0);
+            let file = ssd.lookup("t.mlog.0.a").unwrap();
+            assert!(ssd.num_pages(file).unwrap() > 0, "decode truncated the log");
+            reader.consume(&plan, &batch).unwrap();
+            assert_eq!(ssd.num_pages(file).unwrap(), 0);
+            assert_eq!(ml.stats().updates_read, 200, "fold={fold}: records, not updates");
+            assert_eq!(
+                ssd.stats().snapshot().useful_bytes_read - before.useful_bytes_read,
+                batch.useful_bytes
+            );
         }
-        ml.finish_superstep().unwrap();
-        let reader = ml.reader();
-        let plan = reader.plan_reads(0..4).unwrap();
-        let pages = ssd.read_batch(&plan.reqs).unwrap();
-        let before = ssd.stats().snapshot();
-        let batch = reader.decode_sorted(&plan, &pages).unwrap();
-        assert_eq!(batch.updates.len(), 200);
-        assert_eq!(ssd.stats().snapshot(), before, "decode charged the device");
-        assert_eq!(ml.stats().updates_read, 0);
-        let file = ssd.lookup("t.mlog.0.a").unwrap();
-        assert!(ssd.num_pages(file).unwrap() > 0, "decode truncated the log");
-        reader.consume(&plan, &batch).unwrap();
-        assert_eq!(ssd.num_pages(file).unwrap(), 0);
-        assert_eq!(ml.stats().updates_read, 200);
-        assert_eq!(
-            ssd.stats().snapshot().useful_bytes_read - before.useful_bytes_read,
-            batch.useful_bytes
-        );
     }
 
     #[test]
@@ -1050,6 +1149,7 @@ mod tests {
         let plan = reader.plan_reads(0..4).unwrap();
         let pages = ssd.read_batch(&plan.reqs).unwrap();
         assert_corrupt(reader.decode_sorted(&plan, &pages), "decode_sorted");
+        assert_corrupt(reader.decode_folded(&plan, &pages, u64::wrapping_add), "decode_folded");
         // Checkpoint restore: the snapshot carries the corrupt page.
         let (ssd, ml) = fresh();
         let snapshot = ml.snapshot_pending().unwrap();

@@ -14,8 +14,14 @@ pub struct FusedBatch {
     pub range: Range<IntervalId>,
     /// Updates sorted by destination; insertion order preserved within a
     /// destination (stable sort) — required by algorithms that consume
-    /// every message individually.
+    /// every message individually. Under a `combine` the decode folded them:
+    /// at most one per destination, holding the reduction of its records in
+    /// that same order.
     pub updates: Vec<Update>,
+    /// Log records the batch was decoded from — `updates.len()` unless they
+    /// were folded. What the engine counts as consumed and charges the sort
+    /// cost for.
+    pub records: u64,
     /// Wall-clock nanoseconds spent reading + decoding the fused logs, and
     /// sorting them in memory. Reference timings surfaced through
     /// `SuperstepStats`; experiment claims use simulated device time, never
@@ -63,7 +69,8 @@ pub fn plan_fusion(counts: &[u64], sort_budget_bytes: usize) -> Vec<Range<Interv
 
 /// The Sort & Group Unit (paper §V-B): fuses interval logs and sorts them
 /// **in host memory** — the step that replaces GraFBoost's external sort.
-/// The sort itself is [`LogReader::decode_sorted`]'s counting pass.
+/// The sort itself is [`LogReader::decode`]'s counting pass, or its fold
+/// when the program declared a `combine`.
 pub struct SortGroup {
     sort_budget_bytes: usize,
 }
@@ -89,7 +96,7 @@ impl SortGroup {
     /// the asynchronous model (§V-F), whose reads must stay behind the
     /// scatter of earlier batches; the synchronous engine instead queues
     /// whole fused batches through an [`mlvc_ssd::IoQueue`] and runs the
-    /// same [`LogReader::decode_sorted`] / [`LogReader::consume`] pair.
+    /// same [`LogReader::decode`] / [`LogReader::consume`] pair.
     pub fn load_batch(
         &self,
         reader: &LogReader,
@@ -98,6 +105,7 @@ impl SortGroup {
         let mut fused = FusedBatch {
             range: range.clone(),
             updates: Vec::new(),
+            records: 0,
             load_ns: 0,
             sort_ns: 0,
             useful_bytes: 0,
@@ -108,8 +116,9 @@ impl SortGroup {
             let pages =
                 if plan.reqs.is_empty() { Vec::new() } else { reader.ssd.read_batch(&plan.reqs)? };
             let read_ns = elapsed_ns(t_read);
-            let one = reader.decode_sorted(&plan, &pages)?;
+            let one = reader.decode(&plan, &pages)?;
             reader.consume(&plan, &one)?;
+            fused.records += one.records;
             fused.load_ns += read_ns + one.load_ns;
             fused.sort_ns += one.sort_ns;
             fused.useful_bytes += one.useful_bytes;
@@ -226,7 +235,7 @@ mod tests {
             let mut ml = MultiLog::new(
                 ssd,
                 iv,
-                MultiLogConfig { buffer_bytes: buffer_pages * 256, reads_src: true },
+                MultiLogConfig { buffer_bytes: buffer_pages * 256, ..Default::default() },
                 "p",
             )
             .unwrap();
@@ -273,7 +282,7 @@ mod tests {
                 MultiLog::new(
                     Arc::clone(ssd),
                     iv,
-                    MultiLogConfig { buffer_bytes: 8 * 256, reads_src: true },
+                    MultiLogConfig { buffer_bytes: 8 * 256, ..Default::default() },
                     &format!("tw{k}"),
                 )
                 .unwrap()

@@ -4,7 +4,9 @@
 //! with per-worker state, map two zipped slices, map contiguous chunks of a
 //! slice, and stable-sort a slice by key. This crate provides them on plain `std::thread::scope`, with no
 //! external dependencies, so the workspace builds offline and the
-//! parallelism story stays auditable.
+//! parallelism story stays auditable. Every fan-out is one fork/join in
+//! which the calling thread takes the first chunk itself and spawns a
+//! thread for each of the others.
 //!
 //! Determinism: results are always concatenated in input order and the sort
 //! is stable (ties keep their input order), so every helper is a drop-in,
@@ -212,6 +214,39 @@ fn join_unwind<R>(r: thread::Result<R>) -> R {
     }
 }
 
+/// The one fork/join every helper below goes through: run `jobs`
+/// concurrently and return their results in job order. The caller is a
+/// worker — it spawns jobs `1..` through [`spawn_ordered`] (so the seeded
+/// spawn-order permutation applies to them), runs job 0 itself, then joins
+/// — so a fan-out over `n` chunks costs `n - 1` spawns and never parks the
+/// calling thread behind work it could be doing. A panic in any job
+/// propagates: the caller's own unwinds through the scope (which first
+/// joins the rest), a spawned one is re-raised at its join.
+fn fork_join<'env, F, R>(jobs: Vec<F>) -> Vec<R>
+where
+    F: FnOnce() -> R + Send + 'env,
+    R: Send + 'env,
+{
+    let mut jobs = jobs.into_iter();
+    let Some(mine) = jobs.next() else {
+        return Vec::new();
+    };
+    scope(|s| {
+        let handles = spawn_ordered(s, jobs.collect());
+        let mut out = Vec::with_capacity(handles.len() + 1);
+        out.push(mine());
+        out.extend(handles.into_iter().map(|h| join_unwind(h.join())));
+        out
+    })
+}
+
+/// Per-chunk results, `n` elements in all, joined in chunk order.
+fn concat<R>(chunks: Vec<Vec<R>>, n: usize) -> Vec<R> {
+    let mut out = Vec::with_capacity(n);
+    chunks.into_iter().for_each(|c| out.extend(c));
+    out
+}
+
 /// Parallel `items.iter().map(f).collect()`, preserving input order.
 pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
@@ -226,17 +261,9 @@ where
     }
     let chunk = n.div_ceil(threads);
     let f = &f;
-    let mut out = Vec::with_capacity(n);
-    scope(|s| {
-        let jobs: Vec<_> = items
-            .chunks(chunk)
-            .map(|c| move || c.iter().map(f).collect::<Vec<R>>())
-            .collect();
-        for h in spawn_ordered(s, jobs) {
-            out.extend(join_unwind(h.join()));
-        }
-    });
-    out
+    let jobs: Vec<_> =
+        items.chunks(chunk).map(|c| move || c.iter().map(f).collect::<Vec<R>>()).collect();
+    concat(fork_join(jobs), n)
 }
 
 /// [`par_map`] with per-worker state: `items` splits into at most
@@ -264,18 +291,12 @@ where
     }
     let chunk = n.div_ceil(threads);
     let f = &f;
-    let mut out = Vec::with_capacity(n);
-    scope(|s| {
-        let jobs: Vec<_> = items
-            .chunks(chunk)
-            .zip(workers.iter_mut())
-            .map(|(c, w)| move || c.iter().map(|x| f(x, w)).collect::<Vec<R>>())
-            .collect();
-        for h in spawn_ordered(s, jobs) {
-            out.extend(join_unwind(h.join()));
-        }
-    });
-    out
+    let jobs: Vec<_> = items
+        .chunks(chunk)
+        .zip(workers.iter_mut())
+        .map(|(c, w)| move || c.iter().map(|x| f(x, w)).collect::<Vec<R>>())
+        .collect();
+    concat(fork_join(jobs), n)
 }
 
 /// Parallel `a.iter().zip(b).map(|(x, y)| f(x, y)).collect()`, preserving
@@ -295,18 +316,12 @@ where
     }
     let chunk = n.div_ceil(threads);
     let f = &f;
-    let mut out = Vec::with_capacity(n);
-    scope(|s| {
-        let jobs: Vec<_> = a
-            .chunks(chunk)
-            .zip(b.chunks(chunk))
-            .map(|(ca, cb)| move || ca.iter().zip(cb).map(|(x, y)| f(x, y)).collect::<Vec<R>>())
-            .collect();
-        for h in spawn_ordered(s, jobs) {
-            out.extend(join_unwind(h.join()));
-        }
-    });
-    out
+    let jobs: Vec<_> = a
+        .chunks(chunk)
+        .zip(b.chunks(chunk))
+        .map(|(ca, cb)| move || ca.iter().zip(cb).map(|(x, y)| f(x, y)).collect::<Vec<R>>())
+        .collect();
+    concat(fork_join(jobs), n)
 }
 
 /// Apply `f` to contiguous chunks of `items` (at most [`max_threads`] of
@@ -333,14 +348,7 @@ where
     }
     let chunk = n.div_ceil(threads);
     let f = &f;
-    let mut out = Vec::with_capacity(threads);
-    scope(|s| {
-        let jobs: Vec<_> = items.chunks(chunk).map(|c| move || f(c)).collect();
-        for h in spawn_ordered(s, jobs) {
-            out.push(join_unwind(h.join()));
-        }
-    });
-    out
+    fork_join(items.chunks(chunk).map(|c| move || f(c)).collect())
 }
 
 /// Stable parallel sort by key — the same guarantee `slice::sort_by_key`
@@ -373,15 +381,9 @@ where
 
     // 1. Stable chunk sorts: indices within a chunk start ascending, so
     //    equal keys keep input order.
-    scope(|s| {
-        let jobs: Vec<_> = perm
-            .chunks_mut(chunk)
-            .map(|c| move || c.sort_by(|&a, &b| keys[a].cmp(&keys[b])))
-            .collect();
-        for h in spawn_ordered(s, jobs) {
-            join_unwind(h.join());
-        }
-    });
+    fork_join(
+        perm.chunks_mut(chunk).map(|c| move || c.sort_by(|&a, &b| keys[a].cmp(&keys[b]))).collect(),
+    );
 
     // 2. Merge levels: every pair of adjacent runs merges concurrently into
     //    the other buffer; the buffers swap roles between levels.
@@ -389,16 +391,12 @@ where
     let mut dst: &mut [usize] = &mut scratch;
     let mut run = chunk;
     while run < n {
-        scope(|s| {
-            let jobs: Vec<_> = src
-                .chunks(2 * run)
+        fork_join(
+            src.chunks(2 * run)
                 .zip(dst.chunks_mut(2 * run))
                 .map(|(sp, dp)| move || merge_runs_idx(sp, dp, run, keys))
-                .collect();
-            for h in spawn_ordered(s, jobs) {
-                join_unwind(h.join());
-            }
-        });
+                .collect(),
+        );
         std::mem::swap(&mut src, &mut dst);
         run *= 2;
     }
@@ -645,6 +643,19 @@ mod tests {
         assert_eq!(max_threads(), 8);
         set_thread_override(None);
         assert!(max_threads() >= 1);
+    }
+
+    /// The caller is a worker: of two jobs exactly one — the first — runs on
+    /// the calling thread, and results still come back in job order.
+    #[test]
+    fn fork_join_runs_the_first_job_on_the_calling_thread() {
+        let me = thread::current().id();
+        let job = |k: usize| move || (k, thread::current().id());
+        let ran = fork_join(vec![job(0), job(1)]);
+        assert_eq!(ran.iter().map(|r| r.0).collect::<Vec<_>>(), [0, 1]);
+        assert_eq!(ran[0].1, me);
+        assert_ne!(ran[1].1, me);
+        assert!(fork_join(Vec::<fn() -> u8>::new()).is_empty());
     }
 
     #[test]

@@ -406,19 +406,26 @@ fn cmd_run(a: &Args, resume: bool) -> Result<(), String> {
         );
     }
     // Host wall-clock, beside the simulated clock above and never mixed
-    // with it. Load + sort of one batch overlap process + scatter of the
-    // one before, so the stage rows can sum past the supersteps row.
-    let [load, sort, process, scatter] = report.stage_totals_ns();
-    println!("\nstage      | host wall ms");
+    // with it. The owner-thread rows follow one another, so they sum to the
+    // supersteps row less what no timer names; the fetch workers' load +
+    // sort of one batch overlap the owner's work on the one before.
+    let [fetch_wait, assemble, adjacency, process, scatter, apply, close_out] =
+        report.owner_totals_ns();
+    let [load, sort, ..] = report.stage_totals_ns();
+    println!("\nstage          | host wall ms");
     for (stage, ns) in [
-        ("load", load),
-        ("sort", sort),
-        ("adjacency", report.adjacency_total_ns()),
+        ("fetch wait", fetch_wait),
+        ("assemble", assemble),
+        ("adjacency", adjacency),
         ("process", process),
         ("scatter", scatter),
+        ("apply", apply),
+        ("close-out", close_out),
         ("supersteps", report.supersteps.iter().map(|s| s.wall_ns).sum()),
+        ("load (workers)", load),
+        ("sort (workers)", sort),
     ] {
-        println!("{stage:10} | {:12.2}", ns as f64 / 1e6);
+        println!("{stage:14} | {:12.2}", ns as f64 / 1e6);
     }
     if let Some(from) = report.resumed_from {
         println!("\nresumed from the checkpoint at superstep {from}");

@@ -166,6 +166,53 @@ fn reference_engine_agrees_on_every_app() {
     }
 }
 
+/// `g` with a deterministic weight on every edge, for the programs that
+/// need one.
+fn with_weights(g: &Csr) -> Csr {
+    let mut b = EdgeListBuilder::new(g.num_vertices());
+    for v in 0..g.num_vertices() as VertexId {
+        for &d in g.out_edges(v) {
+            b.push_weighted(v, d, 1.0 + ((v ^ d) % 7) as f32);
+        }
+    }
+    b.build()
+}
+
+/// Declares a `combine` and keeps every vertex active through superstep 5
+/// whether or not anything arrived, while only a rotating third of the
+/// vertices send: most active vertices of a superstep have an empty inbox,
+/// next to neighbours whose messages the decode folded.
+struct Pulse;
+
+impl VertexProgram for Pulse {
+    fn name(&self) -> &'static str {
+        "pulse"
+    }
+    fn init_state(&self, v: VertexId) -> u64 {
+        u64::from(v)
+    }
+    fn init_active(&self, _num_vertices: usize) -> InitActive {
+        InitActive::All
+    }
+    fn process(&self, ctx: &mut VertexCtx<'_>) {
+        let got = ctx.msgs().iter().map(|m| m.data).fold(0, u64::wrapping_add);
+        let state = ctx.state().rotate_left(5) ^ got;
+        ctx.set_state(state);
+        if ctx.superstep() < 6 {
+            ctx.keep_active();
+            if ctx.vertex() as usize % 3 == ctx.superstep() % 3 {
+                ctx.send_all(state);
+            }
+        }
+    }
+    fn combine(&self) -> Option<Combine> {
+        Some(u64::wrapping_add as Combine)
+    }
+    fn reads_src(&self) -> bool {
+        false
+    }
+}
+
 /// Forwards a program but strips its `combine` operator, so the engine's
 /// optional reduction path can be toggled without touching the app.
 struct NoCombine(Box<dyn VertexProgram>);
@@ -258,15 +305,7 @@ impl VertexProgram for DropSrc {
 fn apps_that_disclaim_src_do_not_read_it() {
     const SEED: u64 = 0xC0FFEE;
     let g = mlvc_gen::cf_mini(9, 11).graph;
-    let weighted = {
-        let mut b = EdgeListBuilder::new(g.num_vertices());
-        for v in 0..g.num_vertices() as VertexId {
-            for &d in g.out_edges(v) {
-                b.push_weighted(v, d, 1.0 + ((v ^ d) % 7) as f32);
-            }
-        }
-        b.build()
-    };
+    let weighted = with_weights(&g);
     type Factory = Box<dyn Fn() -> Box<dyn VertexProgram>>;
     let apps: Vec<(usize, Factory)> = vec![
         (60, Box::new(|| Box::new(Bfs::new(1)))),
@@ -376,32 +415,47 @@ fn trace_modulo_combine(trace: &[TraceRecord]) -> Vec<TraceRecord> {
         .collect()
 }
 
-/// Execution-mode cross-product {sync/async}×{combine}: final states are
-/// bit-identical within each computation model, and the combine toggle
-/// changes only the delivery count and its derived compute time. BFS
-/// additionally reaches the same vertex set across sync/async, with async
-/// levels bounded below by the sync (shortest) ones.
+/// Execution-mode cross-product {sync/async}×{combine}, over every app that
+/// declares a `combine`, one that cannot, and one that keeps vertices
+/// active without messages: final states are bit-identical within each
+/// computation model — and, synchronous, to the reference engine's sort
+/// then reduce — and the combine toggle changes only the delivery count and
+/// its derived compute time. BFS additionally reaches the same vertex set
+/// across sync/async, with async levels bounded below by the sync
+/// (shortest) ones.
 #[test]
 fn obs_trace_invariant_across_async_combine() {
     let g = mlvc_gen::cf_mini(9, 11).graph;
+    let weighted = with_weights(&g);
     type Factory = Box<dyn Fn() -> Box<dyn VertexProgram>>;
     let apps: Vec<(&str, usize, Factory)> = vec![
         ("bfs", 60, Box::new(|| Box::new(Bfs::new(1)))),
         ("pagerank", 20, Box::new(|| Box::new(PageRank::new(0.85, 1e-9)))),
+        ("wcc", 80, Box::new(|| Box::new(Wcc))),
+        ("sssp", 200, Box::new(|| Box::new(Sssp::new(1)))),
+        ("pulse", 12, Box::new(|| Box::new(Pulse))),
         ("coloring", 200, Box::new(|| Box::new(Coloring::new()))),
     ];
     for (name, steps, make) in apps {
+        let g = if make().needs_weights() { &weighted } else { &g };
         let mut sync_states: Option<Vec<u64>> = None;
         for async_mode in [false, true] {
-            let (states, trace) = run_obs(&g, make().as_ref(), steps, async_mode);
+            let (states, trace) = run_obs(g, make().as_ref(), steps, async_mode);
             let (stripped_states, stripped_trace) =
-                run_obs(&g, &NoCombine(make()), steps, async_mode);
+                run_obs(g, &NoCombine(make()), steps, async_mode);
             assert_eq!(states, stripped_states, "{name} async={async_mode}: combine changed states");
             assert_traces_eq(
                 &trace_modulo_combine(&trace),
                 &trace_modulo_combine(&stripped_trace),
                 &format!("combine leaks into I/O accounting: {name} async={async_mode}"),
             );
+            if make().combine().is_some() {
+                let delivered = |t: &[TraceRecord]| t.iter().map(|r| r.messages_delivered).sum::<u64>();
+                assert!(
+                    delivered(&trace) < delivered(&stripped_trace),
+                    "{name} async={async_mode}: the fold merged nothing"
+                );
+            }
             if async_mode {
                 if name == "bfs" {
                     // Async BFS settles on first touch, and a same-superstep
@@ -421,8 +475,11 @@ fn obs_trace_invariant_across_async_combine() {
             } else {
                 if name == "coloring" {
                     let colors: Vec<u32> = states.iter().map(|&s| s as u32).collect();
-                    assert!(mlvc_apps::is_proper_coloring(&g, &colors));
+                    assert!(mlvc_apps::is_proper_coloring(g, &colors));
                 }
+                let mut r = ReferenceEngine::new(g.clone(), 0xC0FFEE);
+                r.run(make().as_ref(), steps);
+                assert_eq!(states, r.states(), "{name}: MultiLogVC vs Reference");
                 sync_states = Some(states);
             }
         }

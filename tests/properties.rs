@@ -576,7 +576,7 @@ fn folded_log_drain_matches_stable_sort_oracle() {
         for threads in [1usize, 2, 8] {
             set_thread_override(Some(threads));
             let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
-            let cfg = MultiLogConfig { buffer_bytes: buffer, reads_src: true };
+            let cfg = MultiLogConfig { buffer_bytes: buffer, ..Default::default() };
             let mut ml = MultiLog::new(ssd, iv.clone(), cfg, "prop").unwrap();
             let mut at = 0;
             for &(len, batched) in &chunks {
@@ -625,10 +625,21 @@ fn folded_log_drain_matches_stable_sort_oracle() {
 /// `send` and `send_batch`, buffers are small enough to evict
 /// mid-superstep, and both read paths (inline per interval and planned
 /// batch) are drained at every thread count.
+///
+/// The logs are opened with a `combine`, so the same pages also go through
+/// the folding decode, which must equal the sorted drain grouped by
+/// destination and reduced left to right — under an operator that is
+/// neither commutative nor associative, so a fold that visits a
+/// destination's records in any other order fails — while still counting
+/// every record.
 #[test]
 fn compact_pages_drain_exactly_what_was_sent() {
-    use multilogvc::log::{LogPage, MultiLog, MultiLogConfig, SortGroup, Update};
+    use multilogvc::log::{group_by_dest, LogPage, MultiLog, MultiLogConfig, SortGroup, Update};
     use multilogvc::par::set_thread_override;
+
+    fn fold(a: u64, b: u64) -> u64 {
+        a.wrapping_mul(31) ^ b.rotate_left(7)
+    }
 
     let mut rng = SeededRng::seed_from_u64(113);
     // Page shapes met on the device, as (wide_dest, has_src): the cases
@@ -678,7 +689,7 @@ fn compact_pages_drain_exactly_what_was_sent() {
                 let mut ml = MultiLog::new(
                     Arc::clone(&ssd),
                     iv.clone(),
-                    MultiLogConfig { buffer_bytes: buffer, reads_src },
+                    MultiLogConfig { buffer_bytes: buffer, reads_src, combine: Some(fold) },
                     "prop",
                 )
                 .unwrap();
@@ -718,20 +729,28 @@ fn compact_pages_drain_exactly_what_was_sent() {
                         .map(|&u| Update { src: if reads_src { u.src } else { VertexId::MAX }, ..u })
                         .collect();
                     want.sort_by_key(|u| u.dest);
-                    let got = if case % 2 == 0 {
-                        SortGroup::new(1 << 20).load_batch(&reader, i..i + 1).unwrap().updates
-                    } else {
-                        let plan = reader.plan_reads(i..i + 1).unwrap();
-                        let pages = ssd.read_batch(&plan.reqs).unwrap();
-                        let batch = reader.decode_sorted(&plan, &pages).unwrap();
-                        reader.consume(&plan, &batch).unwrap();
-                        batch.updates
-                    };
-                    assert_eq!(
-                        got, want,
+                    let plan = reader.plan_reads(i..i + 1).unwrap();
+                    let pages = ssd.read_batch(&plan.reqs).unwrap();
+                    let ctx = format!(
                         "case {case} n={n} k={k} m={m} interval {i} threads={threads} \
                          src={reads_src}"
                     );
+                    assert_eq!(reader.decode_sorted(&plan, &pages).unwrap().updates, want, "{ctx}");
+                    let want_folded: Vec<Update> = group_by_dest(&want)
+                        .map(|(dest, group)| {
+                            let data = group.iter().map(|u| u.data).reduce(fold).unwrap();
+                            Update::new(dest, VertexId::MAX, data)
+                        })
+                        .collect();
+                    let folded = if case % 2 == 0 {
+                        SortGroup::new(1 << 20).load_batch(&reader, i..i + 1).unwrap()
+                    } else {
+                        let batch = reader.decode(&plan, &pages).unwrap();
+                        reader.consume(&plan, &batch).unwrap();
+                        batch
+                    };
+                    assert_eq!(folded.updates, want_folded, "{ctx}");
+                    assert_eq!(folded.records, want.len() as u64, "{ctx}");
                 }
             }
         }
