@@ -44,6 +44,53 @@ pub use validate::{
 };
 pub use wcc::Wcc;
 
+use mlvc_core::VertexProgram;
+use mlvc_graph::VertexId;
+
+/// Why [`by_name`] could not construct a program.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum AppError {
+    /// No application is registered under this name.
+    Unknown(String),
+    /// The application reads edge weights and the graph has none.
+    NeedsWeights(String),
+}
+
+impl std::fmt::Display for AppError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            AppError::Unknown(name) => write!(f, "unknown app {name}"),
+            AppError::NeedsWeights(name) => write!(f, "{name} needs a weighted graph"),
+        }
+    }
+}
+
+impl std::error::Error for AppError {}
+
+/// The application registry: a fresh program, at the paper's default
+/// parameters, for the name the CLI, the serving protocol and the figure
+/// harness all use. `source` seeds the single-source programs (BFS, SSSP);
+/// `weighted` says whether the graph it will run on carries edge weights.
+pub fn by_name(
+    name: &str,
+    weighted: bool,
+    source: VertexId,
+) -> Result<Box<dyn VertexProgram>, AppError> {
+    Ok(match name {
+        "bfs" => Box::new(Bfs::new(source)),
+        "pagerank" => Box::new(PageRank::default()),
+        "cdlp" => Box::new(Cdlp),
+        "coloring" => Box::new(Coloring::new()),
+        "mis" => Box::new(Mis),
+        "randomwalk" => Box::new(RandomWalk::default()),
+        "wcc" => Box::new(Wcc),
+        "kcore" => Box::new(KCore::new()),
+        "sssp" if weighted => Box::new(Sssp::new(source)),
+        "sssp" => return Err(AppError::NeedsWeights(name.to_string())),
+        other => return Err(AppError::Unknown(other.to_string())),
+    })
+}
+
 /// Pack an `f64` payload into the opaque message/state word.
 #[inline]
 pub fn pack_f64(x: f64) -> u64 {
@@ -59,6 +106,20 @@ pub fn unpack_f64(bits: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn registry_builds_every_name_and_types_its_refusals() {
+        for name in
+            ["bfs", "pagerank", "cdlp", "coloring", "mis", "randomwalk", "wcc", "kcore", "sssp"]
+        {
+            let app = by_name(name, true, 3).unwrap_or_else(|e| panic!("{e}"));
+            assert_eq!(app.name(), name, "registry name is the program's report name");
+        }
+        assert_eq!(by_name("sssp", false, 0).err(), Some(AppError::NeedsWeights("sssp".into())));
+        assert_eq!(by_name("nope", true, 0).err(), Some(AppError::Unknown("nope".into())));
+        let refusal = AppError::NeedsWeights("sssp".into());
+        assert_eq!(refusal.to_string(), "sssp needs a weighted graph");
+    }
 
     #[test]
     fn f64_roundtrip() {

@@ -1,10 +1,16 @@
-//! # mlvc-bench — experiment harness
+//! # mlvc-bench — the paper's evaluation, regenerated
 //!
-//! Regenerates every table and figure of the paper's evaluation (§VIII) on
-//! the scaled-down datasets (DESIGN.md §2/§4). Each `fig*` function
-//! returns a Markdown section; the `table1`/`fig2`…`fig10` binaries print
-//! one each, and `run_all` concatenates everything (the content recorded
-//! in EXPERIMENTS.md).
+//! Every table and figure of the paper's evaluation (§VIII), plus the
+//! ablations of the extensions, on the scaled-down datasets (DESIGN.md
+//! §2/§4). One [`Rig`] builds every run (graph, intervals, device config,
+//! engine config → a fresh device with MultiLogVC, GraphChi or GraFBoost on
+//! it); every figure is a [`Section`] of rows; one binary prints them:
+//! `figures [section…]`, with no argument the whole report, which is
+//! committed as `results_run_all.md` and held there byte for byte by
+//! `scripts/check.sh`. `tests/paper_claims.rs` reads the same sections'
+//! columns to hold each figure's shape. Host wall-clock and everything the
+//! serving, mutation and cache paths cost is measured by the `benchmark/`
+//! ledger, not here.
 //!
 //! Scaling knobs come from the environment so the suite can be rerun at
 //! larger sizes:
@@ -16,11 +22,9 @@
 //! * `MLVC_STEPS` — superstep cap (default 15, the paper's cap);
 //! * `MLVC_SEED` — RNG seed (default 42).
 
-pub mod cache_bench;
 pub mod figures;
-pub mod harness;
-pub mod micro;
-pub mod mutate_bench;
-pub mod serve_bench;
+pub mod rig;
+pub mod table;
 
-pub use harness::Settings;
+pub use rig::{Rig, Settings};
+pub use table::{Cell, Section};

@@ -1,8 +1,9 @@
 //! # mlvc-par — scoped-thread data-parallel helpers
 //!
-//! The engines need exactly five parallel shapes: map a slice, map a slice
+//! The engines need exactly four parallel shapes — map a slice, map a slice
 //! with per-worker state, map two zipped slices, map contiguous chunks of a
-//! slice, and stable-sort a slice by key. This crate provides them on plain `std::thread::scope`, with no
+//! slice — and the ledger's sort drill one more, a stable sort by a `u32`
+//! key. This crate provides them on plain `std::thread::scope`, with no
 //! external dependencies, so the workspace builds offline and the
 //! parallelism story stays auditable. Every fan-out is one fork/join in
 //! which the calling thread takes the first chunk itself and spawns a
@@ -351,99 +352,12 @@ where
     fork_join(items.chunks(chunk).map(|c| move || f(c)).collect())
 }
 
-/// Stable parallel sort by key — the same guarantee `slice::sort_by_key`
-/// gives (equal keys keep their input order), bit-identical for every
-/// thread count, which the sort & group unit depends on for deterministic
-/// message order.
-///
-/// Implementation: keys are computed once, an index permutation is
-/// chunk-sorted on worker threads and then merged level by level — pairs of
-/// runs in parallel — ping-ponging between the permutation and one reusable
-/// scratch buffer (no per-merge allocation). The permutation is applied
-/// in place with cycle swaps, so the element type needs no bounds at all:
-/// workers only ever touch the index buffers and the shared key array.
-pub fn par_sort_by_key<T, K, F>(items: &mut [T], key: F)
-where
-    K: Ord + Sync,
-    F: Fn(&T) -> K,
-{
-    let n = items.len();
-    let threads = threads_for(n);
-    if threads <= 1 || n < PAR_SORT_MIN {
-        items.sort_by_key(key);
-        return;
-    }
-    let keys: Vec<K> = items.iter().map(&key).collect();
-    let keys = keys.as_slice();
-    let mut perm: Vec<usize> = (0..n).collect();
-    let mut scratch: Vec<usize> = vec![0; n];
-    let chunk = n.div_ceil(threads);
-
-    // 1. Stable chunk sorts: indices within a chunk start ascending, so
-    //    equal keys keep input order.
-    fork_join(
-        perm.chunks_mut(chunk).map(|c| move || c.sort_by(|&a, &b| keys[a].cmp(&keys[b]))).collect(),
-    );
-
-    // 2. Merge levels: every pair of adjacent runs merges concurrently into
-    //    the other buffer; the buffers swap roles between levels.
-    let mut src: &mut [usize] = &mut perm;
-    let mut dst: &mut [usize] = &mut scratch;
-    let mut run = chunk;
-    while run < n {
-        fork_join(
-            src.chunks(2 * run)
-                .zip(dst.chunks_mut(2 * run))
-                .map(|(sp, dp)| move || merge_runs_idx(sp, dp, run, keys))
-                .collect(),
-        );
-        std::mem::swap(&mut src, &mut dst);
-        run *= 2;
-    }
-
-    // 3. Apply the permutation in place. The swap loop below applies the
-    //    inverse of the array it walks, so walk the inverse (built into the
-    //    now-free buffer) to apply `src` itself.
-    let (sorted, inverse) = (src, dst);
-    for (i, &p) in sorted.iter().enumerate() {
-        inverse[p] = i;
-    }
-    for i in 0..n {
-        while inverse[i] != i {
-            let j = inverse[i];
-            items.swap(i, j);
-            inverse.swap(i, j);
-        }
-    }
-}
-
-/// Stably merge the two sorted runs `[0, mid)` and `[mid, len)` of the
-/// index slice `src` into `dst`. On ties the left run wins, preserving
-/// input order.
-fn merge_runs_idx<K: Ord>(src: &[usize], dst: &mut [usize], mid: usize, keys: &[K]) {
-    let mid = mid.min(src.len());
-    let (left, right) = src.split_at(mid);
-    let (mut i, mut j, mut o) = (0, 0, 0);
-    while i < left.len() && j < right.len() {
-        if keys[left[i]] <= keys[right[j]] {
-            dst[o] = left[i];
-            i += 1;
-        } else {
-            dst[o] = right[j];
-            j += 1;
-        }
-        o += 1;
-    }
-    dst[o..o + (left.len() - i)].copy_from_slice(&left[i..]);
-    o += left.len() - i;
-    dst[o..].copy_from_slice(&right[j..]);
-}
-
-/// Stable LSD radix sort by a `u32` key — same guarantee as
-/// [`par_sort_by_key`] (equal keys keep input order, output independent of
-/// the thread count) but linear-time, which is what the sort & group unit
-/// wants for the dest-sorted update batches: their keys are dense vertex
-/// ids, so one or two 16-bit counting passes beat any comparison sort.
+/// Stable LSD radix sort by a `u32` key — the guarantee `slice::sort_by_key`
+/// gives (equal keys keep input order), with output independent of the
+/// thread count, in linear time: for dense keys such as vertex ids, one or
+/// two 16-bit counting passes beat any comparison sort. The engines sort
+/// inside the log decode now; what still calls this is the ledger's
+/// `par.sort_ns_per_elem` drill (`benchmark/`).
 ///
 /// Keys are extracted once on the worker threads; the counting passes are
 /// serial (their cost is a small fraction of the comparison sort they
@@ -579,48 +493,6 @@ mod tests {
         expect.sort_by_key(|p| p.0);
         par_sort_by_u32_key(&mut small, |p| p.0);
         assert_eq!(small, expect);
-    }
-
-    #[test]
-    fn par_sort_matches_stable_sort() {
-        // Deterministic pseudo-random permutation, large enough to engage
-        // the parallel path (>= 4096 elements).
-        let mut items: Vec<(u64, usize)> = (0..20_000usize)
-            .map(|i| ((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) % 97, i))
-            .collect();
-        let mut expect = items.clone();
-        expect.sort_by_key(|&(k, _)| k);
-        par_sort_by_key(&mut items, |&(k, _)| k);
-        assert_eq!(items, expect, "parallel sort must be stable");
-    }
-
-    #[test]
-    fn par_sort_identical_for_every_thread_count() {
-        let base: Vec<(u64, usize)> = (0..30_000usize)
-            .map(|i| ((i as u64).wrapping_mul(0xD1B5_4A32_D192_ED03) % 41, i))
-            .collect();
-        let mut expect = base.clone();
-        expect.sort_by_key(|&(k, _)| k);
-        for t in [1, 2, 3, 8] {
-            set_thread_override(Some(t));
-            let mut items = base.clone();
-            par_sort_by_key(&mut items, |&(k, _)| k);
-            assert_eq!(items, expect, "thread count {t}");
-        }
-        set_thread_override(None);
-    }
-
-    #[test]
-    fn par_sort_needs_no_bounds_on_the_element_type() {
-        // A type that is neither Clone nor Copy: the index-permutation
-        // rewrite moves elements with swaps only.
-        struct NoClone(u64);
-        let mut items: Vec<NoClone> = (0..10_000u64)
-            .map(|i| NoClone(i.wrapping_mul(0x9E37_79B9_7F4A_7C15) % 113))
-            .collect();
-        par_sort_by_key(&mut items, |x| x.0);
-        assert!(items.windows(2).all(|w| w[0].0 <= w[1].0));
-        assert_eq!(items.len(), 10_000);
     }
 
     #[test]

@@ -18,8 +18,7 @@ use std::io::{BufRead, Write};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
-use mlvc_apps::{Bfs, Cdlp, Coloring, KCore, Mis, PageRank, RandomWalk, Sssp, Wcc};
-use mlvc_core::{Engine, EngineConfig, MultiLogEngine, RunReport, VertexProgram};
+use mlvc_core::{Engine, EngineConfig, MultiLogEngine, RunReport};
 use mlvc_graph::{Csr, StoredGraph, VertexIntervals, UPDATE_BYTES};
 use mlvc_mutate::{
     EdgeMutation, IngestStats, MergeOutcome, MutationConfig, MutationError, MutationLog,
@@ -316,7 +315,7 @@ impl Daemon {
                 req.source, req.dataset
             )));
         }
-        drop(make_program(&req.app, g.has_weights(), req.source)?);
+        drop(mlvc_apps::by_name(&req.app, g.has_weights(), req.source)?);
         Ok(())
     }
 
@@ -414,8 +413,8 @@ impl Daemon {
             .datasets
             .get(&req.dataset)
             .ok_or_else(|| JobError::Rejected(RejectReason::UnknownDataset(req.dataset.clone())))?;
-        let prog = make_program(&req.app, graph.has_weights(), req.source)
-            .map_err(JobError::Rejected)?;
+        let prog = mlvc_apps::by_name(&req.app, graph.has_weights(), req.source)
+            .map_err(|e| JobError::Rejected(e.into()))?;
         let tenant = self.next_tenant.fetch_add(1, Ordering::SeqCst);
         let view = Arc::new(self.ssd.tenant_view(tenant));
         if let Some(n) = req.crash_after {
@@ -640,27 +639,6 @@ impl Daemon {
         }
         s
     }
-}
-
-/// Construct the vertex program a request names, or say why we cannot.
-fn make_program(
-    app: &str,
-    weighted: bool,
-    source: u32,
-) -> Result<Box<dyn VertexProgram>, RejectReason> {
-    Ok(match app {
-        "bfs" => Box::new(Bfs::new(source)),
-        "pagerank" => Box::new(PageRank::default()),
-        "cdlp" => Box::new(Cdlp),
-        "coloring" => Box::new(Coloring::new()),
-        "mis" => Box::new(Mis),
-        "randomwalk" => Box::new(RandomWalk::default()),
-        "wcc" => Box::new(Wcc),
-        "kcore" => Box::new(KCore::new()),
-        "sssp" if weighted => Box::new(Sssp::new(source)),
-        "sssp" => return Err(RejectReason::NeedsWeights("sssp".to_string())),
-        other => return Err(RejectReason::UnknownApp(other.to_string())),
-    })
 }
 
 fn pop_job(q: &PoisonFreeMutex<VecDeque<(usize, JobRequest)>>) -> Option<(usize, JobRequest)> {

@@ -147,6 +147,16 @@ impl RejectReason {
     }
 }
 
+/// The application registry's refusals are admission rejections.
+impl From<mlvc_apps::AppError> for RejectReason {
+    fn from(e: mlvc_apps::AppError) -> Self {
+        match e {
+            mlvc_apps::AppError::Unknown(app) => RejectReason::UnknownApp(app),
+            mlvc_apps::AppError::NeedsWeights(app) => RejectReason::NeedsWeights(app),
+        }
+    }
+}
+
 impl fmt::Display for RejectReason {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

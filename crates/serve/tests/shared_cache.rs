@@ -44,20 +44,10 @@ fn standalone(g: &Csr, r: &JobRequest) -> (Vec<u64>, bool, usize, u64) {
         .with_tag(&r.id);
     let before = ssd.stats().snapshot();
     let mut e = MultiLogEngine::new(ssd.clone(), sg, cfg);
-    let rep = e.run(make(r).as_ref(), r.steps);
+    let app = mlvc_apps::by_name(&r.app, g.has_weights(), r.source).unwrap();
+    let rep = e.run(app.as_ref(), r.steps);
     let read = ssd.stats().snapshot().since(&before).pages_read;
     (e.states().to_vec(), rep.converged, rep.supersteps.len(), read)
-}
-
-/// The same app constructions the daemon performs.
-fn make(r: &JobRequest) -> Box<dyn mlvc_core::VertexProgram> {
-    match r.app.as_str() {
-        "bfs" => Box::new(mlvc_apps::Bfs::new(r.source)),
-        "pagerank" => Box::new(mlvc_apps::PageRank::default()),
-        "wcc" => Box::new(mlvc_apps::Wcc),
-        "cdlp" => Box::new(mlvc_apps::Cdlp),
-        other => panic!("unexpected app {other}"),
-    }
 }
 
 #[test]

@@ -298,7 +298,6 @@ pub fn check_file_with_waivers(path: &str, scanned: &Scanned) -> (Vec<Diagnostic
                 "par_map_with",
                 "par_map2",
                 "par_chunk_map",
-                "par_sort_by_key",
                 "par_sort_by_u32_key",
                 "par_iter",
                 "rayon::",
@@ -513,12 +512,11 @@ fn check_fn_lengths(path: &str, scanned: &Scanned, out: &mut Vec<Diagnostic>) {
 /// interior-mutability escape hatches. `let mut` locals and closure
 /// parameters are private to one worker and stay exempt.
 fn check_par_captures(path: &str, scanned: &Scanned, out: &mut Vec<Diagnostic>) {
-    const FAN_OUTS: [&str; 6] = [
+    const FAN_OUTS: [&str; 5] = [
         "par_map",
         "par_map_with",
         "par_map2",
         "par_chunk_map",
-        "par_sort_by_key",
         "par_sort_by_u32_key",
     ];
     for (idx, l) in scanned.lines.iter().enumerate() {
@@ -836,10 +834,8 @@ mod tests {
     #[test]
     fn capture_rule_exempts_sort_slice_arg_and_flags_cells() {
         // The `&mut` slice handed to a sort is the data argument, not a capture.
-        let sort = "fn f(updates: &mut [Update]) { par_sort_by_key(updates, |u| u.dest); }\n";
+        let sort = "fn f() { par_sort_by_u32_key(&mut updates, |u| u.dest); }\n";
         assert!(lint("crates/log/src/sortgroup.rs", sort).is_empty());
-        let sort2 = "fn f() { par_sort_by_u32_key(&mut updates, |u| u.dest); }\n";
-        assert!(lint("crates/log/src/sortgroup.rs", sort2).is_empty());
 
         let cell = "fn f() { par_map(&xs, |x| cache.borrow_mut().insert(x)); }\n";
         let d = lint("crates/apps/src/kcore.rs", cell);

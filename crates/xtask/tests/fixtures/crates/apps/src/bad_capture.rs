@@ -17,7 +17,7 @@ pub fn cells(xs: &[u32]) -> Vec<u32> {
 }
 
 pub fn worker_private(xs: &mut [u32]) {
-    mlvc_par::par_sort_by_key(xs, |x| *x);
+    mlvc_par::par_sort_by_u32_key(xs, |x| *x);
     let _ = mlvc_par::par_map(xs, |x| {
         let mut acc = 0;
         push(&mut acc, *x);

@@ -34,11 +34,22 @@ echo "== serving smoke (DESIGN.md §15) =="
 cargo test -q --test serve_smoke
 
 echo "== mutation smoke (DESIGN.md §17) =="
-# Streaming-mutation contract: the bench_mutate batch-size sweep must run
-# at mini scale and emit schema-valid JSON, and the equivalence battery
-# pins incremental re-convergence bit-identical to a cold recompute.
-cargo test -q -p mlvc-bench --test schema_smoke bench_mutate_json_matches_schema
+# Streaming-mutation contract: the equivalence battery pins incremental
+# re-convergence bit-identical to a cold recompute.
 cargo test -q --test mutation_equivalence
+
+echo "== reproduction pin (results_run_all.md) =="
+# The paper's tables and figures are simulated-clock numbers, so `figures`
+# at default settings must print the committed report byte for byte at any
+# thread count, and a named section must be its slice of that report. A PR
+# that moves a number regenerates the file in the same commit
+# (`cargo run --release -p mlvc-bench --bin figures > results_run_all.md`)
+# and says why (the `sim-pins` convention); EXPERIMENTS.md quotes it.
+for t in 1 2; do
+  MLVC_THREADS=$t cargo run -q --release -p mlvc-bench --bin figures | diff - results_run_all.md
+done
+cargo run -q --release -p mlvc-bench --bin figures -- fig6 \
+  | diff - <(awk '/^## Fig. 6 /{on=1} /^## Fig. 7 /{on=0} on' results_run_all.md)
 
 echo "== dynamic-graph example (DESIGN.md §7, §17) =="
 # The only end-to-end run in which a program mutates the graph: the stored

@@ -20,9 +20,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use multilogvc::apps::{
-    Bfs, Cdlp, Coloring, KCore, Mis, PageRank, RandomWalk, Sssp, Wcc,
-};
+use multilogvc::apps::{AppError, Bfs, Coloring, KCore, Mis, PageRank, Sssp};
 use multilogvc::core::{
     Engine, EngineConfig, MultiLogEngine, ReferenceEngine, RunReport, TieringConfig,
     VertexProgram,
@@ -247,23 +245,11 @@ fn cmd_convert(a: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// The program `--app` names, from the one registry (`mlvc_apps::by_name`).
 fn make_app(name: &str, g: &Csr, source: u32) -> Result<Box<dyn VertexProgram>, String> {
-    Ok(match name {
-        "bfs" => Box::new(Bfs::new(source)),
-        "pagerank" => Box::new(PageRank::default()),
-        "cdlp" => Box::new(Cdlp),
-        "coloring" => Box::new(Coloring::new()),
-        "mis" => Box::new(Mis),
-        "randomwalk" => Box::new(RandomWalk::default()),
-        "wcc" => Box::new(Wcc),
-        "kcore" => Box::new(KCore::new()),
-        "sssp" => {
-            if !g.has_weights() {
-                return Err("sssp needs a weighted graph".into());
-            }
-            Box::new(Sssp::new(source))
-        }
-        other => return Err(format!("unknown --app {other}")),
+    multilogvc::apps::by_name(name, g.has_weights(), source).map_err(|e| match e {
+        AppError::Unknown(other) => format!("unknown --app {other}"),
+        needs_weights => needs_weights.to_string(),
     })
 }
 

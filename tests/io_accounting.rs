@@ -1,14 +1,17 @@
 //! Exact I/O accounting (DESIGN.md §13): the observability layer's
 //! end-of-run counters must equal the device's own statistics bit-for-bit,
-//! the per-superstep trace must sum to the same totals, and the whole
-//! trace must be identical for every worker-thread count.
+//! the per-superstep trace must sum to the same totals, the whole trace
+//! must be identical for every worker-thread count, and the JSON and
+//! Prometheus text both are exported as must parse with the schema their
+//! consumers (the CI metrics artifact, dashboards) rely on.
 
 use std::sync::Arc;
 
 use multilogvc::apps::{Bfs, PageRank};
 use multilogvc::core::{Engine, EngineConfig, MultiLogEngine, RunReport, VertexProgram};
 use multilogvc::graph::{Csr, StoredGraph, VertexIntervals};
-use multilogvc::obs::TraceRecord;
+use multilogvc::obs::json::{parse, Json};
+use multilogvc::obs::{TraceRecord, TRACE_FIELDS};
 use multilogvc::ssd::{Ssd, SsdConfig, SsdStatsSnapshot};
 
 fn mini_graph() -> Csr {
@@ -142,4 +145,59 @@ fn trace_bit_identical_across_thread_counts() {
         assert!(prom.contains("mlvc_ssd_pages_read_total"));
     }
     mlvc_par::set_thread_override(None);
+}
+
+fn num(v: &Json, key: &str) -> f64 {
+    v.get(key)
+        .and_then(Json::as_num)
+        .unwrap_or_else(|| panic!("field {key} missing or not a number"))
+}
+
+/// A library run with the obs layer on emits a metrics snapshot and a
+/// trace that round-trip through `mlvc_obs::json` — the workspace's own
+/// parser, so a malformed emitter and a broken parser both fail here —
+/// with the full schema.
+#[test]
+fn metrics_snapshot_and_trace_jsonl_match_schema() {
+    let (r, _) = run_with_obs(&PageRank::new(0.85, 1e-4), 8);
+
+    // Snapshot: counters/gauges/histograms objects with the wired families.
+    let snap = r.obs.as_ref().expect("obs snapshot present");
+    let doc = parse(&snap.to_json()).expect("snapshot JSON parses");
+    let counters = doc.get("counters").expect("counters object");
+    for key in [
+        "mlvc_ssd_pages_read_total",
+        "mlvc_ssd_bytes_written_total",
+        "mlvc_log_bytes_appended_total",
+        "mlvc_ftl_physical_writes_total",
+        "mlvc_engine_supersteps_total",
+    ] {
+        assert!(num(counters, key) > 0.0, "counter {key} populated");
+    }
+    let gauges = doc.get("gauges").expect("gauges object");
+    assert!(num(gauges, "mlvc_read_amplification_milli") >= 1000.0);
+    let hists = doc.get("histograms").and_then(Json::as_obj).expect("histograms object");
+    assert!(!hists.is_empty(), "at least one histogram");
+    for (name, h) in hists {
+        let bounds = h.get("bounds").and_then(Json::as_arr).unwrap();
+        let buckets = h.get("buckets").and_then(Json::as_arr).unwrap();
+        assert_eq!(buckets.len(), bounds.len() + 1, "{name}: finite buckets + overflow");
+        assert!(num(h, "count") > 0.0, "{name}: observed");
+    }
+    // Prometheus exposition declares a type per family.
+    let prom = snap.to_prometheus();
+    assert!(prom.contains("# TYPE mlvc_ssd_pages_read_total counter"));
+    assert!(prom.contains("# TYPE mlvc_superstep_pages_read histogram"));
+
+    // Trace JSONL: one record per line, every schema field present.
+    let jsonl = r.trace_jsonl();
+    let lines: Vec<&str> = jsonl.lines().collect();
+    assert_eq!(lines.len(), r.supersteps.len() + 1, "seed record + one per superstep");
+    for (k, line) in lines.iter().enumerate() {
+        let rec = parse(line).unwrap_or_else(|e| panic!("trace line {k}: {e}"));
+        for field in TRACE_FIELDS {
+            assert!(num(&rec, field) >= 0.0, "line {k}: field {field}");
+        }
+        assert_eq!(num(&rec, "superstep"), k as f64, "records are in order");
+    }
 }

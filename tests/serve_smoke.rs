@@ -43,13 +43,7 @@ fn isolated(g: &Csr, r: &JobRequest) -> (Vec<u64>, u64) {
         .with_seed(r.seed)
         .with_obs(true)
         .with_tag(&r.id);
-    let app: Box<dyn multilogvc::core::VertexProgram> = match r.app.as_str() {
-        "bfs" => Box::new(multilogvc::apps::Bfs::new(r.source)),
-        "pagerank" => Box::new(multilogvc::apps::PageRank::default()),
-        "wcc" => Box::new(multilogvc::apps::Wcc),
-        "cdlp" => Box::new(multilogvc::apps::Cdlp),
-        other => panic!("unexpected app {other}"),
-    };
+    let app = multilogvc::apps::by_name(&r.app, g.has_weights(), r.source).unwrap();
     let before = ssd.stats().snapshot();
     let mut e = MultiLogEngine::new(Arc::clone(&ssd), sg, cfg);
     e.run(app.as_ref(), r.steps);
