@@ -66,18 +66,11 @@ impl VertexProgram for RandomWalk {
         if ctx.degree() == 0 {
             return; // walks die at sinks
         }
-        let forwards: Vec<(usize, u64)> = ctx
-            .msgs()
-            .iter()
-            .filter(|m| m.data > 0)
-            .map(|m| m.data)
-            .collect::<Vec<u64>>()
-            .into_iter()
-            .map(|steps| ((ctx.rand_u64() % ctx.degree() as u64) as usize, steps - 1))
-            .collect();
-        for (nbr_idx, remaining) in forwards {
-            let dest = ctx.edges()[nbr_idx];
-            ctx.send(dest, remaining);
+        // One draw per forwarded walk, in message order.
+        let edges = ctx.edges();
+        for m in ctx.msgs().iter().filter(|m| m.data > 0) {
+            let dest = edges[(ctx.rand_u64() % edges.len() as u64) as usize];
+            ctx.send(dest, m.data - 1);
         }
     }
 

@@ -68,9 +68,8 @@ impl VertexProgram for Sssp {
         if best < unpack_f64(ctx.state()) {
             ctx.set_state(pack_f64(best));
             // mlvc-lint: allow(no-panic-in-lib) -- running SSSP on an unweighted graph is a setup bug; abort loudly
-            let weights = ctx.weights().expect("SSSP requires a weighted graph").to_vec();
-            for (k, w) in weights.into_iter().enumerate() {
-                let dest = ctx.edges()[k];
+            let weights = ctx.weights().expect("SSSP requires a weighted graph");
+            for (&dest, &w) in ctx.edges().iter().zip(weights) {
                 ctx.send(dest, pack_f64(best + w as f64));
             }
         }

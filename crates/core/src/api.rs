@@ -198,17 +198,21 @@ impl<'a> VertexCtx<'a> {
     /// All incoming messages, individually preserved (the salient
     /// generality property of MultiLogVC, §V-D). With a `combine` operator
     /// installed, engines deliver the single reduced message instead.
-    pub fn msgs(&self) -> &[Update] {
+    ///
+    /// Like [`Self::edges`] and [`Self::weights`], the slice borrows the
+    /// engine's buffers, not the context: a program can walk its inbox or
+    /// edge list while it draws random numbers and sends.
+    pub fn msgs(&self) -> &'a [Update] {
         self.msgs
     }
 
     /// Out-neighbors of this vertex.
-    pub fn edges(&self) -> &[VertexId] {
+    pub fn edges(&self) -> &'a [VertexId] {
         self.edges
     }
 
     /// Out-edge weights (only when the program declares `needs_weights`).
-    pub fn weights(&self) -> Option<&[f32]> {
+    pub fn weights(&self) -> Option<&'a [f32]> {
         self.weights
     }
 
@@ -384,6 +388,30 @@ mod tests {
         }
         sink.clear();
         assert!(sink.buffers().iter().all(Vec::is_empty));
+    }
+
+    /// `msgs()` / `edges()` borrow the engine's buffers for `'a`, so the
+    /// inbox can be walked while the context draws and sends.
+    #[test]
+    fn inbox_can_be_iterated_while_drawing_and_sending() {
+        let msgs = [Update::new(3, 0, 2), Update::new(3, 1, 0), Update::new(3, 2, 5)];
+        let edges = [5u32, 6, 7];
+        let mut sink = SendSink::flat();
+        let mut ctx = VertexCtx::new(3, 1, 10, 0, &msgs, &edges, None, 42, &mut sink);
+        let mut draws = Vec::new();
+        for m in ctx.msgs().iter().filter(|m| m.data > 0) {
+            let r = ctx.rand_u64();
+            draws.push(r);
+            ctx.send(ctx.edges()[(r % 3) as usize], m.data - 1);
+        }
+        // Same stream as drawing up front: one value per forwarded message.
+        let mut again = SendSink::flat();
+        let mut fresh = VertexCtx::new(3, 1, 10, 0, &msgs, &edges, None, 42, &mut again);
+        assert_eq!(draws, [fresh.rand_u64(), fresh.rand_u64()]);
+        let sent: Vec<(u32, u64)> = sink.buffers()[0].iter().map(|u| (u.dest, u.data)).collect();
+        let want: Vec<(u32, u64)> =
+            draws.iter().zip([1u64, 4]).map(|(r, d)| (edges[(r % 3) as usize], d)).collect();
+        assert_eq!(sent, want);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-use mlvc_ssd::{DeviceError, FileId, Ssd};
+use mlvc_ssd::{DeviceError, FileId, Page, Ssd};
 
 use crate::checked::{idx, mem_idx, to_u32, to_u64};
 use crate::{
@@ -158,21 +158,29 @@ fn note_useful(reqs: &mut Vec<(FileId, u64, usize)>, file: FileId, page: u64, by
 }
 
 /// Decode the entry ranges `[lo, hi)` of a 4-byte-entry extent out of the
-/// pages read for `reqs`, appending to `out` a page segment at a time.
-/// Ranges ascend and every page a range overlaps was requested, so one
-/// cursor walks the request list. (`COL_IDX_BYTES` divides the page size,
-/// so entries never straddle a page boundary.)
+/// pages lent for `reqs`, appending to `out`. Ranges ascend, and neighbours
+/// in the extent are usually neighbours in the list (`ranges[k].1 ==
+/// ranges[k + 1].0`: consecutive active vertices, or ones with only
+/// zero-degree vertices between them), so they are merged into runs and
+/// decoded one page segment per run — a dense interval is one segment a
+/// page, not one per vertex. Every page a range overlaps was requested, so
+/// one cursor walks the request list. (`COL_IDX_BYTES` divides the page
+/// size, so entries never straddle a page boundary.)
 fn decode_u32s<T>(
     out: &mut Vec<T>,
     ranges: &[(u64, u64)],
     reqs: &[(FileId, u64, usize)],
-    pages: &[Vec<u8>],
+    pages: &[Page],
     page_size: usize,
     conv: impl Fn(u32) -> T,
 ) -> Result<(), DeviceError> {
     let (cib, psz) = (to_u64(COL_IDX_BYTES), to_u64(page_size));
     let mut k = 0usize;
-    for &(lo, hi) in ranges {
+    let mut nonempty = ranges.iter().filter(|r| r.0 < r.1).peekable();
+    while let Some(&(lo, mut hi)) = nonempty.next() {
+        while let Some(&(_, next_hi)) = nonempty.next_if(|r| r.0 == hi) {
+            hi = next_hi;
+        }
         let (mut byte, byte_hi) = (lo * cib, hi * cib);
         while byte < byte_hi {
             while reqs[k].1 < byte / psz {
@@ -218,7 +226,7 @@ impl GraphLoader {
         &mut self,
         ssd: &Ssd,
         reqs: &[(FileId, u64, usize)],
-    ) -> Result<Vec<Vec<u8>>, DeviceError> {
+    ) -> Result<Vec<Page>, DeviceError> {
         #[cfg(test)]
         self.issued.push(reqs.to_vec());
         ssd.read_batch(reqs)

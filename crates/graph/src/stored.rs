@@ -1,6 +1,6 @@
 use std::sync::Arc;
 
-use mlvc_ssd::{DeviceError, FileId, Ssd};
+use mlvc_ssd::{DeviceError, FileId, Page, Ssd};
 
 use crate::checked::{idx, mem_idx, to_u64};
 use crate::{Csr, IntervalId, VertexIntervals, VertexId, COL_IDX_BYTES, ROW_PTR_BYTES};
@@ -276,7 +276,7 @@ fn read_entries<const W: usize, T>(
     page_size: usize,
     file: FileId,
     n: usize,
-    read: impl FnOnce(PageReqs) -> Result<Vec<Vec<u8>>, DeviceError>,
+    read: impl FnOnce(PageReqs) -> Result<Vec<Page>, DeviceError>,
     from_le: fn([u8; W]) -> T,
 ) -> Result<Vec<T>, DeviceError> {
     let per_page = page_size / W;
@@ -302,7 +302,7 @@ pub fn read_u64s(
     page_size: usize,
     file: FileId,
     n: usize,
-    read: impl FnOnce(PageReqs) -> Result<Vec<Vec<u8>>, DeviceError>,
+    read: impl FnOnce(PageReqs) -> Result<Vec<Page>, DeviceError>,
 ) -> Result<Vec<u64>, DeviceError> {
     read_entries::<ROW_PTR_BYTES, _>(page_size, file, n, read, u64::from_le_bytes)
 }
@@ -313,7 +313,7 @@ pub fn read_u32s(
     page_size: usize,
     file: FileId,
     n: usize,
-    read: impl FnOnce(PageReqs) -> Result<Vec<Vec<u8>>, DeviceError>,
+    read: impl FnOnce(PageReqs) -> Result<Vec<Page>, DeviceError>,
 ) -> Result<Vec<u32>, DeviceError> {
     read_entries::<COL_IDX_BYTES, _>(page_size, file, n, read, u32::from_le_bytes)
 }

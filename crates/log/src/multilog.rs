@@ -6,7 +6,7 @@ use mlvc_par::Tracked;
 use mlvc_ssd::RelaxedCounter;
 
 use mlvc_graph::{IntervalId, VertexIntervals, VertexId};
-use mlvc_ssd::{DeviceError, FileId, Ssd};
+use mlvc_ssd::{DeviceError, FileId, Page, Ssd};
 
 use crate::page::{
     decode_log_page, pack_pages, push_record, seal_page, LogPage, PageShape,
@@ -222,7 +222,7 @@ impl LogReader {
         Ok(BatchPlan { range, reqs, pages_per_interval })
     }
 
-    /// Decode the pages fetched for `plan` (one `Vec<u8>` per request, in
+    /// Decode the pages fetched for `plan` (one lent [`Page`] per request, in
     /// plan order) into inbox order, the way the consuming program asked
     /// for: folded to one update per destination when it declared a
     /// `combine` ([`MultiLogConfig::combine`]), every record kept
@@ -230,7 +230,7 @@ impl LogReader {
     /// function of `plan` and `pages` — it touches neither the device nor
     /// any counter, so it may run on any thread without moving a
     /// deterministic number; [`Self::consume`] does the rest.
-    pub fn decode(&self, plan: &BatchPlan, pages: &[Vec<u8>]) -> Result<FusedBatch, DeviceError> {
+    pub fn decode(&self, plan: &BatchPlan, pages: &[Page]) -> Result<FusedBatch, DeviceError> {
         match self.combine {
             Some(f) => self.decode_folded(plan, pages, f),
             None => self.decode_sorted(plan, pages),
@@ -249,7 +249,7 @@ impl LogReader {
     fn decode_folded(
         &self,
         plan: &BatchPlan,
-        pages: &[Vec<u8>],
+        pages: &[Page],
         f: fn(u64, u64) -> u64,
     ) -> Result<FusedBatch, DeviceError> {
         assert_eq!(pages.len(), plan.reqs.len(), "fetched pages must match the plan");
@@ -310,7 +310,7 @@ impl LogReader {
     pub fn decode_sorted(
         &self,
         plan: &BatchPlan,
-        pages: &[Vec<u8>],
+        pages: &[Page],
     ) -> Result<FusedBatch, DeviceError> {
         assert_eq!(pages.len(), plan.reqs.len(), "fetched pages must match the plan");
         let t_load = Instant::now();
@@ -728,7 +728,7 @@ impl MultiLog {
     /// (log-encoded), so restoring them preserves page boundaries and,
     /// with them, record order and post-resume I/O shape. The whole page
     /// is checkpoint payload, so each page counts as fully useful.
-    pub fn snapshot_pending(&self) -> Result<Vec<Vec<Vec<u8>>>, DeviceError> {
+    pub fn snapshot_pending(&self) -> Result<Vec<Vec<Page>>, DeviceError> {
         let side = 1 - self.write_side;
         let page_size = self.ssd.page_size();
         let mut out = Vec::with_capacity(self.files.len());
@@ -744,7 +744,7 @@ impl MultiLog {
     /// was taken). Every page goes through the decoder first, so a
     /// snapshot whose pages are not this format's (or carry destinations
     /// outside their interval) is refused before anything is written.
-    pub fn restore_pending(&mut self, snapshot: &[Vec<Vec<u8>>]) -> Result<Vec<u64>, DeviceError> {
+    pub fn restore_pending(&mut self, snapshot: &[Vec<Page>]) -> Result<Vec<u64>, DeviceError> {
         assert_eq!(snapshot.len(), self.files.len(), "snapshot interval count mismatch");
         let side = 1 - self.write_side;
         let mut counts = vec![0u64; self.files.len()];
@@ -760,7 +760,7 @@ impl MultiLog {
         for (pages, f) in snapshot.iter().zip(&self.files) {
             self.ssd.truncate(f[side])?;
             if !pages.is_empty() {
-                let refs: Vec<&[u8]> = pages.iter().map(|p| p.as_slice()).collect();
+                let refs: Vec<&[u8]> = pages.iter().map(|p| &p[..]).collect();
                 self.ssd.append_pages(f[side], &refs)?;
             }
         }
@@ -1117,7 +1117,8 @@ mod tests {
         // bit of its first record's destination offset flipped.
         fn corrupt(ssd: &Ssd, name: &str) {
             let f = ssd.lookup(name).unwrap();
-            let mut pages = ssd.read_all(f, |_| 0).unwrap();
+            let mut pages: Vec<Vec<u8>> =
+                ssd.read_all(f, |_| 0).unwrap().iter().map(|p| p.to_vec()).collect();
             pages[0][PAGE_HEADER_BYTES + 1] ^= 0x80;
             ssd.truncate(f).unwrap();
             let refs: Vec<&[u8]> = pages.iter().map(|p| p.as_slice()).collect();

@@ -25,7 +25,7 @@ use mlvc_graph::{
 };
 use mlvc_log::{decode_log_page, pack_pages, LogPage, PageShape, Update};
 use mlvc_recover::crc32;
-use mlvc_ssd::{DeviceError, FileId, IoQueue, Ssd};
+use mlvc_ssd::{DeviceError, FileId, IoQueue, Page, Ssd};
 
 use crate::batch::{dedup_last_wins, finish_dirty, upsert_adjacency, validate_range};
 use crate::{EdgeMutation, MutationDelta, MutationError, MutationOp};
@@ -662,7 +662,7 @@ fn read_manifest(ssd: &Ssd, file: FileId) -> Result<Option<Manifest>, MutationEr
 fn queued_read(
     ioq: &IoQueue,
     reqs: Vec<(FileId, u64, usize)>,
-) -> Result<Vec<Vec<u8>>, DeviceError> {
+) -> Result<Vec<Page>, DeviceError> {
     if reqs.is_empty() {
         return Ok(Vec::new());
     }

@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use mlvc_graph::{Csr, EdgeListBuilder, StoredGraph, VertexIntervals};
 use mlvc_mutate::{EdgeMutation, MutationConfig, MutationLog};
-use mlvc_ssd::{FileId, PageCache, Ssd, SsdConfig};
+use mlvc_ssd::{FileId, Page, PageCache, Ssd, SsdConfig};
 
 const NUM_INTERVALS: u32 = 8;
 
@@ -52,7 +52,7 @@ fn merge_invalidates_exactly_the_dirty_partitions_cached_pages() {
     let mut mlog = MutationLog::new(Arc::clone(&ssd), iv.clone(), MutationConfig::default(), "inv").unwrap();
 
     // Warm every interval's extents into the cache and keep the bytes.
-    let mut warm: Vec<Vec<Vec<u8>>> = Vec::new();
+    let mut warm: Vec<Vec<Page>> = Vec::new();
     for i in 0..NUM_INTERVALS {
         warm.push(ssd.read_batch(&interval_reqs(&ssd, &sg, i)).unwrap());
     }

@@ -16,7 +16,7 @@
 use std::sync::Arc;
 
 use mlvc_ssd::checked::{mem_idx, to_u64};
-use mlvc_ssd::{DeviceError, FileId, Ssd};
+use mlvc_ssd::{DeviceError, FileId, Page, Ssd};
 
 use crate::crc::crc32;
 use crate::manifest::{
@@ -35,8 +35,9 @@ pub struct CheckpointState {
     /// Self-activated-vertex bitset, bit `v` = byte `v / 8`, bit `v % 8`.
     pub active_bits: Vec<u8>,
     /// Pending multi-log pages per vertex interval, verbatim as read from
-    /// the log's read side (page-encoded update records).
-    pub msgs: Vec<Vec<Vec<u8>>>,
+    /// the log's read side (page-encoded update records) — the lent pages
+    /// themselves, not copies.
+    pub msgs: Vec<Vec<Page>>,
 }
 
 impl CheckpointState {
@@ -274,7 +275,7 @@ fn decode_states(bytes: &[u8]) -> Vec<u64> {
 /// Segment layout: `[u64 interval count][u64 page count per interval…]`
 /// followed by every page verbatim (each exactly one device page long), in
 /// interval order.
-fn encode_msgs(msgs: &[Vec<Vec<u8>>]) -> Vec<u8> {
+fn encode_msgs(msgs: &[Vec<Page>]) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(&to_u64(msgs.len()).to_le_bytes());
     for pages in msgs {
@@ -288,7 +289,7 @@ fn encode_msgs(msgs: &[Vec<Vec<u8>>]) -> Vec<u8> {
     out
 }
 
-fn decode_msgs(bytes: &[u8], page_size: usize) -> Vec<Vec<Vec<u8>>> {
+fn decode_msgs(bytes: &[u8], page_size: usize) -> Vec<Vec<Page>> {
     let Some(n) = read_u64_at(bytes, 0) else {
         return Vec::new();
     };
@@ -306,7 +307,7 @@ fn decode_msgs(bytes: &[u8], page_size: usize) -> Vec<Vec<Vec<u8>>> {
         let mut pages = Vec::with_capacity(count);
         for _ in 0..count {
             match bytes.get(off..off + page_size) {
-                Some(p) => pages.push(p.to_vec()),
+                Some(p) => pages.push(Page::from(p)),
                 None => return Vec::new(),
             }
             off += page_size;
@@ -335,7 +336,7 @@ mod tests {
         let states: Vec<u64> = (0..n).map(|v| to_u64(v) * 31 + superstep).collect();
         let active_bits = CheckpointState::bits_from_vertices(n, &[3, 17, 64]);
         // Two intervals: one with a fake log page, one empty.
-        let msgs = vec![vec![vec![0xABu8; 256]], vec![]];
+        let msgs = vec![vec![Page::from(&[0xABu8; 256][..])], vec![]];
         CheckpointState { superstep, all_active: false, states, active_bits, msgs }
     }
 
@@ -452,7 +453,7 @@ mod tests {
         // Re-stamp the manifest as version 1 (valid CRC): its pending
         // messages would be fixed-width pages this build cannot decode.
         let f = ssd.open_or_create("t.ckpt.manifest.a").unwrap();
-        let mut page = ssd.read_page(f, 0, 0).unwrap();
+        let mut page = ssd.read_page(f, 0, 0).unwrap().to_vec();
         page.truncate(MANIFEST_HEADER_BYTES - MANIFEST_CRC_BYTES);
         page[MAGIC_BYTES..MAGIC_BYTES + 4].copy_from_slice(&1u32.to_le_bytes());
         let crc = crc32(&page);

@@ -18,12 +18,17 @@
 //!   flush the hot set). Queue order is maintained lazily: entries carry a
 //!   stamp and are validated against the owning frame on pop, so an Am
 //!   hit is O(1) (push a fresh stamped entry) instead of an unlink.
-//! * **Pinned tier** — [`PageCache::pin_pages`] copies an extent into a
+//! * **Pinned tier** — [`PageCache::pin_pages`] puts an extent's pages in a
 //!   separate map that is exempt from eviction and checked before the
 //!   frame pool. The engine uses this for GraphMP-style hot-interval
 //!   topology pinning (DESIGN.md §18). Pinned copies are dropped by the
 //!   same write/truncate invalidation as frames; callers must not race a
 //!   writer against `pin_pages` itself.
+//! * **Lent pages** — frames and pins hold [`Page`] handles, not copies: a
+//!   hit clones the handle, a miss fill inserts the very page it returns,
+//!   and on the in-memory backend that page is the store's own allocation.
+//!   A write never touches a lent page (the store installs a new one), so
+//!   invalidation only has to drop handles.
 //! * **Single-flight merging** — the first tenant to fault a page marks it
 //!   in-flight and reads it from the device; concurrent tenants faulting
 //!   the same page block on a condvar and are served from the filled
@@ -56,6 +61,7 @@ use crate::checked::{to_u64, to_usize};
 use crate::cost::PageAddr;
 use crate::device::{FileId, Ssd};
 use crate::fault::DeviceError;
+use crate::page::Page;
 
 /// Identity of a cache client. The base device reads as tenant 0; the
 /// serving daemon assigns each admitted job a fresh id from 1.
@@ -70,11 +76,11 @@ enum QueueKind {
     Am,
 }
 
-/// One frame: a resident page copy plus its replacement state and the
-/// tenant that inserted it (for cross-tenant hit attribution).
+/// One frame: the replacement state of a resident page (the page itself
+/// sits in [`CacheInner::map`]) and the tenant that inserted it (for
+/// cross-tenant hit attribution).
 struct Frame {
     key: Option<PageKey>,
-    data: Vec<u8>,
     inserter: TenantId,
     queue: QueueKind,
     /// Matches the live queue entry for this frame; stale entries with an
@@ -85,7 +91,7 @@ struct Frame {
 /// A page held in the pinned tier: exempt from eviction, checked before
 /// the frame pool, dropped only by invalidation or [`PageCache::unpin_file`].
 struct PinnedPage {
-    data: Vec<u8>,
+    page: Page,
     inserter: TenantId,
 }
 
@@ -148,8 +154,9 @@ impl CacheSnapshot {
 
 struct CacheInner {
     frames: Vec<Frame>,
-    /// Resident pages: key -> frame index.
-    map: HashMap<PageKey, usize>,
+    /// Resident pages: key -> (frame index, the page). Holding the page
+    /// here means a resident key always has its bytes.
+    map: HashMap<PageKey, (usize, Page)>,
     /// Pages being fetched right now, each by exactly one owner.
     in_flight: HashMap<PageKey, InFlight>,
     /// Unoccupied frame indices.
@@ -211,7 +218,6 @@ impl PageCache {
         for _ in 0..cap {
             frames.push(Frame {
                 key: None,
-                data: Vec::new(),
                 inserter: 0,
                 queue: QueueKind::A1in,
                 stamp: 0,
@@ -280,12 +286,12 @@ impl PageCache {
         }
     }
 
-    /// Copy `pages` of `file` into the pinned tier, reading any absent
+    /// Put `pages` of `file` into the pinned tier, reading any absent
     /// pages through the cache (charged to `dev`'s tenant like any other
     /// read). Already-pinned pages are skipped, so re-pinning a hot extent
     /// is idempotent and free. Returns the number of *newly* pinned pages.
     ///
-    /// A resident frame copy is handed over to the pinned tier (the frame
+    /// A resident frame's page is handed over to the pinned tier (the frame
     /// is released, not counted as an eviction). Callers must not run a
     /// writer against `file` concurrently with the pin itself; after the
     /// pin, write/truncate invalidation drops pinned copies like frames.
@@ -296,21 +302,21 @@ impl PageCache {
             return Ok(0);
         }
         let tenant = dev.tenant();
-        let data = self.read_through(dev, &reqs, tenant, true)?;
+        let read = self.read_through(dev, &reqs, tenant, true)?;
         let mut guard = locked(&self.state);
         let inner = &mut *guard;
         let mut newly = 0u64;
-        for (d, &(f, p, _)) in data.into_iter().zip(&reqs) {
+        for (page, &(f, p, _)) in read.into_iter().zip(&reqs) {
             let key = (f, p);
             if inner.pinned.contains_key(&key) {
                 continue;
             }
-            if let Some(fi) = inner.map.remove(&key) {
+            if let Some((fi, _)) = inner.map.remove(&key) {
                 release_frame(inner, fi);
             }
             inner.ghost_set.remove(&key);
-            inner.pinned_bytes += to_u64(d.len());
-            inner.pinned.insert(key, PinnedPage { data: d, inserter: tenant });
+            inner.pinned_bytes += to_u64(page.len());
+            inner.pinned.insert(key, PinnedPage { page, inserter: tenant });
             newly += 1;
         }
         Ok(newly)
@@ -345,15 +351,13 @@ impl PageCache {
         if inner.pinned.contains_key(&key) {
             return false;
         }
-        if let Some(fi) = inner.map.remove(&key) {
+        if let Some((fi, _)) = inner.map.remove(&key) {
             release_frame(inner, fi);
         }
         inner.ghost_set.remove(&key);
-        let mut data = vec![0u8; page_size];
-        let keep = payload.len().min(page_size);
-        data[..keep].copy_from_slice(&payload[..keep]);
-        inner.pinned_bytes += to_u64(data.len());
-        inner.pinned.insert(key, PinnedPage { data, inserter: tenant });
+        let page = Page::zero_padded(payload, page_size);
+        inner.pinned_bytes += to_u64(page.len());
+        inner.pinned.insert(key, PinnedPage { page, inserter: tenant });
         true
     }
 
@@ -365,7 +369,7 @@ impl PageCache {
         let mut freed = 0u64;
         inner.pinned.retain(|key, p| {
             if key.0 == file {
-                freed += to_u64(p.data.len());
+                freed += to_u64(p.page.len());
                 dropped += 1;
                 false
             } else {
@@ -378,8 +382,9 @@ impl PageCache {
 
     /// Serve a read batch through the cache on behalf of `tenant`.
     ///
-    /// Pinned pages and resident frames are copied out as hits; pages in
-    /// flight under another owner are waited for; everything else is
+    /// Pinned pages and resident frames are lent out as hits (a handle
+    /// clone, no bytes copied); pages in flight under another owner are
+    /// waited for; everything else is
     /// marked in flight and read from `dev` as one uncached device batch.
     /// The device lock is never held while the cache lock is (and vice
     /// versa).
@@ -389,8 +394,8 @@ impl PageCache {
         reqs: &[(FileId, u64, usize)],
         tenant: TenantId,
         charge_time: bool,
-    ) -> Result<Vec<Vec<u8>>, DeviceError> {
-        let mut out: Vec<Option<Vec<u8>>> = Vec::new();
+    ) -> Result<Vec<Page>, DeviceError> {
+        let mut out: Vec<Option<Page>> = Vec::new();
         out.resize_with(reqs.len(), || None);
         let mut guard = locked(&self.state);
         loop {
@@ -405,29 +410,24 @@ impl PageCache {
                 }
                 let key = (file, page);
                 if let Some(p) = guard.pinned.get(&key) {
-                    let inserter = p.inserter;
-                    let data = p.data.clone();
-                    let saved = to_u64(data.len());
+                    let (inserter, page) = (p.inserter, p.page.clone());
                     if inserter != tenant {
                         guard.cross_tenant_hits += 1;
                     }
                     guard.pinned_hits += 1;
                     let t = guard.tenants.entry(tenant).or_default();
                     t.hits += 1;
-                    t.bytes_saved += saved;
-                    out[i] = Some(data);
-                } else if let Some(&fi) = guard.map.get(&key) {
+                    t.bytes_saved += to_u64(page.len());
+                    out[i] = Some(page);
+                } else if let Some((fi, page)) = guard.map.get(&key).cloned() {
                     touch_frame(&mut guard, fi);
-                    let inserter = guard.frames[fi].inserter;
-                    let data = guard.frames[fi].data.clone();
-                    let saved = to_u64(data.len());
-                    if inserter != tenant {
+                    if guard.frames[fi].inserter != tenant {
                         guard.cross_tenant_hits += 1;
                     }
                     let t = guard.tenants.entry(tenant).or_default();
                     t.hits += 1;
-                    t.bytes_saved += saved;
-                    out[i] = Some(data);
+                    t.bytes_saved += to_u64(page.len());
+                    out[i] = Some(page);
                 } else if let Entry::Vacant(slot) = guard.in_flight.entry(key) {
                     slot.insert(InFlight { dirty: false });
                     owned.push(i);
@@ -462,19 +462,10 @@ impl PageCache {
                     return Err(e);
                 }
                 Ok(pages) => {
-                    for (data, &i) in pages.into_iter().zip(&owned) {
+                    for (lent, &i) in pages.into_iter().zip(&owned) {
                         let (file, page, _) = reqs[i];
-                        let key = (file, page);
-                        // A write that raced this fill marked it dirty; the
-                        // data is still valid for *this* read (it linearizes
-                        // before the write) but must not become resident.
-                        let dirty =
-                            guard.in_flight.remove(&key).is_none_or(|f| f.dirty);
-                        if !dirty {
-                            insert_frame(&mut guard, key, data.clone(), tenant);
-                        }
-                        guard.tenants.entry(tenant).or_default().misses += 1;
-                        out[i] = Some(data);
+                        land_fill(&mut guard, (file, page), &lent, tenant);
+                        out[i] = Some(lent);
                     }
                     self.filled.notify_all();
                 }
@@ -483,7 +474,18 @@ impl PageCache {
             // resolved by the next pass.
         }
         drop(guard);
-        Ok(out.into_iter().map(Option::unwrap_or_default).collect())
+        // The loop only breaks once every slot is filled; a hole would be
+        // a bug here, and is an error rather than an empty page.
+        out.into_iter()
+            .zip(reqs)
+            .map(|(page, &(file, page_no, _))| {
+                page.ok_or_else(|| {
+                    DeviceError::Io(format!(
+                        "page cache resolved no page for ({file}, {page_no})"
+                    ))
+                })
+            })
+            .collect()
     }
 
     /// Drop resident and pinned copies of the given pages and dirty any
@@ -493,11 +495,11 @@ impl PageCache {
         let inner = &mut *guard;
         for a in addrs {
             let key = (a.file, a.page);
-            if let Some(fi) = inner.map.remove(&key) {
+            if let Some((fi, _)) = inner.map.remove(&key) {
                 release_frame(inner, fi);
             }
             if let Some(p) = inner.pinned.remove(&key) {
-                inner.pinned_bytes = inner.pinned_bytes.saturating_sub(to_u64(p.data.len()));
+                inner.pinned_bytes = inner.pinned_bytes.saturating_sub(to_u64(p.page.len()));
             }
             inner.ghost_set.remove(&key);
             if let Some(f) = inner.in_flight.get_mut(&key) {
@@ -512,7 +514,7 @@ impl PageCache {
         let mut guard = locked(&self.state);
         let inner = &mut *guard;
         let mut dropped: Vec<usize> = Vec::new();
-        inner.map.retain(|key, fi| {
+        inner.map.retain(|key, (fi, _)| {
             if key.0 == file {
                 dropped.push(*fi);
                 false
@@ -526,7 +528,7 @@ impl PageCache {
         let mut freed = 0u64;
         inner.pinned.retain(|key, p| {
             if key.0 == file {
-                freed += to_u64(p.data.len());
+                freed += to_u64(p.page.len());
                 false
             } else {
                 true
@@ -540,6 +542,18 @@ impl PageCache {
             }
         }
     }
+}
+
+/// Land a fill its owner fetched: retire the in-flight mark, count the
+/// miss, and make the page resident — unless a write raced the fill and
+/// marked it dirty. The page is still valid for the read that fetched it
+/// (it linearizes before the write) but must not outlive it in the cache.
+fn land_fill(inner: &mut CacheInner, key: PageKey, page: &Page, tenant: TenantId) {
+    let dirty = inner.in_flight.remove(&key).is_none_or(|f| f.dirty);
+    if !dirty {
+        insert_frame(inner, key, page.clone(), tenant);
+    }
+    inner.tenants.entry(tenant).or_default().misses += 1;
 }
 
 /// Record a hit on frame `fi`: refresh Am recency (stale-stamp trick) and
@@ -560,7 +574,7 @@ fn touch_frame(inner: &mut CacheInner, fi: usize) {
 /// routine. Already resident or pinned pages are left alone; a key with a
 /// ghost entry proved re-reference and goes straight to Am; everything
 /// else enters probationary A1in.
-fn insert_frame(inner: &mut CacheInner, key: PageKey, data: Vec<u8>, tenant: TenantId) {
+fn insert_frame(inner: &mut CacheInner, key: PageKey, page: Page, tenant: TenantId) {
     if inner.map.contains_key(&key) || inner.pinned.contains_key(&key) {
         return;
     }
@@ -572,7 +586,6 @@ fn insert_frame(inner: &mut CacheInner, key: PageKey, data: Vec<u8>, tenant: Ten
     let stamp = inner.stamp;
     let f = &mut inner.frames[fi];
     f.key = Some(key);
-    f.data = data;
     f.inserter = tenant;
     f.stamp = stamp;
     if hot {
@@ -584,7 +597,7 @@ fn insert_frame(inner: &mut CacheInner, key: PageKey, data: Vec<u8>, tenant: Ten
         inner.a1in.push_back((key, stamp));
         inner.a1in_live += 1;
     }
-    inner.map.insert(key, fi);
+    inner.map.insert(key, (fi, page));
     prune_stale(inner);
 }
 
@@ -614,7 +627,6 @@ fn reclaim_frame(inner: &mut CacheInner) -> Option<usize> {
         QueueKind::A1in => inner.a1in_live = inner.a1in_live.saturating_sub(1),
         QueueKind::Am => inner.am_live = inner.am_live.saturating_sub(1),
     }
-    inner.frames[fi].data = Vec::new();
     Some(fi)
 }
 
@@ -627,7 +639,7 @@ fn pop_valid(inner: &mut CacheInner, want: QueueKind) -> Option<usize> {
         QueueKind::Am => &mut inner.am,
     };
     while let Some((key, stamp)) = q.pop_front() {
-        if let Some(&fi) = inner.map.get(&key) {
+        if let Some(&(fi, _)) = inner.map.get(&key) {
             if inner.frames[fi].stamp == stamp && inner.frames[fi].queue == want {
                 return Some(fi);
             }
@@ -658,7 +670,7 @@ fn prune_stale(inner: &mut CacheInner) {
         let frames = &inner.frames;
         inner.a1in.retain(|&(key, stamp)| {
             map.get(&key)
-                .is_some_and(|&fi| frames[fi].stamp == stamp && frames[fi].queue == QueueKind::A1in)
+                .is_some_and(|&(fi, _)| frames[fi].stamp == stamp && frames[fi].queue == QueueKind::A1in)
         });
     }
     if inner.am.len() > limit {
@@ -666,7 +678,7 @@ fn prune_stale(inner: &mut CacheInner) {
         let frames = &inner.frames;
         inner.am.retain(|&(key, stamp)| {
             map.get(&key)
-                .is_some_and(|&fi| frames[fi].stamp == stamp && frames[fi].queue == QueueKind::Am)
+                .is_some_and(|&(fi, _)| frames[fi].stamp == stamp && frames[fi].queue == QueueKind::Am)
         });
     }
     if inner.ghost.len() > limit {
@@ -687,7 +699,6 @@ fn release_frame(inner: &mut CacheInner, fi: usize) {
         QueueKind::Am => inner.am_live = inner.am_live.saturating_sub(1),
     }
     inner.free.push(fi);
-    inner.frames[fi].data = Vec::new();
 }
 
 #[cfg(test)]
@@ -806,6 +817,44 @@ mod tests {
         let after = ssd.read_page(f, 0, 5).unwrap();
         assert_ne!(before, after, "stale frame must not survive the write");
         assert_eq!(&after[..5], b"fresh");
+    }
+
+    /// The race `read_through` cannot be paused in from outside: an owner
+    /// has claimed a page and fetched it, and a write (or a truncate)
+    /// lands before the fill does. The fetched page must not become
+    /// resident; an unraced fill of the same page does.
+    #[test]
+    fn a_write_or_truncate_racing_a_fill_keeps_it_out_of_the_cache() {
+        let (ssd, f) = dev_with_pages(2);
+        let cache = Arc::new(PageCache::new(8));
+        ssd.attach_cache(Arc::clone(&cache));
+        let key = (f, 0);
+        let claim = || locked(&cache.state).in_flight.insert(key, InFlight { dirty: false });
+        let racing: [&dyn Fn(); 2] = [
+            &|| ssd.write_page(f, 0, b"fresh").unwrap(),
+            &|| {
+                ssd.truncate(f).unwrap();
+                ssd.append_page(f, b"fresh").unwrap();
+            },
+        ];
+        for race in racing {
+            // The owner's pass 1 and device read …
+            claim();
+            let fetched = ssd.read_batch_uncached(&[(f, 0, 0)]).unwrap().remove(0);
+            // … the write that races them, and the landing.
+            race();
+            land_fill(&mut locked(&cache.state), key, &fetched, 0);
+            let snap = cache.snapshot();
+            assert_eq!(snap.resident_pages, 0, "a raced fill became resident");
+            assert!(locked(&cache.state).in_flight.is_empty());
+            assert_eq!(&ssd.read_page(f, 0, 0).unwrap()[..5], b"fresh");
+            ssd.write_page(f, 0, &[0; 32]).unwrap();
+        }
+        claim();
+        let fetched = ssd.read_batch_uncached(&[(f, 0, 0)]).unwrap().remove(0);
+        land_fill(&mut locked(&cache.state), key, &fetched, 0);
+        assert_eq!(cache.snapshot().resident_pages, 1, "an unraced fill lands");
+        assert!(Page::ptr_eq(&fetched, &ssd.read_page(f, 0, 0).unwrap()));
     }
 
     #[test]

@@ -13,6 +13,7 @@ use crate::config::SsdConfig;
 use crate::cost::{batch_time_ns, PageAddr};
 use crate::fault::{DeviceError, FaultCounters, FaultPlan, FaultState, WriteFate};
 use crate::ftl::{FtlConfig, FtlModel, FtlOp, FtlStats};
+use crate::page::Page;
 use crate::stats::SsdStats;
 
 /// Identifier of a file on the simulated device.
@@ -32,8 +33,10 @@ pub enum Backend {
     Dir(PathBuf),
 }
 
+/// `Mem` holds the very [`Page`]s it lends: a read clones the handle in a
+/// slot, a write replaces the slot's handle (never the bytes behind it).
 enum Store {
-    Mem(Vec<Box<[u8]>>),
+    Mem(Vec<Page>),
     Disk { file: fs::File, pages: u64 },
 }
 
@@ -45,9 +48,14 @@ struct FileEntry {
 /// The simulated SSD: a set of named page files plus the cost model and
 /// activity counters shared by every engine in the reproduction.
 ///
-/// All operations are page-granular. Reads *copy* page payloads out so that
-/// callers never hold locks while processing; the simulated service time is
-/// charged at dispatch.
+/// All operations are page-granular. Reads *lend* pages: every read returns
+/// immutable [`Page`] handles — on the in-memory backend the same
+/// allocations the store holds, on the file backend the buffers the one
+/// `read_at` filled — so callers never hold locks while processing and no
+/// page is copied on its way to a decoder, through the cache or across
+/// threads. A write installs a new page in the slot, so a lent handle
+/// keeps the bytes it was read with. The simulated service time is charged
+/// at dispatch.
 ///
 /// Every operation is fallible: besides genuine caller bugs (deleted files,
 /// out-of-bounds pages, oversized payloads) the device can be armed with a
@@ -630,10 +638,9 @@ impl Ssd {
                     WriteFate::Proceed => data.len(),
                     WriteFate::Torn { keep } => (*keep).min(data.len()),
                 };
-                let mut buf = vec![0u8; self.shared.cfg.page_size];
-                buf[..keep].copy_from_slice(&data[..keep]);
+                let buf = Page::zero_padded(&data[..keep], self.shared.cfg.page_size);
                 match &mut entry.store {
-                    Store::Mem(pages) => pages[mem_idx(page)] = buf.into_boxed_slice(),
+                    Store::Mem(pages) => pages[mem_idx(page)] = buf,
                     Store::Disk { file, .. } => {
                         if let Err(e) = write_at(file, &buf, self.byte_offset(page)) {
                             failed = Some(io_err("write_at", &e));
@@ -659,10 +666,11 @@ impl Ssd {
 
     /// Read one page, declaring how many of its bytes the caller will
     /// actually use (for read-amplification accounting).
-    pub fn read_page(&self, file: FileId, page: u64, useful: usize) -> Result<Vec<u8>, DeviceError> {
-        let mut out = self.read_batch(&[(file, page, useful)])?;
-        // read_batch returns exactly one buffer per request.
-        Ok(out.pop().unwrap_or_default())
+    pub fn read_page(&self, file: FileId, page: u64, useful: usize) -> Result<Page, DeviceError> {
+        // read_batch returns exactly one page per request.
+        self.read_batch(&[(file, page, useful)])?
+            .pop()
+            .ok_or(DeviceError::OutOfBounds { file, page })
     }
 
     /// Read a batch of pages dispatched together: `(file, page, useful)`.
@@ -676,7 +684,7 @@ impl Ssd {
     /// here, charging one extra page-read service time per retry on the
     /// virtual clock; a fault streak beyond the bound fails the batch with
     /// [`DeviceError::ReadUnavailable`].
-    pub fn read_batch(&self, reqs: &[(FileId, u64, usize)]) -> Result<Vec<Vec<u8>>, DeviceError> {
+    pub fn read_batch(&self, reqs: &[(FileId, u64, usize)]) -> Result<Vec<Page>, DeviceError> {
         let cache = self.shared.cache.lock().clone();
         match cache {
             Some(c) => {
@@ -698,7 +706,7 @@ impl Ssd {
     pub fn read_batch_deferred(
         &self,
         reqs: &[(FileId, u64, usize)],
-    ) -> Result<Vec<Vec<u8>>, DeviceError> {
+    ) -> Result<Vec<Page>, DeviceError> {
         let cache = self.shared.cache.lock().clone();
         match cache {
             Some(c) => {
@@ -727,7 +735,7 @@ impl Ssd {
     pub(crate) fn read_batch_uncached(
         &self,
         reqs: &[(FileId, u64, usize)],
-    ) -> Result<Vec<Vec<u8>>, DeviceError> {
+    ) -> Result<Vec<Page>, DeviceError> {
         self.read_batch_uncached_inner(reqs, true)
     }
 
@@ -738,7 +746,7 @@ impl Ssd {
         &self,
         reqs: &[(FileId, u64, usize)],
         charge_time: bool,
-    ) -> Result<Vec<Vec<u8>>, DeviceError> {
+    ) -> Result<Vec<Page>, DeviceError> {
         self.fault.lock().check_alive()?;
         let mut out = Vec::with_capacity(reqs.len());
         let mut addrs = Vec::with_capacity(reqs.len());
@@ -746,49 +754,24 @@ impl Ssd {
         let mut extra_retries = 0u64;
         let mut failed: Option<DeviceError> = None;
         {
-            let mut files = self.shared.files.lock();
+            let files = self.shared.files.lock();
             for &(fid, page, useful) in reqs {
                 assert!(
                     useful <= self.shared.cfg.page_size,
                     "useful bytes cannot exceed the page size"
                 );
-                let Some(entry) = files.entries.get_mut(idx(fid)).and_then(Option::as_mut)
-                else {
-                    failed = Some(DeviceError::Deleted { file: fid });
-                    break;
-                };
-                let n = match &entry.store {
-                    Store::Mem(pages) => to_u64(pages.len()),
-                    Store::Disk { pages, .. } => *pages,
-                };
-                if page >= n {
-                    failed = Some(DeviceError::OutOfBounds { file: fid, page });
-                    break;
-                }
-                match self.fault.lock().note_page_read() {
-                    Ok(r) => extra_retries += u64::from(r),
-                    Err(retries) => {
-                        failed = Some(DeviceError::ReadUnavailable { file: fid, page, retries });
+                match self.lend(&files, fid, page) {
+                    Ok((lent, retries)) => {
+                        extra_retries += u64::from(retries);
+                        useful_total += to_u64(useful);
+                        addrs.push(PageAddr::new(fid, page));
+                        out.push(lent);
+                    }
+                    Err(e) => {
+                        failed = Some(e);
                         break;
                     }
                 }
-                let data = match &mut entry.store {
-                    Store::Mem(pages) => pages
-                        .get(mem_idx(page))
-                        .map(|p| p.to_vec())
-                        .unwrap_or_default(),
-                    Store::Disk { file, .. } => {
-                        let mut buf = vec![0u8; self.shared.cfg.page_size];
-                        if let Err(e) = read_at(file, &mut buf, self.byte_offset(page)) {
-                            failed = Some(io_err("read_at", &e));
-                            break;
-                        }
-                        buf
-                    }
-                };
-                useful_total += to_u64(useful);
-                addrs.push(PageAddr::new(fid, page));
-                out.push(data);
             }
         }
         self.charge_read(&addrs, useful_total, charge_time);
@@ -801,6 +784,43 @@ impl Ssd {
         match failed {
             Some(e) => Err(e),
             None => Ok(out),
+        }
+    }
+
+    /// One page of a read batch: existence and bounds first, then the fault
+    /// schedule (a read that cannot happen must not consume a fault slot),
+    /// then the page itself and the retries it cost. `Mem` clones the
+    /// slot's handle; `Disk` does its one `read_at` into the buffer that
+    /// becomes the page.
+    fn lend(&self, files: &Files, fid: FileId, page: u64) -> Result<(Page, u32), DeviceError> {
+        let entry = files
+            .entries
+            .get(idx(fid))
+            .and_then(Option::as_ref)
+            .ok_or(DeviceError::Deleted { file: fid })?;
+        let out_of_bounds = DeviceError::OutOfBounds { file: fid, page };
+        let note_read = || {
+            self.fault
+                .lock()
+                .note_page_read()
+                .map_err(|retries| DeviceError::ReadUnavailable { file: fid, page, retries })
+        };
+        match &entry.store {
+            Store::Mem(pages) => {
+                let slot = pages.get(mem_idx(page)).ok_or(out_of_bounds)?;
+                Ok((slot.clone(), note_read()?))
+            }
+            Store::Disk { file, pages } => {
+                if page >= *pages {
+                    return Err(out_of_bounds);
+                }
+                let retries = note_read()?;
+                let lent = Page::read_into(self.shared.cfg.page_size, |buf| {
+                    read_at(file, buf, self.byte_offset(page))
+                })
+                .map_err(|e| io_err("read_at", &e))?;
+                Ok((lent, retries))
+            }
         }
     }
 
@@ -818,7 +838,7 @@ impl Ssd {
         &self,
         file: FileId,
         useful_per_page: impl Fn(u64) -> usize,
-    ) -> Result<Vec<Vec<u8>>, DeviceError> {
+    ) -> Result<Vec<Page>, DeviceError> {
         let n = self.num_pages(file)?;
         let reqs: Vec<(FileId, u64, usize)> =
             (0..n).map(|p| (file, p, useful_per_page(p))).collect();
@@ -855,10 +875,9 @@ impl Ssd {
                 WriteFate::Proceed => data.len(),
                 WriteFate::Torn { keep } => (*keep).min(data.len()),
             };
-            let mut buf = vec![0u8; self.shared.cfg.page_size];
-            buf[..keep].copy_from_slice(&data[..keep]);
+            let buf = Page::zero_padded(&data[..keep], self.shared.cfg.page_size);
             match &mut entry.store {
-                Store::Mem(existing) => existing.push(buf.into_boxed_slice()),
+                Store::Mem(existing) => existing.push(buf),
                 Store::Disk { file, pages: n } => {
                     if let Err(e) = write_at(file, &buf, self.byte_offset(*n)) {
                         err = Some(io_err("write_at", &e));
@@ -1187,8 +1206,8 @@ mod tests {
         // Durable state: pages 0 and 1 intact, page 2 torn (a strict
         // prefix of the payload, then zeroes).
         assert_eq!(ssd.num_pages(f).unwrap(), 3);
-        assert_eq!(ssd.read_page(f, 0, 0).unwrap(), vec![1u8; 256]);
-        assert_eq!(ssd.read_page(f, 1, 0).unwrap(), vec![2u8; 256]);
+        assert_eq!(&ssd.read_page(f, 0, 0).unwrap()[..], &[1u8; 256]);
+        assert_eq!(&ssd.read_page(f, 1, 0).unwrap()[..], &[2u8; 256]);
         let torn = ssd.read_page(f, 2, 0).unwrap();
         let keep = torn.iter().take_while(|&&b| b == 3).count();
         assert!(keep < 256, "crash page must not be fully programmed");
@@ -1222,7 +1241,7 @@ mod tests {
         ssd.install_fault_plan(FaultPlan::default().with_read_faults(1, 2));
         ssd.stats().reset();
         let page = ssd.read_page(f, 0, 0).unwrap();
-        assert_eq!(page, vec![5u8; 256], "retried read returns good data");
+        assert_eq!(&page[..], &[5u8; 256], "retried read returns good data");
         let faulted = ssd.stats().snapshot().read_time_ns;
         assert!(faulted > clean, "retries must cost virtual time ({faulted} vs {clean})");
         assert_eq!(ssd.fault_counters().retries_charged, 2);

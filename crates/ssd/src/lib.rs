@@ -22,18 +22,21 @@
 //! identical for both, so experiment *shapes* do not depend on the backend.
 //!
 //! ```
-//! use mlvc_ssd::{Ssd, SsdConfig};
+//! use mlvc_ssd::{Page, Ssd, SsdConfig};
 //!
 //! let ssd = Ssd::new(SsdConfig::default());
 //! let log = ssd.open_or_create("my.log").unwrap();
 //! ssd.append_page(log, b"hello flash").unwrap();
 //!
 //! // Read it back, declaring how many bytes we actually need — the gap is
-//! // the read amplification the paper's edge-log optimizer attacks.
+//! // the read amplification the paper's edge-log optimizer attacks. The
+//! // read lends the page: an immutable `Page` handle that derefs to its
+//! // bytes, and a second read of the same page is the same allocation.
 //! let page = ssd.read_page(log, 0, 11).unwrap();
 //! assert_eq!(&page[..11], b"hello flash");
+//! assert!(Page::ptr_eq(&page, &ssd.read_page(log, 0, 11).unwrap()));
 //! let stats = ssd.stats().snapshot();
-//! assert_eq!(stats.pages_read, 1);
+//! assert_eq!(stats.pages_read, 2);
 //! assert!(stats.read_amplification().unwrap() > 1000.0); // 11 B of 16 KiB
 //! ```
 //!
@@ -49,6 +52,7 @@ mod cost;
 mod device;
 mod fault;
 mod ftl;
+mod page;
 mod queue;
 mod stats;
 pub mod sync;
@@ -59,6 +63,7 @@ pub use cost::{batch_time_ns, channel_of, PageAddr};
 pub use device::{Backend, FileId, Ssd};
 pub use fault::{DeviceError, FaultCounters, FaultPlan};
 pub use ftl::{FtlConfig, FtlModel, FtlOp, FtlStats, Lpa};
+pub use page::Page;
 pub use queue::{IoQueue, QueueWaitStats, Ticket};
 pub use stats::{RelaxedCounter, SsdStats, SsdStatsSnapshot};
 

@@ -17,9 +17,11 @@
 //!   as read wait. `depth` therefore never changes *when* a request
 //!   completes, only when submission returns — queue depth 1 degenerates to
 //!   the old synchronous charging.
-//! * [`IoQueue::fetch`] moves the data with counts charged but **no**
-//!   service time — the queue's clocks own time. Exactly one `read_batches`
-//!   is charged per ticket, however many channels or cache passes serve it.
+//! * [`IoQueue::fetch`] hands over the pages (lent [`Page`] handles: a
+//!   ticket's pages cross to the fetching thread without a copy) with
+//!   counts charged but **no** service time — the queue's clocks own time.
+//!   Exactly one `read_batches` is charged per ticket, however many
+//!   channels or cache passes serve it.
 //!   `fetch` may run on any thread; the engine runs it on the fetch
 //!   workers. When a page cache is attached, the data is actually moved at
 //!   *submit* time (plan order, owner thread) and `fetch` just hands it
@@ -49,6 +51,7 @@ use crate::checked::to_u64;
 use crate::cost::{channel_of, PageAddr};
 use crate::device::{FileId, Ssd};
 use crate::fault::DeviceError;
+use crate::page::Page;
 use crate::sync::Mutex;
 
 /// Handle of one submitted read batch.
@@ -76,7 +79,7 @@ struct TicketState {
     /// (`None` otherwise, or once fetched). Keeping cache traffic on the
     /// plan-order submit path makes the cache's request sequence
     /// independent of which fetch worker later calls [`IoQueue::fetch`].
-    prefetched: Option<Result<Vec<Vec<u8>>, DeviceError>>,
+    prefetched: Option<Result<Vec<Page>, DeviceError>>,
 }
 
 struct QueueState {
@@ -206,7 +209,7 @@ impl IoQueue {
     /// `read_batches` for the whole ticket), service time is not — the
     /// queue's clocks own it. Runs on any thread; fetching a ticket twice
     /// (or one this queue never issued) is an error.
-    pub fn fetch(&self, ticket: Ticket) -> Result<Vec<Vec<u8>>, DeviceError> {
+    pub fn fetch(&self, ticket: Ticket) -> Result<Vec<Page>, DeviceError> {
         let (reqs, prefetched) = {
             let mut st = self.state.lock();
             match st.tickets.get_mut(&ticket.0) {

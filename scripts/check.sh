@@ -62,28 +62,32 @@ echo "== stage-table smoke (mlvc run) =="
 # (fetch wait … close-out) follow one another on one thread. At 1 and 2
 # worker threads the same graph must print the same result lines and
 # superstep table, and those rows must sum to within 10 % of the
-# `supersteps` row: owner time that no row names fails here.
+# `supersteps` row: owner time that no row names fails here. PageRank
+# holds the dense, message-heavy path; the random walk holds the sparse
+# adjacency path (a few active vertices an interval, the edge log on).
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT
 cargo run -q --release --bin mlvc -- \
   gen --kind rmat-social --scale 12 --seed 42 --out "$smoke_dir/g.csr" >/dev/null
-for t in 1 2; do
-  MLVC_THREADS=$t cargo run -q --release --bin mlvc -- \
-    run --app pagerank --graph "$smoke_dir/g.csr" >"$smoke_dir/run.$t"
-  # Everything but the stage table, which is wall-clock.
-  awk '/^stage /{skip=1} /^converged/{skip=0} !skip' "$smoke_dir/run.$t" >"$smoke_dir/det.$t"
-  awk -F'|' -v t="$t" '
-    /^stage /           { on = 1; next }
-    on && /^supersteps/ { total = $2; on = 0 }
-    on && NF == 2       { owner += $2 }
-    END {
-      if (total <= 0 || owner < 0.9 * total || owner > 1.1 * total) {
-        printf "MLVC_THREADS=%s: owner-thread rows sum to %.2f ms, supersteps row is %.2f ms\n", t, owner, total
-        exit 1
-      }
-    }' "$smoke_dir/run.$t"
+for app in pagerank randomwalk; do
+  for t in 1 2; do
+    MLVC_THREADS=$t cargo run -q --release --bin mlvc -- \
+      run --app "$app" --graph "$smoke_dir/g.csr" >"$smoke_dir/run.$t"
+    # Everything but the stage table, which is wall-clock.
+    awk '/^stage /{skip=1} /^converged/{skip=0} !skip' "$smoke_dir/run.$t" >"$smoke_dir/det.$t"
+    awk -F'|' -v t="$t" -v app="$app" '
+      /^stage /           { on = 1; next }
+      on && /^supersteps/ { total = $2; on = 0 }
+      on && NF == 2       { owner += $2 }
+      END {
+        if (total <= 0 || owner < 0.9 * total || owner > 1.1 * total) {
+          printf "%s, MLVC_THREADS=%s: owner-thread rows sum to %.2f ms, supersteps row is %.2f ms\n", app, t, owner, total
+          exit 1
+        }
+      }' "$smoke_dir/run.$t"
+  done
+  diff "$smoke_dir/det.1" "$smoke_dir/det.2"
 done
-diff "$smoke_dir/det.1" "$smoke_dir/det.2"
 
 echo "== benchmark package (read-only use of benchmark/) =="
 # The perf ledger is a package of its own that reaches the workspace only

@@ -183,7 +183,7 @@ fn damage_a_page(ssd: &Ssd, file: FileId, rng: &mut SeededRng) -> bool {
         return false;
     }
     let page = rng.gen_range(0..pages);
-    let mut data = ssd.read_page(file, page, 0).unwrap();
+    let mut data = ssd.read_page(file, page, 0).unwrap().to_vec();
     if rng.gen_range(0u32..3) == 0 {
         data.truncate(rng.gen_range(0..data.len()));
     } else {

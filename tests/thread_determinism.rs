@@ -19,7 +19,7 @@ use multilogvc::core::{
 };
 use multilogvc::graph::{StoredGraph, VertexId, VertexIntervals};
 use multilogvc::prelude::RmatParams;
-use multilogvc::ssd::{Ssd, SsdConfig};
+use multilogvc::ssd::{Page, Ssd, SsdConfig};
 
 /// Per-superstep fingerprint: (messages consumed, messages sent, actives).
 type StepCounts = Vec<(u64, u64, u64)>;
@@ -113,7 +113,7 @@ fn tiered_traces_bit_identical_across_thread_counts() {
 }
 
 /// What one mixed-sends run leaves behind: states, trace, pending log pages.
-type MixedRun = (Vec<u64>, Vec<TraceRecord>, Vec<Vec<u8>>);
+type MixedRun = (Vec<u64>, Vec<TraceRecord>, Vec<Page>);
 
 /// Mixes both send shapes in one `process` call — a `send`, a `send_all`,
 /// another `send` — and folds its inbox in delivery order, so a message
