@@ -98,7 +98,7 @@ pub struct EngineConfig {
     pub checkpoint_every: Option<usize>,
     /// Observability layer (DESIGN.md §13): attach a live FTL model to the
     /// device, record a deterministic per-superstep [`mlvc_obs::TraceRecord`]
-    /// into `SuperstepStats::metrics` / `RunReport::trace`, and snapshot a
+    /// into `RunReport::trace`, and snapshot a
     /// metrics registry into `RunReport::obs`. Off by default — the
     /// disabled path costs nothing beyond one branch per superstep.
     pub obs: bool,

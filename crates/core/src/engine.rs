@@ -8,8 +8,8 @@ use mlvc_graph::{
     Adjacency, GraphLoader, IntervalId, StoredGraph, StructuralUpdateBuffer, VertexId,
 };
 use mlvc_log::{
-    group_by_dest, BatchPlan, BitSet, EdgeLogConfig, EdgeLogOptimizer, FusedBatch, LogReader,
-    MultiLog, MultiLogConfig, SortGroup, Update,
+    group_by_dest, plan_fusion, BatchPlan, BitSet, EdgeLogConfig, EdgeLogOptimizer, FusedBatch,
+    LogReader, MultiLog, MultiLogConfig, Update,
 };
 use mlvc_mutate::{validate_range, MutationError, MutationLog};
 use mlvc_par::{Scope, ScopedJoinHandle, Tracked};
@@ -275,7 +275,6 @@ pub(crate) struct Drive<'a> {
     pub(crate) prog: &'a dyn VertexProgram,
 
     pub(crate) multilog: MultiLog,
-    sortgroup: SortGroup,
     pub(crate) edgelog: EdgeLogOptimizer,
     loader: GraphLoader,
     pub(crate) structural: StructuralUpdateBuffer,
@@ -336,7 +335,6 @@ impl<'a> Drive<'a> {
             mutations,
             prog,
             multilog,
-            sortgroup: SortGroup::new(cfg.sort_budget()),
             edgelog,
             loader: GraphLoader::new(),
             structural: StructuralUpdateBuffer::new(
@@ -523,14 +521,14 @@ fn actives_for_interval(
 /// consume, and the batch decoded from the plan's pages.
 type Fetched = Result<(BatchPlan, FusedBatch), DeviceError>;
 
-/// The fetch stage of a synchronous superstep (DESIGN.md §12): the owner
-/// keeps up to K fused-batch reads on the I/O queue, planned and submitted
-/// in plan order; scoped workers fetch the pages and decode them into inbox
-/// order — counting-sorted, or folded when the program declared a `combine`
-/// — pure functions of the page bytes; the owner retires tickets
-/// strictly in plan order and consumes the drained logs there. Every
-/// clock-, device- and cache-touching call runs on the owner thread, so
-/// the simulated timeline and every counter are identical at any
+/// The fetch stage of a superstep, in both computation models (DESIGN.md
+/// §12): the owner keeps up to K fused-batch reads on the I/O queue, planned
+/// and submitted in plan order; scoped workers fetch the pages and decode
+/// them into inbox order — counting-sorted, or folded when the program
+/// declared a `combine` — pure functions of the page bytes; the owner
+/// retires tickets strictly in plan order and consumes the drained logs
+/// there. Every clock-, device- and cache-touching call runs on the owner
+/// thread, so the simulated timeline and every counter are identical at any
 /// worker-thread count, K or depth.
 struct Fetch<'s, 'e> {
     reader: &'e LogReader,
@@ -609,10 +607,12 @@ impl<'d, 'a> Superstep<'d, 'a> {
     fn run(mut self, report: &mut RunReport) -> Result<bool, DeviceError> {
         let wall0 = Instant::now();
         let io0 = self.d.ssd.stats().snapshot();
-        let plan = self.d.sortgroup.plan(&self.d.pending);
+        let plan = plan_fusion(&self.d.pending, self.d.cfg.sort_budget());
         // Shared-nothing handle on this superstep's inbox (the read side),
         // so workers can decode fused batch k+1 while batch k is processed
-        // and its updates are scattered into the write side.
+        // and its updates are scattered into the write side. The read side
+        // does not change between the flip that opened this superstep and
+        // each batch's consume, so both computation models read it ahead.
         let reader = self.d.multilog.reader();
         let ioq = IoQueue::new(Arc::clone(self.d.ssd), self.d.cfg.queue_depth);
         let handoffs: Vec<Tracked<()>> =
@@ -629,14 +629,7 @@ impl<'d, 'a> Superstep<'d, 'a> {
             };
             for (bi, range) in plan.iter().enumerate() {
                 let t_fetch = Instant::now();
-                // The asynchronous model feeds the current superstep's own
-                // log back into later batches, so its reads must stay
-                // behind the scatter of earlier batches: it loads inline.
-                let batch = if self.d.cfg.async_mode {
-                    self.d.sortgroup.load_batch(&reader, range.clone())?
-                } else {
-                    fetch.next(scope, bi)?
-                };
+                let batch = fetch.next(scope, bi)?;
                 self.st.fetch_wait_ns += t_fetch.elapsed().as_nanos() as u64;
                 self.run_batch(range.clone(), &batch, &ioq)?;
             }
@@ -660,16 +653,15 @@ impl<'d, 'a> Superstep<'d, 'a> {
             self.run_interval(i, batch)?;
         }
         // Advance the queue clock by this batch's simulated compute time,
-        // so the service of batches already submitted overlaps it — the
-        // overlap the paper's async model buys (§V-F). The deltas sum
-        // exactly to `st.compute_ns` over the superstep.
-        if !self.d.cfg.async_mode {
-            ioq.advance(self.d.cfg.cost.compute_ns(
-                self.st.messages_processed - before.0,
-                self.st.messages_delivered - before.1,
-                self.st.edges_scanned - before.2,
-            ));
-        }
+        // so the service of batches already submitted overlaps it. The
+        // deltas sum exactly to `st.compute_ns` over the superstep — in the
+        // asynchronous model too, whose `inbox` adds what it drained from
+        // the write side to `messages_processed` inside this batch.
+        ioq.advance(self.d.cfg.cost.compute_ns(
+            self.st.messages_processed - before.0,
+            self.st.messages_delivered - before.1,
+            self.st.edges_scanned - before.2,
+        ));
         Ok(())
     }
 
@@ -950,7 +942,7 @@ impl<'d, 'a> Superstep<'d, 'a> {
         st.close_out_ns = t_close.elapsed().as_nanos() as u64;
         st.wall_ns = wall0.elapsed().as_nanos() as u64;
         if let Some(t) = d.tracer.as_mut() {
-            st.metrics = Some(t.record(d.ssd, st, fused_batches, &d.multilog, &d.edgelog));
+            t.record(d.ssd, st, fused_batches, &d.multilog, &d.edgelog);
         }
         report.supersteps.push(self.st);
         Ok(restart)
@@ -1393,6 +1385,85 @@ mod tests {
                 eng.state_of(leaf),
                 2,
                 "leaf {leaf} must see the broadcast exactly in superstep 2"
+            );
+        }
+    }
+
+    /// The asynchronous counterpart, with K = 4: every message is delivered
+    /// exactly once — in the superstep that sent it when its interval is
+    /// still to come, in the next one otherwise — while up to four read-side
+    /// batches are in flight and `take_log_current` reads and truncates
+    /// write-side pages the same superstep flushed under memory pressure.
+    #[test]
+    fn async_delivery_is_exactly_once_under_memory_pressure_with_reads_in_flight() {
+        /// Every vertex sends 1 over all its edges in supersteps 1–3 and
+        /// counts what it receives.
+        struct Count;
+        impl VertexProgram for Count {
+            fn name(&self) -> &'static str {
+                "count"
+            }
+            fn init_state(&self, _v: VertexId) -> u64 {
+                0
+            }
+            fn init_active(&self, _n: usize) -> InitActive {
+                InitActive::All
+            }
+            fn process(&self, ctx: &mut VertexCtx<'_>) {
+                ctx.set_state(ctx.state() + ctx.msgs().len() as u64);
+                if ctx.superstep() <= 3 {
+                    ctx.send_all(1);
+                }
+                if ctx.superstep() < 3 {
+                    ctx.keep_active();
+                }
+            }
+        }
+        let mut b = mlvc_graph::EdgeListBuilder::new(1024).symmetrize(true).dedup(true);
+        for v in 0..1024u32 {
+            for k in 1..9u32 {
+                b.push(v, (v * 37 + k * 131) % 1024);
+            }
+        }
+        let csr = b.drop_self_loops(true).build();
+        let run = |inflight: usize| {
+            let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
+            let iv = mlvc_graph::VertexIntervals::uniform(1024, 32);
+            let sg = StoredGraph::store_with(&ssd, &csr, "ad", iv).unwrap();
+            let cfg = EngineConfig::default()
+                .with_memory(16 << 10)
+                .with_async(true)
+                .with_inflight_batches(inflight);
+            let mut eng = MultiLogEngine::new(ssd, sg, cfg);
+            let r = eng.run(&Count, 6);
+            assert!(r.converged && r.interrupted.is_none());
+            (eng.states().to_vec(), r)
+        };
+        let (states, ahead) = run(4);
+        for v in 0..1024u32 {
+            let degree = csr.out_edges(v).len() as u64;
+            assert_eq!(states[v as usize], 3 * degree, "vertex {v}: three sends per in-edge");
+        }
+        let ml = ahead.multilog.unwrap();
+        assert_eq!(ml.updates_read, ml.updates_logged, "every logged record drained once");
+        assert!(ml.evictions > 0, "the write side must flush pages mid-superstep");
+        assert!(
+            ahead.supersteps.iter().any(|s| s.max_inflight > 1),
+            "read-side batches must be in flight while the write side is drained"
+        );
+        // Same-superstep delivery happened: fewer messages crossed a
+        // superstep boundary than were sent.
+        let carried: u64 = ahead.supersteps.iter().map(|s| s.messages_sent).sum();
+        assert!(carried < ml.updates_logged, "nothing was delivered within its superstep");
+        // Reading ahead moves no message: K = 1 is the same run.
+        let (one_states, one) = run(1);
+        assert_eq!(states, one_states);
+        for (a, b) in ahead.supersteps.iter().zip(&one.supersteps) {
+            assert_eq!(
+                (a.messages_processed, a.messages_sent, a.active_vertices),
+                (b.messages_processed, b.messages_sent, b.active_vertices),
+                "superstep {}",
+                a.superstep
             );
         }
     }

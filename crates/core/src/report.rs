@@ -1,6 +1,6 @@
 use mlvc_log::{EdgeLogStats, MultiLogStats};
 use mlvc_mutate::MutationStats;
-use mlvc_obs::{trace_to_jsonl, trace_to_jsonl_labeled, MetricsSnapshot, TraceRecord};
+use mlvc_obs::{trace_to_jsonl, MetricsSnapshot, TraceRecord};
 use mlvc_ssd::{DeviceError, SsdStatsSnapshot};
 
 /// Statistics of one superstep — the per-superstep rows behind the paper's
@@ -59,9 +59,9 @@ pub struct SuperstepStats {
     /// Wall-clock time of what the owner thread does besides `process_ns`
     /// and `scatter_ns`, so that the seven together account for `wall_ns`
     /// ([`RunReport::owner_totals_ns`]): blocked on the next fused batch
-    /// (the fetch workers' load + sort it could not overlap; in the
-    /// asynchronous model the inline load itself), carving the interval's
-    /// inbox, active list and work items out of the batch, the adjacency
+    /// (the fetch workers' load + sort it could not overlap), carving the
+    /// interval's inbox — in the asynchronous model, draining the write
+    /// side into it — active list and work items out of the batch, the adjacency
     /// loads (graph loader + edge log), applying the processing outputs,
     /// and the superstep close-out.
     pub fetch_wait_ns: u64,
@@ -76,9 +76,6 @@ pub struct SuperstepStats {
     /// an attached mutation log had pending edges and merged here; its I/O
     /// is charged to `io`). See DESIGN.md §17.
     pub mutations: MutationStats,
-    /// Deterministic observability record of this superstep (DESIGN.md
-    /// §13). `None` unless the run had `EngineConfig::obs` enabled.
-    pub metrics: Option<TraceRecord>,
 }
 
 impl SuperstepStats {
@@ -224,13 +221,6 @@ impl RunReport {
     /// The trace as JSON lines — the `mlvc run --metrics <path>` payload.
     pub fn trace_jsonl(&self) -> String {
         trace_to_jsonl(&self.trace)
-    }
-
-    /// The trace as JSON lines with a `"job"` field on every record, so
-    /// lines from concurrent jobs stay attributable after merging (the
-    /// serving daemon's trace output).
-    pub fn trace_jsonl_labeled(&self) -> String {
-        trace_to_jsonl_labeled(&self.trace, &self.job_id)
     }
 
     /// Prometheus text exposition of the end-of-run registry snapshot

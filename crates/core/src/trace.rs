@@ -57,7 +57,7 @@ impl Tracer {
         ssd.stats().snapshot().since(&self.run_base)
     }
 
-    /// Build, ring and return the record of the phase `st` describes: only
+    /// Build and ring the record of the phase `st` describes: only
     /// counts, cost-model times, and deltas of the unit stats since the
     /// previous record — every field is thread-count invariant, unlike the
     /// wall-clock stage timings which stay out of the trace. The seed phase
@@ -72,7 +72,7 @@ impl Tracer {
         fused_batches: usize,
         multilog: &MultiLog,
         edgelog: &EdgeLogOptimizer,
-    ) -> TraceRecord {
+    ) {
         let ml = multilog.stats();
         let el = edgelog.stats();
         let ftl = ssd.ftl_stats().unwrap_or_default();
@@ -118,7 +118,6 @@ impl Tracer {
         self.ftl_base = ftl;
         self.cache_base = cs;
         self.ring.push(rec);
-        rec
     }
 
     /// Hand the trace and the end-of-run metrics registry snapshot to the

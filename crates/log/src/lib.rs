@@ -9,13 +9,13 @@
 //!   vertex interval, page-sized top buffers in host memory, batched
 //!   page-granular eviction striped across all SSD channels, and per-
 //!   interval message counters used for interval fusing;
-//! * [`SortGroup`] — the **Sort & Group Unit** (§V-B): fuses consecutive
-//!   interval logs while they fit in the sort budget, loads them with full
-//!   channel parallelism, sorts **in memory** (the whole point: no external
-//!   sort), and yields per-destination message groups; when the algorithm
-//!   declares a `combine` reduction (§V-D) the groups are folded as the
-//!   pages are decoded instead, one update per destination, and nothing is
-//!   sorted at all;
+//! * [`plan_fusion`], [`LogReader`], [`group_by_dest`] — the **Sort & Group
+//!   Unit** (§V-B): fuse consecutive interval logs while they fit in the
+//!   sort budget, load them with full channel parallelism, sort **in
+//!   memory** (the whole point: no external sort), and yield per-destination
+//!   message groups; when the algorithm declares a `combine` reduction
+//!   (§V-D) the groups are folded as the pages are decoded instead, one
+//!   update per destination, and nothing is sorted at all;
 //! * [`EdgeLogOptimizer`] — the **Edge-Log Optimizer** (§V-C): predicts
 //!   next-superstep active vertices from N supersteps of history bit
 //!   vectors, predicts inefficiently used column-index pages from the
@@ -26,12 +26,13 @@
 //! ```
 //! use std::sync::Arc;
 //! use mlvc_graph::VertexIntervals;
-//! use mlvc_log::{group_by_dest, MultiLog, MultiLogConfig, SortGroup, Update};
+//! use mlvc_log::{group_by_dest, plan_fusion, MultiLog, MultiLogConfig, Update};
 //! use mlvc_ssd::{Ssd, SsdConfig};
 //!
 //! let ssd = Arc::new(Ssd::new(SsdConfig::default()));
 //! let intervals = VertexIntervals::uniform(1000, 8);
-//! let mut mlog = MultiLog::new(ssd, intervals, MultiLogConfig::default(), "doc").unwrap();
+//! let mut mlog =
+//!     MultiLog::new(Arc::clone(&ssd), intervals, MultiLogConfig::default(), "doc").unwrap();
 //!
 //! // SendUpdate(v_dest, m): messages route to the destination's interval log.
 //! mlog.send(Update::new(17, 3, 42)).unwrap();
@@ -39,14 +40,17 @@
 //! let counts = mlog.finish_superstep().unwrap();
 //! assert_eq!(counts.iter().sum::<u64>(), 2);
 //!
-//! // Next superstep: fuse, load, sort in memory, group by destination.
-//! // The reader is a shared-nothing read-side handle, so workers can
-//! // decode fetched batches while the owner keeps sending.
-//! let sg = SortGroup::new(1 << 20);
+//! // Next superstep: fuse, then drain each fused range in three steps —
+//! // plan the page reads on the owner, decode the fetched pages (sorted in
+//! // memory; a pure function of their bytes, so the engine runs it on a
+//! // worker while the owner keeps sending), consume on the owner.
 //! let reader = mlog.reader();
 //! let mut seen = 0;
-//! for range in sg.plan(&counts) {
-//!     let batch = sg.load_batch(&reader, range).unwrap();
+//! for range in plan_fusion(&counts, 1 << 20) {
+//!     let plan = reader.plan_reads(range).unwrap();
+//!     let pages = ssd.read_batch(&plan.reqs).unwrap();
+//!     let batch = reader.decode(&plan, &pages).unwrap();
+//!     reader.consume(&plan, &batch).unwrap();
 //!     for (dest, msgs) in group_by_dest(&batch.updates) {
 //!         assert!(dest == 17 || dest == 900);
 //!         seen += msgs.len();
@@ -69,5 +73,5 @@ pub use bitset::BitSet;
 pub use edgelog::{EdgeLogConfig, EdgeLogOptimizer, EdgeLogStats};
 pub use multilog::{BatchPlan, LogReader, MultiLog, MultiLogConfig, MultiLogStats};
 pub use page::{decode_log_page, pack_pages, LogPage, PageError, PageShape, ANY_DEST};
-pub use sortgroup::{group_by_dest, plan_fusion, FusedBatch, SortGroup};
+pub use sortgroup::{group_by_dest, plan_fusion, FusedBatch};
 pub use update::{Update, UPDATE_BYTES};

@@ -160,7 +160,7 @@ pub struct MultiLog {
 /// valid for the superstep it was created in: create one per superstep via
 /// [`MultiLog::reader`].
 pub struct LogReader {
-    pub(crate) ssd: Arc<Ssd>,
+    ssd: Arc<Ssd>,
     files: Vec<FileId>,
     intervals: VertexIntervals,
     combine: Option<fn(u64, u64) -> u64>,
@@ -800,10 +800,9 @@ impl MultiLog {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::page::PAGE_HEADER_BYTES;
-    use crate::SortGroup;
     use mlvc_ssd::SsdConfig;
 
     fn setup(buffer_bytes: usize) -> MultiLog {
@@ -818,9 +817,22 @@ mod tests {
         MultiLog::new(ssd, iv, cfg, "t").unwrap()
     }
 
-    /// Consume interval `i`'s read side through the one read path.
+    /// Drain `range` of the read side the way the engine does: plan, read,
+    /// decode, consume.
+    pub(crate) fn drain_range(
+        reader: &LogReader,
+        range: std::ops::Range<IntervalId>,
+    ) -> Result<FusedBatch, DeviceError> {
+        let plan = reader.plan_reads(range)?;
+        let pages = reader.ssd.read_batch(&plan.reqs)?;
+        let batch = reader.decode(&plan, &pages)?;
+        reader.consume(&plan, &batch)?;
+        Ok(batch)
+    }
+
+    /// Consume interval `i`'s read side.
     fn drain(ml: &MultiLog, i: IntervalId) -> Result<Vec<Update>, DeviceError> {
-        Ok(SortGroup::new(1 << 20).load_batch(&ml.reader(), i..i + 1)?.updates)
+        Ok(drain_range(&ml.reader(), i..i + 1)?.updates)
     }
 
     /// What a drain must return for `sent`: stable by destination.
@@ -1144,7 +1156,7 @@ mod tests {
             (ssd, ml)
         };
         let (_, ml) = fresh();
-        assert_corrupt(drain(&ml, 1), "SortGroup::load_batch");
+        assert_corrupt(drain(&ml, 1), "decode");
         let (ssd, ml) = fresh();
         let reader = ml.reader();
         let plan = reader.plan_reads(0..4).unwrap();

@@ -1,12 +1,9 @@
 use std::ops::Range;
-use std::time::Instant;
 
 use mlvc_graph::{IntervalId, VertexId};
 
 use crate::checked::{to_u32, to_u64};
-use crate::multilog::LogReader;
 use crate::{Update, UPDATE_BYTES};
-use mlvc_ssd::DeviceError;
 
 /// One fused group of consecutive interval logs, loaded and sorted.
 #[derive(Debug, Clone, PartialEq)]
@@ -31,10 +28,6 @@ pub struct FusedBatch {
     /// Header + record bytes of the pages the batch was decoded from —
     /// what [`LogReader::consume`] declares as useful.
     pub useful_bytes: u64,
-}
-
-fn elapsed_ns(since: Instant) -> u64 {
-    u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Plan interval fusing (paper §V-A2, §V-B): walk intervals in order and
@@ -67,67 +60,6 @@ pub fn plan_fusion(counts: &[u64], sort_budget_bytes: usize) -> Vec<Range<Interv
     plan
 }
 
-/// The Sort & Group Unit (paper §V-B): fuses interval logs and sorts them
-/// **in host memory** — the step that replaces GraFBoost's external sort.
-/// The sort itself is [`LogReader::decode`]'s counting pass, or its fold
-/// when the program declared a `combine`.
-pub struct SortGroup {
-    sort_budget_bytes: usize,
-}
-
-impl SortGroup {
-    pub fn new(sort_budget_bytes: usize) -> Self {
-        assert!(sort_budget_bytes >= UPDATE_BYTES);
-        SortGroup { sort_budget_bytes }
-    }
-
-    pub fn sort_budget_bytes(&self) -> usize {
-        self.sort_budget_bytes
-    }
-
-    /// Plan fusion for the given pending counts.
-    pub fn plan(&self, counts: &[u64]) -> Vec<Range<IntervalId>> {
-        plan_fusion(counts, self.sort_budget_bytes)
-    }
-
-    /// Load every log in `range` inline (the paper's `LoadLog`): one
-    /// channel-parallel device batch per non-empty interval, decoded and
-    /// consumed before the next interval is read. This is the read path of
-    /// the asynchronous model (§V-F), whose reads must stay behind the
-    /// scatter of earlier batches; the synchronous engine instead queues
-    /// whole fused batches through an [`mlvc_ssd::IoQueue`] and runs the
-    /// same [`LogReader::decode`] / [`LogReader::consume`] pair.
-    pub fn load_batch(
-        &self,
-        reader: &LogReader,
-        range: Range<IntervalId>,
-    ) -> Result<FusedBatch, DeviceError> {
-        let mut fused = FusedBatch {
-            range: range.clone(),
-            updates: Vec::new(),
-            records: 0,
-            load_ns: 0,
-            sort_ns: 0,
-            useful_bytes: 0,
-        };
-        for i in range {
-            let plan = reader.plan_reads(i..i + 1)?;
-            let t_read = Instant::now();
-            let pages =
-                if plan.reqs.is_empty() { Vec::new() } else { reader.ssd.read_batch(&plan.reqs)? };
-            let read_ns = elapsed_ns(t_read);
-            let one = reader.decode(&plan, &pages)?;
-            reader.consume(&plan, &one)?;
-            fused.records += one.records;
-            fused.load_ns += read_ns + one.load_ns;
-            fused.sort_ns += one.sort_ns;
-            fused.useful_bytes += one.useful_bytes;
-            fused.updates.extend(one.updates);
-        }
-        Ok(fused)
-    }
-}
-
 /// Iterate `(dest, messages)` groups over a dest-sorted update slice — the
 /// "group" half of the sort & group unit. Each group is the full set of
 /// messages bound for one vertex, preserved individually (§V-D).
@@ -149,6 +81,7 @@ pub fn group_by_dest(sorted: &[Update]) -> impl Iterator<Item = (VertexId, &[Upd
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::multilog::tests::drain_range;
     use crate::{MultiLog, MultiLogConfig};
     use mlvc_graph::VertexIntervals;
     use mlvc_ssd::{Ssd, SsdConfig};
@@ -193,7 +126,7 @@ mod tests {
     }
 
     #[test]
-    fn load_batch_sorts_stably() {
+    fn drain_sorts_stably() {
         let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
         let iv = VertexIntervals::uniform(100, 4);
         let mut ml = MultiLog::new(ssd, iv, MultiLogConfig::default(), "sg").unwrap();
@@ -203,8 +136,7 @@ mod tests {
         ml.send(Update::new(5, 101, 2)).unwrap();
         ml.send(Update::new(3, 201, 3)).unwrap();
         ml.finish_superstep().unwrap();
-        let sg = SortGroup::new(1 << 20);
-        let batch = sg.load_batch(&ml.reader(), 0..1).unwrap();
+        let batch = drain_range(&ml.reader(), 0..1).unwrap();
         assert_eq!(
             batch.updates,
             vec![
@@ -245,11 +177,10 @@ mod tests {
             let counts = ml.finish_superstep().unwrap();
             assert_eq!(counts.iter().sum::<u64>() as usize, sends.len());
 
-            let sg = SortGroup::new(1 << 20);
             let reader = ml.reader();
             let mut collected = 0usize;
-            for r in sg.plan(&counts) {
-                let batch = sg.load_batch(&reader, r).unwrap();
+            for r in plan_fusion(&counts, 1 << 20) {
+                let batch = drain_range(&reader, r).unwrap();
                 for (dest, group) in group_by_dest(&batch.updates) {
                     // Group order must equal insertion order for that
                     // dest, regardless of append-time bucketing.
@@ -264,71 +195,5 @@ mod tests {
             }
             assert_eq!(collected, sends.len());
         }
-    }
-
-    /// The queue read path (plan a whole fused range on the owner, fetch
-    /// it as one device batch, decode, consume) yields the same batch as
-    /// the inline per-interval `load_batch`, and the plan enumerates
-    /// exactly the pages the log holds.
-    #[test]
-    fn queued_load_matches_inline_load() {
-        let ssds: Vec<Arc<Ssd>> =
-            (0..2).map(|_| Arc::new(Ssd::new(SsdConfig::test_small()))).collect();
-        let mut mls: Vec<MultiLog> = ssds
-            .iter()
-            .enumerate()
-            .map(|(k, ssd)| {
-                let iv = VertexIntervals::uniform(100, 4);
-                MultiLog::new(
-                    Arc::clone(ssd),
-                    iv,
-                    MultiLogConfig { buffer_bytes: 8 * 256, ..Default::default() },
-                    &format!("tw{k}"),
-                )
-                .unwrap()
-            })
-            .collect();
-        let mut rng = SeededRng::seed_from_u64(0x9E7C_0008);
-        let sends: Vec<Update> = (0..500)
-            .map(|_| Update::new(rng.gen_range(0u32..100), rng.gen_range(0u32..100), rng.next_u64()))
-            .collect();
-        let mut counts = Vec::new();
-        for ml in mls.iter_mut() {
-            for &u in &sends {
-                ml.send(u).unwrap();
-            }
-            counts = ml.finish_superstep().unwrap();
-        }
-        let sg = SortGroup::new(4 * 256);
-        let (inline, queued) = (mls[0].reader(), mls[1].reader());
-        for r in sg.plan(&counts) {
-            let want = sg.load_batch(&inline, r.clone()).unwrap();
-            let plan = queued.plan_reads(r).unwrap();
-            let before = ssds[1].stats().snapshot().pages_read;
-            let pages = ssds[1].read_batch(&plan.reqs).unwrap();
-            assert_eq!(
-                ssds[1].stats().snapshot().pages_read - before,
-                to_u64(plan.reqs.len()),
-                "plan covers exactly the log's pages"
-            );
-            let got = queued.decode_sorted(&plan, &pages).unwrap();
-            queued.consume(&plan, &got).unwrap();
-            assert_eq!(
-                (got.range, got.updates, got.useful_bytes),
-                (want.range, want.updates, want.useful_bytes)
-            );
-        }
-        // Both drains consumed the read side identically.
-        assert_eq!(mls[0].stats().updates_read, mls[1].stats().updates_read);
-        for (a, b) in ssds.iter().zip(["tw0", "tw1"]) {
-            for i in 0..4 {
-                let f = a.lookup(&format!("{b}.mlog.{i}.a")).unwrap();
-                assert_eq!(a.num_pages(f).unwrap(), 0, "consume truncates");
-            }
-        }
-        assert_eq!(
-            ssds[0].stats().snapshot().useful_bytes_read,
-            ssds[1].stats().snapshot().useful_bytes_read
-        );
     }
 }

@@ -1,8 +1,8 @@
 //! Minimal panic-free JSON parser.
 //!
-//! Just enough JSON for the observability layer's own needs: the schema
-//! smoke tests parse the `BENCH_*.json` files, metrics snapshots, and trace
-//! JSONL back and validate their shape, and the crate's unit tests
+//! Just enough JSON for the workspace's own needs: the serving daemon's
+//! request lines, `xtask sim-pins`' `BENCH_sim.json`, and the tests that
+//! parse metrics snapshots and trace JSONL back to validate their shape and
 //! round-trip every emitter through it. Strictly `Result`-based — no
 //! panics, no recursion past [`MAX_DEPTH`] — and dependency-free like the
 //! rest of the workspace.

@@ -17,8 +17,9 @@
 //!   diffable with line-oriented tools;
 //! * a [`MetricsSnapshot`] with deterministic (sorted) iteration order and
 //!   Prometheus-text / JSON emitters;
-//! * a tiny panic-free JSON parser ([`json`]) used by the schema smoke
-//!   tests to validate the `BENCH_*.json` files and the emitted traces.
+//! * a tiny panic-free JSON parser ([`json`]): the serving daemon reads its
+//!   request lines with it, `xtask sim-pins` the `BENCH_sim.json` pins and
+//!   the benchmark's result line, and the tests the emitted traces.
 //!
 //! Everything is `std`-only, consistent with the workspace's
 //! `mlvc-par` / `mlvc_ssd::sync` substitution, and deterministic: a
@@ -554,16 +555,6 @@ impl TraceRecord {
         out
     }
 
-    /// Like [`TraceRecord::to_json_line`] but with a leading `"job"` field,
-    /// so records from concurrent runs merged into one stream (the serving
-    /// daemon's trace output) stay attributable.
-    pub fn to_json_line_labeled(&self, job: &str) -> String {
-        let mut out = String::from("{\"job\":");
-        out.push_str(&json_escape(job));
-        out.push(',');
-        out.push_str(&self.to_json_line()[1..]);
-        out
-    }
 }
 
 fn push_ratio(out: &mut String, name: &str, v: Option<f64>) {
@@ -582,16 +573,6 @@ pub fn trace_to_jsonl(records: &[TraceRecord]) -> String {
     let mut out = String::new();
     for r in records {
         out.push_str(&r.to_json_line());
-        out.push('\n');
-    }
-    out
-}
-
-/// Serialise a trace as JSON lines with a `"job"` label on every record.
-pub fn trace_to_jsonl_labeled(records: &[TraceRecord], job: &str) -> String {
-    let mut out = String::new();
-    for r in records {
-        out.push_str(&r.to_json_line_labeled(job));
         out.push('\n');
     }
     out
@@ -844,20 +825,6 @@ mod tests {
             let v = json::parse(&quoted).expect("escaped string parses");
             assert_eq!(v.as_str(), Some(s), "round trip of {s:?}");
         }
-    }
-
-    #[test]
-    fn labeled_trace_lines_carry_the_job_and_parse() {
-        let recs = [TraceRecord { superstep: 7, ..TraceRecord::default() }];
-        let out = trace_to_jsonl_labeled(&recs, "job-a");
-        let line = out.lines().next().expect("one line");
-        let v = json::parse(line).expect("labeled line parses");
-        assert_eq!(v.get("job").and_then(json::Json::as_str), Some("job-a"));
-        assert_eq!(v.get("superstep").and_then(json::Json::as_num), Some(7.0));
-        // The unlabeled emitter stays byte-stable: the labeled line is the
-        // same object with one extra leading field.
-        let plain = trace_to_jsonl(&recs);
-        assert!(line.ends_with(&plain.lines().next().map(|l| l[1..].to_string()).unwrap_or_default()));
     }
 
     #[test]

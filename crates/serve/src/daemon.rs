@@ -128,12 +128,24 @@ pub struct Daemon {
     budget: Budget,
     workers: usize,
     next_tenant: AtomicU32,
-    /// Per-job end-of-run metrics, for the daemon-wide Prometheus rollup.
-    completed: PoisonFreeMutex<Vec<(String, Option<MetricsSnapshot>)>>,
+    completed: PoisonFreeMutex<Completed>,
     /// Pinned-tier ledger (DESIGN.md §18): remaining pin budget plus, per
     /// dataset, the pinned extent files and the bytes carved from the
     /// admission budget for them.
     pins: PoisonFreeMutex<PinLedger>,
+}
+
+/// Jobs whose end-of-run metrics the Prometheus rollup keeps: the most
+/// recent ones, so a daemon's memory does not grow with the jobs it has
+/// served.
+const ROLLUP_JOBS: usize = 64;
+
+/// What the daemon remembers of finished jobs: how many there have been,
+/// and the end-of-run metrics of the last [`ROLLUP_JOBS`] of them.
+#[derive(Default)]
+struct Completed {
+    jobs: u64,
+    recent: VecDeque<(String, MetricsSnapshot)>,
 }
 
 /// Bookkeeping for the daemon's pinned tier.
@@ -169,7 +181,7 @@ impl Daemon {
             budget: Budget::new(cfg.memory_budget),
             workers: cfg.workers.max(1),
             next_tenant: AtomicU32::new(1),
-            completed: PoisonFreeMutex::new(Vec::new()),
+            completed: PoisonFreeMutex::new(Completed::default()),
             pins: PoisonFreeMutex::new(PinLedger {
                 remaining: cfg.pin_budget_bytes,
                 datasets: BTreeMap::new(),
@@ -430,7 +442,7 @@ impl Daemon {
         let bound = Arc::new(graph.with_device(Arc::clone(&view)));
         let mut engine = MultiLogEngine::with_shared_graph(Arc::clone(&view), bound, cfg);
         let report = engine.run(prog.as_ref(), req.steps);
-        self.completed.lock().push((req.id.clone(), report.obs.clone()));
+        self.note_completed(&req.id, report.obs.clone());
         if let Some(e) = &report.interrupted {
             return Err(JobError::Failed(format!("{e}")));
         }
@@ -575,6 +587,17 @@ impl Daemon {
         Ok(())
     }
 
+    fn note_completed(&self, job: &str, obs: Option<MetricsSnapshot>) {
+        let mut done = self.completed.lock();
+        done.jobs += 1;
+        if let Some(snap) = obs {
+            if done.recent.len() == ROLLUP_JOBS {
+                done.recent.pop_front();
+            }
+            done.recent.push_back((job.to_string(), snap));
+        }
+    }
+
     /// Daemon-wide counters as one JSON line (the `stats` op reply).
     pub fn stats_line(&self) -> String {
         let d = self.ssd.stats().snapshot();
@@ -584,7 +607,7 @@ impl Daemon {
              \"device_pages_written\":{},\"cache_hits\":{},\"cache_misses\":{},\
              \"cache_evictions\":{},\"cross_tenant_hits\":{},\"pinned_pages\":{},\
              \"pinned_hits\":{},\"budget_total\":{},\"budget_reserved\":{}}}",
-            self.completed.lock().len(),
+            self.completed.lock().jobs,
             d.pages_read,
             d.pages_written,
             c.total_hits(),
@@ -600,8 +623,8 @@ impl Daemon {
 
     /// Daemon-wide metrics in Prometheus text exposition format: shared
     /// device totals, shared cache counters (with per-tenant series), and
-    /// every completed job's end-of-run registry snapshot labeled with
-    /// its job id.
+    /// the end-of-run registry snapshots of the most recently completed
+    /// jobs, labeled with their job ids.
     pub fn prometheus_rollup(&self) -> String {
         let mut s = String::new();
         let d = self.ssd.stats().snapshot();
@@ -632,10 +655,8 @@ impl Daemon {
                 ts.bytes_saved
             ));
         }
-        for (job, snap) in self.completed.lock().iter() {
-            if let Some(snap) = snap {
-                s.push_str(&snap.to_prometheus_labeled(job));
-            }
+        for (job, snap) in &self.completed.lock().recent {
+            s.push_str(&snap.to_prometheus_labeled(job));
         }
         s
     }
@@ -692,5 +713,37 @@ impl ServeQueue {
             }
             g = self.ready.wait(g).unwrap_or_else(PoisonError::into_inner);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A long-lived daemon counts every job but keeps the metrics of the
+    /// last `ROLLUP_JOBS` only.
+    #[test]
+    fn completed_jobs_are_counted_and_only_the_last_n_snapshots_kept() {
+        let extra = 3;
+        let mut daemon = Daemon::new(ServeConfig { workers: 1, ..ServeConfig::default() });
+        daemon.add_dataset("p", &mlvc_gen::path(8)).unwrap();
+        let reqs: Vec<JobRequest> = (0..ROLLUP_JOBS + extra)
+            .map(|k| JobRequest {
+                id: format!("j{k}"),
+                app: "bfs".to_string(),
+                dataset: "p".to_string(),
+                memory_bytes: MIN_JOB_BYTES,
+                steps: 2,
+                ..JobRequest::default()
+            })
+            .collect();
+        assert!(daemon.run_jobs(reqs).iter().all(|r| r.outcome.is_ok()));
+        assert_eq!(daemon.completed.lock().recent.len(), ROLLUP_JOBS);
+        let total = ROLLUP_JOBS + extra;
+        assert!(daemon.stats_line().contains(&format!("\"jobs_completed\":{total},")));
+        let rollup = daemon.prometheus_rollup();
+        assert!(!rollup.contains(&format!("job=\"j{}\"", extra - 1)), "oldest dropped");
+        assert!(rollup.contains(&format!("job=\"j{extra}\"")));
+        assert!(rollup.contains(&format!("job=\"j{}\"", total - 1)));
     }
 }

@@ -27,7 +27,9 @@
 //!   standalone `mlvc run` of the same configuration.
 //! * **Observability**: per-job metrics registries roll up into one
 //!   daemon-wide Prometheus text snapshot
-//!   ([`Daemon::prometheus_rollup`]), every series labeled with its job.
+//!   ([`Daemon::prometheus_rollup`]), every series labeled with its job;
+//!   the daemon counts every completed job and keeps the registries of
+//!   the most recent ones only.
 //!
 //! * **Live mutations**: a `mutate` op ingests edge add/remove batches
 //!   into each dataset's on-device mutation log (`mlvc_mutate`).

@@ -607,13 +607,6 @@ impl Ssd {
         {
             let mut files = self.shared.files.lock();
             for &(fid, page, data) in writes {
-                if data.len() > self.shared.cfg.page_size {
-                    failed = Some(DeviceError::PayloadTooLarge {
-                        len: data.len(),
-                        page_size: self.shared.cfg.page_size,
-                    });
-                    break;
-                }
                 let Some(entry) = files.entries.get_mut(idx(fid)).and_then(Option::as_mut)
                 else {
                     failed = Some(DeviceError::Deleted { file: fid });
@@ -627,30 +620,12 @@ impl Ssd {
                     failed = Some(DeviceError::OutOfBounds { file: fid, page });
                     break;
                 }
-                let fate = match self.fault.lock().note_page_write(self.shared.cfg.page_size) {
-                    Ok(f) => f,
-                    Err(e) => {
-                        failed = Some(e);
-                        break;
-                    }
-                };
-                let keep = match &fate {
-                    WriteFate::Proceed => data.len(),
-                    WriteFate::Torn { keep } => (*keep).min(data.len()),
-                };
-                let buf = Page::zero_padded(&data[..keep], self.shared.cfg.page_size);
-                match &mut entry.store {
-                    Store::Mem(pages) => pages[mem_idx(page)] = buf,
-                    Store::Disk { file, .. } => {
-                        if let Err(e) = write_at(file, &buf, self.byte_offset(page)) {
-                            failed = Some(io_err("write_at", &e));
-                            break;
-                        }
-                    }
+                let (placed, went_on) = self.place_page(&mut entry.store, Some(page), data);
+                if placed {
+                    done.push(PageAddr::new(fid, page));
                 }
-                done.push(PageAddr::new(fid, page));
-                if matches!(fate, WriteFate::Torn { .. }) {
-                    failed = Some(DeviceError::Crashed);
+                if let Err(e) = went_on {
+                    failed = Some(e);
                     break;
                 }
             }
@@ -857,42 +832,59 @@ impl Ssd {
         let mut written = 0u64;
         let mut err = None;
         for data in pages {
-            if data.len() > self.shared.cfg.page_size {
-                err = Some(DeviceError::PayloadTooLarge {
-                    len: data.len(),
-                    page_size: self.shared.cfg.page_size,
-                });
-                break;
-            }
-            let fate = match self.fault.lock().note_page_write(self.shared.cfg.page_size) {
-                Ok(f) => f,
-                Err(e) => {
-                    err = Some(e);
-                    break;
-                }
-            };
-            let keep = match &fate {
-                WriteFate::Proceed => data.len(),
-                WriteFate::Torn { keep } => (*keep).min(data.len()),
-            };
-            let buf = Page::zero_padded(&data[..keep], self.shared.cfg.page_size);
-            match &mut entry.store {
-                Store::Mem(existing) => existing.push(buf),
-                Store::Disk { file, pages: n } => {
-                    if let Err(e) = write_at(file, &buf, self.byte_offset(*n)) {
-                        err = Some(io_err("write_at", &e));
-                        break;
-                    }
-                    *n += 1;
-                }
-            }
-            written += 1;
-            if matches!(fate, WriteFate::Torn { .. }) {
-                err = Some(DeviceError::Crashed);
+            let (placed, went_on) = self.place_page(&mut entry.store, None, data);
+            written += u64::from(placed);
+            if let Err(e) = went_on {
+                err = Some(e);
                 break;
             }
         }
         Placed { first, written, err }
+    }
+
+    /// Place one page's payload in `store` — over page `at`, which the
+    /// caller has bounds-checked, or appended when `at` is `None`: the
+    /// payload-size check, the fault schedule's fate for the write, the tear,
+    /// the zero padding and the store write. Returns whether the page reached
+    /// the media (the caller charges it) and whether the batch goes on: a
+    /// torn page is on the media and fails the batch with `Crashed`.
+    fn place_page(
+        &self,
+        store: &mut Store,
+        at: Option<u64>,
+        data: &[u8],
+    ) -> (bool, Result<(), DeviceError>) {
+        let page_size = self.shared.cfg.page_size;
+        if data.len() > page_size {
+            return (false, Err(DeviceError::PayloadTooLarge { len: data.len(), page_size }));
+        }
+        let fate = match self.fault.lock().note_page_write(page_size) {
+            Ok(f) => f,
+            Err(e) => return (false, Err(e)),
+        };
+        let keep = match &fate {
+            WriteFate::Proceed => data.len(),
+            WriteFate::Torn { keep } => (*keep).min(data.len()),
+        };
+        let buf = Page::zero_padded(&data[..keep], page_size);
+        match store {
+            Store::Mem(pages) => match at {
+                Some(page) => pages[mem_idx(page)] = buf,
+                None => pages.push(buf),
+            },
+            Store::Disk { file, pages } => {
+                if let Err(e) = write_at(file, &buf, self.byte_offset(at.unwrap_or(*pages))) {
+                    return (false, Err(io_err("write_at", &e)));
+                }
+                if at.is_none() {
+                    *pages += 1;
+                }
+            }
+        }
+        match fate {
+            WriteFate::Proceed => (true, Ok(())),
+            WriteFate::Torn { .. } => (true, Err(DeviceError::Crashed)),
+        }
     }
 
     fn charge_read(&self, addrs: &[PageAddr], useful: u64, charge_time: bool) {

@@ -64,15 +64,17 @@ echo "== stage-table smoke (mlvc run) =="
 # superstep table, and those rows must sum to within 10 % of the
 # `supersteps` row: owner time that no row names fails here. PageRank
 # holds the dense, message-heavy path; the random walk holds the sparse
-# adjacency path (a few active vertices an interval, the edge log on).
+# adjacency path (a few active vertices an interval, the edge log on);
+# `wcc --async` holds the asynchronous model, end to end through the CLI.
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT
 cargo run -q --release --bin mlvc -- \
   gen --kind rmat-social --scale 12 --seed 42 --out "$smoke_dir/g.csr" >/dev/null
-for app in pagerank randomwalk; do
+for app in "pagerank" "randomwalk" "wcc --async"; do
   for t in 1 2; do
+    # shellcheck disable=SC2086 # $app carries the app's flags, split on purpose
     MLVC_THREADS=$t cargo run -q --release --bin mlvc -- \
-      run --app "$app" --graph "$smoke_dir/g.csr" >"$smoke_dir/run.$t"
+      run --app $app --graph "$smoke_dir/g.csr" >"$smoke_dir/run.$t"
     # Everything but the stage table, which is wall-clock.
     awk '/^stage /{skip=1} /^converged/{skip=0} !skip' "$smoke_dir/run.$t" >"$smoke_dir/det.$t"
     awk -F'|' -v t="$t" -v app="$app" '

@@ -73,11 +73,15 @@ usage:
 graph files ending in .csr are binary snapshots; all others are
 SNAP-style edge-list text (auto-detected on read).
 
+--async (mlvc engine only) runs the asynchronous computation model: an
+interval also receives what the current superstep has already logged for
+it.
+
 --ssd-dir backs the simulated SSD with host files so checkpoints survive
-the process; --checkpoint-every K writes a crash-consistent checkpoint
-every K supersteps; --crash-after N injects a deterministic device crash
-(torn page) at the Nth page write. `resume` restarts an interrupted
-mlvc-engine run from its last durable checkpoint.
+the process; --checkpoint-every K (mlvc engine only) writes a
+crash-consistent checkpoint every K supersteps; --crash-after N injects
+a deterministic device crash (torn page) at the Nth page write. `resume`
+restarts an interrupted mlvc-engine run from its last durable checkpoint.
 
 --metrics FILE (mlvc engine only) turns on the observability layer
 (DESIGN.md §13): the per-superstep trace is written to FILE as JSON
@@ -282,11 +286,18 @@ fn cmd_run(a: &Args, resume: bool) -> Result<(), String> {
     let cache_kb: usize = a.get_parsed("cache-kb", 0)?;
     let pin_budget_kb: usize = a.get_parsed("pin-budget-kb", 0)?;
     let metrics_path = a.get("metrics");
-    if metrics_path.is_some() && engine_name != "mlvc" {
-        return Err("--metrics supports only --engine mlvc".into());
-    }
-    if (cache_kb > 0 || pin_budget_kb > 0) && engine_name != "mlvc" {
-        return Err("--cache-kb/--pin-budget-kb support only --engine mlvc".into());
+    // What only the mlvc engine reads is refused elsewhere, not ignored.
+    let mlvc_only = [
+        ("--metrics", metrics_path.is_some()),
+        ("--cache-kb", cache_kb > 0),
+        ("--pin-budget-kb", pin_budget_kb > 0),
+        ("--async", a.has("async")),
+        ("--checkpoint-every", checkpoint_every > 0),
+    ];
+    if engine_name != "mlvc" {
+        if let Some((flag, _)) = mlvc_only.iter().find(|(_, given)| *given) {
+            return Err(format!("{flag} supports only --engine mlvc"));
+        }
     }
     if pin_budget_kb > 0 && cache_kb == 0 {
         return Err("--pin-budget-kb requires --cache-kb (the pinned tier fills through the cache)".into());
@@ -787,12 +798,21 @@ mod tests {
         assert!(prom.contains("# TYPE mlvc_ssd_pages_read_total counter"));
         assert!(prom.contains("mlvc_log_bytes_appended_total"));
 
-        // --metrics is refused on non-mlvc engines.
-        assert!(run(&strs(&[
-            "run", "--app", "pagerank", "--graph", csr_s, "--engine", "graphchi",
-            "--metrics", metrics_s,
-        ]))
-        .is_err());
+        // What only the mlvc engine reads is refused on the others, by name.
+        for engine in ["graphchi", "grafboost", "reference"] {
+            for flag in [
+                &["--metrics", metrics_s][..],
+                &["--cache-kb", "64"],
+                &["--async"],
+                &["--checkpoint-every", "2"],
+            ] {
+                let mut args =
+                    vec!["run", "--app", "pagerank", "--graph", csr_s, "--engine", engine];
+                args.extend_from_slice(flag);
+                let err = run(&strs(&args)).unwrap_err();
+                assert_eq!(err, format!("{} supports only --engine mlvc", flag[0]));
+            }
+        }
         let _ = std::fs::remove_dir_all(dir);
     }
 

@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 
-use multilogvc::apps::{Bfs, PageRank};
+use multilogvc::apps::{Bfs, PageRank, Wcc};
 use multilogvc::core::{Engine, EngineConfig, MultiLogEngine, RunReport, VertexProgram};
 use multilogvc::graph::{Csr, StoredGraph, VertexIntervals};
 use multilogvc::obs::json::{parse, Json};
@@ -145,6 +145,56 @@ fn trace_bit_identical_across_thread_counts() {
         assert!(prom.contains("mlvc_ssd_pages_read_total"));
     }
     mlvc_par::set_thread_override(None);
+}
+
+/// Reading ahead moves time, never a page: an asynchronous run with four
+/// fused batches in flight on deep queues reads and writes exactly the
+/// pages, bytes and batches of the same run fetching one batch at a time —
+/// superstep by superstep — and is no slower on the simulated clock.
+#[test]
+fn async_run_reads_and_writes_exactly_the_pages_of_a_k1_run() {
+    let run = |queue_depth: usize, inflight: usize| {
+        let g = mini_graph();
+        let iv = VertexIntervals::uniform(g.num_vertices(), 16);
+        let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
+        let sg = StoredGraph::store_with(&ssd, &g, "io", iv).unwrap();
+        ssd.stats().reset();
+        // Tight enough that a superstep splits into several fused batches
+        // and the write side flushes pages the same superstep drains.
+        let cfg = EngineConfig::default()
+            .with_memory(16 << 10)
+            .with_async(true)
+            .with_queue_depth(queue_depth)
+            .with_inflight_batches(inflight)
+            .with_obs(true);
+        let mut e = MultiLogEngine::new(Arc::clone(&ssd), sg, cfg);
+        let r = e.run(&Wcc, 80);
+        assert!(r.converged && r.interrupted.is_none());
+        (e.states().to_vec(), r, ssd.stats().snapshot())
+    };
+    let (one_states, one, one_dev) = run(1, 1);
+    let (states, ahead, dev) = run(16, 4);
+    assert_eq!(states, one_states);
+    assert!(one.trace.iter().any(|t| t.fused_batches > 1), "one batch per superstep");
+    assert!(one.supersteps.iter().all(|s| s.max_inflight <= 1));
+    assert!(ahead.supersteps.iter().any(|s| s.max_inflight > 1), "nothing was read ahead");
+    let counts = |d: &SsdStatsSnapshot| {
+        [
+            d.pages_read,
+            d.pages_written,
+            d.bytes_read,
+            d.bytes_written,
+            d.useful_bytes_read,
+            d.read_batches,
+            d.write_batches,
+        ]
+    };
+    assert_eq!(counts(&dev), counts(&one_dev), "device totals");
+    assert_eq!(ahead.supersteps.len(), one.supersteps.len());
+    for (a, b) in ahead.supersteps.iter().zip(&one.supersteps) {
+        assert_eq!(counts(&a.io), counts(&b.io), "superstep {}", a.superstep);
+    }
+    assert!(ahead.total_sim_time_ns() <= one.total_sim_time_ns());
 }
 
 fn num(v: &Json, key: &str) -> f64 {

@@ -539,7 +539,7 @@ fn par_sorts_thread_count_invariant() {
 /// visible, not masked.
 #[test]
 fn folded_log_drain_matches_stable_sort_oracle() {
-    use multilogvc::log::{MultiLog, MultiLogConfig, SortGroup, Update};
+    use multilogvc::log::{MultiLog, MultiLogConfig, Update};
     use multilogvc::par::set_thread_override;
 
     let mut rng = SeededRng::seed_from_u64(111);
@@ -573,7 +573,7 @@ fn folded_log_drain_matches_stable_sort_oracle() {
             set_thread_override(Some(threads));
             let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
             let cfg = MultiLogConfig { buffer_bytes: buffer, ..Default::default() };
-            let mut ml = MultiLog::new(ssd, iv.clone(), cfg, "prop").unwrap();
+            let mut ml = MultiLog::new(Arc::clone(&ssd), iv.clone(), cfg, "prop").unwrap();
             let mut at = 0;
             for &(len, batched) in &chunks {
                 let chunk = &ups[at..at + len];
@@ -595,14 +595,16 @@ fn folded_log_drain_matches_stable_sort_oracle() {
             }
             ml.finish_superstep().unwrap();
             let reader = ml.reader();
-            let sg = SortGroup::new(1 << 20);
             for i in iv.iter_ids() {
                 let mut want: Vec<Update> =
                     ups.iter().copied().filter(|u| iv.interval_of(u.dest) == i).collect();
                 want.sort_by_key(|u| u.dest);
-                let got = sg.load_batch(&reader, i..i + 1).unwrap().updates;
+                let plan = reader.plan_reads(i..i + 1).unwrap();
+                let pages = ssd.read_batch(&plan.reqs).unwrap();
+                let got = reader.decode(&plan, &pages).unwrap();
+                reader.consume(&plan, &got).unwrap();
                 assert_eq!(
-                    got, want,
+                    got.updates, want,
                     "case {case} interval {i} threads={threads}: drain diverges from \
                      the stable-sort oracle"
                 );
@@ -619,8 +621,7 @@ fn folded_log_drain_matches_stable_sort_oracle() {
 /// masked to `VertexId::MAX` when the program does not read it. Interval
 /// widths sit on both sides of the 65 536-vertex narrow span, sends mix
 /// `send` and `send_batch`, buffers are small enough to evict
-/// mid-superstep, and both read paths (inline per interval and planned
-/// batch) are drained at every thread count.
+/// mid-superstep, and every interval is drained at every thread count.
 ///
 /// The logs are opened with a `combine`, so the same pages also go through
 /// the folding decode, which must equal the sorted drain grouped by
@@ -630,7 +631,7 @@ fn folded_log_drain_matches_stable_sort_oracle() {
 /// every record.
 #[test]
 fn compact_pages_drain_exactly_what_was_sent() {
-    use multilogvc::log::{group_by_dest, LogPage, MultiLog, MultiLogConfig, SortGroup, Update};
+    use multilogvc::log::{group_by_dest, LogPage, MultiLog, MultiLogConfig, Update};
     use multilogvc::par::set_thread_override;
 
     fn fold(a: u64, b: u64) -> u64 {
@@ -738,13 +739,8 @@ fn compact_pages_drain_exactly_what_was_sent() {
                             Update::new(dest, VertexId::MAX, data)
                         })
                         .collect();
-                    let folded = if case % 2 == 0 {
-                        SortGroup::new(1 << 20).load_batch(&reader, i..i + 1).unwrap()
-                    } else {
-                        let batch = reader.decode(&plan, &pages).unwrap();
-                        reader.consume(&plan, &batch).unwrap();
-                        batch
-                    };
+                    let folded = reader.decode(&plan, &pages).unwrap();
+                    reader.consume(&plan, &folded).unwrap();
                     assert_eq!(folded.updates, want_folded, "{ctx}");
                     assert_eq!(folded.records, want.len() as u64, "{ctx}");
                 }

@@ -64,8 +64,11 @@ fn run_once(prog: &dyn VertexProgram, async_mode: bool, shape: Shape) -> (Vec<u6
 /// One tiered PageRank run on the `SMALL` shape, observability on: a cache
 /// of a handful of frames (so the replacement policy evicts all the time)
 /// plus a pin budget (so topology pins and retained log tails come and go
-/// with every consume).
-fn run_tiered(inflight_batches: usize) -> (Vec<u64>, Vec<TraceRecord>) {
+/// with every consume). Under the asynchronous model the same fetch path
+/// runs, with the write side drained into every inbox besides; PageRank is
+/// not a valid asynchronous algorithm, but what is held here is that the
+/// run is the same run at every thread count, not what it computes.
+fn run_tiered(inflight_batches: usize, async_mode: bool) -> (Vec<u64>, Vec<TraceRecord>) {
     let g = mlvc_gen::rmat(RmatParams::social(SMALL.scale, 8), 0xD7);
     let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
     let page = ssd.page_size();
@@ -74,6 +77,7 @@ fn run_tiered(inflight_batches: usize) -> (Vec<u64>, Vec<TraceRecord>) {
     let cfg = EngineConfig::default()
         .with_memory(SMALL.memory)
         .with_inflight_batches(inflight_batches)
+        .with_async(async_mode)
         .with_obs(true)
         .with_tiering(TieringConfig { cache_bytes: 6 * page, pin_budget_bytes: 24 * page });
     let mut eng = MultiLogEngine::new(ssd, sg, cfg);
@@ -82,18 +86,20 @@ fn run_tiered(inflight_batches: usize) -> (Vec<u64>, Vec<TraceRecord>) {
     (eng.states().to_vec(), r.trace)
 }
 
-/// The tiered leg: at a fixed K, states and the whole trace — including
-/// `cache_evictions`, `pinned_pages` and the `ftl_*` fields — are equal
-/// across thread counts and across repeated runs.
+/// The tiered leg: at a fixed K, in either computation model, states and
+/// the whole trace — including `cache_evictions`, `pinned_pages` and the
+/// `ftl_*` fields — are equal across thread counts and across repeated runs.
 fn tiered_traces_bit_identical_across_thread_counts() {
-    for k in [1usize, 4] {
+    for (k, async_mode) in [(1usize, false), (4, false), (1, true), (4, true)] {
         let mut baseline: Option<(Vec<u64>, Vec<TraceRecord>)> = None;
         for threads in [1usize, 2, 8] {
             for rep in 0..2 {
                 multilogvc::par::set_thread_override(Some(threads));
-                let got = run_tiered(k);
+                let got = run_tiered(k, async_mode);
                 multilogvc::par::set_thread_override(None);
-                let ctx = format!("tiered pagerank k={k} threads={threads} rep={rep}");
+                let ctx = format!(
+                    "tiered pagerank k={k} async={async_mode} threads={threads} rep={rep}"
+                );
                 let Some(base) = &baseline else {
                     let evictions: u64 = got.1.iter().map(|t| t.cache_evictions).sum();
                     assert!(evictions > 0, "{ctx}: the cache never evicted");
