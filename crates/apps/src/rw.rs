@@ -63,14 +63,17 @@ impl VertexProgram for RandomWalk {
 
     fn process(&self, ctx: &mut VertexCtx<'_>) {
         ctx.set_state(ctx.state() + ctx.msgs().len() as u64);
-        if ctx.degree() == 0 {
+        let degree = ctx.degree() as u64;
+        if degree == 0 {
             return; // walks die at sinks
         }
-        // One draw per forwarded walk, in message order.
-        let edges = ctx.edges();
+        // One draw per forwarded walk, in message order. The walk never
+        // looks at the neighbour it drew: it sends along the edge, and the
+        // engine reads that one entry of the list — with every other
+        // walk's, side by side.
         for m in ctx.msgs().iter().filter(|m| m.data > 0) {
-            let dest = edges[(ctx.rand_u64() % edges.len() as u64) as usize];
-            ctx.send(dest, m.data - 1);
+            let pick = (ctx.rand_u64() % degree) as usize;
+            ctx.send_along(pick, m.data - 1);
         }
     }
 

@@ -67,9 +67,9 @@ impl VertexProgram for Sssp {
             .fold(f64::INFINITY, f64::min);
         if best < unpack_f64(ctx.state()) {
             ctx.set_state(pack_f64(best));
-            // mlvc-lint: allow(no-panic-in-lib) -- running SSSP on an unweighted graph is a setup bug; abort loudly
-            let weights = ctx.weights().expect("SSSP requires a weighted graph");
-            for (&dest, &w) in ctx.edges().iter().zip(weights) {
+            // Every engine refuses a weightless graph where the run starts
+            // (`ConfigError::NeedsWeights`); without weights no edge relaxes.
+            for (dest, w) in ctx.edges().iter().zip(ctx.weights().into_iter().flatten()) {
                 ctx.send(dest, pack_f64(best + w as f64));
             }
         }

@@ -517,7 +517,7 @@ pub fn ablation_ftl(s: &Settings) -> Section {
     let blocks = (((peak as f64 / 0.85) / pages_per_block as f64).ceil() as usize).max(8);
     for (name, trace) in [("MultiLogVC", mlvc), ("GraphChi", graphchi)] {
         let mut ftl = FtlModel::new(FtlConfig { pages_per_block, blocks, gc_low_watermark: 2 });
-        ftl.replay(&trace);
+        ftl.replay(&trace).expect("the device is sized from the traces' peak footprint");
         let st = ftl.stats();
         out.row(vec![
             Cell::text(name),

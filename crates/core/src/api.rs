@@ -1,4 +1,4 @@
-use mlvc_graph::{EdgeMutation, VertexId, VertexIntervals};
+use mlvc_graph::{EdgeMutation, Edges, Entry, Segment, VertexId, VertexIntervals, Weights};
 use mlvc_log::Update;
 use mlvc_mutate::MutationDelta;
 
@@ -25,6 +25,13 @@ pub enum InitActive {
 /// append unit — so a message is written once, where its log will take it
 /// from; a flat sink keeps a single buffer. Each buffer holds its messages
 /// in send order.
+///
+/// A message sent over an edge by its index ([`VertexCtx::send_along`]) has
+/// no destination until that entry of the adjacency is read. The sink of an
+/// engine that reads adjacency in place holds such messages — and, to keep
+/// send order, every message after the first of them — until the engine
+/// calls [`Self::settle`], which reads all the entries in one pass and then
+/// routes the messages in the order they were sent.
 pub struct SendSink {
     intervals: Option<VertexIntervals>,
     bufs: Vec<Vec<Update>>,
@@ -34,6 +41,25 @@ pub struct SendSink {
     cur: usize,
     cur_lo: VertexId,
     cur_hi: VertexId,
+    /// Messages waiting for [`Self::settle`], in send order.
+    held: Vec<Held>,
+}
+
+/// A message held back until the sink settles.
+struct Held {
+    hop: Hop,
+    src: VertexId,
+    data: u64,
+}
+
+/// Where a held message goes.
+#[derive(Clone, Copy)]
+enum Hop {
+    To(VertexId),
+    /// Over out-edge `edge` of the vertex the engine numbered `slot`.
+    Edge { slot: usize, edge: usize },
+    /// Over an edge the vertex does not have: nowhere.
+    Nowhere,
 }
 
 impl SendSink {
@@ -45,6 +71,7 @@ impl SendSink {
             cur: 0,
             cur_lo: 0,
             cur_hi: VertexId::MAX,
+            held: Vec::new(),
         }
     }
 
@@ -57,6 +84,7 @@ impl SendSink {
             cur_lo: 1,
             cur_hi: 0,
             intervals: Some(intervals.clone()),
+            held: Vec::new(),
         }
     }
 
@@ -67,6 +95,7 @@ impl SendSink {
 
     /// Empty every buffer, keeping its capacity for the next fill.
     pub fn clear(&mut self) {
+        debug_assert!(self.held.is_empty(), "a sink is settled before it is drained");
         self.bufs.iter_mut().for_each(Vec::clear);
     }
 
@@ -82,22 +111,81 @@ impl SendSink {
     }
 
     fn push(&mut self, u: Update) {
+        if self.held.is_empty() {
+            self.route(u);
+        } else {
+            self.held.push(Held { hop: Hop::To(u.dest), src: u.src, data: u.data });
+        }
+    }
+
+    fn route(&mut self, u: Update) {
         self.seek(u.dest);
         self.bufs[self.cur].push(u);
     }
 
-    /// `data` from `src` to every vertex of `dests`, a run of neighbours
-    /// bound for one buffer at a time — each run reserves once.
-    fn push_all(&mut self, src: VertexId, dests: &[VertexId], data: u64) {
+    /// `data` from `src` over out-edge `edge` of the vertex numbered `slot`:
+    /// held until [`Self::settle`] reads the edge's endpoint.
+    fn push_along(&mut self, src: VertexId, slot: usize, edge: usize, data: u64) {
+        self.held.push(Held { hop: Hop::Edge { slot, edge }, src, data });
+    }
+
+    /// Route every held message, in send order. `endpoint(slot, edge)` reads
+    /// the destination of an edge sent along by index (`None` for an edge the
+    /// vertex does not have: that message goes nowhere). All the endpoints
+    /// are read first, in one loop that does nothing else: the reads land
+    /// anywhere in the lent pages, and only side by side do they overlap
+    /// instead of each waiting out a memory latency.
+    pub fn settle(&mut self, endpoint: impl Fn(usize, usize) -> Option<VertexId>) {
+        for h in &mut self.held {
+            if let Hop::Edge { slot, edge } = h.hop {
+                h.hop = endpoint(slot, edge).map_or(Hop::Nowhere, Hop::To);
+            }
+        }
+        let mut held = std::mem::take(&mut self.held);
+        for h in held.drain(..) {
+            if let Hop::To(dest) = h.hop {
+                self.route(Update::new(dest, h.src, h.data));
+            }
+        }
+        // Keep the allocation for the next fill.
+        self.held = held;
+    }
+
+    /// `data` from `src` to every vertex of `dests`, one page segment of the
+    /// list after another — a stored list is decoded here, in the pass that
+    /// routes it, and nowhere before.
+    fn push_all(&mut self, src: VertexId, dests: Edges<'_>, data: u64) {
+        if !self.held.is_empty() {
+            self.held.extend(dests.iter().map(|d| Held { hop: Hop::To(d), src, data }));
+            return;
+        }
+        for seg in dests.segments() {
+            match seg {
+                Segment::Decoded(ids) => self.push_runs(src, ids, |&d| d, data),
+                Segment::Le(ids) => self.push_runs(src, ids, |&d| VertexId::decode(d), data),
+            }
+        }
+    }
+
+    /// One segment of [`Self::push_all`], a run of neighbours bound for one
+    /// buffer at a time — each run reserves once.
+    fn push_runs<E>(
+        &mut self,
+        src: VertexId,
+        dests: &[E],
+        id: impl Fn(&E) -> VertexId + Copy,
+        data: u64,
+    ) {
         let mut rest = dests;
-        while let Some(&first) = rest.first() {
-            self.seek(first);
+        while let Some(first) = rest.first() {
+            self.seek(id(first));
             let (lo, hi) = (self.cur_lo, self.cur_hi);
-            let run = rest.iter().position(|d| !(lo..=hi).contains(d)).unwrap_or(rest.len());
+            let run =
+                rest.iter().position(|d| !(lo..=hi).contains(&id(d))).unwrap_or(rest.len());
             // `seek` put `first` in range; the `max` only keeps a send to a
             // vertex the graph does not have from looping here.
             let (now, later) = rest.split_at(run.max(1));
-            self.bufs[self.cur].extend(now.iter().map(|&d| Update::new(d, src, data)));
+            self.bufs[self.cur].extend(now.iter().map(|d| Update::new(id(d), src, data)));
             rest = later;
         }
     }
@@ -115,13 +203,16 @@ pub struct VertexCtx<'a> {
     num_vertices: usize,
     state: u64,
     msgs: &'a [Update],
-    edges: &'a [VertexId],
-    weights: Option<&'a [f32]>,
+    edges: Edges<'a>,
+    weights: Option<Weights<'a>>,
     sink: &'a mut SendSink,
     keep_active: bool,
     structural: Vec<EdgeMutation>,
     seed: u64,
     rng_counter: u64,
+    /// The engine's number for this vertex when [`Self::send_along`] is to
+    /// be held in the sink; `None` reads the edge at once.
+    slot: Option<usize>,
 }
 
 /// What a processing call produced besides the messages in its sink,
@@ -133,7 +224,8 @@ pub struct VertexOutputs {
 }
 
 impl<'a> VertexCtx<'a> {
-    /// Engine-implementor constructor.
+    /// Engine-implementor constructor. An engine that holds adjacency as
+    /// slices passes them as they are (`&[VertexId]` is an [`Edges`]).
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         v: VertexId,
@@ -141,8 +233,8 @@ impl<'a> VertexCtx<'a> {
         num_vertices: usize,
         state: u64,
         msgs: &'a [Update],
-        edges: &'a [VertexId],
-        weights: Option<&'a [f32]>,
+        edges: impl Into<Edges<'a>>,
+        weights: Option<Weights<'a>>,
         seed: u64,
         sink: &'a mut SendSink,
     ) -> Self {
@@ -152,14 +244,25 @@ impl<'a> VertexCtx<'a> {
             num_vertices,
             state,
             msgs,
-            edges,
+            edges: edges.into(),
             weights,
             sink,
             keep_active: false,
             structural: Vec::new(),
             seed,
             rng_counter: 0,
+            slot: None,
         }
+    }
+
+    /// Engine-implementor option: hold this vertex's [`Self::send_along`]
+    /// messages in the sink under the number `slot`, for the engine to give
+    /// their endpoints when it calls [`SendSink::settle`] after the
+    /// processing calls — an engine whose adjacency is read in place, where
+    /// it pays to read many endpoints side by side.
+    pub fn holding_along(mut self, slot: usize) -> Self {
+        self.slot = Some(slot);
+        self
     }
 
     /// Drain the call's effects.
@@ -199,20 +302,24 @@ impl<'a> VertexCtx<'a> {
     /// generality property of MultiLogVC, §V-D). With a `combine` operator
     /// installed, engines deliver the single reduced message instead.
     ///
-    /// Like [`Self::edges`] and [`Self::weights`], the slice borrows the
-    /// engine's buffers, not the context: a program can walk its inbox or
-    /// edge list while it draws random numbers and sends.
+    /// Like [`Self::edges`] and [`Self::weights`], what is returned borrows
+    /// the engine's buffers, not the context: a program can walk its inbox
+    /// or edge list while it draws random numbers and sends.
     pub fn msgs(&self) -> &'a [Update] {
         self.msgs
     }
 
-    /// Out-neighbors of this vertex.
-    pub fn edges(&self) -> &'a [VertexId] {
+    /// Out-neighbors of this vertex: a view, not a slice. On the multi-log
+    /// engine it reads the CSR pages the device lent, decoding a neighbour
+    /// where the program asks for one — `len()`, `get(k)`, `iter()` — so a
+    /// program that follows one edge of a thousand pays for one.
+    pub fn edges(&self) -> Edges<'a> {
         self.edges
     }
 
-    /// Out-edge weights (only when the program declares `needs_weights`).
-    pub fn weights(&self) -> Option<&'a [f32]> {
+    /// Out-edge weights, parallel to [`Self::edges`] (only when the program
+    /// declares `needs_weights`).
+    pub fn weights(&self) -> Option<Weights<'a>> {
         self.weights
     }
 
@@ -225,6 +332,24 @@ impl<'a> VertexCtx<'a> {
     /// source id is filled in automatically.
     pub fn send(&mut self, dest: VertexId, data: u64) {
         self.sink.push(Update::new(dest, self.v, data));
+    }
+
+    /// `SendUpdate` over the `k`-th out-edge, to whichever vertex
+    /// `edges().get(k)` is — for a program that follows an edge without
+    /// needing to know where it leads (a random walk's next hop). The
+    /// neighbour id is never handed to the program, so the engine is free to
+    /// read it later, with every other endpoint asked for this way; the
+    /// message is delivered next superstep in send order like any other. A
+    /// `k` past the degree sends nothing.
+    pub fn send_along(&mut self, k: usize, data: u64) {
+        match self.slot {
+            Some(slot) => self.sink.push_along(self.v, slot, k, data),
+            None => {
+                if let Some(dest) = self.edges.get(k) {
+                    self.send(dest, data);
+                }
+            }
+        }
     }
 
     /// Send the same payload over every out-edge.
@@ -402,7 +527,7 @@ mod tests {
         for m in ctx.msgs().iter().filter(|m| m.data > 0) {
             let r = ctx.rand_u64();
             draws.push(r);
-            ctx.send(ctx.edges()[(r % 3) as usize], m.data - 1);
+            ctx.send(ctx.edges().get((r % 3) as usize).unwrap(), m.data - 1);
         }
         // Same stream as drawing up front: one value per forwarded message.
         let mut again = SendSink::flat();
@@ -412,6 +537,48 @@ mod tests {
         let want: Vec<(u32, u64)> =
             draws.iter().zip([1u64, 4]).map(|(r, d)| (edges[(r % 3) as usize], d)).collect();
         assert_eq!(sent, want);
+    }
+
+    /// Messages sent along an edge wait for `settle`, everything sent after
+    /// the first of them waits behind it, and each buffer ends up in send
+    /// order — the same buffers an engine that reads the edge at once fills.
+    #[test]
+    fn held_sends_settle_in_send_order() {
+        let iv = VertexIntervals::uniform(10, 3);
+        let lists: [&[VertexId]; 2] = [&[9, 1, 2, 5], &[0, 8, 4]];
+        let run = |hold: bool| {
+            let mut sink = SendSink::routed(&iv);
+            for (slot, edges) in lists.iter().enumerate() {
+                let v = 3 + slot as VertexId;
+                let ctx = VertexCtx::new(v, 1, 10, 0, &[], *edges, None, 42, &mut sink);
+                let mut ctx = if hold { ctx.holding_along(slot) } else { ctx };
+                ctx.send(7, 1);
+                ctx.send_along(2, 2);
+                ctx.send(6, 3);
+                ctx.send_along(99, 4); // no such edge: nowhere
+                ctx.send_all(5);
+                ctx.send_along(0, 6);
+            }
+            if hold {
+                let held: usize = sink.buffers().iter().map(Vec::len).sum();
+                assert_eq!(held, 1, "only the send before the first one held is routed");
+                sink.settle(|slot, edge| lists[slot].get(edge).copied());
+            }
+            let sent: Vec<Vec<(u32, u32, u64)>> = sink
+                .buffers()
+                .iter()
+                .map(|b| b.iter().map(|u| (u.src, u.dest, u.data)).collect())
+                .collect();
+            sink.clear();
+            sent
+        };
+        let (at_once, held) = (run(false), run(true));
+        assert_eq!(at_once, held);
+        assert_eq!(
+            held[2],
+            [(3, 7, 1), (3, 6, 3), (3, 9, 5), (3, 9, 6), (4, 7, 1), (4, 6, 3), (4, 8, 5)]
+        );
+        assert_eq!(held.iter().map(Vec::len).sum::<usize>(), 2 * (1 + 1 + 1 + 1) + 4 + 3);
     }
 
     #[test]

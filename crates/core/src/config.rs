@@ -1,5 +1,7 @@
 use std::fmt;
 
+use mlvc_ssd::DeviceError;
+
 /// Adaptive memory-tiering configuration (DESIGN.md §18): a device-level
 /// page cache plus a GraphMP-style pinned tier for topology-hot interval
 /// extents. Disabled by default (both budgets zero) — the engine then
@@ -249,7 +251,8 @@ impl EngineConfig {
     }
 }
 
-/// A sizing rule [`EngineConfig::validate`] found broken.
+/// A sizing rule [`EngineConfig::validate`] found broken, or a program the
+/// engine cannot run on the graph it holds — refused where the run starts.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ConfigError {
     /// `memory_bytes` is below one 4 KiB page.
@@ -264,6 +267,33 @@ pub enum ConfigError {
     ZeroQueueDepth,
     /// `inflight_batches` is 0.
     ZeroInflightBatches,
+    /// The program reads edge weights (`needs_weights()`) and the graph the
+    /// engine runs on stores none.
+    NeedsWeights { app: &'static str },
+}
+
+impl ConfigError {
+    /// Stable machine-readable code, carried into
+    /// [`DeviceError::Config`] and from there onto `mlvc serve`'s `failed`
+    /// line.
+    pub fn code(&self) -> &'static str {
+        match self {
+            ConfigError::BudgetTooSmall { .. } => "budget-too-small",
+            ConfigError::NonPositiveFraction => "non-positive-fraction",
+            ConfigError::FractionsExceedBudget { .. } => "fractions-exceed-budget",
+            ConfigError::ZeroCheckpointCadence => "zero-checkpoint-cadence",
+            ConfigError::ZeroQueueDepth => "zero-queue-depth",
+            ConfigError::ZeroInflightBatches => "zero-inflight-batches",
+            ConfigError::NeedsWeights { .. } => "needs-weights",
+        }
+    }
+}
+
+/// How a refusal travels in [`crate::RunReport::interrupted`].
+impl From<ConfigError> for DeviceError {
+    fn from(e: ConfigError) -> Self {
+        DeviceError::Config { code: e.code(), detail: e.to_string() }
+    }
 }
 
 impl fmt::Display for ConfigError {
@@ -282,6 +312,9 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroQueueDepth => f.write_str("queue depth must be at least 1"),
             ConfigError::ZeroInflightBatches => {
                 f.write_str("at least one batch must be in flight")
+            }
+            ConfigError::NeedsWeights { app } => {
+                write!(f, "{app} reads edge weights and the graph stores none")
             }
         }
     }

@@ -22,8 +22,8 @@ use crate::merge::{merge_pending, STRUCTURAL_MERGE_THRESHOLD};
 use crate::tiering::{attach_cache, Tiering};
 use crate::trace::Tracer;
 use crate::{
-    Combine, Engine, EngineConfig, InitActive, Reconverge, RunReport, SendSink, SuperstepStats,
-    VertexCtx, VertexOutputs, VertexProgram,
+    Combine, ConfigError, Engine, EngineConfig, InitActive, Reconverge, RunReport, SendSink,
+    SuperstepStats, VertexCtx, VertexOutputs, VertexProgram,
 };
 
 /// Active vertices an interval must bring before its process and scatter
@@ -297,13 +297,17 @@ impl<'a> Drive<'a> {
     /// Build the units of one drive, in the order their device effects
     /// must happen: the cache attaches before any I/O, the FTL before any
     /// page write, the multi-log truncates its extents before retention is
-    /// armed on them.
+    /// armed on them. A program that reads weights the stored graph does not
+    /// have is refused before any of it.
     fn enter(
         eng: &'a mut MultiLogEngine,
         prog: &'a dyn VertexProgram,
     ) -> Result<Self, DeviceError> {
         let MultiLogEngine { ssd, graph, cfg, states, states_audit, mutations } = eng;
         let (ssd, graph, cfg) = (&*ssd, &*graph, &*cfg);
+        if prog.needs_weights() && !graph.has_weights() {
+            return Err(ConfigError::NeedsWeights { app: prog.name() }.into());
+        }
         let intervals = graph.intervals();
         attach_cache(ssd, &cfg.tiering);
         let tracer = cfg.obs.then(|| Tracer::start(ssd));
@@ -428,18 +432,16 @@ impl<'a> Drive<'a> {
     }
 }
 
-/// Work unit handed to the parallel processing stage. Everything is
-/// borrowed in place — message slices from the interval's inbox, adjacency
-/// from the interval's arena — so assembling the items copies nothing
-/// (DESIGN.md §12).
+/// Work unit handed to the parallel processing stage: a vertex, its
+/// messages borrowed in place from the interval's inbox, and its index in
+/// the interval's `Adjacency` — where its edge list is a view over the pages
+/// the loader was lent, and what the sinks hold its `send_along` messages
+/// under until the stage settles them. Assembling the items copies and
+/// decodes nothing (DESIGN.md §12).
 struct WorkItem<'a> {
     v: VertexId,
     msgs: &'a [Update],
-    edges: &'a [VertexId],
-    weights: Option<&'a [f32]>,
-    /// CSR page span of the vertex's edges; `None` when served from the
-    /// edge log.
-    csr_pages: Option<(u64, u64)>,
+    slot: usize,
 }
 
 /// Stable merge of two dest-sorted runs; on equal destinations `a` (the
@@ -680,9 +682,9 @@ impl<'d, 'a> Superstep<'d, 'a> {
         }
         let adj = self.load(i, &actives)?;
         let items = self.assemble(&actives, &inbox, &adj);
-        let outputs = self.process(&items);
+        let outputs = self.process(&items, &adj);
         self.scatter()?;
-        self.apply(i, &items, outputs)
+        self.apply(i, &items, &adj, outputs)
     }
 
     /// Interval `i`'s inbox: the contiguous dest range of the sorted batch,
@@ -712,9 +714,9 @@ impl<'d, 'a> Superstep<'d, 'a> {
         Ok(Cow::Owned(merge_by_dest(previous, &extra, self.d.prog.combine())))
     }
 
-    /// Fetch adjacency for the interval's active vertices into one arena:
-    /// from the edge log where the previous superstep staged it, from the
-    /// CSR pages that actually hold active data otherwise.
+    /// Fetch adjacency for the interval's active vertices: from the edge log
+    /// where the previous superstep staged it, from the CSR pages that
+    /// actually hold active data otherwise.
     fn load(
         &mut self,
         i: IntervalId,
@@ -722,19 +724,21 @@ impl<'d, 'a> Superstep<'d, 'a> {
     ) -> Result<Adjacency, DeviceError> {
         let t_adj = Instant::now();
         let d = &mut *self.d;
-        // Most supersteps stage nothing: probe the edge log per vertex only
-        // when it holds something. A vertex with structural updates pending
-        // comes from the CSR until they merge, so the patch below is only
-        // ever applied to stored bytes.
+        // Most supersteps stage nothing: the edge log's read side is probed
+        // per vertex only when it holds something. A vertex with structural
+        // updates pending comes from the CSR until they merge, so the patch
+        // below is only ever applied to stored bytes.
         let probe = d.use_elog() && !d.edgelog.read_side_is_empty();
-        let (elog_vs, csr_vs): (Vec<VertexId>, Vec<VertexId>) = actives
-            .iter()
-            .map(|(v, _)| *v)
-            .partition(|&v| probe && d.edgelog.contains(v) && !d.structural.names(v));
-        self.st.edge_log_hits += elog_vs.len() as u64;
+        let vs: Vec<VertexId> = actives.iter().map(|(v, _)| *v).collect();
+        let (elog_vs, csr_vs): (Vec<VertexId>, Vec<VertexId>) = if probe {
+            vs.into_iter().partition(|&v| d.edgelog.contains(v) && !d.structural.names(v))
+        } else {
+            (Vec::new(), vs)
+        };
         let mut adj =
             d.loader.load_active(d.graph, i, &csr_vs, d.prog.needs_weights(), None)?;
         if !elog_vs.is_empty() {
+            self.st.edge_log_hits += elog_vs.len() as u64;
             d.edgelog.fetch(&elog_vs, &mut adj)?;
             adj.sort_by_vertex();
         }
@@ -755,18 +759,11 @@ impl<'d, 'a> Superstep<'d, 'a> {
         let t_assemble = Instant::now();
         assert_eq!(adj.len(), actives.len(), "one adjacency per active vertex");
         let mut items: Vec<WorkItem> = Vec::with_capacity(actives.len());
-        for (k, ((v, r), a)) in actives.iter().zip(adj.vertices()).enumerate() {
+        for (slot, ((v, r), a)) in actives.iter().zip(adj.vertices()).enumerate() {
             debug_assert_eq!(a.v, *v);
-            let edges = adj.edges(k);
-            self.st.edges_scanned += edges.len() as u64;
+            self.st.edges_scanned += adj.edges(slot).len() as u64;
             self.st.messages_delivered += r.len() as u64;
-            items.push(WorkItem {
-                v: *v,
-                msgs: &inbox[r.clone()],
-                edges,
-                weights: adj.weights(k),
-                csr_pages: a.csr_pages(),
-            });
+            items.push(WorkItem { v: *v, msgs: &inbox[r.clone()], slot });
         }
         self.st.assemble_ns += t_assemble.elapsed().as_nanos() as u64;
         items
@@ -774,8 +771,10 @@ impl<'d, 'a> Superstep<'d, 'a> {
 
     /// Parallel vertex processing over the frozen states. Each worker
     /// thread writes the messages of its chunk of `items` straight into its
-    /// own sink, already split by destination interval.
-    fn process(&mut self, items: &[WorkItem]) -> Vec<VertexOutputs> {
+    /// own sink, already split by destination interval; messages sent along
+    /// an edge by its index wait there, and once the workers have joined
+    /// each sink reads their endpoints out of the lent pages in one pass.
+    fn process(&mut self, items: &[WorkItem], adj: &Adjacency) -> Vec<VertexOutputs> {
         let t_proc = Instant::now();
         let d = &mut *self.d;
         let fork = items.len() >= FORK_MIN_ITEMS;
@@ -795,15 +794,19 @@ impl<'d, 'a> Superstep<'d, 'a> {
                 n,
                 frozen[item.v as usize],
                 item.msgs,
-                item.edges,
-                item.weights,
+                adj.edges(item.slot),
+                adj.weights(item.slot),
                 seed,
                 sink,
-            );
+            )
+            .holding_along(item.slot);
             prog.process(&mut ctx);
             ctx.into_outputs()
         };
         let outputs = mlvc_par::par_map_with(items, &mut d.sinks[..workers], process);
+        for sink in &mut d.sinks[..workers] {
+            sink.settle(|s, e| adj.edges(s).get(e));
+        }
         self.st.process_ns += t_proc.elapsed().as_nanos() as u64;
         outputs
     }
@@ -837,6 +840,7 @@ impl<'d, 'a> Superstep<'d, 'a> {
         &mut self,
         i: IntervalId,
         items: &[WorkItem],
+        adj: &Adjacency,
         outputs: Vec<VertexOutputs>,
     ) -> Result<(), DeviceError> {
         let t_apply = Instant::now();
@@ -862,9 +866,10 @@ impl<'d, 'a> Superstep<'d, 'a> {
                 continue;
             }
             let known = d.multilog.dest_seen(item.v);
-            let stage = match item.csr_pages {
+            let edges = adj.edges(item.slot);
+            let stage = match adj.vertices()[item.slot].csr_pages() {
                 Some((plo, phi)) => {
-                    d.edgelog.should_log(item.v, item.edges.len(), known, colidx_file, plo..=phi)
+                    d.edgelog.should_log(item.v, edges.len(), known, colidx_file, plo..=phi)
                 }
                 // Served from the edge log: keep the dense copy alive
                 // while the vertex stays active.
@@ -873,7 +878,7 @@ impl<'d, 'a> Superstep<'d, 'a> {
             // What is staged must be the stored list: not while an update
             // of it is pending.
             if stage && !d.structural.names(item.v) {
-                d.edgelog.log_edges(item.v, item.edges)?;
+                d.edgelog.log_edges(item.v, edges)?;
             }
         }
         self.st.apply_ns += t_apply.elapsed().as_nanos() as u64;
@@ -1050,6 +1055,66 @@ mod tests {
         let (kept, dropped) = (kept.multilog.unwrap(), dropped.multilog.unwrap());
         assert_eq!(kept.updates_logged, dropped.updates_logged);
         assert!(dropped.bytes_appended < kept.bytes_appended);
+    }
+
+    /// Messages sent along an edge are held until the stage settles them:
+    /// a program that mixes them with `send` and `send_all` computes the
+    /// states the reference engine computes (which reads each edge at once),
+    /// through the same log bytes at any thread count.
+    #[test]
+    fn sends_along_edges_keep_send_order_at_any_thread_count() {
+        /// Order-sensitive: the state hashes the inbox in delivery order.
+        struct Hopper;
+        impl VertexProgram for Hopper {
+            fn name(&self) -> &'static str {
+                "hopper"
+            }
+            fn init_state(&self, v: VertexId) -> u64 {
+                v as u64
+            }
+            fn init_active(&self, _n: usize) -> InitActive {
+                InitActive::All
+            }
+            fn process(&self, ctx: &mut VertexCtx<'_>) {
+                let h = ctx.msgs().iter().fold(ctx.state(), |h, m| {
+                    h.wrapping_mul(0x100_0000_01B3).wrapping_add(m.data ^ ((m.src as u64) << 32))
+                });
+                ctx.set_state(h);
+                if ctx.superstep() > 3 {
+                    return;
+                }
+                ctx.send(ctx.vertex(), h);
+                ctx.send_along(h as usize % ctx.degree().max(1), h ^ 1);
+                if h % 3 == 0 {
+                    ctx.send_all(h ^ 2);
+                }
+                ctx.send_along(ctx.degree(), h ^ 3); // no such edge
+                ctx.send_along(0, h ^ 4);
+            }
+        }
+        let mut b = mlvc_graph::EdgeListBuilder::new(16384);
+        for v in 0..16384u32 {
+            for k in 0..(v % 7) {
+                b.push(v, (v * 37 + k * 1031) % 16384);
+            }
+        }
+        let csr = b.build();
+        let mut reference = crate::ReferenceEngine::new(csr.clone(), EngineConfig::default().seed);
+        assert!(reference.run(&Hopper, 6).converged);
+        let mut logged = None;
+        for threads in [1usize, 8] {
+            mlvc_par::set_thread_override(Some(threads));
+            let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
+            let iv = mlvc_graph::VertexIntervals::uniform(16384, 4);
+            let sg = StoredGraph::store_with(&ssd, &csr, "g", iv).unwrap();
+            let mut eng = MultiLogEngine::new(ssd, sg, EngineConfig::default());
+            let report = eng.run(&Hopper, 6);
+            assert!(report.converged && report.interrupted.is_none());
+            assert_eq!(eng.states(), reference.states(), "threads={threads}");
+            let ml = report.multilog.unwrap();
+            assert_eq!(*logged.get_or_insert(ml), ml, "threads={threads}");
+        }
+        mlvc_par::set_thread_override(None);
     }
 
     #[test]

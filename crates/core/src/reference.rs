@@ -1,9 +1,12 @@
 use std::time::Instant;
 
-use mlvc_graph::{Csr, VertexId};
+use mlvc_graph::{Csr, VertexId, Weights};
 use mlvc_log::Update;
 
-use crate::{Engine, InitActive, RunReport, SendSink, SuperstepStats, VertexCtx, VertexProgram};
+use crate::{
+    ConfigError, Engine, InitActive, RunReport, SendSink, SuperstepStats, VertexCtx,
+    VertexProgram,
+};
 
 /// Purely in-memory reference engine: the vertex-centric semantics with no
 /// storage machinery at all.
@@ -56,6 +59,10 @@ impl Engine for ReferenceEngine {
             app: prog.name().to_string(),
             ..Default::default()
         };
+        if needs_weights && !self.graph.has_weights() {
+            report.interrupted = Some(ConfigError::NeedsWeights { app: prog.name() }.into());
+            return report;
+        }
 
         let mut all_active = false;
         let mut inbox: Vec<Update> = Vec::new();
@@ -143,7 +150,7 @@ impl Engine for ReferenceEngine {
                         states[*v as usize],
                         msgs,
                         graph.out_edges(*v),
-                        if needs_weights { graph.out_weights(*v) } else { None },
+                        graph.out_weights(*v).filter(|_| needs_weights).map(Weights::from),
                         seed,
                         &mut sink,
                     );

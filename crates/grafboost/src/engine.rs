@@ -2,8 +2,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use mlvc_core::{
-    Engine, EngineConfig, InitActive, RunReport, SendSink, SuperstepStats, Update, VertexCtx,
-    VertexProgram,
+    ConfigError, Engine, EngineConfig, InitActive, RunReport, SendSink, SuperstepStats, Update,
+    VertexCtx, VertexProgram,
 };
 use mlvc_graph::{StoredGraph, VertexId};
 use mlvc_ssd::{DeviceError, Ssd};
@@ -45,10 +45,10 @@ impl GrafBoostEngine {
         max_supersteps: usize,
         report: &mut RunReport,
     ) -> Result<(), DeviceError> {
-        assert!(
-            !prog.needs_weights(),
-            "GraFBoost baseline does not model edge weights"
-        );
+        // The baseline scans `rowptr` and `colidx` only: it hands out no weights.
+        if prog.needs_weights() {
+            return Err(ConfigError::NeedsWeights { app: prog.name() }.into());
+        }
         let intervals = self.graph.intervals().clone();
         let n = intervals.num_vertices();
         let combine = prog.combine();

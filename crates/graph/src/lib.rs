@@ -28,6 +28,7 @@ mod intervals;
 mod loader;
 mod stored;
 mod structural;
+mod view;
 
 /// Checked width conversions shared across the format crates.
 pub use mlvc_ssd::checked;
@@ -37,6 +38,7 @@ pub use csr::Csr;
 pub use intervals::{IntervalId, VertexIntervals};
 pub use loader::{AdjVertex, Adjacency, GraphLoader, PageUsage};
 pub use stored::{read_u32s, read_u64s, write_partition, StoredGraph, UPDATE_BYTES};
+pub use view::{Edges, Entry, ListView, Segment, Weights};
 pub use structural::{
     dedup_last_wins, upsert_adjacency, EdgeMutation, MutationOp, StructuralUpdateBuffer,
 };

@@ -1,17 +1,26 @@
 use mlvc_ssd::{DeviceError, FileId, Page, Ssd};
 
 use crate::checked::{idx, mem_idx, to_u32, to_u64};
+use crate::view::{Edges, ListView, Weights};
 use crate::{
     IntervalId, StoredGraph, StructuralUpdateBuffer, VertexId, COL_IDX_BYTES, ROW_PTR_BYTES,
 };
+
+/// Where one vertex's list is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ListAt {
+    /// Stored bytes: `len` entries from entry `off` of lent page `first`,
+    /// running on through the lent pages that follow it.
+    Stored { first: usize, off: usize, len: usize },
+    /// Entries `[lo, hi)` of the owned buffer.
+    Owned { lo: usize, hi: usize },
+}
 
 /// One active vertex of an [`Adjacency`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdjVertex {
     pub v: VertexId,
-    /// This vertex's out-edges, as a range of the arena.
-    lo: usize,
-    hi: usize,
+    at: ListAt,
     /// Column-index pages of the interval extent holding this vertex's
     /// edges; `page_lo > page_hi` when none were read for it (a zero-degree
     /// vertex, or one the edge log served). The edge-log optimizer keys its
@@ -27,18 +36,28 @@ impl AdjVertex {
     }
 }
 
-/// Adjacency of one interval's active vertices: one flat edge array (and
-/// one parallel weight array when weights were asked for) that every
-/// vertex's out-edges are a range of, whichever source they came from —
-/// the CSR pages via [`GraphLoader::load_active`] or the edge log via
-/// [`Adjacency::push`].
-#[derive(Debug, Clone, Default, PartialEq)]
+/// Adjacency of one interval's active vertices, as views: the column-index
+/// (and, when weights were asked for, `val`) pages the device lent to
+/// [`GraphLoader::load_active`], kept as the handles they arrived as, and
+/// per vertex where its list starts in them — a list's pages are
+/// consecutive in the request list, and an entry never straddles a page.
+/// Nothing stored is decoded or copied here; [`Self::edges`] and
+/// [`Self::weights`] hand out [`ListView`]s that decode an entry where a
+/// program asks for it. The one owned buffer holds the lists that never
+/// were stored bytes: those the edge log served ([`Self::push`]) and those a
+/// pending structural update rewrote.
+#[derive(Debug, Clone, Default)]
 pub struct Adjacency {
     vertices: Vec<AdjVertex>,
-    edges: Vec<VertexId>,
-    /// Parallel to `edges` when `weighted`, empty otherwise.
-    weights: Vec<f32>,
+    /// The pages lent for the column-index requests, in request order.
+    colidx: Vec<Page>,
+    /// The pages lent for the `val` requests — the same pages of the
+    /// parallel extent — when `weighted`, empty otherwise.
+    val: Vec<Page>,
+    owned: Vec<VertexId>,
     weighted: bool,
+    /// Entries in a page.
+    per_page: usize,
 }
 
 impl Adjacency {
@@ -57,44 +76,64 @@ impl Adjacency {
     }
 
     /// Out-edges of the `k`-th vertex.
-    pub fn edges(&self, k: usize) -> &[VertexId] {
-        let a = &self.vertices[k];
-        &self.edges[a.lo..a.hi]
+    pub fn edges(&self, k: usize) -> Edges<'_> {
+        match self.vertices[k].at {
+            ListAt::Stored { first, off, len } => {
+                ListView::stored(&self.colidx[first..], off, len, self.per_page)
+            }
+            ListAt::Owned { lo, hi } => Edges::from(&self.owned[lo..hi]),
+        }
     }
 
     /// Out-edge weights of the `k`-th vertex, when weights were loaded.
-    pub fn weights(&self, k: usize) -> Option<&[f32]> {
-        let a = &self.vertices[k];
-        self.weighted.then(|| &self.weights[a.lo..a.hi])
+    pub fn weights(&self, k: usize) -> Option<Weights<'_>> {
+        self.weighted.then(|| match self.vertices[k].at {
+            ListAt::Stored { first, off, len } => {
+                ListView::stored(&self.val[first..], off, len, self.per_page)
+            }
+            // `push` and `replace_edges` refuse a weighted adjacency.
+            ListAt::Owned { .. } => Weights::from(&[]),
+        })
     }
 
     /// Append a vertex whose edges come from somewhere other than the CSR
-    /// pages (the edge log): an empty page span, weights zero.
+    /// pages (the edge log, which stores no weights): an empty page span.
     pub fn push(&mut self, v: VertexId, edges: impl IntoIterator<Item = VertexId>) {
-        let lo = self.edges.len();
-        self.edges.extend(edges);
-        if self.weighted {
-            self.weights.resize(self.edges.len(), 0.0);
-        }
-        self.vertices.push(AdjVertex { v, lo, hi: self.edges.len(), page_lo: 1, page_hi: 0 });
+        assert!(!self.weighted, "an edge-log list in a weighted adjacency");
+        let lo = self.owned.len();
+        self.owned.extend(edges);
+        let at = ListAt::Owned { lo, hi: self.owned.len() };
+        self.vertices.push(AdjVertex { v, at, page_lo: 1, page_hi: 0 });
     }
 
     /// Bring the vertices into ascending order after sorted runs from
     /// several sources were appended (the stable sort merges runs in linear
-    /// time; the edges stay where they are).
+    /// time; the lists stay where they are).
     pub fn sort_by_vertex(&mut self) {
         self.vertices.sort_by_key(|a| a.v);
     }
 
     /// Replace the `k`-th vertex's edge list (a structural patch); the new
-    /// list goes to the end of the arena. Weighted graphs refuse structural
-    /// updates, so an arena being patched carries no weights.
+    /// list goes to the owned buffer. Weighted graphs refuse structural
+    /// updates, so an adjacency being patched carries no weights.
     pub(crate) fn replace_edges(&mut self, k: usize, edges: &[VertexId]) {
         assert!(!self.weighted, "structural patch of a weighted adjacency");
-        let new_lo = self.edges.len();
-        self.edges.extend_from_slice(edges);
-        let a = &mut self.vertices[k];
-        (a.lo, a.hi) = (new_lo, self.edges.len());
+        let lo = self.owned.len();
+        self.owned.extend_from_slice(edges);
+        self.vertices[k].at = ListAt::Owned { lo, hi: self.owned.len() };
+    }
+}
+
+/// The same vertices with the same lists, wherever each side keeps them.
+impl PartialEq for Adjacency {
+    fn eq(&self, other: &Self) -> bool {
+        let same = |a: &AdjVertex, b: &AdjVertex| {
+            (a.v, a.page_lo, a.page_hi) == (b.v, b.page_lo, b.page_hi)
+        };
+        self.len() == other.len()
+            && self.vertices.iter().zip(&other.vertices).all(|(a, b)| same(a, b))
+            && (0..self.len())
+                .all(|k| self.edges(k) == other.edges(k) && self.weights(k) == other.weights(k))
     }
 }
 
@@ -157,53 +196,25 @@ fn note_useful(reqs: &mut Vec<(FileId, u64, usize)>, file: FileId, page: u64, by
     }
 }
 
-/// Decode the entry ranges `[lo, hi)` of a 4-byte-entry extent out of the
-/// pages lent for `reqs`, appending to `out`. Ranges ascend, and neighbours
-/// in the extent are usually neighbours in the list (`ranges[k].1 ==
-/// ranges[k + 1].0`: consecutive active vertices, or ones with only
-/// zero-degree vertices between them), so they are merged into runs and
-/// decoded one page segment per run — a dense interval is one segment a
-/// page, not one per vertex. Every page a range overlaps was requested, so
-/// one cursor walks the request list. (`COL_IDX_BYTES` divides the page
-/// size, so entries never straddle a page boundary.)
-fn decode_u32s<T>(
-    out: &mut Vec<T>,
-    ranges: &[(u64, u64)],
-    reqs: &[(FileId, u64, usize)],
+/// The bounds proof of every view over `pages`: the device lent one page a
+/// request, and each is at least as long as the last byte a list takes from
+/// it (`ends`, parallel to `reqs`).
+fn check_lent(
     pages: &[Page],
-    page_size: usize,
-    conv: impl Fn(u32) -> T,
+    reqs: &[(FileId, u64, usize)],
+    ends: &[usize],
 ) -> Result<(), DeviceError> {
-    let (cib, psz) = (to_u64(COL_IDX_BYTES), to_u64(page_size));
-    let mut k = 0usize;
-    let mut nonempty = ranges.iter().filter(|r| r.0 < r.1).peekable();
-    while let Some(&(lo, mut hi)) = nonempty.next() {
-        while let Some(&(_, next_hi)) = nonempty.next_if(|r| r.0 == hi) {
-            hi = next_hi;
-        }
-        let (mut byte, byte_hi) = (lo * cib, hi * cib);
-        while byte < byte_hi {
-            while reqs[k].1 < byte / psz {
-                k += 1;
-            }
-            let pg_start = reqs[k].1 * psz;
-            let seg_end = byte_hi.min(pg_start + psz);
-            let seg = pages[k]
-                .get(mem_idx(byte - pg_start)..mem_idx(seg_end - pg_start))
-                .ok_or_else(|| {
-                    corrupt(format!(
-                        "page {} of file {} holds {} bytes, {} taken from it",
-                        reqs[k].1,
-                        reqs[k].0,
-                        pages[k].len(),
-                        seg_end - pg_start
-                    ))
-                })?;
-            out.extend(
-                seg.chunks_exact(COL_IDX_BYTES)
-                    .map(|c| conv(u32::from_le_bytes([c[0], c[1], c[2], c[3]]))),
-            );
-            byte = seg_end;
+    if pages.len() != reqs.len() {
+        return Err(corrupt(format!("{} pages lent for {} requests", pages.len(), reqs.len())));
+    }
+    for ((page, req), &end) in pages.iter().zip(reqs).zip(ends) {
+        if page.len() < end {
+            return Err(corrupt(format!(
+                "page {} of file {} holds {} bytes, {end} taken from it",
+                req.1,
+                req.0,
+                page.len()
+            )));
         }
     }
     Ok(())
@@ -233,11 +244,14 @@ impl GraphLoader {
     }
 
     /// Load the out-adjacency of the given **sorted** active vertices of
-    /// interval `i` into one arena. Only pages overlapping active vertex
-    /// data are read, each exactly once per call. `patch` applies pending
-    /// (un-merged) structural updates so callers always observe the current
-    /// graph. What is decoded is validated: stored bytes that cannot be a
-    /// CSR come back as [`DeviceError::Corrupt`], never as a panic.
+    /// interval `i`, as views over the pages read. Only pages overlapping
+    /// active vertex data are read, each exactly once per call, and no
+    /// stored list is decoded or copied. `patch` applies pending (un-merged)
+    /// structural updates so callers always observe the current graph. The
+    /// views are validated here, once: row pointers that cannot be a CSR's,
+    /// or a lent page shorter than what a list takes from it, come back as
+    /// [`DeviceError::Corrupt`] — never as a panic, now or when a view is
+    /// walked.
     pub fn load_active(
         &mut self,
         graph: &StoredGraph,
@@ -298,16 +312,20 @@ impl GraphLoader {
         };
 
         // --- Column indices: byte range [lo*4, hi*4) per vertex. ---
-        // Row pointers must ascend and stay inside the extent; that also
-        // bounds the arena by what the device really holds.
+        // Row pointers must ascend and stay inside the extent, so every list
+        // lies in pages the device really holds. A list's pages are the last
+        // `span` requests once they are noted — consecutive, the first one
+        // shared with whatever list ended on it.
         let ci_file = graph.colidx_file(i);
         let cib = to_u64(COL_IDX_BYTES);
         let psz = to_u64(page_size);
         let extent = ssd.num_pages(ci_file)? * (psz / cib);
-        let mut ranges: Vec<(u64, u64)> = Vec::with_capacity(active.len());
         let mut ci_reqs: Vec<(FileId, u64, usize)> = Vec::new();
+        // Per request, the last byte of the page any list takes: the lists
+        // ascend, so the last one to touch a page reaches furthest into it.
+        let mut ends: Vec<usize> = Vec::new();
         adj.vertices.reserve_exact(active.len());
-        let (mut prev_hi, mut total) = (0u64, 0usize);
+        let mut prev_hi = 0u64;
         for &v in active {
             let j = idx(v - start);
             let lo = rp_entry(j)?;
@@ -319,22 +337,28 @@ impl GraphLoader {
                 )));
             }
             prev_hi = hi;
-            ranges.push((lo, hi));
             let (mut page_lo, mut page_hi) = (1, 0);
+            let mut at = ListAt::Stored { first: 0, off: 0, len: 0 };
             if hi > lo {
                 let byte_lo = lo * cib;
                 let byte_hi = hi * cib;
                 (page_lo, page_hi) = (byte_lo / psz, (byte_hi - 1) / psz);
                 for p in page_lo..=page_hi {
                     let pg_start = p * psz;
-                    let overlap = byte_hi.min(pg_start + psz) - byte_lo.max(pg_start);
-                    // Overlap is bounded by the page size, so it fits usize.
-                    note_useful(&mut ci_reqs, ci_file, p, mem_idx(overlap));
+                    // Offsets within one page: they fit usize.
+                    let from = mem_idx(byte_lo.max(pg_start) - pg_start);
+                    let to = mem_idx(byte_hi.min(pg_start + psz) - pg_start);
+                    note_useful(&mut ci_reqs, ci_file, p, to - from);
+                    ends.resize(ci_reqs.len(), 0);
+                    ends[ci_reqs.len() - 1] = to;
                 }
+                at = ListAt::Stored {
+                    first: ci_reqs.len() - 1 - mem_idx(page_hi - page_lo),
+                    off: mem_idx(byte_lo % psz) / COL_IDX_BYTES,
+                    len: mem_idx(hi - lo),
+                };
             }
-            let len = mem_idx(hi - lo);
-            adj.vertices.push(AdjVertex { v, lo: total, hi: total + len, page_lo, page_hi });
-            total += len;
+            adj.vertices.push(AdjVertex { v, at, page_lo, page_hi });
         }
         for r in &mut ci_reqs {
             // Per-page useful bytes saturate at the u32 the predictor uses.
@@ -342,25 +366,24 @@ impl GraphLoader {
             self.colidx_usage.push((ci_file, r.1, useful));
             r.2 = r.2.min(page_size);
         }
-        let ci_data = self.read(ssd, &ci_reqs)?;
+        adj.colidx = self.read(ssd, &ci_reqs)?;
         self.colidx_pages_read += to_u64(ci_reqs.len());
-        adj.edges.reserve_exact(total);
-        decode_u32s(&mut adj.edges, &ranges, &ci_reqs, &ci_data, page_size, |e| e)?;
+        check_lent(&adj.colidx, &ci_reqs, &ends)?;
+        adj.per_page = page_size / COL_IDX_BYTES;
 
         // Weights ride on a parallel extent with identical offsets.
         if let Some(vf) = graph.val_file(i).filter(|_| want_weights) {
             let reqs: Vec<(FileId, u64, usize)> =
                 ci_reqs.iter().map(|&(_, p, u)| (vf, p, u)).collect();
-            let val_data = self.read(ssd, &reqs)?;
+            adj.val = self.read(ssd, &reqs)?;
+            check_lent(&adj.val, &reqs, &ends)?;
             adj.weighted = true;
-            adj.weights.reserve_exact(total);
-            decode_u32s(&mut adj.weights, &ranges, &reqs, &val_data, page_size, f32::from_bits)?;
         }
 
         if let Some(buf) = patch {
             buf.patch(i, &mut adj);
         }
-        self.edges_loaded += adj.vertices.iter().map(|a| to_u64(a.hi - a.lo)).sum::<u64>();
+        self.edges_loaded += (0..adj.len()).map(|k| to_u64(adj.edges(k).len())).sum::<u64>();
         self.vertices_loaded += to_u64(adj.len());
         Ok(adj)
     }
@@ -570,6 +593,172 @@ mod tests {
         assert_eq!(got.weights(0).unwrap(), &[1.5, 2.5]);
         let got = loader.load_active(&sg, 1, &[4], true, None).unwrap();
         assert_eq!(got.weights(0).unwrap(), &[4.5]);
+    }
+
+    /// What `load_active` hands back is the device's own pages: the handles
+    /// `read_batch` lends for the same requests are the very allocations the
+    /// adjacency holds, and beside them there is one entry per active vertex
+    /// and nothing per edge — the owned buffer was never touched.
+    #[test]
+    fn a_loaded_adjacency_holds_the_lent_pages_and_nothing_per_edge() {
+        let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
+        let mut b = EdgeListBuilder::new(64);
+        for v in 0..64u32 {
+            for d in 1..=20 {
+                b.push_weighted(v, (v + d) % 64, d as f32);
+            }
+        }
+        let sg =
+            StoredGraph::store_with(&ssd, &b.build(), "zc", VertexIntervals::uniform(64, 1))
+                .unwrap();
+        let mut loader = GraphLoader::new();
+        let active: Vec<u32> = (0..64).step_by(3).collect();
+        let adj = loader.load_active(&sg, 0, &active, true, None).unwrap();
+        let [_rowptr, colidx, val] = &loader.issued[..] else {
+            panic!("three request lists: rowptr, colidx, val");
+        };
+        for (held, reqs) in [(&adj.colidx, colidx), (&adj.val, val)] {
+            let lent = ssd.read_batch(reqs).unwrap();
+            assert_eq!(held.len(), lent.len());
+            assert!(held.iter().zip(&lent).all(|(a, b)| Page::ptr_eq(a, b)));
+        }
+        assert!(adj.colidx.len() >= 10, "20 of 64 entries a page: the lists span pages");
+        assert_eq!(adj.vertices.len(), active.len());
+        assert_eq!(adj.owned.capacity(), 0);
+    }
+
+    /// xorshift64*: this crate sits below `mlvc-gen`, so the seeded cases
+    /// draw from their own generator.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// One view against the list it must be, through every way in.
+    fn walk<T: crate::Entry>(view: ListView<'_, T>, want: &[T], what: &str) {
+        assert_eq!(view.len(), want.len(), "{what}");
+        assert_eq!(view.is_empty(), want.is_empty(), "{what}");
+        for (k, w) in want.iter().enumerate() {
+            assert_eq!(view.get(k), Some(*w), "{what}: entry {k}");
+        }
+        assert_eq!(view.get(want.len()), None, "{what}");
+        assert_eq!(view.iter().len(), want.len(), "{what}");
+        assert_eq!(view.iter().collect::<Vec<T>>(), want, "{what}");
+        let mut walked: Vec<T> = Vec::new();
+        for seg in view.segments() {
+            let before = walked.len();
+            match seg {
+                crate::Segment::Decoded(s) => walked.extend_from_slice(s),
+                crate::Segment::Le(b) => walked.extend(b.iter().map(|&e| T::decode(e))),
+            }
+            assert!(walked.len() > before, "{what}: an empty segment");
+        }
+        assert_eq!(walked, want, "{what}");
+    }
+
+    /// Seeded: random graphs with a hub whose list spans at least three
+    /// pages, 256 B and 16 KiB pages, weighted and not, random sorted active
+    /// sets that always hold the first and last vertex of the interval and
+    /// some zero-degree ones. Every view equals the CSR; then, unweighted,
+    /// the same holds for an adjacency that mixes stored lists, lists pushed
+    /// the way the edge log serves them, and structurally patched ones.
+    #[test]
+    fn every_view_equals_the_csr_through_len_get_iter_and_segments() {
+        let mut rng = Rng(0x9E37_79B9_7F4A_7C15);
+        let mut zero_degree = 0usize;
+        for case in 0..48 {
+            let page_size = [256usize, 16 << 10][case % 2];
+            let weighted = (case / 2) % 2 == 1;
+            let n = 60 + rng.below(100);
+            let hub = (rng.below(n)) as u32;
+            let mut b = EdgeListBuilder::new(n);
+            let push = |b: &mut EdgeListBuilder, s: u32, d: u32| {
+                if weighted {
+                    b.push_weighted(s, d, (s * 31 + d) as f32 + 0.5);
+                } else {
+                    b.push(s, d);
+                }
+            };
+            for _ in 0..rng.below(400) {
+                // A third of the vertices keep no out-edge.
+                let s = rng.below(n) as u32;
+                if s % 3 != 1 {
+                    push(&mut b, s, rng.below(n) as u32);
+                }
+            }
+            let entries_per_page = page_size / COL_IDX_BYTES;
+            for k in 0..2 * entries_per_page + 1 + rng.below(entries_per_page) {
+                push(&mut b, hub, (k % n) as u32);
+            }
+            let csr = b.build();
+            let ssd = Arc::new(Ssd::new(SsdConfig::default().with_page_size(page_size)));
+            let iv = VertexIntervals::uniform(n, 1 + rng.below(4));
+            let sg = StoredGraph::store_with(&ssd, &csr, "pv", iv.clone()).unwrap();
+            let mut loader = GraphLoader::new();
+            for i in iv.iter_ids() {
+                let (lo, hi) = (iv.start(i), iv.end(i));
+                let pick = rng.next();
+                let active: Vec<u32> = (lo..hi)
+                    .filter(|&v| v == lo || v == hi - 1 || v == hub || (pick >> (v % 64)) & 1 == 1)
+                    .collect();
+                let what = |v: u32| format!("case {case}, {page_size} B pages, vertex {v}");
+                let adj = loader.load_active(&sg, i, &active, weighted, None).unwrap();
+                assert_eq!(adj.len(), active.len());
+                for (k, &v) in active.iter().enumerate() {
+                    let a = adj.vertices()[k];
+                    assert_eq!(a.v, v);
+                    assert!(v != hub || a.page_hi - a.page_lo >= 2, "{}: the hub's pages", what(v));
+                    zero_degree += usize::from(csr.out_edges(v).is_empty());
+                    walk(adj.edges(k), csr.out_edges(v), &what(v));
+                    match (adj.weights(k), csr.out_weights(v)) {
+                        (Some(view), Some(want)) => walk(view, want, &what(v)),
+                        (None, None) => {}
+                        _ => panic!("{}: weights on one side only", what(v)),
+                    }
+                }
+                if weighted {
+                    continue;
+                }
+                // Every other active from the CSR pages, the rest pushed; a
+                // pending update of the interval's first vertex and the hub.
+                let (stored, pushed): (Vec<u32>, Vec<u32>) =
+                    active.iter().partition(|&&v| v % 2 == 0);
+                let mut mixed = loader.load_active(&sg, i, &stored, false, None).unwrap();
+                for &v in &pushed {
+                    mixed.push(v, csr.out_edges(v).iter().copied());
+                }
+                mixed.sort_by_vertex();
+                let mut buf = StructuralUpdateBuffer::new(iv.clone(), 1 << 20);
+                let mut golden: Vec<Vec<u32>> = active.iter().map(|&v| csr.out_edges(v).to_vec()).collect();
+                for v in [lo, hub] {
+                    if let Ok(k) = active.binary_search(&v) {
+                        let gone = golden[k].first().copied();
+                        let fresh = (0..n as u32).find(|d| !golden[k].contains(d));
+                        gone.iter().for_each(|&d| buf.push(crate::EdgeMutation::remove(v, d)));
+                        fresh.iter().for_each(|&d| buf.push(crate::EdgeMutation::add(v, d)));
+                        golden[k].retain(|d| Some(*d) != gone);
+                        golden[k].extend(fresh);
+                    }
+                }
+                buf.patch(i, &mut mixed);
+                assert_eq!(mixed.len(), active.len());
+                for (k, &v) in active.iter().enumerate() {
+                    assert_eq!(mixed.vertices()[k].v, v);
+                    walk(mixed.edges(k), &golden[k], &what(v));
+                }
+            }
+        }
+        assert!(zero_degree > 100, "{zero_degree} zero-degree vertices walked");
     }
 
     #[test]

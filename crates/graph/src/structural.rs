@@ -129,11 +129,12 @@ impl StructuralUpdateBuffer {
         self.pending[idx(self.intervals.interval_of(v))].iter().any(|u| u.src == v)
     }
 
-    /// Bring interval `i`'s freshly loaded arena (vertices ascending, edges
-    /// as stored) up to date: each vertex the pending updates name gets
-    /// `upsert_adjacency(stored, last-op-wins(pending))` — exactly the list
-    /// the merge will write, so a merge moves bytes and never changes what
-    /// a program sees. An interval nothing is pending for costs nothing.
+    /// Bring interval `i`'s freshly loaded adjacency (vertices ascending,
+    /// edges as stored) up to date: each vertex the pending updates name
+    /// gets `upsert_adjacency(stored, last-op-wins(pending))` — exactly the
+    /// list the merge will write, so a merge moves bytes and never changes
+    /// what a program sees. Only a list that is rewritten is materialised;
+    /// an interval nothing is pending for costs nothing.
     pub fn patch(&self, i: IntervalId, adj: &mut Adjacency) {
         let ops = dedup_last_wins(&self.pending[idx(i)]);
         for of_v in ops.chunk_by(|a, b| a.src == b.src) {
@@ -141,7 +142,7 @@ impl StructuralUpdateBuffer {
                 let dsts = |op| of_v.iter().filter(move |m| m.op == op).map(|m| m.dst);
                 let adds: Vec<VertexId> = dsts(MutationOp::Add).collect();
                 let removes: Vec<VertexId> = dsts(MutationOp::Remove).collect();
-                let (edges, _, _) = upsert_adjacency(adj.edges(k), &adds, &removes);
+                let (edges, _, _) = upsert_adjacency(&adj.edges(k).to_vec(), &adds, &removes);
                 adj.replace_edges(k, &edges);
             }
         }

@@ -3,8 +3,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use mlvc_core::{
-    Engine, EngineConfig, InitActive, RunReport, SendSink, SuperstepStats, Update, VertexCtx,
-    VertexProgram,
+    ConfigError, Engine, EngineConfig, InitActive, RunReport, SendSink, SuperstepStats, Update,
+    VertexCtx, VertexProgram,
 };
 use mlvc_graph::{Csr, IntervalId, VertexIntervals, VertexId};
 use mlvc_log::BitSet;
@@ -67,10 +67,10 @@ impl GraphChiEngine {
         max_supersteps: usize,
         report: &mut RunReport,
     ) -> Result<(), DeviceError> {
-        assert!(
-            !prog.needs_weights(),
-            "GraphChi baseline models edge values as message slots; weighted programs unsupported"
-        );
+        // The shards model edge values as message slots: they store no weights.
+        if prog.needs_weights() {
+            return Err(ConfigError::NeedsWeights { app: prog.name() }.into());
+        }
         let intervals = self.shards.intervals().clone();
         let n = intervals.num_vertices();
         let ni = intervals.num_intervals();

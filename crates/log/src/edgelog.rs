@@ -2,7 +2,7 @@ use crate::checked::{idx, to_u32, to_u64};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
-use mlvc_graph::{Adjacency, PageUsage, VertexId};
+use mlvc_graph::{Adjacency, Edges, PageUsage, VertexId};
 use mlvc_ssd::{DeviceError, FileId, Ssd};
 
 use crate::BitSet;
@@ -194,9 +194,15 @@ impl EdgeLogOptimizer {
         self.page_predicted_inefficient(colidx_file, pages)
     }
 
-    /// Copy `v`'s out-edges into the edge log. Record layout (u32 entries):
-    /// `[v][len][edges…]`, never straddling a page.
-    pub fn log_edges(&mut self, v: VertexId, edges: &[VertexId]) -> Result<(), DeviceError> {
+    /// Copy `v`'s out-edges into the edge log, from wherever the view has
+    /// them. Record layout (u32 entries): `[v][len][edges…]`, never
+    /// straddling a page.
+    pub fn log_edges<'e>(
+        &mut self,
+        v: VertexId,
+        edges: impl Into<Edges<'e>>,
+    ) -> Result<(), DeviceError> {
+        let edges = edges.into();
         let rec_len = edges.len() + 2;
         let cap = self.entries_per_page();
         assert!(rec_len <= cap, "record exceeds a page; should_log must gate this");
@@ -213,7 +219,7 @@ impl EdgeLogOptimizer {
         };
         self.top.push(v);
         self.top.push(len32);
-        self.top.extend_from_slice(edges);
+        self.top.extend(edges);
         self.write_index.insert(v, loc);
         self.stats.vertices_logged += 1;
         Ok(())

@@ -76,15 +76,19 @@ impl Default for ServeConfig {
 pub enum JobError {
     /// Turned away at admission, never started.
     Rejected(RejectReason),
-    /// Started but its device view faulted (e.g. an injected crash).
-    Failed(String),
+    /// Started — or was about to — and its run ended in an error: its
+    /// device view faulted (e.g. an injected crash), or the engine refused
+    /// the run. `code` is the error's stable code (`DeviceError::code`,
+    /// `ConfigError::code`), `error` its text.
+    Failed { code: &'static str, error: String },
 }
+
 
 impl std::fmt::Display for JobError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             JobError::Rejected(r) => write!(f, "rejected ({}): {r}", r.code()),
-            JobError::Failed(e) => write!(f, "failed: {e}"),
+            JobError::Failed { code, error } => write!(f, "failed ({code}): {error}"),
         }
     }
 }
@@ -384,7 +388,10 @@ impl Daemon {
         batch.extend(req.remove.iter().map(|&(s, d)| EdgeMutation::remove(s, d)));
         let ingested = mlog.lock().ingest(&batch);
         drop(hold);
-        ingested.map_err(|e| JobError::Failed(format!("{e}")))
+        ingested.map_err(|e| {
+            let error = e.to_string();
+            JobError::Failed { code: e.into_device_error().code(), error }
+        })
     }
 
     /// Merge a dataset's pending mutations into its stored CSR. The caller
@@ -438,13 +445,13 @@ impl Daemon {
             .with_async(req.async_mode)
             .with_obs(true)
             .with_tag(&req.id);
-        cfg.validate().map_err(|e| JobError::Failed(e.to_string()))?;
+        cfg.validate().map_err(|e| JobError::Failed { code: e.code(), error: e.to_string() })?;
         let bound = Arc::new(graph.with_device(Arc::clone(&view)));
         let mut engine = MultiLogEngine::with_shared_graph(Arc::clone(&view), bound, cfg);
         let report = engine.run(prog.as_ref(), req.steps);
         self.note_completed(&req.id, report.obs.clone());
         if let Some(e) = &report.interrupted {
-            return Err(JobError::Failed(format!("{e}")));
+            return Err(JobError::Failed { code: e.code(), error: e.to_string() });
         }
         let states = engine.states().to_vec();
         let device = view.stats().snapshot();
@@ -504,7 +511,10 @@ impl Daemon {
                 r.unwrap_or_else(|| JobResult {
                     id: format!("job-{i}"),
                     queued: false,
-                    outcome: Err(JobError::Failed("worker terminated".to_string())),
+                    outcome: Err(JobError::Failed {
+                        code: "worker-terminated",
+                        error: "worker terminated".to_string(),
+                    }),
                 })
             })
             .collect()
@@ -542,7 +552,13 @@ impl Daemon {
                                     o.report.total_sim_time_ns(),
                                 ),
                             ),
-                            Err(e) => emit(&out, &failed_line(&req.id, &format!("{e}"))),
+                            // Admitted already: whatever ends it now, it failed.
+                            Err(JobError::Rejected(r)) => {
+                                emit(&out, &failed_line(&req.id, r.code(), &r.to_string()))
+                            }
+                            Err(JobError::Failed { code, error }) => {
+                                emit(&out, &failed_line(&req.id, code, &error))
+                            }
                         }
                     }
                 });
@@ -575,7 +591,9 @@ impl Daemon {
                             );
                         }
                         Err(JobError::Rejected(r)) => emit(&out, &rejected_line(&req.id, &r)),
-                        Err(JobError::Failed(e)) => emit(&out, &failed_line(&req.id, &e)),
+                        Err(JobError::Failed { code, error }) => {
+                            emit(&out, &failed_line(&req.id, code, &error))
+                        }
                     },
                     Ok(Request::Stats) => emit(&out, &self.stats_line()),
                     Ok(Request::Shutdown) => break,

@@ -339,12 +339,17 @@ pub fn mutated_line(id: &str, accepted: u64, deduped: u64, pending: u64) -> Stri
     )
 }
 
-/// `{"event":"failed","id":…,"error":…}` — the job started but its device
-/// view faulted (e.g. an injected crash).
-pub fn failed_line(id: &str, error: &str) -> String {
+/// `{"event":"failed","id":…,"code":…,"error":…}` — the job was admitted
+/// and its run ended in an error: its device view faulted (an injected
+/// crash: `device-crashed`), or the engine refused the run where it starts
+/// (`needs-weights`). `code` is the error's stable code
+/// (`DeviceError::code`, `ConfigError::code`), for clients to branch on;
+/// `error` is prose.
+pub fn failed_line(id: &str, code: &str, error: &str) -> String {
     format!(
-        "{{\"event\":\"failed\",\"id\":{},\"error\":{}}}",
+        "{{\"event\":\"failed\",\"id\":{},\"code\":{},\"error\":{}}}",
         json_escape(id),
+        json_escape(code),
         json_escape(error)
     )
 }
@@ -477,12 +482,39 @@ mod tests {
             accepted_line("j\"1"),
             queued_line("j1"),
             rejected_line("j1", &why),
-            failed_line("j1", "device crashed"),
+            failed_line("j1", "device-crashed", "device crashed"),
             done_line("j1", 4, true, 100, 12, 5_000),
             mutated_line("m\"1", 7, 2, 9),
         ] {
             let v = json::parse(&line);
             assert!(v.is_ok(), "{line}");
+        }
+    }
+
+    /// What a `failed` line's `code` can be: the code of the error that
+    /// ended the run. Clients branch on these; they are pinned like the
+    /// reject codes.
+    #[test]
+    fn failed_codes_are_stable() {
+        use mlvc_core::ConfigError;
+        use mlvc_ssd::{DeviceError, FtlError};
+        let cases: Vec<(DeviceError, &str)> = vec![
+            (DeviceError::Crashed, "device-crashed"),
+            (DeviceError::ReadUnavailable { file: 1, page: 2, retries: 3 }, "read-unavailable"),
+            (DeviceError::OutOfBounds { file: 1, page: 2 }, "out-of-bounds"),
+            (DeviceError::Deleted { file: 1 }, "file-deleted"),
+            (DeviceError::PayloadTooLarge { len: 9, page_size: 8 }, "payload-too-large"),
+            (DeviceError::Io("x".to_string()), "io"),
+            (DeviceError::Corrupt { what: "csr", detail: "x".to_string() }, "corrupt"),
+            (DeviceError::Full(FtlError::NoFreeBlock { lpa: (1, 2) }), "device-full"),
+            (ConfigError::NeedsWeights { app: "sssp" }.into(), "needs-weights"),
+            (ConfigError::ZeroQueueDepth.into(), "zero-queue-depth"),
+        ];
+        for (e, code) in cases {
+            assert_eq!(e.code(), code);
+            let line = failed_line("j1", e.code(), &e.to_string());
+            let v = json::parse(&line).expect("a failed line is JSON");
+            assert_eq!(v.get("code").and_then(Json::as_str), Some(code), "{line}");
         }
     }
 

@@ -101,7 +101,10 @@ fn crashed_job_releases_its_reservation_so_queued_jobs_run() {
     let results = d.run_jobs(vec![crasher, healthy]);
     assert_eq!(results.len(), 2);
     match &results[0].outcome {
-        Err(JobError::Failed(e)) => assert!(!e.is_empty()),
+        Err(JobError::Failed { code, error }) => {
+            assert_eq!(*code, "device-crashed");
+            assert!(!error.is_empty());
+        }
         other => panic!("crasher should fail, got {other:?}"),
     }
     assert!(results[1].outcome.is_ok(), "healthy job must run after the crash");

@@ -322,13 +322,17 @@ impl Ssd {
         self.shared.ftl.lock().as_ref().map(FtlModel::stats)
     }
 
-    fn ftl_writes(&self, addrs: &[PageAddr]) {
+    /// Feed the batch to the live model, all of it — the pages are on the
+    /// media — and report the first page it had no block for.
+    fn ftl_writes(&self, addrs: &[PageAddr]) -> Result<(), DeviceError> {
         self.shared.ftl_audit.audit_read();
+        let mut first = Ok(());
         if let Some(f) = self.shared.ftl.lock().as_mut() {
             for a in addrs {
-                f.write((a.file, a.page));
+                first = first.and(f.write((a.file, a.page)).map_err(DeviceError::Full));
             }
         }
+        first
     }
 
     fn ftl_trims(&self, file: FileId, pages: u64) {
@@ -545,10 +549,11 @@ impl Ssd {
         let addrs: Vec<PageAddr> = (0..placed.written)
             .map(|i| PageAddr::new(file, placed.first + i))
             .collect();
-        self.charge_write(&addrs);
+        let fit = self.charge_write(&addrs);
         match placed.err {
             Some(e) => Err(e),
             None => {
+                fit?;
                 let writes: Vec<(FileId, u64, &[u8])> = pages
                     .iter()
                     .enumerate()
@@ -578,10 +583,11 @@ impl Ssd {
                 break;
             }
         }
-        self.charge_write(&addrs);
+        let fit = self.charge_write(&addrs);
         match failed {
             Some(e) => Err(e),
             None => {
+                fit?;
                 let placed: Vec<(FileId, u64, &[u8])> = writes
                     .iter()
                     .zip(&out)
@@ -630,10 +636,10 @@ impl Ssd {
                 }
             }
         }
-        self.charge_write(&done);
+        let fit = self.charge_write(&done);
         match failed {
             Some(e) => Err(e),
-            None => Ok(()),
+            None => fit,
         }
     }
 
@@ -905,12 +911,14 @@ impl Ssd {
         }
     }
 
-    fn charge_write(&self, addrs: &[PageAddr]) {
+    /// Account for pages that reached the media. The error is the live FTL
+    /// model's: the device is sized below what these writes keep live.
+    fn charge_write(&self, addrs: &[PageAddr]) -> Result<(), DeviceError> {
         if addrs.is_empty() {
-            return;
+            return Ok(());
         }
         self.trace_writes(addrs);
-        self.ftl_writes(addrs);
+        let fit = self.ftl_writes(addrs);
         // Overwritten pages must not be served stale from the shared cache.
         let cache = self.shared.cache.lock().clone();
         if let Some(c) = cache {
@@ -923,6 +931,7 @@ impl Ssd {
             s.write_time_ns.add(t);
             s.write_batches.add(1);
         }
+        fit
     }
 }
 
@@ -1258,7 +1267,7 @@ mod tests {
 
     #[test]
     fn live_ftl_matches_trace_replay() {
-        use crate::ftl::FtlConfig;
+        use crate::ftl::{FtlConfig, FtlError};
         let run_writes = |ssd: &Ssd| {
             let f = ssd.open_or_create("log").unwrap();
             for i in 0..10u8 {
@@ -1283,7 +1292,7 @@ mod tests {
         rec.enable_trace();
         run_writes(&rec);
         let mut model = FtlModel::new(FtlConfig::default());
-        model.replay(&rec.take_trace());
+        model.replay(&rec.take_trace()).unwrap();
 
         let live_stats = live.ftl_stats().unwrap();
         assert_eq!(live_stats, model.stats(), "live feed must equal replay");
@@ -1291,6 +1300,40 @@ mod tests {
         // enable_ftl is idempotent: re-enabling keeps accumulated state.
         live.enable_ftl(FtlConfig::default());
         assert_eq!(live.ftl_stats().unwrap().host_writes, 14);
+
+        // An undersized device, 3 blocks of 4 pages: the page write that
+        // overflows the live model fails with the error the replay stops
+        // at. Appends alone run out of free blocks after 12 pages; with two
+        // pages overwritten the 11th page finds a block worth collecting
+        // and nowhere to move its survivors.
+        let undersized = FtlConfig { pages_per_block: 4, blocks: 3, gc_low_watermark: 0 };
+        let overflow = |ssd: &Ssd, overwrite: bool| -> Result<(), DeviceError> {
+            let f = ssd.open_or_create("small")?;
+            for i in 0..4u8 {
+                ssd.append_page(f, &[i; 16])?;
+            }
+            let appends = if overwrite {
+                ssd.write_batch(&[(f, 0, &[9; 16]), (f, 1, &[9; 16])])?;
+                7
+            } else {
+                9
+            };
+            (0..appends).try_for_each(|_| ssd.append_page(f, &[7; 16]).map(drop))
+        };
+        for (overwrite, want) in [
+            (false, FtlError::NoFreeBlock { lpa: (0, 12) }),
+            (true, FtlError::NoGcRoom { survivors: 2, room: 0 }),
+        ] {
+            let live = dev();
+            live.enable_ftl(undersized.clone());
+            assert_eq!(overflow(&live, overwrite), Err(DeviceError::Full(want)));
+            let rec = dev();
+            rec.enable_trace();
+            overflow(&rec, overwrite).unwrap();
+            let mut model = FtlModel::new(undersized.clone());
+            assert_eq!(model.replay(&rec.take_trace()), Err(want));
+            assert_eq!(live.ftl_stats().unwrap(), model.stats());
+        }
     }
 
     #[test]

@@ -28,6 +28,7 @@
 
 use crate::checked::mem_idx;
 use crate::device::FileId;
+use crate::ftl::FtlError;
 
 /// Typed failure of a simulated-device operation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,6 +51,31 @@ pub enum DeviceError {
     /// bit), or an intact checkpoint of a format version this build does
     /// not read. `what` names the format, `detail` the failed check.
     Corrupt { what: &'static str, detail: String },
+    /// The live FTL model ran out of physical blocks under this page write:
+    /// the device is sized below what the workload keeps live.
+    Full(FtlError),
+    /// A run was refused where it starts, before any I/O: the program and
+    /// the engine's configuration or graph cannot go together. `code` is
+    /// the refusing error's stable code (`mlvc_core::ConfigError::code`).
+    Config { code: &'static str, detail: String },
+}
+
+impl DeviceError {
+    /// Stable machine-readable code of the failure, for replies a client
+    /// branches on (`mlvc serve`'s `failed` line).
+    pub fn code(&self) -> &'static str {
+        match self {
+            DeviceError::Crashed => "device-crashed",
+            DeviceError::ReadUnavailable { .. } => "read-unavailable",
+            DeviceError::OutOfBounds { .. } => "out-of-bounds",
+            DeviceError::Deleted { .. } => "file-deleted",
+            DeviceError::PayloadTooLarge { .. } => "payload-too-large",
+            DeviceError::Io(_) => "io",
+            DeviceError::Corrupt { .. } => "corrupt",
+            DeviceError::Full(_) => "device-full",
+            DeviceError::Config { code, .. } => code,
+        }
+    }
 }
 
 impl std::fmt::Display for DeviceError {
@@ -69,6 +95,8 @@ impl std::fmt::Display for DeviceError {
             }
             DeviceError::Io(msg) => write!(f, "host I/O failure: {msg}"),
             DeviceError::Corrupt { what, detail } => write!(f, "corrupt {what}: {detail}"),
+            DeviceError::Full(e) => write!(f, "device full: {e}"),
+            DeviceError::Config { detail, .. } => write!(f, "run refused: {detail}"),
         }
     }
 }

@@ -16,7 +16,7 @@
 //! I/O path stays cheap.
 
 use std::collections::HashMap;
-
+use std::fmt;
 
 /// Logical page address used by the FTL replay: (file, page index).
 pub type Lpa = (u32, u64);
@@ -70,6 +70,37 @@ impl FtlStats {
         }
     }
 }
+
+/// Why a page could not be programmed: the device is sized below what the
+/// trace keeps live. The model stays consistent — a trace that trims can go
+/// on — but the write that hit this did not land.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FtlError {
+    /// The host write frontier is full, no block is free, and garbage
+    /// collection can reclaim none.
+    NoFreeBlock { lpa: Lpa },
+    /// A victim block's survivors must move before it is erased, and the GC
+    /// frontier plus the free blocks have `room` pages for `survivors`.
+    NoGcRoom { survivors: usize, room: usize },
+}
+
+impl fmt::Display for FtlError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FtlError::NoFreeBlock { lpa: (file, page) } => write!(
+                f,
+                "no free block for page {page} of file {file}: \
+                 the trace exceeds physical capacity + over-provisioning"
+            ),
+            FtlError::NoGcRoom { survivors, room } => write!(
+                f,
+                "garbage collection has {room} free pages for {survivors} relocations"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for FtlError {}
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum PageState {
@@ -127,22 +158,27 @@ impl FtlModel {
         self.map.len() as f64 / self.pages.len() as f64
     }
 
-    /// Replay a whole trace.
-    pub fn replay<'a>(&mut self, ops: impl IntoIterator<Item = &'a FtlOp>) {
+    /// Replay a whole trace, up to the first write the device has no room
+    /// for.
+    pub fn replay<'a>(
+        &mut self,
+        ops: impl IntoIterator<Item = &'a FtlOp>,
+    ) -> Result<(), FtlError> {
         for op in ops {
             match *op {
-                FtlOp::Write(lpa) => self.write(lpa),
+                FtlOp::Write(lpa) => self.write(lpa)?,
                 FtlOp::Trim(lpa) => self.trim(lpa),
             }
         }
+        Ok(())
     }
 
     /// Host write: invalidate the old physical copy (if any) and program
     /// the next page of the open block.
-    pub fn write(&mut self, lpa: Lpa) {
+    pub fn write(&mut self, lpa: Lpa) -> Result<(), FtlError> {
         self.stats.host_writes += 1;
         self.invalidate(lpa);
-        self.program(lpa);
+        self.program(lpa)
     }
 
     /// Host trim: drop the logical page without programming anything.
@@ -157,9 +193,9 @@ impl FtlModel {
         }
     }
 
-    fn program(&mut self, lpa: Lpa) {
+    fn program(&mut self, lpa: Lpa) -> Result<(), FtlError> {
         if self.write_ptr == self.cfg.pages_per_block {
-            self.advance_open_block();
+            self.advance_open_block(lpa)?;
         }
         let ppa = self.open_block * self.cfg.pages_per_block + self.write_ptr;
         self.write_ptr += 1;
@@ -168,15 +204,23 @@ impl FtlModel {
         self.live[self.open_block] += 1;
         self.map.insert(lpa, ppa);
         self.stats.physical_writes += 1;
+        Ok(())
     }
 
-    fn program_gc(&mut self, lpa: Lpa) {
+    /// Pages the GC frontier and the free blocks can still take.
+    fn gc_room(&self) -> usize {
+        let ppb = self.cfg.pages_per_block;
+        self.gc_block.map_or(0, |_| ppb - self.gc_ptr) + self.free_blocks.len() * ppb
+    }
+
+    fn program_gc(&mut self, lpa: Lpa) -> Result<(), FtlError> {
         let ppb = self.cfg.pages_per_block;
         let b = match self.gc_block {
             Some(b) if self.gc_ptr < ppb => b,
             _ => {
-                // mlvc-lint: allow(no-panic-in-lib) -- no room for GC relocations means the device was sized wrong; abort
-                let b = self.free_blocks.pop().expect("GC found no room for relocations");
+                let Some(b) = self.free_blocks.pop() else {
+                    return Err(FtlError::NoGcRoom { survivors: 1, room: 0 });
+                };
                 self.gc_block = Some(b);
                 self.gc_ptr = 0;
                 b
@@ -190,26 +234,27 @@ impl FtlModel {
         self.map.insert(lpa, ppa);
         self.stats.physical_writes += 1;
         self.stats.gc_relocations += 1;
+        Ok(())
     }
 
-    fn advance_open_block(&mut self) {
+    /// Open a fresh block for the host frontier, which `lpa` is waiting at.
+    fn advance_open_block(&mut self, lpa: Lpa) -> Result<(), FtlError> {
         while self.free_blocks.len() <= self.cfg.gc_low_watermark {
-            if !self.collect_garbage() {
+            if !self.collect_garbage()? {
                 break; // no block would yield free space
             }
         }
-        self.open_block = self
-            .free_blocks
-            .pop()
-            // mlvc-lint: allow(no-panic-in-lib) -- a trace exceeding physical capacity is a configuration error; abort
-            .expect("device full: trace exceeds physical capacity + over-provisioning");
+        self.open_block = self.free_blocks.pop().ok_or(FtlError::NoFreeBlock { lpa })?;
         self.write_ptr = 0;
+        Ok(())
     }
 
-    /// Greedy GC: erase the closed block with the fewest valid pages,
-    /// relocating survivors through the GC frontier. Returns false when no
-    /// candidate would yield space (all closed blocks fully live).
-    fn collect_garbage(&mut self) -> bool {
+    /// Greedy GC: relocate the survivors of the closed block with the
+    /// fewest valid pages through the GC frontier, then erase it — in that
+    /// order, as on flash, so the survivors need room before their block is
+    /// free. Returns false when no candidate would yield space (all closed
+    /// blocks fully live).
+    fn collect_garbage(&mut self) -> Result<bool, FtlError> {
         let ppb = self.cfg.pages_per_block;
         let victim = (0..self.cfg.blocks)
             .filter(|&b| {
@@ -219,9 +264,9 @@ impl FtlModel {
                     && self.block_programmed(b)
             })
             .min_by_key(|&b| self.live[b]);
-        let Some(victim) = victim else { return false };
+        let Some(victim) = victim else { return Ok(false) };
         if self.live[victim] == ppb {
-            return false; // erasing a fully live block gains nothing
+            return Ok(false); // erasing a fully live block gains nothing
         }
         let survivors: Vec<Lpa> = (0..ppb)
             .filter_map(|k| match self.pages[victim * ppb + k] {
@@ -229,17 +274,21 @@ impl FtlModel {
                 _ => None,
             })
             .collect();
+        let room = self.gc_room();
+        if survivors.len() > room {
+            return Err(FtlError::NoGcRoom { survivors: survivors.len(), room });
+        }
+        for lpa in survivors {
+            self.map.remove(&lpa);
+            self.program_gc(lpa)?;
+        }
         for k in 0..ppb {
             self.pages[victim * ppb + k] = PageState::Free;
         }
         self.live[victim] = 0;
         self.stats.erases += 1;
         self.free_blocks.insert(0, victim);
-        for lpa in survivors {
-            self.map.remove(&lpa);
-            self.program_gc(lpa);
-        }
-        true
+        Ok(true)
     }
 
     fn block_programmed(&self, b: usize) -> bool {
@@ -264,7 +313,7 @@ mod tests {
         let mut ftl = small();
         for round in 0..20u64 {
             for p in 0..8u64 {
-                ftl.write((0, round * 8 + p));
+                ftl.write((0, round * 8 + p)).unwrap();
             }
             for p in 0..8u64 {
                 ftl.trim((0, round * 8 + p));
@@ -286,12 +335,12 @@ mod tests {
         let mut ftl = small();
         // Cold data filling half the device.
         for p in 0..16u64 {
-            ftl.write((1, p));
+            ftl.write((1, p)).unwrap();
         }
         // Hot overwrites.
         for round in 0..50u64 {
             for p in 0..6u64 {
-                ftl.write((2, p));
+                ftl.write((2, p)).unwrap();
             }
             let _ = round;
         }
@@ -312,7 +361,7 @@ mod tests {
     fn map_always_points_at_latest_version() {
         let mut ftl = small();
         for round in 0..30u64 {
-            ftl.write((3, 7));
+            ftl.write((3, 7)).unwrap();
             let _ = round;
         }
         // Exactly one valid copy lives on the device.
@@ -330,7 +379,7 @@ mod tests {
         let mut ftl = small();
         assert_eq!(ftl.occupancy(), 0.0);
         for p in 0..8u64 {
-            ftl.write((0, p));
+            ftl.write((0, p)).unwrap();
         }
         assert!((ftl.occupancy() - 8.0 / 32.0).abs() < 1e-9);
         for p in 0..4u64 {
@@ -339,13 +388,35 @@ mod tests {
         assert!((ftl.occupancy() - 4.0 / 32.0).abs() < 1e-9);
     }
 
+    /// More live pages than the device has: the write that finds no free
+    /// block says so, and nothing panics. Trimming makes room again.
     #[test]
-    #[should_panic]
-    fn overfilling_the_device_panics() {
+    fn overfilling_the_device_is_a_typed_error() {
         let mut ftl = small();
-        for p in 0..33u64 {
-            ftl.write((0, p)); // 33 live pages > 32 physical
+        for p in 0..32u64 {
+            ftl.write((0, p)).unwrap();
         }
+        assert_eq!(ftl.write((0, 32)), Err(FtlError::NoFreeBlock { lpa: (0, 32) }));
+        assert_eq!(ftl.write((0, 33)), Err(FtlError::NoFreeBlock { lpa: (0, 33) }));
+        for p in 0..8u64 {
+            ftl.trim((0, p));
+        }
+        ftl.write((0, 32)).unwrap();
+    }
+
+    /// Survivors move before their block is erased, so a full device whose
+    /// GC frontier has no page left cannot collect a block that still holds
+    /// live pages.
+    #[test]
+    fn gc_without_room_for_the_survivors_is_a_typed_error() {
+        let mut ftl = FtlModel::new(FtlConfig { pages_per_block: 4, blocks: 3, gc_low_watermark: 0 });
+        // Block 0: pages 0-3. Block 1: 0 and 1 again (two of block 0's
+        // pages die), 4, 5. Block 2: 6-9. No block is free, none is empty.
+        for p in [0, 1, 2, 3, 0, 1, 4, 5, 6, 7, 8, 9] {
+            ftl.write((0, p)).unwrap();
+        }
+        assert_eq!(ftl.write((0, 10)), Err(FtlError::NoGcRoom { survivors: 2, room: 0 }));
+        assert_eq!(ftl.stats().erases, 0, "the victim keeps its survivors");
     }
 
     #[test]
@@ -357,11 +428,11 @@ mod tests {
             FtlOp::Trim((0, 2)),
         ];
         let mut a = small();
-        a.replay(&ops);
+        a.replay(&ops).unwrap();
         let mut b = small();
         for op in &ops {
             match *op {
-                FtlOp::Write(l) => b.write(l),
+                FtlOp::Write(l) => b.write(l).unwrap(),
                 FtlOp::Trim(l) => b.trim(l),
             }
         }

@@ -62,7 +62,7 @@ pub use config::SsdConfig;
 pub use cost::{batch_time_ns, channel_of, PageAddr};
 pub use device::{Backend, FileId, Ssd};
 pub use fault::{DeviceError, FaultCounters, FaultPlan};
-pub use ftl::{FtlConfig, FtlModel, FtlOp, FtlStats, Lpa};
+pub use ftl::{FtlConfig, FtlError, FtlModel, FtlOp, FtlStats, Lpa};
 pub use page::Page;
 pub use queue::{IoQueue, QueueWaitStats, Ticket};
 pub use stats::{RelaxedCounter, SsdStats, SsdStatsSnapshot};

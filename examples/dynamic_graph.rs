@@ -34,10 +34,8 @@ impl GrowAndGossip {
     fn gossip(ctx: &mut VertexCtx<'_>, hop: u64) {
         ctx.set_state(hop);
         let pick = ctx.rand_u64() as usize;
-        let mine = match ctx.degree() {
-            0 => ctx.vertex(),
-            d => ctx.edges()[pick % d],
-        };
+        let edges = ctx.edges();
+        let mine = edges.get(pick % edges.len().max(1)).unwrap_or(ctx.vertex());
         ctx.send_all((hop + 1) | (mine as u64) << 32);
     }
 }

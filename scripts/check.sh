@@ -91,6 +91,15 @@ for app in "pagerank" "randomwalk" "wcc --async"; do
   diff "$smoke_dir/det.1" "$smoke_dir/det.2"
 done
 
+echo "== owner rows on the benchmark's job shape (examples/owner_rows) =="
+# The job shape every host-clock issue quotes — cf_mini(17, 42), 4 MiB,
+# PageRank and RandomWalk::new(4, 1, 20), through the steps of `mlvc run` —
+# which `mlvc gen` / `mlvc run` cannot produce. Same rule as the smoke
+# above, applied by the tool itself: it exits 1 if a job's owner rows stop
+# summing to within 10 % of its supersteps.
+cargo run -q --release --example owner_rows -- rw 1 2
+cargo run -q --release --example owner_rows -- pr 1 2
+
 echo "== benchmark package (read-only use of benchmark/) =="
 # The perf ledger is a package of its own that reaches the workspace only
 # through the `multilogvc` facade, so the workspace build above never

@@ -7,13 +7,13 @@ use std::sync::Arc;
 
 use multilogvc::apps::{Bfs, Cdlp, Coloring, KCore, Mis, PageRank, RandomWalk, Sssp, Wcc};
 use multilogvc::core::{
-    Combine, Engine, EngineConfig, InitActive, MultiLogEngine, ReferenceEngine, SendSink,
-    TraceRecord, Update, VertexCtx, VertexProgram,
+    Combine, ConfigError, Engine, EngineConfig, InitActive, MultiLogEngine, ReferenceEngine,
+    RunReport, SendSink, TraceRecord, Update, VertexCtx, VertexProgram,
 };
 use multilogvc::grafboost::GrafBoostEngine;
-use multilogvc::graph::{Csr, EdgeListBuilder, StoredGraph, VertexId, VertexIntervals};
+use multilogvc::graph::{Csr, EdgeListBuilder, StoredGraph, VertexId, VertexIntervals, Weights};
 use multilogvc::graphchi::GraphChiEngine;
-use multilogvc::ssd::{Ssd, SsdConfig};
+use multilogvc::ssd::{DeviceError, Ssd, SsdConfig};
 
 fn graphs() -> Vec<(&'static str, Csr)> {
     vec![
@@ -46,6 +46,49 @@ fn run_three(csr: &Csr, prog: &dyn VertexProgram, steps: usize) -> (Vec<u64>, Ve
     f.run(prog, steps);
 
     (m.states().to_vec(), g.states().to_vec(), f.states().to_vec())
+}
+
+/// A program that reads edge weights, on a graph stored without them, is
+/// refused where the run starts by every engine — the same typed error with
+/// the same stable code in `RunReport::interrupted`, no superstep run, no
+/// panic in a worker. (The baselines store no weights at all, so they refuse
+/// it on a weighted graph too.)
+#[test]
+fn a_weighted_program_on_a_weightless_graph_is_refused_by_every_engine() {
+    let plain = mlvc_gen::grid(6, 6);
+    let weighted = {
+        let mut b = EdgeListBuilder::new(plain.num_vertices());
+        plain.edges().for_each(|(s, d)| b.push_weighted(s, d, 1.0));
+        b.build()
+    };
+    let refusal = DeviceError::from(ConfigError::NeedsWeights { app: "sssp" });
+    assert_eq!(refusal.code(), "needs-weights");
+    let refused = |r: RunReport, engine: &str| {
+        assert_eq!(r.interrupted.as_ref(), Some(&refusal), "{engine}");
+        assert!(r.supersteps.is_empty() && !r.converged, "{engine}");
+    };
+    let iv = VertexIntervals::uniform(plain.num_vertices(), 3);
+    let cfg = EngineConfig::default();
+    let mem = || Arc::new(Ssd::new(SsdConfig::test_small()));
+    for (csr, baselines_only) in [(&plain, false), (&weighted, true)] {
+        let ssd = mem();
+        let sg = StoredGraph::store_with(&ssd, csr, "m", iv.clone()).unwrap();
+        let mut m = MultiLogEngine::new(ssd, sg, cfg.clone());
+        let mut reference = ReferenceEngine::new(csr.clone(), cfg.seed);
+        if baselines_only {
+            assert!(m.run(&Sssp::new(0), 50).converged);
+            assert!(reference.run(&Sssp::new(0), 50).converged);
+            assert_eq!(m.states(), reference.states());
+        } else {
+            refused(m.run(&Sssp::new(0), 50), "MultiLogVC");
+            refused(reference.run(&Sssp::new(0), 50), "Reference");
+        }
+        let mut g = GraphChiEngine::new(mem(), csr, iv.clone(), cfg.clone()).unwrap();
+        refused(g.run(&Sssp::new(0), 50), "GraphChi");
+        let ssd = mem();
+        let sg = StoredGraph::store_with(&ssd, csr, "f", iv.clone()).unwrap();
+        refused(GrafBoostEngine::new(ssd, sg, cfg.clone()).run(&Sssp::new(0), 50), "GraFBoost");
+    }
 }
 
 #[test]
@@ -265,7 +308,7 @@ impl VertexProgram for DropSrc {
         let msgs: Vec<Update> =
             ctx.msgs().iter().map(|m| Update { src: VertexId::MAX, ..*m }).collect();
         let edges = ctx.edges().to_vec();
-        let weights = ctx.weights().map(<[f32]>::to_vec);
+        let weights = ctx.weights().map(|w| w.to_vec());
         let mut sink = SendSink::flat();
         let mut inner = VertexCtx::new(
             ctx.vertex(),
@@ -274,7 +317,7 @@ impl VertexProgram for DropSrc {
             ctx.state(),
             &msgs,
             &edges,
-            weights.as_deref(),
+            weights.as_ref().map(Weights::from),
             self.seed,
             &mut sink,
         );

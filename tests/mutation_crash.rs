@@ -261,8 +261,8 @@ impl VertexProgram for Rewire {
         match ctx.superstep() {
             1 => ctx.add_edge((v * 7 + 3) % n),
             2 => {
-                if v % 3 == 0 && ctx.degree() > 0 {
-                    ctx.remove_edge(ctx.edges()[0]);
+                if let Some(first) = ctx.edges().get(0).filter(|_| v % 3 == 0) {
+                    ctx.remove_edge(first);
                 }
                 if v == 5 {
                     (0..1024).for_each(|k| ctx.add_edge((5 + k % 11) % n));

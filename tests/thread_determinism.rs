@@ -141,7 +141,7 @@ impl VertexProgram for MixedSends {
             h.wrapping_mul(0x100_0000_01B3).wrapping_add(m.data ^ ((m.src as u64) << 32))
         });
         ctx.set_state(h);
-        let (first, last) = (ctx.edges().first().copied(), ctx.edges().last().copied());
+        let (first, last) = (ctx.edges().get(0), ctx.edges().iter().last());
         if let Some(d) = first {
             ctx.send(d, h);
         }
