@@ -26,12 +26,13 @@ use crate::{
     SuperstepStats, VertexCtx, VertexOutputs, VertexProgram,
 };
 
-/// Active vertices an interval must bring before its process and scatter
-/// stages fork. A fork/join spawns scoped threads — tens of microseconds
-/// on a quiet machine, several times that on a busy one — which a sparse
-/// frontier (a few hundred cheap vertices per interval, twice per interval
-/// per superstep) never earns back: the stages then cost more than on one
-/// thread and their wall time follows the machine's load instead of the
+/// Active vertices an interval must bring before its process stage forks
+/// (the scatter drains the sinks on the owner thread and never does). A
+/// fork/join spawns scoped threads — tens of microseconds on a quiet
+/// machine, several times that on a busy one — which a sparse frontier (a
+/// few hundred cheap vertices per interval, once per interval per
+/// superstep) never earns back: the stage then costs more than on one
+/// thread and its wall time follows the machine's load instead of the
 /// work. Results do not depend on the choice (DESIGN.md §12). The race
 /// detector wants every fork it can get, so it keeps them all.
 const FORK_MIN_ITEMS: usize = if cfg!(feature = "race-detect") { 1 } else { 2048 };
@@ -519,62 +520,102 @@ fn actives_for_interval(
     out
 }
 
-/// A fetch worker's result: the plan it was handed back, for the owner's
-/// consume, and the batch decoded from the plan's pages.
+/// A look-ahead worker's result: the plan it was handed back, for the
+/// owner's consume, and the batch decoded from the plan's pages.
 type Fetched = Result<(BatchPlan, FusedBatch), DeviceError>;
+
+/// Who decodes a fused batch whose read is on the I/O queue.
+enum Decoder<'s> {
+    /// Nobody was given it: the owner does, where it retires the ticket.
+    Owner(BatchPlan),
+    /// A look-ahead worker, spawned when the read was submitted.
+    Worker(ScopedJoinHandle<'s, Fetched>),
+}
+
+/// Move a submitted ticket's pages and decode them into inbox order —
+/// counting-sorted, or folded when the program declared a `combine`. A pure
+/// function of plan and page bytes that touches no clock, so it runs on
+/// whichever thread has nothing better to do.
+fn fetch_decode(
+    reader: &LogReader,
+    ioq: &IoQueue,
+    ticket: Ticket,
+    bplan: &BatchPlan,
+) -> Result<FusedBatch, DeviceError> {
+    reader.decode(bplan, &ioq.fetch(ticket)?)
+}
 
 /// The fetch stage of a superstep, in both computation models (DESIGN.md
 /// §12): the owner keeps up to K fused-batch reads on the I/O queue, planned
-/// and submitted in plan order; scoped workers fetch the pages and decode
-/// them into inbox order — counting-sorted, or folded when the program
-/// declared a `combine` — pure functions of the page bytes; the owner
-/// retires tickets strictly in plan order and consumes the drained logs
-/// there. Every clock-, device- and cache-touching call runs on the owner
-/// thread, so the simulated timeline and every counter are identical at any
-/// worker-thread count, K or depth.
+/// and submitted in plan order, retires the tickets strictly in plan order
+/// and consumes the drained logs there. A batch is decoded by the thread that
+/// would otherwise wait for it: a batch submitted ahead of the one being
+/// retired goes to a scoped look-ahead worker when the engine has a second
+/// thread; the batch being retired, if nobody was given it — the first of
+/// every superstep, every batch when K = 1 or on a one-thread engine — is
+/// decoded by the owner, which would only have spawned a thread to join it
+/// at once. Every clock-, device- and cache-touching call runs on the owner
+/// thread either way, so the simulated timeline and every counter are
+/// identical at any worker-thread count, K or depth.
 struct Fetch<'s, 'e> {
     reader: &'e LogReader,
     ioq: &'e IoQueue,
     plan: &'e [Range<IntervalId>],
     /// Shadow cells auditing the batch handoffs, one per fused batch: the
-    /// worker writes its cell after decoding, the owner reads it after
-    /// joining the handle — the join edge is what makes the handoff
-    /// race-free, and removing it would trip the detector here (DESIGN.md
-    /// §14). Sibling workers have no happens-before edge between them,
-    /// hence one cell per batch.
+    /// decoding thread writes its cell after decoding, the owner reads it
+    /// before consuming — after joining the handle when a worker decoded,
+    /// and the join edge is what makes that handoff race-free: removing it
+    /// would trip the detector here (DESIGN.md §14). Sibling workers have no
+    /// happens-before edge between them, hence one cell per batch.
     handoffs: &'e [Tracked<()>],
     inflight_batches: usize,
     submitted: usize,
-    inflight: VecDeque<(Ticket, ScopedJoinHandle<'s, Fetched>)>,
+    inflight: VecDeque<(Ticket, Decoder<'s>)>,
 }
 
 impl<'s, 'e> Fetch<'s, 'e> {
-    /// Top the queue up to K batches ahead of `bi`, then retire batch `bi`.
-    fn next(&mut self, scope: &Scope<'s, 'e>, bi: usize) -> Result<FusedBatch, DeviceError> {
+    /// Top the queue up to K batches ahead of `bi`, then retire batch `bi`,
+    /// counting in `st` who decoded it.
+    fn next(
+        &mut self,
+        scope: &Scope<'s, 'e>,
+        bi: usize,
+        st: &mut SuperstepStats,
+    ) -> Result<FusedBatch, DeviceError> {
         while self.submitted < self.plan.len() && self.submitted < bi + self.inflight_batches {
             let bplan = self.reader.plan_reads(self.plan[self.submitted].clone())?;
             let ticket = self.ioq.submit_read(bplan.reqs.clone());
-            let (reader, ioq, handoffs) = (self.reader, self.ioq, self.handoffs);
-            let handoff = &handoffs[self.submitted];
-            let worker = scope.spawn(move || {
-                let pages = ioq.fetch(ticket);
-                let batch = pages.and_then(|pages| reader.decode(&bplan, &pages));
-                handoff.audit_write();
-                batch.map(|b| (bplan, b))
-            });
-            self.inflight.push_back((ticket, worker));
+            let decoder = if self.submitted > bi && mlvc_par::max_threads() > 1 {
+                let (reader, ioq) = (self.reader, self.ioq);
+                let handoff = &self.handoffs[self.submitted];
+                Decoder::Worker(scope.spawn(move || {
+                    let batch = fetch_decode(reader, ioq, ticket, &bplan);
+                    handoff.audit_write();
+                    batch.map(|b| (bplan, b))
+                }))
+            } else {
+                Decoder::Owner(bplan)
+            };
+            self.inflight.push_back((ticket, decoder));
             self.submitted += 1;
         }
-        let Some((ticket, worker)) = self.inflight.pop_front() else {
+        let Some((ticket, decoder)) = self.inflight.pop_front() else {
             return Err(DeviceError::Io(format!("no read in flight for fused batch {bi}")));
         };
-        let (bplan, batch) = match worker.join() {
-            Ok(fetched) => {
-                self.handoffs[bi].audit_read();
-                fetched?
+        let fetched = match decoder {
+            Decoder::Owner(bplan) => {
+                st.batches_inline += 1;
+                let batch = fetch_decode(self.reader, self.ioq, ticket, &bplan);
+                self.handoffs[bi].audit_write();
+                batch.map(|b| (bplan, b))
             }
-            Err(p) => std::panic::resume_unwind(p),
+            Decoder::Worker(worker) => {
+                st.batches_handed_off += 1;
+                worker.join().unwrap_or_else(|p| std::panic::resume_unwind(p))
+            }
         };
+        self.handoffs[bi].audit_read();
+        let (bplan, batch) = fetched?;
         // Retire the ticket on the owner clock — any residual service time
         // the overlap could not hide is charged here — and consume the
         // logs the batch drained.
@@ -611,14 +652,18 @@ impl<'d, 'a> Superstep<'d, 'a> {
         let io0 = self.d.ssd.stats().snapshot();
         let plan = plan_fusion(&self.d.pending, self.d.cfg.sort_budget());
         // Shared-nothing handle on this superstep's inbox (the read side),
-        // so workers can decode fused batch k+1 while batch k is processed
+        // so a worker can decode fused batch k+1 while batch k is processed
         // and its updates are scattered into the write side. The read side
         // does not change between the flip that opened this superstep and
-        // each batch's consume, so both computation models read it ahead.
+        // each batch's consume, so both computation models read it ahead —
+        // and a batch decodes the same whenever, and wherever, it is fetched.
         let reader = self.d.multilog.reader();
         let ioq = IoQueue::new(Arc::clone(self.d.ssd), self.d.cfg.queue_depth);
         let handoffs: Vec<Tracked<()>> =
             plan.iter().map(|_| Tracked::new("engine batch handoff", ())).collect();
+        // Planning the batches and opening the queue is the fetch stage's
+        // time: on a sparse superstep it is most of what no other row names.
+        self.st.fetch_wait_ns += wall0.elapsed().as_nanos() as u64;
         mlvc_par::scope(|scope| -> Result<(), DeviceError> {
             let mut fetch = Fetch {
                 reader: &reader,
@@ -631,7 +676,7 @@ impl<'d, 'a> Superstep<'d, 'a> {
             };
             for (bi, range) in plan.iter().enumerate() {
                 let t_fetch = Instant::now();
-                let batch = fetch.next(scope, bi)?;
+                let batch = fetch.next(scope, bi, &mut self.st)?;
                 self.st.fetch_wait_ns += t_fetch.elapsed().as_nanos() as u64;
                 self.run_batch(range.clone(), &batch, &ioq)?;
             }
@@ -1004,6 +1049,10 @@ mod tests {
         }
     }
 
+    /// The thread count is process-wide and the tests run side by side: the
+    /// ones that pin it take turns.
+    static THREAD_OVERRIDE: Mutex<()> = Mutex::new(());
+
     fn engine_for(csr: mlvc_graph::Csr) -> MultiLogEngine {
         let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
         let iv = mlvc_graph::VertexIntervals::uniform(csr.num_vertices(), 4);
@@ -1102,6 +1151,7 @@ mod tests {
         let mut reference = crate::ReferenceEngine::new(csr.clone(), EngineConfig::default().seed);
         assert!(reference.run(&Hopper, 6).converged);
         let mut logged = None;
+        let _pinned = THREAD_OVERRIDE.lock();
         for threads in [1usize, 8] {
             mlvc_par::set_thread_override(Some(threads));
             let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
@@ -1115,6 +1165,112 @@ mod tests {
             assert_eq!(*logged.get_or_insert(ml), ml, "threads={threads}");
         }
         mlvc_par::set_thread_override(None);
+    }
+
+    /// A fused batch fails the same way whoever decodes it: a flipped
+    /// destination bit in a log page, and a read fault that outlasts the
+    /// device's retries, reach the owner as the same typed error from a
+    /// batch it decoded in place (one thread, or K = 1) and from one a
+    /// look-ahead worker was handed.
+    #[test]
+    fn a_damaged_batch_is_the_same_error_inline_and_handed_off() {
+        use mlvc_log::page::PAGE_HEADER_BYTES;
+        use mlvc_ssd::FaultPlan;
+
+        #[derive(Clone, Copy)]
+        enum Damage {
+            /// Flip the top destination bit of the last batch's first record.
+            FlippedBit,
+            /// Fail every page read from here on, past the retry bound.
+            ReadFault,
+        }
+        /// Retire four one-interval batches, damaging the device once the
+        /// first has retired — by then a worker may hold the second, never
+        /// the last. Returns the error and whether the batch that raised it
+        /// had been handed off.
+        fn first_error(threads: usize, k: usize, damage: Damage) -> (DeviceError, bool) {
+            mlvc_par::set_thread_override(Some(threads));
+            let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
+            let iv = mlvc_graph::VertexIntervals::uniform(100, 4);
+            let cfg = MultiLogConfig { buffer_bytes: 1 << 20, ..Default::default() };
+            let mut ml = MultiLog::new(Arc::clone(&ssd), iv, cfg, "t").unwrap();
+            for m in 0..800u32 {
+                ml.send(Update::new(m % 100, m, u64::from(m))).unwrap();
+            }
+            ml.finish_superstep().unwrap();
+            let reader = ml.reader();
+            let ioq = IoQueue::new(Arc::clone(&ssd), 4);
+            let plan: Vec<Range<IntervalId>> = (0..4).map(|i| i..i + 1).collect();
+            let handoffs: Vec<Tracked<()>> =
+                plan.iter().map(|_| Tracked::new("engine batch handoff", ())).collect();
+            let mut st = SuperstepStats::default();
+            let failed = mlvc_par::scope(|scope| {
+                let mut fetch = Fetch {
+                    reader: &reader,
+                    ioq: &ioq,
+                    plan: &plan,
+                    handoffs: &handoffs,
+                    inflight_batches: k,
+                    submitted: 0,
+                    inflight: VecDeque::new(),
+                };
+                fetch.next(scope, 0, &mut st).expect("the device is whole for the first batch");
+                match damage {
+                    Damage::FlippedBit => {
+                        let f = ssd.lookup("t.mlog.3.a").unwrap();
+                        let mut pages: Vec<Vec<u8>> =
+                            ssd.read_all(f, |_| 0).unwrap().iter().map(|p| p.to_vec()).collect();
+                        pages[0][PAGE_HEADER_BYTES + 1] ^= 0x80;
+                        ssd.truncate(f).unwrap();
+                        let refs: Vec<&[u8]> = pages.iter().map(|p| p.as_slice()).collect();
+                        ssd.append_pages(f, &refs).unwrap();
+                    }
+                    Damage::ReadFault => {
+                        ssd.install_fault_plan(FaultPlan::default().with_read_faults(1, 10));
+                    }
+                }
+                (1..plan.len()).find_map(|bi| {
+                    let handed_off = st.batches_handed_off;
+                    let e = fetch.next(scope, bi, &mut st).err()?;
+                    Some((e, st.batches_handed_off > handed_off))
+                })
+            });
+            mlvc_par::set_thread_override(None);
+            assert!(st.batches_inline > 0, "the first batch is always the owner's");
+            assert_eq!(st.batches_handed_off > 0, threads > 1 && k > 1);
+            failed.expect("the damage must surface")
+        }
+
+        let _pinned = THREAD_OVERRIDE.lock();
+        // Whether this machine gives the engine a second thread at all.
+        mlvc_par::set_thread_override(Some(2));
+        let two = mlvc_par::max_threads() > 1;
+        for damage in [Damage::FlippedBit, Damage::ReadFault] {
+            let (inline, by_worker) = first_error(1, 2, damage);
+            assert!(!by_worker, "a one-thread engine hands nothing off");
+            assert!(!first_error(2, 1, damage).1, "K = 1 leaves nothing to look ahead to");
+            if !two {
+                continue;
+            }
+            let (handed_off, by_worker) = first_error(2, 2, damage);
+            assert!(by_worker, "with a second thread the look-ahead batch goes to a worker");
+            match damage {
+                Damage::FlippedBit => {
+                    assert!(matches!(inline, DeviceError::Corrupt { what: "log page", .. }));
+                    assert_eq!(inline, handed_off);
+                }
+                // Which page was being read when the fault came differs;
+                // what the owner is told does not.
+                Damage::ReadFault => {
+                    for e in [inline, handed_off] {
+                        let DeviceError::ReadUnavailable { retries, .. } = e else {
+                            panic!("expected an unavailable page, got {e}");
+                        };
+                        assert_eq!(retries, 3);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

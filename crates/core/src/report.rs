@@ -58,8 +58,9 @@ pub struct SuperstepStats {
     pub scatter_ns: u64,
     /// Wall-clock time of what the owner thread does besides `process_ns`
     /// and `scatter_ns`, so that the seven together account for `wall_ns`
-    /// ([`RunReport::owner_totals_ns`]): blocked on the next fused batch
-    /// (the fetch workers' load + sort it could not overlap), carving the
+    /// ([`RunReport::owner_totals_ns`]): getting the next fused batch (its
+    /// load + sort when the owner decodes it, what is left of a look-ahead
+    /// worker's when one was given it), carving the
     /// interval's inbox — in the asynchronous model, draining the write
     /// side into it — active list and work items out of the batch, the adjacency
     /// loads (graph loader + edge log), applying the processing outputs,
@@ -69,6 +70,13 @@ pub struct SuperstepStats {
     pub adjacency_ns: u64,
     pub apply_ns: u64,
     pub close_out_ns: u64,
+    /// Fused batches the owner fetched and decoded itself, where it retired
+    /// them, and fused batches a look-ahead worker was spawned for — together
+    /// the superstep's fused batches. Reference only, like the wall-clock
+    /// fields and unlike every counter above: who decodes depends on the
+    /// thread count by design, what is decoded does not (DESIGN.md §12).
+    pub batches_inline: u64,
+    pub batches_handed_off: u64,
     /// True if a crash-consistency checkpoint was written at this
     /// superstep's close-out (its I/O is charged to `io`).
     pub checkpointed: bool,
@@ -193,6 +201,15 @@ impl RunReport {
             t.iter_mut().zip(row).for_each(|(t, ns)| *t += ns);
         }
         t
+    }
+
+    /// Fused batches of the run by who decoded them: `[by the owner, by a
+    /// look-ahead worker]`. The second is the number of threads the fetch
+    /// stage spawned.
+    pub fn batch_totals(&self) -> [u64; 2] {
+        self.supersteps
+            .iter()
+            .fold([0, 0], |[i, h], s| [i + s.batches_inline, h + s.batches_handed_off])
     }
 
     /// Storage fraction of the whole run (Fig. 5c).

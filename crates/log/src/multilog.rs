@@ -1163,6 +1163,11 @@ pub(crate) mod tests {
         let pages = ssd.read_batch(&plan.reqs).unwrap();
         assert_corrupt(reader.decode_sorted(&plan, &pages), "decode_sorted");
         assert_corrupt(reader.decode_folded(&plan, &pages, u64::wrapping_add), "decode_folded");
+        // The engine's retire path when nobody was handed the batch: the
+        // thread that submitted the read fetches the ticket and decodes.
+        let ioq = mlvc_ssd::IoQueue::new(Arc::clone(&ssd), 4);
+        let pages = ioq.fetch(ioq.submit_read(plan.reqs.clone())).unwrap();
+        assert_corrupt(reader.decode(&plan, &pages), "submit, fetch and decode in place");
         // Checkpoint restore: the snapshot carries the corrupt page.
         let (ssd, ml) = fresh();
         let snapshot = ml.snapshot_pending().unwrap();

@@ -18,13 +18,19 @@
 //! ## Thread count
 //!
 //! Workers default to the hardware parallelism. The `MLVC_THREADS`
-//! environment variable (read once per process) pins the count for
-//! reproducible runs and CI; [`set_thread_override`] pins it
-//! programmatically (tests sweeping thread counts). Both are capped at the
-//! hardware parallelism — requesting more threads than cores buys nothing
-//! and makes timings noisy. The `race-detect` feature lifts that cap:
-//! there the point is exercising real cross-thread interleavings, which a
-//! single-core CI box would otherwise never produce.
+//! environment variable pins the count for reproducible runs and CI;
+//! [`set_thread_override`] pins it programmatically (tests sweeping thread
+//! counts). Both the variable and the hardware parallelism are read once per
+//! process — the latter costs a `sched_getaffinity` and the cgroup files,
+//! and [`max_threads`] is asked once per fan-out. Both pins are capped at
+//! the hardware parallelism — requesting more threads than cores buys
+//! nothing and makes timings noisy. The `race-detect` feature lifts that
+//! cap: there the point is exercising real cross-thread interleavings,
+//! which a single-core CI box would otherwise never produce.
+//!
+//! One thread means one thread: at `max_threads() == 1` no helper here
+//! forks and the engine hands nothing off, so nothing is spawned at all —
+//! [`spawn_count`] stays where it was.
 //!
 //! ## Race detection
 //!
@@ -33,7 +39,7 @@
 //! vector clock, and [`Tracked`] shadow cells audit shared engine state
 //! against them — see the [`race`] module and DESIGN.md §14.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::thread;
 
@@ -50,8 +56,13 @@ const PAR_SORT_MIN: usize = 4096;
 /// Process-wide programmatic override; 0 means "not set".
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
+/// Threads spawned through [`Scope::spawn`] since the process started.
+static SPAWNS: AtomicU64 = AtomicU64::new(0);
+
+/// Hardware parallelism, asked of the OS once per process.
 fn hardware_threads() -> usize {
-    thread::available_parallelism().map(|p| p.get()).unwrap_or(1)
+    static HW: OnceLock<usize> = OnceLock::new();
+    *HW.get_or_init(|| thread::available_parallelism().map(|p| p.get()).unwrap_or(1))
 }
 
 /// `MLVC_THREADS`, parsed once per process; 0 means "unset / invalid".
@@ -94,6 +105,14 @@ pub fn max_threads() -> usize {
     }
 }
 
+/// How many threads this process has spawned through [`Scope::spawn`] — the
+/// one funnel every spawn in the workspace goes through — so a caller can
+/// tell what a piece of work cost in threads by reading it before and after.
+/// Process-wide: concurrent callers see each other's spawns.
+pub fn spawn_count() -> u64 {
+    SPAWNS.load(Ordering::SeqCst)
+}
+
 /// Scoped threads whose fork/join edges the race detector can see — the
 /// workspace-wide replacement for `std::thread::scope` (enforced by the
 /// `no-raw-thread-spawn` lint). With `race-detect` off this compiles to
@@ -119,6 +138,7 @@ impl<'scope, 'env> Scope<'scope, 'env> {
         F: FnOnce() -> T + Send + 'scope,
         T: Send + 'scope,
     {
+        SPAWNS.fetch_add(1, Ordering::SeqCst);
         #[cfg(feature = "race-detect")]
         {
             let child = race::fork();
@@ -515,6 +535,37 @@ mod tests {
         assert_eq!(max_threads(), 8);
         set_thread_override(None);
         assert!(max_threads() >= 1);
+    }
+
+    /// `max_threads` is asked once per fan-out — once per interval visit in
+    /// the engine — so it must not go to the OS each time: 10 000 calls take
+    /// ≈ 150 ms when every one reads the affinity mask and the cgroup files.
+    /// Best of five rounds, so a preempted round does not fail the test.
+    #[test]
+    fn max_threads_does_not_ask_the_os_every_call() {
+        let round = || {
+            let t = std::time::Instant::now();
+            for _ in 0..10_000 {
+                std::hint::black_box(max_threads());
+            }
+            t.elapsed()
+        };
+        let best = (0..5).map(|_| round()).min().unwrap_or_default();
+        assert!(best.as_millis() < 20, "10 000 max_threads() calls took {best:?}");
+    }
+
+    /// Every spawn is counted: three from a scope, `n - 1` from a fan-out
+    /// over `n` jobs. The counter is process-wide and other tests spawn
+    /// meanwhile, hence a lower bound.
+    #[test]
+    fn spawn_count_counts_scope_spawns() {
+        let before = spawn_count();
+        scope(|s| {
+            let hs: Vec<_> = (0..3).map(|k| s.spawn(move || k)).collect();
+            hs.into_iter().for_each(|h| assert!(h.join().is_ok()));
+        });
+        fork_join(vec![|| (), || (), || ()]);
+        assert!(spawn_count() - before >= 5);
     }
 
     /// The caller is a worker: of two jobs exactly one — the first — runs on

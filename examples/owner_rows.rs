@@ -3,10 +3,14 @@
 //! snapshot → `read_csr_binary` → `VertexIntervals::for_graph` →
 //! `StoredGraph::store_with` → `MultiLogEngine::run` with a 4 MiB budget —
 //! PageRank, or `RandomWalk::new(4, 1, 20)`. Prints the median and minimum
-//! over the jobs of the job's wall, its four steps, and the seven
-//! owner-thread rows of `RunReport::owner_totals_ns`; exits 1 if the owner
-//! rows of any job stop summing to within 10 % of its supersteps' wall (an
-//! owner-thread stage without a timer).
+//! over the jobs of the job's wall, its four steps, the seven owner-thread
+//! rows of `RunReport::owner_totals_ns`, and what the job cost in threads:
+//! the threads it spawned (`mlvc_par::spawn_count`) and its fused batches by
+//! who decoded them (`RunReport::batch_totals`). Exits 1 if the owner rows of
+//! any job stop summing to within 10 % of its supersteps' wall (an
+//! owner-thread stage without a timer), if a job on one thread spawns a
+//! thread, or if a superstep with a fused batch has the owner decode none
+//! (the first is always the owner's: nobody could have been given it).
 //!
 //! ```sh
 //! cargo run --release --example owner_rows -- <pr|rw> [jobs] [threads]
@@ -23,7 +27,7 @@ use multilogvc::graph::{VertexIntervals, UPDATE_BYTES};
 use multilogvc::io::{read_csr_binary, write_csr_binary};
 use multilogvc::prelude::*;
 
-const ROWS: [&str; 13] = [
+const ROWS: [&str; 16] = [
     "job",
     "read",
     "intervals",
@@ -37,6 +41,9 @@ const ROWS: [&str; 13] = [
     "apply",
     "close-out",
     "supersteps",
+    "spawns",
+    "batches inline",
+    "batches handed off",
 ];
 
 fn main() {
@@ -62,9 +69,10 @@ fn main() {
     let cfg = EngineConfig::default().with_memory(4 << 20).with_seed(42).with_tag("cli");
 
     // One discarded warm-up job, as the benchmark does.
-    let mut samples: Vec<[f64; 13]> = Vec::new();
+    let mut samples: Vec<[f64; 16]> = Vec::new();
     for job in 0..=jobs {
         let ms = |t: Instant| t.elapsed().as_secs_f64() * 1e3;
+        let spawned = multilogvc::par::spawn_count();
         let t_job = Instant::now();
         let g = read_csr_binary(File::open(&path).expect("open the snapshot"))
             .expect("read the snapshot");
@@ -80,6 +88,7 @@ fn main() {
         let mut engine = MultiLogEngine::new(ssd, stored, cfg.clone());
         let report = engine.run(prog.as_ref(), 30);
         let (run, wall) = (ms(t), ms(t_job));
+        let spawned = multilogvc::par::spawn_count() - spawned;
         assert!(report.converged && report.interrupted.is_none(), "the run must complete");
 
         let owner = report.owner_totals_ns().map(|ns| ns as f64 / 1e6);
@@ -89,21 +98,36 @@ fn main() {
             eprintln!("job {job}: owner rows sum to {named:.2} ms, supersteps to {supersteps:.2} ms");
             std::process::exit(1);
         }
+        if multilogvc::par::max_threads() == 1 && spawned > 0 {
+            eprintln!("job {job}: {spawned} thread(s) spawned by a job on one thread");
+            std::process::exit(1);
+        }
+        if let Some(s) =
+            report.supersteps.iter().find(|s| s.batches_handed_off > 0 && s.batches_inline == 0)
+        {
+            eprintln!("job {job}: superstep {} handed off every fused batch", s.superstep);
+            std::process::exit(1);
+        }
         if job > 0 {
-            let mut row = [0.0; 13];
+            let mut row = [0.0; 16];
             row[..5].copy_from_slice(&[wall, read, intervals, store, run]);
             row[5..12].copy_from_slice(&owner);
             row[12] = supersteps;
+            let [inline, handed_off] = report.batch_totals();
+            row[13..].copy_from_slice(&[spawned, inline, handed_off].map(|n| n as f64));
             samples.push(row);
         }
     }
     std::fs::remove_file(&path).expect("remove the snapshot");
 
-    println!("{} x {jobs} jobs, {threads} engine thread(s), ms", prog.name());
-    println!("{:12} | {:>9} | {:>9}", "row", "median", "min");
+    println!(
+        "{} x {jobs} jobs, {threads} engine thread(s), ms (last three rows: counts)",
+        prog.name()
+    );
+    println!("{:18} | {:>9} | {:>9}", "row", "median", "min");
     for (k, name) in ROWS.iter().enumerate() {
         let mut col: Vec<f64> = samples.iter().map(|s| s[k]).collect();
         col.sort_by(f64::total_cmp);
-        println!("{name:12} | {:9.2} | {:9.2}", col[col.len() / 2], col[0]);
+        println!("{name:18} | {:9.2} | {:9.2}", col[col.len() / 2], col[0]);
     }
 }

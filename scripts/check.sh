@@ -82,7 +82,12 @@ for app in "pagerank" "randomwalk" "wcc --async"; do
       on && /^supersteps/ { total = $2; on = 0 }
       on && NF == 2       { owner += $2 }
       END {
-        if (total <= 0 || owner < 0.9 * total || owner > 1.1 * total) {
+        # The rows print to 0.01 ms: seven of them and their total, each
+        # rounded, can differ by 0.04 ms in sum before any time is missing —
+        # a fifth of a sparse walk that no longer waits on a thread per
+        # superstep.
+        slack = 0.1 * total + 0.04
+        if (total <= 0 || owner < total - slack || owner > total + slack) {
           printf "%s, MLVC_THREADS=%s: owner-thread rows sum to %.2f ms, supersteps row is %.2f ms\n", app, t, owner, total
           exit 1
         }
@@ -96,9 +101,14 @@ echo "== owner rows on the benchmark's job shape (examples/owner_rows) =="
 # PageRank and RandomWalk::new(4, 1, 20), through the steps of `mlvc run` —
 # which `mlvc gen` / `mlvc run` cannot produce. Same rule as the smoke
 # above, applied by the tool itself: it exits 1 if a job's owner rows stop
-# summing to within 10 % of its supersteps.
-cargo run -q --release --example owner_rows -- rw 1 2
-cargo run -q --release --example owner_rows -- pr 1 2
+# summing to within 10 % of its supersteps. It also holds threads to where
+# something can overlap (DESIGN.md §12): a job on one thread that spawns a
+# thread exits 1, and so does a superstep whose first fused batch — which
+# nobody could have been handed — was not decoded by the owner.
+for job in "rw 1 1" "pr 1 1" "rw 1 2" "pr 1 2"; do
+  # shellcheck disable=SC2086 # app, jobs and threads, split on purpose
+  cargo run -q --release --example owner_rows -- $job
+done
 
 echo "== benchmark package (read-only use of benchmark/) =="
 # The perf ledger is a package of its own that reaches the workspace only

@@ -106,8 +106,12 @@ directly. --out writes the mutated graph back out as a snapshot.
 --graphs are stored once on one shared device, then jobs arrive as one
 JSON object per line on stdin (or --requests FILE) and replies stream
 to stdout. --memory-kb is the global admission budget shared by all
-concurrent jobs, --cache-kb sizes the shared page cache, --workers
-bounds concurrency. --pin-budget-kb carves DRAM from the admission
+concurrent jobs, --cache-kb sizes the shared page cache, --workers N
+(default 4) runs N jobs at once. The hardware threads are split between
+them: each job's engine gets max(1, threads / N), so N jobs keep about
+as many threads runnable as the machine has, and a job whose share is
+one thread spawns none; MLVC_THREADS, when set, is each job's count
+instead. --pin-budget-kb carves DRAM from the admission
 budget to hold dataset CSR extents pinned in the cache (DESIGN.md
 §18). --metrics FILE writes the daemon-wide Prometheus rollup (per-job
 labeled series) on shutdown.";
@@ -404,8 +408,10 @@ fn cmd_run(a: &Args, resume: bool) -> Result<(), String> {
     }
     // Host wall-clock, beside the simulated clock above and never mixed
     // with it. The owner-thread rows follow one another, so they sum to the
-    // supersteps row less what no timer names; the fetch workers' load +
-    // sort of one batch overlap the owner's work on the one before.
+    // supersteps row less what no timer names. Load + sort are measured
+    // inside the decode of a fused batch, whoever runs it: inside fetch wait
+    // when the owner does, beside the owner's work on the batch before when
+    // a look-ahead worker was handed it.
     let [fetch_wait, assemble, adjacency, process, scatter, apply, close_out] =
         report.owner_totals_ns();
     let [load, sort, ..] = report.stage_totals_ns();
@@ -419,11 +425,13 @@ fn cmd_run(a: &Args, resume: bool) -> Result<(), String> {
         ("apply", apply),
         ("close-out", close_out),
         ("supersteps", report.supersteps.iter().map(|s| s.wall_ns).sum()),
-        ("load (workers)", load),
-        ("sort (workers)", sort),
+        ("load (decode)", load),
+        ("sort (decode)", sort),
     ] {
         println!("{stage:14} | {:12.2}", ns as f64 / 1e6);
     }
+    let [inline, handed_off] = report.batch_totals();
+    println!("fused batches: {inline} decoded by the owner, {handed_off} handed to a worker");
     if let Some(from) = report.resumed_from {
         println!("\nresumed from the checkpoint at superstep {from}");
     }
@@ -468,6 +476,12 @@ fn write_metrics(path: &str, report: &RunReport) -> Result<(), String> {
     Ok(())
 }
 
+/// Threads each served job's engine gets when `workers` jobs run at once on
+/// `threads` hardware threads: an equal share, never none.
+fn serve_engine_threads(threads: usize, workers: usize) -> usize {
+    (threads / workers.max(1)).max(1)
+}
+
 /// `mlvc serve`: long-running multi-tenant daemon (DESIGN.md §15). Stores
 /// the `--graphs` datasets once on one shared device, then executes jobs
 /// arriving as JSON lines (stdin or `--requests FILE`) on a bounded
@@ -479,6 +493,12 @@ fn cmd_serve(a: &Args) -> Result<(), String> {
     let cache_kb: usize = a.get_parsed("cache-kb", 8192)?;
     let pin_budget_kb: usize = a.get_parsed("pin-budget-kb", 0)?;
     let workers: usize = a.get_parsed("workers", 4)?;
+    // The workers run jobs side by side, so they share the threads between
+    // them; an explicit MLVC_THREADS is the operator's word on each job's.
+    if std::env::var_os("MLVC_THREADS").is_none() {
+        let threads = serve_engine_threads(multilogvc::par::max_threads(), workers);
+        multilogvc::par::set_thread_override(Some(threads));
+    }
 
     let ssd = make_ssd(a)?;
     let cache_pages = ((cache_kb << 10) / ssd.page_size()).max(1);
@@ -871,11 +891,20 @@ mod tests {
         let metrics = dir.join("serve.prom");
         let metrics_s = metrics.to_str().unwrap();
 
+        let threads = multilogvc::par::max_threads();
         run(&strs(&[
             "serve", "--graphs", &format!("g={csr_s}"), "--memory-kb", "16384",
             "--workers", "2", "--requests", reqs_s, "--metrics", metrics_s,
         ]))
         .unwrap();
+        // Two workers share the threads, unless MLVC_THREADS fixed each
+        // job's count.
+        let share = match std::env::var_os("MLVC_THREADS") {
+            None => serve_engine_threads(threads, 2),
+            Some(_) => threads,
+        };
+        assert_eq!(multilogvc::par::max_threads(), share);
+        multilogvc::par::set_thread_override(None);
 
         let prom = std::fs::read_to_string(&metrics).unwrap();
         assert!(prom.contains("mlvc_serve_device_pages_read_total"));
@@ -887,6 +916,19 @@ mod tests {
         assert!(run(&strs(&["serve", "--graphs", "nonsense"])).is_err());
         assert!(run(&strs(&["serve", "--requests", reqs_s])).is_err());
         let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn served_jobs_share_the_threads_and_never_get_none() {
+        for threads in [1usize, 2, 8] {
+            for workers in [0usize, 1, 2, 8] {
+                let share = serve_engine_threads(threads, workers);
+                assert!((1..=threads).contains(&share), "{threads} threads, {workers} workers");
+                assert!(share * workers.max(1) <= threads.max(workers), "oversubscribed");
+            }
+        }
+        assert_eq!(serve_engine_threads(8, 2), 4);
+        assert_eq!(serve_engine_threads(2, 4), 1);
     }
 
     #[test]

@@ -5,21 +5,26 @@
 //! guarantee the unit tests cannot check — a scatter-order or consume-order
 //! bug shows up only when multiple workers race.
 //!
-//! Everything runs inside one `#[test]` because the thread-count override
-//! is process-global: parallel test functions sweeping it concurrently
-//! would still pass (determinism is exactly what's asserted) but would no
-//! longer pin the thread count they claim to.
+//! The thread-count override is process-global: test functions sweeping it
+//! side by side would no longer pin the thread count they claim to — the
+//! determinism sweep would still pass (determinism is exactly what it
+//! asserts), the who-decodes-what test would not — so the two tests of this
+//! file take turns on [`OVERRIDE`].
 
 use std::sync::Arc;
 
-use multilogvc::apps::{Bfs, Coloring, PageRank};
+use multilogvc::apps::{Bfs, Coloring, PageRank, RandomWalk, Wcc};
 use multilogvc::core::{
     Engine, EngineConfig, InitActive, MultiLogEngine, TieringConfig, TraceRecord, VertexCtx,
     VertexProgram,
 };
 use multilogvc::graph::{StoredGraph, VertexId, VertexIntervals};
 use multilogvc::prelude::RmatParams;
+use multilogvc::ssd::sync::Mutex;
 use multilogvc::ssd::{Page, Ssd, SsdConfig};
+
+/// Held by a test for as long as it sets the thread-count override.
+static OVERRIDE: Mutex<()> = Mutex::new(());
 
 /// Per-superstep fingerprint: (messages consumed, messages sent, actives).
 type StepCounts = Vec<(u64, u64, u64)>;
@@ -190,8 +195,65 @@ fn mixed_sends_log_pages_bit_identical_across_thread_counts() {
     }
 }
 
+/// Threads only where something can overlap (DESIGN.md §12): the owner
+/// decodes every fused batch nobody could have been given — all of them on a
+/// one-thread engine and at K = 1, the first of every superstep otherwise —
+/// and a look-ahead worker is spawned for each of the rest. Held on the
+/// per-run counters, not `mlvc_par::spawn_count`: that one is process-wide
+/// and the test binary runs its tests side by side.
+#[test]
+fn a_one_thread_engine_spawns_no_thread() {
+    let _turn = OVERRIDE.lock();
+    let g = mlvc_gen::rmat(RmatParams::social(SMALL.scale, 8), 0xD7);
+    let progs: [(&str, Box<dyn VertexProgram>, bool); 3] = [
+        ("pagerank", Box::new(PageRank::new(0.85, 1e-4)), false),
+        ("randomwalk", Box::new(RandomWalk::new(4, 1, 20)), false),
+        ("wcc", Box::new(Wcc), true),
+    ];
+    for (name, prog, async_mode) in &progs {
+        for threads in [1usize, 2, 8] {
+            for k in [1usize, 2, 4] {
+                multilogvc::par::set_thread_override(Some(threads));
+                // Capped at the hardware: a one-core box never looks ahead.
+                let looks_ahead = multilogvc::par::max_threads() > 1 && k > 1;
+                let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
+                let iv = VertexIntervals::uniform(g.num_vertices(), SMALL.intervals);
+                let sg = StoredGraph::store_with(&ssd, &g, "det", iv).unwrap();
+                let cfg = EngineConfig::default()
+                    .with_memory(SMALL.memory)
+                    .with_inflight_batches(k)
+                    .with_async(*async_mode)
+                    .with_obs(true);
+                let mut eng = MultiLogEngine::new(ssd, sg, cfg);
+                let r = eng.run(prog.as_ref(), 12);
+                multilogvc::par::set_thread_override(None);
+                assert!(r.interrupted.is_none());
+                let ctx = format!("{name} threads={threads} k={k}");
+                // Trace record 0 is the seeding phase.
+                assert_eq!(r.trace.len(), r.supersteps.len() + 1, "{ctx}");
+                for (s, t) in r.supersteps.iter().zip(&r.trace[1..]) {
+                    let ctx = format!("{ctx} superstep {}", s.superstep);
+                    assert_eq!(s.batches_inline + s.batches_handed_off, t.fused_batches, "{ctx}");
+                    if looks_ahead {
+                        assert_eq!(s.batches_inline, t.fused_batches.min(1), "{ctx}");
+                    } else {
+                        assert_eq!(s.batches_handed_off, 0, "{ctx}");
+                    }
+                }
+                // The walk's sparse frontier fits one fused batch a
+                // superstep: nothing to look ahead to at any thread count.
+                let [inline, handed_off] = r.batch_totals();
+                let several = inline + handed_off > r.supersteps.len() as u64;
+                assert_eq!(several, *name != "randomwalk", "{ctx}: fused batches per superstep");
+                assert_eq!(handed_off > 0, looks_ahead && several, "{ctx}");
+            }
+        }
+    }
+}
+
 #[test]
 fn states_and_message_counts_bit_identical_across_thread_counts() {
+    let _turn = OVERRIDE.lock();
     tiered_traces_bit_identical_across_thread_counts();
     mixed_sends_log_pages_bit_identical_across_thread_counts();
     let progs: Vec<(&str, Box<dyn VertexProgram>)> = vec![
