@@ -3,7 +3,7 @@ use std::collections::HashMap;
 use mlvc_core::{InitActive, VertexCtx, VertexProgram};
 use mlvc_graph::VertexId;
 
-/// Community detection by label propagation (CDLP, Raghavan et al. [24];
+/// Community detection by label propagation (CDLP, Raghavan et al. \[24\];
 /// the paper's Algorithm 2 workload).
 ///
 /// State = community label, initialized to the vertex id. Each superstep a

@@ -5,7 +5,7 @@ use mlvc_graph::VertexId;
 use mlvc_core::sync::{Mutex, RwLock};
 
 /// Speculative greedy graph coloring with conflict-driven recoloring (GC;
-/// the paper cites the PowerGraph formulation [9]).
+/// the paper cites the PowerGraph formulation \[9\]).
 ///
 /// Every vertex speculatively picks a pseudo-random color from its feasible
 /// window `[0, degree]` and announces it. Each vertex remembers the most

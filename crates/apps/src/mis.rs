@@ -20,7 +20,7 @@ const TAG_EXCLUDED: u64 = 2;
 const IN_SET_MSG: u64 = u64::MAX;
 
 /// Luby's maximal independent set (MIS; the paper cites the Pregel-style
-/// formulation of Salihoglu & Widom [26]).
+/// formulation of Salihoglu & Widom \[26\]).
 ///
 /// Rounds of two supersteps over the *undecided* subgraph:
 ///

@@ -2,7 +2,7 @@ use mlvc_core::{InitActive, VertexCtx, VertexProgram};
 use mlvc_graph::VertexId;
 use mlvc_core::Update;
 
-/// Random walks (RW) in the style of DrunkardMob [13], the paper's sixth
+/// Random walks (RW) in the style of DrunkardMob \[13\], the paper's sixth
 /// workload: "we sampled every 1000th node as a source node and performed
 /// a random walk for 10 iterations with a maximum step size of 10" (§VII).
 ///

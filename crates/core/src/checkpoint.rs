@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use mlvc_graph::VertexId;
+use mlvc_graph::{StoredGraph, VertexId};
 use mlvc_log::MultiLog;
 use mlvc_recover::{CheckpointManager, CheckpointState};
 use mlvc_ssd::{DeviceError, Ssd};
@@ -50,17 +50,19 @@ impl Checkpointer {
     }
 }
 
-/// Latest checkpoint usable for a graph of `num_vertices`, if any. A
-/// checkpoint whose vertex count does not match is ignored (it belongs to a
-/// different run), not treated as corruption.
+/// Latest checkpoint usable for `graph`, if any. A checkpoint whose vertex
+/// count or interval count does not match is ignored (it belongs to a
+/// different run — the intervals follow the sort budget, so a resume at
+/// another memory size partitions the same graph differently), not treated
+/// as corruption.
 pub(crate) fn load_resume_point(
     ssd: &Arc<Ssd>,
     tag: &str,
-    num_vertices: usize,
+    graph: &StoredGraph,
 ) -> Result<Option<CheckpointState>, DeviceError> {
     let mgr = CheckpointManager::open(ssd, tag)?;
-    Ok(mgr
-        .load_latest()?
-        .map(|(_, cp)| cp)
-        .filter(|cp| cp.states.len() == num_vertices))
+    Ok(mgr.load_latest()?.map(|(_, cp)| cp).filter(|cp| {
+        cp.states.len() == graph.num_vertices()
+            && cp.msgs.len() == graph.intervals().num_intervals()
+    }))
 }

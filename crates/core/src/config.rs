@@ -31,38 +31,37 @@ impl TieringConfig {
     }
 }
 
-/// Simulated compute-time model. Storage access dominates in every
+/// Simulated cost to apply one incoming message in `process`, nanoseconds.
+pub const MSG_PROCESS_NS: u64 = 30;
+/// Simulated cost to scan one adjacency entry, nanoseconds.
+pub const EDGE_SCAN_NS: u64 = 2;
+/// Simulated per-record cost of the in-memory sort & group pass,
+/// nanoseconds.
+pub const SORT_NS: u64 = 10;
+
+/// Simulated compute time of `processed` sorted records, `delivered`
+/// messages handed to `process`, and `scanned` adjacency entries — the one
+/// compute model every engine charges. Storage access dominates in every
 /// experiment of the paper (75–95% of execution time, Fig. 5c); these
 /// constants put compute in that regime while keeping it non-zero so the
 /// storage/compute split (Fig. 5c) is measurable.
-#[derive(Debug, Clone, Copy)]
-pub struct CostModel {
-    /// Cost to apply one incoming message in `process`, nanoseconds.
-    pub msg_process_ns: u64,
-    /// Cost to scan one adjacency entry, nanoseconds.
-    pub edge_scan_ns: u64,
-    /// Per-record cost of the in-memory sort & group pass, nanoseconds.
-    pub sort_ns: u64,
+pub fn compute_ns(processed: u64, delivered: u64, scanned: u64) -> u64 {
+    processed * SORT_NS + delivered * MSG_PROCESS_NS + scanned * EDGE_SCAN_NS
 }
 
-impl CostModel {
-    /// Simulated compute time of `processed` sorted records, `delivered`
-    /// messages handed to `process`, and `scanned` adjacency entries.
-    pub fn compute_ns(&self, processed: u64, delivered: u64, scanned: u64) -> u64 {
-        processed * self.sort_ns + delivered * self.msg_process_ns + scanned * self.edge_scan_ns
-    }
-}
+/// Share of [`EngineConfig::memory_bytes`] for the sort & group unit (paper
+/// Fig. 4, X% = 75%).
+pub const SORT_FRAC: f64 = 0.75;
+/// Share of the budget for multi-log page buffers (paper Fig. 4, A% = 5%).
+pub const MULTILOG_FRAC: f64 = 0.05;
+/// Share of the budget for edge-log page buffers (paper Fig. 4, B% = 5%).
+pub const EDGELOG_FRAC: f64 = 0.05;
 
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel { msg_process_ns: 30, edge_scan_ns: 2, sort_ns: 10 }
-    }
-}
-
-/// Engine configuration mirroring the paper's memory layout (Fig. 4):
-/// a total host-memory budget split into the sort & group area (X%,
-/// default 75%), the multi-log buffer (A%, default 5%), and the edge-log
-/// buffer (B%, default 5%).
+/// Engine configuration: what a caller chooses about a run. The paper's
+/// memory layout (Fig. 4) is fixed — the budget splits into the sort &
+/// group area ([`SORT_FRAC`]), the multi-log buffer ([`MULTILOG_FRAC`]) and
+/// the edge-log buffer ([`EDGELOG_FRAC`]) — and so are the compute model
+/// ([`compute_ns`]) and the I/O queue's shape (DESIGN.md §12).
 ///
 /// The paper's default budget is 1 GB against ≤100 GB graphs; the
 /// reproduction default is 16 MiB against the scaled-down datasets,
@@ -71,12 +70,6 @@ impl Default for CostModel {
 pub struct EngineConfig {
     /// Total host memory budget in bytes.
     pub memory_bytes: usize,
-    /// Fraction for the sort & group unit (paper X% = 0.75).
-    pub sort_frac: f64,
-    /// Fraction for multi-log page buffers (paper A% = 0.05).
-    pub multilog_frac: f64,
-    /// Fraction for edge-log page buffers (paper B% = 0.05).
-    pub edgelog_frac: f64,
     /// Enable the edge-log optimizer (§V-C). Off = ablation baseline.
     pub enable_edge_log: bool,
     /// Asynchronous computation model (§V-F): updates logged earlier in
@@ -85,16 +78,6 @@ pub struct EngineConfig {
     /// (BFS, WCC, SSSP, delta-PageRank); phase-structured ones (MIS,
     /// coloring rounds) require the default synchronous model.
     pub async_mode: bool,
-    /// Per-channel depth of the submission/completion I/O queue the engine
-    /// reads fused log batches through (DESIGN.md §12). Depth never changes
-    /// *when* a request completes on the simulated channels, only when
-    /// submission stalls — results are bit-identical at any depth; only
-    /// `sim_time_ns` / `io_wait_ns` shift.
-    pub queue_depth: usize,
-    /// Fused log batches kept in flight on the I/O queue (K). The engine
-    /// submits up to K batch reads ahead and drains completions strictly
-    /// in plan order, so results are bit-identical at any K.
-    pub inflight_batches: usize,
     /// Write a crash-consistent checkpoint every `k` supersteps (`None`
     /// disables checkpointing). See `mlvc-recover` and DESIGN.md §11.
     pub checkpoint_every: Option<usize>,
@@ -116,26 +99,19 @@ pub struct EngineConfig {
     /// Adaptive memory tiering (DESIGN.md §18): page cache + hot-interval
     /// pinning. Disabled by default.
     pub tiering: TieringConfig,
-    pub cost: CostModel,
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             memory_bytes: 16 << 20,
-            sort_frac: 0.75,
-            multilog_frac: 0.05,
-            edgelog_frac: 0.05,
             enable_edge_log: true,
             async_mode: false,
-            queue_depth: 16,
-            inflight_batches: 4,
             checkpoint_every: None,
             obs: false,
             seed: 0xC0FFEE,
             tag: "mlvc".to_string(),
             tiering: TieringConfig::default(),
-            cost: CostModel::default(),
         }
     }
 }
@@ -159,18 +135,6 @@ impl EngineConfig {
     /// Enable the asynchronous computation model (§V-F).
     pub fn with_async(mut self, yes: bool) -> Self {
         self.async_mode = yes;
-        self
-    }
-
-    /// Per-channel I/O queue depth for batch reads (DESIGN.md §12).
-    pub fn with_queue_depth(mut self, depth: usize) -> Self {
-        self.queue_depth = depth;
-        self
-    }
-
-    /// Number of fused batches kept in flight on the I/O queue (K).
-    pub fn with_inflight_batches(mut self, k: usize) -> Self {
-        self.inflight_batches = k;
         self
     }
 
@@ -200,17 +164,17 @@ impl EngineConfig {
 
     /// Bytes allocated to the sort & group unit.
     pub fn sort_budget(&self) -> usize {
-        ((self.memory_bytes as f64) * self.sort_frac) as usize
+        ((self.memory_bytes as f64) * SORT_FRAC) as usize
     }
 
     /// Bytes allocated to multi-log page buffers.
     pub fn multilog_budget(&self) -> usize {
-        ((self.memory_bytes as f64) * self.multilog_frac) as usize
+        ((self.memory_bytes as f64) * MULTILOG_FRAC) as usize
     }
 
     /// Bytes allocated to edge-log page buffers.
     pub fn edgelog_budget(&self) -> usize {
-        ((self.memory_bytes as f64) * self.edgelog_frac) as usize
+        ((self.memory_bytes as f64) * EDGELOG_FRAC) as usize
     }
 
     /// Check every sizing rule the engines rely on.
@@ -218,21 +182,8 @@ impl EngineConfig {
         if self.memory_bytes < 1 << 12 {
             return Err(ConfigError::BudgetTooSmall { memory_bytes: self.memory_bytes });
         }
-        if !(self.sort_frac > 0.0 && self.multilog_frac > 0.0 && self.edgelog_frac > 0.0) {
-            return Err(ConfigError::NonPositiveFraction);
-        }
-        let sum = self.sort_frac + self.multilog_frac + self.edgelog_frac;
-        if sum > 1.0 + 1e-9 {
-            return Err(ConfigError::FractionsExceedBudget { sum });
-        }
         if self.checkpoint_every == Some(0) {
             return Err(ConfigError::ZeroCheckpointCadence);
-        }
-        if self.queue_depth == 0 {
-            return Err(ConfigError::ZeroQueueDepth);
-        }
-        if self.inflight_batches == 0 {
-            return Err(ConfigError::ZeroInflightBatches);
         }
         Ok(())
     }
@@ -253,20 +204,12 @@ impl EngineConfig {
 
 /// A sizing rule [`EngineConfig::validate`] found broken, or a program the
 /// engine cannot run on the graph it holds — refused where the run starts.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConfigError {
     /// `memory_bytes` is below one 4 KiB page.
     BudgetTooSmall { memory_bytes: usize },
-    /// A memory fraction is zero, negative or NaN.
-    NonPositiveFraction,
-    /// The three memory fractions sum past 1.
-    FractionsExceedBudget { sum: f64 },
     /// `checkpoint_every` is `Some(0)`.
     ZeroCheckpointCadence,
-    /// `queue_depth` is 0.
-    ZeroQueueDepth,
-    /// `inflight_batches` is 0.
-    ZeroInflightBatches,
     /// The program reads edge weights (`needs_weights()`) and the graph the
     /// engine runs on stores none.
     NeedsWeights { app: &'static str },
@@ -279,11 +222,7 @@ impl ConfigError {
     pub fn code(&self) -> &'static str {
         match self {
             ConfigError::BudgetTooSmall { .. } => "budget-too-small",
-            ConfigError::NonPositiveFraction => "non-positive-fraction",
-            ConfigError::FractionsExceedBudget { .. } => "fractions-exceed-budget",
             ConfigError::ZeroCheckpointCadence => "zero-checkpoint-cadence",
-            ConfigError::ZeroQueueDepth => "zero-queue-depth",
-            ConfigError::ZeroInflightBatches => "zero-inflight-batches",
             ConfigError::NeedsWeights { .. } => "needs-weights",
         }
     }
@@ -302,16 +241,8 @@ impl fmt::Display for ConfigError {
             ConfigError::BudgetTooSmall { memory_bytes } => {
                 write!(f, "budget unrealistically small ({memory_bytes} bytes, minimum 4096)")
             }
-            ConfigError::NonPositiveFraction => f.write_str("memory fractions must be positive"),
-            ConfigError::FractionsExceedBudget { sum } => {
-                write!(f, "memory fractions exceed the budget (sum {sum})")
-            }
             ConfigError::ZeroCheckpointCadence => {
                 f.write_str("checkpoint cadence must be at least 1 superstep")
-            }
-            ConfigError::ZeroQueueDepth => f.write_str("queue depth must be at least 1"),
-            ConfigError::ZeroInflightBatches => {
-                f.write_str("at least one batch must be in flight")
             }
             ConfigError::NeedsWeights { app } => {
                 write!(f, "{app} reads edge weights and the graph stores none")
@@ -342,35 +273,9 @@ mod tests {
     }
 
     #[test]
-    fn non_positive_fraction_rejected() {
-        for bad in [0.0, -0.1, f64::NAN] {
-            let c = EngineConfig { edgelog_frac: bad, ..Default::default() };
-            assert_eq!(c.validate(), Err(ConfigError::NonPositiveFraction));
-        }
-    }
-
-    #[test]
-    fn over_allocated_fractions_rejected() {
-        let c = EngineConfig { sort_frac: 0.9, multilog_frac: 0.1, edgelog_frac: 0.1, ..Default::default() };
-        assert!(matches!(c.validate(), Err(ConfigError::FractionsExceedBudget { .. })));
-    }
-
-    #[test]
     fn zero_checkpoint_cadence_rejected() {
         let c = EngineConfig::default().with_checkpoint_every(0);
         assert_eq!(c.validate(), Err(ConfigError::ZeroCheckpointCadence));
-    }
-
-    #[test]
-    fn zero_queue_depth_rejected() {
-        let c = EngineConfig::default().with_queue_depth(0);
-        assert_eq!(c.validate(), Err(ConfigError::ZeroQueueDepth));
-    }
-
-    #[test]
-    fn zero_inflight_batches_rejected() {
-        let c = EngineConfig::default().with_inflight_batches(0);
-        assert_eq!(c.validate(), Err(ConfigError::ZeroInflightBatches));
     }
 
     #[test]

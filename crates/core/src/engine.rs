@@ -8,22 +8,22 @@ use mlvc_graph::{
     Adjacency, GraphLoader, IntervalId, StoredGraph, StructuralUpdateBuffer, VertexId,
 };
 use mlvc_log::{
-    group_by_dest, plan_fusion, BatchPlan, BitSet, EdgeLogConfig, EdgeLogOptimizer, FusedBatch,
+    group_by_dest, is_inefficient, plan_fusion, BatchPlan, BitSet, EdgeLogOptimizer, FusedBatch,
     LogReader, MultiLog, MultiLogConfig, Update,
 };
 use mlvc_mutate::{validate_range, MutationError, MutationLog};
 use mlvc_par::{Scope, ScopedJoinHandle, Tracked};
 use mlvc_recover::CheckpointState;
 use mlvc_ssd::sync::Mutex;
-use mlvc_ssd::{DeviceError, IoQueue, Ssd, SsdStatsSnapshot, Ticket};
+use mlvc_ssd::{DeviceError, IoQueue, Ssd, SsdStatsSnapshot, Ticket, QUEUE_DEPTH};
 
 use crate::checkpoint::{load_resume_point, Checkpointer};
 use crate::merge::{merge_pending, STRUCTURAL_MERGE_THRESHOLD};
 use crate::tiering::{attach_cache, Tiering};
 use crate::trace::Tracer;
 use crate::{
-    Combine, ConfigError, Engine, EngineConfig, InitActive, Reconverge, RunReport, SendSink,
-    SuperstepStats, VertexCtx, VertexOutputs, VertexProgram,
+    compute_ns, Combine, ConfigError, Engine, EngineConfig, InitActive, Reconverge, RunReport,
+    SendSink, SuperstepStats, VertexCtx, VertexOutputs, VertexProgram,
 };
 
 /// Active vertices an interval must bring before its process stage forks
@@ -36,6 +36,13 @@ use crate::{
 /// work. Results do not depend on the choice (DESIGN.md §12). The race
 /// detector wants every fork it can get, so it keeps them all.
 const FORK_MIN_ITEMS: usize = if cfg!(feature = "race-detect") { 1 } else { 2048 };
+
+/// Fused-batch reads the fetch stage keeps in flight on the I/O queue (K):
+/// up to K are submitted ahead of the batch being retired, so their service
+/// overlaps the compute of the ones before, and a look-ahead worker can
+/// decode them meanwhile. Completions drain strictly in plan order, so no
+/// result or page count depends on K (DESIGN.md §12).
+const INFLIGHT_BATCHES: usize = 4;
 
 /// The MultiLogVC engine — Algorithm 1 of the paper.
 ///
@@ -142,7 +149,7 @@ impl MultiLogEngine {
         let Some(mlog) = self.mutations.clone() else {
             return report;
         };
-        let outcome = match merge_pending(&mlog, &self.graph, self.cfg.queue_depth) {
+        let outcome = match merge_pending(&mlog, &self.graph) {
             Ok(None) => return report,
             Ok(Some(outcome)) => outcome,
             Err(e) => {
@@ -183,14 +190,13 @@ impl MultiLogEngine {
             app: prog.name().to_string(),
             ..Default::default()
         };
-        let resume =
-            match load_resume_point(&self.ssd, &self.cfg.tag, self.graph.num_vertices()) {
-                Ok(r) => r,
-                Err(e) => {
-                    report.interrupted = Some(e);
-                    return report;
-                }
-            };
+        let resume = match load_resume_point(&self.ssd, &self.cfg.tag, &self.graph) {
+            Ok(r) => r,
+            Err(e) => {
+                report.interrupted = Some(e);
+                return report;
+            }
+        };
         if let Some(cp) = &resume {
             report.resumed_from = Some(cp.superstep);
         }
@@ -328,7 +334,7 @@ impl<'a> Drive<'a> {
         let edgelog = EdgeLogOptimizer::new(
             Arc::clone(ssd),
             graph.num_vertices(),
-            EdgeLogConfig { buffer_bytes: cfg.edgelog_budget(), ..Default::default() },
+            cfg.edgelog_budget(),
             &cfg.tag,
         )?;
         Ok(Drive {
@@ -546,17 +552,17 @@ fn fetch_decode(
 }
 
 /// The fetch stage of a superstep, in both computation models (DESIGN.md
-/// §12): the owner keeps up to K fused-batch reads on the I/O queue, planned
-/// and submitted in plan order, retires the tickets strictly in plan order
-/// and consumes the drained logs there. A batch is decoded by the thread that
-/// would otherwise wait for it: a batch submitted ahead of the one being
-/// retired goes to a scoped look-ahead worker when the engine has a second
-/// thread; the batch being retired, if nobody was given it — the first of
-/// every superstep, every batch when K = 1 or on a one-thread engine — is
-/// decoded by the owner, which would only have spawned a thread to join it
-/// at once. Every clock-, device- and cache-touching call runs on the owner
+/// §12): the owner keeps up to K ([`INFLIGHT_BATCHES`]) fused-batch reads on
+/// the I/O queue, planned and submitted in plan order, retires the tickets
+/// strictly in plan order and consumes the drained logs there. A batch is
+/// decoded by the thread that would otherwise wait for it: a batch submitted
+/// ahead of the one being retired goes to a scoped look-ahead worker when
+/// the engine has a second thread; the batch being retired, if nobody was
+/// given it — the first of every superstep, every batch on a one-thread
+/// engine — is decoded by the owner, which would only have spawned a thread
+/// to join it at once. Every clock-, device- and cache-touching call runs on the owner
 /// thread either way, so the simulated timeline and every counter are
-/// identical at any worker-thread count, K or depth.
+/// identical at any worker-thread count.
 struct Fetch<'s, 'e> {
     reader: &'e LogReader,
     ioq: &'e IoQueue,
@@ -568,7 +574,6 @@ struct Fetch<'s, 'e> {
     /// would trip the detector here (DESIGN.md §14). Sibling workers have no
     /// happens-before edge between them, hence one cell per batch.
     handoffs: &'e [Tracked<()>],
-    inflight_batches: usize,
     submitted: usize,
     inflight: VecDeque<(Ticket, Decoder<'s>)>,
 }
@@ -582,7 +587,7 @@ impl<'s, 'e> Fetch<'s, 'e> {
         bi: usize,
         st: &mut SuperstepStats,
     ) -> Result<FusedBatch, DeviceError> {
-        while self.submitted < self.plan.len() && self.submitted < bi + self.inflight_batches {
+        while self.submitted < self.plan.len() && self.submitted < bi + INFLIGHT_BATCHES {
             let bplan = self.reader.plan_reads(self.plan[self.submitted].clone())?;
             let ticket = self.ioq.submit_read(bplan.reqs.clone());
             let decoder = if self.submitted > bi && mlvc_par::max_threads() > 1 {
@@ -658,7 +663,7 @@ impl<'d, 'a> Superstep<'d, 'a> {
         // each batch's consume, so both computation models read it ahead —
         // and a batch decodes the same whenever, and wherever, it is fetched.
         let reader = self.d.multilog.reader();
-        let ioq = IoQueue::new(Arc::clone(self.d.ssd), self.d.cfg.queue_depth);
+        let ioq = IoQueue::new(Arc::clone(self.d.ssd), QUEUE_DEPTH);
         let handoffs: Vec<Tracked<()>> =
             plan.iter().map(|_| Tracked::new("engine batch handoff", ())).collect();
         // Planning the batches and opening the queue is the fetch stage's
@@ -670,7 +675,6 @@ impl<'d, 'a> Superstep<'d, 'a> {
                 ioq: &ioq,
                 plan: &plan,
                 handoffs: &handoffs,
-                inflight_batches: self.d.cfg.inflight_batches,
                 submitted: 0,
                 inflight: VecDeque::new(),
             };
@@ -704,7 +708,7 @@ impl<'d, 'a> Superstep<'d, 'a> {
         // deltas sum exactly to `st.compute_ns` over the superstep — in the
         // asynchronous model too, whose `inbox` adds what it drained from
         // the write side to `messages_processed` inside this batch.
-        ioq.advance(self.d.cfg.cost.compute_ns(
+        ioq.advance(compute_ns(
             self.st.messages_processed - before.0,
             self.st.messages_delivered - before.1,
             self.st.edges_scanned - before.2,
@@ -946,12 +950,7 @@ impl<'d, 'a> Superstep<'d, 'a> {
         let st = &mut self.st;
         let usage = d.loader.take_page_usage(d.ssd.page_size());
         st.colidx_pages_accessed = usage.len() as u64;
-        st.colidx_pages_inefficient = usage
-            .iter()
-            .filter(|u| {
-                u.useful_bytes > 0 && u.utilization() < d.edgelog.config().inefficiency_threshold
-            })
-            .count() as u64;
+        st.colidx_pages_inefficient = usage.iter().filter(|u| is_inefficient(u)).count() as u64;
         d.tiering.note_usage(&usage);
         d.edgelog.end_superstep(&self.active_bits, &usage)?;
 
@@ -987,8 +986,7 @@ impl<'d, 'a> Superstep<'d, 'a> {
         st.io_wait_ns = qw.io_wait_ns;
         st.max_inflight = qw.max_inflight;
         st.io = d.ssd.stats().snapshot().since(&io0);
-        st.compute_ns =
-            d.cfg.cost.compute_ns(st.messages_processed, st.messages_delivered, st.edges_scanned);
+        st.compute_ns = compute_ns(st.messages_processed, st.messages_delivered, st.edges_scanned);
         st.close_out_ns = t_close.elapsed().as_nanos() as u64;
         st.wall_ns = wall0.elapsed().as_nanos() as u64;
         if let Some(t) = d.tracer.as_mut() {
@@ -1170,8 +1168,8 @@ mod tests {
     /// A fused batch fails the same way whoever decodes it: a flipped
     /// destination bit in a log page, and a read fault that outlasts the
     /// device's retries, reach the owner as the same typed error from a
-    /// batch it decoded in place (one thread, or K = 1) and from one a
-    /// look-ahead worker was handed.
+    /// batch it decoded in place (one thread) and from one a look-ahead
+    /// worker was handed (two).
     #[test]
     fn a_damaged_batch_is_the_same_error_inline_and_handed_off() {
         use mlvc_log::page::PAGE_HEADER_BYTES;
@@ -1184,23 +1182,29 @@ mod tests {
             /// Fail every page read from here on, past the retry bound.
             ReadFault,
         }
-        /// Retire four one-interval batches, damaging the device once the
-        /// first has retired — by then a worker may hold the second, never
-        /// the last. Returns the error and whether the batch that raised it
-        /// had been handed off.
-        fn first_error(threads: usize, k: usize, damage: Damage) -> (DeviceError, bool) {
+        /// One batch more than the first retire submits, and one more
+        /// after that: the last is submitted after the damage, wherever it
+        /// is decoded.
+        const BATCHES: u32 = INFLIGHT_BATCHES as u32 + 2;
+        /// Retire one-interval batches, damaging the device once the first
+        /// has retired — by then workers may hold the next K − 1, never the
+        /// last. Returns the error and whether the batch that raised it had
+        /// been handed off.
+        fn first_error(threads: usize, damage: Damage) -> (DeviceError, bool) {
             mlvc_par::set_thread_override(Some(threads));
+            let looks_ahead = mlvc_par::max_threads() > 1;
             let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
-            let iv = mlvc_graph::VertexIntervals::uniform(100, 4);
+            let n = 25 * BATCHES;
+            let iv = mlvc_graph::VertexIntervals::uniform(n as usize, BATCHES as usize);
             let cfg = MultiLogConfig { buffer_bytes: 1 << 20, ..Default::default() };
             let mut ml = MultiLog::new(Arc::clone(&ssd), iv, cfg, "t").unwrap();
-            for m in 0..800u32 {
-                ml.send(Update::new(m % 100, m, u64::from(m))).unwrap();
+            for m in 0..8 * n {
+                ml.send(Update::new(m % n, m, u64::from(m))).unwrap();
             }
             ml.finish_superstep().unwrap();
             let reader = ml.reader();
-            let ioq = IoQueue::new(Arc::clone(&ssd), 4);
-            let plan: Vec<Range<IntervalId>> = (0..4).map(|i| i..i + 1).collect();
+            let ioq = IoQueue::new(Arc::clone(&ssd), QUEUE_DEPTH);
+            let plan: Vec<Range<IntervalId>> = (0..BATCHES).map(|i| i..i + 1).collect();
             let handoffs: Vec<Tracked<()>> =
                 plan.iter().map(|_| Tracked::new("engine batch handoff", ())).collect();
             let mut st = SuperstepStats::default();
@@ -1210,14 +1214,13 @@ mod tests {
                     ioq: &ioq,
                     plan: &plan,
                     handoffs: &handoffs,
-                    inflight_batches: k,
                     submitted: 0,
                     inflight: VecDeque::new(),
                 };
                 fetch.next(scope, 0, &mut st).expect("the device is whole for the first batch");
                 match damage {
                     Damage::FlippedBit => {
-                        let f = ssd.lookup("t.mlog.3.a").unwrap();
+                        let f = ssd.lookup(&format!("t.mlog.{}.a", BATCHES - 1)).unwrap();
                         let mut pages: Vec<Vec<u8>> =
                             ssd.read_all(f, |_| 0).unwrap().iter().map(|p| p.to_vec()).collect();
                         pages[0][PAGE_HEADER_BYTES + 1] ^= 0x80;
@@ -1237,7 +1240,7 @@ mod tests {
             });
             mlvc_par::set_thread_override(None);
             assert!(st.batches_inline > 0, "the first batch is always the owner's");
-            assert_eq!(st.batches_handed_off > 0, threads > 1 && k > 1);
+            assert_eq!(st.batches_handed_off > 0, looks_ahead);
             failed.expect("the damage must surface")
         }
 
@@ -1246,13 +1249,12 @@ mod tests {
         mlvc_par::set_thread_override(Some(2));
         let two = mlvc_par::max_threads() > 1;
         for damage in [Damage::FlippedBit, Damage::ReadFault] {
-            let (inline, by_worker) = first_error(1, 2, damage);
+            let (inline, by_worker) = first_error(1, damage);
             assert!(!by_worker, "a one-thread engine hands nothing off");
-            assert!(!first_error(2, 1, damage).1, "K = 1 leaves nothing to look ahead to");
             if !two {
                 continue;
             }
-            let (handed_off, by_worker) = first_error(2, 2, damage);
+            let (handed_off, by_worker) = first_error(2, damage);
             assert!(by_worker, "with a second thread the look-ahead batch goes to a worker");
             match damage {
                 Damage::FlippedBit => {
@@ -1271,6 +1273,30 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A checkpoint of the same graph under another interval partition —
+    /// `mlvc resume` at another budget — is another run's: ignored, and the
+    /// run starts over. Under the same partition it resumes.
+    #[test]
+    fn a_checkpoint_of_another_partition_is_not_resumed() {
+        let csr = ring(64);
+        let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
+        let engine = |intervals: usize| {
+            let iv = mlvc_graph::VertexIntervals::uniform(64, intervals);
+            let sg = StoredGraph::store_with(&ssd, &csr, "g", iv).unwrap();
+            let cfg = EngineConfig::default().with_checkpoint_every(1);
+            MultiLogEngine::new(Arc::clone(&ssd), sg, cfg)
+        };
+        assert!(engine(4).run(&Flood, 3).interrupted.is_none());
+        let other = engine(2).run_recoverable(&Flood, 80);
+        assert!(other.converged && other.interrupted.is_none(), "{:?}", other.interrupted);
+        assert_eq!(other.resumed_from, None);
+        // The run above checkpointed under its own partition in turn.
+        assert!(engine(4).run(&Flood, 3).interrupted.is_none());
+        let same = engine(4).run_recoverable(&Flood, 80);
+        assert!(same.converged && same.interrupted.is_none());
+        assert_eq!(same.resumed_from, Some(3));
     }
 
     #[test]
@@ -1610,11 +1636,12 @@ mod tests {
         }
     }
 
-    /// The asynchronous counterpart, with K = 4: every message is delivered
-    /// exactly once — in the superstep that sent it when its interval is
-    /// still to come, in the next one otherwise — while up to four read-side
-    /// batches are in flight and `take_log_current` reads and truncates
-    /// write-side pages the same superstep flushed under memory pressure.
+    /// The asynchronous counterpart: every message is delivered exactly once
+    /// — in the superstep that sent it when its interval is still to come,
+    /// in the next one otherwise — while read-side batches are in flight
+    /// (and, with a second thread, decoded by look-ahead workers) and
+    /// `take_log_current` reads and truncates write-side pages the same
+    /// superstep flushed under memory pressure.
     #[test]
     fn async_delivery_is_exactly_once_under_memory_pressure_with_reads_in_flight() {
         /// Every vertex sends 1 over all its edges in supersteps 1–3 and
@@ -1647,20 +1674,20 @@ mod tests {
             }
         }
         let csr = b.drop_self_loops(true).build();
-        let run = |inflight: usize| {
+        let _pinned = THREAD_OVERRIDE.lock();
+        let run = |threads: usize| {
+            mlvc_par::set_thread_override(Some(threads));
             let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
             let iv = mlvc_graph::VertexIntervals::uniform(1024, 32);
             let sg = StoredGraph::store_with(&ssd, &csr, "ad", iv).unwrap();
-            let cfg = EngineConfig::default()
-                .with_memory(16 << 10)
-                .with_async(true)
-                .with_inflight_batches(inflight);
+            let cfg = EngineConfig::default().with_memory(16 << 10).with_async(true);
             let mut eng = MultiLogEngine::new(ssd, sg, cfg);
             let r = eng.run(&Count, 6);
+            mlvc_par::set_thread_override(None);
             assert!(r.converged && r.interrupted.is_none());
             (eng.states().to_vec(), r)
         };
-        let (states, ahead) = run(4);
+        let (states, ahead) = run(2);
         for v in 0..1024u32 {
             let degree = csr.out_edges(v).len() as u64;
             assert_eq!(states[v as usize], 3 * degree, "vertex {v}: three sends per in-edge");
@@ -1676,7 +1703,8 @@ mod tests {
         // superstep boundary than were sent.
         let carried: u64 = ahead.supersteps.iter().map(|s| s.messages_sent).sum();
         assert!(carried < ml.updates_logged, "nothing was delivered within its superstep");
-        // Reading ahead moves no message: K = 1 is the same run.
+        // Who decodes a batch moves no message: the owner alone is the
+        // same run.
         let (one_states, one) = run(1);
         assert_eq!(states, one_states);
         for (a, b) in ahead.supersteps.iter().zip(&one.supersteps) {

@@ -32,7 +32,10 @@ mod trace;
 pub use api::{
     Combine, InitActive, Reconverge, SendSink, VertexCtx, VertexOutputs, VertexProgram,
 };
-pub use config::{ConfigError, CostModel, EngineConfig, TieringConfig};
+pub use config::{
+    compute_ns, ConfigError, EngineConfig, TieringConfig, EDGELOG_FRAC, EDGE_SCAN_NS,
+    MSG_PROCESS_NS, MULTILOG_FRAC, SORT_FRAC, SORT_NS,
+};
 pub use engine::MultiLogEngine;
 pub use reference::ReferenceEngine;
 pub use report::{RunReport, SuperstepStats};

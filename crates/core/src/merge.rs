@@ -23,13 +23,12 @@ pub(crate) const STRUCTURAL_MERGE_THRESHOLD: usize = 1024;
 pub(crate) fn merge_pending(
     mlog: &Mutex<MutationLog>,
     graph: &StoredGraph,
-    queue_depth: usize,
 ) -> Result<Option<MergeOutcome>, DeviceError> {
     let mut guard = mlog.lock();
     if guard.pending() == 0 {
         return Ok(None);
     }
-    guard.merge(graph, queue_depth).map(Some).map_err(MutationError::into_device_error)
+    guard.merge(graph).map(Some).map_err(MutationError::into_device_error)
 }
 
 impl Drive<'_> {
@@ -49,7 +48,7 @@ impl Drive<'_> {
         let Some(mlog) = self.mutations.as_deref() else {
             return Ok(false);
         };
-        let Some(outcome) = merge_pending(mlog, self.graph, self.cfg.queue_depth)? else {
+        let Some(outcome) = merge_pending(mlog, self.graph)? else {
             return Ok(false);
         };
         st.mutations.absorb(&self.landed(&outcome, report));
@@ -96,7 +95,7 @@ impl Drive<'_> {
         };
         let outcome = mlog
             .lock()
-            .commit(self.graph, self.cfg.queue_depth, &due)
+            .commit(self.graph, &due)
             .map_err(MutationError::into_device_error)?;
         Ok(self.landed(&outcome, report))
     }

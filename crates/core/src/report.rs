@@ -26,19 +26,21 @@ pub struct SuperstepStats {
     /// Active vertices whose adjacency came from the edge log instead of
     /// the CSR.
     pub edge_log_hits: u64,
-    /// Column-index pages accessed / accessed-and-inefficient (<10%
-    /// utilization) — Fig. 3's ratio.
+    /// Column-index pages accessed / accessed-and-inefficient
+    /// ([`mlvc_log::is_inefficient`]: under 10% utilization) — Fig. 3's
+    /// ratio.
     pub colidx_pages_accessed: u64,
     pub colidx_pages_inefficient: u64,
     /// Device activity during this superstep (pages, bytes, simulated I/O
     /// time).
     pub io: SsdStatsSnapshot,
-    /// Simulated compute time (cost model over messages + edges).
+    /// Simulated compute time ([`crate::compute_ns`] over messages + edges).
     pub compute_ns: u64,
     /// Simulated time the engine spent blocked on the I/O queue this
     /// superstep (submission stalls + residual completion waits). Already
-    /// included in `io.read_time_ns`; broken out to show overlap: deeper
-    /// queues / more in-flight batches shrink it (DESIGN.md §12).
+    /// included in `io.read_time_ns`; broken out to show overlap: what
+    /// the reads kept in flight could not hide behind compute (DESIGN.md
+    /// §12).
     pub io_wait_ns: u64,
     /// High-water mark of requests in flight on the I/O queue this
     /// superstep.

@@ -3,8 +3,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use mlvc_core::{
-    ConfigError, Engine, EngineConfig, InitActive, RunReport, SendSink, SuperstepStats, Update,
-    VertexCtx, VertexProgram,
+    compute_ns, ConfigError, Engine, EngineConfig, InitActive, RunReport, SendSink,
+    SuperstepStats, Update, VertexCtx, VertexProgram,
 };
 use mlvc_graph::{Csr, IntervalId, VertexIntervals, VertexId};
 use mlvc_log::BitSet;
@@ -343,9 +343,8 @@ impl GraphChiEngine {
             all_active = false;
             st.messages_sent = sends_total;
             st.io = self.ssd.stats().snapshot().since(&io0);
-            let cost = &self.cfg.cost;
             st.compute_ns =
-                cost.compute_ns(st.messages_processed, st.messages_delivered, st.edges_scanned);
+                compute_ns(st.messages_processed, st.messages_delivered, st.edges_scanned);
             st.wall_ns = wall0.elapsed().as_nanos() as u64;
             report.supersteps.push(st);
         }

@@ -7,7 +7,7 @@
 //!   `src dst [weight]` text, `#`-comment lines tolerated (the SNAP
 //!   convention), with configurable symmetrization/dedup on ingest;
 //! * [`read_csr_binary`] / [`write_csr_binary`] — a compact versioned
-//!   binary snapshot of a built [`Csr`] (magic, version, counts, raw
+//!   binary snapshot of a built [`Csr`](mlvc_graph::Csr) (magic, version, counts, raw
 //!   little-endian vectors) for fast reload of preprocessed graphs.
 
 mod edgelist;

@@ -1,5 +1,5 @@
 use crate::checked::{idx, to_u32, to_u64};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use mlvc_graph::{Adjacency, Edges, PageUsage, VertexId};
@@ -7,28 +7,16 @@ use mlvc_ssd::{DeviceError, FileId, Ssd};
 
 use crate::BitSet;
 
-/// Configuration of the edge-log optimizer (paper §V-C).
-#[derive(Debug, Clone)]
-pub struct EdgeLogConfig {
-    /// Host-memory cap for edge-log page buffers — the paper's "B%" of
-    /// total memory (default 5%).
-    pub buffer_bytes: usize,
-    /// A column-index page whose utilization is in (0, threshold) counts as
-    /// inefficiently used. Paper: "we chose a threshold of 10%".
-    pub inefficiency_threshold: f64,
-    /// History window N for the activity predictor. Paper: "this simple
-    /// history-based prediction with N equal to one proved effective".
-    pub history_supersteps: usize,
-}
+/// A column-index page whose utilization is in (0, threshold) counts as
+/// inefficiently used. Paper §V-C: "we chose a threshold of 10%".
+pub const INEFFICIENCY_THRESHOLD: f64 = 0.10;
 
-impl Default for EdgeLogConfig {
-    fn default() -> Self {
-        EdgeLogConfig {
-            buffer_bytes: 4 << 20,
-            inefficiency_threshold: 0.10,
-            history_supersteps: 1,
-        }
-    }
+/// Whether a page a superstep read was inefficiently used: some of it was
+/// needed, and less than [`INEFFICIENCY_THRESHOLD`] of it. The one
+/// definition behind the engine's `colidx_pages_inefficient` and the edge
+/// log's page predictor (Figs. 3 and 9).
+pub fn is_inefficient(u: &PageUsage) -> bool {
+    u.useful_bytes > 0 && u.utilization() < INEFFICIENCY_THRESHOLD
 }
 
 /// Counters of edge-log behaviour — including the Fig. 9 prediction-
@@ -77,8 +65,10 @@ struct RecordLoc {
 /// the underutilized CSR pages they came from. The decision requires all of:
 ///
 /// 1. `v` is predicted active next superstep — *known* if a message for
-///    `v` was already logged this superstep, else predicted from the last
-///    N supersteps' activity bit vectors;
+///    `v` was already logged this superstep, else predicted from the
+///    previous superstep's activity bit vector (the paper's history window
+///    with N = 1: "this simple history-based prediction with N equal to one
+///    proved effective", §V-C);
 /// 2. `v`'s edges live on a page predicted to be inefficiently used —
 ///    pages under the utilization threshold in the current superstep are
 ///    predicted inefficient for the next;
@@ -90,7 +80,9 @@ struct RecordLoc {
 /// `t + 1` writes the other file.
 pub struct EdgeLogOptimizer {
     ssd: Arc<Ssd>,
-    cfg: EdgeLogConfig,
+    /// Host-memory cap for edge-log page buffers — the paper's "B%" of
+    /// total memory.
+    buffer_bytes: usize,
     files: [FileId; 2],
     /// Index of the file currently being *written*.
     write_side: usize,
@@ -105,11 +97,11 @@ pub struct EdgeLogOptimizer {
     // Read side (filled during the previous superstep).
     read_index: HashMap<VertexId, RecordLoc>,
 
-    // Predictors.
-    history: VecDeque<BitSet>,
+    // Predictors: the previous superstep's active set, and the pages it
+    // used inefficiently.
+    previous: BitSet,
     predicted_inefficient: HashSet<(FileId, u64)>,
 
-    num_vertices: usize,
     stats: EdgeLogStats,
     /// Every request list handed to the device, for the test that pins them.
     #[cfg(test)]
@@ -117,14 +109,15 @@ pub struct EdgeLogOptimizer {
 }
 
 impl EdgeLogOptimizer {
+    /// An optimizer for `num_vertices` vertices staging at most
+    /// `buffer_bytes` of edge-log pages in memory, its two files named after
+    /// `tag`.
     pub fn new(
         ssd: Arc<Ssd>,
         num_vertices: usize,
-        cfg: EdgeLogConfig,
+        buffer_bytes: usize,
         tag: &str,
     ) -> Result<Self, DeviceError> {
-        assert!(cfg.history_supersteps >= 1);
-        assert!(cfg.inefficiency_threshold > 0.0 && cfg.inefficiency_threshold < 1.0);
         let files = [
             ssd.open_or_create(&format!("{tag}.edgelog.a"))?,
             ssd.open_or_create(&format!("{tag}.edgelog.b"))?,
@@ -133,7 +126,7 @@ impl EdgeLogOptimizer {
         ssd.truncate(files[1])?;
         Ok(EdgeLogOptimizer {
             ssd,
-            cfg,
+            buffer_bytes,
             files,
             write_side: 0,
             write_index: HashMap::new(),
@@ -142,9 +135,8 @@ impl EdgeLogOptimizer {
             sealed_pages: 0,
             flushed_pages: 0,
             read_index: HashMap::new(),
-            history: VecDeque::new(),
+            previous: BitSet::new(num_vertices),
             predicted_inefficient: HashSet::new(),
-            num_vertices,
             stats: EdgeLogStats::default(),
             #[cfg(test)]
             issued: Vec::new(),
@@ -155,18 +147,14 @@ impl EdgeLogOptimizer {
         self.stats
     }
 
-    pub fn config(&self) -> &EdgeLogConfig {
-        &self.cfg
-    }
-
     fn entries_per_page(&self) -> usize {
         self.ssd.page_size() / 4
     }
 
-    /// Was `v` active within the last N supersteps? (The history-bit-vector
-    /// predictor.)
+    /// Was `v` active in the previous superstep? (The history-bit-vector
+    /// predictor, N = 1.)
     pub fn predicted_active(&self, v: VertexId) -> bool {
-        self.history.iter().any(|h| h.get(idx(v)))
+        self.previous.get(idx(v))
     }
 
     /// Is any of the given column-index pages predicted inefficient for the
@@ -237,7 +225,7 @@ impl EdgeLogOptimizer {
         self.staged.push(buf);
         self.sealed_pages += 1;
         let page_size = self.ssd.page_size();
-        if self.staged.len() * page_size > self.cfg.buffer_bytes {
+        if self.staged.len() * page_size > self.buffer_bytes {
             self.flush_staged()?;
         }
         Ok(())
@@ -268,16 +256,14 @@ impl EdgeLogOptimizer {
     /// only — results never depend on the edge log holding a vertex).
     ///
     /// The history-bit predictor is *patched*, not reset: a merged vertex's
-    /// recorded activity described the pre-merge graph, so its bits are
-    /// cleared in every window, while untouched vertices keep their full
-    /// history and keep predicting across the merge.
+    /// recorded activity described the pre-merge graph, so its bit is
+    /// cleared, while untouched vertices keep theirs and keep predicting
+    /// across the merge.
     pub fn invalidate(&mut self, vs: &[VertexId]) {
         for v in vs {
             self.read_index.remove(v);
             self.write_index.remove(v);
-            for h in &mut self.history {
-                h.clear_bit(idx(*v));
-            }
+            self.previous.clear_bit(idx(*v));
         }
     }
 
@@ -355,14 +341,14 @@ impl EdgeLogOptimizer {
     /// * update Fig. 9 accuracy from the superstep's actual page usage
     ///   versus the predictions made a superstep ago;
     /// * predict next superstep's inefficient pages from current usage;
-    /// * push the superstep's *actual* active set into the history window;
+    /// * keep the superstep's *actual* active set as the next one's history;
     /// * flush the write side and swap read/write files.
     pub fn end_superstep(&mut self, active: &BitSet, usage: &[PageUsage]) -> Result<(), DeviceError> {
-        assert_eq!(active.len(), self.num_vertices);
+        assert_eq!(active.len(), self.previous.len());
         // Actual inefficient pages this superstep.
         let actual: HashSet<(FileId, u64)> = usage
             .iter()
-            .filter(|u| u.useful_bytes > 0 && u.utilization() < self.cfg.inefficiency_threshold)
+            .filter(|u| is_inefficient(u))
             .map(|u| (u.file, u.page))
             .collect();
         self.stats.actual_inefficient_pages += to_u64(actual.len());
@@ -373,10 +359,7 @@ impl EdgeLogOptimizer {
         self.stats.correctly_predicted_pages += to_u64(correct);
         self.predicted_inefficient = actual;
 
-        self.history.push_back(active.clone());
-        while self.history.len() > self.cfg.history_supersteps {
-            self.history.pop_front();
-        }
+        self.previous.clone_from(active);
 
         // Flush & swap.
         self.seal_top()?;
@@ -397,7 +380,7 @@ mod tests {
 
     fn setup() -> (Arc<Ssd>, EdgeLogOptimizer) {
         let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
-        let opt = EdgeLogOptimizer::new(Arc::clone(&ssd), 128, EdgeLogConfig::default(), "t").unwrap();
+        let opt = EdgeLogOptimizer::new(Arc::clone(&ssd), 128, 4 << 20, "t").unwrap();
         (ssd, opt)
     }
 
@@ -493,37 +476,21 @@ mod tests {
     }
 
     #[test]
-    fn longer_history_window() {
-        let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
-        let cfg = EdgeLogConfig { history_supersteps: 3, ..Default::default() };
-        let mut opt = EdgeLogOptimizer::new(ssd, 128, cfg, "h").unwrap();
-        opt.end_superstep(&active_set(&[9]), &[]).unwrap();
-        opt.end_superstep(&active_set(&[]), &[]).unwrap();
-        opt.end_superstep(&active_set(&[]), &[]).unwrap();
-        assert!(opt.predicted_active(9), "still within N=3 window");
-        opt.end_superstep(&active_set(&[]), &[]).unwrap();
-        assert!(!opt.predicted_active(9));
-    }
-
-    #[test]
     fn invalidate_patches_history_bits_for_dirty_vertices_only() {
-        let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
-        let cfg = EdgeLogConfig { history_supersteps: 3, ..Default::default() };
-        let mut opt = EdgeLogOptimizer::new(ssd, 128, cfg, "hp").unwrap();
-        // Vertices 7 and 9 active in every window of the N=3 history.
-        for _ in 0..3 {
-            opt.end_superstep(&active_set(&[7, 9]), &[]).unwrap();
-        }
+        let (_ssd, mut opt) = setup();
+        // Vertices 7 and 9 were active in the previous superstep.
+        opt.end_superstep(&active_set(&[7, 9]), &[]).unwrap();
         assert!(opt.predicted_active(7) && opt.predicted_active(9));
-        // A mutation merge dirtied vertex 7 only: its history is patched
-        // out of every window, while vertex 9 keeps its full history.
+        // A mutation merge dirtied vertex 7 only: its history bit is
+        // patched out, while vertex 9 keeps its own.
         opt.invalidate(&[7]);
-        assert!(!opt.predicted_active(7), "dirty vertex cleared in all windows");
+        assert!(!opt.predicted_active(7), "dirty vertex cleared");
         assert!(opt.predicted_active(9), "untouched vertex keeps its history");
-        // The patch survives window rotation exactly like real inactivity.
-        opt.end_superstep(&active_set(&[]), &[]).unwrap();
-        assert!(!opt.predicted_active(7));
-        assert!(opt.predicted_active(9), "two live windows remain for 9");
+        // The next superstep's activity replaces the patched history
+        // exactly like any other: 7 back when active again, 9 gone when not.
+        opt.end_superstep(&active_set(&[7]), &[]).unwrap();
+        assert!(opt.predicted_active(7));
+        assert!(!opt.predicted_active(9));
     }
 
     #[test]
@@ -673,8 +640,7 @@ mod tests {
     #[test]
     fn buffer_pressure_flushes_incrementally() {
         let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
-        let cfg = EdgeLogConfig { buffer_bytes: 2 * 256, ..Default::default() };
-        let mut opt = EdgeLogOptimizer::new(Arc::clone(&ssd), 4096, cfg, "b").unwrap();
+        let mut opt = EdgeLogOptimizer::new(Arc::clone(&ssd), 4096, 2 * 256, "b").unwrap();
         for v in 0..200u32 {
             opt.log_edges(v, &[v + 1, v + 2, v + 3]).unwrap();
         }

@@ -17,9 +17,10 @@
 //!   (§V-D) the groups are folded as the pages are decoded instead, one
 //!   update per destination, and nothing is sorted at all;
 //! * [`EdgeLogOptimizer`] — the **Edge-Log Optimizer** (§V-C): predicts
-//!   next-superstep active vertices from N supersteps of history bit
-//!   vectors, predicts inefficiently used column-index pages from the
-//!   current superstep's page utilization, and copies the out-edges of
+//!   next-superstep active vertices from the previous superstep's activity
+//!   bit vector (the paper's N = 1), predicts inefficiently used
+//!   column-index pages ([`is_inefficient`]) from the current superstep's
+//!   page utilization, and copies the out-edges of
 //!   predicted-active vertices on inefficient pages into a dense,
 //!   sequential edge log that the next superstep reads instead of the CSR.
 //!
@@ -70,7 +71,7 @@ mod update;
 pub use mlvc_ssd::checked;
 
 pub use bitset::BitSet;
-pub use edgelog::{EdgeLogConfig, EdgeLogOptimizer, EdgeLogStats};
+pub use edgelog::{is_inefficient, EdgeLogOptimizer, EdgeLogStats, INEFFICIENCY_THRESHOLD};
 pub use multilog::{BatchPlan, LogReader, MultiLog, MultiLogConfig, MultiLogStats};
 pub use page::{decode_log_page, pack_pages, LogPage, PageError, PageShape, ANY_DEST};
 pub use sortgroup::{group_by_dest, plan_fusion, FusedBatch};

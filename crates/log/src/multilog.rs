@@ -743,9 +743,19 @@ impl MultiLog {
     /// counts (what [`Self::finish_superstep`] returned when the snapshot
     /// was taken). Every page goes through the decoder first, so a
     /// snapshot whose pages are not this format's (or carry destinations
-    /// outside their interval) is refused before anything is written.
+    /// outside their interval), or that holds logs for a different number
+    /// of intervals, is refused before anything is written.
     pub fn restore_pending(&mut self, snapshot: &[Vec<Page>]) -> Result<Vec<u64>, DeviceError> {
-        assert_eq!(snapshot.len(), self.files.len(), "snapshot interval count mismatch");
+        if snapshot.len() != self.files.len() {
+            return Err(DeviceError::Corrupt {
+                what: "checkpoint",
+                detail: format!(
+                    "snapshot holds logs of {} intervals, the multi-log has {}",
+                    snapshot.len(),
+                    self.files.len()
+                ),
+            });
+        }
         let side = 1 - self.write_side;
         let mut counts = vec![0u64; self.files.len()];
         let mut decoded = Vec::new();
@@ -1182,5 +1192,18 @@ pub(crate) mod tests {
         assert!(ssd.num_pages(ssd.lookup("t.mlog.1.a").unwrap()).unwrap() > 0);
         corrupt(&ssd, "t.mlog.1.a");
         assert_corrupt(ml.take_log_current(1), "take_log_current");
+    }
+
+    /// A snapshot of a differently partitioned run is refused with a typed
+    /// error before anything is written, not a panic.
+    #[test]
+    fn restore_refuses_a_snapshot_of_another_interval_count() {
+        let mut ml = setup(1 << 20);
+        ml.send(Update::new(3, 0, 7)).unwrap();
+        ml.finish_superstep().unwrap();
+        let snapshot = ml.snapshot_pending().unwrap();
+        let err = ml.restore_pending(&snapshot[..3]).unwrap_err();
+        assert!(matches!(err, DeviceError::Corrupt { what: "checkpoint", .. }), "{err}");
+        assert_eq!(ml.snapshot_pending().unwrap(), snapshot, "nothing was written");
     }
 }

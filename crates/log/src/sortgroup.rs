@@ -26,7 +26,7 @@ pub struct FusedBatch {
     pub load_ns: u64,
     pub sort_ns: u64,
     /// Header + record bytes of the pages the batch was decoded from —
-    /// what [`LogReader::consume`] declares as useful.
+    /// what [`LogReader::consume`](crate::LogReader::consume) declares as useful.
     pub useful_bytes: u64,
 }
 

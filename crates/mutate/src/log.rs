@@ -25,7 +25,7 @@ use mlvc_graph::{
 };
 use mlvc_log::{decode_log_page, pack_pages, LogPage, PageShape, Update};
 use mlvc_recover::crc32;
-use mlvc_ssd::{DeviceError, FileId, IoQueue, Page, Ssd};
+use mlvc_ssd::{DeviceError, FileId, IoQueue, Page, Ssd, QUEUE_DEPTH};
 
 use crate::batch::{dedup_last_wins, finish_dirty, upsert_adjacency, validate_range};
 use crate::{EdgeMutation, MutationDelta, MutationError, MutationOp};
@@ -289,20 +289,16 @@ impl MutationLog {
     }
 
     /// Merge every pending mutation into `graph`'s CSR partitions under
-    /// the data-before-manifest protocol, reading through a submission
-    /// queue of the given depth. Returns the effective delta.
-    pub fn merge(
-        &mut self,
-        graph: &StoredGraph,
-        queue_depth: usize,
-    ) -> Result<MergeOutcome, MutationError> {
+    /// the data-before-manifest protocol, reading through the device's
+    /// submission queue. Returns the effective delta.
+    pub fn merge(&mut self, graph: &StoredGraph) -> Result<MergeOutcome, MutationError> {
         self.check_target(graph)?;
         // Stage 0: make the whole batch readable from the device logs.
         self.flush()?;
         if self.pending() == 0 {
             return Ok(MergeOutcome::default());
         }
-        let ioq = IoQueue::new(Arc::clone(&self.ssd), queue_depth.max(1));
+        let ioq = IoQueue::new(Arc::clone(&self.ssd), QUEUE_DEPTH);
         // Stage 1: drain and decode each interval's log (device order is
         // ingest order, so last-op-wins over the log reproduces the
         // client's intent).
@@ -325,7 +321,6 @@ impl MutationLog {
     pub fn commit(
         &mut self,
         graph: &StoredGraph,
-        queue_depth: usize,
         per_interval: &[Vec<EdgeMutation>],
     ) -> Result<MergeOutcome, MutationError> {
         self.check_target(graph)?;
@@ -345,7 +340,7 @@ impl MutationLog {
                 )));
             }
         }
-        let ioq = IoQueue::new(Arc::clone(&self.ssd), queue_depth.max(1));
+        let ioq = IoQueue::new(Arc::clone(&self.ssd), QUEUE_DEPTH);
         let (delta, rewritten) = self.install(graph, &ioq, per_interval)?;
         self.seal(graph, delta, rewritten)
     }
@@ -713,7 +708,7 @@ mod tests {
         let mut log = log_for(&sg);
         log.ingest(&batch).unwrap();
         assert!(log.pending() > 0);
-        let out = log.merge(&sg, 4).unwrap();
+        let out = log.merge(&sg).unwrap();
         assert_eq!(log.pending(), 0);
         assert_eq!(out.delta, golden_delta);
         let merged = sg.to_csr().unwrap();
@@ -722,7 +717,7 @@ mod tests {
         assert_eq!(sg.num_edges(), to_u64(golden.num_edges()));
         // Replaying the same batch is a no-op merge.
         log.ingest(&batch).unwrap();
-        let again = log.merge(&sg, 4).unwrap();
+        let again = log.merge(&sg).unwrap();
         assert!(again.delta.is_empty());
         assert_eq!(again.stats.intervals_merged, 0);
         let replayed = sg.to_csr().unwrap();
@@ -747,7 +742,7 @@ mod tests {
         assert!(st.pages_flushed > 0, "tiny budget must spill");
         assert!(log.stats().evictions > 0);
         let (golden, _) = apply_to_csr(&base, &batch).unwrap();
-        log.merge(&sg, 1).unwrap();
+        log.merge(&sg).unwrap();
         assert_eq!(sg.to_csr().unwrap().col_idx(), golden.col_idx());
     }
 
@@ -771,7 +766,7 @@ mod tests {
         assert_eq!(reopened.pending(), 2, "device records rediscovered");
         let base = sg.to_csr().unwrap();
         let (golden, _) = apply_to_csr(&base, &batch).unwrap();
-        reopened.merge(&sg, 2).unwrap();
+        reopened.merge(&sg).unwrap();
         assert_eq!(sg.to_csr().unwrap().col_idx(), golden.col_idx());
     }
 
@@ -793,23 +788,23 @@ mod tests {
             EdgeMutation::add(src, 3),
             EdgeMutation::add(src, 5),
         ];
-        let out = log.commit(&sg, 4, &due).unwrap();
+        let out = log.commit(&sg, &due).unwrap();
         assert_eq!(log.pending(), 2, "the client batch is still pending");
         let (golden, golden_delta) = apply_to_csr(&base, &due[1]).unwrap();
         assert_eq!(out.delta, golden_delta);
         assert_eq!(sg.to_csr().unwrap().col_idx(), golden.col_idx());
         assert_eq!(sg.num_edges(), to_u64(golden.num_edges()));
         // The batch then merges as if nothing had happened in between.
-        log.merge(&sg, 4).unwrap();
+        log.merge(&sg).unwrap();
         let (both, _) = apply_to_csr(&golden, &batch).unwrap();
         assert_eq!(sg.to_csr().unwrap().col_idx(), both.col_idx());
 
         // A list in the wrong interval's slot, or an endpoint outside the
         // graph, is refused before anything is read or written.
         due.swap(0, 1);
-        assert!(matches!(log.commit(&sg, 4, &due), Err(MutationError::Corrupt(_))));
+        assert!(matches!(log.commit(&sg, &due), Err(MutationError::Corrupt(_))));
         due[0] = vec![EdgeMutation::add(0, n)];
-        assert!(matches!(log.commit(&sg, 4, &due), Err(MutationError::OutOfRange { .. })));
+        assert!(matches!(log.commit(&sg, &due), Err(MutationError::OutOfRange { .. })));
         assert_eq!(sg.to_csr().unwrap().col_idx(), both.col_idx());
     }
 
@@ -824,7 +819,7 @@ mod tests {
         let sg = StoredGraph::store_with(&ssd, &g, "w", iv).unwrap();
         let mut log = log_for(&sg);
         log.ingest(&[EdgeMutation::add(2, 3)]).unwrap();
-        assert_eq!(log.merge(&sg, 1).unwrap_err(), MutationError::WeightedUnsupported);
+        assert_eq!(log.merge(&sg).unwrap_err(), MutationError::WeightedUnsupported);
     }
 
     #[test]

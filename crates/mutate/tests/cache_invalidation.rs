@@ -67,7 +67,7 @@ fn merge_invalidates_exactly_the_dirty_partitions_cached_pages() {
         batch.push(EdgeMutation::add(s, d));
     }
     mlog.ingest(&batch).unwrap();
-    let outcome = mlog.merge(&sg, 4).unwrap();
+    let outcome = mlog.merge(&sg).unwrap();
     assert!(!outcome.delta.dirty.is_empty(), "the batch must dirty something");
 
     // Rewritten partitions are those holding a mutated edge's *source*

@@ -415,8 +415,8 @@ pub struct TraceRecord {
     pub sim_time_ns: u64,
     /// Simulated nanoseconds the engine spent blocked on the I/O queue
     /// (submission stalls at full queue depth plus completion waits).
-    /// Unlike the counters above this varies with queue depth and
-    /// in-flight batches — but not with thread count.
+    /// Unlike the counters above this is a matter of timing — how much
+    /// of the queue's service compute hid — but not of thread count.
     pub io_wait_ns: u64,
     /// High-water mark of concurrently outstanding I/O tickets.
     pub max_inflight: u64,

@@ -351,8 +351,9 @@ where
 ///
 /// The chunk boundaries depend on the resolved thread count, so callers
 /// must only combine the results in a chunking-invariant way — e.g. an
-/// order-preserving concatenation of per-chunk buffers, which is exactly
-/// what the engine's parallel update scatter does.
+/// order-preserving concatenation of per-chunk buffers, which is how
+/// [`par_sort_by_u32_key`] gathers its keys. (The engine's scatter drains
+/// its per-worker send sinks on the owner thread and calls nothing here.)
 pub fn par_chunk_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,

@@ -24,8 +24,8 @@
 //! remembers the last write and the current read set, every access checks
 //! the clock of the previous conflicting access, and a violation is
 //! reported with **both** source locations (via `#[track_caller]`). A race
-//! report panics by default ([`set_panic_on_race`]) so CI fails loudly;
-//! fixtures flip the toggle and drain [`take_reports`].
+//! report panics by default (`set_panic_on_race`) so CI fails loudly;
+//! fixtures flip the toggle and drain `take_reports`.
 //!
 //! Thread slots are reused only after the owning thread has been joined, so
 //! a recycled slot's epochs keep increasing monotonically; an access

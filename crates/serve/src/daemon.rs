@@ -408,14 +408,11 @@ impl Daemon {
         let Some(graph) = self.datasets.get(dataset) else {
             return Ok(None);
         };
-        let depth = EngineConfig::default().queue_depth;
         let mut guard = mlog.lock();
         if guard.pending() == 0 {
             return Ok(None);
         }
-        let outcome = guard
-            .merge(graph, depth)
-            .map_err(MutationError::into_device_error)?;
+        let outcome = guard.merge(graph).map_err(MutationError::into_device_error)?;
         drop(guard);
         // The merge's truncate+append rewrite already invalidated the
         // dirty extents' cached and pinned pages; re-pin against the new

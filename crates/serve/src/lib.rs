@@ -38,7 +38,7 @@
 //!   is the explicit [`Daemon::merge_mutations`] call, which requires
 //!   quiescence (no jobs reading that dataset). See DESIGN.md §17.
 //!
-//! Protocol and transport live in [`protocol`]: one JSON object per line
+//! Protocol and transport live in the `protocol` module: one JSON object per line
 //! in, one reply event per line out (`accepted`/`queued`/`rejected`/
 //! `done`/`failed`/`mutated`). See DESIGN.md §15.
 

@@ -508,7 +508,7 @@ mod tests {
             (DeviceError::Corrupt { what: "csr", detail: "x".to_string() }, "corrupt"),
             (DeviceError::Full(FtlError::NoFreeBlock { lpa: (1, 2) }), "device-full"),
             (ConfigError::NeedsWeights { app: "sssp" }.into(), "needs-weights"),
-            (ConfigError::ZeroQueueDepth.into(), "zero-queue-depth"),
+            (ConfigError::ZeroCheckpointCadence.into(), "zero-checkpoint-cadence"),
         ];
         for (e, code) in cases {
             assert_eq!(e.code(), code);

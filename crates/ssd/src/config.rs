@@ -1,14 +1,16 @@
 
 use crate::{DEFAULT_CHANNELS, DEFAULT_PAGE_SIZE};
 
-/// Configuration of the simulated SSD: geometry and service-time model.
+/// Geometry of the simulated SSD. The service-time model is one device's —
+/// a SATA TLC drive in the class of the paper's Samsung 860 EVO — and lives
+/// beside the code that charges it ([`READ_NS`], [`WRITE_NS`],
+/// [`SEQ_DISCOUNT`]). Absolute values only scale the simulated clock; the
+/// experiments report *ratios* between engines running on identical
+/// devices, so shapes are insensitive to the exact figures.
 ///
-/// Defaults correspond to a SATA TLC drive in the class of the paper's
-/// Samsung 860 EVO: ~120 µs page reads, ~240 µs page programs, 4 channels
-/// (~530 MB/s read, ~270 MB/s sustained write).
-/// Absolute values only scale the simulated clock; the experiments report
-/// *ratios* between engines running on identical devices, so shapes are
-/// insensitive to the exact figures.
+/// [`READ_NS`]: crate::READ_NS
+/// [`WRITE_NS`]: crate::WRITE_NS
+/// [`SEQ_DISCOUNT`]: crate::SEQ_DISCOUNT
 #[derive(Debug, Clone)]
 pub struct SsdConfig {
     /// Page size in bytes; minimum unit of every read and write.
@@ -16,25 +18,11 @@ pub struct SsdConfig {
     /// Number of independent flash channels. Requests in one batch are
     /// striped across channels and serviced in parallel.
     pub channels: usize,
-    /// Service time to read one page on one channel, nanoseconds.
-    pub read_ns: u64,
-    /// Service time to program (write) one page on one channel, nanoseconds.
-    pub write_ns: u64,
-    /// Multiplier (0 < d ≤ 1) applied to pages that continue a sequential
-    /// run on the same channel: sequential access amortizes command setup
-    /// and read-ahead. 1.0 disables the discount.
-    pub seq_discount: f64,
 }
 
 impl Default for SsdConfig {
     fn default() -> Self {
-        SsdConfig {
-            page_size: DEFAULT_PAGE_SIZE,
-            channels: DEFAULT_CHANNELS,
-            read_ns: 120_000,
-            write_ns: 240_000,
-            seq_discount: 0.7,
-        }
+        SsdConfig { page_size: DEFAULT_PAGE_SIZE, channels: DEFAULT_CHANNELS }
     }
 }
 
@@ -68,16 +56,16 @@ impl SsdConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::READ_NS;
 
     #[test]
     fn defaults_match_paper_geometry() {
         let c = SsdConfig::default();
         assert_eq!(c.page_size, 16 * 1024);
         assert_eq!(c.channels, 4);
-        // SATA-class read bandwidth: page_size * channels / read_ns.
-        let mbps = (c.page_size * c.channels) as f64 / (c.read_ns as f64 / 1e9) / 1e6;
+        // SATA-class read bandwidth: page_size * channels / READ_NS.
+        let mbps = (c.page_size * c.channels) as f64 / (READ_NS as f64 / 1e9) / 1e6;
         assert!((400.0..700.0).contains(&mbps), "read bandwidth {mbps} MB/s");
-        assert!(c.read_ns < c.write_ns, "flash programs are slower than reads");
     }
 
     #[test]

@@ -2,6 +2,20 @@ use crate::checked::{mem_idx, to_u64, wide};
 use crate::config::SsdConfig;
 use crate::device::FileId;
 
+/// Service time to read one page on one channel, nanoseconds: a SATA TLC
+/// drive in the class of the paper's Samsung 860 EVO (~530 MB/s over the
+/// default four channels).
+pub const READ_NS: u64 = 120_000;
+
+/// Service time to program (write) one page on one channel, nanoseconds
+/// (~270 MB/s sustained over four channels).
+pub const WRITE_NS: u64 = 240_000;
+const _: () = assert!(READ_NS < WRITE_NS, "flash programs are slower than reads");
+
+/// Price multiplier of a page that continues a sequential run on its
+/// channel: sequential access amortizes command setup and read-ahead.
+pub const SEQ_DISCOUNT: f64 = 0.7;
+
 /// Address of one page: a file and a page index within it.
 ///
 /// Channel placement is a pure function of the address (see [`channel_of`]),
@@ -29,16 +43,43 @@ pub fn channel_of(addr: PageAddr, channels: usize) -> usize {
     mem_idx(wide(addr.file).wrapping_mul(31).wrapping_add(addr.page) % to_u64(channels))
 }
 
+/// Price of page `a` on its channel, given the page that channel served
+/// before it in the same dispatch: a page continuing a sequential run (same
+/// file, at most `channels` pages past the previous one) costs
+/// `per_page_ns * SEQ_DISCOUNT`, a run head full price. Striding by
+/// `channels` pages within one file keeps hitting the same channel with
+/// (nearly) consecutive physical pages — that is what a sequential stream
+/// striped across channels looks like per channel — hence the
+/// `<= channels` run test.
+pub(crate) fn page_cost_ns(
+    prev: Option<PageAddr>,
+    a: PageAddr,
+    channels: usize,
+    per_page_ns: u64,
+) -> f64 {
+    let seq = matches!(
+        prev,
+        Some(p) if p.file == a.file && a.page > p.page && a.page - p.page <= to_u64(channels)
+    );
+    if seq {
+        per_page_ns as f64 * SEQ_DISCOUNT
+    } else {
+        per_page_ns as f64
+    }
+}
+
 /// Simulated service time for a *batch* of page requests issued together.
 ///
 /// Model: each page is serviced by its channel; channels operate in
 /// parallel, so batch time is the maximum per-channel time. Within one
-/// channel, a page that continues a sequential run (same file, page index
-/// exactly one past the previous page on that channel within the batch) is
-/// charged `per_page_ns * seq_discount`; run heads are charged full price.
+/// channel each page is priced by the rule [`IoQueue`] charges too:
+/// sequential-run continuations at [`SEQ_DISCOUNT`], run heads at full
+/// price.
 ///
 /// The batch is sorted internally, so callers may pass addresses in any
 /// order — an I/O scheduler would do the same reordering.
+///
+/// [`IoQueue`]: crate::IoQueue
 pub fn batch_time_ns(cfg: &SsdConfig, addrs: &[PageAddr], per_page_ns: u64) -> u64 {
     if addrs.is_empty() {
         return 0;
@@ -54,20 +95,7 @@ pub fn batch_time_ns(cfg: &SsdConfig, addrs: &[PageAddr], per_page_ns: u64) -> u
     let mut chan_prev: Vec<Option<PageAddr>> = vec![None; channels];
     for &a in &sorted {
         let ch = channel_of(a, channels);
-        let seq = matches!(
-            chan_prev[ch],
-            Some(p) if p.file == a.file && a.page > p.page && a.page - p.page <= to_u64(channels)
-        );
-        // Striding by `channels` pages within the same file keeps hitting the
-        // same channel with (nearly) consecutive physical pages — that is what
-        // a sequential stream striped across channels looks like per-channel —
-        // hence the `<= channels` run test above.
-        let cost = if seq {
-            per_page_ns as f64 * cfg.seq_discount
-        } else {
-            per_page_ns as f64
-        };
-        chan_time[ch] += cost;
+        chan_time[ch] += page_cost_ns(chan_prev[ch], a, channels, per_page_ns);
         chan_prev[ch] = Some(a);
     }
     // mlvc-lint: allow(no-truncating-cast) -- f64 has no TryFrom<u64>; nanosecond totals stay far below 2^53
@@ -108,7 +136,7 @@ mod tests {
         let addrs: Vec<_> = (0..8).map(|i| PageAddr::new(0, i)).collect();
         let t = batch_time_ns(&c, &addrs, 100_000);
         // One head at full price + 7 sequential continuations discounted.
-        let expect = (100_000.0 + 7.0 * 100_000.0 * c.seq_discount).round() as u64;
+        let expect = (100_000.0 + 7.0 * 100_000.0 * SEQ_DISCOUNT).round() as u64;
         assert_eq!(t, expect);
     }
 

@@ -10,7 +10,7 @@ use crate::cache::{PageCache, TenantId};
 use crate::checked::{idx, mem_idx, page_byte_offset, to_u32, to_u64};
 
 use crate::config::SsdConfig;
-use crate::cost::{batch_time_ns, PageAddr};
+use crate::cost::{batch_time_ns, PageAddr, READ_NS, WRITE_NS};
 use crate::fault::{DeviceError, FaultCounters, FaultPlan, FaultState, WriteFate};
 use crate::ftl::{FtlConfig, FtlModel, FtlOp, FtlStats};
 use crate::page::Page;
@@ -757,7 +757,7 @@ impl Ssd {
         }
         self.charge_read(&addrs, useful_total, charge_time);
         if extra_retries > 0 {
-            let t = extra_retries.saturating_mul(self.shared.cfg.read_ns);
+            let t = extra_retries.saturating_mul(READ_NS);
             for s in self.charge_sinks() {
                 s.read_time_ns.add(t);
             }
@@ -898,7 +898,7 @@ impl Ssd {
             return;
         }
         let t = if charge_time {
-            batch_time_ns(&self.shared.cfg, addrs, self.shared.cfg.read_ns)
+            batch_time_ns(&self.shared.cfg, addrs, READ_NS)
         } else {
             0
         };
@@ -924,7 +924,7 @@ impl Ssd {
         if let Some(c) = cache {
             c.invalidate_addrs(addrs);
         }
-        let t = batch_time_ns(&self.shared.cfg, addrs, self.shared.cfg.write_ns);
+        let t = batch_time_ns(&self.shared.cfg, addrs, WRITE_NS);
         for s in self.charge_sinks() {
             s.pages_written.add(to_u64(addrs.len()));
             s.bytes_written.add(to_u64(addrs.len()) * to_u64(self.shared.cfg.page_size));

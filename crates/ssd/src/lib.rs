@@ -9,9 +9,10 @@
 //!
 //! * storage is a set of named **files**, each a growable sequence of
 //!   fixed-size **pages** (default 16 KB, the paper's access granularity);
-//! * every page read/write is charged against a **cost model** — a per-page
-//!   service time, pipelined across a configurable number of channels, with a
-//!   discount for sequential runs on the same channel;
+//! * every page read/write is charged against one device's **cost model** —
+//!   a per-page service time ([`READ_NS`], [`WRITE_NS`]), pipelined across a
+//!   configurable number of channels, with a discount for sequential runs on
+//!   the same channel ([`SEQ_DISCOUNT`]);
 //! * **statistics** record pages/bytes moved and the caller-declared *useful*
 //!   bytes of each read, from which read amplification (paper Fig. 3) is
 //!   derived.
@@ -59,12 +60,12 @@ pub mod sync;
 
 pub use cache::{CacheSnapshot, PageCache, TenantCacheStats, TenantId};
 pub use config::SsdConfig;
-pub use cost::{batch_time_ns, channel_of, PageAddr};
+pub use cost::{batch_time_ns, channel_of, PageAddr, READ_NS, SEQ_DISCOUNT, WRITE_NS};
 pub use device::{Backend, FileId, Ssd};
 pub use fault::{DeviceError, FaultCounters, FaultPlan};
 pub use ftl::{FtlConfig, FtlError, FtlModel, FtlOp, FtlStats, Lpa};
 pub use page::Page;
-pub use queue::{IoQueue, QueueWaitStats, Ticket};
+pub use queue::{IoQueue, QueueWaitStats, Ticket, QUEUE_DEPTH};
 pub use stats::{RelaxedCounter, SsdStats, SsdStatsSnapshot};
 
 /// Default SSD page size used throughout the reproduction (bytes).

@@ -8,8 +8,9 @@
 //! explicit submission/completion model:
 //!
 //! * [`IoQueue::submit_read`] schedules every page of a batch onto its flash
-//!   channel's virtual clock (same placement and sequential-run discount as
-//!   [`batch_time_ns`]) and returns a [`Ticket`]. Channels keep servicing
+//!   channel's virtual clock (same placement and sequential-run price as
+//!   [`batch_time_ns`]: both charge each page through one rule) and returns
+//!   a [`Ticket`]. Channels keep servicing
 //!   earlier tickets while later ones queue behind them — the overlap.
 //! * Each channel holds at most `depth` outstanding page requests. A submit
 //!   that would exceed the depth *stalls*: the submitter's clock advances to
@@ -47,12 +48,18 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-use crate::checked::to_u64;
-use crate::cost::{channel_of, PageAddr};
+use crate::cost::{channel_of, page_cost_ns, PageAddr, READ_NS};
 use crate::device::{FileId, Ssd};
 use crate::fault::DeviceError;
 use crate::page::Page;
 use crate::sync::Mutex;
+
+/// Per-channel depth of the queue every reader in the tree opens — the
+/// engine's fused-batch fetch and the mutation commit's drain and install.
+/// Depth moves only *when* submission returns, never a result or a page
+/// count (see the module docs), so nothing sets it but the simulator's own
+/// tests.
+pub const QUEUE_DEPTH: usize = 16;
 
 /// Handle of one submitted read batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -124,11 +131,6 @@ impl IoQueue {
         }
     }
 
-    /// Per-channel queue depth.
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-
     /// Schedule a read batch onto the channel clocks and return its ticket.
     ///
     /// Owner-thread, plan-order only (see the module docs). Any submission
@@ -143,8 +145,7 @@ impl IoQueue {
         } else {
             None
         };
-        let cfg = self.ssd.config();
-        let channels = cfg.channels;
+        let channels = self.ssd.config().channels;
         let mut sorted: Vec<PageAddr> =
             reqs.iter().map(|&(f, p, _)| PageAddr::new(f, p)).collect();
         sorted.sort_unstable();
@@ -170,17 +171,8 @@ impl IoQueue {
                     cursor = cursor.max(fin);
                 }
             }
-            let seq = matches!(
-                chan_prev[ch],
-                Some(p) if p.file == a.file && a.page > p.page && a.page - p.page <= to_u64(channels)
-            );
-            let cost = if seq {
-                cfg.read_ns as f64 * cfg.seq_discount
-            } else {
-                cfg.read_ns as f64
-            };
             let start = st.chan_free[ch].max(cursor);
-            let fin = start + cost;
+            let fin = start + page_cost_ns(chan_prev[ch], a, channels, READ_NS);
             st.chan_free[ch] = fin;
             st.chan_q[ch].push_back(fin);
             chan_prev[ch] = Some(a);
@@ -291,7 +283,7 @@ mod tests {
         let q = IoQueue::new(Arc::clone(&ssd), 16);
         let r = reqs(f, 0..16);
         let addrs: Vec<PageAddr> = r.iter().map(|&(f, p, _)| PageAddr::new(f, p)).collect();
-        let expect = batch_time_ns(ssd.config(), &addrs, ssd.config().read_ns);
+        let expect = batch_time_ns(ssd.config(), &addrs, READ_NS);
         let t = q.submit_read(r);
         assert_eq!(q.complete(t), expect, "idle queue degenerates to batch_time_ns");
         assert_eq!(ssd.stats().snapshot().read_time_ns, expect);
@@ -327,8 +319,8 @@ mod tests {
         // Serial charging: two batches back to back.
         let addrs =
             |r: std::ops::Range<u64>| r.map(|p| PageAddr::new(f, p)).collect::<Vec<_>>();
-        let t1 = batch_time_ns(ssd.config(), &addrs(0..8), ssd.config().read_ns);
-        let t2 = batch_time_ns(ssd.config(), &addrs(8..16), ssd.config().read_ns);
+        let t1 = batch_time_ns(ssd.config(), &addrs(0..8), READ_NS);
+        let t2 = batch_time_ns(ssd.config(), &addrs(8..16), READ_NS);
 
         let q = IoQueue::new(Arc::clone(&ssd), 16);
         let a = q.submit_read(reqs(f, 0..8));
@@ -373,6 +365,43 @@ mod tests {
             ssd.stats().snapshot().read_time_ns > 0,
             "submission past depth 1 must stall"
         );
+    }
+
+    /// The engine's fetch loop in miniature (DESIGN.md §12): four tickets
+    /// kept in flight, retired in order, compute advanced between
+    /// completions. A deeper per-channel queue never makes the owner wait
+    /// longer, and no depth changes the pages or batches charged.
+    #[test]
+    fn deeper_queues_never_wait_longer_and_charge_the_same_reads() {
+        const BATCHES: u64 = 12;
+        const AHEAD: u64 = 4;
+        let (ssd, f) = dev_with_file(16 * BATCHES);
+        let mut seen = Vec::new();
+        for depth in [1usize, 4, 16] {
+            ssd.stats().reset();
+            let q = IoQueue::new(Arc::clone(&ssd), depth);
+            let mut inflight = VecDeque::new();
+            let mut submitted = 0u64;
+            for bi in 0..BATCHES {
+                while submitted < BATCHES && submitted < bi + AHEAD {
+                    let pages = submitted * 16..(submitted + 1) * 16;
+                    inflight.push_back(q.submit_read(reqs(f, pages)));
+                    submitted += 1;
+                }
+                let t = inflight.pop_front().unwrap();
+                q.fetch(t).unwrap();
+                q.complete(t);
+                q.advance(READ_NS * (bi % 3 + 1));
+            }
+            let dev = ssd.stats().snapshot();
+            seen.push((q.take_wait_stats().io_wait_ns, dev.pages_read, dev.read_batches));
+        }
+        let wait: Vec<u64> = seen.iter().map(|s| s.0).collect();
+        assert!(wait[0] >= wait[1] && wait[1] >= wait[2], "io_wait_ns by depth 1, 4, 16: {wait:?}");
+        assert!(wait[0] > wait[2], "depth 1 must stall where 16 does not: {wait:?}");
+        for s in &seen {
+            assert_eq!((s.1, s.2), (16 * BATCHES, BATCHES), "pages and batches charged: {seen:?}");
+        }
     }
 
     #[test]

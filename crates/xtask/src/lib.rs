@@ -51,7 +51,7 @@ pub fn lint_file(path: &Path, rel: &str) -> io::Result<Vec<Diagnostic>> {
 }
 
 /// Recursively collect every `.rs` file under `root`, skipping
-/// [`SKIP_DIRS`], in deterministic (sorted) order.
+/// `SKIP_DIRS`, in deterministic (sorted) order.
 pub fn collect_rs_files(root: &Path) -> io::Result<Vec<PathBuf>> {
     let mut out = Vec::new();
     let mut stack = vec![root.to_path_buf()];

@@ -18,6 +18,11 @@ echo "== clippy (-D warnings) =="
 cargo clippy --workspace --all-targets -q -- -D warnings \
   -A clippy::cast-possible-truncation -A clippy::cast-sign-loss
 
+echo "== rustdoc (-D warnings) =="
+# Doc links name fields, functions and modules; a deletion that leaves one
+# pointing at nothing (or at a private item) fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
+
 echo "== tier-1: build =="
 cargo build --release
 

@@ -618,7 +618,7 @@ fn cmd_ingest(a: &Args) -> Result<(), String> {
     println!("accepted {} ({} deduped in-batch)", ing.accepted, ing.deduped);
 
     let outcome = match a.get("app") {
-        None => mlog.merge(&sg, cfg.queue_depth).map_err(|e| format!("merge: {e}"))?,
+        None => mlog.merge(&sg).map_err(|e| format!("merge: {e}"))?,
         Some(app_name) => {
             // Solve the base graph, then merge the pending batch and
             // incrementally re-converge from the previous states.
@@ -857,6 +857,20 @@ mod tests {
         run(&strs(&[
             "resume", "--app", "pagerank", "--graph", csr_s, "--ssd-dir", dev_s,
             "--steps", "10",
+        ]))
+        .unwrap();
+        // The intervals follow the sort budget: at another --memory-kb the
+        // checkpoint's logs are another partition's, so it is not this
+        // run's to resume from — the run starts over instead of panicking.
+        let g = load_graph(csr_s).unwrap();
+        let intervals = |kb: usize| {
+            let sort = EngineConfig::default().with_memory(kb << 10).sort_budget();
+            VertexIntervals::for_graph(&g, 16, sort).num_intervals()
+        };
+        assert_ne!(intervals(2048), intervals(16), "the budgets must partition differently");
+        run(&strs(&[
+            "resume", "--app", "pagerank", "--graph", csr_s, "--ssd-dir", dev_s,
+            "--memory-kb", "16", "--steps", "10",
         ]))
         .unwrap();
         // resume demands mlvc + --ssd-dir.

@@ -31,7 +31,6 @@ use multilogvc::graph::{Csr, StoredGraph, VertexIntervals};
 use multilogvc::mutate::{EdgeMutation, MutationConfig, MutationLog};
 use multilogvc::ssd::{FaultPlan, Ssd, SsdConfig};
 
-const QD: usize = 4;
 const TAG: &str = "mut";
 
 fn base_graph() -> Csr {
@@ -97,7 +96,7 @@ fn pipeline(
     .ok()?;
     mlog.ingest(muts).ok()?;
     mlog.flush().ok()?;
-    mlog.merge(sg, QD).ok()?;
+    mlog.merge(sg).ok()?;
     let mut eng = MultiLogEngine::with_shared_graph(
         Arc::clone(ssd),
         Arc::clone(sg),
@@ -137,7 +136,7 @@ fn sweep(prog: &dyn VertexProgram, steps: usize) {
         );
         assert_eq!(mlog.pending(), 0, "recovery must leave an empty log");
         mlog.ingest(&muts).unwrap();
-        mlog.merge(&sg, QD).unwrap_or_else(|e| {
+        mlog.merge(&sg).unwrap_or_else(|e| {
             panic!("{}: replay merge after crash at write {crash_at} failed: {e}", prog.name())
         });
 
@@ -225,7 +224,7 @@ fn attached_reconverge_survives_a_crash_at_every_write() {
         let mut mlog = open_log(&ssd, &sg);
         mlog.recover(&sg).unwrap();
         mlog.ingest(&muts).unwrap();
-        mlog.merge(&sg, QD).unwrap();
+        mlog.merge(&sg).unwrap();
         assert_eq!(sg.to_csr().unwrap(), golden_csr, "CSR diverges at write {crash_at}");
         let mut rec = MultiLogEngine::with_shared_graph(
             Arc::clone(&ssd),

@@ -2,11 +2,11 @@
 //! WCC, and BFS, running the base graph, merging a mutation batch, and
 //! incrementally re-converging from the previous states must land on
 //! states **bit-identical** to a cold run over the mutated graph — across
-//! worker thread counts and I/O queue depths — and the merged on-device
+//! worker thread counts — and the merged on-device
 //! CSR must equal the in-memory golden `apply_to_csr` result exactly.
 //!
 //! The thread-count override is process-global, so the full
-//! threads × depth sweep lives in one `#[test]`; the edge-case batteries
+//! thread sweep lives in one `#[test]`; the edge-case batteries
 //! (duplicates, self-loops, removing absent edges, empty batches) run at
 //! the default configuration.
 
@@ -115,25 +115,23 @@ fn progs() -> Vec<Box<dyn VertexProgram>> {
 }
 
 /// The headline sweep: random batches, every app, bit-for-bit across
-/// MLVC_THREADS {1, 2, 8} × queue_depth {1, 16}.
+/// MLVC_THREADS {1, 2, 8}.
 #[test]
-fn incremental_equals_cold_across_threads_and_queue_depths() {
+fn incremental_equals_cold_across_threads() {
     let g = base_graph(0xA11CE);
     let adds_only: Vec<EdgeMutation> = random_batch(&g, 11, 24)
         .into_iter()
         .map(|m| EdgeMutation::add(m.src, m.dst))
         .collect();
     let mixed = random_batch(&g, 12, 32);
+    let cfg = EngineConfig::default().with_memory(96 << 10);
     for threads in [1usize, 2, 8] {
         multilogvc::par::set_thread_override(Some(threads));
-        for qd in [1usize, 16] {
-            let cfg = EngineConfig::default().with_memory(96 << 10).with_queue_depth(qd);
-            for prog in &progs() {
-                // Adds-only exercises the Seed fast path of WCC/BFS;
-                // mixed batches force their removal Restart path.
-                check(prog.as_ref(), &g, &adds_only, &cfg, &format!("adds t{threads} q{qd}"));
-                check(prog.as_ref(), &g, &mixed, &cfg, &format!("mixed t{threads} q{qd}"));
-            }
+        for prog in &progs() {
+            // Adds-only exercises the Seed fast path of WCC/BFS; mixed
+            // batches force their removal Restart path.
+            check(prog.as_ref(), &g, &adds_only, &cfg, &format!("adds t{threads}"));
+            check(prog.as_ref(), &g, &mixed, &cfg, &format!("mixed t{threads}"));
         }
         multilogvc::par::set_thread_override(None);
     }

@@ -14,7 +14,7 @@ use multilogvc::graph::{
     StructuralUpdateBuffer, VertexId, VertexIntervals, Weights,
 };
 use multilogvc::mutate::{apply_to_csr, EdgeMutation, MutationConfig, MutationLog};
-use multilogvc::log::{BitSet, EdgeLogConfig, EdgeLogOptimizer};
+use multilogvc::log::{BitSet, EdgeLogOptimizer};
 use multilogvc::ssd::{DeviceError, FileId, Ssd, SsdConfig};
 
 use mlvc_gen::rng::SeededRng;
@@ -78,7 +78,7 @@ fn stored_graph_roundtrip() {
 fn commit_pending(mlog: &mut MutationLog, sg: &StoredGraph, buf: &mut StructuralUpdateBuffer, min: usize) {
     let due = buf.take(min);
     if due.iter().any(|l| !l.is_empty()) {
-        mlog.commit(sg, 4, &due).unwrap();
+        mlog.commit(sg, &due).unwrap();
     }
 }
 
@@ -249,8 +249,7 @@ fn damaged_adjacency_pages_are_an_error_or_walkable_views_never_a_panic() {
         let clean = GraphLoader::new().load_active(&sg, i, &active, true, None).unwrap();
 
         // The edge log holds the clean adjacency of the low-degree actives.
-        let mut elog =
-            EdgeLogOptimizer::new(Arc::clone(&ssd), n, EdgeLogConfig::default(), "fz").unwrap();
+        let mut elog = EdgeLogOptimizer::new(Arc::clone(&ssd), n, 4 << 20, "fz").unwrap();
         let logged: Vec<VertexId> = (0..clean.len())
             .filter(|&k| clean.edges(k).len() + 2 <= 16)
             .map(|k| {
@@ -782,11 +781,14 @@ fn compact_pages_drain_exactly_what_was_sent() {
     assert_eq!(shapes_seen.len(), 4, "shapes exercised: {shapes_seen:?}");
 }
 
-/// Queue knobs never change results: for any graph, flood under a random
-/// (queue depth, in-flight K) configuration matches the default
-/// configuration bit-exactly.
+/// Who decodes a fused batch never changes results: for any graph, flood
+/// under a budget that splits supersteps into several fused batches is
+/// bit-identical at one thread (the owner decodes every batch in place) and
+/// two (look-ahead workers decode the batches read ahead).
 #[test]
-fn queue_knobs_invariant_any_graph() {
+fn flood_invariant_across_threads_any_graph() {
+    use multilogvc::par::set_thread_override;
+
     struct Flood;
     impl VertexProgram for Flood {
         fn name(&self) -> &'static str {
@@ -807,24 +809,26 @@ fn queue_knobs_invariant_any_graph() {
         }
     }
     let mut rng = SeededRng::seed_from_u64(112);
+    let mut split = false;
     for case in 0..CASES {
         let (n, edges) = arb_graph(&mut rng);
         let csr = build(n, &edges);
-        let qd = rng.gen_range(1usize..20);
-        let inflight = rng.gen_range(1usize..6);
-
-        let run = |cfg: EngineConfig| {
-            let (ssd, sg) = store(&csr, 4);
-            let mut eng = MultiLogEngine::new(ssd, sg, cfg.with_memory(64 << 10));
+        let run = |threads: usize| {
+            set_thread_override(Some(threads));
+            let (ssd, sg) = store(&csr, 8);
+            let cfg = EngineConfig::default().with_memory(6 << 10);
+            let mut eng = MultiLogEngine::new(ssd, sg, cfg);
             let r = eng.run(&Flood, 4 * n + 4);
+            set_thread_override(None);
             assert!(r.converged);
-            eng.states().to_vec()
+            (eng.states().to_vec(), r.supersteps)
         };
-        let base = run(EngineConfig::default());
-        let knobs =
-            run(EngineConfig::default().with_queue_depth(qd).with_inflight_batches(inflight));
-        assert_eq!(base, knobs, "case {case}: qd={qd} k={inflight} changed flood results");
+        let (one, steps) = run(1);
+        let (two, _) = run(2);
+        assert_eq!(one, two, "case {case}: two threads changed flood results");
+        split |= steps.iter().any(|s| s.batches_inline + s.batches_handed_off > 1);
     }
+    assert!(split, "no case split a superstep into several fused batches");
 }
 
 /// Coloring output is proper on any graph.

@@ -24,16 +24,16 @@ use multilogvc::ssd::{Ssd, SsdConfig};
 /// Per-superstep fingerprint: (messages consumed, messages sent, actives).
 type StepCounts = Vec<(u64, u64, u64)>;
 
-fn run_engine(prog: &dyn VertexProgram, inflight: usize) -> (Vec<u64>, StepCounts) {
+fn run_engine(prog: &dyn VertexProgram) -> (Vec<u64>, StepCounts) {
     let g = mlvc_gen::rmat(RmatParams::social(9, 8), 0xD7);
     let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
     let iv = VertexIntervals::uniform(g.num_vertices(), 16);
     let sg = StoredGraph::store_with(&ssd, &g, "perm", iv).unwrap();
     // Tight memory so supersteps split into several fused batches: the
-    // batch handoffs and parallel scatter both run under the detector.
-    // `inflight > 1` keeps multiple outstanding completions (several fetch
-    // workers live at once) under every permuted schedule.
-    let cfg = EngineConfig::default().with_memory(64 << 10).with_inflight_batches(inflight);
+    // batch handoffs and parallel scatter both run under the detector, with
+    // several reads in flight (several look-ahead workers live at once when
+    // the engine has more than one thread) under every permuted schedule.
+    let cfg = EngineConfig::default().with_memory(64 << 10);
     let mut eng = MultiLogEngine::new(ssd, sg, cfg);
     let r = eng.run(prog, 20);
     assert!(r.interrupted.is_none());
@@ -50,12 +50,12 @@ fn run_engine(prog: &dyn VertexProgram, inflight: usize) -> (Vec<u64>, StepCount
 /// incrementally re-converged — the mutation log's lock discipline, the
 /// merge's queued I/O, and the reseeded scatter all run under the
 /// detector. Fingerprints the final states plus both reports' counts.
-fn run_engine_mutated(prog: &dyn VertexProgram, inflight: usize) -> (Vec<u64>, StepCounts) {
+fn run_engine_mutated(prog: &dyn VertexProgram) -> (Vec<u64>, StepCounts) {
     let g = mlvc_gen::rmat(RmatParams::social(9, 8), 0xD7);
     let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
     let iv = VertexIntervals::uniform(g.num_vertices(), 16);
     let sg = StoredGraph::store_with(&ssd, &g, "perm", iv).unwrap();
-    let cfg = EngineConfig::default().with_memory(64 << 10).with_inflight_batches(inflight);
+    let cfg = EngineConfig::default().with_memory(64 << 10);
     let mut eng = MultiLogEngine::new(Arc::clone(&ssd), sg, cfg);
     let base = eng.run(prog, 20);
     assert!(base.interrupted.is_none());
@@ -102,30 +102,25 @@ fn run_primitives() -> (Vec<u64>, Vec<u64>, Vec<u64>, Vec<u32>) {
 #[test]
 fn permuted_schedules_are_bit_identical_and_race_clean() {
     par::set_panic_on_race(true);
-    par::set_thread_override(Some(8));
-
-    // Baseline under the natural spawn order, at both one and several
-    // batches in flight on the I/O queue. The in-flight count changes only
-    // scheduling, never results, so the two baselines must already agree.
     par::set_schedule_seed(None);
-    let base_bfs = run_engine(&Bfs::new(0), 4);
-    let base_pr = run_engine(&PageRank::new(0.85, 1e-4), 4);
-    assert_eq!(base_bfs, run_engine(&Bfs::new(0), 1), "BFS diverged across in-flight K");
-    assert_eq!(
-        base_pr,
-        run_engine(&PageRank::new(0.85, 1e-4), 1),
-        "PageRank diverged across in-flight K"
-    );
-    let base_prim = run_primitives();
+
+    // Baseline under the natural spawn order on one thread, where the owner
+    // decodes every fused batch in place and nothing forks; the permuted
+    // runs below take eight, where look-ahead workers decode the batches
+    // read ahead. Who decodes changes only scheduling, never results, so
+    // an eight-thread natural-order run must already agree.
+    par::set_thread_override(Some(1));
+    let base_bfs = run_engine(&Bfs::new(0));
+    let base_pr = run_engine(&PageRank::new(0.85, 1e-4));
     // Mutations-on leg of the cross-product: WCC takes the incremental
     // Seed path, PageRank the full-restart path.
-    let base_wcc_mut = run_engine_mutated(&Wcc, 4);
-    let base_pr_mut = run_engine_mutated(&PageRank::new(0.85, 1e-4), 4);
-    assert_eq!(
-        base_wcc_mut,
-        run_engine_mutated(&Wcc, 1),
-        "mutated WCC diverged across in-flight K"
-    );
+    let base_wcc_mut = run_engine_mutated(&Wcc);
+    let base_pr_mut = run_engine_mutated(&PageRank::new(0.85, 1e-4));
+    par::set_thread_override(Some(8));
+    assert_eq!(base_bfs, run_engine(&Bfs::new(0)), "BFS diverged across threads");
+    assert_eq!(base_pr, run_engine(&PageRank::new(0.85, 1e-4)), "PageRank diverged across threads");
+    assert_eq!(base_wcc_mut, run_engine_mutated(&Wcc), "mutated WCC diverged across threads");
+    let base_prim = run_primitives();
 
     // Seeds come from the repo's deterministic RNG, same as every
     // generator fixture: the harness replays identically on every run.
@@ -133,16 +128,14 @@ fn permuted_schedules_are_bit_identical_and_race_clean() {
     for round in 0..4 {
         let seed = rng.next_u64();
         par::set_schedule_seed(Some(seed));
-        for k in [1, 4] {
-            assert_eq!(
-                base_bfs,
-                run_engine(&Bfs::new(0), k),
-                "round {round}: BFS K={k} diverged under schedule seed {seed:#x}"
-            );
-        }
+        assert_eq!(
+            base_bfs,
+            run_engine(&Bfs::new(0)),
+            "round {round}: BFS diverged under schedule seed {seed:#x}"
+        );
         assert_eq!(
             base_pr,
-            run_engine(&PageRank::new(0.85, 1e-4), 4),
+            run_engine(&PageRank::new(0.85, 1e-4)),
             "round {round}: PageRank diverged under schedule seed {seed:#x}"
         );
         assert_eq!(
@@ -152,12 +145,12 @@ fn permuted_schedules_are_bit_identical_and_race_clean() {
         );
         assert_eq!(
             base_wcc_mut,
-            run_engine_mutated(&Wcc, 4),
+            run_engine_mutated(&Wcc),
             "round {round}: mutated WCC diverged under schedule seed {seed:#x}"
         );
         assert_eq!(
             base_pr_mut,
-            run_engine_mutated(&PageRank::new(0.85, 1e-4), 4),
+            run_engine_mutated(&PageRank::new(0.85, 1e-4)),
             "round {round}: mutated PageRank diverged under schedule seed {seed:#x}"
         );
     }

@@ -73,7 +73,7 @@ fn run_once(prog: &dyn VertexProgram, async_mode: bool, shape: Shape) -> (Vec<u6
 /// runs, with the write side drained into every inbox besides; PageRank is
 /// not a valid asynchronous algorithm, but what is held here is that the
 /// run is the same run at every thread count, not what it computes.
-fn run_tiered(inflight_batches: usize, async_mode: bool) -> (Vec<u64>, Vec<TraceRecord>) {
+fn run_tiered(async_mode: bool) -> (Vec<u64>, Vec<TraceRecord>) {
     let g = mlvc_gen::rmat(RmatParams::social(SMALL.scale, 8), 0xD7);
     let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
     let page = ssd.page_size();
@@ -81,7 +81,6 @@ fn run_tiered(inflight_batches: usize, async_mode: bool) -> (Vec<u64>, Vec<Trace
     let sg = StoredGraph::store_with(&ssd, &g, "det", iv).unwrap();
     let cfg = EngineConfig::default()
         .with_memory(SMALL.memory)
-        .with_inflight_batches(inflight_batches)
         .with_async(async_mode)
         .with_obs(true)
         .with_tiering(TieringConfig { cache_bytes: 6 * page, pin_budget_bytes: 24 * page });
@@ -91,20 +90,18 @@ fn run_tiered(inflight_batches: usize, async_mode: bool) -> (Vec<u64>, Vec<Trace
     (eng.states().to_vec(), r.trace)
 }
 
-/// The tiered leg: at a fixed K, in either computation model, states and
-/// the whole trace — including `cache_evictions`, `pinned_pages` and the
-/// `ftl_*` fields — are equal across thread counts and across repeated runs.
+/// The tiered leg: in either computation model, states and the whole trace
+/// — including `cache_evictions`, `pinned_pages` and the `ftl_*` fields —
+/// are equal across thread counts and across repeated runs.
 fn tiered_traces_bit_identical_across_thread_counts() {
-    for (k, async_mode) in [(1usize, false), (4, false), (1, true), (4, true)] {
+    for async_mode in [false, true] {
         let mut baseline: Option<(Vec<u64>, Vec<TraceRecord>)> = None;
         for threads in [1usize, 2, 8] {
             for rep in 0..2 {
                 multilogvc::par::set_thread_override(Some(threads));
-                let got = run_tiered(k, async_mode);
+                let got = run_tiered(async_mode);
                 multilogvc::par::set_thread_override(None);
-                let ctx = format!(
-                    "tiered pagerank k={k} async={async_mode} threads={threads} rep={rep}"
-                );
+                let ctx = format!("tiered pagerank async={async_mode} threads={threads} rep={rep}");
                 let Some(base) = &baseline else {
                     let evictions: u64 = got.1.iter().map(|t| t.cache_evictions).sum();
                     assert!(evictions > 0, "{ctx}: the cache never evicted");
@@ -197,8 +194,8 @@ fn mixed_sends_log_pages_bit_identical_across_thread_counts() {
 
 /// Threads only where something can overlap (DESIGN.md §12): the owner
 /// decodes every fused batch nobody could have been given — all of them on a
-/// one-thread engine and at K = 1, the first of every superstep otherwise —
-/// and a look-ahead worker is spawned for each of the rest. Held on the
+/// one-thread engine, the first of every superstep otherwise — and a
+/// look-ahead worker is spawned for each of the rest. Held on the
 /// per-run counters, not `mlvc_par::spawn_count`: that one is process-wide
 /// and the test binary runs its tests side by side.
 #[test]
@@ -212,41 +209,38 @@ fn a_one_thread_engine_spawns_no_thread() {
     ];
     for (name, prog, async_mode) in &progs {
         for threads in [1usize, 2, 8] {
-            for k in [1usize, 2, 4] {
-                multilogvc::par::set_thread_override(Some(threads));
-                // Capped at the hardware: a one-core box never looks ahead.
-                let looks_ahead = multilogvc::par::max_threads() > 1 && k > 1;
-                let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
-                let iv = VertexIntervals::uniform(g.num_vertices(), SMALL.intervals);
-                let sg = StoredGraph::store_with(&ssd, &g, "det", iv).unwrap();
-                let cfg = EngineConfig::default()
-                    .with_memory(SMALL.memory)
-                    .with_inflight_batches(k)
-                    .with_async(*async_mode)
-                    .with_obs(true);
-                let mut eng = MultiLogEngine::new(ssd, sg, cfg);
-                let r = eng.run(prog.as_ref(), 12);
-                multilogvc::par::set_thread_override(None);
-                assert!(r.interrupted.is_none());
-                let ctx = format!("{name} threads={threads} k={k}");
-                // Trace record 0 is the seeding phase.
-                assert_eq!(r.trace.len(), r.supersteps.len() + 1, "{ctx}");
-                for (s, t) in r.supersteps.iter().zip(&r.trace[1..]) {
-                    let ctx = format!("{ctx} superstep {}", s.superstep);
-                    assert_eq!(s.batches_inline + s.batches_handed_off, t.fused_batches, "{ctx}");
-                    if looks_ahead {
-                        assert_eq!(s.batches_inline, t.fused_batches.min(1), "{ctx}");
-                    } else {
-                        assert_eq!(s.batches_handed_off, 0, "{ctx}");
-                    }
+            multilogvc::par::set_thread_override(Some(threads));
+            // Capped at the hardware: a one-core box never looks ahead.
+            let looks_ahead = multilogvc::par::max_threads() > 1;
+            let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
+            let iv = VertexIntervals::uniform(g.num_vertices(), SMALL.intervals);
+            let sg = StoredGraph::store_with(&ssd, &g, "det", iv).unwrap();
+            let cfg = EngineConfig::default()
+                .with_memory(SMALL.memory)
+                .with_async(*async_mode)
+                .with_obs(true);
+            let mut eng = MultiLogEngine::new(ssd, sg, cfg);
+            let r = eng.run(prog.as_ref(), 12);
+            multilogvc::par::set_thread_override(None);
+            assert!(r.interrupted.is_none());
+            let ctx = format!("{name} threads={threads}");
+            // Trace record 0 is the seeding phase.
+            assert_eq!(r.trace.len(), r.supersteps.len() + 1, "{ctx}");
+            for (s, t) in r.supersteps.iter().zip(&r.trace[1..]) {
+                let ctx = format!("{ctx} superstep {}", s.superstep);
+                assert_eq!(s.batches_inline + s.batches_handed_off, t.fused_batches, "{ctx}");
+                if looks_ahead {
+                    assert_eq!(s.batches_inline, t.fused_batches.min(1), "{ctx}");
+                } else {
+                    assert_eq!(s.batches_handed_off, 0, "{ctx}");
                 }
-                // The walk's sparse frontier fits one fused batch a
-                // superstep: nothing to look ahead to at any thread count.
-                let [inline, handed_off] = r.batch_totals();
-                let several = inline + handed_off > r.supersteps.len() as u64;
-                assert_eq!(several, *name != "randomwalk", "{ctx}: fused batches per superstep");
-                assert_eq!(handed_off > 0, looks_ahead && several, "{ctx}");
             }
+            // The walk's sparse frontier fits one fused batch a superstep:
+            // nothing to look ahead to at any thread count.
+            let [inline, handed_off] = r.batch_totals();
+            let several = inline + handed_off > r.supersteps.len() as u64;
+            assert_eq!(several, *name != "randomwalk", "{ctx}: fused batches per superstep");
+            assert_eq!(handed_off > 0, looks_ahead && several, "{ctx}");
         }
     }
 }
