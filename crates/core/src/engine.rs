@@ -538,7 +538,7 @@ enum Decoder<'s> {
     Worker(ScopedJoinHandle<'s, Fetched>),
 }
 
-/// Move a submitted ticket's pages and decode them into inbox order —
+/// Take the pages a ticket read at submit and decode them into inbox order —
 /// counting-sorted, or folded when the program declared a `combine`. A pure
 /// function of plan and page bytes that touches no clock, so it runs on
 /// whichever thread has nothing better to do.

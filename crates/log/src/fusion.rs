@@ -1,3 +1,8 @@
+//! Interval fusion (paper §V-B): which consecutive interval logs one
+//! fused batch drains ([`plan_fusion`]), the batch they decode to
+//! ([`FusedBatch`]) and its per-destination groups ([`group_by_dest`]).
+//! Reading and decoding are `LogReader`'s (DESIGN.md §12).
+
 use std::ops::Range;
 
 use mlvc_graph::{IntervalId, VertexId};

@@ -62,9 +62,9 @@
 
 mod bitset;
 mod edgelog;
+mod fusion;
 mod multilog;
 pub mod page;
-mod sortgroup;
 mod update;
 
 /// Checked width conversions shared across the format crates.
@@ -72,7 +72,7 @@ pub use mlvc_ssd::checked;
 
 pub use bitset::BitSet;
 pub use edgelog::{is_inefficient, EdgeLogOptimizer, EdgeLogStats, INEFFICIENCY_THRESHOLD};
+pub use fusion::{group_by_dest, plan_fusion, FusedBatch};
 pub use multilog::{BatchPlan, LogReader, MultiLog, MultiLogConfig, MultiLogStats};
 pub use page::{decode_log_page, pack_pages, LogPage, PageError, PageShape, ANY_DEST};
-pub use sortgroup::{group_by_dest, plan_fusion, FusedBatch};
 pub use update::{Update, UPDATE_BYTES};

@@ -9,9 +9,10 @@
 //!
 //! The merge follows the PR-2 data-before-manifest protocol (DESIGN.md
 //! §11, §17): new interval extents are written to shadow files first, then
-//! a CRC'd manifest naming them commits the merge into one of two rotating
-//! slots, then the primaries are rewritten and the consumed logs retired
-//! with an empty manifest. A crash at any page write recovers to either
+//! a manifest naming them commits the merge — one `mlvc_recover` commit
+//! record ([`mlvc_recover::MERGE_RECORD`]) in two alternating slots — then
+//! the primaries are rewritten and the consumed logs retired with an empty
+//! manifest. A crash at any page write recovers to either
 //! the pre-merge or the post-merge CSR — never a torn one — by replaying
 //! the newest valid manifest. Batches are durable only once merged;
 //! recovery discards unmerged log records and clients replay the batch,
@@ -24,7 +25,7 @@ use mlvc_graph::{
     read_u32s, read_u64s, write_partition, IntervalId, StoredGraph, VertexId, VertexIntervals,
 };
 use mlvc_log::{decode_log_page, pack_pages, LogPage, PageShape, Update};
-use mlvc_recover::crc32;
+use mlvc_recover::{CommitSlots, MERGE_RECORD};
 use mlvc_ssd::{DeviceError, FileId, IoQueue, Page, Ssd, QUEUE_DEPTH};
 
 use crate::batch::{dedup_last_wins, finish_dirty, upsert_adjacency, validate_range};
@@ -33,14 +34,6 @@ use crate::{EdgeMutation, MutationDelta, MutationError, MutationOp};
 /// Opcode stored in an update record's payload.
 const OP_ADD: u64 = 0;
 const OP_REMOVE: u64 = 1;
-
-/// Manifest page layout: magic, version, seq, new edge total, entry count.
-const MANIFEST_MAGIC: u32 = 0x4D4C_4D54; // "MLMT"
-const MANIFEST_VERSION: u32 = 1;
-const MANIFEST_HEADER_BYTES: usize = 28;
-/// Per rewritten interval: interval id (u32) + new colidx entry count (u64).
-const MANIFEST_ENTRY_BYTES: usize = 12;
-const MANIFEST_CRC_BYTES: usize = 4;
 
 /// Memory budget for buffered, not-yet-flushed mutation records.
 #[derive(Debug, Clone, Copy)]
@@ -111,12 +104,28 @@ pub struct MergeOutcome {
     pub stats: MutationStats,
 }
 
-/// A decoded, CRC-valid merge manifest.
-struct Manifest {
-    seq: u64,
-    new_num_edges: u64,
-    /// (interval, new colidx entry count) per rewritten partition.
-    entries: Vec<(IntervalId, u64)>,
+/// A merge manifest's body (layout: [`MERGE_RECORD`]): the new edge total
+/// and (interval, new colidx entry count) per rewritten partition.
+fn decode_manifest(body: &[u8]) -> Option<(u64, Vec<(IntervalId, u64)>)> {
+    let total = u64::from_le_bytes(*body.first_chunk()?);
+    let entries = body.get(MERGE_RECORD.fixed_bytes..)?.chunks_exact(MERGE_RECORD.entry_bytes);
+    let entry = |e: &[u8]| {
+        Some((u32::from_le_bytes(*e.first_chunk()?), u64::from_le_bytes(*e.last_chunk()?)))
+    };
+    Some((total, entries.map(entry).collect::<Option<_>>()?))
+}
+
+/// A commit-record error as the mutation pipeline reports it: an intact
+/// manifest this build does not read — another version, or version 1's
+/// layout — is corrupt mutation state, never a slot to skip (skipping a
+/// committed, unretired merge would leave a half-installed CSR).
+fn refused(e: DeviceError) -> MutationError {
+    match e {
+        DeviceError::Corrupt { what, detail } => {
+            MutationError::Corrupt(format!("{what}: {detail}"))
+        }
+        other => MutationError::Device(other),
+    }
 }
 
 /// The per-interval mutation log over one device. Methods take `&mut
@@ -136,10 +145,8 @@ pub struct MutationLog {
     log_files: Vec<FileId>,
     shadow_rowptr: Vec<FileId>,
     shadow_colidx: Vec<FileId>,
-    manifest_files: [FileId; 2],
-    /// Highest manifest sequence written or observed; the next manifest
-    /// takes `seq + 1` in slot `(seq + 1) % 2`.
-    seq: u64,
+    /// The merge manifest's two commit slots.
+    manifests: CommitSlots,
     stats: MutationStats,
 }
 
@@ -168,10 +175,8 @@ impl MutationLog {
             shadow_rowptr.push(ssd.open_or_create(&format!("{tag}.mut.shadow.rowptr.{i}"))?);
             shadow_colidx.push(ssd.open_or_create(&format!("{tag}.mut.shadow.colidx.{i}"))?);
         }
-        let manifest_files = [
-            ssd.open_or_create(&format!("{tag}.mut.manifest.0"))?,
-            ssd.open_or_create(&format!("{tag}.mut.manifest.1"))?,
-        ];
+        let names = [format!("{tag}.mut.manifest.0"), format!("{tag}.mut.manifest.1")];
+        let mut manifests = CommitSlots::open(&ssd, names, MERGE_RECORD)?;
 
         // Surviving log pages are only counted here, from their headers;
         // `merge` decodes (and validates) them, `recover` discards them.
@@ -182,15 +187,7 @@ impl MutationLog {
                 device_records[k] += to_u64(LogPage::parse(&page).map_or(0, |p| p.len()));
             }
         }
-        let seq = {
-            let mut best = 0u64;
-            for &f in &manifest_files {
-                if let Some(m) = read_manifest(&ssd, f)? {
-                    best = best.max(m.seq);
-                }
-            }
-            best
-        };
+        manifests.scan(|_, _, _| Ok(Some(()))).map_err(refused)?;
 
         Ok(MutationLog {
             ssd,
@@ -201,8 +198,7 @@ impl MutationLog {
             log_files,
             shadow_rowptr,
             shadow_colidx,
-            manifest_files,
-            seq,
+            manifests,
             intervals,
             stats: MutationStats::default(),
         })
@@ -478,8 +474,7 @@ impl MutationLog {
         // shadow extents first, then the manifest commit, then the
         // primary install from the in-memory copies (recovery re-reads
         // the shadows instead).
-        let per_manifest =
-            (page_size - MANIFEST_HEADER_BYTES - MANIFEST_CRC_BYTES) / MANIFEST_ENTRY_BYTES;
+        let per_manifest = MERGE_RECORD.max_entries(page_size);
         let mut new_total = graph.num_edges();
         for chunk in rewrites.chunks(per_manifest.max(1)) {
             let mut entries = Vec::with_capacity(chunk.len());
@@ -530,17 +525,10 @@ impl MutationLog {
     /// part that did land.
     pub fn recover(&mut self, graph: &StoredGraph) -> Result<bool, MutationError> {
         self.check_partition(graph)?;
-        let mut newest: Option<Manifest> = None;
-        for &f in &self.manifest_files {
-            if let Some(m) = read_manifest(&self.ssd, f)? {
-                if newest.as_ref().is_none_or(|b| m.seq > b.seq) {
-                    newest = Some(m);
-                }
-            }
-        }
-        let reinstalled = match &newest {
-            Some(m) if !m.entries.is_empty() => {
-                for &(i, n_colidx) in &m.entries {
+        let newest = self.manifests.scan(|_, _, body| Ok(decode_manifest(body)));
+        let reinstalled = match newest.map_err(refused)? {
+            Some((_, _, (new_num_edges, entries))) if !entries.is_empty() => {
+                for &(i, n_colidx) in &entries {
                     if idx(i) >= self.intervals.num_intervals() {
                         return Err(MutationError::Corrupt(format!(
                             "manifest names interval {i} outside the partition"
@@ -559,12 +547,11 @@ impl MutationLog {
                     let (rp, ci) = (graph.rowptr_file(i), graph.colidx_file(i));
                     write_partition(&self.ssd, rp, ci, &rowptr, &colidx)?;
                 }
-                graph.set_num_edges(m.new_num_edges);
+                graph.set_num_edges(new_num_edges);
                 true
             }
             _ => false,
         };
-        self.seq = newest.map_or(self.seq, |m| m.seq.max(self.seq));
         for &f in &self.log_files {
             self.ssd.truncate(f)?;
         }
@@ -580,77 +567,25 @@ impl MutationLog {
         Ok(reinstalled)
     }
 
-    /// Encode and commit a manifest at `seq + 1` into the rotating slot.
+    /// Encode a manifest body and commit it into the slot not holding the
+    /// newest manifest.
     fn write_manifest(
         &mut self,
         new_num_edges: u64,
         entries: &[(IntervalId, u64)],
     ) -> Result<(), MutationError> {
-        let seq = self.seq + 1;
-        let mut buf = Vec::with_capacity(
-            MANIFEST_HEADER_BYTES + entries.len() * MANIFEST_ENTRY_BYTES + MANIFEST_CRC_BYTES,
+        let mut body = Vec::with_capacity(
+            MERGE_RECORD.fixed_bytes + entries.len() * MERGE_RECORD.entry_bytes,
         );
-        buf.extend_from_slice(&MANIFEST_MAGIC.to_le_bytes());
-        buf.extend_from_slice(&MANIFEST_VERSION.to_le_bytes());
-        buf.extend_from_slice(&seq.to_le_bytes());
-        buf.extend_from_slice(&new_num_edges.to_le_bytes());
-        buf.extend_from_slice(&to_u32("manifest entry count", entries.len())?.to_le_bytes());
+        body.extend_from_slice(&new_num_edges.to_le_bytes());
+        body.extend_from_slice(&to_u32("manifest entry count", entries.len())?.to_le_bytes());
         for &(i, n) in entries {
-            buf.extend_from_slice(&i.to_le_bytes());
-            buf.extend_from_slice(&n.to_le_bytes());
+            body.extend_from_slice(&i.to_le_bytes());
+            body.extend_from_slice(&n.to_le_bytes());
         }
-        buf.extend_from_slice(&crc32(&buf).to_le_bytes());
-        let slot = self.manifest_files[to_usize("manifest slot", seq % 2)?];
-        self.ssd.truncate(slot)?;
-        self.ssd.append_page(slot, &buf)?;
-        self.seq = seq;
+        self.manifests.commit(&body)?;
         Ok(())
     }
-}
-
-/// Read and validate the manifest in `file`, if any.
-fn read_manifest(ssd: &Ssd, file: FileId) -> Result<Option<Manifest>, MutationError> {
-    if ssd.num_pages(file)? == 0 {
-        return Ok(None);
-    }
-    let page = ssd.read_page(file, 0, ssd.page_size())?;
-    if page.len() < MANIFEST_HEADER_BYTES + MANIFEST_CRC_BYTES {
-        return Ok(None);
-    }
-    let Some((magic, rest)) = page.split_first_chunk::<4>() else { return Ok(None) };
-    if u32::from_le_bytes(*magic) != MANIFEST_MAGIC {
-        return Ok(None);
-    }
-    let Some((version, rest)) = rest.split_first_chunk::<4>() else { return Ok(None) };
-    if u32::from_le_bytes(*version) != MANIFEST_VERSION {
-        return Ok(None);
-    }
-    let Some((seq, rest)) = rest.split_first_chunk::<8>() else { return Ok(None) };
-    let Some((total, rest)) = rest.split_first_chunk::<8>() else { return Ok(None) };
-    let Some((count, rest)) = rest.split_first_chunk::<4>() else { return Ok(None) };
-    let n = idx(u32::from_le_bytes(*count));
-    let body = MANIFEST_HEADER_BYTES + n * MANIFEST_ENTRY_BYTES;
-    if page.len() < body + MANIFEST_CRC_BYTES {
-        return Ok(None);
-    }
-    let Some(stored_crc) = page.get(body..body + MANIFEST_CRC_BYTES) else { return Ok(None) };
-    let Ok(stored_crc) = <[u8; 4]>::try_from(stored_crc) else { return Ok(None) };
-    if crc32(&page[..body]) != u32::from_le_bytes(stored_crc) {
-        return Ok(None);
-    }
-    let mut entries = Vec::with_capacity(n);
-    let mut cursor = rest;
-    for _ in 0..n {
-        let Some((iv, r)) = cursor.split_first_chunk::<4>() else { return Ok(None) };
-        let Some((ec, r)) = r.split_first_chunk::<8>() else { return Ok(None) };
-        entries.push((u32::from_le_bytes(*iv), u64::from_le_bytes(*ec)));
-        cursor = r;
-    }
-    Ok(Some(Manifest {
-        seq: u64::from_le_bytes(*seq),
-        new_num_edges: u64::from_le_bytes(*total),
-        entries,
-    }))
 }
 
 /// One submit/fetch/complete round on the queue.

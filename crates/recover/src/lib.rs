@@ -15,6 +15,11 @@
 //! checkpoint's slot untouched; recovery validates every CRC and falls
 //! back to the older slot when the newer one is incomplete.
 //!
+//! The manifest is one format of the crate's crash-consistent commit
+//! record ([`commit`]: magic, version, seq, body, CRC-32, written into two
+//! alternating [`CommitSlots`]); `mlvc-mutate`'s merge manifest
+//! ([`MERGE_RECORD`]) is the other.
+//!
 //! ```
 //! use std::sync::Arc;
 //! use mlvc_ssd::{Ssd, SsdConfig};
@@ -34,13 +39,15 @@
 //! assert_eq!((got_seq, &got), (seq, &state));
 //! ```
 
+pub mod commit;
 pub mod crc;
 pub mod manager;
 pub mod manifest;
 
+pub use commit::{CommitSlots, RecordFormat, UnsupportedVersion, MERGE_RECORD};
 pub use crc::{crc32, crc32_update};
 pub use manager::{CheckpointManager, CheckpointState};
 pub use manifest::{
-    Manifest, SegmentDesc, UnsupportedVersion, CKPT_MAGIC, CKPT_VERSION, MANIFEST_HEADER_BYTES,
-    NUM_SEGMENTS, SEG_ACTIVE, SEG_MSGS, SEG_STATES,
+    Manifest, SegmentDesc, CKPT_MAGIC, CKPT_VERSION, MANIFEST_HEADER_BYTES, NUM_SEGMENTS,
+    SEG_ACTIVE, SEG_MSGS, SEG_STATES,
 };

@@ -18,9 +18,10 @@ use std::sync::Arc;
 use mlvc_ssd::checked::{mem_idx, to_u64};
 use mlvc_ssd::{DeviceError, FileId, Page, Ssd};
 
+use crate::commit::{read_u64, CommitSlots};
 use crate::crc::crc32;
 use crate::manifest::{
-    Manifest, SegmentDesc, NUM_SEGMENTS, SEG_ACTIVE, SEG_MSGS, SEG_STATES,
+    Manifest, SegmentDesc, CKPT_RECORD, NUM_SEGMENTS, SEG_ACTIVE, SEG_MSGS, SEG_STATES,
 };
 
 /// Everything a checkpoint captures about a run, in engine-neutral form.
@@ -71,53 +72,37 @@ impl CheckpointState {
 }
 
 /// See the module docs. One manager per run tag; the device files are
-/// `<tag>.ckpt.manifest.{a,b}` and `<tag>.ckpt.data.{a,b}`.
+/// `<tag>.ckpt.manifest.{a,b}` (the commit record's two slots) and
+/// `<tag>.ckpt.data.{a,b}`.
 pub struct CheckpointManager {
     ssd: Arc<Ssd>,
-    manifest_files: [FileId; 2],
+    manifests: CommitSlots,
     data_files: [FileId; 2],
-    next_slot: usize,
-    next_seq: u64,
 }
 
 impl CheckpointManager {
     /// Open (or create) the slot files under `tag` and scan for existing
     /// checkpoints so the next write targets the non-latest slot.
     pub fn open(ssd: &Arc<Ssd>, tag: &str) -> Result<Self, DeviceError> {
-        let manifest_files = [
-            ssd.open_or_create(&format!("{tag}.ckpt.manifest.a"))?,
-            ssd.open_or_create(&format!("{tag}.ckpt.manifest.b"))?,
-        ];
+        let names = [format!("{tag}.ckpt.manifest.a"), format!("{tag}.ckpt.manifest.b")];
+        let mut manifests = CommitSlots::open(ssd, names, CKPT_RECORD)?;
         let data_files = [
             ssd.open_or_create(&format!("{tag}.ckpt.data.a"))?,
             ssd.open_or_create(&format!("{tag}.ckpt.data.b"))?,
         ];
-        let mut mgr = CheckpointManager {
-            ssd: Arc::clone(ssd),
-            manifest_files,
-            data_files,
-            next_slot: 0,
-            next_seq: 1,
-        };
-        if let Some((slot, manifest)) = mgr.latest_valid_slot()? {
-            mgr.next_slot = 1 - slot;
-            mgr.next_seq = manifest.seq + 1;
-        }
-        Ok(mgr)
+        manifests.scan(|slot, seq, body| accept(ssd, data_files[slot], seq, body))?;
+        Ok(CheckpointManager { ssd: Arc::clone(ssd), manifests, data_files })
     }
 
     /// Sequence number the next [`Self::write`] will stamp.
     pub fn next_seq(&self) -> u64 {
-        self.next_seq
+        self.manifests.next_seq()
     }
 
     /// Write `state` as a new checkpoint. Returns its sequence number.
     /// Ordering: data segments first, manifest page last — the commit
     /// point is the final (manifest) page write.
     pub fn write(&mut self, state: &CheckpointState) -> Result<u64, DeviceError> {
-        let slot = self.next_slot;
-        let seq = self.next_seq;
-
         let seg_bytes: [Vec<u8>; NUM_SEGMENTS] = [
             encode_states(&state.states),
             state.active_bits.clone(),
@@ -129,7 +114,7 @@ impl CheckpointManager {
             desc.crc = crc32(bytes);
         }
 
-        let data = self.data_files[slot];
+        let data = self.data_files[self.manifests.next_slot()];
         self.ssd.truncate(data)?;
         let page_size = self.ssd.page_size();
         for bytes in &seg_bytes {
@@ -141,120 +126,95 @@ impl CheckpointManager {
         }
 
         let manifest = Manifest {
-            seq,
+            seq: self.manifests.next_seq(),
             superstep: state.superstep,
             num_vertices: to_u64(state.states.len()),
             all_active: state.all_active,
             segments,
         };
-        let mf = self.manifest_files[slot];
-        self.ssd.truncate(mf)?;
-        self.ssd.append_page(mf, &manifest.encode())?;
-
-        self.next_slot = 1 - slot;
-        self.next_seq = seq + 1;
-        Ok(seq)
+        self.manifests.commit(&manifest.body())
     }
 
     /// Load the latest fully valid checkpoint, or `None` when no slot
     /// holds one. Header *and* every segment CRC must check out; a slot
     /// failing either is skipped in favour of the other.
     pub fn load_latest(&self) -> Result<Option<(u64, CheckpointState)>, DeviceError> {
-        match self.latest_valid_slot()? {
-            None => Ok(None),
-            Some((slot, manifest)) => {
-                let state = self.read_state(slot, &manifest)?;
-                Ok(Some((manifest.seq, state)))
-            }
-        }
+        let (ssd, data) = (&self.ssd, self.data_files);
+        let newest = self.manifests.newest(|slot, seq, body| accept(ssd, data[slot], seq, body))?;
+        newest.map(|(slot, seq, m)| Ok((seq, read_state(ssd, data[slot], &m)?))).transpose()
     }
+}
 
-    /// Best valid slot: decodable manifest, all segment CRCs pass, highest
-    /// sequence number wins.
-    fn latest_valid_slot(&self) -> Result<Option<(usize, Manifest)>, DeviceError> {
-        let mut best: Option<(usize, Manifest)> = None;
-        for slot in 0..2 {
-            let Some(manifest) = self.read_manifest(slot)? else {
-                continue;
-            };
-            if !self.segments_valid(slot, &manifest)? {
-                continue;
-            }
-            if best.as_ref().is_none_or(|(_, b)| manifest.seq > b.seq) {
-                best = Some((slot, manifest));
-            }
-        }
-        Ok(best)
-    }
-
-    fn read_manifest(&self, slot: usize) -> Result<Option<Manifest>, DeviceError> {
-        let f = self.manifest_files[slot];
-        if self.ssd.num_pages(f)? == 0 {
+/// The manifest a slot's commit record carries, if every segment it
+/// describes checks out in the slot's data file `data`.
+fn accept(ssd: &Ssd, data: FileId, seq: u64, body: &[u8]) -> Result<Option<Manifest>, DeviceError> {
+    let Some(manifest) = Manifest::from_body(seq, body) else {
+        return Ok(None);
+    };
+    let mut start_page = 0u64;
+    for desc in &manifest.segments {
+        let bytes = match read_segment(ssd, data, start_page, desc.len) {
+            Ok(b) => b,
+            // A crash mid-write can leave the data file shorter than the
+            // stale manifest claims; that is invalidity, not a device
+            // failure.
+            Err(DeviceError::OutOfBounds { .. }) => return Ok(None),
+            Err(e) => return Err(e),
+        };
+        if crc32(&bytes) != desc.crc {
             return Ok(None);
         }
-        let page = self.ssd.read_page(f, 0, self.ssd.page_size())?;
-        Manifest::decode(&page)
-            .map_err(|e| DeviceError::Corrupt { what: "checkpoint", detail: e.to_string() })
+        start_page += desc.len.div_ceil(to_u64(ssd.page_size()));
     }
+    Ok(Some(manifest))
+}
 
-    fn segments_valid(&self, slot: usize, manifest: &Manifest) -> Result<bool, DeviceError> {
-        let mut start_page = 0u64;
-        for desc in &manifest.segments {
-            let bytes = match self.read_segment(slot, start_page, desc.len) {
-                Ok(b) => b,
-                // A crash mid-write can leave the data file shorter than
-                // the stale manifest claims; that is invalidity, not a
-                // device failure.
-                Err(DeviceError::OutOfBounds { .. }) => return Ok(false),
-                Err(e) => return Err(e),
-            };
-            if crc32(&bytes) != desc.crc {
-                return Ok(false);
-            }
-            start_page += desc.len.div_ceil(to_u64(self.ssd.page_size()));
-        }
-        Ok(true)
+fn read_segment(
+    ssd: &Ssd,
+    data: FileId,
+    start_page: u64,
+    len: u64,
+) -> Result<Vec<u8>, DeviceError> {
+    if len == 0 {
+        return Ok(Vec::new());
     }
-
-    fn read_segment(&self, slot: usize, start_page: u64, len: u64) -> Result<Vec<u8>, DeviceError> {
-        if len == 0 {
-            return Ok(Vec::new());
-        }
-        let page_size = to_u64(self.ssd.page_size());
-        let n_pages = len.div_ceil(page_size);
-        let file = self.data_files[slot];
-        let reqs: Vec<(FileId, u64, usize)> = (0..n_pages)
-            .map(|p| {
-                let useful = page_size.min(len - p * page_size);
-                (file, start_page + p, mem_idx(useful))
-            })
-            .collect();
-        let pages = self.ssd.read_batch(&reqs)?;
-        let mut out = Vec::with_capacity(mem_idx(len));
-        for page in &pages {
-            out.extend_from_slice(page);
-        }
-        out.truncate(mem_idx(len));
-        Ok(out)
-    }
-
-    fn read_state(&self, slot: usize, manifest: &Manifest) -> Result<CheckpointState, DeviceError> {
-        let page_size = to_u64(self.ssd.page_size());
-        let mut start_page = 0u64;
-        let mut segs: Vec<Vec<u8>> = Vec::with_capacity(NUM_SEGMENTS);
-        for desc in &manifest.segments {
-            segs.push(self.read_segment(slot, start_page, desc.len)?);
-            start_page += desc.len.div_ceil(page_size);
-        }
-        let msgs = decode_msgs(&segs[SEG_MSGS], mem_idx(page_size));
-        Ok(CheckpointState {
-            superstep: manifest.superstep,
-            all_active: manifest.all_active,
-            states: decode_states(&segs[SEG_STATES]),
-            active_bits: segs[SEG_ACTIVE].clone(),
-            msgs,
+    let page_size = to_u64(ssd.page_size());
+    let n_pages = len.div_ceil(page_size);
+    let reqs: Vec<(FileId, u64, usize)> = (0..n_pages)
+        .map(|p| {
+            let useful = page_size.min(len - p * page_size);
+            (data, start_page + p, mem_idx(useful))
         })
+        .collect();
+    let pages = ssd.read_batch(&reqs)?;
+    let mut out = Vec::with_capacity(mem_idx(len));
+    for page in &pages {
+        out.extend_from_slice(page);
     }
+    out.truncate(mem_idx(len));
+    Ok(out)
+}
+
+fn read_state(
+    ssd: &Ssd,
+    data: FileId,
+    manifest: &Manifest,
+) -> Result<CheckpointState, DeviceError> {
+    let page_size = to_u64(ssd.page_size());
+    let mut start_page = 0u64;
+    let mut segs: Vec<Vec<u8>> = Vec::with_capacity(NUM_SEGMENTS);
+    for desc in &manifest.segments {
+        segs.push(read_segment(ssd, data, start_page, desc.len)?);
+        start_page += desc.len.div_ceil(page_size);
+    }
+    let msgs = decode_msgs(&segs[SEG_MSGS], mem_idx(page_size));
+    Ok(CheckpointState {
+        superstep: manifest.superstep,
+        all_active: manifest.all_active,
+        states: decode_states(&segs[SEG_STATES]),
+        active_bits: segs[SEG_ACTIVE].clone(),
+        msgs,
+    })
 }
 
 fn encode_states(states: &[u64]) -> Vec<u8> {
@@ -290,13 +250,13 @@ fn encode_msgs(msgs: &[Vec<Page>]) -> Vec<u8> {
 }
 
 fn decode_msgs(bytes: &[u8], page_size: usize) -> Vec<Vec<Page>> {
-    let Some(n) = read_u64_at(bytes, 0) else {
+    let Some(n) = read_u64(bytes, 0) else {
         return Vec::new();
     };
     let n = mem_idx(n);
     let mut counts = Vec::with_capacity(n);
     for k in 0..n {
-        match read_u64_at(bytes, (k + 1) * 8) {
+        match read_u64(bytes, (k + 1) * 8) {
             Some(c) => counts.push(mem_idx(c)),
             None => return Vec::new(),
         }
@@ -315,11 +275,6 @@ fn decode_msgs(bytes: &[u8], page_size: usize) -> Vec<Vec<Page>> {
         out.push(pages);
     }
     out
-}
-
-fn read_u64_at(buf: &[u8], off: usize) -> Option<u64> {
-    let bytes: [u8; 8] = buf.get(off..off + 8)?.try_into().ok()?;
-    Some(u64::from_le_bytes(bytes))
 }
 
 #[cfg(test)]

@@ -1,4 +1,5 @@
-//! Checkpoint manifest: the single page that makes a checkpoint durable.
+//! Checkpoint manifest: the commit record (`crate::commit`) that makes a
+//! checkpoint durable.
 //!
 //! A checkpoint consists of a **data file** holding page-aligned segments
 //! (vertex states, active bitset, pending multi-log pages) and a one-page
@@ -10,7 +11,8 @@
 //! manifest still valid.
 //!
 //! Layout of the manifest page (all little-endian, total
-//! [`MANIFEST_HEADER_BYTES`]; the rest of the page is zero):
+//! [`MANIFEST_HEADER_BYTES`]; the rest of the page is zero) — the commit
+//! record's header, a fixed body, its CRC:
 //!
 //! | field          | width                     |
 //! |----------------|---------------------------|
@@ -27,7 +29,8 @@
 //! page (fault injection tears at a seed-derived byte) is detected and the
 //! slot is simply skipped during recovery.
 
-use crate::crc::crc32;
+use crate::commit::{read_u32, read_u64, RecordFormat, UnsupportedVersion, CRC_BYTES};
+pub use crate::commit::{MAGIC_BYTES, SEQ_BYTES, VERSION_BYTES};
 
 /// Magic number opening every checkpoint manifest: `"MLVCCKPT"` as
 /// big-endian ASCII.
@@ -39,26 +42,6 @@ pub const CKPT_MAGIC: u64 = 0x4D4C_5643_434B_5054;
 /// itself is unchanged.
 pub const CKPT_VERSION: u32 = 2;
 
-/// An intact manifest written in a checkpoint format this build does not
-/// read (its segments cannot be interpreted, so it is refused rather than
-/// skipped like a torn one).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct UnsupportedVersion(pub u32);
-
-impl std::fmt::Display for UnsupportedVersion {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "format version {}, this build reads version {CKPT_VERSION}", self.0)
-    }
-}
-
-impl std::error::Error for UnsupportedVersion {}
-
-/// Width of the magic field.
-pub const MAGIC_BYTES: usize = 8;
-/// Width of the version field.
-pub const VERSION_BYTES: usize = 4;
-/// Width of the checkpoint sequence number.
-pub const SEQ_BYTES: usize = 8;
 /// Width of the superstep field.
 pub const SUPERSTEP_BYTES: usize = 8;
 /// Width of the vertex-count field.
@@ -71,17 +54,25 @@ pub const SEGMENT_DESC_BYTES: usize = 12;
 /// multi-log pages.
 pub const NUM_SEGMENTS: usize = 3;
 /// Width of the trailing manifest CRC.
-pub const MANIFEST_CRC_BYTES: usize = 4;
+pub const MANIFEST_CRC_BYTES: usize = CRC_BYTES;
+
+/// The commit-record body: everything between `seq` and the CRC.
+const BODY_BYTES: usize =
+    SUPERSTEP_BYTES + NUM_VERTICES_BYTES + FLAGS_BYTES + NUM_SEGMENTS * SEGMENT_DESC_BYTES;
 
 /// Total manifest header size; must fit in one device page.
-pub const MANIFEST_HEADER_BYTES: usize = MAGIC_BYTES
-    + VERSION_BYTES
-    + SEQ_BYTES
-    + SUPERSTEP_BYTES
-    + NUM_VERTICES_BYTES
-    + FLAGS_BYTES
-    + NUM_SEGMENTS * SEGMENT_DESC_BYTES
-    + MANIFEST_CRC_BYTES;
+pub const MANIFEST_HEADER_BYTES: usize =
+    MAGIC_BYTES + VERSION_BYTES + SEQ_BYTES + BODY_BYTES + MANIFEST_CRC_BYTES;
+
+/// The checkpoint's commit-record format: a fixed body, no legacy layout.
+pub const CKPT_RECORD: RecordFormat = RecordFormat {
+    what: "checkpoint",
+    magic: CKPT_MAGIC,
+    version: CKPT_VERSION,
+    fixed_bytes: BODY_BYTES,
+    entry_bytes: 0,
+    legacy_magic: None,
+};
 
 /// Index of the vertex-state segment.
 pub const SEG_STATES: usize = 0;
@@ -120,10 +111,12 @@ impl Manifest {
     /// Serialize to exactly [`MANIFEST_HEADER_BYTES`] bytes, trailing CRC
     /// included.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(MANIFEST_HEADER_BYTES);
-        buf.extend_from_slice(&CKPT_MAGIC.to_le_bytes());
-        buf.extend_from_slice(&CKPT_VERSION.to_le_bytes());
-        buf.extend_from_slice(&self.seq.to_le_bytes());
+        CKPT_RECORD.encode(self.seq, &self.body())
+    }
+
+    /// The commit-record body: every field but `seq`.
+    pub(crate) fn body(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(BODY_BYTES);
         buf.extend_from_slice(&self.superstep.to_le_bytes());
         buf.extend_from_slice(&self.num_vertices.to_le_bytes());
         let flags: u32 = if self.all_active { FLAG_ALL_ACTIVE } else { 0 };
@@ -132,9 +125,6 @@ impl Manifest {
             buf.extend_from_slice(&seg.len.to_le_bytes());
             buf.extend_from_slice(&seg.crc.to_le_bytes());
         }
-        let crc = crc32(&buf);
-        buf.extend_from_slice(&crc.to_le_bytes());
-        debug_assert_eq!(buf.len(), MANIFEST_HEADER_BYTES);
         buf
     }
 
@@ -143,20 +133,12 @@ impl Manifest {
     /// torn-write case); an error for an intact manifest of another format
     /// version.
     pub fn decode(page: &[u8]) -> Result<Option<Manifest>, UnsupportedVersion> {
-        let Some(body) = intact_body(page) else {
-            return Ok(None);
-        };
-        match read_u32(body, MAGIC_BYTES) {
-            Some(CKPT_VERSION) => Ok(Self::decode_body(body)),
-            Some(other) => Err(UnsupportedVersion(other)),
-            None => Ok(None),
-        }
+        Ok(CKPT_RECORD.decode(page)?.and_then(|(seq, body)| Self::from_body(seq, body)))
     }
 
-    fn decode_body(body: &[u8]) -> Option<Manifest> {
-        let mut off = MAGIC_BYTES + VERSION_BYTES;
-        let seq = read_u64(body, off)?;
-        off += SEQ_BYTES;
+    /// The manifest a commit record of sequence number `seq` carries.
+    pub(crate) fn from_body(seq: u64, body: &[u8]) -> Option<Manifest> {
+        let mut off = 0;
         let superstep = read_u64(body, off)?;
         off += SUPERSTEP_BYTES;
         let num_vertices = read_u64(body, off)?;
@@ -179,27 +161,10 @@ impl Manifest {
     }
 }
 
-/// The CRC-covered header bytes of `page`, when the CRC checks out and the
-/// magic is ours.
-fn intact_body(page: &[u8]) -> Option<&[u8]> {
-    let header = page.get(..MANIFEST_HEADER_BYTES)?;
-    let (body, crc_bytes) = header.split_at(MANIFEST_HEADER_BYTES - MANIFEST_CRC_BYTES);
-    (crc32(body) == read_u32(crc_bytes, 0)? && read_u64(body, 0)? == CKPT_MAGIC).then_some(body)
-}
-
-fn read_u64(buf: &[u8], off: usize) -> Option<u64> {
-    let bytes: [u8; 8] = buf.get(off..off + 8)?.try_into().ok()?;
-    Some(u64::from_le_bytes(bytes))
-}
-
-fn read_u32(buf: &[u8], off: usize) -> Option<u32> {
-    let bytes: [u8; 4] = buf.get(off..off + 4)?.try_into().ok()?;
-    Some(u32::from_le_bytes(bytes))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::crc::crc32;
 
     fn sample() -> Manifest {
         Manifest {
@@ -258,7 +223,8 @@ mod tests {
             body[MAGIC_BYTES..MAGIC_BYTES + VERSION_BYTES].copy_from_slice(&version.to_le_bytes());
             let crc = crc32(&body);
             body.extend_from_slice(&crc.to_le_bytes());
-            assert_eq!(Manifest::decode(&body), Err(UnsupportedVersion(version)));
+            let refused = UnsupportedVersion { found: version, reads: CKPT_VERSION };
+            assert_eq!(Manifest::decode(&body), Err(refused));
         }
     }
 }

@@ -302,7 +302,7 @@ impl PageCache {
             return Ok(0);
         }
         let tenant = dev.tenant();
-        let read = self.read_through(dev, &reqs, tenant, true)?;
+        let read = dev.read(&reqs, true, Some(self))?;
         let mut guard = locked(&self.state);
         let inner = &mut *guard;
         let mut newly = 0u64;
@@ -380,7 +380,8 @@ impl PageCache {
         dropped
     }
 
-    /// Serve a read batch through the cache on behalf of `tenant`.
+    /// Serve a read batch through the cache on behalf of `dev`'s tenant —
+    /// the cached half of [`Ssd`]'s one read routine.
     ///
     /// Pinned pages and resident frames are lent out as hits (a handle
     /// clone, no bytes copied); pages in flight under another owner are
@@ -392,9 +393,9 @@ impl PageCache {
         &self,
         dev: &Ssd,
         reqs: &[(FileId, u64, usize)],
-        tenant: TenantId,
-        charge_time: bool,
+        timed: bool,
     ) -> Result<Vec<Page>, DeviceError> {
+        let tenant = dev.tenant();
         let mut out: Vec<Option<Page>> = Vec::new();
         out.resize_with(reqs.len(), || None);
         let mut guard = locked(&self.state);
@@ -450,7 +451,7 @@ impl PageCache {
             // Fetch owned pages as one device batch, cache lock released.
             let fetch: Vec<(FileId, u64, usize)> = owned.iter().map(|&i| reqs[i]).collect();
             drop(guard);
-            let fetched = dev.read_batch_uncached_inner(&fetch, charge_time);
+            let fetched = dev.read(&fetch, timed, None);
             guard = locked(&self.state);
             match fetched {
                 Err(e) => {
@@ -840,7 +841,7 @@ mod tests {
         for race in racing {
             // The owner's pass 1 and device read …
             claim();
-            let fetched = ssd.read_batch_uncached(&[(f, 0, 0)]).unwrap().remove(0);
+            let fetched = ssd.read(&[(f, 0, 0)], true, None).unwrap().remove(0);
             // … the write that races them, and the landing.
             race();
             land_fill(&mut locked(&cache.state), key, &fetched, 0);
@@ -851,7 +852,7 @@ mod tests {
             ssd.write_page(f, 0, &[0; 32]).unwrap();
         }
         claim();
-        let fetched = ssd.read_batch_uncached(&[(f, 0, 0)]).unwrap().remove(0);
+        let fetched = ssd.read(&[(f, 0, 0)], true, None).unwrap().remove(0);
         land_fill(&mut locked(&cache.state), key, &fetched, 0);
         assert_eq!(cache.snapshot().resident_pages, 1, "an unraced fill lands");
         assert!(Page::ptr_eq(&fetched, &ssd.read_page(f, 0, 0).unwrap()));

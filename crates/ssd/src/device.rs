@@ -40,6 +40,16 @@ enum Store {
     Disk { file: fs::File, pages: u64 },
 }
 
+impl Store {
+    /// Pages in the file.
+    fn len(&self) -> u64 {
+        match self {
+            Store::Mem(pages) => to_u64(pages.len()),
+            Store::Disk { pages, .. } => *pages,
+        }
+    }
+}
+
 struct FileEntry {
     name: String,
     store: Store,
@@ -121,14 +131,6 @@ struct Shared {
 struct Files {
     entries: Vec<Option<FileEntry>>,
     by_name: HashMap<String, FileId>,
-}
-
-/// Outcome of a store-level append: how many pages actually reached the
-/// media before the batch (possibly) failed.
-struct Placed {
-    first: u64,
-    written: u64,
-    err: Option<DeviceError>,
 }
 
 fn io_err(op: &str, e: &io::Error) -> DeviceError {
@@ -395,10 +397,7 @@ impl Ssd {
     pub fn num_pages(&self, file: FileId) -> Result<u64, DeviceError> {
         let files = self.shared.files.lock();
         match files.entries.get(idx(file)).and_then(Option::as_ref) {
-            Some(e) => Ok(match &e.store {
-                Store::Mem(pages) => to_u64(pages.len()),
-                Store::Disk { pages, .. } => *pages,
-            }),
+            Some(e) => Ok(e.store.len()),
             None => Err(DeviceError::Deleted { file }),
         }
     }
@@ -452,10 +451,7 @@ impl Ssd {
             let Some(entry) = slot.take() else {
                 return Ok(());
             };
-            dropped = match &entry.store {
-                Store::Mem(pages) => to_u64(pages.len()),
-                Store::Disk { pages, .. } => *pages,
-            };
+            dropped = entry.store.len();
             files.by_name.remove(&entry.name);
             if let Backend::Dir(dir) = &self.shared.backend {
                 let _ = fs::remove_file(dir.join(sanitize(&entry.name)));
@@ -507,7 +503,7 @@ impl Ssd {
     /// into the pinned tier while the armed budget lasts. Runs after
     /// `charge_write`, whose invalidation already dropped any stale copy
     /// of these page slots.
-    fn retain_appends(&self, writes: &[(FileId, u64, &[u8])]) {
+    fn retain_appends<'d>(&self, appends: impl Iterator<Item = (PageAddr, &'d [u8])>) {
         let mut guard = self.retention.lock();
         let Some(r) = guard.as_mut() else {
             return;
@@ -520,14 +516,14 @@ impl Ssd {
         let Some(c) = cache else {
             return;
         };
-        for &(file, page, data) in writes {
+        for (a, data) in appends {
             if r.remaining < page_bytes {
                 break;
             }
-            if !r.files.contains(&file) {
+            if !r.files.contains(&a.file) {
                 continue;
             }
-            if c.pin_written(file, page, data, self.shared.cfg.page_size, self.tenant) {
+            if c.pin_written(a.file, a.page, data, self.shared.cfg.page_size, self.tenant) {
                 r.remaining -= page_bytes;
             }
         }
@@ -540,28 +536,13 @@ impl Ssd {
     }
 
     /// Append several pages in one batch (e.g. multi-log eviction flushing
-    /// many interval logs at once). Returns the index of the first page.
-    ///
-    /// A crash point inside the batch leaves the pages before it durable
-    /// and the crash page torn; the operation then fails with `Crashed`.
+    /// many interval logs at once). Returns the index of the first page
+    /// (where it would have gone, for an empty batch).
     pub fn append_pages(&self, file: FileId, pages: &[&[u8]]) -> Result<u64, DeviceError> {
-        let placed = self.store_append(file, pages);
-        let addrs: Vec<PageAddr> = (0..placed.written)
-            .map(|i| PageAddr::new(file, placed.first + i))
-            .collect();
-        let fit = self.charge_write(&addrs);
-        match placed.err {
-            Some(e) => Err(e),
-            None => {
-                fit?;
-                let writes: Vec<(FileId, u64, &[u8])> = pages
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &d)| (file, placed.first + to_u64(i), d))
-                    .collect();
-                self.retain_appends(&writes);
-                Ok(placed.first)
-            }
+        let writes: Vec<_> = pages.iter().map(|&data| (file, None, data)).collect();
+        match self.write(&writes)?.first() {
+            Some(&first) => Ok(first),
+            None => self.num_pages(file),
         }
     }
 
@@ -569,34 +550,8 @@ impl Ssd {
     /// eviction path: several interval logs flush their top pages together
     /// and the writes pipeline across channels (paper §V-A3).
     pub fn append_scattered(&self, writes: &[(FileId, &[u8])]) -> Result<Vec<u64>, DeviceError> {
-        let mut addrs = Vec::with_capacity(writes.len());
-        let mut out = Vec::with_capacity(writes.len());
-        let mut failed = None;
-        for &(fid, data) in writes {
-            let placed = self.store_append(fid, &[data]);
-            if placed.written == 1 {
-                addrs.push(PageAddr::new(fid, placed.first));
-                out.push(placed.first);
-            }
-            if let Some(e) = placed.err {
-                failed = Some(e);
-                break;
-            }
-        }
-        let fit = self.charge_write(&addrs);
-        match failed {
-            Some(e) => Err(e),
-            None => {
-                fit?;
-                let placed: Vec<(FileId, u64, &[u8])> = writes
-                    .iter()
-                    .zip(&out)
-                    .map(|(&(fid, data), &page)| (fid, page, data))
-                    .collect();
-                self.retain_appends(&placed);
-                Ok(out)
-            }
-        }
+        let writes: Vec<_> = writes.iter().map(|&(file, data)| (file, None, data)).collect();
+        self.write(&writes)
     }
 
     /// Overwrite an existing page in place. Charged as a 1-page write.
@@ -608,27 +563,37 @@ impl Ssd {
     /// the shard write-back path of the GraphChi baseline, where a whole
     /// shard plus its sliding windows go back to disk together.
     pub fn write_batch(&self, writes: &[(FileId, u64, &[u8])]) -> Result<(), DeviceError> {
-        let mut done: Vec<PageAddr> = Vec::with_capacity(writes.len());
-        let mut failed: Option<DeviceError> = None;
+        let writes: Vec<_> =
+            writes.iter().map(|&(file, page, data)| (file, Some(page), data)).collect();
+        self.write(&writes).map(drop)
+    }
+
+    /// The one write routine behind every write signature. Under one lock
+    /// of the files it places each `(file, at, data)` in order — over page
+    /// `at`, which must exist, or appended when `at` is `None` — and stops
+    /// at the first failure; then it charges what reached the media as one
+    /// dispatch and, when every page landed, retains the appended ones
+    /// (DESIGN.md §18). A crash point inside the batch leaves the pages
+    /// before it durable and the crash page torn; the call then fails with
+    /// `Crashed`. Returns the page index of each write.
+    fn write(&self, writes: &[(FileId, Option<u64>, &[u8])]) -> Result<Vec<u64>, DeviceError> {
+        let mut placed = Vec::with_capacity(writes.len());
+        let mut failed = None;
         {
             let mut files = self.shared.files.lock();
-            for &(fid, page, data) in writes {
-                let Some(entry) = files.entries.get_mut(idx(fid)).and_then(Option::as_mut)
-                else {
-                    failed = Some(DeviceError::Deleted { file: fid });
+            for &(file, at, data) in writes {
+                let Some(entry) = files.entries.get_mut(idx(file)).and_then(Option::as_mut) else {
+                    failed = Some(DeviceError::Deleted { file });
                     break;
                 };
-                let n = match &entry.store {
-                    Store::Mem(pages) => to_u64(pages.len()),
-                    Store::Disk { pages, .. } => *pages,
-                };
-                if page >= n {
-                    failed = Some(DeviceError::OutOfBounds { file: fid, page });
+                let len = entry.store.len();
+                if let Some(page) = at.filter(|&p| p >= len) {
+                    failed = Some(DeviceError::OutOfBounds { file, page });
                     break;
                 }
-                let (placed, went_on) = self.place_page(&mut entry.store, Some(page), data);
-                if placed {
-                    done.push(PageAddr::new(fid, page));
+                let (landed, went_on) = self.place_page(&mut entry.store, at, data);
+                if landed {
+                    placed.push(PageAddr::new(file, at.unwrap_or(len)));
                 }
                 if let Err(e) = went_on {
                     failed = Some(e);
@@ -636,11 +601,14 @@ impl Ssd {
                 }
             }
         }
-        let fit = self.charge_write(&done);
-        match failed {
-            Some(e) => Err(e),
-            None => fit,
+        let fit = self.charge_write(&placed);
+        if let Some(e) = failed {
+            return Err(e);
         }
+        fit?;
+        let appends = writes.iter().zip(&placed).filter(|(w, _)| w.1.is_none());
+        self.retain_appends(appends.map(|(&(_, _, data), &a)| (a, data)));
+        Ok(placed.iter().map(|a| a.page).collect())
     }
 
     // ---- reads -----------------------------------------------------------
@@ -664,71 +632,35 @@ impl Ssd {
     /// Transient read faults within the device's retry bound are absorbed
     /// here, charging one extra page-read service time per retry on the
     /// virtual clock; a fault streak beyond the bound fails the batch with
-    /// [`DeviceError::ReadUnavailable`].
+    /// [`DeviceError::ReadUnavailable`]. A request whose `useful` exceeds
+    /// the page size fails it with [`DeviceError::PayloadTooLarge`] before
+    /// any page is lent or charged.
     pub fn read_batch(&self, reqs: &[(FileId, u64, usize)]) -> Result<Vec<Page>, DeviceError> {
-        let cache = self.shared.cache.lock().clone();
-        match cache {
-            Some(c) => {
-                // A crashed view must not be served from the cache either.
-                self.fault.lock().check_alive()?;
-                c.read_through(self, reqs, self.tenant, true)
-            }
-            None => self.read_batch_uncached(reqs),
-        }
+        self.read(reqs, true, self.cache().as_deref())
     }
 
-    /// Read a batch whose simulated service time has already been accounted
-    /// for elsewhere — the data path of [`crate::IoQueue`], whose virtual
-    /// clocks charge queueing/service time at submit and completion. Pages,
-    /// bytes and exactly one `read_batches` are charged here (once per
-    /// ticket, regardless of how many channels or cache passes serve it);
-    /// `read_time_ns` is not. Fault-retry penalties are real extra service
-    /// time and are still charged at fetch.
-    pub fn read_batch_deferred(
+    /// The one read routine. A crashed view and an oversized `useful` are
+    /// refused first; then the batch is served through `cache` — whose
+    /// misses come back here with `cache: None` as one device batch — or,
+    /// without one, every page is lent from the store. Pages, bytes and
+    /// one `read_batches` are charged for what the device read; its service
+    /// time only when `timed`, because the [`crate::IoQueue`] reads with
+    /// its own clocks owning the time. Fault retries are extra service time
+    /// and are charged either way.
+    pub(crate) fn read(
         &self,
         reqs: &[(FileId, u64, usize)],
-    ) -> Result<Vec<Page>, DeviceError> {
-        let cache = self.shared.cache.lock().clone();
-        match cache {
-            Some(c) => {
-                self.fault.lock().check_alive()?;
-                c.read_through(self, reqs, self.tenant, false)
-            }
-            None => self.read_batch_uncached_inner(reqs, false),
-        }
-    }
-
-    /// Add already-computed read wait/service time to this view's clock —
-    /// the [`crate::IoQueue`] charges submission stalls and completion waits
-    /// through this, keeping `read_time_ns` the single total the
-    /// observability layer mirrors.
-    pub fn charge_read_wait(&self, ns: u64) {
-        if ns == 0 {
-            return;
-        }
-        for s in self.charge_sinks() {
-            s.read_time_ns.add(ns);
-        }
-    }
-
-    /// The raw device read path, bypassing any attached cache — the cache's
-    /// own fill path, and the whole story when no cache is attached.
-    pub(crate) fn read_batch_uncached(
-        &self,
-        reqs: &[(FileId, u64, usize)],
-    ) -> Result<Vec<Page>, DeviceError> {
-        self.read_batch_uncached_inner(reqs, true)
-    }
-
-    /// `read_batch_uncached` with the service-time charge made optional:
-    /// `charge_time: false` is the deferred path, where the queue's virtual
-    /// clocks own the time accounting but counts must still be exact.
-    pub(crate) fn read_batch_uncached_inner(
-        &self,
-        reqs: &[(FileId, u64, usize)],
-        charge_time: bool,
+        timed: bool,
+        cache: Option<&PageCache>,
     ) -> Result<Vec<Page>, DeviceError> {
         self.fault.lock().check_alive()?;
+        let page_size = self.shared.cfg.page_size;
+        if let Some(&(_, _, len)) = reqs.iter().find(|r| r.2 > page_size) {
+            return Err(DeviceError::PayloadTooLarge { len, page_size });
+        }
+        if let Some(c) = cache {
+            return c.read_through(self, reqs, timed);
+        }
         let mut out = Vec::with_capacity(reqs.len());
         let mut addrs = Vec::with_capacity(reqs.len());
         let mut useful_total = 0u64;
@@ -737,10 +669,6 @@ impl Ssd {
         {
             let files = self.shared.files.lock();
             for &(fid, page, useful) in reqs {
-                assert!(
-                    useful <= self.shared.cfg.page_size,
-                    "useful bytes cannot exceed the page size"
-                );
                 match self.lend(&files, fid, page) {
                     Ok((lent, retries)) => {
                         extra_retries += u64::from(retries);
@@ -755,16 +683,20 @@ impl Ssd {
                 }
             }
         }
-        self.charge_read(&addrs, useful_total, charge_time);
-        if extra_retries > 0 {
-            let t = extra_retries.saturating_mul(READ_NS);
-            for s in self.charge_sinks() {
-                s.read_time_ns.add(t);
-            }
+        self.charge_read(&addrs, useful_total, extra_retries, timed);
+        failed.map_or(Ok(out), Err)
+    }
+
+    /// Add already-computed read wait/service time to this view's clock —
+    /// the [`crate::IoQueue`] charges submission stalls and completion waits
+    /// through this, keeping `read_time_ns` the single total the
+    /// observability layer mirrors.
+    pub fn charge_read_wait(&self, ns: u64) {
+        if ns == 0 {
+            return;
         }
-        match failed {
-            Some(e) => Err(e),
-            None => Ok(out),
+        for s in self.charge_sinks() {
+            s.read_time_ns.add(ns);
         }
     }
 
@@ -826,28 +758,6 @@ impl Ssd {
         self.read_batch(&reqs)
     }
 
-    fn store_append(&self, file: FileId, pages: &[&[u8]]) -> Placed {
-        let mut files = self.shared.files.lock();
-        let Some(entry) = files.entries.get_mut(idx(file)).and_then(Option::as_mut) else {
-            return Placed { first: 0, written: 0, err: Some(DeviceError::Deleted { file }) };
-        };
-        let first = match &entry.store {
-            Store::Mem(existing) => to_u64(existing.len()),
-            Store::Disk { pages: n, .. } => *n,
-        };
-        let mut written = 0u64;
-        let mut err = None;
-        for data in pages {
-            let (placed, went_on) = self.place_page(&mut entry.store, None, data);
-            written += u64::from(placed);
-            if let Err(e) = went_on {
-                err = Some(e);
-                break;
-            }
-        }
-        Placed { first, written, err }
-    }
-
     /// Place one page's payload in `store` — over page `at`, which the
     /// caller has bounds-checked, or appended when `at` is `None`: the
     /// payload-size check, the fault schedule's fate for the write, the tear,
@@ -893,15 +803,14 @@ impl Ssd {
         }
     }
 
-    fn charge_read(&self, addrs: &[PageAddr], useful: u64, charge_time: bool) {
+    /// Account for pages read: their service time only when `timed`, the
+    /// fault retries they took always.
+    fn charge_read(&self, addrs: &[PageAddr], useful: u64, retries: u64, timed: bool) {
         if addrs.is_empty() {
             return;
         }
-        let t = if charge_time {
-            batch_time_ns(&self.shared.cfg, addrs, READ_NS)
-        } else {
-            0
-        };
+        let service = if timed { batch_time_ns(&self.shared.cfg, addrs, READ_NS) } else { 0 };
+        let t = service + retries.saturating_mul(READ_NS);
         for s in self.charge_sinks() {
             s.pages_read.add(to_u64(addrs.len()));
             s.bytes_read.add(to_u64(addrs.len()) * to_u64(self.shared.cfg.page_size));
@@ -1177,6 +1086,33 @@ mod tests {
             ssd.write_page(f, 0, &vec![0u8; 300]),
             Err(DeviceError::PayloadTooLarge { len: 300, page_size: 256 })
         );
+    }
+
+    /// A read that declares more useful bytes than a page holds is refused
+    /// before any page is lent, served from the cache or charged — with or
+    /// without a cache in front.
+    #[test]
+    fn oversized_useful_read_is_refused_before_anything_is_charged() {
+        let ssd = dev();
+        let f = ssd.open_or_create("a").unwrap();
+        ssd.append_page(f, &[1; 8]).unwrap();
+        let cache = Arc::new(crate::PageCache::new(4));
+        for cached in [false, true] {
+            if cached {
+                ssd.attach_cache(Arc::clone(&cache));
+                ssd.read_page(f, 0, 8).unwrap();
+            }
+            let (stats, faults, hits) =
+                (ssd.stats().snapshot(), ssd.fault_counters(), cache.snapshot());
+            assert_eq!(
+                ssd.read_batch(&[(f, 0, 8), (f, 0, 257)]),
+                Err(DeviceError::PayloadTooLarge { len: 257, page_size: 256 }),
+                "cached {cached}"
+            );
+            assert_eq!(ssd.stats().snapshot(), stats, "cached {cached}: charged");
+            assert_eq!(ssd.fault_counters(), faults, "cached {cached}: a page was lent");
+            assert_eq!(cache.snapshot(), hits, "cached {cached}: the cache served it");
+        }
     }
 
     #[test]

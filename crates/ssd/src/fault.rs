@@ -42,7 +42,8 @@ pub enum DeviceError {
     OutOfBounds { file: FileId, page: u64 },
     /// Operation on a deleted file id.
     Deleted { file: FileId },
-    /// Payload longer than the device page size.
+    /// A write's payload, or the useful bytes a read declares, longer than
+    /// the device page size.
     PayloadTooLarge { len: usize, page_size: usize },
     /// Host filesystem failure in the file-backed store.
     Io(String),

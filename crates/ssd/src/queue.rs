@@ -18,21 +18,22 @@
 //!   as read wait. `depth` therefore never changes *when* a request
 //!   completes, only when submission returns — queue depth 1 degenerates to
 //!   the old synchronous charging.
-//! * [`IoQueue::fetch`] hands over the pages (lent [`Page`] handles: a
-//!   ticket's pages cross to the fetching thread without a copy) with
-//!   counts charged but **no** service time — the queue's clocks own time.
-//!   Exactly one `read_batches` is charged per ticket, however many
-//!   channels or cache passes serve it.
-//!   `fetch` may run on any thread; the engine runs it on the fetch
-//!   workers. When a page cache is attached, the data is actually moved at
-//!   *submit* time (plan order, owner thread) and `fetch` just hands it
-//!   over — so the queue's own cache traffic is in plan order. That alone
-//!   does not make the cache's eviction sequence thread-invariant: whoever
-//!   receives the pages must not touch the device either. A truncate from
-//!   a fetch worker invalidates frames while the owner is inserting, and
-//!   the frames freed first decide who is evicted next. The engine
-//!   therefore decodes on the workers and consumes (truncates) on the
-//!   owner, where it retires the ticket (DESIGN.md §12).
+//! * The data moves at *submit*: `submit_read` reads the ticket's pages
+//!   (through the page cache when one is attached) with counts charged but
+//!   **no** service time — the queue's clocks own time. Exactly one
+//!   `read_batches` is charged per ticket, however many channels or cache
+//!   passes serve it. Every device read the queue makes is therefore an
+//!   owner-thread, plan-order call: the fault schedule's read counter, the
+//!   cache's request sequence and every charge see the same calls in the
+//!   same order at any worker-thread count.
+//! * [`IoQueue::fetch`] only hands the pages over (lent [`Page`] handles:
+//!   a ticket's pages cross to the fetching thread without a copy), and
+//!   may run on any thread; the engine runs it wherever the batch is
+//!   decoded. Whoever receives the pages must not touch the device either
+//!   — a truncate from a look-ahead worker would invalidate cache frames
+//!   while the owner is inserting, and the frames freed first decide who
+//!   is evicted next — so the engine decodes on the workers and consumes
+//!   (truncates) on the owner, where it retires the ticket (DESIGN.md §12).
 //! * [`IoQueue::complete`] retires a ticket on the owner's clock, charging
 //!   only the *remaining* wait `max(0, completion − now)`. Compute time the
 //!   owner spends between completions is reported via [`IoQueue::advance`],
@@ -40,8 +41,9 @@
 //!
 //! Determinism contract (DESIGN.md §12): `submit_read`, `complete` and
 //! `advance` are called by the engine owner thread in plan order — the
-//! completion-drain rule — so every virtual timestamp is a pure function of
-//! the plan, independent of worker-thread count and wall-clock scheduling.
+//! completion-drain rule — so every virtual timestamp and every device
+//! read is a pure function of the plan, independent of worker-thread count
+//! and wall-clock scheduling.
 //!
 //! [`batch_time_ns`]: crate::batch_time_ns
 
@@ -79,14 +81,8 @@ pub struct QueueWaitStats {
 struct TicketState {
     /// Virtual completion time of the last page of this ticket.
     completion: f64,
-    /// Requests not yet fetched (`None` once [`IoQueue::fetch`] ran, or
-    /// when the data was prefetched at submit).
-    reqs: Option<Vec<(FileId, u64, usize)>>,
-    /// Data eagerly moved at submit time when a page cache is attached
-    /// (`None` otherwise, or once fetched). Keeping cache traffic on the
-    /// plan-order submit path makes the cache's request sequence
-    /// independent of which fetch worker later calls [`IoQueue::fetch`].
-    prefetched: Option<Result<Vec<Page>, DeviceError>>,
+    /// What the read at submit returned (`None` once fetched).
+    pages: Option<Result<Vec<Page>, DeviceError>>,
 }
 
 struct QueueState {
@@ -131,20 +127,15 @@ impl IoQueue {
         }
     }
 
-    /// Schedule a read batch onto the channel clocks and return its ticket.
+    /// Read a batch (counts charged, no service time), schedule it onto the
+    /// channel clocks and return its ticket; a failed read is returned by
+    /// [`Self::fetch`].
     ///
     /// Owner-thread, plan-order only (see the module docs). Any submission
     /// stall is charged to the device's `read_time_ns` here.
     pub fn submit_read(&self, reqs: Vec<(FileId, u64, usize)>) -> Ticket {
-        // With a cache attached, move the data *now*, on the plan-order
-        // submit path, so the cache observes an identical request sequence
-        // for any worker-thread count (counts charged, no service time —
-        // same as a deferred fetch). No queue lock is held here.
-        let prefetched = if self.ssd.cache().is_some() {
-            Some(self.ssd.read_batch_deferred(&reqs))
-        } else {
-            None
-        };
+        // No queue lock is held over the read.
+        let pages = self.ssd.read(&reqs, false, self.ssd.cache().as_deref());
         let channels = self.ssd.config().channels;
         let mut sorted: Vec<PageAddr> =
             reqs.iter().map(|&(f, p, _)| PageAddr::new(f, p)).collect();
@@ -188,8 +179,7 @@ impl IoQueue {
         st.wait.max_inflight = st.wait.max_inflight.max(st.inflight);
         let id = st.next_id;
         st.next_id += 1;
-        let reqs = if prefetched.is_none() { Some(reqs) } else { None };
-        st.tickets.insert(id, TicketState { completion, reqs, prefetched });
+        st.tickets.insert(id, TicketState { completion, pages: Some(pages) });
         drop(st);
         if stall > 0 {
             self.ssd.charge_read_wait(stall);
@@ -197,28 +187,18 @@ impl IoQueue {
         Ticket(id)
     }
 
-    /// Move the data of a submitted ticket: counts are charged (one
-    /// `read_batches` for the whole ticket), service time is not — the
-    /// queue's clocks own it. Runs on any thread; fetching a ticket twice
-    /// (or one this queue never issued) is an error.
+    /// Hand over the pages a submitted ticket read (or its read error).
+    /// Touches neither the device nor a clock, so it runs on any thread;
+    /// fetching a ticket twice (or one this queue never issued) is an
+    /// error.
     pub fn fetch(&self, ticket: Ticket) -> Result<Vec<Page>, DeviceError> {
-        let (reqs, prefetched) = {
-            let mut st = self.state.lock();
-            match st.tickets.get_mut(&ticket.0) {
-                Some(t) => (t.reqs.take(), t.prefetched.take()),
-                None => (None, None),
-            }
-        };
-        if let Some(res) = prefetched {
-            return res;
-        }
-        let Some(reqs) = reqs else {
-            return Err(DeviceError::Io(format!(
+        let pages = self.state.lock().tickets.get_mut(&ticket.0).and_then(|t| t.pages.take());
+        pages.unwrap_or_else(|| {
+            Err(DeviceError::Io(format!(
                 "ticket {} was never submitted or already fetched",
                 ticket.0
-            )));
-        };
-        self.ssd.read_batch_deferred(&reqs)
+            )))
+        })
     }
 
     /// Retire a ticket on the owner clock, charging the residual wait
@@ -300,8 +280,27 @@ mod tests {
         let s = ssd.stats().snapshot();
         assert_eq!(s.pages_read, 8);
         assert_eq!(s.read_batches, 1, "one ticket = one read batch");
-        assert_eq!(s.read_time_ns, 0, "fetch charges no service time");
+        assert_eq!(s.read_time_ns, 0, "moving the data charges no service time");
         assert!(q.complete(t) > 0, "time lands at completion");
+    }
+
+    /// The data moves at submit, cache or not: the read is charged before
+    /// any fetch, and a fetch touches no device — a ticket submitted before
+    /// its file was truncated still hands over the pages it read.
+    #[test]
+    fn submit_moves_the_data_and_fetch_only_hands_it_over() {
+        let (ssd, f) = dev_with_file(4);
+        let q = IoQueue::new(Arc::clone(&ssd), 16);
+        let t = q.submit_read(reqs(f, 0..4));
+        let s = ssd.stats().snapshot();
+        assert_eq!((s.pages_read, s.read_batches, s.read_time_ns), (4, 1, 0));
+        ssd.truncate(f).unwrap();
+        let reads = ssd.fault_counters().page_reads;
+        assert_eq!(&q.fetch(t).unwrap()[2][..16], &[2u8; 16]);
+        assert_eq!(ssd.fault_counters().page_reads, reads, "fetch read the device");
+        // A read that fails at submit is handed over as its error.
+        let bad = q.submit_read(vec![(f, 0, 257)]);
+        assert_eq!(q.fetch(bad), Err(DeviceError::PayloadTooLarge { len: 257, page_size: 256 }));
     }
 
     #[test]

@@ -835,7 +835,7 @@ mod tests {
     fn capture_rule_exempts_sort_slice_arg_and_flags_cells() {
         // The `&mut` slice handed to a sort is the data argument, not a capture.
         let sort = "fn f() { par_sort_by_u32_key(&mut updates, |u| u.dest); }\n";
-        assert!(lint("crates/log/src/sortgroup.rs", sort).is_empty());
+        assert!(lint("crates/log/src/fusion.rs", sort).is_empty());
 
         let cell = "fn f() { par_map(&xs, |x| cache.borrow_mut().insert(x)); }\n";
         let d = lint("crates/apps/src/kcore.rs", cell);

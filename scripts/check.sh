@@ -70,16 +70,22 @@ echo "== stage-table smoke (mlvc run) =="
 # `supersteps` row: owner time that no row names fails here. PageRank
 # holds the dense, message-heavy path; the random walk holds the sparse
 # adjacency path (a few active vertices an interval, the edge log on);
-# `wcc --async` holds the asynchronous model, end to end through the CLI.
+# `wcc --async` holds the asynchronous model, end to end through the CLI;
+# `pagerank --ssd-dir` holds the file-backed device, the one backend no
+# benchmark workload runs, on a fresh directory per run.
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT
 cargo run -q --release --bin mlvc -- \
   gen --kind rmat-social --scale 12 --seed 42 --out "$smoke_dir/g.csr" >/dev/null
-for app in "pagerank" "randomwalk" "wcc --async"; do
+for app in "pagerank" "randomwalk" "wcc --async" "pagerank --ssd-dir"; do
   for t in 1 2; do
-    # shellcheck disable=SC2086 # $app carries the app's flags, split on purpose
+    flags="$app"
+    if [[ $app == *--ssd-dir ]]; then
+      flags="$app $(mktemp -d -p "$smoke_dir")"
+    fi
+    # shellcheck disable=SC2086 # $flags carries the app and its flags, split on purpose
     MLVC_THREADS=$t cargo run -q --release --bin mlvc -- \
-      run --app $app --graph "$smoke_dir/g.csr" >"$smoke_dir/run.$t"
+      run --app $flags --graph "$smoke_dir/g.csr" >"$smoke_dir/run.$t"
     # Everything but the stage table, which is wall-clock.
     awk '/^stage /{skip=1} /^converged/{skip=0} !skip' "$smoke_dir/run.$t" >"$smoke_dir/det.$t"
     awk -F'|' -v t="$t" -v app="$app" '

@@ -7,8 +7,8 @@
 //!
 //! The thread-count override is process-global: test functions sweeping it
 //! side by side would no longer pin the thread count they claim to — the
-//! determinism sweep would still pass (determinism is exactly what it
-//! asserts), the who-decodes-what test would not — so the two tests of this
+//! determinism sweeps would still pass (determinism is exactly what they
+//! assert), the who-decodes-what test would not — so the tests of this
 //! file take turns on [`OVERRIDE`].
 
 use std::sync::Arc;
@@ -21,7 +21,7 @@ use multilogvc::core::{
 use multilogvc::graph::{StoredGraph, VertexId, VertexIntervals};
 use multilogvc::prelude::RmatParams;
 use multilogvc::ssd::sync::Mutex;
-use multilogvc::ssd::{Page, Ssd, SsdConfig};
+use multilogvc::ssd::{DeviceError, FaultPlan, Page, Ssd, SsdConfig};
 
 /// Held by a test for as long as it sets the thread-count override.
 static OVERRIDE: Mutex<()> = Mutex::new(());
@@ -40,7 +40,7 @@ struct Shape {
 }
 
 /// Many small intervals under tight memory: supersteps split into several
-/// fused batches, so the fetch workers are genuinely exercised. Every
+/// fused batches, so the look-ahead workers are genuinely exercised. Every
 /// interval stays below the engine's fork threshold, so process and
 /// scatter run on the owner thread.
 const SMALL: Shape = Shape { scale: 10, intervals: 16, memory: 64 << 10, steps: 40 };
@@ -116,6 +116,69 @@ fn tiered_traces_bit_identical_across_thread_counts() {
                     assert_eq!(a, b, "{ctx}: trace differs at superstep {}", a.superstep);
                 }
             }
+        }
+    }
+}
+
+/// What one faulted run leaves behind: states, trace, per-superstep counts
+/// of the supersteps it completed, and the error that cut it short.
+type FaultedRun = (Vec<u64>, Vec<TraceRecord>, StepCounts, Option<DeviceError>);
+
+/// One PageRank run on the `SMALL` shape, observability on, with no cache
+/// in front of a device that raises a read-fault streak every `period`-th
+/// page read. Every device read of a run is an owner-thread, plan-order
+/// call — the queue reads a ticket's pages at submit — so which read the
+/// schedule faults cannot depend on which look-ahead worker fetches first.
+fn run_faulted(period: u64, streak: u32) -> FaultedRun {
+    let g = mlvc_gen::rmat(RmatParams::social(SMALL.scale, 8), 0xD7);
+    let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
+    let iv = VertexIntervals::uniform(g.num_vertices(), SMALL.intervals);
+    let sg = StoredGraph::store_with(&ssd, &g, "det", iv).unwrap();
+    ssd.install_fault_plan(FaultPlan::default().with_read_faults(period, streak));
+    let cfg = EngineConfig::default().with_memory(SMALL.memory).with_obs(true);
+    let mut eng = MultiLogEngine::new(Arc::clone(&ssd), sg, cfg);
+    let r = eng.run(&PageRank::new(0.85, 1e-4), 12);
+    assert!(ssd.fault_counters().transient_read_faults > 0, "streak {streak}: no fault fired");
+    let steps = r
+        .supersteps
+        .iter()
+        .map(|s| (s.messages_processed, s.messages_sent, s.active_vertices))
+        .collect();
+    (eng.states().to_vec(), r.trace, steps, r.interrupted)
+}
+
+/// Read faults without a cache: a streak within the device's retry bound
+/// (3) changes only simulated time, and by the same nanoseconds at every
+/// thread count — whole traces, `sim_time_ns` included, are equal; a
+/// streak beyond it interrupts every thread count with the same error
+/// after the same supersteps. The run reads about 700 pages a superstep:
+/// the bounded streak fires every 97th, the unbounded one first a few
+/// supersteps in.
+#[test]
+fn read_fault_schedules_are_bit_identical_across_thread_counts() {
+    let _turn = OVERRIDE.lock();
+    for (period, streak) in [(97u64, 2u32), (3001, 4)] {
+        let mut baseline: Option<FaultedRun> = None;
+        for threads in [1usize, 2, 8] {
+            multilogvc::par::set_thread_override(Some(threads));
+            let got = run_faulted(period, streak);
+            multilogvc::par::set_thread_override(None);
+            let ctx = format!("read-fault streak {streak}, {threads} threads");
+            let Some(base) = &baseline else {
+                match &got.3 {
+                    None => assert!(streak <= 3, "{ctx}: an unbounded streak was absorbed"),
+                    Some(DeviceError::ReadUnavailable { .. }) => {
+                        assert!(streak > 3 && !got.2.is_empty(), "{ctx}: {:?}", got.3);
+                    }
+                    Some(e) => panic!("{ctx}: {e}"),
+                }
+                baseline = Some(got);
+                continue;
+            };
+            assert_eq!(base.3, got.3, "{ctx}: interruptions differ");
+            assert_eq!(base.2, got.2, "{ctx}: completed supersteps differ");
+            assert_eq!(base.0, got.0, "{ctx}: states differ");
+            assert_eq!(base.1, got.1, "{ctx}: traces differ");
         }
     }
 }
