@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use mlvc_core::{Engine, RunReport, TieringConfig, VertexProgram};
 use mlvc_graph::{Csr, VertexId};
-use mlvc_ssd::{FtlConfig, FtlModel, FtlOp, Ssd, SsdConfig};
+use mlvc_ssd::{FtlConfig, FtlStats, Ssd, SsdConfig};
 
 use crate::rig::{Rig, Settings};
 use crate::table::{Cell, Section};
@@ -370,7 +370,7 @@ pub fn fig10(s: &Settings) -> Section {
     out
 }
 
-/// Extension (DESIGN.md §8): edge-log optimizer ablation — same runs with
+/// Extension (DESIGN.md §9): edge-log optimizer ablation — same runs with
 /// the optimizer on/off.
 pub fn ablation_edgelog(s: &Settings) -> Section {
     let mut out = Section::new(
@@ -409,7 +409,7 @@ pub fn ablation_edgelog(s: &Settings) -> Section {
     out
 }
 
-/// Extension (DESIGN.md §8): flash channel-count sweep — how much of the
+/// Extension (DESIGN.md §9): flash channel-count sweep — how much of the
 /// multi-log design's benefit rides on channel parallelism.
 pub fn ablation_channels(s: &Settings) -> Section {
     let mut out = Section::new(
@@ -435,7 +435,7 @@ pub fn ablation_channels(s: &Settings) -> Section {
     out
 }
 
-/// Extension (DESIGN.md §8): synchronous vs asynchronous computation model
+/// Extension (DESIGN.md §9): synchronous vs asynchronous computation model
 /// (paper §V-F) on monotone algorithms.
 pub fn ablation_async(s: &Settings) -> Section {
     let mut out = Section::new(
@@ -468,57 +468,44 @@ pub fn ablation_async(s: &Settings) -> Section {
     out
 }
 
-/// Peak number of simultaneously live logical pages in a write/trim trace.
-fn peak_live(trace: &[FtlOp]) -> usize {
-    let mut live = std::collections::HashSet::new();
-    let mut peak = 0;
-    for op in trace {
-        match op {
-            FtlOp::Write(l) => {
-                live.insert(*l);
-                peak = peak.max(live.len());
-            }
-            FtlOp::Trim(l) => {
-                live.remove(l);
-            }
-        }
-    }
-    peak
-}
-
-/// Extension (DESIGN.md §8): device-level write amplification. Replays
-/// each engine's host write/trim trace through the FTL model — the
+/// Extension (DESIGN.md §9): device-level write amplification. Feeds
+/// each engine's host writes and trims to a live FTL model — the
 /// append-and-trim multi-log should stay near WA 1.0 while GraphChi's
 /// in-place shard rewrites force GC relocations.
 pub fn ablation_ftl(s: &Settings) -> Section {
     let mut out = Section::new(
-        "Ablation — device write amplification (FTL replay, PageRank, CF)",
-        "Host write/trim traces of a full run replayed through a page-mapping FTL with\n\
-         greedy GC. Multi-log writes are append-then-trim (flash friendly, paper §IV-A);\n\
-         GraphChi overwrites shard pages in place.",
+        "Ablation — device write amplification (live FTL, PageRank, CF)",
+        "Every host page write and trim of a full run, graph ingest included, fed live to\n\
+         a page-mapping FTL with greedy GC. Multi-log writes are append-then-trim (flash\n\
+         friendly, paper §IV-A); GraphChi overwrites shard pages in place.",
         &["Engine", "Host writes", "Physical writes", "GC relocations", "Write amplification"],
     );
     let d = s.cf();
-    // Traces include the graph ingest: the cold resident CSR / shard data
-    // is exactly what pins erase blocks and creates GC pressure.
-    let rig = Rig { trace: true, ..s.rig(&d.graph) };
     let app = mlvc_apps::PageRank::new(0.85, 0.01);
-    fn traced(built: (Arc<Ssd>, impl Engine), app: &dyn VertexProgram, steps: usize) -> Vec<FtlOp> {
-        let (ssd, mut engine) = built;
-        engine.run(app, steps);
-        ssd.take_trace()
-    }
-    let mlvc = traced(rig.mlvc(), &app, s.supersteps);
-    let graphchi = traced(rig.graphchi(), &app, s.supersteps);
-    // One device geometry for both engines: the larger peak live footprint
-    // at ~85% occupancy — the regime where GC pressure is realistic.
+    // The FTL attaches before the ingest: the cold resident CSR / shard
+    // data is exactly what pins erase blocks and creates GC pressure.
+    let run = |ftl: FtlConfig| -> [FtlStats; 2] {
+        let rig = Rig { ftl: Some(ftl), ..s.rig(&d.graph) };
+        fn stats(built: (Arc<Ssd>, impl Engine), app: &dyn VertexProgram, steps: usize) -> FtlStats {
+            let (ssd, mut engine) = built;
+            if let Some(e) = engine.run(app, steps).interrupted {
+                panic!("FTL ablation run failed: {e}");
+            }
+            ssd.ftl_stats().expect("the rig attached an FTL")
+        }
+        [stats(rig.mlvc(), &app, s.supersteps), stats(rig.graphchi(), &app, s.supersteps)]
+    };
+    // A sizing pass on a 2^20-page device, far above either engine's
+    // footprint, measures the peak live pages; then one geometry for both
+    // engines: the larger peak at ~85% occupancy — the regime where GC
+    // pressure is realistic. The runs are deterministic, so the measured
+    // pass issues the same host operations as the sizing pass.
     let pages_per_block = 64usize;
-    let peak = peak_live(&mlvc).max(peak_live(&graphchi));
+    let sizing = FtlConfig { pages_per_block, blocks: (1 << 20) / pages_per_block, gc_low_watermark: 2 };
+    let peak = run(sizing).iter().map(|st| st.peak_live).max().unwrap_or(0);
     let blocks = (((peak as f64 / 0.85) / pages_per_block as f64).ceil() as usize).max(8);
-    for (name, trace) in [("MultiLogVC", mlvc), ("GraphChi", graphchi)] {
-        let mut ftl = FtlModel::new(FtlConfig { pages_per_block, blocks, gc_low_watermark: 2 });
-        ftl.replay(&trace).expect("the device is sized from the traces' peak footprint");
-        let st = ftl.stats();
+    let measured = run(FtlConfig { pages_per_block, blocks, gc_low_watermark: 2 });
+    for (name, st) in ["MultiLogVC", "GraphChi"].into_iter().zip(measured) {
         out.row(vec![
             Cell::text(name),
             Cell::int(st.host_writes),

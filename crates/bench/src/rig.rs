@@ -10,7 +10,7 @@ use mlvc_grafboost::GrafBoostEngine;
 use mlvc_graph::{Csr, StoredGraph, VertexIntervals};
 use mlvc_graphchi::GraphChiEngine;
 use mlvc_log::UPDATE_BYTES;
-use mlvc_ssd::{Ssd, SsdConfig};
+use mlvc_ssd::{FtlConfig, Ssd, SsdConfig};
 
 /// Experiment scaling knobs (see crate docs for the environment variables).
 #[derive(Debug, Clone, Copy)]
@@ -81,9 +81,9 @@ pub struct Rig<'g> {
     pub intervals: VertexIntervals,
     pub ssd: SsdConfig,
     pub engine: EngineConfig,
-    /// Record the device's write/trim trace from the ingest on (the FTL
-    /// replay's input).
-    pub trace: bool,
+    /// Attach a live FTL model of this geometry to the device before the
+    /// ingest, so it sees every host write and trim of the run.
+    pub ftl: Option<FtlConfig>,
 }
 
 impl<'g> Rig<'g> {
@@ -93,13 +93,13 @@ impl<'g> Rig<'g> {
         ssd: SsdConfig,
         engine: EngineConfig,
     ) -> Rig<'g> {
-        Rig { graph, intervals, ssd, engine, trace: false }
+        Rig { graph, intervals, ssd, engine, ftl: None }
     }
 
     fn device(&self) -> Arc<Ssd> {
         let ssd = Arc::new(Ssd::new(self.ssd.clone()));
-        if self.trace {
-            ssd.enable_trace();
+        if let Some(cfg) = &self.ftl {
+            ssd.enable_ftl(cfg.clone());
         }
         ssd
     }

@@ -83,8 +83,8 @@ pub struct EngineConfig {
     pub checkpoint_every: Option<usize>,
     /// Observability layer (DESIGN.md §13): attach a live FTL model to the
     /// device, record a deterministic per-superstep [`mlvc_obs::TraceRecord`]
-    /// into `RunReport::trace`, and snapshot a
-    /// metrics registry into `RunReport::obs`. Off by default — the
+    /// into `RunReport::trace`, and build the end-of-run metrics snapshot
+    /// into `RunReport::obs`. Off by default — the
     /// disabled path costs nothing beyond one branch per superstep.
     pub obs: bool,
     /// Seed for deterministic per-vertex randomness.

@@ -1,6 +1,6 @@
 use mlvc_log::{EdgeLogStats, MultiLogStats};
 use mlvc_mutate::MutationStats;
-use mlvc_obs::{trace_to_jsonl, MetricsSnapshot, TraceRecord};
+use mlvc_obs::{to_prometheus, trace_to_jsonl, MetricsSnapshot, TraceRecord};
 use mlvc_ssd::{DeviceError, SsdStatsSnapshot};
 
 /// Statistics of one superstep — the per-superstep rows behind the paper's
@@ -131,13 +131,13 @@ pub struct RunReport {
     /// only when at least one mutation batch merged mid-run. Survives the
     /// superstep reset of a `Reconverge::Restart`.
     pub mutations: Option<MutationStats>,
-    /// Per-phase trace when `EngineConfig::obs` was enabled: record 0 is
-    /// the seeding phase, records 1.. mirror `supersteps` (bounded by the
-    /// engine's trace ring; very long runs keep the most recent records).
+    /// Per-phase trace when `EngineConfig::obs` was enabled (empty
+    /// otherwise): record 0 is the seeding phase, record `k` mirrors
+    /// `supersteps[k - 1]`; see [`TraceRecord`].
     pub trace: Vec<TraceRecord>,
-    /// End-of-run metrics registry snapshot when `EngineConfig::obs` was
-    /// enabled. Its `mlvc_ssd_*` counters equal the device's own stats
-    /// delta over the run exactly (`tests/io_accounting.rs`).
+    /// End-of-run metrics snapshot when `EngineConfig::obs` was enabled.
+    /// Its `mlvc_ssd_*` counters equal the device's own stats delta over
+    /// the run exactly (`tests/io_accounting.rs`).
     pub obs: Option<MetricsSnapshot>,
 }
 
@@ -231,21 +231,15 @@ impl RunReport {
         other.total_sim_time_ns() as f64 / self.total_sim_time_ns().max(1) as f64
     }
 
-    /// The run's observability trace (empty unless `EngineConfig::obs` was
-    /// enabled). Record 0 is the seeding phase; see [`TraceRecord`].
-    pub fn metrics(&self) -> &[TraceRecord] {
-        &self.trace
-    }
-
     /// The trace as JSON lines — the `mlvc run --metrics <path>` payload.
     pub fn trace_jsonl(&self) -> String {
         trace_to_jsonl(&self.trace)
     }
 
-    /// Prometheus text exposition of the end-of-run registry snapshot
+    /// Prometheus text exposition of the end-of-run metrics snapshot
     /// (empty string when obs was disabled).
     pub fn prometheus_text(&self) -> String {
-        self.obs.as_ref().map(MetricsSnapshot::to_prometheus).unwrap_or_default()
+        self.obs.as_ref().map(|s| to_prometheus(&[(None, s)])).unwrap_or_default()
     }
 
     /// Whole-run read amplification from the trace (bytes read / useful

@@ -1,23 +1,21 @@
 //! Trace emission of one drive (DESIGN.md §13), active only with
-//! [`crate::EngineConfig::obs`]: the trace ring, the unit-stats baselines
+//! [`crate::EngineConfig::obs`]: the trace, the unit-stats baselines
 //! subtracted to turn cumulative counters into per-superstep deltas, the
-//! one [`TraceRecord`] builder and the end-of-run registry snapshot.
+//! one [`TraceRecord`] builder and the end-of-run metrics snapshot.
+
+use std::collections::BTreeMap;
 
 use mlvc_log::{EdgeLogOptimizer, EdgeLogStats, MultiLog, MultiLogStats};
-use mlvc_obs::{MetricsSnapshot, Registry, TraceRecord, TraceRing};
+use mlvc_obs::{HistogramSnapshot, MetricsSnapshot, TraceRecord};
 use mlvc_ssd::{CacheSnapshot, FtlConfig, FtlStats, Ssd, SsdStatsSnapshot};
 
 use crate::{RunReport, SuperstepStats};
 
-/// Trace records kept per run — far above any evaluation run (the paper
-/// caps at 15 supersteps); beyond it the ring keeps the most recent records
-/// so memory stays bounded.
-const TRACE_RING_CAP: usize = 4096;
-
 pub(crate) struct Tracer {
-    ring: TraceRing,
+    /// One record per phase: the seed phase, then one per superstep.
+    trace: Vec<TraceRecord>,
     /// Device stats at run start — the whole-run baseline behind the
-    /// seed-phase record and the end-of-run registry counters.
+    /// seed-phase record and the end-of-run counters.
     run_base: SsdStatsSnapshot,
     /// FTL stats and page-cache snapshot at run start (defaults when no
     /// cache is attached), for the whole-run gauges and counters.
@@ -40,7 +38,7 @@ impl Tracer {
         let ftl0 = ssd.ftl_stats().unwrap_or_default();
         let cache0 = ssd.cache().map(|c| c.snapshot()).unwrap_or_default();
         Tracer {
-            ring: TraceRing::new(TRACE_RING_CAP),
+            trace: Vec::new(),
             run_base: ssd.stats().snapshot(),
             ftl_run_base: ftl0,
             cache_run_base: cache0.clone(),
@@ -57,7 +55,7 @@ impl Tracer {
         ssd.stats().snapshot().since(&self.run_base)
     }
 
-    /// Build and ring the record of the phase `st` describes: only
+    /// Build and keep the record of the phase `st` describes: only
     /// counts, cost-model times, and deltas of the unit stats since the
     /// previous record — every field is thread-count invariant, unlike the
     /// wall-clock stage timings which stay out of the trace. The seed phase
@@ -117,11 +115,10 @@ impl Tracer {
         self.el_base = el;
         self.ftl_base = ftl;
         self.cache_base = cs;
-        self.ring.push(rec);
+        self.trace.push(rec);
     }
 
-    /// Hand the trace and the end-of-run metrics registry snapshot to the
-    /// report.
+    /// Hand the trace and the end-of-run metrics snapshot to the report.
     pub(crate) fn finish(
         self,
         ssd: &Ssd,
@@ -129,12 +126,12 @@ impl Tracer {
         edgelog: &EdgeLogOptimizer,
         report: &mut RunReport,
     ) {
-        report.trace = self.ring.records();
         report.obs = Some(self.snapshot(ssd, multilog, edgelog, report));
+        report.trace = self.trace;
     }
 
-    /// End-of-run metrics registry snapshot: the `mlvc_ssd_*` counters are
-    /// the device's own stats delta over this run — bit-exact equality with
+    /// End-of-run metrics snapshot: the `mlvc_ssd_*` counters are the
+    /// device's own stats delta over this run — bit-exact equality with
     /// `Ssd::stats` is the contract `tests/io_accounting.rs` pins.
     fn snapshot(
         &self,
@@ -143,30 +140,42 @@ impl Tracer {
         edgelog: &EdgeLogOptimizer,
         report: &RunReport,
     ) -> MetricsSnapshot {
-        let reg = Registry::new();
         let io = self.io_since_start(ssd);
-        reg.counter("mlvc_ssd_pages_read_total").add(io.pages_read);
-        reg.counter("mlvc_ssd_pages_written_total").add(io.pages_written);
-        reg.counter("mlvc_ssd_bytes_read_total").add(io.bytes_read);
-        reg.counter("mlvc_ssd_bytes_written_total").add(io.bytes_written);
-        reg.counter("mlvc_ssd_useful_bytes_read_total").add(io.useful_bytes_read);
-        reg.counter("mlvc_ssd_read_batches_total").add(io.read_batches);
-        reg.counter("mlvc_ssd_write_batches_total").add(io.write_batches);
-        reg.counter("mlvc_ssd_read_time_ns_total").add(io.read_time_ns);
-        reg.counter("mlvc_ssd_write_time_ns_total").add(io.write_time_ns);
-
         let ml = multilog.stats();
-        reg.counter("mlvc_log_updates_logged_total").add(ml.updates_logged);
-        reg.counter("mlvc_log_updates_read_total").add(ml.updates_read);
-        reg.counter("mlvc_log_pages_flushed_total").add(ml.pages_flushed);
-        reg.counter("mlvc_log_evictions_total").add(ml.evictions);
-        reg.counter("mlvc_log_bytes_appended_total").add(ml.bytes_appended);
-
         let el = edgelog.stats();
-        reg.counter("mlvc_edgelog_vertices_logged_total").add(el.vertices_logged);
-        reg.counter("mlvc_edgelog_pages_written_total").add(el.pages_written);
-        reg.counter("mlvc_edgelog_hits_total").add(el.hits);
-
+        let ftl = ssd.ftl_stats().unwrap_or_default();
+        let fb = &self.ftl_run_base;
+        let host = ftl.host_writes - fb.host_writes;
+        let physical = ftl.physical_writes - fb.physical_writes;
+        let sum = |f: fn(&SuperstepStats) -> u64| report.supersteps.iter().map(f).sum::<u64>();
+        let mut counters = vec![
+            ("mlvc_ssd_pages_read_total", io.pages_read),
+            ("mlvc_ssd_pages_written_total", io.pages_written),
+            ("mlvc_ssd_bytes_read_total", io.bytes_read),
+            ("mlvc_ssd_bytes_written_total", io.bytes_written),
+            ("mlvc_ssd_useful_bytes_read_total", io.useful_bytes_read),
+            ("mlvc_ssd_read_batches_total", io.read_batches),
+            ("mlvc_ssd_write_batches_total", io.write_batches),
+            ("mlvc_ssd_read_time_ns_total", io.read_time_ns),
+            ("mlvc_ssd_write_time_ns_total", io.write_time_ns),
+            ("mlvc_log_updates_logged_total", ml.updates_logged),
+            ("mlvc_log_updates_read_total", ml.updates_read),
+            ("mlvc_log_pages_flushed_total", ml.pages_flushed),
+            ("mlvc_log_evictions_total", ml.evictions),
+            ("mlvc_log_bytes_appended_total", ml.bytes_appended),
+            ("mlvc_edgelog_vertices_logged_total", el.vertices_logged),
+            ("mlvc_edgelog_pages_written_total", el.pages_written),
+            ("mlvc_edgelog_hits_total", el.hits),
+            ("mlvc_ftl_host_writes_total", host),
+            ("mlvc_ftl_physical_writes_total", physical),
+            ("mlvc_ftl_erases_total", ftl.erases - fb.erases),
+            ("mlvc_ftl_gc_relocations_total", ftl.gc_relocations - fb.gc_relocations),
+            ("mlvc_engine_supersteps_total", report.supersteps.len() as u64),
+            ("mlvc_engine_messages_processed_total", sum(|s| s.messages_processed)),
+            ("mlvc_engine_messages_sent_total", sum(|s| s.messages_sent)),
+            ("mlvc_engine_edges_scanned_total", sum(|s| s.edges_scanned)),
+        ];
+        let mut gauges = vec![("mlvc_engine_converged", u64::from(report.converged))];
         // Page-cache counters (tiering, DESIGN.md §18): whole-run deltas
         // for this engine's tenant — another tenant sharing the daemon's
         // cache never leaks into this run's series.
@@ -174,60 +183,46 @@ impl Tracer {
             let cs = c.snapshot();
             let b = &self.cache_run_base;
             let (ct, bt) = (cs.tenant(ssd.tenant()), b.tenant(ssd.tenant()));
-            reg.counter("mlvc_cache_hits_total").add(ct.hits - bt.hits);
-            reg.counter("mlvc_cache_misses_total").add(ct.misses - bt.misses);
-            reg.counter("mlvc_cache_bytes_saved_total").add(ct.bytes_saved - bt.bytes_saved);
-            reg.counter("mlvc_cache_evictions_total").add(cs.evictions - b.evictions);
-            reg.counter("mlvc_cache_pinned_hits_total").add(cs.pinned_hits - b.pinned_hits);
-            reg.gauge("mlvc_cache_capacity_pages").set(cs.capacity_pages as u64);
-            reg.gauge("mlvc_cache_resident_pages").set(cs.resident_pages as u64);
-            reg.gauge("mlvc_cache_pinned_pages").set(cs.pinned_pages as u64);
-            reg.gauge("mlvc_cache_pinned_bytes").set(cs.pinned_bytes);
+            counters.extend([
+                ("mlvc_cache_hits_total", ct.hits - bt.hits),
+                ("mlvc_cache_misses_total", ct.misses - bt.misses),
+                ("mlvc_cache_bytes_saved_total", ct.bytes_saved - bt.bytes_saved),
+                ("mlvc_cache_evictions_total", cs.evictions - b.evictions),
+                ("mlvc_cache_pinned_hits_total", cs.pinned_hits - b.pinned_hits),
+            ]);
+            gauges.extend([
+                ("mlvc_cache_capacity_pages", cs.capacity_pages as u64),
+                ("mlvc_cache_resident_pages", cs.resident_pages as u64),
+                ("mlvc_cache_pinned_pages", cs.pinned_pages as u64),
+                ("mlvc_cache_pinned_bytes", cs.pinned_bytes),
+            ]);
         }
-
-        let ftl = ssd.ftl_stats().unwrap_or_default();
-        let fb = &self.ftl_run_base;
-        reg.counter("mlvc_ftl_host_writes_total").add(ftl.host_writes - fb.host_writes);
-        reg.counter("mlvc_ftl_physical_writes_total")
-            .add(ftl.physical_writes - fb.physical_writes);
-        reg.counter("mlvc_ftl_erases_total").add(ftl.erases - fb.erases);
-        reg.counter("mlvc_ftl_gc_relocations_total")
-            .add(ftl.gc_relocations - fb.gc_relocations);
-
-        reg.counter("mlvc_engine_supersteps_total")
-            .add(report.supersteps.len() as u64);
-        reg.counter("mlvc_engine_messages_processed_total")
-            .add(report.supersteps.iter().map(|s| s.messages_processed).sum());
-        reg.counter("mlvc_engine_messages_sent_total")
-            .add(report.supersteps.iter().map(|s| s.messages_sent).sum());
-        reg.counter("mlvc_engine_edges_scanned_total")
-            .add(report.supersteps.iter().map(|s| s.edges_scanned).sum());
-
-        reg.gauge("mlvc_engine_converged").set(u64::from(report.converged));
         // Amplification ratios as milli-units (gauges are integral).
         if io.useful_bytes_read > 0 {
-            reg.gauge("mlvc_read_amplification_milli")
-                .set((io.bytes_read as f64 / io.useful_bytes_read as f64 * 1000.0) as u64);
+            let milli = io.bytes_read as f64 / io.useful_bytes_read as f64 * 1000.0;
+            gauges.push(("mlvc_read_amplification_milli", milli as u64));
         }
-        let host = ftl.host_writes - fb.host_writes;
         if host > 0 {
-            let physical = ftl.physical_writes - fb.physical_writes;
-            reg.gauge("mlvc_ftl_write_amplification_milli")
-                .set((physical as f64 / host as f64 * 1000.0) as u64);
+            let milli = physical as f64 / host as f64 * 1000.0;
+            gauges.push(("mlvc_ftl_write_amplification_milli", milli as u64));
         }
-
-        let pages_hist = reg.histogram(
-            "mlvc_superstep_pages_read",
-            &[4, 16, 64, 256, 1024, 4096, 16384],
-        );
-        let msgs_hist = reg.histogram(
-            "mlvc_superstep_messages_sent",
-            &[16, 256, 4096, 65536, 1048576],
-        );
-        for rec in self.ring.records() {
-            pages_hist.observe(rec.pages_read);
-            msgs_hist.observe(rec.messages_sent);
+        let histograms = [
+            ("mlvc_superstep_pages_read", HistogramSnapshot::of(
+                &[4, 16, 64, 256, 1024, 4096, 16384],
+                self.trace.iter().map(|r| r.pages_read),
+            )),
+            ("mlvc_superstep_messages_sent", HistogramSnapshot::of(
+                &[16, 256, 4096, 65536, 1048576],
+                self.trace.iter().map(|r| r.messages_sent),
+            )),
+        ];
+        fn named<V>(pairs: impl IntoIterator<Item = (&'static str, V)>) -> BTreeMap<String, V> {
+            pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect()
         }
-        reg.snapshot()
+        MetricsSnapshot {
+            counters: named(counters),
+            gauges: named(gauges),
+            histograms: named(histograms),
+        }
     }
 }

@@ -5,211 +5,31 @@
 //! writes sequential. This crate gives the rest of the workspace the
 //! vocabulary to state those claims at runtime:
 //!
-//! * a **lock-light metrics registry** ([`Registry`]) of named counters,
-//!   gauges, and fixed-bucket histograms. Handles are cheap `Arc<AtomicU64>`
-//!   clones; the registry mutex is touched only at registration and
-//!   snapshot time, never on the hot increment path;
-//! * a **per-superstep trace** ([`TraceRecord`], [`TraceRing`]): one
-//!   fixed-size, `Copy`, all-`u64` record per superstep holding the
-//!   deterministic I/O and message counters plus the derived paper-style
-//!   read/write amplification. Records serialise to JSON lines
+//! * a **per-superstep trace** ([`TraceRecord`]): one fixed-size, `Copy`,
+//!   all-`u64` record per superstep holding the deterministic I/O and
+//!   message counters plus the derived paper-style read/write
+//!   amplification. Records serialise to JSON lines
 //!   ([`TraceRecord::to_json_line`], [`trace_to_jsonl`]) so runs are
 //!   diffable with line-oriented tools;
-//! * a [`MetricsSnapshot`] with deterministic (sorted) iteration order and
-//!   Prometheus-text / JSON emitters;
+//! * a [`MetricsSnapshot`] of a run's counters, gauges and fixed-bucket
+//!   histograms ([`HistogramSnapshot::of`]), built once at the end of the
+//!   run, with deterministic (sorted) iteration order, and the one
+//!   Prometheus-text writer ([`to_prometheus`]) for one run or many jobs;
 //! * a tiny panic-free JSON parser ([`json`]): the serving daemon reads its
 //!   request lines with it, `xtask sim-pins` the `BENCH_sim.json` pins and
 //!   the benchmark's result line, and the tests the emitted traces.
 //!
-//! Everything is `std`-only, consistent with the workspace's
-//! `mlvc-par` / `mlvc_ssd::sync` substitution, and deterministic: a
-//! snapshot of the same run is byte-identical regardless of thread count
-//! because only cost-model-derived and count-derived values are recorded
-//! (wall-clock stage timings stay in `SuperstepStats`, outside the trace).
+//! Everything is `std`-only and deterministic: a snapshot of the same run
+//! is byte-identical regardless of thread count because only
+//! cost-model-derived and count-derived values are recorded (wall-clock
+//! stage timings stay in `SuperstepStats`, outside the trace).
 
 pub mod json;
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-/// Poison-tolerant lock: a panicked writer leaves the registry readable
-/// (counters are monotone, so a torn registration is still meaningful).
-fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-// ---------------------------------------------------------------------------
-// Instrument handles
-// ---------------------------------------------------------------------------
-
-/// Monotone counter. Cloning shares the underlying cell.
-#[derive(Clone, Debug, Default)]
-pub struct Counter {
-    cell: Arc<AtomicU64>,
-}
-
-impl Counter {
-    /// Add one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Add `n`.
-    pub fn add(&self, n: u64) {
-        self.cell.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.cell.load(Ordering::Relaxed)
-    }
-}
-
-/// Last-write-wins gauge. Cloning shares the underlying cell.
-#[derive(Clone, Debug, Default)]
-pub struct Gauge {
-    cell: Arc<AtomicU64>,
-}
-
-impl Gauge {
-    /// Set the current value.
-    pub fn set(&self, v: u64) {
-        self.cell.store(v, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.cell.load(Ordering::Relaxed)
-    }
-}
-
-/// Fixed-bucket histogram over `u64` observations.
-///
-/// Bucket `i` counts observations `v <= bounds[i]` (first matching bound
-/// wins); one implicit overflow bucket counts everything above the last
-/// bound. Bounds are fixed at registration — no locking or resizing on the
-/// observe path.
-#[derive(Clone, Debug)]
-pub struct Histogram {
-    bounds: Arc<Vec<u64>>,
-    buckets: Arc<Vec<AtomicU64>>,
-    sum: Arc<AtomicU64>,
-}
-
-impl Histogram {
-    fn new(bounds: &[u64]) -> Self {
-        let mut sorted: Vec<u64> = bounds.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        let mut buckets = Vec::with_capacity(sorted.len() + 1);
-        buckets.resize_with(sorted.len() + 1, AtomicU64::default);
-        Histogram {
-            bounds: Arc::new(sorted),
-            buckets: Arc::new(buckets),
-            sum: Arc::new(AtomicU64::new(0)),
-        }
-    }
-
-    /// Record one observation.
-    pub fn observe(&self, v: u64) {
-        let idx = self
-            .bounds
-            .iter()
-            .position(|&b| v <= b)
-            .unwrap_or(self.bounds.len());
-        if let Some(b) = self.buckets.get(idx) {
-            b.fetch_add(1, Ordering::Relaxed);
-        }
-        self.sum.fetch_add(v, Ordering::Relaxed);
-    }
-
-    /// Upper bounds of the finite buckets.
-    pub fn bounds(&self) -> &[u64] {
-        &self.bounds
-    }
-
-    fn snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot {
-            bounds: self.bounds.as_ref().clone(),
-            buckets: self
-                .buckets
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
-            sum: self.sum.load(Ordering::Relaxed),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Registry
-// ---------------------------------------------------------------------------
-
-#[derive(Default)]
-struct Instruments {
-    counters: BTreeMap<String, Counter>,
-    gauges: BTreeMap<String, Gauge>,
-    histograms: BTreeMap<String, Histogram>,
-}
-
-/// Named-instrument registry.
-///
-/// `counter`/`gauge`/`histogram` get-or-register and hand back a clonable
-/// handle; the internal mutex guards only the name maps, so the increment
-/// path is a single relaxed atomic op. [`Registry::snapshot`] freezes every
-/// instrument into a [`MetricsSnapshot`] with sorted, deterministic order.
-#[derive(Default)]
-pub struct Registry {
-    inner: Mutex<Instruments>,
-}
-
-impl Registry {
-    pub fn new() -> Self {
-        Registry::default()
-    }
-
-    /// Get or register the counter `name`.
-    pub fn counter(&self, name: &str) -> Counter {
-        let mut g = locked(&self.inner);
-        g.counters.entry(name.to_string()).or_default().clone()
-    }
-
-    /// Get or register the gauge `name`.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        let mut g = locked(&self.inner);
-        g.gauges.entry(name.to_string()).or_default().clone()
-    }
-
-    /// Get or register the histogram `name`. `bounds` are the finite bucket
-    /// upper bounds (sorted and deduplicated internally); they are fixed by
-    /// the first registration — later calls with different bounds get the
-    /// existing instrument.
-    pub fn histogram(&self, name: &str, bounds: &[u64]) -> Histogram {
-        let mut g = locked(&self.inner);
-        g.histograms
-            .entry(name.to_string())
-            .or_insert_with(|| Histogram::new(bounds))
-            .clone()
-    }
-
-    /// Freeze every registered instrument.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let g = locked(&self.inner);
-        MetricsSnapshot {
-            counters: g.counters.iter().map(|(k, c)| (k.clone(), c.get())).collect(),
-            gauges: g.gauges.iter().map(|(k, v)| (k.clone(), v.get())).collect(),
-            histograms: g
-                .histograms
-                .iter()
-                .map(|(k, h)| (k.clone(), h.snapshot()))
-                .collect(),
-        }
-    }
-}
-
-/// Frozen histogram state inside a [`MetricsSnapshot`].
+/// Frozen fixed-bucket histogram inside a [`MetricsSnapshot`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Finite bucket upper bounds.
@@ -222,13 +42,29 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
+    /// Bucket `values` under `bounds` (sorted and deduplicated here):
+    /// bucket `i` counts the values `v <= bounds[i]` the earlier buckets
+    /// did not take, and one overflow bucket counts the rest.
+    pub fn of(bounds: &[u64], values: impl IntoIterator<Item = u64>) -> Self {
+        let mut bounds = bounds.to_vec();
+        bounds.sort_unstable();
+        bounds.dedup();
+        let mut buckets = vec![0; bounds.len() + 1];
+        let mut sum = 0;
+        for v in values {
+            buckets[bounds.partition_point(|&b| b < v)] += 1;
+            sum += v;
+        }
+        HistogramSnapshot { bounds, buckets, sum }
+    }
+
     /// Total number of observations.
     pub fn count(&self) -> u64 {
         self.buckets.iter().sum()
     }
 }
 
-/// Point-in-time freeze of a [`Registry`], with deterministic (sorted)
+/// A run's end-of-run metrics, built once, with deterministic (sorted)
 /// iteration order so two snapshots of equal state serialise identically.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
@@ -238,120 +74,81 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Counter value by name, if registered.
+    /// Counter value by name, if present.
     pub fn counter(&self, name: &str) -> Option<u64> {
         self.counters.get(name).copied()
     }
+}
 
-    /// Gauge value by name, if registered.
-    pub fn gauge(&self, name: &str) -> Option<u64> {
-        self.gauges.get(name).copied()
-    }
+/// The counters or the gauges of a snapshot.
+type Scalars = fn(&MetricsSnapshot) -> &BTreeMap<String, u64>;
 
-    /// Prometheus text exposition format (counters, gauges, and classic
-    /// histogram series with cumulative `_bucket{le=...}` lines).
-    pub fn to_prometheus(&self) -> String {
-        let mut out = String::new();
-        for (name, v) in &self.counters {
-            let _ = writeln!(out, "# TYPE {name} counter");
-            let _ = writeln!(out, "{name} {v}");
-        }
-        for (name, v) in &self.gauges {
-            let _ = writeln!(out, "# TYPE {name} gauge");
-            let _ = writeln!(out, "{name} {v}");
-        }
-        for (name, h) in &self.histograms {
-            let _ = writeln!(out, "# TYPE {name} histogram");
-            let mut cum = 0u64;
-            for (bound, n) in h.bounds.iter().zip(h.buckets.iter()) {
-                cum += n;
-                let _ = writeln!(out, "{name}_bucket{{le=\"{bound}\"}} {cum}");
-            }
-            let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {}", h.count());
-            let _ = writeln!(out, "{name}_sum {}", h.sum);
-            let _ = writeln!(out, "{name}_count {}", h.count());
-        }
-        out
-    }
-
-    /// Prometheus text exposition with a `job` label on every series —
-    /// how the serving daemon distinguishes per-job registries inside one
-    /// daemon-wide scrape. The label value is escaped per the exposition
-    /// format (backslash, double-quote, newline).
-    pub fn to_prometheus_labeled(&self, job: &str) -> String {
-        let esc: String = job
-            .chars()
-            .flat_map(|c| match c {
-                '\\' => vec!['\\', '\\'],
-                '"' => vec!['\\', '"'],
-                '\n' => vec!['\\', 'n'],
-                c => vec![c],
-            })
-            .collect();
-        let mut out = String::new();
-        for (name, v) in &self.counters {
-            let _ = writeln!(out, "# TYPE {name} counter");
-            let _ = writeln!(out, "{name}{{job=\"{esc}\"}} {v}");
-        }
-        for (name, v) in &self.gauges {
-            let _ = writeln!(out, "# TYPE {name} gauge");
-            let _ = writeln!(out, "{name}{{job=\"{esc}\"}} {v}");
-        }
-        for (name, h) in &self.histograms {
-            let _ = writeln!(out, "# TYPE {name} histogram");
-            let mut cum = 0u64;
-            for (bound, n) in h.bounds.iter().zip(h.buckets.iter()) {
-                cum += n;
-                let _ = writeln!(out, "{name}_bucket{{job=\"{esc}\",le=\"{bound}\"}} {cum}");
-            }
-            let _ = writeln!(out, "{name}_bucket{{job=\"{esc}\",le=\"+Inf\"}} {}", h.count());
-            let _ = writeln!(out, "{name}_sum{{job=\"{esc}\"}} {}", h.sum);
-            let _ = writeln!(out, "{name}_count{{job=\"{esc}\"}} {}", h.count());
-        }
-        out
-    }
-
-    /// Hand-rolled JSON object (the workspace is dependency-free). Key order
-    /// is the sorted map order, so equal snapshots produce equal bytes.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"counters\":{");
-        for (k, (name, v)) in self.counters.iter().enumerate() {
-            if k > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{name}\":{v}");
-        }
-        out.push_str("},\"gauges\":{");
-        for (k, (name, v)) in self.gauges.iter().enumerate() {
-            if k > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{name}\":{v}");
-        }
-        out.push_str("},\"histograms\":{");
-        for (k, (name, h)) in self.histograms.iter().enumerate() {
-            if k > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{name}\":{{\"bounds\":[");
-            for (j, b) in h.bounds.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
+/// Prometheus text exposition of one or more snapshots: counters, gauges,
+/// then classic histogram series with cumulative `_bucket{le=...}` lines.
+/// A snapshot paired with `Some(job)` carries a `job` label on every
+/// series (escaped per the exposition format: backslash, double-quote,
+/// newline); one paired with `None` carries none. Each family gets one
+/// `# TYPE` line followed by the samples of every snapshot that has it, in
+/// the order given — the grouping the text format requires of a
+/// multi-job scrape.
+pub fn to_prometheus(snaps: &[(Option<&str>, &MetricsSnapshot)]) -> String {
+    let labels: Vec<String> = snaps
+        .iter()
+        .map(|(job, _)| job.map_or_else(String::new, |j| format!("job=\"{}\"", escape_label(j))))
+        .collect();
+    let jobs = || snaps.iter().map(|(_, s)| *s).zip(&labels);
+    let mut out = String::new();
+    let scalars: [(&str, Scalars); 2] = [("counter", |s| &s.counters), ("gauge", |s| &s.gauges)];
+    for (kind, map) in scalars {
+        let names: BTreeSet<&String> = snaps.iter().flat_map(|(_, s)| map(s).keys()).collect();
+        for name in names {
+            let _ = writeln!(out, "# TYPE {name} {kind}");
+            for (s, label) in jobs() {
+                if let Some(v) = map(s).get(name) {
+                    let _ = writeln!(out, "{} {v}", series(name, "", label, ""));
                 }
-                let _ = write!(out, "{b}");
             }
-            out.push_str("],\"buckets\":[");
-            for (j, b) in h.buckets.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{b}");
-            }
-            let _ = write!(out, "],\"sum\":{},\"count\":{}}}", h.sum, h.count());
         }
-        out.push_str("}}");
-        out
     }
+    let names: BTreeSet<&String> = snaps.iter().flat_map(|(_, s)| s.histograms.keys()).collect();
+    for name in names {
+        let _ = writeln!(out, "# TYPE {name} histogram");
+        for (s, label) in jobs() {
+            let Some(h) = s.histograms.get(name) else { continue };
+            let mut cum = 0u64;
+            for (bound, n) in h.bounds.iter().zip(&h.buckets) {
+                cum += n;
+                let le = format!("le=\"{bound}\"");
+                let _ = writeln!(out, "{} {cum}", series(name, "_bucket", label, &le));
+            }
+            let _ = writeln!(out, "{} {}", series(name, "_bucket", label, "le=\"+Inf\""), h.count());
+            let _ = writeln!(out, "{} {}", series(name, "_sum", label, ""), h.sum);
+            let _ = writeln!(out, "{} {}", series(name, "_count", label, ""), h.count());
+        }
+    }
+    out
+}
+
+/// `name{label,extra}`, without the braces when there is no label.
+fn series(name: &str, suffix: &str, label: &str, extra: &str) -> String {
+    match (label.is_empty(), extra.is_empty()) {
+        (true, true) => format!("{name}{suffix}"),
+        (false, false) => format!("{name}{suffix}{{{label},{extra}}}"),
+        _ => format!("{name}{suffix}{{{label}{extra}}}"),
+    }
+}
+
+fn escape_label(v: &str) -> String {
+    let mut out = String::with_capacity(v.len());
+    for c in v.chars() {
+        match c {
+            '\\' => out.push_str("\\\\"),
+            '"' => out.push_str("\\\""),
+            '\n' => out.push_str("\\n"),
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 // ---------------------------------------------------------------------------
@@ -601,157 +398,51 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
-/// Bounded per-superstep trace buffer.
-///
-/// Keeps the most recent `capacity` records, overwriting the oldest when
-/// full — the engine can trace arbitrarily long runs in O(capacity) memory.
-#[derive(Debug, Clone)]
-pub struct TraceRing {
-    cap: usize,
-    buf: Vec<TraceRecord>,
-    head: usize,
-    dropped: u64,
-}
-
-impl TraceRing {
-    /// A ring holding at most `capacity` records (capacity 0 keeps one).
-    pub fn new(capacity: usize) -> Self {
-        let cap = capacity.max(1);
-        TraceRing { cap, buf: Vec::new(), head: 0, dropped: 0 }
-    }
-
-    /// Append, overwriting the oldest record when full.
-    pub fn push(&mut self, rec: TraceRecord) {
-        if self.buf.len() < self.cap {
-            self.buf.push(rec);
-        } else if let Some(slot) = self.buf.get_mut(self.head) {
-            *slot = rec;
-            self.head = (self.head + 1) % self.cap;
-            self.dropped += 1;
-        }
-    }
-
-    /// Records in arrival order, oldest first.
-    pub fn records(&self) -> Vec<TraceRecord> {
-        let mut out = Vec::with_capacity(self.buf.len());
-        out.extend_from_slice(&self.buf[self.head..]);
-        out.extend_from_slice(&self.buf[..self.head]);
-        out
-    }
-
-    /// Number of records currently held.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when nothing has been pushed yet.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Maximum records held.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
-    /// Records overwritten because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn counter_gauge_roundtrip() {
-        let reg = Registry::new();
-        let c = reg.counter("mlvc_pages_read_total");
-        c.inc();
-        c.add(41);
-        assert_eq!(c.get(), 42);
-        // Same name → same cell.
-        let c2 = reg.counter("mlvc_pages_read_total");
-        c2.inc();
-        assert_eq!(c.get(), 43);
-        let g = reg.gauge("mlvc_converged");
-        g.set(7);
-        g.set(1);
-        assert_eq!(reg.gauge("mlvc_converged").get(), 1);
+    /// A counter, a gauge and a three-observation histogram, each named
+    /// `{prefix}_…`.
+    fn sample(prefix: &str, n: u64) -> MetricsSnapshot {
+        MetricsSnapshot {
+            counters: BTreeMap::from([(format!("{prefix}_reads_total"), n)]),
+            gauges: BTreeMap::from([(format!("{prefix}_up"), 1)]),
+            histograms: BTreeMap::from([(
+                format!("{prefix}_lat"),
+                HistogramSnapshot::of(&[1, 2], [1, 2, 3]),
+            )]),
+        }
     }
 
     #[test]
     fn histogram_buckets_and_overflow() {
-        let reg = Registry::new();
-        let h = reg.histogram("mlvc_step_pages", &[4, 16, 1]);
-        assert_eq!(h.bounds(), &[1, 4, 16]); // sorted + deduped
-        for v in [0, 1, 2, 5, 16, 17, 1000] {
-            h.observe(v);
-        }
-        let s = reg.snapshot();
-        let hs = &s.histograms["mlvc_step_pages"];
-        assert_eq!(hs.buckets, vec![2, 1, 2, 2]);
-        assert_eq!(hs.count(), 7);
-        assert_eq!(hs.sum, 1041);
-        // Re-registration with different bounds keeps the original.
-        let h2 = reg.histogram("mlvc_step_pages", &[99]);
-        assert_eq!(h2.bounds(), &[1, 4, 16]);
-    }
-
-    #[test]
-    fn snapshot_is_deterministic_and_equal() {
-        let mk = || {
-            let reg = Registry::new();
-            reg.counter("b_total").add(2);
-            reg.counter("a_total").add(1);
-            reg.gauge("z").set(9);
-            reg.histogram("h", &[10]).observe(3);
-            reg.snapshot()
-        };
-        let (s1, s2) = (mk(), mk());
-        assert_eq!(s1, s2);
-        assert_eq!(s1.to_json(), s2.to_json());
-        assert_eq!(s1.to_prometheus(), s2.to_prometheus());
-        // Sorted order regardless of registration order.
-        let names: Vec<&str> = s1.counters.keys().map(String::as_str).collect();
-        assert_eq!(names, vec!["a_total", "b_total"]);
-        assert_eq!(s1.counter("a_total"), Some(1));
-        assert_eq!(s1.counter("missing"), None);
+        let h = HistogramSnapshot::of(&[4, 16, 1], [0, 1, 2, 5, 16, 17, 1000]);
+        assert_eq!(h.bounds, vec![1, 4, 16]); // sorted + deduped
+        assert_eq!(h.buckets, vec![2, 1, 2, 2]);
+        assert_eq!(h.count(), 7);
+        assert_eq!(h.sum, 1041);
+        let empty = HistogramSnapshot::of(&[8], []);
+        assert_eq!((empty.buckets, empty.sum), (vec![0, 0], 0));
     }
 
     #[test]
     fn prometheus_text_shape() {
-        let reg = Registry::new();
-        reg.counter("mlvc_reads_total").add(5);
-        reg.gauge("mlvc_up").set(1);
-        let h = reg.histogram("mlvc_lat", &[1, 2]);
-        h.observe(1);
-        h.observe(2);
-        h.observe(3);
-        let text = reg.snapshot().to_prometheus();
-        assert!(text.contains("# TYPE mlvc_reads_total counter\nmlvc_reads_total 5\n"));
-        assert!(text.contains("# TYPE mlvc_up gauge\nmlvc_up 1\n"));
-        assert!(text.contains("mlvc_lat_bucket{le=\"1\"} 1\n"));
-        assert!(text.contains("mlvc_lat_bucket{le=\"2\"} 2\n"));
-        assert!(text.contains("mlvc_lat_bucket{le=\"+Inf\"} 3\n"));
-        assert!(text.contains("mlvc_lat_sum 6\n"));
-        assert!(text.contains("mlvc_lat_count 3\n"));
-    }
-
-    #[test]
-    fn snapshot_json_parses_back() {
-        let reg = Registry::new();
-        reg.counter("c_total").add(3);
-        reg.gauge("g").set(4);
-        reg.histogram("h", &[1, 8]).observe(5);
-        let s = reg.snapshot();
-        let v = json::parse(&s.to_json()).expect("snapshot JSON must parse");
-        let c = v.get("counters").and_then(|c| c.get("c_total"));
-        assert_eq!(c.and_then(json::Json::as_num), Some(3.0));
-        let h = v.get("histograms").and_then(|h| h.get("h")).expect("h");
-        assert_eq!(h.get("sum").and_then(json::Json::as_num), Some(5.0));
-        assert_eq!(h.get("count").and_then(json::Json::as_num), Some(1.0));
+        let snap = sample("mlvc", 5);
+        let text = to_prometheus(&[(None, &snap)]);
+        assert_eq!(
+            text,
+            "# TYPE mlvc_reads_total counter\nmlvc_reads_total 5\n\
+             # TYPE mlvc_up gauge\nmlvc_up 1\n\
+             # TYPE mlvc_lat histogram\n\
+             mlvc_lat_bucket{le=\"1\"} 1\n\
+             mlvc_lat_bucket{le=\"2\"} 2\n\
+             mlvc_lat_bucket{le=\"+Inf\"} 3\n\
+             mlvc_lat_sum 6\n\
+             mlvc_lat_count 3\n"
+        );
+        assert_eq!(snap.counter("mlvc_reads_total"), Some(5));
+        assert_eq!(snap.counter("missing"), None);
     }
 
     #[test]
@@ -796,29 +487,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_ring_overwrites_oldest() {
-        let mut ring = TraceRing::new(3);
-        assert!(ring.is_empty());
-        for step in 0..5u64 {
-            ring.push(TraceRecord { superstep: step, ..TraceRecord::default() });
-        }
-        assert_eq!(ring.len(), 3);
-        assert_eq!(ring.capacity(), 3);
-        assert_eq!(ring.dropped(), 2);
-        let steps: Vec<u64> = ring.records().iter().map(|r| r.superstep).collect();
-        assert_eq!(steps, vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn trace_ring_zero_capacity_keeps_one() {
-        let mut ring = TraceRing::new(0);
-        ring.push(TraceRecord::default());
-        ring.push(TraceRecord { superstep: 1, ..TraceRecord::default() });
-        assert_eq!(ring.len(), 1);
-        assert_eq!(ring.records()[0].superstep, 1);
-    }
-
-    #[test]
     fn json_escape_round_trips_through_the_parser() {
         for s in ["plain", "with \"quotes\"", "back\\slash", "line\nbreak", "tab\there", "\u{1}"] {
             let quoted = json_escape(s);
@@ -829,15 +497,34 @@ mod tests {
 
     #[test]
     fn labeled_prometheus_attaches_job_to_every_series() {
-        let reg = Registry::new();
-        reg.counter("mlvc_test_total").add(3);
-        reg.gauge("mlvc_test_gauge").set(9);
-        reg.histogram("mlvc_test_hist", &[10, 100]).observe(42);
-        let text = reg.snapshot().to_prometheus_labeled("job \"x\"\n");
+        let snap = sample("mlvc_test", 3);
+        let text = to_prometheus(&[(Some("job \"x\"\n"), &snap)]);
         for line in text.lines().filter(|l| !l.starts_with('#')) {
             assert!(line.contains("job=\"job \\\"x\\\"\\n\""), "unlabeled series: {line}");
         }
-        assert!(text.contains("mlvc_test_total{job="));
-        assert!(text.contains("le=\"+Inf\""));
+        assert!(text.contains("mlvc_test_reads_total{job="));
+        assert!(text.contains("mlvc_test_lat_bucket{job=\"job \\\"x\\\"\\n\",le=\"+Inf\"} 3\n"));
+    }
+
+    /// Several jobs in one exposition: one `# TYPE` line per family, then
+    /// that family's samples from every job that has it, in job order.
+    #[test]
+    fn jobs_share_one_type_line_per_family() {
+        let (a, b, c) = (sample("mlvc", 1), sample("mlvc", 2), sample("mlvc_only_c", 3));
+        let text = to_prometheus(&[(Some("a"), &a), (Some("b"), &b), (Some("c"), &c)]);
+        assert_eq!(text.matches("# TYPE mlvc_reads_total counter\n").count(), 1);
+        assert!(text.starts_with(
+            "# TYPE mlvc_only_c_reads_total counter\n\
+             mlvc_only_c_reads_total{job=\"c\"} 3\n\
+             # TYPE mlvc_reads_total counter\n\
+             mlvc_reads_total{job=\"a\"} 1\n\
+             mlvc_reads_total{job=\"b\"} 2\n"
+        ));
+        assert!(text.contains(
+            "mlvc_lat_count{job=\"a\"} 3\n\
+             mlvc_lat_bucket{job=\"b\",le=\"1\"} 1\n"
+        ));
+        let types = text.lines().filter(|l| l.starts_with("# TYPE")).count();
+        assert_eq!(types, 6, "three families of two distinct prefixes:\n{text}");
     }
 }

@@ -23,7 +23,7 @@ use mlvc_graph::{Csr, StoredGraph, VertexIntervals, UPDATE_BYTES};
 use mlvc_mutate::{
     EdgeMutation, IngestStats, MergeOutcome, MutationConfig, MutationError, MutationLog,
 };
-use mlvc_obs::MetricsSnapshot;
+use mlvc_obs::{to_prometheus, MetricsSnapshot};
 use mlvc_ssd::sync::Mutex as PoisonFreeMutex;
 use mlvc_ssd::{
     DeviceError, FaultPlan, FileId, FtlConfig, PageCache, Ssd, SsdConfig, SsdStatsSnapshot,
@@ -638,8 +638,9 @@ impl Daemon {
 
     /// Daemon-wide metrics in Prometheus text exposition format: shared
     /// device totals, shared cache counters (with per-tenant series), and
-    /// the end-of-run registry snapshots of the most recently completed
-    /// jobs, labeled with their job ids.
+    /// the end-of-run metrics snapshots of the most recently completed
+    /// jobs, labeled with their job ids — one `# TYPE` line per family,
+    /// then that family's sample from every job.
     pub fn prometheus_rollup(&self) -> String {
         let mut s = String::new();
         let d = self.ssd.stats().snapshot();
@@ -670,9 +671,10 @@ impl Daemon {
                 ts.bytes_saved
             ));
         }
-        for (job, snap) in &self.completed.lock().recent {
-            s.push_str(&snap.to_prometheus_labeled(job));
-        }
+        let done = self.completed.lock();
+        let jobs: Vec<_> =
+            done.recent.iter().map(|(job, snap)| (Some(job.as_str()), snap)).collect();
+        s.push_str(&to_prometheus(&jobs));
         s
     }
 }
@@ -760,5 +762,32 @@ mod tests {
         assert!(!rollup.contains(&format!("job=\"j{}\"", extra - 1)), "oldest dropped");
         assert!(rollup.contains(&format!("job=\"j{extra}\"")));
         assert!(rollup.contains(&format!("job=\"j{}\"", total - 1)));
+        assert_prometheus_families_grouped(&rollup);
+    }
+
+    /// The exposition format allows one `# TYPE` line per family and needs
+    /// a family's samples together, under it.
+    fn assert_prometheus_families_grouped(text: &str) {
+        let typed: Vec<&str> = text
+            .lines()
+            .filter_map(|l| l.strip_prefix("# TYPE ")?.split(' ').next())
+            .collect();
+        let families: std::collections::BTreeSet<&str> = typed.iter().copied().collect();
+        assert_eq!(families.len(), typed.len(), "a family has two TYPE lines");
+        let mut current = "";
+        for line in text.lines() {
+            if let Some(rest) = line.strip_prefix("# TYPE ") {
+                current = rest.split(' ').next().unwrap_or_default();
+                continue;
+            }
+            let name = line.split(['{', ' ']).next().unwrap_or_default();
+            let family = ["", "_bucket", "_sum", "_count"]
+                .iter()
+                .filter_map(|suffix| name.strip_suffix(suffix))
+                .find(|f| families.contains(f));
+            if let Some(family) = family {
+                assert_eq!(family, current, "sample {line:?} outside its family's group");
+            }
+        }
     }
 }

@@ -12,7 +12,7 @@ use crate::checked::{idx, mem_idx, page_byte_offset, to_u32, to_u64};
 use crate::config::SsdConfig;
 use crate::cost::{batch_time_ns, PageAddr, READ_NS, WRITE_NS};
 use crate::fault::{DeviceError, FaultCounters, FaultPlan, FaultState, WriteFate};
-use crate::ftl::{FtlConfig, FtlModel, FtlOp, FtlStats};
+use crate::ftl::{FtlConfig, FtlModel, FtlStats};
 use crate::page::Page;
 use crate::stats::SsdStats;
 
@@ -75,8 +75,8 @@ struct FileEntry {
 ///
 /// An `Ssd` value is a *view* over shared device internals. The value
 /// returned by the constructors is the base view; [`Ssd::tenant_view`]
-/// derives additional views that share the media, namespace, trace/FTL
-/// models and the attached [`PageCache`], but carry their own activity
+/// derives additional views that share the media, namespace, FTL model
+/// and the attached [`PageCache`], but carry their own activity
 /// counters (also charged to the base, so daemon-wide totals stay exact)
 /// and their own fault state — a crash injected into one tenant's view
 /// must not take down its neighbours.
@@ -111,12 +111,10 @@ struct Shared {
     cfg: SsdConfig,
     backend: Backend,
     files: Mutex<Files>,
-    /// Optional host-level write/trim trace for FTL replay (see
-    /// [`crate::FtlModel`]); `None` keeps the hot path allocation-free.
-    trace: Mutex<Option<Vec<FtlOp>>>,
     /// Optional *live* FTL model fed by every page write and trim as it
-    /// happens (the observability layer's flash write-amplification
-    /// source); `None` keeps the hot path to one lock + branch per batch.
+    /// happens — the device's one flash write-amplification source (the
+    /// observability layer, the daemon, the FTL ablation); `None` keeps the
+    /// hot path to one lock + branch per batch.
     ftl: Mutex<Option<FtlModel>>,
     /// Optional shared page cache in front of the read path (the serving
     /// daemon attaches one; `None` keeps single-run behaviour unchanged).
@@ -155,7 +153,6 @@ impl Ssd {
             cfg,
             backend: Backend::Mem,
             files: Mutex::new(Files::default()),
-            trace: Mutex::new(None),
             ftl: Mutex::new(None),
             cache: Mutex::new(None),
             ftl_audit: mlvc_par::Tracked::new("Ssd::ftl attach", ()),
@@ -169,17 +166,16 @@ impl Ssd {
             cfg,
             backend: Backend::Dir(dir),
             files: Mutex::new(Files::default()),
-            trace: Mutex::new(None),
             ftl: Mutex::new(None),
             cache: Mutex::new(None),
             ftl_audit: mlvc_par::Tracked::new("Ssd::ftl attach", ()),
         }))
     }
 
-    /// Derive a tenant view: same media, namespace, FTL/trace models and
-    /// cache, but fresh activity counters (double-charged to the root
-    /// view) and independent fault state. `tenant` attributes this view's
-    /// cache traffic in [`PageCache`] accounting.
+    /// Derive a tenant view: same media, namespace, FTL model and cache,
+    /// but fresh activity counters (double-charged to the root view) and
+    /// independent fault state. `tenant` attributes this view's cache
+    /// traffic in [`PageCache`] accounting.
     pub fn tenant_view(&self, tenant: TenantId) -> Ssd {
         let root = self.base_stats.clone().unwrap_or_else(|| Arc::clone(&self.stats));
         Ssd {
@@ -266,38 +262,12 @@ impl Ssd {
         self.fault.lock().counters()
     }
 
-    // ---- tracing ---------------------------------------------------------
-
-    /// Start recording a host-level write/trim trace for FTL replay.
-    /// Discards any previous trace.
-    pub fn enable_trace(&self) {
-        *self.shared.trace.lock() = Some(Vec::new());
-    }
-
-    /// Stop recording and return the trace (empty if tracing was off).
-    pub fn take_trace(&self) -> Vec<FtlOp> {
-        self.shared.trace.lock().take().unwrap_or_default()
-    }
-
-    fn trace_writes(&self, addrs: &[PageAddr]) {
-        if let Some(t) = self.shared.trace.lock().as_mut() {
-            t.extend(addrs.iter().map(|a| FtlOp::Write((a.file, a.page))));
-        }
-    }
-
-    fn trace_trims(&self, file: FileId, pages: u64) {
-        if let Some(t) = self.shared.trace.lock().as_mut() {
-            t.extend((0..pages).map(|p| FtlOp::Trim((file, p))));
-        }
-    }
-
     // ---- live FTL --------------------------------------------------------
 
     /// Attach a live [`FtlModel`] fed by every subsequent page write and
-    /// trim (the observability layer's write-amplification source, as
-    /// opposed to the record-then-[`FtlModel::replay`] flow of
-    /// `enable_trace`). Idempotent: a model that is already attached keeps
-    /// its state so re-enabling cannot reset amplification counters.
+    /// trim — the one source of the device's flash write amplification.
+    /// Idempotent: a model that is already attached keeps its state so
+    /// re-enabling cannot reset amplification counters.
     pub fn enable_ftl(&self, cfg: FtlConfig) {
         let mut g = self.shared.ftl.lock();
         if g.is_none() {
@@ -311,11 +281,6 @@ impl Ssd {
         } else {
             self.shared.ftl_audit.audit_read();
         }
-    }
-
-    /// Whether a live FTL model is attached.
-    pub fn ftl_enabled(&self) -> bool {
-        self.shared.ftl.lock().is_some()
     }
 
     /// Snapshot of the live FTL's counters (`None` when not enabled).
@@ -428,7 +393,6 @@ impl Ssd {
                 }
             }
         }
-        self.trace_trims(file, dropped);
         self.ftl_trims(file, dropped);
         // Dropped pages must not be served from the shared cache.
         let cache = self.shared.cache.lock().clone();
@@ -457,7 +421,6 @@ impl Ssd {
                 let _ = fs::remove_file(dir.join(sanitize(&entry.name)));
             }
         }
-        self.trace_trims(file, dropped);
         self.ftl_trims(file, dropped);
         // Dropped pages must not be served from the shared cache.
         let cache = self.shared.cache.lock().clone();
@@ -826,7 +789,6 @@ impl Ssd {
         if addrs.is_empty() {
             return Ok(());
         }
-        self.trace_writes(addrs);
         let fit = self.ftl_writes(addrs);
         // Overwritten pages must not be served stale from the shared cache.
         let cache = self.shared.cache.lock().clone();
@@ -1202,46 +1164,39 @@ mod tests {
     }
 
     #[test]
-    fn live_ftl_matches_trace_replay() {
+    fn live_ftl_matches_a_hand_fed_model() {
         use crate::ftl::{FtlConfig, FtlError};
-        let run_writes = |ssd: &Ssd| {
-            let f = ssd.open_or_create("log").unwrap();
-            for i in 0..10u8 {
-                ssd.append_page(f, &[i; 16]).unwrap();
-            }
-            ssd.truncate(f).unwrap();
-            for i in 0..4u8 {
-                ssd.append_page(f, &[i; 16]).unwrap();
-            }
-        };
-
         // Live model, fed as operations happen.
         let live = dev();
-        assert!(!live.ftl_enabled());
         assert!(live.ftl_stats().is_none());
         live.enable_ftl(FtlConfig::default());
-        assert!(live.ftl_enabled());
-        run_writes(&live);
+        let f = live.open_or_create("log").unwrap();
+        for i in 0..10u8 {
+            live.append_page(f, &[i; 16]).unwrap();
+        }
+        live.truncate(f).unwrap();
+        for i in 0..4u8 {
+            live.append_page(f, &[i; 16]).unwrap();
+        }
 
-        // Recorded trace replayed after the fact (the pre-existing flow).
-        let rec = dev();
-        rec.enable_trace();
-        run_writes(&rec);
+        // The same host writes and trims, fed by hand.
         let mut model = FtlModel::new(FtlConfig::default());
-        model.replay(&rec.take_trace()).unwrap();
+        (0..10).try_for_each(|p| model.write((f, p))).unwrap();
+        (0..10).for_each(|p| model.trim((f, p)));
+        (0..4).try_for_each(|p| model.write((f, p))).unwrap();
 
         let live_stats = live.ftl_stats().unwrap();
-        assert_eq!(live_stats, model.stats(), "live feed must equal replay");
-        assert_eq!(live_stats.host_writes, 14);
+        assert_eq!(live_stats, model.stats(), "live feed must equal the hand-fed model");
+        assert_eq!((live_stats.host_writes, live_stats.peak_live), (14, 10));
         // enable_ftl is idempotent: re-enabling keeps accumulated state.
         live.enable_ftl(FtlConfig::default());
         assert_eq!(live.ftl_stats().unwrap().host_writes, 14);
 
         // An undersized device, 3 blocks of 4 pages: the page write that
-        // overflows the live model fails with the error the replay stops
-        // at. Appends alone run out of free blocks after 12 pages; with two
-        // pages overwritten the 11th page finds a block worth collecting
-        // and nowhere to move its survivors.
+        // overflows the live model fails with the error the hand-fed model
+        // stops at. Appends alone run out of free blocks after 12 pages;
+        // with two pages overwritten the 11th page finds a block worth
+        // collecting and nowhere to move its survivors.
         let undersized = FtlConfig { pages_per_block: 4, blocks: 3, gc_low_watermark: 0 };
         let overflow = |ssd: &Ssd, overwrite: bool| -> Result<(), DeviceError> {
             let f = ssd.open_or_create("small")?;
@@ -1263,11 +1218,11 @@ mod tests {
             let live = dev();
             live.enable_ftl(undersized.clone());
             assert_eq!(overflow(&live, overwrite), Err(DeviceError::Full(want)));
-            let rec = dev();
-            rec.enable_trace();
-            overflow(&rec, overwrite).unwrap();
+            let overwritten: &[u64] = if overwrite { &[0, 1] } else { &[] };
+            let appended = if overwrite { 4..11 } else { 4..13 };
             let mut model = FtlModel::new(undersized.clone());
-            assert_eq!(model.replay(&rec.take_trace()), Err(want));
+            let pages = (0..4).chain(overwritten.iter().copied()).chain(appended);
+            assert_eq!(pages.into_iter().try_for_each(|p| model.write((0, p))), Err(want));
             assert_eq!(live.ftl_stats().unwrap(), model.stats());
         }
     }

@@ -8,29 +8,22 @@
 //! still-live pages when reclaiming blocks — device-level write
 //! amplification on top of the host traffic.
 //!
-//! [`FtlModel`] replays a host-level page trace (writes, overwrites,
-//! trims) against a device of configurable geometry and reports physical
-//! program counts, erase counts, and the resulting write-amplification
-//! factor. It is deliberately offline — experiments feed it the
-//! [`crate::SsdStats`]-adjacent trace recorded by the engines — so the hot
-//! I/O path stays cheap.
+//! [`FtlModel`] takes host-level page writes, overwrites and trims against
+//! a device of configurable geometry and reports physical program counts,
+//! erase counts, the resulting write-amplification factor and the peak
+//! live footprint. A device feeds it live: [`crate::Ssd::enable_ftl`]
+//! attaches one, and from then on every page write and trim reaches it as
+//! it happens. Unattached, the I/O path pays nothing for it.
 
 use std::collections::HashMap;
 use std::fmt;
 
-/// Logical page address used by the FTL replay: (file, page index).
+use crate::checked::to_u64;
+
+/// Logical page address the FTL maps: (file, page index).
 pub type Lpa = (u32, u64);
 
-/// One host-level event in a trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FtlOp {
-    /// Program a logical page (fresh write or in-place overwrite).
-    Write(Lpa),
-    /// Invalidate a logical page (file truncation / deletion).
-    Trim(Lpa),
-}
-
-/// Device geometry and GC policy for the replay.
+/// Device geometry and GC policy of the model.
 #[derive(Debug, Clone)]
 pub struct FtlConfig {
     /// Pages per erase block (flash blocks hold 64–256 pages; default 128).
@@ -47,7 +40,7 @@ impl Default for FtlConfig {
     }
 }
 
-/// Replay outcome.
+/// What the model has seen so far.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FtlStats {
     /// Host-issued page programs.
@@ -58,6 +51,9 @@ pub struct FtlStats {
     pub erases: u64,
     /// Live pages relocated by garbage collection.
     pub gc_relocations: u64,
+    /// High-water mark of live logical pages: the smallest capacity, in
+    /// pages, that held everything the host kept at once.
+    pub peak_live: u64,
 }
 
 impl FtlStats {
@@ -72,7 +68,7 @@ impl FtlStats {
 }
 
 /// Why a page could not be programmed: the device is sized below what the
-/// trace keeps live. The model stays consistent — a trace that trims can go
+/// host keeps live. The model stays consistent — a host that trims can go
 /// on — but the write that hit this did not land.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FtlError {
@@ -90,7 +86,7 @@ impl fmt::Display for FtlError {
             FtlError::NoFreeBlock { lpa: (file, page) } => write!(
                 f,
                 "no free block for page {page} of file {file}: \
-                 the trace exceeds physical capacity + over-provisioning"
+                 the live data exceeds physical capacity + over-provisioning"
             ),
             FtlError::NoGcRoom { survivors, room } => write!(
                 f,
@@ -153,26 +149,6 @@ impl FtlModel {
         self.stats
     }
 
-    /// Fraction of device pages currently holding valid data.
-    pub fn occupancy(&self) -> f64 {
-        self.map.len() as f64 / self.pages.len() as f64
-    }
-
-    /// Replay a whole trace, up to the first write the device has no room
-    /// for.
-    pub fn replay<'a>(
-        &mut self,
-        ops: impl IntoIterator<Item = &'a FtlOp>,
-    ) -> Result<(), FtlError> {
-        for op in ops {
-            match *op {
-                FtlOp::Write(lpa) => self.write(lpa)?,
-                FtlOp::Trim(lpa) => self.trim(lpa),
-            }
-        }
-        Ok(())
-    }
-
     /// Host write: invalidate the old physical copy (if any) and program
     /// the next page of the open block.
     pub fn write(&mut self, lpa: Lpa) -> Result<(), FtlError> {
@@ -204,6 +180,7 @@ impl FtlModel {
         self.live[self.open_block] += 1;
         self.map.insert(lpa, ppa);
         self.stats.physical_writes += 1;
+        self.stats.peak_live = self.stats.peak_live.max(to_u64(self.map.len()));
         Ok(())
     }
 
@@ -374,18 +351,33 @@ mod tests {
         assert_eq!(ftl.stats().host_writes, 30);
     }
 
+    /// `peak_live` is the most logical pages live at once: an overwrite
+    /// adds none, a trim frees one, and GC relocations move pages without
+    /// adding any.
     #[test]
-    fn occupancy_tracks_live_data() {
+    fn peak_live_is_the_most_pages_live_at_once() {
         let mut ftl = small();
-        assert_eq!(ftl.occupancy(), 0.0);
+        assert_eq!(ftl.stats().peak_live, 0);
         for p in 0..8u64 {
-            ftl.write((0, p)).unwrap();
+            ftl.write((0, p)).unwrap(); // live 1..=8
         }
-        assert!((ftl.occupancy() - 8.0 / 32.0).abs() < 1e-9);
-        for p in 0..4u64 {
-            ftl.trim((0, p));
+        for p in 0..8u64 {
+            ftl.write((0, p)).unwrap(); // overwrites: live stays 8
         }
-        assert!((ftl.occupancy() - 4.0 / 32.0).abs() < 1e-9);
+        for p in 0..5u64 {
+            ftl.trim((0, p)); // live 3
+        }
+        for p in 0..6u64 {
+            ftl.write((1, p)).unwrap(); // live 4..=9
+        }
+        ftl.trim((1, 0)); // live 8
+        ftl.trim((9, 9)); // never written: live stays 8
+        for _ in 0..40 {
+            ftl.write((1, 1)).unwrap(); // hot overwrites force GC; live stays 8
+        }
+        let s = ftl.stats();
+        assert!(s.erases > 0, "GC ran");
+        assert_eq!(s.peak_live, 9);
     }
 
     /// More live pages than the device has: the write that finds no free
@@ -417,25 +409,5 @@ mod tests {
         }
         assert_eq!(ftl.write((0, 10)), Err(FtlError::NoGcRoom { survivors: 2, room: 0 }));
         assert_eq!(ftl.stats().erases, 0, "the victim keeps its survivors");
-    }
-
-    #[test]
-    fn replay_matches_manual_calls() {
-        let ops = vec![
-            FtlOp::Write((0, 1)),
-            FtlOp::Write((0, 2)),
-            FtlOp::Write((0, 1)),
-            FtlOp::Trim((0, 2)),
-        ];
-        let mut a = small();
-        a.replay(&ops).unwrap();
-        let mut b = small();
-        for op in &ops {
-            match *op {
-                FtlOp::Write(l) => b.write(l).unwrap(),
-                FtlOp::Trim(l) => b.trim(l),
-            }
-        }
-        assert_eq!(a.stats(), b.stats());
     }
 }

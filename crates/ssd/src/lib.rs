@@ -63,7 +63,7 @@ pub use config::SsdConfig;
 pub use cost::{batch_time_ns, channel_of, PageAddr, READ_NS, SEQ_DISCOUNT, WRITE_NS};
 pub use device::{Backend, FileId, Ssd};
 pub use fault::{DeviceError, FaultCounters, FaultPlan};
-pub use ftl::{FtlConfig, FtlError, FtlModel, FtlOp, FtlStats, Lpa};
+pub use ftl::{FtlConfig, FtlError, FtlModel, FtlStats, Lpa};
 pub use page::Page;
 pub use queue::{IoQueue, QueueWaitStats, Ticket, QUEUE_DEPTH};
 pub use stats::{RelaxedCounter, SsdStats, SsdStatsSnapshot};

@@ -3,10 +3,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// A monotonic statistics counter: an `AtomicU64` whose operations are
 /// intentionally `Relaxed`.
 ///
-/// This is the one sanctioned home of relaxed atomics outside the
-/// `mlvc-obs` metrics registry (the `no-relaxed-ordering-outside-obs`
-/// lint). The contract is the same one PR 4 defined for the registry:
-/// counters are *statistics*, read for reporting after a synchronization
+/// This is the one sanctioned home of relaxed atomics in the workspace
+/// (the `no-relaxed-ordering-outside-obs` lint). The contract: counters
+/// are *statistics*, read for reporting after a synchronization
 /// point (a join, a lock release) that the engine provides anyway, so
 /// per-operation ordering buys nothing — and anything that is not a pure
 /// statistic must not use this type.

@@ -29,9 +29,10 @@
 //!   interior-mutable cells; shared state crossing the fan-out belongs in
 //!   `mlvc_ssd::sync` primitives or `Tracked` cells the detector audits.
 //! * `no-relaxed-ordering-outside-obs` — relaxed atomics are sanctioned
-//!   only in the `mlvc-obs` metrics registry and the `RelaxedCounter`
-//!   statistics type (PR 4's contract); anywhere else the missing
-//!   ordering is a correctness bug the detector cannot model.
+//!   only in the `RelaxedCounter` statistics type, whose operations carry
+//!   reasoned waivers (the rule keeps the name it had when the obs crate
+//!   also held atomics); anywhere else the missing ordering is a
+//!   correctness bug the detector cannot model.
 //! * `fn-too-long` — a non-test function under `crates/core/src/` longer
 //!   than [`MAX_FN_LINES`] lines. The engine's superstep driver once grew
 //!   to 874 lines one "block at the boundary" at a time; a stage that
@@ -130,13 +131,6 @@ fn in_panic_scope(path: &str) -> bool {
 /// runtime everything else must route through.
 fn in_concurrency_scope(path: &str) -> bool {
     in_panic_scope(path) && !path.starts_with("crates/par/src/")
-}
-
-/// Scope of `no-relaxed-ordering-outside-obs`: library code including the
-/// root facade, minus the obs metrics registry where PR 4 defined the
-/// relaxed-counter contract.
-fn in_relaxed_scope(path: &str) -> bool {
-    in_panic_scope(path) && !path.starts_with("crates/obs/src/")
 }
 
 /// Match `ident` at `pos` in `code` with word boundaries on both sides.
@@ -363,14 +357,14 @@ pub fn check_file_with_waivers(path: &str, scanned: &Scanned) -> (Vec<Diagnostic
         }
 
         // ---- no-relaxed-ordering-outside-obs ------------------------
-        if !l.in_test && in_relaxed_scope(path) {
+        if !l.in_test && in_panic_scope(path) {
             for _ in find_words(code, "Relaxed") {
                 diag(
                     &mut out,
                     lineno,
                     "no-relaxed-ordering-outside-obs",
-                    "`Ordering::Relaxed` outside the obs metrics registry; \
-                     use `SeqCst` or the sanctioned `mlvc_ssd::RelaxedCounter`"
+                    "`Ordering::Relaxed` outside `mlvc_ssd::RelaxedCounter`; \
+                     use `SeqCst` or that sanctioned counter"
                         .to_string(),
                 );
             }
@@ -797,12 +791,12 @@ mod tests {
     }
 
     #[test]
-    fn relaxed_rule_exempts_obs_covers_root_facade() {
+    fn relaxed_rule_covers_obs_and_root_facade() {
         let src = "x.fetch_add(1, Ordering::Relaxed);\n";
         let d = lint("crates/log/src/multilog.rs", src);
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].rule, "no-relaxed-ordering-outside-obs");
-        assert!(lint("crates/obs/src/metrics.rs", src).is_empty(), "obs owns relaxed counters");
+        assert_eq!(lint("crates/obs/src/lib.rs", src).len(), 1, "obs holds no atomic");
         assert_eq!(lint("src/bin/mlvc.rs", src).len(), 1, "root facade is covered");
         // `RelaxedCounter` the type name must not trip the word match.
         assert!(lint("crates/log/src/multilog.rs", "use mlvc_ssd::RelaxedCounter;\n").is_empty());

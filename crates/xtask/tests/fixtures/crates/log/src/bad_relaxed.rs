@@ -1,5 +1,5 @@
 //! Seeded violations for `no-relaxed-ordering-outside-obs`: relaxed
-//! atomics belong only in the obs registry and `RelaxedCounter`.
+//! atomics belong only in `RelaxedCounter`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -465,8 +465,8 @@ fn write_metrics(path: &str, report: &RunReport) -> Result<(), String> {
     std::fs::write(&prom, report.prometheus_text()).map_err(|e| format!("{prom}: {e}"))?;
     let amp = |v: Option<f64>| v.map_or("n/a".to_string(), |x| format!("{x:.3}"));
     println!(
-        "metrics: {} trace records -> {path}, registry -> {prom}",
-        report.metrics().len()
+        "metrics: {} trace records -> {path}, Prometheus snapshot -> {prom}",
+        report.trace.len()
     );
     println!(
         "read amplification {}; flash write amplification {}",
@@ -925,6 +925,10 @@ mod tests {
         assert!(prom.contains("job=\"s1\""));
         assert!(prom.contains("job=\"s2\""));
         assert!(!prom.contains("job=\"s3\""), "rejected jobs never ran");
+        // One `# TYPE` line per family, whichever job has it.
+        let typed: Vec<&str> = prom.lines().filter(|l| l.starts_with("# TYPE ")).collect();
+        let families: std::collections::BTreeSet<&&str> = typed.iter().collect();
+        assert_eq!(families.len(), typed.len(), "a family has two TYPE lines");
 
         // Bad --graphs spec and missing --graphs both error cleanly.
         assert!(run(&strs(&["serve", "--graphs", "nonsense"])).is_err());

@@ -1,15 +1,18 @@
 //! Exact I/O accounting (DESIGN.md §13): the observability layer's
 //! end-of-run counters must equal the device's own statistics bit-for-bit,
-//! the per-superstep trace must sum to the same totals, the whole trace
-//! must be identical for every worker-thread count, and the JSON and
-//! Prometheus text both are exported as must parse with the schema their
-//! consumers (the CI metrics artifact, dashboards) rely on.
+//! the per-superstep trace must sum to the same totals and keep one record
+//! per superstep however long the run, the whole trace must be identical
+//! for every worker-thread count, and the trace JSONL and Prometheus text
+//! must parse with the schema their consumers (the CI metrics artifact,
+//! dashboards) rely on.
 
 use std::sync::Arc;
 
 use multilogvc::apps::{Bfs, PageRank, Wcc};
-use multilogvc::core::{Engine, EngineConfig, MultiLogEngine, RunReport, VertexProgram};
-use multilogvc::graph::{Csr, StoredGraph, VertexIntervals};
+use multilogvc::core::{
+    Engine, EngineConfig, InitActive, MultiLogEngine, RunReport, Update, VertexCtx, VertexProgram,
+};
+use multilogvc::graph::{Csr, StoredGraph, VertexId, VertexIntervals};
 use multilogvc::obs::json::{parse, Json};
 use multilogvc::obs::{TraceRecord, TRACE_FIELDS};
 use multilogvc::ssd::{Ssd, SsdConfig, SsdStatsSnapshot};
@@ -209,10 +212,8 @@ fn num(v: &Json, key: &str) -> f64 {
 fn metrics_snapshot_and_trace_jsonl_match_schema() {
     let (r, _) = run_with_obs(&PageRank::new(0.85, 1e-4), 8);
 
-    // Snapshot: counters/gauges/histograms objects with the wired families.
+    // Snapshot: counters, gauges and histograms with the wired families.
     let snap = r.obs.as_ref().expect("obs snapshot present");
-    let doc = parse(&snap.to_json()).expect("snapshot JSON parses");
-    let counters = doc.get("counters").expect("counters object");
     for key in [
         "mlvc_ssd_pages_read_total",
         "mlvc_ssd_bytes_written_total",
@@ -220,20 +221,16 @@ fn metrics_snapshot_and_trace_jsonl_match_schema() {
         "mlvc_ftl_physical_writes_total",
         "mlvc_engine_supersteps_total",
     ] {
-        assert!(num(counters, key) > 0.0, "counter {key} populated");
+        assert!(snap.counters[key] > 0, "counter {key} populated");
     }
-    let gauges = doc.get("gauges").expect("gauges object");
-    assert!(num(gauges, "mlvc_read_amplification_milli") >= 1000.0);
-    let hists = doc.get("histograms").and_then(Json::as_obj).expect("histograms object");
-    assert!(!hists.is_empty(), "at least one histogram");
-    for (name, h) in hists {
-        let bounds = h.get("bounds").and_then(Json::as_arr).unwrap();
-        let buckets = h.get("buckets").and_then(Json::as_arr).unwrap();
-        assert_eq!(buckets.len(), bounds.len() + 1, "{name}: finite buckets + overflow");
-        assert!(num(h, "count") > 0.0, "{name}: observed");
+    assert!(snap.gauges["mlvc_read_amplification_milli"] >= 1000);
+    assert!(!snap.histograms.is_empty(), "at least one histogram");
+    for (name, h) in &snap.histograms {
+        assert_eq!(h.buckets.len(), h.bounds.len() + 1, "{name}: finite buckets + overflow");
+        assert_eq!(h.count(), r.trace.len() as u64, "{name}: one observation per record");
     }
     // Prometheus exposition declares a type per family.
-    let prom = snap.to_prometheus();
+    let prom = r.prometheus_text();
     assert!(prom.contains("# TYPE mlvc_ssd_pages_read_total counter"));
     assert!(prom.contains("# TYPE mlvc_superstep_pages_read histogram"));
 
@@ -248,4 +245,60 @@ fn metrics_snapshot_and_trace_jsonl_match_schema() {
         }
         assert_eq!(num(&rec, "superstep"), k as f64, "records are in order");
     }
+}
+
+/// Keeps one vertex busy for [`Countdown::STEPS`] supersteps: it messages
+/// itself until then.
+struct Countdown;
+
+impl Countdown {
+    const STEPS: usize = 4200;
+}
+
+impl VertexProgram for Countdown {
+    fn name(&self) -> &'static str {
+        "countdown"
+    }
+
+    fn init_state(&self, _v: VertexId) -> u64 {
+        0
+    }
+
+    fn init_active(&self, _n: usize) -> InitActive {
+        InitActive::Seeds(vec![Update::new(0, 0, 0)])
+    }
+
+    fn process(&self, ctx: &mut VertexCtx<'_>) {
+        ctx.set_state(ctx.superstep() as u64);
+        if ctx.superstep() < Self::STEPS {
+            let v = ctx.vertex();
+            ctx.send(v, 0);
+        }
+    }
+}
+
+/// A run of thousands of supersteps keeps its whole trace: record `k` is
+/// superstep `k`, so the whole-run sums and histograms cover the whole run
+/// rather than its tail.
+#[test]
+fn a_run_of_thousands_of_supersteps_keeps_every_trace_record() {
+    let g = mlvc_gen::path(4);
+    let iv = VertexIntervals::uniform(g.num_vertices(), 1);
+    let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
+    let sg = StoredGraph::store_with(&ssd, &g, "long", iv).unwrap();
+    let cfg = EngineConfig::default().with_memory(512 << 10).with_obs(true);
+    let r = MultiLogEngine::new(ssd, sg, cfg).run(&Countdown, Countdown::STEPS + 10);
+    assert!(r.converged && r.interrupted.is_none());
+    assert_eq!(r.supersteps.len(), Countdown::STEPS);
+    assert_eq!(r.trace.len(), r.supersteps.len() + 1, "seed record + one per superstep");
+    for (k, t) in r.trace.iter().enumerate() {
+        assert_eq!(t.superstep, k as u64, "record {k}");
+    }
+    let traced: u64 = r.trace.iter().map(|t| t.bytes_read).sum();
+    let stepped: u64 = r.supersteps.iter().map(|s| s.io.bytes_read).sum();
+    assert!(stepped > 0, "the messages were read back");
+    assert_eq!(traced, stepped, "the trace's bytes read are the supersteps'");
+    let pages = &r.obs.as_ref().expect("obs snapshot")
+        .histograms["mlvc_superstep_pages_read"];
+    assert_eq!(pages.count(), r.trace.len() as u64);
 }
