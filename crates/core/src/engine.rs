@@ -72,20 +72,12 @@ pub struct MultiLogEngine {
     /// writes them only after the fan-out joins (DESIGN.md §14).
     states_audit: Tracked<()>,
     /// Live-ingest mutation log (DESIGN.md §17), shared with whatever is
-    /// accepting edge batches (the serving daemon, `mlvc ingest`). Pending
-    /// batches merge into the stored CSR at superstep boundaries, and the
-    /// running program's own structural updates commit through it — when
-    /// none is attached, the first such merge opens one under the run's tag
-    /// and leaves it here.
+    /// accepting edge batches (`mlvc ingest`). Pending batches merge
+    /// into the stored CSR only in [`Self::reconverge`]; the running
+    /// program's own structural updates commit through it, beside them —
+    /// when none is attached, the first such merge opens one under the
+    /// run's tag and leaves it here.
     mutations: Option<Arc<Mutex<MutationLog>>>,
-}
-
-/// How the superstep driver ended: ran to convergence/cap, or was cut
-/// short by a [`Reconverge::Restart`] after a mid-run mutation merge (the
-/// caller re-drives from scratch on the mutated graph).
-enum DriveEnd {
-    Completed,
-    Restart,
 }
 
 impl MultiLogEngine {
@@ -109,12 +101,11 @@ impl MultiLogEngine {
         &self.cfg
     }
 
-    /// Attach a shared mutation log (DESIGN.md §17). Once attached, any
-    /// batch pending at a superstep boundary merges into the stored CSR
-    /// there, and the running program's [`VertexProgram::reconverge`]
-    /// policy decides whether the run restarts or re-activates only the
-    /// delta's dirty vertices. The log must partition vertices exactly
-    /// like the stored graph.
+    /// Attach a shared mutation log (DESIGN.md §17). Its pending batches
+    /// merge when [`Self::reconverge`] is called, and only then: a batch
+    /// pending on it while [`Engine::run`] or [`Self::run_recoverable`]
+    /// drives stays pending for the next `reconverge`. The log must
+    /// partition vertices exactly like the stored graph.
     pub fn attach_mutations(
         &mut self,
         log: Arc<Mutex<MutationLog>>,
@@ -163,7 +154,7 @@ impl MultiLogEngine {
             Reconverge::Seed(seeds) => Some(seeds),
         };
         report.converged = false;
-        if let Err(e) = self.run_loop(prog, max_supersteps, None, reseed, &mut report) {
+        if let Err(e) = self.drive(prog, max_supersteps, None, reseed, &mut report) {
             report.interrupted = Some(e);
         }
         report
@@ -200,37 +191,10 @@ impl MultiLogEngine {
         if let Some(cp) = &resume {
             report.resumed_from = Some(cp.superstep);
         }
-        if let Err(e) = self.run_loop(prog, max_supersteps, resume.as_ref(), None, &mut report) {
+        if let Err(e) = self.drive(prog, max_supersteps, resume.as_ref(), None, &mut report) {
             report.interrupted = Some(e);
         }
         report
-    }
-
-    /// Drive to completion, restarting from scratch whenever a mid-run
-    /// mutation merge ends with [`Reconverge::Restart`]. `resume` and
-    /// `reseed` apply to the first drive only; a restart always begins
-    /// fresh on the (now mutated) graph. The restart discards the aborted
-    /// attempt's supersteps — `RunReport::mutations` accumulates across
-    /// attempts, so merge activity is never lost from the report.
-    fn run_loop(
-        &mut self,
-        prog: &dyn VertexProgram,
-        max_supersteps: usize,
-        resume: Option<&CheckpointState>,
-        reseed: Option<Vec<Update>>,
-        report: &mut RunReport,
-    ) -> Result<(), DeviceError> {
-        let mut resume = resume;
-        let mut reseed = reseed;
-        loop {
-            match self.drive(prog, max_supersteps, resume.take(), reseed.take(), report)? {
-                DriveEnd::Completed => return Ok(()),
-                DriveEnd::Restart => {
-                    report.supersteps.clear();
-                    report.converged = false;
-                }
-            }
-        }
     }
 
     /// The superstep driver (Algorithm 1). Fresh runs pass `resume: None`;
@@ -245,7 +209,7 @@ impl MultiLogEngine {
         resume: Option<&CheckpointState>,
         reseed: Option<Vec<Update>>,
         report: &mut RunReport,
-    ) -> Result<DriveEnd, DeviceError> {
+    ) -> Result<(), DeviceError> {
         report.engine = self.name().to_string();
         report.app = prog.name().to_string();
         report.job_id = self.cfg.tag.clone();
@@ -256,16 +220,10 @@ impl MultiLogEngine {
             if d.idle() {
                 break;
             }
-            if Superstep::new(&mut d, superstep).run(report)? {
-                // Flush sub-threshold structural updates before abandoning
-                // the run — the restart rebuilds every unit from scratch.
-                d.merge_structural(1, report)?;
-                return Ok(DriveEnd::Restart);
-            }
+            Superstep::new(&mut d, superstep).run(report)?;
         }
         report.converged = d.idle();
-        d.finish(report)?;
-        Ok(DriveEnd::Completed)
+        d.finish(report)
     }
 }
 
@@ -276,12 +234,12 @@ pub(crate) struct Drive<'a> {
     pub(crate) ssd: &'a Arc<Ssd>,
     pub(crate) graph: &'a Arc<StoredGraph>,
     pub(crate) cfg: &'a EngineConfig,
-    pub(crate) states: &'a mut Vec<u64>,
+    states: &'a mut Vec<u64>,
     states_audit: &'a Tracked<()>,
     pub(crate) mutations: &'a mut Option<Arc<Mutex<MutationLog>>>,
-    pub(crate) prog: &'a dyn VertexProgram,
+    prog: &'a dyn VertexProgram,
 
-    pub(crate) multilog: MultiLog,
+    multilog: MultiLog,
     pub(crate) edgelog: EdgeLogOptimizer,
     loader: GraphLoader,
     pub(crate) structural: StructuralUpdateBuffer,
@@ -650,9 +608,8 @@ impl<'d, 'a> Superstep<'d, 'a> {
         }
     }
 
-    /// Run the superstep and push its stats onto `report`. Returns whether
-    /// a mutation merge at the boundary asked for a restart.
-    fn run(mut self, report: &mut RunReport) -> Result<bool, DeviceError> {
+    /// Run the superstep and push its stats onto `report`.
+    fn run(mut self, report: &mut RunReport) -> Result<(), DeviceError> {
         let wall0 = Instant::now();
         let io0 = self.d.ssd.stats().snapshot();
         let plan = plan_fusion(&self.d.pending, self.d.cfg.sort_budget());
@@ -934,9 +891,9 @@ impl<'d, 'a> Superstep<'d, 'a> {
         Ok(())
     }
 
-    /// Superstep close-out: page-usage accounting, the mutation merge, the
-    /// log-side flip, structural merges, the retier, the checkpoint, and
-    /// the superstep's statistics and trace record.
+    /// Superstep close-out: page-usage accounting, the log-side flip,
+    /// structural merges, the retier, the checkpoint, and the superstep's
+    /// statistics and trace record.
     fn close_out(
         mut self,
         fused_batches: usize,
@@ -944,7 +901,7 @@ impl<'d, 'a> Superstep<'d, 'a> {
         wall0: Instant,
         io0: SsdStatsSnapshot,
         report: &mut RunReport,
-    ) -> Result<bool, DeviceError> {
+    ) -> Result<(), DeviceError> {
         let t_close = Instant::now();
         let d = &mut *self.d;
         let st = &mut self.st;
@@ -954,18 +911,11 @@ impl<'d, 'a> Superstep<'d, 'a> {
         d.tiering.note_usage(&usage);
         d.edgelog.end_superstep(&self.active_bits, &usage)?;
 
-        let restart = d.merge_mutations(st, report)?;
-
         d.pending = d.multilog.finish_superstep()?;
         st.messages_sent = d.pending.iter().sum();
         let due = d.structural.threshold();
-        st.mutations.absorb(&d.merge_structural(due, report)?);
-        // Skipped on a restart superstep — the next drive clears and
-        // re-ranks from scratch anyway, so pin fills here would be wasted
-        // I/O.
-        if !restart {
-            d.tiering.retier(d.ssd, d.graph, &d.multilog)?;
-        }
+        st.mutations = d.merge_structural(due, report)?;
+        d.tiering.retier(d.ssd, d.graph, &d.multilog)?;
         self.next_self_active.sort_unstable();
         self.next_self_active.dedup();
         d.self_active = self.next_self_active;
@@ -993,7 +943,7 @@ impl<'d, 'a> Superstep<'d, 'a> {
             t.record(d.ssd, st, fused_batches, &d.multilog, &d.edgelog);
         }
         report.supersteps.push(self.st);
-        Ok(restart)
+        Ok(())
     }
 }
 
@@ -1008,7 +958,7 @@ impl Engine for MultiLogEngine {
 
     fn run(&mut self, prog: &dyn VertexProgram, max_supersteps: usize) -> RunReport {
         let mut report = RunReport::default();
-        if let Err(e) = self.run_loop(prog, max_supersteps, None, None, &mut report) {
+        if let Err(e) = self.drive(prog, max_supersteps, None, None, &mut report) {
             report.interrupted = Some(e);
         }
         report

@@ -82,9 +82,10 @@ pub struct SuperstepStats {
     /// True if a crash-consistency checkpoint was written at this
     /// superstep's close-out (its I/O is charged to `io`).
     pub checkpointed: bool,
-    /// Mutation-service activity at this superstep's boundary (zero unless
-    /// an attached mutation log had pending edges and merged here; its I/O
-    /// is charged to `io`). See DESIGN.md §17.
+    /// The merge of the running program's own structural updates at this
+    /// superstep's close-out (zero unless an interval reached the merge
+    /// threshold here; its I/O is charged to `io`). Client batches never
+    /// merge mid-run. See DESIGN.md §17.
     pub mutations: MutationStats,
 }
 
@@ -127,9 +128,9 @@ pub struct RunReport {
     /// Engine-specific extras.
     pub multilog: Option<MultiLogStats>,
     pub edgelog: Option<EdgeLogStats>,
-    /// Accumulated mutation-service activity over the whole run, `Some`
-    /// only when at least one mutation batch merged mid-run. Survives the
-    /// superstep reset of a `Reconverge::Restart`.
+    /// Accumulated merge activity over the whole run, `Some` only when
+    /// something merged: the client batches `reconverge` merged before its
+    /// drive, and the program's own structural updates.
     pub mutations: Option<MutationStats>,
     /// Per-phase trace when `EngineConfig::obs` was enabled (empty
     /// otherwise): record 0 is the seeding phase, record `k` mirrors

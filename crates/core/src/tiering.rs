@@ -43,9 +43,9 @@ pub(crate) struct Tiering {
 }
 
 impl Tiering {
-    /// Drive-entry reset: drop any pins an abandoned drive (mutation
-    /// restart) left behind so cache state and bookkeeping start in
-    /// lockstep — every drive ranks from scratch — then arm append
+    /// Drive-entry reset: drop any pins an earlier drive on the same cache
+    /// left behind so cache state and bookkeeping start in lockstep —
+    /// every drive ranks from scratch — then arm append
     /// retention with half the pin budget across both log sides. Nothing is
     /// pinned yet, so the seed messages and the first superstep's log tail
     /// can be retained without overdrawing the ledger; every boundary
@@ -98,8 +98,8 @@ impl Tiering {
         }
     }
 
-    /// A merge (of client batches or of the program's own structural
-    /// updates) rewrote CSR files only in intervals holding a dirty
+    /// A merge of the program's own structural updates rewrote CSR files
+    /// only in intervals holding a dirty
     /// vertex — the device already dropped their pinned copies, so
     /// unmark them and let the next retier re-pin whatever still ranks.
     pub(crate) fn unmark_dirty(&mut self, graph: &StoredGraph, dirty: &[VertexId]) {

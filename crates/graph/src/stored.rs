@@ -1,9 +1,11 @@
 use std::sync::Arc;
 
-use mlvc_ssd::{DeviceError, FileId, Page, Ssd};
+use mlvc_ssd::{DeviceError, FileId, Ssd};
 
 use crate::checked::{idx, mem_idx, to_u64};
-use crate::{Csr, IntervalId, VertexIntervals, VertexId, COL_IDX_BYTES, ROW_PTR_BYTES};
+use crate::{
+    Csr, IntervalId, VertexIntervals, VertexId, COL_IDX_BYTES, ROW_PTR_BYTES, WEIGHT_BYTES,
+};
 
 /// One interval read back into memory: (local row pointers, out-neighbor
 /// ids, edge weights when the graph is weighted).
@@ -89,8 +91,7 @@ impl StoredGraph {
                 let f = ssd.open_or_create(&format!("{name}.val.{i}"))?;
                 ssd.truncate(f)?;
                 // Weights vector is parallel to col_idx.
-                let w: Vec<u32> = wall[lo..hi].iter().map(|&x| f32::to_bits(x)).collect();
-                append_u32s(ssd, f, &w)?;
+                append_entries::<WEIGHT_BYTES, _>(ssd, f, &wall[lo..hi], f32::to_le_bytes)?;
                 vf.push(f);
             }
         }
@@ -174,17 +175,16 @@ impl StoredGraph {
     /// Charged as sequential batch reads with 100% declared utilization.
     pub fn read_interval(&self, i: IntervalId) -> Result<IntervalCsr, DeviceError> {
         let n_local = self.intervals.len_of(i) + 1;
-        let (psz, read) = (self.ssd.page_size(), |reqs: PageReqs| self.ssd.read_batch(&reqs));
-        let rowptr = read_u64s(psz, self.rowptr_file(i), n_local, read)?;
+        let rowptr = read_u64s(&self.ssd, self.rowptr_file(i), n_local)?;
         let n_edges = rowptr.last().map_or(0, |&e| mem_idx(e));
-        let colidx = read_u32s(psz, self.colidx_file(i), n_edges, read)?;
+        let colidx = read_u32s(&self.ssd, self.colidx_file(i), n_edges)?;
         let weights = match self.val_file(i) {
-            Some(f) => Some(
-                read_u32s(psz, f, n_edges, read)?
-                    .into_iter()
-                    .map(f32::from_bits)
-                    .collect(),
-            ),
+            Some(f) => Some(read_entries::<WEIGHT_BYTES, _>(
+                &self.ssd,
+                f,
+                n_edges,
+                f32::from_le_bytes,
+            )?),
             None => None,
         };
         Ok((rowptr, colidx, weights))
@@ -225,65 +225,49 @@ pub fn write_partition(
     colidx: &[VertexId],
 ) -> Result<(), DeviceError> {
     ssd.truncate(rowptr_file)?;
-    append_u64s(ssd, rowptr_file, rowptr)?;
+    append_entries::<ROW_PTR_BYTES, _>(ssd, rowptr_file, rowptr, u64::to_le_bytes)?;
     ssd.truncate(colidx_file)?;
-    append_u32s(ssd, colidx_file, colidx)
+    append_entries::<COL_IDX_BYTES, _>(ssd, colidx_file, colidx, u32::to_le_bytes)
 }
 
-/// Append a u64 slice to `file` as little-endian pages (batched).
-fn append_u64s(ssd: &Ssd, file: FileId, data: &[u64]) -> Result<(), DeviceError> {
-    let per_page = ssd.page_size() / ROW_PTR_BYTES;
-    let mut pages: Vec<Vec<u8>> = Vec::with_capacity(data.len().div_ceil(per_page));
-    for chunk in data.chunks(per_page) {
-        let mut buf = Vec::with_capacity(chunk.len() * ROW_PTR_BYTES);
-        for &x in chunk {
-            buf.extend_from_slice(&x.to_le_bytes());
-        }
-        pages.push(buf);
+/// Append `data` to `file` as `W`-byte little-endian entries, packed into
+/// whole pages in one batch — the layout [`read_entries`] reads back.
+fn append_entries<const W: usize, T: Copy>(
+    ssd: &Ssd,
+    file: FileId,
+    data: &[T],
+    to_le: impl Fn(T) -> [u8; W],
+) -> Result<(), DeviceError> {
+    if data.is_empty() {
+        return Ok(());
     }
-    let refs: Vec<&[u8]> = pages.iter().map(|p| p.as_slice()).collect();
-    if !refs.is_empty() {
-        ssd.append_pages(file, &refs)?;
-    }
+    let pages: Vec<Vec<u8>> = data
+        .chunks(ssd.page_size() / W)
+        .map(|chunk| {
+            let mut page = Vec::with_capacity(chunk.len() * W);
+            chunk.iter().for_each(|&x| page.extend_from_slice(&to_le(x)));
+            page
+        })
+        .collect();
+    let refs: Vec<&[u8]> = pages.iter().map(Vec::as_slice).collect();
+    ssd.append_pages(file, &refs)?;
     Ok(())
 }
 
-/// Append a u32 slice to `file` as little-endian pages (batched).
-fn append_u32s(ssd: &Ssd, file: FileId, data: &[u32]) -> Result<(), DeviceError> {
-    let per_page = ssd.page_size() / COL_IDX_BYTES;
-    let mut pages: Vec<Vec<u8>> = Vec::with_capacity(data.len().div_ceil(per_page));
-    for chunk in data.chunks(per_page) {
-        let mut buf = Vec::with_capacity(chunk.len() * COL_IDX_BYTES);
-        for &x in chunk {
-            buf.extend_from_slice(&x.to_le_bytes());
-        }
-        pages.push(buf);
-    }
-    let refs: Vec<&[u8]> = pages.iter().map(|p| p.as_slice()).collect();
-    if !refs.is_empty() {
-        ssd.append_pages(file, &refs)?;
-    }
-    Ok(())
-}
-
-/// A read request list: (file, page, useful bytes) per page.
-type PageReqs = Vec<(FileId, u64, usize)>;
-
-/// Read back the first `n` `W`-byte little-endian entries of `file`:
-/// build the request list, hand it to `read` — the device's batch read, or
-/// a submission queue in front of it — and decode the pages it returns.
+/// Read back the first `n` `W`-byte little-endian entries of `file` in one
+/// device batch — each request declaring the bytes it uses — and decode
+/// them.
 fn read_entries<const W: usize, T>(
-    page_size: usize,
+    ssd: &Ssd,
     file: FileId,
     n: usize,
-    read: impl FnOnce(PageReqs) -> Result<Vec<Page>, DeviceError>,
-    from_le: fn([u8; W]) -> T,
+    from_le: impl Fn([u8; W]) -> T,
 ) -> Result<Vec<T>, DeviceError> {
-    let per_page = page_size / W;
-    let reqs: PageReqs = (0..n.div_ceil(per_page))
+    let per_page = ssd.page_size() / W;
+    let reqs: Vec<(FileId, u64, usize)> = (0..n.div_ceil(per_page))
         .map(|p| (file, to_u64(p), per_page.min(n - p * per_page) * W))
         .collect();
-    let pages = read(reqs)?;
+    let pages = ssd.read_batch(&reqs)?;
     let mut out = Vec::with_capacity(n);
     for (k, page) in pages.iter().enumerate() {
         let entries = per_page.min(n - k * per_page);
@@ -297,25 +281,14 @@ fn read_entries<const W: usize, T>(
     Ok(out)
 }
 
-/// Read back `n` u64 entries of a row-pointer extent through `read`.
-pub fn read_u64s(
-    page_size: usize,
-    file: FileId,
-    n: usize,
-    read: impl FnOnce(PageReqs) -> Result<Vec<Page>, DeviceError>,
-) -> Result<Vec<u64>, DeviceError> {
-    read_entries::<ROW_PTR_BYTES, _>(page_size, file, n, read, u64::from_le_bytes)
+/// Read back `n` u64 entries of a row-pointer extent.
+pub fn read_u64s(ssd: &Ssd, file: FileId, n: usize) -> Result<Vec<u64>, DeviceError> {
+    read_entries::<ROW_PTR_BYTES, _>(ssd, file, n, u64::from_le_bytes)
 }
 
-/// Read back `n` u32 entries of a column-index (or weight) extent through
-/// `read`.
-pub fn read_u32s(
-    page_size: usize,
-    file: FileId,
-    n: usize,
-    read: impl FnOnce(PageReqs) -> Result<Vec<Page>, DeviceError>,
-) -> Result<Vec<u32>, DeviceError> {
-    read_entries::<COL_IDX_BYTES, _>(page_size, file, n, read, u32::from_le_bytes)
+/// Read back `n` u32 entries of a column-index extent.
+pub fn read_u32s(ssd: &Ssd, file: FileId, n: usize) -> Result<Vec<u32>, DeviceError> {
+    read_entries::<COL_IDX_BYTES, _>(ssd, file, n, u32::from_le_bytes)
 }
 
 #[cfg(test)]
@@ -390,14 +363,13 @@ mod tests {
         let f = ssd.open_or_create("u64s").unwrap();
         // 256-byte pages hold 32 u64s; cross several page boundaries.
         let data: Vec<u64> = (0..100).map(|i| i * 1_000_000_007).collect();
-        append_u64s(&ssd, f, &data).unwrap();
-        let read = |reqs: PageReqs| ssd.read_batch(&reqs);
-        assert_eq!(read_u64s(256, f, 100, read).unwrap(), data);
+        append_entries::<ROW_PTR_BYTES, _>(&ssd, f, &data, u64::to_le_bytes).unwrap();
+        assert_eq!(read_u64s(&ssd, f, 100).unwrap(), data);
 
         let f2 = ssd.open_or_create("u32s").unwrap();
         let data2: Vec<u32> = (0..200u32).map(|i| i.wrapping_mul(2_654_435_761)).collect();
-        append_u32s(&ssd, f2, &data2).unwrap();
-        assert_eq!(read_u32s(256, f2, 200, read).unwrap(), data2);
+        append_entries::<COL_IDX_BYTES, _>(&ssd, f2, &data2, u32::to_le_bytes).unwrap();
+        assert_eq!(read_u32s(&ssd, f2, 200).unwrap(), data2);
     }
 
     #[test]

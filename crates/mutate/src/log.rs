@@ -26,7 +26,7 @@ use mlvc_graph::{
 };
 use mlvc_log::{decode_log_page, pack_pages, LogPage, PageShape, Update};
 use mlvc_recover::{CommitSlots, MERGE_RECORD};
-use mlvc_ssd::{DeviceError, FileId, IoQueue, Page, Ssd, QUEUE_DEPTH};
+use mlvc_ssd::{DeviceError, FileId, Ssd};
 
 use crate::batch::{dedup_last_wins, finish_dirty, upsert_adjacency, validate_range};
 use crate::{EdgeMutation, MutationDelta, MutationError, MutationOp};
@@ -285,8 +285,7 @@ impl MutationLog {
     }
 
     /// Merge every pending mutation into `graph`'s CSR partitions under
-    /// the data-before-manifest protocol, reading through the device's
-    /// submission queue. Returns the effective delta.
+    /// the data-before-manifest protocol. Returns the effective delta.
     pub fn merge(&mut self, graph: &StoredGraph) -> Result<MergeOutcome, MutationError> {
         self.check_target(graph)?;
         // Stage 0: make the whole batch readable from the device logs.
@@ -294,12 +293,11 @@ impl MutationLog {
         if self.pending() == 0 {
             return Ok(MergeOutcome::default());
         }
-        let ioq = IoQueue::new(Arc::clone(&self.ssd), QUEUE_DEPTH);
         // Stage 1: drain and decode each interval's log (device order is
         // ingest order, so last-op-wins over the log reproduces the
         // client's intent).
-        let per_interval = self.drain_logs(&ioq)?;
-        let (delta, rewritten) = self.install(graph, &ioq, &per_interval)?;
+        let per_interval = self.drain_logs()?;
+        let (delta, rewritten) = self.install(graph, &per_interval)?;
         // Stage 6: retire the consumed logs and seal.
         for &f in &self.log_files {
             self.ssd.truncate(f)?;
@@ -336,8 +334,7 @@ impl MutationLog {
                 )));
             }
         }
-        let ioq = IoQueue::new(Arc::clone(&self.ssd), QUEUE_DEPTH);
-        let (delta, rewritten) = self.install(graph, &ioq, per_interval)?;
+        let (delta, rewritten) = self.install(graph, per_interval)?;
         self.seal(graph, delta, rewritten)
     }
 
@@ -359,7 +356,7 @@ impl MutationLog {
     }
 
     /// Read back and decode every interval's device log, in ingest order.
-    fn drain_logs(&self, ioq: &IoQueue) -> Result<Vec<Vec<EdgeMutation>>, MutationError> {
+    fn drain_logs(&self) -> Result<Vec<Vec<EdgeMutation>>, MutationError> {
         let page_size = self.ssd.page_size();
         let num_vertices = to_u32("vertex count", self.intervals.num_vertices())?;
         let mut per_interval: Vec<Vec<EdgeMutation>> = Vec::with_capacity(self.log_files.len());
@@ -368,9 +365,7 @@ impl MutationLog {
                 per_interval.push(Vec::new());
                 continue;
             }
-            let reqs: Vec<_> =
-                (0..self.ssd.num_pages(f)?).map(|p| (f, p, page_size)).collect();
-            let pages = queued_read(ioq, reqs)?;
+            let pages = self.ssd.read_all(f, |_| page_size)?;
             let mut records = Vec::new();
             for page in &pages {
                 decode_log_page(page, &(0..num_vertices), &mut records)?;
@@ -399,12 +394,8 @@ impl MutationLog {
     fn install(
         &mut self,
         graph: &StoredGraph,
-        ioq: &IoQueue,
         per_interval: &[Vec<EdgeMutation>],
     ) -> Result<(MutationDelta, usize), MutationError> {
-        let page_size = self.ssd.page_size();
-        let read = |reqs| queued_read(ioq, reqs);
-
         // Stage 2: per affected interval (ascending), collapse to one op
         // per edge, read the partition, apply the upsert, and collect
         // rewrites. Intervals whose requests were all already satisfied
@@ -418,14 +409,10 @@ impl MutationLog {
             }
             let range = self.intervals.range(i);
             let n_local = self.intervals.len_of(i);
-            let rowptr = read_u64s(page_size, graph.rowptr_file(i), n_local + 1, read)?;
+            let rowptr = read_u64s(&self.ssd, graph.rowptr_file(i), n_local + 1)?;
             let old_edges = rowptr.last().copied().unwrap_or(0);
-            let colidx = read_u32s(
-                page_size,
-                graph.colidx_file(i),
-                to_usize("interval edge count", old_edges)?,
-                read,
-            )?;
+            let n_edges = to_usize("interval edge count", old_edges)?;
+            let colidx = read_u32s(&self.ssd, graph.colidx_file(i), n_edges)?;
 
             let mut new_rowptr: Vec<u64> = Vec::with_capacity(n_local + 1);
             let mut new_colidx: Vec<VertexId> = Vec::with_capacity(colidx.len());
@@ -474,7 +461,7 @@ impl MutationLog {
         // shadow extents first, then the manifest commit, then the
         // primary install from the in-memory copies (recovery re-reads
         // the shadows instead).
-        let per_manifest = MERGE_RECORD.max_entries(page_size);
+        let per_manifest = MERGE_RECORD.max_entries(self.ssd.page_size());
         let mut new_total = graph.num_edges();
         for chunk in rewrites.chunks(per_manifest.max(1)) {
             let mut entries = Vec::with_capacity(chunk.len());
@@ -534,16 +521,10 @@ impl MutationLog {
                             "manifest names interval {i} outside the partition"
                         )));
                     }
-                    let (psz, read) =
-                        (self.ssd.page_size(), |reqs: Vec<_>| self.ssd.read_batch(&reqs));
                     let n_local = self.intervals.len_of(i);
-                    let rowptr = read_u64s(psz, self.shadow_rowptr[idx(i)], n_local + 1, read)?;
-                    let colidx = read_u32s(
-                        psz,
-                        self.shadow_colidx[idx(i)],
-                        to_usize("shadow colidx entries", n_colidx)?,
-                        read,
-                    )?;
+                    let rowptr = read_u64s(&self.ssd, self.shadow_rowptr[idx(i)], n_local + 1)?;
+                    let n_colidx = to_usize("shadow colidx entries", n_colidx)?;
+                    let colidx = read_u32s(&self.ssd, self.shadow_colidx[idx(i)], n_colidx)?;
                     let (rp, ci) = (graph.rowptr_file(i), graph.colidx_file(i));
                     write_partition(&self.ssd, rp, ci, &rowptr, &colidx)?;
                 }
@@ -586,20 +567,6 @@ impl MutationLog {
         self.manifests.commit(&body)?;
         Ok(())
     }
-}
-
-/// One submit/fetch/complete round on the queue.
-fn queued_read(
-    ioq: &IoQueue,
-    reqs: Vec<(FileId, u64, usize)>,
-) -> Result<Vec<Page>, DeviceError> {
-    if reqs.is_empty() {
-        return Ok(Vec::new());
-    }
-    let ticket = ioq.submit_read(reqs);
-    let pages = ioq.fetch(ticket)?;
-    ioq.complete(ticket);
-    Ok(pages)
 }
 
 #[cfg(test)]

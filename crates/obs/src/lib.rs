@@ -217,13 +217,14 @@ pub struct TraceRecord {
     pub io_wait_ns: u64,
     /// High-water mark of concurrently outstanding I/O tickets.
     pub max_inflight: u64,
-    /// Edge additions + removals merged from the mutation log into the
-    /// stored CSR at this superstep's boundary (DESIGN.md §17).
+    /// Edge additions + removals the running program's own structural
+    /// updates merged into the stored CSR at this superstep's close-out
+    /// (DESIGN.md §17).
     pub mut_edges_merged: u64,
     /// CSR interval partitions rewritten by that merge.
     pub mut_intervals_merged: u64,
-    /// Distinct vertices whose adjacency or reachability the merge dirtied
-    /// (the incremental re-activation set).
+    /// Distinct endpoints of the edges that merge changed (what the edge
+    /// log and the pinned tier drop).
     pub mut_dirty_vertices: u64,
     /// Page-cache hits this tenant scored this superstep (0 with tiering
     /// disabled; DESIGN.md §18).

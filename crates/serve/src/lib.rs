@@ -14,7 +14,7 @@
 //!   RAII [`Reservation`] releases on any exit path, so a crashed job
 //!   cannot strand budget.
 //! * **Shared page cache** (`mlvc_ssd::PageCache`, attached by the
-//!   [`Daemon`]): a CLOCK-evicted, request-merging cache in front of the
+//!   [`Daemon`]): a 2Q-evicted, request-merging cache in front of the
 //!   device. Concurrent jobs faulting the same graph page issue one
 //!   device read; per-tenant hit/miss/bytes-saved counters attribute the
 //!   savings. Hits charge nothing to a job's I/O accounting, so the
@@ -25,11 +25,11 @@
 //!   on-device artifacts (multi-logs, edge logs, checkpoints) with its
 //!   job id, so runs never collide. Results are bit-identical to a
 //!   standalone `mlvc run` of the same configuration.
-//! * **Observability**: per-job metrics registries roll up into one
-//!   daemon-wide Prometheus text snapshot
+//! * **Observability**: each job's end-of-run metrics snapshot rolls up
+//!   into one daemon-wide Prometheus text snapshot
 //!   ([`Daemon::prometheus_rollup`]), every series labeled with its job;
-//!   the daemon counts every completed job and keeps the registries of
-//!   the most recent ones only.
+//!   the daemon counts every completed job and keeps the snapshots of the
+//!   most recent ones only.
 //!
 //! * **Live mutations**: a `mutate` op ingests edge add/remove batches
 //!   into each dataset's on-device mutation log (`mlvc_mutate`).

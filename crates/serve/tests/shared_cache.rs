@@ -91,7 +91,7 @@ fn per_tenant_hits_plus_device_reads_equal_uncached_reads() {
 fn eviction_pressure_preserves_results_and_accounting() {
     let g = graph();
     let j = req("churn", "pagerank", 5);
-    // A 4-frame cache is far below the working set: constant CLOCK churn.
+    // A 4-frame cache is far below the working set: constant 2Q churn.
     let mut daemon =
         Daemon::new(ServeConfig { cache_pages: 4, workers: 1, ..ServeConfig::default() });
     daemon.add_dataset("cf", &g).unwrap();

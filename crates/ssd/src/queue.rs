@@ -56,11 +56,11 @@ use crate::fault::DeviceError;
 use crate::page::Page;
 use crate::sync::Mutex;
 
-/// Per-channel depth of the queue every reader in the tree opens — the
-/// engine's fused-batch fetch and the mutation commit's drain and install.
-/// Depth moves only *when* submission returns, never a result or a page
-/// count (see the module docs), so nothing sets it but the simulator's own
-/// tests.
+/// Per-channel depth of the engine's fused-batch fetch queue, the one
+/// reader in the tree that keeps reads in flight; every other reader calls
+/// [`Ssd::read_batch`]. Depth moves only *when* submission returns, never a
+/// result or a page count (see the module docs), so nothing sets it but the
+/// simulator's own tests.
 pub const QUEUE_DEPTH: usize = 16;
 
 /// Handle of one submitted read batch.

@@ -107,6 +107,16 @@ for app in "pagerank" "randomwalk" "wcc --async" "pagerank --ssd-dir"; do
   diff "$smoke_dir/det.1" "$smoke_dir/det.2"
 done
 
+echo "== ingest smoke (mlvc ingest) =="
+# The CLI's mutation path end to end (DESIGN.md §17): apply an edge batch
+# from a file to a saved graph, incrementally re-converge WCC on the
+# mutated store, and save the mutated graph.
+cargo run -q --release --bin mlvc -- \
+  gen --kind rmat-social --scale 10 --out "$smoke_dir/mut.csr" >/dev/null
+printf 'add 0 512\nadd 512 0\nremove 0 1\n' >"$smoke_dir/batch.txt"
+cargo run -q --release --bin mlvc -- ingest --graph "$smoke_dir/mut.csr" \
+  --batch "$smoke_dir/batch.txt" --app wcc --out "$smoke_dir/mut-after.csr" >/dev/null
+
 echo "== owner rows on the benchmark's job shape (examples/owner_rows) =="
 # The job shape every host-clock issue quotes — cf_mini(17, 42), 4 MiB,
 # PageRank and RandomWalk::new(4, 1, 20), through the steps of `mlvc run` —
@@ -132,7 +142,7 @@ cargo test -q --manifest-path benchmark/Cargo.toml
 cargo run -q --release --manifest-path benchmark/Cargo.toml -- --smoke
 
 echo "== simulated-clock pins (BENCH_sim.json) =="
-# The deterministic columns are hard gates: three workloads at seed 42
+# The deterministic columns are hard gates: four workloads at seed 42
 # must report exactly the sim_ms / pages_read / pages_written / read_amp
 # committed in BENCH_sim.json. A change that means to move one re-pins it.
 cargo run -q -p xtask -- sim-pins

@@ -179,6 +179,50 @@ fn duplicate_self_loop_and_absent_edge_cases() {
     }
 }
 
+/// Client batches merge only where a caller asks: a batch pending on an
+/// attached log stays pending through `run()` — the stored CSR, the report
+/// and the log untouched — and the next `reconverge()` merges it, landing
+/// on the states of a cold run over the mutated graph.
+#[test]
+fn run_leaves_client_batches_for_reconverge() {
+    let g = base_graph(0xBA7C);
+    let cfg = EngineConfig::default().with_memory(96 << 10);
+    let adds_only: Vec<EdgeMutation> = random_batch(&g, 21, 24)
+        .into_iter()
+        .map(|m| EdgeMutation::add(m.src, m.dst))
+        .collect();
+    for muts in [adds_only, random_batch(&g, 22, 32)] {
+        let (mutated, _delta) = apply_to_csr(&g, &muts).unwrap();
+        for prog in &progs() {
+            let prog = prog.as_ref();
+            let (ssd, sg) = store(&g, "waits");
+            let mut eng =
+                MultiLogEngine::with_shared_graph(Arc::clone(&ssd), Arc::clone(&sg), cfg.clone());
+            let mut mlog =
+                MutationLog::new(ssd, sg.intervals().clone(), MutationConfig::default(), "waits")
+                    .unwrap();
+            mlog.ingest(&muts).unwrap();
+            let pending = mlog.pending();
+            assert!(pending > 0);
+            let mlog = Arc::new(multilogvc::ssd::sync::Mutex::new(mlog));
+            eng.attach_mutations(Arc::clone(&mlog)).unwrap();
+
+            let ran = eng.run(prog, STEPS);
+            assert!(ran.converged && ran.interrupted.is_none(), "{}", prog.name());
+            assert!(ran.mutations.is_none(), "{}: a client batch merged mid-run", prog.name());
+            assert_eq!(sg.to_csr().unwrap(), g, "{}: the stored CSR changed", prog.name());
+            assert_eq!(mlog.lock().pending(), pending, "{}", prog.name());
+
+            let inc = eng.reconverge(prog, STEPS);
+            assert!(inc.converged && inc.interrupted.is_none(), "{}", prog.name());
+            assert!(inc.mutations.is_some_and(|m| m.merges == 1), "{}", prog.name());
+            assert_eq!(mlog.lock().pending(), 0, "{}", prog.name());
+            assert_eq!(sg.to_csr().unwrap(), mutated, "{}", prog.name());
+            assert_eq!(eng.states(), cold_states(prog, &mutated, &cfg), "{}", prog.name());
+        }
+    }
+}
+
 /// An empty batch leaves the graph byte-identical and `reconverge` with
 /// nothing pending is a converged no-op.
 #[test]
