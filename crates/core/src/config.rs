@@ -82,10 +82,10 @@ pub struct EngineConfig {
     /// disables checkpointing). See `mlvc-recover` and DESIGN.md §11.
     pub checkpoint_every: Option<usize>,
     /// Observability layer (DESIGN.md §13): attach a live FTL model to the
-    /// device, record a deterministic per-superstep [`mlvc_obs::TraceRecord`]
-    /// into `RunReport::trace`, and build the end-of-run metrics snapshot
-    /// into `RunReport::obs`. Off by default — the
-    /// disabled path costs nothing beyond one branch per superstep.
+    /// device, so the `ftl_*` fields of every phase count (they read 0
+    /// without one), and build the end-of-run metrics snapshot into
+    /// `RunReport::obs`. The trace rows themselves (`RunReport::phases`)
+    /// are filled on every run. Off by default.
     pub obs: bool,
     /// Seed for deterministic per-vertex randomness.
     pub seed: u64,

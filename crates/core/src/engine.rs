@@ -130,13 +130,7 @@ impl MultiLogEngine {
     /// re-activates only the delta's dirty vertices. No-op (an immediately
     /// converged report) when nothing is pending or no log is attached.
     pub fn reconverge(&mut self, prog: &dyn VertexProgram, max_supersteps: usize) -> RunReport {
-        let mut report = RunReport {
-            engine: self.name().to_string(),
-            app: prog.name().to_string(),
-            job_id: self.cfg.tag.clone(),
-            converged: true,
-            ..Default::default()
-        };
+        let mut report = RunReport { converged: true, ..self.report_for(prog) };
         let Some(mlog) = self.mutations.clone() else {
             return report;
         };
@@ -176,11 +170,7 @@ impl MultiLogEngine {
         prog: &dyn VertexProgram,
         max_supersteps: usize,
     ) -> RunReport {
-        let mut report = RunReport {
-            engine: self.name().to_string(),
-            app: prog.name().to_string(),
-            ..Default::default()
-        };
+        let mut report = self.report_for(prog);
         let resume = match load_resume_point(&self.ssd, &self.cfg.tag, &self.graph) {
             Ok(r) => r,
             Err(e) => {
@@ -197,6 +187,16 @@ impl MultiLogEngine {
         report
     }
 
+    /// An empty report of a run of `prog` on this engine, under its tag.
+    fn report_for(&self, prog: &dyn VertexProgram) -> RunReport {
+        RunReport {
+            engine: self.name().to_string(),
+            app: prog.name().to_string(),
+            job_id: self.cfg.tag.clone(),
+            ..Default::default()
+        }
+    }
+
     /// The superstep driver (Algorithm 1). Fresh runs pass `resume: None`;
     /// `run_recoverable` passes the recovered state; an incremental
     /// re-convergence passes `reseed: Some(...)` — current states are kept
@@ -210,12 +210,8 @@ impl MultiLogEngine {
         reseed: Option<Vec<Update>>,
         report: &mut RunReport,
     ) -> Result<(), DeviceError> {
-        report.engine = self.name().to_string();
-        report.app = prog.name().to_string();
-        report.job_id = self.cfg.tag.clone();
-
         let mut d = Drive::enter(self, prog)?;
-        let start = d.seed(resume, reseed)?;
+        let start = d.seed(resume, reseed, report)?;
         for superstep in start..=max_supersteps {
             if d.idle() {
                 break;
@@ -244,7 +240,7 @@ pub(crate) struct Drive<'a> {
     loader: GraphLoader,
     pub(crate) structural: StructuralUpdateBuffer,
     pub(crate) tiering: Tiering,
-    tracer: Option<Tracer>,
+    tracer: Tracer,
     checkpointer: Option<Checkpointer>,
     /// The send buffers, one set per worker thread of the process stage:
     /// filled there, drained by the scatter stage, reused by every interval
@@ -275,7 +271,7 @@ impl<'a> Drive<'a> {
         }
         let intervals = graph.intervals();
         attach_cache(ssd, &cfg.tiering);
-        let tracer = cfg.obs.then(|| Tracer::start(ssd));
+        let tracer = Tracer::start(ssd, cfg.obs);
         let multilog = MultiLog::new(
             Arc::clone(ssd),
             intervals.clone(),
@@ -327,11 +323,13 @@ impl<'a> Drive<'a> {
     /// cache, results are unaffected). An incremental re-convergence
     /// (DESIGN.md §17) keeps the current states — they are already a
     /// fixpoint of the pre-merge graph — and delivers the delta's seed
-    /// messages in superstep 1. Returns the first superstep to run.
+    /// messages in superstep 1. Records the phase in `report.seeding` and
+    /// returns the first superstep to run.
     fn seed(
         &mut self,
         resume: Option<&CheckpointState>,
         reseed: Option<Vec<Update>>,
+        report: &mut RunReport,
     ) -> Result<usize, DeviceError> {
         let n = self.graph.num_vertices();
         let mut start = 1;
@@ -363,14 +361,12 @@ impl<'a> Drive<'a> {
             }
             self.pending = self.multilog.finish_superstep()?;
         }
-        if let Some(t) = self.tracer.as_mut() {
-            let st = SuperstepStats {
-                messages_sent: self.pending.iter().sum(),
-                io: t.io_since_start(self.ssd),
-                ..Default::default()
-            };
-            t.record(self.ssd, &st, 0, &self.multilog, &self.edgelog);
-        }
+        report.seeding = SuperstepStats {
+            messages_sent: self.pending.iter().sum(),
+            io: self.tracer.io_since_start(self.ssd),
+            ..Default::default()
+        };
+        self.tracer.close(self.ssd, &self.multilog, &self.edgelog, &mut report.seeding);
         Ok(start)
     }
 
@@ -390,9 +386,7 @@ impl<'a> Drive<'a> {
         self.ssd.disarm_append_retention();
         report.multilog = Some(self.multilog.stats());
         report.edgelog = Some(self.edgelog.stats());
-        if let Some(t) = self.tracer {
-            t.finish(self.ssd, &self.multilog, &self.edgelog, report);
-        }
+        self.tracer.finish(self.ssd, &self.multilog, &self.edgelog, report);
         Ok(())
     }
 }
@@ -643,7 +637,7 @@ impl<'d, 'a> Superstep<'d, 'a> {
             }
             Ok(())
         })?;
-        self.close_out(plan.len(), &ioq, wall0, io0, report)
+        self.close_out(&ioq, wall0, io0, report)
     }
 
     fn run_batch(
@@ -893,10 +887,9 @@ impl<'d, 'a> Superstep<'d, 'a> {
 
     /// Superstep close-out: page-usage accounting, the log-side flip,
     /// structural merges, the retier, the checkpoint, and the superstep's
-    /// statistics and trace record.
+    /// statistics.
     fn close_out(
         mut self,
-        fused_batches: usize,
         ioq: &IoQueue,
         wall0: Instant,
         io0: SsdStatsSnapshot,
@@ -939,9 +932,7 @@ impl<'d, 'a> Superstep<'d, 'a> {
         st.compute_ns = compute_ns(st.messages_processed, st.messages_delivered, st.edges_scanned);
         st.close_out_ns = t_close.elapsed().as_nanos() as u64;
         st.wall_ns = wall0.elapsed().as_nanos() as u64;
-        if let Some(t) = d.tracer.as_mut() {
-            t.record(d.ssd, st, fused_batches, &d.multilog, &d.edgelog);
-        }
+        d.tracer.close(d.ssd, &d.multilog, &d.edgelog, st);
         report.supersteps.push(self.st);
         Ok(())
     }
@@ -957,7 +948,7 @@ impl Engine for MultiLogEngine {
     }
 
     fn run(&mut self, prog: &dyn VertexProgram, max_supersteps: usize) -> RunReport {
-        let mut report = RunReport::default();
+        let mut report = self.report_for(prog);
         if let Err(e) = self.drive(prog, max_supersteps, None, None, &mut report) {
             report.interrupted = Some(e);
         }
@@ -1845,7 +1836,7 @@ mod tests {
         let snap = ssd_b.cache().expect("tiering attaches a cache").snapshot();
         assert!(snap.pinned_pages > 0, "the pin budget must actually pin extents");
         assert!(
-            rb.trace.iter().any(|t| t.pinned_pages > 0 && t.pinned_hits > 0),
+            rb.phases().any(|s| s.pinned_pages > 0 && s.pinned_hits > 0),
             "the trace must show pinned pages serving hits"
         );
     }
@@ -1859,7 +1850,8 @@ mod tests {
         let (_sb, mut b) = tiered_engine(&csr, "t", tiering);
         let rb = b.run(&Flood, 80);
         assert_eq!(a.states(), b.states());
-        assert_eq!(ra.trace, rb.trace, "cache + pin activity must be deterministic");
-        assert!(ra.trace.iter().any(|t| t.cache_hits > 0), "the cache must actually hit");
+        let trace = |r: &RunReport| r.phases().map(SuperstepStats::trace_fields).collect::<Vec<_>>();
+        assert_eq!(trace(&ra), trace(&rb), "cache + pin activity must be deterministic");
+        assert!(ra.phases().any(|s| s.cache_hits > 0), "the cache must actually hit");
     }
 }

@@ -46,7 +46,7 @@ pub use mlvc_mutate::{
     EdgeMutation, IngestStats, MergeOutcome, MutationConfig, MutationDelta, MutationError,
     MutationLog, MutationOp, MutationStats,
 };
-pub use mlvc_obs::{MetricsSnapshot, TraceRecord};
+pub use mlvc_obs::MetricsSnapshot;
 pub use mlvc_ssd::sync;
 
 use mlvc_graph::VertexId;

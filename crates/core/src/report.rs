@@ -1,13 +1,16 @@
+use std::fmt::Write as _;
+
 use mlvc_log::{EdgeLogStats, MultiLogStats};
 use mlvc_mutate::MutationStats;
-use mlvc_obs::{to_prometheus, trace_to_jsonl, MetricsSnapshot, TraceRecord};
+use mlvc_obs::{to_prometheus, MetricsSnapshot};
 use mlvc_ssd::{DeviceError, SsdStatsSnapshot};
 
-/// Statistics of one superstep — the per-superstep rows behind the paper's
-/// Figures 2, 3, 5 and 7.
+/// Statistics of one phase of a run — the seeding phase or one superstep:
+/// the per-superstep rows behind the paper's Figures 2, 3, 5 and 7, and the
+/// run's trace ([`Self::trace_fields`], DESIGN.md §13).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SuperstepStats {
-    /// 1-based superstep number.
+    /// 1-based superstep number; 0 for the seeding phase.
     pub superstep: usize,
     /// Vertices processed this superstep (Fig. 2 numerator).
     pub active_vertices: u64,
@@ -87,6 +90,33 @@ pub struct SuperstepStats {
     /// threshold here; its I/O is charged to `io`). Client batches never
     /// merge mid-run. See DESIGN.md §17.
     pub mutations: MutationStats,
+    /// Multi-log activity this phase: update-record bytes appended across
+    /// all intervals, pages flushed, buffer-pressure evictions.
+    pub log_bytes_appended: u64,
+    pub log_pages_flushed: u64,
+    pub log_evictions: u64,
+    /// Edge lists copied into the sequential edge log, and its pages
+    /// written.
+    pub edge_log_vertices: u64,
+    pub edge_log_pages: u64,
+    /// The device's FTL model this phase (all 0 when none is attached,
+    /// see [`crate::EngineConfig::obs`]): host page writes, physical page
+    /// writes (host + GC relocations), blocks erased, live pages relocated.
+    pub ftl_host_writes: u64,
+    pub ftl_physical_writes: u64,
+    pub ftl_erases: u64,
+    pub ftl_gc_relocations: u64,
+    /// Page-cache activity this phase (0 with tiering disabled; DESIGN.md
+    /// §18): this tenant's hits and the misses it charged to the device,
+    /// and frames reclaimed by the replacement policy.
+    pub cache_hits: u64,
+    pub cache_misses: u64,
+    pub cache_evictions: u64,
+    /// Pages held in the pinned tier at the phase's close (a gauge, not a
+    /// delta — pins persist across supersteps), and hits served from it
+    /// (also counted in `cache_hits`).
+    pub pinned_pages: u64,
+    pub pinned_hits: u64,
 }
 
 impl SuperstepStats {
@@ -104,6 +134,55 @@ impl SuperstepStats {
             self.io.io_time_ns() as f64 / t as f64
         }
     }
+
+    /// The phase's trace row: `(name, value)` in the order the JSON line
+    /// writes them. Every value is a count or a cost-model time, none a
+    /// matter of thread scheduling, so the rows of a run are bit-identical
+    /// for any `MLVC_THREADS` — the wall-clock timers and who decoded which
+    /// batch stay out.
+    pub fn trace_fields(&self) -> [(&'static str, u64); 33] {
+        let (io, m) = (&self.io, &self.mutations);
+        [
+            ("superstep", self.superstep as u64),
+            ("active_vertices", self.active_vertices),
+            ("messages_processed", self.messages_processed),
+            ("messages_delivered", self.messages_delivered),
+            ("messages_sent", self.messages_sent),
+            ("edges_scanned", self.edges_scanned),
+            ("fused_batches", self.batches_inline + self.batches_handed_off),
+            ("pages_read", io.pages_read),
+            ("pages_written", io.pages_written),
+            ("bytes_read", io.bytes_read),
+            ("useful_bytes_read", io.useful_bytes_read),
+            ("bytes_written", io.bytes_written),
+            ("log_bytes_appended", self.log_bytes_appended),
+            ("log_pages_flushed", self.log_pages_flushed),
+            ("log_evictions", self.log_evictions),
+            ("edge_log_vertices", self.edge_log_vertices),
+            ("edge_log_pages", self.edge_log_pages),
+            ("edge_log_hits", self.edge_log_hits),
+            ("ftl_host_writes", self.ftl_host_writes),
+            ("ftl_physical_writes", self.ftl_physical_writes),
+            ("ftl_erases", self.ftl_erases),
+            ("ftl_gc_relocations", self.ftl_gc_relocations),
+            ("sim_time_ns", self.sim_time_ns()),
+            ("io_wait_ns", self.io_wait_ns),
+            ("max_inflight", self.max_inflight),
+            ("mut_edges_merged", m.edges_added + m.edges_removed),
+            ("mut_intervals_merged", m.intervals_merged),
+            ("mut_dirty_vertices", m.dirty_vertices),
+            ("cache_hits", self.cache_hits),
+            ("cache_misses", self.cache_misses),
+            ("cache_evictions", self.cache_evictions),
+            ("pinned_pages", self.pinned_pages),
+            ("pinned_hits", self.pinned_hits),
+        ]
+    }
+}
+
+/// `num / den`, undefined over nothing.
+fn ratio(num: u64, den: u64) -> Option<f64> {
+    (den > 0).then(|| num as f64 / den as f64)
 }
 
 /// Full-run statistics returned by [`crate::Engine::run`].
@@ -115,6 +194,9 @@ pub struct RunReport {
     /// concurrent jobs' records apart in merged JSONL/Prometheus output
     /// (`"mlvc"` for plain single-run CLI invocations).
     pub job_id: String,
+    /// The seeding phase (superstep 0): the initial activations written
+    /// into the multi-log, or a resumed checkpoint's restored pending pages.
+    pub seeding: SuperstepStats,
     pub supersteps: Vec<SuperstepStats>,
     /// True if the run converged (no pending work) before the cap.
     pub converged: bool,
@@ -132,10 +214,6 @@ pub struct RunReport {
     /// something merged: the client batches `reconverge` merged before its
     /// drive, and the program's own structural updates.
     pub mutations: Option<MutationStats>,
-    /// Per-phase trace when `EngineConfig::obs` was enabled (empty
-    /// otherwise): record 0 is the seeding phase, record `k` mirrors
-    /// `supersteps[k - 1]`; see [`TraceRecord`].
-    pub trace: Vec<TraceRecord>,
     /// End-of-run metrics snapshot when `EngineConfig::obs` was enabled.
     /// Its `mlvc_ssd_*` counters equal the device's own stats delta over
     /// the run exactly (`tests/io_accounting.rs`).
@@ -143,6 +221,13 @@ pub struct RunReport {
 }
 
 impl RunReport {
+    /// Every phase of the run in order — the seeding phase, then each
+    /// superstep: the run's trace, one row per phase, covering every
+    /// device operation of the run (`tests/io_accounting.rs` pins the sum).
+    pub fn phases(&self) -> impl Iterator<Item = &SuperstepStats> {
+        std::iter::once(&self.seeding).chain(&self.supersteps)
+    }
+
     pub fn total_sim_time_ns(&self) -> u64 {
         self.supersteps.iter().map(|s| s.sim_time_ns()).sum()
     }
@@ -232,9 +317,25 @@ impl RunReport {
         other.total_sim_time_ns() as f64 / self.total_sim_time_ns().max(1) as f64
     }
 
-    /// The trace as JSON lines — the `mlvc run --metrics <path>` payload.
+    /// The trace as JSON lines — the `mlvc run --metrics <path>` payload:
+    /// one object per phase, its [`SuperstepStats::trace_fields`] then the
+    /// phase's read and flash write amplification (`null` until defined).
     pub fn trace_jsonl(&self) -> String {
-        trace_to_jsonl(&self.trace)
+        let json = |r: Option<f64>| r.map_or_else(|| "null".to_string(), |x| format!("{x:.6}"));
+        let mut out = String::new();
+        for s in self.phases() {
+            out.push('{');
+            for (name, v) in s.trace_fields() {
+                let _ = write!(out, "\"{name}\":{v},");
+            }
+            let _ = writeln!(
+                out,
+                "\"read_amplification\":{},\"write_amplification\":{}}}",
+                json(s.io.read_amplification()),
+                json(ratio(s.ftl_physical_writes, s.ftl_host_writes)),
+            );
+        }
+        out
     }
 
     /// Prometheus text exposition of the end-of-run metrics snapshot
@@ -243,20 +344,18 @@ impl RunReport {
         self.obs.as_ref().map(|s| to_prometheus(&[(None, s)])).unwrap_or_default()
     }
 
-    /// Whole-run read amplification from the trace (bytes read / useful
-    /// bytes read), `None` when obs was off or nothing useful was read.
+    /// Whole-run read amplification over every phase (bytes read / useful
+    /// bytes read), `None` when nothing useful was read.
     pub fn read_amplification(&self) -> Option<f64> {
-        let read: u64 = self.trace.iter().map(|t| t.bytes_read).sum();
-        let useful: u64 = self.trace.iter().map(|t| t.useful_bytes_read).sum();
-        (useful > 0).then(|| read as f64 / useful as f64)
+        let read = self.phases().map(|s| s.io.bytes_read).sum();
+        ratio(read, self.phases().map(|s| s.io.useful_bytes_read).sum())
     }
 
-    /// Whole-run flash write amplification from the FTL counters in the
-    /// trace, `None` when obs was off or nothing was written.
+    /// Whole-run flash write amplification from the FTL counters of every
+    /// phase, `None` when no FTL model was attached or nothing was written.
     pub fn write_amplification(&self) -> Option<f64> {
-        let host: u64 = self.trace.iter().map(|t| t.ftl_host_writes).sum();
-        let physical: u64 = self.trace.iter().map(|t| t.ftl_physical_writes).sum();
-        (host > 0).then(|| physical as f64 / host as f64)
+        let physical = self.phases().map(|s| s.ftl_physical_writes).sum();
+        ratio(physical, self.phases().map(|s| s.ftl_host_writes).sum())
     }
 }
 

@@ -1,27 +1,27 @@
-//! Trace emission of one drive (DESIGN.md §13), active only with
-//! [`crate::EngineConfig::obs`]: the trace, the unit-stats baselines
-//! subtracted to turn cumulative counters into per-superstep deltas, the
-//! one [`TraceRecord`] builder and the end-of-run metrics snapshot.
+//! Trace emission of one drive (DESIGN.md §13): the unit-stats baselines
+//! subtracted to turn cumulative counters into per-phase deltas, the one
+//! place a phase's unit counters are filled in ([`Tracer::close`]), and the
+//! end-of-run metrics snapshot when [`crate::EngineConfig::obs`] is on.
 
 use std::collections::BTreeMap;
 
 use mlvc_log::{EdgeLogOptimizer, EdgeLogStats, MultiLog, MultiLogStats};
-use mlvc_obs::{HistogramSnapshot, MetricsSnapshot, TraceRecord};
+use mlvc_obs::{HistogramSnapshot, MetricsSnapshot};
 use mlvc_ssd::{CacheSnapshot, FtlConfig, FtlStats, Ssd, SsdStatsSnapshot};
 
 use crate::{RunReport, SuperstepStats};
 
 pub(crate) struct Tracer {
-    /// One record per phase: the seed phase, then one per superstep.
-    trace: Vec<TraceRecord>,
+    /// Whether to attach the FTL model and build the metrics snapshot.
+    obs: bool,
     /// Device stats at run start — the whole-run baseline behind the
-    /// seed-phase record and the end-of-run counters.
+    /// seeding phase's `io` and the end-of-run counters.
     run_base: SsdStatsSnapshot,
     /// FTL stats and page-cache snapshot at run start (defaults when no
     /// cache is attached), for the whole-run gauges and counters.
     ftl_run_base: FtlStats,
     cache_run_base: CacheSnapshot,
-    /// Per-record baselines, advanced by every [`Self::record`].
+    /// Per-phase baselines, advanced by every [`Self::close`].
     ml_base: MultiLogStats,
     el_base: EdgeLogStats,
     ftl_base: FtlStats,
@@ -29,16 +29,18 @@ pub(crate) struct Tracer {
 }
 
 impl Tracer {
-    /// Attach the live FTL before any page write so flash amplification
-    /// covers the whole run, and capture the baselines — device stats may
-    /// already be nonzero (graph storing), and the FTL survives across runs
-    /// on the same device.
-    pub(crate) fn start(ssd: &Ssd) -> Tracer {
-        ssd.enable_ftl(FtlConfig::default());
+    /// With `obs`, attach the live FTL before any page write so flash
+    /// amplification covers the whole run. Then capture the baselines —
+    /// device stats may already be nonzero (graph storing), and the FTL
+    /// survives across runs on the same device.
+    pub(crate) fn start(ssd: &Ssd, obs: bool) -> Tracer {
+        if obs {
+            ssd.enable_ftl(FtlConfig::default());
+        }
         let ftl0 = ssd.ftl_stats().unwrap_or_default();
         let cache0 = ssd.cache().map(|c| c.snapshot()).unwrap_or_default();
         Tracer {
-            trace: Vec::new(),
+            obs,
             run_base: ssd.stats().snapshot(),
             ftl_run_base: ftl0,
             cache_run_base: cache0.clone(),
@@ -49,76 +51,50 @@ impl Tracer {
         }
     }
 
-    /// Device activity since the run started — the `io` of the seed-phase
-    /// record, which has no superstep-local baseline.
+    /// Device activity since the run started — the `io` of the seeding
+    /// phase, which has no superstep-local baseline.
     pub(crate) fn io_since_start(&self, ssd: &Ssd) -> SsdStatsSnapshot {
         ssd.stats().snapshot().since(&self.run_base)
     }
 
-    /// Build and keep the record of the phase `st` describes: only
-    /// counts, cost-model times, and deltas of the unit stats since the
-    /// previous record — every field is thread-count invariant, unlike the
-    /// wall-clock stage timings which stay out of the trace. The seed phase
-    /// (superstep 0: the initial activations, or a resumed checkpoint's
-    /// restored pending pages) is recorded through here too, so the trace
-    /// accounts for every device operation of the run
-    /// (`tests/io_accounting.rs` pins the sum).
-    pub(crate) fn record(
+    /// Close the phase `st` describes: fill in its unit counters, the
+    /// deltas of the multi-log, edge-log, FTL and page-cache stats since
+    /// the previous phase closed. The seeding phase (superstep 0) closes
+    /// through here too, so the phases of a run account for every device
+    /// operation of it.
+    pub(crate) fn close(
         &mut self,
         ssd: &Ssd,
-        st: &SuperstepStats,
-        fused_batches: usize,
         multilog: &MultiLog,
         edgelog: &EdgeLogOptimizer,
+        st: &mut SuperstepStats,
     ) {
         let ml = multilog.stats();
         let el = edgelog.stats();
         let ftl = ssd.ftl_stats().unwrap_or_default();
         let cs = ssd.cache().map(|c| c.snapshot()).unwrap_or_default();
         let (ct, cb) = (cs.tenant(ssd.tenant()), self.cache_base.tenant(ssd.tenant()));
-        let rec = TraceRecord {
-            superstep: st.superstep as u64,
-            active_vertices: st.active_vertices,
-            messages_processed: st.messages_processed,
-            messages_delivered: st.messages_delivered,
-            messages_sent: st.messages_sent,
-            edges_scanned: st.edges_scanned,
-            fused_batches: fused_batches as u64,
-            pages_read: st.io.pages_read,
-            pages_written: st.io.pages_written,
-            bytes_read: st.io.bytes_read,
-            useful_bytes_read: st.io.useful_bytes_read,
-            bytes_written: st.io.bytes_written,
-            log_bytes_appended: ml.bytes_appended - self.ml_base.bytes_appended,
-            log_pages_flushed: ml.pages_flushed - self.ml_base.pages_flushed,
-            log_evictions: ml.evictions - self.ml_base.evictions,
-            edge_log_vertices: el.vertices_logged - self.el_base.vertices_logged,
-            edge_log_pages: el.pages_written - self.el_base.pages_written,
-            edge_log_hits: st.edge_log_hits,
-            ftl_host_writes: ftl.host_writes - self.ftl_base.host_writes,
-            ftl_physical_writes: ftl.physical_writes - self.ftl_base.physical_writes,
-            ftl_erases: ftl.erases - self.ftl_base.erases,
-            ftl_gc_relocations: ftl.gc_relocations - self.ftl_base.gc_relocations,
-            sim_time_ns: st.sim_time_ns(),
-            io_wait_ns: st.io_wait_ns,
-            max_inflight: st.max_inflight,
-            mut_edges_merged: st.mutations.edges_added + st.mutations.edges_removed,
-            mut_intervals_merged: st.mutations.intervals_merged,
-            mut_dirty_vertices: st.mutations.dirty_vertices,
-            cache_hits: ct.hits - cb.hits,
-            cache_misses: ct.misses - cb.misses,
-            cache_evictions: cs.evictions - self.cache_base.evictions,
-            pinned_pages: cs.pinned_pages as u64,
-            pinned_hits: cs.pinned_hits - self.cache_base.pinned_hits,
-        };
+        st.log_bytes_appended = ml.bytes_appended - self.ml_base.bytes_appended;
+        st.log_pages_flushed = ml.pages_flushed - self.ml_base.pages_flushed;
+        st.log_evictions = ml.evictions - self.ml_base.evictions;
+        st.edge_log_vertices = el.vertices_logged - self.el_base.vertices_logged;
+        st.edge_log_pages = el.pages_written - self.el_base.pages_written;
+        st.ftl_host_writes = ftl.host_writes - self.ftl_base.host_writes;
+        st.ftl_physical_writes = ftl.physical_writes - self.ftl_base.physical_writes;
+        st.ftl_erases = ftl.erases - self.ftl_base.erases;
+        st.ftl_gc_relocations = ftl.gc_relocations - self.ftl_base.gc_relocations;
+        st.cache_hits = ct.hits - cb.hits;
+        st.cache_misses = ct.misses - cb.misses;
+        st.cache_evictions = cs.evictions - self.cache_base.evictions;
+        st.pinned_pages = cs.pinned_pages as u64;
+        st.pinned_hits = cs.pinned_hits - self.cache_base.pinned_hits;
         self.ml_base = ml;
         self.el_base = el;
         self.ftl_base = ftl;
         self.cache_base = cs;
-        self.trace.push(rec);
     }
 
-    /// Hand the trace and the end-of-run metrics snapshot to the report.
+    /// With `obs`, hand the end-of-run metrics snapshot to the report.
     pub(crate) fn finish(
         self,
         ssd: &Ssd,
@@ -126,8 +102,9 @@ impl Tracer {
         edgelog: &EdgeLogOptimizer,
         report: &mut RunReport,
     ) {
-        report.obs = Some(self.snapshot(ssd, multilog, edgelog, report));
-        report.trace = self.trace;
+        if self.obs {
+            report.obs = Some(self.snapshot(ssd, multilog, edgelog, report));
+        }
     }
 
     /// End-of-run metrics snapshot: the `mlvc_ssd_*` counters are the
@@ -209,11 +186,11 @@ impl Tracer {
         let histograms = [
             ("mlvc_superstep_pages_read", HistogramSnapshot::of(
                 &[4, 16, 64, 256, 1024, 4096, 16384],
-                self.trace.iter().map(|r| r.pages_read),
+                report.phases().map(|s| s.io.pages_read),
             )),
             ("mlvc_superstep_messages_sent", HistogramSnapshot::of(
                 &[16, 256, 4096, 65536, 1048576],
-                self.trace.iter().map(|r| r.messages_sent),
+                report.phases().map(|s| s.messages_sent),
             )),
         ];
         fn named<V>(pairs: impl IntoIterator<Item = (&'static str, V)>) -> BTreeMap<String, V> {

@@ -5,12 +5,6 @@
 //! writes sequential. This crate gives the rest of the workspace the
 //! vocabulary to state those claims at runtime:
 //!
-//! * a **per-superstep trace** ([`TraceRecord`]): one fixed-size, `Copy`,
-//!   all-`u64` record per superstep holding the deterministic I/O and
-//!   message counters plus the derived paper-style read/write
-//!   amplification. Records serialise to JSON lines
-//!   ([`TraceRecord::to_json_line`], [`trace_to_jsonl`]) so runs are
-//!   diffable with line-oriented tools;
 //! * a [`MetricsSnapshot`] of a run's counters, gauges and fixed-bucket
 //!   histograms ([`HistogramSnapshot::of`]), built once at the end of the
 //!   run, with deterministic (sorted) iteration order, and the one
@@ -19,10 +13,12 @@
 //!   request lines with it, `xtask sim-pins` the `BENCH_sim.json` pins and
 //!   the benchmark's result line, and the tests the emitted traces.
 //!
+//! The per-superstep trace rows are the engine's own
+//! `mlvc_core::SuperstepStats`; `RunReport::trace_jsonl` writes them.
+//!
 //! Everything is `std`-only and deterministic: a snapshot of the same run
 //! is byte-identical regardless of thread count because only
-//! cost-model-derived and count-derived values are recorded (wall-clock
-//! stage timings stay in `SuperstepStats`, outside the trace).
+//! cost-model-derived and count-derived values are recorded.
 
 pub mod json;
 
@@ -151,231 +147,6 @@ fn escape_label(v: &str) -> String {
     out
 }
 
-// ---------------------------------------------------------------------------
-// Per-superstep trace
-// ---------------------------------------------------------------------------
-
-/// One superstep's deterministic observability record.
-///
-/// Every field is a `u64` count or a cost-model-derived time; none depends
-/// on thread scheduling, so traces of the same run are **bit-identical for
-/// any `MLVC_THREADS`** (DESIGN.md §13). Superstep 0 is the seeding phase
-/// (initial activations written into the multi-log before the first BSP
-/// superstep); supersteps 1.. mirror `RunReport::supersteps`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TraceRecord {
-    /// 0 for the seed phase, then 1-based superstep number.
-    pub superstep: u64,
-    /// Vertices active at the start of the superstep.
-    pub active_vertices: u64,
-    /// Vertices handed to the vertex program.
-    pub messages_processed: u64,
-    /// Updates delivered to inboxes (post-combine).
-    pub messages_delivered: u64,
-    /// Updates emitted by the vertex program.
-    pub messages_sent: u64,
-    /// Adjacency entries scanned.
-    pub edges_scanned: u64,
-    /// Fused interval batches formed by the sort & group unit.
-    pub fused_batches: u64,
-    /// Device pages read.
-    pub pages_read: u64,
-    /// Device pages written.
-    pub pages_written: u64,
-    /// Device bytes read (page-granular).
-    pub bytes_read: u64,
-    /// Bytes of the read pages the caller declared useful.
-    pub useful_bytes_read: u64,
-    /// Device bytes written.
-    pub bytes_written: u64,
-    /// Multi-log update-record bytes appended across all intervals.
-    pub log_bytes_appended: u64,
-    /// Multi-log pages flushed.
-    pub log_pages_flushed: u64,
-    /// Multi-log buffer-pressure evictions.
-    pub log_evictions: u64,
-    /// Edge lists copied into the sequential edge log.
-    pub edge_log_vertices: u64,
-    /// Edge-log pages written.
-    pub edge_log_pages: u64,
-    /// Adjacency reads served from the edge log.
-    pub edge_log_hits: u64,
-    /// Host page writes seen by the FTL model.
-    pub ftl_host_writes: u64,
-    /// Physical page writes issued by the FTL (host + GC relocations).
-    pub ftl_physical_writes: u64,
-    /// Blocks erased by the FTL.
-    pub ftl_erases: u64,
-    /// Live pages relocated by garbage collection.
-    pub ftl_gc_relocations: u64,
-    /// Simulated time: device I/O plus cost-model compute.
-    pub sim_time_ns: u64,
-    /// Simulated nanoseconds the engine spent blocked on the I/O queue
-    /// (submission stalls at full queue depth plus completion waits).
-    /// Unlike the counters above this is a matter of timing — how much
-    /// of the queue's service compute hid — but not of thread count.
-    pub io_wait_ns: u64,
-    /// High-water mark of concurrently outstanding I/O tickets.
-    pub max_inflight: u64,
-    /// Edge additions + removals the running program's own structural
-    /// updates merged into the stored CSR at this superstep's close-out
-    /// (DESIGN.md §17).
-    pub mut_edges_merged: u64,
-    /// CSR interval partitions rewritten by that merge.
-    pub mut_intervals_merged: u64,
-    /// Distinct endpoints of the edges that merge changed (what the edge
-    /// log and the pinned tier drop).
-    pub mut_dirty_vertices: u64,
-    /// Page-cache hits this tenant scored this superstep (0 with tiering
-    /// disabled; DESIGN.md §18).
-    pub cache_hits: u64,
-    /// Page-cache misses this tenant charged to the device this superstep.
-    pub cache_misses: u64,
-    /// Frames reclaimed by the cache's replacement policy this superstep.
-    pub cache_evictions: u64,
-    /// Pages held in the pinned tier at superstep close (a gauge, not a
-    /// delta — pins persist across supersteps).
-    pub pinned_pages: u64,
-    /// Hits served from the pinned tier this superstep (also counted in
-    /// `cache_hits`).
-    pub pinned_hits: u64,
-}
-
-/// Names of the `u64` fields of [`TraceRecord`], in emission order — the
-/// JSONL schema contract checked by the smoke tests.
-pub const TRACE_FIELDS: [&str; 33] = [
-    "superstep",
-    "active_vertices",
-    "messages_processed",
-    "messages_delivered",
-    "messages_sent",
-    "edges_scanned",
-    "fused_batches",
-    "pages_read",
-    "pages_written",
-    "bytes_read",
-    "useful_bytes_read",
-    "bytes_written",
-    "log_bytes_appended",
-    "log_pages_flushed",
-    "log_evictions",
-    "edge_log_vertices",
-    "edge_log_pages",
-    "edge_log_hits",
-    "ftl_host_writes",
-    "ftl_physical_writes",
-    "ftl_erases",
-    "ftl_gc_relocations",
-    "sim_time_ns",
-    "io_wait_ns",
-    "max_inflight",
-    "mut_edges_merged",
-    "mut_intervals_merged",
-    "mut_dirty_vertices",
-    "cache_hits",
-    "cache_misses",
-    "cache_evictions",
-    "pinned_pages",
-    "pinned_hits",
-];
-
-impl TraceRecord {
-    /// `(name, value)` pairs in [`TRACE_FIELDS`] order.
-    pub fn fields(&self) -> [(&'static str, u64); 33] {
-        [
-            ("superstep", self.superstep),
-            ("active_vertices", self.active_vertices),
-            ("messages_processed", self.messages_processed),
-            ("messages_delivered", self.messages_delivered),
-            ("messages_sent", self.messages_sent),
-            ("edges_scanned", self.edges_scanned),
-            ("fused_batches", self.fused_batches),
-            ("pages_read", self.pages_read),
-            ("pages_written", self.pages_written),
-            ("bytes_read", self.bytes_read),
-            ("useful_bytes_read", self.useful_bytes_read),
-            ("bytes_written", self.bytes_written),
-            ("log_bytes_appended", self.log_bytes_appended),
-            ("log_pages_flushed", self.log_pages_flushed),
-            ("log_evictions", self.log_evictions),
-            ("edge_log_vertices", self.edge_log_vertices),
-            ("edge_log_pages", self.edge_log_pages),
-            ("edge_log_hits", self.edge_log_hits),
-            ("ftl_host_writes", self.ftl_host_writes),
-            ("ftl_physical_writes", self.ftl_physical_writes),
-            ("ftl_erases", self.ftl_erases),
-            ("ftl_gc_relocations", self.ftl_gc_relocations),
-            ("sim_time_ns", self.sim_time_ns),
-            ("io_wait_ns", self.io_wait_ns),
-            ("max_inflight", self.max_inflight),
-            ("mut_edges_merged", self.mut_edges_merged),
-            ("mut_intervals_merged", self.mut_intervals_merged),
-            ("mut_dirty_vertices", self.mut_dirty_vertices),
-            ("cache_hits", self.cache_hits),
-            ("cache_misses", self.cache_misses),
-            ("cache_evictions", self.cache_evictions),
-            ("pinned_pages", self.pinned_pages),
-            ("pinned_hits", self.pinned_hits),
-        ]
-    }
-
-    /// Paper-style read amplification: total bytes read / useful bytes
-    /// read. `None` before anything useful was read.
-    pub fn read_amplification(&self) -> Option<f64> {
-        if self.useful_bytes_read == 0 {
-            None
-        } else {
-            Some(self.bytes_read as f64 / self.useful_bytes_read as f64)
-        }
-    }
-
-    /// Flash write amplification from the FTL model: physical / host page
-    /// writes. `None` before any host write (or with the FTL disabled).
-    pub fn write_amplification(&self) -> Option<f64> {
-        if self.ftl_host_writes == 0 {
-            None
-        } else {
-            Some(self.ftl_physical_writes as f64 / self.ftl_host_writes as f64)
-        }
-    }
-
-    /// One JSON object on one line: every [`TRACE_FIELDS`] entry plus the
-    /// two derived amplification ratios (`null` until defined).
-    pub fn to_json_line(&self) -> String {
-        let mut out = String::from("{");
-        for (name, v) in self.fields() {
-            let _ = write!(out, "\"{name}\":{v},");
-        }
-        push_ratio(&mut out, "read_amplification", self.read_amplification());
-        out.push(',');
-        push_ratio(&mut out, "write_amplification", self.write_amplification());
-        out.push('}');
-        out
-    }
-
-}
-
-fn push_ratio(out: &mut String, name: &str, v: Option<f64>) {
-    match v {
-        Some(x) => {
-            let _ = write!(out, "\"{name}\":{x:.6}");
-        }
-        None => {
-            let _ = write!(out, "\"{name}\":null");
-        }
-    }
-}
-
-/// Serialise a trace as JSON lines (one [`TraceRecord`] per line).
-pub fn trace_to_jsonl(records: &[TraceRecord]) -> String {
-    let mut out = String::new();
-    for r in records {
-        out.push_str(&r.to_json_line());
-        out.push('\n');
-    }
-    out
-}
-
 /// Quote `s` as a JSON string literal (including the surrounding quotes),
 /// escaping the characters JSON requires. Public so emitters elsewhere in
 /// the workspace produce strings the [`json`] parser round-trips.
@@ -444,47 +215,6 @@ mod tests {
         );
         assert_eq!(snap.counter("mlvc_reads_total"), Some(5));
         assert_eq!(snap.counter("missing"), None);
-    }
-
-    #[test]
-    fn trace_record_amplification_and_json() {
-        let mut r = TraceRecord { superstep: 3, ..TraceRecord::default() };
-        assert_eq!(r.read_amplification(), None);
-        assert_eq!(r.write_amplification(), None);
-        r.bytes_read = 300;
-        r.useful_bytes_read = 100;
-        r.ftl_host_writes = 10;
-        r.ftl_physical_writes = 25;
-        assert_eq!(r.read_amplification(), Some(3.0));
-        assert_eq!(r.write_amplification(), Some(2.5));
-        let line = r.to_json_line();
-        let v = json::parse(&line).expect("trace line must parse");
-        for name in TRACE_FIELDS {
-            assert!(v.get(name).is_some(), "missing field {name}");
-        }
-        assert_eq!(v.get("superstep").and_then(json::Json::as_num), Some(3.0));
-        assert_eq!(
-            v.get("read_amplification").and_then(json::Json::as_num),
-            Some(3.0)
-        );
-        // fields() stays in schema order.
-        let names: Vec<&str> = r.fields().iter().map(|(n, _)| *n).collect();
-        assert_eq!(names, TRACE_FIELDS.to_vec());
-    }
-
-    #[test]
-    fn jsonl_one_line_per_record() {
-        let recs = vec![
-            TraceRecord { superstep: 0, ..TraceRecord::default() },
-            TraceRecord { superstep: 1, ..TraceRecord::default() },
-        ];
-        let text = trace_to_jsonl(&recs);
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        for (k, line) in lines.iter().enumerate() {
-            let v = json::parse(line).expect("line parses");
-            assert_eq!(v.get("superstep").and_then(json::Json::as_num), Some(k as f64));
-        }
     }
 
     #[test]

@@ -213,7 +213,7 @@ impl Daemon {
     /// sort budget so any job budget can process it.
     pub fn add_dataset(&mut self, name: &str, graph: &Csr) -> Result<(), DeviceError> {
         let sort = EngineConfig::default().sort_budget();
-        let iv = VertexIntervals::for_graph(graph, 16, sort);
+        let iv = VertexIntervals::for_graph(graph, UPDATE_BYTES, sort);
         let sg = StoredGraph::store_with(&self.ssd, graph, name, iv.clone())?;
         self.pin_dataset(name, &sg)?;
         let mlog = MutationLog::new(

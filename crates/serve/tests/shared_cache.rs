@@ -7,7 +7,7 @@
 use std::sync::Arc;
 
 use mlvc_core::{Engine, EngineConfig, MultiLogEngine};
-use mlvc_graph::{Csr, StoredGraph, VertexIntervals};
+use mlvc_graph::{Csr, StoredGraph, VertexIntervals, UPDATE_BYTES};
 use mlvc_serve::{Daemon, JobRequest, ServeConfig};
 use mlvc_ssd::{Ssd, SsdConfig};
 
@@ -34,7 +34,7 @@ fn req(id: &str, app: &str, seed: u64) -> JobRequest {
 fn standalone(g: &Csr, r: &JobRequest) -> (Vec<u64>, bool, usize, u64) {
     let ssd = Arc::new(Ssd::new(SsdConfig::default()));
     let sort = EngineConfig::default().sort_budget();
-    let iv = VertexIntervals::for_graph(g, 16, sort);
+    let iv = VertexIntervals::for_graph(g, UPDATE_BYTES, sort);
     let sg = StoredGraph::store_with(&ssd, g, &r.dataset, iv).unwrap();
     let cfg = EngineConfig::default()
         .with_memory(r.memory_bytes)

@@ -14,6 +14,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use multilogvc::core::Engine;
+use multilogvc::graph::{VertexIntervals, UPDATE_BYTES};
 use multilogvc::prelude::*;
 
 fn main() {
@@ -31,8 +32,7 @@ fn main() {
         graph.num_edges()
     );
 
-    let intervals =
-        multilogvc::graph::VertexIntervals::for_graph(&graph, 16, 256 << 10);
+    let intervals = VertexIntervals::for_graph(&graph, UPDATE_BYTES, 256 << 10);
 
     // MultiLogVC.
     let ssd_m = Arc::new(Ssd::new(SsdConfig::default()));

@@ -72,20 +72,30 @@ echo "== stage-table smoke (mlvc run) =="
 # adjacency path (a few active vertices an interval, the edge log on);
 # `wcc --async` holds the asynchronous model, end to end through the CLI;
 # `pagerank --ssd-dir` holds the file-backed device, the one backend no
-# benchmark workload runs, on a fresh directory per run.
+# benchmark workload runs, on a fresh directory per run; `pagerank
+# --metrics` holds the run's artifacts: the trace JSONL and the Prometheus
+# snapshot must be the same bytes at both thread counts.
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT
 cargo run -q --release --bin mlvc -- \
   gen --kind rmat-social --scale 12 --seed 42 --out "$smoke_dir/g.csr" >/dev/null
-for app in "pagerank" "randomwalk" "wcc --async" "pagerank --ssd-dir"; do
+for app in "pagerank" "randomwalk" "wcc --async" "pagerank --ssd-dir" "pagerank --metrics"; do
   for t in 1 2; do
     flags="$app"
     if [[ $app == *--ssd-dir ]]; then
       flags="$app $(mktemp -d -p "$smoke_dir")"
+    elif [[ $app == *--metrics ]]; then
+      # One path for both runs, since the run prints it; kept per thread
+      # count below.
+      flags="$app $smoke_dir/metrics.jsonl"
     fi
     # shellcheck disable=SC2086 # $flags carries the app and its flags, split on purpose
     MLVC_THREADS=$t cargo run -q --release --bin mlvc -- \
       run --app $flags --graph "$smoke_dir/g.csr" >"$smoke_dir/run.$t"
+    if [[ $app == *--metrics ]]; then
+      mv "$smoke_dir/metrics.jsonl" "$smoke_dir/metrics.$t.jsonl"
+      mv "$smoke_dir/metrics.jsonl.prom" "$smoke_dir/metrics.$t.prom"
+    fi
     # Everything but the stage table, which is wall-clock.
     awk '/^stage /{skip=1} /^converged/{skip=0} !skip' "$smoke_dir/run.$t" >"$smoke_dir/det.$t"
     awk -F'|' -v t="$t" -v app="$app" '
@@ -106,6 +116,8 @@ for app in "pagerank" "randomwalk" "wcc --async" "pagerank --ssd-dir"; do
   done
   diff "$smoke_dir/det.1" "$smoke_dir/det.2"
 done
+cmp "$smoke_dir/metrics.1.jsonl" "$smoke_dir/metrics.2.jsonl"
+cmp "$smoke_dir/metrics.1.prom" "$smoke_dir/metrics.2.prom"
 
 echo "== ingest smoke (mlvc ingest) =="
 # The CLI's mutation path end to end (DESIGN.md §17): apply an edge batch

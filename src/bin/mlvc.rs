@@ -26,7 +26,7 @@ use multilogvc::core::{
     VertexProgram,
 };
 use multilogvc::grafboost::GrafBoostEngine;
-use multilogvc::graph::{Csr, VertexIntervals};
+use multilogvc::graph::{Csr, VertexIntervals, UPDATE_BYTES};
 use multilogvc::graphchi::GraphChiEngine;
 use multilogvc::io::{
     read_csr_binary, read_edge_list, write_csr_binary, write_edge_list, EdgeListOptions,
@@ -335,7 +335,7 @@ fn cmd_run(a: &Args, resume: bool) -> Result<(), String> {
         });
     }
     cfg.validate().map_err(|e| e.to_string())?;
-    let iv = VertexIntervals::for_graph(&g, 16, cfg.sort_budget());
+    let iv = VertexIntervals::for_graph(&g, UPDATE_BYTES, cfg.sort_budget());
 
     println!(
         "{} {app_name} on {path} ({} vertices, {} edges) with {engine_name}, {} KiB budget",
@@ -466,7 +466,7 @@ fn write_metrics(path: &str, report: &RunReport) -> Result<(), String> {
     let amp = |v: Option<f64>| v.map_or("n/a".to_string(), |x| format!("{x:.3}"));
     println!(
         "metrics: {} trace records -> {path}, Prometheus snapshot -> {prom}",
-        report.trace.len()
+        report.phases().count()
     );
     println!(
         "read amplification {}; flash write amplification {}",
@@ -603,7 +603,7 @@ fn cmd_ingest(a: &Args) -> Result<(), String> {
 
     let cfg = EngineConfig::default().with_memory(memory_kb << 10).with_seed(seed);
     cfg.validate().map_err(|e| e.to_string())?;
-    let iv = VertexIntervals::for_graph(&g, 16, cfg.sort_budget());
+    let iv = VertexIntervals::for_graph(&g, UPDATE_BYTES, cfg.sort_budget());
     let ssd = make_ssd(a)?;
     let sg = StoredGraph::store_with(&ssd, &g, "cli", iv.clone()).map_err(dev)?;
     let mut mlog = MutationLog::new(Arc::clone(&ssd), iv, MutationConfig::default(), "cli")
@@ -799,7 +799,7 @@ mod tests {
         assert!(lines.len() >= 2, "seed phase + at least one superstep");
         for line in &lines {
             let v = multilogvc::obs::json::parse(line).unwrap();
-            for field in multilogvc::obs::TRACE_FIELDS {
+            for (field, _) in multilogvc::core::SuperstepStats::default().trace_fields() {
                 assert!(v.get(field).is_some(), "missing {field}");
             }
             assert!(v.get("read_amplification").is_some());
@@ -865,7 +865,7 @@ mod tests {
         let g = load_graph(csr_s).unwrap();
         let intervals = |kb: usize| {
             let sort = EngineConfig::default().with_memory(kb << 10).sort_budget();
-            VertexIntervals::for_graph(&g, 16, sort).num_intervals()
+            VertexIntervals::for_graph(&g, UPDATE_BYTES, sort).num_intervals()
         };
         assert_ne!(intervals(2048), intervals(16), "the budgets must partition differently");
         run(&strs(&[

@@ -20,8 +20,9 @@ use std::sync::Arc;
 use multilogvc::apps::{Bfs, Coloring, PageRank};
 use multilogvc::core::{Engine, EngineConfig, MultiLogEngine, VertexProgram};
 use multilogvc::graph::{StoredGraph, VertexIntervals};
-use multilogvc::recover::CheckpointManager;
-use multilogvc::ssd::{FaultPlan, Ssd, SsdConfig};
+use multilogvc::recover::manifest::CKPT_RECORD;
+use multilogvc::recover::{CheckpointManager, CKPT_VERSION};
+use multilogvc::ssd::{DeviceError, FaultPlan, Ssd, SsdConfig};
 
 /// Checkpoint tag used by the engine (`mlvc-core`'s `CKPT_TAG`).
 const TAG: &str = "mlvc";
@@ -139,4 +140,25 @@ fn bounded_read_faults_do_not_change_results() {
     assert!(r.interrupted.is_none(), "retryable faults must be absorbed: {:?}", r.interrupted);
     assert_eq!(eng.states(), golden.as_slice());
     assert!(ssd.fault_counters().retries_charged > 0, "faults must actually fire");
+}
+
+/// A report names its engine and job however early the run ends: a resume
+/// refused before the drive starts — the device holds a checkpoint of a
+/// format this build does not read — reports both, beside the error.
+#[test]
+fn a_refused_resume_still_names_its_engine_and_job() {
+    let (ssd, sg) = device(&small_graph());
+    let tag = "refused";
+    let future = multilogvc::recover::RecordFormat { version: CKPT_VERSION + 1, ..CKPT_RECORD };
+    let manifest = ssd.open_or_create(&format!("{tag}.ckpt.manifest.a")).unwrap();
+    ssd.append_page(manifest, &future.encode(1, &[0; CKPT_RECORD.fixed_bytes])).unwrap();
+    let mut eng = MultiLogEngine::with_shared_graph(ssd, sg, cfg().with_tag(tag));
+    let r = eng.run_recoverable(&Bfs::new(0), 30);
+    assert!(
+        matches!(&r.interrupted, Some(DeviceError::Corrupt { what: "checkpoint", .. })),
+        "{:?}",
+        r.interrupted
+    );
+    assert!(r.supersteps.is_empty(), "nothing ran");
+    assert_eq!((r.engine.as_str(), r.job_id.as_str()), ("MultiLogVC", tag));
 }

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use multilogvc::apps::{Bfs, Cdlp, Coloring, KCore, Mis, PageRank, RandomWalk, Sssp, Wcc};
 use multilogvc::core::{
     Combine, ConfigError, Engine, EngineConfig, InitActive, MultiLogEngine, ReferenceEngine,
-    RunReport, SendSink, TraceRecord, Update, VertexCtx, VertexProgram,
+    RunReport, SendSink, SuperstepStats, Update, VertexCtx, VertexProgram,
 };
 use multilogvc::grafboost::GrafBoostEngine;
 use multilogvc::graph::{Csr, EdgeListBuilder, StoredGraph, VertexId, VertexIntervals, Weights};
@@ -387,6 +387,18 @@ fn apps_that_disclaim_src_do_not_read_it() {
     assert!(readers_that_noticed > 0, "dropping src changed no src-reading app");
 }
 
+/// A run's trace: one row per phase, seeding first.
+type Trace = Vec<[(&'static str, u64); 33]>;
+
+fn trace(r: &RunReport) -> Trace {
+    r.phases().map(SuperstepStats::trace_fields).collect()
+}
+
+/// The value of the field `name` in a trace row.
+fn field(row: &[(&'static str, u64); 33], name: &str) -> u64 {
+    row.iter().find(|(n, _)| *n == name).map(|(_, v)| *v).expect("a trace field")
+}
+
 /// One MultiLogVC run with the observability layer on, returning final
 /// states plus the per-superstep trace.
 fn run_obs(
@@ -394,7 +406,7 @@ fn run_obs(
     prog: &dyn VertexProgram,
     steps: usize,
     async_mode: bool,
-) -> (Vec<u64>, Vec<TraceRecord>) {
+) -> (Vec<u64>, Trace) {
     let iv = VertexIntervals::uniform(csr.num_vertices(), 5);
     let cfg = EngineConfig::default()
         .with_memory(512 << 10)
@@ -404,25 +416,16 @@ fn run_obs(
     let sg = StoredGraph::store_with(&ssd, csr, "x", iv).unwrap();
     let mut e = MultiLogEngine::new(ssd, sg, cfg);
     let r = e.run(prog, steps);
-    assert_eq!(
-        r.trace.len(),
-        r.supersteps.len() + 1,
-        "seed record + one per superstep"
-    );
-    (e.states().to_vec(), r.trace)
+    (e.states().to_vec(), trace(&r))
 }
 
 /// Field-by-field trace comparison so a mismatch names the culprit
-/// instead of dumping two 23-field structs.
-fn assert_traces_eq(a: &[TraceRecord], b: &[TraceRecord], ctx: &str) {
+/// instead of dumping two 33-field rows.
+fn assert_traces_eq(a: &Trace, b: &Trace, ctx: &str) {
     assert_eq!(a.len(), b.len(), "trace length: {ctx}");
-    for (x, y) in a.iter().zip(b) {
-        for ((name, xv), (_, yv)) in x.fields().iter().zip(y.fields().iter()) {
-            assert_eq!(
-                xv, yv,
-                "field {name} diverges at superstep {}: {ctx}",
-                x.superstep
-            );
+    for (k, (x, y)) in a.iter().zip(b).enumerate() {
+        for ((name, xv), (_, yv)) in x.iter().zip(y) {
+            assert_eq!(xv, yv, "field {name} diverges at superstep {k}: {ctx}");
         }
     }
 }
@@ -431,17 +434,15 @@ fn assert_traces_eq(a: &[TraceRecord], b: &[TraceRecord], ctx: &str) {
 /// zeroed out: the post-reduction delivery count, the compute time derived
 /// from it, and the queue waits that compute time could or could not hide;
 /// everything else must be invariant.
-fn trace_modulo_combine(trace: &[TraceRecord]) -> Vec<TraceRecord> {
+fn trace_modulo_combine(trace: &Trace) -> Trace {
+    let varies = ["messages_delivered", "sim_time_ns", "io_wait_ns", "max_inflight"];
+    let mut trace = trace.clone();
+    for (name, v) in trace.iter_mut().flatten() {
+        if varies.contains(name) {
+            *v = 0;
+        }
+    }
     trace
-        .iter()
-        .map(|r| TraceRecord {
-            messages_delivered: 0,
-            sim_time_ns: 0,
-            io_wait_ns: 0,
-            max_inflight: 0,
-            ..*r
-        })
-        .collect()
 }
 
 /// Execution-mode cross-product {sync/async}×{combine}, over every app that
@@ -479,7 +480,8 @@ fn obs_trace_invariant_across_async_combine() {
                 &format!("combine leaks into I/O accounting: {name} async={async_mode}"),
             );
             if make().combine().is_some() {
-                let delivered = |t: &[TraceRecord]| t.iter().map(|r| r.messages_delivered).sum::<u64>();
+                let delivered =
+                    |t: &Trace| t.iter().map(|r| field(r, "messages_delivered")).sum::<u64>();
                 assert!(
                     delivered(&trace) < delivered(&stripped_trace),
                     "{name} async={async_mode}: the fold merged nothing"
@@ -533,7 +535,7 @@ fn states_and_traces_invariant_across_threads_in_both_models() {
     // Every app under both computation models.
     let legs = apps.iter().flat_map(|app| [false, true].map(|async_mode| (app, async_mode)));
     for ((name, steps, make), async_mode) in legs {
-        let mut base: Option<(Vec<u64>, Vec<TraceRecord>)> = None;
+        let mut base: Option<(Vec<u64>, Trace)> = None;
         for threads in [1usize, 2, 8] {
             mlvc_par::set_thread_override(Some(threads));
             // Tight enough that supersteps split into several fused batches.
@@ -544,13 +546,14 @@ fn states_and_traces_invariant_across_threads_in_both_models() {
             let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
             let sg = StoredGraph::store_with(&ssd, &g, "t", iv.clone()).unwrap();
             let mut e = MultiLogEngine::new(ssd, sg, cfg);
-            let tr = e.run(make().as_ref(), *steps).trace;
+            let tr = trace(&e.run(make().as_ref(), *steps));
             let st = e.states().to_vec();
             mlvc_par::set_thread_override(None);
             let ctx = format!("{name} async={async_mode} threads={threads}");
             match &base {
                 None => {
-                    assert!(tr.iter().any(|r| r.fused_batches > 1), "{ctx}: one batch only");
+                    let several = tr.iter().any(|r| field(r, "fused_batches") > 1);
+                    assert!(several, "{ctx}: one batch only");
                     base = Some((st, tr));
                 }
                 Some((st0, tr0)) => {

@@ -10,15 +10,22 @@ use std::sync::Arc;
 
 use multilogvc::apps::{Bfs, PageRank, Wcc};
 use multilogvc::core::{
-    Engine, EngineConfig, InitActive, MultiLogEngine, RunReport, Update, VertexCtx, VertexProgram,
+    Engine, EngineConfig, InitActive, MultiLogEngine, RunReport, SuperstepStats, TieringConfig,
+    Update, VertexCtx, VertexProgram,
 };
 use multilogvc::graph::{Csr, StoredGraph, VertexId, VertexIntervals};
 use multilogvc::obs::json::{parse, Json};
-use multilogvc::obs::{TraceRecord, TRACE_FIELDS};
 use multilogvc::ssd::{Ssd, SsdConfig, SsdStatsSnapshot};
 
 fn mini_graph() -> Csr {
     mlvc_gen::cf_mini(9, 11).graph
+}
+
+/// A run's trace: one row per phase, seeding first.
+type Trace = Vec<[(&'static str, u64); 33]>;
+
+fn trace(r: &RunReport) -> Trace {
+    r.phases().map(SuperstepStats::trace_fields).collect()
 }
 
 /// Run `prog` with obs on; return the report and the device's stats delta
@@ -79,13 +86,13 @@ fn trace_sums_to_device_totals() {
         ("pagerank", Box::new(PageRank::new(0.85, 1e-9)), 40),
     ] {
         let (r, dev) = run_with_obs(prog.as_ref(), steps);
-        let sum = |f: fn(&TraceRecord) -> u64| -> u64 { r.trace.iter().map(f).sum() };
-        assert_eq!(sum(|t| t.pages_read), dev.pages_read, "{name}: pages_read");
-        assert_eq!(sum(|t| t.pages_written), dev.pages_written, "{name}: pages_written");
-        assert_eq!(sum(|t| t.bytes_read), dev.bytes_read, "{name}: bytes_read");
-        assert_eq!(sum(|t| t.bytes_written), dev.bytes_written, "{name}: bytes_written");
+        let sum = |f: fn(&SuperstepStats) -> u64| -> u64 { r.phases().map(f).sum() };
+        assert_eq!(sum(|t| t.io.pages_read), dev.pages_read, "{name}: pages_read");
+        assert_eq!(sum(|t| t.io.pages_written), dev.pages_written, "{name}: pages_written");
+        assert_eq!(sum(|t| t.io.bytes_read), dev.bytes_read, "{name}: bytes_read");
+        assert_eq!(sum(|t| t.io.bytes_written), dev.bytes_written, "{name}: bytes_written");
         assert_eq!(
-            sum(|t| t.useful_bytes_read),
+            sum(|t| t.io.useful_bytes_read),
             dev.useful_bytes_read,
             "{name}: useful_bytes_read"
         );
@@ -125,7 +132,7 @@ fn read_amplification_within_golden_bounds() {
 /// 2, and 8 worker threads (the determinism contract of DESIGN.md §13).
 #[test]
 fn trace_bit_identical_across_thread_counts() {
-    let mut baseline: Option<(Vec<u64>, Vec<TraceRecord>)> = None;
+    let mut baseline: Option<(Vec<u64>, Trace)> = None;
     for threads in [1usize, 2, 8] {
         mlvc_par::set_thread_override(Some(threads));
         let g = mini_graph();
@@ -135,7 +142,7 @@ fn trace_bit_identical_across_thread_counts() {
         let cfg = EngineConfig::default().with_memory(512 << 10).with_obs(true);
         let mut e = MultiLogEngine::new(ssd, sg, cfg);
         let r = e.run(&PageRank::new(0.85, 1e-9), 40);
-        let got = (e.states().to_vec(), r.trace.clone());
+        let got = (e.states().to_vec(), trace(&r));
         match &baseline {
             None => baseline = Some(got),
             Some(want) => {
@@ -177,7 +184,8 @@ fn async_read_ahead_moves_the_same_pages_at_one_and_two_threads() {
     let (one_states, one, one_dev) = run(1);
     let (states, two, dev) = run(2);
     assert_eq!(states, one_states);
-    assert!(one.trace.iter().any(|t| t.fused_batches > 1), "one batch per superstep");
+    let batches = |s: &SuperstepStats| s.batches_inline + s.batches_handed_off;
+    assert!(one.supersteps.iter().any(|s| batches(s) > 1), "one batch per superstep");
     assert!(one.supersteps.iter().any(|s| s.max_inflight > 1), "nothing was read ahead");
     let counts = |d: &SsdStatsSnapshot| {
         [
@@ -227,7 +235,7 @@ fn metrics_snapshot_and_trace_jsonl_match_schema() {
     assert!(!snap.histograms.is_empty(), "at least one histogram");
     for (name, h) in &snap.histograms {
         assert_eq!(h.buckets.len(), h.bounds.len() + 1, "{name}: finite buckets + overflow");
-        assert_eq!(h.count(), r.trace.len() as u64, "{name}: one observation per record");
+        assert_eq!(h.count(), r.phases().count() as u64, "{name}: one observation per phase");
     }
     // Prometheus exposition declares a type per family.
     let prom = r.prometheus_text();
@@ -240,12 +248,39 @@ fn metrics_snapshot_and_trace_jsonl_match_schema() {
     assert_eq!(lines.len(), r.supersteps.len() + 1, "seed record + one per superstep");
     for (k, line) in lines.iter().enumerate() {
         let rec = parse(line).unwrap_or_else(|e| panic!("trace line {k}: {e}"));
-        for field in TRACE_FIELDS {
+        for (field, _) in SuperstepStats::default().trace_fields() {
             assert!(num(&rec, field) >= 0.0, "line {k}: field {field}");
         }
         assert_eq!(num(&rec, "superstep"), k as f64, "records are in order");
     }
 }
+
+/// The trace's bytes: the field order, the integer and ratio formats and
+/// `null` for a ratio over nothing, one line per phase. A four-superstep
+/// BFS under tight memory with a small page cache and a pin budget in front
+/// of the device, so the log-eviction, cache and pinned-tier columns move
+/// too; the seeding phase reads nothing and the last superstep writes
+/// nothing, so each ratio is `null` once.
+#[test]
+fn trace_jsonl_bytes_are_pinned() {
+    let g = mlvc_gen::cf_mini(7, 11).graph;
+    let iv = VertexIntervals::uniform(g.num_vertices(), 2);
+    let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
+    let sg = StoredGraph::store_with(&ssd, &g, "pin", iv).unwrap();
+    let cfg = EngineConfig::default()
+        .with_memory(16 << 10)
+        .with_obs(true)
+        .with_tiering(TieringConfig { cache_bytes: 8 << 10, pin_budget_bytes: 4 << 10 });
+    let r = MultiLogEngine::new(ssd, sg, cfg).run(&Bfs::new(0), 4);
+    assert_eq!(r.trace_jsonl(), PINNED_TRACE);
+}
+
+const PINNED_TRACE: &str = r#"{"superstep":0,"active_vertices":0,"messages_processed":0,"messages_delivered":0,"messages_sent":1,"edges_scanned":0,"fused_batches":0,"pages_read":0,"pages_written":1,"bytes_read":0,"useful_bytes_read":0,"bytes_written":256,"log_bytes_appended":18,"log_pages_flushed":1,"log_evictions":0,"edge_log_vertices":0,"edge_log_pages":0,"edge_log_hits":0,"ftl_host_writes":1,"ftl_physical_writes":1,"ftl_erases":0,"ftl_gc_relocations":0,"sim_time_ns":240000,"io_wait_ns":0,"max_inflight":0,"mut_edges_merged":0,"mut_intervals_merged":0,"mut_dirty_vertices":0,"cache_hits":0,"cache_misses":0,"cache_evictions":0,"pinned_pages":1,"pinned_hits":0,"read_amplification":null,"write_amplification":1.000000}
+{"superstep":1,"active_vertices":1,"messages_processed":1,"messages_delivered":1,"messages_sent":85,"edges_scanned":85,"fused_batches":1,"pages_read":3,"pages_written":4,"bytes_read":768,"useful_bytes_read":374,"bytes_written":1024,"log_bytes_appended":882,"log_pages_flushed":4,"log_evictions":0,"edge_log_vertices":0,"edge_log_pages":0,"edge_log_hits":0,"ftl_host_writes":4,"ftl_physical_writes":4,"ftl_erases":0,"ftl_gc_relocations":0,"sim_time_ns":600210,"io_wait_ns":120000,"max_inflight":1,"mut_edges_merged":0,"mut_intervals_merged":0,"mut_dirty_vertices":0,"cache_hits":1,"cache_misses":3,"cache_evictions":0,"pinned_pages":4,"pinned_hits":1,"read_amplification":2.053476,"write_amplification":1.000000}
+{"superstep":2,"active_vertices":85,"messages_processed":85,"messages_delivered":85,"messages_sent":1608,"edges_scanned":1608,"fused_batches":1,"pages_read":30,"pages_written":68,"bytes_read":7680,"useful_bytes_read":7910,"bytes_written":17408,"log_bytes_appended":16624,"log_pages_flushed":68,"log_evictions":1,"edge_log_vertices":0,"edge_log_pages":0,"edge_log_hits":0,"ftl_host_writes":68,"ftl_physical_writes":68,"ftl_erases":0,"ftl_gc_relocations":0,"sim_time_ns":4422616,"io_wait_ns":120000,"max_inflight":1,"mut_edges_merged":0,"mut_intervals_merged":0,"mut_dirty_vertices":0,"cache_hits":6,"cache_misses":30,"cache_evictions":1,"pinned_pages":11,"pinned_hits":4,"read_amplification":0.970923,"write_amplification":1.000000}
+{"superstep":3,"active_vertices":117,"messages_processed":1608,"messages_delivered":117,"messages_sent":113,"edges_scanned":1806,"fused_batches":2,"pages_read":91,"pages_written":6,"bytes_read":23296,"useful_bytes_read":24880,"bytes_written":1536,"log_bytes_appended":1178,"log_pages_flushed":6,"log_evictions":0,"edge_log_vertices":0,"edge_log_pages":0,"edge_log_hits":0,"ftl_host_writes":6,"ftl_physical_writes":6,"ftl_erases":0,"ftl_gc_relocations":0,"sim_time_ns":2971876,"io_wait_ns":1484674,"max_inflight":2,"mut_edges_merged":0,"mut_intervals_merged":0,"mut_dirty_vertices":0,"cache_hits":11,"cache_misses":91,"cache_evictions":72,"pinned_pages":5,"pinned_hits":11,"read_amplification":0.936334,"write_amplification":1.000000}
+{"superstep":4,"active_vertices":48,"messages_processed":113,"messages_delivered":48,"messages_sent":0,"edges_scanned":1255,"fused_batches":1,"pages_read":4,"pages_written":0,"bytes_read":1024,"useful_bytes_read":1898,"bytes_written":0,"log_bytes_appended":0,"log_pages_flushed":0,"log_evictions":0,"edge_log_vertices":0,"edge_log_pages":0,"edge_log_hits":0,"ftl_host_writes":0,"ftl_physical_writes":0,"ftl_erases":0,"ftl_gc_relocations":0,"sim_time_ns":485080,"io_wait_ns":240000,"max_inflight":1,"mut_edges_merged":0,"mut_intervals_merged":0,"mut_dirty_vertices":0,"cache_hits":46,"cache_misses":4,"cache_evictions":3,"pinned_pages":12,"pinned_hits":5,"read_amplification":0.539515,"write_amplification":null}
+"#;
 
 /// Keeps one vertex busy for [`Countdown::STEPS`] supersteps: it messages
 /// itself until then.
@@ -290,15 +325,15 @@ fn a_run_of_thousands_of_supersteps_keeps_every_trace_record() {
     let r = MultiLogEngine::new(ssd, sg, cfg).run(&Countdown, Countdown::STEPS + 10);
     assert!(r.converged && r.interrupted.is_none());
     assert_eq!(r.supersteps.len(), Countdown::STEPS);
-    assert_eq!(r.trace.len(), r.supersteps.len() + 1, "seed record + one per superstep");
-    for (k, t) in r.trace.iter().enumerate() {
-        assert_eq!(t.superstep, k as u64, "record {k}");
+    let jsonl = r.trace_jsonl();
+    assert_eq!(jsonl.lines().count(), r.supersteps.len() + 1, "seed row + one per superstep");
+    for (k, line) in jsonl.lines().enumerate() {
+        let rec = parse(line).unwrap_or_else(|e| panic!("trace line {k}: {e}"));
+        assert_eq!(num(&rec, "superstep"), k as f64, "row {k}");
     }
-    let traced: u64 = r.trace.iter().map(|t| t.bytes_read).sum();
     let stepped: u64 = r.supersteps.iter().map(|s| s.io.bytes_read).sum();
     assert!(stepped > 0, "the messages were read back");
-    assert_eq!(traced, stepped, "the trace's bytes read are the supersteps'");
     let pages = &r.obs.as_ref().expect("obs snapshot")
         .histograms["mlvc_superstep_pages_read"];
-    assert_eq!(pages.count(), r.trace.len() as u64);
+    assert_eq!(pages.count(), r.phases().count() as u64);
 }

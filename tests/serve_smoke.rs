@@ -7,7 +7,7 @@
 use std::sync::Arc;
 
 use multilogvc::core::{Engine, EngineConfig, MultiLogEngine};
-use multilogvc::graph::{Csr, StoredGraph, VertexIntervals};
+use multilogvc::graph::{Csr, StoredGraph, VertexIntervals, UPDATE_BYTES};
 use multilogvc::serve::{Daemon, JobRequest, ServeConfig};
 use multilogvc::ssd::{Ssd, SsdConfig};
 
@@ -36,7 +36,7 @@ fn job_mix() -> Vec<JobRequest> {
 /// daemon's engine construction. Returns (states, pages_read).
 fn isolated(g: &Csr, r: &JobRequest) -> (Vec<u64>, u64) {
     let ssd = Arc::new(Ssd::new(SsdConfig::default()));
-    let iv = VertexIntervals::for_graph(g, 16, EngineConfig::default().sort_budget());
+    let iv = VertexIntervals::for_graph(g, UPDATE_BYTES, EngineConfig::default().sort_budget());
     let sg = StoredGraph::store_with(&ssd, g, &r.dataset, iv).unwrap();
     let cfg = EngineConfig::default()
         .with_memory(r.memory_bytes)

@@ -15,8 +15,8 @@ use std::sync::Arc;
 
 use multilogvc::apps::{Bfs, Coloring, PageRank, RandomWalk, Wcc};
 use multilogvc::core::{
-    Engine, EngineConfig, InitActive, MultiLogEngine, TieringConfig, TraceRecord, VertexCtx,
-    VertexProgram,
+    Engine, EngineConfig, InitActive, MultiLogEngine, RunReport, SuperstepStats, TieringConfig,
+    VertexCtx, VertexProgram,
 };
 use multilogvc::graph::{StoredGraph, VertexId, VertexIntervals};
 use multilogvc::prelude::RmatParams;
@@ -28,6 +28,13 @@ static OVERRIDE: Mutex<()> = Mutex::new(());
 
 /// Per-superstep fingerprint: (messages consumed, messages sent, actives).
 type StepCounts = Vec<(u64, u64, u64)>;
+
+/// A run's trace: one row per phase, seeding first.
+type Trace = Vec<[(&'static str, u64); 33]>;
+
+fn trace(r: &RunReport) -> Trace {
+    r.phases().map(SuperstepStats::trace_fields).collect()
+}
 
 /// Graph shape of one sweep: R-MAT scale, interval count, engine memory
 /// and superstep cap.
@@ -73,7 +80,7 @@ fn run_once(prog: &dyn VertexProgram, async_mode: bool, shape: Shape) -> (Vec<u6
 /// runs, with the write side drained into every inbox besides; PageRank is
 /// not a valid asynchronous algorithm, but what is held here is that the
 /// run is the same run at every thread count, not what it computes.
-fn run_tiered(async_mode: bool) -> (Vec<u64>, Vec<TraceRecord>) {
+fn run_tiered(async_mode: bool) -> (Vec<u64>, RunReport) {
     let g = mlvc_gen::rmat(RmatParams::social(SMALL.scale, 8), 0xD7);
     let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
     let page = ssd.page_size();
@@ -87,7 +94,7 @@ fn run_tiered(async_mode: bool) -> (Vec<u64>, Vec<TraceRecord>) {
     let mut eng = MultiLogEngine::new(ssd, sg, cfg);
     let r = eng.run(&PageRank::new(0.85, 1e-4), 12);
     assert!(r.interrupted.is_none());
-    (eng.states().to_vec(), r.trace)
+    (eng.states().to_vec(), r)
 }
 
 /// The tiered leg: in either computation model, states and the whole trace
@@ -95,25 +102,28 @@ fn run_tiered(async_mode: bool) -> (Vec<u64>, Vec<TraceRecord>) {
 /// are equal across thread counts and across repeated runs.
 fn tiered_traces_bit_identical_across_thread_counts() {
     for async_mode in [false, true] {
-        let mut baseline: Option<(Vec<u64>, Vec<TraceRecord>)> = None;
+        let mut baseline: Option<(Vec<u64>, Trace)> = None;
         for threads in [1usize, 2, 8] {
             for rep in 0..2 {
                 multilogvc::par::set_thread_override(Some(threads));
-                let got = run_tiered(async_mode);
+                let (states, r) = run_tiered(async_mode);
                 multilogvc::par::set_thread_override(None);
                 let ctx = format!("tiered pagerank async={async_mode} threads={threads} rep={rep}");
+                let got = (states, trace(&r));
                 let Some(base) = &baseline else {
-                    let evictions: u64 = got.1.iter().map(|t| t.cache_evictions).sum();
+                    let evictions: u64 = r.phases().map(|s| s.cache_evictions).sum();
                     assert!(evictions > 0, "{ctx}: the cache never evicted");
-                    assert!(got.1.iter().any(|t| t.pinned_pages > 0), "{ctx}: nothing pinned");
-                    assert!(got.1.iter().any(|t| t.fused_batches > 1), "{ctx}: one batch only");
+                    assert!(r.phases().any(|s| s.pinned_pages > 0), "{ctx}: nothing pinned");
+                    let [inline, handed_off] = r.batch_totals();
+                    let several = inline + handed_off > r.supersteps.len() as u64;
+                    assert!(several, "{ctx}: one batch only");
                     baseline = Some(got);
                     continue;
                 };
                 assert_eq!(base.0, got.0, "{ctx}: states differ");
                 assert_eq!(base.1.len(), got.1.len(), "{ctx}: trace length differs");
-                for (a, b) in base.1.iter().zip(&got.1) {
-                    assert_eq!(a, b, "{ctx}: trace differs at superstep {}", a.superstep);
+                for (k, (a, b)) in base.1.iter().zip(&got.1).enumerate() {
+                    assert_eq!(a, b, "{ctx}: trace differs at superstep {k}");
                 }
             }
         }
@@ -122,7 +132,7 @@ fn tiered_traces_bit_identical_across_thread_counts() {
 
 /// What one faulted run leaves behind: states, trace, per-superstep counts
 /// of the supersteps it completed, and the error that cut it short.
-type FaultedRun = (Vec<u64>, Vec<TraceRecord>, StepCounts, Option<DeviceError>);
+type FaultedRun = (Vec<u64>, Trace, StepCounts, Option<DeviceError>);
 
 /// One PageRank run on the `SMALL` shape, observability on, with no cache
 /// in front of a device that raises a read-fault streak every `period`-th
@@ -144,7 +154,7 @@ fn run_faulted(period: u64, streak: u32) -> FaultedRun {
         .iter()
         .map(|s| (s.messages_processed, s.messages_sent, s.active_vertices))
         .collect();
-    (eng.states().to_vec(), r.trace, steps, r.interrupted)
+    (eng.states().to_vec(), trace(&r), steps, r.interrupted)
 }
 
 /// Read faults without a cache: a streak within the device's retry bound
@@ -184,7 +194,7 @@ fn read_fault_schedules_are_bit_identical_across_thread_counts() {
 }
 
 /// What one mixed-sends run leaves behind: states, trace, pending log pages.
-type MixedRun = (Vec<u64>, Vec<TraceRecord>, Vec<Page>);
+type MixedRun = (Vec<u64>, Trace, Vec<Page>);
 
 /// Mixes both send shapes in one `process` call — a `send`, a `send_all`,
 /// another `send` — and folds its inbox in delivery order, so a message
@@ -242,7 +252,7 @@ fn mixed_sends_log_pages_bit_identical_across_thread_counts() {
                 }
             }
             assert!(!log_pages.is_empty(), "the capped run must leave logs pending");
-            let got: MixedRun = (eng.states().to_vec(), r.trace, log_pages);
+            let got: MixedRun = (eng.states().to_vec(), trace(&r), log_pages);
             let ctx = format!("mixed sends, scale {}, {threads} threads", shape.scale);
             let Some(base) = &baseline else {
                 baseline = Some(got);
@@ -287,13 +297,11 @@ fn a_one_thread_engine_spawns_no_thread() {
             multilogvc::par::set_thread_override(None);
             assert!(r.interrupted.is_none());
             let ctx = format!("{name} threads={threads}");
-            // Trace record 0 is the seeding phase.
-            assert_eq!(r.trace.len(), r.supersteps.len() + 1, "{ctx}");
-            for (s, t) in r.supersteps.iter().zip(&r.trace[1..]) {
+            for s in &r.supersteps {
                 let ctx = format!("{ctx} superstep {}", s.superstep);
-                assert_eq!(s.batches_inline + s.batches_handed_off, t.fused_batches, "{ctx}");
+                let fused_batches = s.batches_inline + s.batches_handed_off;
                 if looks_ahead {
-                    assert_eq!(s.batches_inline, t.fused_batches.min(1), "{ctx}");
+                    assert_eq!(s.batches_inline, fused_batches.min(1), "{ctx}");
                 } else {
                     assert_eq!(s.batches_handed_off, 0, "{ctx}");
                 }
