@@ -14,15 +14,22 @@ pub(crate) struct Checkpointer {
 }
 
 impl Checkpointer {
-    /// `None` when the run does not checkpoint.
+    /// `None` when the run does not checkpoint. Writes through `opened`,
+    /// the manager a resume already opened, or else opens one.
     pub(crate) fn open(
         ssd: &Arc<Ssd>,
         tag: &str,
         every: Option<usize>,
+        opened: Option<CheckpointManager>,
     ) -> Result<Option<Checkpointer>, DeviceError> {
-        every
-            .map(|every| Ok(Checkpointer { mgr: CheckpointManager::open(ssd, tag)?, every }))
-            .transpose()
+        let Some(every) = every else {
+            return Ok(None);
+        };
+        let mgr = match opened {
+            Some(mgr) => mgr,
+            None => CheckpointManager::open(ssd, tag)?,
+        };
+        Ok(Some(Checkpointer { mgr, every }))
     }
 
     /// Write a checkpoint if `superstep` is on the cadence; returns whether
@@ -50,19 +57,21 @@ impl Checkpointer {
     }
 }
 
-/// Latest checkpoint usable for `graph`, if any. A checkpoint whose vertex
-/// count or interval count does not match is ignored (it belongs to a
-/// different run — the intervals follow the sort budget, so a resume at
-/// another memory size partitions the same graph differently), not treated
-/// as corruption.
+/// Open the checkpoint slots under `tag` and return the manager with the
+/// latest checkpoint usable for `graph`, if any — the slots are read once,
+/// by the opening scan. A checkpoint whose vertex count or interval count
+/// does not match is ignored (it belongs to a different run — the
+/// intervals follow the sort budget, so a resume at another memory size
+/// partitions the same graph differently), not treated as corruption.
 pub(crate) fn load_resume_point(
     ssd: &Arc<Ssd>,
     tag: &str,
     graph: &StoredGraph,
-) -> Result<Option<CheckpointState>, DeviceError> {
+) -> Result<(CheckpointManager, Option<CheckpointState>), DeviceError> {
     let mgr = CheckpointManager::open(ssd, tag)?;
-    Ok(mgr.load_latest()?.map(|(_, cp)| cp).filter(|cp| {
+    let resume = mgr.load_latest()?.map(|(_, cp)| cp).filter(|cp| {
         cp.states.len() == graph.num_vertices()
             && cp.msgs.len() == graph.intervals().num_intervals()
-    }))
+    });
+    Ok((mgr, resume))
 }

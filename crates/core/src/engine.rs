@@ -13,7 +13,7 @@ use mlvc_log::{
 };
 use mlvc_mutate::{validate_range, MutationError, MutationLog};
 use mlvc_par::{Scope, ScopedJoinHandle, Tracked};
-use mlvc_recover::CheckpointState;
+use mlvc_recover::{CheckpointManager, CheckpointState};
 use mlvc_ssd::sync::Mutex;
 use mlvc_ssd::{DeviceError, IoQueue, Ssd, SsdStatsSnapshot, Ticket, QUEUE_DEPTH};
 
@@ -148,7 +148,7 @@ impl MultiLogEngine {
             Reconverge::Seed(seeds) => Some(seeds),
         };
         report.converged = false;
-        if let Err(e) = self.drive(prog, max_supersteps, None, reseed, &mut report) {
+        if let Err(e) = self.drive(prog, max_supersteps, None, reseed, None, &mut report) {
             report.interrupted = Some(e);
         }
         report
@@ -171,7 +171,7 @@ impl MultiLogEngine {
         max_supersteps: usize,
     ) -> RunReport {
         let mut report = self.report_for(prog);
-        let resume = match load_resume_point(&self.ssd, &self.cfg.tag, &self.graph) {
+        let (mgr, resume) = match load_resume_point(&self.ssd, &self.cfg.tag, &self.graph) {
             Ok(r) => r,
             Err(e) => {
                 report.interrupted = Some(e);
@@ -181,7 +181,8 @@ impl MultiLogEngine {
         if let Some(cp) = &resume {
             report.resumed_from = Some(cp.superstep);
         }
-        if let Err(e) = self.drive(prog, max_supersteps, resume.as_ref(), None, &mut report) {
+        let resumed = resume.as_ref();
+        if let Err(e) = self.drive(prog, max_supersteps, resumed, None, Some(mgr), &mut report) {
             report.interrupted = Some(e);
         }
         report
@@ -200,17 +201,20 @@ impl MultiLogEngine {
     /// The superstep driver (Algorithm 1). Fresh runs pass `resume: None`;
     /// `run_recoverable` passes the recovered state; an incremental
     /// re-convergence passes `reseed: Some(...)` — current states are kept
-    /// and the given updates become superstep 1's inbox. Fills `report` as
-    /// it goes so completed supersteps survive a device fault.
+    /// and the given updates become superstep 1's inbox. A checkpointing
+    /// drive writes through `ckpt` when the caller already opened the
+    /// slots. Fills `report` as it goes so completed supersteps survive a
+    /// device fault.
     fn drive(
         &mut self,
         prog: &dyn VertexProgram,
         max_supersteps: usize,
         resume: Option<&CheckpointState>,
         reseed: Option<Vec<Update>>,
+        ckpt: Option<CheckpointManager>,
         report: &mut RunReport,
     ) -> Result<(), DeviceError> {
-        let mut d = Drive::enter(self, prog)?;
+        let mut d = Drive::enter(self, prog, ckpt)?;
         let start = d.seed(resume, reseed, report)?;
         for superstep in start..=max_supersteps {
             if d.idle() {
@@ -257,12 +261,13 @@ pub(crate) struct Drive<'a> {
 impl<'a> Drive<'a> {
     /// Build the units of one drive, in the order their device effects
     /// must happen: the cache attaches before any I/O, the FTL before any
-    /// page write, the multi-log truncates its extents before retention is
-    /// armed on them. A program that reads weights the stored graph does not
-    /// have is refused before any of it.
+    /// page write, the multi-log truncates its extents (dropping any pins
+    /// on them) before tiering arms its retention. A program that reads
+    /// weights the stored graph does not have is refused before any of it.
     fn enter(
         eng: &'a mut MultiLogEngine,
         prog: &'a dyn VertexProgram,
+        ckpt: Option<CheckpointManager>,
     ) -> Result<Self, DeviceError> {
         let MultiLogEngine { ssd, graph, cfg, states, states_audit, mutations } = eng;
         let (ssd, graph, cfg) = (&*ssd, &*graph, &*cfg);
@@ -272,7 +277,7 @@ impl<'a> Drive<'a> {
         let intervals = graph.intervals();
         attach_cache(ssd, &cfg.tiering);
         let tracer = Tracer::start(ssd, cfg.obs);
-        let multilog = MultiLog::new(
+        let mut multilog = MultiLog::new(
             Arc::clone(ssd),
             intervals.clone(),
             MultiLogConfig {
@@ -284,7 +289,7 @@ impl<'a> Drive<'a> {
             },
             &cfg.tag,
         )?;
-        let tiering = Tiering::enter(ssd, graph, &cfg.tiering, &multilog);
+        let tiering = Tiering::enter(ssd, graph, &cfg.tiering, &mut multilog);
         let edgelog = EdgeLogOptimizer::new(
             Arc::clone(ssd),
             graph.num_vertices(),
@@ -308,7 +313,7 @@ impl<'a> Drive<'a> {
             ),
             tiering,
             tracer,
-            checkpointer: Checkpointer::open(ssd, &cfg.tag, cfg.checkpoint_every)?,
+            checkpointer: Checkpointer::open(ssd, &cfg.tag, cfg.checkpoint_every, ckpt)?,
             sinks: Vec::new(),
             pending: Vec::new(),
             all_active: false,
@@ -383,7 +388,6 @@ impl<'a> Drive<'a> {
 
     fn finish(mut self, report: &mut RunReport) -> Result<(), DeviceError> {
         self.merge_structural(1, report)?;
-        self.ssd.disarm_append_retention();
         report.multilog = Some(self.multilog.stats());
         report.edgelog = Some(self.edgelog.stats());
         self.tracer.finish(self.ssd, &self.multilog, &self.edgelog, report);
@@ -908,7 +912,7 @@ impl<'d, 'a> Superstep<'d, 'a> {
         st.messages_sent = d.pending.iter().sum();
         let due = d.structural.threshold();
         st.mutations = d.merge_structural(due, report)?;
-        d.tiering.retier(d.ssd, d.graph, &d.multilog)?;
+        d.tiering.retier(d.ssd, d.graph, &mut d.multilog)?;
         self.next_self_active.sort_unstable();
         self.next_self_active.dedup();
         d.self_active = self.next_self_active;
@@ -949,7 +953,7 @@ impl Engine for MultiLogEngine {
 
     fn run(&mut self, prog: &dyn VertexProgram, max_supersteps: usize) -> RunReport {
         let mut report = self.report_for(prog);
-        if let Err(e) = self.drive(prog, max_supersteps, None, None, &mut report) {
+        if let Err(e) = self.drive(prog, max_supersteps, None, None, None, &mut report) {
             report.interrupted = Some(e);
         }
         report

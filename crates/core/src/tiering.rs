@@ -35,48 +35,37 @@ pub(crate) struct Tiering {
     heat: Vec<u64>,
     pinned_ivs: Vec<bool>,
     colidx_iv: HashMap<FileId, usize>,
-    /// Bytes of pin budget handed to log-tail retention by the last arming
-    /// (the drive-entry arm, then each retier); the difference against the
-    /// device's unspent counter is the retained tail still pinned, which
-    /// the next topology ranking must leave room for.
-    log_armed: u64,
 }
 
 impl Tiering {
-    /// Drive-entry reset: drop any pins an earlier drive on the same cache
-    /// left behind so cache state and bookkeeping start in lockstep —
-    /// every drive ranks from scratch — then arm append
-    /// retention with half the pin budget across both log sides. Nothing is
-    /// pinned yet, so the seed messages and the first superstep's log tail
-    /// can be retained without overdrawing the ledger; every boundary
-    /// re-arms against what the topology ranking leaves unspent.
+    /// Drive-entry reset: drop any topology pins an earlier drive on the
+    /// same cache left behind so cache state and bookkeeping start in
+    /// lockstep — every drive ranks anew — then arm the multi-log's
+    /// retention with half the pin budget. Nothing is pinned yet, so the
+    /// seed messages and the first superstep's log tail can be retained
+    /// without overdrawing the ledger; every boundary re-arms against what
+    /// the topology ranking leaves unspent. (The multi-log's own pins need
+    /// no reset: `MultiLog::new` truncates both log sides, and a truncate
+    /// drops its file's pins.)
     pub(crate) fn enter(
         ssd: &Ssd,
         graph: &StoredGraph,
         cfg: &TieringConfig,
-        multilog: &MultiLog,
+        multilog: &mut MultiLog,
     ) -> Tiering {
         let num_iv = graph.intervals().num_intervals();
         let budget_bytes = cfg.pin_budget_bytes as u64;
         let cache = ssd.cache().filter(|_| budget_bytes > 0);
         let mut colidx_iv = HashMap::new();
-        match &cache {
-            Some(c) => {
-                for i in 0..num_iv {
-                    c.unpin_file(graph.rowptr_file(i as IntervalId));
-                    c.unpin_file(graph.colidx_file(i as IntervalId));
-                    colidx_iv.insert(graph.colidx_file(i as IntervalId), i);
-                }
-                let log_files = multilog.all_log_files();
-                for &f in &log_files {
-                    c.unpin_file(f);
-                }
-                ssd.arm_append_retention(&log_files, budget_bytes / 2);
+        if let Some(c) = &cache {
+            for i in 0..num_iv {
+                c.unpin_file(graph.rowptr_file(i as IntervalId));
+                c.unpin_file(graph.colidx_file(i as IntervalId));
+                colidx_iv.insert(graph.colidx_file(i as IntervalId), i);
             }
-            None => ssd.disarm_append_retention(),
+            multilog.arm_retention(budget_bytes / 2);
         }
         Tiering {
-            log_armed: if cache.is_some() { budget_bytes / 2 } else { 0 },
             cache,
             budget_bytes,
             heat: vec![0; num_iv],
@@ -114,9 +103,8 @@ impl Tiering {
     }
 
     /// Superstep-boundary retier: adjust the pinned set to the accumulated
-    /// heat ranking, then re-arm log-tail retention on the multi-log's
-    /// write side (what the next superstep appends to) with what the
-    /// ranking left unspent.
+    /// heat ranking, then re-arm the multi-log's retention (for what the
+    /// next superstep appends) with what the ranking left unspent.
     ///
     /// The ranking greedily fits the hottest intervals' whole topology
     /// extents (row-pointer and column-index files) into the byte budget,
@@ -126,9 +114,9 @@ impl Tiering {
     /// ranked ones are pinned, their fills charged through the cache like
     /// any other read.
     ///
-    /// The tail retained during this superstep is consumed (and its pins
-    /// dropped) during the next one, so the ranking only gets what that
-    /// tail leaves free; `left` then excludes both the still-draining tail
+    /// The tail retained since the last arming (`retained_bytes`) is
+    /// consumed (and its pins dropped) during the next superstep, so the
+    /// ranking only gets what that tail leaves free; `left` then excludes both the still-draining tail
     /// and the pinned topology, so even at the worst instant — tail
     /// undrained, new side full — pinned bytes total exactly the budget.
     /// Appends are plan-order deterministic, so the retained set is too.
@@ -136,15 +124,14 @@ impl Tiering {
         &mut self,
         ssd: &Ssd,
         graph: &StoredGraph,
-        multilog: &MultiLog,
+        multilog: &mut MultiLog,
     ) -> Result<(), DeviceError> {
         let Some(cache) = self.cache.as_deref() else {
             return Ok(());
         };
         let files =
             |i: usize| (graph.rowptr_file(i as IntervalId), graph.colidx_file(i as IntervalId));
-        let retained = self.log_armed.saturating_sub(ssd.append_retention_unspent().unwrap_or(0));
-        let mut left = self.budget_bytes.saturating_sub(retained);
+        let mut left = self.budget_bytes.saturating_sub(multilog.retained_bytes());
         let mut order: Vec<usize> = (0..self.heat.len()).filter(|&i| self.heat[i] > 0).collect();
         order.sort_by_key(|&i| (std::cmp::Reverse(self.heat[i]), i));
         let mut want = vec![false; self.heat.len()];
@@ -170,8 +157,7 @@ impl Tiering {
             }
             *pinned = want[i];
         }
-        ssd.arm_append_retention(&multilog.write_side_files(), left);
-        self.log_armed = left;
+        multilog.arm_retention(left);
         Ok(())
     }
 }

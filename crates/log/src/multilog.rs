@@ -142,6 +142,39 @@ pub struct MultiLog {
     bytes_per_interval: Vec<u64>,
     /// Handed to every [`LogReader`]; the write side never looks at it.
     combine: Option<fn(u64, u64) -> u64>,
+    retention: Retention,
+}
+
+/// Log-tail retention's budget (DESIGN.md §18): what the last
+/// [`MultiLog::arm_retention`] has left, and what it has spent.
+#[derive(Default)]
+struct Retention {
+    left: u64,
+    spent: u64,
+}
+
+impl Retention {
+    /// Pin `appended` — `(file, page, bytes)` of pages that just landed, in
+    /// append order — while the budget lasts, one whole page each (the copy
+    /// is zero-padded to a page). A no-op while no cache is attached.
+    fn pin<'a>(&mut self, ssd: &Ssd, appended: impl Iterator<Item = (FileId, u64, &'a [u8])>) {
+        let page_bytes = to_u64(ssd.page_size());
+        if self.left < page_bytes {
+            return;
+        }
+        let Some(cache) = ssd.cache() else {
+            return;
+        };
+        for (file, page, data) in appended {
+            if self.left < page_bytes {
+                break;
+            }
+            if cache.pin_written(file, page, data, ssd.page_size(), ssd.tenant()) {
+                self.left -= page_bytes;
+                self.spent += page_bytes;
+            }
+        }
+    }
 }
 
 /// Shared-nothing handle onto the **read side** of the multi-log — the
@@ -471,7 +504,25 @@ impl MultiLog {
             updates_read: Arc::new(RelaxedCounter::new(0)),
             bytes_per_interval: vec![0; n],
             combine: cfg.combine,
+            retention: Retention::default(),
         })
+    }
+
+    /// Arm log-tail retention (DESIGN.md §18): from now on, the first
+    /// `budget_bytes` worth of pages this unit appends — flushed log pages
+    /// and restored checkpoint pages alike — are copied into the attached
+    /// cache's pinned tier as they land. The bytes are in host memory at
+    /// append time, so a retained page costs no device read, and the
+    /// truncate that consumes its log drops the pin. Re-arming replaces
+    /// the previous budget and restarts [`Self::retained_bytes`]; pages
+    /// already retained stay pinned until their log is consumed.
+    pub fn arm_retention(&mut self, budget_bytes: u64) {
+        self.retention = Retention { left: budget_bytes, spent: 0 };
+    }
+
+    /// Pinned-tier bytes retained since the last [`Self::arm_retention`].
+    pub fn retained_bytes(&self) -> u64 {
+        self.retention.spent
     }
 
     pub fn stats(&self) -> MultiLogStats {
@@ -615,22 +666,6 @@ impl MultiLog {
         &self.counts
     }
 
-    /// The current *write-side* log extent of every interval: this
-    /// superstep's append targets, consumed (and truncated) during the
-    /// next superstep. The engine arms the device's append retention on
-    /// exactly these files (DESIGN.md §18), so a budget-bounded tail of
-    /// freshly flushed log pages stays in the pinned tier until it is
-    /// read back.
-    pub fn write_side_files(&self) -> Vec<FileId> {
-        self.files.iter().map(|f| f[self.write_side]).collect()
-    }
-
-    /// Every log extent of every interval, both sides — the drive-entry
-    /// cleanup set for pinned-tier bookkeeping.
-    pub fn all_log_files(&self) -> Vec<FileId> {
-        self.files.iter().flat_map(|f| [f[0], f[1]]).collect()
-    }
-
     /// Seal and decode interval `ii`'s top buffers in bucket order onto
     /// `out`, leaving them empty (capacity kept).
     fn drain_tops(&mut self, ii: usize, out: &mut Vec<Update>) -> Result<(), DeviceError> {
@@ -687,9 +722,9 @@ impl MultiLog {
         Ok(())
     }
 
-    /// Hand every sealed page to the device in one scattered batch. The
-    /// pages were encoded when their records were appended; nothing is
-    /// touched per record here.
+    /// Hand every sealed page to the device in one scattered batch, and
+    /// retain what the armed budget covers. The pages were encoded when
+    /// their records were appended; nothing is touched per record here.
     fn flush_sealed(&mut self) -> Result<(), DeviceError> {
         if self.sealed.is_empty() {
             return Ok(());
@@ -700,7 +735,9 @@ impl MultiLog {
             .iter()
             .map(|(i, page)| (self.files[idx(*i)][side], page.as_slice()))
             .collect();
-        self.ssd.append_scattered(&writes)?;
+        let placed = self.ssd.append_scattered(&writes)?;
+        let appended = writes.iter().zip(placed).map(|(&(file, data), page)| (file, page, data));
+        self.retention.pin(&self.ssd, appended);
         self.stats.pages_flushed += to_u64(writes.len());
         for (i, page) in self.sealed.drain(..) {
             let appended = to_u64(page.len());
@@ -741,10 +778,11 @@ impl MultiLog {
     /// Inverse of [`Self::snapshot_pending`]: place checkpointed log pages
     /// back on the read side and return the per-interval pending record
     /// counts (what [`Self::finish_superstep`] returned when the snapshot
-    /// was taken). Every page goes through the decoder first, so a
-    /// snapshot whose pages are not this format's (or carry destinations
-    /// outside their interval), or that holds logs for a different number
-    /// of intervals, is refused before anything is written.
+    /// was taken), retaining what the armed budget covers. Every page goes
+    /// through the decoder first, so a snapshot whose pages are not this
+    /// format's (or carry destinations outside their interval), or that
+    /// holds logs for a different number of intervals, is refused before
+    /// anything is written.
     pub fn restore_pending(&mut self, snapshot: &[Vec<Page>]) -> Result<Vec<u64>, DeviceError> {
         if snapshot.len() != self.files.len() {
             return Err(DeviceError::Corrupt {
@@ -771,7 +809,9 @@ impl MultiLog {
             self.ssd.truncate(f[side])?;
             if !pages.is_empty() {
                 let refs: Vec<&[u8]> = pages.iter().map(|p| &p[..]).collect();
-                self.ssd.append_pages(f[side], &refs)?;
+                let first = self.ssd.append_pages(f[side], &refs)?;
+                let appended = (first..).zip(refs).map(|(page, data)| (f[side], page, data));
+                self.retention.pin(&self.ssd, appended);
             }
         }
         Ok(counts)
@@ -999,6 +1039,50 @@ pub(crate) mod tests {
         assert!(ml.take_log_current(0).unwrap().is_empty());
         ml.finish_superstep().unwrap();
         assert!(drain(&ml, 0).unwrap().is_empty());
+    }
+
+    /// Log-tail retention: an armed unit pins the pages it flushes while
+    /// the budget lasts, the drain reads those from DRAM and its truncate
+    /// drops the pins, a restore under a fresh arming pins what it
+    /// restores, and a new unit under the same tag starts with no log pins.
+    #[test]
+    fn retention_pins_the_log_tail_within_budget() {
+        let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
+        let cache = Arc::new(mlvc_ssd::PageCache::new(4));
+        ssd.attach_cache(Arc::clone(&cache));
+        let page = to_u64(ssd.page_size());
+        let mut ml = setup_on(Arc::clone(&ssd), 1 << 20, true);
+        let send = |ml: &mut MultiLog| {
+            for k in 0..60u32 {
+                ml.send(Update::new(k % 25, k, u64::from(k))).unwrap();
+            }
+            ml.finish_superstep().unwrap();
+        };
+
+        ml.arm_retention(2 * page);
+        send(&mut ml);
+        let flushed = ml.stats().pages_flushed;
+        assert!(flushed >= 3, "{flushed} pages flushed");
+        assert_eq!(ml.retained_bytes(), 2 * page);
+        assert_eq!(cache.pinned_pages(), 2);
+
+        ssd.stats().reset();
+        assert_eq!(drain_range(&ml.reader(), 0..4).unwrap().records, 60);
+        assert_eq!(ssd.stats().snapshot().pages_read, flushed - 2, "two pages hit DRAM");
+        assert_eq!(cache.pinned_pages(), 0, "consume drops the retained pins");
+
+        // The budget is spent: the next superstep's tail stays on flash.
+        send(&mut ml);
+        assert_eq!(cache.pinned_pages(), 0);
+        let snapshot = ml.snapshot_pending().unwrap();
+        let restored = to_u64(snapshot.iter().map(Vec::len).sum::<usize>());
+        ml.arm_retention(8 * page);
+        ml.restore_pending(&snapshot).unwrap();
+        assert_eq!(ml.retained_bytes(), restored * page);
+        assert_eq!(to_u64(cache.pinned_pages()), restored);
+
+        let _fresh = setup_on(Arc::clone(&ssd), 1 << 20, true);
+        assert_eq!(cache.pinned_pages(), 0, "a new unit under the tag starts unpinned");
     }
 
     #[test]

@@ -153,12 +153,12 @@ impl CommitSlots {
         Ok(CommitSlots { ssd: Arc::clone(ssd), files, format, head: None })
     }
 
-    /// The newest record `accept(slot, seq, body)` takes, as `(slot, seq,
-    /// accepted)`, reading the slots in order. An empty slot or a torn
-    /// record is skipped; an intact record of another version is
-    /// [`DeviceError::Corrupt`].
-    pub fn newest<T>(
-        &self,
+    /// Find the head: the newest record `accept(slot, seq, body)` takes,
+    /// returned as `(slot, seq, accepted)`, reading each slot once, in
+    /// order. An empty slot or a torn record is skipped; an intact record
+    /// of another version is [`DeviceError::Corrupt`].
+    pub fn scan<T>(
+        &mut self,
         mut accept: impl FnMut(usize, u64, &[u8]) -> Result<Option<T>, DeviceError>,
     ) -> Result<Option<(usize, u64, T)>, DeviceError> {
         let refused = |e: UnsupportedVersion| DeviceError::Corrupt {
@@ -180,17 +180,8 @@ impl CommitSlots {
                 }
             }
         }
+        self.head = best.as_ref().map(|&(slot, seq, _)| (slot, seq));
         Ok(best)
-    }
-
-    /// [`Self::newest`], made the head.
-    pub fn scan<T>(
-        &mut self,
-        accept: impl FnMut(usize, u64, &[u8]) -> Result<Option<T>, DeviceError>,
-    ) -> Result<Option<(usize, u64, T)>, DeviceError> {
-        let found = self.newest(accept)?;
-        self.head = found.as_ref().map(|&(slot, seq, _)| (slot, seq));
-        Ok(found)
     }
 
     /// The slot the next commit writes: the one not holding the head.
@@ -286,7 +277,7 @@ mod tests {
         for seq in 1..=3 {
             assert_eq!(slots.commit(&merge_body(0)).unwrap(), seq);
         }
-        assert_eq!(slots.newest(accept_all).unwrap().map(|(s, q, _)| (s, q)), Some((0, 3)));
+        assert_eq!(slots.scan(accept_all).unwrap().map(|(s, q, _)| (s, q)), Some((0, 3)));
 
         ssd.install_fault_plan(FaultPlan::crash_after(1, 7));
         assert_eq!(slots.commit(&merge_body(1)), Err(DeviceError::Crashed));

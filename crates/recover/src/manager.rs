@@ -8,10 +8,12 @@
 //! manifest page) leaves the other slot's checkpoint untouched and fully
 //! valid.
 //!
-//! Recovery ([`CheckpointManager::load_latest`]) considers both slots,
-//! prefers the higher sequence number, and falls back to the other slot if
-//! the preferred one fails any CRC — the case where a crash destroyed the
-//! in-flight slot's old contents before the new manifest landed.
+//! Recovery ([`CheckpointManager::open`]) considers both slots, prefers
+//! the higher sequence number, and falls back to the other slot if the
+//! preferred one fails any CRC — the case where a crash destroyed the
+//! in-flight slot's old contents before the new manifest landed. The scan
+//! reads each slot once and keeps the state it accepts, which
+//! [`CheckpointManager::load_latest`] hands out.
 
 use std::sync::Arc;
 
@@ -78,11 +80,15 @@ pub struct CheckpointManager {
     ssd: Arc<Ssd>,
     manifests: CommitSlots,
     data_files: [FileId; 2],
+    /// The newest valid checkpoint and its sequence number: the one the
+    /// opening scan accepted, then each one written.
+    latest: Option<(u64, CheckpointState)>,
 }
 
 impl CheckpointManager {
     /// Open (or create) the slot files under `tag` and scan for existing
-    /// checkpoints so the next write targets the non-latest slot.
+    /// checkpoints — reading every slot page once and decoding the newest
+    /// valid one — so the next write targets the non-latest slot.
     pub fn open(ssd: &Arc<Ssd>, tag: &str) -> Result<Self, DeviceError> {
         let names = [format!("{tag}.ckpt.manifest.a"), format!("{tag}.ckpt.manifest.b")];
         let mut manifests = CommitSlots::open(ssd, names, CKPT_RECORD)?;
@@ -90,8 +96,10 @@ impl CheckpointManager {
             ssd.open_or_create(&format!("{tag}.ckpt.data.a"))?,
             ssd.open_or_create(&format!("{tag}.ckpt.data.b"))?,
         ];
-        manifests.scan(|slot, seq, body| accept(ssd, data_files[slot], seq, body))?;
-        Ok(CheckpointManager { ssd: Arc::clone(ssd), manifests, data_files })
+        let latest = manifests
+            .scan(|slot, seq, body| accept(ssd, data_files[slot], seq, body))?
+            .map(|(_, seq, state)| (seq, state));
+        Ok(CheckpointManager { ssd: Arc::clone(ssd), manifests, data_files, latest })
     }
 
     /// Sequence number the next [`Self::write`] will stamp.
@@ -132,26 +140,34 @@ impl CheckpointManager {
             all_active: state.all_active,
             segments,
         };
-        self.manifests.commit(&manifest.body())
+        let seq = self.manifests.commit(&manifest.body())?;
+        self.latest = Some((seq, state.clone()));
+        Ok(seq)
     }
 
-    /// Load the latest fully valid checkpoint, or `None` when no slot
-    /// holds one. Header *and* every segment CRC must check out; a slot
-    /// failing either is skipped in favour of the other.
+    /// The latest fully valid checkpoint, or `None` when no slot holds
+    /// one: what [`Self::open`]'s scan accepted — header *and* every
+    /// segment CRC checked out, a slot failing either skipped in favour of
+    /// the other — or the last one this manager wrote. No device I/O.
     pub fn load_latest(&self) -> Result<Option<(u64, CheckpointState)>, DeviceError> {
-        let (ssd, data) = (&self.ssd, self.data_files);
-        let newest = self.manifests.newest(|slot, seq, body| accept(ssd, data[slot], seq, body))?;
-        newest.map(|(slot, seq, m)| Ok((seq, read_state(ssd, data[slot], &m)?))).transpose()
+        Ok(self.latest.clone())
     }
 }
 
-/// The manifest a slot's commit record carries, if every segment it
-/// describes checks out in the slot's data file `data`.
-fn accept(ssd: &Ssd, data: FileId, seq: u64, body: &[u8]) -> Result<Option<Manifest>, DeviceError> {
+/// The state a slot's commit record describes, if every segment checks
+/// out in the slot's data file `data`.
+fn accept(
+    ssd: &Ssd,
+    data: FileId,
+    seq: u64,
+    body: &[u8],
+) -> Result<Option<CheckpointState>, DeviceError> {
     let Some(manifest) = Manifest::from_body(seq, body) else {
         return Ok(None);
     };
+    let page_size = ssd.page_size();
     let mut start_page = 0u64;
+    let mut segs: Vec<Vec<u8>> = Vec::with_capacity(NUM_SEGMENTS);
     for desc in &manifest.segments {
         let bytes = match read_segment(ssd, data, start_page, desc.len) {
             Ok(b) => b,
@@ -164,9 +180,16 @@ fn accept(ssd: &Ssd, data: FileId, seq: u64, body: &[u8]) -> Result<Option<Manif
         if crc32(&bytes) != desc.crc {
             return Ok(None);
         }
-        start_page += desc.len.div_ceil(to_u64(ssd.page_size()));
+        start_page += desc.len.div_ceil(to_u64(page_size));
+        segs.push(bytes);
     }
-    Ok(Some(manifest))
+    Ok(Some(CheckpointState {
+        superstep: manifest.superstep,
+        all_active: manifest.all_active,
+        states: decode_states(&segs[SEG_STATES]),
+        active_bits: std::mem::take(&mut segs[SEG_ACTIVE]),
+        msgs: decode_msgs(&segs[SEG_MSGS], page_size),
+    }))
 }
 
 fn read_segment(
@@ -193,28 +216,6 @@ fn read_segment(
     }
     out.truncate(mem_idx(len));
     Ok(out)
-}
-
-fn read_state(
-    ssd: &Ssd,
-    data: FileId,
-    manifest: &Manifest,
-) -> Result<CheckpointState, DeviceError> {
-    let page_size = to_u64(ssd.page_size());
-    let mut start_page = 0u64;
-    let mut segs: Vec<Vec<u8>> = Vec::with_capacity(NUM_SEGMENTS);
-    for desc in &manifest.segments {
-        segs.push(read_segment(ssd, data, start_page, desc.len)?);
-        start_page += desc.len.div_ceil(page_size);
-    }
-    let msgs = decode_msgs(&segs[SEG_MSGS], mem_idx(page_size));
-    Ok(CheckpointState {
-        superstep: manifest.superstep,
-        all_active: manifest.all_active,
-        states: decode_states(&segs[SEG_STATES]),
-        active_bits: segs[SEG_ACTIVE].clone(),
-        msgs,
-    })
 }
 
 fn encode_states(states: &[u64]) -> Vec<u8> {
@@ -394,17 +395,36 @@ mod tests {
         // Corrupt slot B's data file (first page of the states segment).
         let f = ssd.open_or_create("t.ckpt.data.b").unwrap();
         ssd.write_page(f, 0, &vec![0xFFu8; 256]).unwrap();
+        let mgr = CheckpointManager::open(&ssd, "t").unwrap();
         let (seq, got) = mgr.load_latest().unwrap().unwrap();
         assert_eq!(seq, 1, "must fall back to the intact slot");
         assert_eq!(got.superstep, 2);
+    }
+
+    /// A resume reads the checkpoint once: over two valid slots, `open`
+    /// plus `load_latest` read each manifest and data page exactly once.
+    #[test]
+    fn open_and_load_read_each_slot_page_once() {
+        let ssd = ssd();
+        let mut mgr = CheckpointManager::open(&ssd, "t").unwrap();
+        mgr.write(&sample_state(2)).unwrap();
+        mgr.write(&sample_state(4)).unwrap();
+        let slot_pages: u64 = ["manifest.a", "manifest.b", "data.a", "data.b"]
+            .iter()
+            .map(|f| ssd.num_pages(ssd.lookup(&format!("t.ckpt.{f}")).unwrap()).unwrap())
+            .sum();
+        ssd.stats().reset();
+        let mgr = CheckpointManager::open(&ssd, "t").unwrap();
+        let (seq, got) = mgr.load_latest().unwrap().unwrap();
+        assert_eq!((seq, got), (2, sample_state(4)));
+        assert_eq!(ssd.stats().snapshot().pages_read, slot_pages);
     }
 
     #[test]
     fn previous_format_checkpoint_is_refused_with_a_typed_error() {
         use crate::manifest::{MAGIC_BYTES, MANIFEST_CRC_BYTES, MANIFEST_HEADER_BYTES};
         let ssd = ssd();
-        let mut mgr = CheckpointManager::open(&ssd, "t").unwrap();
-        mgr.write(&sample_state(2)).unwrap();
+        CheckpointManager::open(&ssd, "t").unwrap().write(&sample_state(2)).unwrap();
         // Re-stamp the manifest as version 1 (valid CRC): its pending
         // messages would be fixed-width pages this build cannot decode.
         let f = ssd.open_or_create("t.ckpt.manifest.a").unwrap();
@@ -414,12 +434,11 @@ mod tests {
         let crc = crc32(&page);
         page.extend_from_slice(&crc.to_le_bytes());
         ssd.write_page(f, 0, &page).unwrap();
-        for err in [mgr.load_latest().unwrap_err(), CheckpointManager::open(&ssd, "t").err().unwrap()] {
-            assert!(
-                matches!(&err, DeviceError::Corrupt { what: "checkpoint", detail } if detail.contains("version 1")),
-                "{err}"
-            );
-        }
+        let err = CheckpointManager::open(&ssd, "t").err().unwrap();
+        assert!(
+            matches!(&err, DeviceError::Corrupt { what: "checkpoint", detail } if detail.contains("version 1")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -15,9 +15,9 @@
 //!   Hits inside A1in do *not* promote — a one-pass scan flows through
 //!   A1in and the ghosts without ever displacing Am (FlashGraph's SAFS
 //!   insight: partial caching only pays off if sequential scans can't
-//!   flush the hot set). Queue order is maintained lazily: entries carry a
-//!   stamp and are validated against the owning frame on pop, so an Am
-//!   hit is O(1) (push a fresh stamped entry) instead of an unlink.
+//!   flush the hot set). A1in and Am are each one map from stamp to frame
+//!   — the insert stamp in A1in, the last-hit stamp in Am — so a queue's
+//!   victim is its first entry and an Am hit re-keys one entry.
 //! * **Pinned tier** — [`PageCache::pin_pages`] puts an extent's pages in a
 //!   separate map that is exempt from eviction and checked before the
 //!   frame pool. The engine uses this for GraphMP-style hot-interval
@@ -83,8 +83,7 @@ struct Frame {
     key: Option<PageKey>,
     inserter: TenantId,
     queue: QueueKind,
-    /// Matches the live queue entry for this frame; stale entries with an
-    /// older stamp are skipped on pop.
+    /// This frame's key in its queue's map.
     stamp: u64,
 }
 
@@ -161,14 +160,10 @@ struct CacheInner {
     in_flight: HashMap<PageKey, InFlight>,
     /// Unoccupied frame indices.
     free: Vec<usize>,
-    /// Probationary FIFO: stamped entries, validated lazily on pop.
-    a1in: VecDeque<(PageKey, u64)>,
-    /// Hot LRU: stamped entries; an Am hit pushes a fresh entry and the
-    /// stale one is skipped on pop.
-    am: VecDeque<(PageKey, u64)>,
-    /// Frames currently in A1in / Am (deque lengths overcount).
-    a1in_live: usize,
-    am_live: usize,
+    /// Probationary FIFO: frame by insert stamp, oldest first.
+    a1in: BTreeMap<u64, usize>,
+    /// Hot LRU: frame by last-hit stamp, least recent first.
+    am: BTreeMap<u64, usize>,
     /// A1out ghost keys in FIFO order (`ghost_set` is the membership
     /// truth; deque entries absent from the set are stale).
     ghost: VecDeque<PageKey>,
@@ -192,6 +187,13 @@ impl CacheInner {
     /// Ghost-queue capacity (2Q's Kout, ~½ of frames' worth of keys).
     fn kout(&self) -> usize {
         (self.frames.len() / 2).max(1)
+    }
+
+    fn queue_mut(&mut self, queue: QueueKind) -> &mut BTreeMap<u64, usize> {
+        match queue {
+            QueueKind::A1in => &mut self.a1in,
+            QueueKind::Am => &mut self.am,
+        }
     }
 }
 
@@ -231,10 +233,8 @@ impl PageCache {
                 // Reverse order so `pop()` hands out frame 0 first — keeps
                 // frame assignment deterministic.
                 free: (0..cap).rev().collect(),
-                a1in: VecDeque::new(),
-                am: VecDeque::new(),
-                a1in_live: 0,
-                am_live: 0,
+                a1in: BTreeMap::new(),
+                am: BTreeMap::new(),
                 ghost: VecDeque::new(),
                 ghost_set: HashSet::new(),
                 stamp: 0,
@@ -333,11 +333,10 @@ impl PageCache {
     /// with no device read at all. The payload is zero-padded to the page
     /// size so a later hit returns exactly what an uncached device read of
     /// the page would. Returns `false` (and pins nothing) if a pinned copy
-    /// already exists. Called by the device's append-retention hook after
-    /// the write landed and its invalidation ran, so the copy can never go
-    /// stale out of order; a subsequent write or truncate drops it like
-    /// any other pin.
-    pub(crate) fn pin_written(
+    /// already exists. The writer calls it after the write landed and its
+    /// invalidation ran, so the copy can never go stale out of order; a
+    /// subsequent write or truncate drops it like any other pin.
+    pub fn pin_written(
         &self,
         file: FileId,
         page: u64,
@@ -557,17 +556,15 @@ fn land_fill(inner: &mut CacheInner, key: PageKey, page: &Page, tenant: TenantId
     inner.tenants.entry(tenant).or_default().misses += 1;
 }
 
-/// Record a hit on frame `fi`: refresh Am recency (stale-stamp trick) and
+/// Record a hit on frame `fi`: move it to the recent end of Am, and
 /// deliberately ignore A1in hits — that non-promotion is the scan
 /// resistance.
 fn touch_frame(inner: &mut CacheInner, fi: usize) {
     if inner.frames[fi].queue == QueueKind::Am {
-        let Some(key) = inner.frames[fi].key else { return };
+        inner.am.remove(&inner.frames[fi].stamp);
         inner.stamp += 1;
-        let stamp = inner.stamp;
-        inner.frames[fi].stamp = stamp;
-        inner.am.push_back((key, stamp));
-        prune_stale(inner);
+        inner.frames[fi].stamp = inner.stamp;
+        inner.am.insert(inner.stamp, fi);
     }
 }
 
@@ -584,69 +581,34 @@ fn insert_frame(inner: &mut CacheInner, key: PageKey, page: Page, tenant: Tenant
         return;
     };
     inner.stamp += 1;
-    let stamp = inner.stamp;
-    let f = &mut inner.frames[fi];
-    f.key = Some(key);
-    f.inserter = tenant;
-    f.stamp = stamp;
-    if hot {
-        f.queue = QueueKind::Am;
-        inner.am.push_back((key, stamp));
-        inner.am_live += 1;
-    } else {
-        f.queue = QueueKind::A1in;
-        inner.a1in.push_back((key, stamp));
-        inner.a1in_live += 1;
-    }
+    let (stamp, queue) = (inner.stamp, if hot { QueueKind::Am } else { QueueKind::A1in });
+    inner.frames[fi] = Frame { key: Some(key), inserter: tenant, queue, stamp };
+    inner.queue_mut(queue).insert(stamp, fi);
     inner.map.insert(key, (fi, page));
-    prune_stale(inner);
+    compact_ghosts(inner);
 }
 
-/// Find a frame for a new insertion: a free frame if any, else evict —
-/// from A1in while it is over its Kin target (or Am is empty), else from
-/// Am. An A1in victim leaves its key in the ghost queue; an Am victim is
-/// simply forgotten.
+/// Find a frame for a new insertion: a free frame if any, else evict the
+/// oldest entry of A1in while it is at its Kin target (or Am is empty),
+/// else of Am. Every frame not free is in one of the two queues, so the
+/// chosen one is never empty. An A1in victim leaves its key in the ghost
+/// queue; an Am victim is simply forgotten.
 fn reclaim_frame(inner: &mut CacheInner) -> Option<usize> {
     if let Some(fi) = inner.free.pop() {
         return Some(fi);
     }
-    let from_a1in = inner.am_live == 0 || inner.a1in_live >= inner.kin();
-    let fi = if from_a1in {
-        pop_valid(inner, QueueKind::A1in).or_else(|| pop_valid(inner, QueueKind::Am))
-    } else {
-        pop_valid(inner, QueueKind::Am).or_else(|| pop_valid(inner, QueueKind::A1in))
-    }?;
+    let from_a1in = inner.am.is_empty() || inner.a1in.len() >= inner.kin();
+    let queue = if from_a1in { &mut inner.a1in } else { &mut inner.am };
+    let (_, fi) = queue.pop_first()?;
     let kout = inner.kout();
     if let Some(old) = inner.frames[fi].key.take() {
         inner.map.remove(&old);
-        if inner.frames[fi].queue == QueueKind::A1in {
+        if from_a1in {
             ghost_push(inner, old, kout);
         }
         inner.evictions += 1;
     }
-    match inner.frames[fi].queue {
-        QueueKind::A1in => inner.a1in_live = inner.a1in_live.saturating_sub(1),
-        QueueKind::Am => inner.am_live = inner.am_live.saturating_sub(1),
-    }
     Some(fi)
-}
-
-/// Pop the first *valid* entry of `want`'s queue: the key must still be
-/// resident, on the same frame, with the entry's stamp, in the same queue.
-/// Everything else is a stale leftover from a lazy refresh or release.
-fn pop_valid(inner: &mut CacheInner, want: QueueKind) -> Option<usize> {
-    let q = match want {
-        QueueKind::A1in => &mut inner.a1in,
-        QueueKind::Am => &mut inner.am,
-    };
-    while let Some((key, stamp)) = q.pop_front() {
-        if let Some(&(fi, _)) = inner.map.get(&key) {
-            if inner.frames[fi].stamp == stamp && inner.frames[fi].queue == want {
-                return Some(fi);
-            }
-        }
-    }
-    None
 }
 
 /// Remember an evicted A1in key in the ghost queue, bounded by `kout`.
@@ -662,43 +624,27 @@ fn ghost_push(inner: &mut CacheInner, key: PageKey, kout: usize) {
     }
 }
 
-/// Compact the lazily-maintained queues once stale entries dominate. The
-/// bound keeps queue memory O(capacity) while amortizing the retain.
-fn prune_stale(inner: &mut CacheInner) {
-    let limit = 4 * inner.frames.len() + 16;
-    if inner.a1in.len() > limit {
-        let map = &inner.map;
-        let frames = &inner.frames;
-        inner.a1in.retain(|&(key, stamp)| {
-            map.get(&key)
-                .is_some_and(|&(fi, _)| frames[fi].stamp == stamp && frames[fi].queue == QueueKind::A1in)
-        });
-    }
-    if inner.am.len() > limit {
-        let map = &inner.map;
-        let frames = &inner.frames;
-        inner.am.retain(|&(key, stamp)| {
-            map.get(&key)
-                .is_some_and(|&(fi, _)| frames[fi].stamp == stamp && frames[fi].queue == QueueKind::Am)
-        });
-    }
-    if inner.ghost.len() > limit {
+/// Compact the ghost deque once stale keys dominate it. Runs at the end of
+/// every insert, the only place the deque grows; the bound keeps it
+/// O(capacity) while amortizing the retain. The deque stays lazy on
+/// purpose: popping a stale duplicate can forget a re-ghosted key early,
+/// and that is part of the victim order.
+fn compact_ghosts(inner: &mut CacheInner) {
+    if inner.ghost.len() > 4 * inner.frames.len() + 16 {
         let set = &inner.ghost_set;
         inner.ghost.retain(|k| set.contains(k));
     }
 }
 
 /// Clear a frame whose map entry was already removed (invalidation or pin
-/// take-over — *not* a policy eviction). The frame returns to the free
-/// list and leaves its queue entries stale.
+/// take-over — *not* a policy eviction): it leaves its queue and returns
+/// to the free list.
 fn release_frame(inner: &mut CacheInner, fi: usize) {
     if inner.frames[fi].key.take().is_none() {
         return;
     }
-    match inner.frames[fi].queue {
-        QueueKind::A1in => inner.a1in_live = inner.a1in_live.saturating_sub(1),
-        QueueKind::Am => inner.am_live = inner.am_live.saturating_sub(1),
-    }
+    let (queue, stamp) = (inner.frames[fi].queue, inner.frames[fi].stamp);
+    inner.queue_mut(queue).remove(&stamp);
     inner.free.push(fi);
 }
 
@@ -1000,6 +946,68 @@ mod tests {
         let cached = ssd.stats().snapshot().pages_read;
         assert_eq!(snap.tenant(0).hits + cached, uncached, "identity holds under pinning");
         assert!(snap.pinned_hits >= 6, "the pinned extent served the workload's hot pages");
+    }
+
+    /// The 2Q victim order, pinned to a digest: a seeded mix of batched
+    /// reads (duplicate pages included), pins, unpins, overwrites and
+    /// truncates on a 16-frame cache, folding `evictions` and the sorted
+    /// resident keys in after every operation. Any change to which frame a
+    /// queue gives up moves the digest.
+    #[test]
+    fn twoq_victim_order_is_pinned() {
+        let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
+        let files: Vec<FileId> =
+            (0..3).map(|k| ssd.open_or_create(&format!("f{k}")).unwrap()).collect();
+        let fill = |f: FileId| {
+            for i in 0..24u8 {
+                ssd.append_page(f, &[i; 8]).unwrap();
+            }
+        };
+        files.iter().for_each(|&f| fill(f));
+        let cache = Arc::new(PageCache::new(16));
+        ssd.attach_cache(Arc::clone(&cache));
+        let mut s: u64 = 0x2_0051_ca5e;
+        let mut next = |m: u64| {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (s >> 33) % m
+        };
+        let (mut digest, mut am_peak) = (0xcbf2_9ce4_8422_2325u64, 0usize);
+        for _ in 0..2000 {
+            let f = files[next(3) as usize];
+            // Skewed toward low pages, so some keys come back as ghosts.
+            let page = |next: &mut dyn FnMut(u64) -> u64| next(24).min(next(24));
+            match next(20) {
+                0..=13 => {
+                    let reqs: Vec<_> = (0..1 + next(6)).map(|_| (f, page(&mut next), 8)).collect();
+                    ssd.read_batch(&reqs).unwrap();
+                }
+                14 | 15 => {
+                    let lo = page(&mut next);
+                    cache.pin_pages(&ssd, f, lo..(lo + 2).min(24)).unwrap();
+                }
+                16 => {
+                    cache.unpin_file(f);
+                }
+                17 | 18 => ssd.write_page(f, page(&mut next), &[0xEE; 8]).unwrap(),
+                _ => {
+                    ssd.truncate(f).unwrap();
+                    fill(f);
+                }
+            }
+            let inner = locked(&cache.state);
+            let mut keys: Vec<PageKey> = inner.map.keys().copied().collect();
+            keys.sort_unstable();
+            for x in std::iter::once(inner.evictions)
+                .chain(keys.iter().map(|&(f, p)| u64::from(f) << 32 | p))
+            {
+                digest = (digest ^ x).wrapping_mul(0x0100_0000_01b3);
+            }
+            let am = inner.frames.iter().filter(|f| f.key.is_some() && f.queue == QueueKind::Am);
+            am_peak = am_peak.max(am.count());
+        }
+        let evictions = cache.snapshot().evictions;
+        assert!(evictions > 500 && am_peak > 4, "the mix must churn both queues");
+        assert_eq!(digest, 0x9b9e_d95c_be65_b958, "{evictions} evictions");
     }
 
     #[test]

@@ -90,20 +90,8 @@ pub struct Ssd {
     /// Per-view fault state: plans installed on a tenant view crash only
     /// that tenant.
     fault: Mutex<FaultState>,
-    /// Per-view append-retention arming (DESIGN.md §18): while armed, the
-    /// first `remaining` bytes appended to the listed files through this
-    /// view are write-allocated into the attached cache's pinned tier.
-    retention: Mutex<Option<AppendRetention>>,
     /// Cache-accounting identity of this view (base = 0).
     tenant: TenantId,
-}
-
-/// State of [`Ssd::arm_append_retention`]: which files retain their
-/// appends and how much pinned-tier budget is left, charged one whole
-/// page per retained append (the pinned copy is zero-padded to a page).
-struct AppendRetention {
-    files: std::collections::HashSet<FileId>,
-    remaining: u64,
 }
 
 /// Device internals common to every view.
@@ -142,7 +130,6 @@ impl Ssd {
             stats: Arc::new(SsdStats::default()),
             base_stats: None,
             fault: Mutex::new(FaultState::default()),
-            retention: Mutex::new(None),
             tenant: 0,
         }
     }
@@ -183,7 +170,6 @@ impl Ssd {
             stats: Arc::new(SsdStats::default()),
             base_stats: Some(root),
             fault: Mutex::new(FaultState::default()),
-            retention: Mutex::new(None),
             tenant,
         }
     }
@@ -432,66 +418,6 @@ impl Ssd {
 
     // ---- writes ----------------------------------------------------------
 
-    /// Arm append retention on this view (DESIGN.md §18): until re-armed
-    /// or disarmed, the first `budget_bytes` worth of pages appended to
-    /// `files` are write-allocated into the attached cache's pinned tier —
-    /// the bytes are in host memory at append time, so the copy costs no
-    /// device read, and a consumer re-reading the tail next superstep hits
-    /// DRAM instead of flash. Each retained page charges one whole page of
-    /// budget. Truncating or deleting a file drops its retained copies
-    /// like any other pinned page (the budget is not re-credited; arming
-    /// is per-superstep). A no-op while no cache is attached.
-    pub fn arm_append_retention(&self, files: &[FileId], budget_bytes: u64) {
-        *self.retention.lock() = Some(AppendRetention {
-            files: files.iter().copied().collect(),
-            remaining: budget_bytes,
-        });
-    }
-
-    /// Disarm append retention on this view. Already-retained pages stay
-    /// pinned until their file is truncated, deleted or overwritten.
-    pub fn disarm_append_retention(&self) {
-        *self.retention.lock() = None;
-    }
-
-    /// Unspent budget of the current arming (`None` while disarmed). The
-    /// engine's retier subtracts `armed - unspent` — the bytes a still-
-    /// draining retained tail holds — from the topology pin budget, so
-    /// total pinned bytes never exceed the configured budget.
-    pub fn append_retention_unspent(&self) -> Option<u64> {
-        self.retention.lock().as_ref().map(|r| r.remaining)
-    }
-
-    /// The append-retention hook: write-allocate freshly appended pages
-    /// into the pinned tier while the armed budget lasts. Runs after
-    /// `charge_write`, whose invalidation already dropped any stale copy
-    /// of these page slots.
-    fn retain_appends<'d>(&self, appends: impl Iterator<Item = (PageAddr, &'d [u8])>) {
-        let mut guard = self.retention.lock();
-        let Some(r) = guard.as_mut() else {
-            return;
-        };
-        let page_bytes = to_u64(self.shared.cfg.page_size);
-        if r.remaining < page_bytes {
-            return;
-        }
-        let cache = self.shared.cache.lock().clone();
-        let Some(c) = cache else {
-            return;
-        };
-        for (a, data) in appends {
-            if r.remaining < page_bytes {
-                break;
-            }
-            if !r.files.contains(&a.file) {
-                continue;
-            }
-            if c.pin_written(a.file, a.page, data, self.shared.cfg.page_size, self.tenant) {
-                r.remaining -= page_bytes;
-            }
-        }
-    }
-
     /// Append one page (payload may be shorter than a page; it is
     /// zero-padded). Returns the page index. Charged as a 1-page write batch.
     pub fn append_page(&self, file: FileId, data: &[u8]) -> Result<u64, DeviceError> {
@@ -535,10 +461,9 @@ impl Ssd {
     /// of the files it places each `(file, at, data)` in order — over page
     /// `at`, which must exist, or appended when `at` is `None` — and stops
     /// at the first failure; then it charges what reached the media as one
-    /// dispatch and, when every page landed, retains the appended ones
-    /// (DESIGN.md §18). A crash point inside the batch leaves the pages
-    /// before it durable and the crash page torn; the call then fails with
-    /// `Crashed`. Returns the page index of each write.
+    /// dispatch. A crash point inside the batch leaves the pages before it
+    /// durable and the crash page torn; the call then fails with `Crashed`.
+    /// Returns the page index of each write.
     fn write(&self, writes: &[(FileId, Option<u64>, &[u8])]) -> Result<Vec<u64>, DeviceError> {
         let mut placed = Vec::with_capacity(writes.len());
         let mut failed = None;
@@ -569,8 +494,6 @@ impl Ssd {
             return Err(e);
         }
         fit?;
-        let appends = writes.iter().zip(&placed).filter(|(w, _)| w.1.is_none());
-        self.retain_appends(appends.map(|(&(_, _, data), &a)| (a, data)));
         Ok(placed.iter().map(|a| a.page).collect())
     }
 
@@ -889,43 +812,6 @@ mod tests {
         ssd.append_page(f, b"old").unwrap();
         ssd.write_page(f, 0, b"new!").unwrap();
         assert_eq!(&ssd.read_page(f, 0, 4).unwrap()[..4], b"new!");
-    }
-
-    #[test]
-    fn append_retention_pins_the_log_tail_within_budget() {
-        let ssd = dev();
-        let cache = Arc::new(crate::PageCache::new(1));
-        ssd.attach_cache(Arc::clone(&cache));
-        let log = ssd.open_or_create("log").unwrap();
-        let cold = ssd.open_or_create("cold").unwrap();
-        let page = u64::try_from(ssd.page_size()).unwrap();
-
-        // Budget for two pages, armed on `log` only.
-        ssd.arm_append_retention(&[log], 2 * page);
-        for i in 0..3u8 {
-            ssd.append_page(log, &[i; 64]).unwrap();
-            ssd.append_page(cold, &[i; 64]).unwrap();
-        }
-        assert_eq!(ssd.append_retention_unspent(), Some(0), "two pages spent the arming");
-        assert_eq!(cache.pinned_pages(), 2, "first two log appends retained, cold file not");
-
-        // Reading the log back hits the retained tail; the third page and
-        // the cold file still pay the device.
-        ssd.stats().reset();
-        let got = ssd
-            .read_batch(&[(log, 0, 64), (log, 1, 64), (log, 2, 64), (cold, 0, 64)])
-            .unwrap();
-        assert_eq!(&got[0][..64], &[0u8; 64]);
-        assert_eq!(&got[1][..64], &[1u8; 64]);
-        assert!(got[0][64..].iter().all(|&b| b == 0), "retained copy is zero padded");
-        assert_eq!(ssd.stats().snapshot().pages_read, 2, "only page 2 and cold hit flash");
-        assert_eq!(cache.snapshot().pinned_hits, 2);
-
-        // Truncate-on-consume drops the retained copies with the file.
-        ssd.truncate(log).unwrap();
-        assert_eq!(cache.pinned_pages(), 0, "truncation drops retained pins");
-        ssd.disarm_append_retention();
-        assert_eq!(ssd.append_retention_unspent(), None);
     }
 
     #[test]

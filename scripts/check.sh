@@ -74,12 +74,16 @@ echo "== stage-table smoke (mlvc run) =="
 # `pagerank --ssd-dir` holds the file-backed device, the one backend no
 # benchmark workload runs, on a fresh directory per run; `pagerank
 # --metrics` holds the run's artifacts: the trace JSONL and the Prometheus
-# snapshot must be the same bytes at both thread counts.
+# snapshot must be the same bytes at both thread counts; `pagerank
+# --cache-kb 256 --pin-budget-kb 512` holds the tiered path (the 2Q cache,
+# hot-interval pinning and the multi-log's log-tail retention), which the
+# in-process tests and `sim-pins` otherwise reach at one size only.
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT
 cargo run -q --release --bin mlvc -- \
   gen --kind rmat-social --scale 12 --seed 42 --out "$smoke_dir/g.csr" >/dev/null
-for app in "pagerank" "randomwalk" "wcc --async" "pagerank --ssd-dir" "pagerank --metrics"; do
+for app in "pagerank" "randomwalk" "wcc --async" "pagerank --ssd-dir" "pagerank --metrics" \
+  "pagerank --cache-kb 256 --pin-budget-kb 512"; do
   for t in 1 2; do
     flags="$app"
     if [[ $app == *--ssd-dir ]]; then
