@@ -134,14 +134,6 @@ impl Csr {
                 .map(move |&d| (v as VertexId, d))
         })
     }
-
-    /// Total bytes this graph occupies on storage in the paper's encoding
-    /// (8 B row pointers + 4 B adjacency entries + optional 4 B weights).
-    pub fn storage_bytes(&self) -> usize {
-        self.row_ptr.len() * crate::ROW_PTR_BYTES
-            + self.col_idx.len() * crate::COL_IDX_BYTES
-            + self.weights.as_ref().map_or(0, |w| w.len() * crate::WEIGHT_BYTES)
-    }
 }
 
 #[cfg(test)]
@@ -221,12 +213,6 @@ mod tests {
         assert_eq!(e.len(), 9);
         assert!(e.contains(&(6, 5)));
         assert!(e.contains(&(1, 2)));
-    }
-
-    #[test]
-    fn storage_bytes_encoding() {
-        let g = paper_fig1_graph();
-        assert_eq!(g.storage_bytes(), 8 * 8 + 9 * 4 + 9 * 4);
     }
 
     #[test]

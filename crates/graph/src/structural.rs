@@ -115,14 +115,6 @@ impl StructuralUpdateBuffer {
         self.pending[idx(i)].push(u);
     }
 
-    pub fn total_pending(&self) -> usize {
-        self.pending.iter().map(Vec::len).sum()
-    }
-
-    pub fn pending_for(&self, i: IntervalId) -> &[EdgeMutation] {
-        &self.pending[idx(i)]
-    }
-
     /// Whether an update of `v`'s own adjacency is pending — the stored
     /// list (and any copy of it) is not `v`'s current one until a merge.
     pub fn names(&self, v: VertexId) -> bool {
@@ -226,11 +218,10 @@ mod tests {
         let due = buf.take(buf.threshold());
         assert_eq!(due[0].len(), 4);
         assert!(due[1].is_empty());
-        assert_eq!(buf.total_pending(), 1);
-        assert_eq!(buf.pending_for(1), &[EdgeMutation::add(6, 0)]);
         let rest = buf.take(1);
+        assert!(rest[0].is_empty());
         assert_eq!(rest[1], vec![EdgeMutation::add(6, 0)]);
-        assert_eq!(buf.total_pending(), 0);
+        assert!(buf.take(1).iter().all(Vec::is_empty), "nothing left pending");
     }
 
     #[test]

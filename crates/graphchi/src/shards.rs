@@ -131,10 +131,6 @@ impl ShardSet {
         &self.intervals
     }
 
-    pub fn num_shards(&self) -> usize {
-        self.files.len()
-    }
-
     pub fn record_count(&self, shard: IntervalId) -> usize {
         self.record_counts[shard as usize]
     }
@@ -194,24 +190,12 @@ impl ShardSet {
         Ok((out, p_lo))
     }
 
-    /// Write a span of records back, page-aligned: `records` must cover
-    /// complete pages starting at `first_page` (as returned by
-    /// [`Self::load_range`]). One batched dispatch.
-    pub fn write_back(
-        &self,
-        shard: IntervalId,
-        first_page: u64,
-        records: &[ShardRecord],
-    ) -> Result<(), DeviceError> {
-        let pages = records.len().div_ceil(self.per_page());
-        let all: Vec<bool> = vec![true; pages];
-        self.write_back_dirty(shard, first_page, records, &all)
-    }
-
-    /// Write back only the dirty pages of a loaded span (`dirty[k]` refers
-    /// to page `first_page + k`). Real GraphChi deployments track modified
-    /// blocks; the paper "maximized GraphChi performance", so the baseline
-    /// gets the same courtesy.
+    /// Write back the dirty pages of a loaded span, page-aligned: `records`
+    /// must cover complete pages starting at `first_page` (as returned by
+    /// [`Self::load_range`]), and `dirty[k]` refers to page
+    /// `first_page + k`. One batched dispatch. Real GraphChi deployments
+    /// track modified blocks; the paper "maximized GraphChi performance",
+    /// so the baseline gets the same courtesy.
     pub fn write_back_dirty(
         &self,
         shard: IntervalId,
@@ -280,7 +264,7 @@ mod tests {
     #[test]
     fn shards_match_paper_fig1b() {
         let s = build();
-        assert_eq!(s.num_shards(), 3);
+        assert_eq!(s.intervals().num_intervals(), 3);
         // Shard 1 (interval {2}): in-edges of 2 from 1, 3, 6 sorted by src.
         let shard1 = s.load_shard(1).unwrap();
         let srcs: Vec<u32> = shard1.iter().map(|r| r.src).collect();
@@ -333,7 +317,7 @@ mod tests {
             r.data = r.src as u64 * 10;
             r.tag = 5;
         }
-        s.write_back(0, first, &recs).unwrap();
+        s.write_back_dirty(0, first, &recs, &[true, true]).unwrap();
         let (back, _) = s.load_range(0, 12, 36).unwrap();
         assert_eq!(back, recs);
         // Outside the span untouched.

@@ -68,14 +68,6 @@ impl BitSet {
             })
         })
     }
-
-    /// `self |= other` (sizes must match).
-    pub fn union_with(&mut self, other: &BitSet) {
-        assert_eq!(self.len, other.len);
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= b;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -106,16 +98,5 @@ mod tests {
         }
         let got: Vec<usize> = b.iter_ones().collect();
         assert_eq!(got, vec![3, 64, 65, 127, 128, 199]);
-    }
-
-    #[test]
-    fn union() {
-        let mut a = BitSet::new(100);
-        let mut b = BitSet::new(100);
-        a.set(1);
-        b.set(99);
-        a.union_with(&b);
-        assert!(a.get(1) && a.get(99));
-        assert_eq!(a.count(), 2);
     }
 }

@@ -138,8 +138,6 @@ pub struct MultiLog {
     /// the owner's `take_log_current`.
     stats: MultiLogStats,
     updates_read: Arc<RelaxedCounter>,
-    /// Per-interval share of `stats.bytes_appended` (same counting).
-    bytes_per_interval: Vec<u64>,
     /// Handed to every [`LogReader`]; the write side never looks at it.
     combine: Option<fn(u64, u64) -> u64>,
     retention: Retention,
@@ -502,7 +500,6 @@ impl MultiLog {
             cap_pages,
             stats: MultiLogStats::default(),
             updates_read: Arc::new(RelaxedCounter::new(0)),
-            bytes_per_interval: vec![0; n],
             combine: cfg.combine,
             retention: Retention::default(),
         })
@@ -530,12 +527,6 @@ impl MultiLog {
             updates_read: self.updates_read.get(),
             ..self.stats
         }
-    }
-
-    /// Cumulative encoded bytes appended to each interval's log (indexed
-    /// by interval id; same counting as `stats().bytes_appended`).
-    pub fn bytes_appended_per_interval(&self) -> &[u64] {
-        &self.bytes_per_interval
     }
 
     /// A read-side handle for this superstep (see [`LogReader`]).
@@ -661,11 +652,6 @@ impl MultiLog {
             + self.tops.iter().map(Vec::len).sum::<usize>()
     }
 
-    /// Messages logged (pending) per interval this superstep.
-    pub fn pending_counts(&self) -> &[u64] {
-        &self.counts
-    }
-
     /// Seal and decode interval `ii`'s top buffers in bucket order onto
     /// `out`, leaving them empty (capacity kept).
     fn drain_tops(&mut self, ii: usize, out: &mut Vec<Update>) -> Result<(), DeviceError> {
@@ -739,11 +725,9 @@ impl MultiLog {
         let appended = writes.iter().zip(placed).map(|(&(file, data), page)| (file, page, data));
         self.retention.pin(&self.ssd, appended);
         self.stats.pages_flushed += to_u64(writes.len());
-        for (i, page) in self.sealed.drain(..) {
-            let appended = to_u64(page.len());
-            self.stats.bytes_appended += appended;
-            self.bytes_per_interval[idx(i)] += appended;
-        }
+        self.stats.bytes_appended +=
+            writes.iter().map(|&(_, page)| to_u64(page.len())).sum::<u64>();
+        self.sealed.clear();
         Ok(())
     }
 
@@ -962,10 +946,8 @@ pub(crate) mod tests {
         let mut ml = setup(1 << 20);
         ml.send(Update::new(1, 0, 0)).unwrap();
         ml.send(Update::new(2, 0, 0)).unwrap();
-        assert_eq!(ml.pending_counts()[0], 2);
-        let counts = ml.finish_superstep().unwrap();
-        assert_eq!(counts[0], 2);
-        assert_eq!(ml.pending_counts()[0], 0);
+        assert_eq!(ml.finish_superstep().unwrap()[0], 2);
+        assert_eq!(ml.finish_superstep().unwrap()[0], 0);
     }
 
     #[test]
@@ -1033,11 +1015,10 @@ pub(crate) mod tests {
         // per-destination order kept, without touching the read side.
         let got = ml.take_log_current(0).unwrap();
         assert_eq!(sorted(got), sorted(current));
-        assert_eq!(ml.pending_counts()[0], 0, "counter rolled back");
         assert_eq!(drain(&ml, 0).unwrap(), vec![Update::new(1, 0, 11)], "read side intact");
         // Nothing left on either side for interval 0.
         assert!(ml.take_log_current(0).unwrap().is_empty());
-        ml.finish_superstep().unwrap();
+        assert_eq!(ml.finish_superstep().unwrap()[0], 0, "counter rolled back");
         assert!(drain(&ml, 0).unwrap().is_empty());
     }
 
@@ -1098,11 +1079,9 @@ pub(crate) mod tests {
         }
         b.send_batch(0, &ups).unwrap();
         assert_eq!(a.stats(), b.stats());
-        assert_eq!(a.pending_counts(), b.pending_counts());
         assert_eq!(a.buffered_pages(), b.buffered_pages());
         assert!(b.dest_seen(7));
-        a.finish_superstep().unwrap();
-        b.finish_superstep().unwrap();
+        assert_eq!(a.finish_superstep().unwrap(), b.finish_superstep().unwrap());
         assert_eq!(drain(&a, 0).unwrap(), drain(&b, 0).unwrap());
     }
 
@@ -1128,33 +1107,23 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn bytes_appended_accounting_per_interval() {
+    fn bytes_appended_counts_each_flushed_page() {
         // 100 vertices over 4 intervals of 25 — interval i is [25i, 25i+25).
         let mut ml = setup(1 << 20);
         assert_eq!(ml.stats().bytes_appended, 0);
-        assert_eq!(ml.bytes_appended_per_interval(), &[0, 0, 0, 0]);
-        // 3 updates into interval 0, 1 into interval 2.
+        // 3 updates into interval 0, 1 into interval 2: two pages.
         for dest in [0u32, 5, 24, 70] {
             ml.send(Update::new(dest, 1, 0)).unwrap();
         }
         ml.finish_superstep().unwrap();
-        let per = ml.bytes_appended_per_interval().to_vec();
         // Was 4 + 3 * 16 and 4 + 16 with the fixed-width layout.
         let rec = PageShape { wide_dest: false, has_src: true }.record_bytes();
-        assert_eq!(per[0], to_u64(PAGE_HEADER_BYTES + 3 * rec), "header + 3 records");
-        assert_eq!(per[1], 0);
-        assert_eq!(per[2], to_u64(PAGE_HEADER_BYTES + rec));
-        assert_eq!(per[3], 0);
-        assert_eq!(ml.stats().bytes_appended, per.iter().sum::<u64>());
-        // Accounting is cumulative across supersteps and agrees between
-        // the per-interval view and the total.
+        let first = to_u64(2 * PAGE_HEADER_BYTES + 4 * rec);
+        assert_eq!(ml.stats().bytes_appended, first, "two headers + 4 records");
+        // Accounting is cumulative across supersteps.
         ml.send(Update::new(99, 9, 9)).unwrap();
         ml.finish_superstep().unwrap();
-        assert_eq!(
-            ml.stats().bytes_appended,
-            ml.bytes_appended_per_interval().iter().sum::<u64>()
-        );
-        assert_eq!(ml.bytes_appended_per_interval()[3], to_u64(PAGE_HEADER_BYTES + rec));
+        assert_eq!(ml.stats().bytes_appended, first + to_u64(PAGE_HEADER_BYTES + rec));
     }
 
     #[test]

@@ -185,10 +185,6 @@ impl<T> ScopedJoinHandle<'_, T> {
             self.inner.join()
         }
     }
-
-    pub fn is_finished(&self) -> bool {
-        self.inner.is_finished()
-    }
 }
 
 /// Spawn `jobs` returning handles in job order. Under `race-detect` with a

@@ -7,18 +7,20 @@
 //! faulting the same graph pages hit each other's cache fills, and an
 //! injected crash in one job cannot touch its neighbours.
 //!
-//! Two entry points: [`Daemon::run_jobs`] executes a batch in-process on
-//! a bounded worker pool and returns typed [`JobResult`]s (the test and
-//! bench surface), and [`Daemon::serve`] drives the same pool from a
-//! line-delimited JSON transport (stdin or a socket wrapped in
-//! `BufRead`/`Write` — the `mlvc serve` subcommand).
+//! Every job takes one path — validate, admit, execute, release — whichever
+//! entry point it came through: [`Daemon::run_job`] on the calling thread,
+//! [`Daemon::run_jobs`] as an in-process batch returning typed
+//! [`JobResult`]s (the test and bench surface), and [`Daemon::serve`] from
+//! a line-delimited JSON transport (stdin or a socket wrapped in
+//! `BufRead`/`Write` — the `mlvc serve` subcommand). The last two drive the
+//! same bounded worker pool.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{BufRead, Write};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
-use mlvc_core::{Engine, EngineConfig, MultiLogEngine, RunReport};
+use mlvc_core::{Engine, EngineConfig, MultiLogEngine, RunReport, VertexProgram};
 use mlvc_graph::{Csr, StoredGraph, VertexIntervals, UPDATE_BYTES};
 use mlvc_mutate::{
     EdgeMutation, IngestStats, MergeOutcome, MutationConfig, MutationError, MutationLog,
@@ -31,7 +33,7 @@ use mlvc_ssd::{
 };
 use std::sync::Arc;
 
-use crate::admission::{Budget, Reservation, MIN_JOB_BYTES};
+use crate::admission::{Budget, MIN_JOB_BYTES};
 use crate::protocol::{
     accepted_line, done_line, failed_line, mutated_line, queued_line, rejected_line, JobRequest,
     MutationRequest, RejectReason, Request,
@@ -124,20 +126,28 @@ pub struct JobResult {
 pub struct Daemon {
     ssd: Arc<Ssd>,
     cache: Arc<PageCache>,
-    datasets: BTreeMap<String, Arc<StoredGraph>>,
-    /// Per-dataset on-device mutation logs (DESIGN.md §17), fed by the
-    /// `mutate` op. Shared so an embedding engine can attach one for
-    /// superstep-boundary merges.
-    mutation_logs: BTreeMap<String, Arc<PoisonFreeMutex<MutationLog>>>,
+    datasets: BTreeMap<String, Dataset>,
     budget: Budget,
     workers: usize,
     next_tenant: AtomicU32,
     completed: PoisonFreeMutex<Completed>,
-    /// Pinned-tier ledger (DESIGN.md §18): remaining pin budget plus, per
-    /// dataset, the pinned extent files and the bytes carved from the
-    /// admission budget for them.
-    pins: PoisonFreeMutex<PinLedger>,
+    /// Unspent pin budget, in bytes (DESIGN.md §18).
+    pin_left: PoisonFreeMutex<usize>,
 }
+
+/// Everything the daemon keeps of one registered dataset.
+struct Dataset {
+    graph: StoredGraph,
+    /// The on-device mutation log (DESIGN.md §17), fed by the `mutate` op.
+    /// Shared so an embedding engine can attach it.
+    mutations: Arc<PoisonFreeMutex<MutationLog>>,
+    /// The extent files the pinned tier holds, and the bytes carved from
+    /// the admission budget for them.
+    pinned: PoisonFreeMutex<(Vec<FileId>, usize)>,
+}
+
+/// How a validated job's run failed: the error's stable code and its text.
+type Failure = (&'static str, String);
 
 /// Jobs whose end-of-run metrics the Prometheus rollup keeps: the most
 /// recent ones, so a daemon's memory does not grow with the jobs it has
@@ -150,15 +160,6 @@ const ROLLUP_JOBS: usize = 64;
 struct Completed {
     jobs: u64,
     recent: VecDeque<(String, MetricsSnapshot)>,
-}
-
-/// Bookkeeping for the daemon's pinned tier.
-#[derive(Default)]
-struct PinLedger {
-    /// Unspent pin budget, in bytes.
-    remaining: usize,
-    /// Per dataset: pinned extent files and the bytes carved for them.
-    datasets: BTreeMap<String, (Vec<FileId>, usize)>,
 }
 
 impl Daemon {
@@ -181,15 +182,11 @@ impl Daemon {
             ssd,
             cache,
             datasets: BTreeMap::new(),
-            mutation_logs: BTreeMap::new(),
             budget: Budget::new(cfg.memory_budget),
             workers: cfg.workers.max(1),
             next_tenant: AtomicU32::new(1),
             completed: PoisonFreeMutex::new(Completed::default()),
-            pins: PoisonFreeMutex::new(PinLedger {
-                remaining: cfg.pin_budget_bytes,
-                datasets: BTreeMap::new(),
-            }),
+            pin_left: PoisonFreeMutex::new(cfg.pin_budget_bytes),
         }
     }
 
@@ -214,139 +211,119 @@ impl Daemon {
     pub fn add_dataset(&mut self, name: &str, graph: &Csr) -> Result<(), DeviceError> {
         let sort = EngineConfig::default().sort_budget();
         let iv = VertexIntervals::for_graph(graph, UPDATE_BYTES, sort);
-        let sg = StoredGraph::store_with(&self.ssd, graph, name, iv.clone())?;
-        self.pin_dataset(name, &sg)?;
-        let mlog = MutationLog::new(
-            Arc::clone(&self.ssd),
-            iv,
-            MutationConfig::default(),
-            name,
-        )
-        .map_err(MutationError::into_device_error)?;
-        self.datasets.insert(name.to_string(), Arc::new(sg));
-        self.mutation_logs
-            .insert(name.to_string(), Arc::new(PoisonFreeMutex::new(mlog)));
+        let ds = Dataset {
+            graph: StoredGraph::store_with(&self.ssd, graph, name, iv.clone())?,
+            mutations: Arc::new(PoisonFreeMutex::new(
+                MutationLog::new(Arc::clone(&self.ssd), iv, MutationConfig::default(), name)
+                    .map_err(MutationError::into_device_error)?,
+            )),
+            pinned: PoisonFreeMutex::new((Vec::new(), 0)),
+        };
+        self.pin(&ds)?;
+        self.datasets.insert(name.to_string(), ds);
         Ok(())
     }
 
     /// Pin the dataset's interval extents (row-pointer + column-index
     /// files) into the shared cache's pinned tier, front to back, while
     /// each interval fits both the remaining pin budget and the free
-    /// admission budget ([`Budget::carve`]). Registration order and
-    /// interval order are deterministic, so the pinned set is too. The
-    /// ledger records what was pinned so a mutation merge can re-pin
-    /// after rewriting the extents.
-    fn pin_dataset(&self, name: &str, sg: &StoredGraph) -> Result<(), DeviceError> {
-        let page_bytes = mlvc_ssd::checked::to_u64(self.ssd.page_size());
-        if self.pins.lock().remaining == 0 {
+    /// admission budget ([`Budget::carve`]). Whatever the dataset had
+    /// pinned is unpinned and its carve returned first, so after a
+    /// mutation merge rewrote the extents the pinned tier and both budgets
+    /// match the new extent sizes. Registration order and interval order
+    /// are deterministic, so the pinned set is too.
+    fn pin(&self, ds: &Dataset) -> Result<(), DeviceError> {
+        let (old, uncarved) = std::mem::take(&mut *ds.pinned.lock());
+        for f in old {
+            self.cache.unpin_file(f);
+        }
+        self.budget.uncarve(uncarved);
+        let mut left = self.pin_left.lock();
+        *left += uncarved;
+        if *left == 0 {
             return Ok(());
         }
-        // Size every interval's extents first, so the ledger lock is
-        // never held across a device call.
+        drop(left);
+        // Size every interval's extents first, so no lock is held across
+        // a device call.
+        let page_bytes = mlvc_ssd::checked::to_u64(self.ssd.page_size());
         let mut sized: Vec<(FileId, FileId, usize)> = Vec::new();
-        let mut iv: u32 = 0;
-        while mlvc_ssd::checked::idx(iv) < sg.intervals().num_intervals() {
-            let (rp, ci) = (sg.rowptr_file(iv), sg.colidx_file(iv));
+        for iv in ds.graph.intervals().iter_ids() {
+            let (rp, ci) = (ds.graph.rowptr_file(iv), ds.graph.colidx_file(iv));
             let pages = self.ssd.num_pages(rp)?.saturating_add(self.ssd.num_pages(ci)?);
             let bytes =
                 usize::try_from(pages.saturating_mul(page_bytes)).unwrap_or(usize::MAX);
             sized.push((rp, ci, bytes));
-            iv += 1;
         }
-        // Reserve greedily under the ledger; both ledgers commit before
-        // any page moves so concurrent registrations cannot overdraw.
+        // Reserve greedily; both budgets commit before any page moves so
+        // concurrent registrations cannot overdraw.
         let mut files: Vec<FileId> = Vec::new();
         let mut carved = 0usize;
         {
-            let mut ledger = self.pins.lock();
+            let mut left = self.pin_left.lock();
             for &(rp, ci, bytes) in &sized {
-                if bytes > 0 && bytes <= ledger.remaining && self.budget.carve(bytes) {
-                    ledger.remaining -= bytes;
+                if bytes > 0 && bytes <= *left && self.budget.carve(bytes) {
+                    *left -= bytes;
                     carved += bytes;
                     files.push(rp);
                     files.push(ci);
                 }
             }
-            if !files.is_empty() {
-                ledger.datasets.insert(name.to_string(), (files.clone(), carved));
-            }
         }
-        // The reserved extents belong to this dataset alone, so pinning
-        // them needs no lock.
+        *ds.pinned.lock() = (files.clone(), carved);
         for f in files {
             self.cache.pin_file(&self.ssd, f)?;
         }
         Ok(())
     }
 
-    /// Re-pin a dataset after a mutation merge rewrote its extents. The
-    /// rewrite's truncate+append already dropped the stale pinned copies
-    /// device-side; this returns the dataset's carve to the budget, then
-    /// runs the same greedy pass so the pinned tier and both ledgers
-    /// match the post-merge extent sizes.
-    fn repin_dataset(&self, name: &str) -> Result<(), DeviceError> {
-        let Some(sg) = self.datasets.get(name) else { return Ok(()) };
-        {
-            let mut ledger = self.pins.lock();
-            match ledger.datasets.remove(name) {
-                Some((files, carved)) => {
-                    for f in files {
-                        self.cache.unpin_file(f);
-                    }
-                    self.budget.uncarve(carved);
-                    ledger.remaining += carved;
-                }
-                None if ledger.remaining == 0 => return Ok(()),
-                None => {}
-            }
-        }
-        self.pin_dataset(name, sg)
-    }
-
     /// The dataset's shared mutation log, for attaching to an engine or
     /// inspecting pending counts. `None` for unregistered names.
     pub fn mutation_log(&self, name: &str) -> Option<Arc<PoisonFreeMutex<MutationLog>>> {
-        self.mutation_logs.get(name).cloned()
-    }
-
-    /// Registered dataset names.
-    pub fn dataset_names(&self) -> Vec<String> {
-        self.datasets.keys().cloned().collect()
+        self.datasets.get(name).map(|ds| Arc::clone(&ds.mutations))
     }
 
     /// Admission check without reserving anything: would this request
-    /// ever be runnable?
-    pub fn validate(&self, req: &JobRequest) -> Result<(), RejectReason> {
+    /// ever be runnable? Resolves it to the dataset record it names and
+    /// the program it runs.
+    fn validate(
+        &self,
+        req: &JobRequest,
+    ) -> Result<(&Dataset, Box<dyn VertexProgram>), RejectReason> {
         if req.id.is_empty() {
             return Err(RejectReason::MalformedRequest("empty job id".to_string()));
         }
         self.budget.check(req.memory_bytes)?;
-        let g = self
+        let ds = self
             .datasets
             .get(&req.dataset)
             .ok_or_else(|| RejectReason::UnknownDataset(req.dataset.clone()))?;
-        if mlvc_ssd::checked::idx(req.source) >= g.num_vertices() {
+        if mlvc_ssd::checked::idx(req.source) >= ds.graph.num_vertices() {
             return Err(RejectReason::MalformedRequest(format!(
                 "source {} out of range for dataset {:?}",
                 req.source, req.dataset
             )));
         }
-        drop(mlvc_apps::by_name(&req.app, g.has_weights(), req.source)?);
-        Ok(())
+        let prog = mlvc_apps::by_name(&req.app, ds.graph.has_weights(), req.source)?;
+        Ok((ds, prog))
     }
 
     /// Admission check for a mutation batch without touching the log:
     /// dataset known and unweighted, batch under the per-request cap,
-    /// every vertex id in range.
-    pub fn validate_mutation(&self, req: &MutationRequest) -> Result<(), RejectReason> {
+    /// every vertex id in range. Resolves it to the dataset record and
+    /// the batch to ingest.
+    fn validate_mutation(
+        &self,
+        req: &MutationRequest,
+    ) -> Result<(&Dataset, Vec<EdgeMutation>), RejectReason> {
         if req.id.is_empty() {
             return Err(RejectReason::MalformedRequest("empty mutation id".to_string()));
         }
-        let g = self
+        let ds = self
             .datasets
             .get(&req.dataset)
             .ok_or_else(|| RejectReason::UnknownDataset(req.dataset.clone()))?;
-        if g.has_weights() {
+        if ds.graph.has_weights() {
             return Err(RejectReason::MalformedRequest(format!(
                 "dataset {:?} is weighted; edge mutations are unsupported",
                 req.dataset
@@ -358,15 +335,15 @@ impl Daemon {
                 max: MAX_MUTATION_EDGES,
             });
         }
-        let n = g.num_vertices();
-        for &(s, d) in req.add.iter().chain(&req.remove) {
-            for v in [s, d] {
-                if mlvc_ssd::checked::idx(v) >= n {
-                    return Err(RejectReason::MutationOutOfRange { v, num_vertices: n });
-                }
-            }
+        let mut batch = Vec::with_capacity(req.len());
+        batch.extend(req.add.iter().map(|&(s, d)| EdgeMutation::add(s, d)));
+        batch.extend(req.remove.iter().map(|&(s, d)| EdgeMutation::remove(s, d)));
+        if let Err(MutationError::OutOfRange { v, num_vertices }) =
+            mlvc_mutate::validate_range(&batch, ds.graph.num_vertices())
+        {
+            return Err(RejectReason::MutationOutOfRange { v, num_vertices });
         }
-        Ok(())
+        Ok((ds, batch))
     }
 
     /// Validate and ingest one mutation batch into the dataset's log,
@@ -374,19 +351,10 @@ impl Daemon {
     /// while the ingest runs (batches queue FIFO behind jobs under memory
     /// pressure, like any other admission).
     pub fn apply_mutation(&self, req: &MutationRequest) -> Result<IngestStats, JobError> {
-        self.validate_mutation(req).map_err(JobError::Rejected)?;
-        let mlog = self
-            .mutation_logs
-            .get(&req.dataset)
-            .ok_or_else(|| {
-                JobError::Rejected(RejectReason::UnknownDataset(req.dataset.clone()))
-            })?;
+        let (ds, batch) = self.validate_mutation(req).map_err(JobError::Rejected)?;
         let footprint = req.len().saturating_mul(UPDATE_BYTES).max(MIN_JOB_BYTES);
         let hold = self.budget.reserve_blocking(footprint);
-        let mut batch = Vec::with_capacity(req.len());
-        batch.extend(req.add.iter().map(|&(s, d)| EdgeMutation::add(s, d)));
-        batch.extend(req.remove.iter().map(|&(s, d)| EdgeMutation::remove(s, d)));
-        let ingested = mlog.lock().ingest(&batch);
+        let ingested = ds.mutations.lock().ingest(&batch);
         drop(hold);
         ingested.map_err(|e| {
             let error = e.to_string();
@@ -402,35 +370,37 @@ impl Daemon {
         &self,
         dataset: &str,
     ) -> Result<Option<MergeOutcome>, DeviceError> {
-        let Some(mlog) = self.mutation_logs.get(dataset) else {
+        let Some(ds) = self.datasets.get(dataset) else {
             return Ok(None);
         };
-        let Some(graph) = self.datasets.get(dataset) else {
-            return Ok(None);
-        };
-        let mut guard = mlog.lock();
+        let mut guard = ds.mutations.lock();
         if guard.pending() == 0 {
             return Ok(None);
         }
-        let outcome = guard.merge(graph).map_err(MutationError::into_device_error)?;
+        let outcome = guard.merge(&ds.graph).map_err(MutationError::into_device_error)?;
         drop(guard);
         // The merge's truncate+append rewrite already invalidated the
         // dirty extents' cached and pinned pages; re-pin against the new
         // extent sizes so the pinned tier and budget carve stay accurate.
-        self.repin_dataset(dataset)?;
+        self.pin(ds)?;
         Ok(Some(outcome))
     }
 
-    /// Run one already-validated job under a held reservation: give it a
-    /// private tenant view of the device, rebind the stored graph to the
-    /// view, and drive the engine.
-    fn execute(&self, req: &JobRequest) -> Result<JobOutcome, JobError> {
-        let graph = self
-            .datasets
-            .get(&req.dataset)
-            .ok_or_else(|| JobError::Rejected(RejectReason::UnknownDataset(req.dataset.clone())))?;
-        let prog = mlvc_apps::by_name(&req.app, graph.has_weights(), req.source)
-            .map_err(|e| JobError::Rejected(e.into()))?;
+    /// The one job lifecycle after validation: admit (`on_queued` runs
+    /// once, before the job waits, if its reservation does not fit the
+    /// free budget now), execute on a private tenant view of the device
+    /// with the stored graph rebound to the view, release on return.
+    fn admit_and_execute(
+        &self,
+        req: &JobRequest,
+        ds: &Dataset,
+        prog: &dyn VertexProgram,
+        on_queued: impl FnOnce(),
+    ) -> Result<JobOutcome, Failure> {
+        let _hold = self.budget.try_reserve(req.memory_bytes).unwrap_or_else(|| {
+            on_queued();
+            self.budget.reserve_blocking(req.memory_bytes)
+        });
         let tenant = self.next_tenant.fetch_add(1, Ordering::SeqCst);
         let view = Arc::new(self.ssd.tenant_view(tenant));
         if let Some(n) = req.crash_after {
@@ -442,13 +412,13 @@ impl Daemon {
             .with_async(req.async_mode)
             .with_obs(true)
             .with_tag(&req.id);
-        cfg.validate().map_err(|e| JobError::Failed { code: e.code(), error: e.to_string() })?;
-        let bound = Arc::new(graph.with_device(Arc::clone(&view)));
+        cfg.validate().map_err(|e| (e.code(), e.to_string()))?;
+        let bound = Arc::new(ds.graph.with_device(Arc::clone(&view)));
         let mut engine = MultiLogEngine::with_shared_graph(Arc::clone(&view), bound, cfg);
-        let report = engine.run(prog.as_ref(), req.steps);
+        let report = engine.run(prog, req.steps);
         self.note_completed(&req.id, report.obs.clone());
         if let Some(e) = &report.interrupted {
-            return Err(JobError::Failed { code: e.code(), error: e.to_string() });
+            return Err((e.code(), e.to_string()));
         }
         let states = engine.states().to_vec();
         let device = view.stats().snapshot();
@@ -459,25 +429,12 @@ impl Daemon {
     /// Validate, reserve (waiting if the budget is currently exhausted),
     /// and run one job on the calling thread.
     pub fn run_job(&self, req: &JobRequest) -> JobResult {
-        if let Err(r) = self.validate(req) {
-            return JobResult {
-                id: req.id.clone(),
-                queued: false,
-                outcome: Err(JobError::Rejected(r)),
-            };
-        }
-        let (queued, hold) = self.admit(req.memory_bytes);
-        let outcome = self.execute(req);
-        drop(hold);
+        let mut queued = false;
+        let outcome = self.validate(req).map_err(JobError::Rejected).and_then(|(ds, prog)| {
+            self.admit_and_execute(req, ds, prog.as_ref(), || queued = true)
+                .map_err(|(code, error)| JobError::Failed { code, error })
+        });
         JobResult { id: req.id.clone(), queued, outcome }
-    }
-
-    /// Reserve budget, reporting whether the job had to queue.
-    fn admit(&self, bytes: usize) -> (bool, Reservation<'_>) {
-        match self.budget.try_reserve(bytes) {
-            Some(r) => (false, r),
-            None => (true, self.budget.reserve_blocking(bytes)),
-        }
     }
 
     /// Execute a batch of jobs on the daemon's bounded worker pool.
@@ -485,36 +442,19 @@ impl Daemon {
     /// in any order, all sharing the device and its page cache.
     pub fn run_jobs(&self, reqs: Vec<JobRequest>) -> Vec<JobResult> {
         let n = reqs.len();
-        let queue: PoisonFreeMutex<VecDeque<(usize, JobRequest)>> =
-            PoisonFreeMutex::new(reqs.into_iter().enumerate().collect());
         let results: PoisonFreeMutex<Vec<Option<JobResult>>> =
             PoisonFreeMutex::new((0..n).map(|_| None).collect());
-        let workers = self.workers.min(n.max(1));
-        mlvc_par::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| {
-                    while let Some((idx, req)) = pop_job(&queue) {
-                        let res = self.run_job(&req);
-                        store_result(&results, idx, res);
-                    }
-                });
-            }
-        });
-        results
-            .into_inner()
-            .into_iter()
-            .enumerate()
-            .map(|(i, r)| {
-                r.unwrap_or_else(|| JobResult {
-                    id: format!("job-{i}"),
-                    queued: false,
-                    outcome: Err(JobError::Failed {
-                        code: "worker-terminated",
-                        error: "worker terminated".to_string(),
-                    }),
-                })
-            })
-            .collect()
+        on_pool(
+            self.workers.min(n.max(1)),
+            |(i, req): (usize, JobRequest)| {
+                let r = self.run_job(&req);
+                results.lock()[i] = Some(r);
+            },
+            |q| reqs.into_iter().enumerate().for_each(|job| q.push(job)),
+        );
+        // Every slot is filled: a worker that panicked would have made
+        // the pool's scope panic before this line.
+        results.into_inner().into_iter().flatten().collect()
     }
 
     /// Drive the worker pool from a line-delimited JSON transport: read
@@ -523,43 +463,24 @@ impl Daemon {
     /// `shutdown` request or EOF, once every accepted job has finished.
     pub fn serve<R: BufRead, W: Write + Send>(&self, input: R, output: W) -> std::io::Result<()> {
         let out = PoisonFreeMutex::new(output);
-        let q = ServeQueue::default();
-        mlvc_par::scope(|s| {
-            for _ in 0..self.workers {
-                s.spawn(|| {
-                    while let Some(req) = q.pop() {
-                        let hold = match self.budget.try_reserve(req.memory_bytes) {
-                            Some(r) => r,
-                            None => {
-                                emit(&out, &queued_line(&req.id));
-                                self.budget.reserve_blocking(req.memory_bytes)
-                            }
-                        };
-                        let outcome = self.execute(&req);
-                        drop(hold);
-                        match outcome {
-                            Ok(o) => emit(
-                                &out,
-                                &done_line(
-                                    &o.id,
-                                    o.report.supersteps.len(),
-                                    o.report.converged,
-                                    o.device.pages_read,
-                                    o.cache.hits,
-                                    o.report.total_sim_time_ns(),
-                                ),
-                            ),
-                            // Admitted already: whatever ends it now, it failed.
-                            Err(JobError::Rejected(r)) => {
-                                emit(&out, &failed_line(&req.id, r.code(), &r.to_string()))
-                            }
-                            Err(JobError::Failed { code, error }) => {
-                                emit(&out, &failed_line(&req.id, code, &error))
-                            }
-                        }
-                    }
-                });
+        let work = |(req, ds, prog): (JobRequest, &Dataset, Box<dyn VertexProgram>)| {
+            let queued = || emit(&out, &queued_line(&req.id));
+            match self.admit_and_execute(&req, ds, prog.as_ref(), queued) {
+                Ok(o) => emit(
+                    &out,
+                    &done_line(
+                        &o.id,
+                        o.report.supersteps.len(),
+                        o.report.converged,
+                        o.device.pages_read,
+                        o.cache.hits,
+                        o.report.total_sim_time_ns(),
+                    ),
+                ),
+                Err((code, error)) => emit(&out, &failed_line(&req.id, code, &error)),
             }
+        };
+        on_pool(self.workers, work, |q| {
             for line in input.lines() {
                 let Ok(line) = line else { break };
                 let line = line.trim();
@@ -568,9 +489,9 @@ impl Daemon {
                 }
                 match Request::parse(line) {
                     Ok(Request::Run(req)) => match self.validate(&req) {
-                        Ok(()) => {
+                        Ok((ds, prog)) => {
                             emit(&out, &accepted_line(&req.id));
-                            q.push(req);
+                            q.push((req, ds, prog));
                         }
                         Err(r) => emit(&out, &rejected_line(&req.id, &r)),
                     },
@@ -597,7 +518,6 @@ impl Daemon {
                     Err(r) => emit(&out, &rejected_line("", &r)),
                 }
             }
-            q.close();
         });
         Ok(())
     }
@@ -679,12 +599,22 @@ impl Daemon {
     }
 }
 
-fn pop_job(q: &PoisonFreeMutex<VecDeque<(usize, JobRequest)>>) -> Option<(usize, JobRequest)> {
-    q.lock().pop_front()
-}
-
-fn store_result(r: &PoisonFreeMutex<Vec<Option<JobResult>>>, idx: usize, val: JobResult) {
-    r.lock()[idx] = Some(val);
+/// The daemon's worker pool: `workers` threads run `work` on each queued
+/// item, FIFO, while `feed` fills the queue on the calling thread. Returns
+/// once `feed` has returned and every item it queued has been worked.
+fn on_pool<T: Send>(workers: usize, work: impl Fn(T) + Sync, feed: impl FnOnce(&ServeQueue<T>)) {
+    let q = ServeQueue { state: Mutex::new((VecDeque::new(), false)), ready: Condvar::new() };
+    mlvc_par::scope(|s| {
+        for _ in 0..workers {
+            s.spawn(|| {
+                while let Some(item) = q.pop() {
+                    work(item);
+                }
+            });
+        }
+        feed(&q);
+        q.close();
+    });
 }
 
 /// Write one reply line, swallowing transport errors (a client that hung
@@ -697,18 +627,17 @@ fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Blocking FIFO handoff between the transport dispatcher and the worker
-/// pool. Raw `std::sync::Mutex` because waiting needs a [`Condvar`].
-#[derive(Default)]
-struct ServeQueue {
-    /// (pending jobs, closed flag).
-    state: Mutex<(VecDeque<JobRequest>, bool)>,
+/// Blocking FIFO handoff from the feeding thread to the worker pool. Raw
+/// `std::sync::Mutex` because waiting needs a [`Condvar`].
+struct ServeQueue<T> {
+    /// (pending items, closed flag).
+    state: Mutex<(VecDeque<T>, bool)>,
     ready: Condvar,
 }
 
-impl ServeQueue {
-    fn push(&self, job: JobRequest) {
-        locked(&self.state).0.push_back(job);
+impl<T> ServeQueue<T> {
+    fn push(&self, item: T) {
+        locked(&self.state).0.push_back(item);
         self.ready.notify_one();
     }
 
@@ -717,13 +646,13 @@ impl ServeQueue {
         self.ready.notify_all();
     }
 
-    /// Next job, blocking while the queue is open but empty; `None` once
+    /// Next item, blocking while the queue is open but empty; `None` once
     /// it is closed and drained.
-    fn pop(&self) -> Option<JobRequest> {
+    fn pop(&self) -> Option<T> {
         let mut g = locked(&self.state);
         loop {
-            if let Some(job) = g.0.pop_front() {
-                return Some(job);
+            if let Some(item) = g.0.pop_front() {
+                return Some(item);
             }
             if g.1 {
                 return None;

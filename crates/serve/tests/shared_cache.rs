@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use mlvc_core::{Engine, EngineConfig, MultiLogEngine};
 use mlvc_graph::{Csr, StoredGraph, VertexIntervals, UPDATE_BYTES};
-use mlvc_serve::{Daemon, JobRequest, ServeConfig};
+use mlvc_serve::{Daemon, JobRequest, MutationRequest, ServeConfig};
 use mlvc_ssd::{Ssd, SsdConfig};
 
 fn graph() -> Csr {
@@ -140,6 +140,38 @@ fn pinned_tier_preserves_identity_and_carves_the_budget() {
         after.pinned_bytes as usize,
         "the carve stays while the pins stay"
     );
+}
+
+/// A merge rewrites a pinned dataset's extents, dropping their pinned
+/// copies; the daemon pins the rewritten extents again, so the carve still
+/// equals the pinned bytes and the next job is served from the pinned tier.
+#[test]
+fn a_merge_re_pins_the_rewritten_extents() {
+    let mut daemon = Daemon::new(ServeConfig {
+        cache_pages: 4,
+        workers: 1,
+        pin_budget_bytes: 4 << 20,
+        ..ServeConfig::default()
+    });
+    daemon.add_dataset("cf", &graph()).unwrap();
+    let batch = MutationRequest {
+        id: "m".to_string(),
+        dataset: "cf".to_string(),
+        add: vec![(510, 511), (511, 510)],
+        remove: vec![(0, 1), (1, 0)],
+    };
+    daemon.apply_mutation(&batch).unwrap();
+    assert!(daemon.merge_mutations("cf").unwrap().is_some(), "the batch merges");
+    let snap = daemon.cache().snapshot();
+    assert!(snap.pinned_pages > 0, "the merge must leave the dataset pinned");
+    assert_eq!(
+        daemon.budget().reserved(),
+        snap.pinned_bytes as usize,
+        "the carve must follow the rewritten extents"
+    );
+    daemon.run_job(&req("after-merge", "pagerank", 3)).outcome.unwrap();
+    let after = daemon.cache().snapshot();
+    assert!(after.pinned_hits > snap.pinned_hits, "the job must hit the re-pinned extents");
 }
 
 #[test]

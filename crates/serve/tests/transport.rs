@@ -3,7 +3,8 @@
 
 use std::io::Cursor;
 
-use mlvc_serve::{Daemon, ServeConfig};
+use mlvc_obs::json::Json;
+use mlvc_serve::{Daemon, JobRequest, ServeConfig};
 
 fn events(output: &[u8]) -> Vec<(String, String)> {
     String::from_utf8_lossy(output)
@@ -64,4 +65,70 @@ fn eof_drains_accepted_jobs_before_returning() {
     let rollup = daemon.prometheus_rollup();
     assert!(rollup.contains("mlvc_serve_device_pages_read_total"));
     assert!(rollup.contains("job=\"only\""), "per-job series must carry the job label");
+}
+
+/// `run_jobs` and `serve` drive one lifecycle: the same requests on two
+/// fresh one-worker daemons pass through the same states, and every
+/// `done` line carries the numbers of the matching `JobOutcome`.
+#[test]
+fn run_jobs_and_serve_agree_job_for_job() {
+    let g = mlvc_gen::cf_mini(8, 5).graph;
+    let daemon = || {
+        let mut d = Daemon::new(ServeConfig { workers: 1, ..ServeConfig::default() });
+        d.add_dataset("cf", &g).unwrap();
+        d
+    };
+    let reqs: Vec<JobRequest> = [("bfs-1", "bfs"), ("wcc-1", "wcc"), ("pr-1", "pagerank")]
+        .iter()
+        .map(|&(id, app)| JobRequest {
+            id: id.to_string(),
+            app: app.to_string(),
+            dataset: "cf".to_string(),
+            memory_bytes: 1 << 20,
+            steps: 8,
+            ..JobRequest::default()
+        })
+        .collect();
+    let batch = daemon().run_jobs(reqs.clone());
+
+    let input: String = reqs
+        .iter()
+        .map(|r| {
+            format!(
+                "{{\"op\":\"run\",\"id\":\"{}\",\"app\":\"{}\",\"dataset\":\"{}\",\
+                 \"memory_kb\":{},\"steps\":{},\"seed\":{}}}\n",
+                r.id,
+                r.app,
+                r.dataset,
+                r.memory_bytes >> 10,
+                r.steps,
+                r.seed
+            )
+        })
+        .collect();
+    let mut out: Vec<u8> = Vec::new();
+    daemon().serve(Cursor::new(input), &mut out).unwrap();
+    let replies: Vec<Json> = String::from_utf8_lossy(&out)
+        .lines()
+        .map(|l| mlvc_obs::json::parse(l).unwrap_or_else(|e| panic!("bad reply {l}: {e}")))
+        .collect();
+    let field = |v: &Json, k: &str| v.get(k).cloned().unwrap_or(Json::Null);
+
+    for r in &batch {
+        let id = Some(r.id.as_str());
+        let mine: Vec<&Json> =
+            replies.iter().filter(|v| v.get("id").and_then(Json::as_str) == id).collect();
+        let events: Vec<&str> =
+            mine.iter().filter_map(|v| v.get("event").and_then(Json::as_str)).collect();
+        assert!(!r.queued, "{}", r.id);
+        assert_eq!(events, ["accepted", "done"], "{}", r.id);
+        let o = r.outcome.as_ref().expect("every job runs");
+        let done = mine[1];
+        let num = |x: u64| Json::Num(x as f64);
+        assert_eq!(field(done, "supersteps"), num(o.report.supersteps.len() as u64), "{}", r.id);
+        assert_eq!(field(done, "converged"), Json::Bool(o.report.converged), "{}", r.id);
+        assert_eq!(field(done, "pages_read"), num(o.device.pages_read), "{}", r.id);
+        assert_eq!(field(done, "cache_hits"), num(o.cache.hits), "{}", r.id);
+        assert_eq!(field(done, "sim_time_ns"), num(o.report.total_sim_time_ns()), "{}", r.id);
+    }
 }

@@ -57,7 +57,7 @@ use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::ops::Range;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
-use crate::checked::{to_u64, to_usize};
+use crate::checked::to_u64;
 use crate::cost::PageAddr;
 use crate::device::{FileId, Ssd};
 use crate::fault::DeviceError;
@@ -247,13 +247,6 @@ impl PageCache {
             }),
             filled: Condvar::new(),
         }
-    }
-
-    /// Size the cache from a byte budget and the device page size.
-    pub fn for_budget(budget_bytes: u64, page_size: usize) -> Self {
-        let per = to_u64(page_size).max(1);
-        let pages = to_usize("cache frame count", budget_bytes / per).unwrap_or(usize::MAX / 2);
-        PageCache::new(pages)
     }
 
     /// Number of frames.
@@ -1008,13 +1001,5 @@ mod tests {
         let evictions = cache.snapshot().evictions;
         assert!(evictions > 500 && am_peak > 4, "the mix must churn both queues");
         assert_eq!(digest, 0x9b9e_d95c_be65_b958, "{evictions} evictions");
-    }
-
-    #[test]
-    fn budget_sizing_clamps_to_one_frame() {
-        let c = PageCache::for_budget(0, 4096);
-        assert_eq!(c.capacity_pages(), 1);
-        let c = PageCache::for_budget(10 * 4096, 4096);
-        assert_eq!(c.capacity_pages(), 10);
     }
 }

@@ -46,11 +46,6 @@ impl SsdConfig {
     pub fn test_small() -> Self {
         SsdConfig::default().with_page_size(256)
     }
-
-    /// Number of pages needed to hold `bytes` bytes.
-    pub fn pages_for(&self, bytes: usize) -> usize {
-        bytes.div_ceil(self.page_size)
-    }
 }
 
 #[cfg(test)]
@@ -66,15 +61,6 @@ mod tests {
         // SATA-class read bandwidth: page_size * channels / READ_NS.
         let mbps = (c.page_size * c.channels) as f64 / (READ_NS as f64 / 1e9) / 1e6;
         assert!((400.0..700.0).contains(&mbps), "read bandwidth {mbps} MB/s");
-    }
-
-    #[test]
-    fn pages_for_rounds_up() {
-        let c = SsdConfig::test_small();
-        assert_eq!(c.pages_for(0), 0);
-        assert_eq!(c.pages_for(1), 1);
-        assert_eq!(c.pages_for(256), 1);
-        assert_eq!(c.pages_for(257), 2);
     }
 
     #[test]

@@ -224,11 +224,6 @@ impl Ssd {
         self.fault.lock().install(plan);
     }
 
-    /// The currently armed plan, if any.
-    pub fn fault_plan(&self) -> Option<FaultPlan> {
-        self.fault.lock().plan()
-    }
-
     /// Whether the device is in the crashed state (every operation fails
     /// with [`DeviceError::Crashed`]).
     pub fn is_crashed(&self) -> bool {

@@ -227,10 +227,6 @@ impl FaultState {
         self.crashed
     }
 
-    pub(crate) fn plan(&self) -> Option<FaultPlan> {
-        self.plan.clone()
-    }
-
     pub(crate) fn counters(&self) -> FaultCounters {
         self.counters
     }
@@ -357,7 +353,7 @@ mod tests {
         assert!(s.is_crashed());
         s.revive();
         assert!(!s.is_crashed());
-        assert!(s.plan().is_none());
+        assert!(s.plan.is_none());
         assert!(matches!(s.note_page_write(128), Ok(WriteFate::Proceed)));
     }
 }

@@ -133,6 +133,30 @@ printf 'add 0 512\nadd 512 0\nremove 0 1\n' >"$smoke_dir/batch.txt"
 cargo run -q --release --bin mlvc -- ingest --graph "$smoke_dir/mut.csr" \
   --batch "$smoke_dir/batch.txt" --app wcc --out "$smoke_dir/mut-after.csr" >/dev/null
 
+echo "== serve smoke (mlvc serve) =="
+# The daemon through the CLI (DESIGN.md §15) on the graph above, with the
+# pinned tier on: a run, a mutate, a second run, a run naming an unknown
+# dataset, shutdown. Replies interleave across threads, so they are
+# compared sorted; the Prometheus rollup must be the same bytes at 1 and
+# 2 threads.
+cat >"$smoke_dir/requests.jsonl" <<'EOF'
+{"op":"run","id":"before","app":"bfs","dataset":"g","memory_kb":1024,"steps":8}
+{"op":"mutate","id":"m1","dataset":"g","add":[[0,512],[512,0]],"remove":[[0,1]]}
+{"op":"run","id":"after","app":"pagerank","dataset":"g","memory_kb":1024,"steps":5}
+{"op":"run","id":"lost","app":"bfs","dataset":"nope"}
+{"op":"shutdown"}
+EOF
+for t in 1 2; do
+  MLVC_THREADS=$t cargo run -q --release --bin mlvc -- serve --graphs "g=$smoke_dir/mut.csr" \
+    --workers 1 --cache-kb 256 --pin-budget-kb 512 --metrics "$smoke_dir/serve.$t.prom" \
+    --requests "$smoke_dir/requests.jsonl" | sort >"$smoke_dir/serve.$t"
+done
+diff "$smoke_dir/serve.1" "$smoke_dir/serve.2"
+cmp "$smoke_dir/serve.1.prom" "$smoke_dir/serve.2.prom"
+grep -c '"event":"done"' "$smoke_dir/serve.1" | grep -qx 2
+grep -q '"event":"mutated","id":"m1"' "$smoke_dir/serve.1"
+grep -q '"id":"lost","code":"unknown-dataset"' "$smoke_dir/serve.1"
+
 echo "== owner rows on the benchmark's job shape (examples/owner_rows) =="
 # The job shape every host-clock issue quotes — cf_mini(17, 42), 4 MiB,
 # PageRank and RandomWalk::new(4, 1, 20), through the steps of `mlvc run` —
