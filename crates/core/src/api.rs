@@ -1,4 +1,4 @@
-use mlvc_graph::{EdgeMutation, Edges, Entry, Segment, VertexId, VertexIntervals, Weights};
+use mlvc_graph::{EdgeMutation, Edges, Segment, VertexId, VertexIntervals, Weights};
 use mlvc_log::Update;
 use mlvc_mutate::MutationDelta;
 
@@ -43,6 +43,9 @@ pub struct SendSink {
     cur_hi: VertexId,
     /// Messages waiting for [`Self::settle`], in send order.
     held: Vec<Held>,
+    /// Where [`Self::push_all`] decodes a packed segment's ids; kept, so a
+    /// list costs no allocation.
+    ids: Vec<VertexId>,
 }
 
 /// A message held back until the sink settles.
@@ -72,6 +75,7 @@ impl SendSink {
             cur_lo: 0,
             cur_hi: VertexId::MAX,
             held: Vec::new(),
+            ids: Vec::new(),
         }
     }
 
@@ -85,6 +89,7 @@ impl SendSink {
             cur_hi: 0,
             intervals: Some(intervals.clone()),
             held: Vec::new(),
+            ids: Vec::new(),
         }
     }
 
@@ -153,7 +158,8 @@ impl SendSink {
 
     /// `data` from `src` to every vertex of `dests`, one page segment of the
     /// list after another — a stored list is decoded here, in the pass that
-    /// routes it, and nowhere before.
+    /// routes it, and nowhere before: a packed segment is decoded into the
+    /// sink's kept buffer, eight ids at a time, then routed from there.
     fn push_all(&mut self, src: VertexId, dests: Edges<'_>, data: u64) {
         if !self.held.is_empty() {
             self.held.extend(dests.iter().map(|d| Held { hop: Hop::To(d), src, data }));
@@ -161,31 +167,28 @@ impl SendSink {
         }
         for seg in dests.segments() {
             match seg {
-                Segment::Decoded(ids) => self.push_runs(src, ids, |&d| d, data),
-                Segment::Le(ids) => self.push_runs(src, ids, |&d| VertexId::decode(d), data),
+                Segment::Decoded(ids) => self.push_runs(src, ids, data),
+                Segment::Packed(packed) => {
+                    let mut buf = std::mem::take(&mut self.ids);
+                    self.push_runs(src, packed.decode(&mut buf), data);
+                    self.ids = buf;
+                }
             }
         }
     }
 
-    /// One segment of [`Self::push_all`], a run of neighbours bound for one
-    /// buffer at a time — each run reserves once.
-    fn push_runs<E>(
-        &mut self,
-        src: VertexId,
-        dests: &[E],
-        id: impl Fn(&E) -> VertexId + Copy,
-        data: u64,
-    ) {
+    /// A run of neighbours of [`Self::push_all`], bound for one buffer at a
+    /// time — each run reserves once.
+    fn push_runs(&mut self, src: VertexId, dests: &[VertexId], data: u64) {
         let mut rest = dests;
-        while let Some(first) = rest.first() {
-            self.seek(id(first));
+        while let Some(&first) = rest.first() {
+            self.seek(first);
             let (lo, hi) = (self.cur_lo, self.cur_hi);
-            let run =
-                rest.iter().position(|d| !(lo..=hi).contains(&id(d))).unwrap_or(rest.len());
+            let run = rest.iter().position(|d| !(lo..=hi).contains(d)).unwrap_or(rest.len());
             // `seek` put `first` in range; the `max` only keeps a send to a
             // vertex the graph does not have from looping here.
             let (now, later) = rest.split_at(run.max(1));
-            self.bufs[self.cur].extend(now.iter().map(|d| Update::new(id(d), src, data)));
+            self.bufs[self.cur].extend(now.iter().map(|&d| Update::new(d, src, data)));
             rest = later;
         }
     }

@@ -11,7 +11,9 @@
 //!   (§V-A1);
 //! * [`StoredGraph`] — the CSR laid out on the simulated SSD, partitioned
 //!   *per interval* (each interval owns its own row-pointer and column-index
-//!   extents) so that structural updates merge locally (§V-E);
+//!   extents) so that structural updates merge locally (§V-E), every page in
+//!   the [`page`] format: a self-describing header, then entries bit-packed
+//!   at a width observed from the graph;
 //! * [`GraphLoader`] — the Graph Loader Unit (§V-B2): given the active vertex
 //!   set it reads **only the SSD pages containing active vertex data**, and
 //!   records per-page utilization — the raw material for the paper's Fig. 3
@@ -26,6 +28,7 @@ mod builder;
 mod csr;
 mod intervals;
 mod loader;
+pub mod page;
 mod stored;
 mod structural;
 mod view;
@@ -37,8 +40,8 @@ pub use builder::EdgeListBuilder;
 pub use csr::Csr;
 pub use intervals::{IntervalId, VertexIntervals};
 pub use loader::{AdjVertex, Adjacency, GraphLoader, PageUsage};
-pub use stored::{read_u32s, read_u64s, write_partition, StoredGraph, UPDATE_BYTES};
-pub use view::{Edges, Entry, ListView, Segment, Weights};
+pub use stored::{read_partition, write_partition, IntervalCsr, StoredGraph, UPDATE_BYTES};
+pub use view::{Edges, Entry, ListView, Packed, Segment, Weights};
 pub use structural::{
     dedup_last_wins, upsert_adjacency, EdgeMutation, MutationOp, StructuralUpdateBuffer,
 };
@@ -46,13 +49,21 @@ pub use structural::{
 /// Vertex identifier. The paper uses 4-byte vertex ids (§VI).
 pub type VertexId = u32;
 
-/// Bytes of one row-pointer entry on storage (paper §VI: "8-byte data type
-/// for the rowPtr vector").
-pub const ROW_PTR_BYTES: usize = 8;
+/// xorshift64*: this crate sits below `mlvc-gen`, so its seeded tests draw
+/// from their own generator.
+#[cfg(test)]
+struct Rng(u64);
 
-/// Bytes of one column-index (adjacency) entry on storage (paper §VI:
-/// "4 bytes for the vertex id").
-pub const COL_IDX_BYTES: usize = 4;
+#[cfg(test)]
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 >> 12;
+        self.0 ^= self.0 << 25;
+        self.0 ^= self.0 >> 27;
+        self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    }
 
-/// Bytes of one edge-weight entry on storage.
-pub const WEIGHT_BYTES: usize = 4;
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+}

@@ -1,17 +1,25 @@
 use mlvc_ssd::{DeviceError, FileId, Page, Ssd};
 
 use crate::checked::{idx, mem_idx, to_u32, to_u64};
+use crate::page::{corrupt, Layout, Partition, HEADER_BYTES};
 use crate::view::{Edges, ListView, Weights};
-use crate::{
-    IntervalId, StoredGraph, StructuralUpdateBuffer, VertexId, COL_IDX_BYTES, ROW_PTR_BYTES,
-};
+use crate::{IntervalId, StoredGraph, StructuralUpdateBuffer, VertexId};
+
+/// Where a stored list starts in one extent's lent pages: the index of its
+/// first page among them, and its first entry on that page.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct At {
+    first: usize,
+    off: usize,
+}
 
 /// Where one vertex's list is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ListAt {
-    /// Stored bytes: `len` entries from entry `off` of lent page `first`,
-    /// running on through the lent pages that follow it.
-    Stored { first: usize, off: usize, len: usize },
+    /// Stored entries: `len` of them from `colidx` in the lent column-index
+    /// pages (and from `val` in the lent `val` pages of a weighted
+    /// adjacency), running on through the pages that follow.
+    Stored { colidx: At, val: At, len: usize },
     /// Entries `[lo, hi)` of the owned buffer.
     Owned { lo: usize, hi: usize },
 }
@@ -40,8 +48,8 @@ impl AdjVertex {
 /// (and, when weights were asked for, `val`) pages the device lent to
 /// [`GraphLoader::load_active`], kept as the handles they arrived as, and
 /// per vertex where its list starts in them — a list's pages are
-/// consecutive in the request list, and an entry never straddles a page.
-/// Nothing stored is decoded or copied here; [`Self::edges`] and
+/// consecutive in its extent's request list, and an entry never straddles a
+/// page. Nothing stored is decoded or copied here; [`Self::edges`] and
 /// [`Self::weights`] hand out [`ListView`]s that decode an entry where a
 /// program asks for it. The one owned buffer holds the lists that never
 /// were stored bytes: those the edge log served ([`Self::push`]) and those a
@@ -51,13 +59,15 @@ pub struct Adjacency {
     vertices: Vec<AdjVertex>,
     /// The pages lent for the column-index requests, in request order.
     colidx: Vec<Page>,
-    /// The pages lent for the `val` requests — the same pages of the
-    /// parallel extent — when `weighted`, empty otherwise.
+    /// The pages lent for the `val` requests when `weighted`, empty
+    /// otherwise: its own request list, since a `val` page holds fewer
+    /// entries than a column-index page.
     val: Vec<Page>,
     owned: Vec<VertexId>,
     weighted: bool,
-    /// Entries in a page.
-    per_page: usize,
+    /// How entries lie on the column-index and `val` pages.
+    colidx_lay: Layout,
+    val_lay: Layout,
 }
 
 impl Adjacency {
@@ -78,8 +88,8 @@ impl Adjacency {
     /// Out-edges of the `k`-th vertex.
     pub fn edges(&self, k: usize) -> Edges<'_> {
         match self.vertices[k].at {
-            ListAt::Stored { first, off, len } => {
-                ListView::stored(&self.colidx[first..], off, len, self.per_page)
+            ListAt::Stored { colidx: at, len, .. } => {
+                ListView::stored(&self.colidx[at.first..], at.off, len, self.colidx_lay)
             }
             ListAt::Owned { lo, hi } => Edges::from(&self.owned[lo..hi]),
         }
@@ -88,8 +98,8 @@ impl Adjacency {
     /// Out-edge weights of the `k`-th vertex, when weights were loaded.
     pub fn weights(&self, k: usize) -> Option<Weights<'_>> {
         self.weighted.then(|| match self.vertices[k].at {
-            ListAt::Stored { first, off, len } => {
-                ListView::stored(&self.val[first..], off, len, self.per_page)
+            ListAt::Stored { val: at, len, .. } => {
+                ListView::stored(&self.val[at.first..], at.off, len, self.val_lay)
             }
             // `push` and `replace_edges` refuse a weighted adjacency.
             ListAt::Owned { .. } => Weights::from(&[]),
@@ -183,41 +193,81 @@ pub struct GraphLoader {
     issued: Vec<Vec<(FileId, u64, usize)>>,
 }
 
-fn corrupt(detail: String) -> DeviceError {
-    DeviceError::Corrupt { what: "csr", detail }
+/// One extent's request list, built in ascending page order: per page the
+/// useful bits, summed in place, and the entries the lists take from it.
+struct Requests {
+    lay: Layout,
+    file: FileId,
+    /// `(file, page, useful bits)`; [`Self::finish`] turns the bits into
+    /// the bytes the device is asked for.
+    reqs: Vec<(FileId, u64, usize)>,
+    /// Per request, how many of the page's entries it must hold.
+    need: Vec<usize>,
 }
 
-/// Count `bytes` useful bytes on `page` in a request list that is being
-/// built in ascending page order.
-fn note_useful(reqs: &mut Vec<(FileId, u64, usize)>, file: FileId, page: u64, bytes: usize) {
-    match reqs.last_mut() {
-        Some(r) if r.1 == page => r.2 += bytes,
-        _ => reqs.push((file, page, bytes)),
+impl Requests {
+    fn new(file: FileId, lay: Layout) -> Self {
+        Requests { lay, file, reqs: Vec::new(), need: Vec::new() }
     }
-}
 
-/// The bounds proof of every view over `pages`: the device lent one page a
-/// request, and each is at least as long as the last byte a list takes from
-/// it (`ends`, parallel to `reqs`).
-fn check_lent(
-    pages: &[Page],
-    reqs: &[(FileId, u64, usize)],
-    ends: &[usize],
-) -> Result<(), DeviceError> {
-    if pages.len() != reqs.len() {
-        return Err(corrupt(format!("{} pages lent for {} requests", pages.len(), reqs.len())));
+    /// Note entries `[lo, hi)`, `lo < hi`, no lower than any noted before:
+    /// their pages are then the last requests, the first shared with
+    /// whatever run ended on it. Returns where the run starts among them,
+    /// and its first and last page.
+    fn note(&mut self, lo: u64, hi: u64) -> (At, u64, u64) {
+        let (first, off) = self.lay.locate(lo);
+        // Most runs end on the page they start on: no second division.
+        let n = mem_idx(hi - lo);
+        let (last, end) = if off + n <= self.lay.per_page {
+            (first, off + n - 1)
+        } else {
+            self.lay.locate(hi - 1)
+        };
+        for p in first..=last {
+            let from = if p == first { off } else { 0 };
+            let to = if p == last { end + 1 } else { self.lay.per_page };
+            let bits = (to - from) * idx(self.lay.width);
+            match self.reqs.last_mut() {
+                Some(r) if r.1 == p => r.2 += bits,
+                _ => {
+                    self.reqs.push((self.file, p, bits));
+                    self.need.push(0);
+                }
+            }
+            if let Some(n) = self.need.last_mut() {
+                *n = (*n).max(to);
+            }
+        }
+        (At { first: self.reqs.len() - 1 - mem_idx(last - first), off }, first, last)
     }
-    for ((page, req), &end) in pages.iter().zip(reqs).zip(ends) {
-        if page.len() < end {
+
+    /// The requests as the device takes them: useful bytes are what the
+    /// packed entries occupy, at most a page.
+    fn finish(&mut self, page_size: usize) -> &[(FileId, u64, usize)] {
+        for r in &mut self.reqs {
+            r.2 = r.2.div_ceil(8).min(page_size);
+        }
+        &self.reqs
+    }
+
+    /// The bounds proof of every view over `pages`: the device lent one
+    /// page a request, and each page's header is its extent's and holds
+    /// every entry taken from it.
+    fn check_lent(&self, pages: &[Page]) -> Result<(), DeviceError> {
+        if pages.len() != self.reqs.len() {
             return Err(corrupt(format!(
-                "page {} of file {} holds {} bytes, {end} taken from it",
-                req.1,
-                req.0,
-                page.len()
+                "{} pages lent for {} requests",
+                pages.len(),
+                self.reqs.len()
             )));
         }
+        for ((page, req), &need) in pages.iter().zip(&self.reqs).zip(&self.need) {
+            self.lay
+                .check(page, need)
+                .map_err(|e| corrupt(format!("page {} of file {}: {e}", req.1, req.0)))?;
+        }
+        Ok(())
     }
-    Ok(())
 }
 
 impl GraphLoader {
@@ -249,7 +299,8 @@ impl GraphLoader {
     /// stored list is decoded or copied. `patch` applies pending (un-merged)
     /// structural updates so callers always observe the current graph. The
     /// views are validated here, once: row pointers that cannot be a CSR's,
-    /// or a lent page shorter than what a list takes from it, come back as
+    /// or a lent page whose header is not its extent's or that holds fewer
+    /// entries than a list takes from it, come back as
     /// [`DeviceError::Corrupt`] — never as a panic, now or when a view is
     /// walked.
     pub fn load_active(
@@ -273,110 +324,79 @@ impl GraphLoader {
             active[0] >= start && active.last().is_some_and(|&v| v < end),
             "vertex outside interval"
         );
+        // Every extent's layout from metadata alone, so the page of each
+        // entry is known before any page is read.
+        let ci_file = graph.colidx_file(i);
+        let lay = Partition::new(page_size, graph.num_vertices(), ssd.num_pages(ci_file)?);
 
         // --- Row pointers: entries (v-start) and (v-start+1) per vertex. ---
         // The actives ascend, so their entries' pages do: the request list
-        // comes out sorted and each page's useful bytes sum in place.
-        let rp_file = graph.rowptr_file(i);
-        let rp_per_page = page_size / ROW_PTR_BYTES;
-        let mut rp_reqs: Vec<(FileId, u64, usize)> = Vec::new();
+        // comes out sorted and each page's useful bits sum in place.
+        let mut rp = Requests::new(graph.rowptr_file(i), lay.rowptr);
         for &v in active {
-            let j = idx(v - start);
-            for e in [j, j + 1] {
-                note_useful(&mut rp_reqs, rp_file, to_u64(e / rp_per_page), ROW_PTR_BYTES);
-            }
+            let j = to_u64(idx(v - start));
+            rp.note(j, j + 2);
         }
-        for r in &mut rp_reqs {
-            r.2 = r.2.min(page_size);
-        }
-        let rp_data = self.read(ssd, &rp_reqs)?;
-        self.rowptr_pages_read += to_u64(rp_reqs.len());
+        let rp_data = self.read(ssd, rp.finish(page_size))?;
+        self.rowptr_pages_read += to_u64(rp.reqs.len());
+        rp.check_lent(&rp_data)?;
         let mut rk = 0usize;
-        let mut rp_entry = |e: usize| -> Result<u64, DeviceError> {
-            while rp_reqs[rk].1 < to_u64(e / rp_per_page) {
+        let mut rp_entry = |(p, k): (u64, usize)| -> u64 {
+            while rp.reqs[rk].1 < p {
                 rk += 1;
             }
-            let off = (e % rp_per_page) * ROW_PTR_BYTES;
-            rp_data[rk]
-                .get(off..off + ROW_PTR_BYTES)
-                .and_then(|b| b.try_into().ok())
-                .map(u64::from_le_bytes)
-                .ok_or_else(|| {
-                    corrupt(format!(
-                        "row-pointer page {} of interval {i} holds {} bytes, entry ends at {}",
-                        rp_reqs[rk].1,
-                        rp_data[rk].len(),
-                        off + ROW_PTR_BYTES
-                    ))
-                })
+            crate::page::entry(&rp_data[rk][HEADER_BYTES..], k, lay.rowptr.width)
+        };
+        // Where entry `j` and the one after it are: one division for both.
+        let pair = |j: u64| {
+            let (p, k) = lay.rowptr.locate(j);
+            let next = if k + 1 < lay.rowptr.per_page { (p, k + 1) } else { (p + 1, 0) };
+            ((p, k), next)
         };
 
-        // --- Column indices: byte range [lo*4, hi*4) per vertex. ---
+        // --- Column indices (and weights): entries [lo, hi) per vertex. ---
         // Row pointers must ascend and stay inside the extent, so every list
-        // lies in pages the device really holds. A list's pages are the last
-        // `span` requests once they are noted — consecutive, the first one
-        // shared with whatever list ended on it.
-        let ci_file = graph.colidx_file(i);
-        let cib = to_u64(COL_IDX_BYTES);
-        let psz = to_u64(page_size);
-        let extent = ssd.num_pages(ci_file)? * (psz / cib);
-        let mut ci_reqs: Vec<(FileId, u64, usize)> = Vec::new();
-        // Per request, the last byte of the page any list takes: the lists
-        // ascend, so the last one to touch a page reaches furthest into it.
-        let mut ends: Vec<usize> = Vec::new();
+        // lies in pages the device really holds.
+        let mut ci = Requests::new(ci_file, lay.colidx);
+        let mut val =
+            graph.val_file(i).filter(|_| want_weights).map(|f| Requests::new(f, lay.val));
         adj.vertices.reserve_exact(active.len());
         let mut prev_hi = 0u64;
         for &v in active {
-            let j = idx(v - start);
-            let lo = rp_entry(j)?;
-            let hi = rp_entry(j + 1)?;
-            if lo < prev_hi || hi < lo || hi > extent {
+            let (at_lo, at_hi) = pair(to_u64(idx(v - start)));
+            let (lo, hi) = (rp_entry(at_lo), rp_entry(at_hi));
+            if lo < prev_hi || hi < lo || hi > lay.capacity {
                 return Err(corrupt(format!(
                     "row pointers of vertex {v} are [{lo}, {hi}) after {prev_hi}, \
-                     in a column-index extent of {extent} entries"
+                     in a column-index extent of {} entries",
+                    lay.capacity
                 )));
             }
             prev_hi = hi;
             let (mut page_lo, mut page_hi) = (1, 0);
-            let mut at = ListAt::Stored { first: 0, off: 0, len: 0 };
+            let mut at = ListAt::Stored { colidx: At::default(), val: At::default(), len: 0 };
             if hi > lo {
-                let byte_lo = lo * cib;
-                let byte_hi = hi * cib;
-                (page_lo, page_hi) = (byte_lo / psz, (byte_hi - 1) / psz);
-                for p in page_lo..=page_hi {
-                    let pg_start = p * psz;
-                    // Offsets within one page: they fit usize.
-                    let from = mem_idx(byte_lo.max(pg_start) - pg_start);
-                    let to = mem_idx(byte_hi.min(pg_start + psz) - pg_start);
-                    note_useful(&mut ci_reqs, ci_file, p, to - from);
-                    ends.resize(ci_reqs.len(), 0);
-                    ends[ci_reqs.len() - 1] = to;
-                }
-                at = ListAt::Stored {
-                    first: ci_reqs.len() - 1 - mem_idx(page_hi - page_lo),
-                    off: mem_idx(byte_lo % psz) / COL_IDX_BYTES,
-                    len: mem_idx(hi - lo),
-                };
+                let (colidx, first, last) = ci.note(lo, hi);
+                (page_lo, page_hi) = (first, last);
+                let val = val.as_mut().map_or(At::default(), |r| r.note(lo, hi).0);
+                at = ListAt::Stored { colidx, val, len: mem_idx(hi - lo) };
             }
             adj.vertices.push(AdjVertex { v, at, page_lo, page_hi });
         }
-        for r in &mut ci_reqs {
+        for r in ci.finish(page_size) {
             // Per-page useful bytes saturate at the u32 the predictor uses.
             let useful = to_u32("page useful bytes", r.2).unwrap_or(u32::MAX);
             self.colidx_usage.push((ci_file, r.1, useful));
-            r.2 = r.2.min(page_size);
         }
-        adj.colidx = self.read(ssd, &ci_reqs)?;
-        self.colidx_pages_read += to_u64(ci_reqs.len());
-        check_lent(&adj.colidx, &ci_reqs, &ends)?;
-        adj.per_page = page_size / COL_IDX_BYTES;
+        adj.colidx = self.read(ssd, &ci.reqs)?;
+        self.colidx_pages_read += to_u64(ci.reqs.len());
+        ci.check_lent(&adj.colidx)?;
+        adj.colidx_lay = lay.colidx;
 
-        // Weights ride on a parallel extent with identical offsets.
-        if let Some(vf) = graph.val_file(i).filter(|_| want_weights) {
-            let reqs: Vec<(FileId, u64, usize)> =
-                ci_reqs.iter().map(|&(_, p, u)| (vf, p, u)).collect();
-            adj.val = self.read(ssd, &reqs)?;
-            check_lent(&adj.val, &reqs, &ends)?;
+        if let Some(mut val) = val {
+            adj.val = self.read(ssd, val.finish(page_size))?;
+            val.check_lent(&adj.val)?;
+            adj.val_lay = lay.val;
             adj.weighted = true;
         }
 
@@ -431,7 +451,7 @@ impl Default for GraphLoader {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{EdgeListBuilder, VertexIntervals};
+    use crate::{EdgeListBuilder, Rng, VertexIntervals};
     use mlvc_ssd::{Ssd, SsdConfig};
     use std::sync::Arc;
 
@@ -464,14 +484,15 @@ mod tests {
 
     #[test]
     fn sparse_active_set_reads_fewer_pages_than_full_interval() {
-        // One big interval: 64 vertices × 3 edges = 192 entries = 3 colidx
-        // pages at 64 entries/page; 65 rowptr entries = 3 pages.
+        // One big interval: 64 vertices × 20 edges = 1 280 entries = 4
+        // colidx pages at 330 six-bit entries a page; 65 row pointers of
+        // 11 bits (the extent holds 1 320 entries) = 1 page.
         let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
         let mut b = EdgeListBuilder::new(64);
         for v in 0..64u32 {
-            b.push(v, (v + 1) % 64);
-            b.push(v, (v + 7) % 64);
-            b.push(v, (v + 31) % 64);
+            for d in 1..=20 {
+                b.push(v, (v + d) % 64);
+            }
         }
         let g = b.build();
         let sg = StoredGraph::store_with(&ssd, &g, "one", VertexIntervals::uniform(64, 1)).unwrap();
@@ -488,7 +509,7 @@ mod tests {
         let full = ssd.stats().snapshot().pages_read;
         assert!(sparse < full, "sparse {sparse} vs full {full}");
         assert_eq!(sparse, 2, "one rowptr page + one colidx page");
-        assert_eq!(full, 6);
+        assert_eq!(full, 5);
     }
 
     /// The `(file, page, useful)` lists the device is asked for are part
@@ -496,13 +517,16 @@ mod tests {
     /// sums over them. Pinned literally on a fixed input.
     #[test]
     fn request_lists_are_pinned() {
-        // One interval, 256-byte pages: 65 row pointers on 3 pages (32 a
-        // page), 192 column indices on 3 pages (64 a page), 3 per vertex —
-        // vertex 21's list straddles pages 0 and 1.
+        // One interval of 64 vertices, 8 edges each, 256-byte pages. Ids
+        // take 6 bits: 512 column indices on 2 pages of 330, vertex 41's
+        // list straddling them. Row pointers take 10 bits (the extent holds
+        // 660 entries): 65 on one page. Weights take 32 bits, 62 a page: 9
+        // pages of their own. Useful bytes are the packed bits, rounded up
+        // per page — a list of 8 ids is 6 bytes, of 8 weights 32.
         let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
         let mut b = EdgeListBuilder::new(64);
         for v in 0..64u32 {
-            for d in [1, 7, 31] {
+            for d in 1..=8 {
                 b.push_weighted(v, (v + d) % 64, d as f32);
             }
         }
@@ -511,26 +535,22 @@ mod tests {
                 .unwrap();
         let (rp, ci, val) = (sg.rowptr_file(0), sg.colidx_file(0), sg.val_file(0).unwrap());
         let mut loader = GraphLoader::new();
-        loader.load_active(&sg, 0, &[0, 20, 21, 31, 32, 63], true, None).unwrap();
+        let adj = loader.load_active(&sg, 0, &[0, 20, 40, 41, 42, 63], true, None).unwrap();
         assert_eq!(
             loader.issued,
             vec![
-                vec![(rp, 0, 56), (rp, 1, 32), (rp, 2, 8)],
-                vec![(ci, 0, 28), (ci, 1, 32), (ci, 2, 12)],
-                vec![(val, 0, 28), (val, 1, 32), (val, 2, 12)],
+                vec![(rp, 0, 15)],
+                vec![(ci, 0, 20), (ci, 1, 17)],
+                vec![(val, 0, 32), (val, 2, 32), (val, 5, 96), (val, 8, 32)],
             ]
         );
-        // Dense: every page whole (the row-pointer sum saturates at the page).
+        assert_eq!(adj.edges(3), [42, 43, 44, 45, 46, 47, 48, 49]);
+        assert_eq!(adj.weights(3).unwrap(), [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
+        // Dense: every column-index page whole (the last one's 182 entries).
         loader.issued.clear();
         let all: Vec<u32> = (0..64).collect();
         loader.load_active(&sg, 0, &all, false, None).unwrap();
-        assert_eq!(
-            loader.issued,
-            vec![
-                vec![(rp, 0, 256), (rp, 1, 256), (rp, 2, 8)],
-                vec![(ci, 0, 256), (ci, 1, 256), (ci, 2, 256)],
-            ]
-        );
+        assert_eq!(loader.issued, vec![vec![(rp, 0, 160)], vec![(ci, 0, 248), (ci, 1, 137)]]);
     }
 
     #[test]
@@ -539,9 +559,9 @@ mod tests {
         let mut loader = GraphLoader::new();
         loader.load_active(&sg, 0, &[0], false, None).unwrap();
         let usage = loader.take_page_usage(256);
-        // Vertex 0 has 3 edges = 12 bytes on one page.
+        // Vertex 0 has 3 edges of 6 bits = 3 bytes on one page.
         assert_eq!(usage.len(), 1);
-        assert_eq!(usage[0].useful_bytes, 12);
+        assert_eq!(usage[0].useful_bytes, 3);
         assert!(usage[0].utilization() < 0.10, "inefficient page detected");
         // Record cleared after take.
         assert!(loader.take_page_usage(256).is_empty());
@@ -555,7 +575,8 @@ mod tests {
         loader.load_active(&sg, 0, &[1], false, None).unwrap();
         let usage = loader.take_page_usage(256);
         assert_eq!(usage.len(), 1, "both vertices live on the same page");
-        assert_eq!(usage[0].useful_bytes, 24);
+        // 3 bytes each, one call after the other.
+        assert_eq!(usage[0].useful_bytes, 6);
     }
 
     #[test]
@@ -622,26 +643,10 @@ mod tests {
             assert_eq!(held.len(), lent.len());
             assert!(held.iter().zip(&lent).all(|(a, b)| Page::ptr_eq(a, b)));
         }
-        assert!(adj.colidx.len() >= 10, "20 of 64 entries a page: the lists span pages");
+        assert_eq!(adj.colidx.len(), 4, "1 280 entries at 330 a page: the lists span pages");
+        assert_eq!(adj.val.len(), 21, "62 weights a page");
         assert_eq!(adj.vertices.len(), active.len());
         assert_eq!(adj.owned.capacity(), 0);
-    }
-
-    /// xorshift64*: this crate sits below `mlvc-gen`, so the seeded cases
-    /// draw from their own generator.
-    struct Rng(u64);
-
-    impl Rng {
-        fn next(&mut self) -> u64 {
-            self.0 ^= self.0 >> 12;
-            self.0 ^= self.0 << 25;
-            self.0 ^= self.0 >> 27;
-            self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
-        }
-
-        fn below(&mut self, n: usize) -> usize {
-            (self.next() % n as u64) as usize
-        }
     }
 
     /// One view against the list it must be, through every way in.
@@ -659,7 +664,7 @@ mod tests {
             let before = walked.len();
             match seg {
                 crate::Segment::Decoded(s) => walked.extend_from_slice(s),
-                crate::Segment::Le(b) => walked.extend(b.iter().map(|&e| T::decode(e))),
+                crate::Segment::Packed(p) => walked.extend_from_slice(p.decode(&mut Vec::new())),
             }
             assert!(walked.len() > before, "{what}: an empty segment");
         }
@@ -696,7 +701,7 @@ mod tests {
                     push(&mut b, s, rng.below(n) as u32);
                 }
             }
-            let entries_per_page = page_size / COL_IDX_BYTES;
+            let entries_per_page = crate::page::per_page(page_size, crate::page::colidx_width(n));
             for k in 0..2 * entries_per_page + 1 + rng.below(entries_per_page) {
                 push(&mut b, hub, (k % n) as u32);
             }

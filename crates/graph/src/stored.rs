@@ -3,9 +3,8 @@ use std::sync::Arc;
 use mlvc_ssd::{DeviceError, FileId, Ssd};
 
 use crate::checked::{idx, mem_idx, to_u64};
-use crate::{
-    Csr, IntervalId, VertexIntervals, VertexId, COL_IDX_BYTES, ROW_PTR_BYTES, WEIGHT_BYTES,
-};
+use crate::page::{self, Kind, Layout, Partition};
+use crate::{Csr, IntervalId, VertexIntervals, VertexId};
 
 /// One interval read back into memory: (local row pointers, out-neighbor
 /// ids, edge weights when the graph is weighted).
@@ -27,12 +26,14 @@ pub const UPDATE_BYTES: usize = 16;
 ///
 /// Per interval `i` of graph `name`, three extents exist on the device:
 ///
-/// * `name.rowptr.<i>` — `len(i) + 1` little-endian u64 *local* offsets
-///   (first entry 0) into the interval's column-index extent;
-/// * `name.colidx.<i>` — u32 out-neighbor ids;
+/// * `name.rowptr.<i>` — `len(i) + 1` *local* offsets (first entry 0) into
+///   the interval's column-index extent;
+/// * `name.colidx.<i>` — out-neighbor ids;
 /// * `name.val.<i>` — f32 edge weights (only for weighted graphs).
 ///
-/// Entries never straddle pages (the page size must be a multiple of 8).
+/// Every page is in the CSR page format ([`crate::page`]): a header, then
+/// entries bit-packed at a width observed from the graph, never straddling
+/// a page.
 pub struct StoredGraph {
     ssd: Arc<Ssd>,
     name: String,
@@ -60,11 +61,7 @@ impl StoredGraph {
         intervals: VertexIntervals,
     ) -> Result<Self, DeviceError> {
         assert_eq!(intervals.num_vertices(), graph.num_vertices());
-        assert_eq!(
-            ssd.page_size() % ROW_PTR_BYTES,
-            0,
-            "page size must be a multiple of the row-pointer entry size"
-        );
+        let n = graph.num_vertices();
         let mut rowptr_files = Vec::with_capacity(intervals.num_intervals());
         let mut colidx_files = Vec::with_capacity(intervals.num_intervals());
         let mut val_files = graph.has_weights().then(Vec::new);
@@ -83,15 +80,16 @@ impl StoredGraph {
             // can reattach to its extents); a fresh store starts clean.
             let rp = ssd.open_or_create(&format!("{name}.rowptr.{i}"))?;
             let ci = ssd.open_or_create(&format!("{name}.colidx.{i}"))?;
-            write_partition(ssd, rp, ci, &local, &graph.col_idx()[lo..hi])?;
+            write_partition(ssd, rp, ci, &local, &graph.col_idx()[lo..hi], n)?;
             rowptr_files.push(rp);
             colidx_files.push(ci);
 
             if let (Some(vf), Some(wall)) = (val_files.as_mut(), graph.weights_all()) {
                 let f = ssd.open_or_create(&format!("{name}.val.{i}"))?;
-                ssd.truncate(f)?;
                 // Weights vector is parallel to col_idx.
-                append_entries::<WEIGHT_BYTES, _>(ssd, f, &wall[lo..hi], f32::to_le_bytes)?;
+                let bits: Vec<u32> = wall[lo..hi].iter().map(|w| w.to_bits()).collect();
+                let pages = page::encode_pages(Kind::Val, page::VAL_WIDTH, ssd.page_size(), &bits)?;
+                replace_extent(ssd, f, &pages)?;
                 vf.push(f);
             }
         }
@@ -171,23 +169,13 @@ impl StoredGraph {
         self.val_files.as_ref().map(|v| v[idx(i)])
     }
 
-    /// Read the whole interval back into memory (row pointers + adjacency).
-    /// Charged as sequential batch reads with 100% declared utilization.
+    /// Read the whole interval back into memory (row pointers + adjacency)
+    /// through [`read_partition`]: sequential batch reads declaring every
+    /// packed byte useful, and a partition that is not a CSR's is
+    /// [`DeviceError::Corrupt`].
     pub fn read_interval(&self, i: IntervalId) -> Result<IntervalCsr, DeviceError> {
-        let n_local = self.intervals.len_of(i) + 1;
-        let rowptr = read_u64s(&self.ssd, self.rowptr_file(i), n_local)?;
-        let n_edges = rowptr.last().map_or(0, |&e| mem_idx(e));
-        let colidx = read_u32s(&self.ssd, self.colidx_file(i), n_edges)?;
-        let weights = match self.val_file(i) {
-            Some(f) => Some(read_entries::<WEIGHT_BYTES, _>(
-                &self.ssd,
-                f,
-                n_edges,
-                f32::from_le_bytes,
-            )?),
-            None => None,
-        };
-        Ok((rowptr, colidx, weights))
+        let (rp, ci, val) = (self.rowptr_file(i), self.colidx_file(i), self.val_file(i));
+        read_partition(&self.ssd, rp, ci, val, self.intervals.len_of(i), self.num_vertices())
     }
 
     /// Reconstruct the full in-memory CSR (test/verification path; charges
@@ -212,83 +200,116 @@ impl StoredGraph {
 }
 
 /// Replace one CSR partition — a row-pointer extent and its column-index
-/// extent — with `rowptr` / `colidx`, in the layout everything here reads
-/// back. The one place an extent of either kind is written: a cold store,
-/// the mutation merge's shadow copies, its install over the primaries and
-/// its crash recovery all come through here, so a merged partition is
-/// bit-identical to a cold re-store of the mutated graph.
+/// extent — with `rowptr` / `colidx`, in the page format everything here
+/// reads back ([`crate::page`]): `colidx` at the width of the largest id of
+/// a graph of `num_vertices` vertices, `rowptr` at the width of the largest
+/// offset the `colidx` pages written can hold. The one place an extent of
+/// either kind is written: a cold store, the mutation merge's shadow copies,
+/// its install over the primaries and its crash recovery all come through
+/// here, so a merged partition is bit-identical to a cold re-store of the
+/// mutated graph.
 pub fn write_partition(
     ssd: &Ssd,
     rowptr_file: FileId,
     colidx_file: FileId,
     rowptr: &[u64],
     colidx: &[VertexId],
+    num_vertices: usize,
 ) -> Result<(), DeviceError> {
-    ssd.truncate(rowptr_file)?;
-    append_entries::<ROW_PTR_BYTES, _>(ssd, rowptr_file, rowptr, u64::to_le_bytes)?;
-    ssd.truncate(colidx_file)?;
-    append_entries::<COL_IDX_BYTES, _>(ssd, colidx_file, colidx, u32::to_le_bytes)
+    let ps = ssd.page_size();
+    let ci_width = page::colidx_width(num_vertices);
+    let ci_pages = page::encode_pages(Kind::ColIdx, ci_width, ps, colidx)?;
+    let lay = Partition::new(ps, num_vertices, to_u64(ci_pages.len()));
+    let rp_pages = page::encode_pages(Kind::RowPtr, lay.rowptr.width, ps, rowptr)?;
+    replace_extent(ssd, rowptr_file, &rp_pages)?;
+    replace_extent(ssd, colidx_file, &ci_pages)
 }
 
-/// Append `data` to `file` as `W`-byte little-endian entries, packed into
-/// whole pages in one batch — the layout [`read_entries`] reads back.
-fn append_entries<const W: usize, T: Copy>(
-    ssd: &Ssd,
-    file: FileId,
-    data: &[T],
-    to_le: impl Fn(T) -> [u8; W],
-) -> Result<(), DeviceError> {
-    if data.is_empty() {
-        return Ok(());
-    }
-    let pages: Vec<Vec<u8>> = data
-        .chunks(ssd.page_size() / W)
-        .map(|chunk| {
-            let mut page = Vec::with_capacity(chunk.len() * W);
-            chunk.iter().for_each(|&x| page.extend_from_slice(&to_le(x)));
-            page
-        })
-        .collect();
+/// Truncate `file` and append `pages` in one batch.
+fn replace_extent(ssd: &Ssd, file: FileId, pages: &[Vec<u8>]) -> Result<(), DeviceError> {
+    ssd.truncate(file)?;
     let refs: Vec<&[u8]> = pages.iter().map(Vec::as_slice).collect();
     ssd.append_pages(file, &refs)?;
     Ok(())
 }
 
-/// Read back the first `n` `W`-byte little-endian entries of `file` in one
-/// device batch — each request declaring the bytes it uses — and decode
-/// them.
-fn read_entries<const W: usize, T>(
+/// Read one interval's partition back — `n_local + 1` row pointers, the
+/// adjacency they delimit and, when `val_file` is given, its weights — each
+/// extent in one device batch whose requests declare the packed bytes they
+/// use. The widths are derived as [`write_partition`] derived them, and
+/// everything a CSR must be is checked before it is returned: each page's
+/// header (kind, width, entry count), row pointers that start at 0, ascend
+/// and end inside the `colidx` extent, and every id below `num_vertices`.
+/// A partition that fails any of it is [`DeviceError::Corrupt`].
+pub fn read_partition(
     ssd: &Ssd,
-    file: FileId,
-    n: usize,
-    from_le: impl Fn([u8; W]) -> T,
-) -> Result<Vec<T>, DeviceError> {
-    let per_page = ssd.page_size() / W;
-    let reqs: Vec<(FileId, u64, usize)> = (0..n.div_ceil(per_page))
-        .map(|p| (file, to_u64(p), per_page.min(n - p * per_page) * W))
-        .collect();
-    let pages = ssd.read_batch(&reqs)?;
-    let mut out = Vec::with_capacity(n);
-    for (k, page) in pages.iter().enumerate() {
-        let entries = per_page.min(n - k * per_page);
-        for chunk in page.chunks_exact(W).take(entries) {
-            // chunks_exact guarantees the width; the Err arm is unreachable.
-            if let Ok(b) = chunk.try_into() {
-                out.push(from_le(b));
+    rowptr_file: FileId,
+    colidx_file: FileId,
+    val_file: Option<FileId>,
+    n_local: usize,
+    num_vertices: usize,
+) -> Result<IntervalCsr, DeviceError> {
+    let lay = Partition::new(ssd.page_size(), num_vertices, ssd.num_pages(colidx_file)?);
+    let rowptr = read_extent(ssd, rowptr_file, lay.rowptr, n_local + 1)?;
+    let ends_inside = rowptr.last().is_some_and(|&e| e <= lay.capacity);
+    if rowptr.first() != Some(&0) || !ends_inside || rowptr.windows(2).any(|w| w[0] > w[1]) {
+        return Err(page::corrupt(format!(
+            "row pointers {}..{} of file {rowptr_file} do not delimit a colidx extent \
+             of {} entries",
+            rowptr.first().unwrap_or(&0),
+            rowptr.last().unwrap_or(&0),
+            lay.capacity
+        )));
+    }
+    let n_edges = rowptr.last().map_or(0, |&e| mem_idx(e));
+    let mut colidx = Vec::with_capacity(n_edges);
+    for id in read_extent(ssd, colidx_file, lay.colidx, n_edges)? {
+        match u32::try_from(id).ok().filter(|&v| idx(v) < num_vertices) {
+            Some(v) => colidx.push(v),
+            None => {
+                return Err(page::corrupt(format!(
+                    "colidx file {colidx_file} names vertex {id} of {num_vertices}"
+                )))
             }
         }
     }
+    let weights = match val_file {
+        Some(f) => Some(
+            read_extent(ssd, f, lay.val, n_edges)?
+                .into_iter()
+                .map(|b| f32::from_bits(u32::try_from(b).unwrap_or(0)))
+                .collect(),
+        ),
+        None => None,
+    };
+    Ok((rowptr, colidx, weights))
+}
+
+/// The first `n` entries of `file` under `lay`, each page's header checked
+/// and its count the one a whole extent of `n` entries puts there.
+fn read_extent(ssd: &Ssd, file: FileId, lay: Layout, n: usize) -> Result<Vec<u64>, DeviceError> {
+    let pages = lay.pages(n);
+    if ssd.num_pages(file)? < to_u64(pages) {
+        return Err(page::corrupt(format!(
+            "file {file} holds {} pages, {pages} needed for {n} entries",
+            ssd.num_pages(file)?
+        )));
+    }
+    let reqs: Vec<(FileId, u64, usize)> =
+        (0..pages).map(|p| (file, to_u64(p), lay.bytes(lay.count_on(p, n)))).collect();
+    let mut out = Vec::with_capacity(n);
+    for (p, lent) in ssd.read_batch(&reqs)?.iter().enumerate() {
+        let entries = page::decode_page(lent, lay.kind, lay.width)?;
+        if entries.len() != lay.count_on(p, n) {
+            return Err(page::corrupt(format!(
+                "page {p} of file {file} holds {} entries, {} expected",
+                entries.len(),
+                lay.count_on(p, n)
+            )));
+        }
+        out.extend(entries);
+    }
     Ok(out)
-}
-
-/// Read back `n` u64 entries of a row-pointer extent.
-pub fn read_u64s(ssd: &Ssd, file: FileId, n: usize) -> Result<Vec<u64>, DeviceError> {
-    read_entries::<ROW_PTR_BYTES, _>(ssd, file, n, u64::from_le_bytes)
-}
-
-/// Read back `n` u32 entries of a column-index extent.
-pub fn read_u32s(ssd: &Ssd, file: FileId, n: usize) -> Result<Vec<u32>, DeviceError> {
-    read_entries::<COL_IDX_BYTES, _>(ssd, file, n, u32::from_le_bytes)
 }
 
 #[cfg(test)]
@@ -357,24 +378,45 @@ mod tests {
         assert_eq!(sg.to_csr().unwrap(), g);
     }
 
+    /// A torn write leaves a page's tail zeroed. Behind an intact header
+    /// that turns row pointers `[0, 2, 3, 4, 6]` into `[0, 2, 3, 0, 0]`,
+    /// which no CSR has: the read is `Corrupt`, where it once reached
+    /// `Csr::from_parts`' asserts.
     #[test]
-    fn u64_u32_pack_roundtrip_across_pages() {
+    fn a_zeroed_rowptr_tail_is_corrupt_not_a_panic() {
         let ssd = ssd();
-        let f = ssd.open_or_create("u64s").unwrap();
-        // 256-byte pages hold 32 u64s; cross several page boundaries.
-        let data: Vec<u64> = (0..100).map(|i| i * 1_000_000_007).collect();
-        append_entries::<ROW_PTR_BYTES, _>(&ssd, f, &data, u64::to_le_bytes).unwrap();
-        assert_eq!(read_u64s(&ssd, f, 100).unwrap(), data);
-
-        let f2 = ssd.open_or_create("u32s").unwrap();
-        let data2: Vec<u32> = (0..200u32).map(|i| i.wrapping_mul(2_654_435_761)).collect();
-        append_entries::<COL_IDX_BYTES, _>(&ssd, f2, &data2, u32::to_le_bytes).unwrap();
-        assert_eq!(read_u32s(&ssd, f2, 200).unwrap(), data2);
+        let iv = VertexIntervals::uniform(8, 2);
+        let sg = StoredGraph::store_with(&ssd, &small_graph(false), "z", iv).unwrap();
+        let f = sg.rowptr_file(0);
+        let mut bytes = ssd.read_page(f, 0, 0).unwrap().to_vec();
+        bytes[page::HEADER_BYTES + 4..].fill(0);
+        ssd.write_page(f, 0, &bytes).unwrap();
+        for err in [sg.to_csr().unwrap_err(), sg.read_interval(0).unwrap_err()] {
+            assert!(matches!(err, DeviceError::Corrupt { what: "csr", .. }), "{err}");
+        }
+        // The other interval is untouched.
+        assert_eq!(sg.read_interval(1).unwrap().0, [0, 1, 2, 3, 4]);
     }
 
+    /// Each extent's width is the one observed from the graph: ids of an
+    /// 8-vertex graph take 3 bits; its row pointers the bits of what one
+    /// `colidx` page can hold; weights 32.
     #[test]
-    fn weight_bytes_constant_is_coherent() {
-        // The on-SSD weight encoding is f32 bits in u32 cells.
-        assert_eq!(crate::WEIGHT_BYTES, COL_IDX_BYTES);
+    fn widths_are_read_from_the_headers_the_writer_derived() {
+        let ssd = ssd();
+        let iv = VertexIntervals::uniform(8, 2);
+        let sg = StoredGraph::store_with(&ssd, &small_graph(true), "h", iv).unwrap();
+        let width = |f| ssd.read_page(f, 0, 0).unwrap()[page::WIDTH_AT];
+        let per = page::per_page(256, 3) as u64;
+        assert_eq!(width(sg.colidx_file(0)), 3);
+        assert_eq!(u32::from(width(sg.rowptr_file(0))), page::bits(per));
+        assert_eq!(width(sg.val_file(0).unwrap()), 32);
+        // A header that names another width is refused.
+        let f = sg.colidx_file(1);
+        let mut bytes = ssd.read_page(f, 0, 0).unwrap().to_vec();
+        bytes[page::WIDTH_AT] = 4;
+        ssd.write_page(f, 0, &bytes).unwrap();
+        assert!(matches!(sg.read_interval(1), Err(DeviceError::Corrupt { .. })));
+        assert!(sg.read_interval(0).is_ok());
     }
 }

@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use mlvc_graph::checked::{idx, to_u32, to_u64, to_usize};
 use mlvc_graph::{
-    read_u32s, read_u64s, write_partition, IntervalId, StoredGraph, VertexId, VertexIntervals,
+    read_partition, write_partition, IntervalId, StoredGraph, VertexId, VertexIntervals,
 };
 use mlvc_log::{decode_log_page, pack_pages, LogPage, PageShape, Update};
 use mlvc_recover::{CommitSlots, MERGE_RECORD};
@@ -402,6 +402,7 @@ impl MutationLog {
         // are skipped entirely.
         let mut delta = MutationDelta::default();
         let mut rewrites: Vec<(IntervalId, Vec<u64>, Vec<VertexId>, u64)> = Vec::new();
+        let n = self.intervals.num_vertices();
         for i in self.intervals.iter_ids() {
             let muts = dedup_last_wins(&per_interval[idx(i)]);
             if muts.is_empty() {
@@ -409,10 +410,9 @@ impl MutationLog {
             }
             let range = self.intervals.range(i);
             let n_local = self.intervals.len_of(i);
-            let rowptr = read_u64s(&self.ssd, graph.rowptr_file(i), n_local + 1)?;
-            let old_edges = rowptr.last().copied().unwrap_or(0);
-            let n_edges = to_usize("interval edge count", old_edges)?;
-            let colidx = read_u32s(&self.ssd, graph.colidx_file(i), n_edges)?;
+            let (rp, ci) = (graph.rowptr_file(i), graph.colidx_file(i));
+            let (rowptr, colidx, _) = read_partition(&self.ssd, rp, ci, None, n_local, n)?;
+            let old_edges = to_u64(colidx.len());
 
             let mut new_rowptr: Vec<u64> = Vec::with_capacity(n_local + 1);
             let mut new_colidx: Vec<VertexId> = Vec::with_capacity(colidx.len());
@@ -467,14 +467,14 @@ impl MutationLog {
             let mut entries = Vec::with_capacity(chunk.len());
             for (i, new_rowptr, new_colidx, old_edges) in chunk {
                 let (srp, sci) = (self.shadow_rowptr[idx(*i)], self.shadow_colidx[idx(*i)]);
-                write_partition(&self.ssd, srp, sci, new_rowptr, new_colidx)?;
+                write_partition(&self.ssd, srp, sci, new_rowptr, new_colidx, n)?;
                 new_total = new_total + to_u64(new_colidx.len()) - old_edges;
                 entries.push((*i, to_u64(new_colidx.len())));
             }
             self.write_manifest(new_total, &entries)?;
             for (i, new_rowptr, new_colidx, _) in chunk {
                 let (rp, ci) = (graph.rowptr_file(*i), graph.colidx_file(*i));
-                write_partition(&self.ssd, rp, ci, new_rowptr, new_colidx)?;
+                write_partition(&self.ssd, rp, ci, new_rowptr, new_colidx, n)?;
             }
             graph.set_num_edges(new_total);
         }
@@ -521,12 +521,18 @@ impl MutationLog {
                             "manifest names interval {i} outside the partition"
                         )));
                     }
-                    let n_local = self.intervals.len_of(i);
-                    let rowptr = read_u64s(&self.ssd, self.shadow_rowptr[idx(i)], n_local + 1)?;
-                    let n_colidx = to_usize("shadow colidx entries", n_colidx)?;
-                    let colidx = read_u32s(&self.ssd, self.shadow_colidx[idx(i)], n_colidx)?;
+                    let (n_local, n) = (self.intervals.len_of(i), self.intervals.num_vertices());
+                    let (srp, sci) = (self.shadow_rowptr[idx(i)], self.shadow_colidx[idx(i)]);
+                    let (rowptr, colidx, _) =
+                        read_partition(&self.ssd, srp, sci, None, n_local, n)?;
+                    if to_u64(colidx.len()) != n_colidx {
+                        return Err(MutationError::Corrupt(format!(
+                            "shadow of interval {i} holds {} edges, its manifest {n_colidx}",
+                            colidx.len()
+                        )));
+                    }
                     let (rp, ci) = (graph.rowptr_file(i), graph.colidx_file(i));
-                    write_partition(&self.ssd, rp, ci, &rowptr, &colidx)?;
+                    write_partition(&self.ssd, rp, ci, &rowptr, &colidx, n)?;
                 }
                 graph.set_num_edges(new_num_edges);
                 true
@@ -708,6 +714,75 @@ mod tests {
         due[0] = vec![EdgeMutation::add(0, n)];
         assert!(matches!(log.commit(&sg, &due), Err(MutationError::OutOfRange { .. })));
         assert_eq!(sg.to_csr().unwrap().col_idx(), both.col_idx());
+    }
+
+    /// A symmetric ring of `n` vertices: every list holds two ids.
+    fn ring(n: u32) -> mlvc_graph::Csr {
+        let mut b = mlvc_graph::EdgeListBuilder::new(n as usize).symmetrize(true);
+        (0..n).for_each(|v| b.push(v, (v + 1) % n));
+        b.build()
+    }
+
+    /// A torn write zeroes a row-pointer page's tail behind its intact
+    /// header: `[0, 2, 4, 6, 0, 0, …]`. The merge reads it through
+    /// `read_partition` and refuses it as corrupt, where it once sliced
+    /// `colidx[lo..hi]` with `lo > hi` and panicked.
+    #[test]
+    fn a_zeroed_rowptr_tail_fails_the_merge_not_the_process() {
+        let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
+        let iv = VertexIntervals::uniform(64, 4);
+        let sg = StoredGraph::store_with(&ssd, &ring(64), "m", iv).unwrap();
+        let f = sg.rowptr_file(0);
+        let mut bytes = ssd.read_page(f, 0, 0).unwrap().to_vec();
+        bytes[mlvc_graph::page::HEADER_BYTES + 4..].fill(0);
+        ssd.write_page(f, 0, &bytes).unwrap();
+        let mut log = log_for(&sg);
+        log.ingest(&[EdgeMutation::add(1, 40)]).unwrap();
+        let err = log.merge(&sg).unwrap_err();
+        assert!(matches!(err, MutationError::Device(DeviceError::Corrupt { .. })), "{err}");
+    }
+
+    /// A merge that grows interval 0's column-index extent from one page to
+    /// two doubles the offsets it can hold, so its row pointers widen from 9
+    /// bits to 10. Reads and `to_csr` equal the golden, and both merged
+    /// extents are byte for byte what a cold store of the mutated graph
+    /// writes — the promise of `write_partition`'s one layout.
+    #[test]
+    fn a_merge_that_widens_row_pointers_equals_a_cold_store() {
+        use mlvc_graph::page::WIDTH_AT;
+        let (base, iv) = (ring(64), VertexIntervals::uniform(64, 2));
+        let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
+        let sg = StoredGraph::store_with(&ssd, &base, "m", iv.clone()).unwrap();
+        // Interval 0's colidx pages, and its row pointers' width.
+        let shape = |sg: &StoredGraph| {
+            let width = ssd.read_page(sg.rowptr_file(0), 0, 0).unwrap()[WIDTH_AT];
+            (ssd.num_pages(sg.colidx_file(0)).unwrap(), width)
+        };
+        assert_eq!(shape(&sg), (1, 9));
+        let batch: Vec<EdgeMutation> = (0..32)
+            .flat_map(|v| (2..14).map(move |d| EdgeMutation::add(v, (v + d) % 64)))
+            .collect();
+        let (golden, _) = apply_to_csr(&base, &batch).unwrap();
+        let mut log = log_for(&sg);
+        log.ingest(&batch).unwrap();
+        log.merge(&sg).unwrap();
+        assert_eq!(shape(&sg), (2, 10));
+        assert_eq!(sg.to_csr().unwrap(), golden);
+        let all: Vec<VertexId> = (0..32).collect();
+        let adj = mlvc_graph::GraphLoader::new().load_active(&sg, 0, &all, false, None).unwrap();
+        for (k, &v) in all.iter().enumerate() {
+            assert_eq!(adj.edges(k), golden.out_edges(v), "vertex {v}");
+        }
+        let cold_ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
+        let cold = StoredGraph::store_with(&cold_ssd, &golden, "cold", iv.clone()).unwrap();
+        for i in iv.iter_ids() {
+            for (merged, fresh) in
+                [(sg.rowptr_file(i), cold.rowptr_file(i)), (sg.colidx_file(i), cold.colidx_file(i))]
+            {
+                let pages = |ssd: &Ssd, f| ssd.read_all(f, |_| 0).unwrap();
+                assert_eq!(pages(&ssd, merged), pages(&cold_ssd, fresh), "interval {i}");
+            }
+        }
     }
 
     #[test]

@@ -96,7 +96,7 @@ fn crashed_job_releases_its_reservation_so_queued_jobs_run() {
     // if the first (which crashes mid-run) releases its reservation.
     let d = daemon(2 << 20, 2);
     let mut crasher = req("crasher", "pagerank", 2 << 20);
-    crasher.crash_after = Some(5);
+    crasher.crash_after = Some(2);
     let healthy = req("healthy", "pagerank", 2 << 20);
     let results = d.run_jobs(vec![crasher, healthy]);
     assert_eq!(results.len(), 2);

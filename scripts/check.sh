@@ -133,6 +133,21 @@ printf 'add 0 512\nadd 512 0\nremove 0 1\n' >"$smoke_dir/batch.txt"
 cargo run -q --release --bin mlvc -- ingest --graph "$smoke_dir/mut.csr" \
   --batch "$smoke_dir/batch.txt" --app wcc --out "$smoke_dir/mut-after.csr" >/dev/null
 
+echo "== weighted smoke (mlvc run --app sssp) =="
+# The one CLI leg that reads `val` pages, which the loader requests on a
+# list of their own (DESIGN.md §20): a `src dst weight` edge list made
+# here, 3 000 vertices and six weighted out-edges each, through SSSP at 1
+# and 2 threads must print the same result lines and superstep table.
+awk 'BEGIN { for (v = 0; v < 3000; v++) for (d = 1; d <= 6; d++)
+  printf "%d %d %.1f\n", v, (v * 7 + d * 131) % 3000, 0.5 + (v + d) % 9 }' >"$smoke_dir/w.txt"
+for t in 1 2; do
+  MLVC_THREADS=$t cargo run -q --release --bin mlvc -- \
+    run --app sssp --graph "$smoke_dir/w.txt" --steps 30 >"$smoke_dir/sssp.$t"
+  awk '/^stage /{skip=1} /^converged/{skip=0} !skip' "$smoke_dir/sssp.$t" >"$smoke_dir/sssp-det.$t"
+done
+diff "$smoke_dir/sssp-det.1" "$smoke_dir/sssp-det.2"
+grep -q '^converged: true' "$smoke_dir/sssp.1"
+
 echo "== serve smoke (mlvc serve) =="
 # The daemon through the CLI (DESIGN.md §15) on the graph above, with the
 # pinned tier on: a run, a mutate, a second run, a run naming an unknown

@@ -276,10 +276,10 @@ fn trace_jsonl_bytes_are_pinned() {
 }
 
 const PINNED_TRACE: &str = r#"{"superstep":0,"active_vertices":0,"messages_processed":0,"messages_delivered":0,"messages_sent":1,"edges_scanned":0,"fused_batches":0,"pages_read":0,"pages_written":1,"bytes_read":0,"useful_bytes_read":0,"bytes_written":256,"log_bytes_appended":18,"log_pages_flushed":1,"log_evictions":0,"edge_log_vertices":0,"edge_log_pages":0,"edge_log_hits":0,"ftl_host_writes":1,"ftl_physical_writes":1,"ftl_erases":0,"ftl_gc_relocations":0,"sim_time_ns":240000,"io_wait_ns":0,"max_inflight":0,"mut_edges_merged":0,"mut_intervals_merged":0,"mut_dirty_vertices":0,"cache_hits":0,"cache_misses":0,"cache_evictions":0,"pinned_pages":1,"pinned_hits":0,"read_amplification":null,"write_amplification":1.000000}
-{"superstep":1,"active_vertices":1,"messages_processed":1,"messages_delivered":1,"messages_sent":85,"edges_scanned":85,"fused_batches":1,"pages_read":3,"pages_written":4,"bytes_read":768,"useful_bytes_read":374,"bytes_written":1024,"log_bytes_appended":882,"log_pages_flushed":4,"log_evictions":0,"edge_log_vertices":0,"edge_log_pages":0,"edge_log_hits":0,"ftl_host_writes":4,"ftl_physical_writes":4,"ftl_erases":0,"ftl_gc_relocations":0,"sim_time_ns":600210,"io_wait_ns":120000,"max_inflight":1,"mut_edges_merged":0,"mut_intervals_merged":0,"mut_dirty_vertices":0,"cache_hits":1,"cache_misses":3,"cache_evictions":0,"pinned_pages":4,"pinned_hits":1,"read_amplification":2.053476,"write_amplification":1.000000}
-{"superstep":2,"active_vertices":85,"messages_processed":85,"messages_delivered":85,"messages_sent":1608,"edges_scanned":1608,"fused_batches":1,"pages_read":30,"pages_written":68,"bytes_read":7680,"useful_bytes_read":7910,"bytes_written":17408,"log_bytes_appended":16624,"log_pages_flushed":68,"log_evictions":1,"edge_log_vertices":0,"edge_log_pages":0,"edge_log_hits":0,"ftl_host_writes":68,"ftl_physical_writes":68,"ftl_erases":0,"ftl_gc_relocations":0,"sim_time_ns":4422616,"io_wait_ns":120000,"max_inflight":1,"mut_edges_merged":0,"mut_intervals_merged":0,"mut_dirty_vertices":0,"cache_hits":6,"cache_misses":30,"cache_evictions":1,"pinned_pages":11,"pinned_hits":4,"read_amplification":0.970923,"write_amplification":1.000000}
-{"superstep":3,"active_vertices":117,"messages_processed":1608,"messages_delivered":117,"messages_sent":113,"edges_scanned":1806,"fused_batches":2,"pages_read":91,"pages_written":6,"bytes_read":23296,"useful_bytes_read":24880,"bytes_written":1536,"log_bytes_appended":1178,"log_pages_flushed":6,"log_evictions":0,"edge_log_vertices":0,"edge_log_pages":0,"edge_log_hits":0,"ftl_host_writes":6,"ftl_physical_writes":6,"ftl_erases":0,"ftl_gc_relocations":0,"sim_time_ns":2971876,"io_wait_ns":1484674,"max_inflight":2,"mut_edges_merged":0,"mut_intervals_merged":0,"mut_dirty_vertices":0,"cache_hits":11,"cache_misses":91,"cache_evictions":72,"pinned_pages":5,"pinned_hits":11,"read_amplification":0.936334,"write_amplification":1.000000}
-{"superstep":4,"active_vertices":48,"messages_processed":113,"messages_delivered":48,"messages_sent":0,"edges_scanned":1255,"fused_batches":1,"pages_read":4,"pages_written":0,"bytes_read":1024,"useful_bytes_read":1898,"bytes_written":0,"log_bytes_appended":0,"log_pages_flushed":0,"log_evictions":0,"edge_log_vertices":0,"edge_log_pages":0,"edge_log_hits":0,"ftl_host_writes":0,"ftl_physical_writes":0,"ftl_erases":0,"ftl_gc_relocations":0,"sim_time_ns":485080,"io_wait_ns":240000,"max_inflight":1,"mut_edges_merged":0,"mut_intervals_merged":0,"mut_dirty_vertices":0,"cache_hits":46,"cache_misses":4,"cache_evictions":3,"pinned_pages":12,"pinned_hits":5,"read_amplification":0.539515,"write_amplification":null}
+{"superstep":1,"active_vertices":1,"messages_processed":1,"messages_delivered":1,"messages_sent":85,"edges_scanned":85,"fused_batches":1,"pages_read":6,"pages_written":4,"bytes_read":1536,"useful_bytes_read":1120,"bytes_written":1024,"log_bytes_appended":882,"log_pages_flushed":4,"log_evictions":0,"edge_log_vertices":0,"edge_log_pages":0,"edge_log_hits":0,"ftl_host_writes":4,"ftl_physical_writes":4,"ftl_erases":0,"ftl_gc_relocations":0,"sim_time_ns":720210,"io_wait_ns":120000,"max_inflight":1,"mut_edges_merged":0,"mut_intervals_merged":0,"mut_dirty_vertices":0,"cache_hits":3,"cache_misses":6,"cache_evictions":0,"pinned_pages":10,"pinned_hits":1,"read_amplification":1.371429,"write_amplification":1.000000}
+{"superstep":2,"active_vertices":85,"messages_processed":85,"messages_delivered":85,"messages_sent":1608,"edges_scanned":1608,"fused_batches":1,"pages_read":4,"pages_written":68,"bytes_read":1024,"useful_bytes_read":1424,"bytes_written":17408,"log_bytes_appended":16624,"log_pages_flushed":68,"log_evictions":1,"edge_log_vertices":0,"edge_log_pages":0,"edge_log_hits":0,"ftl_host_writes":68,"ftl_physical_writes":68,"ftl_erases":0,"ftl_gc_relocations":0,"sim_time_ns":3678616,"io_wait_ns":120000,"max_inflight":1,"mut_edges_merged":0,"mut_intervals_merged":0,"mut_dirty_vertices":0,"cache_hits":14,"cache_misses":4,"cache_evictions":0,"pinned_pages":15,"pinned_hits":10,"read_amplification":0.719101,"write_amplification":1.000000}
+{"superstep":3,"active_vertices":117,"messages_processed":1608,"messages_delivered":117,"messages_sent":113,"edges_scanned":1806,"fused_batches":2,"pages_read":63,"pages_written":7,"bytes_read":16128,"useful_bytes_read":16624,"bytes_written":1792,"log_bytes_appended":1178,"log_pages_flushed":6,"log_evictions":0,"edge_log_vertices":2,"edge_log_pages":1,"edge_log_hits":0,"ftl_host_writes":7,"ftl_physical_writes":7,"ftl_erases":0,"ftl_gc_relocations":0,"sim_time_ns":2227876,"io_wait_ns":1484674,"max_inflight":2,"mut_edges_merged":0,"mut_intervals_merged":0,"mut_dirty_vertices":0,"cache_hits":15,"cache_misses":63,"cache_evictions":31,"pinned_pages":11,"pinned_hits":15,"read_amplification":0.970164,"write_amplification":1.000000}
+{"superstep":4,"active_vertices":48,"messages_processed":113,"messages_delivered":48,"messages_sent":0,"edges_scanned":1255,"fused_batches":1,"pages_read":5,"pages_written":0,"bytes_read":1280,"useful_bytes_read":1178,"bytes_written":0,"log_bytes_appended":0,"log_pages_flushed":0,"log_evictions":0,"edge_log_vertices":0,"edge_log_pages":0,"edge_log_hits":0,"ftl_host_writes":0,"ftl_physical_writes":0,"ftl_erases":0,"ftl_gc_relocations":0,"sim_time_ns":245080,"io_wait_ns":240000,"max_inflight":1,"mut_edges_merged":0,"mut_intervals_merged":0,"mut_dirty_vertices":0,"cache_hits":10,"cache_misses":5,"cache_evictions":0,"pinned_pages":10,"pinned_hits":10,"read_amplification":1.086587,"write_amplification":null}
 "#;
 
 /// Keeps one vertex busy for [`Countdown::STEPS`] supersteps: it messages

@@ -5,7 +5,8 @@
 //! (`mlvc-log` depends on `mlvc-graph`), so neither crate can check the
 //! other at compile time. This root-level test pins the duplicated
 //! constants together; `mlvc-lint`'s `no-magic-layout-literal` rule keeps
-//! further copies from appearing elsewhere.
+//! further copies from appearing elsewhere. The two self-describing page
+//! formats — log pages and CSR pages — are pinned here byte for byte.
 
 use multilogvc::graph;
 use multilogvc::log::page::{self, PageShape};
@@ -67,9 +68,34 @@ fn log_page_format_is_pinned() {
 
 #[test]
 fn csr_entry_widths_match_their_element_types() {
-    // Row pointers are u64 edge offsets; column indices are u32 vertex ids.
-    assert_eq!(graph::ROW_PTR_BYTES, std::mem::size_of::<u64>());
-    assert_eq!(graph::COL_IDX_BYTES, std::mem::size_of::<multilogvc::graph::VertexId>());
+    use multilogvc::graph::page::{self, MAX_WIDTH, VAL_WIDTH};
+    // A row pointer is at most a u64 edge offset, a column index at most a
+    // u32 vertex id (the widest graph a `VertexId` numbers), a weight the
+    // bits of an f32.
+    assert_eq!(MAX_WIDTH, u64::BITS);
+    assert_eq!(page::colidx_width(1 << 32), multilogvc::graph::VertexId::BITS);
+    assert_eq!(VAL_WIDTH as usize, 8 * std::mem::size_of::<f32>());
+    assert_eq!(page::bits(u64::MAX), MAX_WIDTH);
+}
+
+#[test]
+fn csr_page_format_is_pinned() {
+    use multilogvc::graph::page::{self, Kind};
+    // Header: kind u8 | width u8 | zero u16 | count u32, little-endian.
+    assert_eq!(page::HEADER_BYTES, 8);
+    assert_eq!((page::KIND_AT, page::WIDTH_AT, page::ZERO_AT, page::COUNT_AT), (0, 1, 2, 4));
+    assert_eq!([Kind::RowPtr, Kind::ColIdx, Kind::Val].map(Kind::tag), *b"RCV");
+    // Entries at 17 bits, low bit first: 1, 0x1FFFF, 0x12345 in 51 bits.
+    let pages = page::encode_pages(Kind::ColIdx, 17, 256, &[1u32, 0x1_FFFF, 0x1_2345]).unwrap();
+    assert_eq!(
+        pages,
+        [[b'C', 17, 0, 0, 3, 0, 0, 0, 0x01, 0x00, 0xFE, 0xFF, 0x17, 0x8D, 0x04]]
+    );
+    // A 256-byte page holds 248 bytes of entries: 116 at 17 bits.
+    assert_eq!(page::per_page(256, 17), 116);
+    let two = page::encode_pages(Kind::RowPtr, 4, 16, &[0u64, 5, 9].repeat(6)).unwrap();
+    assert_eq!(two.iter().map(Vec::len).collect::<Vec<_>>(), [16, 9]);
+    assert_eq!(two[1], [b'R', 4, 0, 0, 2, 0, 0, 0, 0x95]);
 }
 
 #[test]
