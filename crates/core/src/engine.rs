@@ -15,7 +15,7 @@ use mlvc_mutate::{validate_range, MutationError, MutationLog};
 use mlvc_par::{Scope, ScopedJoinHandle, Tracked};
 use mlvc_recover::{CheckpointManager, CheckpointState};
 use mlvc_ssd::sync::Mutex;
-use mlvc_ssd::{DeviceError, IoQueue, Ssd, SsdStatsSnapshot, Ticket, QUEUE_DEPTH};
+use mlvc_ssd::{DeviceError, IoQueue, Reads, Ssd, SsdStatsSnapshot, Ticket, QUEUE_DEPTH};
 
 use crate::checkpoint::{load_resume_point, Checkpointer};
 use crate::merge::{merge_pending, STRUCTURAL_MERGE_THRESHOLD};
@@ -535,7 +535,7 @@ struct Fetch<'s, 'e> {
 }
 
 impl<'s, 'e> Fetch<'s, 'e> {
-    /// Top the queue up to K batches ahead of `bi`, then retire batch `bi`,
+    /// Retire batch `bi` — submitted here when it was not read ahead —
     /// counting in `st` who decoded it.
     fn next(
         &mut self,
@@ -543,23 +543,7 @@ impl<'s, 'e> Fetch<'s, 'e> {
         bi: usize,
         st: &mut SuperstepStats,
     ) -> Result<FusedBatch, DeviceError> {
-        while self.submitted < self.plan.len() && self.submitted < bi + INFLIGHT_BATCHES {
-            let bplan = self.reader.plan_reads(self.plan[self.submitted].clone())?;
-            let ticket = self.ioq.submit_read(bplan.reqs.clone());
-            let decoder = if self.submitted > bi && mlvc_par::max_threads() > 1 {
-                let (reader, ioq) = (self.reader, self.ioq);
-                let handoff = &self.handoffs[self.submitted];
-                Decoder::Worker(scope.spawn(move || {
-                    let batch = fetch_decode(reader, ioq, ticket, &bplan);
-                    handoff.audit_write();
-                    batch.map(|b| (bplan, b))
-                }))
-            } else {
-                Decoder::Owner(bplan)
-            };
-            self.inflight.push_back((ticket, decoder));
-            self.submitted += 1;
-        }
+        self.submit_until(scope, bi, bi + 1)?;
         let Some((ticket, decoder)) = self.inflight.pop_front() else {
             return Err(DeviceError::Io(format!("no read in flight for fused batch {bi}")));
         };
@@ -584,10 +568,58 @@ impl<'s, 'e> Fetch<'s, 'e> {
         self.reader.consume(&bplan, &batch)?;
         Ok(batch)
     }
+
+    /// Read ahead while batch `bi` is processed: keep the K batches from
+    /// `bi` on submitted. The owner calls it once `bi`'s first interval has
+    /// its adjacency reads on the queue — demand reads go to the channels
+    /// before prefetched ones.
+    fn read_ahead(&mut self, scope: &Scope<'s, 'e>, bi: usize) -> Result<(), DeviceError> {
+        self.submit_until(scope, bi, bi + INFLIGHT_BATCHES)
+    }
+
+    /// Submit the batches not yet submitted below `end`, each handed to a
+    /// look-ahead worker when it lies ahead of `bi` and there is a second
+    /// thread.
+    fn submit_until(
+        &mut self,
+        scope: &Scope<'s, 'e>,
+        bi: usize,
+        end: usize,
+    ) -> Result<(), DeviceError> {
+        while self.submitted < self.plan.len().min(end) {
+            let bplan = self.reader.plan_reads(self.plan[self.submitted].clone())?;
+            let ticket = self.ioq.submit_read(bplan.reqs.clone());
+            let decoder = if self.submitted > bi && mlvc_par::max_threads() > 1 {
+                let (reader, ioq) = (self.reader, self.ioq);
+                let handoff = &self.handoffs[self.submitted];
+                Decoder::Worker(scope.spawn(move || {
+                    let batch = fetch_decode(reader, ioq, ticket, &bplan);
+                    handoff.audit_write();
+                    batch.map(|b| (bplan, b))
+                }))
+            } else {
+                Decoder::Owner(bplan)
+            };
+            self.inflight.push_back((ticket, decoder));
+            self.submitted += 1;
+        }
+        Ok(())
+    }
+}
+
+/// An interval prepared ahead of its process stage: its inbox, its active
+/// vertices, their adjacency as stored, and the queue tickets that read it.
+struct Loaded<'b, 'q> {
+    i: IntervalId,
+    inbox: Cow<'b, [Update]>,
+    actives: Vec<(VertexId, Range<usize>)>,
+    adj: Adjacency,
+    reads: Reads<'q>,
 }
 
 /// One superstep of a drive: plan → fetch → per interval (inbox → load →
-/// process → scatter → apply) → close-out.
+/// process → scatter → apply, the next interval's load submitted before
+/// this one's process) → close-out.
 struct Superstep<'d, 'a> {
     d: &'d mut Drive<'a>,
     st: SuperstepStats,
@@ -637,41 +669,76 @@ impl<'d, 'a> Superstep<'d, 'a> {
                 let t_fetch = Instant::now();
                 let batch = fetch.next(scope, bi, &mut self.st)?;
                 self.st.fetch_wait_ns += t_fetch.elapsed().as_nanos() as u64;
-                self.run_batch(range.clone(), &batch, &ioq)?;
+                self.st.load_ns += batch.load_ns;
+                self.st.sort_ns += batch.sort_ns;
+                self.st.messages_processed += batch.records;
+                // The batch is sorted before any of its intervals can name
+                // an active vertex, so no adjacency read overlaps its sort.
+                ioq.advance(compute_ns(batch.records, 0, 0));
+                let first = self.prepare(range.start, &batch, &ioq)?;
+                let t_ahead = Instant::now();
+                fetch.read_ahead(scope, bi)?;
+                self.st.fetch_wait_ns += t_ahead.elapsed().as_nanos() as u64;
+                self.run_batch(range.clone(), &batch, &ioq, first)?;
             }
             Ok(())
         })?;
         self.close_out(&ioq, wall0, io0, report)
     }
 
-    fn run_batch(
+    /// Run a fused batch's intervals, the `first` already prepared, one
+    /// interval ahead (DESIGN.md §12): interval *i+1* is prepared — inbox,
+    /// active vertices, adjacency reads on the queue — before interval
+    /// *i*'s tickets are retired, so *i+1*'s reads are serviced during *i*'s
+    /// compute and beside the tail of *i*'s reads on other channels. In the
+    /// asynchronous model *i+1*'s inbox is final only after *i*'s scatter,
+    /// so it is prepared after that.
+    fn run_batch<'b, 'q>(
         &mut self,
         range: Range<IntervalId>,
-        batch: &FusedBatch,
-        ioq: &IoQueue,
+        batch: &'b FusedBatch,
+        ioq: &'q IoQueue,
+        first: Loaded<'b, 'q>,
     ) -> Result<(), DeviceError> {
-        let before =
-            (self.st.messages_processed, self.st.messages_delivered, self.st.edges_scanned);
-        self.st.load_ns += batch.load_ns;
-        self.st.sort_ns += batch.sort_ns;
-        self.st.messages_processed += batch.records;
-        for i in range {
-            self.run_interval(i, batch)?;
+        let mut charged = self.compute_ns();
+        let ahead = !self.d.cfg.async_mode;
+        let mut next: Option<Loaded> = Some(first);
+        for i in range.clone() {
+            let loaded = match next.take() {
+                Some(l) => l,
+                None => self.prepare(i, batch, ioq)?,
+            };
+            if ahead && i + 1 < range.end {
+                next = Some(self.prepare(i + 1, batch, ioq)?);
+            }
+            self.retire(loaded)?;
+            // Advance the queue clock by this interval's simulated compute,
+            // so the service of reads already submitted overlaps it. With
+            // the batch's sort, advanced when it was retired, the deltas sum
+            // exactly to `st.compute_ns` over the superstep — in the
+            // asynchronous model too, whose `inbox` adds what it drained
+            // from the write side to `messages_processed`.
+            let now = self.compute_ns();
+            ioq.advance(now - charged);
+            charged = now;
         }
-        // Advance the queue clock by this batch's simulated compute time,
-        // so the service of batches already submitted overlaps it. The
-        // deltas sum exactly to `st.compute_ns` over the superstep — in the
-        // asynchronous model too, whose `inbox` adds what it drained from
-        // the write side to `messages_processed` inside this batch.
-        ioq.advance(compute_ns(
-            self.st.messages_processed - before.0,
-            self.st.messages_delivered - before.1,
-            self.st.edges_scanned - before.2,
-        ));
         Ok(())
     }
 
-    fn run_interval(&mut self, i: IntervalId, batch: &FusedBatch) -> Result<(), DeviceError> {
+    /// The superstep's simulated compute so far.
+    fn compute_ns(&self) -> u64 {
+        compute_ns(self.st.messages_processed, self.st.messages_delivered, self.st.edges_scanned)
+    }
+
+    /// Make interval `i` ready for its process stage: carve its inbox and
+    /// active vertices out of the batch and read their adjacency through
+    /// the queue, the tickets left in flight.
+    fn prepare<'b, 'q>(
+        &mut self,
+        i: IntervalId,
+        batch: &'b FusedBatch,
+        ioq: &'q IoQueue,
+    ) -> Result<Loaded<'b, 'q>, DeviceError> {
         let t_assemble = Instant::now();
         let inbox = self.inbox(i, batch)?;
         let actives = actives_for_interval(
@@ -681,10 +748,28 @@ impl<'d, 'a> Superstep<'d, 'a> {
             self.d.all_active,
         );
         self.st.assemble_ns += t_assemble.elapsed().as_nanos() as u64;
+        let mut reads = Reads::Queue(ioq, Vec::new());
+        let adj = if actives.is_empty() {
+            Adjacency::default()
+        } else {
+            self.load(&mut reads, i, &actives)?
+        };
+        Ok(Loaded { i, inbox, actives, adj, reads })
+    }
+
+    /// Retire a prepared interval's tickets — whatever service its reads
+    /// still need is charged here — then patch, process, scatter, apply.
+    fn retire(&mut self, loaded: Loaded) -> Result<(), DeviceError> {
+        let Loaded { i, inbox, actives, mut adj, reads } = loaded;
+        reads.retire();
         if actives.is_empty() {
             return Ok(());
         }
-        let adj = self.load(i, &actives)?;
+        // Pending structural updates are patched in now, not at the read:
+        // the interval before may have made one since.
+        let t_adj = Instant::now();
+        self.d.structural.patch(i, &mut adj);
+        self.st.adjacency_ns += t_adj.elapsed().as_nanos() as u64;
         let items = self.assemble(&actives, &inbox, &adj);
         let outputs = self.process(&items, &adj);
         self.scatter()?;
@@ -718,11 +803,13 @@ impl<'d, 'a> Superstep<'d, 'a> {
         Ok(Cow::Owned(merge_by_dest(previous, &extra, self.d.prog.combine())))
     }
 
-    /// Fetch adjacency for the interval's active vertices: from the edge log
-    /// where the previous superstep staged it, from the CSR pages that
-    /// actually hold active data otherwise.
+    /// Read adjacency for the interval's active vertices through `reads`,
+    /// the lists as stored: from the edge log where the previous superstep
+    /// staged it, from the CSR pages that actually hold active data
+    /// otherwise.
     fn load(
         &mut self,
+        reads: &mut Reads<'_>,
         i: IntervalId,
         actives: &[(VertexId, Range<usize>)],
     ) -> Result<Adjacency, DeviceError> {
@@ -730,8 +817,9 @@ impl<'d, 'a> Superstep<'d, 'a> {
         let d = &mut *self.d;
         // Most supersteps stage nothing: the edge log's read side is probed
         // per vertex only when it holds something. A vertex with structural
-        // updates pending comes from the CSR until they merge, so the patch
-        // below is only ever applied to stored bytes.
+        // updates pending comes from the CSR until they merge; one the
+        // interval before names meanwhile is patched over its edge-log copy,
+        // which is the stored list.
         let probe = d.use_elog() && !d.edgelog.read_side_is_empty();
         let vs: Vec<VertexId> = actives.iter().map(|(v, _)| *v).collect();
         let (elog_vs, csr_vs): (Vec<VertexId>, Vec<VertexId>) = if probe {
@@ -740,13 +828,12 @@ impl<'d, 'a> Superstep<'d, 'a> {
             (Vec::new(), vs)
         };
         let mut adj =
-            d.loader.load_active(d.graph, i, &csr_vs, d.prog.needs_weights(), None)?;
+            d.loader.load_active_with(reads, d.graph, i, &csr_vs, d.prog.needs_weights())?;
         if !elog_vs.is_empty() {
             self.st.edge_log_hits += elog_vs.len() as u64;
-            d.edgelog.fetch(&elog_vs, &mut adj)?;
+            d.edgelog.fetch(reads, &elog_vs, &mut adj)?;
             adj.sort_by_vertex();
         }
-        d.structural.patch(i, &mut adj);
         self.st.adjacency_ns += t_adj.elapsed().as_nanos() as u64;
         Ok(adj)
     }
@@ -1127,9 +1214,9 @@ mod tests {
             /// Fail every page read from here on, past the retry bound.
             ReadFault,
         }
-        /// One batch more than the first retire submits, and one more
-        /// after that: the last is submitted after the damage, wherever it
-        /// is decoded.
+        /// One batch more than the first retire and read-ahead submit, and
+        /// one more after that: the last is submitted after the damage,
+        /// wherever it is decoded.
         const BATCHES: u32 = INFLIGHT_BATCHES as u32 + 2;
         /// Retire one-interval batches, damaging the device once the first
         /// has retired — by then workers may hold the next K − 1, never the
@@ -1163,6 +1250,7 @@ mod tests {
                     inflight: VecDeque::new(),
                 };
                 fetch.next(scope, 0, &mut st).expect("the device is whole for the first batch");
+                fetch.read_ahead(scope, 0).expect("the device is whole for the read-ahead");
                 match damage {
                     Damage::FlippedBit => {
                         let f = ssd.lookup(&format!("t.mlog.{}.a", BATCHES - 1)).unwrap();
@@ -1179,8 +1267,10 @@ mod tests {
                 }
                 (1..plan.len()).find_map(|bi| {
                     let handed_off = st.batches_handed_off;
-                    let e = fetch.next(scope, bi, &mut st).err()?;
-                    Some((e, st.batches_handed_off > handed_off))
+                    match fetch.next(scope, bi, &mut st) {
+                        Ok(_) => fetch.read_ahead(scope, bi).err().map(|e| (e, false)),
+                        Err(e) => Some((e, st.batches_handed_off > handed_off)),
+                    }
                 })
             });
             mlvc_par::set_thread_override(None);

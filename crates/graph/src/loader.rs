@@ -1,4 +1,4 @@
-use mlvc_ssd::{DeviceError, FileId, Page, Ssd};
+use mlvc_ssd::{DeviceError, FileId, Page, Reads, Ticket};
 
 use crate::checked::{idx, mem_idx, to_u32, to_u64};
 use crate::page::{corrupt, Layout, Partition, HEADER_BYTES};
@@ -285,24 +285,19 @@ impl GraphLoader {
 
     fn read(
         &mut self,
-        ssd: &Ssd,
+        reads: &mut Reads<'_>,
         reqs: &[(FileId, u64, usize)],
-    ) -> Result<Vec<Page>, DeviceError> {
+        after: Option<Ticket>,
+    ) -> Result<(Option<Ticket>, Vec<Page>), DeviceError> {
         #[cfg(test)]
         self.issued.push(reqs.to_vec());
-        ssd.read_batch(reqs)
+        reads.read(reqs, after)
     }
 
     /// Load the out-adjacency of the given **sorted** active vertices of
-    /// interval `i`, as views over the pages read. Only pages overlapping
-    /// active vertex data are read, each exactly once per call, and no
-    /// stored list is decoded or copied. `patch` applies pending (un-merged)
-    /// structural updates so callers always observe the current graph. The
-    /// views are validated here, once: row pointers that cannot be a CSR's,
-    /// or a lent page whose header is not its extent's or that holds fewer
-    /// entries than a list takes from it, come back as
-    /// [`DeviceError::Corrupt`] — never as a panic, now or when a view is
-    /// walked.
+    /// interval `i`, as views over the pages read from the device. `patch`
+    /// applies pending (un-merged) structural updates so callers always
+    /// observe the current graph. See [`Self::load_active_with`].
     pub fn load_active(
         &mut self,
         graph: &StoredGraph,
@@ -310,6 +305,33 @@ impl GraphLoader {
         active: &[VertexId],
         want_weights: bool,
         patch: Option<&StructuralUpdateBuffer>,
+    ) -> Result<Adjacency, DeviceError> {
+        let mut reads = Reads::Device(graph.ssd());
+        let mut adj = self.load_active_with(&mut reads, graph, i, active, want_weights)?;
+        if let Some(buf) = patch {
+            buf.patch(i, &mut adj);
+        }
+        Ok(adj)
+    }
+
+    /// Load the out-adjacency of the given **sorted** active vertices of
+    /// interval `i` through `reads`, as views over the pages read, the
+    /// lists as stored. Only pages overlapping active vertex data are read,
+    /// each exactly once per call, and no stored list is decoded or copied.
+    /// The column-index and `val` requests are computed from the row
+    /// pointers' pages, so their reads are linked behind that one. The
+    /// views are validated here, once: row pointers that cannot be a CSR's,
+    /// or a lent page whose header is not its extent's or that holds fewer
+    /// entries than a list takes from it, come back as
+    /// [`DeviceError::Corrupt`] — never as a panic, now or when a view is
+    /// walked.
+    pub fn load_active_with(
+        &mut self,
+        reads: &mut Reads<'_>,
+        graph: &StoredGraph,
+        i: IntervalId,
+        active: &[VertexId],
+        want_weights: bool,
     ) -> Result<Adjacency, DeviceError> {
         let mut adj = Adjacency::default();
         if active.is_empty() {
@@ -337,7 +359,7 @@ impl GraphLoader {
             let j = to_u64(idx(v - start));
             rp.note(j, j + 2);
         }
-        let rp_data = self.read(ssd, rp.finish(page_size))?;
+        let (rp_read, rp_data) = self.read(reads, rp.finish(page_size), None)?;
         self.rowptr_pages_read += to_u64(rp.reqs.len());
         rp.check_lent(&rp_data)?;
         let mut rk = 0usize;
@@ -388,20 +410,16 @@ impl GraphLoader {
             let useful = to_u32("page useful bytes", r.2).unwrap_or(u32::MAX);
             self.colidx_usage.push((ci_file, r.1, useful));
         }
-        adj.colidx = self.read(ssd, &ci.reqs)?;
+        adj.colidx = self.read(reads, &ci.reqs, rp_read)?.1;
         self.colidx_pages_read += to_u64(ci.reqs.len());
         ci.check_lent(&adj.colidx)?;
         adj.colidx_lay = lay.colidx;
 
         if let Some(mut val) = val {
-            adj.val = self.read(ssd, val.finish(page_size))?;
+            adj.val = self.read(reads, val.finish(page_size), rp_read)?.1;
             val.check_lent(&adj.val)?;
             adj.val_lay = lay.val;
             adj.weighted = true;
-        }
-
-        if let Some(buf) = patch {
-            buf.patch(i, &mut adj);
         }
         self.edges_loaded += (0..adj.len()).map(|k| to_u64(adj.edges(k).len())).sum::<u64>();
         self.vertices_loaded += to_u64(adj.len());

@@ -3,7 +3,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use mlvc_graph::{Adjacency, Edges, PageUsage, VertexId};
-use mlvc_ssd::{DeviceError, FileId, Ssd};
+use mlvc_ssd::{DeviceError, FileId, Reads, Ssd};
 
 use crate::BitSet;
 
@@ -274,11 +274,17 @@ impl EdgeLogOptimizer {
     }
 
     /// Fetch logged adjacencies for the given vertices (all must satisfy
-    /// [`Self::contains`]), appending them to `adj` in `vs` order. Pages
-    /// are read once per batch; utilization of edge-log pages is high by
-    /// construction — that is the optimization. A page whose bytes are not
-    /// the record the index points at is [`DeviceError::Corrupt`].
-    pub fn fetch(&mut self, vs: &[VertexId], adj: &mut Adjacency) -> Result<(), DeviceError> {
+    /// [`Self::contains`]) through `reads`, appending them to `adj` in `vs`
+    /// order. Pages are read once per batch; utilization of edge-log pages
+    /// is high by construction — that is the optimization. A page whose
+    /// bytes are not the record the index points at is
+    /// [`DeviceError::Corrupt`].
+    pub fn fetch(
+        &mut self,
+        reads: &mut Reads<'_>,
+        vs: &[VertexId],
+        adj: &mut Adjacency,
+    ) -> Result<(), DeviceError> {
         if vs.is_empty() {
             return Ok(());
         }
@@ -300,7 +306,7 @@ impl EdgeLogOptimizer {
         }
         #[cfg(test)]
         self.issued.push(reqs.clone());
-        let data = self.ssd.read_batch(&reqs)?;
+        let data = reads.read(&reqs, None)?.1;
         // Callers pass exactly four bytes.
         let le_u32 = |c: &[u8]| u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
         let mut k = 0usize;
@@ -386,8 +392,8 @@ mod tests {
 
     /// What `fetch` appends for `vs`, as `(vertex, edges)` pairs.
     fn fetched(opt: &mut EdgeLogOptimizer, vs: &[u32]) -> Vec<(u32, Vec<u32>)> {
-        let mut adj = Adjacency::default();
-        opt.fetch(vs, &mut adj).unwrap();
+        let (ssd, mut adj) = (Arc::clone(&opt.ssd), Adjacency::default());
+        opt.fetch(&mut Reads::Device(&ssd), vs, &mut adj).unwrap();
         (0..adj.len()).map(|k| (adj.vertices()[k].v, adj.edges(k).to_vec())).collect()
     }
 

@@ -295,7 +295,7 @@ impl PageCache {
             return Ok(0);
         }
         let tenant = dev.tenant();
-        let read = dev.read(&reqs, true, Some(self))?;
+        let read = dev.read(&reqs, true, Some(self), &mut Vec::new())?;
         let mut guard = locked(&self.state);
         let inner = &mut *guard;
         let mut newly = 0u64;
@@ -378,14 +378,15 @@ impl PageCache {
     /// Pinned pages and resident frames are lent out as hits (a handle
     /// clone, no bytes copied); pages in flight under another owner are
     /// waited for; everything else is
-    /// marked in flight and read from `dev` as one uncached device batch.
-    /// The device lock is never held while the cache lock is (and vice
-    /// versa).
+    /// marked in flight and read from `dev` as one uncached device batch,
+    /// whose addresses `read` gains. The device lock is never held while
+    /// the cache lock is (and vice versa).
     pub(crate) fn read_through(
         &self,
         dev: &Ssd,
         reqs: &[(FileId, u64, usize)],
         timed: bool,
+        read: &mut Vec<PageAddr>,
     ) -> Result<Vec<Page>, DeviceError> {
         let tenant = dev.tenant();
         let mut out: Vec<Option<Page>> = Vec::new();
@@ -443,7 +444,7 @@ impl PageCache {
             // Fetch owned pages as one device batch, cache lock released.
             let fetch: Vec<(FileId, u64, usize)> = owned.iter().map(|&i| reqs[i]).collect();
             drop(guard);
-            let fetched = dev.read(&fetch, timed, None);
+            let fetched = dev.read(&fetch, timed, None, read);
             guard = locked(&self.state);
             match fetched {
                 Err(e) => {
@@ -780,7 +781,7 @@ mod tests {
         for race in racing {
             // The owner's pass 1 and device read …
             claim();
-            let fetched = ssd.read(&[(f, 0, 0)], true, None).unwrap().remove(0);
+            let fetched = ssd.read(&[(f, 0, 0)], true, None, &mut Vec::new()).unwrap().remove(0);
             // … the write that races them, and the landing.
             race();
             land_fill(&mut locked(&cache.state), key, &fetched, 0);
@@ -791,7 +792,7 @@ mod tests {
             ssd.write_page(f, 0, &[0; 32]).unwrap();
         }
         claim();
-        let fetched = ssd.read(&[(f, 0, 0)], true, None).unwrap().remove(0);
+        let fetched = ssd.read(&[(f, 0, 0)], true, None, &mut Vec::new()).unwrap().remove(0);
         land_fill(&mut locked(&cache.state), key, &fetched, 0);
         assert_eq!(cache.snapshot().resident_pages, 1, "an unraced fill lands");
         assert!(Page::ptr_eq(&fetched, &ssd.read_page(f, 0, 0).unwrap()));

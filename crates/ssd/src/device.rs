@@ -517,7 +517,7 @@ impl Ssd {
     /// the page size fails it with [`DeviceError::PayloadTooLarge`] before
     /// any page is lent or charged.
     pub fn read_batch(&self, reqs: &[(FileId, u64, usize)]) -> Result<Vec<Page>, DeviceError> {
-        self.read(reqs, true, self.cache().as_deref())
+        self.read(reqs, true, self.cache().as_deref(), &mut Vec::new())
     }
 
     /// The one read routine. A crashed view and an oversized `useful` are
@@ -527,12 +527,15 @@ impl Ssd {
     /// one `read_batches` are charged for what the device read; its service
     /// time only when `timed`, because the [`crate::IoQueue`] reads with
     /// its own clocks owning the time. Fault retries are extra service time
-    /// and are charged either way.
+    /// and are charged either way. `read` gains the address of every page
+    /// the device itself read — none for a cache hit —, the batch failed or
+    /// not: what the queue's clocks schedule.
     pub(crate) fn read(
         &self,
         reqs: &[(FileId, u64, usize)],
         timed: bool,
         cache: Option<&PageCache>,
+        read: &mut Vec<PageAddr>,
     ) -> Result<Vec<Page>, DeviceError> {
         self.fault.lock().check_alive()?;
         let page_size = self.shared.cfg.page_size;
@@ -540,10 +543,10 @@ impl Ssd {
             return Err(DeviceError::PayloadTooLarge { len, page_size });
         }
         if let Some(c) = cache {
-            return c.read_through(self, reqs, timed);
+            return c.read_through(self, reqs, timed, read);
         }
         let mut out = Vec::with_capacity(reqs.len());
-        let mut addrs = Vec::with_capacity(reqs.len());
+        let first = read.len();
         let mut useful_total = 0u64;
         let mut extra_retries = 0u64;
         let mut failed: Option<DeviceError> = None;
@@ -554,7 +557,7 @@ impl Ssd {
                     Ok((lent, retries)) => {
                         extra_retries += u64::from(retries);
                         useful_total += to_u64(useful);
-                        addrs.push(PageAddr::new(fid, page));
+                        read.push(PageAddr::new(fid, page));
                         out.push(lent);
                     }
                     Err(e) => {
@@ -564,7 +567,7 @@ impl Ssd {
                 }
             }
         }
-        self.charge_read(&addrs, useful_total, extra_retries, timed);
+        self.charge_read(&read[first..], useful_total, extra_retries, timed);
         failed.map_or(Ok(out), Err)
     }
 

@@ -7,11 +7,16 @@
 //! device would pipeline them across channels. `IoQueue` fixes that with an
 //! explicit submission/completion model:
 //!
-//! * [`IoQueue::submit_read`] schedules every page of a batch onto its flash
-//!   channel's virtual clock (same placement and sequential-run price as
-//!   [`batch_time_ns`]: both charge each page through one rule) and returns
-//!   a [`Ticket`]. Channels keep servicing
+//! * [`IoQueue::submit_read`] schedules every page of a batch the device
+//!   reads onto its flash channel's virtual clock (same placement and
+//!   sequential-run price as [`batch_time_ns`]: both charge each page
+//!   through one rule; a cache hit takes no channel time, as it costs
+//!   `read_batch` nothing) and returns a [`Ticket`]. Channels keep servicing
 //!   earlier tickets while later ones queue behind them — the overlap.
+//! * A batch whose request list was computed from an earlier ticket's pages
+//!   (the graph loader's column indices from its row pointers) is *linked*
+//!   behind it ([`IoQueue::submit_read_after`]): none of its pages starts
+//!   service before that ticket completes.
 //! * Each channel holds at most `depth` outstanding page requests. A submit
 //!   that would exceed the depth *stalls*: the submitter's clock advances to
 //!   the completion of the oldest queued request, and the stall is charged
@@ -56,11 +61,11 @@ use crate::fault::DeviceError;
 use crate::page::Page;
 use crate::sync::Mutex;
 
-/// Per-channel depth of the engine's fused-batch fetch queue, the one
-/// reader in the tree that keeps reads in flight; every other reader calls
-/// [`Ssd::read_batch`]. Depth moves only *when* submission returns, never a
-/// result or a page count (see the module docs), so nothing sets it but the
-/// simulator's own tests.
+/// Per-channel depth of the engine's superstep queue, the one reader in the
+/// tree that keeps reads in flight (fused log batches and the load stage's
+/// adjacency reads); every other reader calls [`Ssd::read_batch`]. Depth
+/// moves only *when* submission returns, never a result or a page count
+/// (see the module docs), so nothing sets it but the simulator's own tests.
 pub const QUEUE_DEPTH: usize = 16;
 
 /// Handle of one submitted read batch.
@@ -127,27 +132,43 @@ impl IoQueue {
         }
     }
 
-    /// Read a batch (counts charged, no service time), schedule it onto the
-    /// channel clocks and return its ticket; a failed read is returned by
+    /// [`Self::submit_read_after`] linked behind nothing: the channels are
+    /// the batch's only constraint.
+    pub fn submit_read(&self, reqs: Vec<(FileId, u64, usize)>) -> Ticket {
+        self.submit_read_after(reqs, None)
+    }
+
+    /// Read a batch (counts charged, no service time), schedule the pages
+    /// the device read onto the channel clocks — a cache hit takes no
+    /// channel time — and return its ticket; a failed read is returned by
     /// [`Self::fetch`].
+    ///
+    /// A *linked* batch names the ticket `after` whose pages its request
+    /// list was computed from: none of its pages starts service before that
+    /// ticket completes. Linking behind a ticket already retired (or one
+    /// that completes before the owner clock) changes nothing.
     ///
     /// Owner-thread, plan-order only (see the module docs). Any submission
     /// stall is charged to the device's `read_time_ns` here.
-    pub fn submit_read(&self, reqs: Vec<(FileId, u64, usize)>) -> Ticket {
+    pub fn submit_read_after(
+        &self,
+        reqs: Vec<(FileId, u64, usize)>,
+        after: Option<Ticket>,
+    ) -> Ticket {
         // No queue lock is held over the read.
-        let pages = self.ssd.read(&reqs, false, self.ssd.cache().as_deref());
+        let mut read = Vec::new();
+        let pages = self.ssd.read(&reqs, false, self.ssd.cache().as_deref(), &mut read);
         let channels = self.ssd.config().channels;
-        let mut sorted: Vec<PageAddr> =
-            reqs.iter().map(|&(f, p, _)| PageAddr::new(f, p)).collect();
-        sorted.sort_unstable();
+        read.sort_unstable();
 
         let mut st = self.state.lock();
         let mut cursor = st.now;
+        let linked = after.and_then(|t| st.tickets.get(&t.0)).map_or(0.0, |t| t.completion);
         // Sequential-run state is per ticket, mirroring `batch_time_ns`
         // (each dispatch re-pays the run head).
         let mut chan_prev: Vec<Option<PageAddr>> = vec![None; channels];
-        let mut completion = cursor;
-        for &a in &sorted {
+        let mut completion = cursor.max(linked);
+        for &a in &read {
             let ch = channel_of(a, channels);
             // Depth gate: drop retired requests, then wait for the oldest
             // queued one whenever the channel is full.
@@ -162,7 +183,7 @@ impl IoQueue {
                     cursor = cursor.max(fin);
                 }
             }
-            let start = st.chan_free[ch].max(cursor);
+            let start = st.chan_free[ch].max(cursor).max(linked);
             let fin = start + page_cost_ns(chan_prev[ch], a, channels, READ_NS);
             st.chan_free[ch] = fin;
             st.chan_q[ch].push_back(fin);
@@ -236,6 +257,48 @@ impl IoQueue {
     }
 }
 
+/// Where a stage's page reads go (DESIGN.md §12): straight to the device,
+/// their service time charged at dispatch ([`Ssd::read_batch`]), or onto an
+/// [`IoQueue`] as tickets that stay in flight — their service overlapping
+/// whatever the owner does — until [`Self::retire`]. Either way the pages
+/// come back at once: the queue reads at submit.
+pub enum Reads<'q> {
+    Device(&'q Ssd),
+    Queue(&'q IoQueue, Vec<Ticket>),
+}
+
+impl Reads<'_> {
+    /// Read `reqs` and return the pages with the read's ticket (`None` on
+    /// the device). A request list computed from the pages of an earlier
+    /// read names that read's ticket as `after`: on a queue it is linked
+    /// behind it ([`IoQueue::submit_read_after`]); device reads are serial
+    /// anyway.
+    pub fn read(
+        &mut self,
+        reqs: &[(FileId, u64, usize)],
+        after: Option<Ticket>,
+    ) -> Result<(Option<Ticket>, Vec<Page>), DeviceError> {
+        match self {
+            Reads::Device(ssd) => Ok((None, ssd.read_batch(reqs)?)),
+            Reads::Queue(queue, tickets) => {
+                let t = queue.submit_read_after(reqs.to_vec(), after);
+                tickets.push(t);
+                Ok((Some(t), queue.fetch(t)?))
+            }
+        }
+    }
+
+    /// Retire the queued tickets in submission order on the owner clock
+    /// (nothing to do for device reads). Owner-thread, plan-order only.
+    pub fn retire(self) {
+        if let Reads::Queue(queue, tickets) = self {
+            for t in tickets {
+                queue.complete(t);
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,6 +318,61 @@ mod tests {
 
     fn reqs(f: FileId, pages: std::ops::Range<u64>) -> Vec<(FileId, u64, usize)> {
         pages.map(|p| (f, p, 8)).collect()
+    }
+
+    fn addrs(f: FileId, pages: std::ops::Range<u64>) -> Vec<PageAddr> {
+        pages.map(|p| PageAddr::new(f, p)).collect()
+    }
+
+    /// A cache hit takes no channel time, as it costs `read_batch` nothing:
+    /// a ticket the cache serves whole completes with no wait and charges
+    /// no read time, and on an idle queue a ticket of hits and misses
+    /// charges exactly `batch_time_ns` of its misses.
+    #[test]
+    fn cache_hits_take_no_channel_time() {
+        let (ssd, f) = dev_with_file(16);
+        ssd.attach_cache(Arc::new(PageCache::new(32)));
+        let warm = IoQueue::new(Arc::clone(&ssd), 16);
+        warm.complete(warm.submit_read(reqs(f, 0..8)));
+        ssd.stats().reset();
+
+        let q = IoQueue::new(Arc::clone(&ssd), 16);
+        let hits = q.submit_read(reqs(f, 0..8));
+        assert_eq!(q.complete(hits), 0, "a ticket of hits waits for nothing");
+        assert_eq!(ssd.stats().snapshot().read_time_ns, 0);
+        let mixed = q.submit_read(reqs(f, 4..12));
+        let misses = batch_time_ns(ssd.config(), &addrs(f, 8..12), READ_NS);
+        assert_eq!(q.complete(mixed), misses, "four hits, four misses");
+        let s = ssd.stats().snapshot();
+        assert_eq!((s.read_time_ns, s.pages_read), (misses, 4));
+    }
+
+    /// A ticket linked behind another starts no page before that one
+    /// completes: on an idle queue the two complete at the sum of their
+    /// batch times; with the owner clock already at the first one's
+    /// completion the link changes nothing; and linked or not, the same
+    /// pages and batches are charged.
+    #[test]
+    fn a_linked_ticket_starts_when_the_ticket_it_follows_completes() {
+        let (ssd, f) = dev_with_file(16);
+        let (ta, tb) = (
+            batch_time_ns(ssd.config(), &addrs(f, 0..4), READ_NS),
+            batch_time_ns(ssd.config(), &addrs(f, 8..16), READ_NS),
+        );
+        let run = |advance: u64, linked: bool| {
+            ssd.stats().reset();
+            let q = IoQueue::new(Arc::clone(&ssd), 16);
+            let a = q.submit_read(reqs(f, 0..4));
+            q.advance(advance);
+            let b = q.submit_read_after(reqs(f, 8..16), linked.then_some(a));
+            let wait = q.complete(a) + q.complete(b);
+            let s = ssd.stats().snapshot();
+            (wait, s.pages_read, s.read_batches)
+        };
+        assert_eq!(run(0, true), (ta + tb, 12, 2), "linked on an idle queue");
+        assert_eq!(run(ta, true), run(ta, false), "linked behind a completed ticket");
+        let counts = |(_, pages, batches): (u64, u64, u64)| (pages, batches);
+        assert_eq!(counts(run(0, true)), counts(run(0, false)), "linked or not");
     }
 
     #[test]

@@ -36,7 +36,10 @@ pub fn check(root: &Path) -> Result<Vec<String>, String> {
                 .and_then(Json::as_num)
                 .ok_or_else(|| format!("{workload}: the benchmark reports no `{metric}`"))?;
             if got != want {
-                mismatches.push(format!("{workload}.{metric}: pinned {want}, measured {got}"));
+                mismatches.push(format!(
+                    "{workload}.{metric}: pinned {want}, measured {got} ({})",
+                    relative_change(want, got)
+                ));
             }
         }
     }
@@ -67,4 +70,31 @@ fn run_workload(root: &Path, workload: &str, seed: f64) -> Result<Json, String> 
         return Err(format!("{workload}: the run reports wrong output or failed jobs: {last}"));
     }
     Ok(result)
+}
+
+/// `got` against `want` as a signed percentage with one decimal, the sign a
+/// true minus: the delta a re-pinning change states.
+fn relative_change(want: f64, got: f64) -> String {
+    if want == 0.0 {
+        return "was 0".to_string();
+    }
+    let pct = (got - want) / want.abs() * 100.0;
+    let text = format!("{:.1} %", pct.abs());
+    if pct < 0.0 {
+        format!("\u{2212}{text}")
+    } else {
+        format!("+{text}")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::relative_change;
+
+    #[test]
+    fn a_mismatch_states_its_relative_change() {
+        assert_eq!(relative_change(556.587238, 402.880598), "\u{2212}27.6 %");
+        assert_eq!(relative_change(200.0, 203.0), "+1.5 %");
+        assert_eq!(relative_change(0.0, 3.0), "was 0");
+    }
 }

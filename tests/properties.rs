@@ -15,7 +15,7 @@ use multilogvc::graph::{
 };
 use multilogvc::mutate::{apply_to_csr, EdgeMutation, MutationConfig, MutationLog};
 use multilogvc::log::{BitSet, EdgeLogOptimizer};
-use multilogvc::ssd::{DeviceError, FileId, Ssd, SsdConfig};
+use multilogvc::ssd::{DeviceError, FileId, Reads, Ssd, SsdConfig};
 
 use mlvc_gen::rng::SeededRng;
 
@@ -261,7 +261,7 @@ fn damaged_adjacency_pages_are_an_error_or_walkable_views_never_a_panic() {
             .collect();
         elog.end_superstep(&BitSet::new(n), &[]).unwrap();
         let mut clean_log = Adjacency::default();
-        elog.fetch(&logged, &mut clean_log).unwrap();
+        elog.fetch(&mut Reads::Device(&ssd), &logged, &mut clean_log).unwrap();
 
         let target = match case % 4 {
             0 => sg.rowptr_file(i),
@@ -274,7 +274,7 @@ fn damaged_adjacency_pages_are_an_error_or_walkable_views_never_a_panic() {
         }
         let (got, want, what) = if case % 4 == 3 {
             let mut adj = Adjacency::default();
-            (elog.fetch(&logged, &mut adj).map(|()| adj), &clean_log, "edgelog")
+            (elog.fetch(&mut Reads::Device(&ssd), &logged, &mut adj).map(|()| adj), &clean_log, "edgelog")
         } else {
             (GraphLoader::new().load_active(&sg, i, &active, true, None), &clean, "csr")
         };
