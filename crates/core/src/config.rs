@@ -81,12 +81,6 @@ pub struct EngineConfig {
     /// Write a crash-consistent checkpoint every `k` supersteps (`None`
     /// disables checkpointing). See `mlvc-recover` and DESIGN.md §11.
     pub checkpoint_every: Option<usize>,
-    /// Observability layer (DESIGN.md §13): attach a live FTL model to the
-    /// device, so the `ftl_*` fields of every phase count (they read 0
-    /// without one), and build the end-of-run metrics snapshot into
-    /// `RunReport::obs`. The trace rows themselves (`RunReport::phases`)
-    /// are filled on every run. Off by default.
-    pub obs: bool,
     /// Seed for deterministic per-vertex randomness.
     pub seed: u64,
     /// Job tag naming this run's on-device artifacts (multi-log extents,
@@ -108,7 +102,6 @@ impl Default for EngineConfig {
             enable_edge_log: true,
             async_mode: false,
             checkpoint_every: None,
-            obs: false,
             seed: 0xC0FFEE,
             tag: "mlvc".to_string(),
             tiering: TieringConfig::default(),
@@ -144,9 +137,12 @@ impl EngineConfig {
         self
     }
 
-    /// Toggle the observability layer (DESIGN.md §13).
-    pub fn with_obs(mut self, yes: bool) -> Self {
-        self.obs = yes;
+    /// Changes nothing: every run fills its trace and its metrics snapshot
+    /// (`RunReport::obs`), and a caller that wants the `ftl_*` counters
+    /// attaches an FTL to the device itself (`Ssd::enable_ftl`; DESIGN.md
+    /// §13). Kept because the standalone `benchmark/` package, from when
+    /// this toggled observability, still calls it.
+    pub fn with_obs(self, _yes: bool) -> Self {
         self
     }
 
@@ -203,7 +199,9 @@ impl EngineConfig {
 }
 
 /// A sizing rule [`EngineConfig::validate`] found broken, or a program the
-/// engine cannot run on the graph it holds — refused where the run starts.
+/// engine cannot run on the graph it holds — refused where the run starts —
+/// or a program output the engine's model cannot carry, which ends the run
+/// in the superstep that produced it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConfigError {
     /// `memory_bytes` is below one 4 KiB page.
@@ -213,6 +211,10 @@ pub enum ConfigError {
     /// The program reads edge weights (`needs_weights()`) and the graph the
     /// engine runs on stores none.
     NeedsWeights { app: &'static str },
+    /// The program asked `engine` for what its model cannot carry: a
+    /// structural update on a baseline, or a GraphChi message sent to a
+    /// vertex that is not an out-neighbour (its messages ride on edges).
+    Unsupported { engine: &'static str, what: &'static str },
 }
 
 impl ConfigError {
@@ -224,6 +226,7 @@ impl ConfigError {
             ConfigError::BudgetTooSmall { .. } => "budget-too-small",
             ConfigError::ZeroCheckpointCadence => "zero-checkpoint-cadence",
             ConfigError::NeedsWeights { .. } => "needs-weights",
+            ConfigError::Unsupported { .. } => "unsupported",
         }
     }
 }
@@ -246,6 +249,9 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::NeedsWeights { app } => {
                 write!(f, "{app} reads edge weights and the graph stores none")
+            }
+            ConfigError::Unsupported { engine, what } => {
+                write!(f, "the {engine} engine does not support {what}")
             }
         }
     }

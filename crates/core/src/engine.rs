@@ -276,7 +276,7 @@ impl<'a> Drive<'a> {
         }
         let intervals = graph.intervals();
         attach_cache(ssd, &cfg.tiering);
-        let tracer = Tracer::start(ssd, cfg.obs);
+        let tracer = Tracer::start(ssd);
         let mut multilog = MultiLog::new(
             Arc::clone(ssd),
             intervals.clone(),
@@ -435,8 +435,10 @@ fn merge_by_dest(a: &[Update], b: &[Update], combine: Option<Combine>) -> Vec<Up
 /// Active vertices of one interval: destinations holding messages in the
 /// dest-sorted `inbox` merged with explicitly kept-active vertices (or the
 /// whole interval on an all-active superstep). Returns `(v, message range
-/// into inbox)` pairs sorted by vertex.
-fn actives_for_interval(
+/// into inbox)` pairs sorted by vertex. `self_active` is sorted and may
+/// span other intervals; the baseline engines build their work lists with
+/// it too.
+pub fn actives_for_interval(
     inbox: &[Update],
     self_active: &[VertexId],
     interval: Range<VertexId>,
@@ -1902,7 +1904,7 @@ mod tests {
         let eng = MultiLogEngine::new(
             Arc::clone(&ssd),
             g,
-            EngineConfig::default().with_obs(true).with_tiering(tiering),
+            EngineConfig::default().with_tiering(tiering),
         );
         (ssd, eng)
     }

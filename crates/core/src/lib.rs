@@ -36,7 +36,7 @@ pub use config::{
     compute_ns, ConfigError, EngineConfig, TieringConfig, EDGELOG_FRAC, EDGE_SCAN_NS,
     MSG_PROCESS_NS, MULTILOG_FRAC, SORT_FRAC, SORT_NS,
 };
-pub use engine::MultiLogEngine;
+pub use engine::{actives_for_interval, MultiLogEngine};
 pub use reference::ReferenceEngine;
 pub use report::{RunReport, SuperstepStats};
 

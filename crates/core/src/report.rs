@@ -99,8 +99,8 @@ pub struct SuperstepStats {
     /// written.
     pub edge_log_vertices: u64,
     pub edge_log_pages: u64,
-    /// The device's FTL model this phase (all 0 when none is attached,
-    /// see [`crate::EngineConfig::obs`]): host page writes, physical page
+    /// The device's FTL model this phase (all 0 when none is attached —
+    /// `Ssd::enable_ftl`): host page writes, physical page
     /// writes (host + GC relocations), blocks erased, live pages relocated.
     pub ftl_host_writes: u64,
     pub ftl_physical_writes: u64,
@@ -214,9 +214,10 @@ pub struct RunReport {
     /// something merged: the client batches `reconverge` merged before its
     /// drive, and the program's own structural updates.
     pub mutations: Option<MutationStats>,
-    /// End-of-run metrics snapshot when `EngineConfig::obs` was enabled.
-    /// Its `mlvc_ssd_*` counters equal the device's own stats delta over
-    /// the run exactly (`tests/io_accounting.rs`).
+    /// End-of-run metrics snapshot, built by every MultiLogVC run (the
+    /// baselines leave it `None`). Its `mlvc_ssd_*` counters equal the
+    /// device's own stats delta over the run exactly
+    /// (`tests/io_accounting.rs`).
     pub obs: Option<MetricsSnapshot>,
 }
 
@@ -339,7 +340,7 @@ impl RunReport {
     }
 
     /// Prometheus text exposition of the end-of-run metrics snapshot
-    /// (empty string when obs was disabled).
+    /// (empty string when the engine built none).
     pub fn prometheus_text(&self) -> String {
         self.obs.as_ref().map(|s| to_prometheus(&[(None, s)])).unwrap_or_default()
     }

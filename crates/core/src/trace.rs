@@ -1,19 +1,17 @@
 //! Trace emission of one drive (DESIGN.md §13): the unit-stats baselines
 //! subtracted to turn cumulative counters into per-phase deltas, the one
 //! place a phase's unit counters are filled in ([`Tracer::close`]), and the
-//! end-of-run metrics snapshot when [`crate::EngineConfig::obs`] is on.
+//! end-of-run metrics snapshot ([`Tracer::finish`]).
 
 use std::collections::BTreeMap;
 
 use mlvc_log::{EdgeLogOptimizer, EdgeLogStats, MultiLog, MultiLogStats};
 use mlvc_obs::{HistogramSnapshot, MetricsSnapshot};
-use mlvc_ssd::{CacheSnapshot, FtlConfig, FtlStats, Ssd, SsdStatsSnapshot};
+use mlvc_ssd::{CacheSnapshot, FtlStats, Ssd, SsdStatsSnapshot};
 
 use crate::{RunReport, SuperstepStats};
 
 pub(crate) struct Tracer {
-    /// Whether to attach the FTL model and build the metrics snapshot.
-    obs: bool,
     /// Device stats at run start — the whole-run baseline behind the
     /// seeding phase's `io` and the end-of-run counters.
     run_base: SsdStatsSnapshot,
@@ -29,18 +27,13 @@ pub(crate) struct Tracer {
 }
 
 impl Tracer {
-    /// With `obs`, attach the live FTL before any page write so flash
-    /// amplification covers the whole run. Then capture the baselines —
-    /// device stats may already be nonzero (graph storing), and the FTL
-    /// survives across runs on the same device.
-    pub(crate) fn start(ssd: &Ssd, obs: bool) -> Tracer {
-        if obs {
-            ssd.enable_ftl(FtlConfig::default());
-        }
+    /// Capture the baselines — device stats may already be nonzero (graph
+    /// storing), and an FTL the caller attached survives across runs on the
+    /// same device.
+    pub(crate) fn start(ssd: &Ssd) -> Tracer {
         let ftl0 = ssd.ftl_stats().unwrap_or_default();
         let cache0 = ssd.cache().map(|c| c.snapshot()).unwrap_or_default();
         Tracer {
-            obs,
             run_base: ssd.stats().snapshot(),
             ftl_run_base: ftl0,
             cache_run_base: cache0.clone(),
@@ -94,7 +87,7 @@ impl Tracer {
         self.cache_base = cs;
     }
 
-    /// With `obs`, hand the end-of-run metrics snapshot to the report.
+    /// Hand the end-of-run metrics snapshot to the report.
     pub(crate) fn finish(
         self,
         ssd: &Ssd,
@@ -102,9 +95,7 @@ impl Tracer {
         edgelog: &EdgeLogOptimizer,
         report: &mut RunReport,
     ) {
-        if self.obs {
-            report.obs = Some(self.snapshot(ssd, multilog, edgelog, report));
-        }
+        report.obs = Some(self.snapshot(ssd, multilog, edgelog, report));
     }
 
     /// End-of-run metrics snapshot: the `mlvc_ssd_*` counters are the

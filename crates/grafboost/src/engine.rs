@@ -2,8 +2,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use mlvc_core::{
-    compute_ns, ConfigError, Engine, EngineConfig, InitActive, RunReport, SendSink,
-    SuperstepStats, Update, VertexCtx, VertexProgram,
+    actives_for_interval, compute_ns, ConfigError, Engine, EngineConfig, InitActive, RunReport,
+    SendSink, SuperstepStats, Update, VertexCtx, VertexProgram,
 };
 use mlvc_graph::{StoredGraph, VertexId};
 use mlvc_ssd::{DeviceError, Ssd};
@@ -37,8 +37,8 @@ impl GrafBoostEngine {
 }
 
 impl GrafBoostEngine {
-    /// The superstep driver; a device fault aborts the run and surfaces as
-    /// `RunReport::interrupted`.
+    /// The superstep driver; a device fault, or a structural update it does
+    /// not support, aborts the run and surfaces as `RunReport::interrupted`.
     fn drive(
         &mut self,
         prog: &dyn VertexProgram,
@@ -78,7 +78,6 @@ impl GrafBoostEngine {
             let mut next_self: Vec<VertexId> = Vec::new();
             let mut outbox: Vec<Update> = Vec::new();
             let flush_at = (self.cfg.multilog_budget() / mlvc_log::UPDATE_BYTES).max(1024);
-            let mut sends_total = 0u64;
 
             // --- The single-log bottleneck: sort the whole log. ---
             let (sorted, sort_stats) =
@@ -90,22 +89,16 @@ impl GrafBoostEngine {
 
             for i in intervals.iter_ids() {
                 let iv = intervals.range(i);
-                // Gather this interval's message groups from the stream.
-                let mut msg_groups: Vec<(VertexId, Vec<Update>)> = Vec::new();
-                while let Some((d, _)) = peeked.as_ref() {
-                    if *d >= iv.end {
-                        break;
-                    }
-                    if let Some(g) = peeked.take() {
-                        msg_groups.push(g);
-                    }
+                // This interval's messages, one dest-sorted inbox taken from
+                // the stream.
+                let mut inbox: Vec<Update> = Vec::new();
+                while let Some((_, g)) = peeked.take_if(|(d, _)| *d < iv.end) {
+                    inbox.extend(g);
                     peeked = groups.next_group()?;
                 }
-                // Active set: receivers ∪ kept-active ∪ (all at superstep 1).
-                let ss = self_active.partition_point(|&v| v < iv.start);
-                let se = self_active.partition_point(|&v| v < iv.end);
-                let kept = &self_active[ss..se];
-                if msg_groups.is_empty() && kept.is_empty() && !all_active {
+                // Receivers ∪ kept-active ∪ (all at superstep 1).
+                let work = actives_for_interval(&inbox, &self_active, iv.clone(), all_active);
+                if work.is_empty() {
                     continue;
                 }
 
@@ -116,70 +109,33 @@ impl GrafBoostEngine {
                     &colidx[rowptr[k] as usize..rowptr[k + 1] as usize]
                 };
 
-                // Merge receivers with kept-active (both sorted).
-                let mut work: Vec<(VertexId, &[Update])> = Vec::new();
-                if all_active {
-                    let mut gi = 0usize;
-                    for v in iv.clone() {
-                        if gi < msg_groups.len() && msg_groups[gi].0 == v {
-                            work.push((v, &msg_groups[gi].1));
-                            gi += 1;
-                        } else {
-                            work.push((v, &[]));
-                        }
-                    }
-                } else {
-                    let (mut gi, mut ki) = (0usize, 0usize);
-                    while gi < msg_groups.len() || ki < kept.len() {
-                        if ki >= kept.len()
-                            || (gi < msg_groups.len() && msg_groups[gi].0 <= kept[ki])
-                        {
-                            if ki < kept.len() && msg_groups[gi].0 == kept[ki] {
-                                ki += 1;
-                            }
-                            work.push((msg_groups[gi].0, &msg_groups[gi].1));
-                            gi += 1;
-                        } else {
-                            work.push((kept[ki], &[]));
-                            ki += 1;
-                        }
-                    }
-                }
-
                 let states = &self.states;
                 let seed = self.cfg.seed;
-                let outputs: Vec<_> =
-                    mlvc_par::par_map(&work, |(v, msgs)| {
-                        let mut sink = SendSink::flat();
-                        let mut ctx = VertexCtx::new(
-                            *v,
-                            superstep,
-                            n,
-                            states[*v as usize],
-                            msgs,
-                            adj(*v),
-                            None,
-                            seed,
-                            &mut sink,
-                        );
-                        prog.process(&mut ctx);
-                        (ctx.into_outputs(), sink)
-                    });
+                let outputs: Vec<_> = mlvc_par::par_map(&work, |(v, r)| {
+                    let mut sink = SendSink::flat();
+                    let msgs = &inbox[r.clone()];
+                    let state = states[*v as usize];
+                    let edges = adj(*v);
+                    let mut ctx =
+                        VertexCtx::new(*v, superstep, n, state, msgs, edges, None, seed, &mut sink);
+                    prog.process(&mut ctx);
+                    (ctx.into_outputs(), sink)
+                });
 
-                for ((v, msgs), (out, sink)) in work.iter().zip(outputs) {
+                for ((v, r), (out, sink)) in work.iter().zip(outputs) {
+                    if !out.structural.is_empty() {
+                        let what = "structural updates";
+                        return Err(ConfigError::Unsupported { engine: "GraFBoost", what }.into());
+                    }
                     self.states[*v as usize] = out.state;
                     st.active_vertices += 1;
-                    st.messages_delivered += msgs.len() as u64;
+                    st.messages_delivered += r.len() as u64;
                     st.edges_scanned += adj(*v).len() as u64;
-                    assert!(
-                        out.structural.is_empty(),
-                        "GraFBoost baseline does not support structural updates"
-                    );
                     if out.keep_active {
                         next_self.push(*v);
                     }
                     let sends = &sink.buffers()[0];
-                    sends_total += sends.len() as u64;
+                    st.messages_sent += sends.len() as u64;
                     outbox.extend_from_slice(sends);
                     if outbox.len() >= flush_at {
                         write_log_pages(&self.ssd, log, &outbox, has_src)?;
@@ -193,7 +149,6 @@ impl GrafBoostEngine {
             next_self.dedup();
             self_active = next_self;
             all_active = false;
-            st.messages_sent = sends_total;
             st.io = self.ssd.stats().snapshot().since(&io0);
             st.compute_ns =
                 compute_ns(st.messages_processed, st.messages_delivered, st.edges_scanned);

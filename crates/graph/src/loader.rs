@@ -186,8 +186,6 @@ pub struct GraphLoader {
     colidx_usage: Vec<(FileId, u64, u32)>,
     rowptr_pages_read: u64,
     colidx_pages_read: u64,
-    vertices_loaded: u64,
-    edges_loaded: u64,
     /// Every request list handed to the device, for the test that pins them.
     #[cfg(test)]
     issued: Vec<Vec<(FileId, u64, usize)>>,
@@ -276,8 +274,6 @@ impl GraphLoader {
             colidx_usage: Vec::new(),
             rowptr_pages_read: 0,
             colidx_pages_read: 0,
-            vertices_loaded: 0,
-            edges_loaded: 0,
             #[cfg(test)]
             issued: Vec::new(),
         }
@@ -421,8 +417,6 @@ impl GraphLoader {
             adj.val_lay = lay.val;
             adj.weighted = true;
         }
-        self.edges_loaded += (0..adj.len()).map(|k| to_u64(adj.edges(k).len())).sum::<u64>();
-        self.vertices_loaded += to_u64(adj.len());
         Ok(adj)
     }
 
@@ -449,14 +443,6 @@ impl GraphLoader {
 
     pub fn colidx_pages_read(&self) -> u64 {
         self.colidx_pages_read
-    }
-
-    pub fn vertices_loaded(&self) -> u64 {
-        self.vertices_loaded
-    }
-
-    pub fn edges_loaded(&self) -> u64 {
-        self.edges_loaded
     }
 }
 
@@ -602,8 +588,6 @@ mod tests {
         let (_ssd, sg) = stored();
         let mut loader = GraphLoader::new();
         loader.load_active(&sg, 1, &[16, 17, 18], false, None).unwrap();
-        assert_eq!(loader.vertices_loaded(), 3);
-        assert_eq!(loader.edges_loaded(), 9);
         assert!(loader.rowptr_pages_read() >= 1);
         assert!(loader.colidx_pages_read() >= 1);
     }

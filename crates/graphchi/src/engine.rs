@@ -1,16 +1,16 @@
-use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
 use mlvc_core::{
-    compute_ns, ConfigError, Engine, EngineConfig, InitActive, RunReport, SendSink,
-    SuperstepStats, Update, VertexCtx, VertexProgram,
+    actives_for_interval, compute_ns, Combine, ConfigError, Engine, EngineConfig, InitActive,
+    RunReport, SendSink, SuperstepStats, Update, VertexCtx, VertexProgram,
 };
 use mlvc_graph::{Csr, IntervalId, VertexIntervals, VertexId};
 use mlvc_log::BitSet;
 use mlvc_ssd::{DeviceError, Ssd};
 
-use crate::shards::{ShardRecord, ShardSet};
+use crate::shards::{records_per_page, ShardRecord, ShardSet};
 
 /// The GraphChi baseline engine: parallel sliding windows over shards,
 /// synchronous (BSP) message delivery via edge values.
@@ -27,8 +27,12 @@ use crate::shards::{ShardRecord, ShardSet};
 ///   this) → with a `combine` they merge; otherwise the older value moves
 ///   to the *next* superstep's pending list.
 ///
-/// Graph structural updates are not supported by this baseline (none of
-/// the paper's evaluation applications mutate the graph).
+/// An interval's inbox is its pending list, then the values fresh on its
+/// in-edges, sorted stably by `(dest, src)`: a vertex receives its messages
+/// in send order, as on MultiLogVC. A structural update, or a message to a
+/// vertex that is not an out-neighbour, ends the run with
+/// [`ConfigError::Unsupported`] (none of the paper's evaluation
+/// applications does either).
 pub struct GraphChiEngine {
     ssd: Arc<Ssd>,
     shards: ShardSet,
@@ -36,10 +40,62 @@ pub struct GraphChiEngine {
     states: Vec<u64>,
 }
 
-struct BlockImage {
+/// What processing interval `i` holds of shard `j`: all of shard `i` (its
+/// in-edges), or the page span of block `(j, i)` of every other shard (the
+/// interval's out-edges there, one sliding window), with a dirty bit per
+/// page for the write-back.
+struct Window {
     shard: IntervalId,
     first_page: u64,
     records: Vec<ShardRecord>,
+    /// The records whose sources lie in interval `i`, sorted by
+    /// `(src, dst)`.
+    block: Range<usize>,
+    dirty: Vec<bool>,
+}
+
+impl Window {
+    fn load(shards: &ShardSet, j: IntervalId, i: IntervalId) -> Result<Window, DeviceError> {
+        let (lo, hi) = shards.window(j, i);
+        let (records, first_page) = shards.load_range(j, lo, hi)?;
+        let per_page = records_per_page(shards.ssd().page_size());
+        let base = first_page as usize * per_page;
+        let (b_lo, b_hi) = shards.block(j, i);
+        let block = if b_lo < b_hi { b_lo - base..b_hi - base } else { 0..0 };
+        let dirty = vec![false; records.len().div_ceil(per_page)];
+        Ok(Window { shard: j, first_page, records, block, dirty })
+    }
+
+    /// The record of edge `v → d`, its page marked dirty; `None` when the
+    /// window holds no such edge.
+    fn edge_mut(&mut self, v: VertexId, d: VertexId, per_page: usize) -> Option<&mut ShardRecord> {
+        let block = &self.records[self.block.clone()];
+        let k = block.partition_point(|r| (r.src, r.dst) < (v, d));
+        if block.get(k).is_none_or(|r| (r.src, r.dst) != (v, d)) {
+            return None;
+        }
+        let k = self.block.start + k;
+        self.dirty[k / per_page] = true;
+        Some(&mut self.records[k])
+    }
+}
+
+/// The shard order of interval `i`'s loads and write-backs: its own shard,
+/// then every other shard's window, ascending.
+fn call_order(i: IntervalId, ni: usize) -> impl Iterator<Item = IntervalId> {
+    std::iter::once(i).chain((0..ni as IntervalId).filter(move |&j| j != i))
+}
+
+/// What one superstep carries from interval to interval.
+struct Step {
+    superstep: usize,
+    st: SuperstepStats,
+    /// Deliveries for this superstep, per interval: the previous
+    /// superstep's stash, plus undelivered values rerouted on the way.
+    pending: Vec<Vec<Update>>,
+    /// The older of two messages sent over one edge, per interval.
+    next_pending: Vec<Vec<Update>>,
+    next_active: BitSet,
 }
 
 impl GraphChiEngine {
@@ -59,8 +115,8 @@ impl GraphChiEngine {
         &self.cfg
     }
 
-    /// The superstep driver; a device fault aborts the run and surfaces as
-    /// `RunReport::interrupted`.
+    /// The superstep driver; a device fault, or a program output the model
+    /// cannot carry, aborts the run and surfaces as `RunReport::interrupted`.
     fn drive(
         &mut self,
         prog: &dyn VertexProgram,
@@ -74,13 +130,11 @@ impl GraphChiEngine {
         let intervals = self.shards.intervals().clone();
         let n = intervals.num_vertices();
         let ni = intervals.num_intervals();
-        let combine = prog.combine();
-
         self.states = (0..n as VertexId).map(|v| prog.init_state(v)).collect();
 
+        // Kept-active vertices and the receivers of messages in flight.
         let mut active = BitSet::new(n);
         let mut all_active = false;
-        // Deliveries scheduled for the current superstep, per interval.
         let mut pending: Vec<Vec<Update>> = vec![Vec::new(); ni];
         match prog.init_active(n) {
             InitActive::All => all_active = true,
@@ -93,264 +147,170 @@ impl GraphChiEngine {
         }
 
         for superstep in 1..=max_supersteps {
-            let any_active = all_active || active.count() > 0;
-            if !any_active {
-                report.converged = true;
+            if !all_active && active.count() == 0 {
                 break;
             }
             let wall0 = Instant::now();
             let io0 = self.ssd.stats().snapshot();
-            let mut st = SuperstepStats { superstep, ..Default::default() };
-            let mut next_active = BitSet::new(n);
-            let mut next_pending: Vec<Vec<Update>> = vec![Vec::new(); ni];
-            let mut sends_total = 0u64;
-
+            let mut step = Step {
+                superstep,
+                st: SuperstepStats { superstep, ..Default::default() },
+                pending,
+                next_pending: vec![Vec::new(); ni],
+                next_active: BitSet::new(n),
+            };
             for i in intervals.iter_ids() {
-                let iv = intervals.range(i);
-                // Active vertices of this interval, ascending.
-                let actives: Vec<VertexId> = if all_active {
-                    iv.clone().collect()
-                } else {
-                    iv.clone().filter(|&v| active.get(v as usize)).collect()
-                };
-                if actives.is_empty() && pending[i as usize].is_empty() {
+                let kept: Vec<VertexId> =
+                    intervals.range(i).filter(|&v| all_active || active.get(v as usize)).collect();
+                if kept.is_empty() && step.pending[i as usize].is_empty() {
                     continue; // the only case GraphChi skips a shard (§II-A)
                 }
-
-                // --- Load shard i fully + the interval's out-edge blocks
-                //     from every other shard (parallel sliding windows). ---
-                let shard_records = self.shards.load_shard(i)?;
-                #[allow(unused_mut)]
-                let mut images: Vec<BlockImage> = Vec::new();
-                for j in intervals.iter_ids() {
-                    if j == i {
-                        continue;
-                    }
-                    let (lo, hi) = self.shards.block(j, i);
-                    if lo >= hi {
-                        continue;
-                    }
-                    let (records, first_page) = self.shards.load_range(j, lo, hi)?;
-                    images.push(BlockImage { shard: j, first_page, records });
-                }
-
-                // --- Messages: fresh edge values + pending deliveries. ---
-                let mut msgs: Vec<Update> = shard_records
-                    .iter()
-                    .filter(|r| r.tag as usize == superstep - 1 && r.tag != 0)
-                    .map(|r| Update::new(r.dst, r.src, r.data))
-                    .collect();
-                // Seeds use tag semantics of "delivered at superstep 1".
-                msgs.append(&mut pending[i as usize]);
-                msgs.sort_by_key(|u| (u.dest, u.src));
-                let mut groups: HashMap<VertexId, std::ops::Range<usize>> = HashMap::new();
-                {
-                    let mut k = 0usize;
-                    while k < msgs.len() {
-                        let d = msgs[k].dest;
-                        let start = k;
-                        while k < msgs.len() && msgs[k].dest == d {
-                            k += 1;
-                        }
-                        groups.insert(d, start..k);
-                    }
-                }
-
-                // Vertices to process: active ∪ message receivers.
-                let mut process_list: Vec<VertexId> = actives;
-                for &d in groups.keys() {
-                    if !process_list.contains(&d) {
-                        process_list.push(d);
-                    }
-                }
-                process_list.sort_unstable();
-
-                // --- Out-edge gather: merge-join each sorted block with the
-                //     process list; also index record positions for sends. ---
-                // Image index 0 = the shard itself (for dst within interval i).
-                let mut out_edges: HashMap<VertexId, Vec<(VertexId, usize, usize)>> =
-                    process_list.iter().map(|&v| (v, Vec::new())).collect();
-                {
-                    // Own shard's block (i, i).
-                    let (lo, hi) = self.shards.block(i, i);
-                    for (k, r) in shard_records[lo..hi].iter().enumerate() {
-                        if let Some(list) = out_edges.get_mut(&r.src) {
-                            list.push((r.dst, usize::MAX, lo + k));
-                        }
-                    }
-                    for (img_idx, img) in images.iter().enumerate() {
-                        let (lo, _hi) = self.shards.block(img.shard, i);
-                        let per_page = self.ssd.page_size() / crate::SHARD_RECORD_BYTES;
-                        let img_base = (img.first_page as usize) * per_page;
-                        let start_in_img = lo - img_base;
-                        let count = self.shards.block(img.shard, i).1 - lo;
-                        for (k, r) in img.records[start_in_img..start_in_img + count]
-                            .iter()
-                            .enumerate()
-                        {
-                            if let Some(list) = out_edges.get_mut(&r.src) {
-                                list.push((r.dst, img_idx, start_in_img + k));
-                            }
-                        }
-                    }
-                }
-
-                // --- Parallel vertex processing. ---
-                let states = &self.states;
-                let seed = self.cfg.seed;
-                let work: Vec<(VertexId, &[Update], Vec<VertexId>)> = process_list
-                    .iter()
-                    .map(|&v| {
-                        let m: &[Update] =
-                            groups.get(&v).map(|r| &msgs[r.clone()]).unwrap_or(&[]);
-                        let edges: Vec<VertexId> =
-                            out_edges[&v].iter().map(|&(d, _, _)| d).collect();
-                        (v, m, edges)
-                    })
-                    .collect();
-                let combined: Vec<Option<Update>> = work
-                    .iter()
-                    .map(|(v, m, _)| {
-                        combine.and_then(|f| {
-                            m.iter()
-                                .map(|u| u.data)
-                                .reduce(f)
-                                .map(|data| Update::new(*v, VertexId::MAX, data))
-                        })
-                    })
-                    .collect();
-                for ((_, m, _), comb) in work.iter().zip(&combined) {
-                    st.messages_delivered += match comb {
-                        Some(_) => 1,
-                        None => m.len() as u64,
-                    };
-                }
-                let outputs: Vec<_> =
-                    mlvc_par::par_map2(&work, &combined, |(v, m, edges), comb| {
-                        let msgs_view: &[Update] = match comb {
-                            Some(u) => std::slice::from_ref(u),
-                            None => m,
-                        };
-                        let mut sink = SendSink::flat();
-                        let mut ctx = VertexCtx::new(
-                            *v,
-                            superstep,
-                            n,
-                            states[*v as usize],
-                            msgs_view,
-                            edges,
-                            None,
-                            seed,
-                            &mut sink,
-                        );
-                        prog.process(&mut ctx);
-                        (ctx.into_outputs(), sink)
-                    });
-
-                // --- Apply outputs: states, on-edge sends, activity. ---
-                let mut shard_image = shard_records;
-                let per_page = self.ssd.page_size() / crate::SHARD_RECORD_BYTES;
-                let mut shard_dirty = vec![false; shard_image.len().div_ceil(per_page)];
-                let mut img_dirty: Vec<Vec<bool>> = images
-                    .iter()
-                    .map(|im| vec![false; im.records.len().div_ceil(per_page)])
-                    .collect();
-                for ((v, m, edges), (out, sink)) in work.iter().zip(outputs) {
-                    self.states[*v as usize] = out.state;
-                    st.active_vertices += 1;
-                    st.messages_processed += m.len() as u64;
-                    st.edges_scanned += edges.len() as u64;
-                    assert!(
-                        out.structural.is_empty(),
-                        "GraphChi baseline does not support structural updates"
-                    );
-                    if out.keep_active {
-                        next_active.set(*v as usize);
-                    }
-                    for u in &sink.buffers()[0] {
-                        sends_total += 1;
-                        next_active.set(u.dest as usize);
-                        // Locate the edge record v→dest.
-                        let slots = &out_edges[v];
-                        let slot = slots
-                            .iter()
-                            .find(|&&(d, _, _)| d == u.dest)
-                            .unwrap_or_else(|| {
-                                // mlvc-lint: allow(no-panic-in-lib) -- a send along a non-edge violates the GraphChi model; abort
-                                panic!(
-                                    "GraphChi model requires sends along existing edges \
-                                     ({v} -> {} missing)",
-                                    u.dest
-                                )
-                            });
-                        let (_, img_idx, rec_idx) = *slot;
-                        let rec = if img_idx == usize::MAX {
-                            shard_dirty[rec_idx / per_page] = true;
-                            &mut shard_image[rec_idx]
-                        } else {
-                            img_dirty[img_idx][rec_idx / per_page] = true;
-                            &mut images[img_idx].records[rec_idx]
-                        };
-                        if rec.tag as usize == superstep - 1 && rec.tag != 0 {
-                            // Undelivered previous-superstep value: if the
-                            // destination interval is still to be processed
-                            // this superstep, reroute it.
-                            let ji = intervals.interval_of(rec.dst);
-                            if ji > i {
-                                pending[ji as usize]
-                                    .push(Update::new(rec.dst, rec.src, rec.data));
-                            }
-                        } else if rec.tag as usize == superstep {
-                            // Second message on this edge this superstep.
-                            match combine {
-                                Some(f) => {
-                                    rec.data = f(rec.data, u.data);
-                                    continue;
-                                }
-                                None => {
-                                    let ji = intervals.interval_of(rec.dst);
-                                    next_pending[ji as usize]
-                                        .push(Update::new(rec.dst, rec.src, rec.data));
-                                }
-                            }
-                        }
-                        rec.data = u.data;
-                        rec.tag = superstep as u32;
-                    }
-                }
-
-                // --- Write back the modified pages of the shard and its
-                //     sliding windows. ---
-                self.shards.write_back_dirty(i, 0, &shard_image, &shard_dirty)?;
-                for (im, dirty) in images.iter().zip(&img_dirty) {
-                    self.shards
-                        .write_back_dirty(im.shard, im.first_page, &im.records, dirty)?;
-                }
+                self.interval(prog, i, &kept, &mut step)?;
             }
-
-            // Anything still pending for earlier intervals is impossible:
-            // reroutes only target later intervals. Schedule next superstep.
-            pending = next_pending;
-            for (j, p) in pending.iter().enumerate() {
-                if !p.is_empty() {
-                    for u in p {
-                        next_active.set(u.dest as usize);
-                    }
-                    let _ = j;
-                }
+            // Reroutes only target later intervals: every delivery of this
+            // superstep has been made. Schedule the next one's.
+            pending = step.next_pending;
+            for u in pending.iter().flatten() {
+                step.next_active.set(u.dest as usize);
             }
-            active = next_active;
+            active = step.next_active;
             all_active = false;
-            st.messages_sent = sends_total;
+            let mut st = step.st;
             st.io = self.ssd.stats().snapshot().since(&io0);
             st.compute_ns =
                 compute_ns(st.messages_processed, st.messages_delivered, st.edges_scanned);
             st.wall_ns = wall0.elapsed().as_nanos() as u64;
             report.supersteps.push(st);
         }
-        if !all_active && active.count() == 0 && pending.iter().all(|p| p.is_empty()) {
-            report.converged = true;
+        report.converged = !all_active && active.count() == 0;
+        Ok(())
+    }
+
+    /// Process interval `i` (parallel sliding windows): load its windows,
+    /// deliver its inbox to `kept` and its receivers, put their sends on
+    /// the edges, and write the dirtied pages back.
+    fn interval(
+        &mut self,
+        prog: &dyn VertexProgram,
+        i: IntervalId,
+        kept: &[VertexId],
+        step: &mut Step,
+    ) -> Result<(), DeviceError> {
+        let intervals = self.shards.intervals();
+        let ni = intervals.num_intervals();
+        let mut windows = Vec::with_capacity(ni);
+        for j in call_order(i, ni) {
+            windows.push(Window::load(&self.shards, j, i)?);
         }
+        windows.sort_by_key(|w| w.shard);
+
+        // The stash first, then the fresh edge values: send order.
+        let mut inbox = std::mem::take(&mut step.pending[i as usize]);
+        let fresh = |r: &&ShardRecord| r.tag != 0 && r.tag as usize == step.superstep - 1;
+        let own = &windows[i as usize].records;
+        inbox.extend(own.iter().filter(fresh).map(|r| Update::new(r.dst, r.src, r.data)));
+        inbox.sort_by_key(|u| (u.dest, u.src));
+        let work = actives_for_interval(&inbox, kept, intervals.range(i), false);
+        // Out-edges in shard order: merge-join each sorted block with the
+        // ascending work list.
+        let mut edges: Vec<Vec<VertexId>> = vec![Vec::new(); work.len()];
+        for w in &windows {
+            let mut k = 0usize;
+            for r in &w.records[w.block.clone()] {
+                while k < work.len() && work[k].0 < r.src {
+                    k += 1;
+                }
+                if k == work.len() {
+                    break;
+                }
+                if work[k].0 == r.src {
+                    edges[k].push(r.dst);
+                }
+            }
+        }
+
+        let (states, seed, superstep) = (&self.states, self.cfg.seed, step.superstep);
+        let n = intervals.num_vertices();
+        let combine = prog.combine();
+        let outputs: Vec<_> = mlvc_par::par_map2(&work, &edges, |(v, r), edges| {
+            let msgs = &inbox[r.clone()];
+            let folded = combine.and_then(|f| msgs.iter().map(|u| u.data).reduce(f));
+            let folded = folded.map(|data| Update::new(*v, VertexId::MAX, data));
+            let msgs = folded.as_ref().map_or(msgs, std::slice::from_ref);
+            let mut sink = SendSink::flat();
+            let state = states[*v as usize];
+            let mut ctx =
+                VertexCtx::new(*v, superstep, n, state, msgs, edges, None, seed, &mut sink);
+            prog.process(&mut ctx);
+            (ctx.into_outputs(), sink, msgs.len())
+        });
+
+        for (((v, r), edges), (out, sink, delivered)) in work.iter().zip(&edges).zip(outputs) {
+            if !out.structural.is_empty() {
+                let what = "structural updates";
+                return Err(ConfigError::Unsupported { engine: "GraphChi", what }.into());
+            }
+            self.states[*v as usize] = out.state;
+            let st = &mut step.st;
+            st.active_vertices += 1;
+            st.messages_processed += r.len() as u64;
+            st.messages_delivered += delivered as u64;
+            st.edges_scanned += edges.len() as u64;
+            if out.keep_active {
+                step.next_active.set(*v as usize);
+            }
+            for u in &sink.buffers()[0] {
+                self.put_on_edge(*v, u, i, &mut windows, step, combine)?;
+            }
+        }
+
+        for j in call_order(i, ni) {
+            let w = &windows[j as usize];
+            self.shards.write_back_dirty(j, w.first_page, &w.records, &w.dirty)?;
+        }
+        Ok(())
+    }
+
+    /// Write `u`, sent by `v` while interval `i` is processed, onto its edge
+    /// record; stash whatever value it would overwrite undelivered.
+    fn put_on_edge(
+        &self,
+        v: VertexId,
+        u: &Update,
+        i: IntervalId,
+        windows: &mut [Window],
+        step: &mut Step,
+        combine: Option<Combine>,
+    ) -> Result<(), DeviceError> {
+        let intervals = self.shards.intervals();
+        let per_page = records_per_page(self.ssd.page_size());
+        let what = "a send along a non-edge";
+        let non_edge = ConfigError::Unsupported { engine: "GraphChi", what };
+        if u.dest as usize >= intervals.num_vertices() {
+            return Err(non_edge.into());
+        }
+        let ji = intervals.interval_of(u.dest);
+        let rec = windows[ji as usize].edge_mut(v, u.dest, per_page).ok_or(non_edge)?;
+        step.st.messages_sent += 1;
+        step.next_active.set(u.dest as usize);
+        let superstep = step.superstep;
+        let old = Update::new(rec.dst, rec.src, rec.data);
+        if rec.tag != 0 && rec.tag as usize == superstep - 1 {
+            // Undelivered previous-superstep value: if the destination
+            // interval is still to be processed this superstep, reroute it.
+            if ji > i {
+                step.pending[ji as usize].push(old);
+            }
+        } else if rec.tag as usize == superstep {
+            // Second message on this edge this superstep.
+            if let Some(f) = combine {
+                rec.data = f(rec.data, u.data);
+                return Ok(());
+            }
+            step.next_pending[ji as usize].push(old);
+        }
+        rec.data = u.data;
+        rec.tag = superstep as u32;
         Ok(())
     }
 }

@@ -131,10 +131,6 @@ impl ShardSet {
         &self.intervals
     }
 
-    pub fn record_count(&self, shard: IntervalId) -> usize {
-        self.record_counts[shard as usize]
-    }
-
     /// Record range in `shard` whose sources lie in `src_interval`.
     pub fn block(&self, shard: IntervalId, src_interval: IntervalId) -> (usize, usize) {
         self.blocks[shard as usize][src_interval as usize]
@@ -144,12 +140,16 @@ impl ShardSet {
         records_per_page(self.ssd.page_size())
     }
 
-    /// Load an entire shard (the in-edge load when processing its
-    /// interval). Returns the records; utilization is complete by
-    /// construction — that is the GraphChi design point.
-    pub fn load_shard(&self, shard: IntervalId) -> Result<Vec<ShardRecord>, DeviceError> {
-        let (records, _pages) = self.load_range(shard, 0, self.record_counts[shard as usize])?;
-        Ok(records)
+    /// Record range of `shard` that processing `interval` loads: the whole
+    /// shard when it is the interval's own (the in-edge load; utilization
+    /// is complete by construction — that is the GraphChi design point),
+    /// else the block of the interval's out-edges (a sliding window).
+    pub(crate) fn window(&self, shard: IntervalId, interval: IntervalId) -> (usize, usize) {
+        if shard == interval {
+            (0, self.record_counts[shard as usize])
+        } else {
+            self.block(shard, interval)
+        }
     }
 
     /// Load the records of `shard` covering record range `[lo, hi)` —
@@ -253,6 +253,12 @@ mod tests {
         ShardSet::build(&ssd, &fig1_graph(), iv, "t").unwrap()
     }
 
+    /// Every record of `shard`: the window of its own interval.
+    fn whole(s: &ShardSet, shard: IntervalId) -> Vec<ShardRecord> {
+        let (lo, hi) = s.window(shard, shard);
+        s.load_range(shard, lo, hi).unwrap().0
+    }
+
     #[test]
     fn record_roundtrip() {
         let r = ShardRecord { src: 3, dst: 9, data: 0xABCD, tag: 7 };
@@ -266,12 +272,12 @@ mod tests {
         let s = build();
         assert_eq!(s.intervals().num_intervals(), 3);
         // Shard 1 (interval {2}): in-edges of 2 from 1, 3, 6 sorted by src.
-        let shard1 = s.load_shard(1).unwrap();
+        let shard1 = whole(&s, 1);
         let srcs: Vec<u32> = shard1.iter().map(|r| r.src).collect();
         assert_eq!(srcs, vec![1, 3, 6]);
         assert!(shard1.iter().all(|r| r.dst == 2));
         // Shard 2 (interval 3..6): in-edges of 3, 4, 5 — from 1 and 6.
-        let shard2 = s.load_shard(2).unwrap();
+        let shard2 = whole(&s, 2);
         assert_eq!(shard2.len(), 4);
         assert!(shard2.windows(2).all(|w| (w[0].src, w[0].dst) <= (w[1].src, w[1].dst)));
     }
@@ -288,13 +294,13 @@ mod tests {
                 expected_start = hi;
                 total += hi - lo;
             }
-            assert_eq!(total, s.record_count(i));
+            assert_eq!((0, total), s.window(i, i));
         }
         // V6's out-edges are dispersed across all three shards (paper §II-A).
         let out6: usize = (0..3u32)
             .map(|i| {
                 let (lo, hi) = s.block(i, 2);
-                s.load_shard(i).unwrap()[lo..hi].iter().filter(|r| r.src == 6).count()
+                whole(&s, i)[lo..hi].iter().filter(|r| r.src == 6).count()
             })
             .sum();
         assert_eq!(out6, 5);
@@ -309,7 +315,7 @@ mod tests {
             b.push(v, 0);
         }
         let s = ShardSet::build(&ssd, &b.build(), VertexIntervals::uniform(64, 2), "t").unwrap();
-        assert_eq!(s.record_count(0), 60);
+        assert_eq!(s.window(0, 0), (0, 60));
         let (mut recs, first) = s.load_range(0, 13, 27).unwrap();
         assert_eq!(first, 1, "record 13 lives on page 1");
         assert_eq!(recs.len(), 24, "pages 1-2 hold records 12..36");
@@ -331,7 +337,7 @@ mod tests {
         let mut b = EdgeListBuilder::new(8);
         b.push(4, 5); // no in-edges for interval 0
         let s = ShardSet::build(&ssd, &b.build(), VertexIntervals::uniform(8, 2), "t").unwrap();
-        assert_eq!(s.record_count(0), 0);
-        assert!(s.load_shard(0).unwrap().is_empty());
+        assert_eq!(s.window(0, 0), (0, 0));
+        assert!(whole(&s, 0).is_empty());
     }
 }

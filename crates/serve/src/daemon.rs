@@ -173,10 +173,8 @@ impl Daemon {
     pub fn with_device(cfg: ServeConfig, ssd: Arc<Ssd>) -> Self {
         let cache = Arc::new(PageCache::new(cfg.cache_pages));
         ssd.attach_cache(Arc::clone(&cache));
-        // Attach the live FTL now, before any worker exists: every job
-        // runs with obs on and would otherwise race to install it from
-        // concurrent pool threads. Construction happens-before every
-        // spawn, so the per-job `enable_ftl` calls are ordered no-ops.
+        // Attach the live FTL now, before any worker exists, so every job's
+        // `ftl_*` counters and metrics snapshot count flash writes.
         ssd.enable_ftl(FtlConfig::default());
         Daemon {
             ssd,
@@ -410,7 +408,6 @@ impl Daemon {
             .with_memory(req.memory_bytes)
             .with_seed(req.seed)
             .with_async(req.async_mode)
-            .with_obs(true)
             .with_tag(&req.id);
         cfg.validate().map_err(|e| (e.code(), e.to_string()))?;
         let bound = Arc::new(ds.graph.with_device(Arc::clone(&view)));

@@ -9,7 +9,7 @@ use std::sync::Arc;
 use mlvc_core::{Engine, EngineConfig, MultiLogEngine};
 use mlvc_graph::{Csr, StoredGraph, VertexIntervals, UPDATE_BYTES};
 use mlvc_serve::{Daemon, JobRequest, MutationRequest, ServeConfig};
-use mlvc_ssd::{Ssd, SsdConfig};
+use mlvc_ssd::{FtlConfig, Ssd, SsdConfig};
 
 fn graph() -> Csr {
     mlvc_gen::cf_mini(9, 11).graph
@@ -36,11 +36,11 @@ fn standalone(g: &Csr, r: &JobRequest) -> (Vec<u64>, bool, usize, u64) {
     let sort = EngineConfig::default().sort_budget();
     let iv = VertexIntervals::for_graph(g, UPDATE_BYTES, sort);
     let sg = StoredGraph::store_with(&ssd, g, &r.dataset, iv).unwrap();
+    ssd.enable_ftl(FtlConfig::default());
     let cfg = EngineConfig::default()
         .with_memory(r.memory_bytes)
         .with_seed(r.seed)
         .with_async(r.async_mode)
-        .with_obs(true)
         .with_tag(&r.id);
     let before = ssd.stats().snapshot();
     let mut e = MultiLogEngine::new(ssd.clone(), sg, cfg);

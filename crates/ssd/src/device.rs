@@ -254,9 +254,8 @@ impl Ssd {
         if g.is_none() {
             // Only the installing call is the protocol's "attach" write;
             // an idempotent re-attach merely observes that the model is
-            // already there. Concurrent tenants re-attaching (the serving
-            // daemon attaches once at construction, then every job calls
-            // this) are ordered readers, not racing writers.
+            // already there, so concurrent tenants re-attaching are ordered
+            // readers, not racing writers.
             self.shared.ftl_audit.audit_write();
             *g = Some(FtlModel::new(cfg));
         } else {

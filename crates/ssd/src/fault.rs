@@ -55,9 +55,10 @@ pub enum DeviceError {
     /// The live FTL model ran out of physical blocks under this page write:
     /// the device is sized below what the workload keeps live.
     Full(FtlError),
-    /// A run was refused where it starts, before any I/O: the program and
-    /// the engine's configuration or graph cannot go together. `code` is
-    /// the refusing error's stable code (`mlvc_core::ConfigError::code`).
+    /// A run was refused: where it starts, before any I/O, when the program
+    /// and the engine's configuration or graph cannot go together, or in
+    /// the superstep whose program output the engine cannot carry. `code`
+    /// is the refusing error's stable code (`mlvc_core::ConfigError::code`).
     Config { code: &'static str, detail: String },
 }
 

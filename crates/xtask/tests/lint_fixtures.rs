@@ -9,7 +9,7 @@ use std::process::Command;
 use xtask::Diagnostic;
 
 /// (fixture path under tests/fixtures/, scope path the CLI derives).
-const FIXTURES: [(&str, &str); 16] = [
+const FIXTURES: [(&str, &str); 17] = [
     ("crates/ssd/src/bad_cast.rs", "no-truncating-cast"),
     ("crates/ssd/src/bad_cache.rs", "no-truncating-cast"),
     ("crates/core/src/bad_panic.rs", "no-panic-in-lib"),
@@ -26,6 +26,7 @@ const FIXTURES: [(&str, &str); 16] = [
     ("crates/serve/src/bad_serve.rs", "no-truncating-cast"),
     ("crates/mutate/src/bad_mutate.rs", "no-truncating-cast"),
     ("crates/core/src/bad_long_fn.rs", "fn-too-long"),
+    ("crates/graphchi/src/bad_long_fn.rs", "fn-too-long"),
 ];
 
 fn fixture_dir() -> PathBuf {
@@ -181,6 +182,17 @@ fn long_fn_fixture_fires_at_the_fn_line_only() {
     // The 151-line `drive` opens at 7; the one-line `step` at 4 never fires.
     assert_eq!(lines_of(&d, "fn-too-long"), vec![7]);
     assert_eq!(d.len(), 1, "{d:?}");
+}
+
+#[test]
+fn long_fn_rule_covers_the_baselines_and_only_the_engines() {
+    let d = lint_fixture("crates/graphchi/src/bad_long_fn.rs");
+    // The 151-line `drive` opens at 7, as in the core fixture.
+    assert_eq!(lines_of(&d, "fn-too-long"), vec![7]);
+    assert_eq!(d.len(), 1, "{d:?}");
+    // The same function in a crate outside the engines is left alone.
+    let d = lint_fixture("crates/apps/src/long_fn.rs");
+    assert!(d.is_empty(), "{d:?}");
 }
 
 #[test]

@@ -34,7 +34,7 @@ use multilogvc::io::{
 use multilogvc::graph::StoredGraph;
 use multilogvc::mutate::{EdgeMutation, MutationConfig, MutationLog};
 use multilogvc::serve::{Daemon, ServeConfig};
-use multilogvc::ssd::{DeviceError, FaultPlan, Ssd, SsdConfig};
+use multilogvc::ssd::{DeviceError, FaultPlan, FtlConfig, Ssd, SsdConfig};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -323,8 +323,7 @@ fn cmd_run(a: &Args, resume: bool) -> Result<(), String> {
     let mut cfg = EngineConfig::default()
         .with_memory(memory_kb << 10)
         .with_seed(seed)
-        .with_async(a.has("async"))
-        .with_obs(metrics_path.is_some());
+        .with_async(a.has("async"));
     if checkpoint_every > 0 {
         cfg = cfg.with_checkpoint_every(checkpoint_every);
     }
@@ -352,6 +351,10 @@ fn cmd_run(a: &Args, resume: bool) -> Result<(), String> {
                 ssd.install_fault_plan(FaultPlan::crash_after(crash_after, seed));
             }
             ssd.stats().reset();
+            if metrics_path.is_some() {
+                // The `ftl_*` columns and counters count from here.
+                ssd.enable_ftl(FtlConfig::default());
+            }
             let mut e = MultiLogEngine::new(ssd, sg, cfg);
             let r = if resume {
                 e.run_recoverable(app.as_ref(), steps)

@@ -13,7 +13,7 @@ use multilogvc::core::{
 use multilogvc::grafboost::GrafBoostEngine;
 use multilogvc::graph::{Csr, EdgeListBuilder, StoredGraph, VertexId, VertexIntervals, Weights};
 use multilogvc::graphchi::GraphChiEngine;
-use multilogvc::ssd::{DeviceError, Ssd, SsdConfig};
+use multilogvc::ssd::{DeviceError, FtlConfig, Ssd, SsdConfig};
 
 fn graphs() -> Vec<(&'static str, Csr)> {
     vec![
@@ -399,8 +399,8 @@ fn field(row: &[(&'static str, u64); 33], name: &str) -> u64 {
     row.iter().find(|(n, _)| *n == name).map(|(_, v)| *v).expect("a trace field")
 }
 
-/// One MultiLogVC run with the observability layer on, returning final
-/// states plus the per-superstep trace.
+/// One MultiLogVC run on a device with a live FTL, returning final states
+/// plus the per-superstep trace.
 fn run_obs(
     csr: &Csr,
     prog: &dyn VertexProgram,
@@ -408,12 +408,10 @@ fn run_obs(
     async_mode: bool,
 ) -> (Vec<u64>, Trace) {
     let iv = VertexIntervals::uniform(csr.num_vertices(), 5);
-    let cfg = EngineConfig::default()
-        .with_memory(512 << 10)
-        .with_async(async_mode)
-        .with_obs(true);
+    let cfg = EngineConfig::default().with_memory(512 << 10).with_async(async_mode);
     let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
     let sg = StoredGraph::store_with(&ssd, csr, "x", iv).unwrap();
+    ssd.enable_ftl(FtlConfig::default());
     let mut e = MultiLogEngine::new(ssd, sg, cfg);
     let r = e.run(prog, steps);
     (e.states().to_vec(), trace(&r))
@@ -539,12 +537,10 @@ fn states_and_traces_invariant_across_threads_in_both_models() {
         for threads in [1usize, 2, 8] {
             mlvc_par::set_thread_override(Some(threads));
             // Tight enough that supersteps split into several fused batches.
-            let cfg = EngineConfig::default()
-                .with_memory(32 << 10)
-                .with_async(async_mode)
-                .with_obs(true);
+            let cfg = EngineConfig::default().with_memory(32 << 10).with_async(async_mode);
             let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
             let sg = StoredGraph::store_with(&ssd, &g, "t", iv.clone()).unwrap();
+            ssd.enable_ftl(FtlConfig::default());
             let mut e = MultiLogEngine::new(ssd, sg, cfg);
             let tr = trace(&e.run(make().as_ref(), *steps));
             let st = e.states().to_vec();
@@ -620,15 +616,79 @@ fn mutated_graphs_agree_across_engines_and_paths() {
     }
 }
 
+/// Random walks agree vertex by vertex: every engine hands a vertex its
+/// walks in send order and its out-edges in the graph's order, so each
+/// walk draws the same next hop everywhere. `grid` keeps only the totals
+/// check: its lists are in insertion order, not in destination order, and
+/// GraphChi's shards list a vertex's out-edges by destination.
 #[test]
-fn random_walk_visit_totals_agree() {
+fn random_walk_visits_agree_per_vertex() {
     for (name, g) in graphs() {
-        let app = RandomWalk::new(50, 2, 10);
-        let (m, c, f) = run_three(&g, &app, 20);
-        let tm: u64 = m.iter().sum();
-        let tc: u64 = c.iter().sum();
-        let tf: u64 = f.iter().sum();
-        assert_eq!(tm, tc, "{name}: MultiLogVC vs GraphChi totals");
-        assert_eq!(tm, tf, "{name}: MultiLogVC vs GraFBoost totals");
+        let (m, c, f) = run_three(&g, &RandomWalk::new(50, 2, 10), 20);
+        if name == "grid" {
+            let total = |states: &[u64]| states.iter().sum::<u64>();
+            assert_eq!(total(&m), total(&c), "{name}: MultiLogVC vs GraphChi totals");
+            assert_eq!(total(&m), total(&f), "{name}: MultiLogVC vs GraFBoost totals");
+        } else {
+            assert_eq!(m, c, "{name}: MultiLogVC vs GraphChi");
+            assert_eq!(m, f, "{name}: MultiLogVC vs GraFBoost");
+        }
     }
+}
+
+/// Keeps every vertex active for two supersteps; in the second, vertex 0
+/// does what the program was built with.
+struct Outlaw(fn(&mut VertexCtx<'_>));
+
+impl VertexProgram for Outlaw {
+    fn name(&self) -> &'static str {
+        "outlaw"
+    }
+    fn init_state(&self, _v: VertexId) -> u64 {
+        0
+    }
+    fn init_active(&self, _num_vertices: usize) -> InitActive {
+        InitActive::All
+    }
+    fn process(&self, ctx: &mut VertexCtx<'_>) {
+        if ctx.superstep() == 2 && ctx.vertex() == 0 {
+            (self.0)(ctx);
+        }
+        if ctx.superstep() < 2 {
+            ctx.keep_active();
+        }
+    }
+}
+
+/// What a baseline's model cannot carry — a structural update on either
+/// baseline, and on GraphChi, whose messages ride on edges, a message to a
+/// vertex that is not an out-neighbour — ends the run in the superstep
+/// that asked, with a typed error and a stable code, as MultiLogVC refuses
+/// a structural update it cannot commit. Nothing panics.
+#[test]
+fn baselines_refuse_what_their_model_cannot_carry() {
+    let g = mlvc_gen::grid(6, 6);
+    let iv = VertexIntervals::uniform(g.num_vertices(), 3);
+    let cfg = EngineConfig::default();
+    let mem = || Arc::new(Ssd::new(SsdConfig::test_small()));
+    let refused = |r: RunReport, engine: &'static str, what: &'static str| {
+        let error = DeviceError::from(ConfigError::Unsupported { engine, what });
+        assert_eq!(error.code(), "unsupported");
+        assert_eq!(r.interrupted, Some(error), "{engine}: {what}");
+        assert_eq!(r.supersteps.len(), 1, "{engine}: only superstep 1 completed");
+    };
+    let add: fn(&mut VertexCtx<'_>) = |ctx| ctx.add_edge(35);
+    let far: fn(&mut VertexCtx<'_>) = |ctx| ctx.send(35, 1);
+    let outside: fn(&mut VertexCtx<'_>) = |ctx| ctx.send(1 << 20, 1);
+    let graphchi = |act| {
+        let mut e = GraphChiEngine::new(mem(), &g, iv.clone(), cfg.clone()).unwrap();
+        e.run(&Outlaw(act), 10)
+    };
+    refused(graphchi(add), "GraphChi", "structural updates");
+    refused(graphchi(far), "GraphChi", "a send along a non-edge");
+    refused(graphchi(outside), "GraphChi", "a send along a non-edge");
+    let ssd = mem();
+    let sg = StoredGraph::store_with(&ssd, &g, "f", iv.clone()).unwrap();
+    let r = GrafBoostEngine::new(ssd, sg, cfg.clone()).run(&Outlaw(add), 10);
+    refused(r, "GraFBoost", "structural updates");
 }

@@ -15,7 +15,7 @@ use multilogvc::core::{
 };
 use multilogvc::graph::{Csr, StoredGraph, VertexId, VertexIntervals};
 use multilogvc::obs::json::{parse, Json};
-use multilogvc::ssd::{Ssd, SsdConfig, SsdStatsSnapshot};
+use multilogvc::ssd::{FtlConfig, Ssd, SsdConfig, SsdStatsSnapshot};
 
 fn mini_graph() -> Csr {
     mlvc_gen::cf_mini(9, 11).graph
@@ -28,15 +28,17 @@ fn trace(r: &RunReport) -> Trace {
     r.phases().map(SuperstepStats::trace_fields).collect()
 }
 
-/// Run `prog` with obs on; return the report and the device's stats delta
-/// over exactly the engine run (stats are reset after graph storing).
+/// Run `prog` on a device with a live FTL; return the report and the
+/// device's stats delta over exactly the engine run (stats are reset after
+/// graph storing).
 fn run_with_obs(prog: &dyn VertexProgram, steps: usize) -> (RunReport, SsdStatsSnapshot) {
     let g = mini_graph();
     let iv = VertexIntervals::uniform(g.num_vertices(), 5);
     let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
     let sg = StoredGraph::store_with(&ssd, &g, "io", iv).unwrap();
     ssd.stats().reset();
-    let cfg = EngineConfig::default().with_memory(512 << 10).with_obs(true);
+    ssd.enable_ftl(FtlConfig::default());
+    let cfg = EngineConfig::default().with_memory(512 << 10);
     let mut e = MultiLogEngine::new(Arc::clone(&ssd), sg, cfg);
     let r = e.run(prog, steps);
     assert!(!r.supersteps.is_empty(), "{} did no work", prog.name());
@@ -139,7 +141,8 @@ fn trace_bit_identical_across_thread_counts() {
         let iv = VertexIntervals::uniform(g.num_vertices(), 5);
         let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
         let sg = StoredGraph::store_with(&ssd, &g, "t", iv).unwrap();
-        let cfg = EngineConfig::default().with_memory(512 << 10).with_obs(true);
+        ssd.enable_ftl(FtlConfig::default());
+        let cfg = EngineConfig::default().with_memory(512 << 10);
         let mut e = MultiLogEngine::new(ssd, sg, cfg);
         let r = e.run(&PageRank::new(0.85, 1e-9), 40);
         let got = (e.states().to_vec(), trace(&r));
@@ -172,9 +175,10 @@ fn async_read_ahead_moves_the_same_pages_at_one_and_two_threads() {
         let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
         let sg = StoredGraph::store_with(&ssd, &g, "io", iv).unwrap();
         ssd.stats().reset();
+        ssd.enable_ftl(FtlConfig::default());
         // Tight enough that a superstep splits into several fused batches
         // and the write side flushes pages the same superstep drains.
-        let cfg = EngineConfig::default().with_memory(16 << 10).with_async(true).with_obs(true);
+        let cfg = EngineConfig::default().with_memory(16 << 10).with_async(true);
         let mut e = MultiLogEngine::new(Arc::clone(&ssd), sg, cfg);
         let r = e.run(&Wcc, 80);
         mlvc_par::set_thread_override(None);
@@ -316,9 +320,9 @@ fn trace_jsonl_bytes_are_pinned() {
     let iv = VertexIntervals::uniform(g.num_vertices(), 2);
     let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
     let sg = StoredGraph::store_with(&ssd, &g, "pin", iv).unwrap();
+    ssd.enable_ftl(FtlConfig::default());
     let cfg = EngineConfig::default()
         .with_memory(16 << 10)
-        .with_obs(true)
         .with_tiering(TieringConfig { cache_bytes: 8 << 10, pin_budget_bytes: 4 << 10 });
     let r = MultiLogEngine::new(ssd, sg, cfg).run(&Bfs::new(0), 4);
     assert_eq!(r.trace_jsonl(), PINNED_TRACE);
@@ -370,7 +374,8 @@ fn a_run_of_thousands_of_supersteps_keeps_every_trace_record() {
     let iv = VertexIntervals::uniform(g.num_vertices(), 1);
     let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
     let sg = StoredGraph::store_with(&ssd, &g, "long", iv).unwrap();
-    let cfg = EngineConfig::default().with_memory(512 << 10).with_obs(true);
+    ssd.enable_ftl(FtlConfig::default());
+    let cfg = EngineConfig::default().with_memory(512 << 10);
     let r = MultiLogEngine::new(ssd, sg, cfg).run(&Countdown, Countdown::STEPS + 10);
     assert!(r.converged && r.interrupted.is_none());
     assert_eq!(r.supersteps.len(), Countdown::STEPS);

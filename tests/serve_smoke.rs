@@ -9,7 +9,7 @@ use std::sync::Arc;
 use multilogvc::core::{Engine, EngineConfig, MultiLogEngine};
 use multilogvc::graph::{Csr, StoredGraph, VertexIntervals, UPDATE_BYTES};
 use multilogvc::serve::{Daemon, JobRequest, ServeConfig};
-use multilogvc::ssd::{Ssd, SsdConfig};
+use multilogvc::ssd::{FtlConfig, Ssd, SsdConfig};
 
 fn datasets() -> Vec<(&'static str, Csr)> {
     vec![("cf", mlvc_gen::cf_mini(9, 11).graph), ("yws", mlvc_gen::yws_mini(9, 7).graph)]
@@ -38,11 +38,8 @@ fn isolated(g: &Csr, r: &JobRequest) -> (Vec<u64>, u64) {
     let ssd = Arc::new(Ssd::new(SsdConfig::default()));
     let iv = VertexIntervals::for_graph(g, UPDATE_BYTES, EngineConfig::default().sort_budget());
     let sg = StoredGraph::store_with(&ssd, g, &r.dataset, iv).unwrap();
-    let cfg = EngineConfig::default()
-        .with_memory(r.memory_bytes)
-        .with_seed(r.seed)
-        .with_obs(true)
-        .with_tag(&r.id);
+    ssd.enable_ftl(FtlConfig::default());
+    let cfg = EngineConfig::default().with_memory(r.memory_bytes).with_seed(r.seed).with_tag(&r.id);
     let app = multilogvc::apps::by_name(&r.app, g.has_weights(), r.source).unwrap();
     let before = ssd.stats().snapshot();
     let mut e = MultiLogEngine::new(Arc::clone(&ssd), sg, cfg);

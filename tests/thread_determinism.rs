@@ -21,7 +21,7 @@ use multilogvc::core::{
 use multilogvc::graph::{StoredGraph, VertexId, VertexIntervals};
 use multilogvc::prelude::RmatParams;
 use multilogvc::ssd::sync::Mutex;
-use multilogvc::ssd::{DeviceError, FaultPlan, Page, Ssd, SsdConfig};
+use multilogvc::ssd::{DeviceError, FaultPlan, FtlConfig, Page, Ssd, SsdConfig};
 
 /// Held by a test for as long as it sets the thread-count override.
 static OVERRIDE: Mutex<()> = Mutex::new(());
@@ -86,10 +86,10 @@ fn run_tiered(async_mode: bool) -> (Vec<u64>, RunReport) {
     let page = ssd.page_size();
     let iv = VertexIntervals::uniform(g.num_vertices(), SMALL.intervals);
     let sg = StoredGraph::store_with(&ssd, &g, "det", iv).unwrap();
+    ssd.enable_ftl(FtlConfig::default());
     let cfg = EngineConfig::default()
         .with_memory(SMALL.memory)
         .with_async(async_mode)
-        .with_obs(true)
         .with_tiering(TieringConfig { cache_bytes: 6 * page, pin_budget_bytes: 24 * page });
     let mut eng = MultiLogEngine::new(ssd, sg, cfg);
     let r = eng.run(&PageRank::new(0.85, 1e-4), 12);
@@ -145,7 +145,8 @@ fn run_faulted(period: u64, streak: u32) -> FaultedRun {
     let iv = VertexIntervals::uniform(g.num_vertices(), SMALL.intervals);
     let sg = StoredGraph::store_with(&ssd, &g, "det", iv).unwrap();
     ssd.install_fault_plan(FaultPlan::default().with_read_faults(period, streak));
-    let cfg = EngineConfig::default().with_memory(SMALL.memory).with_obs(true);
+    ssd.enable_ftl(FtlConfig::default());
+    let cfg = EngineConfig::default().with_memory(SMALL.memory);
     let mut eng = MultiLogEngine::new(Arc::clone(&ssd), sg, cfg);
     let r = eng.run(&PageRank::new(0.85, 1e-4), 12);
     assert!(ssd.fault_counters().transient_read_faults > 0, "streak {streak}: no fault fired");
@@ -239,7 +240,8 @@ fn mixed_sends_log_pages_bit_identical_across_thread_counts() {
             let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
             let iv = VertexIntervals::uniform(g.num_vertices(), shape.intervals);
             let sg = StoredGraph::store_with(&ssd, &g, "det", iv).unwrap();
-            let cfg = EngineConfig::default().with_memory(shape.memory).with_obs(true);
+            ssd.enable_ftl(FtlConfig::default());
+            let cfg = EngineConfig::default().with_memory(shape.memory);
             let mut eng = MultiLogEngine::new(Arc::clone(&ssd), sg, cfg);
             let r = eng.run(&MixedSends, 4);
             multilogvc::par::set_thread_override(None);
@@ -288,10 +290,8 @@ fn a_one_thread_engine_spawns_no_thread() {
             let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
             let iv = VertexIntervals::uniform(g.num_vertices(), SMALL.intervals);
             let sg = StoredGraph::store_with(&ssd, &g, "det", iv).unwrap();
-            let cfg = EngineConfig::default()
-                .with_memory(SMALL.memory)
-                .with_async(*async_mode)
-                .with_obs(true);
+            ssd.enable_ftl(FtlConfig::default());
+            let cfg = EngineConfig::default().with_memory(SMALL.memory).with_async(*async_mode);
             let mut eng = MultiLogEngine::new(ssd, sg, cfg);
             let r = eng.run(prog.as_ref(), 12);
             multilogvc::par::set_thread_override(None);
