@@ -9,13 +9,13 @@ use mlvc_graph::{
 };
 use mlvc_log::{
     group_by_dest, is_inefficient, plan_fusion, BatchPlan, BitSet, EdgeLogOptimizer, FusedBatch,
-    LogReader, MultiLog, MultiLogConfig, Update,
+    MultiLog, MultiLogConfig, Update,
 };
 use mlvc_mutate::{validate_range, MutationError, MutationLog};
 use mlvc_par::{Scope, ScopedJoinHandle, Tracked};
 use mlvc_recover::{CheckpointManager, CheckpointState};
 use mlvc_ssd::sync::Mutex;
-use mlvc_ssd::{DeviceError, IoQueue, Reads, Ssd, SsdStatsSnapshot, Ticket, QUEUE_DEPTH};
+use mlvc_ssd::{DeviceError, IoQueue, Page, Reads, Ssd, SsdStatsSnapshot, Ticket, QUEUE_DEPTH};
 
 use crate::checkpoint::{load_resume_point, Checkpointer};
 use crate::merge::{merge_pending, STRUCTURAL_MERGE_THRESHOLD};
@@ -87,7 +87,6 @@ impl MultiLogEngine {
 
     /// Engine over an already shared stored graph.
     pub fn with_shared_graph(ssd: Arc<Ssd>, graph: Arc<StoredGraph>, cfg: EngineConfig) -> Self {
-        let cfg = cfg.validated();
         let states = vec![0u64; graph.num_vertices()];
         let states_audit = Tracked::new("MultiLogEngine::states", ());
         MultiLogEngine { ssd, graph, cfg, states, states_audit, mutations: None }
@@ -134,7 +133,9 @@ impl MultiLogEngine {
         let Some(mlog) = self.mutations.clone() else {
             return report;
         };
-        let outcome = match merge_pending(&mlog, &self.graph) {
+        // Refused before the merge, or it would leave states stale.
+        let merged = self.cfg.validate().map_err(DeviceError::from);
+        let outcome = match merged.and_then(|()| merge_pending(&mlog, &self.graph)) {
             Ok(None) => return report,
             Ok(Some(outcome)) => outcome,
             Err(e) => {
@@ -203,8 +204,8 @@ impl MultiLogEngine {
     /// re-convergence passes `reseed: Some(...)` — current states are kept
     /// and the given updates become superstep 1's inbox. A checkpointing
     /// drive writes through `ckpt` when the caller already opened the
-    /// slots. Fills `report` as it goes so completed supersteps survive a
-    /// device fault.
+    /// slots. An invalid configuration ends it before anything else. Fills
+    /// `report` as it goes so completed supersteps survive a device fault.
     fn drive(
         &mut self,
         prog: &dyn VertexProgram,
@@ -214,6 +215,7 @@ impl MultiLogEngine {
         ckpt: Option<CheckpointManager>,
         report: &mut RunReport,
     ) -> Result<(), DeviceError> {
+        self.cfg.validate()?;
         let mut d = Drive::enter(self, prog, ckpt)?;
         let start = d.seed(resume, reseed, report)?;
         for superstep in start..=max_supersteps {
@@ -488,25 +490,21 @@ pub fn actives_for_interval(
 /// owner's consume, and the batch decoded from the plan's pages.
 type Fetched = Result<(BatchPlan, FusedBatch), DeviceError>;
 
-/// Who decodes a fused batch whose read is on the I/O queue.
+/// Who decodes a fused batch whose read is on the I/O queue. Either way the
+/// owner fetched the pages right after the submit, and they — or the read's
+/// error, surfaced only when the batch is retired — move with the decoder.
 enum Decoder<'s> {
     /// Nobody was given it: the owner does, where it retires the ticket.
-    Owner(BatchPlan),
+    Owner(BatchPlan, Result<Vec<Page>, DeviceError>),
     /// A look-ahead worker, spawned when the read was submitted.
     Worker(ScopedJoinHandle<'s, Fetched>),
 }
 
-/// Take the pages a ticket read at submit and decode them into inbox order —
-/// counting-sorted, or folded when the program declared a `combine`. A pure
-/// function of plan and page bytes that touches no clock, so it runs on
-/// whichever thread has nothing better to do.
-fn fetch_decode(
-    reader: &LogReader,
-    ioq: &IoQueue,
-    ticket: Ticket,
-    bplan: &BatchPlan,
-) -> Result<FusedBatch, DeviceError> {
-    reader.decode(bplan, &ioq.fetch(ticket)?)
+/// Decode a batch's fetched pages (or pass their read error on) into inbox
+/// order, handing the plan back for the consume.
+fn decode(bplan: BatchPlan, pages: Result<Vec<Page>, DeviceError>) -> Fetched {
+    let batch = bplan.decode(&pages?)?;
+    Ok((bplan, batch))
 }
 
 /// The fetch stage of a superstep, in both computation models (DESIGN.md
@@ -518,11 +516,12 @@ fn fetch_decode(
 /// the engine has a second thread; the batch being retired, if nobody was
 /// given it — the first of every superstep, every batch on a one-thread
 /// engine — is decoded by the owner, which would only have spawned a thread
-/// to join it at once. Every clock-, device- and cache-touching call runs on the owner
-/// thread either way, so the simulated timeline and every counter are
-/// identical at any worker-thread count.
+/// to join it at once. A worker is handed its plan and pages by value and
+/// holds neither the multi-log nor the queue (which is not `Sync`), so every
+/// clock-, device- and cache-touching call runs on the owner thread, and
+/// the simulated timeline and every counter are identical at any
+/// worker-thread count.
 struct Fetch<'s, 'e> {
-    reader: &'e LogReader,
     ioq: &'e IoQueue,
     plan: &'e [Range<IntervalId>],
     /// Shadow cells auditing the batch handoffs, one per fused batch: the
@@ -538,23 +537,25 @@ struct Fetch<'s, 'e> {
 
 impl<'s, 'e> Fetch<'s, 'e> {
     /// Retire batch `bi` — submitted here when it was not read ahead —
-    /// counting in `st` who decoded it.
+    /// and consume the logs it drained from `ml`, counting in `st` who
+    /// decoded it.
     fn next(
         &mut self,
         scope: &Scope<'s, 'e>,
+        ml: &mut MultiLog,
         bi: usize,
         st: &mut SuperstepStats,
     ) -> Result<FusedBatch, DeviceError> {
-        self.submit_until(scope, bi, bi + 1)?;
+        self.submit_until(scope, ml, bi, bi + 1)?;
         let Some((ticket, decoder)) = self.inflight.pop_front() else {
             return Err(DeviceError::Io(format!("no read in flight for fused batch {bi}")));
         };
         let fetched = match decoder {
-            Decoder::Owner(bplan) => {
+            Decoder::Owner(bplan, pages) => {
                 st.batches_inline += 1;
-                let batch = fetch_decode(self.reader, self.ioq, ticket, &bplan);
+                let fetched = decode(bplan, pages);
                 self.handoffs[bi].audit_write();
-                batch.map(|b| (bplan, b))
+                fetched
             }
             Decoder::Worker(worker) => {
                 st.batches_handed_off += 1;
@@ -567,7 +568,7 @@ impl<'s, 'e> Fetch<'s, 'e> {
         // the overlap could not hide is charged here — and consume the
         // logs the batch drained.
         self.ioq.complete(ticket);
-        self.reader.consume(&bplan, &batch)?;
+        ml.consume(&bplan, &batch)?;
         Ok(batch)
     }
 
@@ -575,32 +576,38 @@ impl<'s, 'e> Fetch<'s, 'e> {
     /// `bi` on submitted. The owner calls it once `bi`'s first interval has
     /// its adjacency reads on the queue — demand reads go to the channels
     /// before prefetched ones.
-    fn read_ahead(&mut self, scope: &Scope<'s, 'e>, bi: usize) -> Result<(), DeviceError> {
-        self.submit_until(scope, bi, bi + INFLIGHT_BATCHES)
+    fn read_ahead(
+        &mut self,
+        scope: &Scope<'s, 'e>,
+        ml: &MultiLog,
+        bi: usize,
+    ) -> Result<(), DeviceError> {
+        self.submit_until(scope, ml, bi, bi + INFLIGHT_BATCHES)
     }
 
-    /// Submit the batches not yet submitted below `end`, each handed to a
-    /// look-ahead worker when it lies ahead of `bi` and there is a second
-    /// thread.
+    /// Submit the batches not yet submitted below `end` and fetch their
+    /// pages, each batch handed to a look-ahead worker when it lies ahead
+    /// of `bi` and there is a second thread.
     fn submit_until(
         &mut self,
         scope: &Scope<'s, 'e>,
+        ml: &MultiLog,
         bi: usize,
         end: usize,
     ) -> Result<(), DeviceError> {
         while self.submitted < self.plan.len().min(end) {
-            let bplan = self.reader.plan_reads(self.plan[self.submitted].clone())?;
+            let bplan = ml.plan_reads(self.plan[self.submitted].clone())?;
             let ticket = self.ioq.submit_read(bplan.reqs.clone());
+            let pages = self.ioq.fetch(ticket);
             let decoder = if self.submitted > bi && mlvc_par::max_threads() > 1 {
-                let (reader, ioq) = (self.reader, self.ioq);
                 let handoff = &self.handoffs[self.submitted];
                 Decoder::Worker(scope.spawn(move || {
-                    let batch = fetch_decode(reader, ioq, ticket, &bplan);
+                    let fetched = decode(bplan, pages);
                     handoff.audit_write();
-                    batch.map(|b| (bplan, b))
+                    fetched
                 }))
             } else {
-                Decoder::Owner(bplan)
+                Decoder::Owner(bplan, pages)
             };
             self.inflight.push_back((ticket, decoder));
             self.submitted += 1;
@@ -645,13 +652,12 @@ impl<'d, 'a> Superstep<'d, 'a> {
         let wall0 = Instant::now();
         let io0 = self.d.ssd.stats().snapshot();
         let plan = plan_fusion(&self.d.pending, self.d.cfg.sort_budget());
-        // Shared-nothing handle on this superstep's inbox (the read side),
-        // so a worker can decode fused batch k+1 while batch k is processed
-        // and its updates are scattered into the write side. The read side
-        // does not change between the flip that opened this superstep and
-        // each batch's consume, so both computation models read it ahead —
-        // and a batch decodes the same whenever, and wherever, it is fetched.
-        let reader = self.d.multilog.reader();
+        // A worker decodes fused batch k+1 from its pages while batch k is
+        // processed and its updates are scattered into the write side. The
+        // read side does not change between the flip that opened this
+        // superstep and each batch's consume, so both computation models
+        // read it ahead — and a batch decodes the same whenever, and
+        // wherever, it is fetched.
         let ioq = IoQueue::new(Arc::clone(self.d.ssd), QUEUE_DEPTH);
         let handoffs: Vec<Tracked<()>> =
             plan.iter().map(|_| Tracked::new("engine batch handoff", ())).collect();
@@ -660,7 +666,6 @@ impl<'d, 'a> Superstep<'d, 'a> {
         self.st.fetch_wait_ns += wall0.elapsed().as_nanos() as u64;
         mlvc_par::scope(|scope| -> Result<(), DeviceError> {
             let mut fetch = Fetch {
-                reader: &reader,
                 ioq: &ioq,
                 plan: &plan,
                 handoffs: &handoffs,
@@ -669,7 +674,7 @@ impl<'d, 'a> Superstep<'d, 'a> {
             };
             for (bi, range) in plan.iter().enumerate() {
                 let t_fetch = Instant::now();
-                let batch = fetch.next(scope, bi, &mut self.st)?;
+                let batch = fetch.next(scope, &mut self.d.multilog, bi, &mut self.st)?;
                 self.st.fetch_wait_ns += t_fetch.elapsed().as_nanos() as u64;
                 self.st.load_ns += batch.load_ns;
                 self.st.sort_ns += batch.sort_ns;
@@ -679,7 +684,7 @@ impl<'d, 'a> Superstep<'d, 'a> {
                 ioq.advance(compute_ns(batch.records, 0, 0));
                 let first = self.prepare(range.start, &batch, &ioq)?;
                 let t_ahead = Instant::now();
-                fetch.read_ahead(scope, bi)?;
+                fetch.read_ahead(scope, &self.d.multilog, bi)?;
                 self.st.fetch_wait_ns += t_ahead.elapsed().as_nanos() as u64;
                 self.run_batch(range.clone(), &batch, &ioq, first)?;
             }
@@ -1236,7 +1241,6 @@ mod tests {
                 ml.send(Update::new(m % n, m, u64::from(m))).unwrap();
             }
             ml.finish_superstep().unwrap();
-            let reader = ml.reader();
             let ioq = IoQueue::new(Arc::clone(&ssd), QUEUE_DEPTH);
             let plan: Vec<Range<IntervalId>> = (0..BATCHES).map(|i| i..i + 1).collect();
             let handoffs: Vec<Tracked<()>> =
@@ -1244,15 +1248,14 @@ mod tests {
             let mut st = SuperstepStats::default();
             let failed = mlvc_par::scope(|scope| {
                 let mut fetch = Fetch {
-                    reader: &reader,
                     ioq: &ioq,
                     plan: &plan,
                     handoffs: &handoffs,
                     submitted: 0,
                     inflight: VecDeque::new(),
                 };
-                fetch.next(scope, 0, &mut st).expect("the device is whole for the first batch");
-                fetch.read_ahead(scope, 0).expect("the device is whole for the read-ahead");
+                fetch.next(scope, &mut ml, 0, &mut st).expect("the device is whole for the first batch");
+                fetch.read_ahead(scope, &ml, 0).expect("the device is whole for the read-ahead");
                 match damage {
                     Damage::FlippedBit => {
                         let f = ssd.lookup(&format!("t.mlog.{}.a", BATCHES - 1)).unwrap();
@@ -1269,8 +1272,8 @@ mod tests {
                 }
                 (1..plan.len()).find_map(|bi| {
                     let handed_off = st.batches_handed_off;
-                    match fetch.next(scope, bi, &mut st) {
-                        Ok(_) => fetch.read_ahead(scope, bi).err().map(|e| (e, false)),
+                    match fetch.next(scope, &mut ml, bi, &mut st) {
+                        Ok(_) => fetch.read_ahead(scope, &ml, bi).err().map(|e| (e, false)),
                         Err(e) => Some((e, st.batches_handed_off > handed_off)),
                     }
                 })

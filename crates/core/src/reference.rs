@@ -120,28 +120,16 @@ impl Engine for ReferenceEngine {
             };
             work.dedup_by_key(|(d, _)| *d);
 
-            let combined: Vec<Option<Update>> = work
-                .iter()
-                .map(|(v, r)| {
-                    combine.and_then(|f| {
-                        inbox[r.clone()]
-                            .iter()
-                            .map(|u| u.data)
-                            .reduce(f)
-                            .map(|data| Update::new(*v, VertexId::MAX, data))
-                    })
-                })
-                .collect();
             let graph = &self.graph;
             let states = &self.states;
             let seed = self.seed;
             let inbox_ref = &inbox;
             let outputs: Vec<_> =
-                mlvc_par::par_map2(&work, &combined, |(v, r), comb| {
-                    let msgs: &[Update] = match comb {
-                        Some(u) => std::slice::from_ref(u),
-                        None => &inbox_ref[r.clone()],
-                    };
+                mlvc_par::par_map(&work, |(v, r)| {
+                    let msgs = &inbox_ref[r.clone()];
+                    let folded = combine.and_then(|f| msgs.iter().map(|u| u.data).reduce(f));
+                    let folded = folded.map(|data| Update::new(*v, VertexId::MAX, data));
+                    let msgs = folded.as_ref().map_or(msgs, std::slice::from_ref);
                     let mut sink = SendSink::flat();
                     let mut ctx = VertexCtx::new(
                         *v,

@@ -26,25 +26,26 @@ pub struct GrafBoostEngine {
 
 impl GrafBoostEngine {
     pub fn new(ssd: Arc<Ssd>, graph: StoredGraph, cfg: EngineConfig) -> Self {
-        let states = vec![0u64; graph.num_vertices()];
-        GrafBoostEngine { ssd, graph: Arc::new(graph), cfg: cfg.validated(), states }
+        Self::with_shared_graph(ssd, Arc::new(graph), cfg)
     }
 
     pub fn with_shared_graph(ssd: Arc<Ssd>, graph: Arc<StoredGraph>, cfg: EngineConfig) -> Self {
         let states = vec![0u64; graph.num_vertices()];
-        GrafBoostEngine { ssd, graph, cfg: cfg.validated(), states }
+        GrafBoostEngine { ssd, graph, cfg, states }
     }
 }
 
 impl GrafBoostEngine {
-    /// The superstep driver; a device fault, or a structural update it does
-    /// not support, aborts the run and surfaces as `RunReport::interrupted`.
+    /// The superstep driver; an invalid configuration, a device fault, or a
+    /// structural update it does not support, aborts the run and surfaces
+    /// as `RunReport::interrupted`.
     fn drive(
         &mut self,
         prog: &dyn VertexProgram,
         max_supersteps: usize,
         report: &mut RunReport,
     ) -> Result<(), DeviceError> {
+        self.cfg.validate()?;
         // The baseline scans `rowptr` and `colidx` only: it hands out no weights.
         if prog.needs_weights() {
             return Err(ConfigError::NeedsWeights { app: prog.name() }.into());

@@ -108,21 +108,23 @@ impl GraphChiEngine {
     ) -> Result<Self, DeviceError> {
         let shards = ShardSet::build(&ssd, graph, intervals, "gchi")?;
         let states = vec![0u64; graph.num_vertices()];
-        Ok(GraphChiEngine { ssd, shards, cfg: cfg.validated(), states })
+        Ok(GraphChiEngine { ssd, shards, cfg, states })
     }
 
     pub fn config(&self) -> &EngineConfig {
         &self.cfg
     }
 
-    /// The superstep driver; a device fault, or a program output the model
-    /// cannot carry, aborts the run and surfaces as `RunReport::interrupted`.
+    /// The superstep driver; an invalid configuration, a device fault, or a
+    /// program output the model cannot carry, aborts the run and surfaces as
+    /// `RunReport::interrupted`.
     fn drive(
         &mut self,
         prog: &dyn VertexProgram,
         max_supersteps: usize,
         report: &mut RunReport,
     ) -> Result<(), DeviceError> {
+        self.cfg.validate()?;
         // The shards model edge values as message slots: they store no weights.
         if prog.needs_weights() {
             return Err(ConfigError::NeedsWeights { app: prog.name() }.into());
@@ -232,7 +234,8 @@ impl GraphChiEngine {
         let (states, seed, superstep) = (&self.states, self.cfg.seed, step.superstep);
         let n = intervals.num_vertices();
         let combine = prog.combine();
-        let outputs: Vec<_> = mlvc_par::par_map2(&work, &edges, |(v, r), edges| {
+        let items: Vec<_> = work.iter().zip(&edges).collect();
+        let outputs: Vec<_> = mlvc_par::par_map(&items, |&((v, r), edges)| {
             let msgs = &inbox[r.clone()];
             let folded = combine.and_then(|f| msgs.iter().map(|u| u.data).reduce(f));
             let folded = folded.map(|data| Update::new(*v, VertexId::MAX, data));
@@ -245,7 +248,7 @@ impl GraphChiEngine {
             (ctx.into_outputs(), sink, msgs.len())
         });
 
-        for (((v, r), edges), (out, sink, delivered)) in work.iter().zip(&edges).zip(outputs) {
+        for (((v, r), edges), (out, sink, delivered)) in items.into_iter().zip(outputs) {
             if !out.structural.is_empty() {
                 let what = "structural updates";
                 return Err(ConfigError::Unsupported { engine: "GraphChi", what }.into());

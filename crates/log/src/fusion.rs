@@ -1,7 +1,8 @@
 //! Interval fusion (paper §V-B): which consecutive interval logs one
 //! fused batch drains ([`plan_fusion`]), the batch they decode to
 //! ([`FusedBatch`]) and its per-destination groups ([`group_by_dest`]).
-//! Reading and decoding are `LogReader`'s (DESIGN.md §12).
+//! Reading and decoding are `MultiLog::plan_reads` and `BatchPlan::decode`'s
+//! (DESIGN.md §12).
 
 use std::ops::Range;
 
@@ -31,7 +32,7 @@ pub struct FusedBatch {
     pub load_ns: u64,
     pub sort_ns: u64,
     /// Header + record bytes of the pages the batch was decoded from —
-    /// what [`LogReader::consume`](crate::LogReader::consume) declares as useful.
+    /// what [`MultiLog::consume`](crate::MultiLog::consume) declares as useful.
     pub useful_bytes: u64,
 }
 
@@ -39,9 +40,9 @@ pub struct FusedBatch {
 /// fuse consecutive ones while the estimated log volume (`count ×
 /// UPDATE_BYTES`, from the per-interval message counters) fits in the sort
 /// budget. Every interval lands in exactly one contiguous range; an
-/// interval whose own log exceeds the budget gets a range of its own.
+/// interval whose own log exceeds the budget gets a range of its own — so a
+/// budget below one record leaves every interval alone.
 pub fn plan_fusion(counts: &[u64], sort_budget_bytes: usize) -> Vec<Range<IntervalId>> {
-    assert!(sort_budget_bytes >= UPDATE_BYTES);
     // Interval counts are bounded by the (u32) vertex count, so the id
     // conversion cannot saturate in practice.
     let interval_id = |n: usize| to_u32("interval id", n).unwrap_or(IntervalId::MAX);
@@ -141,7 +142,7 @@ mod tests {
         ml.send(Update::new(5, 101, 2)).unwrap();
         ml.send(Update::new(3, 201, 3)).unwrap();
         ml.finish_superstep().unwrap();
-        let batch = drain_range(&ml.reader(), 0..1).unwrap();
+        let batch = drain_range(&mut ml, 0..1).unwrap();
         assert_eq!(
             batch.updates,
             vec![
@@ -182,10 +183,9 @@ mod tests {
             let counts = ml.finish_superstep().unwrap();
             assert_eq!(counts.iter().sum::<u64>() as usize, sends.len());
 
-            let reader = ml.reader();
             let mut collected = 0usize;
             for r in plan_fusion(&counts, 1 << 20) {
-                let batch = drain_range(&reader, r).unwrap();
+                let batch = drain_range(&mut ml, r).unwrap();
                 for (dest, group) in group_by_dest(&batch.updates) {
                     // Group order must equal insertion order for that
                     // dest, regardless of append-time bucketing.

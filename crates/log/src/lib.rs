@@ -9,7 +9,7 @@
 //!   vertex interval, page-sized top buffers in host memory, batched
 //!   page-granular eviction striped across all SSD channels, and per-
 //!   interval message counters used for interval fusing;
-//! * [`plan_fusion`], [`LogReader`], [`group_by_dest`] — the **Sort & Group
+//! * [`plan_fusion`], [`BatchPlan`], [`group_by_dest`] — the **Sort & Group
 //!   Unit** (§V-B): fuse consecutive interval logs while they fit in the
 //!   sort budget, load them with full channel parallelism, sort **in
 //!   memory** (the whole point: no external sort), and yield per-destination
@@ -42,16 +42,15 @@
 //! assert_eq!(counts.iter().sum::<u64>(), 2);
 //!
 //! // Next superstep: fuse, then drain each fused range in three steps —
-//! // plan the page reads on the owner, decode the fetched pages (sorted in
-//! // memory; a pure function of their bytes, so the engine runs it on a
-//! // worker while the owner keeps sending), consume on the owner.
-//! let reader = mlog.reader();
+//! // plan the page reads, decode the fetched pages (sorted in memory; a
+//! // pure function of plan and bytes, so the engine runs it on a worker
+//! // while the owner keeps sending), consume the drained logs.
 //! let mut seen = 0;
 //! for range in plan_fusion(&counts, 1 << 20) {
-//!     let plan = reader.plan_reads(range).unwrap();
+//!     let plan = mlog.plan_reads(range).unwrap();
 //!     let pages = ssd.read_batch(&plan.reqs).unwrap();
-//!     let batch = reader.decode(&plan, &pages).unwrap();
-//!     reader.consume(&plan, &batch).unwrap();
+//!     let batch = plan.decode(&pages).unwrap();
+//!     mlog.consume(&plan, &batch).unwrap();
 //!     for (dest, msgs) in group_by_dest(&batch.updates) {
 //!         assert!(dest == 17 || dest == 900);
 //!         seen += msgs.len();
@@ -73,6 +72,6 @@ pub use mlvc_ssd::checked;
 pub use bitset::BitSet;
 pub use edgelog::{is_inefficient, EdgeLogOptimizer, EdgeLogStats, INEFFICIENCY_THRESHOLD};
 pub use fusion::{group_by_dest, plan_fusion, FusedBatch};
-pub use multilog::{BatchPlan, LogReader, MultiLog, MultiLogConfig, MultiLogStats};
+pub use multilog::{BatchPlan, MultiLog, MultiLogConfig, MultiLogStats};
 pub use page::{decode_log_page, pack_pages, LogPage, PageError, PageShape, ANY_DEST};
 pub use update::{Update, UPDATE_BYTES};

@@ -2,9 +2,6 @@ use crate::checked::{idx, to_u32, to_u64, to_usize};
 use std::sync::Arc;
 use std::time::Instant;
 
-use mlvc_par::Tracked;
-use mlvc_ssd::RelaxedCounter;
-
 use mlvc_graph::{IntervalId, VertexIntervals, VertexId};
 use mlvc_ssd::{DeviceError, FileId, Page, Ssd};
 
@@ -32,7 +29,7 @@ pub struct MultiLogConfig {
     /// The consuming program's message reduction
     /// (`VertexProgram::combine`, set by the engine). With one, the read
     /// side folds each destination's records into a single update as it
-    /// decodes them ([`LogReader::decode`]); what is logged does not change.
+    /// decodes them ([`BatchPlan::decode`]); what is logged does not change.
     pub combine: Option<fn(u64, u64) -> u64>,
 }
 
@@ -133,12 +130,8 @@ pub struct MultiLog {
     counts: Vec<u64>,
     dest_seen: BitSet,
     cap_pages: usize,
-    /// `updates_read` lives outside `stats` in a shared atomic so that a
-    /// [`LogReader`] consuming the read side counts into the same total as
-    /// the owner's `take_log_current`.
     stats: MultiLogStats,
-    updates_read: Arc<RelaxedCounter>,
-    /// Handed to every [`LogReader`]; the write side never looks at it.
+    /// Handed to every [`BatchPlan`]; the write side never looks at it.
     combine: Option<fn(u64, u64) -> u64>,
     retention: Retention,
 }
@@ -175,54 +168,22 @@ impl Retention {
     }
 }
 
-/// Shared-nothing handle onto the **read side** of the multi-log — the
-/// superstep's inbox, what the sort & group unit consumes. It holds its own
-/// device handle and the read-side file ids captured at creation, so fetch
-/// workers can decode the next fused batches while the owning [`MultiLog`]
-/// keeps appending to the write side (the two sides are disjoint files,
-/// and every [`Ssd`] method takes `&self`).
-///
-/// Draining a fused batch is three steps: [`Self::plan_reads`] on the
-/// owner, [`Self::decode`] on whichever thread holds the fetched page
-/// bytes, and [`Self::consume`] back on the owner — the only step that
-/// touches the device or any counter.
-///
-/// The sides flip at [`MultiLog::finish_superstep`], so a reader is only
-/// valid for the superstep it was created in: create one per superstep via
-/// [`MultiLog::reader`].
-pub struct LogReader {
-    ssd: Arc<Ssd>,
-    files: Vec<FileId>,
-    intervals: VertexIntervals,
-    combine: Option<fn(u64, u64) -> u64>,
-    updates_read: Arc<RelaxedCounter>,
-    /// One shadow cell per interval auditing the take-once protocol:
-    /// [`Self::consume`] truncates interval `i`'s log, so two unordered
-    /// consumes of the same interval are a protocol violation the race
-    /// detector reports with both call sites (DESIGN.md §14).
-    take_audit: Vec<Tracked<()>>,
-}
-
-/// The page reads needed to drain a fused interval range — the submission
-/// half of the read path. Built on the owning engine thread (so the
-/// submission order is deterministic), fetched through an
-/// [`mlvc_ssd::IoQueue`] or a plain `read_batch`, and decoded via
-/// [`LogReader::decode`].
+/// The page reads that drain a fused interval range and what their decode
+/// needs — the read half of the sort & group unit. [`MultiLog::plan_reads`]
+/// builds it on the owning engine thread (so the submission order is
+/// deterministic); the pages are fetched through an [`mlvc_ssd::IoQueue`]
+/// or a plain `read_batch`, decoded by [`Self::decode`] on whichever thread
+/// holds them, and the logs consumed by [`MultiLog::consume`] back on the
+/// owner.
 #[derive(Debug, Clone)]
 pub struct BatchPlan {
     pub range: std::ops::Range<IntervalId>,
     /// `(file, page, useful=0)` requests, interval-major then page order.
     pub reqs: Vec<(FileId, u64, usize)>,
-    /// Page count per interval of `range`, aligned with it.
-    pages_per_interval: Vec<u64>,
-}
-
-impl BatchPlan {
-    /// Pages the `k`-th interval of the plan contributes to a fetch.
-    fn interval_page_count(&self, k: usize) -> Result<usize, DeviceError> {
-        to_usize("log page count", self.pages_per_interval[k])
-            .map_err(|e| DeviceError::Io(e.to_string()))
-    }
+    /// Page count and vertex span per interval of `range`, aligned with it.
+    intervals: Vec<(usize, std::ops::Range<VertexId>)>,
+    /// The consuming program's reduction ([`MultiLogConfig::combine`]).
+    combine: Option<fn(u64, u64) -> u64>,
 }
 
 /// Interval index → id. Interval counts are bounded by the (u32) vertex
@@ -231,40 +192,19 @@ fn interval_id(ii: usize) -> IntervalId {
     to_u32("interval id", ii).unwrap_or(IntervalId::MAX)
 }
 
-impl LogReader {
-    /// Enumerate the page reads that draining every interval in `range`
-    /// will need. Owner-thread half of the read path: the returned plan's
-    /// request order is deterministic (interval-major, page order),
-    /// independent of which worker later decodes the completion.
-    pub fn plan_reads(
-        &self,
-        range: std::ops::Range<IntervalId>,
-    ) -> Result<BatchPlan, DeviceError> {
-        let mut reqs = Vec::new();
-        let mut pages_per_interval = Vec::with_capacity(range.len());
-        for i in range.clone() {
-            let f = self.files[idx(i)];
-            let n = self.ssd.num_pages(f)?;
-            for p in 0..n {
-                reqs.push((f, p, 0usize));
-            }
-            pages_per_interval.push(n);
-        }
-        Ok(BatchPlan { range, reqs, pages_per_interval })
-    }
-
-    /// Decode the pages fetched for `plan` (one lent [`Page`] per request, in
-    /// plan order) into inbox order, the way the consuming program asked
+impl BatchPlan {
+    /// Decode the pages fetched for this plan (one lent [`Page`] per request,
+    /// in plan order) into inbox order, the way the consuming program asked
     /// for: folded to one update per destination when it declared a
     /// `combine` ([`MultiLogConfig::combine`]), every record kept
     /// ([`Self::decode_sorted`]) when it did not. Either way a pure
-    /// function of `plan` and `pages` — it touches neither the device nor
-    /// any counter, so it may run on any thread without moving a
-    /// deterministic number; [`Self::consume`] does the rest.
-    pub fn decode(&self, plan: &BatchPlan, pages: &[Page]) -> Result<FusedBatch, DeviceError> {
+    /// function of the plan and the page bytes — it touches neither the
+    /// device nor any counter, so it may run on any thread without moving a
+    /// deterministic number; [`MultiLog::consume`] does the rest.
+    pub fn decode(&self, pages: &[Page]) -> Result<FusedBatch, DeviceError> {
         match self.combine {
-            Some(f) => self.decode_folded(plan, pages, f),
-            None => self.decode_sorted(plan, pages),
+            Some(f) => self.decode_folded(pages, f),
+            None => self.decode_sorted(pages),
         }
     }
 
@@ -277,21 +217,14 @@ impl LogReader {
     /// accumulator is the left fold `reduce(f)` over that destination's
     /// group would give, to the bit, for any `f`. Folded updates carry
     /// `src = VertexId::MAX`. There is no sort to time: `sort_ns` is zero.
-    fn decode_folded(
-        &self,
-        plan: &BatchPlan,
-        pages: &[Page],
-        f: fn(u64, u64) -> u64,
-    ) -> Result<FusedBatch, DeviceError> {
-        assert_eq!(pages.len(), plan.reqs.len(), "fetched pages must match the plan");
+    fn decode_folded(&self, pages: &[Page], f: fn(u64, u64) -> u64) -> Result<FusedBatch, DeviceError> {
+        assert_eq!(pages.len(), self.reqs.len(), "fetched pages must match the plan");
         let t_load = Instant::now();
         let mut out = Vec::new();
         let mut acc: Vec<u64> = Vec::new();
         let (mut records, mut useful_bytes) = (0usize, 0u64);
         let mut cursor = 0usize;
-        for (k, i) in plan.range.clone().enumerate() {
-            let n = plan.interval_page_count(k)?;
-            let span = self.intervals.range(i);
+        for (n, span) in self.intervals.iter().cloned() {
             let lo = span.start;
             // The decoder bounds every destination against `span`, so the
             // `dest - lo` indexing below cannot leave the scratch.
@@ -321,7 +254,7 @@ impl LogReader {
             cursor += n;
         }
         Ok(FusedBatch {
-            range: plan.range.clone(),
+            range: self.range.clone(),
             updates: out,
             records: to_u64(records),
             load_ns: elapsed_ns(t_load),
@@ -338,12 +271,8 @@ impl LogReader {
     /// batch sorted by destination, per-destination log order preserved.
     /// `load_ns` / `sort_ns` of the result split the wall time between the
     /// decode/place work and the histogram/prefix work for stage reporting.
-    pub fn decode_sorted(
-        &self,
-        plan: &BatchPlan,
-        pages: &[Page],
-    ) -> Result<FusedBatch, DeviceError> {
-        assert_eq!(pages.len(), plan.reqs.len(), "fetched pages must match the plan");
+    pub fn decode_sorted(&self, pages: &[Page]) -> Result<FusedBatch, DeviceError> {
+        assert_eq!(pages.len(), self.reqs.len(), "fetched pages must match the plan");
         let t_load = Instant::now();
         let parsed: Vec<LogPage<'_>> =
             pages.iter().map(|p| LogPage::parse(p)).collect::<Result<_, _>>()?;
@@ -354,10 +283,8 @@ impl LogReader {
         let mut sort_ns = 0u64;
         let mut cursor = 0usize;
         let mut base = 0usize;
-        for (k, i) in plan.range.clone().enumerate() {
-            let n = plan.interval_page_count(k)?;
+        for (n, span) in self.intervals.iter().cloned() {
             let ival_pages = &parsed[cursor..cursor + n];
-            let span = self.intervals.range(i);
             let lo = span.start;
             // Histogram + prefix: the "sort" half of the fused pass. The
             // decoder bounds every destination against `span`, so the
@@ -389,33 +316,13 @@ impl LogReader {
         }
         let load_ns = elapsed_ns(t_load).saturating_sub(sort_ns);
         Ok(FusedBatch {
-            range: plan.range.clone(),
+            range: self.range.clone(),
             records: to_u64(out.len()),
             updates: out,
             load_ns,
             sort_ns,
             useful_bytes,
         })
-    }
-
-    /// Consume the logs `batch` was decoded from: the take-once audit per
-    /// interval, the truncate of every drained file (and with it cache
-    /// invalidation, pin drops and FTL trims), the useful-byte declaration
-    /// and the `updates_read` count. Owner thread, plan order — everything
-    /// here moves device or cache state, so running it where the batch's
-    /// ticket is retired is what keeps every counter identical at any
-    /// worker-thread count (DESIGN.md §12).
-    #[track_caller]
-    pub fn consume(&self, plan: &BatchPlan, batch: &FusedBatch) -> Result<(), DeviceError> {
-        for (k, i) in plan.range.clone().enumerate() {
-            self.take_audit[idx(i)].audit_write();
-            if plan.pages_per_interval[k] > 0 {
-                self.ssd.truncate(self.files[idx(i)])?;
-            }
-        }
-        self.ssd.declare_useful(batch.useful_bytes);
-        self.updates_read.add(batch.records);
-        Ok(())
     }
 }
 
@@ -499,7 +406,6 @@ impl MultiLog {
             dest_seen: BitSet::new(num_vertices),
             cap_pages,
             stats: MultiLogStats::default(),
-            updates_read: Arc::new(RelaxedCounter::new(0)),
             combine: cfg.combine,
             retention: Retention::default(),
         })
@@ -523,25 +429,46 @@ impl MultiLog {
     }
 
     pub fn stats(&self) -> MultiLogStats {
-        MultiLogStats {
-            updates_read: self.updates_read.get(),
-            ..self.stats
-        }
+        self.stats
     }
 
-    /// A read-side handle for this superstep (see [`LogReader`]).
-    pub fn reader(&self) -> LogReader {
+    /// Enumerate the page reads that draining every interval in `range` of
+    /// the read side — this superstep's inbox — will need. The request
+    /// order is deterministic (interval-major, page order), independent of
+    /// which thread later decodes the pages. The sides flip at
+    /// [`Self::finish_superstep`], so a plan is only good for the
+    /// superstep it was made in.
+    pub fn plan_reads(&self, range: std::ops::Range<IntervalId>) -> Result<BatchPlan, DeviceError> {
         let side = 1 - self.write_side;
-        LogReader {
-            ssd: Arc::clone(&self.ssd),
-            files: self.files.iter().map(|f| f[side]).collect(),
-            intervals: self.intervals.clone(),
-            combine: self.combine,
-            updates_read: Arc::clone(&self.updates_read),
-            take_audit: (0..self.files.len())
-                .map(|_| Tracked::new("LogReader::take_log interval", ()))
-                .collect(),
+        let mut reqs = Vec::new();
+        let mut intervals = Vec::with_capacity(range.len());
+        for i in range.clone() {
+            let f = self.files[idx(i)][side];
+            let n = self.ssd.num_pages(f)?;
+            reqs.extend((0..n).map(|p| (f, p, 0usize)));
+            let n = to_usize("log page count", n).map_err(|e| DeviceError::Io(e.to_string()))?;
+            intervals.push((n, self.intervals.range(i)));
         }
+        Ok(BatchPlan { range, reqs, intervals, combine: self.combine })
+    }
+
+    /// Consume the read-side logs `batch` was decoded from: the truncate of
+    /// every drained file (and with it cache invalidation, pin drops and
+    /// FTL trims), the useful-byte declaration and the `updates_read`
+    /// count. Everything here moves device, cache or unit state, so it runs
+    /// where the unit lives — on the engine's owner thread, in plan order,
+    /// where the batch's ticket is retired — which keeps every counter
+    /// identical at any worker-thread count (DESIGN.md §12).
+    pub fn consume(&mut self, plan: &BatchPlan, batch: &FusedBatch) -> Result<(), DeviceError> {
+        let side = 1 - self.write_side;
+        for (i, (n, _)) in plan.range.clone().zip(&plan.intervals) {
+            if *n > 0 {
+                self.ssd.truncate(self.files[idx(i)][side])?;
+            }
+        }
+        self.ssd.declare_useful(batch.useful_bytes);
+        self.stats.updates_read += batch.records;
+        Ok(())
     }
 
     pub fn intervals(&self) -> &VertexIntervals {
@@ -828,7 +755,7 @@ impl MultiLog {
         }
         self.drain_tops(idx(i), &mut out)?;
         self.counts[idx(i)] -= to_u64(out.len());
-        self.updates_read.add(to_u64(out.len()));
+        self.stats.updates_read += to_u64(out.len());
         Ok(out)
     }
 }
@@ -854,19 +781,19 @@ pub(crate) mod tests {
     /// Drain `range` of the read side the way the engine does: plan, read,
     /// decode, consume.
     pub(crate) fn drain_range(
-        reader: &LogReader,
+        ml: &mut MultiLog,
         range: std::ops::Range<IntervalId>,
     ) -> Result<FusedBatch, DeviceError> {
-        let plan = reader.plan_reads(range)?;
-        let pages = reader.ssd.read_batch(&plan.reqs)?;
-        let batch = reader.decode(&plan, &pages)?;
-        reader.consume(&plan, &batch)?;
+        let plan = ml.plan_reads(range)?;
+        let pages = ml.ssd.read_batch(&plan.reqs)?;
+        let batch = plan.decode(&pages)?;
+        ml.consume(&plan, &batch)?;
         Ok(batch)
     }
 
     /// Consume interval `i`'s read side.
-    fn drain(ml: &MultiLog, i: IntervalId) -> Result<Vec<Update>, DeviceError> {
-        Ok(drain_range(&ml.reader(), i..i + 1)?.updates)
+    fn drain(ml: &mut MultiLog, i: IntervalId) -> Result<Vec<Update>, DeviceError> {
+        Ok(drain_range(ml, i..i + 1)?.updates)
     }
 
     /// What a drain must return for `sent`: stable by destination.
@@ -883,10 +810,10 @@ pub(crate) mod tests {
         ml.send(Update::new(0, 2, 8)).unwrap();
         ml.send(Update::new(99, 3, 9)).unwrap();
         ml.finish_superstep().unwrap();
-        assert_eq!(drain(&ml, 2).unwrap(), vec![Update::new(60, 1, 7)]);
-        assert_eq!(drain(&ml, 0).unwrap(), vec![Update::new(0, 2, 8)]);
-        assert_eq!(drain(&ml, 3).unwrap(), vec![Update::new(99, 3, 9)]);
-        assert!(drain(&ml, 1).unwrap().is_empty());
+        assert_eq!(drain(&mut ml, 2).unwrap(), vec![Update::new(60, 1, 7)]);
+        assert_eq!(drain(&mut ml, 0).unwrap(), vec![Update::new(0, 2, 8)]);
+        assert_eq!(drain(&mut ml, 3).unwrap(), vec![Update::new(99, 3, 9)]);
+        assert!(drain(&mut ml, 1).unwrap().is_empty());
     }
 
     #[test]
@@ -898,7 +825,7 @@ pub(crate) mod tests {
             ml.send(u).unwrap();
         }
         ml.finish_superstep().unwrap();
-        assert_eq!(drain(&ml, 0).unwrap(), sorted(sent));
+        assert_eq!(drain(&mut ml, 0).unwrap(), sorted(sent));
     }
 
     /// Under eviction pressure the drain is still exactly the sent stream,
@@ -924,8 +851,8 @@ pub(crate) mod tests {
         assert_eq!(roomy.stats().evictions, 0);
         for i in 0..4u32 {
             let want = sorted(std::mem::take(&mut sent_per_interval[i as usize]));
-            assert_eq!(drain(&tight, i).unwrap(), want, "interval {i}");
-            assert_eq!(drain(&roomy, i).unwrap(), want, "interval {i}");
+            assert_eq!(drain(&mut tight, i).unwrap(), want, "interval {i}");
+            assert_eq!(drain(&mut roomy, i).unwrap(), want, "interval {i}");
         }
         assert_eq!(tight.stats().updates_read, 3000);
         assert_eq!(roomy.stats().updates_read, 3000);
@@ -955,10 +882,40 @@ pub(crate) mod tests {
         let mut ml = setup(1 << 20);
         ml.send(Update::new(60, 1, 7)).unwrap();
         ml.finish_superstep().unwrap();
-        assert_eq!(drain(&ml, 2).unwrap().len(), 1);
-        assert!(drain(&ml, 2).unwrap().is_empty(), "second drain finds nothing");
-        assert!(drain(&ml, 0).unwrap().is_empty());
+        assert_eq!(drain(&mut ml, 2).unwrap().len(), 1);
+        assert!(drain(&mut ml, 2).unwrap().is_empty(), "second drain finds nothing");
+        assert!(drain(&mut ml, 0).unwrap().is_empty());
         assert_eq!(ml.stats().updates_read, 1, "reads flow into owner stats");
+    }
+
+    /// A plan resolves the read side when it is made: plans of two
+    /// consecutive supersteps each drain their own superstep's messages,
+    /// exactly once, however much the superstep they run in has flushed to
+    /// its write side — and `consume` and `take_log_current` count into one
+    /// `updates_read`.
+    #[test]
+    fn plans_of_consecutive_supersteps_drain_their_own_messages_once() {
+        let mut ml = setup(4 * 256);
+        let first: Vec<Update> = (0..3).map(|k| Update::new(30 * k, k, u64::from(k))).collect();
+        for &u in &first {
+            ml.send(u).unwrap();
+        }
+        ml.finish_superstep().unwrap();
+        // Enough for interval 0 to flush mid-superstep, plus one message the
+        // asynchronous drain takes back before the superstep ends.
+        let second: Vec<Update> = (0..400).map(|k| Update::new(k % 25, k, u64::from(k))).collect();
+        for &u in &second {
+            ml.send(u).unwrap();
+        }
+        ml.send(Update::new(40, 9, 9)).unwrap();
+        assert!(ml.stats().pages_flushed > 0, "the write side was flushed to");
+        assert_eq!(ml.take_log_current(1).unwrap(), vec![Update::new(40, 9, 9)]);
+        assert_eq!(drain_range(&mut ml, 0..4).unwrap().updates, sorted(first));
+        assert!(drain_range(&mut ml, 0..4).unwrap().updates.is_empty(), "drained once");
+        ml.finish_superstep().unwrap();
+        assert_eq!(drain_range(&mut ml, 0..4).unwrap().updates, sorted(second));
+        assert!(drain_range(&mut ml, 0..4).unwrap().updates.is_empty(), "drained once");
+        assert_eq!(ml.stats().updates_read, 3 + 1 + 400);
     }
 
     /// Decoding is a pure function of the page bytes, folding or not: until
@@ -973,14 +930,13 @@ pub(crate) mod tests {
                 ml.send(Update::new(k % 100, k, u64::from(k))).unwrap();
             }
             ml.finish_superstep().unwrap();
-            let reader = ml.reader();
-            let plan = reader.plan_reads(0..4).unwrap();
+            let plan = ml.plan_reads(0..4).unwrap();
             let pages = ssd.read_batch(&plan.reqs).unwrap();
             let before = ssd.stats().snapshot();
             let batch = if fold {
-                reader.decode_folded(&plan, &pages, u64::wrapping_add).unwrap()
+                plan.decode_folded(&pages, u64::wrapping_add).unwrap()
             } else {
-                reader.decode_sorted(&plan, &pages).unwrap()
+                plan.decode_sorted(&pages).unwrap()
             };
             // Two records per destination: k and k + 100.
             assert_eq!(batch.records, 200);
@@ -989,7 +945,7 @@ pub(crate) mod tests {
             assert_eq!(ml.stats().updates_read, 0);
             let file = ssd.lookup("t.mlog.0.a").unwrap();
             assert!(ssd.num_pages(file).unwrap() > 0, "decode truncated the log");
-            reader.consume(&plan, &batch).unwrap();
+            ml.consume(&plan, &batch).unwrap();
             assert_eq!(ssd.num_pages(file).unwrap(), 0);
             assert_eq!(ml.stats().updates_read, 200, "fold={fold}: records, not updates");
             assert_eq!(
@@ -1015,11 +971,11 @@ pub(crate) mod tests {
         // per-destination order kept, without touching the read side.
         let got = ml.take_log_current(0).unwrap();
         assert_eq!(sorted(got), sorted(current));
-        assert_eq!(drain(&ml, 0).unwrap(), vec![Update::new(1, 0, 11)], "read side intact");
+        assert_eq!(drain(&mut ml, 0).unwrap(), vec![Update::new(1, 0, 11)], "read side intact");
         // Nothing left on either side for interval 0.
         assert!(ml.take_log_current(0).unwrap().is_empty());
         assert_eq!(ml.finish_superstep().unwrap()[0], 0, "counter rolled back");
-        assert!(drain(&ml, 0).unwrap().is_empty());
+        assert!(drain(&mut ml, 0).unwrap().is_empty());
     }
 
     /// Log-tail retention: an armed unit pins the pages it flushes while
@@ -1048,7 +1004,7 @@ pub(crate) mod tests {
         assert_eq!(cache.pinned_pages(), 2);
 
         ssd.stats().reset();
-        assert_eq!(drain_range(&ml.reader(), 0..4).unwrap().records, 60);
+        assert_eq!(drain_range(&mut ml, 0..4).unwrap().records, 60);
         assert_eq!(ssd.stats().snapshot().pages_read, flushed - 2, "two pages hit DRAM");
         assert_eq!(cache.pinned_pages(), 0, "consume drops the retained pins");
 
@@ -1082,7 +1038,7 @@ pub(crate) mod tests {
         assert_eq!(a.buffered_pages(), b.buffered_pages());
         assert!(b.dest_seen(7));
         assert_eq!(a.finish_superstep().unwrap(), b.finish_superstep().unwrap());
-        assert_eq!(drain(&a, 0).unwrap(), drain(&b, 0).unwrap());
+        assert_eq!(drain(&mut a, 0).unwrap(), drain(&mut b, 0).unwrap());
     }
 
     #[test]
@@ -1140,12 +1096,12 @@ pub(crate) mod tests {
         }
         assert_eq!(with.finish_superstep().unwrap(), without.finish_superstep().unwrap());
         for i in 0..4u32 {
-            let want: Vec<Update> = drain(&with, i)
+            let want: Vec<Update> = drain(&mut with, i)
                 .unwrap()
                 .into_iter()
                 .map(|u| Update { src: VertexId::MAX, ..u })
                 .collect();
-            assert_eq!(drain(&without, i).unwrap(), want, "interval {i}");
+            assert_eq!(drain(&mut without, i).unwrap(), want, "interval {i}");
         }
         let pages = |s: &Ssd| s.stats().snapshot().pages_written;
         // 2000 records at 17 vs 24 per page, one partial page per interval.
@@ -1218,19 +1174,18 @@ pub(crate) mod tests {
             corrupt(&ssd, "t.mlog.1.a");
             (ssd, ml)
         };
-        let (_, ml) = fresh();
-        assert_corrupt(drain(&ml, 1), "decode");
+        let (_, mut ml) = fresh();
+        assert_corrupt(drain(&mut ml, 1), "decode");
         let (ssd, ml) = fresh();
-        let reader = ml.reader();
-        let plan = reader.plan_reads(0..4).unwrap();
+        let plan = ml.plan_reads(0..4).unwrap();
         let pages = ssd.read_batch(&plan.reqs).unwrap();
-        assert_corrupt(reader.decode_sorted(&plan, &pages), "decode_sorted");
-        assert_corrupt(reader.decode_folded(&plan, &pages, u64::wrapping_add), "decode_folded");
+        assert_corrupt(plan.decode_sorted(&pages), "decode_sorted");
+        assert_corrupt(plan.decode_folded(&pages, u64::wrapping_add), "decode_folded");
         // The engine's retire path when nobody was handed the batch: the
         // thread that submitted the read fetches the ticket and decodes.
         let ioq = mlvc_ssd::IoQueue::new(Arc::clone(&ssd), 4);
         let pages = ioq.fetch(ioq.submit_read(plan.reqs.clone())).unwrap();
-        assert_corrupt(reader.decode(&plan, &pages), "submit, fetch and decode in place");
+        assert_corrupt(plan.decode(&pages), "submit, fetch and decode in place");
         // Checkpoint restore: the snapshot carries the corrupt page.
         let (ssd, ml) = fresh();
         let snapshot = ml.snapshot_pending().unwrap();

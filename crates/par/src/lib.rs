@@ -1,9 +1,8 @@
 //! # mlvc-par — scoped-thread data-parallel helpers
 //!
-//! The engines need exactly four parallel shapes — map a slice, map a slice
-//! with per-worker state, map two zipped slices, map contiguous chunks of a
-//! slice — and the ledger's sort drill one more, a stable sort by a `u32`
-//! key. This crate provides them on plain `std::thread::scope`, with no
+//! The engines need exactly three parallel shapes — map a slice, map a
+//! slice with per-worker state, map contiguous chunks of a slice — and the
+//! ledger's sort drill one more, a stable sort by a `u32` key. This crate provides them on plain `std::thread::scope`, with no
 //! external dependencies, so the workspace builds offline and the
 //! parallelism story stays auditable. Every fan-out is one fork/join in
 //! which the calling thread takes the first chunk itself and spawns a
@@ -316,31 +315,6 @@ where
     concat(fork_join(jobs), n)
 }
 
-/// Parallel `a.iter().zip(b).map(|(x, y)| f(x, y)).collect()`, preserving
-/// input order. Panics if the slices differ in length (caller bug).
-pub fn par_map2<A, B, R, F>(a: &[A], b: &[B], f: F) -> Vec<R>
-where
-    A: Sync,
-    B: Sync,
-    R: Send,
-    F: Fn(&A, &B) -> R + Sync,
-{
-    assert_eq!(a.len(), b.len(), "par_map2 requires equal-length slices");
-    let n = a.len();
-    let threads = threads_for(n);
-    if threads <= 1 {
-        return a.iter().zip(b).map(|(x, y)| f(x, y)).collect();
-    }
-    let chunk = n.div_ceil(threads);
-    let f = &f;
-    let jobs: Vec<_> = a
-        .chunks(chunk)
-        .zip(b.chunks(chunk))
-        .map(|(ca, cb)| move || ca.iter().zip(cb).map(|(x, y)| f(x, y)).collect::<Vec<R>>())
-        .collect();
-    concat(fork_join(jobs), n)
-}
-
 /// Apply `f` to contiguous chunks of `items` (at most [`max_threads`] of
 /// them), one worker per chunk, returning the per-chunk results in chunk
 /// order.
@@ -466,20 +440,6 @@ mod tests {
         assert_eq!(one[0], items.iter().map(|&x| u64::from(x)).sum::<u64>());
         let none: &mut [u8] = &mut [];
         assert!(par_map_with(&[] as &[u32], none, |x, _| *x).is_empty());
-    }
-
-    #[test]
-    fn par_map2_zips_in_order() {
-        let a: Vec<u64> = (0..5_000).collect();
-        let b: Vec<u64> = (0..5_000).map(|x| x * 10).collect();
-        let sums = par_map2(&a, &b, |x, y| x + y);
-        assert_eq!(sums, (0..5_000).map(|x| x * 11).collect::<Vec<_>>());
-    }
-
-    #[test]
-    #[should_panic]
-    fn par_map2_rejects_length_mismatch() {
-        par_map2(&[1u8, 2], &[1u8], |a, b| a + b);
     }
 
     #[test]

@@ -16,9 +16,9 @@ use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 use crate::protocol::RejectReason;
 
-/// Smallest budget the engine accepts (`EngineConfig::validate` asserts
-/// `memory_bytes >= 4096`); admission rejects anything smaller so a bad
-/// request can never panic a worker.
+/// Smallest budget the engine accepts (`EngineConfig::validate` requires
+/// `memory_bytes >= 4096`); admission rejects anything smaller before it
+/// reserves a byte.
 pub const MIN_JOB_BYTES: usize = 1 << 12;
 
 /// Global memory budget with blocking reservations.

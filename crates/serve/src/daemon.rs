@@ -409,7 +409,6 @@ impl Daemon {
             .with_seed(req.seed)
             .with_async(req.async_mode)
             .with_tag(&req.id);
-        cfg.validate().map_err(|e| (e.code(), e.to_string()))?;
         let bound = Arc::new(ds.graph.with_device(Arc::clone(&view)));
         let mut engine = MultiLogEngine::with_shared_graph(Arc::clone(&view), bound, cfg);
         let report = engine.run(prog, req.steps);

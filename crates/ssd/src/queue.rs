@@ -31,27 +31,30 @@
 //!   owner-thread, plan-order call: the fault schedule's read counter, the
 //!   cache's request sequence and every charge see the same calls in the
 //!   same order at any worker-thread count.
-//! * [`IoQueue::fetch`] only hands the pages over (lent [`Page`] handles:
-//!   a ticket's pages cross to the fetching thread without a copy), and
-//!   may run on any thread; the engine runs it wherever the batch is
-//!   decoded. Whoever receives the pages must not touch the device either
-//!   — a truncate from a look-ahead worker would invalidate cache frames
-//!   while the owner is inserting, and the frames freed first decide who
-//!   is evicted next — so the engine decodes on the workers and consumes
-//!   (truncates) on the owner, where it retires the ticket (DESIGN.md §12).
+//! * [`IoQueue::fetch`] only hands the pages over (lent [`Page`] handles).
+//!   The engine fetches right after each submit and moves the pages — or
+//!   the read's error — to whoever decodes the batch: a look-ahead worker,
+//!   or itself when it retires the ticket. Whoever receives the pages must
+//!   not touch the device — a truncate from a worker would invalidate cache
+//!   frames while the owner is inserting, and the frames freed first decide
+//!   who is evicted next — so the engine decodes on the workers and
+//!   consumes (truncates) on the owner, where it retires the ticket
+//!   (DESIGN.md §12).
 //! * [`IoQueue::complete`] retires a ticket on the owner's clock, charging
 //!   only the *remaining* wait `max(0, completion − now)`. Compute time the
 //!   owner spends between completions is reported via [`IoQueue::advance`],
 //!   which moves `now` forward so later completions overlap it.
 //!
-//! Determinism contract (DESIGN.md §12): `submit_read`, `complete` and
-//! `advance` are called by the engine owner thread in plan order — the
-//! completion-drain rule — so every virtual timestamp and every device
-//! read is a pure function of the plan, independent of worker-thread count
-//! and wall-clock scheduling.
+//! Determinism contract (DESIGN.md §12): every call is the engine owner
+//! thread's, in plan order — the completion-drain rule — so every virtual
+//! timestamp and every device read is a pure function of the plan,
+//! independent of worker-thread count and wall-clock scheduling. The type
+//! holds that rule: the queue keeps its state in a `RefCell`, so it is not
+//! `Sync` and a worker closure that captured `&IoQueue` would not compile.
 //!
 //! [`batch_time_ns`]: crate::batch_time_ns
 
+use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
@@ -59,7 +62,6 @@ use crate::cost::{channel_of, page_cost_ns, PageAddr, READ_NS};
 use crate::device::{FileId, Ssd};
 use crate::fault::DeviceError;
 use crate::page::Page;
-use crate::sync::Mutex;
 
 /// Per-channel depth of the engine's superstep queue, the one reader in the
 /// tree that keeps reads in flight (fused log batches and the load stage's
@@ -105,11 +107,17 @@ struct QueueState {
 }
 
 /// A submission/completion queue over one [`Ssd`] view. See the module docs
-/// for the model; one instance serves one engine run.
+/// for the model; an instance is used on the thread that owns it — it is
+/// not `Sync`:
+///
+/// ```compile_fail
+/// fn shared<T: Sync>() {}
+/// shared::<mlvc_ssd::IoQueue>();
+/// ```
 pub struct IoQueue {
     ssd: Arc<Ssd>,
     depth: usize,
-    state: Mutex<QueueState>,
+    state: RefCell<QueueState>,
 }
 
 impl IoQueue {
@@ -120,7 +128,7 @@ impl IoQueue {
         IoQueue {
             ssd,
             depth: depth.max(1),
-            state: Mutex::new(QueueState {
+            state: RefCell::new(QueueState {
                 now: 0.0,
                 chan_free: vec![0.0; channels],
                 chan_q: vec![VecDeque::new(); channels],
@@ -148,20 +156,19 @@ impl IoQueue {
     /// ticket completes. Linking behind a ticket already retired (or one
     /// that completes before the owner clock) changes nothing.
     ///
-    /// Owner-thread, plan-order only (see the module docs). Any submission
-    /// stall is charged to the device's `read_time_ns` here.
+    /// Plan order only (see the module docs). Any submission stall is
+    /// charged to the device's `read_time_ns` here.
     pub fn submit_read_after(
         &self,
         reqs: Vec<(FileId, u64, usize)>,
         after: Option<Ticket>,
     ) -> Ticket {
-        // No queue lock is held over the read.
         let mut read = Vec::new();
         let pages = self.ssd.read(&reqs, false, self.ssd.cache().as_deref(), &mut read);
         let channels = self.ssd.config().channels;
         read.sort_unstable();
 
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         let mut cursor = st.now;
         let linked = after.and_then(|t| st.tickets.get(&t.0)).map_or(0.0, |t| t.completion);
         // Sequential-run state is per ticket, mirroring `batch_time_ns`
@@ -209,11 +216,10 @@ impl IoQueue {
     }
 
     /// Hand over the pages a submitted ticket read (or its read error).
-    /// Touches neither the device nor a clock, so it runs on any thread;
-    /// fetching a ticket twice (or one this queue never issued) is an
-    /// error.
+    /// Touches neither the device nor a clock; fetching a ticket twice (or
+    /// one this queue never issued) is an error.
     pub fn fetch(&self, ticket: Ticket) -> Result<Vec<Page>, DeviceError> {
-        let pages = self.state.lock().tickets.get_mut(&ticket.0).and_then(|t| t.pages.take());
+        let pages = self.state.borrow_mut().tickets.get_mut(&ticket.0).and_then(|t| t.pages.take());
         pages.unwrap_or_else(|| {
             Err(DeviceError::Io(format!(
                 "ticket {} was never submitted or already fetched",
@@ -223,10 +229,10 @@ impl IoQueue {
     }
 
     /// Retire a ticket on the owner clock, charging the residual wait
-    /// `max(0, completion − now)` and returning it. Owner-thread, plan-order
-    /// only. Completing an unknown ticket is a no-op returning 0.
+    /// `max(0, completion − now)` and returning it. Plan order only.
+    /// Completing an unknown ticket is a no-op returning 0.
     pub fn complete(&self, ticket: Ticket) -> u64 {
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         let Some(t) = st.tickets.remove(&ticket.0) else {
             return 0;
         };
@@ -243,13 +249,13 @@ impl IoQueue {
     /// Advance the owner clock by compute time spent since the last queue
     /// call — this is what lets in-flight tickets overlap compute.
     pub fn advance(&self, compute_ns: u64) {
-        self.state.lock().now += compute_ns as f64;
+        self.state.borrow_mut().now += compute_ns as f64;
     }
 
     /// Drain the wait statistics accumulated since the last call (one
     /// superstep's worth in the engine).
     pub fn take_wait_stats(&self) -> QueueWaitStats {
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         let out = st.wait;
         st.wait = QueueWaitStats::default();
         st.wait.max_inflight = st.inflight;
@@ -289,7 +295,7 @@ impl Reads<'_> {
     }
 
     /// Retire the queued tickets in submission order on the owner clock
-    /// (nothing to do for device reads). Owner-thread, plan-order only.
+    /// (nothing to do for device reads).
     pub fn retire(self) {
         if let Reads::Queue(queue, tickets) = self {
             for t in tickets {

@@ -343,59 +343,79 @@ fn cmd_run(a: &Args, resume: bool) -> Result<(), String> {
         g.num_edges(),
         memory_kb
     );
-    let report: RunReport = match engine_name {
-        "mlvc" => {
-            let ssd = make_ssd(a)?;
-            let sg = StoredGraph::store_with(&ssd, &g, "cli", iv).map_err(dev)?;
-            if crash_after > 0 {
-                ssd.install_fault_plan(FaultPlan::crash_after(crash_after, seed));
-            }
-            ssd.stats().reset();
-            if metrics_path.is_some() {
-                // The `ftl_*` columns and counters count from here.
-                ssd.enable_ftl(FtlConfig::default());
-            }
-            let mut e = MultiLogEngine::new(ssd, sg, cfg);
-            let r = if resume {
-                e.run_recoverable(app.as_ref(), steps)
-            } else {
-                e.run(app.as_ref(), steps)
-            };
-            print_states_summary(app_name, e.states());
-            r
+    let (ssd, mut engine) = stored_engine(a, engine_name, &g, iv, cfg)?;
+    if let Some(ssd) = &ssd {
+        if crash_after > 0 {
+            ssd.install_fault_plan(FaultPlan::crash_after(crash_after, seed));
         }
-        "graphchi" => {
-            let ssd = make_ssd(a)?;
-            let mut e = GraphChiEngine::new(Arc::clone(&ssd), &g, iv, cfg).map_err(dev)?;
-            if crash_after > 0 {
-                ssd.install_fault_plan(FaultPlan::crash_after(crash_after, seed));
-            }
-            ssd.stats().reset();
-            let r = e.run(app.as_ref(), steps);
-            print_states_summary(app_name, e.states());
-            r
+        ssd.stats().reset();
+        if metrics_path.is_some() {
+            // The `ftl_*` columns and counters count from here.
+            ssd.enable_ftl(FtlConfig::default());
         }
-        "grafboost" => {
-            let ssd = make_ssd(a)?;
-            let sg = StoredGraph::store_with(&ssd, &g, "cli", iv).map_err(dev)?;
-            if crash_after > 0 {
-                ssd.install_fault_plan(FaultPlan::crash_after(crash_after, seed));
-            }
-            ssd.stats().reset();
-            let mut e = GrafBoostEngine::new(ssd, sg, cfg);
-            let r = e.run(app.as_ref(), steps);
-            print_states_summary(app_name, e.states());
-            r
+    }
+    let report = engine.run(app.as_ref(), steps, resume);
+    print_states_summary(app_name, engine.states());
+    print_report(a, &report, app_name, path)
+}
+
+/// The engine `--engine` names, with what it reads written: MultiLogVC (the
+/// one that resumes) or another behind the [`Engine`] trait.
+enum CliEngine {
+    Mlvc(MultiLogEngine),
+    Other(Box<dyn Engine>),
+}
+
+impl CliEngine {
+    fn run(&mut self, prog: &dyn VertexProgram, steps: usize, resume: bool) -> RunReport {
+        match self {
+            CliEngine::Mlvc(e) if resume => e.run_recoverable(prog, steps),
+            CliEngine::Mlvc(e) => e.run(prog, steps),
+            CliEngine::Other(e) => e.run(prog, steps),
         }
+    }
+
+    fn states(&self) -> &[u64] {
+        match self {
+            CliEngine::Mlvc(e) => e.states(),
+            CliEngine::Other(e) => e.states(),
+        }
+    }
+}
+
+/// Build the engine `name` names over a fresh device (`make_ssd`) holding
+/// what it reads — the stored CSR, or GraphChi's shards — and return the
+/// device with it; the reference engine runs in memory, on none.
+fn stored_engine(
+    a: &Args,
+    name: &str,
+    g: &Csr,
+    iv: VertexIntervals,
+    cfg: EngineConfig,
+) -> Result<(Option<Arc<Ssd>>, CliEngine), String> {
+    let ssd = match name {
         "reference" => {
-            let mut e = ReferenceEngine::new(g.clone(), seed);
-            let r = e.run(app.as_ref(), steps);
-            print_states_summary(app_name, e.states());
-            r
+            let e = ReferenceEngine::new(g.clone(), cfg.seed);
+            return Ok((None, CliEngine::Other(Box::new(e))));
         }
+        "mlvc" | "graphchi" | "grafboost" => make_ssd(a)?,
         other => return Err(format!("unknown --engine {other}")),
     };
+    let store = || StoredGraph::store_with(&ssd, g, "cli", iv.clone()).map_err(dev);
+    let engine = match name {
+        "mlvc" => CliEngine::Mlvc(MultiLogEngine::new(Arc::clone(&ssd), store()?, cfg)),
+        "graphchi" => {
+            let e = GraphChiEngine::new(Arc::clone(&ssd), g, iv, cfg).map_err(dev)?;
+            CliEngine::Other(Box::new(e))
+        }
+        _ => CliEngine::Other(Box::new(GrafBoostEngine::new(Arc::clone(&ssd), store()?, cfg))),
+    };
+    Ok((Some(ssd), engine))
+}
 
+/// Print a run's per-superstep table, its host-wall stage table and its
+/// outcome, and write `--metrics` when asked.
+fn print_report(a: &Args, report: &RunReport, app_name: &str, path: &str) -> Result<(), String> {
     println!("\nsuperstep | active | msgs in | pages R | pages W | sim ms");
     for s in &report.supersteps {
         println!(
@@ -438,8 +458,8 @@ fn cmd_run(a: &Args, resume: bool) -> Result<(), String> {
     if let Some(from) = report.resumed_from {
         println!("\nresumed from the checkpoint at superstep {from}");
     }
-    if let Some(path) = metrics_path {
-        write_metrics(path, &report)?;
+    if let Some(path) = a.get("metrics") {
+        write_metrics(path, report)?;
     }
     println!(
         "\nconverged: {}; total {:.2} ms simulated ({:.0}% storage)",

@@ -91,6 +91,35 @@ fn a_weighted_program_on_a_weightless_graph_is_refused_by_every_engine() {
     }
 }
 
+/// An invalid configuration ends the run where it starts, on every engine:
+/// the `ConfigError`'s code in `RunReport::interrupted`, no superstep run,
+/// no panic at construction.
+#[test]
+fn an_invalid_config_ends_the_run_on_every_engine() {
+    let g = mlvc_gen::grid(6, 6);
+    let iv = VertexIntervals::uniform(g.num_vertices(), 3);
+    let mem = || Arc::new(Ssd::new(SsdConfig::test_small()));
+    let refused = |r: RunReport, engine: &str, code: &str| {
+        let code_of = r.interrupted.as_ref().map(DeviceError::code);
+        assert_eq!(code_of, Some(code), "{engine}");
+        assert!(r.supersteps.is_empty() && !r.converged, "{engine}");
+    };
+    let tiny = EngineConfig::default().with_memory(1);
+    let multilog = |cfg: EngineConfig| {
+        let ssd = mem();
+        let sg = StoredGraph::store_with(&ssd, &g, "m", iv.clone()).unwrap();
+        MultiLogEngine::new(ssd, sg, cfg).run(&Bfs::new(0), 10)
+    };
+    refused(multilog(tiny.clone()), "MultiLogVC", "budget-too-small");
+    let zero_cadence = EngineConfig::default().with_checkpoint_every(0);
+    refused(multilog(zero_cadence), "MultiLogVC", "zero-checkpoint-cadence");
+    let mut gc = GraphChiEngine::new(mem(), &g, iv.clone(), tiny.clone()).unwrap();
+    refused(gc.run(&Bfs::new(0), 10), "GraphChi", "budget-too-small");
+    let ssd = mem();
+    let sg = StoredGraph::store_with(&ssd, &g, "f", iv.clone()).unwrap();
+    refused(GrafBoostEngine::new(ssd, sg, tiny).run(&Bfs::new(0), 10), "GraFBoost", "budget-too-small");
+}
+
 #[test]
 fn bfs_agrees_everywhere() {
     for (name, g) in graphs() {

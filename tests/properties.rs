@@ -627,15 +627,14 @@ fn folded_log_drain_matches_stable_sort_oracle() {
                 at += len;
             }
             ml.finish_superstep().unwrap();
-            let reader = ml.reader();
             for i in iv.iter_ids() {
                 let mut want: Vec<Update> =
                     ups.iter().copied().filter(|u| iv.interval_of(u.dest) == i).collect();
                 want.sort_by_key(|u| u.dest);
-                let plan = reader.plan_reads(i..i + 1).unwrap();
+                let plan = ml.plan_reads(i..i + 1).unwrap();
                 let pages = ssd.read_batch(&plan.reqs).unwrap();
-                let got = reader.decode(&plan, &pages).unwrap();
-                reader.consume(&plan, &got).unwrap();
+                let got = plan.decode(&pages).unwrap();
+                ml.consume(&plan, &got).unwrap();
                 assert_eq!(
                     got.updates, want,
                     "case {case} interval {i} threads={threads}: drain diverges from \
@@ -744,7 +743,6 @@ fn compact_pages_drain_exactly_what_was_sent() {
                 }
                 let counts = ml.finish_superstep().unwrap();
                 assert_eq!(counts.iter().sum::<u64>(), m as u64);
-                let reader = ml.reader();
                 for i in iv.iter_ids() {
                     let file = ssd.lookup(&format!("prop.mlog.{i}.a")).unwrap();
                     for page in ssd.read_all(file, |_| 0).unwrap() {
@@ -759,21 +757,21 @@ fn compact_pages_drain_exactly_what_was_sent() {
                         .map(|&u| Update { src: if reads_src { u.src } else { VertexId::MAX }, ..u })
                         .collect();
                     want.sort_by_key(|u| u.dest);
-                    let plan = reader.plan_reads(i..i + 1).unwrap();
+                    let plan = ml.plan_reads(i..i + 1).unwrap();
                     let pages = ssd.read_batch(&plan.reqs).unwrap();
                     let ctx = format!(
                         "case {case} n={n} k={k} m={m} interval {i} threads={threads} \
                          src={reads_src}"
                     );
-                    assert_eq!(reader.decode_sorted(&plan, &pages).unwrap().updates, want, "{ctx}");
+                    assert_eq!(plan.decode_sorted(&pages).unwrap().updates, want, "{ctx}");
                     let want_folded: Vec<Update> = group_by_dest(&want)
                         .map(|(dest, group)| {
                             let data = group.iter().map(|u| u.data).reduce(fold).unwrap();
                             Update::new(dest, VertexId::MAX, data)
                         })
                         .collect();
-                    let folded = reader.decode(&plan, &pages).unwrap();
-                    reader.consume(&plan, &folded).unwrap();
+                    let folded = plan.decode(&pages).unwrap();
+                    ml.consume(&plan, &folded).unwrap();
                     assert_eq!(folded.updates, want_folded, "{ctx}");
                     assert_eq!(folded.records, want.len() as u64, "{ctx}");
                 }
