@@ -1,6 +1,6 @@
-use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::ops::Range;
+use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -532,20 +532,41 @@ struct Fetch<'s, 'e> {
     /// happens-before edge between them, hence one cell per batch.
     handoffs: &'e [Tracked<()>],
     submitted: usize,
+    /// Batches retired so far: the next to retire is `plan[retired]`.
+    retired: usize,
     inflight: VecDeque<(Ticket, Decoder<'s>)>,
+    /// The batch last retired, shared with the inboxes of its intervals.
+    batch: Option<Rc<FusedBatch>>,
 }
 
 impl<'s, 'e> Fetch<'s, 'e> {
-    /// Retire batch `bi` — submitted here when it was not read ahead —
+    fn new(ioq: &'e IoQueue, plan: &'e [Range<IntervalId>], handoffs: &'e [Tracked<()>]) -> Self {
+        Fetch {
+            ioq,
+            plan,
+            handoffs,
+            submitted: 0,
+            retired: 0,
+            inflight: VecDeque::new(),
+            batch: None,
+        }
+    }
+
+    /// Whether interval `i` is the first of the next batch to retire.
+    fn opens(&self, i: IntervalId) -> bool {
+        self.plan.get(self.retired).is_some_and(|r| r.start == i)
+    }
+
+    /// Retire the next batch — submitted here when it was not read ahead —
     /// and consume the logs it drained from `ml`, counting in `st` who
     /// decoded it.
     fn next(
         &mut self,
         scope: &Scope<'s, 'e>,
         ml: &mut MultiLog,
-        bi: usize,
         st: &mut SuperstepStats,
     ) -> Result<FusedBatch, DeviceError> {
+        let bi = self.retired;
         self.submit_until(scope, ml, bi, bi + 1)?;
         let Some((ticket, decoder)) = self.inflight.pop_front() else {
             return Err(DeviceError::Io(format!("no read in flight for fused batch {bi}")));
@@ -569,19 +590,17 @@ impl<'s, 'e> Fetch<'s, 'e> {
         // logs the batch drained.
         self.ioq.complete(ticket);
         ml.consume(&bplan, &batch)?;
+        self.retired += 1;
         Ok(batch)
     }
 
-    /// Read ahead while batch `bi` is processed: keep the K batches from
-    /// `bi` on submitted. The owner calls it once `bi`'s first interval has
-    /// its adjacency reads on the queue — demand reads go to the channels
-    /// before prefetched ones.
-    fn read_ahead(
-        &mut self,
-        scope: &Scope<'s, 'e>,
-        ml: &MultiLog,
-        bi: usize,
-    ) -> Result<(), DeviceError> {
+    /// Read ahead of the batch last retired: keep it and the K − 1 batches
+    /// after it submitted. The owner tops this up as each batch is retired
+    /// — right after the retire in the synchronous model, after the
+    /// batch's first interval is prepared in the asynchronous one
+    /// (`Superstep::ready`).
+    fn read_ahead(&mut self, scope: &Scope<'s, 'e>, ml: &MultiLog) -> Result<(), DeviceError> {
+        let bi = self.retired - 1;
         self.submit_until(scope, ml, bi, bi + INFLIGHT_BATCHES)
     }
 
@@ -616,24 +635,44 @@ impl<'s, 'e> Fetch<'s, 'e> {
     }
 }
 
+/// An interval's inbox: its dest span of the fused batch — or, in the
+/// asynchronous model when the superstep already logged something for the
+/// interval, that span merged with it.
+enum Inbox {
+    Span(Rc<FusedBatch>, Range<usize>),
+    Merged(Vec<Update>),
+}
+
+impl Inbox {
+    fn updates(&self) -> &[Update] {
+        match self {
+            Inbox::Span(batch, span) => &batch.updates[span.clone()],
+            Inbox::Merged(updates) => updates,
+        }
+    }
+}
+
 /// An interval prepared ahead of its process stage: its inbox, its active
 /// vertices, their adjacency as stored, and the queue tickets that read it.
-struct Loaded<'b, 'q> {
+struct Loaded<'q> {
     i: IntervalId,
-    inbox: Cow<'b, [Update]>,
+    inbox: Inbox,
     actives: Vec<(VertexId, Range<usize>)>,
     adj: Adjacency,
     reads: Reads<'q>,
 }
 
 /// One superstep of a drive: plan → fetch → per interval (inbox → load →
-/// process → scatter → apply, the next interval's load submitted before
-/// this one's process) → close-out.
+/// process → scatter → apply, the next interval prepared — its batch
+/// retired first when it opens one — before this one's process) →
+/// close-out.
 struct Superstep<'d, 'a> {
     d: &'d mut Drive<'a>,
     st: SuperstepStats,
     active_bits: BitSet,
     next_self_active: Vec<VertexId>,
+    /// Simulated compute the queue clock has been advanced by so far.
+    charged: u64,
 }
 
 impl<'d, 'a> Superstep<'d, 'a> {
@@ -644,14 +683,24 @@ impl<'d, 'a> Superstep<'d, 'a> {
             st: SuperstepStats { superstep, ..Default::default() },
             active_bits,
             next_self_active: Vec::new(),
+            charged: 0,
         }
     }
 
-    /// Run the superstep and push its stats onto `report`.
+    /// Run the superstep and push its stats onto `report`: one loop over
+    /// the superstep's intervals, one interval ahead (DESIGN.md §12).
+    /// Interval *i+1* is made ready — its fused batch retired first when it
+    /// opens one, then its inbox, active vertices and adjacency reads on
+    /// the queue — before interval *i*'s tickets are retired, so *i+1*'s
+    /// reads, and at a batch boundary the next batch's read-ahead, are
+    /// serviced during *i*'s compute and beside the tail of *i*'s reads on
+    /// other channels. In the asynchronous model *i+1*'s inbox is final
+    /// only after *i*'s scatter, so it is made ready after that.
     fn run(mut self, report: &mut RunReport) -> Result<(), DeviceError> {
         let wall0 = Instant::now();
         let io0 = self.d.ssd.stats().snapshot();
         let plan = plan_fusion(&self.d.pending, self.d.cfg.sort_budget());
+        let intervals = plan.last().map_or(0, |r| r.end);
         // A worker decodes fused batch k+1 from its pages while batch k is
         // processed and its updates are scattered into the write side. The
         // read side does not change between the flip that opened this
@@ -665,71 +714,79 @@ impl<'d, 'a> Superstep<'d, 'a> {
         // time: on a sparse superstep it is most of what no other row names.
         self.st.fetch_wait_ns += wall0.elapsed().as_nanos() as u64;
         mlvc_par::scope(|scope| -> Result<(), DeviceError> {
-            let mut fetch = Fetch {
-                ioq: &ioq,
-                plan: &plan,
-                handoffs: &handoffs,
-                submitted: 0,
-                inflight: VecDeque::new(),
-            };
-            for (bi, range) in plan.iter().enumerate() {
-                let t_fetch = Instant::now();
-                let batch = fetch.next(scope, &mut self.d.multilog, bi, &mut self.st)?;
-                self.st.fetch_wait_ns += t_fetch.elapsed().as_nanos() as u64;
-                self.st.load_ns += batch.load_ns;
-                self.st.sort_ns += batch.sort_ns;
-                self.st.messages_processed += batch.records;
-                // The batch is sorted before any of its intervals can name
-                // an active vertex, so no adjacency read overlaps its sort.
-                ioq.advance(compute_ns(batch.records, 0, 0));
-                let first = self.prepare(range.start, &batch, &ioq)?;
-                let t_ahead = Instant::now();
-                fetch.read_ahead(scope, &self.d.multilog, bi)?;
-                self.st.fetch_wait_ns += t_ahead.elapsed().as_nanos() as u64;
-                self.run_batch(range.clone(), &batch, &ioq, first)?;
+            let mut fetch = Fetch::new(&ioq, &plan, &handoffs);
+            let ahead = !self.d.cfg.async_mode;
+            let mut next: Option<Loaded> = None;
+            for i in 0..intervals {
+                let loaded = match next.take() {
+                    Some(l) => l,
+                    None => self.ready(i, &mut fetch, scope)?,
+                };
+                if ahead && i + 1 < intervals {
+                    next = Some(self.ready(i + 1, &mut fetch, scope)?);
+                }
+                self.retire(loaded)?;
+                self.charge(&ioq);
             }
             Ok(())
         })?;
         self.close_out(&ioq, wall0, io0, report)
     }
 
-    /// Run a fused batch's intervals, the `first` already prepared, one
-    /// interval ahead (DESIGN.md §12): interval *i+1* is prepared — inbox,
-    /// active vertices, adjacency reads on the queue — before interval
-    /// *i*'s tickets are retired, so *i+1*'s reads are serviced during *i*'s
-    /// compute and beside the tail of *i*'s reads on other channels. In the
-    /// asynchronous model *i+1*'s inbox is final only after *i*'s scatter,
-    /// so it is prepared after that.
-    fn run_batch<'b, 'q>(
+    /// Make interval `i` ready for its process stage. An interval that
+    /// opens a fused batch retires the batch first, and every batch takes
+    /// one order: retire it; top the read-ahead up; charge its sort to the
+    /// queue clock — the batch is sorted before any of its intervals can
+    /// name an active vertex, so no adjacency read of its own overlaps the
+    /// sort; then prepare the first interval. In the synchronous model that
+    /// happens before the previous batch's last interval is retired, so
+    /// the sort and the first interval's reads overlap that interval's
+    /// compute. The asynchronous model, which cannot prepare ahead, tops
+    /// the read-ahead up only once the first interval's reads are out, so
+    /// that demand reads reach the channels before prefetched ones.
+    fn ready<'s, 'e>(
         &mut self,
-        range: Range<IntervalId>,
-        batch: &'b FusedBatch,
-        ioq: &'q IoQueue,
-        first: Loaded<'b, 'q>,
-    ) -> Result<(), DeviceError> {
-        let mut charged = self.compute_ns();
+        i: IntervalId,
+        fetch: &mut Fetch<'s, 'e>,
+        scope: &Scope<'s, 'e>,
+    ) -> Result<Loaded<'e>, DeviceError> {
+        let opens = fetch.opens(i);
         let ahead = !self.d.cfg.async_mode;
-        let mut next: Option<Loaded> = Some(first);
-        for i in range.clone() {
-            let loaded = match next.take() {
-                Some(l) => l,
-                None => self.prepare(i, batch, ioq)?,
-            };
-            if ahead && i + 1 < range.end {
-                next = Some(self.prepare(i + 1, batch, ioq)?);
+        if opens {
+            let t_fetch = Instant::now();
+            let batch = fetch.next(scope, &mut self.d.multilog, &mut self.st)?;
+            if ahead {
+                fetch.read_ahead(scope, &self.d.multilog)?;
             }
-            self.retire(loaded)?;
-            // Advance the queue clock by this interval's simulated compute,
-            // so the service of reads already submitted overlaps it. With
-            // the batch's sort, advanced when it was retired, the deltas sum
-            // exactly to `st.compute_ns` over the superstep — in the
-            // asynchronous model too, whose `inbox` adds what it drained
-            // from the write side to `messages_processed`.
-            let now = self.compute_ns();
-            ioq.advance(now - charged);
-            charged = now;
+            self.st.fetch_wait_ns += t_fetch.elapsed().as_nanos() as u64;
+            self.st.load_ns += batch.load_ns;
+            self.st.sort_ns += batch.sort_ns;
+            self.st.messages_processed += batch.records;
+            self.charge(fetch.ioq);
+            fetch.batch = Some(Rc::new(batch));
         }
-        Ok(())
+        let Some(batch) = &fetch.batch else {
+            return Err(DeviceError::Io(format!("no fused batch retired for interval {i}")));
+        };
+        let loaded = self.prepare(i, batch, fetch.ioq)?;
+        if opens && !ahead {
+            let t_ahead = Instant::now();
+            fetch.read_ahead(scope, &self.d.multilog)?;
+            self.st.fetch_wait_ns += t_ahead.elapsed().as_nanos() as u64;
+        }
+        Ok(loaded)
+    }
+
+    /// Advance the queue clock by the simulated compute since the last
+    /// charge, so the service of reads already submitted overlaps it. One
+    /// running total for the whole superstep: the advances sum exactly to
+    /// `st.compute_ns` in both models — the asynchronous model's `inbox`
+    /// included, which adds what it drained from the write side to
+    /// `messages_processed` (`close_out` holds the sum).
+    fn charge(&mut self, ioq: &IoQueue) {
+        let now = self.compute_ns();
+        ioq.advance(now - self.charged);
+        self.charged = now;
     }
 
     /// The superstep's simulated compute so far.
@@ -737,19 +794,19 @@ impl<'d, 'a> Superstep<'d, 'a> {
         compute_ns(self.st.messages_processed, self.st.messages_delivered, self.st.edges_scanned)
     }
 
-    /// Make interval `i` ready for its process stage: carve its inbox and
-    /// active vertices out of the batch and read their adjacency through
-    /// the queue, the tickets left in flight.
-    fn prepare<'b, 'q>(
+    /// Prepare interval `i` of `batch`: carve its inbox and active
+    /// vertices out of the batch and read their adjacency through the
+    /// queue, the tickets left in flight.
+    fn prepare<'q>(
         &mut self,
         i: IntervalId,
-        batch: &'b FusedBatch,
+        batch: &Rc<FusedBatch>,
         ioq: &'q IoQueue,
-    ) -> Result<Loaded<'b, 'q>, DeviceError> {
+    ) -> Result<Loaded<'q>, DeviceError> {
         let t_assemble = Instant::now();
         let inbox = self.inbox(i, batch)?;
         let actives = actives_for_interval(
-            &inbox,
+            inbox.updates(),
             &self.d.self_active,
             self.d.graph.intervals().range(i),
             self.d.all_active,
@@ -777,37 +834,33 @@ impl<'d, 'a> Superstep<'d, 'a> {
         let t_adj = Instant::now();
         self.d.structural.patch(i, &mut adj);
         self.st.adjacency_ns += t_adj.elapsed().as_nanos() as u64;
-        let items = self.assemble(&actives, &inbox, &adj);
+        let items = self.assemble(&actives, inbox.updates(), &adj);
         let outputs = self.process(&items, &adj);
         self.scatter()?;
         self.apply(i, &items, &adj, outputs)
     }
 
     /// Interval `i`'s inbox: the contiguous dest range of the sorted batch,
-    /// borrowed in place — merged, in the asynchronous model, with whatever
+    /// shared in place — merged, in the asynchronous model, with whatever
     /// the current superstep already logged for the interval. Under a
     /// `combine` it holds one update per destination either way.
-    fn inbox<'b>(
-        &mut self,
-        i: IntervalId,
-        batch: &'b FusedBatch,
-    ) -> Result<Cow<'b, [Update]>, DeviceError> {
+    fn inbox(&mut self, i: IntervalId, batch: &Rc<FusedBatch>) -> Result<Inbox, DeviceError> {
         let span = self.d.graph.intervals().range(i);
         let lo = batch.updates.partition_point(|u| u.dest < span.start);
         let hi = batch.updates.partition_point(|u| u.dest < span.end);
-        let previous = &batch.updates[lo..hi];
+        let previous = Inbox::Span(Rc::clone(batch), lo..hi);
         if !self.d.cfg.async_mode {
-            return Ok(Cow::Borrowed(previous));
+            return Ok(previous);
         }
         let mut extra = self.d.multilog.take_log_current(i)?;
         if extra.is_empty() {
-            return Ok(Cow::Borrowed(previous));
+            return Ok(previous);
         }
         self.st.messages_processed += extra.len() as u64;
         // `extra` is in log order: a stable sort of the small run plus a
         // two-run merge is a stable sort of the whole inbox.
         extra.sort_by_key(|u| u.dest);
-        Ok(Cow::Owned(merge_by_dest(previous, &extra, self.d.prog.combine())))
+        Ok(Inbox::Merged(merge_by_dest(previous.updates(), &extra, self.d.prog.combine())))
     }
 
     /// Read adjacency for the interval's active vertices through `reads`,
@@ -1023,11 +1076,16 @@ impl<'d, 'a> Superstep<'d, 'a> {
             )?;
         }
 
+        st.compute_ns = compute_ns(st.messages_processed, st.messages_delivered, st.edges_scanned);
         let qw = ioq.take_wait_stats();
+        debug_assert_eq!(
+            qw.advanced_ns, st.compute_ns,
+            "superstep {}: the queue clock was advanced by other than its compute",
+            st.superstep
+        );
         st.io_wait_ns = qw.io_wait_ns;
         st.max_inflight = qw.max_inflight;
         st.io = d.ssd.stats().snapshot().since(&io0);
-        st.compute_ns = compute_ns(st.messages_processed, st.messages_delivered, st.edges_scanned);
         st.close_out_ns = t_close.elapsed().as_nanos() as u64;
         st.wall_ns = wall0.elapsed().as_nanos() as u64;
         d.tracer.close(d.ssd, &d.multilog, &d.edgelog, st);
@@ -1247,15 +1305,9 @@ mod tests {
                 plan.iter().map(|_| Tracked::new("engine batch handoff", ())).collect();
             let mut st = SuperstepStats::default();
             let failed = mlvc_par::scope(|scope| {
-                let mut fetch = Fetch {
-                    ioq: &ioq,
-                    plan: &plan,
-                    handoffs: &handoffs,
-                    submitted: 0,
-                    inflight: VecDeque::new(),
-                };
-                fetch.next(scope, &mut ml, 0, &mut st).expect("the device is whole for the first batch");
-                fetch.read_ahead(scope, &ml, 0).expect("the device is whole for the read-ahead");
+                let mut fetch = Fetch::new(&ioq, &plan, &handoffs);
+                fetch.next(scope, &mut ml, &mut st).expect("the device is whole for the first batch");
+                fetch.read_ahead(scope, &ml).expect("the device is whole for the read-ahead");
                 match damage {
                     Damage::FlippedBit => {
                         let f = ssd.lookup(&format!("t.mlog.{}.a", BATCHES - 1)).unwrap();
@@ -1270,10 +1322,10 @@ mod tests {
                         ssd.install_fault_plan(FaultPlan::default().with_read_faults(1, 10));
                     }
                 }
-                (1..plan.len()).find_map(|bi| {
+                (1..plan.len()).find_map(|_| {
                     let handed_off = st.batches_handed_off;
-                    match fetch.next(scope, &mut ml, bi, &mut st) {
-                        Ok(_) => fetch.read_ahead(scope, &ml, bi).err().map(|e| (e, false)),
+                    match fetch.next(scope, &mut ml, &mut st) {
+                        Ok(_) => fetch.read_ahead(scope, &ml).err().map(|e| (e, false)),
                         Err(e) => Some((e, st.batches_handed_off > handed_off)),
                     }
                 })

@@ -96,36 +96,6 @@ impl Csr {
         d
     }
 
-    /// The transpose graph (every edge reversed); weights follow edges.
-    pub fn transpose(&self) -> Csr {
-        let n = self.num_vertices();
-        let mut counts = vec![0u64; n + 1];
-        for &c in &self.col_idx {
-            counts[idx(c) + 1] += 1;
-        }
-        for i in 0..n {
-            counts[i + 1] += counts[i];
-        }
-        let row_ptr = counts.clone();
-        let mut cursor = counts;
-        let mut col_idx = vec![0u32; self.col_idx.len()];
-        let mut weights = self.weights.as_ref().map(|_| vec![0.0f32; self.col_idx.len()]);
-        for v in 0..n {
-            let lo = mem_idx(self.row_ptr[v]);
-            let hi = mem_idx(self.row_ptr[v + 1]);
-            for e in lo..hi {
-                let dst = idx(self.col_idx[e]);
-                let slot = mem_idx(cursor[dst]);
-                col_idx[slot] = v as VertexId;
-                if let (Some(w_out), Some(w_in)) = (self.weights.as_ref(), weights.as_mut()) {
-                    w_in[slot] = w_out[e];
-                }
-                cursor[dst] += 1;
-            }
-        }
-        Csr { row_ptr, col_idx, weights }
-    }
-
     /// Iterate `(src, dst)` over all stored edges.
     pub fn edges(&self) -> impl Iterator<Item = (VertexId, VertexId)> + '_ {
         (0..self.num_vertices()).flat_map(move |v| {
@@ -185,25 +155,6 @@ mod tests {
         assert_eq!(d[1], 2);
         assert_eq!(d[2], 3);
         assert_eq!(d[6], 0);
-    }
-
-    #[test]
-    fn transpose_reverses_every_edge() {
-        let g = paper_fig1_graph();
-        let t = g.transpose();
-        assert_eq!(t.num_edges(), g.num_edges());
-        // Fig. 1b shard contents: in-edges of vertex 1 come from 3 (w=8) and 6 (w=3).
-        assert_eq!(t.out_edges(1), &[3, 6]);
-        assert_eq!(t.out_weights(1).unwrap(), &[8.0, 3.0]);
-        // Transposing twice is the identity up to per-vertex edge order.
-        let tt = t.transpose();
-        for v in 0..g.num_vertices() as u32 {
-            let mut a = g.out_edges(v).to_vec();
-            let mut b = tt.out_edges(v).to_vec();
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b);
-        }
     }
 
     #[test]

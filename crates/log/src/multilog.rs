@@ -574,6 +574,7 @@ impl MultiLog {
     /// every top buffer) — what `MultiLogConfig::buffer_bytes` caps: after
     /// any append it is at most the cap (with its floors) plus one
     /// eviction period's worth of records.
+    #[cfg(test)]
     pub fn buffered_bytes(&self) -> usize {
         self.sealed.iter().map(|(_, p)| p.len()).sum::<usize>()
             + self.tops.iter().map(Vec::len).sum::<usize>()

@@ -83,6 +83,10 @@ pub struct QueueWaitStats {
     pub io_wait_ns: u64,
     /// High-water mark of tickets submitted but not yet completed.
     pub max_inflight: u64,
+    /// Virtual nanoseconds of compute reported through
+    /// [`IoQueue::advance`]: the engine holds it equal to the superstep's
+    /// simulated compute.
+    pub advanced_ns: u64,
 }
 
 struct TicketState {
@@ -249,7 +253,9 @@ impl IoQueue {
     /// Advance the owner clock by compute time spent since the last queue
     /// call — this is what lets in-flight tickets overlap compute.
     pub fn advance(&self, compute_ns: u64) {
-        self.state.borrow_mut().now += compute_ns as f64;
+        let mut st = self.state.borrow_mut();
+        st.now += compute_ns as f64;
+        st.wait.advanced_ns += compute_ns;
     }
 
     /// Drain the wait statistics accumulated since the last call (one
@@ -452,6 +458,7 @@ mod tests {
         q.advance(t2 * 2); // long compute while b is still in flight
         let w2 = q.complete(b);
         assert_eq!(w2, 0, "b finished during compute — fully hidden");
+        assert_eq!(q.take_wait_stats().advanced_ns, t2 * 2, "the compute reported");
         assert!(
             w1 + w2 < t1 + t2,
             "queue wait {w1}+{w2} must undercut serial {t1}+{t2}"

@@ -213,6 +213,34 @@ fn async_read_ahead_moves_the_same_pages_at_one_and_two_threads() {
 /// Per superstep: pages read, useful bytes read, read batches.
 type ReadCounts = Vec<(u64, u64, u64)>;
 
+/// Run `prog` synchronously on the mini graph in four intervals under
+/// `memory` bytes. Every read of each superstep must ride its I/O queue —
+/// the read time is all queue wait — with row pointers and column indices
+/// of two intervals in flight at once; returns the supersteps.
+fn four_interval_run(prog: &dyn VertexProgram, steps: usize, memory: usize) -> Vec<SuperstepStats> {
+    let g = mini_graph();
+    let iv = VertexIntervals::uniform(g.num_vertices(), 4);
+    let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
+    let sg = StoredGraph::store_with(&ssd, &g, "ahead", iv).unwrap();
+    let cfg = EngineConfig::default().with_memory(memory);
+    let r = MultiLogEngine::new(ssd, sg, cfg).run(prog, steps);
+    assert!(r.interrupted.is_none());
+    for s in &r.supersteps {
+        let what = format!("{} superstep {}", prog.name(), s.superstep);
+        assert_eq!(s.io.read_time_ns, s.io_wait_ns, "{what}: a read off the queue");
+        assert!(s.max_inflight >= 4, "{what}: {} tickets in flight", s.max_inflight);
+    }
+    r.supersteps
+}
+
+fn read_counts(steps: &[SuperstepStats]) -> ReadCounts {
+    steps.iter().map(|s| (s.io.pages_read, s.io.useful_bytes_read, s.io.read_batches)).collect()
+}
+
+fn fused_batches(s: &SuperstepStats) -> u64 {
+    s.batches_inline + s.batches_handed_off
+}
+
 /// The load stage reading one interval ahead moves no page: a synchronous
 /// PageRank and a random walk over four intervals in one fused batch read
 /// the same pages, useful bytes and batches, superstep by superstep, as
@@ -223,24 +251,12 @@ type ReadCounts = Vec<(u64, u64, u64)>;
 #[test]
 fn reading_adjacency_one_interval_ahead_moves_no_page() {
     let run = |prog: &dyn VertexProgram, steps: usize| -> ReadCounts {
-        let g = mini_graph();
-        let iv = VertexIntervals::uniform(g.num_vertices(), 4);
-        let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
-        let sg = StoredGraph::store_with(&ssd, &g, "ahead", iv).unwrap();
-        let cfg = EngineConfig::default().with_memory(512 << 10);
-        let r = MultiLogEngine::new(ssd, sg, cfg).run(prog, steps);
-        assert!(r.interrupted.is_none());
-        r.supersteps
-            .iter()
-            .map(|s| {
-                let what = format!("{} superstep {}", prog.name(), s.superstep);
-                assert_eq!(s.batches_inline + s.batches_handed_off, 1, "{what}: one fused batch");
-                assert_eq!(s.io.read_time_ns, s.io_wait_ns, "{what}: a read off the queue");
-                // Row pointers and column indices of two intervals at once.
-                assert!(s.max_inflight >= 4, "{what}: {} tickets in flight", s.max_inflight);
-                (s.io.pages_read, s.io.useful_bytes_read, s.io.read_batches)
-            })
-            .collect()
+        let supersteps = four_interval_run(prog, steps, 512 << 10);
+        for s in &supersteps {
+            let what = format!("{} superstep {}", prog.name(), s.superstep);
+            assert_eq!(fused_batches(s), 1, "{what}: one fused batch");
+        }
+        read_counts(&supersteps)
     };
     let dense = (445, 109_381, 9);
     let pagerank = run(&PageRank::new(0.85, 1e-9), 6);
@@ -257,6 +273,60 @@ fn reading_adjacency_one_interval_ahead_moves_no_page() {
             (55, 6_755, 11),
         ]
     );
+}
+
+/// Looking ahead across a fused-batch boundary moves no page either: with
+/// one interval per fused batch, as on `pr-cf`, every dense superstep of a
+/// synchronous PageRank retires each next batch and submits its first
+/// interval's reads before the interval ahead of it is retired, and reads
+/// the same pages, useful bytes and batches as when the look-ahead stopped
+/// at each batch's end (the literals) — three more read batches than the
+/// one-batch run above, one per extra log ticket.
+#[test]
+fn crossing_a_fused_batch_boundary_moves_no_page() {
+    let supersteps = four_interval_run(&PageRank::new(0.85, 1e-9), 6, 32 << 10);
+    for s in &supersteps[1..] {
+        assert_eq!(fused_batches(s), 4, "superstep {}: one interval a batch", s.superstep);
+    }
+    let dense = (445, 109_381, 12);
+    assert_eq!(read_counts(&supersteps), [(48, 11_681, 8), dense, dense, dense, dense, dense]);
+}
+
+/// Every nanosecond of a superstep's simulated compute advances its I/O
+/// queue's clock, and nothing else does, in both computation models:
+/// `close_out` holds the queue's `advanced_ns` equal to `compute_ns` (a
+/// debug assertion, so a debug build checks it on every engine test). The
+/// four legs are the shapes that charge compute at different points — a
+/// synchronous PageRank of several fused batches a superstep, a walk of one,
+/// an asynchronous WCC (whose inboxes drain the write side, compute
+/// counted as each interval is prepared) and a tiered PageRank (cache hits
+/// take no channel time) — each checked to be that shape.
+#[test]
+fn queue_clock_advances_by_the_compute_in_both_models() {
+    let run = |prog: &dyn VertexProgram, cfg: EngineConfig, intervals: usize| {
+        let g = mini_graph();
+        let iv = VertexIntervals::uniform(g.num_vertices(), intervals);
+        let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
+        let sg = StoredGraph::store_with(&ssd, &g, "clock", iv).unwrap();
+        let r = MultiLogEngine::new(ssd, sg, cfg).run(prog, 40);
+        assert!(r.interrupted.is_none(), "{}", prog.name());
+        r
+    };
+    let pagerank = PageRank::new(0.85, 1e-4);
+    let sync = run(&pagerank, EngineConfig::default().with_memory(32 << 10), 4);
+    assert!(sync.supersteps.iter().any(|s| fused_batches(s) > 1), "pagerank: one batch only");
+    let walk = run(&RandomWalk::new(7, 2, 6), EngineConfig::default().with_memory(512 << 10), 4);
+    assert!(walk.supersteps.iter().all(|s| fused_batches(s) == 1), "walk: several batches");
+    let cfg = EngineConfig::default().with_memory(16 << 10).with_async(true);
+    let wcc = run(&Wcc, cfg, 16);
+    assert!(wcc.supersteps.iter().any(|s| fused_batches(s) > 1), "wcc: one batch only");
+    let tiering = TieringConfig { cache_bytes: 8 << 10, pin_budget_bytes: 4 << 10 };
+    let cfg = EngineConfig::default().with_memory(32 << 10).with_tiering(tiering);
+    let tiered = run(&pagerank, cfg, 4);
+    assert!(tiered.supersteps.iter().any(|s| s.cache_hits > 0), "tiered: no cache hit");
+    for r in [&sync, &walk, &wcc, &tiered] {
+        assert!(r.supersteps.iter().all(|s| s.compute_ns > 0));
+    }
 }
 
 fn num(v: &Json, key: &str) -> f64 {
@@ -331,7 +401,7 @@ fn trace_jsonl_bytes_are_pinned() {
 const PINNED_TRACE: &str = r#"{"superstep":0,"active_vertices":0,"messages_processed":0,"messages_delivered":0,"messages_sent":1,"edges_scanned":0,"fused_batches":0,"pages_read":0,"pages_written":1,"bytes_read":0,"useful_bytes_read":0,"bytes_written":256,"log_bytes_appended":18,"log_pages_flushed":1,"log_evictions":0,"edge_log_vertices":0,"edge_log_pages":0,"edge_log_hits":0,"ftl_host_writes":1,"ftl_physical_writes":1,"ftl_erases":0,"ftl_gc_relocations":0,"sim_time_ns":240000,"io_wait_ns":0,"max_inflight":0,"mut_edges_merged":0,"mut_intervals_merged":0,"mut_dirty_vertices":0,"cache_hits":0,"cache_misses":0,"cache_evictions":0,"pinned_pages":1,"pinned_hits":0,"read_amplification":null,"write_amplification":1.000000}
 {"superstep":1,"active_vertices":1,"messages_processed":1,"messages_delivered":1,"messages_sent":85,"edges_scanned":85,"fused_batches":1,"pages_read":6,"pages_written":4,"bytes_read":1536,"useful_bytes_read":1120,"bytes_written":1024,"log_bytes_appended":882,"log_pages_flushed":4,"log_evictions":0,"edge_log_vertices":0,"edge_log_pages":0,"edge_log_hits":0,"ftl_host_writes":4,"ftl_physical_writes":4,"ftl_erases":0,"ftl_gc_relocations":0,"sim_time_ns":600210,"io_wait_ns":240000,"max_inflight":2,"mut_edges_merged":0,"mut_intervals_merged":0,"mut_dirty_vertices":0,"cache_hits":3,"cache_misses":6,"cache_evictions":0,"pinned_pages":10,"pinned_hits":1,"read_amplification":1.371429,"write_amplification":1.000000}
 {"superstep":2,"active_vertices":85,"messages_processed":85,"messages_delivered":85,"messages_sent":1608,"edges_scanned":1608,"fused_batches":1,"pages_read":4,"pages_written":68,"bytes_read":1024,"useful_bytes_read":1424,"bytes_written":17408,"log_bytes_appended":16624,"log_pages_flushed":68,"log_evictions":1,"edge_log_vertices":0,"edge_log_pages":0,"edge_log_hits":0,"ftl_host_writes":68,"ftl_physical_writes":68,"ftl_erases":0,"ftl_gc_relocations":0,"sim_time_ns":3554984,"io_wait_ns":236368,"max_inflight":4,"mut_edges_merged":0,"mut_intervals_merged":0,"mut_dirty_vertices":0,"cache_hits":14,"cache_misses":4,"cache_evictions":0,"pinned_pages":15,"pinned_hits":10,"read_amplification":0.719101,"write_amplification":1.000000}
-{"superstep":3,"active_vertices":117,"messages_processed":1608,"messages_delivered":117,"messages_sent":113,"edges_scanned":1806,"fused_batches":2,"pages_read":63,"pages_written":7,"bytes_read":16128,"useful_bytes_read":16624,"bytes_written":1792,"log_bytes_appended":1178,"log_pages_flushed":6,"log_evictions":0,"edge_log_vertices":2,"edge_log_pages":1,"edge_log_hits":0,"ftl_host_writes":7,"ftl_physical_writes":7,"ftl_erases":0,"ftl_gc_relocations":0,"sim_time_ns":2238906,"io_wait_ns":1495704,"max_inflight":3,"mut_edges_merged":0,"mut_intervals_merged":0,"mut_dirty_vertices":0,"cache_hits":15,"cache_misses":63,"cache_evictions":9,"pinned_pages":11,"pinned_hits":15,"read_amplification":0.970164,"write_amplification":1.000000}
+{"superstep":3,"active_vertices":117,"messages_processed":1608,"messages_delivered":117,"messages_sent":113,"edges_scanned":1806,"fused_batches":2,"pages_read":63,"pages_written":7,"bytes_read":16128,"useful_bytes_read":16624,"bytes_written":1792,"log_bytes_appended":1178,"log_pages_flushed":6,"log_evictions":0,"edge_log_vertices":2,"edge_log_pages":1,"edge_log_hits":0,"ftl_host_writes":7,"ftl_physical_writes":7,"ftl_erases":0,"ftl_gc_relocations":0,"sim_time_ns":2232172,"io_wait_ns":1488970,"max_inflight":4,"mut_edges_merged":0,"mut_intervals_merged":0,"mut_dirty_vertices":0,"cache_hits":15,"cache_misses":63,"cache_evictions":9,"pinned_pages":11,"pinned_hits":15,"read_amplification":0.970164,"write_amplification":1.000000}
 {"superstep":4,"active_vertices":48,"messages_processed":113,"messages_delivered":48,"messages_sent":0,"edges_scanned":1255,"fused_batches":1,"pages_read":5,"pages_written":0,"bytes_read":1280,"useful_bytes_read":1178,"bytes_written":0,"log_bytes_appended":0,"log_pages_flushed":0,"log_evictions":0,"edge_log_vertices":0,"edge_log_pages":0,"edge_log_hits":0,"ftl_host_writes":0,"ftl_physical_writes":0,"ftl_erases":0,"ftl_gc_relocations":0,"sim_time_ns":245080,"io_wait_ns":240000,"max_inflight":4,"mut_edges_merged":0,"mut_intervals_merged":0,"mut_dirty_vertices":0,"cache_hits":10,"cache_misses":5,"cache_evictions":0,"pinned_pages":10,"pinned_hits":10,"read_amplification":1.086587,"write_amplification":null}
 "#;
 

@@ -38,7 +38,7 @@ fn trace(r: &RunReport) -> Trace {
 
 /// Graph shape of one sweep: R-MAT scale, interval count, engine memory
 /// and superstep cap.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, PartialEq)]
 struct Shape {
     scale: u32,
     intervals: usize,
@@ -46,8 +46,9 @@ struct Shape {
     steps: usize,
 }
 
-/// Many small intervals under tight memory: supersteps split into several
-/// fused batches, so the look-ahead workers are genuinely exercised. Every
+/// Many small intervals under tight memory: dense supersteps split into
+/// several fused batches, so the look-ahead workers are genuinely exercised
+/// and the load stage looks ahead across batch boundaries. Every
 /// interval stays below the engine's fork threshold, so process and
 /// scatter run on the owner thread.
 const SMALL: Shape = Shape { scale: 10, intervals: 16, memory: 64 << 10, steps: 40 };
@@ -56,6 +57,9 @@ const SMALL: Shape = Shape { scale: 10, intervals: 16, memory: 64 << 10, steps: 
 /// stages are what runs.
 const WIDE: Shape = Shape { scale: 13, intervals: 2, memory: 1 << 20, steps: 6 };
 
+/// One run of `prog`: states and per-superstep counts. A run on the `SMALL`
+/// shape must plan more than one fused batch in some superstep, so a sweep
+/// over thread counts covers the batch boundaries.
 fn run_once(prog: &dyn VertexProgram, async_mode: bool, shape: Shape) -> (Vec<u64>, StepCounts) {
     let g = mlvc_gen::rmat(RmatParams::social(shape.scale, 8), 0xD7);
     let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
@@ -65,6 +69,10 @@ fn run_once(prog: &dyn VertexProgram, async_mode: bool, shape: Shape) -> (Vec<u6
     let mut eng = MultiLogEngine::new(ssd, sg, cfg);
     let r = eng.run(prog, shape.steps);
     assert!(r.interrupted.is_none());
+    if shape == SMALL {
+        let several = r.supersteps.iter().any(|s| s.batches_inline + s.batches_handed_off > 1);
+        assert!(several, "{} (async={async_mode}): one fused batch a superstep", prog.name());
+    }
     let steps = r
         .supersteps
         .iter()
