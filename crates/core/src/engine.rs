@@ -15,7 +15,9 @@ use mlvc_mutate::{validate_range, MutationError, MutationLog};
 use mlvc_par::{Scope, ScopedJoinHandle, Tracked};
 use mlvc_recover::{CheckpointManager, CheckpointState};
 use mlvc_ssd::sync::Mutex;
-use mlvc_ssd::{DeviceError, IoQueue, Page, Reads, Ssd, SsdStatsSnapshot, Ticket, QUEUE_DEPTH};
+use mlvc_ssd::{
+    DeviceError, IoQueue, Page, Reads, Ssd, SsdStatsSnapshot, Ticket, Writes, QUEUE_DEPTH,
+};
 
 use crate::checkpoint::{load_resume_point, Checkpointer};
 use crate::merge::{merge_pending, STRUCTURAL_MERGE_THRESHOLD};
@@ -725,7 +727,7 @@ impl<'d, 'a> Superstep<'d, 'a> {
                 if ahead && i + 1 < intervals {
                     next = Some(self.ready(i + 1, &mut fetch, scope)?);
                 }
-                self.retire(loaded)?;
+                self.retire(loaded, &ioq)?;
                 self.charge(&ioq);
             }
             Ok(())
@@ -778,11 +780,12 @@ impl<'d, 'a> Superstep<'d, 'a> {
     }
 
     /// Advance the queue clock by the simulated compute since the last
-    /// charge, so the service of reads already submitted overlaps it. One
-    /// running total for the whole superstep: the advances sum exactly to
-    /// `st.compute_ns` in both models — the asynchronous model's `inbox`
-    /// included, which adds what it drained from the write side to
-    /// `messages_processed` (`close_out` holds the sum).
+    /// charge, so the service of reads and writes already submitted
+    /// overlaps it. One running total for the whole superstep: the
+    /// advances sum exactly to `st.compute_ns` in both models — the
+    /// asynchronous model's `inbox` included, which adds what it drained
+    /// from the write side to `messages_processed` (`close_out` holds the
+    /// sum).
     fn charge(&mut self, ioq: &IoQueue) {
         let now = self.compute_ns();
         ioq.advance(now - self.charged);
@@ -804,7 +807,7 @@ impl<'d, 'a> Superstep<'d, 'a> {
         ioq: &'q IoQueue,
     ) -> Result<Loaded<'q>, DeviceError> {
         let t_assemble = Instant::now();
-        let inbox = self.inbox(i, batch)?;
+        let inbox = self.inbox(i, batch, ioq)?;
         let actives = actives_for_interval(
             inbox.updates(),
             &self.d.self_active,
@@ -823,7 +826,9 @@ impl<'d, 'a> Superstep<'d, 'a> {
 
     /// Retire a prepared interval's tickets — whatever service its reads
     /// still need is charged here — then patch, process, scatter, apply.
-    fn retire(&mut self, loaded: Loaded) -> Result<(), DeviceError> {
+    /// The queue clock is advanced by the compute before the scatter, so an
+    /// eviction flush is written behind the compute that produced it.
+    fn retire(&mut self, loaded: Loaded, ioq: &IoQueue) -> Result<(), DeviceError> {
         let Loaded { i, inbox, actives, mut adj, reads } = loaded;
         reads.retire();
         if actives.is_empty() {
@@ -836,15 +841,22 @@ impl<'d, 'a> Superstep<'d, 'a> {
         self.st.adjacency_ns += t_adj.elapsed().as_nanos() as u64;
         let items = self.assemble(&actives, inbox.updates(), &adj);
         let outputs = self.process(&items, &adj);
-        self.scatter()?;
+        self.charge(ioq);
+        self.scatter(ioq)?;
         self.apply(i, &items, &adj, outputs)
     }
 
     /// Interval `i`'s inbox: the contiguous dest range of the sorted batch,
     /// shared in place — merged, in the asynchronous model, with whatever
     /// the current superstep already logged for the interval. Under a
-    /// `combine` it holds one update per destination either way.
-    fn inbox(&mut self, i: IntervalId, batch: &Rc<FusedBatch>) -> Result<Inbox, DeviceError> {
+    /// `combine` it holds one update per destination either way. The
+    /// write side is read only once the writes queued to it are done.
+    fn inbox(
+        &mut self,
+        i: IntervalId,
+        batch: &Rc<FusedBatch>,
+        ioq: &IoQueue,
+    ) -> Result<Inbox, DeviceError> {
         let span = self.d.graph.intervals().range(i);
         let lo = batch.updates.partition_point(|u| u.dest < span.start);
         let hi = batch.updates.partition_point(|u| u.dest < span.end);
@@ -852,6 +864,7 @@ impl<'d, 'a> Superstep<'d, 'a> {
         if !self.d.cfg.async_mode {
             return Ok(previous);
         }
+        ioq.drain_writes();
         let mut extra = self.d.multilog.take_log_current(i)?;
         if extra.is_empty() {
             return Ok(previous);
@@ -967,13 +980,14 @@ impl<'d, 'a> Superstep<'d, 'a> {
     /// items in item order, so every interval's messages are appended in
     /// item-index order — exactly what a serial per-update loop would
     /// produce, and log pages stay bit-identical for any thread count
-    /// (DESIGN.md §12).
-    fn scatter(&mut self) -> Result<(), DeviceError> {
+    /// (DESIGN.md §12). Eviction flushes go onto the queue, written behind.
+    fn scatter(&mut self, ioq: &IoQueue) -> Result<(), DeviceError> {
         let t_scatter = Instant::now();
         let d = &mut *self.d;
+        let writes = Writes::Queue(ioq);
         for j in d.graph.intervals().iter_ids() {
             for sink in &d.sinks {
-                d.multilog.send_batch(j, &sink.buffers()[j as usize])?;
+                d.multilog.send_batch_with(&writes, j, &sink.buffers()[j as usize])?;
             }
         }
         d.sinks.iter_mut().for_each(SendSink::clear);
@@ -1038,7 +1052,8 @@ impl<'d, 'a> Superstep<'d, 'a> {
 
     /// Superstep close-out: page-usage accounting, the log-side flip,
     /// structural merges, the retier, the checkpoint, and the superstep's
-    /// statistics.
+    /// statistics. The queued writes are drained first, so every device
+    /// call here is synchronous.
     fn close_out(
         mut self,
         ioq: &IoQueue,
@@ -1047,6 +1062,7 @@ impl<'d, 'a> Superstep<'d, 'a> {
         report: &mut RunReport,
     ) -> Result<(), DeviceError> {
         let t_close = Instant::now();
+        ioq.drain_writes();
         let d = &mut *self.d;
         let st = &mut self.st;
         let usage = d.loader.take_page_usage(d.ssd.page_size());

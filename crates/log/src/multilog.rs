@@ -3,7 +3,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use mlvc_graph::{IntervalId, VertexIntervals, VertexId};
-use mlvc_ssd::{DeviceError, FileId, Page, Ssd};
+use mlvc_ssd::{DeviceError, FileId, Page, Ssd, Writes};
 
 use crate::page::{
     decode_log_page, pack_pages, push_record, seal_page, LogPage, PageShape,
@@ -504,38 +504,48 @@ impl MultiLog {
 
     /// The paper's `SendUpdate(v_dest, m)` tail half: append to the top
     /// page of the destination's bucket within its interval log. Fallible:
-    /// memory pressure may
-    /// force an eviction flush to the device.
+    /// memory pressure may force an eviction flush to the device.
     pub fn send(&mut self, u: Update) -> Result<(), DeviceError> {
-        let i = idx(self.intervals.interval_of(u.dest));
-        self.counts[i] += 1;
-        self.stats.updates_logged += 1;
-        self.append_run(i, std::slice::from_ref(&u));
-        self.note_appended(1)
+        self.send_batch(self.intervals.interval_of(u.dest), std::slice::from_ref(&u))
     }
 
     /// Advance the pressure counter by `k` freshly appended records and
-    /// flush when a budget's worth accumulated. Subtracting the period
-    /// (rather than zeroing) keeps the flush points exact multiples of the
-    /// period, so per-record and per-slice appenders agree on the count.
-    fn note_appended(&mut self, k: usize) -> Result<(), DeviceError> {
+    /// flush through `writes` when a budget's worth accumulated.
+    /// Subtracting the period (rather than zeroing) keeps the flush points
+    /// exact multiples of the period, so per-record and per-slice appenders
+    /// agree on the count.
+    fn note_appended(&mut self, k: usize, writes: &Writes) -> Result<(), DeviceError> {
         self.pressure_records += k;
         while self.pressure_records >= self.evict_every {
             self.pressure_records -= self.evict_every;
-            self.evict()?;
+            self.evict(writes)?;
         }
         Ok(())
     }
 
+    /// [`Self::send_batch_with`] whose eviction flushes go straight to the
+    /// device.
+    pub fn send_batch(&mut self, i: IntervalId, ups: &[Update]) -> Result<(), DeviceError> {
+        let ssd = Arc::clone(&self.ssd);
+        self.send_batch_with(&Writes::Device(&ssd), i, ups)
+    }
+
     /// Buffered-send tail for the engine's parallel update scatter: append
     /// a slice of updates already routed to interval `i`, preserving slice
-    /// order. Equivalent to calling [`Self::send`] on each update — same
-    /// page boundaries, same eviction trigger points — minus the per-update
-    /// interval lookup and pressure check: the slice is appended in runs
-    /// that each end exactly where the next eviction is due. The per-record
-    /// bucketing is the sort — full buckets seal as destination-clustered
-    /// pages, and the read side only needs a per-interval counting pass.
-    pub fn send_batch(&mut self, i: IntervalId, ups: &[Update]) -> Result<(), DeviceError> {
+    /// order, any eviction flush going through `writes` — the superstep's
+    /// I/O queue in the engine's scatter stage. Equivalent to calling
+    /// [`Self::send`] on each update — same page boundaries, same eviction
+    /// trigger points — minus the per-update interval lookup and pressure
+    /// check: the slice is appended in runs that each end exactly where the
+    /// next eviction is due. The per-record bucketing is the sort — full
+    /// buckets seal as destination-clustered pages, and the read side only
+    /// needs a per-interval counting pass.
+    pub fn send_batch_with(
+        &mut self,
+        writes: &Writes,
+        i: IntervalId,
+        ups: &[Update],
+    ) -> Result<(), DeviceError> {
         debug_assert!(
             ups.iter().all(|u| self.intervals.interval_of(u.dest) == i),
             "send_batch: updates must be pre-routed to interval {i}"
@@ -548,7 +558,7 @@ impl MultiLog {
             let room = self.evict_every - self.pressure_records;
             let (now, later) = rest.split_at(room.min(rest.len()));
             self.append_run(ii, now);
-            self.note_appended(now.len())?;
+            self.note_appended(now.len(), writes)?;
             rest = later;
         }
         Ok(())
@@ -625,36 +635,36 @@ impl MultiLog {
         Ok(())
     }
 
-    fn evict(&mut self) -> Result<(), DeviceError> {
+    fn evict(&mut self, writes: &Writes) -> Result<(), DeviceError> {
         self.stats.evictions += 1;
-        self.flush_sealed()?;
+        self.flush_sealed(writes)?;
         if self.buffered_pages() > self.cap_pages {
             // Still over: flush every non-empty top page too.
             self.seal_all_tops()?;
-            self.flush_sealed()?;
+            self.flush_sealed(writes)?;
         }
         Ok(())
     }
 
-    /// Hand every sealed page to the device in one scattered batch, and
+    /// Hand every sealed page to `writes` in one scattered batch, and
     /// retain what the armed budget covers. The pages were encoded when
     /// their records were appended; nothing is touched per record here.
-    fn flush_sealed(&mut self) -> Result<(), DeviceError> {
+    fn flush_sealed(&mut self, writes: &Writes) -> Result<(), DeviceError> {
         if self.sealed.is_empty() {
             return Ok(());
         }
         let side = self.write_side;
-        let writes: Vec<(FileId, &[u8])> = self
+        let pages: Vec<(FileId, &[u8])> = self
             .sealed
             .iter()
             .map(|(i, page)| (self.files[idx(*i)][side], page.as_slice()))
             .collect();
-        let placed = self.ssd.append_scattered(&writes)?;
-        let appended = writes.iter().zip(placed).map(|(&(file, data), page)| (file, page, data));
+        let placed = writes.append(&pages)?;
+        let appended = pages.iter().zip(placed).map(|(&(file, data), page)| (file, page, data));
         self.retention.pin(&self.ssd, appended);
-        self.stats.pages_flushed += to_u64(writes.len());
+        self.stats.pages_flushed += to_u64(pages.len());
         self.stats.bytes_appended +=
-            writes.iter().map(|&(_, page)| to_u64(page.len())).sum::<u64>();
+            pages.iter().map(|&(_, page)| to_u64(page.len())).sum::<u64>();
         self.sealed.clear();
         Ok(())
     }
@@ -664,7 +674,8 @@ impl MultiLog {
     /// for the next superstep) and resets counters and the seen bit vector.
     pub fn finish_superstep(&mut self) -> Result<Vec<u64>, DeviceError> {
         self.seal_all_tops()?;
-        self.flush_sealed()?;
+        let ssd = Arc::clone(&self.ssd);
+        self.flush_sealed(&Writes::Device(&ssd))?;
         self.pressure_records = 0;
         self.dest_seen.clear();
         // Flip roles: what was written becomes readable next superstep.

@@ -422,8 +422,8 @@ impl Ssd {
     /// many interval logs at once). Returns the index of the first page
     /// (where it would have gone, for an empty batch).
     pub fn append_pages(&self, file: FileId, pages: &[&[u8]]) -> Result<u64, DeviceError> {
-        let writes: Vec<_> = pages.iter().map(|&data| (file, None, data)).collect();
-        match self.write(&writes)?.first() {
+        let writes: Vec<_> = pages.iter().map(|&data| (file, data)).collect();
+        match self.append_scattered(&writes)?.first() {
             Some(&first) => Ok(first),
             None => self.num_pages(file),
         }
@@ -433,8 +433,23 @@ impl Ssd {
     /// eviction path: several interval logs flush their top pages together
     /// and the writes pipeline across channels (paper §V-A3).
     pub fn append_scattered(&self, writes: &[(FileId, &[u8])]) -> Result<Vec<u64>, DeviceError> {
+        self.append(writes, true, &mut Vec::with_capacity(writes.len()))
+    }
+
+    /// [`Self::append_scattered`] with the service time charged only when
+    /// `timed` — the [`crate::IoQueue`] appends with its own clocks owning
+    /// the time. `placed` gains the address of every page that reached the
+    /// media, the batch failed or not: what the queue's clocks schedule.
+    pub(crate) fn append(
+        &self,
+        writes: &[(FileId, &[u8])],
+        timed: bool,
+        placed: &mut Vec<PageAddr>,
+    ) -> Result<Vec<u64>, DeviceError> {
+        let first = placed.len();
         let writes: Vec<_> = writes.iter().map(|&(file, data)| (file, None, data)).collect();
-        self.write(&writes)
+        self.write(&writes, timed, placed)?;
+        Ok(placed[first..].iter().map(|a| a.page).collect())
     }
 
     /// Overwrite an existing page in place. Charged as a 1-page write.
@@ -448,18 +463,25 @@ impl Ssd {
     pub fn write_batch(&self, writes: &[(FileId, u64, &[u8])]) -> Result<(), DeviceError> {
         let writes: Vec<_> =
             writes.iter().map(|&(file, page, data)| (file, Some(page), data)).collect();
-        self.write(&writes).map(drop)
+        self.write(&writes, true, &mut Vec::new())
     }
 
     /// The one write routine behind every write signature. Under one lock
     /// of the files it places each `(file, at, data)` in order — over page
     /// `at`, which must exist, or appended when `at` is `None` — and stops
     /// at the first failure; then it charges what reached the media as one
-    /// dispatch. A crash point inside the batch leaves the pages before it
-    /// durable and the crash page torn; the call then fails with `Crashed`.
-    /// Returns the page index of each write.
-    fn write(&self, writes: &[(FileId, Option<u64>, &[u8])]) -> Result<Vec<u64>, DeviceError> {
-        let mut placed = Vec::with_capacity(writes.len());
+    /// dispatch — pages, bytes, one `write_batches`, FTL writes and cache
+    /// invalidation always, the service time only when `timed`. A crash
+    /// point inside the batch leaves the pages before it durable and the
+    /// crash page torn; the call then fails with `Crashed`. `placed` gains
+    /// the address of each page that reached the media, in write order.
+    fn write(
+        &self,
+        writes: &[(FileId, Option<u64>, &[u8])],
+        timed: bool,
+        placed: &mut Vec<PageAddr>,
+    ) -> Result<(), DeviceError> {
+        let first = placed.len();
         let mut failed = None;
         {
             let mut files = self.shared.files.lock();
@@ -483,12 +505,8 @@ impl Ssd {
                 }
             }
         }
-        let fit = self.charge_write(&placed);
-        if let Some(e) = failed {
-            return Err(e);
-        }
-        fit?;
-        Ok(placed.iter().map(|a| a.page).collect())
+        let fit = self.charge_write(&placed[first..], timed);
+        failed.map_or(fit, Err)
     }
 
     // ---- reads -----------------------------------------------------------
@@ -570,16 +588,21 @@ impl Ssd {
         failed.map_or(Ok(out), Err)
     }
 
-    /// Add already-computed read wait/service time to this view's clock —
-    /// the [`crate::IoQueue`] charges submission stalls and completion waits
-    /// through this, keeping `read_time_ns` the single total the
+    /// Add already-computed wait/service time to this view's clock, to
+    /// `write_time_ns` when `write`, else `read_time_ns` — the
+    /// [`crate::IoQueue`] charges submission stalls, completion waits and
+    /// its write drain through this, keeping the two the single totals the
     /// observability layer mirrors.
-    pub fn charge_read_wait(&self, ns: u64) {
+    pub(crate) fn charge_wait(&self, ns: u64, write: bool) {
         if ns == 0 {
             return;
         }
         for s in self.charge_sinks() {
-            s.read_time_ns.add(ns);
+            if write {
+                s.write_time_ns.add(ns);
+            } else {
+                s.read_time_ns.add(ns);
+            }
         }
     }
 
@@ -703,9 +726,10 @@ impl Ssd {
         }
     }
 
-    /// Account for pages that reached the media. The error is the live FTL
-    /// model's: the device is sized below what these writes keep live.
-    fn charge_write(&self, addrs: &[PageAddr]) -> Result<(), DeviceError> {
+    /// Account for pages that reached the media, their service time only
+    /// when `timed`. The error is the live FTL model's: the device is sized
+    /// below what these writes keep live.
+    fn charge_write(&self, addrs: &[PageAddr], timed: bool) -> Result<(), DeviceError> {
         if addrs.is_empty() {
             return Ok(());
         }
@@ -715,7 +739,7 @@ impl Ssd {
         if let Some(c) = cache {
             c.invalidate_addrs(addrs);
         }
-        let t = batch_time_ns(&self.shared.cfg, addrs, WRITE_NS);
+        let t = if timed { batch_time_ns(&self.shared.cfg, addrs, WRITE_NS) } else { 0 };
         for s in self.charge_sinks() {
             s.pages_written.add(to_u64(addrs.len()));
             s.bytes_written.add(to_u64(addrs.len()) * to_u64(self.shared.cfg.page_size));

@@ -65,7 +65,7 @@ pub use device::{Backend, FileId, Ssd};
 pub use fault::{DeviceError, FaultCounters, FaultPlan};
 pub use ftl::{FtlConfig, FtlError, FtlModel, FtlStats, Lpa};
 pub use page::Page;
-pub use queue::{IoQueue, QueueWaitStats, Reads, Ticket, QUEUE_DEPTH};
+pub use queue::{IoQueue, QueueWaitStats, Reads, Ticket, Writes, QUEUE_DEPTH};
 pub use stats::{RelaxedCounter, SsdStats, SsdStatsSnapshot};
 
 /// Default SSD page size used throughout the reproduction (bytes).

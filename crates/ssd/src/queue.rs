@@ -1,11 +1,12 @@
 //! Submission/completion queues over the simulated device (io_uring shape).
 //!
 //! The paper's multi-log exists to exploit SSD internal parallelism, but the
-//! plain [`Ssd`] read path is synchronous: each `read_batch` charges its full
-//! channel-parallel service time to the caller at dispatch, so two batches
-//! issued back-to-back serialize on the virtual clock even though a real
-//! device would pipeline them across channels. `IoQueue` fixes that with an
-//! explicit submission/completion model:
+//! plain [`Ssd`] paths are synchronous: each `read_batch` or
+//! `append_scattered` charges its full channel-parallel service time to the
+//! caller at dispatch, so two batches issued back-to-back serialize on the
+//! virtual clock even though a real device would pipeline them across
+//! channels (and the paper evicts log pages with asynchronous I/O, §V-A3).
+//! `IoQueue` fixes that with an explicit submission/completion model:
 //!
 //! * [`IoQueue::submit_read`] schedules every page of a batch the device
 //!   reads onto its flash channel's virtual clock (same placement and
@@ -44,6 +45,17 @@
 //!   only the *remaining* wait `max(0, completion − now)`. Compute time the
 //!   owner spends between completions is reported via [`IoQueue::advance`],
 //!   which moves `now` forward so later completions overlap it.
+//! * Writes are written behind: [`IoQueue::submit_append`] appends at
+//!   submit — counts charged, no service time, as a read — and schedules
+//!   each placed page on its channel at `WRITE_NS`, by the same rules (the
+//!   depth gate, the per-ticket run price), then returns the page indices
+//!   at once: no ticket, nothing to retire. A write's stall is charged as
+//!   write time, never read wait. Reads and writes share the channel
+//!   clocks, and a page's channel is fixed, so a read of a page submitted
+//!   after its write completes after it. [`IoQueue::drain_writes`] waits
+//!   for the last write and charges what is left of it as write time; the
+//!   owner drains before any synchronous device call that must see the
+//!   writes done.
 //!
 //! Determinism contract (DESIGN.md §12): every call is the engine owner
 //! thread's, in plan order — the completion-drain rule — so every virtual
@@ -58,16 +70,18 @@ use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-use crate::cost::{channel_of, page_cost_ns, PageAddr, READ_NS};
+use crate::cost::{channel_of, page_cost_ns, PageAddr, READ_NS, WRITE_NS};
 use crate::device::{FileId, Ssd};
 use crate::fault::DeviceError;
 use crate::page::Page;
 
-/// Per-channel depth of the engine's superstep queue, the one reader in the
-/// tree that keeps reads in flight (fused log batches and the load stage's
-/// adjacency reads); every other reader calls [`Ssd::read_batch`]. Depth
-/// moves only *when* submission returns, never a result or a page count
-/// (see the module docs), so nothing sets it but the simulator's own tests.
+/// Per-channel depth of the engine's superstep queue, the one place in the
+/// tree that keeps I/O in flight: reads (fused log batches and the load
+/// stage's adjacency reads) and the multi-log's eviction writes; every
+/// other reader calls [`Ssd::read_batch`], every other writer writes
+/// synchronously. Depth moves only *when* submission returns, never a
+/// result or a page count (see the module docs), so nothing sets it but
+/// the simulator's own tests.
 pub const QUEUE_DEPTH: usize = 16;
 
 /// Handle of one submitted read batch.
@@ -78,8 +92,9 @@ pub struct Ticket(u64);
 /// [`IoQueue::take_wait_stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueWaitStats {
-    /// Virtual nanoseconds the owner spent blocked on the queue: submission
-    /// stalls plus residual completion waits.
+    /// Virtual nanoseconds the owner spent blocked on reads: read
+    /// submission stalls plus residual completion waits. A write's stall
+    /// and drain are write time, not counted here.
     pub io_wait_ns: u64,
     /// High-water mark of tickets submitted but not yet completed.
     pub max_inflight: u64,
@@ -107,7 +122,64 @@ struct QueueState {
     tickets: HashMap<u64, TicketState>,
     next_id: u64,
     inflight: u64,
+    /// Virtual completion time of the last write submitted.
+    writes_done: f64,
     wait: QueueWaitStats,
+}
+
+impl QueueState {
+    /// Schedule `addrs` — sorted, so each ticket's sequential-run state
+    /// mirrors `batch_time_ns`'s (each dispatch re-pays the run head) — on
+    /// their channels behind whatever is queued there, none starting
+    /// before `after`, at `per_page_ns` a page. A channel already holding
+    /// `depth` requests stalls the owner until its oldest one completes.
+    /// Returns the stall, already on the owner clock, and the batch's
+    /// completion.
+    fn schedule(
+        &mut self,
+        addrs: &[PageAddr],
+        after: f64,
+        depth: usize,
+        per_page_ns: u64,
+    ) -> (u64, f64) {
+        let channels = self.chan_free.len();
+        let mut cursor = self.now;
+        let mut chan_prev: Vec<Option<PageAddr>> = vec![None; channels];
+        let mut completion = cursor.max(after);
+        for &a in addrs {
+            let ch = channel_of(a, channels);
+            // Depth gate: drop retired requests, then wait for the oldest
+            // queued one whenever the channel is full.
+            loop {
+                while self.chan_q[ch].front().is_some_and(|&fin| fin <= cursor) {
+                    self.chan_q[ch].pop_front();
+                }
+                if self.chan_q[ch].len() < depth {
+                    break;
+                }
+                if let Some(fin) = self.chan_q[ch].pop_front() {
+                    cursor = cursor.max(fin);
+                }
+            }
+            let start = self.chan_free[ch].max(cursor).max(after);
+            let fin = start + page_cost_ns(chan_prev[ch], a, channels, per_page_ns);
+            self.chan_free[ch] = fin;
+            self.chan_q[ch].push_back(fin);
+            chan_prev[ch] = Some(a);
+            completion = completion.max(fin);
+        }
+        let stall = ns(cursor - self.now);
+        if stall > 0 {
+            self.now = cursor;
+        }
+        (stall, completion)
+    }
+}
+
+/// Whole virtual nanoseconds of a clock difference, 0 when negative.
+fn ns(t: f64) -> u64 {
+    // mlvc-lint: allow(no-truncating-cast) -- f64 has no TryFrom; virtual nanoseconds stay far below 2^53
+    t.max(0.0).round() as u64
 }
 
 /// A submission/completion queue over one [`Ssd`] view. See the module docs
@@ -139,6 +211,7 @@ impl IoQueue {
                 tickets: HashMap::new(),
                 next_id: 0,
                 inflight: 0,
+                writes_done: 0.0,
                 wait: QueueWaitStats::default(),
             }),
         }
@@ -169,54 +242,52 @@ impl IoQueue {
     ) -> Ticket {
         let mut read = Vec::new();
         let pages = self.ssd.read(&reqs, false, self.ssd.cache().as_deref(), &mut read);
-        let channels = self.ssd.config().channels;
         read.sort_unstable();
 
         let mut st = self.state.borrow_mut();
-        let mut cursor = st.now;
         let linked = after.and_then(|t| st.tickets.get(&t.0)).map_or(0.0, |t| t.completion);
-        // Sequential-run state is per ticket, mirroring `batch_time_ns`
-        // (each dispatch re-pays the run head).
-        let mut chan_prev: Vec<Option<PageAddr>> = vec![None; channels];
-        let mut completion = cursor.max(linked);
-        for &a in &read {
-            let ch = channel_of(a, channels);
-            // Depth gate: drop retired requests, then wait for the oldest
-            // queued one whenever the channel is full.
-            loop {
-                while st.chan_q[ch].front().is_some_and(|&fin| fin <= cursor) {
-                    st.chan_q[ch].pop_front();
-                }
-                if st.chan_q[ch].len() < self.depth {
-                    break;
-                }
-                if let Some(fin) = st.chan_q[ch].pop_front() {
-                    cursor = cursor.max(fin);
-                }
-            }
-            let start = st.chan_free[ch].max(cursor).max(linked);
-            let fin = start + page_cost_ns(chan_prev[ch], a, channels, READ_NS);
-            st.chan_free[ch] = fin;
-            st.chan_q[ch].push_back(fin);
-            chan_prev[ch] = Some(a);
-            completion = completion.max(fin);
-        }
-        // mlvc-lint: allow(no-truncating-cast) -- f64 has no TryFrom; virtual nanoseconds stay far below 2^53
-        let stall = (cursor - st.now).round() as u64;
-        if stall > 0 {
-            st.now = cursor;
-            st.wait.io_wait_ns += stall;
-        }
+        let (stall, completion) = st.schedule(&read, linked, self.depth, READ_NS);
+        st.wait.io_wait_ns += stall;
         st.inflight += 1;
         st.wait.max_inflight = st.wait.max_inflight.max(st.inflight);
         let id = st.next_id;
         st.next_id += 1;
         st.tickets.insert(id, TicketState { completion, pages: Some(pages) });
         drop(st);
-        if stall > 0 {
-            self.ssd.charge_read_wait(stall);
-        }
+        self.ssd.charge_wait(stall, false);
         Ticket(id)
+    }
+
+    /// Append `writes` as [`Ssd::append_scattered`] does — pages, bytes,
+    /// one `write_batches`, FTL writes and cache invalidation charged, but
+    /// no service time — schedule every page that reached the media onto
+    /// its channel at [`WRITE_NS`] behind whatever is queued there, and
+    /// return at once with the page indices: the write goes on behind the
+    /// owner. A submission stall is charged to the device's
+    /// `write_time_ns`; [`Self::drain_writes`] waits for the rest. Plan
+    /// order only.
+    pub fn submit_append(&self, writes: &[(FileId, &[u8])]) -> Result<Vec<u64>, DeviceError> {
+        let mut placed = Vec::with_capacity(writes.len());
+        let pages = self.ssd.append(writes, false, &mut placed);
+        placed.sort_unstable();
+        let mut st = self.state.borrow_mut();
+        let (stall, completion) = st.schedule(&placed, 0.0, self.depth, WRITE_NS);
+        st.writes_done = st.writes_done.max(completion);
+        drop(st);
+        self.ssd.charge_wait(stall, true);
+        pages
+    }
+
+    /// Wait for the last write submitted to complete, charging the
+    /// remaining `max(0, completion − now)` to the device's
+    /// `write_time_ns`, and return it. Plan order only.
+    pub fn drain_writes(&self) -> u64 {
+        let mut st = self.state.borrow_mut();
+        let wait = ns(st.writes_done - st.now);
+        st.now = st.now.max(st.writes_done);
+        drop(st);
+        self.ssd.charge_wait(wait, true);
+        wait
     }
 
     /// Hand over the pages a submitted ticket read (or its read error).
@@ -240,13 +311,12 @@ impl IoQueue {
         let Some(t) = st.tickets.remove(&ticket.0) else {
             return 0;
         };
-        // mlvc-lint: allow(no-truncating-cast) -- f64 has no TryFrom; virtual nanoseconds stay far below 2^53
-        let wait = (t.completion - st.now).max(0.0).round() as u64;
+        let wait = ns(t.completion - st.now);
         st.now = st.now.max(t.completion);
         st.inflight = st.inflight.saturating_sub(1);
         st.wait.io_wait_ns += wait;
         drop(st);
-        self.ssd.charge_read_wait(wait);
+        self.ssd.charge_wait(wait, false);
         wait
     }
 
@@ -307,6 +377,25 @@ impl Reads<'_> {
             for t in tickets {
                 queue.complete(t);
             }
+        }
+    }
+}
+
+/// Where the multi-log's flushes go (DESIGN.md §12): straight to the
+/// device, their service time charged at dispatch
+/// ([`Ssd::append_scattered`]), or onto an [`IoQueue`], written behind the
+/// owner ([`IoQueue::submit_append`]). Either way the pages land at once.
+pub enum Writes<'q> {
+    Device(&'q Ssd),
+    Queue(&'q IoQueue),
+}
+
+impl Writes<'_> {
+    /// Append `writes` as one dispatch and return each page's index.
+    pub fn append(&self, writes: &[(FileId, &[u8])]) -> Result<Vec<u64>, DeviceError> {
+        match self {
+            Writes::Device(ssd) => ssd.append_scattered(writes),
+            Writes::Queue(queue) => queue.submit_append(writes),
         }
     }
 }
@@ -466,11 +555,12 @@ mod tests {
         assert_eq!(ssd.stats().snapshot().read_time_ns, w1 + w2);
     }
 
+    /// Total drain time with no compute is depth-invariant, for reads and
+    /// writes alike: stalls only shift wait from completion time to
+    /// submission time, and a write's stall lands in `write_time_ns`.
     #[test]
     fn shallow_queue_stalls_submission_but_keeps_completions() {
         let (ssd, f) = dev_with_file(64);
-        // Total drain time with no compute is depth-invariant: stalls only
-        // shift wait from completion time to submission time.
         let mut totals = Vec::new();
         for depth in [1usize, 4, 16] {
             ssd.stats().reset();
@@ -485,6 +575,29 @@ mod tests {
         assert_eq!(totals[0], totals[1], "depth must not change total drain time");
         assert_eq!(totals[1], totals[2], "depth must not change total drain time");
 
+        // The same for four flushes of 16 pages, each depth on a fresh
+        // device so every flush lands on the same pages.
+        let data = [9u8; 16];
+        let flush = vec![(1, &data[..]); 16];
+        let mut totals = Vec::new();
+        for depth in [1usize, 4, 16] {
+            let (ssd, _) = dev_with_file(0);
+            assert_eq!(ssd.open_or_create("w").unwrap(), 1);
+            let q = IoQueue::new(Arc::clone(&ssd), depth);
+            for _ in 0..4 {
+                q.submit_append(&flush).unwrap();
+            }
+            let stalled = ssd.stats().snapshot().write_time_ns;
+            assert_eq!(stalled > 0, depth < 16, "depth {depth}: a flush past the depth stalls");
+            q.drain_writes();
+            let s = ssd.stats().snapshot();
+            assert_eq!((s.read_time_ns, s.write_batches), (0, 4), "depth {depth}");
+            assert_eq!(q.take_wait_stats().io_wait_ns, 0, "a write stall is not read wait");
+            totals.push(s.write_time_ns);
+        }
+        assert_eq!(totals[0], totals[1], "depth must not change total write drain time");
+        assert_eq!(totals[1], totals[2], "depth must not change total write drain time");
+
         // And depth 1 does stall at submit: time is charged before any
         // completion once the channels are saturated.
         ssd.stats().reset();
@@ -495,6 +608,69 @@ mod tests {
             ssd.stats().snapshot().read_time_ns > 0,
             "submission past depth 1 must stall"
         );
+    }
+
+    /// On an idle queue a write drains in exactly `batch_time_ns` at
+    /// `WRITE_NS`, and charges what `append_scattered` does: the same
+    /// pages, bytes and write batches — none of its time before the drain —
+    /// and the same FTL writes and cache state.
+    #[test]
+    fn an_idle_queue_write_drains_in_batch_time_and_charges_as_append_scattered() {
+        let data = [3u8; 16];
+        let device = || {
+            let (ssd, f) = dev_with_file(4);
+            ssd.enable_ftl(crate::FtlConfig::default());
+            ssd.attach_cache(Arc::new(PageCache::new(32)));
+            ssd.read_batch(&reqs(f, 0..4)).unwrap();
+            let g = ssd.open_or_create("g").unwrap();
+            ssd.stats().reset();
+            let writes: Vec<(FileId, &[u8])> =
+                (0..12).map(|i| (if i % 3 == 0 { g } else { f }, &data[..])).collect();
+            (ssd, writes)
+        };
+        let (direct, writes) = device();
+        let pages = direct.append_scattered(&writes).unwrap();
+        let (queued, _) = device();
+        let q = IoQueue::new(Arc::clone(&queued), 16);
+        assert_eq!(q.submit_append(&writes).unwrap(), pages);
+        assert_eq!(queued.stats().snapshot().write_time_ns, 0, "no time before the drain");
+        let addrs: Vec<PageAddr> =
+            writes.iter().zip(&pages).map(|(&(f, _), &p)| PageAddr::new(f, p)).collect();
+        let expect = batch_time_ns(queued.config(), &addrs, WRITE_NS);
+        assert_eq!(q.drain_writes(), expect, "idle queue degenerates to batch_time_ns");
+        assert_eq!(queued.stats().snapshot(), direct.stats().snapshot());
+        assert_eq!(queued.ftl_stats(), direct.ftl_stats());
+        let (qc, dc) = (queued.cache().unwrap(), direct.cache().unwrap());
+        assert_eq!(qc.snapshot(), dc.snapshot());
+    }
+
+    /// Reads and writes share the channel clocks and a page's channel is
+    /// fixed, so a read of a page submitted after its write completes after
+    /// it; and the write is then done — the drain charges nothing.
+    #[test]
+    fn a_read_after_a_write_to_its_page_completes_after_the_write() {
+        let (ssd, f) = dev_with_file(0);
+        let data = [5u8; 16];
+        let q = IoQueue::new(Arc::clone(&ssd), 16);
+        let pages = q.submit_append(&[(f, &data[..]); 8]).unwrap();
+        let written = batch_time_ns(ssd.config(), &addrs(f, 0..8), WRITE_NS);
+        let t = q.submit_read(vec![(f, pages[7], 16)]);
+        assert_eq!(&q.fetch(t).unwrap()[0][..16], &data, "the data moved at submit");
+        assert!(q.complete(t) > written, "the read waited for the write");
+        assert_eq!(q.drain_writes(), 0, "the write completed first");
+    }
+
+    /// Compute advanced past a write's service hides it: the drain charges
+    /// nothing, and no write time is charged at all.
+    #[test]
+    fn compute_past_a_write_hides_it() {
+        let (ssd, f) = dev_with_file(0);
+        let q = IoQueue::new(Arc::clone(&ssd), 16);
+        q.submit_append(&[(f, &[1u8; 16][..]); 8]).unwrap();
+        q.advance(batch_time_ns(ssd.config(), &addrs(f, 0..8), WRITE_NS));
+        assert_eq!(q.drain_writes(), 0);
+        let s = ssd.stats().snapshot();
+        assert_eq!((s.pages_written, s.write_time_ns), (8, 0));
     }
 
     /// The engine's fetch loop in miniature (DESIGN.md §12): four tickets

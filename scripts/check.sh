@@ -77,13 +77,23 @@ echo "== stage-table smoke (mlvc run) =="
 # snapshot must be the same bytes at both thread counts; `pagerank
 # --cache-kb 256 --pin-budget-kb 512` holds the tiered path (the 2Q cache,
 # hot-interval pinning and the multi-log's log-tail retention), which the
-# in-process tests and `sim-pins` otherwise reach at one size only.
+# in-process tests and `sim-pins` otherwise reach at one size only;
+# `pagerank --memory-kb 1024 --metrics` holds the multi-log's evictions,
+# written behind on the superstep's I/O queue: its trace must show a
+# superstep that evicted. It runs on a scale-14 graph, because at scale 12
+# a superstep's log fits under the eviction floor at any budget.
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT
-cargo run -q --release --bin mlvc -- \
-  gen --kind rmat-social --scale 12 --seed 42 --out "$smoke_dir/g.csr" >/dev/null
+for scale in 12 14; do
+  cargo run -q --release --bin mlvc -- \
+    gen --kind rmat-social --scale $scale --seed 42 --out "$smoke_dir/g$scale.csr" >/dev/null
+done
 for app in "pagerank" "randomwalk" "wcc --async" "pagerank --ssd-dir" "pagerank --metrics" \
-  "pagerank --cache-kb 256 --pin-budget-kb 512"; do
+  "pagerank --cache-kb 256 --pin-budget-kb 512" "pagerank --memory-kb 1024 --metrics"; do
+  graph="$smoke_dir/g12.csr"
+  if [[ $app == *--memory-kb* ]]; then
+    graph="$smoke_dir/g14.csr"
+  fi
   for t in 1 2; do
     flags="$app"
     if [[ $app == *--ssd-dir ]]; then
@@ -95,7 +105,7 @@ for app in "pagerank" "randomwalk" "wcc --async" "pagerank --ssd-dir" "pagerank 
     fi
     # shellcheck disable=SC2086 # $flags carries the app and its flags, split on purpose
     MLVC_THREADS=$t cargo run -q --release --bin mlvc -- \
-      run --app $flags --graph "$smoke_dir/g.csr" >"$smoke_dir/run.$t"
+      run --app $flags --graph "$graph" >"$smoke_dir/run.$t"
     if [[ $app == *--metrics ]]; then
       mv "$smoke_dir/metrics.jsonl" "$smoke_dir/metrics.$t.jsonl"
       mv "$smoke_dir/metrics.jsonl.prom" "$smoke_dir/metrics.$t.prom"
@@ -119,9 +129,15 @@ for app in "pagerank" "randomwalk" "wcc --async" "pagerank --ssd-dir" "pagerank 
       }' "$smoke_dir/run.$t"
   done
   diff "$smoke_dir/det.1" "$smoke_dir/det.2"
+  if [[ $app == *--metrics ]]; then
+    cmp "$smoke_dir/metrics.1.jsonl" "$smoke_dir/metrics.2.jsonl"
+    cmp "$smoke_dir/metrics.1.prom" "$smoke_dir/metrics.2.prom"
+  fi
+  if [[ $app == *--memory-kb* ]] && ! grep -q '"log_evictions":[1-9]' "$smoke_dir/metrics.1.jsonl"; then
+    echo "$app: no superstep evicted"
+    exit 1
+  fi
 done
-cmp "$smoke_dir/metrics.1.jsonl" "$smoke_dir/metrics.2.jsonl"
-cmp "$smoke_dir/metrics.1.prom" "$smoke_dir/metrics.2.prom"
 
 echo "== ingest smoke (mlvc ingest) =="
 # The CLI's mutation path end to end (DESIGN.md §17): apply an edge batch

@@ -10,8 +10,8 @@ use std::sync::Arc;
 
 use multilogvc::apps::{Bfs, PageRank, RandomWalk, Wcc};
 use multilogvc::core::{
-    Engine, EngineConfig, InitActive, MultiLogEngine, RunReport, SuperstepStats, TieringConfig,
-    Update, VertexCtx, VertexProgram,
+    Engine, EngineConfig, InitActive, MultiLogEngine, ReferenceEngine, RunReport, SuperstepStats,
+    TieringConfig, Update, VertexCtx, VertexProgram,
 };
 use multilogvc::graph::{Csr, StoredGraph, VertexId, VertexIntervals};
 use multilogvc::obs::json::{parse, Json};
@@ -218,19 +218,29 @@ type ReadCounts = Vec<(u64, u64, u64)>;
 /// the read time is all queue wait — with row pointers and column indices
 /// of two intervals in flight at once; returns the supersteps.
 fn four_interval_run(prog: &dyn VertexProgram, steps: usize, memory: usize) -> Vec<SuperstepStats> {
+    four_interval_engine(prog, steps, memory).1
+}
+
+/// [`four_interval_run`], with the run's final states.
+fn four_interval_engine(
+    prog: &dyn VertexProgram,
+    steps: usize,
+    memory: usize,
+) -> (Vec<u64>, Vec<SuperstepStats>) {
     let g = mini_graph();
     let iv = VertexIntervals::uniform(g.num_vertices(), 4);
     let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
     let sg = StoredGraph::store_with(&ssd, &g, "ahead", iv).unwrap();
     let cfg = EngineConfig::default().with_memory(memory);
-    let r = MultiLogEngine::new(ssd, sg, cfg).run(prog, steps);
+    let mut engine = MultiLogEngine::new(ssd, sg, cfg);
+    let r = engine.run(prog, steps);
     assert!(r.interrupted.is_none());
     for s in &r.supersteps {
         let what = format!("{} superstep {}", prog.name(), s.superstep);
         assert_eq!(s.io.read_time_ns, s.io_wait_ns, "{what}: a read off the queue");
         assert!(s.max_inflight >= 4, "{what}: {} tickets in flight", s.max_inflight);
     }
-    r.supersteps
+    (engine.states().to_vec(), r.supersteps)
 }
 
 fn read_counts(steps: &[SuperstepStats]) -> ReadCounts {
@@ -290,6 +300,45 @@ fn crossing_a_fused_batch_boundary_moves_no_page() {
     }
     let dense = (445, 109_381, 12);
     assert_eq!(read_counts(&supersteps), [(48, 11_681, 8), dense, dense, dense, dense, dense]);
+}
+
+/// Writing the multi-log's evictions behind on the superstep's queue moves
+/// no page: a synchronous PageRank over four intervals in three fused
+/// batches, its log evicting in every superstep, writes and reads the same
+/// pages, bytes and batches, superstep by superstep, as when every
+/// eviction was a synchronous `append_scattered` (the literals); a read
+/// that queues behind a write is still queue wait; and the states are the
+/// reference engine's.
+#[test]
+fn writing_evictions_behind_moves_no_page() {
+    let g = mini_graph();
+    let pagerank = PageRank::new(0.85, 1e-9);
+    let (states, supersteps) = four_interval_engine(&pagerank, 6, 64 << 10);
+    let mut reference = ReferenceEngine::new(g, EngineConfig::default().seed);
+    reference.run(&pagerank, 6);
+    assert_eq!(states, reference.states());
+    for s in &supersteps[1..] {
+        assert_eq!(fused_batches(s), 3, "superstep {}: three fused batches", s.superstep);
+    }
+    for s in &supersteps {
+        assert!(s.log_evictions > 0, "superstep {}: no eviction", s.superstep);
+    }
+    let counts: Vec<_> = supersteps
+        .iter()
+        .map(|s| {
+            let io = &s.io;
+            [
+                io.pages_written,
+                io.bytes_written,
+                s.log_pages_flushed,
+                io.write_batches,
+                io.pages_read,
+                io.useful_bytes_read,
+            ]
+        })
+        .collect();
+    let dense = [397, 101_632, 397, 7, 445, 109_381];
+    assert_eq!(counts, [[397, 101_632, 397, 7, 48, 11_681], dense, dense, dense, dense, dense]);
 }
 
 /// Every nanosecond of a superstep's simulated compute advances its I/O

@@ -59,7 +59,8 @@ const WIDE: Shape = Shape { scale: 13, intervals: 2, memory: 1 << 20, steps: 6 }
 
 /// One run of `prog`: states and per-superstep counts. A run on the `SMALL`
 /// shape must plan more than one fused batch in some superstep, so a sweep
-/// over thread counts covers the batch boundaries.
+/// over thread counts covers the batch boundaries, and a PageRank there
+/// must evict, so it covers the writes queued behind the owner.
 fn run_once(prog: &dyn VertexProgram, async_mode: bool, shape: Shape) -> (Vec<u64>, StepCounts) {
     let g = mlvc_gen::rmat(RmatParams::social(shape.scale, 8), 0xD7);
     let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
@@ -72,6 +73,8 @@ fn run_once(prog: &dyn VertexProgram, async_mode: bool, shape: Shape) -> (Vec<u6
     if shape == SMALL {
         let several = r.supersteps.iter().any(|s| s.batches_inline + s.batches_handed_off > 1);
         assert!(several, "{} (async={async_mode}): one fused batch a superstep", prog.name());
+        let evicts = r.supersteps.iter().any(|s| s.log_evictions > 0);
+        assert!(evicts || prog.name() != "pagerank", "pagerank: the log never evicted");
     }
     let steps = r
         .supersteps
