@@ -12,7 +12,7 @@ use mlvc_log::{
     MultiLog, MultiLogConfig, Update,
 };
 use mlvc_mutate::{validate_range, MutationError, MutationLog};
-use mlvc_par::{Scope, ScopedJoinHandle, Tracked};
+use mlvc_par::{Scope, ScopedJoinHandle};
 use mlvc_recover::{CheckpointManager, CheckpointState};
 use mlvc_ssd::sync::Mutex;
 use mlvc_ssd::{
@@ -35,9 +35,8 @@ use crate::{
 /// few hundred cheap vertices per interval, once per interval per
 /// superstep) never earns back: the stage then costs more than on one
 /// thread and its wall time follows the machine's load instead of the
-/// work. Results do not depend on the choice (DESIGN.md §12). The race
-/// detector wants every fork it can get, so it keeps them all.
-const FORK_MIN_ITEMS: usize = if cfg!(feature = "race-detect") { 1 } else { 2048 };
+/// work. Results do not depend on the choice (DESIGN.md §12).
+const FORK_MIN_ITEMS: usize = 2048;
 
 /// Fused-batch reads the fetch stage keeps in flight on the I/O queue (K):
 /// up to K are submitted ahead of the batch being retired, so their service
@@ -69,10 +68,6 @@ pub struct MultiLogEngine {
     graph: Arc<StoredGraph>,
     cfg: EngineConfig,
     states: Vec<u64>,
-    /// Shadow cell auditing the superstep state protocol: worker threads
-    /// read the frozen `states` during parallel processing, the owner
-    /// writes them only after the fan-out joins (DESIGN.md §14).
-    states_audit: Tracked<()>,
     /// Live-ingest mutation log (DESIGN.md §17), shared with whatever is
     /// accepting edge batches (`mlvc ingest`). Pending batches merge
     /// into the stored CSR only in [`Self::reconverge`]; the running
@@ -90,8 +85,7 @@ impl MultiLogEngine {
     /// Engine over an already shared stored graph.
     pub fn with_shared_graph(ssd: Arc<Ssd>, graph: Arc<StoredGraph>, cfg: EngineConfig) -> Self {
         let states = vec![0u64; graph.num_vertices()];
-        let states_audit = Tracked::new("MultiLogEngine::states", ());
-        MultiLogEngine { ssd, graph, cfg, states, states_audit, mutations: None }
+        MultiLogEngine { ssd, graph, cfg, states, mutations: None }
     }
 
     pub fn graph(&self) -> &Arc<StoredGraph> {
@@ -239,7 +233,6 @@ pub(crate) struct Drive<'a> {
     pub(crate) graph: &'a Arc<StoredGraph>,
     pub(crate) cfg: &'a EngineConfig,
     states: &'a mut Vec<u64>,
-    states_audit: &'a Tracked<()>,
     pub(crate) mutations: &'a mut Option<Arc<Mutex<MutationLog>>>,
     prog: &'a dyn VertexProgram,
 
@@ -273,7 +266,7 @@ impl<'a> Drive<'a> {
         prog: &'a dyn VertexProgram,
         ckpt: Option<CheckpointManager>,
     ) -> Result<Self, DeviceError> {
-        let MultiLogEngine { ssd, graph, cfg, states, states_audit, mutations } = eng;
+        let MultiLogEngine { ssd, graph, cfg, states, mutations } = eng;
         let (ssd, graph, cfg) = (&*ssd, &*graph, &*cfg);
         if prog.needs_weights() && !graph.has_weights() {
             return Err(ConfigError::NeedsWeights { app: prog.name() }.into());
@@ -305,7 +298,6 @@ impl<'a> Drive<'a> {
             graph,
             cfg,
             states,
-            states_audit,
             mutations,
             prog,
             multilog,
@@ -518,21 +510,15 @@ fn decode(bplan: BatchPlan, pages: Result<Vec<Page>, DeviceError>) -> Fetched {
 /// the engine has a second thread; the batch being retired, if nobody was
 /// given it — the first of every superstep, every batch on a one-thread
 /// engine — is decoded by the owner, which would only have spawned a thread
-/// to join it at once. A worker is handed its plan and pages by value and
-/// holds neither the multi-log nor the queue (which is not `Sync`), so every
-/// clock-, device- and cache-touching call runs on the owner thread, and
-/// the simulated timeline and every counter are identical at any
-/// worker-thread count.
+/// to join it at once. A worker is handed its plan and pages by value,
+/// gives the decoded batch back only through its join (in plan order: the
+/// owner joins the handle of the batch it retires), and holds neither the
+/// multi-log nor the queue (which is not `Sync`), so every clock-, device-
+/// and cache-touching call runs on the owner thread, and the simulated
+/// timeline and every counter are identical at any worker-thread count.
 struct Fetch<'s, 'e> {
     ioq: &'e IoQueue,
     plan: &'e [Range<IntervalId>],
-    /// Shadow cells auditing the batch handoffs, one per fused batch: the
-    /// decoding thread writes its cell after decoding, the owner reads it
-    /// before consuming — after joining the handle when a worker decoded,
-    /// and the join edge is what makes that handoff race-free: removing it
-    /// would trip the detector here (DESIGN.md §14). Sibling workers have no
-    /// happens-before edge between them, hence one cell per batch.
-    handoffs: &'e [Tracked<()>],
     submitted: usize,
     /// Batches retired so far: the next to retire is `plan[retired]`.
     retired: usize,
@@ -542,16 +528,8 @@ struct Fetch<'s, 'e> {
 }
 
 impl<'s, 'e> Fetch<'s, 'e> {
-    fn new(ioq: &'e IoQueue, plan: &'e [Range<IntervalId>], handoffs: &'e [Tracked<()>]) -> Self {
-        Fetch {
-            ioq,
-            plan,
-            handoffs,
-            submitted: 0,
-            retired: 0,
-            inflight: VecDeque::new(),
-            batch: None,
-        }
+    fn new(ioq: &'e IoQueue, plan: &'e [Range<IntervalId>]) -> Self {
+        Fetch { ioq, plan, submitted: 0, retired: 0, inflight: VecDeque::new(), batch: None }
     }
 
     /// Whether interval `i` is the first of the next batch to retire.
@@ -576,16 +554,13 @@ impl<'s, 'e> Fetch<'s, 'e> {
         let fetched = match decoder {
             Decoder::Owner(bplan, pages) => {
                 st.batches_inline += 1;
-                let fetched = decode(bplan, pages);
-                self.handoffs[bi].audit_write();
-                fetched
+                decode(bplan, pages)
             }
             Decoder::Worker(worker) => {
                 st.batches_handed_off += 1;
                 worker.join().unwrap_or_else(|p| std::panic::resume_unwind(p))
             }
         };
-        self.handoffs[bi].audit_read();
         let (bplan, batch) = fetched?;
         // Retire the ticket on the owner clock — any residual service time
         // the overlap could not hide is charged here — and consume the
@@ -621,12 +596,7 @@ impl<'s, 'e> Fetch<'s, 'e> {
             let ticket = self.ioq.submit_read(bplan.reqs.clone());
             let pages = self.ioq.fetch(ticket);
             let decoder = if self.submitted > bi && mlvc_par::max_threads() > 1 {
-                let handoff = &self.handoffs[self.submitted];
-                Decoder::Worker(scope.spawn(move || {
-                    let fetched = decode(bplan, pages);
-                    handoff.audit_write();
-                    fetched
-                }))
+                Decoder::Worker(scope.spawn(move || decode(bplan, pages)))
             } else {
                 Decoder::Owner(bplan, pages)
             };
@@ -710,13 +680,11 @@ impl<'d, 'a> Superstep<'d, 'a> {
         // read it ahead — and a batch decodes the same whenever, and
         // wherever, it is fetched.
         let ioq = IoQueue::new(Arc::clone(self.d.ssd), QUEUE_DEPTH);
-        let handoffs: Vec<Tracked<()>> =
-            plan.iter().map(|_| Tracked::new("engine batch handoff", ())).collect();
         // Planning the batches and opening the queue is the fetch stage's
         // time: on a sparse superstep it is most of what no other row names.
         self.st.fetch_wait_ns += wall0.elapsed().as_nanos() as u64;
         mlvc_par::scope(|scope| -> Result<(), DeviceError> {
-            let mut fetch = Fetch::new(&ioq, &plan, &handoffs);
+            let mut fetch = Fetch::new(&ioq, &plan);
             let ahead = !self.d.cfg.async_mode;
             let mut next: Option<Loaded> = None;
             for i in 0..intervals {
@@ -933,7 +901,10 @@ impl<'d, 'a> Superstep<'d, 'a> {
         items
     }
 
-    /// Parallel vertex processing over the frozen states. Each worker
+    /// Parallel vertex processing over the frozen states: the workers
+    /// borrow `states` shared, and [`Self::apply`] writes it through `&mut`
+    /// only once they have joined — the borrow checker orders the two
+    /// (DESIGN.md §14). Each worker
     /// thread writes the messages of its chunk of `items` straight into its
     /// own sink, already split by destination interval; messages sent along
     /// an edge by its index wait there, and once the workers have joined
@@ -948,10 +919,9 @@ impl<'d, 'a> Superstep<'d, 'a> {
             d.sinks.resize_with(workers, || SendSink::routed(intervals));
         }
         let frozen: &[u64] = d.states;
-        let (audit, prog, seed) = (d.states_audit, d.prog, d.cfg.seed);
+        let (prog, seed) = (d.prog, d.cfg.seed);
         let (superstep, n) = (self.st.superstep, frozen.len());
         let process = |item: &WorkItem, sink: &mut SendSink| {
-            audit.audit_read();
             let mut ctx = VertexCtx::new(
                 item.v,
                 superstep,
@@ -1011,7 +981,6 @@ impl<'d, 'a> Superstep<'d, 'a> {
         let t_apply = Instant::now();
         let d = &mut *self.d;
         let (use_elog, colidx_file) = (d.use_elog(), d.graph.colidx_file(i));
-        d.states_audit.audit_write();
         for (item, out) in items.iter().zip(outputs) {
             d.states[item.v as usize] = out.state;
             self.active_bits.set(item.v as usize);
@@ -1317,11 +1286,9 @@ mod tests {
             ml.finish_superstep().unwrap();
             let ioq = IoQueue::new(Arc::clone(&ssd), QUEUE_DEPTH);
             let plan: Vec<Range<IntervalId>> = (0..BATCHES).map(|i| i..i + 1).collect();
-            let handoffs: Vec<Tracked<()>> =
-                plan.iter().map(|_| Tracked::new("engine batch handoff", ())).collect();
             let mut st = SuperstepStats::default();
             let failed = mlvc_par::scope(|scope| {
-                let mut fetch = Fetch::new(&ioq, &plan, &handoffs);
+                let mut fetch = Fetch::new(&ioq, &plan);
                 fetch.next(scope, &mut ml, &mut st).expect("the device is whole for the first batch");
                 fetch.read_ahead(scope, &ml).expect("the device is whole for the read-ahead");
                 match damage {

@@ -21,32 +21,37 @@
 //! [`set_thread_override`] pins it programmatically (tests sweeping thread
 //! counts). Both the variable and the hardware parallelism are read once per
 //! process — the latter costs a `sched_getaffinity` and the cgroup files,
-//! and [`max_threads`] is asked once per fan-out. Both pins are capped at
+//! and [`max_threads`] is asked once per fan-out. The variable is capped at
 //! the hardware parallelism — requesting more threads than cores buys
-//! nothing and makes timings noisy. The `race-detect` feature lifts that
-//! cap: there the point is exercising real cross-thread interleavings,
-//! which a single-core CI box would otherwise never produce.
+//! nothing and makes timings noisy. The override is honoured up to 64
+//! threads in every build: a test that asks for eight threads gets
+//! eight fan-out chunks even on a two-core box, so the seeded schedule
+//! permutation has spawns to reorder.
 //!
 //! One thread means one thread: at `max_threads() == 1` no helper here
 //! forks and the engine hands nothing off, so nothing is spawned at all —
 //! [`spawn_count`] stays where it was.
 //!
-//! ## Race detection
+//! ## Concurrency model
 //!
-//! All spawning funnels through [`scope`], so with the `race-detect`
-//! feature every fork, join and `mlvc_ssd::sync` lock transfer maintains a
-//! vector clock, and [`Tracked`] shadow cells audit shared engine state
-//! against them — see the [`race`] module and DESIGN.md §14.
+//! All spawning funnels through [`scope`] (the `no-raw-thread-spawn`
+//! lint), which counts every spawn ([`spawn_count`]) and, when a test has
+//! called [`set_schedule_seed`], spawns each fan-out's jobs in a seeded
+//! shuffled order. What a worker may touch is settled by the type system:
+//! it borrows shared data or owns what it was moved, and hands results
+//! back only through its join — DESIGN.md §14.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::thread;
 
-pub mod race;
+mod schedule;
 
-pub use race::Tracked;
-#[cfg(feature = "race-detect")]
-pub use race::{set_panic_on_race, set_schedule_seed, take_reports, RaceReport};
+pub use schedule::set_schedule_seed;
+pub use std::thread::ScopedJoinHandle;
+
+/// The most threads [`set_thread_override`] pins.
+const MAX_OVERRIDE: usize = 64;
 
 /// Below this length a parallel sort is all overhead; fall back to the
 /// sequential stable sort.
@@ -77,30 +82,23 @@ fn env_threads() -> usize {
 
 /// Pin the worker thread count (`Some(n)`) or restore the default
 /// resolution (`None`: `MLVC_THREADS`, else hardware parallelism). The
-/// value is global to the process and capped at hardware parallelism, like
-/// the environment variable. Intended for tests that sweep thread counts;
+/// value is global to the process and honoured up to 64 threads, past the
+/// hardware parallelism. Intended for tests that sweep thread counts
+/// and for the daemon's split of the threads between its workers;
 /// production runs should use `MLVC_THREADS`.
 pub fn set_thread_override(n: Option<usize>) {
     THREAD_OVERRIDE.store(n.unwrap_or(0), Ordering::SeqCst);
 }
 
-/// The resolved worker thread count: override, else `MLVC_THREADS`, else
-/// hardware parallelism — always in `1..=hardware_parallelism`. Under
-/// `race-detect` the hardware cap is lifted (bounded at 64): the detector
-/// wants real cross-thread interleavings even on a single-core machine,
-/// where capping would silently serialize every fan-out under audit.
+/// The resolved worker thread count: the override, in `1..=64`; else
+/// `MLVC_THREADS` or, unset, the hardware parallelism, in
+/// `1..=hardware_parallelism`.
 pub fn max_threads() -> usize {
     let hw = hardware_threads();
-    let req = match THREAD_OVERRIDE.load(Ordering::SeqCst) {
-        0 => env_threads(),
-        n => n,
-    };
-    if req == 0 {
-        hw
-    } else if cfg!(feature = "race-detect") {
-        req.clamp(1, 64)
-    } else {
-        req.min(hw).max(1)
+    match (THREAD_OVERRIDE.load(Ordering::SeqCst), env_threads()) {
+        (0, 0) => hw,
+        (0, env) => env.min(hw),
+        (n, _) => n.min(MAX_OVERRIDE),
     }
 }
 
@@ -112,10 +110,9 @@ pub fn spawn_count() -> u64 {
     SPAWNS.load(Ordering::SeqCst)
 }
 
-/// Scoped threads whose fork/join edges the race detector can see — the
-/// workspace-wide replacement for `std::thread::scope` (enforced by the
-/// `no-raw-thread-spawn` lint). With `race-detect` off this compiles to
-/// the std scope with zero overhead.
+/// Scoped threads that [`spawn_count`] counts and the seeded schedule
+/// permutation reorders — the workspace-wide replacement for
+/// `std::thread::scope` (enforced by the `no-raw-thread-spawn` lint).
 pub fn scope<'env, T, F>(f: F) -> T
 where
     F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> T,
@@ -129,67 +126,22 @@ pub struct Scope<'scope, 'env: 'scope> {
 }
 
 impl<'scope, 'env> Scope<'scope, 'env> {
-    /// Spawn a scoped thread. Under `race-detect` the child inherits the
-    /// parent's vector clock (fork edge); [`ScopedJoinHandle::join`]
-    /// merges the child's exit clock back (join edge).
+    /// Spawn a scoped thread; joining its handle is the one way its result
+    /// (or its panic payload) comes back.
     pub fn spawn<F, T>(&self, f: F) -> ScopedJoinHandle<'scope, T>
     where
         F: FnOnce() -> T + Send + 'scope,
         T: Send + 'scope,
     {
         SPAWNS.fetch_add(1, Ordering::SeqCst);
-        #[cfg(feature = "race-detect")]
-        {
-            let child = race::fork();
-            ScopedJoinHandle {
-                inner: self.inner.spawn(move || {
-                    race::register_child(child);
-                    let out = f();
-                    (out, race::take_exit_clock())
-                }),
-            }
-        }
-        #[cfg(not(feature = "race-detect"))]
-        {
-            ScopedJoinHandle { inner: self.inner.spawn(f) }
-        }
+        self.inner.spawn(f)
     }
 }
 
-/// Handle returned by [`Scope::spawn`].
-pub struct ScopedJoinHandle<'scope, T> {
-    #[cfg(feature = "race-detect")]
-    inner: thread::ScopedJoinHandle<'scope, (T, race::ExitClock)>,
-    #[cfg(not(feature = "race-detect"))]
-    inner: thread::ScopedJoinHandle<'scope, T>,
-}
-
-impl<T> ScopedJoinHandle<'_, T> {
-    /// Wait for the thread; `Err` carries the child's panic payload. A
-    /// panicked child contributes no join edge — its slot stays retired,
-    /// which can only lose happens-before information, never invent it.
-    pub fn join(self) -> thread::Result<T> {
-        #[cfg(feature = "race-detect")]
-        {
-            match self.inner.join() {
-                Ok((out, exit)) => {
-                    race::join_merge(exit);
-                    Ok(out)
-                }
-                Err(payload) => Err(payload),
-            }
-        }
-        #[cfg(not(feature = "race-detect"))]
-        {
-            self.inner.join()
-        }
-    }
-}
-
-/// Spawn `jobs` returning handles in job order. Under `race-detect` with a
-/// schedule seed set, the *spawn* order is a seeded permutation — the way
-/// the permutation harness exercises interleavings one program order would
-/// never produce — while results still land at their original index.
+/// Spawn `jobs` returning handles in job order. With a schedule seed set
+/// ([`set_schedule_seed`]) the *spawn* order is a seeded permutation — the
+/// way the permutation harness exercises interleavings one program order
+/// would never produce — while results still land at their original index.
 fn spawn_ordered<'scope, 'env, F, R>(
     s: &Scope<'scope, 'env>,
     jobs: Vec<F>,
@@ -198,23 +150,18 @@ where
     F: FnOnce() -> R + Send + 'scope,
     R: Send + 'scope,
 {
-    #[cfg(feature = "race-detect")]
-    {
-        let order = race::spawn_order(jobs.len());
-        let mut slots: Vec<Option<F>> = jobs.into_iter().map(Some).collect();
-        let mut handles: Vec<Option<ScopedJoinHandle<'scope, R>>> =
-            (0..slots.len()).map(|_| None).collect();
-        for i in order {
-            if let Some(job) = slots[i].take() {
-                handles[i] = Some(s.spawn(job));
-            }
+    let Some(order) = schedule::spawn_order(jobs.len()) else {
+        return jobs.into_iter().map(|j| s.spawn(j)).collect();
+    };
+    let mut slots: Vec<Option<F>> = jobs.into_iter().map(Some).collect();
+    let mut handles: Vec<Option<ScopedJoinHandle<'scope, R>>> =
+        (0..slots.len()).map(|_| None).collect();
+    for i in order {
+        if let Some(job) = slots[i].take() {
+            handles[i] = Some(s.spawn(job));
         }
-        handles.into_iter().flatten().collect()
     }
-    #[cfg(not(feature = "race-detect"))]
-    {
-        jobs.into_iter().map(|j| s.spawn(j)).collect()
-    }
+    handles.into_iter().flatten().collect()
 }
 
 /// Number of worker threads to use for `n` items.
@@ -420,8 +367,12 @@ mod tests {
         assert_eq!(par_map(&[7u32], |x| x + 1), vec![8]);
     }
 
+    /// Held by a test for as long as it sets the thread-count override.
+    static OVERRIDE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn par_map_with_keeps_worker_state_in_input_order() {
+        let _turn = OVERRIDE.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         let items: Vec<u32> = (0..10_000).collect();
         for t in [1, 2, 3, 8] {
             set_thread_override(Some(t));
@@ -472,26 +423,19 @@ mod tests {
         assert_eq!(small, expect);
     }
 
+    /// The override is honoured past the hardware parallelism, up to 64;
+    /// without it the count never exceeds the hardware.
     #[test]
-    #[cfg(not(feature = "race-detect"))]
-    fn thread_override_caps_at_hardware() {
+    fn thread_override_is_honoured_up_to_its_bound() {
+        let _turn = OVERRIDE.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         set_thread_override(Some(100_000));
-        assert!(max_threads() <= hardware_threads());
-        set_thread_override(None);
-        assert!(max_threads() >= 1);
-    }
-
-    #[test]
-    #[cfg(feature = "race-detect")]
-    fn race_detect_lifts_the_hardware_cap() {
-        // The detector needs real threads even on a one-core box; the
-        // override is honored past the hardware parallelism (bounded).
-        set_thread_override(Some(100_000));
-        assert_eq!(max_threads(), 64);
+        assert_eq!(max_threads(), MAX_OVERRIDE);
         set_thread_override(Some(8));
         assert_eq!(max_threads(), 8);
+        set_thread_override(Some(0));
+        assert!((1..=hardware_threads()).contains(&max_threads()));
         set_thread_override(None);
-        assert!(max_threads() >= 1);
+        assert!((1..=hardware_threads()).contains(&max_threads()));
     }
 
     /// `max_threads` is asked once per fan-out — once per interval visit in

@@ -8,11 +8,12 @@
 //! waiters, so a dead job can never strand budget.
 //!
 //! The state is a pair of counters (reserved bytes, blocked waiters)
-//! under a raw [`std::sync::Mutex`] because waiting needs a [`Condvar`],
-//! which the repo's poison-free wrappers cannot drive. Poisoning is
-//! recovered inline: the payload is valid at every instruction.
+//! under a poison-free lock with a [`Condvar`] to wait on: the payload is
+//! valid at every instruction, so a poisoned lock is simply recovered.
 
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Condvar, PoisonError};
+
+use mlvc_ssd::sync::Mutex;
 
 use crate::protocol::RejectReason;
 
@@ -35,10 +36,6 @@ pub struct Reservation<'a> {
     bytes: usize,
 }
 
-fn locked(m: &Mutex<(usize, usize)>) -> MutexGuard<'_, (usize, usize)> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 impl Budget {
     pub fn new(total: usize) -> Self {
         Budget { total, state: Mutex::new((0, 0)), freed: Condvar::new() }
@@ -51,14 +48,14 @@ impl Budget {
 
     /// Bytes currently reserved by running jobs.
     pub fn reserved(&self) -> usize {
-        locked(&self.state).0
+        self.state.lock().0
     }
 
     /// Threads currently blocked in [`Budget::reserve_blocking`] — the
     /// daemon's "queued jobs" gauge, and the handle tests use to observe
     /// that a job is parked rather than running.
     pub fn waiting(&self) -> usize {
-        locked(&self.state).1
+        self.state.lock().1
     }
 
     /// Admission check: can this request *ever* be scheduled? Rejects
@@ -78,7 +75,7 @@ impl Budget {
     /// Reserve without waiting; `None` when the free budget is too small
     /// right now (the caller reports the job as queued, then blocks).
     pub fn try_reserve(&self, bytes: usize) -> Option<Reservation<'_>> {
-        let mut g = locked(&self.state);
+        let mut g = self.state.lock();
         if bytes > self.total || g.0.saturating_add(bytes) > self.total {
             return None;
         }
@@ -92,7 +89,7 @@ impl Budget {
     /// (reserving nothing) when the free budget cannot cover the carve;
     /// the caller then skips the pin rather than over-committing memory.
     pub fn carve(&self, bytes: usize) -> bool {
-        let mut g = locked(&self.state);
+        let mut g = self.state.lock();
         if g.0.saturating_add(bytes) > self.total {
             return false;
         }
@@ -103,7 +100,7 @@ impl Budget {
     /// Return previously [`Budget::carve`]d bytes to the pool (the pinned
     /// extents were dropped, e.g. by a mutation merge) and wake waiters.
     pub fn uncarve(&self, bytes: usize) {
-        let mut g = locked(&self.state);
+        let mut g = self.state.lock();
         g.0 = g.0.saturating_sub(bytes);
         drop(g);
         self.freed.notify_all();
@@ -115,7 +112,7 @@ impl Budget {
     /// as a defensive backstop.
     pub fn reserve_blocking(&self, bytes: usize) -> Reservation<'_> {
         let bytes = bytes.min(self.total);
-        let mut g = locked(&self.state);
+        let mut g = self.state.lock();
         g.1 += 1;
         while g.0.saturating_add(bytes) > self.total {
             g = self.freed.wait(g).unwrap_or_else(PoisonError::into_inner);
@@ -135,7 +132,7 @@ impl Reservation<'_> {
 
 impl Drop for Reservation<'_> {
     fn drop(&mut self) {
-        let mut g = locked(&self.budget.state);
+        let mut g = self.budget.state.lock();
         g.0 = g.0.saturating_sub(self.bytes);
         drop(g);
         self.budget.freed.notify_all();

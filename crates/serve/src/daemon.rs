@@ -18,7 +18,7 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{BufRead, Write};
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Condvar, PoisonError};
 
 use mlvc_core::{Engine, EngineConfig, MultiLogEngine, RunReport, VertexProgram};
 use mlvc_graph::{Csr, StoredGraph, VertexIntervals, UPDATE_BYTES};
@@ -26,7 +26,7 @@ use mlvc_mutate::{
     EdgeMutation, IngestStats, MergeOutcome, MutationConfig, MutationError, MutationLog,
 };
 use mlvc_obs::{to_prometheus, MetricsSnapshot};
-use mlvc_ssd::sync::Mutex as PoisonFreeMutex;
+use mlvc_ssd::sync::Mutex;
 use mlvc_ssd::{
     DeviceError, FaultPlan, FileId, FtlConfig, PageCache, Ssd, SsdConfig, SsdStatsSnapshot,
     TenantCacheStats, TenantId,
@@ -130,9 +130,9 @@ pub struct Daemon {
     budget: Budget,
     workers: usize,
     next_tenant: AtomicU32,
-    completed: PoisonFreeMutex<Completed>,
+    completed: Mutex<Completed>,
     /// Unspent pin budget, in bytes (DESIGN.md §18).
-    pin_left: PoisonFreeMutex<usize>,
+    pin_left: Mutex<usize>,
 }
 
 /// Everything the daemon keeps of one registered dataset.
@@ -140,10 +140,10 @@ struct Dataset {
     graph: StoredGraph,
     /// The on-device mutation log (DESIGN.md §17), fed by the `mutate` op.
     /// Shared so an embedding engine can attach it.
-    mutations: Arc<PoisonFreeMutex<MutationLog>>,
+    mutations: Arc<Mutex<MutationLog>>,
     /// The extent files the pinned tier holds, and the bytes carved from
     /// the admission budget for them.
-    pinned: PoisonFreeMutex<(Vec<FileId>, usize)>,
+    pinned: Mutex<(Vec<FileId>, usize)>,
 }
 
 /// How a validated job's run failed: the error's stable code and its text.
@@ -183,8 +183,8 @@ impl Daemon {
             budget: Budget::new(cfg.memory_budget),
             workers: cfg.workers.max(1),
             next_tenant: AtomicU32::new(1),
-            completed: PoisonFreeMutex::new(Completed::default()),
-            pin_left: PoisonFreeMutex::new(cfg.pin_budget_bytes),
+            completed: Mutex::new(Completed::default()),
+            pin_left: Mutex::new(cfg.pin_budget_bytes),
         }
     }
 
@@ -211,11 +211,11 @@ impl Daemon {
         let iv = VertexIntervals::for_graph(graph, UPDATE_BYTES, sort);
         let ds = Dataset {
             graph: StoredGraph::store_with(&self.ssd, graph, name, iv.clone())?,
-            mutations: Arc::new(PoisonFreeMutex::new(
+            mutations: Arc::new(Mutex::new(
                 MutationLog::new(Arc::clone(&self.ssd), iv, MutationConfig::default(), name)
                     .map_err(MutationError::into_device_error)?,
             )),
-            pinned: PoisonFreeMutex::new((Vec::new(), 0)),
+            pinned: Mutex::new((Vec::new(), 0)),
         };
         self.pin(&ds)?;
         self.datasets.insert(name.to_string(), ds);
@@ -277,7 +277,7 @@ impl Daemon {
 
     /// The dataset's shared mutation log, for attaching to an engine or
     /// inspecting pending counts. `None` for unregistered names.
-    pub fn mutation_log(&self, name: &str) -> Option<Arc<PoisonFreeMutex<MutationLog>>> {
+    pub fn mutation_log(&self, name: &str) -> Option<Arc<Mutex<MutationLog>>> {
         self.datasets.get(name).map(|ds| Arc::clone(&ds.mutations))
     }
 
@@ -438,8 +438,8 @@ impl Daemon {
     /// in any order, all sharing the device and its page cache.
     pub fn run_jobs(&self, reqs: Vec<JobRequest>) -> Vec<JobResult> {
         let n = reqs.len();
-        let results: PoisonFreeMutex<Vec<Option<JobResult>>> =
-            PoisonFreeMutex::new((0..n).map(|_| None).collect());
+        let results: Mutex<Vec<Option<JobResult>>> =
+            Mutex::new((0..n).map(|_| None).collect());
         on_pool(
             self.workers.min(n.max(1)),
             |(i, req): (usize, JobRequest)| {
@@ -458,7 +458,7 @@ impl Daemon {
     /// across jobs; each line is one JSON object). Returns after a
     /// `shutdown` request or EOF, once every accepted job has finished.
     pub fn serve<R: BufRead, W: Write + Send>(&self, input: R, output: W) -> std::io::Result<()> {
-        let out = PoisonFreeMutex::new(output);
+        let out = Mutex::new(output);
         let work = |(req, ds, prog): (JobRequest, &Dataset, Box<dyn VertexProgram>)| {
             let queued = || emit(&out, &queued_line(&req.id));
             match self.admit_and_execute(&req, ds, prog.as_ref(), queued) {
@@ -615,16 +615,11 @@ fn on_pool<T: Send>(workers: usize, work: impl Fn(T) + Sync, feed: impl FnOnce(&
 
 /// Write one reply line, swallowing transport errors (a client that hung
 /// up stops caring about its replies; the daemon must not).
-fn emit<W: Write>(out: &PoisonFreeMutex<W>, line: &str) {
+fn emit<W: Write>(out: &Mutex<W>, line: &str) {
     let _ = writeln!(out.lock(), "{line}");
 }
 
-fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Blocking FIFO handoff from the feeding thread to the worker pool. Raw
-/// `std::sync::Mutex` because waiting needs a [`Condvar`].
+/// Blocking FIFO handoff from the feeding thread to the worker pool.
 struct ServeQueue<T> {
     /// (pending items, closed flag).
     state: Mutex<(VecDeque<T>, bool)>,
@@ -633,19 +628,19 @@ struct ServeQueue<T> {
 
 impl<T> ServeQueue<T> {
     fn push(&self, item: T) {
-        locked(&self.state).0.push_back(item);
+        self.state.lock().0.push_back(item);
         self.ready.notify_one();
     }
 
     fn close(&self) {
-        locked(&self.state).1 = true;
+        self.state.lock().1 = true;
         self.ready.notify_all();
     }
 
     /// Next item, blocking while the queue is open but empty; `None` once
     /// it is closed and drained.
     fn pop(&self) -> Option<T> {
-        let mut g = locked(&self.state);
+        let mut g = self.state.lock();
         loop {
             if let Some(item) = g.0.pop_front() {
                 return Some(item);
@@ -688,6 +683,19 @@ mod tests {
         assert!(rollup.contains(&format!("job=\"j{extra}\"")));
         assert!(rollup.contains(&format!("job=\"j{}\"", total - 1)));
         assert_prometheus_families_grouped(&rollup);
+    }
+
+    /// The live FTL is attached by `with_device` itself, before any worker
+    /// or job exists: the dataset's own store writes are flash writes too,
+    /// and no job's snapshot may depend on whether it ran first.
+    #[test]
+    fn the_ftl_is_attached_before_the_first_job() {
+        let ssd = Arc::new(Ssd::new(SsdConfig::default()));
+        let mut daemon = Daemon::with_device(ServeConfig::default(), ssd);
+        assert!(daemon.device().ftl_stats().is_some(), "no FTL before the first job");
+        daemon.add_dataset("p", &mlvc_gen::path(64)).unwrap();
+        let ftl = daemon.device().ftl_stats().unwrap_or_default();
+        assert_eq!(ftl.host_writes, daemon.device().stats().snapshot().pages_written);
     }
 
     /// The exposition format allows one `# TYPE` line per family and needs

@@ -46,22 +46,19 @@
 //!   merging, pinning and dirty skips (pinned by `crates/serve` tests and
 //!   the identity tests below).
 //!
-//! The interior lock is a raw `std::sync::Mutex` (poison-recovered, the
-//! `mlvc_obs` precedent) because `Condvar` cannot wait on the workspace's
-//! custom `mlvc_ssd::sync` guards.
-//!
 //! [`SsdStats`]: crate::SsdStats
 
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::ops::Range;
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Condvar, PoisonError};
 
 use crate::checked::to_u64;
 use crate::cost::PageAddr;
 use crate::device::{FileId, Ssd};
 use crate::fault::DeviceError;
 use crate::page::Page;
+use crate::sync::Mutex;
 
 /// Identity of a cache client. The base device reads as tenant 0; the
 /// serving daemon assigns each admitted job a fresh id from 1.
@@ -205,12 +202,6 @@ pub struct PageCache {
     filled: Condvar,
 }
 
-/// Poison recovery for the raw mutex: a panicked holder aborts its own
-/// job, not the daemon, so the guard is always usable.
-fn locked(m: &Mutex<CacheInner>) -> MutexGuard<'_, CacheInner> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 impl PageCache {
     /// A cache holding at most `capacity_pages` resident pages (clamped to
     /// at least one frame).
@@ -251,22 +242,22 @@ impl PageCache {
 
     /// Number of frames.
     pub fn capacity_pages(&self) -> usize {
-        locked(&self.state).frames.len()
+        self.state.lock().frames.len()
     }
 
     /// Bytes currently held by the pinned tier.
     pub fn pinned_bytes(&self) -> u64 {
-        locked(&self.state).pinned_bytes
+        self.state.lock().pinned_bytes
     }
 
     /// Pages currently held by the pinned tier.
     pub fn pinned_pages(&self) -> usize {
-        locked(&self.state).pinned.len()
+        self.state.lock().pinned.len()
     }
 
     /// Counters + occupancy right now.
     pub fn snapshot(&self) -> CacheSnapshot {
-        let inner = locked(&self.state);
+        let inner = self.state.lock();
         CacheSnapshot {
             capacity_pages: inner.frames.len(),
             resident_pages: inner.map.len(),
@@ -296,7 +287,7 @@ impl PageCache {
         }
         let tenant = dev.tenant();
         let read = dev.read(&reqs, true, Some(self), &mut Vec::new())?;
-        let mut guard = locked(&self.state);
+        let mut guard = self.state.lock();
         let inner = &mut *guard;
         let mut newly = 0u64;
         for (page, &(f, p, _)) in read.into_iter().zip(&reqs) {
@@ -337,7 +328,7 @@ impl PageCache {
         page_size: usize,
         tenant: TenantId,
     ) -> bool {
-        let mut guard = locked(&self.state);
+        let mut guard = self.state.lock();
         let inner = &mut *guard;
         let key = (file, page);
         if inner.pinned.contains_key(&key) {
@@ -355,7 +346,7 @@ impl PageCache {
 
     /// Drop every pinned page of `file`, returning the count dropped.
     pub fn unpin_file(&self, file: FileId) -> u64 {
-        let mut guard = locked(&self.state);
+        let mut guard = self.state.lock();
         let inner = &mut *guard;
         let mut dropped = 0u64;
         let mut freed = 0u64;
@@ -391,7 +382,7 @@ impl PageCache {
         let tenant = dev.tenant();
         let mut out: Vec<Option<Page>> = Vec::new();
         out.resize_with(reqs.len(), || None);
-        let mut guard = locked(&self.state);
+        let mut guard = self.state.lock();
         loop {
             // Pass 1 (under the lock): hits from the pinned tier and
             // resident frames, claim ownership of unclaimed absent pages,
@@ -445,7 +436,7 @@ impl PageCache {
             let fetch: Vec<(FileId, u64, usize)> = owned.iter().map(|&i| reqs[i]).collect();
             drop(guard);
             let fetched = dev.read(&fetch, timed, None, read);
-            guard = locked(&self.state);
+            guard = self.state.lock();
             match fetched {
                 Err(e) => {
                     for &i in &owned {
@@ -485,7 +476,7 @@ impl PageCache {
     /// Drop resident and pinned copies of the given pages and dirty any
     /// racing fills (called by the device on every page write).
     pub(crate) fn invalidate_addrs(&self, addrs: &[PageAddr]) {
-        let mut guard = locked(&self.state);
+        let mut guard = self.state.lock();
         let inner = &mut *guard;
         for a in addrs {
             let key = (a.file, a.page);
@@ -505,7 +496,7 @@ impl PageCache {
     /// Drop every resident and pinned page of `file` and dirty its racing
     /// fills (called by the device on truncate/delete).
     pub(crate) fn invalidate_file(&self, file: FileId) {
-        let mut guard = locked(&self.state);
+        let mut guard = self.state.lock();
         let inner = &mut *guard;
         let mut dropped: Vec<usize> = Vec::new();
         inner.map.retain(|key, (fi, _)| {
@@ -770,7 +761,7 @@ mod tests {
         let cache = Arc::new(PageCache::new(8));
         ssd.attach_cache(Arc::clone(&cache));
         let key = (f, 0);
-        let claim = || locked(&cache.state).in_flight.insert(key, InFlight { dirty: false });
+        let claim = || cache.state.lock().in_flight.insert(key, InFlight { dirty: false });
         let racing: [&dyn Fn(); 2] = [
             &|| ssd.write_page(f, 0, b"fresh").unwrap(),
             &|| {
@@ -784,16 +775,16 @@ mod tests {
             let fetched = ssd.read(&[(f, 0, 0)], true, None, &mut Vec::new()).unwrap().remove(0);
             // … the write that races them, and the landing.
             race();
-            land_fill(&mut locked(&cache.state), key, &fetched, 0);
+            land_fill(&mut cache.state.lock(), key, &fetched, 0);
             let snap = cache.snapshot();
             assert_eq!(snap.resident_pages, 0, "a raced fill became resident");
-            assert!(locked(&cache.state).in_flight.is_empty());
+            assert!(cache.state.lock().in_flight.is_empty());
             assert_eq!(&ssd.read_page(f, 0, 0).unwrap()[..5], b"fresh");
             ssd.write_page(f, 0, &[0; 32]).unwrap();
         }
         claim();
         let fetched = ssd.read(&[(f, 0, 0)], true, None, &mut Vec::new()).unwrap().remove(0);
-        land_fill(&mut locked(&cache.state), key, &fetched, 0);
+        land_fill(&mut cache.state.lock(), key, &fetched, 0);
         assert_eq!(cache.snapshot().resident_pages, 1, "an unraced fill lands");
         assert!(Page::ptr_eq(&fetched, &ssd.read_page(f, 0, 0).unwrap()));
     }
@@ -988,7 +979,7 @@ mod tests {
                     fill(f);
                 }
             }
-            let inner = locked(&cache.state);
+            let inner = cache.state.lock();
             let mut keys: Vec<PageKey> = inner.map.keys().copied().collect();
             keys.sort_unstable();
             for x in std::iter::once(inner.evictions)

@@ -107,10 +107,6 @@ struct Shared {
     /// Optional shared page cache in front of the read path (the serving
     /// daemon attaches one; `None` keeps single-run behaviour unchanged).
     cache: Mutex<Option<Arc<PageCache>>>,
-    /// Shadow cell auditing the attach/consume protocol of the live FTL:
-    /// [`Ssd::enable_ftl`] must be ordered before every write that feeds
-    /// the model and every [`Ssd::ftl_stats`] read (DESIGN.md §14).
-    ftl_audit: mlvc_par::Tracked<()>,
 }
 
 #[derive(Default)]
@@ -142,7 +138,6 @@ impl Ssd {
             files: Mutex::new(Files::default()),
             ftl: Mutex::new(None),
             cache: Mutex::new(None),
-            ftl_audit: mlvc_par::Tracked::new("Ssd::ftl attach", ()),
         })
     }
 
@@ -155,7 +150,6 @@ impl Ssd {
             files: Mutex::new(Files::default()),
             ftl: Mutex::new(None),
             cache: Mutex::new(None),
-            ftl_audit: mlvc_par::Tracked::new("Ssd::ftl attach", ()),
         }))
     }
 
@@ -250,29 +244,17 @@ impl Ssd {
     /// Idempotent: a model that is already attached keeps its state so
     /// re-enabling cannot reset amplification counters.
     pub fn enable_ftl(&self, cfg: FtlConfig) {
-        let mut g = self.shared.ftl.lock();
-        if g.is_none() {
-            // Only the installing call is the protocol's "attach" write;
-            // an idempotent re-attach merely observes that the model is
-            // already there, so concurrent tenants re-attaching are ordered
-            // readers, not racing writers.
-            self.shared.ftl_audit.audit_write();
-            *g = Some(FtlModel::new(cfg));
-        } else {
-            self.shared.ftl_audit.audit_read();
-        }
+        self.shared.ftl.lock().get_or_insert_with(|| FtlModel::new(cfg));
     }
 
     /// Snapshot of the live FTL's counters (`None` when not enabled).
     pub fn ftl_stats(&self) -> Option<FtlStats> {
-        self.shared.ftl_audit.audit_read();
         self.shared.ftl.lock().as_ref().map(FtlModel::stats)
     }
 
     /// Feed the batch to the live model, all of it — the pages are on the
     /// media — and report the first page it had no block for.
     fn ftl_writes(&self, addrs: &[PageAddr]) -> Result<(), DeviceError> {
-        self.shared.ftl_audit.audit_read();
         let mut first = Ok(());
         if let Some(f) = self.shared.ftl.lock().as_mut() {
             for a in addrs {

@@ -4,153 +4,59 @@
 //! panicked worker already aborts the run — so these wrappers recover the
 //! inner guard on poison instead of returning a `Result`. That keeps lock
 //! call sites infallible (no `unwrap()` in library code, per the
-//! `no-panic-in-lib` lint) while staying on `std` only.
-//!
-//! Under the `race-detect` feature every acquire and release additionally
-//! transfers a vector clock through the lock (`mlvc_par::race`), so
-//! critical sections on one lock are happens-before ordered for the
-//! detector's `Tracked` shadow cells. `RwLock` readers are modeled like
-//! writers — conservative: it can only add ordering edges, never invent a
-//! race. With the feature off the wrappers compile to the plain poison-free
-//! guards with zero overhead.
+//! `no-panic-in-lib` lint) while staying on `std` only. The guards are
+//! `std`'s own, so a [`std::sync::Condvar`] waits on a [`MutexGuard`]
+//! directly (recovering its poison the same way).
 
-#[cfg(feature = "race-detect")]
-use mlvc_par::race;
-#[cfg(feature = "race-detect")]
-use std::sync::OnceLock;
+pub use std::sync::{MutexGuard, RwLockReadGuard, RwLockWriteGuard};
 
 /// A mutual-exclusion lock whose `lock()` never fails.
 #[derive(Debug, Default)]
-pub struct Mutex<T: ?Sized> {
-    #[cfg(feature = "race-detect")]
-    race_id: OnceLock<usize>,
-    inner: std::sync::Mutex<T>,
-}
+pub struct Mutex<T: ?Sized>(std::sync::Mutex<T>);
 
 impl<T> Mutex<T> {
     pub const fn new(value: T) -> Self {
-        Mutex {
-            #[cfg(feature = "race-detect")]
-            race_id: OnceLock::new(),
-            inner: std::sync::Mutex::new(value),
-        }
-    }
-
-    pub fn lock(&self) -> MutexGuard<'_, T> {
-        let inner = self.inner.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-        MutexGuard {
-            #[cfg(feature = "race-detect")]
-            race_id: acquired(&self.race_id),
-            inner,
-        }
+        Mutex(std::sync::Mutex::new(value))
     }
 
     pub fn into_inner(self) -> T {
-        self.inner.into_inner().unwrap_or_else(|poisoned| poisoned.into_inner())
+        self.0.into_inner().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
+    pub fn lock(&self) -> MutexGuard<'_, T> {
+        self.0.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
     pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut().unwrap_or_else(|poisoned| poisoned.into_inner())
+        self.0.get_mut().unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 }
 
 /// A readers-writer lock whose `read()`/`write()` never fail.
 #[derive(Debug, Default)]
-pub struct RwLock<T: ?Sized> {
-    #[cfg(feature = "race-detect")]
-    race_id: OnceLock<usize>,
-    inner: std::sync::RwLock<T>,
-}
+pub struct RwLock<T: ?Sized>(std::sync::RwLock<T>);
 
 impl<T> RwLock<T> {
     pub const fn new(value: T) -> Self {
-        RwLock {
-            #[cfg(feature = "race-detect")]
-            race_id: OnceLock::new(),
-            inner: std::sync::RwLock::new(value),
-        }
-    }
-
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        let inner = self.inner.read().unwrap_or_else(|poisoned| poisoned.into_inner());
-        RwLockReadGuard {
-            #[cfg(feature = "race-detect")]
-            race_id: acquired(&self.race_id),
-            inner,
-        }
-    }
-
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        let inner = self.inner.write().unwrap_or_else(|poisoned| poisoned.into_inner());
-        RwLockWriteGuard {
-            #[cfg(feature = "race-detect")]
-            race_id: acquired(&self.race_id),
-            inner,
-        }
+        RwLock(std::sync::RwLock::new(value))
     }
 
     pub fn into_inner(self) -> T {
-        self.inner.into_inner().unwrap_or_else(|poisoned| poisoned.into_inner())
+        self.0.into_inner().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
+    pub fn read(&self) -> RwLockReadGuard<'_, T> {
+        self.0.read().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
+    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
+        self.0.write().unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
     pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut().unwrap_or_else(|poisoned| poisoned.into_inner())
+        self.0.get_mut().unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 }
-
-/// Run the detector's acquire edge for a freshly taken lock (the lock id is
-/// assigned lazily on first acquisition — `new` stays `const`). Called
-/// *after* the underlying lock is held, so the previous holder's release
-/// clock is already published.
-#[cfg(feature = "race-detect")]
-fn acquired(race_id: &OnceLock<usize>) -> usize {
-    let id = *race_id.get_or_init(race::new_lock_id);
-    race::lock_acquire(id);
-    id
-}
-
-macro_rules! guard {
-    ($name:ident, $std:ident, $($mutable:ident)?) => {
-        pub struct $name<'a, T: ?Sized> {
-            #[cfg(feature = "race-detect")]
-            race_id: usize,
-            inner: std::sync::$std<'a, T>,
-        }
-
-        impl<T: ?Sized> std::ops::Deref for $name<'_, T> {
-            type Target = T;
-            fn deref(&self) -> &T {
-                &self.inner
-            }
-        }
-
-        $(impl<T: ?Sized> std::ops::DerefMut for $name<'_, T> {
-            fn $mutable(&mut self) -> &mut T {
-                &mut self.inner
-            }
-        })?
-
-        impl<T: ?Sized + std::fmt::Debug> std::fmt::Debug for $name<'_, T> {
-            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-                self.inner.fmt(f)
-            }
-        }
-
-        // Release edge: runs before the inner guard drops, i.e. while the
-        // lock is still held, so the clock is published before the next
-        // acquirer can observe the unlock.
-        #[cfg(feature = "race-detect")]
-        impl<T: ?Sized> Drop for $name<'_, T> {
-            fn drop(&mut self) {
-                race::lock_release(self.race_id);
-            }
-        }
-    };
-}
-
-guard!(MutexGuard, MutexGuard, deref_mut);
-guard!(RwLockReadGuard, RwLockReadGuard,);
-guard!(RwLockWriteGuard, RwLockWriteGuard, deref_mut);
 
 #[cfg(test)]
 mod tests {

@@ -21,18 +21,18 @@
 //!   `mlvc_par`/rayon fan-out or an `ssd.` I/O call serializes the very
 //!   work being fanned out (or deadlocks on re-entry).
 //! * `no-raw-thread-spawn` — all parallelism must route through
-//!   `mlvc-par` (`scope`/`par_*`): a raw `std::thread` spawn is invisible
-//!   to the `race-detect` vector clocks, so its accesses can race without
-//!   a report.
+//!   `mlvc-par` (`scope`/`par_*`): a raw `std::thread` spawn escapes
+//!   `spawn_count`, so a run's thread cost stops being countable, and the
+//!   seeded spawn order, so the permutation harness never reorders it.
 //! * `no-shared-mut-capture-in-par` — closures handed to a `par_*`
 //!   fan-out may not capture `&mut` state declared outside the closure or
 //!   interior-mutable cells; shared state crossing the fan-out belongs in
-//!   `mlvc_ssd::sync` primitives or `Tracked` cells the detector audits.
+//!   `mlvc_ssd::sync` primitives.
 //! * `no-relaxed-ordering-outside-obs` — relaxed atomics are sanctioned
 //!   only in the `RelaxedCounter` statistics type, whose operations carry
 //!   reasoned waivers (the rule keeps the name it had when the obs crate
 //!   also held atomics); anywhere else the missing ordering is a
-//!   correctness bug the detector cannot model.
+//!   correctness bug.
 //! * `fn-too-long` — a non-test function of any crate's `src/` or the root
 //!   `src/` longer than [`MAX_FN_LINES`] lines. The engine's superstep
 //!   driver once grew to 874 lines one "block at the boundary" at a time; a
@@ -132,8 +132,8 @@ fn in_panic_scope(path: &str) -> bool {
 /// Scope of the concurrency rules (`no-raw-thread-spawn`,
 /// `no-shared-mut-capture-in-par`): library code including the root facade
 /// (`src/lib.rs`, `src/bin/mlvc.rs`), minus `mlvc-par` itself — the one
-/// crate allowed to touch `std::thread`, since it *is* the instrumented
-/// runtime everything else must route through.
+/// crate allowed to touch `std::thread`, since it *is* the counted,
+/// permutable runtime everything else must route through.
 fn in_concurrency_scope(path: &str) -> bool {
     in_panic_scope(path) && !path.starts_with("crates/par/src/")
 }
@@ -298,9 +298,9 @@ fn check_raw_spawns(code: &str, emit: &mut Emit) {
             emit(
                 "no-raw-thread-spawn",
                 format!(
-                    "{needle} bypasses the instrumented runtime; \
-                     route parallelism through `mlvc_par` \
-                     (`scope`/`par_*`) so race-detect sees it"
+                    "{needle} bypasses `mlvc_par`; route parallelism \
+                     through `scope`/`par_*` so `spawn_count` counts it \
+                     and the seeded spawn order reaches it"
                 ),
             );
         }
@@ -578,8 +578,8 @@ fn ident_char(c: &char) -> bool {
 
 /// Audit one fan-out call span: names bound by the closure (params and
 /// `let mut` locals) are worker-private; any other `&mut` borrow or
-/// interior-mutable cell inside the closure is shared state the detector
-/// cannot order across workers.
+/// interior-mutable cell inside the closure is shared state whose order
+/// across workers follows the schedule.
 fn audit_closure_span(path: &str, span: &[(usize, String)], out: &mut Vec<Diagnostic>) {
     // Narrow to the closure argument: from the first `|` onwards.
     let mut closure: Vec<(usize, String)> = Vec::new();
@@ -642,8 +642,8 @@ fn audit_closure_span(path: &str, span: &[(usize, String)], out: &mut Vec<Diagno
                     line: *lineno,
                     rule: "no-shared-mut-capture-in-par",
                     message: format!(
-                        "interior-mutable `{needle}` inside a `par_*` closure; the race \
-                         detector cannot audit it — use `mlvc_ssd::sync` or `Tracked`"
+                        "interior-mutable `{needle}` inside a `par_*` closure; its \
+                         order across workers follows the schedule — use `mlvc_ssd::sync`"
                     ),
                 });
             }
@@ -653,8 +653,8 @@ fn audit_closure_span(path: &str, span: &[(usize, String)], out: &mut Vec<Diagno
                 file: path.to_string(),
                 line: *lineno,
                 rule: "no-shared-mut-capture-in-par",
-                message: "interior-mutable `Cell` inside a `par_*` closure; the race \
-                          detector cannot audit it — use `mlvc_ssd::sync` or `Tracked`"
+                message: "interior-mutable `Cell` inside a `par_*` closure; its order \
+                          across workers follows the schedule — use `mlvc_ssd::sync`"
                     .to_string(),
             });
         }

@@ -1,5 +1,5 @@
 //! Seeded violations for `no-shared-mut-capture-in-par`: closures handed
-//! to a fan-out must not mutate shared state behind the detector's back.
+//! to a fan-out must not mutate shared state outside `mlvc_ssd::sync`.
 
 pub fn sums(xs: &[u32]) -> Vec<u32> {
     let mut total = 0u32;

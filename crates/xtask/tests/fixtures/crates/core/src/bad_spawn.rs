@@ -1,5 +1,5 @@
-//! Seeded violations for `no-raw-thread-spawn`: raw std threads bypass
-//! the instrumented mlvc-par runtime, so race-detect cannot see them.
+//! Seeded violations for `no-raw-thread-spawn`: raw std threads escape
+//! mlvc-par's `spawn_count` and its seeded spawn order.
 
 pub fn fan_out() -> u32 {
     let h = std::thread::spawn(move || 1);

@@ -296,7 +296,8 @@ fn a_one_thread_engine_spawns_no_thread() {
     for (name, prog, async_mode) in &progs {
         for threads in [1usize, 2, 8] {
             multilogvc::par::set_thread_override(Some(threads));
-            // Capped at the hardware: a one-core box never looks ahead.
+            // The override is honoured past the core count: only the
+            // one-thread run never looks ahead.
             let looks_ahead = multilogvc::par::max_threads() > 1;
             let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
             let iv = VertexIntervals::uniform(g.num_vertices(), SMALL.intervals);
