@@ -61,8 +61,10 @@ const INFLIGHT_BATCHES: usize = 4;
 ///    vertices; outgoing updates go through the **multi-log update unit**;
 /// 5. the **edge-log optimizer** stages out-edges of predicted-active
 ///    vertices sitting on inefficiently used pages;
-/// 6. logs flush, structural updates past the threshold merge through the
-///    mutation commit, statistics are recorded.
+/// 6. the logs swap sides — what they still buffer is carried into the
+///    next superstep in host memory, not written — structural updates past
+///    the threshold merge through the mutation commit, statistics are
+///    recorded.
 pub struct MultiLogEngine {
     ssd: Arc<Ssd>,
     graph: Arc<StoredGraph>,
@@ -576,18 +578,21 @@ impl<'s, 'e> Fetch<'s, 'e> {
     /// — right after the retire in the synchronous model, after the
     /// batch's first interval is prepared in the asynchronous one
     /// (`Superstep::ready`).
-    fn read_ahead(&mut self, scope: &Scope<'s, 'e>, ml: &MultiLog) -> Result<(), DeviceError> {
+    fn read_ahead(&mut self, scope: &Scope<'s, 'e>, ml: &mut MultiLog) -> Result<(), DeviceError> {
         let bi = self.retired - 1;
         self.submit_until(scope, ml, bi, bi + INFLIGHT_BATCHES)
     }
 
     /// Submit the batches not yet submitted below `end` and fetch their
     /// pages, each batch handed to a look-ahead worker when it lies ahead
-    /// of `bi` and there is a second thread.
+    /// of `bi` and there is a second thread. Planning moves the pages the
+    /// batch's intervals carried in host memory into its plan, so the
+    /// worker decodes those beside the fetched ones and no later eviction
+    /// writes them out.
     fn submit_until(
         &mut self,
         scope: &Scope<'s, 'e>,
-        ml: &MultiLog,
+        ml: &mut MultiLog,
         bi: usize,
         end: usize,
     ) -> Result<(), DeviceError> {
@@ -675,10 +680,11 @@ impl<'d, 'a> Superstep<'d, 'a> {
         let intervals = plan.last().map_or(0, |r| r.end);
         // A worker decodes fused batch k+1 from its pages while batch k is
         // processed and its updates are scattered into the write side. The
-        // read side does not change between the flip that opened this
-        // superstep and each batch's consume, so both computation models
-        // read it ahead — and a batch decodes the same whenever, and
-        // wherever, it is fetched.
+        // read side's records do not change between the flip that opened
+        // this superstep and each batch's consume — an eviction may move an
+        // unplanned interval's carried pages onto its read-side file, never
+        // a planned one's — so both computation models read it ahead, and
+        // a batch decodes the same whenever, and wherever, it is fetched.
         let ioq = IoQueue::new(Arc::clone(self.d.ssd), QUEUE_DEPTH);
         // Planning the batches and opening the queue is the fetch stage's
         // time: on a sparse superstep it is most of what no other row names.
@@ -726,7 +732,7 @@ impl<'d, 'a> Superstep<'d, 'a> {
             let t_fetch = Instant::now();
             let batch = fetch.next(scope, &mut self.d.multilog, &mut self.st)?;
             if ahead {
-                fetch.read_ahead(scope, &self.d.multilog)?;
+                fetch.read_ahead(scope, &mut self.d.multilog)?;
             }
             self.st.fetch_wait_ns += t_fetch.elapsed().as_nanos() as u64;
             self.st.load_ns += batch.load_ns;
@@ -741,7 +747,7 @@ impl<'d, 'a> Superstep<'d, 'a> {
         let loaded = self.prepare(i, batch, fetch.ioq)?;
         if opens && !ahead {
             let t_ahead = Instant::now();
-            fetch.read_ahead(scope, &self.d.multilog)?;
+            fetch.read_ahead(scope, &mut self.d.multilog)?;
             self.st.fetch_wait_ns += t_ahead.elapsed().as_nanos() as u64;
         }
         Ok(loaded)
@@ -1278,7 +1284,9 @@ mod tests {
             let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
             let n = 25 * BATCHES;
             let iv = mlvc_graph::VertexIntervals::uniform(n as usize, BATCHES as usize);
-            let cfg = MultiLogConfig { buffer_bytes: 1 << 20, ..Default::default() };
+            // The floors alone: 8 × n records overflow the eviction period
+            // (64 pages of 17), so every interval's log is on the device.
+            let cfg = MultiLogConfig { buffer_bytes: 0, ..Default::default() };
             let mut ml = MultiLog::new(Arc::clone(&ssd), iv, cfg, "t").unwrap();
             for m in 0..8 * n {
                 ml.send(Update::new(m % n, m, u64::from(m))).unwrap();
@@ -1290,7 +1298,7 @@ mod tests {
             let failed = mlvc_par::scope(|scope| {
                 let mut fetch = Fetch::new(&ioq, &plan);
                 fetch.next(scope, &mut ml, &mut st).expect("the device is whole for the first batch");
-                fetch.read_ahead(scope, &ml).expect("the device is whole for the read-ahead");
+                fetch.read_ahead(scope, &mut ml).expect("the device is whole for the read-ahead");
                 match damage {
                     Damage::FlippedBit => {
                         let f = ssd.lookup(&format!("t.mlog.{}.a", BATCHES - 1)).unwrap();
@@ -1308,7 +1316,7 @@ mod tests {
                 (1..plan.len()).find_map(|_| {
                     let handed_off = st.batches_handed_off;
                     match fetch.next(scope, &mut ml, &mut st) {
-                        Ok(_) => fetch.read_ahead(scope, &ml).err().map(|e| (e, false)),
+                        Ok(_) => fetch.read_ahead(scope, &mut ml).err().map(|e| (e, false)),
                         Err(e) => Some((e, st.batches_handed_off > handed_off)),
                     }
                 })

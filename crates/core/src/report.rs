@@ -91,9 +91,11 @@ pub struct SuperstepStats {
     /// merge mid-run. See DESIGN.md §17.
     pub mutations: MutationStats,
     /// Multi-log activity this phase: update-record bytes appended across
-    /// all intervals, pages flushed, buffer-pressure evictions.
+    /// all intervals, pages flushed, pages carried into the next superstep
+    /// in host memory (DESIGN.md §10), buffer-pressure evictions.
     pub log_bytes_appended: u64,
     pub log_pages_flushed: u64,
+    pub log_pages_carried: u64,
     pub log_evictions: u64,
     /// Edge lists copied into the sequential edge log, and its pages
     /// written.
@@ -140,7 +142,7 @@ impl SuperstepStats {
     /// matter of thread scheduling, so the rows of a run are bit-identical
     /// for any `MLVC_THREADS` — the wall-clock timers and who decoded which
     /// batch stay out.
-    pub fn trace_fields(&self) -> [(&'static str, u64); 33] {
+    pub fn trace_fields(&self) -> [(&'static str, u64); 34] {
         let (io, m) = (&self.io, &self.mutations);
         [
             ("superstep", self.superstep as u64),
@@ -157,6 +159,7 @@ impl SuperstepStats {
             ("bytes_written", io.bytes_written),
             ("log_bytes_appended", self.log_bytes_appended),
             ("log_pages_flushed", self.log_pages_flushed),
+            ("log_pages_carried", self.log_pages_carried),
             ("log_evictions", self.log_evictions),
             ("edge_log_vertices", self.edge_log_vertices),
             ("edge_log_pages", self.edge_log_pages),

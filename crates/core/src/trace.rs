@@ -69,6 +69,7 @@ impl Tracer {
         let (ct, cb) = (cs.tenant(ssd.tenant()), self.cache_base.tenant(ssd.tenant()));
         st.log_bytes_appended = ml.bytes_appended - self.ml_base.bytes_appended;
         st.log_pages_flushed = ml.pages_flushed - self.ml_base.pages_flushed;
+        st.log_pages_carried = ml.pages_carried - self.ml_base.pages_carried;
         st.log_evictions = ml.evictions - self.ml_base.evictions;
         st.edge_log_vertices = el.vertices_logged - self.el_base.vertices_logged;
         st.edge_log_pages = el.pages_written - self.el_base.pages_written;

@@ -1,4 +1,4 @@
-use crate::checked::{idx, to_u32, to_u64};
+use crate::checked::{idx, mem_idx, to_u32, to_u64};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -77,7 +77,10 @@ struct RecordLoc {
 ///
 /// Two files alternate between write and read roles across supersteps, so
 /// the log written during superstep `t` is consumed during `t + 1` while
-/// `t + 1` writes the other file.
+/// `t + 1` writes the other file. The pages still staged when `t` ends are
+/// not written: they stay in host memory as the read side's last pages
+/// (*carried*), count against the buffer while `t + 1` stages, and are
+/// served from there with no device request.
 pub struct EdgeLogOptimizer {
     ssd: Arc<Ssd>,
     /// Host-memory cap for edge-log page buffers — the paper's "B%" of
@@ -94,8 +97,11 @@ pub struct EdgeLogOptimizer {
     sealed_pages: u64,
     flushed_pages: u64,
 
-    // Read side (filled during the previous superstep).
+    // Read side (filled during the previous superstep): pages
+    // `0..read_flushed` on its file, the rest carried in host memory.
     read_index: HashMap<VertexId, RecordLoc>,
+    read_flushed: u64,
+    carried: Vec<Vec<u8>>,
 
     // Predictors: the previous superstep's active set, and the pages it
     // used inefficiently.
@@ -135,6 +141,8 @@ impl EdgeLogOptimizer {
             sealed_pages: 0,
             flushed_pages: 0,
             read_index: HashMap::new(),
+            read_flushed: 0,
+            carried: Vec::new(),
             previous: BitSet::new(num_vertices),
             predicted_inefficient: HashSet::new(),
             stats: EdgeLogStats::default(),
@@ -225,7 +233,7 @@ impl EdgeLogOptimizer {
         self.staged.push(buf);
         self.sealed_pages += 1;
         let page_size = self.ssd.page_size();
-        if self.staged.len() * page_size > self.buffer_bytes {
+        if (self.staged.len() + self.carried.len()) * page_size > self.buffer_bytes {
             self.flush_staged()?;
         }
         Ok(())
@@ -275,7 +283,8 @@ impl EdgeLogOptimizer {
 
     /// Fetch logged adjacencies for the given vertices (all must satisfy
     /// [`Self::contains`]) through `reads`, appending them to `adj` in `vs`
-    /// order. Pages are read once per batch; utilization of edge-log pages
+    /// order. Device pages are read once per batch, and a record on a
+    /// carried page costs no request at all; utilization of edge-log pages
     /// is high by construction — that is the optimization. A page whose
     /// bytes are not the record the index points at is
     /// [`DeviceError::Corrupt`].
@@ -294,8 +303,12 @@ impl EdgeLogOptimizer {
         // One request per distinct page, ascending, its useful bytes the
         // records fetched from it. Records are logged in vertex order, so
         // the sort has nothing to move when `vs` ascends.
-        let mut touched: Vec<(u64, usize)> =
-            locs.iter().map(|l| (l.page, (idx(l.len) + 2) * 4)).collect();
+        let flushed = self.read_flushed;
+        let mut touched: Vec<(u64, usize)> = locs
+            .iter()
+            .filter(|l| l.page < flushed)
+            .map(|l| (l.page, (idx(l.len) + 2) * 4))
+            .collect();
         touched.sort_by_key(|t| t.0);
         let mut reqs: Vec<(FileId, u64, usize)> = Vec::new();
         for (page, bytes) in touched {
@@ -304,25 +317,34 @@ impl EdgeLogOptimizer {
                 _ => reqs.push((file, page, bytes.min(page_size))),
             }
         }
-        #[cfg(test)]
-        self.issued.push(reqs.clone());
-        let data = reads.read(&reqs, None)?.1;
+        let data = if reqs.is_empty() {
+            Vec::new()
+        } else {
+            #[cfg(test)]
+            self.issued.push(reqs.clone());
+            reads.read(&reqs, None)?.1
+        };
         // Callers pass exactly four bytes.
         let le_u32 = |c: &[u8]| u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
         let mut k = 0usize;
         for (&v, loc) in vs.iter().zip(&locs) {
-            if reqs[k].1 != loc.page {
-                k = reqs.partition_point(|r| r.1 < loc.page);
-            }
+            let page: &[u8] = if loc.page < flushed {
+                if reqs[k].1 != loc.page {
+                    k = reqs.partition_point(|r| r.1 < loc.page);
+                }
+                &data[k][..]
+            } else {
+                &self.carried[mem_idx(loc.page - flushed)][..]
+            };
             let base = idx(loc.offset_entries) * 4;
-            let rec = data[k]
+            let rec = page
                 .get(base..base + (idx(loc.len) + 2) * 4)
                 .ok_or_else(|| DeviceError::Corrupt {
                     what: "edgelog",
                     detail: format!(
                         "page {} holds {} bytes, vertex {v}'s record ends at {}",
                         loc.page,
-                        data[k].len(),
+                        page.len(),
                         base + (idx(loc.len) + 2) * 4
                     ),
                 })?;
@@ -348,7 +370,9 @@ impl EdgeLogOptimizer {
     ///   versus the predictions made a superstep ago;
     /// * predict next superstep's inefficient pages from current usage;
     /// * keep the superstep's *actual* active set as the next one's history;
-    /// * flush the write side and swap read/write files.
+    /// * drop the read side, seal the write side's top page and swap
+    ///   read/write files: what is still staged becomes the new read side's
+    ///   carried pages, unwritten.
     pub fn end_superstep(&mut self, active: &BitSet, usage: &[PageUsage]) -> Result<(), DeviceError> {
         assert_eq!(active.len(), self.previous.len());
         // Actual inefficient pages this superstep.
@@ -367,9 +391,12 @@ impl EdgeLogOptimizer {
 
         self.previous.clone_from(active);
 
-        // Flush & swap.
+        // Carry & swap. The old read side is done with, so its carried
+        // pages no longer count against what the seal may stage.
+        self.carried.clear();
         self.seal_top()?;
-        self.flush_staged()?;
+        self.carried = std::mem::take(&mut self.staged);
+        self.read_flushed = self.flushed_pages;
         self.read_index = std::mem::take(&mut self.write_index);
         self.write_side = 1 - self.write_side;
         self.ssd.truncate(self.files[self.write_side])?;
@@ -419,10 +446,12 @@ mod tests {
     }
 
     /// The request list of a fetch is part of the simulated clock
-    /// (`pages_read`, `useful_bytes_read`); pinned literally.
+    /// (`pages_read`, `useful_bytes_read`); pinned literally. A buffer under
+    /// one page writes every page, so all of them are fetched.
     #[test]
     fn fetch_request_list_is_pinned() {
-        let (_ssd, mut opt) = setup();
+        let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
+        let mut opt = EdgeLogOptimizer::new(ssd, 128, 255, "t").unwrap();
         // 64 entries a page, a record is its edges + 2: vertices 1, 2, 3
         // fill 5 + 22 + 32 = 59 entries of page 0, vertices 4 and 5 open
         // page 1 with 12 + 3.
@@ -641,6 +670,34 @@ mod tests {
         let got = fetched(&mut opt, &[2]);
         assert_eq!(got[0].1.len(), 62);
         assert_eq!(got[0].1[0], 2000);
+    }
+
+    /// Pages still staged when a superstep ends stay in host memory: a
+    /// record on one is served with no request and no device read, and
+    /// the staging of the next superstep counts them against the buffer.
+    #[test]
+    fn a_record_on_a_carried_page_is_fetched_with_no_request() {
+        let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
+        // Room for two pages.
+        let mut opt = EdgeLogOptimizer::new(Arc::clone(&ssd), 128, 2 * 256, "c").unwrap();
+        // 64 entries a page: records of 22 entries, two a page.
+        let edges = |v: u32| (0..20).map(|k| v * 100 + k).collect::<Vec<_>>();
+        for v in 0..4u32 {
+            opt.log_edges(v, &edges(v)).unwrap();
+        }
+        opt.end_superstep(&active_set(&[0, 1, 2, 3]), &[]).unwrap();
+        assert_eq!(ssd.stats().snapshot().pages_written, 0, "both pages carried");
+        ssd.stats().reset();
+        assert_eq!(fetched(&mut opt, &[3, 0]), vec![(3, edges(3)), (0, edges(0))]);
+        assert!(opt.issued.is_empty(), "no request for a carried page");
+        assert_eq!(ssd.stats().snapshot().pages_read, 0);
+        assert_eq!(opt.stats().hits, 2);
+        // The two carried pages fill the buffer: the next page sealed while
+        // they are held is written at once.
+        for v in 4..8u32 {
+            opt.log_edges(v, &edges(v)).unwrap();
+        }
+        assert_eq!(opt.stats().pages_written, 1, "staging counts the carried pages");
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //!   on device pages in 10 to 16 bytes each;
 //! * [`MultiLog`] — the **Multi-Log Update Unit** (§V-A): one log per
 //!   vertex interval, page-sized top buffers in host memory, batched
-//!   page-granular eviction striped across all SSD channels, and per-
-//!   interval message counters used for interval fusing;
+//!   page-granular eviction striped across all SSD channels, the buffered
+//!   tail carried into the next superstep in host memory rather than
+//!   written, and per-interval message counters used for interval fusing;
 //! * [`plan_fusion`], [`BatchPlan`], [`group_by_dest`] — the **Sort & Group
 //!   Unit** (§V-B): fuse consecutive interval logs while they fit in the
 //!   sort budget, load them with full channel parallelism, sort **in
@@ -42,7 +43,9 @@
 //! assert_eq!(counts.iter().sum::<u64>(), 2);
 //!
 //! // Next superstep: fuse, then drain each fused range in three steps —
-//! // plan the page reads, decode the fetched pages (sorted in memory; a
+//! // plan the page reads (here none: both pages were carried in host
+//! // memory, and the plan holds them), decode the fetched pages and the
+//! // carried ones (sorted in memory; a
 //! // pure function of plan and bytes, so the engine runs it on a worker
 //! // while the owner keeps sending), consume the drained logs.
 //! let mut seen = 0;

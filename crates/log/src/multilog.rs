@@ -44,13 +44,19 @@ impl Default for MultiLogConfig {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MultiLogStats {
     pub updates_logged: u64,
+    /// Sealed pages that joined their log by a flush to the device.
     pub pages_flushed: u64,
+    /// Sealed pages that joined their log in host memory at a superstep's
+    /// end ([`MultiLog::finish_superstep`]). Each sealed page is counted
+    /// once, flushed or carried; a carried page a later eviction writes out
+    /// is in the device's `pages_written`, not here again.
+    pub pages_carried: u64,
     /// Memory-pressure eviction events (buffer exceeded its cap).
     pub evictions: u64,
     pub updates_read: u64,
     /// Encoded bytes appended across every interval log (page header +
-    /// records per flushed page — the observability layer's "log bytes
-    /// appended" source).
+    /// records per sealed page that joined a log, flushed or carried — the
+    /// observability layer's "log bytes appended" source).
     pub bytes_appended: u64,
 }
 
@@ -67,7 +73,10 @@ pub struct MultiLogStats {
 /// order is preserved. Full pages are sealed; under memory pressure sealed
 /// pages (and, if needed, top pages) are flushed to the interval's log
 /// file in one scattered batch so the writes pipeline across all SSD
-/// channels.
+/// channels. What is still buffered when the superstep ends is not written:
+/// it becomes the next superstep's read side in host memory (*carried*
+/// pages, DESIGN.md §10), within the same buffer budget, and reaches the
+/// device only if that budget needs the room back.
 ///
 /// The unit also maintains:
 /// * per-interval message counters — "a first-order approximation of the
@@ -119,7 +128,8 @@ pub struct MultiLog {
     /// `evict_every`. Pressure is measured in appended records — a global
     /// count, so eviction points (and with them the `evictions` stat) are
     /// identical however the scatter interleaves intervals or buckets
-    /// (per-slot fill state is not).
+    /// (per-slot fill state is not). A superstep starts it at its carried
+    /// pages' worth of records, so those count against the budget too.
     pressure_records: usize,
     /// Pressure-flush period: the buffer budget headroom above the
     /// per-interval floor, in records — so the bytes appended between two
@@ -127,6 +137,13 @@ pub struct MultiLog {
     evict_every: usize,
     /// Finished pages awaiting the next flush, in seal order.
     sealed: Vec<(IntervalId, Vec<u8>)>,
+    /// Read-side pages kept in host memory across the last superstep
+    /// boundary, per interval, in log order after the interval's read-side
+    /// file: each exactly the zero-padded [`Page`] a device read of it
+    /// would return. [`Self::plan_reads`] moves an interval's into its
+    /// plan; an eviction writes those of every interval not yet planned to
+    /// their read-side files.
+    carried: Vec<Vec<Page>>,
     counts: Vec<u64>,
     dest_seen: BitSet,
     cap_pages: usize,
@@ -168,8 +185,9 @@ impl Retention {
     }
 }
 
-/// The page reads that drain a fused interval range and what their decode
-/// needs — the read half of the sort & group unit. [`MultiLog::plan_reads`]
+/// The page reads that drain a fused interval range, the pages the range
+/// carried in host memory, and what their decode needs — the read half of
+/// the sort & group unit. [`MultiLog::plan_reads`]
 /// builds it on the owning engine thread (so the submission order is
 /// deterministic); the pages are fetched through an [`mlvc_ssd::IoQueue`]
 /// or a plain `read_batch`, decoded by [`Self::decode`] on whichever thread
@@ -180,8 +198,10 @@ pub struct BatchPlan {
     pub range: std::ops::Range<IntervalId>,
     /// `(file, page, useful=0)` requests, interval-major then page order.
     pub reqs: Vec<(FileId, u64, usize)>,
-    /// Page count and vertex span per interval of `range`, aligned with it.
-    intervals: Vec<(usize, std::ops::Range<VertexId>)>,
+    /// Per interval of `range`, aligned with it: its requested page count,
+    /// the pages it carried in host memory (log order after the requested
+    /// ones), and its vertex span.
+    intervals: Vec<(usize, Vec<Page>, std::ops::Range<VertexId>)>,
     /// The consuming program's reduction ([`MultiLogConfig::combine`]).
     combine: Option<fn(u64, u64) -> u64>,
 }
@@ -208,11 +228,28 @@ impl BatchPlan {
         }
     }
 
+    /// Each interval's vertex span and its pages in log order — those
+    /// fetched for it (from `pages`, in plan order), then those it carried
+    /// in host memory — each paired with whether the device read it.
+    fn logs<'p>(
+        &'p self,
+        pages: &'p [Page],
+    ) -> impl Iterator<Item = (std::ops::Range<VertexId>, impl Iterator<Item = (&'p Page, bool)>)> + 'p
+    {
+        let mut cursor = 0usize;
+        self.intervals.iter().map(move |(n, carried, span)| {
+            let fetched = &pages[cursor..cursor + n];
+            cursor += n;
+            let log = fetched.iter().map(|p| (p, true)).chain(carried.iter().map(|p| (p, false)));
+            (span.clone(), log)
+        })
+    }
+
     /// Sort-reduce at decode (BigSparse): one pass over each interval's
     /// pages folding every record into its destination's accumulator, then
     /// one ascending sweep emitting an update per destination that received
     /// anything — the sorted, un-reduced inbox never exists. Pages are
-    /// walked in plan order and records in page order, which is the
+    /// walked in log order and records in page order, which is the
     /// per-destination order [`Self::decode_sorted`] produces, so each
     /// accumulator is the left fold `reduce(f)` over that destination's
     /// group would give, to the bit, for any `f`. Folded updates carry
@@ -223,8 +260,7 @@ impl BatchPlan {
         let mut out = Vec::new();
         let mut acc: Vec<u64> = Vec::new();
         let (mut records, mut useful_bytes) = (0usize, 0u64);
-        let mut cursor = 0usize;
-        for (n, span) in self.intervals.iter().cloned() {
+        for (span, log) in self.logs(pages) {
             let lo = span.start;
             // The decoder bounds every destination against `span`, so the
             // `dest - lo` indexing below cannot leave the scratch.
@@ -232,7 +268,7 @@ impl BatchPlan {
             acc.clear();
             acc.resize(width, 0);
             let mut present = BitSet::new(width);
-            for raw in &pages[cursor..cursor + n] {
+            for (raw, fetched) in log {
                 let p = LogPage::parse(raw)?;
                 p.for_each(&span, |u| {
                     let slot = idx(u.dest - lo);
@@ -244,14 +280,15 @@ impl BatchPlan {
                     };
                 })?;
                 records += p.len();
-                useful_bytes += to_u64(p.encoded_bytes());
+                if fetched {
+                    useful_bytes += to_u64(p.encoded_bytes());
+                }
             }
             out.reserve(present.count());
             out.extend(present.iter_ones().map(|slot| {
                 let dest = lo + to_u32("vertex offset", slot).unwrap_or(VertexId::MAX);
                 Update::new(dest, VertexId::MAX, acc[slot])
             }));
-            cursor += n;
         }
         Ok(FusedBatch {
             range: self.range.clone(),
@@ -271,20 +308,28 @@ impl BatchPlan {
     /// batch sorted by destination, per-destination log order preserved.
     /// `load_ns` / `sort_ns` of the result split the wall time between the
     /// decode/place work and the histogram/prefix work for stage reporting.
+    /// Only the bytes of fetched pages are `useful_bytes`: a carried page
+    /// was never read.
     pub fn decode_sorted(&self, pages: &[Page]) -> Result<FusedBatch, DeviceError> {
         assert_eq!(pages.len(), self.reqs.len(), "fetched pages must match the plan");
         let t_load = Instant::now();
-        let parsed: Vec<LogPage<'_>> =
-            pages.iter().map(|p| LogPage::parse(p)).collect::<Result<_, _>>()?;
-        let total: usize = parsed.iter().map(LogPage::len).sum();
+        let mut parsed: Vec<(LogPage<'_>, bool)> = Vec::with_capacity(pages.len());
+        let mut logs = Vec::with_capacity(self.intervals.len());
+        for (span, log) in self.logs(pages) {
+            let first = parsed.len();
+            for (raw, fetched) in log {
+                parsed.push((LogPage::parse(raw)?, fetched));
+            }
+            logs.push((first..parsed.len(), span));
+        }
+        let total: usize = parsed.iter().map(|(p, _)| p.len()).sum();
         let mut out = vec![Update::new(0, 0, 0); total];
         let mut counts: Vec<usize> = Vec::new();
         let mut useful_bytes = 0u64;
         let mut sort_ns = 0u64;
-        let mut cursor = 0usize;
         let mut base = 0usize;
-        for (n, span) in self.intervals.iter().cloned() {
-            let ival_pages = &parsed[cursor..cursor + n];
+        for (at, span) in logs {
+            let ival_pages = &parsed[at];
             let lo = span.start;
             // Histogram + prefix: the "sort" half of the fused pass. The
             // decoder bounds every destination against `span`, so the
@@ -293,10 +338,12 @@ impl BatchPlan {
             counts.clear();
             counts.resize(idx(span.end - lo) + 1, 0);
             let mut recs = 0usize;
-            for p in ival_pages {
+            for (p, fetched) in ival_pages {
                 p.for_each(&span, |u| counts[idx(u.dest - lo) + 1] += 1)?;
                 recs += p.len();
-                useful_bytes += to_u64(p.encoded_bytes());
+                if *fetched {
+                    useful_bytes += to_u64(p.encoded_bytes());
+                }
             }
             for w in 1..counts.len() {
                 counts[w] += counts[w - 1];
@@ -304,7 +351,7 @@ impl BatchPlan {
             sort_ns += elapsed_ns(t_sort);
             // Decode + place: each record lands at its final sorted slot.
             let slice = &mut out[base..base + recs];
-            for p in ival_pages {
+            for (p, _) in ival_pages {
                 p.for_each(&span, |u| {
                     let slot = &mut counts[idx(u.dest - lo)];
                     slice[*slot] = u;
@@ -312,7 +359,6 @@ impl BatchPlan {
                 })?;
             }
             base += recs;
-            cursor += n;
         }
         let load_ns = elapsed_ns(t_load).saturating_sub(sort_ns);
         Ok(FusedBatch {
@@ -402,6 +448,7 @@ impl MultiLog {
             pressure_records: 0,
             evict_every: cap_pages.saturating_sub(n).max(1) * page_cap,
             sealed: Vec::new(),
+            carried: vec![Vec::new(); n],
             counts: vec![0; n],
             dest_seen: BitSet::new(num_vertices),
             cap_pages,
@@ -433,12 +480,14 @@ impl MultiLog {
     }
 
     /// Enumerate the page reads that draining every interval in `range` of
-    /// the read side — this superstep's inbox — will need. The request
-    /// order is deterministic (interval-major, page order), independent of
-    /// which thread later decodes the pages. The sides flip at
+    /// the read side — this superstep's inbox — will need, and move the
+    /// pages those intervals carried in host memory into the plan, so no
+    /// eviction can write them out any more. The request order is
+    /// deterministic (interval-major, page order), independent of which
+    /// thread later decodes the pages. The sides flip at
     /// [`Self::finish_superstep`], so a plan is only good for the
     /// superstep it was made in.
-    pub fn plan_reads(&self, range: std::ops::Range<IntervalId>) -> Result<BatchPlan, DeviceError> {
+    pub fn plan_reads(&mut self, range: std::ops::Range<IntervalId>) -> Result<BatchPlan, DeviceError> {
         let side = 1 - self.write_side;
         let mut reqs = Vec::new();
         let mut intervals = Vec::with_capacity(range.len());
@@ -447,21 +496,22 @@ impl MultiLog {
             let n = self.ssd.num_pages(f)?;
             reqs.extend((0..n).map(|p| (f, p, 0usize)));
             let n = to_usize("log page count", n).map_err(|e| DeviceError::Io(e.to_string()))?;
-            intervals.push((n, self.intervals.range(i)));
+            let carried = std::mem::take(&mut self.carried[idx(i)]);
+            intervals.push((n, carried, self.intervals.range(i)));
         }
         Ok(BatchPlan { range, reqs, intervals, combine: self.combine })
     }
 
     /// Consume the read-side logs `batch` was decoded from: the truncate of
     /// every drained file (and with it cache invalidation, pin drops and
-    /// FTL trims), the useful-byte declaration and the `updates_read`
-    /// count. Everything here moves device, cache or unit state, so it runs
+    /// FTL trims), the useful-byte declaration — of the bytes read from the
+    /// device only — and the `updates_read` count. Everything here moves device, cache or unit state, so it runs
     /// where the unit lives — on the engine's owner thread, in plan order,
     /// where the batch's ticket is retired — which keeps every counter
     /// identical at any worker-thread count (DESIGN.md §12).
     pub fn consume(&mut self, plan: &BatchPlan, batch: &FusedBatch) -> Result<(), DeviceError> {
         let side = 1 - self.write_side;
-        for (i, (n, _)) in plan.range.clone().zip(&plan.intervals) {
+        for (i, (n, _, _)) in plan.range.clone().zip(&plan.intervals) {
             if *n > 0 {
                 self.ssd.truncate(self.files[idx(i)][side])?;
             }
@@ -570,23 +620,32 @@ impl MultiLog {
         self.dest_seen.get(idx(v))
     }
 
-    /// Pages currently buffered in host memory: sealed full pages plus each
-    /// interval's top records rounded up to page units. Sealed pages hold
-    /// exactly one page of records, so the sum per interval telescopes to
-    /// `ceil(buffered records / page capacity)` — the same value whatever
-    /// bucket layout the records sit in.
+    /// Pages currently buffered in host memory: carried pages not yet
+    /// planned, sealed full pages, and each interval's top records rounded
+    /// up to page units. Sealed pages hold exactly one page of records, so
+    /// the sum per interval telescopes to `ceil(buffered records / page
+    /// capacity)` — the same value whatever bucket layout the records sit
+    /// in.
     pub fn buffered_pages(&self) -> usize {
-        self.sealed.len()
+        self.carried_pages()
+            + self.sealed.len()
             + self.top_records.iter().map(|r| r.div_ceil(self.page_cap)).sum::<usize>()
     }
 
-    /// Encoded bytes currently buffered in host memory (sealed pages plus
-    /// every top buffer) — what `MultiLogConfig::buffer_bytes` caps: after
-    /// any append it is at most the cap (with its floors) plus one
-    /// eviction period's worth of records.
+    /// Carried pages not yet planned.
+    fn carried_pages(&self) -> usize {
+        self.carried.iter().map(Vec::len).sum()
+    }
+
+    /// Bytes currently buffered in host memory (carried pages at their
+    /// padded page size, sealed pages, every top buffer) — what
+    /// `MultiLogConfig::buffer_bytes` caps: after any append it is at most
+    /// the cap (with its floors) plus one eviction period's worth of
+    /// records.
     #[cfg(test)]
     pub fn buffered_bytes(&self) -> usize {
-        self.sealed.iter().map(|(_, p)| p.len()).sum::<usize>()
+        self.carried.iter().flatten().map(|p| p.len()).sum::<usize>()
+            + self.sealed.iter().map(|(_, p)| p.len()).sum::<usize>()
             + self.tops.iter().map(Vec::len).sum::<usize>()
     }
 
@@ -646,37 +705,56 @@ impl MultiLog {
         Ok(())
     }
 
-    /// Hand every sealed page to `writes` in one scattered batch, and
-    /// retain what the armed budget covers. The pages were encoded when
-    /// their records were appended; nothing is touched per record here.
+    /// Hand every sealed page, and the carried pages of every interval not
+    /// yet planned, to `writes` in one scattered batch, and retain what the
+    /// armed budget covers. Sealed pages go to their write-side files;
+    /// carried pages to their read-side files, after the pages the last
+    /// superstep evicted there, so each log keeps its order. The pages were
+    /// encoded when their records were appended; nothing is touched per
+    /// record here.
     fn flush_sealed(&mut self, writes: &Writes) -> Result<(), DeviceError> {
-        if self.sealed.is_empty() {
+        let carried = self.carried_pages();
+        if self.sealed.is_empty() && carried == 0 {
             return Ok(());
         }
-        let side = self.write_side;
-        let pages: Vec<(FileId, &[u8])> = self
-            .sealed
-            .iter()
-            .map(|(i, page)| (self.files[idx(*i)][side], page.as_slice()))
-            .collect();
+        let (write, read) = (self.write_side, 1 - self.write_side);
+        let mut pages: Vec<(FileId, &[u8])> = Vec::with_capacity(self.sealed.len() + carried);
+        pages.extend(self.sealed.iter().map(|(i, page)| (self.files[idx(*i)][write], &page[..])));
+        let new_bytes = pages.iter().map(|&(_, page)| to_u64(page.len())).sum::<u64>();
+        for (f, log) in self.files.iter().zip(&self.carried) {
+            pages.extend(log.iter().map(|page| (f[read], &page[..])));
+        }
         let placed = writes.append(&pages)?;
         let appended = pages.iter().zip(placed).map(|(&(file, data), page)| (file, page, data));
         self.retention.pin(&self.ssd, appended);
-        self.stats.pages_flushed += to_u64(pages.len());
-        self.stats.bytes_appended +=
-            pages.iter().map(|&(_, page)| to_u64(page.len())).sum::<u64>();
+        self.stats.pages_flushed += to_u64(self.sealed.len());
+        self.stats.bytes_appended += new_bytes;
         self.sealed.clear();
+        self.carried.iter_mut().for_each(Vec::clear);
         Ok(())
     }
 
-    /// End-of-superstep flush: every buffered page goes to its log file.
-    /// Returns the per-interval pending message counts (the fusing input
-    /// for the next superstep) and resets counters and the seen bit vector.
+    /// End of superstep: seal every top page and carry what is buffered
+    /// into the next superstep as its read side, in host memory — nothing
+    /// is written here. Each carried page is zero-padded to the page size,
+    /// exactly what a device read of it would return, and counts against
+    /// the next superstep's buffer budget as a full page: the pressure
+    /// counter starts at the carried pages' worth of records (at most one
+    /// eviction period), and an eviction writes them out. Returns the
+    /// per-interval pending message counts (the fusing input for the next
+    /// superstep) and resets counters and the seen bit vector.
     pub fn finish_superstep(&mut self) -> Result<Vec<u64>, DeviceError> {
         self.seal_all_tops()?;
-        let ssd = Arc::clone(&self.ssd);
-        self.flush_sealed(&Writes::Device(&ssd))?;
-        self.pressure_records = 0;
+        let page_size = self.ssd.page_size();
+        self.carried.iter_mut().for_each(Vec::clear);
+        for (i, mut page) in self.sealed.drain(..) {
+            self.stats.bytes_appended += to_u64(page.len());
+            page.resize(page_size, 0);
+            self.carried[idx(i)].push(Page::from(&page[..]));
+        }
+        let carried = self.carried_pages();
+        self.stats.pages_carried += to_u64(carried);
+        self.pressure_records = (carried * self.page_cap).min(self.evict_every);
         self.dest_seen.clear();
         // Flip roles: what was written becomes readable next superstep.
         self.write_side = 1 - self.write_side;
@@ -684,28 +762,34 @@ impl MultiLog {
     }
 
     /// Raw read-side log pages per interval, *without* consuming them —
-    /// the checkpoint path. Pages are returned exactly as stored
-    /// (log-encoded), so restoring them preserves page boundaries and,
-    /// with them, record order and post-resume I/O shape. The whole page
-    /// is checkpoint payload, so each page counts as fully useful.
+    /// the checkpoint path: each interval's pages on the device, then the
+    /// pages it carried in host memory, in log order. Pages are returned
+    /// exactly as a device read returns them (log-encoded, zero-padded),
+    /// so restoring them preserves page boundaries and, with them, record
+    /// order. The whole of a device page is checkpoint payload, so each
+    /// counts as fully useful; a carried page is not read at all.
     pub fn snapshot_pending(&self) -> Result<Vec<Vec<Page>>, DeviceError> {
         let side = 1 - self.write_side;
         let page_size = self.ssd.page_size();
         let mut out = Vec::with_capacity(self.files.len());
-        for f in &self.files {
-            out.push(self.ssd.read_all(f[side], |_| page_size)?);
+        for (f, carried) in self.files.iter().zip(&self.carried) {
+            let mut pages = self.ssd.read_all(f[side], |_| page_size)?;
+            pages.extend(carried.iter().cloned());
+            out.push(pages);
         }
         Ok(out)
     }
 
-    /// Inverse of [`Self::snapshot_pending`]: place checkpointed log pages
-    /// back on the read side and return the per-interval pending record
-    /// counts (what [`Self::finish_superstep`] returned when the snapshot
-    /// was taken), retaining what the armed budget covers. Every page goes
-    /// through the decoder first, so a snapshot whose pages are not this
-    /// format's (or carry destinations outside their interval), or that
-    /// holds logs for a different number of intervals, is refused before
-    /// anything is written.
+    /// Inverse of [`Self::snapshot_pending`]: write checkpointed log pages
+    /// back to the read side *on the device* — every page, carried ones
+    /// included: the snapshot does not say which were — and return the
+    /// per-interval pending record counts (what [`Self::finish_superstep`]
+    /// returned when the snapshot was taken), retaining what the armed
+    /// budget covers. The read side's carried pages are dropped. Every page
+    /// goes through the decoder first, so a snapshot whose pages are not
+    /// this format's (or carry destinations outside their interval), or
+    /// that holds logs for a different number of intervals, is refused
+    /// before anything is written.
     pub fn restore_pending(&mut self, snapshot: &[Vec<Page>]) -> Result<Vec<u64>, DeviceError> {
         if snapshot.len() != self.files.len() {
             return Err(DeviceError::Corrupt {
@@ -728,6 +812,7 @@ impl MultiLog {
             }
             *count = to_u64(decoded.len());
         }
+        self.carried.iter_mut().for_each(Vec::clear);
         for (pages, f) in snapshot.iter().zip(&self.files) {
             self.ssd.truncate(f[side])?;
             if !pages.is_empty() {
@@ -913,9 +998,10 @@ pub(crate) mod tests {
             ml.send(u).unwrap();
         }
         ml.finish_superstep().unwrap();
-        // Enough for interval 0 to flush mid-superstep, plus one message the
+        // Enough for interval 0 to flush mid-superstep (the floors put the
+        // eviction period at 64 pages of 17 records), plus one message the
         // asynchronous drain takes back before the superstep ends.
-        let second: Vec<Update> = (0..400).map(|k| Update::new(k % 25, k, u64::from(k))).collect();
+        let second: Vec<Update> = (0..1200).map(|k| Update::new(k % 25, k, u64::from(k))).collect();
         for &u in &second {
             ml.send(u).unwrap();
         }
@@ -927,7 +1013,7 @@ pub(crate) mod tests {
         ml.finish_superstep().unwrap();
         assert_eq!(drain_range(&mut ml, 0..4).unwrap().updates, sorted(second));
         assert!(drain_range(&mut ml, 0..4).unwrap().updates.is_empty(), "drained once");
-        assert_eq!(ml.stats().updates_read, 3 + 1 + 400);
+        assert_eq!(ml.stats().updates_read, 3 + 1 + 1200);
     }
 
     /// Decoding is a pure function of the page bytes, folding or not: until
@@ -937,8 +1023,9 @@ pub(crate) mod tests {
     fn decode_sorted_alone_moves_no_device_state() {
         for fold in [false, true] {
             let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
-            let mut ml = setup_on(Arc::clone(&ssd), 1 << 20, true);
-            for k in 0..200u32 {
+            // Past one eviction period, so most of the log is on the device.
+            let mut ml = setup_on(Arc::clone(&ssd), 4 * 256, true);
+            for k in 0..1200u32 {
                 ml.send(Update::new(k % 100, k, u64::from(k))).unwrap();
             }
             ml.finish_superstep().unwrap();
@@ -950,16 +1037,16 @@ pub(crate) mod tests {
             } else {
                 plan.decode_sorted(&pages).unwrap()
             };
-            // Two records per destination: k and k + 100.
-            assert_eq!(batch.records, 200);
-            assert_eq!(batch.updates.len(), if fold { 100 } else { 200 });
+            // Twelve records per destination: k, k + 100, ..., k + 1100.
+            assert_eq!(batch.records, 1200);
+            assert_eq!(batch.updates.len(), if fold { 100 } else { 1200 });
             assert_eq!(ssd.stats().snapshot(), before, "decode charged the device");
             assert_eq!(ml.stats().updates_read, 0);
             let file = ssd.lookup("t.mlog.0.a").unwrap();
             assert!(ssd.num_pages(file).unwrap() > 0, "decode truncated the log");
             ml.consume(&plan, &batch).unwrap();
             assert_eq!(ssd.num_pages(file).unwrap(), 0);
-            assert_eq!(ml.stats().updates_read, 200, "fold={fold}: records, not updates");
+            assert_eq!(ml.stats().updates_read, 1200, "fold={fold}: records, not updates");
             assert_eq!(
                 ssd.stats().snapshot().useful_bytes_read - before.useful_bytes_read,
                 batch.useful_bytes
@@ -1000,29 +1087,37 @@ pub(crate) mod tests {
         let cache = Arc::new(mlvc_ssd::PageCache::new(4));
         ssd.attach_cache(Arc::clone(&cache));
         let page = to_u64(ssd.page_size());
-        let mut ml = setup_on(Arc::clone(&ssd), 1 << 20, true);
-        let send = |ml: &mut MultiLog| {
-            for k in 0..60u32 {
+        // 1200 records overflow the floor's eviction period (64 pages of 17
+        // records) once: the flush is what retention sees, the tail is
+        // carried.
+        let mut ml = setup_on(Arc::clone(&ssd), 4 * 256, true);
+        let send = |ml: &mut MultiLog, records: u32| {
+            for k in 0..records {
                 ml.send(Update::new(k % 25, k, u64::from(k))).unwrap();
             }
             ml.finish_superstep().unwrap();
         };
 
         ml.arm_retention(2 * page);
-        send(&mut ml);
+        send(&mut ml, 1200);
         let flushed = ml.stats().pages_flushed;
         assert!(flushed >= 3, "{flushed} pages flushed");
         assert_eq!(ml.retained_bytes(), 2 * page);
         assert_eq!(cache.pinned_pages(), 2);
 
         ssd.stats().reset();
-        assert_eq!(drain_range(&mut ml, 0..4).unwrap().records, 60);
+        assert_eq!(drain_range(&mut ml, 0..4).unwrap().records, 1200);
         assert_eq!(ssd.stats().snapshot().pages_read, flushed - 2, "two pages hit DRAM");
         assert_eq!(cache.pinned_pages(), 0, "consume drops the retained pins");
 
-        // The budget is spent: the next superstep's tail stays on flash.
-        send(&mut ml);
+        // The budget is spent: the next superstep's flush stays on flash.
+        send(&mut ml, 1200);
+        assert!(ml.stats().pages_flushed > flushed);
         assert_eq!(cache.pinned_pages(), 0);
+        drain_range(&mut ml, 0..4).unwrap();
+        // A tail small enough to be carried whole: the snapshot holds it,
+        // and the restore writes and pins it.
+        send(&mut ml, 60);
         let snapshot = ml.snapshot_pending().unwrap();
         let restored = to_u64(snapshot.iter().map(Vec::len).sum::<usize>());
         ml.arm_retention(8 * page);
@@ -1032,6 +1127,122 @@ pub(crate) mod tests {
 
         let _fresh = setup_on(Arc::clone(&ssd), 1 << 20, true);
         assert_eq!(cache.pinned_pages(), 0, "a new unit under the tag starts unpinned");
+    }
+
+    /// Records that fit the buffer cross the boundary in host memory: the
+    /// drain costs the device nothing — no page written or read, no byte
+    /// declared useful — and still returns every record, per destination
+    /// in send order.
+    #[test]
+    fn records_that_fit_the_buffer_drain_with_no_device_io() {
+        for fold in [false, true] {
+            let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
+            let mut ml = setup_on(Arc::clone(&ssd), 1 << 20, true);
+            let sent: Vec<Update> =
+                (0..300u32).map(|k| Update::new((k * 7) % 100, k, u64::from(k))).collect();
+            for &u in &sent {
+                ml.send(u).unwrap();
+            }
+            assert_eq!(ml.finish_superstep().unwrap().iter().sum::<u64>(), 300);
+            assert_eq!(ml.stats().pages_flushed, 0);
+            assert!(ml.stats().pages_carried > 0);
+            let plan = ml.plan_reads(0..4).unwrap();
+            assert!(plan.reqs.is_empty(), "nothing to read");
+            let batch = if fold {
+                plan.decode_folded(&[], u64::wrapping_add).unwrap()
+            } else {
+                plan.decode_sorted(&[]).unwrap()
+            };
+            ml.consume(&plan, &batch).unwrap();
+            assert_eq!(batch.records, 300);
+            assert_eq!(batch.useful_bytes, 0);
+            if !fold {
+                assert_eq!(batch.updates, sorted(sent));
+            }
+            let s = ssd.stats().snapshot();
+            assert_eq!((s.pages_written, s.pages_read, s.useful_bytes_read), (0, 0, 0));
+        }
+    }
+
+    /// The read-side file of interval `i`.
+    fn read_file(ml: &MultiLog, i: usize) -> FileId {
+        ml.files[i][1 - ml.write_side]
+    }
+
+    /// Under the next superstep's pressure, the carried pages of every
+    /// interval not yet planned are written in the eviction's one dispatch
+    /// beside the write side's sealed pages, after the pages their interval
+    /// evicted the superstep before; a planned interval's are not. The
+    /// drain is the same as without the pressure.
+    #[test]
+    fn pressure_writes_unplanned_carried_pages_in_the_evictions_dispatch() {
+        let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
+        let mut ml = setup_on(Arc::clone(&ssd), 4 * 256, true);
+        // Past one eviction period (64 pages of 17) into interval 0, then a
+        // tail into the other three.
+        let mut sent: Vec<Update> =
+            (0..1200u32).map(|k| Update::new(k % 25, k, u64::from(k))).collect();
+        sent.extend((0..90u32).map(|k| Update::new(25 + k % 75, k, u64::from(k))));
+        for &u in &sent {
+            ml.send(u).unwrap();
+        }
+        ml.finish_superstep().unwrap();
+        let evicted = ssd.num_pages(read_file(&ml, 0)).unwrap();
+        assert!(evicted > 0, "interval 0 evicted before the boundary");
+        let carried: Vec<Vec<Page>> = ml.carried.clone();
+        assert!(carried.iter().all(|c| !c.is_empty()), "{:?}", carried.iter().map(Vec::len));
+        let planned = ml.plan_reads(3..4).unwrap();
+
+        // Superstep two: the carried pages start the pressure counter, so
+        // its eviction comes that much sooner.
+        let head = carried.iter().map(Vec::len).sum::<usize>() * 17;
+        for k in 0..(64 * 17 - head - 1) as u32 {
+            ml.send(Update::new(k % 25, k, 0)).unwrap();
+        }
+        assert_eq!(ml.stats().evictions, 1);
+        let flushed = ml.stats().pages_flushed;
+        ssd.stats().reset();
+        ml.send(Update::new(0, 0, 0)).unwrap();
+        assert_eq!(ml.stats().evictions, 2, "the period's last record evicts");
+        let s = ssd.stats().snapshot();
+        let unplanned = to_u64(carried[..3].iter().map(Vec::len).sum::<usize>());
+        assert_eq!(s.write_batches, 1, "one dispatch");
+        assert_eq!(s.pages_written, ml.stats().pages_flushed - flushed + unplanned);
+        for (i, pages) in carried[..3].iter().enumerate() {
+            let on_device = ssd.read_all(read_file(&ml, i), |_| 0).unwrap();
+            let before = if i == 0 { evicted } else { 0 };
+            assert_eq!(to_u64(on_device.len()), before + to_u64(pages.len()), "interval {i}");
+            assert_eq!(&on_device[to_usize("pages", before).unwrap()..], &pages[..], "interval {i}");
+        }
+        assert_eq!(ssd.num_pages(read_file(&ml, 3)).unwrap(), 0, "a planned interval's stay");
+
+        let last = planned.decode(&[]).unwrap();
+        ml.consume(&planned, &last).unwrap();
+        let mut drained = drain_range(&mut ml, 0..3).unwrap().updates;
+        drained.extend(last.updates);
+        assert_eq!(drained, sorted(sent));
+    }
+
+    /// Once planned, an interval's carried pages belong to the plan: no
+    /// eviction writes them, however many the superstep makes.
+    #[test]
+    fn a_planned_intervals_carried_pages_are_never_written() {
+        let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
+        let mut ml = setup_on(Arc::clone(&ssd), 4 * 256, true);
+        let sent: Vec<Update> = (0..500u32).map(|k| Update::new(k % 100, k, 1)).collect();
+        for &u in &sent {
+            ml.send(u).unwrap();
+        }
+        ml.finish_superstep().unwrap();
+        let plan = ml.plan_reads(0..4).unwrap();
+        for k in 0..5000u32 {
+            ml.send(Update::new(k % 100, k, 2)).unwrap();
+        }
+        assert!(ml.stats().evictions > 3);
+        for i in 0..4 {
+            assert_eq!(ssd.num_pages(read_file(&ml, i)).unwrap(), 0, "interval {i}");
+        }
+        assert_eq!(plan.decode(&[]).unwrap().updates, sorted(sent));
     }
 
     #[test]
@@ -1060,20 +1271,25 @@ pub(crate) mod tests {
         let mut ml = MultiLog::new(
             Arc::clone(&ssd),
             iv,
-            MultiLogConfig { buffer_bytes: 1 << 20, ..MultiLogConfig::default() },
+            MultiLogConfig { buffer_bytes: 0, ..MultiLogConfig::default() },
             "t",
         )
         .unwrap();
-        for k in 0..100u32 {
-            ml.send(Update::new(k, 0, 0)).unwrap();
+        // The floors put the eviction period at 64 pages of 17 records:
+        // the last record of the period sets off the flush.
+        for k in 0..64 * 17 - 1 {
+            ml.send(Update::new(k % 100, 0, 0)).unwrap();
         }
         ssd.stats().reset();
-        ml.finish_superstep().unwrap();
+        ml.send(Update::new(99, 0, 0)).unwrap();
+        assert_eq!(ml.stats().evictions, 1);
         let s = ssd.stats().snapshot();
         assert!(s.pages_written >= 4, "one page per touched interval");
         assert_eq!(s.write_batches, 1, "single scattered dispatch");
     }
 
+    /// Every sealed page that joins a log counts, flushed or — as here,
+    /// where everything fits the buffer — carried.
     #[test]
     fn bytes_appended_counts_each_flushed_page() {
         // 100 vertices over 4 intervals of 25 — interval i is [25i, 25i+25).
@@ -1098,8 +1314,9 @@ pub(crate) mod tests {
     fn dropped_src_drains_as_the_sentinel_and_packs_more_per_page() {
         let ssds: Vec<Arc<Ssd>> =
             (0..2).map(|_| Arc::new(Ssd::new(SsdConfig::test_small()))).collect();
-        let mut with = setup_on(Arc::clone(&ssds[0]), 1 << 20, true);
-        let mut without = setup_on(Arc::clone(&ssds[1]), 1 << 20, false);
+        // Past one eviction period (64 pages) in either shape.
+        let mut with = setup_on(Arc::clone(&ssds[0]), 4 * 256, true);
+        let mut without = setup_on(Arc::clone(&ssds[1]), 4 * 256, false);
         let sent: Vec<Update> =
             (0..2000u32).map(|k| Update::new((k * 13) % 100, k, u64::from(k))).collect();
         for &u in &sent {
@@ -1115,15 +1332,19 @@ pub(crate) mod tests {
                 .collect();
             assert_eq!(drain(&mut without, i).unwrap(), want, "interval {i}");
         }
-        let pages = |s: &Ssd| s.stats().snapshot().pages_written;
+        assert!(ssds.iter().all(|s| s.stats().snapshot().pages_written > 0), "evicted");
+        let pages = |ml: &MultiLog| ml.stats().pages_flushed + ml.stats().pages_carried;
         // 2000 records at 17 vs 24 per page, one partial page per interval.
-        assert_eq!((pages(&ssds[0]), pages(&ssds[1])), (120, 84));
+        assert_eq!((pages(&with), pages(&without)), (120, 84));
         assert!(without.stats().bytes_appended < with.stats().bytes_appended);
     }
 
     /// `buffer_bytes` caps encoded bytes: whatever the record shape, what
     /// sits in host memory after any append is at most the cap (with its
-    /// interval + eviction-batch floors) plus one eviction period.
+    /// interval + eviction-batch floors) plus one eviction period — the
+    /// pages carried across a superstep boundary included, counted at
+    /// their padded page size, whether their interval is planned early or
+    /// late in the superstep.
     #[test]
     fn buffered_bytes_stay_under_the_cap_plus_one_eviction_batch() {
         for reads_src in [true, false] {
@@ -1135,6 +1356,12 @@ pub(crate) mod tests {
             let batch_bytes = (cap_pages - 4) * page_size;
             let (mut evictions, mut peak) = (0, 0);
             for k in 0..20_000u32 {
+                match k % 5000 {
+                    1000 => _ = drain_range(&mut ml, 0..2).unwrap(),
+                    3000 => _ = drain_range(&mut ml, 2..4).unwrap(),
+                    4999 => _ = ml.finish_superstep().unwrap(),
+                    _ => {}
+                }
                 ml.send(Update::new((k * 37) % 100, k, u64::from(k))).unwrap();
                 let now = ml.stats().evictions;
                 if now > evictions {
@@ -1144,6 +1371,7 @@ pub(crate) mod tests {
                 peak = peak.max(ml.buffered_bytes());
             }
             assert!(evictions > 3, "pressure must evict repeatedly");
+            assert!(ml.stats().pages_carried > 0, "pages crossed a boundary in memory");
             assert!(peak > cap_bytes / 2, "the budget is actually used (peak {peak})");
             assert!(
                 peak <= cap_bytes + batch_bytes,
@@ -1178,17 +1406,21 @@ pub(crate) mod tests {
                 ml.send(Update::new(25 + k % 25, k, u64::from(k))).unwrap();
             }
         };
+        // Twenty fills overflow the buffer, so interval 1's log is on the
+        // device before the superstep ends.
         let fresh = || {
             let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
-            let mut ml = setup_on(Arc::clone(&ssd), 1 << 20, true);
-            fill(&mut ml);
+            let mut ml = setup_on(Arc::clone(&ssd), 4 * 256, true);
+            for _ in 0..20 {
+                fill(&mut ml);
+            }
             ml.finish_superstep().unwrap();
             corrupt(&ssd, "t.mlog.1.a");
             (ssd, ml)
         };
         let (_, mut ml) = fresh();
         assert_corrupt(drain(&mut ml, 1), "decode");
-        let (ssd, ml) = fresh();
+        let (ssd, mut ml) = fresh();
         let plan = ml.plan_reads(0..4).unwrap();
         let pages = ssd.read_batch(&plan.reqs).unwrap();
         assert_corrupt(plan.decode_sorted(&pages), "decode_sorted");

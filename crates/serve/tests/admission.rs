@@ -93,9 +93,13 @@ fn job_that_does_not_fit_now_is_parked_not_started() {
 #[test]
 fn crashed_job_releases_its_reservation_so_queued_jobs_run() {
     // Each job needs the entire budget, so the second can only ever run
-    // if the first (which crashes mid-run) releases its reservation.
-    let d = daemon(2 << 20, 2);
+    // if the first (which crashes mid-run) releases its reservation. The
+    // crash point is a page write: on a graph this size PageRank's log
+    // overflows its buffer, so the run writes log pages mid-superstep.
+    let mut d = daemon(2 << 20, 2);
+    d.add_dataset("big", &mlvc_gen::cf_mini(13, 3).graph).unwrap();
     let mut crasher = req("crasher", "pagerank", 2 << 20);
+    crasher.dataset = "big".to_string();
     crasher.crash_after = Some(2);
     let healthy = req("healthy", "pagerank", 2 << 20);
     let results = d.run_jobs(vec![crasher, healthy]);

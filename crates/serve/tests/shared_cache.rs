@@ -89,7 +89,9 @@ fn per_tenant_hits_plus_device_reads_equal_uncached_reads() {
 
 #[test]
 fn eviction_pressure_preserves_results_and_accounting() {
-    let g = graph();
+    // Large enough that PageRank's log overflows its buffer and is read
+    // back from the device through the cache.
+    let g = mlvc_gen::cf_mini(13, 11).graph;
     let j = req("churn", "pagerank", 5);
     // A 4-frame cache is far below the working set: constant 2Q churn.
     let mut daemon =

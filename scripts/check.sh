@@ -79,9 +79,11 @@ echo "== stage-table smoke (mlvc run) =="
 # hot-interval pinning and the multi-log's log-tail retention), which the
 # in-process tests and `sim-pins` otherwise reach at one size only;
 # `pagerank --memory-kb 1024 --metrics` holds the multi-log's evictions,
-# written behind on the superstep's I/O queue: its trace must show a
-# superstep that evicted. It runs on a scale-14 graph, because at scale 12
-# a superstep's log fits under the eviction floor at any budget.
+# written behind on the superstep's I/O queue, and its carry of the
+# buffered tail across a superstep boundary in host memory: its trace must
+# show a superstep that evicted and one that carried pages. It runs on a
+# scale-14 graph, because at scale 12 a superstep's log fits under the
+# eviction floor at any budget.
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT
 for scale in 12 14; do
@@ -135,6 +137,10 @@ for app in "pagerank" "randomwalk" "wcc --async" "pagerank --ssd-dir" "pagerank 
   fi
   if [[ $app == *--memory-kb* ]] && ! grep -q '"log_evictions":[1-9]' "$smoke_dir/metrics.1.jsonl"; then
     echo "$app: no superstep evicted"
+    exit 1
+  fi
+  if [[ $app == *--memory-kb* ]] && ! grep -q '"log_pages_carried":[1-9]' "$smoke_dir/metrics.1.jsonl"; then
+    echo "$app: no superstep carried a log page"
     exit 1
   fi
 done

@@ -11,9 +11,10 @@
 //!    with `report.interrupted`), revives the device, and resumes with
 //!    [`MultiLogEngine::run_recoverable`],
 //! 3. asserts the recovered states equal the golden states bit-for-bit,
-//!    and that whatever checkpoint is durable after the crash decodes
+//!    that whatever checkpoint is durable after the crash decodes
 //!    cleanly — a crash *during* checkpointing must never corrupt the
-//!    previous checkpoint.
+//!    previous checkpoint — and that the recovery resumed from exactly
+//!    that checkpoint.
 //!
 //! The sweep asks a factory for the program of each of the three runs. A
 //! factory that builds a fresh program each time models a process crash:
@@ -93,10 +94,11 @@ fn sweep(program: Factory<'_>, steps: usize) {
         // slot, never to garbage.
         ssd.revive();
         let mgr = CheckpointManager::open(&ssd, TAG).unwrap();
-        if let Some((superstep, cp)) = mgr.load_latest().unwrap() {
+        let latest = mgr.load_latest().unwrap();
+        if let Some((superstep, cp)) = &latest {
             assert_eq!(cp.states.len(), g.num_vertices());
             assert!(
-                superstep as usize <= steps,
+                *superstep as usize <= steps,
                 "checkpoint superstep {superstep} beyond the run"
             );
         }
@@ -115,6 +117,14 @@ fn sweep(program: Factory<'_>, steps: usize) {
             rec.states(),
             golden.as_slice(),
             "{}: states diverge after crash at write {crash_at}/{total_writes}",
+            prog.name()
+        );
+        // A run that silently restarted from scratch reaches the same
+        // states: the resume must start from the checkpoint that survived.
+        assert_eq!(
+            recovered.resumed_from,
+            latest.map(|(_, cp)| cp.superstep),
+            "{}: crash at write {crash_at}",
             prog.name()
         );
     }

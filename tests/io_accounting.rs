@@ -22,7 +22,7 @@ fn mini_graph() -> Csr {
 }
 
 /// A run's trace: one row per phase, seeding first.
-type Trace = Vec<[(&'static str, u64); 33]>;
+type Trace = Vec<[(&'static str, u64); 34]>;
 
 fn trace(r: &RunReport) -> Trace {
     r.phases().map(SuperstepStats::trace_fields).collect()
@@ -102,6 +102,7 @@ fn trace_sums_to_device_totals() {
         let ml = r.multilog.expect("multilog stats present");
         assert_eq!(sum(|t| t.log_bytes_appended), ml.bytes_appended, "{name}: log bytes");
         assert_eq!(sum(|t| t.log_pages_flushed), ml.pages_flushed, "{name}: log pages");
+        assert_eq!(sum(|t| t.log_pages_carried), ml.pages_carried, "{name}: carried pages");
         // FTL: host writes over the run equal the device's page writes
         // (every charged write lands on exactly one logical page).
         assert_eq!(sum(|t| t.ftl_host_writes), dev.pages_written, "{name}: host writes");
@@ -257,7 +258,10 @@ fn fused_batches(s: &SuperstepStats) -> u64 {
 /// when every adjacency read was a synchronous `read_batch` (the literals),
 /// and every read of a superstep now rides its I/O queue — the read time
 /// is all queue wait — with the next interval's tickets in flight beside
-/// the current one's.
+/// the current one's. The literals read no log page carried across a
+/// boundary in host memory (DESIGN.md §10): PageRank's carried tail grows
+/// by a period's remainder each superstep, and the walk's whole log is
+/// carried, so its log batch reads nothing.
 #[test]
 fn reading_adjacency_one_interval_ahead_moves_no_page() {
     let run = |prog: &dyn VertexProgram, steps: usize| -> ReadCounts {
@@ -268,19 +272,28 @@ fn reading_adjacency_one_interval_ahead_moves_no_page() {
         }
         read_counts(&supersteps)
     };
-    let dense = (445, 109_381, 9);
     let pagerank = run(&PageRank::new(0.85, 1e-9), 6);
-    assert_eq!(pagerank, [(48, 11_681, 8), dense, dense, dense, dense, dense]);
+    assert_eq!(
+        pagerank,
+        [
+            (48, 11_681, 8),
+            (429, 106_153, 9),
+            (413, 102_185, 9),
+            (397, 98_217, 9),
+            (381, 94_249, 9),
+            (365, 90_281, 9),
+        ]
+    );
     assert_eq!(
         run(&RandomWalk::new(7, 2, 6), 20),
         [
-            (49, 3_292, 9),
-            (53, 5_997, 9),
-            (56, 7_013, 11),
-            (56, 7_193, 12),
-            (56, 7_130, 12),
-            (56, 6_938, 11),
-            (55, 6_755, 11),
+            (41, 1_748, 8),
+            (45, 4_633, 8),
+            (47, 5_497, 8),
+            (45, 5_637, 8),
+            (46, 5_530, 8),
+            (47, 5_438, 8),
+            (45, 5_235, 8),
         ]
     );
 }
@@ -291,15 +304,16 @@ fn reading_adjacency_one_interval_ahead_moves_no_page() {
 /// interval's reads before the interval ahead of it is retired, and reads
 /// the same pages, useful bytes and batches as when the look-ahead stopped
 /// at each batch's end (the literals) — three more read batches than the
-/// one-batch run above, one per extra log ticket.
+/// one-batch run above, one per extra log ticket. The carried log tail
+/// repeats every three supersteps here, and so do the literals.
 #[test]
 fn crossing_a_fused_batch_boundary_moves_no_page() {
     let supersteps = four_interval_run(&PageRank::new(0.85, 1e-9), 6, 32 << 10);
     for s in &supersteps[1..] {
         assert_eq!(fused_batches(s), 4, "superstep {}: one interval a batch", s.superstep);
     }
-    let dense = (445, 109_381, 12);
-    assert_eq!(read_counts(&supersteps), [(48, 11_681, 8), dense, dense, dense, dense, dense]);
+    let (a, b, c) = ((422, 104_417, 12), (399, 98_713, 12), (375, 92_761, 12));
+    assert_eq!(read_counts(&supersteps), [(48, 11_681, 8), a, b, c, a, b]);
 }
 
 /// Writing the multi-log's evictions behind on the superstep's queue moves
@@ -308,7 +322,8 @@ fn crossing_a_fused_batch_boundary_moves_no_page() {
 /// pages, bytes and batches, superstep by superstep, as when every
 /// eviction was a synchronous `append_scattered` (the literals); a read
 /// that queues behind a write is still queue wait; and the states are the
-/// reference engine's.
+/// reference engine's. The tail each superstep carries in host memory is
+/// neither written nor read; it repeats every three supersteps.
 #[test]
 fn writing_evictions_behind_moves_no_page() {
     let g = mini_graph();
@@ -337,8 +352,17 @@ fn writing_evictions_behind_moves_no_page() {
             ]
         })
         .collect();
-    let dense = [397, 101_632, 397, 7, 445, 109_381];
-    assert_eq!(counts, [[397, 101_632, 397, 7, 48, 11_681], dense, dense, dense, dense, dense]);
+    assert_eq!(
+        counts,
+        [
+            [374, 95_744, 374, 6, 48, 11_681],
+            [351, 89_856, 351, 6, 422, 104_417],
+            [327, 83_712, 327, 6, 399, 98_713],
+            [374, 95_744, 374, 6, 375, 92_761],
+            [351, 89_856, 351, 6, 422, 104_417],
+            [327, 83_712, 327, 6, 399, 98_713],
+        ]
+    );
 }
 
 /// Every nanosecond of a superstep's simulated compute advances its I/O
@@ -431,8 +455,9 @@ fn metrics_snapshot_and_trace_jsonl_match_schema() {
 /// `null` for a ratio over nothing, one line per phase. A four-superstep
 /// BFS under tight memory with a small page cache and a pin budget in front
 /// of the device, so the log-eviction, cache and pinned-tier columns move
-/// too; the seeding phase reads nothing and the last superstep writes
-/// nothing, so each ratio is `null` once.
+/// too; the log's tail crosses each boundary in host memory, so the
+/// `log_pages_carried` column moves and most phases write nothing, and
+/// the seeding phase moves nothing at all: both ratios read `null` there.
 #[test]
 fn trace_jsonl_bytes_are_pinned() {
     let g = mlvc_gen::cf_mini(7, 11).graph;
@@ -447,11 +472,11 @@ fn trace_jsonl_bytes_are_pinned() {
     assert_eq!(r.trace_jsonl(), PINNED_TRACE);
 }
 
-const PINNED_TRACE: &str = r#"{"superstep":0,"active_vertices":0,"messages_processed":0,"messages_delivered":0,"messages_sent":1,"edges_scanned":0,"fused_batches":0,"pages_read":0,"pages_written":1,"bytes_read":0,"useful_bytes_read":0,"bytes_written":256,"log_bytes_appended":18,"log_pages_flushed":1,"log_evictions":0,"edge_log_vertices":0,"edge_log_pages":0,"edge_log_hits":0,"ftl_host_writes":1,"ftl_physical_writes":1,"ftl_erases":0,"ftl_gc_relocations":0,"sim_time_ns":240000,"io_wait_ns":0,"max_inflight":0,"mut_edges_merged":0,"mut_intervals_merged":0,"mut_dirty_vertices":0,"cache_hits":0,"cache_misses":0,"cache_evictions":0,"pinned_pages":1,"pinned_hits":0,"read_amplification":null,"write_amplification":1.000000}
-{"superstep":1,"active_vertices":1,"messages_processed":1,"messages_delivered":1,"messages_sent":85,"edges_scanned":85,"fused_batches":1,"pages_read":6,"pages_written":4,"bytes_read":1536,"useful_bytes_read":1120,"bytes_written":1024,"log_bytes_appended":882,"log_pages_flushed":4,"log_evictions":0,"edge_log_vertices":0,"edge_log_pages":0,"edge_log_hits":0,"ftl_host_writes":4,"ftl_physical_writes":4,"ftl_erases":0,"ftl_gc_relocations":0,"sim_time_ns":600210,"io_wait_ns":240000,"max_inflight":2,"mut_edges_merged":0,"mut_intervals_merged":0,"mut_dirty_vertices":0,"cache_hits":3,"cache_misses":6,"cache_evictions":0,"pinned_pages":10,"pinned_hits":1,"read_amplification":1.371429,"write_amplification":1.000000}
-{"superstep":2,"active_vertices":85,"messages_processed":85,"messages_delivered":85,"messages_sent":1608,"edges_scanned":1608,"fused_batches":1,"pages_read":4,"pages_written":68,"bytes_read":1024,"useful_bytes_read":1424,"bytes_written":17408,"log_bytes_appended":16624,"log_pages_flushed":68,"log_evictions":1,"edge_log_vertices":0,"edge_log_pages":0,"edge_log_hits":0,"ftl_host_writes":68,"ftl_physical_writes":68,"ftl_erases":0,"ftl_gc_relocations":0,"sim_time_ns":3554984,"io_wait_ns":236368,"max_inflight":4,"mut_edges_merged":0,"mut_intervals_merged":0,"mut_dirty_vertices":0,"cache_hits":14,"cache_misses":4,"cache_evictions":0,"pinned_pages":15,"pinned_hits":10,"read_amplification":0.719101,"write_amplification":1.000000}
-{"superstep":3,"active_vertices":117,"messages_processed":1608,"messages_delivered":117,"messages_sent":113,"edges_scanned":1806,"fused_batches":2,"pages_read":63,"pages_written":7,"bytes_read":16128,"useful_bytes_read":16624,"bytes_written":1792,"log_bytes_appended":1178,"log_pages_flushed":6,"log_evictions":0,"edge_log_vertices":2,"edge_log_pages":1,"edge_log_hits":0,"ftl_host_writes":7,"ftl_physical_writes":7,"ftl_erases":0,"ftl_gc_relocations":0,"sim_time_ns":2232172,"io_wait_ns":1488970,"max_inflight":4,"mut_edges_merged":0,"mut_intervals_merged":0,"mut_dirty_vertices":0,"cache_hits":15,"cache_misses":63,"cache_evictions":9,"pinned_pages":11,"pinned_hits":15,"read_amplification":0.970164,"write_amplification":1.000000}
-{"superstep":4,"active_vertices":48,"messages_processed":113,"messages_delivered":48,"messages_sent":0,"edges_scanned":1255,"fused_batches":1,"pages_read":5,"pages_written":0,"bytes_read":1280,"useful_bytes_read":1178,"bytes_written":0,"log_bytes_appended":0,"log_pages_flushed":0,"log_evictions":0,"edge_log_vertices":0,"edge_log_pages":0,"edge_log_hits":0,"ftl_host_writes":0,"ftl_physical_writes":0,"ftl_erases":0,"ftl_gc_relocations":0,"sim_time_ns":245080,"io_wait_ns":240000,"max_inflight":4,"mut_edges_merged":0,"mut_intervals_merged":0,"mut_dirty_vertices":0,"cache_hits":10,"cache_misses":5,"cache_evictions":0,"pinned_pages":10,"pinned_hits":10,"read_amplification":1.086587,"write_amplification":null}
+const PINNED_TRACE: &str = r#"{"superstep":0,"active_vertices":0,"messages_processed":0,"messages_delivered":0,"messages_sent":1,"edges_scanned":0,"fused_batches":0,"pages_read":0,"pages_written":0,"bytes_read":0,"useful_bytes_read":0,"bytes_written":0,"log_bytes_appended":18,"log_pages_flushed":0,"log_pages_carried":1,"log_evictions":0,"edge_log_vertices":0,"edge_log_pages":0,"edge_log_hits":0,"ftl_host_writes":0,"ftl_physical_writes":0,"ftl_erases":0,"ftl_gc_relocations":0,"sim_time_ns":0,"io_wait_ns":0,"max_inflight":0,"mut_edges_merged":0,"mut_intervals_merged":0,"mut_dirty_vertices":0,"cache_hits":0,"cache_misses":0,"cache_evictions":0,"pinned_pages":0,"pinned_hits":0,"read_amplification":null,"write_amplification":null}
+{"superstep":1,"active_vertices":1,"messages_processed":1,"messages_delivered":1,"messages_sent":85,"edges_scanned":85,"fused_batches":1,"pages_read":6,"pages_written":0,"bytes_read":1536,"useful_bytes_read":1102,"bytes_written":0,"log_bytes_appended":882,"log_pages_flushed":0,"log_pages_carried":4,"log_evictions":0,"edge_log_vertices":0,"edge_log_pages":0,"edge_log_hits":0,"ftl_host_writes":0,"ftl_physical_writes":0,"ftl_erases":0,"ftl_gc_relocations":0,"sim_time_ns":360210,"io_wait_ns":240000,"max_inflight":2,"mut_edges_merged":0,"mut_intervals_merged":0,"mut_dirty_vertices":0,"cache_hits":2,"cache_misses":6,"cache_evictions":0,"pinned_pages":6,"pinned_hits":0,"read_amplification":1.393829,"write_amplification":null}
+{"superstep":2,"active_vertices":85,"messages_processed":85,"messages_delivered":85,"messages_sent":1608,"edges_scanned":1608,"fused_batches":1,"pages_read":4,"pages_written":56,"bytes_read":1024,"useful_bytes_read":542,"bytes_written":14336,"log_bytes_appended":16624,"log_pages_flushed":56,"log_pages_carried":12,"log_evictions":1,"edge_log_vertices":0,"edge_log_pages":0,"edge_log_hits":0,"ftl_host_writes":56,"ftl_physical_writes":56,"ftl_erases":0,"ftl_gc_relocations":0,"sim_time_ns":2738984,"io_wait_ns":236368,"max_inflight":4,"mut_edges_merged":0,"mut_intervals_merged":0,"mut_dirty_vertices":0,"cache_hits":6,"cache_misses":4,"cache_evictions":0,"pinned_pages":16,"pinned_hits":6,"read_amplification":1.889299,"write_amplification":1.000000}
+{"superstep":3,"active_vertices":117,"messages_processed":1608,"messages_delivered":117,"messages_sent":113,"edges_scanned":1806,"fused_batches":2,"pages_read":50,"pages_written":0,"bytes_read":12800,"useful_bytes_read":14531,"bytes_written":0,"log_bytes_appended":1178,"log_pages_flushed":0,"log_pages_carried":6,"log_evictions":0,"edge_log_vertices":2,"edge_log_pages":0,"edge_log_hits":0,"ftl_host_writes":0,"ftl_physical_writes":0,"ftl_erases":0,"ftl_gc_relocations":0,"sim_time_ns":1327876,"io_wait_ns":1304674,"max_inflight":4,"mut_edges_merged":0,"mut_intervals_merged":0,"mut_dirty_vertices":0,"cache_hits":20,"cache_misses":50,"cache_evictions":4,"pinned_pages":10,"pinned_hits":16,"read_amplification":0.880875,"write_amplification":null}
+{"superstep":4,"active_vertices":48,"messages_processed":113,"messages_delivered":48,"messages_sent":0,"edges_scanned":1255,"fused_batches":1,"pages_read":0,"pages_written":0,"bytes_read":0,"useful_bytes_read":0,"bytes_written":0,"log_bytes_appended":0,"log_pages_flushed":0,"log_pages_carried":0,"log_evictions":0,"edge_log_vertices":0,"edge_log_pages":0,"edge_log_hits":0,"ftl_host_writes":0,"ftl_physical_writes":0,"ftl_erases":0,"ftl_gc_relocations":0,"sim_time_ns":5080,"io_wait_ns":0,"max_inflight":4,"mut_edges_merged":0,"mut_intervals_merged":0,"mut_dirty_vertices":0,"cache_hits":9,"cache_misses":0,"cache_evictions":0,"pinned_pages":10,"pinned_hits":9,"read_amplification":null,"write_amplification":null}
 "#;
 
 /// Keeps one vertex busy for [`Countdown::STEPS`] supersteps: it messages

@@ -110,16 +110,16 @@ fn claim_grafboost_external_sort_gap() {
 }
 
 /// §V-C: the edge-log optimizer serves active vertices' adjacency from
-/// the log without changing results. It does not pay in reads at any scale
+/// the log without changing results. It pays little in reads at the scales
 /// this repository runs (`results_run_all.md`, edge-log ablation: the same
-/// pages on 6 of 10 rows, up to 17 more on 3, 3 fewer on 1, at 1.000–1.043×
-/// the simulated time; here 360 pages on vs 359 off), so what is held is
-/// that it works and that its cost stays small: within 2 % of the pages and
+/// pages on 5 of 10 rows, 1–5 fewer on the other 5, at 0.991–1.005× the
+/// simulated time; here 182 pages on vs 186 off), so what is held is that
+/// it works and that its cost stays small: within 2 % of the pages and
 /// 15 % of the simulated time of the run without it. Measured here: 1.082×
 /// (44.11 / 40.75 ms) while adjacency reads were charged in full, 1.103×
-/// (33.21 / 30.11 ms) since they ride the I/O queue and overlap compute —
-/// the edge log's own cost fell from 3.36 to 3.10 ms, the run without it
-/// fell faster.
+/// (33.21 / 30.11 ms) once they rode the I/O queue and overlapped compute,
+/// 0.982× (13.02 / 13.26 ms) since the pages still staged at a superstep's
+/// end stay in host memory, where the next superstep reads them for free.
 #[test]
 fn claim_edge_log_serves_adjacency_without_changing_results() {
     let g = mlvc_gen::cf_mini(11, 4).graph;

@@ -250,8 +250,9 @@ fn damaged_adjacency_pages_are_an_error_or_walkable_views_never_a_panic() {
             iv.range(i).filter(|v| (pick >> (v % 61)) & 1 == 1).collect();
         let clean = GraphLoader::new().load_active(&sg, i, &active, true, None).unwrap();
 
-        // The edge log holds the clean adjacency of the low-degree actives.
-        let mut elog = EdgeLogOptimizer::new(Arc::clone(&ssd), n, 4 << 20, "fz").unwrap();
+        // The edge log holds the clean adjacency of the low-degree actives,
+        // on the device: a buffer under one page writes every page.
+        let mut elog = EdgeLogOptimizer::new(Arc::clone(&ssd), n, 63, "fz").unwrap();
         let logged: Vec<VertexId> = (0..clean.len())
             .filter(|&k| clean.edges(k).len() + 2 <= 16)
             .map(|k| {
@@ -743,6 +744,11 @@ fn compact_pages_drain_exactly_what_was_sent() {
                 }
                 let counts = ml.finish_superstep().unwrap();
                 assert_eq!(counts.iter().sum::<u64>(), m as u64);
+                // What the buffer still held is carried into the next
+                // superstep in host memory; that superstep's first eviction
+                // writes it out. The floors here put the eviction period at
+                // 64 pages of at most 24 records.
+                ml.send_batch(iv.interval_of(0), &vec![Update::new(0, 0, 0); 64 * 24]).unwrap();
                 for i in iv.iter_ids() {
                     let file = ssd.lookup(&format!("prop.mlog.{i}.a")).unwrap();
                     for page in ssd.read_all(file, |_| 0).unwrap() {
