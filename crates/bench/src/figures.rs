@@ -578,7 +578,8 @@ const TIERING_BUDGET: usize = 8 << 20;
 /// `mlvc run --cache-kb --pin-budget-kb` ships), or an eighth cache and the
 /// rest pins. The engine spends a pin budget on the hottest intervals' CSR
 /// extents and, with what the topology ranking leaves, on the tails of
-/// freshly flushed log pages. Every counter is a pure function of the
+/// freshly flushed log pages, which it writes back instead of to flash, so
+/// a pin split also writes fewer pages. Every counter is a pure function of the
 /// workload (the engine touches the cache on its owner thread only,
 /// DESIGN.md §12), so the rows repeat exactly at any thread count.
 pub fn tiering(s: &Settings) -> Section {
@@ -586,9 +587,10 @@ pub fn tiering(s: &Settings) -> Section {
         "Memory tiering — device reads under a fixed DRAM budget (CF)",
         &format!(
             "A fixed {} KiB of extra DRAM split between a scan-resistant 2Q page cache and a\n\
-             pin budget the engine spends on hot-interval CSR extents plus retained log tails\n\
-             (DESIGN.md §18). Reduction is device pages read against the all-cache row of the\n\
-             same app; every split produces bit-identical states.",
+             pin budget the engine spends on hot-interval CSR extents plus retained log tails,\n\
+             which are never written to flash (DESIGN.md §18). Reduction is device pages read\n\
+             against the all-cache row of the same app; every split produces bit-identical\n\
+             states.",
             TIERING_BUDGET >> 10
         ),
         &[
@@ -597,6 +599,7 @@ pub fn tiering(s: &Settings) -> Section {
             "Cache KiB",
             "Pin KiB",
             "Pages read",
+            "Pages written",
             "Hits",
             "Evictions",
             "Pinned",
@@ -622,7 +625,8 @@ pub fn tiering(s: &Settings) -> Section {
             let rig = Rig { engine: s.engine_config().with_tiering(tiering), ..s.rig(&d.graph) };
             let (ssd, mut e) = rig.mlvc();
             e.run(prog.as_ref(), s.supersteps);
-            let pages_read = ssd.stats().snapshot().pages_read;
+            let io = ssd.stats().snapshot();
+            let pages_read = io.pages_read;
             let (hits, evictions, pinned) = ssd.cache().map_or((0, 0, 0), |c| {
                 let cs = c.snapshot();
                 (cs.tenant(ssd.tenant()).hits, cs.evictions, cs.pinned_pages as u64)
@@ -639,6 +643,7 @@ pub fn tiering(s: &Settings) -> Section {
                 Cell::int((cache_bytes >> 10) as u64),
                 Cell::int((pin_budget_bytes >> 10) as u64),
                 Cell::int(pages_read),
+                Cell::int(io.pages_written),
                 Cell::int(hits),
                 Cell::int(evictions),
                 Cell::int(pinned),

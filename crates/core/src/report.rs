@@ -92,10 +92,13 @@ pub struct SuperstepStats {
     pub mutations: MutationStats,
     /// Multi-log activity this phase: update-record bytes appended across
     /// all intervals, pages flushed, pages carried into the next superstep
-    /// in host memory (DESIGN.md §10), buffer-pressure evictions.
+    /// in host memory (DESIGN.md §10), pages log-tail retention wrote back
+    /// into the pinned tier instead of to flash (DESIGN.md §18),
+    /// buffer-pressure evictions.
     pub log_bytes_appended: u64,
     pub log_pages_flushed: u64,
     pub log_pages_carried: u64,
+    pub log_pages_retained: u64,
     pub log_evictions: u64,
     /// Edge lists copied into the sequential edge log, and its pages
     /// written.
@@ -142,7 +145,7 @@ impl SuperstepStats {
     /// matter of thread scheduling, so the rows of a run are bit-identical
     /// for any `MLVC_THREADS` — the wall-clock timers and who decoded which
     /// batch stay out.
-    pub fn trace_fields(&self) -> [(&'static str, u64); 34] {
+    pub fn trace_fields(&self) -> [(&'static str, u64); 35] {
         let (io, m) = (&self.io, &self.mutations);
         [
             ("superstep", self.superstep as u64),
@@ -160,6 +163,7 @@ impl SuperstepStats {
             ("log_bytes_appended", self.log_bytes_appended),
             ("log_pages_flushed", self.log_pages_flushed),
             ("log_pages_carried", self.log_pages_carried),
+            ("log_pages_retained", self.log_pages_retained),
             ("log_evictions", self.log_evictions),
             ("edge_log_vertices", self.edge_log_vertices),
             ("edge_log_pages", self.edge_log_pages),

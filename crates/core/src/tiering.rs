@@ -1,9 +1,10 @@
 //! Adaptive memory tiering state of one drive (DESIGN.md §18): the page
-//! cache attach, the hot-interval pinned set and the log-tail retention
-//! ledger. The superstep loop calls in at fixed points — heat after the
-//! loader's page-usage report, unmarks after a CSR rewrite, one retier per
-//! boundary — and every input is plan-order data, so the pinned set (and
-//! with it every cache counter) is identical for any thread count.
+//! cache attach, the hot-interval pinned set and the pin-budget split that
+//! arms the multi-log's log-tail retention. The superstep loop calls in at
+//! fixed points — heat after the loader's page-usage report, unmarks after
+//! a CSR rewrite, one retier per boundary — and every input is plan-order
+//! data, so the pinned set (and with it every cache counter) is identical
+//! for any thread count.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -46,32 +47,32 @@ impl Tiering {
     /// without overdrawing the ledger; every boundary re-arms against what
     /// the topology ranking leaves unspent. (The multi-log's own pins need
     /// no reset: `MultiLog::new` truncates both log sides, and a truncate
-    /// drops its file's pins.)
+    /// drops its file's pins unwritten.)
     pub(crate) fn enter(
         ssd: &Ssd,
         graph: &StoredGraph,
         cfg: &TieringConfig,
         multilog: &mut MultiLog,
-    ) -> Tiering {
+    ) -> Result<Tiering, DeviceError> {
         let num_iv = graph.intervals().num_intervals();
         let budget_bytes = cfg.pin_budget_bytes as u64;
         let cache = ssd.cache().filter(|_| budget_bytes > 0);
         let mut colidx_iv = HashMap::new();
         if let Some(c) = &cache {
             for i in 0..num_iv {
-                c.unpin_file(graph.rowptr_file(i as IntervalId));
-                c.unpin_file(graph.colidx_file(i as IntervalId));
+                c.unpin_file(ssd, graph.rowptr_file(i as IntervalId))?;
+                c.unpin_file(ssd, graph.colidx_file(i as IntervalId))?;
                 colidx_iv.insert(graph.colidx_file(i as IntervalId), i);
             }
             multilog.arm_retention(budget_bytes / 2);
         }
-        Tiering {
+        Ok(Tiering {
             cache,
             budget_bytes,
             heat: vec![0; num_iv],
             pinned_ivs: vec![false; num_iv],
             colidx_iv,
-        }
+        })
     }
 
     /// Topology heat: one unit per column-index page the loader actually
@@ -114,12 +115,15 @@ impl Tiering {
     /// ranked ones are pinned, their fills charged through the cache like
     /// any other read.
     ///
-    /// The tail retained since the last arming (`retained_bytes`) is
-    /// consumed (and its pins dropped) during the next superstep, so the
-    /// ranking only gets what that tail leaves free; `left` then excludes both the still-draining tail
-    /// and the pinned topology, so even at the worst instant — tail
-    /// undrained, new side full — pinned bytes total exactly the budget.
-    /// Appends are plan-order deterministic, so the retained set is too.
+    /// `retained_bytes` is what the multi-log's logs hold in the pinned
+    /// tier right now — the tail the next superstep consumes — so the
+    /// ranking only gets what that tail leaves free, and the new arming
+    /// what the ranking leaves. Each truncate that drops a log's pins
+    /// returns their bytes to the multi-log's budget, so topology plus log
+    /// pins never exceed the budget at any instant, while the bytes the
+    /// tail gives back as it drains can be retained again in the same
+    /// superstep. Appends are plan-order deterministic, so the retained set
+    /// is too.
     pub(crate) fn retier(
         &mut self,
         ssd: &Ssd,
@@ -152,8 +156,8 @@ impl Tiering {
                 cache.pin_file(ssd, rp)?;
                 cache.pin_file(ssd, ci)?;
             } else {
-                cache.unpin_file(rp);
-                cache.unpin_file(ci);
+                cache.unpin_file(ssd, rp)?;
+                cache.unpin_file(ssd, ci)?;
             }
             *pinned = want[i];
         }

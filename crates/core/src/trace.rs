@@ -70,6 +70,7 @@ impl Tracer {
         st.log_bytes_appended = ml.bytes_appended - self.ml_base.bytes_appended;
         st.log_pages_flushed = ml.pages_flushed - self.ml_base.pages_flushed;
         st.log_pages_carried = ml.pages_carried - self.ml_base.pages_carried;
+        st.log_pages_retained = ml.pages_retained - self.ml_base.pages_retained;
         st.log_evictions = ml.evictions - self.ml_base.evictions;
         st.edge_log_vertices = el.vertices_logged - self.el_base.vertices_logged;
         st.edge_log_pages = el.pages_written - self.el_base.pages_written;
@@ -130,6 +131,7 @@ impl Tracer {
             ("mlvc_log_updates_logged_total", ml.updates_logged),
             ("mlvc_log_updates_read_total", ml.updates_read),
             ("mlvc_log_pages_flushed_total", ml.pages_flushed),
+            ("mlvc_log_pages_retained_total", ml.pages_retained),
             ("mlvc_log_evictions_total", ml.evictions),
             ("mlvc_log_bytes_appended_total", ml.bytes_appended),
             ("mlvc_edgelog_vertices_logged_total", el.vertices_logged),

@@ -1,4 +1,5 @@
 use crate::checked::{idx, to_u32, to_u64, to_usize};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -49,8 +50,13 @@ pub struct MultiLogStats {
     /// Sealed pages that joined their log in host memory at a superstep's
     /// end ([`MultiLog::finish_superstep`]). Each sealed page is counted
     /// once, flushed or carried; a carried page a later eviction writes out
-    /// is in the device's `pages_written`, not here again.
+    /// is in the device's `pages_written` (or in `pages_retained`), not
+    /// here again.
     pub pages_carried: u64,
+    /// Pages a flush or a checkpoint restore placed on a log file that
+    /// log-tail retention wrote back into the pinned tier instead of to
+    /// flash (DESIGN.md §18): the device charged no write for them.
+    pub pages_retained: u64,
     /// Memory-pressure eviction events (buffer exceeded its cap).
     pub evictions: u64,
     pub updates_read: u64,
@@ -153,35 +159,41 @@ pub struct MultiLog {
     retention: Retention,
 }
 
-/// Log-tail retention's budget (DESIGN.md §18): what the last
-/// [`MultiLog::arm_retention`] has left, and what it has spent.
+/// Log-tail retention's ledger (DESIGN.md §18): what the budget has left,
+/// and the bytes each log file holds in the pinned tier — returned to
+/// `left` when a truncate drops that file's pins.
 #[derive(Default)]
 struct Retention {
     left: u64,
-    spent: u64,
+    held: BTreeMap<FileId, u64>,
 }
 
 impl Retention {
-    /// Pin `appended` — `(file, page, bytes)` of pages that just landed, in
-    /// append order — while the budget lasts, one whole page each (the copy
-    /// is zero-padded to a page). A no-op while no cache is attached.
-    fn pin<'a>(&mut self, ssd: &Ssd, appended: impl Iterator<Item = (FileId, u64, &'a [u8])>) {
-        let page_bytes = to_u64(ssd.page_size());
-        if self.left < page_bytes {
-            return;
+    /// Append `pages` through `writes` as one dispatch, the leading pages
+    /// the budget covers — one whole page each, none while no cache is
+    /// attached — written back into the pinned tier and booked on their
+    /// files. Returns how many were.
+    fn append(
+        &mut self,
+        ssd: &Ssd,
+        writes: &Writes,
+        pages: &[(FileId, &[u8])],
+    ) -> Result<u64, DeviceError> {
+        let page_bytes = to_u64(ssd.page_size()).max(1);
+        let covered = if ssd.cache().is_some() { self.left / page_bytes } else { 0 };
+        let retain = to_usize("retained pages", covered).unwrap_or(usize::MAX).min(pages.len());
+        writes.append(pages, retain)?;
+        for &(f, _) in &pages[..retain] {
+            self.left -= page_bytes;
+            *self.held.entry(f).or_default() += page_bytes;
         }
-        let Some(cache) = ssd.cache() else {
-            return;
-        };
-        for (file, page, data) in appended {
-            if self.left < page_bytes {
-                break;
-            }
-            if cache.pin_written(file, page, data, ssd.page_size(), ssd.tenant()) {
-                self.left -= page_bytes;
-                self.spent += page_bytes;
-            }
-        }
+        Ok(to_u64(retain))
+    }
+
+    /// `file` was truncated: its pins are gone, their bytes back in the
+    /// budget.
+    fn release(&mut self, file: FileId) {
+        self.left += self.held.remove(&file).unwrap_or(0);
     }
 }
 
@@ -458,21 +470,29 @@ impl MultiLog {
         })
     }
 
-    /// Arm log-tail retention (DESIGN.md §18): from now on, the first
-    /// `budget_bytes` worth of pages this unit appends — flushed log pages
-    /// and restored checkpoint pages alike — are copied into the attached
-    /// cache's pinned tier as they land. The bytes are in host memory at
-    /// append time, so a retained page costs no device read, and the
-    /// truncate that consumes its log drops the pin. Re-arming replaces
-    /// the previous budget and restarts [`Self::retained_bytes`]; pages
-    /// already retained stay pinned until their log is consumed.
+    /// Arm log-tail retention (DESIGN.md §18): from now on, pages this
+    /// unit appends — flushed log pages and restored checkpoint pages
+    /// alike — are written back into the attached cache's pinned tier,
+    /// while `budget_bytes` covers them: placed, never written to flash,
+    /// read back as pinned hits. The truncate that consumes a log drops its
+    /// pins and returns their bytes to the budget, so the same bytes can be
+    /// retained again. Re-arming replaces what is left of the budget;
+    /// pages already retained stay pinned, and counted in
+    /// [`Self::retained_bytes`], until their log is truncated.
     pub fn arm_retention(&mut self, budget_bytes: u64) {
-        self.retention = Retention { left: budget_bytes, spent: 0 };
+        self.retention.left = budget_bytes;
     }
 
-    /// Pinned-tier bytes retained since the last [`Self::arm_retention`].
+    /// Pinned-tier bytes this unit's logs hold right now.
     pub fn retained_bytes(&self) -> u64 {
-        self.retention.spent
+        self.retention.held.values().sum()
+    }
+
+    /// Truncate `file`, returning its retained bytes to the budget.
+    fn truncate(&mut self, file: FileId) -> Result<(), DeviceError> {
+        self.ssd.truncate(file)?;
+        self.retention.release(file);
+        Ok(())
     }
 
     pub fn stats(&self) -> MultiLogStats {
@@ -513,7 +533,7 @@ impl MultiLog {
         let side = 1 - self.write_side;
         for (i, (n, _, _)) in plan.range.clone().zip(&plan.intervals) {
             if *n > 0 {
-                self.ssd.truncate(self.files[idx(i)][side])?;
+                self.truncate(self.files[idx(i)][side])?;
             }
         }
         self.ssd.declare_useful(batch.useful_bytes);
@@ -706,8 +726,9 @@ impl MultiLog {
     }
 
     /// Hand every sealed page, and the carried pages of every interval not
-    /// yet planned, to `writes` in one scattered batch, and retain what the
-    /// armed budget covers. Sealed pages go to their write-side files;
+    /// yet planned, to `writes` in one scattered batch, the leading pages
+    /// the retention budget covers written back into the pinned tier
+    /// instead of to flash. Sealed pages go to their write-side files;
     /// carried pages to their read-side files, after the pages the last
     /// superstep evicted there, so each log keeps its order. The pages were
     /// encoded when their records were appended; nothing is touched per
@@ -724,9 +745,7 @@ impl MultiLog {
         for (f, log) in self.files.iter().zip(&self.carried) {
             pages.extend(log.iter().map(|page| (f[read], &page[..])));
         }
-        let placed = writes.append(&pages)?;
-        let appended = pages.iter().zip(placed).map(|(&(file, data), page)| (file, page, data));
-        self.retention.pin(&self.ssd, appended);
+        self.stats.pages_retained += self.retention.append(&self.ssd, writes, &pages)?;
         self.stats.pages_flushed += to_u64(self.sealed.len());
         self.stats.bytes_appended += new_bytes;
         self.sealed.clear();
@@ -813,14 +832,12 @@ impl MultiLog {
             *count = to_u64(decoded.len());
         }
         self.carried.iter_mut().for_each(Vec::clear);
-        for (pages, f) in snapshot.iter().zip(&self.files) {
-            self.ssd.truncate(f[side])?;
-            if !pages.is_empty() {
-                let refs: Vec<&[u8]> = pages.iter().map(|p| &p[..]).collect();
-                let first = self.ssd.append_pages(f[side], &refs)?;
-                let appended = (first..).zip(refs).map(|(page, data)| (f[side], page, data));
-                self.retention.pin(&self.ssd, appended);
-            }
+        for (ii, pages) in snapshot.iter().enumerate() {
+            let file = self.files[ii][side];
+            self.truncate(file)?;
+            let writes: Vec<(FileId, &[u8])> = pages.iter().map(|p| (file, &p[..])).collect();
+            let device = Writes::Device(&self.ssd);
+            self.stats.pages_retained += self.retention.append(&self.ssd, &device, &writes)?;
         }
         Ok(counts)
     }
@@ -842,7 +859,7 @@ impl MultiLog {
                 useful += to_u64(decode_log_page(p, &span, &mut out)?);
             }
             self.ssd.declare_useful(useful);
-            self.ssd.truncate(file)?;
+            self.truncate(file)?;
         }
         let (mine, others): (Vec<_>, Vec<_>) =
             std::mem::take(&mut self.sealed).into_iter().partition(|(j, _)| *j == i);
@@ -1077,10 +1094,13 @@ pub(crate) mod tests {
         assert!(drain(&mut ml, 0).unwrap().is_empty());
     }
 
-    /// Log-tail retention: an armed unit pins the pages it flushes while
-    /// the budget lasts, the drain reads those from DRAM and its truncate
-    /// drops the pins, a restore under a fresh arming pins what it
-    /// restores, and a new unit under the same tag starts with no log pins.
+    /// Log-tail retention writes back: an armed unit retains the leading
+    /// pages it flushes while the budget lasts — placed, pinned, never
+    /// written —, the drain reads those from DRAM, and its truncate drops
+    /// the pins and returns exactly their bytes, so the next superstep's
+    /// flush is retained again. A restore under a fresh arming retains what
+    /// it restores, and a new unit under the same tag starts with no log
+    /// pins.
     #[test]
     fn retention_pins_the_log_tail_within_budget() {
         let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
@@ -1099,34 +1119,102 @@ pub(crate) mod tests {
         };
 
         ml.arm_retention(2 * page);
-        send(&mut ml, 1200);
-        let flushed = ml.stats().pages_flushed;
-        assert!(flushed >= 3, "{flushed} pages flushed");
-        assert_eq!(ml.retained_bytes(), 2 * page);
-        assert_eq!(cache.pinned_pages(), 2);
+        let mut flushed = 0;
+        for superstep in 0..2 {
+            ssd.stats().reset();
+            send(&mut ml, 1200);
+            let now = ml.stats().pages_flushed - flushed;
+            assert!(now >= 3, "{now} pages flushed");
+            assert_eq!(ml.retained_bytes(), 2 * page, "superstep {superstep}");
+            assert_eq!(ml.stats().pages_retained, 2 * (superstep + 1));
+            assert_eq!(cache.pinned_pages(), 2);
+            let written = ssd.stats().snapshot().pages_written;
+            assert_eq!(written, now - 2, "a retained page was written");
 
-        ssd.stats().reset();
-        assert_eq!(drain_range(&mut ml, 0..4).unwrap().records, 1200);
-        assert_eq!(ssd.stats().snapshot().pages_read, flushed - 2, "two pages hit DRAM");
-        assert_eq!(cache.pinned_pages(), 0, "consume drops the retained pins");
-
-        // The budget is spent: the next superstep's flush stays on flash.
-        send(&mut ml, 1200);
-        assert!(ml.stats().pages_flushed > flushed);
-        assert_eq!(cache.pinned_pages(), 0);
-        drain_range(&mut ml, 0..4).unwrap();
+            ssd.stats().reset();
+            assert_eq!(drain_range(&mut ml, 0..4).unwrap().records, 1200);
+            assert_eq!(ssd.stats().snapshot().pages_read, now - 2, "two pages hit DRAM");
+            assert_eq!(cache.pinned_pages(), 0, "consume drops the retained pins");
+            assert_eq!(ml.retained_bytes(), 0, "consume returns the retained bytes");
+            flushed += now;
+        }
         // A tail small enough to be carried whole: the snapshot holds it,
-        // and the restore writes and pins it.
+        // and the restore places and retains it, writing none of it.
         send(&mut ml, 60);
         let snapshot = ml.snapshot_pending().unwrap();
         let restored = to_u64(snapshot.iter().map(Vec::len).sum::<usize>());
         ml.arm_retention(8 * page);
+        ssd.stats().reset();
         ml.restore_pending(&snapshot).unwrap();
         assert_eq!(ml.retained_bytes(), restored * page);
         assert_eq!(to_u64(cache.pinned_pages()), restored);
+        assert_eq!(ssd.stats().snapshot().pages_written, 0);
+        assert_eq!(drain_range(&mut ml, 0..4).unwrap().records, 60);
 
+        send(&mut ml, 60);
+        ml.restore_pending(&ml.snapshot_pending().unwrap()).unwrap();
+        assert_eq!(ml.retained_bytes(), restored * page, "a restore returned and retook the bytes");
         let _fresh = setup_on(Arc::clone(&ssd), 1 << 20, true);
         assert_eq!(cache.pinned_pages(), 0, "a new unit under the tag starts unpinned");
+        assert_eq!(ssd.stats().snapshot().pages_written, 0, "the truncates wrote a retained page");
+    }
+
+    /// The retention ledger is live, so pinned bytes — topology plus the
+    /// log's own pins — never exceed the budget: a run of supersteps under
+    /// eviction pressure, draining in two fused batches, re-arming at each
+    /// boundary with what the topology and the live tail leave, as the
+    /// engine's retier does. Checked after every append (a flush may
+    /// follow) and every consume; the retained pages are never written,
+    /// and every page a flush hands over — sealed, or carried and not yet
+    /// planned — is either written or retained.
+    #[test]
+    fn pinned_bytes_stay_within_the_budget_at_every_flush_and_consume() {
+        let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
+        let cache = Arc::new(mlvc_ssd::PageCache::new(8));
+        ssd.attach_cache(Arc::clone(&cache));
+        let page = to_u64(ssd.page_size());
+        let topology = ssd.open_or_create("topology").unwrap();
+        ssd.append_pages(topology, &[&[1u8; 8][..]; 3]).unwrap();
+        let budget = 12 * page;
+        let mut ml = setup_on(Arc::clone(&ssd), 4 * 256, true);
+        let within = |ml: &MultiLog| {
+            let pinned = cache.pinned_bytes();
+            assert!(pinned <= budget, "{pinned} pinned over a budget of {budget}");
+            assert_eq!(pinned, ml.retained_bytes() + 3 * page, "the ledger is the tier's");
+        };
+        cache.pin_file(&ssd, topology).unwrap();
+        let mut armed = budget - 3 * page;
+        ml.arm_retention(armed);
+        let mut regained = false;
+        for superstep in 0..6u32 {
+            ssd.stats().reset();
+            let (flushed, retained) = (ml.stats().pages_flushed, ml.stats().pages_retained);
+            // The first fused batch drains before the scatter, the second
+            // after it: its tail is still pinned while the new one grows.
+            let first = ml.plan_reads(0..2).unwrap();
+            let pages = ssd.read_batch(&first.reqs).unwrap();
+            ml.consume(&first, &first.decode(&pages).unwrap()).unwrap();
+            within(&ml);
+            let unplanned = ml.carried_pages();
+            for k in 0..2400 + 300 * superstep {
+                ml.send(Update::new((k * 37) % 100, k, u64::from(k))).unwrap();
+                within(&ml);
+            }
+            // An eviction wrote out the carried pages not yet planned.
+            let evicted = to_u64(unplanned - ml.carried_pages());
+            _ = drain_range(&mut ml, 2..4).unwrap();
+            within(&ml);
+            ml.finish_superstep().unwrap();
+            let (flushed, retained) =
+                (ml.stats().pages_flushed - flushed, ml.stats().pages_retained - retained);
+            assert!(retained > 0, "superstep {superstep} retained nothing");
+            assert_eq!(ssd.stats().snapshot().pages_written, flushed + evicted - retained);
+            // More than the arming covered: bytes a consume returned.
+            regained |= retained * page > armed;
+            armed = budget - 3 * page - ml.retained_bytes();
+            ml.arm_retention(armed);
+        }
+        assert!(regained, "a consume's returned bytes were never retained again");
     }
 
     /// Records that fit the buffer cross the boundary in host memory: the

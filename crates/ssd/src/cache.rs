@@ -24,6 +24,11 @@
 //!   topology pinning (DESIGN.md §18). Pinned copies are dropped by the
 //!   same write/truncate invalidation as frames; callers must not race a
 //!   writer against `pin_pages` itself.
+//! * **Write-back pins** — the device's write routine can place a page and
+//!   hand it to the pinned tier *unwritten* (the multi-log's log-tail
+//!   retention): flash has not seen it. A truncate or delete drops it for
+//!   free; an overwrite or [`PageCache::unpin_file`] charges its write to
+//!   the device when it drops it.
 //! * **Lent pages** — frames and pins hold [`Page`] handles, not copies: a
 //!   hit clones the handle, a miss fill inserts the very page it returns,
 //!   and on the in-memory backend that page is the store's own allocation.
@@ -86,9 +91,12 @@ struct Frame {
 
 /// A page held in the pinned tier: exempt from eviction, checked before
 /// the frame pool, dropped only by invalidation or [`PageCache::unpin_file`].
+/// `unwritten` marks a write-back pin: the store holds the page, flash
+/// does not.
 struct PinnedPage {
     page: Page,
     inserter: TenantId,
+    unwritten: bool,
 }
 
 /// A page currently being fetched from the device by one owner tenant.
@@ -300,7 +308,7 @@ impl PageCache {
             }
             inner.ghost_set.remove(&key);
             inner.pinned_bytes += to_u64(page.len());
-            inner.pinned.insert(key, PinnedPage { page, inserter: tenant });
+            inner.pinned.insert(key, PinnedPage { page, inserter: tenant, unwritten: false });
             newly += 1;
         }
         Ok(newly)
@@ -312,55 +320,60 @@ impl PageCache {
         self.pin_pages(dev, file, 0..n)
     }
 
-    /// Write-allocate into the pinned tier (DESIGN.md §18): copy a page
-    /// whose bytes the writer is holding *right now* into the pinned map,
-    /// with no device read at all. The payload is zero-padded to the page
-    /// size so a later hit returns exactly what an uncached device read of
-    /// the page would. Returns `false` (and pins nothing) if a pinned copy
-    /// already exists. The writer calls it after the write landed and its
-    /// invalidation ran, so the copy can never go stale out of order; a
-    /// subsequent write or truncate drops it like any other pin.
-    pub fn pin_written(
-        &self,
-        file: FileId,
-        page: u64,
-        payload: &[u8],
-        page_size: usize,
-        tenant: TenantId,
-    ) -> bool {
+    /// Write-back into the pinned tier (DESIGN.md §18): the device's write
+    /// routine hands over each page it just placed without writing it —
+    /// the very [`Page`] the store holds — so a hit returns exactly what a
+    /// device read of it would, with no device read and no second copy. A
+    /// resident frame of the key is released; the pin stays until a
+    /// truncate or delete drops it for free, or an overwrite or
+    /// [`Self::unpin_file`] drops it and charges its write.
+    pub(crate) fn pin_unwritten(&self, pages: Vec<(PageAddr, Page)>, tenant: TenantId) {
+        if pages.is_empty() {
+            return;
+        }
         let mut guard = self.state.lock();
         let inner = &mut *guard;
-        let key = (file, page);
-        if inner.pinned.contains_key(&key) {
-            return false;
+        for (a, page) in pages {
+            let key = (a.file, a.page);
+            if let Some((fi, _)) = inner.map.remove(&key) {
+                release_frame(inner, fi);
+            }
+            inner.ghost_set.remove(&key);
+            inner.pinned_bytes += to_u64(page.len());
+            let pin = PinnedPage { page, inserter: tenant, unwritten: true };
+            if let Some(old) = inner.pinned.insert(key, pin) {
+                inner.pinned_bytes -= to_u64(old.page.len());
+            }
         }
-        if let Some((fi, _)) = inner.map.remove(&key) {
-            release_frame(inner, fi);
-        }
-        inner.ghost_set.remove(&key);
-        let page = Page::zero_padded(payload, page_size);
-        inner.pinned_bytes += to_u64(page.len());
-        inner.pinned.insert(key, PinnedPage { page, inserter: tenant });
-        true
     }
 
-    /// Drop every pinned page of `file`, returning the count dropped.
-    pub fn unpin_file(&self, file: FileId) -> u64 {
+    /// Drop every pinned page of `file`, returning the count dropped. The
+    /// file still holds them, so the pages the tier held unwritten reach
+    /// flash now: their write is charged to `dev`, one dispatch in page
+    /// order.
+    pub fn unpin_file(&self, dev: &Ssd, file: FileId) -> Result<u64, DeviceError> {
         let mut guard = self.state.lock();
         let inner = &mut *guard;
         let mut dropped = 0u64;
         let mut freed = 0u64;
-        inner.pinned.retain(|key, p| {
-            if key.0 == file {
+        let mut unwritten = Vec::new();
+        inner.pinned.retain(|&(f, page), p| {
+            if f == file {
                 freed += to_u64(p.page.len());
                 dropped += 1;
+                if p.unwritten {
+                    unwritten.push(PageAddr::new(f, page));
+                }
                 false
             } else {
                 true
             }
         });
         inner.pinned_bytes = inner.pinned_bytes.saturating_sub(freed);
-        dropped
+        drop(guard);
+        unwritten.sort_unstable();
+        dev.write_back(&unwritten)?;
+        Ok(dropped)
     }
 
     /// Serve a read batch through the cache on behalf of `dev`'s tenant —
@@ -474,10 +487,13 @@ impl PageCache {
     }
 
     /// Drop resident and pinned copies of the given pages and dirty any
-    /// racing fills (called by the device on every page write).
-    pub(crate) fn invalidate_addrs(&self, addrs: &[PageAddr]) {
+    /// racing fills (called by the device on every page write). Returns
+    /// the addresses whose pin was unwritten: the device charges their
+    /// write ahead of the overwrite.
+    pub(crate) fn invalidate_addrs(&self, addrs: &[PageAddr]) -> Vec<PageAddr> {
         let mut guard = self.state.lock();
         let inner = &mut *guard;
+        let mut unwritten = Vec::new();
         for a in addrs {
             let key = (a.file, a.page);
             if let Some((fi, _)) = inner.map.remove(&key) {
@@ -485,16 +501,21 @@ impl PageCache {
             }
             if let Some(p) = inner.pinned.remove(&key) {
                 inner.pinned_bytes = inner.pinned_bytes.saturating_sub(to_u64(p.page.len()));
+                if p.unwritten {
+                    unwritten.push(*a);
+                }
             }
             inner.ghost_set.remove(&key);
             if let Some(f) = inner.in_flight.get_mut(&key) {
                 f.dirty = true;
             }
         }
+        unwritten
     }
 
     /// Drop every resident and pinned page of `file` and dirty its racing
-    /// fills (called by the device on truncate/delete).
+    /// fills (called by the device on truncate/delete). An unwritten pin
+    /// goes with its page, never written.
     pub(crate) fn invalidate_file(&self, file: FileId) {
         let mut guard = self.state.lock();
         let inner = &mut *guard;
@@ -933,6 +954,96 @@ mod tests {
         assert!(snap.pinned_hits >= 6, "the pinned extent served the workload's hot pages");
     }
 
+    /// 2Q queue consistency: every resident frame holds its key and sits in
+    /// exactly one of A1in / Am, under its own stamp; no stamp is used
+    /// twice; every queue entry and every frame not free is a resident
+    /// page; and no pinned key also holds a frame.
+    fn assert_queues_consistent(cache: &PageCache) {
+        let inner = cache.state.lock();
+        let mut stamps = HashSet::new();
+        for (key, &(fi, _)) in &inner.map {
+            let f = &inner.frames[fi];
+            assert_eq!(f.key, Some(*key), "frame {fi} does not hold its key");
+            let (own, other) = match f.queue {
+                QueueKind::A1in => (&inner.a1in, &inner.am),
+                QueueKind::Am => (&inner.am, &inner.a1in),
+            };
+            let stamp = f.stamp;
+            assert_eq!(own.get(&stamp), Some(&fi), "frame {fi} not queued under stamp {stamp}");
+            assert!(!other.values().any(|&o| o == fi), "frame {fi} in both queues");
+            assert!(stamps.insert(f.stamp), "stamp {} used twice", f.stamp);
+            assert!(!inner.pinned.contains_key(key), "pinned key {key:?} also holds a frame");
+        }
+        assert_eq!(inner.a1in.len() + inner.am.len(), inner.map.len(), "a queue entry of no frame");
+        assert_eq!(inner.free.len() + inner.map.len(), inner.frames.len(), "a frame lost");
+    }
+
+    /// Two tenants fill overlapping windows of one file at the same moment,
+    /// round after round, on a cache a fraction of the file's size — claims,
+    /// merged waits, landings and evictions of both interleave — and the
+    /// queues are consistent after every round.
+    #[test]
+    fn twoq_queues_stay_consistent_under_a_concurrent_two_tenant_fill() {
+        let (ssd, f) = dev_with_pages(64);
+        let cache = Arc::new(PageCache::new(16));
+        ssd.attach_cache(Arc::clone(&cache));
+        let views = [ssd.tenant_view(1), ssd.tenant_view(2)];
+        for round in 0..300u64 {
+            let start = std::sync::Barrier::new(2);
+            std::thread::scope(|s| {
+                for (t, view) in (0u64..).zip(&views) {
+                    let start = &start;
+                    s.spawn(move || {
+                        let lo = (round * 7 + t * 5) % 52;
+                        let reqs: Vec<_> = (lo..lo + 12).map(|p| (f, p, 8)).collect();
+                        start.wait();
+                        view.read_batch(&reqs).unwrap();
+                    });
+                }
+            });
+            assert_queues_consistent(&cache);
+        }
+        let snap = cache.snapshot();
+        assert!(snap.evictions > 100 && snap.cross_tenant_hits > 0, "{snap:?}");
+    }
+
+    /// The queues stay consistent through a write-back retention sequence:
+    /// frames of a file, write-back pins placed beside them, hits on both,
+    /// a truncate that drops the pins unwritten, an `unpin_file` that
+    /// charges them, and the frames a re-read of the unpinned pages fills.
+    #[test]
+    fn twoq_queues_stay_consistent_through_write_back_retention() {
+        let (ssd, f) = dev_with_pages(8);
+        let cache = Arc::new(PageCache::new(6));
+        ssd.attach_cache(Arc::clone(&cache));
+        let log = ssd.open_or_create("log").unwrap();
+        let reread = |pages: std::ops::Range<u64>, file: FileId| {
+            let reqs: Vec<_> = pages.map(|p| (file, p, 8)).collect();
+            ssd.read_batch(&reqs).unwrap();
+            assert_queues_consistent(&cache);
+        };
+        for round in 0..4u8 {
+            reread(0..8, f);
+            let pages = [[round; 8]; 4];
+            let writes: Vec<(FileId, &[u8])> = pages.iter().map(|p| (log, &p[..])).collect();
+            ssd.append(&writes, 3, true, &mut Vec::new()).unwrap();
+            assert_queues_consistent(&cache);
+            reread(0..4, log);
+            assert_eq!(cache.pinned_pages(), 3);
+            if round % 2 == 0 {
+                ssd.truncate(log).unwrap();
+            } else {
+                let written = ssd.stats().snapshot().pages_written;
+                assert_eq!(cache.unpin_file(&ssd, log).unwrap(), 3);
+                assert_eq!(ssd.stats().snapshot().pages_written, written + 3);
+                reread(0..ssd.num_pages(log).unwrap(), log);
+                ssd.truncate(log).unwrap();
+            }
+            assert_queues_consistent(&cache);
+            assert_eq!(cache.pinned_pages(), 0);
+        }
+    }
+
     /// The 2Q victim order, pinned to a digest: a seeded mix of batched
     /// reads (duplicate pages included), pins, unpins, overwrites and
     /// truncates on a 16-frame cache, folding `evictions` and the sorted
@@ -971,7 +1082,7 @@ mod tests {
                     cache.pin_pages(&ssd, f, lo..(lo + 2).min(24)).unwrap();
                 }
                 16 => {
-                    cache.unpin_file(f);
+                    cache.unpin_file(&ssd, f).unwrap();
                 }
                 17 | 18 => ssd.write_page(f, page(&mut next), &[0xEE; 8]).unwrap(),
                 _ => {

@@ -75,13 +75,17 @@ echo "== stage-table smoke (mlvc run) =="
 # benchmark workload runs, on a fresh directory per run; `pagerank
 # --metrics` holds the run's artifacts: the trace JSONL and the Prometheus
 # snapshot must be the same bytes at both thread counts; `pagerank
-# --cache-kb 256 --pin-budget-kb 512` holds the tiered path (the 2Q cache,
-# hot-interval pinning and the multi-log's log-tail retention), which the
-# in-process tests and `sim-pins` otherwise reach at one size only;
-# `pagerank --memory-kb 1024 --metrics` holds the multi-log's evictions,
-# written behind on the superstep's I/O queue, and its carry of the
-# buffered tail across a superstep boundary in host memory: its trace must
-# show a superstep that evicted and one that carried pages. It runs on a
+# --memory-kb 1024 --metrics` holds the multi-log's evictions, written
+# behind on the superstep's I/O queue, and its carry of the buffered tail
+# across a superstep boundary in host memory: its trace must show a
+# superstep that evicted and one that carried pages. The two tiered legs
+# (`--cache-kb 256 --pin-budget-kb 512`: the 2Q cache, hot-interval
+# pinning and the multi-log's log-tail retention, which the in-process
+# tests and `sim-pins` otherwise reach at one size only) run under the
+# same budget, so the log evicts and retention writes pages back into the
+# pinned tier instead of to flash: with `--metrics`, whose trace must also
+# show a superstep that retained pages, and with `--ssd-dir`, the
+# file-backed device's write-back path. Every `--memory-kb` leg runs on a
 # scale-14 graph, because at scale 12 a superstep's log fits under the
 # eviction floor at any budget.
 smoke_dir="$(mktemp -d)"
@@ -90,8 +94,9 @@ for scale in 12 14; do
   cargo run -q --release --bin mlvc -- \
     gen --kind rmat-social --scale $scale --seed 42 --out "$smoke_dir/g$scale.csr" >/dev/null
 done
+tiered="pagerank --memory-kb 1024 --cache-kb 256 --pin-budget-kb 512"
 for app in "pagerank" "randomwalk" "wcc --async" "pagerank --ssd-dir" "pagerank --metrics" \
-  "pagerank --cache-kb 256 --pin-budget-kb 512" "pagerank --memory-kb 1024 --metrics"; do
+  "pagerank --memory-kb 1024 --metrics" "$tiered --metrics" "$tiered --ssd-dir"; do
   graph="$smoke_dir/g12.csr"
   if [[ $app == *--memory-kb* ]]; then
     graph="$smoke_dir/g14.csr"
@@ -135,14 +140,19 @@ for app in "pagerank" "randomwalk" "wcc --async" "pagerank --ssd-dir" "pagerank 
     cmp "$smoke_dir/metrics.1.jsonl" "$smoke_dir/metrics.2.jsonl"
     cmp "$smoke_dir/metrics.1.prom" "$smoke_dir/metrics.2.prom"
   fi
-  if [[ $app == *--memory-kb* ]] && ! grep -q '"log_evictions":[1-9]' "$smoke_dir/metrics.1.jsonl"; then
-    echo "$app: no superstep evicted"
-    exit 1
+  need=""
+  if [[ $app == *--memory-kb*--metrics ]]; then
+    need="log_evictions log_pages_carried"
   fi
-  if [[ $app == *--memory-kb* ]] && ! grep -q '"log_pages_carried":[1-9]' "$smoke_dir/metrics.1.jsonl"; then
-    echo "$app: no superstep carried a log page"
-    exit 1
+  if [[ $app == *--pin-budget-kb*--metrics ]]; then
+    need="$need log_pages_retained"
   fi
+  for field in $need; do
+    if ! grep -q "\"$field\":[1-9]" "$smoke_dir/metrics.1.jsonl"; then
+      echo "$app: no superstep with $field > 0"
+      exit 1
+    fi
+  done
 done
 
 echo "== ingest smoke (mlvc ingest) =="

@@ -18,16 +18,19 @@
 //!
 //! The sweep asks a factory for the program of each of the three runs. A
 //! factory that builds a fresh program each time models a process crash:
-//! nothing the crashed run's program held survives into the resume.
+//! nothing the crashed run's program held survives into the resume. A
+//! tiered sweep models the same for the page cache: the resume starts on a
+//! fresh cache, so a log page that only ever lived in the pinned tier
+//! (write-back retention, DESIGN.md §18) is gone.
 
 use std::sync::Arc;
 
 use multilogvc::apps::{Bfs, Coloring, KCore, PageRank};
-use multilogvc::core::{Engine, EngineConfig, MultiLogEngine, VertexProgram};
+use multilogvc::core::{Engine, EngineConfig, MultiLogEngine, TieringConfig, VertexProgram};
 use multilogvc::graph::{StoredGraph, VertexIntervals};
 use multilogvc::recover::manifest::CKPT_RECORD;
 use multilogvc::recover::{CheckpointManager, CKPT_VERSION};
-use multilogvc::ssd::{DeviceError, FaultPlan, Ssd, SsdConfig};
+use multilogvc::ssd::{DeviceError, FaultPlan, PageCache, Ssd, SsdConfig};
 
 /// Checkpoint tag used by the engine (`mlvc-core`'s `CKPT_TAG`).
 const TAG: &str = "mlvc";
@@ -59,6 +62,13 @@ fn fresh<P: VertexProgram + 'static>(make: fn() -> P) -> impl Fn() -> Arc<dyn Ve
 }
 
 fn sweep(program: Factory<'_>, steps: usize) {
+    sweep_with(program, steps, &cfg());
+}
+
+/// [`sweep`] under `cfg`. With tiering on, each resume runs on a fresh
+/// page cache of the configured size.
+fn sweep_with(program: Factory<'_>, steps: usize, cfg: &EngineConfig) {
+    let cfg = || cfg.clone();
     let g = small_graph();
     let prog = program();
 
@@ -77,6 +87,7 @@ fn sweep(program: Factory<'_>, steps: usize) {
     let golden: Vec<u64> = golden_eng.states().to_vec();
     let total_writes = ssd.fault_counters().page_writes - writes_before;
     assert!(total_writes > 0, "{} wrote no pages", prog.name());
+    let mut retained_on_resume = 0;
 
     for crash_at in 1..=total_writes {
         let (ssd, sg) = device(&g);
@@ -105,6 +116,10 @@ fn sweep(program: Factory<'_>, steps: usize) {
 
         // Resume from the last durable checkpoint (or from scratch when
         // the crash predates the first checkpoint).
+        let tiering = cfg().tiering;
+        if tiering.enabled() {
+            ssd.attach_cache(Arc::new(PageCache::new(tiering.cache_pages(ssd.page_size()))));
+        }
         let mut rec = MultiLogEngine::with_shared_graph(Arc::clone(&ssd), Arc::clone(&sg), cfg());
         let recovered = rec.run_recoverable(program().as_ref(), steps);
         assert!(
@@ -127,6 +142,10 @@ fn sweep(program: Factory<'_>, steps: usize) {
             "{}: crash at write {crash_at}",
             prog.name()
         );
+        retained_on_resume += recovered.multilog.map_or(0, |m| m.pages_retained);
+    }
+    if cfg().tiering.pin_budget_bytes > 0 {
+        assert!(retained_on_resume > 0, "no resume retained a restored log page");
     }
 }
 
@@ -138,6 +157,18 @@ fn bfs_recovers_bit_identical_from_any_crash_point() {
 #[test]
 fn pagerank_recovers_bit_identical_from_any_crash_point() {
     sweep(&fresh(PageRank::default), 6);
+}
+
+/// PageRank with a page cache, topology pins and log-tail retention armed,
+/// to a tolerance that keeps it sending through every checkpoint: the
+/// crashed run loses its pinned tier with the process, the resume restores
+/// the checkpointed log pages on a fresh cache — retaining them, unwritten
+/// — and still ends bit-identical.
+#[test]
+fn pagerank_with_retention_recovers_bit_identical_from_any_crash_point() {
+    let page = SsdConfig::test_small().page_size;
+    let tiering = TieringConfig { cache_bytes: 16 * page, pin_budget_bytes: 16 * page };
+    sweep_with(&fresh(|| PageRank::new(0.85, 1e-9)), 4, &cfg().with_tiering(tiering));
 }
 
 /// Coloring with one program object for all three runs: a device crash in

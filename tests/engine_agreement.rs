@@ -417,14 +417,14 @@ fn apps_that_disclaim_src_do_not_read_it() {
 }
 
 /// A run's trace: one row per phase, seeding first.
-type Trace = Vec<[(&'static str, u64); 34]>;
+type Trace = Vec<[(&'static str, u64); 35]>;
 
 fn trace(r: &RunReport) -> Trace {
     r.phases().map(SuperstepStats::trace_fields).collect()
 }
 
 /// The value of the field `name` in a trace row.
-fn field(row: &[(&'static str, u64); 34], name: &str) -> u64 {
+fn field(row: &[(&'static str, u64); 35], name: &str) -> u64 {
     row.iter().find(|(n, _)| *n == name).map(|(_, v)| *v).expect("a trace field")
 }
 

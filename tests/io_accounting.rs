@@ -22,7 +22,7 @@ fn mini_graph() -> Csr {
 }
 
 /// A run's trace: one row per phase, seeding first.
-type Trace = Vec<[(&'static str, u64); 34]>;
+type Trace = Vec<[(&'static str, u64); 35]>;
 
 fn trace(r: &RunReport) -> Trace {
     r.phases().map(SuperstepStats::trace_fields).collect()
@@ -455,7 +455,9 @@ fn metrics_snapshot_and_trace_jsonl_match_schema() {
 /// `null` for a ratio over nothing, one line per phase. A four-superstep
 /// BFS under tight memory with a small page cache and a pin budget in front
 /// of the device, so the log-eviction, cache and pinned-tier columns move
-/// too; the log's tail crosses each boundary in host memory, so the
+/// too, and log-tail retention writes back part of the one eviction:
+/// `log_pages_retained` moves, and those pages are not in `pages_written`;
+/// the log's tail crosses each boundary in host memory, so the
 /// `log_pages_carried` column moves and most phases write nothing, and
 /// the seeding phase moves nothing at all: both ratios read `null` there.
 #[test]
@@ -472,11 +474,53 @@ fn trace_jsonl_bytes_are_pinned() {
     assert_eq!(r.trace_jsonl(), PINNED_TRACE);
 }
 
-const PINNED_TRACE: &str = r#"{"superstep":0,"active_vertices":0,"messages_processed":0,"messages_delivered":0,"messages_sent":1,"edges_scanned":0,"fused_batches":0,"pages_read":0,"pages_written":0,"bytes_read":0,"useful_bytes_read":0,"bytes_written":0,"log_bytes_appended":18,"log_pages_flushed":0,"log_pages_carried":1,"log_evictions":0,"edge_log_vertices":0,"edge_log_pages":0,"edge_log_hits":0,"ftl_host_writes":0,"ftl_physical_writes":0,"ftl_erases":0,"ftl_gc_relocations":0,"sim_time_ns":0,"io_wait_ns":0,"max_inflight":0,"mut_edges_merged":0,"mut_intervals_merged":0,"mut_dirty_vertices":0,"cache_hits":0,"cache_misses":0,"cache_evictions":0,"pinned_pages":0,"pinned_hits":0,"read_amplification":null,"write_amplification":null}
-{"superstep":1,"active_vertices":1,"messages_processed":1,"messages_delivered":1,"messages_sent":85,"edges_scanned":85,"fused_batches":1,"pages_read":6,"pages_written":0,"bytes_read":1536,"useful_bytes_read":1102,"bytes_written":0,"log_bytes_appended":882,"log_pages_flushed":0,"log_pages_carried":4,"log_evictions":0,"edge_log_vertices":0,"edge_log_pages":0,"edge_log_hits":0,"ftl_host_writes":0,"ftl_physical_writes":0,"ftl_erases":0,"ftl_gc_relocations":0,"sim_time_ns":360210,"io_wait_ns":240000,"max_inflight":2,"mut_edges_merged":0,"mut_intervals_merged":0,"mut_dirty_vertices":0,"cache_hits":2,"cache_misses":6,"cache_evictions":0,"pinned_pages":6,"pinned_hits":0,"read_amplification":1.393829,"write_amplification":null}
-{"superstep":2,"active_vertices":85,"messages_processed":85,"messages_delivered":85,"messages_sent":1608,"edges_scanned":1608,"fused_batches":1,"pages_read":4,"pages_written":56,"bytes_read":1024,"useful_bytes_read":542,"bytes_written":14336,"log_bytes_appended":16624,"log_pages_flushed":56,"log_pages_carried":12,"log_evictions":1,"edge_log_vertices":0,"edge_log_pages":0,"edge_log_hits":0,"ftl_host_writes":56,"ftl_physical_writes":56,"ftl_erases":0,"ftl_gc_relocations":0,"sim_time_ns":2738984,"io_wait_ns":236368,"max_inflight":4,"mut_edges_merged":0,"mut_intervals_merged":0,"mut_dirty_vertices":0,"cache_hits":6,"cache_misses":4,"cache_evictions":0,"pinned_pages":16,"pinned_hits":6,"read_amplification":1.889299,"write_amplification":1.000000}
-{"superstep":3,"active_vertices":117,"messages_processed":1608,"messages_delivered":117,"messages_sent":113,"edges_scanned":1806,"fused_batches":2,"pages_read":50,"pages_written":0,"bytes_read":12800,"useful_bytes_read":14531,"bytes_written":0,"log_bytes_appended":1178,"log_pages_flushed":0,"log_pages_carried":6,"log_evictions":0,"edge_log_vertices":2,"edge_log_pages":0,"edge_log_hits":0,"ftl_host_writes":0,"ftl_physical_writes":0,"ftl_erases":0,"ftl_gc_relocations":0,"sim_time_ns":1327876,"io_wait_ns":1304674,"max_inflight":4,"mut_edges_merged":0,"mut_intervals_merged":0,"mut_dirty_vertices":0,"cache_hits":20,"cache_misses":50,"cache_evictions":4,"pinned_pages":10,"pinned_hits":16,"read_amplification":0.880875,"write_amplification":null}
-{"superstep":4,"active_vertices":48,"messages_processed":113,"messages_delivered":48,"messages_sent":0,"edges_scanned":1255,"fused_batches":1,"pages_read":0,"pages_written":0,"bytes_read":0,"useful_bytes_read":0,"bytes_written":0,"log_bytes_appended":0,"log_pages_flushed":0,"log_pages_carried":0,"log_evictions":0,"edge_log_vertices":0,"edge_log_pages":0,"edge_log_hits":0,"ftl_host_writes":0,"ftl_physical_writes":0,"ftl_erases":0,"ftl_gc_relocations":0,"sim_time_ns":5080,"io_wait_ns":0,"max_inflight":4,"mut_edges_merged":0,"mut_intervals_merged":0,"mut_dirty_vertices":0,"cache_hits":9,"cache_misses":0,"cache_evictions":0,"pinned_pages":10,"pinned_hits":9,"read_amplification":null,"write_amplification":null}
+/// Where the log's pages went (DESIGN.md §18): on a tiered run whose log
+/// evicts, every sealed page a flush placed on a log file was either
+/// written by the device or retained in the pinned tier —
+/// `log_pages_flushed` equals the device's page writes (less the edge
+/// log's) plus `log_pages_retained`, superstep by superstep, straight off
+/// the trace — and the FTL saw exactly the pages the device wrote. (The
+/// one other page a flush places, a carried page an eviction writes out
+/// before its interval is planned, would be written or retained too, but
+/// is not in `log_pages_flushed`; this run's evictions write none.) At
+/// every close the pinned tier holds no more than the pin budget.
+#[test]
+fn every_flushed_log_page_is_written_or_retained() {
+    let g = mini_graph();
+    let iv = VertexIntervals::uniform(g.num_vertices(), 5);
+    let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
+    let sg = StoredGraph::store_with(&ssd, &g, "where", iv).unwrap();
+    ssd.enable_ftl(FtlConfig::default());
+    let cfg = EngineConfig::default()
+        .with_memory(16 << 10)
+        .with_tiering(TieringConfig { cache_bytes: 8 << 10, pin_budget_bytes: 4 << 10 });
+    let page = ssd.page_size() as u64;
+    let r = MultiLogEngine::new(ssd, sg, cfg).run(&PageRank::new(0.85, 1e-9), 40);
+    assert!(r.interrupted.is_none());
+    for s in r.phases() {
+        assert!(s.pinned_pages * page <= 4 << 10, "superstep {}: over budget", s.superstep);
+        let written = s.io.pages_written - s.edge_log_pages;
+        assert_eq!(
+            s.log_pages_flushed,
+            written + s.log_pages_retained,
+            "superstep {}: {written} written, {} retained",
+            s.superstep,
+            s.log_pages_retained
+        );
+        assert_eq!(s.ftl_host_writes, s.io.pages_written, "superstep {}", s.superstep);
+    }
+    let sum = |f: fn(&SuperstepStats) -> u64| -> u64 { r.phases().map(f).sum() };
+    assert!(sum(|s| s.log_evictions) > 0, "the log never evicted");
+    let (retained, written) = (sum(|s| s.log_pages_retained), sum(|s| s.io.pages_written));
+    assert!(retained > 0 && written > 0, "{retained} retained, {written} written");
+    assert_eq!(retained, r.multilog.unwrap().pages_retained);
+}
+
+const PINNED_TRACE: &str = r#"{"superstep":0,"active_vertices":0,"messages_processed":0,"messages_delivered":0,"messages_sent":1,"edges_scanned":0,"fused_batches":0,"pages_read":0,"pages_written":0,"bytes_read":0,"useful_bytes_read":0,"bytes_written":0,"log_bytes_appended":18,"log_pages_flushed":0,"log_pages_carried":1,"log_pages_retained":0,"log_evictions":0,"edge_log_vertices":0,"edge_log_pages":0,"edge_log_hits":0,"ftl_host_writes":0,"ftl_physical_writes":0,"ftl_erases":0,"ftl_gc_relocations":0,"sim_time_ns":0,"io_wait_ns":0,"max_inflight":0,"mut_edges_merged":0,"mut_intervals_merged":0,"mut_dirty_vertices":0,"cache_hits":0,"cache_misses":0,"cache_evictions":0,"pinned_pages":0,"pinned_hits":0,"read_amplification":null,"write_amplification":null}
+{"superstep":1,"active_vertices":1,"messages_processed":1,"messages_delivered":1,"messages_sent":85,"edges_scanned":85,"fused_batches":1,"pages_read":6,"pages_written":0,"bytes_read":1536,"useful_bytes_read":1102,"bytes_written":0,"log_bytes_appended":882,"log_pages_flushed":0,"log_pages_carried":4,"log_pages_retained":0,"log_evictions":0,"edge_log_vertices":0,"edge_log_pages":0,"edge_log_hits":0,"ftl_host_writes":0,"ftl_physical_writes":0,"ftl_erases":0,"ftl_gc_relocations":0,"sim_time_ns":360210,"io_wait_ns":240000,"max_inflight":2,"mut_edges_merged":0,"mut_intervals_merged":0,"mut_dirty_vertices":0,"cache_hits":2,"cache_misses":6,"cache_evictions":0,"pinned_pages":6,"pinned_hits":0,"read_amplification":1.393829,"write_amplification":null}
+{"superstep":2,"active_vertices":85,"messages_processed":85,"messages_delivered":85,"messages_sent":1608,"edges_scanned":1608,"fused_batches":1,"pages_read":4,"pages_written":46,"bytes_read":1024,"useful_bytes_read":542,"bytes_written":11776,"log_bytes_appended":16624,"log_pages_flushed":56,"log_pages_carried":12,"log_pages_retained":10,"log_evictions":1,"edge_log_vertices":0,"edge_log_pages":0,"edge_log_hits":0,"ftl_host_writes":46,"ftl_physical_writes":46,"ftl_erases":0,"ftl_gc_relocations":0,"sim_time_ns":2402984,"io_wait_ns":236368,"max_inflight":4,"mut_edges_merged":0,"mut_intervals_merged":0,"mut_dirty_vertices":0,"cache_hits":6,"cache_misses":4,"cache_evictions":0,"pinned_pages":16,"pinned_hits":6,"read_amplification":1.889299,"write_amplification":1.000000}
+{"superstep":3,"active_vertices":117,"messages_processed":1608,"messages_delivered":117,"messages_sent":113,"edges_scanned":1806,"fused_batches":2,"pages_read":50,"pages_written":0,"bytes_read":12800,"useful_bytes_read":14531,"bytes_written":0,"log_bytes_appended":1178,"log_pages_flushed":0,"log_pages_carried":6,"log_pages_retained":0,"log_evictions":0,"edge_log_vertices":2,"edge_log_pages":0,"edge_log_hits":0,"ftl_host_writes":0,"ftl_physical_writes":0,"ftl_erases":0,"ftl_gc_relocations":0,"sim_time_ns":1327876,"io_wait_ns":1304674,"max_inflight":4,"mut_edges_merged":0,"mut_intervals_merged":0,"mut_dirty_vertices":0,"cache_hits":20,"cache_misses":50,"cache_evictions":4,"pinned_pages":10,"pinned_hits":16,"read_amplification":0.880875,"write_amplification":null}
+{"superstep":4,"active_vertices":48,"messages_processed":113,"messages_delivered":48,"messages_sent":0,"edges_scanned":1255,"fused_batches":1,"pages_read":0,"pages_written":0,"bytes_read":0,"useful_bytes_read":0,"bytes_written":0,"log_bytes_appended":0,"log_pages_flushed":0,"log_pages_carried":0,"log_pages_retained":0,"log_evictions":0,"edge_log_vertices":0,"edge_log_pages":0,"edge_log_hits":0,"ftl_host_writes":0,"ftl_physical_writes":0,"ftl_erases":0,"ftl_gc_relocations":0,"sim_time_ns":5080,"io_wait_ns":0,"max_inflight":4,"mut_edges_merged":0,"mut_intervals_merged":0,"mut_dirty_vertices":0,"cache_hits":9,"cache_misses":0,"cache_evictions":0,"pinned_pages":10,"pinned_hits":9,"read_amplification":null,"write_amplification":null}
 "#;
 
 /// Keeps one vertex busy for [`Countdown::STEPS`] supersteps: it messages

@@ -30,7 +30,7 @@ static OVERRIDE: Mutex<()> = Mutex::new(());
 type StepCounts = Vec<(u64, u64, u64)>;
 
 /// A run's trace: one row per phase, seeding first.
-type Trace = Vec<[(&'static str, u64); 34]>;
+type Trace = Vec<[(&'static str, u64); 35]>;
 
 fn trace(r: &RunReport) -> Trace {
     r.phases().map(SuperstepStats::trace_fields).collect()
