@@ -4,9 +4,10 @@ use mlvc_graph::{Csr, EdgeListBuilder, VertexId};
 /// Barabási–Albert preferential attachment: each new vertex attaches to
 /// `m_per_vertex` existing vertices chosen proportionally to degree.
 /// Produces a scale-free graph with an exact power-law tail — useful for
-/// stressing page-utilization behaviour with extreme hubs.
+/// stressing page-utilization behaviour with extreme hubs. Panics where
+/// [`check_barabasi_albert`] fails.
 pub fn barabasi_albert(n: usize, m_per_vertex: usize, seed: u64) -> Csr {
-    assert!(m_per_vertex >= 1 && n > m_per_vertex);
+    crate::require(check_barabasi_albert(n, m_per_vertex));
     let mut rng = SeededRng::seed_from_u64(seed);
     let mut b = EdgeListBuilder::new(n)
         .symmetrize(true)
@@ -40,6 +41,22 @@ pub fn barabasi_albert(n: usize, m_per_vertex: usize, seed: u64) -> Csr {
         }
     }
     b.build()
+}
+
+/// [`barabasi_albert`]'s precondition, as an error instead of a panic: at
+/// least one attachment per vertex, more vertices than attachments (the
+/// seed clique has `m_per_vertex + 1`), and fewer than 2³² vertices.
+pub fn check_barabasi_albert(n: usize, m_per_vertex: usize) -> Result<(), String> {
+    if m_per_vertex == 0 {
+        return Err("Barabási–Albert needs at least one edge per vertex".into());
+    }
+    if n <= m_per_vertex || u32::try_from(n).is_err() {
+        return Err(format!(
+            "Barabási–Albert needs more vertices than edges per vertex ({m_per_vertex}) and \
+             fewer than 2^32, got {n}"
+        ));
+    }
+    Ok(())
 }
 
 #[cfg(test)]

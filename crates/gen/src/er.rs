@@ -3,9 +3,12 @@ use mlvc_graph::{Csr, EdgeListBuilder, VertexId};
 
 /// Erdős–Rényi G(n, m): `m` undirected edges drawn uniformly at random
 /// (self-loops and duplicates removed, so the result may have slightly
-/// fewer than `m` distinct edges). Deterministic in `seed`.
+/// fewer than `m` distinct edges). Deterministic in `seed`. Serial: a
+/// draw in `0..n` may be rejected and redrawn, so a sample's draw count
+/// varies and the stream cannot be split by jumping (`rng` module doc).
+/// Panics where [`check_erdos_renyi`] fails.
 pub fn erdos_renyi(n: usize, m: usize, seed: u64) -> Csr {
-    assert!(n >= 2);
+    crate::require(check_erdos_renyi(n));
     let mut rng = SeededRng::seed_from_u64(seed);
     let mut b = EdgeListBuilder::new(n)
         .symmetrize(true)
@@ -18,6 +21,15 @@ pub fn erdos_renyi(n: usize, m: usize, seed: u64) -> Csr {
         b.push(src, dst);
     }
     b.build()
+}
+
+/// [`erdos_renyi`]'s precondition, as an error instead of a panic: at
+/// least two vertices (and fewer than 2³², vertex ids being `u32`).
+pub fn check_erdos_renyi(n: usize) -> Result<(), String> {
+    if n < 2 || u32::try_from(n).is_err() {
+        return Err(format!("Erdős–Rényi needs 2..2^32 vertices, got {n}"));
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -27,10 +27,17 @@ mod sbm;
 mod simple;
 mod stats;
 
-pub use ba::barabasi_albert;
+pub use ba::{barabasi_albert, check_barabasi_albert};
 pub use datasets::{cf_mini, yws_mini, Dataset};
-pub use er::erdos_renyi;
+pub use er::{check_erdos_renyi, erdos_renyi};
 pub use rmat::{rmat, RmatParams};
 pub use sbm::{sbm, sbm_community, SbmParams};
 pub use simple::{complete, cycle, grid, path, star};
 pub use stats::{degree_stats, DegreeStats};
+
+/// Assert a generator's precondition through its public check, whose
+/// message the panic carries: a bad parameter is the caller's bug here, and
+/// a caller that wants an error calls the check first.
+fn require(check: Result<(), String>) {
+    assert!(check.is_ok(), "{}", check.err().unwrap_or_default());
+}

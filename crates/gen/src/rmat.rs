@@ -38,33 +38,80 @@ impl RmatParams {
         self.edge_factor << self.scale
     }
 
-    fn validate(&self) {
+    /// The generator's precondition, as an error instead of a panic: `scale`
+    /// in `1..=30` (vertex ids are `u32`), at least one edge per vertex,
+    /// quadrant probabilities in `[0, 1]` summing to 1, and `noise` in
+    /// `[0, 2]`, so no per-level probability goes negative. [`rmat`]
+    /// asserts through it; a caller holding untrusted parameters (`mlvc
+    /// gen`) calls it first.
+    pub fn check(&self) -> Result<(), String> {
+        if !(1..=30).contains(&self.scale) {
+            return Err(format!("R-MAT scale must be in 1..=30, got {}", self.scale));
+        }
+        if self.edge_factor == 0 {
+            return Err("R-MAT needs at least one edge per vertex".into());
+        }
+        let quadrants = [self.a, self.b, self.c, self.d];
         let sum = self.a + self.b + self.c + self.d;
-        assert!((sum - 1.0).abs() < 1e-9, "quadrant probabilities must sum to 1");
-        assert!(self.scale >= 1 && self.scale <= 30);
-        assert!(self.edge_factor >= 1);
+        if quadrants.iter().any(|q| !(0.0..=1.0).contains(q)) || (sum - 1.0).abs() >= 1e-9 {
+            return Err(format!(
+                "R-MAT quadrant probabilities must be in [0, 1] and sum to 1, got {quadrants:?}"
+            ));
+        }
+        if !(0.0..=2.0).contains(&self.noise) {
+            return Err(format!("R-MAT noise must be in [0, 2], got {}", self.noise));
+        }
+        Ok(())
     }
 }
 
+/// Samples each worker must draw before [`rmat`] splits the stream; below
+/// twice this the calling thread draws them all, with no jump and no spawn.
+/// A sample is `5 · scale` draws, ≈ 0.3 µs at scale 17; a worker's jump to
+/// its chunk's first draw is ≈ 30 squarings of a 256×256 bit matrix,
+/// ≈ 2 ms, and its spawn tens of µs. At 2¹⁶ samples (≈ 20 ms of drawing)
+/// the two stay under a tenth of a chunk, and a graph of scale ≤ 13 at 8
+/// edges a vertex (≤ 12 at 16) stays serial. Results do not depend on it:
+/// the stream is the same one at any split.
+const FORK_MIN_SAMPLES: usize = 1 << 16;
+
 /// Generate an undirected R-MAT graph (both directions stored, self-loops
-/// dropped, duplicates removed), deterministically from `seed`.
+/// dropped, duplicates removed), deterministically from `seed` — the same
+/// graph at any thread count. The samples split into contiguous chunks, one
+/// a worker, each drawn from the seed's one stream jumped to its first
+/// draw ([`SeededRng::jumped`]: a sample is exactly `5 · scale` draws), and
+/// the chunks join in order. Panics where [`RmatParams::check`] fails.
 pub fn rmat(params: RmatParams, seed: u64) -> Csr {
-    params.validate();
-    let n = params.num_vertices();
+    crate::require(params.check());
     let m = params.num_edges_target();
-    let mut rng = SeededRng::seed_from_u64(seed);
-    let mut b = EdgeListBuilder::new(n)
+    let rng = SeededRng::seed_from_u64(seed);
+    let workers = mlvc_par::max_threads().min(m / FORK_MIN_SAMPLES).max(1);
+    let chunk = m.div_ceil(workers);
+    let starts: Vec<usize> = (0..m).step_by(chunk).collect();
+    let draws_per_sample = 5 * u64::from(params.scale);
+    let chunks = mlvc_par::par_map(&starts, |&lo| {
+        let mut rng = rng.jumped(lo as u64 * draws_per_sample);
+        (lo..m.min(lo + chunk))
+            .map(|_| sample_edge(&params, &mut rng))
+            .collect::<Vec<_>>()
+    });
+    let mut b = EdgeListBuilder::new(params.num_vertices())
         .symmetrize(true)
         .dedup(true)
         .drop_self_loops(true);
     b.reserve(m);
-    for _ in 0..m {
-        let (src, dst) = sample_edge(&params, &mut rng);
+    for (src, dst) in chunks.into_iter().flatten() {
         b.push(src, dst);
     }
     b.build()
 }
 
+/// One edge: per level, four noisy quadrant weights and one draw to pick
+/// a quadrant — exactly `5 · scale` draws, the count [`rmat`]'s chunk
+/// jumps rest on. The quadrant is how many of the three cumulative
+/// thresholds the draw reaches (the weights are non-negative, so the
+/// thresholds ascend): 0 top-left, 1 top-right (destination bit), 2
+/// bottom-left (source bit), 3 bottom-right (both).
 fn sample_edge(p: &RmatParams, rng: &mut SeededRng) -> (VertexId, VertexId) {
     let mut src = 0u64;
     let mut dst = 0u64;
@@ -76,18 +123,9 @@ fn sample_edge(p: &RmatParams, rng: &mut SeededRng) -> (VertexId, VertexId) {
         let nd = p.d * (1.0 + p.noise * (rng.gen_f64() - 0.5));
         let total = na + nb + nc + nd;
         let r: f64 = rng.gen_f64() * total;
-        src <<= 1;
-        dst <<= 1;
-        if r < na {
-            // top-left quadrant: neither bit set
-        } else if r < na + nb {
-            dst |= 1;
-        } else if r < na + nb + nc {
-            src |= 1;
-        } else {
-            src |= 1;
-            dst |= 1;
-        }
+        let q = u64::from(r >= na) + u64::from(r >= na + nb) + u64::from(r >= na + nb + nc);
+        src = (src << 1) | (q >> 1);
+        dst = (dst << 1) | (q & 1);
     }
     (src as VertexId, dst as VertexId)
 }
@@ -151,6 +189,37 @@ mod tests {
         let iso = |g: &Csr| (0..g.num_vertices() as u32).filter(|&v| g.degree(v) == 0).count();
         let (is, iw) = (iso(&gs), iso(&gw));
         assert!(iw > is, "web isolated {iw} vs social {is}");
+    }
+
+    #[test]
+    fn a_sample_is_five_draws_a_level() {
+        for p in [RmatParams::social(9, 1), RmatParams::web(17, 1)] {
+            let mut rng = SeededRng::seed_from_u64(3);
+            for _ in 0..50 {
+                let mut stepped = rng.clone();
+                for _ in 0..5 * p.scale {
+                    stepped.next_u64();
+                }
+                sample_edge(&p, &mut rng);
+                assert_eq!(rng, stepped, "scale {}", p.scale);
+            }
+        }
+    }
+
+    #[test]
+    fn check_names_each_bad_parameter() {
+        assert!(RmatParams::social(14, 16).check().is_ok());
+        for (bad, says) in [
+            (RmatParams::social(0, 8), "scale"),
+            (RmatParams::social(31, 8), "scale"),
+            (RmatParams::web(10, 0), "edge per vertex"),
+            (RmatParams { a: 0.9, ..RmatParams::social(10, 8) }, "sum to 1"),
+            (RmatParams { a: 0.81, d: -0.19, ..RmatParams::social(10, 8) }, "[0, 1]"),
+            (RmatParams { noise: 2.5, ..RmatParams::social(10, 8) }, "noise"),
+        ] {
+            let err = bad.check().expect_err("a bad parameter passes");
+            assert!(err.contains(says), "{err:?} does not say {says:?}");
+        }
     }
 
     #[test]

@@ -5,16 +5,64 @@
 //! Blackman & Vigna. In-repo (no external `rand` crate) so that the
 //! workspace builds offline and generator output is stable across toolchain
 //! and dependency upgrades: every dataset in EXPERIMENTS.md is a pure
-//! function of `(params, seed)` and nothing else.
+//! function of `(params, seed)` and nothing else — not of the thread count
+//! either (`crates/gen/tests/datasets.rs` pins Table I's graphs at 1, 2 and
+//! 8 threads).
+//!
+//! **Jump-ahead.** xoshiro256++'s state update is linear over GF(2): the
+//! next state is a fixed 256×256 bit matrix times the current one (the
+//! output function's additions never feed back into the state). So
+//! [`SeededRng::jumped`] lands exactly where `k` calls to
+//! [`SeededRng::next_u64`] would, by square-and-multiply of that matrix —
+//! O(log k) squarings, a few milliseconds for k ≈ 10⁹. A generator that
+//! consumes a fixed number of draws per item (R-MAT: `5 · scale` per edge)
+//! can therefore start each worker at its chunk's first draw and
+//! concatenate the chunks in order: the one stream, sampled on every
+//! worker, identical at any thread count. A generator whose draw count
+//! varies per item (ER's and SBM's rejection sampling in
+//! [`SeededRng::gen_range`], BA's pool) cannot, and stays serial.
 //!
 //! Not cryptographic. Do not use for anything security-sensitive.
 
 use std::ops::Range;
 
 /// Deterministic RNG used by every generator and randomized test.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SeededRng {
     s: [u64; 4],
+}
+
+/// A linear map on the 256-bit state, by columns: entry `i` is the image of
+/// the state with only bit `i` set (bit `i % 64` of word `i / 64`).
+type BitMatrix = Vec<[u64; 4]>;
+
+/// xoshiro256's state update, shared by [`SeededRng::next_u64`] and the
+/// jump's transition matrix.
+#[inline(always)]
+fn step(s: &mut [u64; 4]) {
+    let t = s[1] << 17;
+    s[2] ^= s[0];
+    s[3] ^= s[1];
+    s[1] ^= s[2];
+    s[0] ^= s[3];
+    s[2] ^= t;
+    s[3] = s[3].rotate_left(45);
+}
+
+/// `m · v` over GF(2): the XOR of the columns of `m` at `v`'s set bits.
+fn apply(m: &[[u64; 4]], v: &[u64; 4]) -> [u64; 4] {
+    let mut out = [0u64; 4];
+    for (w, &word) in v.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            let col = &m[w * 64 + bits.trailing_zeros() as usize];
+            for (o, c) in out.iter_mut().zip(col) {
+                *o ^= c;
+            }
+            bits &= bits - 1;
+        }
+    }
+    out
 }
 
 impl SeededRng {
@@ -37,14 +85,34 @@ impl SeededRng {
             .wrapping_add(self.s[3])
             .rotate_left(23)
             .wrapping_add(self.s[0]);
-        let t = self.s[1] << 17;
-        self.s[2] ^= self.s[0];
-        self.s[3] ^= self.s[1];
-        self.s[1] ^= self.s[2];
-        self.s[0] ^= self.s[3];
-        self.s[2] ^= t;
-        self.s[3] = self.s[3].rotate_left(45);
+        step(&mut self.s);
         result
+    }
+
+    /// The generator `k` draws ahead of this one: exactly the state `k`
+    /// calls to [`next_u64`](Self::next_u64) would leave, reached in
+    /// O(log k) squarings of the state update's bit matrix (module doc).
+    pub fn jumped(&self, k: u64) -> SeededRng {
+        let mut m: BitMatrix = (0..256)
+            .map(|i| {
+                let mut e = [0u64; 4];
+                e[i / 64] = 1 << (i % 64);
+                step(&mut e);
+                e
+            })
+            .collect();
+        let mut s = self.s;
+        let mut k = k;
+        while k != 0 {
+            if k & 1 == 1 {
+                s = apply(&m, &s);
+            }
+            k >>= 1;
+            if k != 0 {
+                m = m.iter().map(|col| apply(&m, col)).collect();
+            }
+        }
+        SeededRng { s }
     }
 
     /// Uniform `f64` in `[0, 1)` (53 mantissa bits).
@@ -152,6 +220,37 @@ mod tests {
         for &c in &counts {
             assert!((8_000..12_000).contains(&c), "bucket count {c} far from 10k");
         }
+    }
+
+    /// `k` calls to `next_u64`, the way a jump must land.
+    fn stepped(rng: &SeededRng, k: u64) -> SeededRng {
+        let mut r = rng.clone();
+        for _ in 0..k {
+            r.next_u64();
+        }
+        r
+    }
+
+    #[test]
+    fn jumped_lands_where_stepping_does() {
+        let base = SeededRng::seed_from_u64(42);
+        for k in [0, 1, 63, 64, 65, 255, 256, 257] {
+            assert_eq!(base.jumped(k), stepped(&base, k), "k = {k}");
+        }
+        let k = SeededRng::seed_from_u64(7).gen_range(0..1_000_000u64);
+        let mut jumped = base.jumped(k);
+        assert_eq!(jumped, stepped(&base, k), "k = {k}");
+        assert_eq!(jumped.next_u64(), stepped(&base, k).next_u64());
+    }
+
+    #[test]
+    fn jumps_compose() {
+        // Distances past any stepping test: R-MAT's chunk starts reach 10⁹.
+        let base = SeededRng::seed_from_u64(9);
+        let (a, b) = (3_000_000_017u64, 1u64 << 40);
+        assert_eq!(base.jumped(a).jumped(b), base.jumped(a + b));
+        assert_eq!(base.jumped(b).jumped(a), base.jumped(a + b));
+        assert_ne!(base.jumped(a), base);
     }
 
     #[test]

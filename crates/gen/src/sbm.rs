@@ -13,9 +13,25 @@ pub struct SbmParams {
     pub inter_degree: f64,
 }
 
-/// Generate an SBM graph, deterministic in `seed`.
+impl SbmParams {
+    /// [`sbm`]'s precondition, as an error instead of a panic: at least one
+    /// community, no more communities than vertices, and fewer than 2³²
+    /// vertices.
+    pub fn check(&self) -> Result<(), String> {
+        if self.communities == 0 || self.n < self.communities || u32::try_from(self.n).is_err() {
+            return Err(format!(
+                "SBM needs 1..=n communities over fewer than 2^32 vertices, got {} over {}",
+                self.communities, self.n
+            ));
+        }
+        Ok(())
+    }
+}
+
+/// Generate an SBM graph, deterministic in `seed`. Serial, as ER is.
+/// Panics where [`SbmParams::check`] fails.
 pub fn sbm(p: SbmParams, seed: u64) -> Csr {
-    assert!(p.communities >= 1 && p.n >= p.communities);
+    crate::require(p.check());
     let mut rng = SeededRng::seed_from_u64(seed);
     let block = p.n / p.communities;
     let mut b = EdgeListBuilder::new(p.n)

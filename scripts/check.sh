@@ -155,6 +155,21 @@ for app in "pagerank" "randomwalk" "wcc --async" "pagerank --ssd-dir" "pagerank 
   done
 done
 
+echo "== gen refuses a bad parameter (mlvc gen) =="
+# A generator's precondition is a public check the CLI calls before the
+# generator asserts through it: a bad parameter exits 1 with a message,
+# never a panic.
+set +e
+cargo run -q --release --bin mlvc -- \
+  gen --kind rmat-social --scale 0 --out "$smoke_dir/bad.csr" >/dev/null 2>"$smoke_dir/bad.err"
+status=$?
+set -e
+if [ "$status" -ne 1 ] || grep -q panicked "$smoke_dir/bad.err" || [ -e "$smoke_dir/bad.csr" ]; then
+  echo "mlvc gen --scale 0: exit $status (want 1, no panic, no graph)" >&2
+  cat "$smoke_dir/bad.err" >&2
+  exit 1
+fi
+
 echo "== ingest smoke (mlvc ingest) =="
 # The CLI's mutation path end to end (DESIGN.md §17): apply an edge batch
 # from a file to a saved graph, incrementally re-converge WCC on the

@@ -211,12 +211,35 @@ fn cmd_gen(a: &Args) -> Result<(), String> {
     let seed: u64 = a.get_parsed("seed", 42)?;
     let scale: u32 = a.get_parsed("scale", 14)?;
     let epv: usize = a.get_parsed("edges-per-vertex", 8)?;
-    let vertices: usize = a.get_parsed("vertices", 1usize << scale)?;
+    let vertices = || match a.get("vertices") {
+        Some(_) => a.get_parsed("vertices", 0usize),
+        None => 1usize
+            .checked_shl(scale)
+            .ok_or_else(|| format!("--scale {scale} is too large")),
+    };
+    // Each generator's own check first: a bad parameter is an error here,
+    // not the generator's assert.
     let g = match kind {
-        "rmat-social" => mlvc_gen::rmat(mlvc_gen::RmatParams::social(scale, epv), seed),
-        "rmat-web" => mlvc_gen::rmat(mlvc_gen::RmatParams::web(scale, epv), seed),
-        "er" => mlvc_gen::erdos_renyi(vertices, vertices * epv, seed),
-        "ba" => mlvc_gen::barabasi_albert(vertices, epv.max(1), seed),
+        "rmat-social" | "rmat-web" => {
+            let p = if kind == "rmat-social" {
+                mlvc_gen::RmatParams::social(scale, epv)
+            } else {
+                mlvc_gen::RmatParams::web(scale, epv)
+            };
+            p.check()?;
+            mlvc_gen::rmat(p, seed)
+        }
+        "er" => {
+            let n = vertices()?;
+            mlvc_gen::check_erdos_renyi(n)?;
+            let m = n.checked_mul(epv).ok_or("--vertices × --edges-per-vertex overflows")?;
+            mlvc_gen::erdos_renyi(n, m, seed)
+        }
+        "ba" => {
+            let n = vertices()?;
+            mlvc_gen::check_barabasi_albert(n, epv)?;
+            mlvc_gen::barabasi_albert(n, epv, seed)
+        }
         other => return Err(format!("unknown --kind {other}")),
     };
     save_graph(out, &g)?;
@@ -757,6 +780,28 @@ mod tests {
         let raw = strs(&["--steps", "abc"]);
         let a = parse_args(&raw).unwrap();
         assert!(a.get_parsed("steps", 0usize).is_err());
+    }
+
+    #[test]
+    fn gen_refuses_bad_parameters() {
+        let out = std::env::temp_dir().join(format!("mlvc-cli-bad-{}.csr", std::process::id()));
+        let out_s = out.to_str().unwrap();
+        for (bad, says) in [
+            (&["--kind", "rmat-social", "--scale", "0"][..], "scale"),
+            (&["--kind", "rmat-web", "--scale", "31"][..], "scale"),
+            (&["--kind", "rmat-social", "--scale", "99"][..], "scale"),
+            (&["--kind", "rmat-social", "--edges-per-vertex", "0"][..], "edge per vertex"),
+            (&["--kind", "er", "--vertices", "1"][..], "vertices"),
+            (&["--kind", "er", "--scale", "64"][..], "too large"),
+            (&["--kind", "ba", "--vertices", "3", "--edges-per-vertex", "3"][..], "more vertices"),
+            (&["--kind", "ba", "--edges-per-vertex", "0"][..], "edge per vertex"),
+        ] {
+            let args: Vec<&str> =
+                ["gen"].iter().chain(bad).chain(&["--out", out_s]).copied().collect();
+            let err = run(&strs(&args)).expect_err("a bad parameter was accepted");
+            assert!(err.contains(says), "{args:?}: {err:?} does not say {says:?}");
+            assert!(!out.exists(), "{args:?} wrote a graph");
+        }
     }
 
     #[test]
