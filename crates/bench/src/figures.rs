@@ -569,7 +569,7 @@ pub fn ablation_checkpoint(s: &Settings) -> Section {
 /// for the all-cache row: a cache this size could in principle hold nearly
 /// everything a superstep re-reads, yet the scan order defeats its
 /// replacement policy, while the same bytes spent on pinned topology plus
-/// retained log tails capture the reuse deterministically.
+/// held log tails capture the reuse deterministically.
 const TIERING_BUDGET: usize = 8 << 20;
 
 /// Extension (DESIGN.md §18): adaptive memory tiering. Holds the extra
@@ -578,8 +578,10 @@ const TIERING_BUDGET: usize = 8 << 20;
 /// `mlvc run --cache-kb --pin-budget-kb` ships), or an eighth cache and the
 /// rest pins. The engine spends a pin budget on the hottest intervals' CSR
 /// extents and, with what the topology ranking leaves, on the tails of
-/// freshly flushed log pages, which it writes back instead of to flash, so
-/// a pin split also writes fewer pages. Every counter is a pure function of the
+/// freshly flushed log pages, which the multi-log holds in host memory
+/// instead of writing them, so a pin split also writes fewer pages. Cache
+/// hits and pinned pages are the topology's; held log pages are counted
+/// apart. Every counter is a pure function of the
 /// workload (the engine touches the cache on its owner thread only,
 /// DESIGN.md §12), so the rows repeat exactly at any thread count.
 pub fn tiering(s: &Settings) -> Section {
@@ -587,10 +589,11 @@ pub fn tiering(s: &Settings) -> Section {
         "Memory tiering — device reads under a fixed DRAM budget (CF)",
         &format!(
             "A fixed {} KiB of extra DRAM split between a scan-resistant 2Q page cache and a\n\
-             pin budget the engine spends on hot-interval CSR extents plus retained log tails,\n\
-             which are never written to flash (DESIGN.md §18). Reduction is device pages read\n\
-             against the all-cache row of the same app; every split produces bit-identical\n\
-             states.",
+             pin budget the engine spends on hot-interval CSR extents (Hits and Pinned count\n\
+             their pages) and, with what those leave, on log pages the multi-log holds in host\n\
+             memory instead of writing them (Log held; DESIGN.md §18). Reduction is device\n\
+             pages read against the all-cache row of the same app; every split produces\n\
+             bit-identical states.",
             TIERING_BUDGET >> 10
         ),
         &[
@@ -603,6 +606,7 @@ pub fn tiering(s: &Settings) -> Section {
             "Hits",
             "Evictions",
             "Pinned",
+            "Log held",
             "Reduction",
         ],
     );
@@ -624,7 +628,7 @@ pub fn tiering(s: &Settings) -> Section {
             let tiering = TieringConfig { cache_bytes, pin_budget_bytes };
             let rig = Rig { engine: s.engine_config().with_tiering(tiering), ..s.rig(&d.graph) };
             let (ssd, mut e) = rig.mlvc();
-            e.run(prog.as_ref(), s.supersteps);
+            let held = e.run(prog.as_ref(), s.supersteps).multilog.map_or(0, |m| m.pages_retained);
             let io = ssd.stats().snapshot();
             let pages_read = io.pages_read;
             let (hits, evictions, pinned) = ssd.cache().map_or((0, 0, 0), |c| {
@@ -647,6 +651,7 @@ pub fn tiering(s: &Settings) -> Section {
                 Cell::int(hits),
                 Cell::int(evictions),
                 Cell::int(pinned),
+                Cell::int(held),
                 if split == "none" {
                     Cell::text("—")
                 } else {

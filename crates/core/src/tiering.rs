@@ -43,36 +43,35 @@ impl Tiering {
     /// same cache left behind so cache state and bookkeeping start in
     /// lockstep — every drive ranks anew — then arm the multi-log's
     /// retention with half the pin budget. Nothing is pinned yet, so the
-    /// seed messages and the first superstep's log tail can be retained
+    /// seed messages and the first superstep's log tail can be held
     /// without overdrawing the ledger; every boundary re-arms against what
-    /// the topology ranking leaves unspent. (The multi-log's own pins need
-    /// no reset: `MultiLog::new` truncates both log sides, and a truncate
-    /// drops its file's pins unwritten.)
+    /// the topology ranking leaves unspent. (The multi-log holds its log
+    /// pages itself, never in the cache, so they need no reset here.)
     pub(crate) fn enter(
         ssd: &Ssd,
         graph: &StoredGraph,
         cfg: &TieringConfig,
         multilog: &mut MultiLog,
-    ) -> Result<Tiering, DeviceError> {
+    ) -> Tiering {
         let num_iv = graph.intervals().num_intervals();
         let budget_bytes = cfg.pin_budget_bytes as u64;
         let cache = ssd.cache().filter(|_| budget_bytes > 0);
         let mut colidx_iv = HashMap::new();
         if let Some(c) = &cache {
             for i in 0..num_iv {
-                c.unpin_file(ssd, graph.rowptr_file(i as IntervalId))?;
-                c.unpin_file(ssd, graph.colidx_file(i as IntervalId))?;
+                c.unpin_file(graph.rowptr_file(i as IntervalId));
+                c.unpin_file(graph.colidx_file(i as IntervalId));
                 colidx_iv.insert(graph.colidx_file(i as IntervalId), i);
             }
             multilog.arm_retention(budget_bytes / 2);
         }
-        Ok(Tiering {
+        Tiering {
             cache,
             budget_bytes,
             heat: vec![0; num_iv],
             pinned_ivs: vec![false; num_iv],
             colidx_iv,
-        })
+        }
     }
 
     /// Topology heat: one unit per column-index page the loader actually
@@ -115,15 +114,15 @@ impl Tiering {
     /// ranked ones are pinned, their fills charged through the cache like
     /// any other read.
     ///
-    /// `retained_bytes` is what the multi-log's logs hold in the pinned
-    /// tier right now — the tail the next superstep consumes — so the
-    /// ranking only gets what that tail leaves free, and the new arming
-    /// what the ranking leaves. Each truncate that drops a log's pins
-    /// returns their bytes to the multi-log's budget, so topology plus log
-    /// pins never exceed the budget at any instant, while the bytes the
-    /// tail gives back as it drains can be retained again in the same
-    /// superstep. Appends are plan-order deterministic, so the retained set
-    /// is too.
+    /// `retained_bytes` is what the multi-log holds in host memory under
+    /// its retention budget right now — the tail the next superstep
+    /// consumes — so the ranking only gets what that tail leaves free, and
+    /// the new arming what the ranking leaves. Each consume returns the
+    /// bytes its logs held to the multi-log's budget, so topology pins plus
+    /// held log pages never exceed the budget at any instant, while the
+    /// bytes the tail gives back as it drains can be held again in the same
+    /// superstep. Flushes are plan-order deterministic, so the held set is
+    /// too.
     pub(crate) fn retier(
         &mut self,
         ssd: &Ssd,
@@ -156,8 +155,8 @@ impl Tiering {
                 cache.pin_file(ssd, rp)?;
                 cache.pin_file(ssd, ci)?;
             } else {
-                cache.unpin_file(ssd, rp)?;
-                cache.unpin_file(ssd, ci)?;
+                cache.unpin_file(rp);
+                cache.unpin_file(ci);
             }
             *pinned = want[i];
         }

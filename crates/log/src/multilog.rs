@@ -53,9 +53,9 @@ pub struct MultiLogStats {
     /// is in the device's `pages_written` (or in `pages_retained`), not
     /// here again.
     pub pages_carried: u64,
-    /// Pages a flush or a checkpoint restore placed on a log file that
-    /// log-tail retention wrote back into the pinned tier instead of to
-    /// flash (DESIGN.md §18): the device charged no write for them.
+    /// Pages a flush or a checkpoint restore held in host memory under the
+    /// log-tail retention budget instead of writing them (DESIGN.md §18):
+    /// the device never saw them.
     pub pages_retained: u64,
     /// Memory-pressure eviction events (buffer exceeded its cap).
     pub evictions: u64,
@@ -147,8 +147,8 @@ pub struct MultiLog {
     /// boundary, per interval, in log order after the interval's read-side
     /// file: each exactly the zero-padded [`Page`] a device read of it
     /// would return. [`Self::plan_reads`] moves an interval's into its
-    /// plan; an eviction writes those of every interval not yet planned to
-    /// their read-side files.
+    /// plan; an eviction writes (or holds) those of every interval not yet
+    /// planned to their read-side files.
     carried: Vec<Vec<Page>>,
     counts: Vec<u64>,
     dest_seen: BitSet,
@@ -160,45 +160,77 @@ pub struct MultiLog {
 }
 
 /// Log-tail retention's ledger (DESIGN.md §18): what the budget has left,
-/// and the bytes each log file holds in the pinned tier — returned to
-/// `left` when a truncate drops that file's pins.
+/// the bytes each log file took from it — booked until the file is
+/// consumed — and the held pages no plan has taken yet, per file: each the
+/// zero-padded [`Page`] a device read of it would return, at its log
+/// position, the number of device pages on the file before it.
 #[derive(Default)]
 struct Retention {
     left: u64,
     held: BTreeMap<FileId, u64>,
+    pages: BTreeMap<FileId, Vec<(u64, Page)>>,
 }
 
 impl Retention {
-    /// Append `pages` through `writes` as one dispatch, the leading pages
-    /// the budget covers — one whole page each, none while no cache is
-    /// attached — written back into the pinned tier and booked on their
-    /// files. Returns how many were.
+    /// Hold the leading `pages` the budget covers — one whole page each —
+    /// and append the rest through `writes` as one dispatch. Returns how
+    /// many were held.
     fn append(
         &mut self,
         ssd: &Ssd,
         writes: &Writes,
         pages: &[(FileId, &[u8])],
     ) -> Result<u64, DeviceError> {
-        let page_bytes = to_u64(ssd.page_size()).max(1);
-        let covered = if ssd.cache().is_some() { self.left / page_bytes } else { 0 };
-        let retain = to_usize("retained pages", covered).unwrap_or(usize::MAX).min(pages.len());
-        writes.append(pages, retain)?;
-        for &(f, _) in &pages[..retain] {
-            self.left -= page_bytes;
+        let page_size = ssd.page_size();
+        let page_bytes = to_u64(page_size).max(1);
+        let covered = to_usize("held pages", self.left / page_bytes).unwrap_or(usize::MAX);
+        let (hold, write) = pages.split_at(covered.min(pages.len()));
+        for &(f, data) in hold {
+            let at = ssd.num_pages(f)?;
             *self.held.entry(f).or_default() += page_bytes;
+            self.pages.entry(f).or_default().push((at, Page::zero_padded(data, page_size)));
         }
-        Ok(to_u64(retain))
+        self.left -= to_u64(hold.len()) * page_bytes;
+        writes.append(write)?;
+        Ok(to_u64(hold.len()))
     }
 
-    /// `file` was truncated: its pins are gone, their bytes back in the
-    /// budget.
+    /// `file`'s held pages, in log order.
+    fn pages(&self, file: FileId) -> &[(u64, Page)] {
+        self.pages.get(&file).map_or(&[], Vec::as_slice)
+    }
+
+    /// Move `file`'s held pages out; their bytes stay booked.
+    fn take(&mut self, file: FileId) -> Vec<(u64, Page)> {
+        self.pages.remove(&file).unwrap_or_default()
+    }
+
+    /// `file` was consumed: its held pages are gone, their bytes back in
+    /// the budget.
     fn release(&mut self, file: FileId) {
         self.left += self.held.remove(&file).unwrap_or(0);
+        self.pages.remove(&file);
     }
 }
 
+/// A log file's pages in log order: its `device` pages, each of the pages
+/// retention `held` for it (with their positions, ascending) before the
+/// device page at its position.
+fn interleave<T>(device: impl IntoIterator<Item = T>, held: Vec<(u64, T)>) -> Vec<T> {
+    let mut held = held.into_iter().peekable();
+    let mut log = Vec::new();
+    for (p, page) in (0u64..).zip(device) {
+        while let Some((_, h)) = held.next_if(|&(at, _)| at <= p) {
+            log.push(h);
+        }
+        log.push(page);
+    }
+    log.extend(held.map(|(_, h)| h));
+    log
+}
+
 /// The page reads that drain a fused interval range, the pages the range
-/// carried in host memory, and what their decode needs — the read half of
+/// holds in host memory, and what their decode needs — the read half of
 /// the sort & group unit. [`MultiLog::plan_reads`]
 /// builds it on the owning engine thread (so the submission order is
 /// deterministic); the pages are fetched through an [`mlvc_ssd::IoQueue`]
@@ -210,12 +242,22 @@ pub struct BatchPlan {
     pub range: std::ops::Range<IntervalId>,
     /// `(file, page, useful=0)` requests, interval-major then page order.
     pub reqs: Vec<(FileId, u64, usize)>,
-    /// Per interval of `range`, aligned with it: its requested page count,
-    /// the pages it carried in host memory (log order after the requested
-    /// ones), and its vertex span.
-    intervals: Vec<(usize, Vec<Page>, std::ops::Range<VertexId>)>,
+    /// Per interval of `range`, aligned with it: where each page of its log
+    /// comes from, in log order, and its vertex span.
+    intervals: Vec<(Vec<Source>, std::ops::Range<VertexId>)>,
     /// The consuming program's reduction ([`MultiLogConfig::combine`]).
     combine: Option<fn(u64, u64) -> u64>,
+}
+
+/// Where one page of a planned log comes from.
+#[derive(Debug, Clone)]
+enum Source {
+    /// The next page fetched for the plan's requests.
+    Read,
+    /// A page the retention budget held instead of writing it.
+    Held(Page),
+    /// A page carried across the superstep boundary in host memory.
+    Carried(Page),
 }
 
 /// Interval index → id. Interval counts are bounded by the (u32) vertex
@@ -241,18 +283,25 @@ impl BatchPlan {
     }
 
     /// Each interval's vertex span and its pages in log order — those
-    /// fetched for it (from `pages`, in plan order), then those it carried
-    /// in host memory — each paired with whether the device read it.
+    /// fetched for it (from `pages`, in plan order) and those it held or
+    /// carried in host memory — each paired with whether its bytes are
+    /// useful: a fetched or held page's are, a carried page was never
+    /// written nor read.
     fn logs<'p>(
         &'p self,
         pages: &'p [Page],
     ) -> impl Iterator<Item = (std::ops::Range<VertexId>, impl Iterator<Item = (&'p Page, bool)>)> + 'p
     {
         let mut cursor = 0usize;
-        self.intervals.iter().map(move |(n, carried, span)| {
-            let fetched = &pages[cursor..cursor + n];
+        self.intervals.iter().map(move |(log, span)| {
+            let n = log.iter().filter(|s| matches!(s, Source::Read)).count();
+            let mut mine = pages[cursor..cursor + n].iter();
             cursor += n;
-            let log = fetched.iter().map(|p| (p, true)).chain(carried.iter().map(|p| (p, false)));
+            let log = log.iter().filter_map(move |s| match s {
+                Source::Read => mine.next().map(|p| (p, true)),
+                Source::Held(p) => Some((p, true)),
+                Source::Carried(p) => Some((p, false)),
+            });
             (span.clone(), log)
         })
     }
@@ -471,26 +520,28 @@ impl MultiLog {
     }
 
     /// Arm log-tail retention (DESIGN.md §18): from now on, pages this
-    /// unit appends — flushed log pages and restored checkpoint pages
-    /// alike — are written back into the attached cache's pinned tier,
-    /// while `budget_bytes` covers them: placed, never written to flash,
-    /// read back as pinned hits. The truncate that consumes a log drops its
-    /// pins and returns their bytes to the budget, so the same bytes can be
-    /// retained again. Re-arming replaces what is left of the budget;
-    /// pages already retained stay pinned, and counted in
-    /// [`Self::retained_bytes`], until their log is truncated.
+    /// unit would write to its logs — flushed log pages and restored
+    /// checkpoint pages alike — are held in host memory instead, while
+    /// `budget_bytes` covers them: never written, decoded where they are.
+    /// Consuming a log returns its held bytes to the budget, so the same
+    /// bytes can be held again. Re-arming replaces what is left of the
+    /// budget; pages already held stay, and counted in
+    /// [`Self::retained_bytes`], until their log is consumed.
     pub fn arm_retention(&mut self, budget_bytes: u64) {
         self.retention.left = budget_bytes;
     }
 
-    /// Pinned-tier bytes this unit's logs hold right now.
+    /// Bytes this unit's logs hold under the retention budget right now.
     pub fn retained_bytes(&self) -> u64 {
         self.retention.held.values().sum()
     }
 
-    /// Truncate `file`, returning its retained bytes to the budget.
-    fn truncate(&mut self, file: FileId) -> Result<(), DeviceError> {
-        self.ssd.truncate(file)?;
+    /// Drop `file`'s log: its device pages when it has any, and the pages
+    /// held for it, their bytes back in the budget.
+    fn drop_log(&mut self, file: FileId, on_device: bool) -> Result<(), DeviceError> {
+        if on_device {
+            self.ssd.truncate(file)?;
+        }
         self.retention.release(file);
         Ok(())
     }
@@ -501,12 +552,12 @@ impl MultiLog {
 
     /// Enumerate the page reads that draining every interval in `range` of
     /// the read side — this superstep's inbox — will need, and move the
-    /// pages those intervals carried in host memory into the plan, so no
-    /// eviction can write them out any more. The request order is
-    /// deterministic (interval-major, page order), independent of which
-    /// thread later decodes the pages. The sides flip at
-    /// [`Self::finish_superstep`], so a plan is only good for the
-    /// superstep it was made in.
+    /// pages those intervals hold or carried in host memory into the plan,
+    /// each at its place in its log, so no eviction can write them out any
+    /// more. The request order is deterministic (interval-major, page
+    /// order), independent of which thread later decodes the pages. The
+    /// sides flip at [`Self::finish_superstep`], so a plan is only good for
+    /// the superstep it was made in.
     pub fn plan_reads(&mut self, range: std::ops::Range<IntervalId>) -> Result<BatchPlan, DeviceError> {
         let side = 1 - self.write_side;
         let mut reqs = Vec::new();
@@ -515,26 +566,28 @@ impl MultiLog {
             let f = self.files[idx(i)][side];
             let n = self.ssd.num_pages(f)?;
             reqs.extend((0..n).map(|p| (f, p, 0usize)));
-            let n = to_usize("log page count", n).map_err(|e| DeviceError::Io(e.to_string()))?;
-            let carried = std::mem::take(&mut self.carried[idx(i)]);
-            intervals.push((n, carried, self.intervals.range(i)));
+            let held = self.retention.take(f).into_iter().map(|(at, p)| (at, Source::Held(p)));
+            let mut log = interleave((0..n).map(|_| Source::Read), held.collect());
+            log.extend(std::mem::take(&mut self.carried[idx(i)]).into_iter().map(Source::Carried));
+            intervals.push((log, self.intervals.range(i)));
         }
         Ok(BatchPlan { range, reqs, intervals, combine: self.combine })
     }
 
     /// Consume the read-side logs `batch` was decoded from: the truncate of
-    /// every drained file (and with it cache invalidation, pin drops and
-    /// FTL trims), the useful-byte declaration — of the bytes read from the
-    /// device only — and the `updates_read` count. Everything here moves device, cache or unit state, so it runs
-    /// where the unit lives — on the engine's owner thread, in plan order,
-    /// where the batch's ticket is retired — which keeps every counter
-    /// identical at any worker-thread count (DESIGN.md §12).
+    /// every drained file the device holds pages of (and with it cache
+    /// invalidation and FTL trims), the held bytes back in the retention
+    /// budget, the useful-byte declaration — of the bytes read from the
+    /// device or held, not carried — and the `updates_read` count.
+    /// Everything here moves device, cache or unit state, so it runs where
+    /// the unit lives — on the engine's owner thread, in plan order, where
+    /// the batch's ticket is retired — which keeps every counter identical
+    /// at any worker-thread count (DESIGN.md §12).
     pub fn consume(&mut self, plan: &BatchPlan, batch: &FusedBatch) -> Result<(), DeviceError> {
         let side = 1 - self.write_side;
-        for (i, (n, _, _)) in plan.range.clone().zip(&plan.intervals) {
-            if *n > 0 {
-                self.truncate(self.files[idx(i)][side])?;
-            }
+        for (i, (log, _)) in plan.range.clone().zip(&plan.intervals) {
+            let on_device = log.iter().any(|s| matches!(s, Source::Read));
+            self.drop_log(self.files[idx(i)][side], on_device)?;
         }
         self.ssd.declare_useful(batch.useful_bytes);
         self.stats.updates_read += batch.records;
@@ -727,8 +780,8 @@ impl MultiLog {
 
     /// Hand every sealed page, and the carried pages of every interval not
     /// yet planned, to `writes` in one scattered batch, the leading pages
-    /// the retention budget covers written back into the pinned tier
-    /// instead of to flash. Sealed pages go to their write-side files;
+    /// the retention budget covers held in host memory instead. Sealed
+    /// pages go to their write-side files;
     /// carried pages to their read-side files, after the pages the last
     /// superstep evicted there, so each log keeps its order. The pages were
     /// encoded when their records were appended; nothing is touched per
@@ -766,10 +819,9 @@ impl MultiLog {
         self.seal_all_tops()?;
         let page_size = self.ssd.page_size();
         self.carried.iter_mut().for_each(Vec::clear);
-        for (i, mut page) in self.sealed.drain(..) {
+        for (i, page) in self.sealed.drain(..) {
             self.stats.bytes_appended += to_u64(page.len());
-            page.resize(page_size, 0);
-            self.carried[idx(i)].push(Page::from(&page[..]));
+            self.carried[idx(i)].push(Page::zero_padded(&page, page_size));
         }
         let carried = self.carried_pages();
         self.stats.pages_carried += to_u64(carried);
@@ -781,18 +833,20 @@ impl MultiLog {
     }
 
     /// Raw read-side log pages per interval, *without* consuming them —
-    /// the checkpoint path: each interval's pages on the device, then the
-    /// pages it carried in host memory, in log order. Pages are returned
-    /// exactly as a device read returns them (log-encoded, zero-padded),
-    /// so restoring them preserves page boundaries and, with them, record
-    /// order. The whole of a device page is checkpoint payload, so each
-    /// counts as fully useful; a carried page is not read at all.
+    /// the checkpoint path: each interval's pages on the device with the
+    /// pages it holds among them, then the pages it carried in host memory,
+    /// in log order. Pages are returned exactly as a device read returns
+    /// them (log-encoded, zero-padded), so restoring them preserves page
+    /// boundaries and, with them, record order. The whole of a device page
+    /// is checkpoint payload, so each counts as fully useful; a held or
+    /// carried page is not read at all.
     pub fn snapshot_pending(&self) -> Result<Vec<Vec<Page>>, DeviceError> {
         let side = 1 - self.write_side;
         let page_size = self.ssd.page_size();
         let mut out = Vec::with_capacity(self.files.len());
         for (f, carried) in self.files.iter().zip(&self.carried) {
-            let mut pages = self.ssd.read_all(f[side], |_| page_size)?;
+            let device = self.ssd.read_all(f[side], |_| page_size)?;
+            let mut pages = interleave(device, self.retention.pages(f[side]).to_vec());
             pages.extend(carried.iter().cloned());
             out.push(pages);
         }
@@ -803,8 +857,9 @@ impl MultiLog {
     /// back to the read side *on the device* — every page, carried ones
     /// included: the snapshot does not say which were — and return the
     /// per-interval pending record counts (what [`Self::finish_superstep`]
-    /// returned when the snapshot was taken), retaining what the armed
-    /// budget covers. The read side's carried pages are dropped. Every page
+    /// returned when the snapshot was taken), holding what the armed
+    /// budget covers instead. The read side's held and carried pages are
+    /// dropped. Every page
     /// goes through the decoder first, so a snapshot whose pages are not
     /// this format's (or carry destinations outside their interval), or
     /// that holds logs for a different number of intervals, is refused
@@ -834,7 +889,7 @@ impl MultiLog {
         self.carried.iter_mut().for_each(Vec::clear);
         for (ii, pages) in snapshot.iter().enumerate() {
             let file = self.files[ii][side];
-            self.truncate(file)?;
+            self.drop_log(file, true)?;
             let writes: Vec<(FileId, &[u8])> = pages.iter().map(|p| (file, &p[..])).collect();
             let device = Writes::Device(&self.ssd);
             self.stats.pages_retained += self.retention.append(&self.ssd, &device, &writes)?;
@@ -846,21 +901,22 @@ impl MultiLog {
     /// source vertices will be delivered to the target vertices, either
     /// from the current superstep or the previous one"): consume every
     /// update logged for interval `i` *during the current superstep* —
-    /// flushed write-side pages, sealed pages, and the top pages — in log
-    /// order. Pending counters are rolled back so the consumed updates are
-    /// not double-scheduled for the next superstep.
+    /// flushed write-side pages, on the device or held, sealed pages, and
+    /// the top pages — in log order. Pending counters are rolled back so
+    /// the consumed updates are not double-scheduled for the next
+    /// superstep.
     pub fn take_log_current(&mut self, i: IntervalId) -> Result<Vec<Update>, DeviceError> {
         let span = self.intervals.range(i);
         let file = self.files[idx(i)][self.write_side];
         let mut out = Vec::new();
-        if self.ssd.num_pages(file)? > 0 {
-            let mut useful = 0u64;
-            for p in &self.ssd.read_all(file, |_| 0)? {
-                useful += to_u64(decode_log_page(p, &span, &mut out)?);
-            }
-            self.ssd.declare_useful(useful);
-            self.truncate(file)?;
+        let on_device = self.ssd.num_pages(file)? > 0;
+        let device = if on_device { self.ssd.read_all(file, |_| 0)? } else { Vec::new() };
+        let mut useful = 0u64;
+        for p in &interleave(device, self.retention.take(file)) {
+            useful += to_u64(decode_log_page(p, &span, &mut out)?);
         }
+        self.ssd.declare_useful(useful);
+        self.drop_log(file, on_device)?;
         let (mine, others): (Vec<_>, Vec<_>) =
             std::mem::take(&mut self.sealed).into_iter().partition(|(j, _)| *j == i);
         self.sealed = others;
@@ -1094,52 +1150,58 @@ pub(crate) mod tests {
         assert!(drain(&mut ml, 0).unwrap().is_empty());
     }
 
-    /// Log-tail retention writes back: an armed unit retains the leading
-    /// pages it flushes while the budget lasts — placed, pinned, never
-    /// written —, the drain reads those from DRAM, and its truncate drops
-    /// the pins and returns exactly their bytes, so the next superstep's
-    /// flush is retained again. A restore under a fresh arming retains what
-    /// it restores, and a new unit under the same tag starts with no log
-    /// pins.
+    /// Log-tail retention holds: an armed unit keeps the leading pages it
+    /// flushes in host memory while the budget lasts — never written, on no
+    /// log file —, the drain decodes them where they are, to the same
+    /// updates and useful bytes an unarmed twin reads from the device, and
+    /// its consume returns exactly their bytes, so the next superstep's
+    /// flush is held again. A restore under a fresh arming holds what it
+    /// restores.
     #[test]
     fn retention_pins_the_log_tail_within_budget() {
-        let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
-        let cache = Arc::new(mlvc_ssd::PageCache::new(4));
-        ssd.attach_cache(Arc::clone(&cache));
+        let (ssd, twin) = (Arc::new(Ssd::new(SsdConfig::test_small())), Arc::new(Ssd::new(SsdConfig::test_small())));
         let page = to_u64(ssd.page_size());
         // 1200 records overflow the floor's eviction period (64 pages of 17
         // records) once: the flush is what retention sees, the tail is
         // carried.
         let mut ml = setup_on(Arc::clone(&ssd), 4 * 256, true);
+        let mut plain = setup_on(Arc::clone(&twin), 4 * 256, true);
         let send = |ml: &mut MultiLog, records: u32| {
             for k in 0..records {
                 ml.send(Update::new(k % 25, k, u64::from(k))).unwrap();
             }
             ml.finish_superstep().unwrap();
         };
+        let on_files = |ml: &MultiLog| (0..4).map(|i| ssd.num_pages(read_file(ml, i)).unwrap()).sum::<u64>();
 
         ml.arm_retention(2 * page);
         let mut flushed = 0;
         for superstep in 0..2 {
             ssd.stats().reset();
+            twin.stats().reset();
             send(&mut ml, 1200);
+            send(&mut plain, 1200);
             let now = ml.stats().pages_flushed - flushed;
             assert!(now >= 3, "{now} pages flushed");
             assert_eq!(ml.retained_bytes(), 2 * page, "superstep {superstep}");
             assert_eq!(ml.stats().pages_retained, 2 * (superstep + 1));
-            assert_eq!(cache.pinned_pages(), 2);
-            let written = ssd.stats().snapshot().pages_written;
-            assert_eq!(written, now - 2, "a retained page was written");
+            assert_eq!(ssd.stats().snapshot().pages_written, now - 2, "a held page was written");
+            assert_eq!(on_files(&ml), now - 2, "a held page is on a log file");
+            assert_eq!(twin.stats().snapshot().pages_written, now);
 
             ssd.stats().reset();
-            assert_eq!(drain_range(&mut ml, 0..4).unwrap().records, 1200);
-            assert_eq!(ssd.stats().snapshot().pages_read, now - 2, "two pages hit DRAM");
-            assert_eq!(cache.pinned_pages(), 0, "consume drops the retained pins");
-            assert_eq!(ml.retained_bytes(), 0, "consume returns the retained bytes");
+            twin.stats().reset();
+            let batch = drain_range(&mut ml, 0..4).unwrap();
+            let read = drain_range(&mut plain, 0..4).unwrap();
+            assert_eq!((batch.records, &batch.updates), (1200, &read.updates));
+            assert_eq!(batch.useful_bytes, read.useful_bytes, "held bytes are useful as read ones");
+            assert_eq!(ssd.stats().snapshot().pages_read, now - 2, "two pages decoded in DRAM");
+            assert_eq!(twin.stats().snapshot().pages_read, now);
+            assert_eq!(ml.retained_bytes(), 0, "consume returns the held bytes");
             flushed += now;
         }
         // A tail small enough to be carried whole: the snapshot holds it,
-        // and the restore places and retains it, writing none of it.
+        // and the restore holds it again, writing none of it.
         send(&mut ml, 60);
         let snapshot = ml.snapshot_pending().unwrap();
         let restored = to_u64(snapshot.iter().map(Vec::len).sum::<usize>());
@@ -1147,26 +1209,23 @@ pub(crate) mod tests {
         ssd.stats().reset();
         ml.restore_pending(&snapshot).unwrap();
         assert_eq!(ml.retained_bytes(), restored * page);
-        assert_eq!(to_u64(cache.pinned_pages()), restored);
-        assert_eq!(ssd.stats().snapshot().pages_written, 0);
+        assert_eq!(on_files(&ml), 0);
         assert_eq!(drain_range(&mut ml, 0..4).unwrap().records, 60);
 
         send(&mut ml, 60);
         ml.restore_pending(&ml.snapshot_pending().unwrap()).unwrap();
         assert_eq!(ml.retained_bytes(), restored * page, "a restore returned and retook the bytes");
-        let _fresh = setup_on(Arc::clone(&ssd), 1 << 20, true);
-        assert_eq!(cache.pinned_pages(), 0, "a new unit under the tag starts unpinned");
-        assert_eq!(ssd.stats().snapshot().pages_written, 0, "the truncates wrote a retained page");
+        assert_eq!(ssd.stats().snapshot().pages_written, 0, "a restore wrote a held page");
     }
 
-    /// The retention ledger is live, so pinned bytes — topology plus the
-    /// log's own pins — never exceed the budget: a run of supersteps under
+    /// The retention ledger is live, so the topology's pins plus what the
+    /// multi-log holds never exceed the budget: a run of supersteps under
     /// eviction pressure, draining in two fused batches, re-arming at each
     /// boundary with what the topology and the live tail leave, as the
     /// engine's retier does. Checked after every append (a flush may
-    /// follow) and every consume; the retained pages are never written,
-    /// and every page a flush hands over — sealed, or carried and not yet
-    /// planned — is either written or retained.
+    /// follow) and every consume; no log page reaches the pinned tier, the
+    /// held pages are never written, and every page a flush hands over —
+    /// sealed, or carried and not yet planned — is either written or held.
     #[test]
     fn pinned_bytes_stay_within_the_budget_at_every_flush_and_consume() {
         let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
@@ -1178,9 +1237,9 @@ pub(crate) mod tests {
         let budget = 12 * page;
         let mut ml = setup_on(Arc::clone(&ssd), 4 * 256, true);
         let within = |ml: &MultiLog| {
-            let pinned = cache.pinned_bytes();
-            assert!(pinned <= budget, "{pinned} pinned over a budget of {budget}");
-            assert_eq!(pinned, ml.retained_bytes() + 3 * page, "the ledger is the tier's");
+            let (pinned, held) = (cache.pinned_bytes(), ml.retained_bytes());
+            assert!(pinned + held <= budget, "{pinned} pinned + {held} held over {budget}");
+            assert_eq!(pinned, 3 * page, "the tier holds the topology alone");
         };
         cache.pin_file(&ssd, topology).unwrap();
         let mut armed = budget - 3 * page;
@@ -1190,7 +1249,7 @@ pub(crate) mod tests {
             ssd.stats().reset();
             let (flushed, retained) = (ml.stats().pages_flushed, ml.stats().pages_retained);
             // The first fused batch drains before the scatter, the second
-            // after it: its tail is still pinned while the new one grows.
+            // after it: its tail is still held while the new one grows.
             let first = ml.plan_reads(0..2).unwrap();
             let pages = ssd.read_batch(&first.reqs).unwrap();
             ml.consume(&first, &first.decode(&pages).unwrap()).unwrap();
@@ -1215,6 +1274,51 @@ pub(crate) mod tests {
             ml.arm_retention(armed);
         }
         assert!(regained, "a consume's returned bytes were never retained again");
+    }
+
+    /// Retention re-armed between two flushes leaves a log whose pages are
+    /// held, written, held, written: it drains in log order through
+    /// `take_log_current` and through plan → decode → consume, and it
+    /// round-trips through `snapshot_pending` → `restore_pending`.
+    #[test]
+    fn a_held_written_held_log_drains_and_round_trips_in_log_order() {
+        let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
+        let page = to_u64(ssd.page_size());
+        let mut ml = setup_on(Arc::clone(&ssd), 4 * 256, true);
+        // Two eviction periods (64 pages of 17 records) into interval 0,
+        // the budget re-armed to one page before each.
+        let sent: Vec<Update> =
+            (0..2 * 64 * 17).map(|k| Update::new(k % 25, k, u64::from(k))).collect();
+        let fill = |ml: &mut MultiLog| {
+            for period in sent.chunks(64 * 17) {
+                ml.arm_retention(page);
+                period.iter().for_each(|&u| ml.send(u).unwrap());
+            }
+            assert_eq!(ml.retained_bytes(), 2 * page);
+        };
+        let held_between_written = |ml: &MultiLog, file: FileId| {
+            let at: Vec<u64> = ml.retention.pages(file).iter().map(|&(at, _)| at).collect();
+            let n = ssd.num_pages(file).unwrap();
+            assert!(at.len() == 2 && at[0] == 0 && 0 < at[1] && at[1] < n, "{at:?} of {n}");
+        };
+
+        fill(&mut ml);
+        held_between_written(&ml, ml.files[0][ml.write_side]);
+        assert_eq!(sorted(ml.take_log_current(0).unwrap()), sorted(sent.clone()));
+        assert_eq!(ml.retained_bytes(), 0);
+
+        fill(&mut ml);
+        ml.finish_superstep().unwrap();
+        held_between_written(&ml, read_file(&ml, 0));
+        let snapshot = ml.snapshot_pending().unwrap();
+        assert_eq!(drain(&mut ml, 0).unwrap(), sorted(sent.clone()));
+        assert_eq!(ml.retained_bytes(), 0);
+
+        ml.arm_retention(page);
+        assert_eq!(ml.restore_pending(&snapshot).unwrap()[0], to_u64(sent.len()));
+        assert_eq!(ml.retained_bytes(), page);
+        assert_eq!(ml.snapshot_pending().unwrap(), snapshot);
+        assert_eq!(drain(&mut ml, 0).unwrap(), sorted(sent));
     }
 
     /// Records that fit the buffer cross the boundary in host memory: the

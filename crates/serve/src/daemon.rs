@@ -233,7 +233,7 @@ impl Daemon {
     fn pin(&self, ds: &Dataset) -> Result<(), DeviceError> {
         let (old, uncarved) = std::mem::take(&mut *ds.pinned.lock());
         for f in old {
-            self.cache.unpin_file(&self.ssd, f)?;
+            self.cache.unpin_file(f);
         }
         self.budget.uncarve(uncarved);
         let mut left = self.pin_left.lock();

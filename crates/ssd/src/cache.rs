@@ -23,12 +23,9 @@
 //!   frame pool. The engine uses this for GraphMP-style hot-interval
 //!   topology pinning (DESIGN.md §18). Pinned copies are dropped by the
 //!   same write/truncate invalidation as frames; callers must not race a
-//!   writer against `pin_pages` itself.
-//! * **Write-back pins** — the device's write routine can place a page and
-//!   hand it to the pinned tier *unwritten* (the multi-log's log-tail
-//!   retention): flash has not seen it. A truncate or delete drops it for
-//!   free; an overwrite or [`PageCache::unpin_file`] charges its write to
-//!   the device when it drops it.
+//!   writer against `pin_pages` itself. The tier only removes device
+//!   reads: every page in it is on the device too (the multi-log keeps
+//!   its own log pages in host memory, DESIGN.md §18).
 //! * **Lent pages** — frames and pins hold [`Page`] handles, not copies: a
 //!   hit clones the handle, a miss fill inserts the very page it returns,
 //!   and on the in-memory backend that page is the store's own allocation.
@@ -91,12 +88,9 @@ struct Frame {
 
 /// A page held in the pinned tier: exempt from eviction, checked before
 /// the frame pool, dropped only by invalidation or [`PageCache::unpin_file`].
-/// `unwritten` marks a write-back pin: the store holds the page, flash
-/// does not.
 struct PinnedPage {
     page: Page,
     inserter: TenantId,
-    unwritten: bool,
 }
 
 /// A page currently being fetched from the device by one owner tenant.
@@ -308,7 +302,7 @@ impl PageCache {
             }
             inner.ghost_set.remove(&key);
             inner.pinned_bytes += to_u64(page.len());
-            inner.pinned.insert(key, PinnedPage { page, inserter: tenant, unwritten: false });
+            inner.pinned.insert(key, PinnedPage { page, inserter: tenant });
             newly += 1;
         }
         Ok(newly)
@@ -320,60 +314,23 @@ impl PageCache {
         self.pin_pages(dev, file, 0..n)
     }
 
-    /// Write-back into the pinned tier (DESIGN.md §18): the device's write
-    /// routine hands over each page it just placed without writing it —
-    /// the very [`Page`] the store holds — so a hit returns exactly what a
-    /// device read of it would, with no device read and no second copy. A
-    /// resident frame of the key is released; the pin stays until a
-    /// truncate or delete drops it for free, or an overwrite or
-    /// [`Self::unpin_file`] drops it and charges its write.
-    pub(crate) fn pin_unwritten(&self, pages: Vec<(PageAddr, Page)>, tenant: TenantId) {
-        if pages.is_empty() {
-            return;
-        }
-        let mut guard = self.state.lock();
-        let inner = &mut *guard;
-        for (a, page) in pages {
-            let key = (a.file, a.page);
-            if let Some((fi, _)) = inner.map.remove(&key) {
-                release_frame(inner, fi);
-            }
-            inner.ghost_set.remove(&key);
-            inner.pinned_bytes += to_u64(page.len());
-            let pin = PinnedPage { page, inserter: tenant, unwritten: true };
-            if let Some(old) = inner.pinned.insert(key, pin) {
-                inner.pinned_bytes -= to_u64(old.page.len());
-            }
-        }
-    }
-
-    /// Drop every pinned page of `file`, returning the count dropped. The
-    /// file still holds them, so the pages the tier held unwritten reach
-    /// flash now: their write is charged to `dev`, one dispatch in page
-    /// order.
-    pub fn unpin_file(&self, dev: &Ssd, file: FileId) -> Result<u64, DeviceError> {
+    /// Drop every pinned page of `file`, returning the count dropped.
+    pub fn unpin_file(&self, file: FileId) -> u64 {
         let mut guard = self.state.lock();
         let inner = &mut *guard;
         let mut dropped = 0u64;
         let mut freed = 0u64;
-        let mut unwritten = Vec::new();
-        inner.pinned.retain(|&(f, page), p| {
+        inner.pinned.retain(|&(f, _), p| {
             if f == file {
                 freed += to_u64(p.page.len());
                 dropped += 1;
-                if p.unwritten {
-                    unwritten.push(PageAddr::new(f, page));
-                }
                 false
             } else {
                 true
             }
         });
         inner.pinned_bytes = inner.pinned_bytes.saturating_sub(freed);
-        drop(guard);
-        unwritten.sort_unstable();
-        dev.write_back(&unwritten)?;
-        Ok(dropped)
+        dropped
     }
 
     /// Serve a read batch through the cache on behalf of `dev`'s tenant —
@@ -487,13 +444,10 @@ impl PageCache {
     }
 
     /// Drop resident and pinned copies of the given pages and dirty any
-    /// racing fills (called by the device on every page write). Returns
-    /// the addresses whose pin was unwritten: the device charges their
-    /// write ahead of the overwrite.
-    pub(crate) fn invalidate_addrs(&self, addrs: &[PageAddr]) -> Vec<PageAddr> {
+    /// racing fills (called by the device on every page write).
+    pub(crate) fn invalidate_addrs(&self, addrs: &[PageAddr]) {
         let mut guard = self.state.lock();
         let inner = &mut *guard;
-        let mut unwritten = Vec::new();
         for a in addrs {
             let key = (a.file, a.page);
             if let Some((fi, _)) = inner.map.remove(&key) {
@@ -501,21 +455,16 @@ impl PageCache {
             }
             if let Some(p) = inner.pinned.remove(&key) {
                 inner.pinned_bytes = inner.pinned_bytes.saturating_sub(to_u64(p.page.len()));
-                if p.unwritten {
-                    unwritten.push(*a);
-                }
             }
             inner.ghost_set.remove(&key);
             if let Some(f) = inner.in_flight.get_mut(&key) {
                 f.dirty = true;
             }
         }
-        unwritten
     }
 
     /// Drop every resident and pinned page of `file` and dirty its racing
-    /// fills (called by the device on truncate/delete). An unwritten pin
-    /// goes with its page, never written.
+    /// fills (called by the device on truncate/delete).
     pub(crate) fn invalidate_file(&self, file: FileId) {
         let mut guard = self.state.lock();
         let inner = &mut *guard;
@@ -1007,12 +956,13 @@ mod tests {
         assert!(snap.evictions > 100 && snap.cross_tenant_hits > 0, "{snap:?}");
     }
 
-    /// The queues stay consistent through a write-back retention sequence:
-    /// frames of a file, write-back pins placed beside them, hits on both,
-    /// a truncate that drops the pins unwritten, an `unpin_file` that
-    /// charges them, and the frames a re-read of the unpinned pages fills.
+    /// The queues stay consistent through a pin-and-drop sequence on a
+    /// log-like file: frames of a file, pins taken over from resident
+    /// frames beside them, hits on both, a truncate that drops the pins, an
+    /// `unpin_file` that drops them while the file keeps its pages, and the
+    /// frames a re-read of the unpinned pages fills.
     #[test]
-    fn twoq_queues_stay_consistent_through_write_back_retention() {
+    fn twoq_queues_stay_consistent_through_pinning_and_unpinning() {
         let (ssd, f) = dev_with_pages(8);
         let cache = Arc::new(PageCache::new(6));
         ssd.attach_cache(Arc::clone(&cache));
@@ -1024,9 +974,9 @@ mod tests {
         };
         for round in 0..4u8 {
             reread(0..8, f);
-            let pages = [[round; 8]; 4];
-            let writes: Vec<(FileId, &[u8])> = pages.iter().map(|p| (log, &p[..])).collect();
-            ssd.append(&writes, 3, true, &mut Vec::new()).unwrap();
+            ssd.append_pages(log, &[&[round; 8][..]; 4]).unwrap();
+            reread(1..3, log);
+            assert_eq!(cache.pin_pages(&ssd, log, 0..3).unwrap(), 3);
             assert_queues_consistent(&cache);
             reread(0..4, log);
             assert_eq!(cache.pinned_pages(), 3);
@@ -1034,8 +984,8 @@ mod tests {
                 ssd.truncate(log).unwrap();
             } else {
                 let written = ssd.stats().snapshot().pages_written;
-                assert_eq!(cache.unpin_file(&ssd, log).unwrap(), 3);
-                assert_eq!(ssd.stats().snapshot().pages_written, written + 3);
+                assert_eq!(cache.unpin_file(log), 3);
+                assert_eq!(ssd.stats().snapshot().pages_written, written, "an unpin wrote");
                 reread(0..ssd.num_pages(log).unwrap(), log);
                 ssd.truncate(log).unwrap();
             }
@@ -1082,7 +1032,7 @@ mod tests {
                     cache.pin_pages(&ssd, f, lo..(lo + 2).min(24)).unwrap();
                 }
                 16 => {
-                    cache.unpin_file(&ssd, f).unwrap();
+                    cache.unpin_file(f);
                 }
                 17 | 18 => ssd.write_page(f, page(&mut next), &[0xEE; 8]).unwrap(),
                 _ => {

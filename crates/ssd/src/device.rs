@@ -415,11 +415,10 @@ impl Ssd {
     /// eviction path: several interval logs flush their top pages together
     /// and the writes pipeline across channels (paper §V-A3).
     pub fn append_scattered(&self, writes: &[(FileId, &[u8])]) -> Result<Vec<u64>, DeviceError> {
-        self.append(writes, 0, true, &mut Vec::with_capacity(writes.len()))
+        self.append(writes, true, &mut Vec::with_capacity(writes.len()))
     }
 
-    /// [`Self::append_scattered`] with the first `retain` pages written
-    /// back (see [`Self::write`]) and the service time charged only when
+    /// [`Self::append_scattered`] with the service time charged only when
     /// `timed` — the [`crate::IoQueue`] appends with its own clocks owning
     /// the time. Returns the index of every page placed; `placed` gains
     /// the address of every page that reached the media, the batch failed
@@ -427,12 +426,11 @@ impl Ssd {
     pub(crate) fn append(
         &self,
         writes: &[(FileId, &[u8])],
-        retain: usize,
         timed: bool,
         placed: &mut Vec<PageAddr>,
     ) -> Result<Vec<u64>, DeviceError> {
         let writes: Vec<_> = writes.iter().map(|&(file, data)| (file, None, data)).collect();
-        self.write(&writes, retain, timed, placed)
+        self.write(&writes, timed, placed)
     }
 
     /// Overwrite an existing page in place. Charged as a 1-page write.
@@ -446,7 +444,7 @@ impl Ssd {
     pub fn write_batch(&self, writes: &[(FileId, u64, &[u8])]) -> Result<(), DeviceError> {
         let writes: Vec<_> =
             writes.iter().map(|&(file, page, data)| (file, Some(page), data)).collect();
-        self.write(&writes, 0, true, &mut Vec::new()).map(drop)
+        self.write(&writes, true, &mut Vec::new()).map(drop)
     }
 
     /// The one write routine behind every write signature. Under one lock
@@ -458,30 +456,18 @@ impl Ssd {
     /// point inside the batch leaves the pages before it durable and the
     /// crash page torn; the call then fails with `Crashed`. `placed` gains
     /// the address of each page that reached the media, in write order.
-    ///
-    /// *Write-back* (DESIGN.md §18): while a cache is attached, the first
-    /// `retain` pages are placed in the store and handed, as the same
-    /// [`Page`], to its pinned tier as unwritten pins — no fault-schedule
-    /// slot, no charge, no address in `placed`. A truncate or delete of
-    /// the file drops them before flash ever sees them; any other path
-    /// that drops such a pin charges its write then. Returns the index of
-    /// every page placed, retained or written.
+    /// Returns the index of every page placed.
     fn write(
         &self,
         writes: &[(FileId, Option<u64>, &[u8])],
-        retain: usize,
         timed: bool,
         placed: &mut Vec<PageAddr>,
     ) -> Result<Vec<u64>, DeviceError> {
-        let cache = if retain > 0 { self.cache() } else { None };
-        let retain = if cache.is_some() { retain } else { 0 };
         let first = placed.len();
-        let mut landed = Vec::with_capacity(writes.len());
-        let mut kept = Vec::with_capacity(retain.min(writes.len()));
         let mut failed = None;
         {
             let mut files = self.shared.files.lock();
-            for (k, &(file, at, data)) in writes.iter().enumerate() {
+            for &(file, at, data) in writes {
                 let Some(entry) = files.entries.get_mut(idx(file)).and_then(Option::as_mut) else {
                     failed = Some(DeviceError::Deleted { file });
                     break;
@@ -492,14 +478,9 @@ impl Ssd {
                     break;
                 }
                 let addr = PageAddr::new(file, at.unwrap_or(len));
-                let (page, went_on) = self.place_page(&mut entry.store, at, data, k >= retain);
-                if let Some(page) = page {
-                    landed.push(addr.page);
-                    if k < retain {
-                        kept.push((addr, page));
-                    } else {
-                        placed.push(addr);
-                    }
+                let (reached, went_on) = self.place_page(&mut entry.store, at, data);
+                if reached {
+                    placed.push(addr);
                 }
                 if let Err(e) = went_on {
                     failed = Some(e);
@@ -507,23 +488,9 @@ impl Ssd {
                 }
             }
         }
-        if let Some(c) = cache {
-            c.pin_unwritten(kept, self.tenant);
-        }
-        let fit = self.charge_write(&placed[first..], timed);
-        failed.map_or(fit.map(|()| landed), Err)
-    }
-
-    /// Charge the deferred writes of pages the pinned tier held unwritten
-    /// and has just dropped while their files still hold them
-    /// ([`PageCache::unpin_file`]): one timed dispatch, as any write. The
-    /// store already holds the bytes, so no fault-schedule slot is taken.
-    pub(crate) fn write_back(&self, addrs: &[PageAddr]) -> Result<(), DeviceError> {
-        if addrs.is_empty() {
-            return Ok(());
-        }
-        self.fault.lock().check_alive()?;
-        self.charge_pages(addrs, true)
+        let landed = &placed[first..];
+        let fit = self.charge_write(landed, timed);
+        failed.map_or(fit.map(|()| landed.iter().map(|a| a.page).collect()), Err)
     }
 
     // ---- reads -----------------------------------------------------------
@@ -683,34 +650,23 @@ impl Ssd {
 
     /// Place one page's payload in `store` — over page `at`, which the
     /// caller has bounds-checked, or appended when `at` is `None`: the
-    /// payload-size check, the fault schedule's fate for the write (only
-    /// when `durable`: a write-back page takes no slot and cannot tear, but
-    /// a crashed device still refuses it), the tear, the zero padding and
-    /// the store write. Returns the page placed, if it reached the media
-    /// (the store's own handle on `Mem`), and whether the batch goes on: a
-    /// torn page is on the media and fails the batch with `Crashed`.
+    /// payload-size check, the fault schedule's fate for the write, the
+    /// tear, the zero padding and the store write. Returns whether the page
+    /// reached the media, and whether the batch goes on: a torn page is on
+    /// the media and fails the batch with `Crashed`.
     fn place_page(
         &self,
         store: &mut Store,
         at: Option<u64>,
         data: &[u8],
-        durable: bool,
-    ) -> (Option<Page>, Result<(), DeviceError>) {
+    ) -> (bool, Result<(), DeviceError>) {
         let page_size = self.shared.cfg.page_size;
         if data.len() > page_size {
-            return (None, Err(DeviceError::PayloadTooLarge { len: data.len(), page_size }));
+            return (false, Err(DeviceError::PayloadTooLarge { len: data.len(), page_size }));
         }
-        let fate = {
-            let mut fault = self.fault.lock();
-            if durable {
-                fault.note_page_write(page_size)
-            } else {
-                fault.check_alive().map(|()| WriteFate::Proceed)
-            }
-        };
-        let fate = match fate {
+        let fate = match self.fault.lock().note_page_write(page_size) {
             Ok(f) => f,
-            Err(e) => return (None, Err(e)),
+            Err(e) => return (false, Err(e)),
         };
         let keep = match &fate {
             WriteFate::Proceed => data.len(),
@@ -719,12 +675,12 @@ impl Ssd {
         let buf = Page::zero_padded(&data[..keep], page_size);
         match store {
             Store::Mem(pages) => match at {
-                Some(page) => pages[mem_idx(page)] = buf.clone(),
-                None => pages.push(buf.clone()),
+                Some(page) => pages[mem_idx(page)] = buf,
+                None => pages.push(buf),
             },
             Store::Disk { file, pages } => {
                 if let Err(e) = write_at(file, &buf, self.byte_offset(at.unwrap_or(*pages))) {
-                    return (None, Err(io_err("write_at", &e)));
+                    return (false, Err(io_err("write_at", &e)));
                 }
                 if at.is_none() {
                     *pages += 1;
@@ -732,8 +688,8 @@ impl Ssd {
             }
         }
         match fate {
-            WriteFate::Proceed => (Some(buf), Ok(())),
-            WriteFate::Torn { .. } => (Some(buf), Err(DeviceError::Crashed)),
+            WriteFate::Proceed => (true, Ok(())),
+            WriteFate::Torn { .. } => (true, Err(DeviceError::Crashed)),
         }
     }
 
@@ -754,30 +710,18 @@ impl Ssd {
         }
     }
 
-    /// Account for pages that reached the media, their service time only
-    /// when `timed`. Their cached copies are dropped first, and a page the
-    /// pinned tier held unwritten at one of their addresses reaches flash
-    /// ahead of its overwrite: its write joins the dispatch. The error is
-    /// the live FTL model's: the device is sized below what these writes
-    /// keep live.
+    /// Account for pages that reached the media as one write dispatch —
+    /// their cached copies dropped, FTL writes, pages, bytes, one
+    /// `write_batches`, and the service time only when `timed`. The error
+    /// is the live FTL model's: the device is sized below what these
+    /// writes keep live.
     fn charge_write(&self, addrs: &[PageAddr], timed: bool) -> Result<(), DeviceError> {
         if addrs.is_empty() {
             return Ok(());
         }
         let cache = self.shared.cache.lock().clone();
-        let mut written = cache.map(|c| c.invalidate_addrs(addrs)).unwrap_or_default();
-        if written.is_empty() {
-            return self.charge_pages(addrs, timed);
-        }
-        written.extend_from_slice(addrs);
-        self.charge_pages(&written, timed)
-    }
-
-    /// Charge `addrs` as one write dispatch: FTL writes, pages, bytes, one
-    /// `write_batches`, and the service time only when `timed`.
-    fn charge_pages(&self, addrs: &[PageAddr], timed: bool) -> Result<(), DeviceError> {
-        if addrs.is_empty() {
-            return Ok(());
+        if let Some(c) = cache {
+            c.invalidate_addrs(addrs);
         }
         let fit = self.ftl_writes(addrs);
         let t = if timed { batch_time_ns(&self.shared.cfg, addrs, WRITE_NS) } else { 0 };
@@ -1173,86 +1117,6 @@ mod tests {
             assert_eq!(pages.into_iter().try_for_each(|p| model.write((0, p))), Err(want));
             assert_eq!(live.ftl_stats().unwrap(), model.stats());
         }
-    }
-
-    /// What a write charges: the device's counters, the live FTL's host
-    /// writes and the fault plan's page-write counter.
-    fn write_charges(ssd: &Ssd) -> (u64, u64, u64, u64, u64, u64) {
-        let s = ssd.stats().snapshot();
-        let ftl = ssd.ftl_stats().unwrap_or_default().host_writes;
-        let faults = ssd.fault_counters().page_writes;
-        (s.pages_written, s.bytes_written, s.write_time_ns, s.write_batches, ftl, faults)
-    }
-
-    /// Write-back (DESIGN.md §18): a retained page is placed — the store
-    /// and the pinned tier hold one handle — and reads back as a pinned
-    /// hit, yet moves no page, byte, write time, write batch, FTL host
-    /// write or fault-plan write. A truncate drops it unwritten.
-    #[test]
-    fn a_written_back_page_is_placed_and_charged_nothing() {
-        let ssd = dev();
-        let cache = Arc::new(PageCache::new(4));
-        ssd.attach_cache(Arc::clone(&cache));
-        ssd.enable_ftl(FtlConfig::default());
-        ssd.install_fault_plan(FaultPlan::crash_after(1000, 1));
-        let f = ssd.open_or_create("log").unwrap();
-        ssd.append_page(f, b"on flash").unwrap();
-        let before = write_charges(&ssd);
-        let mut placed = Vec::new();
-        let pages = ssd.append(&[(f, b"kept"), (f, b"kept too")], 2, true, &mut placed).unwrap();
-        assert_eq!((pages, placed), (vec![1, 2], vec![]));
-        assert_eq!(write_charges(&ssd), before, "a retained page was charged");
-        assert_eq!(ssd.num_pages(f).unwrap(), 3);
-        assert_eq!((cache.pinned_pages(), cache.pinned_bytes()), (2, 512));
-
-        let reads = ssd.stats().snapshot().pages_read;
-        let hit = ssd.read_page(f, 1, 4).unwrap();
-        assert_eq!(&hit[..4], b"kept");
-        assert!(hit[4..].iter().all(|&b| b == 0), "zero padded");
-        assert_eq!(ssd.stats().snapshot().pages_read, reads, "a retained page read the device");
-        assert_eq!(cache.snapshot().pinned_hits, 1);
-        let stored = ssd.read(&[(f, 1, 0)], true, None, &mut Vec::new()).unwrap().remove(0);
-        assert!(Page::ptr_eq(&hit, &stored), "the pin copied the store's page");
-
-        ssd.truncate(f).unwrap();
-        assert_eq!(write_charges(&ssd), before, "a truncate wrote a retained page");
-        assert_eq!((cache.pinned_pages(), cache.pinned_bytes()), (0, 0));
-    }
-
-    /// A write-back pin dropped while its file still holds the page reaches
-    /// flash then: `unpin_file` charges exactly its write, an overwrite
-    /// charges it in the overwrite's dispatch. Without a cache nothing is
-    /// retained.
-    #[test]
-    fn dropping_a_written_back_pin_charges_its_write() {
-        let ssd = dev();
-        let cache = Arc::new(PageCache::new(4));
-        ssd.enable_ftl(FtlConfig::default());
-        let f = ssd.open_or_create("log").unwrap();
-        ssd.append(&[(f, b"a")], 1, true, &mut Vec::new()).unwrap();
-        assert_eq!(write_charges(&ssd).0, 1, "no cache: the page is written");
-        ssd.attach_cache(Arc::clone(&cache));
-        ssd.append(&[(f, b"b"), (f, b"c")], 2, true, &mut Vec::new()).unwrap();
-        let before = write_charges(&ssd);
-
-        assert_eq!(cache.unpin_file(&ssd, f).unwrap(), 2);
-        let addrs = [PageAddr::new(f, 1), PageAddr::new(f, 2)];
-        let service = batch_time_ns(ssd.config(), &addrs, WRITE_NS);
-        let after = write_charges(&ssd);
-        let (b, pages) = (before, 2);
-        assert_eq!(after, (b.0 + pages, b.1 + 512, b.2 + service, b.3 + 1, b.4 + pages, b.5));
-        assert_eq!(cache.unpin_file(&ssd, f).unwrap(), 0);
-        assert_eq!(write_charges(&ssd), after, "a second unpin charged again");
-        assert_eq!(&ssd.read_page(f, 2, 1).unwrap()[..1], b"c");
-
-        ssd.append(&[(f, b"d")], 1, true, &mut Vec::new()).unwrap();
-        let before = write_charges(&ssd);
-        ssd.write_page(f, 3, b"e").unwrap();
-        let after = write_charges(&ssd);
-        let (pages, batches) = (after.0 - before.0, after.3 - before.3);
-        assert_eq!((pages, batches), (2, 1), "old page, then its overwrite");
-        assert_eq!(cache.pinned_pages(), 0);
-        assert_eq!(&ssd.read_page(f, 3, 1).unwrap()[..1], b"e");
     }
 
     #[test]

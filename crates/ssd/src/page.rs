@@ -22,9 +22,9 @@ impl Page {
     }
 
     /// A page of `page_size` bytes: `payload` (cut to the page), then
-    /// zeroes — what the device stores for a short write. Built once, in
-    /// its final allocation.
-    pub(crate) fn zero_padded(payload: &[u8], page_size: usize) -> Page {
+    /// zeroes — what the device stores for a short write, and what a log
+    /// page kept in host memory is. Built once, in its final allocation.
+    pub fn zero_padded(payload: &[u8], page_size: usize) -> Page {
         // A payload that fills the page needs no zeroes under it.
         if let Some(full) = payload.get(..page_size) {
             return Page(Arc::from(full));

@@ -263,18 +263,12 @@ impl IoQueue {
     /// no service time — schedule every page that reached the media onto
     /// its channel at [`WRITE_NS`] behind whatever is queued there, and
     /// return at once with the page indices: the write goes on behind the
-    /// owner. The first `retain` pages are written back instead, into the
-    /// attached cache's pinned tier (DESIGN.md §18): placed, charged
-    /// nothing, scheduled on no channel. A submission stall is charged to
-    /// the device's `write_time_ns`; [`Self::drain_writes`] waits for the
-    /// rest. Plan order only.
-    pub fn submit_append(
-        &self,
-        writes: &[(FileId, &[u8])],
-        retain: usize,
-    ) -> Result<Vec<u64>, DeviceError> {
+    /// owner. A submission stall is charged to the device's
+    /// `write_time_ns`; [`Self::drain_writes`] waits for the rest. Plan
+    /// order only.
+    pub fn submit_append(&self, writes: &[(FileId, &[u8])]) -> Result<Vec<u64>, DeviceError> {
         let mut placed = Vec::with_capacity(writes.len());
-        let pages = self.ssd.append(writes, retain, false, &mut placed);
+        let pages = self.ssd.append(writes, false, &mut placed);
         placed.sort_unstable();
         let mut st = self.state.borrow_mut();
         let (stall, completion) = st.schedule(&placed, 0.0, self.depth, WRITE_NS);
@@ -397,17 +391,11 @@ pub enum Writes<'q> {
 }
 
 impl Writes<'_> {
-    /// Append `writes` as one dispatch, the first `retain` pages written
-    /// back into the attached cache's pinned tier instead of to flash
-    /// (DESIGN.md §18), and return each page's index.
-    pub fn append(
-        &self,
-        writes: &[(FileId, &[u8])],
-        retain: usize,
-    ) -> Result<Vec<u64>, DeviceError> {
+    /// Append `writes` as one dispatch and return each page's index.
+    pub fn append(&self, writes: &[(FileId, &[u8])]) -> Result<Vec<u64>, DeviceError> {
         match self {
-            Writes::Device(ssd) => ssd.append(writes, retain, true, &mut Vec::new()),
-            Writes::Queue(queue) => queue.submit_append(writes, retain),
+            Writes::Device(ssd) => ssd.append(writes, true, &mut Vec::new()),
+            Writes::Queue(queue) => queue.submit_append(writes),
         }
     }
 }
@@ -597,7 +585,7 @@ mod tests {
             assert_eq!(ssd.open_or_create("w").unwrap(), 1);
             let q = IoQueue::new(Arc::clone(&ssd), depth);
             for _ in 0..4 {
-                q.submit_append(&flush, 0).unwrap();
+                q.submit_append(&flush).unwrap();
             }
             let stalled = ssd.stats().snapshot().write_time_ns;
             assert_eq!(stalled > 0, depth < 16, "depth {depth}: a flush past the depth stalls");
@@ -644,7 +632,7 @@ mod tests {
         let pages = direct.append_scattered(&writes).unwrap();
         let (queued, _) = device();
         let q = IoQueue::new(Arc::clone(&queued), 16);
-        assert_eq!(q.submit_append(&writes, 0).unwrap(), pages);
+        assert_eq!(q.submit_append(&writes).unwrap(), pages);
         assert_eq!(queued.stats().snapshot().write_time_ns, 0, "no time before the drain");
         let addrs: Vec<PageAddr> =
             writes.iter().zip(&pages).map(|(&(f, _), &p)| PageAddr::new(f, p)).collect();
@@ -664,34 +652,12 @@ mod tests {
         let (ssd, f) = dev_with_file(0);
         let data = [5u8; 16];
         let q = IoQueue::new(Arc::clone(&ssd), 16);
-        let pages = q.submit_append(&[(f, &data[..]); 8], 0).unwrap();
+        let pages = q.submit_append(&[(f, &data[..]); 8]).unwrap();
         let written = batch_time_ns(ssd.config(), &addrs(f, 0..8), WRITE_NS);
         let t = q.submit_read(vec![(f, pages[7], 16)]);
         assert_eq!(&q.fetch(t).unwrap()[0][..16], &data, "the data moved at submit");
         assert!(q.complete(t) > written, "the read waited for the write");
         assert_eq!(q.drain_writes(), 0, "the write completed first");
-    }
-
-    /// A written-back page takes no channel time: of a queued append whose
-    /// first pages the pinned tier retains, only the rest is scheduled and
-    /// charged, and a read of a retained page is a pinned hit that waits for
-    /// nothing.
-    #[test]
-    fn written_back_pages_take_no_channel_time() {
-        let (ssd, f) = dev_with_file(0);
-        ssd.attach_cache(Arc::new(PageCache::new(4)));
-        let q = IoQueue::new(Arc::clone(&ssd), 16);
-        let pages = q.submit_append(&[(f, &[2u8; 16][..]); 8], 3).unwrap();
-        assert_eq!(pages, (0..8).collect::<Vec<u64>>());
-        let s = ssd.stats().snapshot();
-        assert_eq!((s.pages_written, s.write_batches), (5, 1));
-        let t = q.submit_read(vec![(f, 1, 16)]);
-        assert_eq!(&q.fetch(t).unwrap()[0][..16], &[2u8; 16]);
-        assert_eq!(q.complete(t), 0, "a pinned hit waited");
-        assert_eq!(q.drain_writes(), batch_time_ns(ssd.config(), &addrs(f, 3..8), WRITE_NS));
-        assert_eq!(q.submit_append(&[(f, &[3u8; 16][..]); 2], 2).unwrap(), vec![8, 9]);
-        assert_eq!(q.drain_writes(), 0, "a wholly retained append queued a write");
-        assert_eq!(ssd.stats().snapshot().pages_written, 5);
     }
 
     /// Compute advanced past a write's service hides it: the drain charges
@@ -700,7 +666,7 @@ mod tests {
     fn compute_past_a_write_hides_it() {
         let (ssd, f) = dev_with_file(0);
         let q = IoQueue::new(Arc::clone(&ssd), 16);
-        q.submit_append(&[(f, &[1u8; 16][..]); 8], 0).unwrap();
+        q.submit_append(&[(f, &[1u8; 16][..]); 8]).unwrap();
         q.advance(batch_time_ns(ssd.config(), &addrs(f, 0..8), WRITE_NS));
         assert_eq!(q.drain_writes(), 0);
         let s = ssd.stats().snapshot();

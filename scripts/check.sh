@@ -82,12 +82,13 @@ echo "== stage-table smoke (mlvc run) =="
 # (`--cache-kb 256 --pin-budget-kb 512`: the 2Q cache, hot-interval
 # pinning and the multi-log's log-tail retention, which the in-process
 # tests and `sim-pins` otherwise reach at one size only) run under the
-# same budget, so the log evicts and retention writes pages back into the
-# pinned tier instead of to flash: with `--metrics`, whose trace must also
-# show a superstep that retained pages, and with `--ssd-dir`, the
-# file-backed device's write-back path. Every `--memory-kb` leg runs on a
-# scale-14 graph, because at scale 12 a superstep's log fits under the
-# eviction floor at any budget.
+# same budget, so the log evicts and retention holds log pages in host
+# memory instead of writing them: with `--metrics`, whose trace must also
+# show a superstep that held pages, and with `--ssd-dir`, whose result
+# lines and superstep table must be the in-memory leg's (the backend
+# decides where pages live, never which are read or written). Every
+# `--memory-kb` leg runs on a scale-14 graph, because at scale 12 a
+# superstep's log fits under the eviction floor at any budget.
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT
 for scale in 12 14; do
@@ -136,6 +137,11 @@ for app in "pagerank" "randomwalk" "wcc --async" "pagerank --ssd-dir" "pagerank 
       }' "$smoke_dir/run.$t"
   done
   diff "$smoke_dir/det.1" "$smoke_dir/det.2"
+  if [[ $app == "$tiered --metrics" ]]; then
+    cp "$smoke_dir/det.1" "$smoke_dir/tiered.det"
+  elif [[ $app == "$tiered --ssd-dir" ]]; then
+    diff "$smoke_dir/tiered.det" "$smoke_dir/det.1"
+  fi
   if [[ $app == *--metrics ]]; then
     cmp "$smoke_dir/metrics.1.jsonl" "$smoke_dir/metrics.2.jsonl"
     cmp "$smoke_dir/metrics.1.prom" "$smoke_dir/metrics.2.prom"

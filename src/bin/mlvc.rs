@@ -53,6 +53,7 @@ const USAGE: &str = "\
 usage:
   mlvc gen --kind <rmat-social|rmat-web|er|ba> [--scale N] [--vertices N]
            [--edges-per-vertex K] [--seed S] --out <file>
+           (R-MAT has 2^scale vertices; --vertices sizes er and ba only)
   mlvc stats <graph>
   mlvc convert <in> <out>
   mlvc run --app <bfs|pagerank|cdlp|coloring|mis|randomwalk|wcc|kcore|sssp>
@@ -90,9 +91,10 @@ the run summary then also reports read/write amplification.
 
 --cache-kb K (mlvc engine only) attaches a K-KiB scan-resistant (2Q)
 device page cache (adaptive memory tiering, DESIGN.md §18);
---pin-budget-kb K adds a pinned tier that holds the hottest intervals'
-CSR extents resident. Cache hit, eviction, and pin counters flow into
-the --metrics artifacts.
+--pin-budget-kb K spends K KiB on the hottest intervals' CSR extents,
+pinned in the cache, and on the update-log pages the multi-log then
+holds in host memory instead of writing them. Cache hit, eviction, pin
+and held-page counters flow into the --metrics artifacts.
 
 `ingest` applies an edge-mutation batch to a stored graph through the
 on-device mutation log (DESIGN.md §17). The batch file is text, one
@@ -221,6 +223,10 @@ fn cmd_gen(a: &Args) -> Result<(), String> {
     // not the generator's assert.
     let g = match kind {
         "rmat-social" | "rmat-web" => {
+            if a.get("vertices").is_some() {
+                let why = "is sized by --scale (2^scale vertices), not --vertices";
+                return Err(format!("--kind {kind} {why}"));
+            }
             let p = if kind == "rmat-social" {
                 mlvc_gen::RmatParams::social(scale, epv)
             } else {
@@ -791,6 +797,8 @@ mod tests {
             (&["--kind", "rmat-web", "--scale", "31"][..], "scale"),
             (&["--kind", "rmat-social", "--scale", "99"][..], "scale"),
             (&["--kind", "rmat-social", "--edges-per-vertex", "0"][..], "edge per vertex"),
+            (&["--kind", "rmat-social", "--vertices", "100000"][..], "sized by --scale"),
+            (&["--kind", "rmat-web", "--scale", "8", "--vertices", "256"][..], "sized by --scale"),
             (&["--kind", "er", "--vertices", "1"][..], "vertices"),
             (&["--kind", "er", "--scale", "64"][..], "too large"),
             (&["--kind", "ba", "--vertices", "3", "--edges-per-vertex", "3"][..], "more vertices"),

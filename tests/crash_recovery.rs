@@ -19,9 +19,10 @@
 //! The sweep asks a factory for the program of each of the three runs. A
 //! factory that builds a fresh program each time models a process crash:
 //! nothing the crashed run's program held survives into the resume. A
-//! tiered sweep models the same for the page cache: the resume starts on a
-//! fresh cache, so a log page that only ever lived in the pinned tier
-//! (write-back retention, DESIGN.md §18) is gone.
+//! tiered sweep models the same for the page cache and the multi-log: the
+//! resume starts on a fresh cache and a fresh multi-log, so a log page that
+//! only ever lived in host memory (held by log-tail retention, DESIGN.md
+//! §18) is gone.
 
 use std::sync::Arc;
 
@@ -161,9 +162,10 @@ fn pagerank_recovers_bit_identical_from_any_crash_point() {
 
 /// PageRank with a page cache, topology pins and log-tail retention armed,
 /// to a tolerance that keeps it sending through every checkpoint: the
-/// crashed run loses its pinned tier with the process, the resume restores
-/// the checkpointed log pages on a fresh cache — retaining them, unwritten
-/// — and still ends bit-identical.
+/// crashed run loses its pinned tier and its held log pages with the
+/// process, the resume restores the checkpointed log pages on a fresh
+/// cache — holding what the budget covers, unwritten — and still ends
+/// bit-identical.
 #[test]
 fn pagerank_with_retention_recovers_bit_identical_from_any_crash_point() {
     let page = SsdConfig::test_small().page_size;

@@ -455,8 +455,9 @@ fn metrics_snapshot_and_trace_jsonl_match_schema() {
 /// `null` for a ratio over nothing, one line per phase. A four-superstep
 /// BFS under tight memory with a small page cache and a pin budget in front
 /// of the device, so the log-eviction, cache and pinned-tier columns move
-/// too, and log-tail retention writes back part of the one eviction:
-/// `log_pages_retained` moves, and those pages are not in `pages_written`;
+/// too, and log-tail retention holds part of the one eviction in host
+/// memory: `log_pages_retained` moves, and those pages are not in
+/// `pages_written`, nor in the pinned tier's columns (topology alone);
 /// the log's tail crosses each boundary in host memory, so the
 /// `log_pages_carried` column moves and most phases write nothing, and
 /// the seeding phase moves nothing at all: both ratios read `null` there.
@@ -475,13 +476,13 @@ fn trace_jsonl_bytes_are_pinned() {
 }
 
 /// Where the log's pages went (DESIGN.md §18): on a tiered run whose log
-/// evicts, every sealed page a flush placed on a log file was either
-/// written by the device or retained in the pinned tier —
+/// evicts, every sealed page a flush handed over was either written by
+/// the device or held in host memory under the retention budget —
 /// `log_pages_flushed` equals the device's page writes (less the edge
 /// log's) plus `log_pages_retained`, superstep by superstep, straight off
 /// the trace — and the FTL saw exactly the pages the device wrote. (The
-/// one other page a flush places, a carried page an eviction writes out
-/// before its interval is planned, would be written or retained too, but
+/// one other page a flush hands over, a carried page an eviction writes
+/// out before its interval is planned, would be written or held too, but
 /// is not in `log_pages_flushed`; this run's evictions write none.) At
 /// every close the pinned tier holds no more than the pin budget.
 #[test]
@@ -518,8 +519,8 @@ fn every_flushed_log_page_is_written_or_retained() {
 
 const PINNED_TRACE: &str = r#"{"superstep":0,"active_vertices":0,"messages_processed":0,"messages_delivered":0,"messages_sent":1,"edges_scanned":0,"fused_batches":0,"pages_read":0,"pages_written":0,"bytes_read":0,"useful_bytes_read":0,"bytes_written":0,"log_bytes_appended":18,"log_pages_flushed":0,"log_pages_carried":1,"log_pages_retained":0,"log_evictions":0,"edge_log_vertices":0,"edge_log_pages":0,"edge_log_hits":0,"ftl_host_writes":0,"ftl_physical_writes":0,"ftl_erases":0,"ftl_gc_relocations":0,"sim_time_ns":0,"io_wait_ns":0,"max_inflight":0,"mut_edges_merged":0,"mut_intervals_merged":0,"mut_dirty_vertices":0,"cache_hits":0,"cache_misses":0,"cache_evictions":0,"pinned_pages":0,"pinned_hits":0,"read_amplification":null,"write_amplification":null}
 {"superstep":1,"active_vertices":1,"messages_processed":1,"messages_delivered":1,"messages_sent":85,"edges_scanned":85,"fused_batches":1,"pages_read":6,"pages_written":0,"bytes_read":1536,"useful_bytes_read":1102,"bytes_written":0,"log_bytes_appended":882,"log_pages_flushed":0,"log_pages_carried":4,"log_pages_retained":0,"log_evictions":0,"edge_log_vertices":0,"edge_log_pages":0,"edge_log_hits":0,"ftl_host_writes":0,"ftl_physical_writes":0,"ftl_erases":0,"ftl_gc_relocations":0,"sim_time_ns":360210,"io_wait_ns":240000,"max_inflight":2,"mut_edges_merged":0,"mut_intervals_merged":0,"mut_dirty_vertices":0,"cache_hits":2,"cache_misses":6,"cache_evictions":0,"pinned_pages":6,"pinned_hits":0,"read_amplification":1.393829,"write_amplification":null}
-{"superstep":2,"active_vertices":85,"messages_processed":85,"messages_delivered":85,"messages_sent":1608,"edges_scanned":1608,"fused_batches":1,"pages_read":4,"pages_written":46,"bytes_read":1024,"useful_bytes_read":542,"bytes_written":11776,"log_bytes_appended":16624,"log_pages_flushed":56,"log_pages_carried":12,"log_pages_retained":10,"log_evictions":1,"edge_log_vertices":0,"edge_log_pages":0,"edge_log_hits":0,"ftl_host_writes":46,"ftl_physical_writes":46,"ftl_erases":0,"ftl_gc_relocations":0,"sim_time_ns":2402984,"io_wait_ns":236368,"max_inflight":4,"mut_edges_merged":0,"mut_intervals_merged":0,"mut_dirty_vertices":0,"cache_hits":6,"cache_misses":4,"cache_evictions":0,"pinned_pages":16,"pinned_hits":6,"read_amplification":1.889299,"write_amplification":1.000000}
-{"superstep":3,"active_vertices":117,"messages_processed":1608,"messages_delivered":117,"messages_sent":113,"edges_scanned":1806,"fused_batches":2,"pages_read":50,"pages_written":0,"bytes_read":12800,"useful_bytes_read":14531,"bytes_written":0,"log_bytes_appended":1178,"log_pages_flushed":0,"log_pages_carried":6,"log_pages_retained":0,"log_evictions":0,"edge_log_vertices":2,"edge_log_pages":0,"edge_log_hits":0,"ftl_host_writes":0,"ftl_physical_writes":0,"ftl_erases":0,"ftl_gc_relocations":0,"sim_time_ns":1327876,"io_wait_ns":1304674,"max_inflight":4,"mut_edges_merged":0,"mut_intervals_merged":0,"mut_dirty_vertices":0,"cache_hits":20,"cache_misses":50,"cache_evictions":4,"pinned_pages":10,"pinned_hits":16,"read_amplification":0.880875,"write_amplification":null}
+{"superstep":2,"active_vertices":85,"messages_processed":85,"messages_delivered":85,"messages_sent":1608,"edges_scanned":1608,"fused_batches":1,"pages_read":4,"pages_written":46,"bytes_read":1024,"useful_bytes_read":542,"bytes_written":11776,"log_bytes_appended":16624,"log_pages_flushed":56,"log_pages_carried":12,"log_pages_retained":10,"log_evictions":1,"edge_log_vertices":0,"edge_log_pages":0,"edge_log_hits":0,"ftl_host_writes":46,"ftl_physical_writes":46,"ftl_erases":0,"ftl_gc_relocations":0,"sim_time_ns":2402984,"io_wait_ns":236368,"max_inflight":4,"mut_edges_merged":0,"mut_intervals_merged":0,"mut_dirty_vertices":0,"cache_hits":6,"cache_misses":4,"cache_evictions":0,"pinned_pages":6,"pinned_hits":6,"read_amplification":1.889299,"write_amplification":1.000000}
+{"superstep":3,"active_vertices":117,"messages_processed":1608,"messages_delivered":117,"messages_sent":113,"edges_scanned":1806,"fused_batches":2,"pages_read":50,"pages_written":0,"bytes_read":12800,"useful_bytes_read":14531,"bytes_written":0,"log_bytes_appended":1178,"log_pages_flushed":0,"log_pages_carried":6,"log_pages_retained":0,"log_evictions":0,"edge_log_vertices":2,"edge_log_pages":0,"edge_log_hits":0,"ftl_host_writes":0,"ftl_physical_writes":0,"ftl_erases":0,"ftl_gc_relocations":0,"sim_time_ns":1327876,"io_wait_ns":1304674,"max_inflight":4,"mut_edges_merged":0,"mut_intervals_merged":0,"mut_dirty_vertices":0,"cache_hits":10,"cache_misses":50,"cache_evictions":4,"pinned_pages":10,"pinned_hits":6,"read_amplification":0.880875,"write_amplification":null}
 {"superstep":4,"active_vertices":48,"messages_processed":113,"messages_delivered":48,"messages_sent":0,"edges_scanned":1255,"fused_batches":1,"pages_read":0,"pages_written":0,"bytes_read":0,"useful_bytes_read":0,"bytes_written":0,"log_bytes_appended":0,"log_pages_flushed":0,"log_pages_carried":0,"log_pages_retained":0,"log_evictions":0,"edge_log_vertices":0,"edge_log_pages":0,"edge_log_hits":0,"ftl_host_writes":0,"ftl_physical_writes":0,"ftl_erases":0,"ftl_gc_relocations":0,"sim_time_ns":5080,"io_wait_ns":0,"max_inflight":4,"mut_edges_merged":0,"mut_intervals_merged":0,"mut_dirty_vertices":0,"cache_hits":9,"cache_misses":0,"cache_evictions":0,"pinned_pages":10,"pinned_hits":9,"read_amplification":null,"write_amplification":null}
 "#;
 

@@ -13,7 +13,7 @@ use multilogvc::core::{Engine, EngineConfig, MultiLogEngine, ReferenceEngine, Ve
 use multilogvc::graph::{
     Csr, EdgeListBuilder, GraphLoader, StoredGraph, VertexId, VertexIntervals,
 };
-use multilogvc::ssd::{DeviceError, FaultPlan, FileId, Page, PageCache, Ssd, SsdConfig, Writes};
+use multilogvc::ssd::{DeviceError, FaultPlan, FileId, Page, PageCache, Ssd, SsdConfig};
 
 const PAGE: usize = 256; // `SsdConfig::test_small`
 
@@ -64,34 +64,6 @@ fn mem_reads_and_cache_hits_share_the_stores_allocation() {
     assert!(Page::ptr_eq(&first, &pinned));
     assert!(Page::ptr_eq(&first, &first.clone()));
     assert_eq!(first, Page::from(&[3u8; PAGE][..]), "equality is by bytes");
-}
-
-/// Log-tail retention writes back (DESIGN.md §18): a retained page is
-/// placed once and read back as a pinned hit, with nothing written. On
-/// `Mem` the pinned tier and the store hold the one allocation — a fresh
-/// cache (a process crash loses the pinned tier) lends the store's page,
-/// and it is the pin's; on `Dir` the page is in the backing file.
-#[test]
-fn a_retained_page_is_placed_once_and_shared_with_the_pinned_tier() {
-    let dir = std::env::temp_dir().join(format!("mlvc-page-retained-{}", std::process::id()));
-    for (backend, ssd) in backends(&dir) {
-        ssd.attach_cache(Arc::new(PageCache::new(4)));
-        let f = ssd.open_or_create("log").unwrap();
-        let pages = Writes::Device(&ssd).append(&[(f, &[7u8; 100][..]), (f, &[8u8; 100][..])], 1);
-        assert_eq!(pages.unwrap(), vec![0, 1], "{backend}");
-        let written = ssd.stats().snapshot().pages_written;
-        assert_eq!(written, 1, "{backend}: the retained page was written");
-        let pinned = ssd.read_page(f, 0, 0).unwrap();
-        assert_eq!(ssd.cache().unwrap().snapshot().pinned_hits, 1, "{backend}");
-        assert_eq!(ssd.stats().snapshot().pages_read, 0, "{backend}");
-        ssd.attach_cache(Arc::new(PageCache::new(4)));
-        let stored = ssd.read_page(f, 0, 0).unwrap();
-        assert_eq!(ssd.stats().snapshot().pages_read, 1, "{backend}");
-        assert_eq!(stored, pinned, "{backend}");
-        assert_eq!((&stored[..100], &stored[100..]), (&[7u8; 100][..], &[0u8; PAGE - 100][..]));
-        assert_eq!(Page::ptr_eq(&stored, &pinned), backend == "Mem", "{backend}");
-    }
-    let _ = std::fs::remove_dir_all(dir);
 }
 
 // ---- (ii) a lent page is a snapshot ---------------------------------------

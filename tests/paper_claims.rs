@@ -242,8 +242,8 @@ fn claim_fig10_speedup_is_flat_in_memory() {
 /// split cuts device reads 97.6 % (PageRank) and 86.3 % (WCC) against the
 /// all-cache row; the floor is 25 %. Every split spends exactly the budget
 /// and every pin budget lands pins. A cache alone writes what no tiering
-/// writes; a pin budget writes less, since the log pages it retains are
-/// never written.
+/// writes; a pin budget writes less, since the log pages the multi-log
+/// holds under it are never written.
 #[test]
 fn claim_tiering_cuts_device_reads_by_a_quarter() {
     let sec = figures::tiering(&Settings::default());

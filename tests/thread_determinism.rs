@@ -86,7 +86,7 @@ fn run_once(prog: &dyn VertexProgram, async_mode: bool, shape: Shape) -> (Vec<u6
 
 /// One tiered PageRank run on the `SMALL` shape, observability on: a cache
 /// of a handful of frames (so the replacement policy evicts all the time)
-/// plus a pin budget (so topology pins and retained log tails come and go
+/// plus a pin budget (so topology pins and held log tails come and go
 /// with every consume). Under the asynchronous model the same fetch path
 /// runs, with the write side drained into every inbox besides; PageRank is
 /// not a valid asynchronous algorithm, but what is held here is that the
