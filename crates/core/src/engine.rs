@@ -585,10 +585,10 @@ impl<'s, 'e> Fetch<'s, 'e> {
 
     /// Submit the batches not yet submitted below `end` and fetch their
     /// pages, each batch handed to a look-ahead worker when it lies ahead
-    /// of `bi` and there is a second thread. Planning moves the pages the
-    /// batch's intervals carried in host memory into its plan, so the
-    /// worker decodes those beside the fetched ones and no later eviction
-    /// writes them out.
+    /// of `bi` and there is a second thread. Planning takes the batch's
+    /// intervals' logs into its plan, the pages they hold or carried in
+    /// host memory with them, so the worker decodes those beside the
+    /// fetched ones and no later eviction writes them out.
     fn submit_until(
         &mut self,
         scope: &Scope<'s, 'e>,
@@ -597,7 +597,7 @@ impl<'s, 'e> Fetch<'s, 'e> {
         end: usize,
     ) -> Result<(), DeviceError> {
         while self.submitted < self.plan.len().min(end) {
-            let bplan = ml.plan_reads(self.plan[self.submitted].clone())?;
+            let bplan = ml.plan_reads(self.plan[self.submitted].clone());
             let ticket = self.ioq.submit_read(bplan.reqs.clone());
             let pages = self.ioq.fetch(ticket);
             let decoder = if self.submitted > bi && mlvc_par::max_threads() > 1 {

@@ -50,7 +50,7 @@
 //! // while the owner keeps sending), consume the drained logs.
 //! let mut seen = 0;
 //! for range in plan_fusion(&counts, 1 << 20) {
-//!     let plan = mlog.plan_reads(range).unwrap();
+//!     let plan = mlog.plan_reads(range);
 //!     let pages = ssd.read_batch(&plan.reqs).unwrap();
 //!     let batch = plan.decode(&pages).unwrap();
 //!     mlog.consume(&plan, &batch).unwrap();

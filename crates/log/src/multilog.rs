@@ -1,5 +1,4 @@
-use crate::checked::{idx, to_u32, to_u64, to_usize};
-use std::collections::BTreeMap;
+use crate::checked::{idx, to_u32, to_u64};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -68,7 +67,7 @@ pub struct MultiLogStats {
 
 /// The Multi-Log Update Unit (paper §V-A).
 ///
-/// One append-only log per vertex interval. `SendUpdate` maps the
+/// One append-only log per vertex interval and side. `SendUpdate` maps the
 /// destination vertex to its interval (`vId2IntervalMap`) and encodes the
 /// record straight into a **top page** of that interval in host memory
 /// (the page format is [`crate::page`]'s). Each interval keeps one top page
@@ -76,13 +75,14 @@ pub struct MultiLogStats {
 /// are bucketed by destination at append time, so sealed pages are
 /// destination-clustered and the read side needs only a per-interval
 /// counting pass, never a whole-inbox sort. Per-destination insertion
-/// order is preserved. Full pages are sealed; under memory pressure sealed
-/// pages (and, if needed, top pages) are flushed to the interval's log
-/// file in one scattered batch so the writes pipeline across all SSD
-/// channels. What is still buffered when the superstep ends is not written:
-/// it becomes the next superstep's read side in host memory (*carried*
-/// pages, DESIGN.md §10), within the same buffer budget, and reaches the
-/// device only if that budget needs the room back.
+/// order is preserved. A full page is sealed onto its log — one list of
+/// `Source`s in log order — buffered in host memory; under memory
+/// pressure an eviction writes the buffered pages of every log not yet
+/// planned in one scattered batch, so the writes pipeline across all SSD
+/// channels, or holds them under the log-tail retention budget (DESIGN.md
+/// §18). At the superstep boundary the sides flip: the write side's
+/// buffered pages are the next superstep's read side in host memory
+/// (*carried* pages, DESIGN.md §10), within the same buffer budget.
 ///
 /// The unit also maintains:
 /// * per-interval message counters — "a first-order approximation of the
@@ -100,7 +100,7 @@ pub struct MultiLog {
     /// separation, a log page flushed mid-superstep (memory pressure) could
     /// be consumed by a later fused batch of the *same* superstep —
     /// breaking BSP delivery.
-    files: Vec<[FileId; 2]>,
+    logs: Vec<[Log; 2]>,
     write_side: usize,
     /// Top buffers: the encoded bytes of the page each slot is filling
     /// (empty until its first record). One slot per destination-page
@@ -130,6 +130,9 @@ pub struct MultiLog {
     /// function of per-interval record counts alone, independent of the
     /// bucket layout and of how the scatter interleaves intervals.
     top_records: Vec<usize>,
+    /// [`Source::Buffered`] entries across every log, for
+    /// [`Self::buffered_pages`].
+    buffered: usize,
     /// Records appended since the last pressure flush, against
     /// `evict_every`. Pressure is measured in appended records — a global
     /// count, so eviction points (and with them the `evictions` stat) are
@@ -141,92 +144,61 @@ pub struct MultiLog {
     /// per-interval floor, in records — so the bytes appended between two
     /// flushes never exceed that headroom.
     evict_every: usize,
-    /// Finished pages awaiting the next flush, in seal order.
-    sealed: Vec<(IntervalId, Vec<u8>)>,
-    /// Read-side pages kept in host memory across the last superstep
-    /// boundary, per interval, in log order after the interval's read-side
-    /// file: each exactly the zero-padded [`Page`] a device read of it
-    /// would return. [`Self::plan_reads`] moves an interval's into its
-    /// plan; an eviction writes (or holds) those of every interval not yet
-    /// planned to their read-side files.
-    carried: Vec<Vec<Page>>,
     counts: Vec<u64>,
     dest_seen: BitSet,
     cap_pages: usize,
     stats: MultiLogStats,
     /// Handed to every [`BatchPlan`]; the write side never looks at it.
     combine: Option<fn(u64, u64) -> u64>,
-    retention: Retention,
+    /// Log-tail retention (DESIGN.md §18): what the budget has left, and
+    /// the bytes the logs' [`Source::Held`] pages took from it — one whole
+    /// page each, booked until their log is consumed.
+    retain_left: u64,
+    held: u64,
 }
 
-/// Log-tail retention's ledger (DESIGN.md §18): what the budget has left,
-/// the bytes each log file took from it — booked until the file is
-/// consumed — and the held pages no plan has taken yet, per file: each the
-/// zero-padded [`Page`] a device read of it would return, at its log
-/// position, the number of device pages on the file before it.
-#[derive(Default)]
-struct Retention {
-    left: u64,
-    held: BTreeMap<FileId, u64>,
-    pages: BTreeMap<FileId, Vec<(u64, Page)>>,
+/// One log: its file and its pages in log order — the k-th `Device` is page k.
+#[derive(Debug, Clone)]
+struct Log {
+    file: FileId,
+    pages: Vec<Source>,
 }
 
-impl Retention {
-    /// Hold the leading `pages` the budget covers — one whole page each —
-    /// and append the rest through `writes` as one dispatch. Returns how
-    /// many were held.
-    fn append(
-        &mut self,
-        ssd: &Ssd,
-        writes: &Writes,
-        pages: &[(FileId, &[u8])],
-    ) -> Result<u64, DeviceError> {
-        let page_size = ssd.page_size();
-        let page_bytes = to_u64(page_size).max(1);
-        let covered = to_usize("held pages", self.left / page_bytes).unwrap_or(usize::MAX);
-        let (hold, write) = pages.split_at(covered.min(pages.len()));
-        for &(f, data) in hold {
-            let at = ssd.num_pages(f)?;
-            *self.held.entry(f).or_default() += page_bytes;
-            self.pages.entry(f).or_default().push((at, Page::zero_padded(data, page_size)));
+impl Log {
+    fn count(&self, of: fn(&Source) -> bool) -> usize {
+        self.pages.iter().filter(|s| of(s)).count()
+    }
+
+    fn device_pages(&self) -> usize {
+        self.count(|s| matches!(s, Source::Device))
+    }
+}
+
+/// Where one page of a log is. A page keeps the bytes it was sealed with
+/// while it stays in host memory; it is zero-padded only where it leaves
+/// the multi-log — a device write, or a checkpoint snapshot.
+#[derive(Debug, Clone)]
+enum Source {
+    /// The next page of the log's file.
+    Device,
+    /// Held in host memory under the log-tail retention budget.
+    Held(Vec<u8>),
+    /// In host memory under the buffer budget: sealed this superstep on
+    /// the write side, carried across the boundary on the read side.
+    Buffered(Vec<u8>),
+}
+
+impl Source {
+    /// This page's bytes — a `Device` page's the next of `device` — and
+    /// whether they count as useful: a read or held page's do, a buffered
+    /// page was never written nor read.
+    fn bytes<'p>(&'p self, device: &mut impl Iterator<Item = &'p Page>) -> Option<(&'p [u8], bool)> {
+        match self {
+            Source::Device => device.next().map(|p| (&p[..], true)),
+            Source::Held(page) => Some((page, true)),
+            Source::Buffered(page) => Some((page, false)),
         }
-        self.left -= to_u64(hold.len()) * page_bytes;
-        writes.append(write)?;
-        Ok(to_u64(hold.len()))
     }
-
-    /// `file`'s held pages, in log order.
-    fn pages(&self, file: FileId) -> &[(u64, Page)] {
-        self.pages.get(&file).map_or(&[], Vec::as_slice)
-    }
-
-    /// Move `file`'s held pages out; their bytes stay booked.
-    fn take(&mut self, file: FileId) -> Vec<(u64, Page)> {
-        self.pages.remove(&file).unwrap_or_default()
-    }
-
-    /// `file` was consumed: its held pages are gone, their bytes back in
-    /// the budget.
-    fn release(&mut self, file: FileId) {
-        self.left += self.held.remove(&file).unwrap_or(0);
-        self.pages.remove(&file);
-    }
-}
-
-/// A log file's pages in log order: its `device` pages, each of the pages
-/// retention `held` for it (with their positions, ascending) before the
-/// device page at its position.
-fn interleave<T>(device: impl IntoIterator<Item = T>, held: Vec<(u64, T)>) -> Vec<T> {
-    let mut held = held.into_iter().peekable();
-    let mut log = Vec::new();
-    for (p, page) in (0u64..).zip(device) {
-        while let Some((_, h)) = held.next_if(|&(at, _)| at <= p) {
-            log.push(h);
-        }
-        log.push(page);
-    }
-    log.extend(held.map(|(_, h)| h));
-    log
 }
 
 /// The page reads that drain a fused interval range, the pages the range
@@ -242,22 +214,11 @@ pub struct BatchPlan {
     pub range: std::ops::Range<IntervalId>,
     /// `(file, page, useful=0)` requests, interval-major then page order.
     pub reqs: Vec<(FileId, u64, usize)>,
-    /// Per interval of `range`, aligned with it: where each page of its log
-    /// comes from, in log order, and its vertex span.
-    intervals: Vec<(Vec<Source>, std::ops::Range<VertexId>)>,
+    /// Per interval of `range`, aligned with it: its log, taken from the
+    /// multi-log, and its vertex span.
+    intervals: Vec<(Log, std::ops::Range<VertexId>)>,
     /// The consuming program's reduction ([`MultiLogConfig::combine`]).
     combine: Option<fn(u64, u64) -> u64>,
-}
-
-/// Where one page of a planned log comes from.
-#[derive(Debug, Clone)]
-enum Source {
-    /// The next page fetched for the plan's requests.
-    Read,
-    /// A page the retention budget held instead of writing it.
-    Held(Page),
-    /// A page carried across the superstep boundary in host memory.
-    Carried(Page),
 }
 
 /// Interval index → id. Interval counts are bounded by the (u32) vertex
@@ -285,24 +246,18 @@ impl BatchPlan {
     /// Each interval's vertex span and its pages in log order — those
     /// fetched for it (from `pages`, in plan order) and those it held or
     /// carried in host memory — each paired with whether its bytes are
-    /// useful: a fetched or held page's are, a carried page was never
-    /// written nor read.
+    /// useful ([`Source::bytes`]).
     fn logs<'p>(
         &'p self,
         pages: &'p [Page],
-    ) -> impl Iterator<Item = (std::ops::Range<VertexId>, impl Iterator<Item = (&'p Page, bool)>)> + 'p
+    ) -> impl Iterator<Item = (std::ops::Range<VertexId>, impl Iterator<Item = (&'p [u8], bool)>)> + 'p
     {
         let mut cursor = 0usize;
         self.intervals.iter().map(move |(log, span)| {
-            let n = log.iter().filter(|s| matches!(s, Source::Read)).count();
+            let n = log.device_pages();
             let mut mine = pages[cursor..cursor + n].iter();
             cursor += n;
-            let log = log.iter().filter_map(move |s| match s {
-                Source::Read => mine.next().map(|p| (p, true)),
-                Source::Held(p) => Some((p, true)),
-                Source::Carried(p) => Some((p, false)),
-            });
-            (span.clone(), log)
+            (span.clone(), log.pages.iter().filter_map(move |s| s.bytes(&mut mine)))
         })
     }
 
@@ -369,8 +324,8 @@ impl BatchPlan {
     /// batch sorted by destination, per-destination log order preserved.
     /// `load_ns` / `sort_ns` of the result split the wall time between the
     /// decode/place work and the histogram/prefix work for stage reporting.
-    /// Only the bytes of fetched pages are `useful_bytes`: a carried page
-    /// was never read.
+    /// Only the bytes of fetched and held pages are `useful_bytes`: a
+    /// carried page was never read.
     pub fn decode_sorted(&self, pages: &[Page]) -> Result<FusedBatch, DeviceError> {
         assert_eq!(pages.len(), self.reqs.len(), "fetched pages must match the plan");
         let t_load = Instant::now();
@@ -442,19 +397,16 @@ impl MultiLog {
     ) -> Result<Self, DeviceError> {
         let n = intervals.num_intervals();
         let page_size = ssd.page_size();
-        let mut files: Vec<[FileId; 2]> = Vec::with_capacity(n);
+        let open = |name: String| ssd.open_or_create(&name).map(|file| Log { file, pages: Vec::new() });
+        let mut logs = Vec::with_capacity(n);
         for i in 0..n {
-            files.push([
-                ssd.open_or_create(&format!("{tag}.mlog.{i}.a"))?,
-                ssd.open_or_create(&format!("{tag}.mlog.{i}.b"))?,
-            ]);
+            logs.push([open(format!("{tag}.mlog.{i}.a"))?, open(format!("{tag}.mlog.{i}.b"))?]);
         }
         // A fresh unit starts with empty logs even if a previous run under
         // the same tag left residue (e.g. a non-converged run's last
         // superstep).
-        for f in &files {
-            ssd.truncate(f[0])?;
-            ssd.truncate(f[1])?;
+        for l in logs.iter().flatten() {
+            ssd.truncate(l.file)?;
         }
         // "at least one log buffer is allocated for each vertex interval in
         // the entire graph" (§V-A3) — that floor is interval-count driven,
@@ -496,7 +448,7 @@ impl MultiLog {
         Ok(MultiLog {
             ssd,
             intervals,
-            files,
+            logs,
             write_side: 0,
             tops: vec![Vec::new(); bucket_base[n]],
             bucket_base,
@@ -506,21 +458,21 @@ impl MultiLog {
             page_cap,
             full_bytes: shape.full_page_bytes(page_size),
             top_records: vec![0; n],
+            buffered: 0,
             pressure_records: 0,
             evict_every: cap_pages.saturating_sub(n).max(1) * page_cap,
-            sealed: Vec::new(),
-            carried: vec![Vec::new(); n],
             counts: vec![0; n],
             dest_seen: BitSet::new(num_vertices),
             cap_pages,
             stats: MultiLogStats::default(),
             combine: cfg.combine,
-            retention: Retention::default(),
+            retain_left: 0,
+            held: 0,
         })
     }
 
     /// Arm log-tail retention (DESIGN.md §18): from now on, pages this
-    /// unit would write to its logs — flushed log pages and restored
+    /// unit would write to its logs — evicted log pages and restored
     /// checkpoint pages alike — are held in host memory instead, while
     /// `budget_bytes` covers them: never written, decoded where they are.
     /// Consuming a log returns its held bytes to the budget, so the same
@@ -528,21 +480,31 @@ impl MultiLog {
     /// budget; pages already held stay, and counted in
     /// [`Self::retained_bytes`], until their log is consumed.
     pub fn arm_retention(&mut self, budget_bytes: u64) {
-        self.retention.left = budget_bytes;
+        self.retain_left = budget_bytes;
     }
 
     /// Bytes this unit's logs hold under the retention budget right now.
     pub fn retained_bytes(&self) -> u64 {
-        self.retention.held.values().sum()
+        self.held
     }
 
-    /// Drop `file`'s log: its device pages when it has any, and the pages
-    /// held for it, their bytes back in the budget.
-    fn drop_log(&mut self, file: FileId, on_device: bool) -> Result<(), DeviceError> {
-        if on_device {
-            self.ssd.truncate(file)?;
+    /// Take interval `ii`'s log on `side` out of the unit, whole.
+    fn take_log(&mut self, ii: usize, side: usize) -> Log {
+        let log = &mut self.logs[ii][side];
+        let log = Log { file: log.file, pages: std::mem::take(&mut log.pages) };
+        self.buffered -= log.count(|s| matches!(s, Source::Buffered(_)));
+        log
+    }
+
+    /// Drop `log`, taken from the unit: its file's pages when it has any,
+    /// and the held pages' bytes back in the budget.
+    fn drop_log(&mut self, log: &Log) -> Result<(), DeviceError> {
+        if log.device_pages() > 0 {
+            self.ssd.truncate(log.file)?;
         }
-        self.retention.release(file);
+        let bytes = to_u64(log.count(|s| matches!(s, Source::Held(_))) * self.ssd.page_size());
+        self.held -= bytes;
+        self.retain_left += bytes;
         Ok(())
     }
 
@@ -551,27 +513,23 @@ impl MultiLog {
     }
 
     /// Enumerate the page reads that draining every interval in `range` of
-    /// the read side — this superstep's inbox — will need, and move the
-    /// pages those intervals hold or carried in host memory into the plan,
-    /// each at its place in its log, so no eviction can write them out any
-    /// more. The request order is deterministic (interval-major, page
-    /// order), independent of which thread later decodes the pages. The
-    /// sides flip at [`Self::finish_superstep`], so a plan is only good for
-    /// the superstep it was made in.
-    pub fn plan_reads(&mut self, range: std::ops::Range<IntervalId>) -> Result<BatchPlan, DeviceError> {
+    /// the read side — this superstep's inbox — will need, and take those
+    /// intervals' logs into the plan, the pages they hold or carried in
+    /// host memory with them, so no eviction can write those out any more.
+    /// The request order is deterministic (interval-major, page order),
+    /// independent of which thread later decodes the pages. The sides flip
+    /// at [`Self::finish_superstep`], so a plan is only good for the
+    /// superstep it was made in.
+    pub fn plan_reads(&mut self, range: std::ops::Range<IntervalId>) -> BatchPlan {
         let side = 1 - self.write_side;
         let mut reqs = Vec::new();
         let mut intervals = Vec::with_capacity(range.len());
         for i in range.clone() {
-            let f = self.files[idx(i)][side];
-            let n = self.ssd.num_pages(f)?;
-            reqs.extend((0..n).map(|p| (f, p, 0usize)));
-            let held = self.retention.take(f).into_iter().map(|(at, p)| (at, Source::Held(p)));
-            let mut log = interleave((0..n).map(|_| Source::Read), held.collect());
-            log.extend(std::mem::take(&mut self.carried[idx(i)]).into_iter().map(Source::Carried));
+            let log = self.take_log(idx(i), side);
+            reqs.extend((0..to_u64(log.device_pages())).map(|p| (log.file, p, 0usize)));
             intervals.push((log, self.intervals.range(i)));
         }
-        Ok(BatchPlan { range, reqs, intervals, combine: self.combine })
+        BatchPlan { range, reqs, intervals, combine: self.combine }
     }
 
     /// Consume the read-side logs `batch` was decoded from: the truncate of
@@ -584,10 +542,8 @@ impl MultiLog {
     /// the batch's ticket is retired — which keeps every counter identical
     /// at any worker-thread count (DESIGN.md §12).
     pub fn consume(&mut self, plan: &BatchPlan, batch: &FusedBatch) -> Result<(), DeviceError> {
-        let side = 1 - self.write_side;
-        for (i, (log, _)) in plan.range.clone().zip(&plan.intervals) {
-            let on_device = log.iter().any(|s| matches!(s, Source::Read));
-            self.drop_log(self.files[idx(i)][side], on_device)?;
+        for (log, _) in &plan.intervals {
+            self.drop_log(log)?;
         }
         self.ssd.declare_useful(batch.useful_bytes);
         self.stats.updates_read += batch.records;
@@ -600,14 +556,15 @@ impl MultiLog {
 
     /// Encode `run` (all bound for interval `ii`) onto the top pages of
     /// their slots — the one place a logged record is serialized — sealing
-    /// every page a record fills. The loop works on borrowed parts of
-    /// `self` so nothing it reads can alias the page bytes it writes.
+    /// every page a record fills onto the interval's write-side log. The
+    /// loop works on borrowed parts of `self` so nothing it reads can alias
+    /// the page bytes it writes.
     fn append_run(&mut self, ii: usize, run: &[Update]) {
         let (shape, page_cap, full_bytes) = (self.shape, self.page_cap, self.full_bytes);
-        let i = interval_id(ii);
         let (lut, bases) = (&self.slot_lut[..], &self.slot_dest_base[..]);
-        let (tops, seen, sealed) = (&mut self.tops[..], &mut self.dest_seen, &mut self.sealed);
-        let sealed_before = sealed.len();
+        let (tops, seen) = (&mut self.tops[..], &mut self.dest_seen);
+        let log = &mut self.logs[ii][self.write_side].pages;
+        let sealed_before = log.len();
         for u in run {
             seen.set(idx(u.dest));
             let s = idx(lut[idx(u.dest)]);
@@ -618,11 +575,13 @@ impl MultiLog {
                 // fill never reallocates.
                 let mut full = std::mem::replace(top, Vec::with_capacity(full_bytes));
                 seal_page(&mut full);
-                sealed.push((i, full));
+                log.push(Source::Buffered(full));
             }
         }
+        let sealed = log.len() - sealed_before;
+        self.buffered += sealed;
         self.top_records[ii] += run.len();
-        self.top_records[ii] -= (sealed.len() - sealed_before) * page_cap;
+        self.top_records[ii] -= sealed * page_cap;
     }
 
     /// The paper's `SendUpdate(v_dest, m)` tail half: append to the top
@@ -693,33 +652,24 @@ impl MultiLog {
         self.dest_seen.get(idx(v))
     }
 
-    /// Pages currently buffered in host memory: carried pages not yet
-    /// planned, sealed full pages, and each interval's top records rounded
-    /// up to page units. Sealed pages hold exactly one page of records, so
-    /// the sum per interval telescopes to `ceil(buffered records / page
-    /// capacity)` — the same value whatever bucket layout the records sit
-    /// in.
+    /// Pages currently buffered in host memory: every log's buffered pages
+    /// — sealed on the write side, carried and not yet planned on the read
+    /// side — and each interval's top records rounded up to page units.
+    /// Sealed pages hold exactly one page of records, so the sum per
+    /// interval telescopes to `ceil(buffered records / page capacity)` —
+    /// the same value whatever bucket layout the records sit in.
     pub fn buffered_pages(&self) -> usize {
-        self.carried_pages()
-            + self.sealed.len()
-            + self.top_records.iter().map(|r| r.div_ceil(self.page_cap)).sum::<usize>()
+        self.buffered + self.top_records.iter().map(|r| r.div_ceil(self.page_cap)).sum::<usize>()
     }
 
-    /// Carried pages not yet planned.
-    fn carried_pages(&self) -> usize {
-        self.carried.iter().map(Vec::len).sum()
-    }
-
-    /// Bytes currently buffered in host memory (carried pages at their
-    /// padded page size, sealed pages, every top buffer) — what
+    /// Bytes currently buffered in host memory (each buffered page at the
+    /// page size it counts against the budget as, every top buffer) — what
     /// `MultiLogConfig::buffer_bytes` caps: after any append it is at most
     /// the cap (with its floors) plus one eviction period's worth of
     /// records.
     #[cfg(test)]
     pub fn buffered_bytes(&self) -> usize {
-        self.carried.iter().flatten().map(|p| p.len()).sum::<usize>()
-            + self.sealed.iter().map(|(_, p)| p.len()).sum::<usize>()
-            + self.tops.iter().map(Vec::len).sum::<usize>()
+        self.buffered * self.ssd.page_size() + self.tops.iter().map(Vec::len).sum::<usize>()
     }
 
     /// Seal and decode interval `ii`'s top buffers in bucket order onto
@@ -735,148 +685,181 @@ impl MultiLog {
         Ok(())
     }
 
-    /// Move every buffered top record into `sealed`, interval by interval.
-    /// An interval with a single partial top seals it as is. Otherwise its
-    /// partial buckets are packed — in bucket order, so records stay
-    /// destination-clustered — into full pages
+    /// Seal every buffered top record onto its write-side log, interval by
+    /// interval. An interval with a single partial top seals it as is.
+    /// Otherwise its partial buckets are packed — in bucket order, so
+    /// records stay destination-clustered — into full pages
     /// before a final partial one: offsets are re-based on each packed
     /// page's own smallest destination, and a page whose destinations span
     /// more than the narrow form addresses falls back to absolute ones.
     fn seal_all_tops(&mut self) -> Result<(), DeviceError> {
         let page_size = self.ssd.page_size();
-        for ii in 0..self.files.len() {
+        for ii in 0..self.logs.len() {
             if self.top_records[ii] == 0 {
                 continue;
             }
-            let i = interval_id(ii);
             let slots = self.bucket_base[ii]..self.bucket_base[ii + 1];
             let mut live = slots.filter(|&s| !self.tops[s].is_empty());
             if let (Some(s), None) = (live.next(), live.next()) {
                 let mut page = std::mem::take(&mut self.tops[s]);
                 seal_page(&mut page);
-                self.sealed.push((i, page));
+                self.logs[ii][self.write_side].pages.push(Source::Buffered(page));
+                self.buffered += 1;
                 self.top_records[ii] = 0;
                 continue;
             }
             let mut pending = Vec::with_capacity(self.top_records[ii]);
             self.drain_tops(ii, &mut pending)?;
-            for page in pack_pages(&pending, page_size, self.shape.has_src, true) {
-                self.sealed.push((i, page));
-            }
+            let packed = pack_pages(&pending, page_size, self.shape.has_src, true);
+            self.buffered += packed.len();
+            self.logs[ii][self.write_side].pages.extend(packed.into_iter().map(Source::Buffered));
         }
         Ok(())
     }
 
     fn evict(&mut self, writes: &Writes) -> Result<(), DeviceError> {
         self.stats.evictions += 1;
-        self.flush_sealed(writes)?;
+        self.flush_buffered(writes)?;
         if self.buffered_pages() > self.cap_pages {
             // Still over: flush every non-empty top page too.
             self.seal_all_tops()?;
-            self.flush_sealed(writes)?;
+            self.flush_buffered(writes)?;
         }
         Ok(())
     }
 
-    /// Hand every sealed page, and the carried pages of every interval not
-    /// yet planned, to `writes` in one scattered batch, the leading pages
-    /// the retention budget covers held in host memory instead. Sealed
-    /// pages go to their write-side files;
-    /// carried pages to their read-side files, after the pages the last
-    /// superstep evicted there, so each log keeps its order. The pages were
-    /// encoded when their records were appended; nothing is touched per
-    /// record here.
-    fn flush_sealed(&mut self, writes: &Writes) -> Result<(), DeviceError> {
-        let carried = self.carried_pages();
-        if self.sealed.is_empty() && carried == 0 {
+    /// Settle every buffered page of every log not yet planned — the write
+    /// side's logs, then the read side's, each ascending by interval, so
+    /// the budget holds the logs drained first ([`Self::settle`]) — the
+    /// written ones handed to `writes` in one scattered batch. A sealed
+    /// page goes to its write-side file, a carried one to its read-side
+    /// file after the pages the last superstep evicted there. The pages
+    /// were encoded when their records were appended; nothing is touched
+    /// per record here.
+    fn flush_buffered(&mut self, writes: &Writes) -> Result<(), DeviceError> {
+        if self.buffered == 0 {
             return Ok(());
         }
-        let (write, read) = (self.write_side, 1 - self.write_side);
-        let mut pages: Vec<(FileId, &[u8])> = Vec::with_capacity(self.sealed.len() + carried);
-        pages.extend(self.sealed.iter().map(|(i, page)| (self.files[idx(*i)][write], &page[..])));
-        let new_bytes = pages.iter().map(|&(_, page)| to_u64(page.len())).sum::<u64>();
-        for (f, log) in self.files.iter().zip(&self.carried) {
-            pages.extend(log.iter().map(|page| (f[read], &page[..])));
+        let mut out = Vec::with_capacity(self.buffered);
+        for side in [self.write_side, 1 - self.write_side] {
+            for ii in 0..self.logs.len() {
+                let (pages, bytes) = self.settle(ii, side, &mut out);
+                if side == self.write_side {
+                    self.stats.pages_flushed += to_u64(pages);
+                    self.stats.bytes_appended += bytes;
+                }
+            }
         }
-        self.stats.pages_retained += self.retention.append(&self.ssd, writes, &pages)?;
-        self.stats.pages_flushed += to_u64(self.sealed.len());
-        self.stats.bytes_appended += new_bytes;
-        self.sealed.clear();
-        self.carried.iter_mut().for_each(Vec::clear);
-        Ok(())
+        let out: Vec<(FileId, &[u8])> = out.iter().map(|(f, page)| (*f, &page[..])).collect();
+        writes.append(&out).map(drop)
     }
 
-    /// End of superstep: seal every top page and carry what is buffered
-    /// into the next superstep as its read side, in host memory — nothing
-    /// is written here. Each carried page is zero-padded to the page size,
-    /// exactly what a device read of it would return, and counts against
-    /// the next superstep's buffer budget as a full page: the pressure
-    /// counter starts at the carried pages' worth of records (at most one
-    /// eviction period), and an eviction writes them out. Returns the
-    /// per-interval pending message counts (the fusing input for the next
-    /// superstep) and resets counters and the seen bit vector.
-    pub fn finish_superstep(&mut self) -> Result<Vec<u64>, DeviceError> {
-        self.seal_all_tops()?;
-        let page_size = self.ssd.page_size();
-        self.carried.iter_mut().for_each(Vec::clear);
-        for (i, page) in self.sealed.drain(..) {
-            self.stats.bytes_appended += to_u64(page.len());
-            self.carried[idx(i)].push(Page::zero_padded(&page, page_size));
+    /// Turn each buffered page of interval `ii`'s log on `side`, in place,
+    /// into a held page while the retention budget covers it, and into the
+    /// file's next page — queued on `out` for the caller's one dispatch —
+    /// otherwise. Returns how many pages it settled and their bytes.
+    fn settle(&mut self, ii: usize, side: usize, out: &mut Vec<(FileId, Vec<u8>)>) -> (usize, u64) {
+        let page_bytes = to_u64(self.ssd.page_size());
+        let Log { file, pages: log } = &mut self.logs[ii][side];
+        let (mut pages, mut bytes) = (0, 0);
+        for s in log {
+            let Source::Buffered(page) = s else { continue };
+            let page = std::mem::take(page);
+            (pages, bytes) = (pages + 1, bytes + to_u64(page.len()));
+            if self.retain_left >= page_bytes {
+                self.retain_left -= page_bytes;
+                self.held += page_bytes;
+                self.stats.pages_retained += 1;
+                *s = Source::Held(page);
+            } else {
+                out.push((*file, page));
+                *s = Source::Device;
+            }
         }
-        let carried = self.carried_pages();
+        self.buffered -= pages;
+        (pages, bytes)
+    }
+
+    /// End of superstep: seal every top page and flip the sides — no page
+    /// is written or moved. The write side's logs become the read side,
+    /// their buffered pages *carried* in host memory, each counted against
+    /// the next superstep's budget as a full page (the pressure counter
+    /// starts at their records' worth, at most one eviction period) until a
+    /// plan takes it or an eviction writes or holds it. Every read-side log
+    /// must have been planned: one left would join the new write side.
+    /// Returns the per-interval pending message counts (the fusing input
+    /// for the next superstep) and resets counters and the seen bit vector.
+    pub fn finish_superstep(&mut self) -> Result<Vec<u64>, DeviceError> {
+        debug_assert!(self.logs.iter().all(|l| l[1 - self.write_side].pages.is_empty()), "unplanned read side");
+        self.seal_all_tops()?;
+        let (mut carried, mut bytes) = (0, 0);
+        for s in self.logs.iter().flat_map(|l| &l[self.write_side].pages) {
+            if let Source::Buffered(page) = s {
+                (carried, bytes) = (carried + 1, bytes + to_u64(page.len()));
+            }
+        }
+        self.stats.bytes_appended += bytes;
         self.stats.pages_carried += to_u64(carried);
         self.pressure_records = (carried * self.page_cap).min(self.evict_every);
         self.dest_seen.clear();
         // Flip roles: what was written becomes readable next superstep.
         self.write_side = 1 - self.write_side;
-        Ok(std::mem::replace(&mut self.counts, vec![0; self.files.len()]))
+        Ok(std::mem::replace(&mut self.counts, vec![0; self.logs.len()]))
     }
 
     /// Raw read-side log pages per interval, *without* consuming them —
-    /// the checkpoint path: each interval's pages on the device with the
-    /// pages it holds among them, then the pages it carried in host memory,
-    /// in log order. Pages are returned exactly as a device read returns
-    /// them (log-encoded, zero-padded), so restoring them preserves page
-    /// boundaries and, with them, record order. The whole of a device page
-    /// is checkpoint payload, so each counts as fully useful; a held or
-    /// carried page is not read at all.
+    /// the checkpoint path: each interval's log in order, its device pages
+    /// read, its held and carried pages zero-padded. Pages are returned
+    /// exactly as a device read returns them (log-encoded, zero-padded), so
+    /// restoring them preserves page boundaries and, with them, record
+    /// order. The whole of a device page is checkpoint payload, so each
+    /// counts as fully useful; a held or carried page is not read at all.
     pub fn snapshot_pending(&self) -> Result<Vec<Vec<Page>>, DeviceError> {
         let side = 1 - self.write_side;
         let page_size = self.ssd.page_size();
-        let mut out = Vec::with_capacity(self.files.len());
-        for (f, carried) in self.files.iter().zip(&self.carried) {
-            let device = self.ssd.read_all(f[side], |_| page_size)?;
-            let mut pages = interleave(device, self.retention.pages(f[side]).to_vec());
-            pages.extend(carried.iter().cloned());
-            out.push(pages);
+        let mut out = Vec::with_capacity(self.logs.len());
+        for l in &self.logs {
+            let mut device = self.ssd.read_all(l[side].file, |_| page_size)?.into_iter();
+            out.push(
+                l[side]
+                    .pages
+                    .iter()
+                    .filter_map(|s| match s {
+                        Source::Device => device.next(),
+                        Source::Held(page) | Source::Buffered(page) => {
+                            Some(Page::zero_padded(page, page_size))
+                        }
+                    })
+                    .collect(),
+            );
         }
         Ok(out)
     }
 
-    /// Inverse of [`Self::snapshot_pending`]: write checkpointed log pages
-    /// back to the read side *on the device* — every page, carried ones
-    /// included: the snapshot does not say which were — and return the
-    /// per-interval pending record counts (what [`Self::finish_superstep`]
-    /// returned when the snapshot was taken), holding what the armed
-    /// budget covers instead. The read side's held and carried pages are
-    /// dropped. Every page
-    /// goes through the decoder first, so a snapshot whose pages are not
-    /// this format's (or carry destinations outside their interval), or
-    /// that holds logs for a different number of intervals, is refused
-    /// before anything is written.
+    /// Inverse of [`Self::snapshot_pending`]: make the checkpointed log
+    /// pages the read side's logs — held while the armed budget covers
+    /// them, written to the device otherwise, one dispatch per interval:
+    /// carried ones too, as the snapshot does not say which were — and
+    /// return the per-interval pending record counts (what
+    /// [`Self::finish_superstep`] returned when the snapshot was taken).
+    /// The read side's logs are dropped first. Every page goes through the
+    /// decoder first, so a snapshot whose pages are not this format's (or
+    /// carry destinations outside their interval), or that holds logs for
+    /// a different number of intervals, is refused before anything is
+    /// written.
     pub fn restore_pending(&mut self, snapshot: &[Vec<Page>]) -> Result<Vec<u64>, DeviceError> {
-        if snapshot.len() != self.files.len() {
+        if snapshot.len() != self.logs.len() {
             return Err(DeviceError::Corrupt {
                 what: "checkpoint",
                 detail: format!(
                     "snapshot holds logs of {} intervals, the multi-log has {}",
                     snapshot.len(),
-                    self.files.len()
+                    self.logs.len()
                 ),
             });
         }
         let side = 1 - self.write_side;
-        let mut counts = vec![0u64; self.files.len()];
+        let mut counts = vec![0u64; self.logs.len()];
         let mut decoded = Vec::new();
         for ((pages, count), i) in snapshot.iter().zip(&mut counts).zip(self.intervals.iter_ids()) {
             let span = self.intervals.range(i);
@@ -886,13 +869,15 @@ impl MultiLog {
             }
             *count = to_u64(decoded.len());
         }
-        self.carried.iter_mut().for_each(Vec::clear);
         for (ii, pages) in snapshot.iter().enumerate() {
-            let file = self.files[ii][side];
-            self.drop_log(file, true)?;
-            let writes: Vec<(FileId, &[u8])> = pages.iter().map(|p| (file, &p[..])).collect();
-            let device = Writes::Device(&self.ssd);
-            self.stats.pages_retained += self.retention.append(&self.ssd, &device, &writes)?;
+            let old = self.take_log(ii, side);
+            self.drop_log(&old)?;
+            self.logs[ii][side].pages = pages.iter().map(|p| Source::Buffered(p.to_vec())).collect();
+            self.buffered += pages.len();
+            let mut out = Vec::new();
+            self.settle(ii, side, &mut out);
+            let out: Vec<(FileId, &[u8])> = out.iter().map(|(f, page)| (*f, &page[..])).collect();
+            self.ssd.append_scattered(&out)?;
         }
         Ok(counts)
     }
@@ -900,31 +885,25 @@ impl MultiLog {
     /// Asynchronous-model drain (paper §V-F: "the latest updates from the
     /// source vertices will be delivered to the target vertices, either
     /// from the current superstep or the previous one"): consume every
-    /// update logged for interval `i` *during the current superstep* —
-    /// flushed write-side pages, on the device or held, sealed pages, and
-    /// the top pages — in log order. Pending counters are rolled back so
-    /// the consumed updates are not double-scheduled for the next
-    /// superstep.
+    /// update logged for interval `i` *during the current superstep* — its
+    /// write-side log, whose pages are on the device, held or still
+    /// buffered, then the top pages — in log order. Pending counters are
+    /// rolled back so the consumed updates are not double-scheduled for the
+    /// next superstep.
     pub fn take_log_current(&mut self, i: IntervalId) -> Result<Vec<Update>, DeviceError> {
+        let (ii, side) = (idx(i), self.write_side);
         let span = self.intervals.range(i);
-        let file = self.files[idx(i)][self.write_side];
-        let mut out = Vec::new();
-        let on_device = self.ssd.num_pages(file)? > 0;
-        let device = if on_device { self.ssd.read_all(file, |_| 0)? } else { Vec::new() };
-        let mut useful = 0u64;
-        for p in &interleave(device, self.retention.take(file)) {
-            useful += to_u64(decode_log_page(p, &span, &mut out)?);
+        let log = self.take_log(ii, side);
+        let device = if log.device_pages() > 0 { self.ssd.read_all(log.file, |_| 0)? } else { Vec::new() };
+        let (mut out, mut useful, mut device) = (Vec::new(), 0u64, device.iter());
+        for (page, counts) in log.pages.iter().filter_map(|s| s.bytes(&mut device)) {
+            let bytes = to_u64(decode_log_page(page, &span, &mut out)?);
+            useful += if counts { bytes } else { 0 };
         }
         self.ssd.declare_useful(useful);
-        self.drop_log(file, on_device)?;
-        let (mine, others): (Vec<_>, Vec<_>) =
-            std::mem::take(&mut self.sealed).into_iter().partition(|(j, _)| *j == i);
-        self.sealed = others;
-        for (_, page) in &mine {
-            decode_log_page(page, &span, &mut out)?;
-        }
-        self.drain_tops(idx(i), &mut out)?;
-        self.counts[idx(i)] -= to_u64(out.len());
+        self.drop_log(&log)?;
+        self.drain_tops(ii, &mut out)?;
+        self.counts[ii] -= to_u64(out.len());
         self.stats.updates_read += to_u64(out.len());
         Ok(out)
     }
@@ -933,6 +912,7 @@ impl MultiLog {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::checked::to_usize;
     use crate::page::PAGE_HEADER_BYTES;
     use mlvc_ssd::SsdConfig;
 
@@ -949,12 +929,16 @@ pub(crate) mod tests {
     }
 
     /// Drain `range` of the read side the way the engine does: plan, read,
-    /// decode, consume.
+    /// decode, consume. Each planned log lists exactly the pages its file
+    /// holds: the list, not the device, says what to read.
     pub(crate) fn drain_range(
         ml: &mut MultiLog,
         range: std::ops::Range<IntervalId>,
     ) -> Result<FusedBatch, DeviceError> {
-        let plan = ml.plan_reads(range)?;
+        let plan = ml.plan_reads(range);
+        for (i, (log, _)) in plan.range.clone().zip(&plan.intervals) {
+            assert_eq!(to_u64(log.device_pages()), ml.ssd.num_pages(log.file)?, "interval {i}");
+        }
         let pages = ml.ssd.read_batch(&plan.reqs)?;
         let batch = plan.decode(&pages)?;
         ml.consume(&plan, &batch)?;
@@ -1044,6 +1028,7 @@ pub(crate) mod tests {
         ml.send(Update::new(1, 0, 0)).unwrap();
         ml.send(Update::new(2, 0, 0)).unwrap();
         assert_eq!(ml.finish_superstep().unwrap()[0], 2);
+        assert_eq!(drain(&mut ml, 0).unwrap().len(), 2);
         assert_eq!(ml.finish_superstep().unwrap()[0], 0);
     }
 
@@ -1102,7 +1087,7 @@ pub(crate) mod tests {
                 ml.send(Update::new(k % 100, k, u64::from(k))).unwrap();
             }
             ml.finish_superstep().unwrap();
-            let plan = ml.plan_reads(0..4).unwrap();
+            let plan = ml.plan_reads(0..4);
             let pages = ssd.read_batch(&plan.reqs).unwrap();
             let before = ssd.stats().snapshot();
             let batch = if fold {
@@ -1250,17 +1235,17 @@ pub(crate) mod tests {
             let (flushed, retained) = (ml.stats().pages_flushed, ml.stats().pages_retained);
             // The first fused batch drains before the scatter, the second
             // after it: its tail is still held while the new one grows.
-            let first = ml.plan_reads(0..2).unwrap();
+            let first = ml.plan_reads(0..2);
             let pages = ssd.read_batch(&first.reqs).unwrap();
             ml.consume(&first, &first.decode(&pages).unwrap()).unwrap();
             within(&ml);
-            let unplanned = ml.carried_pages();
+            let unplanned = carried_count(&ml);
             for k in 0..2400 + 300 * superstep {
                 ml.send(Update::new((k * 37) % 100, k, u64::from(k))).unwrap();
                 within(&ml);
             }
             // An eviction wrote out the carried pages not yet planned.
-            let evicted = to_u64(unplanned - ml.carried_pages());
+            let evicted = to_u64(unplanned - carried_count(&ml));
             _ = drain_range(&mut ml, 2..4).unwrap();
             within(&ml);
             ml.finish_superstep().unwrap();
@@ -1296,20 +1281,24 @@ pub(crate) mod tests {
             }
             assert_eq!(ml.retained_bytes(), 2 * page);
         };
-        let held_between_written = |ml: &MultiLog, file: FileId| {
-            let at: Vec<u64> = ml.retention.pages(file).iter().map(|&(at, _)| at).collect();
-            let n = ssd.num_pages(file).unwrap();
+        // Each held page's place: how many written pages come before it.
+        let held_between_written = |ml: &MultiLog, side: usize| {
+            let log = &ml.logs[0][side].pages;
+            let written = |k: usize| log[..k].iter().filter(|s| matches!(s, Source::Device)).count();
+            let at: Vec<usize> =
+                (0..log.len()).filter(|&k| matches!(log[k], Source::Held(_))).map(written).collect();
+            let n = to_usize("pages", ssd.num_pages(ml.logs[0][side].file).unwrap()).unwrap();
             assert!(at.len() == 2 && at[0] == 0 && 0 < at[1] && at[1] < n, "{at:?} of {n}");
         };
 
         fill(&mut ml);
-        held_between_written(&ml, ml.files[0][ml.write_side]);
+        held_between_written(&ml, ml.write_side);
         assert_eq!(sorted(ml.take_log_current(0).unwrap()), sorted(sent.clone()));
         assert_eq!(ml.retained_bytes(), 0);
 
         fill(&mut ml);
         ml.finish_superstep().unwrap();
-        held_between_written(&ml, read_file(&ml, 0));
+        held_between_written(&ml, 1 - ml.write_side);
         let snapshot = ml.snapshot_pending().unwrap();
         assert_eq!(drain(&mut ml, 0).unwrap(), sorted(sent.clone()));
         assert_eq!(ml.retained_bytes(), 0);
@@ -1319,6 +1308,31 @@ pub(crate) mod tests {
         assert_eq!(ml.retained_bytes(), page);
         assert_eq!(ml.snapshot_pending().unwrap(), snapshot);
         assert_eq!(drain(&mut ml, 0).unwrap(), sorted(sent));
+    }
+
+    /// Retention holds in interval order, the log drained first, not in
+    /// seal order: interval 1 seals a page before interval 0 does, and the
+    /// one page of budget holds interval 0's while interval 1's is written.
+    #[test]
+    fn an_eviction_holds_the_lowest_intervals_pages_first() {
+        let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
+        let mut ml = setup_on(Arc::clone(&ssd), 1 << 20, true);
+        // 17 records fill one narrow page of a bucket.
+        let sent = |dest| (0..17).map(|k| Update::new(dest, k, u64::from(k))).collect::<Vec<_>>();
+        for dest in [25, 0] {
+            sent(dest).into_iter().for_each(|u| ml.send(u).unwrap());
+        }
+        assert_eq!(ml.buffered_pages(), 2, "two sealed pages, no top records");
+        ml.arm_retention(to_u64(ssd.page_size()));
+        ml.evict(&Writes::Device(&ssd)).unwrap();
+        let w = ml.write_side;
+        assert!(matches!(ml.logs[0][w].pages[..], [Source::Held(_)]), "interval 0's page is held");
+        assert!(matches!(ml.logs[1][w].pages[..], [Source::Device]), "interval 1's page is written");
+        assert_eq!(ssd.num_pages(ml.logs[0][w].file).unwrap(), 0);
+        assert_eq!(ssd.num_pages(ml.logs[1][w].file).unwrap(), 1);
+        assert_eq!(ml.take_log_current(0).unwrap(), sent(0));
+        assert_eq!(ml.take_log_current(1).unwrap(), sent(25));
+        assert_eq!(ml.retained_bytes(), 0);
     }
 
     /// Records that fit the buffer cross the boundary in host memory: the
@@ -1338,7 +1352,7 @@ pub(crate) mod tests {
             assert_eq!(ml.finish_superstep().unwrap().iter().sum::<u64>(), 300);
             assert_eq!(ml.stats().pages_flushed, 0);
             assert!(ml.stats().pages_carried > 0);
-            let plan = ml.plan_reads(0..4).unwrap();
+            let plan = ml.plan_reads(0..4);
             assert!(plan.reqs.is_empty(), "nothing to read");
             let batch = if fold {
                 plan.decode_folded(&[], u64::wrapping_add).unwrap()
@@ -1358,7 +1372,21 @@ pub(crate) mod tests {
 
     /// The read-side file of interval `i`.
     fn read_file(ml: &MultiLog, i: usize) -> FileId {
-        ml.files[i][1 - ml.write_side]
+        ml.logs[i][1 - ml.write_side].file
+    }
+
+    /// Each interval's carried pages not yet planned — its read-side log's
+    /// buffered ones — zero-padded as a device read returns them.
+    fn carried(ml: &MultiLog) -> Vec<Vec<Page>> {
+        let pad = |s: &Source| match s {
+            Source::Buffered(page) => Some(Page::zero_padded(page, ml.ssd.page_size())),
+            _ => None,
+        };
+        ml.logs.iter().map(|l| l[1 - ml.write_side].pages.iter().filter_map(pad).collect()).collect()
+    }
+
+    fn carried_count(ml: &MultiLog) -> usize {
+        carried(ml).iter().map(Vec::len).sum()
     }
 
     /// Under the next superstep's pressure, the carried pages of every
@@ -1381,9 +1409,9 @@ pub(crate) mod tests {
         ml.finish_superstep().unwrap();
         let evicted = ssd.num_pages(read_file(&ml, 0)).unwrap();
         assert!(evicted > 0, "interval 0 evicted before the boundary");
-        let carried: Vec<Vec<Page>> = ml.carried.clone();
+        let carried = carried(&ml);
         assert!(carried.iter().all(|c| !c.is_empty()), "{:?}", carried.iter().map(Vec::len));
-        let planned = ml.plan_reads(3..4).unwrap();
+        let planned = ml.plan_reads(3..4);
 
         // Superstep two: the carried pages start the pressure counter, so
         // its eviction comes that much sooner.
@@ -1426,7 +1454,7 @@ pub(crate) mod tests {
             ml.send(u).unwrap();
         }
         ml.finish_superstep().unwrap();
-        let plan = ml.plan_reads(0..4).unwrap();
+        let plan = ml.plan_reads(0..4);
         for k in 0..5000u32 {
             ml.send(Update::new(k % 100, k, 2)).unwrap();
         }
@@ -1496,6 +1524,7 @@ pub(crate) mod tests {
         let rec = PageShape { wide_dest: false, has_src: true }.record_bytes();
         let first = to_u64(2 * PAGE_HEADER_BYTES + 4 * rec);
         assert_eq!(ml.stats().bytes_appended, first, "two headers + 4 records");
+        drain_range(&mut ml, 0..4).unwrap();
         // Accounting is cumulative across supersteps.
         ml.send(Update::new(99, 9, 9)).unwrap();
         ml.finish_superstep().unwrap();
@@ -1613,7 +1642,7 @@ pub(crate) mod tests {
         let (_, mut ml) = fresh();
         assert_corrupt(drain(&mut ml, 1), "decode");
         let (ssd, mut ml) = fresh();
-        let plan = ml.plan_reads(0..4).unwrap();
+        let plan = ml.plan_reads(0..4);
         let pages = ssd.read_batch(&plan.reqs).unwrap();
         assert_corrupt(plan.decode_sorted(&pages), "decode_sorted");
         assert_corrupt(plan.decode_folded(&pages, u64::wrapping_add), "decode_folded");

@@ -86,7 +86,11 @@ echo "== stage-table smoke (mlvc run) =="
 # memory instead of writing them: with `--metrics`, whose trace must also
 # show a superstep that held pages, and with `--ssd-dir`, whose result
 # lines and superstep table must be the in-memory leg's (the backend
-# decides where pages live, never which are read or written). Every
+# decides where pages live, never which are read or written). A third
+# tiered leg, `--async --metrics`, is the one run in which
+# `take_log_current` drains write-side logs that mix held, written and
+# buffered pages: its trace must show evictions, carried and held pages
+# too, and its bytes must match across thread counts. Every
 # `--memory-kb` leg runs on a scale-14 graph, because at scale 12 a
 # superstep's log fits under the eviction floor at any budget.
 smoke_dir="$(mktemp -d)"
@@ -97,7 +101,8 @@ for scale in 12 14; do
 done
 tiered="pagerank --memory-kb 1024 --cache-kb 256 --pin-budget-kb 512"
 for app in "pagerank" "randomwalk" "wcc --async" "pagerank --ssd-dir" "pagerank --metrics" \
-  "pagerank --memory-kb 1024 --metrics" "$tiered --metrics" "$tiered --ssd-dir"; do
+  "pagerank --memory-kb 1024 --metrics" "$tiered --metrics" "$tiered --ssd-dir" \
+  "$tiered --async --metrics"; do
   graph="$smoke_dir/g12.csr"
   if [[ $app == *--memory-kb* ]]; then
     graph="$smoke_dir/g14.csr"

@@ -571,77 +571,132 @@ fn par_sorts_thread_count_invariant() {
 /// sent — bit-exactly, at every thread count. Each update's payload carries
 /// its send index, so a stability violation among equal destinations is
 /// visible, not masked.
+///
+/// A case runs several supersteps. Between sends, the log-tail retention
+/// budget is re-armed at random and the previous superstep's fused ranges
+/// are drained, so an eviction meets carried pages of intervals not yet
+/// planned and logs mix held, written and carried pages; one superstep
+/// boundary round-trips the read side through `snapshot_pending` →
+/// `restore_pending`. Each superstep drains exactly what the one before it
+/// sent, and once every log is consumed nothing is held.
 #[test]
 fn folded_log_drain_matches_stable_sort_oracle() {
     use multilogvc::log::{MultiLog, MultiLogConfig, Update};
     use multilogvc::par::set_thread_override;
 
+    /// One superstep's inputs: the stream, split into chunks each sent via
+    /// `send` or `send_batch` and each preceded by an optional re-arming
+    /// (in pages); the fused ranges that drain the previous superstep, each
+    /// with the chunk it is drained before.
+    struct Step {
+        ups: Vec<Update>,
+        chunks: Vec<(usize, bool, Option<u64>)>,
+        ranges: Vec<(std::ops::Range<u32>, usize)>,
+    }
+
     let mut rng = SeededRng::seed_from_u64(111);
     for case in 0..CASES {
         let n = rng.gen_range(2usize..120);
         let k = rng.gen_range(1usize..6);
-        let m = rng.gen_range(0usize..2500);
         // Small enough to evict mid-superstep on the bigger cases.
         let buffer = rng.gen_range(1usize..9) << 10;
-        let ups: Vec<Update> = (0..m)
-            .map(|i| {
-                Update::new(rng.gen_range(0u32..n as u32), rng.gen_range(0u32..999), i as u64)
+        let steps: Vec<Step> = (0..rng.gen_range(1usize..4))
+            .map(|_| {
+                let m = rng.gen_range(0usize..2500);
+                let ups: Vec<Update> = (0..m)
+                    .map(|i| {
+                        Update::new(rng.gen_range(0u32..n as u32), rng.gen_range(0u32..999), i as u64)
+                    })
+                    .collect();
+                let mut chunks = Vec::new();
+                let mut at = 0;
+                while at < m {
+                    let len = rng.gen_range(1usize..40).min(m - at);
+                    let arm = rng.gen_bool(0.1).then(|| rng.gen_range(0u64..12));
+                    chunks.push((len, rng.gen_bool(0.5), arm));
+                    at += len;
+                }
+                let mut ranges = Vec::new();
+                let mut start = 0u32;
+                while (start as usize) < k {
+                    let end = rng.gen_range(start + 1..k as u32 + 1);
+                    ranges.push((start..end, rng.gen_range(0usize..chunks.len() + 1)));
+                    start = end;
+                }
+                // Drained in plan order, as the engine does.
+                let mut at: Vec<usize> = ranges.iter().map(|r| r.1).collect();
+                at.sort_unstable();
+                ranges.iter_mut().zip(at).for_each(|(r, at)| r.1 = at);
+                Step { ups, chunks, ranges }
             })
             .collect();
-        // Random mix of the per-record and pre-routed batch append paths:
-        // split the stream into chunks, each sent via `send` or
-        // `send_batch`.
-        let chunks: Vec<(usize, bool)> = {
-            let mut out = Vec::new();
-            let mut at = 0;
-            while at < m {
-                let len = rng.gen_range(1usize..40).min(m - at);
-                out.push((len, rng.gen_bool(0.5)));
-                at += len;
-            }
-            out
-        };
+        let restore_after = rng.gen_range(0usize..steps.len());
+        let restore_budget = rng.gen_range(0u64..12);
         let iv = VertexIntervals::uniform(n, k);
 
         for threads in [1usize, 2, 8] {
             set_thread_override(Some(threads));
             let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
+            let page = ssd.page_size() as u64;
             let cfg = MultiLogConfig { buffer_bytes: buffer, ..Default::default() };
             let mut ml = MultiLog::new(Arc::clone(&ssd), iv.clone(), cfg, "prop").unwrap();
-            let mut at = 0;
-            for &(len, batched) in &chunks {
-                let chunk = &ups[at..at + len];
-                if batched {
-                    for i in iv.iter_ids() {
-                        let routed: Vec<Update> = chunk
-                            .iter()
-                            .copied()
-                            .filter(|u| iv.interval_of(u.dest) == i)
-                            .collect();
-                        ml.send_batch(i, &routed).unwrap();
-                    }
-                } else {
-                    for &u in chunk {
-                        ml.send(u).unwrap();
-                    }
-                }
-                at += len;
-            }
-            ml.finish_superstep().unwrap();
-            for i in iv.iter_ids() {
-                let mut want: Vec<Update> =
-                    ups.iter().copied().filter(|u| iv.interval_of(u.dest) == i).collect();
-                want.sort_by_key(|u| u.dest);
-                let plan = ml.plan_reads(i..i + 1).unwrap();
+            let drain = |ml: &mut MultiLog, range: std::ops::Range<u32>| {
+                let plan = ml.plan_reads(range);
                 let pages = ssd.read_batch(&plan.reqs).unwrap();
                 let got = plan.decode(&pages).unwrap();
                 ml.consume(&plan, &got).unwrap();
+                got.updates
+            };
+            let mut want: Vec<Update> = Vec::new();
+            for (s, step) in steps.iter().enumerate() {
+                let ctx = format!("case {case} superstep {s} threads={threads}");
+                let mut drained = Vec::new();
+                let mut ranges = step.ranges.iter().peekable();
+                let mut at = 0;
+                for (c, &(len, batched, arm)) in step.chunks.iter().enumerate() {
+                    while let Some((range, _)) = ranges.next_if(|r| r.1 <= c) {
+                        drained.extend(drain(&mut ml, range.clone()));
+                    }
+                    if let Some(pages) = arm {
+                        ml.arm_retention(pages * page);
+                    }
+                    let chunk = &step.ups[at..at + len];
+                    if batched {
+                        for i in iv.iter_ids() {
+                            let routed: Vec<Update> = chunk
+                                .iter()
+                                .copied()
+                                .filter(|u| iv.interval_of(u.dest) == i)
+                                .collect();
+                            ml.send_batch(i, &routed).unwrap();
+                        }
+                    } else {
+                        for &u in chunk {
+                            ml.send(u).unwrap();
+                        }
+                    }
+                    at += len;
+                }
+                for (range, _) in ranges {
+                    drained.extend(drain(&mut ml, range.clone()));
+                }
                 assert_eq!(
-                    got.updates, want,
-                    "case {case} interval {i} threads={threads}: drain diverges from \
-                     the stable-sort oracle"
+                    drained, want,
+                    "{ctx}: drain diverges from the stable-sort oracle"
                 );
+                let counts = ml.finish_superstep().unwrap();
+                assert_eq!(counts.iter().sum::<u64>(), step.ups.len() as u64, "{ctx}");
+                if s == restore_after {
+                    let snapshot = ml.snapshot_pending().unwrap();
+                    ml.arm_retention(restore_budget * page);
+                    assert_eq!(ml.restore_pending(&snapshot).unwrap(), counts, "{ctx}");
+                }
+                want.clone_from(&step.ups);
+                want.sort_by_key(|u| u.dest);
             }
+            let last = drain(&mut ml, 0..k as u32);
+            assert_eq!(last, want, "case {case} threads={threads}: last superstep's drain");
+            assert_eq!(ml.retained_bytes(), 0, "case {case} threads={threads}: held after consume");
         }
         set_thread_override(None);
     }
@@ -763,7 +818,7 @@ fn compact_pages_drain_exactly_what_was_sent() {
                         .map(|&u| Update { src: if reads_src { u.src } else { VertexId::MAX }, ..u })
                         .collect();
                     want.sort_by_key(|u| u.dest);
-                    let plan = ml.plan_reads(i..i + 1).unwrap();
+                    let plan = ml.plan_reads(i..i + 1);
                     let pages = ssd.read_batch(&plan.reqs).unwrap();
                     let ctx = format!(
                         "case {case} n={n} k={k} m={m} interval {i} threads={threads} \
