@@ -71,10 +71,13 @@ pub struct MultiLogStats {
 /// destination vertex to its interval (`vId2IntervalMap`) and encodes the
 /// record straight into a **top page** of that interval in host memory
 /// (the page format is [`crate::page`]'s). Each interval keeps one top page
-/// per destination-page *bucket* (sort-reduce folding, BigSparse): records
-/// are bucketed by destination at append time, so sealed pages are
-/// destination-clustered and the read side needs only a per-interval
-/// counting pass, never a whole-inbox sort. Per-destination insertion
+/// per destination-page *bucket*, one narrow page's worth of consecutive
+/// destinations (sort-reduce folding, BigSparse). The buckets buy two
+/// things: every bucket page takes the narrow record form whatever its
+/// interval's width, and since an eviction writes sealed pages only, each
+/// bucket's partial top stays in host memory across it. They do not save
+/// the read side a pass: its decode is a per-interval counting sort
+/// whatever order a page's records are in. Per-destination insertion
 /// order is preserved. A full page is sealed onto its log — one list of
 /// `Source`s in log order — buffered in host memory; under memory
 /// pressure an eviction writes the buffered pages of every log not yet
@@ -619,9 +622,8 @@ impl MultiLog {
     /// [`Self::send`] on each update — same page boundaries, same eviction
     /// trigger points — minus the per-update interval lookup and pressure
     /// check: the slice is appended in runs that each end exactly where the
-    /// next eviction is due. The per-record bucketing is the sort — full
-    /// buckets seal as destination-clustered pages, and the read side only
-    /// needs a per-interval counting pass.
+    /// next eviction is due. Full buckets seal as destination-clustered,
+    /// narrow pages.
     pub fn send_batch_with(
         &mut self,
         writes: &Writes,

@@ -241,8 +241,9 @@ impl MutationLog {
 
         let mut pages_flushed = 0u64;
         while self.buffered > self.cap_records {
-            // Fullest buffer first (ties: lowest interval id) — the same
-            // pressure-relief order the multi-log's evictor uses.
+            // Fullest buffer first (ties: lowest interval id), spilled
+            // whole: each spill frees the most records it can and packs
+            // them into the fewest partial pages.
             let Some(i) = (0..self.buffers.len()).max_by_key(|&i| (self.buffers[i].len(), usize::MAX - i))
             else {
                 break;

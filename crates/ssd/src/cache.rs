@@ -288,7 +288,7 @@ impl PageCache {
             return Ok(0);
         }
         let tenant = dev.tenant();
-        let read = dev.read(&reqs, true, Some(self), &mut Vec::new())?;
+        let read = dev.read_dispatch(&reqs, Some(self))?;
         let mut guard = self.state.lock();
         let inner = &mut *guard;
         let mut newly = 0u64;
@@ -346,7 +346,6 @@ impl PageCache {
         &self,
         dev: &Ssd,
         reqs: &[(FileId, u64, usize)],
-        timed: bool,
         read: &mut Vec<PageAddr>,
     ) -> Result<Vec<Page>, DeviceError> {
         let tenant = dev.tenant();
@@ -405,7 +404,7 @@ impl PageCache {
             // Fetch owned pages as one device batch, cache lock released.
             let fetch: Vec<(FileId, u64, usize)> = owned.iter().map(|&i| reqs[i]).collect();
             drop(guard);
-            let fetched = dev.read(&fetch, timed, None, read);
+            let fetched = dev.read(&fetch, None, read);
             guard = self.state.lock();
             match fetched {
                 Err(e) => {
@@ -742,7 +741,7 @@ mod tests {
         for race in racing {
             // The owner's pass 1 and device read …
             claim();
-            let fetched = ssd.read(&[(f, 0, 0)], true, None, &mut Vec::new()).unwrap().remove(0);
+            let fetched = ssd.read_dispatch(&[(f, 0, 0)], None).unwrap().remove(0);
             // … the write that races them, and the landing.
             race();
             land_fill(&mut cache.state.lock(), key, &fetched, 0);
@@ -753,7 +752,7 @@ mod tests {
             ssd.write_page(f, 0, &[0; 32]).unwrap();
         }
         claim();
-        let fetched = ssd.read(&[(f, 0, 0)], true, None, &mut Vec::new()).unwrap().remove(0);
+        let fetched = ssd.read_dispatch(&[(f, 0, 0)], None).unwrap().remove(0);
         land_fill(&mut cache.state.lock(), key, &fetched, 0);
         assert_eq!(cache.snapshot().resident_pages, 1, "an unraced fill lands");
         assert!(Page::ptr_eq(&fetched, &ssd.read_page(f, 0, 0).unwrap()));

@@ -10,10 +10,11 @@ use crate::cache::{PageCache, TenantId};
 use crate::checked::{idx, mem_idx, page_byte_offset, to_u32, to_u64};
 
 use crate::config::SsdConfig;
-use crate::cost::{batch_time_ns, PageAddr, READ_NS, WRITE_NS};
+use crate::cost::{PageAddr, READ_NS, WRITE_NS};
 use crate::fault::{DeviceError, FaultCounters, FaultPlan, FaultState, WriteFate};
 use crate::ftl::{FtlConfig, FtlModel, FtlStats};
 use crate::page::Page;
+use crate::queue::dispatch_ns;
 use crate::stats::SsdStats;
 
 /// Identifier of a file on the simulated device.
@@ -64,8 +65,8 @@ struct FileEntry {
 /// `read_at` filled — so callers never hold locks while processing and no
 /// page is copied on its way to a decoder, through the cache or across
 /// threads. A write installs a new page in the slot, so a lent handle
-/// keeps the bytes it was read with. The simulated service time is charged
-/// at dispatch.
+/// keeps the bytes it was read with. A call's simulated service time is
+/// charged when it returns, as one dispatch (DESIGN.md §5).
 ///
 /// Every operation is fallible: besides genuine caller bugs (deleted files,
 /// out-of-bounds pages, oversized payloads) the device can be armed with a
@@ -415,22 +416,23 @@ impl Ssd {
     /// eviction path: several interval logs flush their top pages together
     /// and the writes pipeline across channels (paper §V-A3).
     pub fn append_scattered(&self, writes: &[(FileId, &[u8])]) -> Result<Vec<u64>, DeviceError> {
-        self.append(writes, true, &mut Vec::with_capacity(writes.len()))
+        let mut placed = Vec::with_capacity(writes.len());
+        let pages = self.append(writes, &mut placed);
+        self.charge_wait(dispatch_ns(self.config().channels, &mut placed, WRITE_NS), true);
+        pages
     }
 
-    /// [`Self::append_scattered`] with the service time charged only when
-    /// `timed` — the [`crate::IoQueue`] appends with its own clocks owning
-    /// the time. Returns the index of every page placed; `placed` gains
-    /// the address of every page that reached the media, the batch failed
-    /// or not: what the queue's clocks schedule.
+    /// [`Self::append_scattered`] with no service time charged — the
+    /// [`crate::IoQueue`] schedules it on its own clocks. Returns the index
+    /// of every page placed; `placed` gains the address of every page that
+    /// reached the media, the batch failed or not: what gets scheduled.
     pub(crate) fn append(
         &self,
         writes: &[(FileId, &[u8])],
-        timed: bool,
         placed: &mut Vec<PageAddr>,
     ) -> Result<Vec<u64>, DeviceError> {
         let writes: Vec<_> = writes.iter().map(|&(file, data)| (file, None, data)).collect();
-        self.write(&writes, timed, placed)
+        self.write(&writes, placed)
     }
 
     /// Overwrite an existing page in place. Charged as a 1-page write.
@@ -444,7 +446,10 @@ impl Ssd {
     pub fn write_batch(&self, writes: &[(FileId, u64, &[u8])]) -> Result<(), DeviceError> {
         let writes: Vec<_> =
             writes.iter().map(|&(file, page, data)| (file, Some(page), data)).collect();
-        self.write(&writes, true, &mut Vec::new()).map(drop)
+        let mut placed = Vec::with_capacity(writes.len());
+        let done = self.write(&writes, &mut placed);
+        self.charge_wait(dispatch_ns(self.config().channels, &mut placed, WRITE_NS), true);
+        done.map(drop)
     }
 
     /// The one write routine behind every write signature. Under one lock
@@ -452,7 +457,7 @@ impl Ssd {
     /// `at`, which must exist, or appended when `at` is `None` — and stops
     /// at the first failure; then it charges what reached the media as one
     /// dispatch — pages, bytes, one `write_batches`, FTL writes and cache
-    /// invalidation always, the service time only when `timed`. A crash
+    /// invalidation, no service time (its caller's, DESIGN.md §5). A crash
     /// point inside the batch leaves the pages before it durable and the
     /// crash page torn; the call then fails with `Crashed`. `placed` gains
     /// the address of each page that reached the media, in write order.
@@ -460,7 +465,6 @@ impl Ssd {
     fn write(
         &self,
         writes: &[(FileId, Option<u64>, &[u8])],
-        timed: bool,
         placed: &mut Vec<PageAddr>,
     ) -> Result<Vec<u64>, DeviceError> {
         let first = placed.len();
@@ -489,7 +493,7 @@ impl Ssd {
             }
         }
         let landed = &placed[first..];
-        let fit = self.charge_write(landed, timed);
+        let fit = self.charge_write(landed);
         failed.map_or(fit.map(|()| landed.iter().map(|a| a.page).collect()), Err)
     }
 
@@ -518,23 +522,34 @@ impl Ssd {
     /// the page size fails it with [`DeviceError::PayloadTooLarge`] before
     /// any page is lent or charged.
     pub fn read_batch(&self, reqs: &[(FileId, u64, usize)]) -> Result<Vec<Page>, DeviceError> {
-        self.read(reqs, true, self.cache().as_deref(), &mut Vec::new())
+        self.read_dispatch(reqs, self.cache().as_deref())
+    }
+
+    /// [`Self::read`] as one synchronous call: the pages the device read,
+    /// over every pass through `cache`, are charged as one dispatch.
+    pub(crate) fn read_dispatch(
+        &self,
+        reqs: &[(FileId, u64, usize)],
+        cache: Option<&PageCache>,
+    ) -> Result<Vec<Page>, DeviceError> {
+        let mut read = Vec::new();
+        let pages = self.read(reqs, cache, &mut read);
+        self.charge_wait(dispatch_ns(self.config().channels, &mut read, READ_NS), false);
+        pages
     }
 
     /// The one read routine. A crashed view and an oversized `useful` are
     /// refused first; then the batch is served through `cache` — whose
     /// misses come back here with `cache: None` as one device batch — or,
     /// without one, every page is lent from the store. Pages, bytes and
-    /// one `read_batches` are charged for what the device read; its service
-    /// time only when `timed`, because the [`crate::IoQueue`] reads with
-    /// its own clocks owning the time. Fault retries are extra service time
-    /// and are charged either way. `read` gains the address of every page
-    /// the device itself read — none for a cache hit —, the batch failed or
-    /// not: what the queue's clocks schedule.
+    /// one `read_batches` are charged for what the device read, and the
+    /// fault retries' service time; the read's own service time is its
+    /// caller's (DESIGN.md §5). `read` gains the address of every page the
+    /// device itself read — none for a cache hit —, the batch failed or
+    /// not: what gets scheduled.
     pub(crate) fn read(
         &self,
         reqs: &[(FileId, u64, usize)],
-        timed: bool,
         cache: Option<&PageCache>,
         read: &mut Vec<PageAddr>,
     ) -> Result<Vec<Page>, DeviceError> {
@@ -544,7 +559,7 @@ impl Ssd {
             return Err(DeviceError::PayloadTooLarge { len, page_size });
         }
         if let Some(c) = cache {
-            return c.read_through(self, reqs, timed, read);
+            return c.read_through(self, reqs, read);
         }
         let mut out = Vec::with_capacity(reqs.len());
         let first = read.len();
@@ -568,15 +583,15 @@ impl Ssd {
                 }
             }
         }
-        self.charge_read(&read[first..], useful_total, extra_retries, timed);
+        self.charge_read(&read[first..], useful_total, extra_retries);
         failed.map_or(Ok(out), Err)
     }
 
     /// Add already-computed wait/service time to this view's clock, to
-    /// `write_time_ns` when `write`, else `read_time_ns` — the
-    /// [`crate::IoQueue`] charges submission stalls, completion waits and
-    /// its write drain through this, keeping the two the single totals the
-    /// observability layer mirrors.
+    /// `write_time_ns` when `write`, else `read_time_ns` — every
+    /// synchronous call's dispatch and the [`crate::IoQueue`]'s submission
+    /// stalls, completion waits and write drain are charged through this,
+    /// keeping the two the single totals the observability layer mirrors.
     pub(crate) fn charge_wait(&self, ns: u64, write: bool) {
         if ns == 0 {
             return;
@@ -693,14 +708,13 @@ impl Ssd {
         }
     }
 
-    /// Account for pages read: their service time only when `timed`, the
-    /// fault retries they took always.
-    fn charge_read(&self, addrs: &[PageAddr], useful: u64, retries: u64, timed: bool) {
+    /// Account for pages read, and the service time of the fault retries
+    /// they took.
+    fn charge_read(&self, addrs: &[PageAddr], useful: u64, retries: u64) {
         if addrs.is_empty() {
             return;
         }
-        let service = if timed { batch_time_ns(&self.shared.cfg, addrs, READ_NS) } else { 0 };
-        let t = service + retries.saturating_mul(READ_NS);
+        let t = retries.saturating_mul(READ_NS);
         for s in self.charge_sinks() {
             s.pages_read.add(to_u64(addrs.len()));
             s.bytes_read.add(to_u64(addrs.len()) * to_u64(self.shared.cfg.page_size));
@@ -712,10 +726,9 @@ impl Ssd {
 
     /// Account for pages that reached the media as one write dispatch —
     /// their cached copies dropped, FTL writes, pages, bytes, one
-    /// `write_batches`, and the service time only when `timed`. The error
-    /// is the live FTL model's: the device is sized below what these
-    /// writes keep live.
-    fn charge_write(&self, addrs: &[PageAddr], timed: bool) -> Result<(), DeviceError> {
+    /// `write_batches`. The error is the live FTL model's: the device is
+    /// sized below what these writes keep live.
+    fn charge_write(&self, addrs: &[PageAddr]) -> Result<(), DeviceError> {
         if addrs.is_empty() {
             return Ok(());
         }
@@ -724,11 +737,9 @@ impl Ssd {
             c.invalidate_addrs(addrs);
         }
         let fit = self.ftl_writes(addrs);
-        let t = if timed { batch_time_ns(&self.shared.cfg, addrs, WRITE_NS) } else { 0 };
         for s in self.charge_sinks() {
             s.pages_written.add(to_u64(addrs.len()));
             s.bytes_written.add(to_u64(addrs.len()) * to_u64(self.shared.cfg.page_size));
-            s.write_time_ns.add(t);
             s.write_batches.add(1);
         }
         fit

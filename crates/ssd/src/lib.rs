@@ -60,7 +60,7 @@ pub mod sync;
 
 pub use cache::{CacheSnapshot, PageCache, TenantCacheStats, TenantId};
 pub use config::SsdConfig;
-pub use cost::{batch_time_ns, channel_of, PageAddr, READ_NS, SEQ_DISCOUNT, WRITE_NS};
+pub use cost::{channel_of, PageAddr, READ_NS, SEQ_DISCOUNT, WRITE_NS};
 pub use device::{Backend, FileId, Ssd};
 pub use fault::{DeviceError, FaultCounters, FaultPlan};
 pub use ftl::{FtlConfig, FtlError, FtlModel, FtlStats, Lpa};

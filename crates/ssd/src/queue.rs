@@ -1,61 +1,21 @@
-//! Submission/completion queues over the simulated device (io_uring shape).
+//! Submission/completion queues over the simulated device (io_uring shape),
+//! and the one scheduler that puts a page's service time on a flash channel.
 //!
-//! The paper's multi-log exists to exploit SSD internal parallelism, but the
-//! plain [`Ssd`] paths are synchronous: each `read_batch` or
-//! `append_scattered` charges its full channel-parallel service time to the
-//! caller at dispatch, so two batches issued back-to-back serialize on the
-//! virtual clock even though a real device would pipeline them across
-//! channels (and the paper evicts log pages with asynchronous I/O, §V-A3).
-//! `IoQueue` fixes that with an explicit submission/completion model:
-//!
-//! * [`IoQueue::submit_read`] schedules every page of a batch the device
-//!   reads onto its flash channel's virtual clock (same placement and
-//!   sequential-run price as [`batch_time_ns`]: both charge each page
-//!   through one rule; a cache hit takes no channel time, as it costs
-//!   `read_batch` nothing) and returns a [`Ticket`]. Channels keep servicing
-//!   earlier tickets while later ones queue behind them — the overlap.
-//! * A batch whose request list was computed from an earlier ticket's pages
-//!   (the graph loader's column indices from its row pointers) is *linked*
-//!   behind it ([`IoQueue::submit_read_after`]): none of its pages starts
-//!   service before that ticket completes.
-//! * Each channel holds at most `depth` outstanding page requests. A submit
-//!   that would exceed the depth *stalls*: the submitter's clock advances to
-//!   the completion of the oldest queued request, and the stall is charged
-//!   as read wait. `depth` therefore never changes *when* a request
-//!   completes, only when submission returns — queue depth 1 degenerates to
-//!   the old synchronous charging.
-//! * The data moves at *submit*: `submit_read` reads the ticket's pages
-//!   (through the page cache when one is attached) with counts charged but
-//!   **no** service time — the queue's clocks own time. Exactly one
-//!   `read_batches` is charged per ticket, however many channels or cache
-//!   passes serve it. Every device read the queue makes is therefore an
-//!   owner-thread, plan-order call: the fault schedule's read counter, the
-//!   cache's request sequence and every charge see the same calls in the
-//!   same order at any worker-thread count.
-//! * [`IoQueue::fetch`] only hands the pages over (lent [`Page`] handles).
-//!   The engine fetches right after each submit and moves the pages — or
-//!   the read's error — to whoever decodes the batch: a look-ahead worker,
-//!   or itself when it retires the ticket. Whoever receives the pages must
-//!   not touch the device — a truncate from a worker would invalidate cache
-//!   frames while the owner is inserting, and the frames freed first decide
-//!   who is evicted next — so the engine decodes on the workers and
-//!   consumes (truncates) on the owner, where it retires the ticket
-//!   (DESIGN.md §12).
-//! * [`IoQueue::complete`] retires a ticket on the owner's clock, charging
-//!   only the *remaining* wait `max(0, completion − now)`. Compute time the
-//!   owner spends between completions is reported via [`IoQueue::advance`],
-//!   which moves `now` forward so later completions overlap it.
-//! * Writes are written behind: [`IoQueue::submit_append`] appends at
-//!   submit — counts charged, no service time, as a read — and schedules
-//!   each placed page on its channel at `WRITE_NS`, by the same rules (the
-//!   depth gate, the per-ticket run price), then returns the page indices
-//!   at once: no ticket, nothing to retire. A write's stall is charged as
-//!   write time, never read wait. Reads and writes share the channel
-//!   clocks, and a page's channel is fixed, so a read of a page submitted
-//!   after its write completes after it. [`IoQueue::drain_writes`] waits
-//!   for the last write and charges what is left of it as write time; the
-//!   owner drains before any synchronous device call that must see the
-//!   writes done.
+//! DESIGN.md §5 lists the clock's rules; this file holds them. Every page
+//! any call charges time for is priced by `QueueState::schedule`: a
+//! [`Ticket`]'s reads and a written-behind flush on the queue's channel
+//! clocks, and a synchronous [`Ssd`] call as one dispatch on idle channels
+//! ([`dispatch_ns`]). The queue moves the data at *submit* — counts
+//! charged, no service time — so every device read and write it makes is
+//! an owner-thread, plan-order call: the fault schedule's counters, the
+//! cache's request sequence and every charge see the same calls in the
+//! same order at any worker-thread count. [`IoQueue::fetch`] only hands a
+//! ticket's pages over (lent [`Page`] handles). The engine fetches right
+//! after each submit and moves the pages — or the read's error — to
+//! whoever decodes the batch; whoever receives them must not touch the
+//! device (a truncate from a worker would invalidate cache frames while the
+//! owner is inserting), so the engine decodes on the workers and consumes
+//! (truncates) on the owner, where it retires the ticket (DESIGN.md §12).
 //!
 //! Determinism contract (DESIGN.md §12): every call is the engine owner
 //! thread's, in plan order — the completion-drain rule — so every virtual
@@ -63,14 +23,13 @@
 //! independent of worker-thread count and wall-clock scheduling. The type
 //! holds that rule: the queue keeps its state in a `RefCell`, so it is not
 //! `Sync` and a worker closure that captured `&IoQueue` would not compile.
-//!
-//! [`batch_time_ns`]: crate::batch_time_ns
 
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-use crate::cost::{channel_of, page_cost_ns, PageAddr, READ_NS, WRITE_NS};
+use crate::checked::to_u64;
+use crate::cost::{channel_of, PageAddr, READ_NS, SEQ_DISCOUNT, WRITE_NS};
 use crate::device::{FileId, Ssd};
 use crate::fault::DeviceError;
 use crate::page::Page;
@@ -80,8 +39,8 @@ use crate::page::Page;
 /// stage's adjacency reads) and the multi-log's eviction writes; every
 /// other reader calls [`Ssd::read_batch`], every other writer writes
 /// synchronously. Depth moves only *when* submission returns, never a
-/// result or a page count (see the module docs), so nothing sets it but
-/// the simulator's own tests.
+/// result or a page count (DESIGN.md §5), so nothing sets it but the
+/// simulator's own tests.
 pub const QUEUE_DEPTH: usize = 16;
 
 /// Handle of one submitted read batch.
@@ -127,9 +86,49 @@ struct QueueState {
     wait: QueueWaitStats,
 }
 
+/// Price of page `a` on its channel, given the page that channel served
+/// before it in the same dispatch: a page continuing a sequential run (same
+/// file, at most `channels` pages past the previous one) costs
+/// `per_page_ns * SEQ_DISCOUNT`, a run head full price. Striding by
+/// `channels` pages within one file keeps hitting the same channel with
+/// (nearly) consecutive physical pages — that is what a sequential stream
+/// striped across channels looks like per channel — hence the
+/// `<= channels` run test.
+fn page_cost_ns(prev: Option<PageAddr>, a: PageAddr, channels: usize, per_page_ns: u64) -> f64 {
+    let seq = matches!(
+        prev,
+        Some(p) if p.file == a.file && a.page > p.page && a.page - p.page <= to_u64(channels)
+    );
+    if seq {
+        per_page_ns as f64 * SEQ_DISCOUNT
+    } else {
+        per_page_ns as f64
+    }
+}
+
+/// The service time of the pages one synchronous call touched, in any
+/// order: one dispatch on idle channels with no depth bound.
+pub(crate) fn dispatch_ns(channels: usize, addrs: &mut [PageAddr], per_page_ns: u64) -> u64 {
+    addrs.sort_unstable();
+    ns(QueueState::idle(channels).schedule(addrs, 0.0, usize::MAX, per_page_ns).1)
+}
+
 impl QueueState {
-    /// Schedule `addrs` — sorted, so each ticket's sequential-run state
-    /// mirrors `batch_time_ns`'s (each dispatch re-pays the run head) — on
+    /// Nothing scheduled, the owner clock at 0.
+    fn idle(channels: usize) -> Self {
+        QueueState {
+            now: 0.0,
+            chan_free: vec![0.0; channels],
+            chan_q: vec![VecDeque::new(); channels],
+            tickets: HashMap::new(),
+            next_id: 0,
+            inflight: 0,
+            writes_done: 0.0,
+            wait: QueueWaitStats::default(),
+        }
+    }
+
+    /// Schedule `addrs` — sorted; each dispatch re-pays its run heads — on
     /// their channels behind whatever is queued there, none starting
     /// before `after`, at `per_page_ns` a page. A channel already holding
     /// `depth` requests stalls the owner until its oldest one completes.
@@ -200,21 +199,8 @@ impl IoQueue {
     /// A queue of per-channel depth `depth` (clamped to at least 1) over
     /// `ssd`'s channels and cost model.
     pub fn new(ssd: Arc<Ssd>, depth: usize) -> Self {
-        let channels = ssd.config().channels;
-        IoQueue {
-            ssd,
-            depth: depth.max(1),
-            state: RefCell::new(QueueState {
-                now: 0.0,
-                chan_free: vec![0.0; channels],
-                chan_q: vec![VecDeque::new(); channels],
-                tickets: HashMap::new(),
-                next_id: 0,
-                inflight: 0,
-                writes_done: 0.0,
-                wait: QueueWaitStats::default(),
-            }),
-        }
+        let state = RefCell::new(QueueState::idle(ssd.config().channels));
+        IoQueue { ssd, depth: depth.max(1), state }
     }
 
     /// [`Self::submit_read_after`] linked behind nothing: the channels are
@@ -241,7 +227,7 @@ impl IoQueue {
         after: Option<Ticket>,
     ) -> Ticket {
         let mut read = Vec::new();
-        let pages = self.ssd.read(&reqs, false, self.ssd.cache().as_deref(), &mut read);
+        let pages = self.ssd.read(&reqs, self.ssd.cache().as_deref(), &mut read);
         read.sort_unstable();
 
         let mut st = self.state.borrow_mut();
@@ -268,7 +254,7 @@ impl IoQueue {
     /// order only.
     pub fn submit_append(&self, writes: &[(FileId, &[u8])]) -> Result<Vec<u64>, DeviceError> {
         let mut placed = Vec::with_capacity(writes.len());
-        let pages = self.ssd.append(writes, false, &mut placed);
+        let pages = self.ssd.append(writes, &mut placed);
         placed.sort_unstable();
         let mut st = self.state.borrow_mut();
         let (stall, completion) = st.schedule(&placed, 0.0, self.depth, WRITE_NS);
@@ -340,10 +326,10 @@ impl IoQueue {
 }
 
 /// Where a stage's page reads go (DESIGN.md §12): straight to the device,
-/// their service time charged at dispatch ([`Ssd::read_batch`]), or onto an
-/// [`IoQueue`] as tickets that stay in flight — their service overlapping
-/// whatever the owner does — until [`Self::retire`]. Either way the pages
-/// come back at once: the queue reads at submit.
+/// each read charged as one dispatch when it returns ([`Ssd::read_batch`]),
+/// or onto an [`IoQueue`] as tickets that stay in flight — their service
+/// overlapping whatever the owner does — until [`Self::retire`]. Either
+/// way the pages come back at once: the queue reads at submit.
 pub enum Reads<'q> {
     Device(&'q Ssd),
     Queue(&'q IoQueue, Vec<Ticket>),
@@ -382,7 +368,7 @@ impl Reads<'_> {
 }
 
 /// Where the multi-log's flushes go (DESIGN.md §12): straight to the
-/// device, their service time charged at dispatch
+/// device, each flush charged as one dispatch when it returns
 /// ([`Ssd::append_scattered`]), or onto an [`IoQueue`], written behind the
 /// owner ([`IoQueue::submit_append`]). Either way the pages land at once.
 pub enum Writes<'q> {
@@ -394,7 +380,7 @@ impl Writes<'_> {
     /// Append `writes` as one dispatch and return each page's index.
     pub fn append(&self, writes: &[(FileId, &[u8])]) -> Result<Vec<u64>, DeviceError> {
         match self {
-            Writes::Device(ssd) => ssd.append(writes, true, &mut Vec::new()),
+            Writes::Device(ssd) => ssd.append_scattered(writes),
             Writes::Queue(queue) => queue.submit_append(writes),
         }
     }
@@ -404,7 +390,6 @@ impl Writes<'_> {
 mod tests {
     use super::*;
     use crate::config::SsdConfig;
-    use crate::cost::batch_time_ns;
     use crate::PageCache;
 
     fn dev_with_file(pages: u64) -> (Arc<Ssd>, FileId) {
@@ -421,45 +406,184 @@ mod tests {
         pages.map(|p| (f, p, 8)).collect()
     }
 
-    fn addrs(f: FileId, pages: std::ops::Range<u64>) -> Vec<PageAddr> {
-        pages.map(|p| PageAddr::new(f, p)).collect()
+    /// The read time `read_batch` charges for pages `read` of the file of
+    /// a twin of `dev_with_file(pages)`: the synchronous call a ticket is
+    /// held to.
+    fn sync_read_ns(pages: u64, read: std::ops::Range<u64>) -> u64 {
+        let (ssd, f) = dev_with_file(pages);
+        ssd.read_batch(&reqs(f, read)).unwrap();
+        ssd.stats().snapshot().read_time_ns
+    }
+
+    /// The write time `append_scattered` charges for `n` pages appended to
+    /// the file of a twin of `dev_with_file(0)`.
+    fn sync_append_ns(n: usize) -> u64 {
+        let (ssd, f) = dev_with_file(0);
+        ssd.append_scattered(&vec![(f, &[0u8; 16][..]); n]).unwrap();
+        ssd.stats().snapshot().write_time_ns
+    }
+
+    fn dispatch(channels: usize, addrs: &[PageAddr], per_page_ns: u64) -> u64 {
+        dispatch_ns(channels, &mut addrs.to_vec(), per_page_ns)
+    }
+
+    #[test]
+    fn an_empty_dispatch_is_free() {
+        assert_eq!(dispatch(8, &[], 100), 0);
+    }
+
+    #[test]
+    fn a_single_page_costs_full_service_time() {
+        assert_eq!(dispatch(8, &[PageAddr::new(0, 0)], 100_000), 100_000);
+    }
+
+    #[test]
+    fn channel_parallelism_caps_dispatch_time() {
+        // 8 pages striped over 8 channels take ~1 service time, not 8.
+        let addrs: Vec<_> = (0..8).map(|i| PageAddr::new(0, i)).collect();
+        let t = dispatch(8, &addrs, 100_000);
+        assert!(t <= 100_000, "parallel channels should overlap: {t}");
+    }
+
+    #[test]
+    fn one_channel_serializes() {
+        let addrs: Vec<_> = (0..8).map(|i| PageAddr::new(0, i)).collect();
+        // One head at full price + 7 sequential continuations discounted.
+        let expect = (100_000.0 + 7.0 * 100_000.0 * SEQ_DISCOUNT).round() as u64;
+        assert_eq!(dispatch(1, &addrs, 100_000), expect);
+    }
+
+    #[test]
+    fn random_pages_cost_more_than_sequential() {
+        let seq: Vec<_> = (0..64).map(|i| PageAddr::new(3, i)).collect();
+        // Same page count, scattered across distant offsets of many files.
+        let rnd: Vec<_> = (0..64)
+            .map(|i| PageAddr::new((i % 7) as u32, (i as u64 * 977) % 10_000))
+            .collect();
+        let (ts, tr) = (dispatch(4, &seq, 100_000), dispatch(4, &rnd, 100_000));
+        assert!(ts < tr, "sequential {ts} should beat random {tr}");
+    }
+
+    #[test]
+    fn order_of_requests_does_not_matter() {
+        let mut addrs: Vec<_> = (0..32).map(|i| PageAddr::new(1, i)).collect();
+        let t1 = dispatch(4, &addrs, 100_000);
+        addrs.reverse();
+        assert_eq!(t1, dispatch(4, &addrs, 100_000));
+    }
+
+    /// The pricing rule written out plainly (DESIGN.md §5): each channel
+    /// serves its pages in address order, a run head at full price and a
+    /// run continuation discounted; a dispatch lasts as long as its busiest
+    /// channel.
+    fn reference_ns(channels: usize, addrs: &[PageAddr], per_page_ns: u64) -> u64 {
+        let mut sorted = addrs.to_vec();
+        sorted.sort_unstable();
+        let (mut busy, mut prev) = (vec![0.0f64; channels], vec![None::<PageAddr>; channels]);
+        for a in sorted {
+            let ch = channel_of(a, channels);
+            let run = prev[ch].is_some_and(|p| {
+                p.file == a.file && a.page > p.page && a.page - p.page <= channels as u64
+            });
+            busy[ch] += per_page_ns as f64 * if run { SEQ_DISCOUNT } else { 1.0 };
+            prev[ch] = Some(a);
+        }
+        busy.iter().fold(0.0f64, |m, &b| m.max(b)).round() as u64
+    }
+
+    /// One batch priced three ways — the synchronous call's charge, an idle
+    /// ticket's wait (or an idle queue's write drain) and the reference
+    /// above — to the same nanosecond, over 1–8 channels, three files and
+    /// repeated pages.
+    #[test]
+    fn a_synchronous_call_and_an_idle_ticket_price_a_batch_as_the_reference() {
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |n: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % n
+        };
+        let data = [7u8; 16];
+        for case in 0..200 {
+            let channels = 1 + next(8) as usize;
+            let device = || {
+                let ssd = Arc::new(Ssd::new(SsdConfig::test_small().with_channels(channels)));
+                for name in ["a", "b", "c"] {
+                    let f = ssd.open_or_create(name).unwrap();
+                    ssd.append_pages(f, &[&data[..]; 24]).unwrap();
+                }
+                ssd.stats().reset();
+                ssd
+            };
+            // At most `QUEUE_DEPTH` pages: no channel fills, nothing stalls.
+            let n = 1 + next(QUEUE_DEPTH as u64);
+            let reads: Vec<_> = (0..n).map(|_| (next(3) as FileId, next(24), 8)).collect();
+            let addrs: Vec<_> = reads.iter().map(|&(f, p, _)| PageAddr::new(f, p)).collect();
+            let want = reference_ns(channels, &addrs, READ_NS);
+            let (sync, queued) = (device(), device());
+            sync.read_batch(&reads).unwrap();
+            assert_eq!(sync.stats().snapshot().read_time_ns, want, "case {case}: read_batch");
+            let q = IoQueue::new(Arc::clone(&queued), QUEUE_DEPTH);
+            let t = q.submit_read(reads);
+            assert_eq!(q.complete(t), want, "case {case}: ticket");
+            assert_eq!(queued.stats().snapshot().read_time_ns, want, "case {case}: ticket");
+
+            let n = 1 + next(QUEUE_DEPTH as u64);
+            let writes: Vec<(FileId, &[u8])> =
+                (0..n).map(|_| (next(3) as FileId, &data[..])).collect();
+            let (sync, queued) = (device(), device());
+            let pages = sync.append_scattered(&writes).unwrap();
+            let addrs: Vec<_> =
+                writes.iter().zip(&pages).map(|(&(f, _), &p)| PageAddr::new(f, p)).collect();
+            let want = reference_ns(channels, &addrs, WRITE_NS);
+            assert_eq!(sync.stats().snapshot().write_time_ns, want, "case {case}: append");
+            let q = IoQueue::new(Arc::clone(&queued), QUEUE_DEPTH);
+            assert_eq!(q.submit_append(&writes).unwrap(), pages);
+            assert_eq!(q.drain_writes(), want, "case {case}: drain");
+        }
     }
 
     /// A cache hit takes no channel time, as it costs `read_batch` nothing:
     /// a ticket the cache serves whole completes with no wait and charges
     /// no read time, and on an idle queue a ticket of hits and misses
-    /// charges exactly `batch_time_ns` of its misses.
+    /// charges what `read_batch` charges on a twin cache — the time of its
+    /// misses alone.
     #[test]
     fn cache_hits_take_no_channel_time() {
-        let (ssd, f) = dev_with_file(16);
-        ssd.attach_cache(Arc::new(PageCache::new(32)));
-        let warm = IoQueue::new(Arc::clone(&ssd), 16);
-        warm.complete(warm.submit_read(reqs(f, 0..8)));
-        ssd.stats().reset();
+        let warmed = || {
+            let (ssd, f) = dev_with_file(16);
+            ssd.attach_cache(Arc::new(PageCache::new(32)));
+            let warm = IoQueue::new(Arc::clone(&ssd), 16);
+            warm.complete(warm.submit_read(reqs(f, 0..8)));
+            ssd.stats().reset();
+            (ssd, f)
+        };
+        let (twin, f) = warmed();
+        twin.read_batch(&reqs(f, 4..12)).unwrap();
+        let misses = twin.stats().snapshot().read_time_ns;
+        assert_eq!(misses, sync_read_ns(16, 8..12), "read_batch prices its misses only");
 
+        let (ssd, f) = warmed();
         let q = IoQueue::new(Arc::clone(&ssd), 16);
         let hits = q.submit_read(reqs(f, 0..8));
         assert_eq!(q.complete(hits), 0, "a ticket of hits waits for nothing");
         assert_eq!(ssd.stats().snapshot().read_time_ns, 0);
         let mixed = q.submit_read(reqs(f, 4..12));
-        let misses = batch_time_ns(ssd.config(), &addrs(f, 8..12), READ_NS);
         assert_eq!(q.complete(mixed), misses, "four hits, four misses");
         let s = ssd.stats().snapshot();
         assert_eq!((s.read_time_ns, s.pages_read), (misses, 4));
     }
 
     /// A ticket linked behind another starts no page before that one
-    /// completes: on an idle queue the two complete at the sum of their
-    /// batch times; with the owner clock already at the first one's
+    /// completes: on an idle queue the two complete at the sum of what
+    /// `read_batch` charges for each; with the owner clock already at the first one's
     /// completion the link changes nothing; and linked or not, the same
     /// pages and batches are charged.
     #[test]
     fn a_linked_ticket_starts_when_the_ticket_it_follows_completes() {
         let (ssd, f) = dev_with_file(16);
-        let (ta, tb) = (
-            batch_time_ns(ssd.config(), &addrs(f, 0..4), READ_NS),
-            batch_time_ns(ssd.config(), &addrs(f, 8..16), READ_NS),
-        );
+        let (ta, tb) = (sync_read_ns(16, 0..4), sync_read_ns(16, 8..16));
         let run = |advance: u64, linked: bool| {
             ssd.stats().reset();
             let q = IoQueue::new(Arc::clone(&ssd), 16);
@@ -477,14 +601,12 @@ mod tests {
     }
 
     #[test]
-    fn idle_queue_completion_equals_batch_time() {
+    fn an_idle_ticket_waits_what_read_batch_charges() {
         let (ssd, f) = dev_with_file(16);
         let q = IoQueue::new(Arc::clone(&ssd), 16);
-        let r = reqs(f, 0..16);
-        let addrs: Vec<PageAddr> = r.iter().map(|&(f, p, _)| PageAddr::new(f, p)).collect();
-        let expect = batch_time_ns(ssd.config(), &addrs, READ_NS);
-        let t = q.submit_read(r);
-        assert_eq!(q.complete(t), expect, "idle queue degenerates to batch_time_ns");
+        let expect = sync_read_ns(16, 0..16);
+        let t = q.submit_read(reqs(f, 0..16));
+        assert_eq!(q.complete(t), expect, "an idle queue degenerates to read_batch");
         assert_eq!(ssd.stats().snapshot().read_time_ns, expect);
     }
 
@@ -535,10 +657,7 @@ mod tests {
     fn compute_between_completions_overlaps_io() {
         let (ssd, f) = dev_with_file(16);
         // Serial charging: two batches back to back.
-        let addrs =
-            |r: std::ops::Range<u64>| r.map(|p| PageAddr::new(f, p)).collect::<Vec<_>>();
-        let t1 = batch_time_ns(ssd.config(), &addrs(0..8), READ_NS);
-        let t2 = batch_time_ns(ssd.config(), &addrs(8..16), READ_NS);
+        let (t1, t2) = (sync_read_ns(16, 0..8), sync_read_ns(16, 8..16));
 
         let q = IoQueue::new(Arc::clone(&ssd), 16);
         let a = q.submit_read(reqs(f, 0..8));
@@ -610,12 +729,12 @@ mod tests {
         );
     }
 
-    /// On an idle queue a write drains in exactly `batch_time_ns` at
-    /// `WRITE_NS`, and charges what `append_scattered` does: the same
+    /// On an idle queue a write drains in exactly the time
+    /// `append_scattered` charges, and charges what it does: the same
     /// pages, bytes and write batches — none of its time before the drain —
     /// and the same FTL writes and cache state.
     #[test]
-    fn an_idle_queue_write_drains_in_batch_time_and_charges_as_append_scattered() {
+    fn an_idle_queue_write_drains_and_charges_as_append_scattered() {
         let data = [3u8; 16];
         let device = || {
             let (ssd, f) = dev_with_file(4);
@@ -634,10 +753,8 @@ mod tests {
         let q = IoQueue::new(Arc::clone(&queued), 16);
         assert_eq!(q.submit_append(&writes).unwrap(), pages);
         assert_eq!(queued.stats().snapshot().write_time_ns, 0, "no time before the drain");
-        let addrs: Vec<PageAddr> =
-            writes.iter().zip(&pages).map(|(&(f, _), &p)| PageAddr::new(f, p)).collect();
-        let expect = batch_time_ns(queued.config(), &addrs, WRITE_NS);
-        assert_eq!(q.drain_writes(), expect, "idle queue degenerates to batch_time_ns");
+        let expect = direct.stats().snapshot().write_time_ns;
+        assert_eq!(q.drain_writes(), expect, "an idle queue degenerates to append_scattered");
         assert_eq!(queued.stats().snapshot(), direct.stats().snapshot());
         assert_eq!(queued.ftl_stats(), direct.ftl_stats());
         let (qc, dc) = (queued.cache().unwrap(), direct.cache().unwrap());
@@ -653,7 +770,7 @@ mod tests {
         let data = [5u8; 16];
         let q = IoQueue::new(Arc::clone(&ssd), 16);
         let pages = q.submit_append(&[(f, &data[..]); 8]).unwrap();
-        let written = batch_time_ns(ssd.config(), &addrs(f, 0..8), WRITE_NS);
+        let written = sync_append_ns(8);
         let t = q.submit_read(vec![(f, pages[7], 16)]);
         assert_eq!(&q.fetch(t).unwrap()[0][..16], &data, "the data moved at submit");
         assert!(q.complete(t) > written, "the read waited for the write");
@@ -667,7 +784,7 @@ mod tests {
         let (ssd, f) = dev_with_file(0);
         let q = IoQueue::new(Arc::clone(&ssd), 16);
         q.submit_append(&[(f, &[1u8; 16][..]); 8]).unwrap();
-        q.advance(batch_time_ns(ssd.config(), &addrs(f, 0..8), WRITE_NS));
+        q.advance(sync_append_ns(8));
         assert_eq!(q.drain_writes(), 0);
         let s = ssd.stats().snapshot();
         assert_eq!((s.pages_written, s.write_time_ns), (8, 0));

@@ -108,38 +108,49 @@ for app in "pagerank" "randomwalk" "wcc --async" "pagerank --ssd-dir" "pagerank 
     graph="$smoke_dir/g14.csr"
   fi
   for t in 1 2; do
-    flags="$app"
-    if [[ $app == *--ssd-dir ]]; then
-      flags="$app $(mktemp -d -p "$smoke_dir")"
-    elif [[ $app == *--metrics ]]; then
-      # One path for both runs, since the run prints it; kept per thread
-      # count below.
-      flags="$app $smoke_dir/metrics.jsonl"
-    fi
-    # shellcheck disable=SC2086 # $flags carries the app and its flags, split on purpose
-    MLVC_THREADS=$t cargo run -q --release --bin mlvc -- \
-      run --app $flags --graph "$graph" >"$smoke_dir/run.$t"
-    if [[ $app == *--metrics ]]; then
-      mv "$smoke_dir/metrics.jsonl" "$smoke_dir/metrics.$t.jsonl"
-      mv "$smoke_dir/metrics.jsonl.prom" "$smoke_dir/metrics.$t.prom"
-    fi
-    # Everything but the stage table, which is wall-clock.
-    awk '/^stage /{skip=1} /^converged/{skip=0} !skip' "$smoke_dir/run.$t" >"$smoke_dir/det.$t"
-    awk -F'|' -v t="$t" -v app="$app" '
-      /^stage /           { on = 1; next }
-      on && /^supersteps/ { total = $2; on = 0 }
-      on && NF == 2       { owner += $2 }
-      END {
-        # The rows print to 0.01 ms: seven of them and their total, each
-        # rounded, can differ by 0.04 ms in sum before any time is missing —
-        # a fifth of a sparse walk that no longer waits on a thread per
-        # superstep.
-        slack = 0.1 * total + 0.04
-        if (total <= 0 || owner < total - slack || owner > total + slack) {
-          printf "%s, MLVC_THREADS=%s: owner-thread rows sum to %.2f ms, supersteps row is %.2f ms\n", app, t, owner, total
-          exit 1
-        }
-      }' "$smoke_dir/run.$t"
+    # The owner-row sum is host wall-clock, so one host stall can miss it:
+    # a leg that misses runs again at this thread count, up to three runs
+    # in all, and fails only if every run misses.
+    for attempt in 1 2 3; do
+      flags="$app"
+      if [[ $app == *--ssd-dir ]]; then
+        flags="$app $(mktemp -d -p "$smoke_dir")"
+      elif [[ $app == *--metrics ]]; then
+        # One path for both runs, since the run prints it; kept per thread
+        # count below.
+        flags="$app $smoke_dir/metrics.jsonl"
+      fi
+      # shellcheck disable=SC2086 # $flags carries the app and its flags, split on purpose
+      MLVC_THREADS=$t cargo run -q --release --bin mlvc -- \
+        run --app $flags --graph "$graph" >"$smoke_dir/run.$t"
+      if [[ $app == *--metrics ]]; then
+        mv "$smoke_dir/metrics.jsonl" "$smoke_dir/metrics.$t.jsonl"
+        mv "$smoke_dir/metrics.jsonl.prom" "$smoke_dir/metrics.$t.prom"
+      fi
+      # Everything but the stage table, which is wall-clock.
+      awk '/^stage /{skip=1} /^converged/{skip=0} !skip' "$smoke_dir/run.$t" >"$smoke_dir/det.$t"
+      if awk -F'|' -v t="$t" -v app="$app" -v attempt="$attempt" '
+        /^stage /           { on = 1; next }
+        on && /^supersteps/ { total = $2; on = 0 }
+        on && NF == 2       { owner += $2 }
+        END {
+          # The rows print to 0.01 ms: seven of them and their total, each
+          # rounded, can differ by 0.04 ms in sum before any time is missing —
+          # a fifth of a sparse walk that no longer waits on a thread per
+          # superstep.
+          slack = 0.1 * total + 0.04
+          missed = total <= 0 || owner < total - slack || owner > total + slack
+          if (missed || attempt > 1) {
+            printf "%s, MLVC_THREADS=%s, run %d of 3: owner-thread rows sum to %.2f ms, ", app, t, attempt, owner
+            printf "supersteps row is %.2f ms%s\n", total, missed ? "" : " (within bound)"
+          }
+          exit missed
+        }' "$smoke_dir/run.$t"; then
+        break
+      elif [ "$attempt" -eq 3 ]; then
+        exit 1
+      fi
+    done
   done
   diff "$smoke_dir/det.1" "$smoke_dir/det.2"
   if [[ $app == "$tiered --metrics" ]]; then
