@@ -3,8 +3,9 @@ use std::fmt;
 use mlvc_ssd::DeviceError;
 
 /// Adaptive memory-tiering configuration (DESIGN.md §18): a device-level
-/// page cache plus a GraphMP-style pinned tier for topology-hot interval
-/// extents. Disabled by default (both budgets zero) — the engine then
+/// page cache plus a pin budget shared by a GraphMP-style pinned tier for
+/// topology-hot interval extents and the multi-log's log-tail retention.
+/// Disabled by default (both budgets zero) — the engine then
 /// touches no cache at all and the historical I/O accounting is
 /// unchanged. The two budgets are *additional* DRAM on top of
 /// [`EngineConfig::memory_bytes`]: the tiering question is what to do
@@ -14,8 +15,12 @@ pub struct TieringConfig {
     /// Byte budget of the shared page cache attached to the device
     /// (0 = no cache).
     pub cache_bytes: usize,
-    /// Byte budget for pinning the hottest interval topology extents
-    /// (0 = no pinning; requires `cache_bytes > 0` to take effect).
+    /// Byte budget shared by the hottest intervals' pinned topology
+    /// extents and the log pages the multi-log holds in host memory
+    /// instead of writing them (0 = neither; requires `cache_bytes > 0` to
+    /// take effect). Drive entry arms retention with all of it; every
+    /// superstep boundary pins what the held log tail leaves and re-arms
+    /// retention with the rest.
     pub pin_budget_bytes: usize,
 }
 

@@ -288,7 +288,7 @@ impl<'a> Drive<'a> {
             },
             &cfg.tag,
         )?;
-        let tiering = Tiering::enter(ssd, graph, &cfg.tiering, &mut multilog);
+        let tiering = Tiering::enter(ssd, graph, &cfg.tiering, &mut multilog)?;
         let edgelog = EdgeLogOptimizer::new(
             Arc::clone(ssd),
             graph.num_vertices(),

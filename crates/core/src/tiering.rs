@@ -1,10 +1,12 @@
 //! Adaptive memory tiering state of one drive (DESIGN.md §18): the page
 //! cache attach, the hot-interval pinned set and the pin-budget split that
-//! arms the multi-log's log-tail retention. The superstep loop calls in at
-//! fixed points — heat after the loader's page-usage report, unmarks after
-//! a CSR rewrite, one retier per boundary — and every input is plan-order
-//! data, so the pinned set (and with it every cache counter) is identical
-//! for any thread count.
+//! arms the multi-log's log-tail retention. One rule splits the budget,
+//! [`Tiering::retier`], applied at every boundary: drive entry, with
+//! nothing held and no heat, and the end of every superstep. The superstep
+//! loop calls in at fixed points — heat after the loader's page-usage
+//! report, unmarks after a CSR rewrite, one retier per boundary — and
+//! every input is plan-order data, so the pinned set (and with it every
+//! cache counter) is identical for any thread count.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -39,20 +41,23 @@ pub(crate) struct Tiering {
 }
 
 impl Tiering {
-    /// Drive-entry reset: drop any topology pins an earlier drive on the
-    /// same cache left behind so cache state and bookkeeping start in
-    /// lockstep — every drive ranks anew — then arm the multi-log's
-    /// retention with half the pin budget. Nothing is pinned yet, so the
-    /// seed messages and the first superstep's log tail can be held
-    /// without overdrawing the ledger; every boundary re-arms against what
-    /// the topology ranking leaves unspent. (The multi-log holds its log
-    /// pages itself, never in the cache, so they need no reset here.)
+    /// Drive entry is a tiering boundary with nothing held and no heat:
+    /// drop any topology pins an earlier drive on the same cache left
+    /// behind, so cache state and bookkeeping start in lockstep, then
+    /// apply [`Self::retier`]'s split. With no heat the ranking pins
+    /// nothing, so the whole pin budget arms the multi-log's retention for
+    /// the seed messages and superstep 1's log tail. A held log page saves
+    /// a write and a read, a pinned topology page at most one read a
+    /// superstep, so the budget goes to held pages while the log outgrows
+    /// it; pins come in at the boundary where the held tail shrinks. (The
+    /// multi-log holds its log pages itself, never in the cache, so they
+    /// need no reset here.)
     pub(crate) fn enter(
         ssd: &Ssd,
         graph: &StoredGraph,
         cfg: &TieringConfig,
         multilog: &mut MultiLog,
-    ) -> Tiering {
+    ) -> Result<Tiering, DeviceError> {
         let num_iv = graph.intervals().num_intervals();
         let budget_bytes = cfg.pin_budget_bytes as u64;
         let cache = ssd.cache().filter(|_| budget_bytes > 0);
@@ -63,15 +68,16 @@ impl Tiering {
                 c.unpin_file(graph.colidx_file(i as IntervalId));
                 colidx_iv.insert(graph.colidx_file(i as IntervalId), i);
             }
-            multilog.arm_retention(budget_bytes / 2);
         }
-        Tiering {
+        let mut tiering = Tiering {
             cache,
             budget_bytes,
             heat: vec![0; num_iv],
             pinned_ivs: vec![false; num_iv],
             colidx_iv,
-        }
+        };
+        tiering.retier(ssd, graph, multilog)?;
+        Ok(tiering)
     }
 
     /// Topology heat: one unit per column-index page the loader actually
@@ -102,9 +108,10 @@ impl Tiering {
         }
     }
 
-    /// Superstep-boundary retier: adjust the pinned set to the accumulated
-    /// heat ranking, then re-arm the multi-log's retention (for what the
-    /// next superstep appends) with what the ranking left unspent.
+    /// Boundary retier — at drive entry and after every superstep: adjust
+    /// the pinned set to the accumulated heat ranking, then re-arm the
+    /// multi-log's retention (for what the next superstep appends) with
+    /// what the ranking left unspent.
     ///
     /// The ranking greedily fits the hottest intervals' whole topology
     /// extents (row-pointer and column-index files) into the byte budget,

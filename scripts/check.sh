@@ -84,7 +84,9 @@ echo "== stage-table smoke (mlvc run) =="
 # tests and `sim-pins` otherwise reach at one size only) run under the
 # same budget, so the log evicts and retention holds log pages in host
 # memory instead of writing them: with `--metrics`, whose trace must also
-# show a superstep that held pages, and with `--ssd-dir`, whose result
+# show a superstep that held pages, and one that held the whole 512 KiB
+# budget, 32 pages of 16 KiB (drive entry arms retention with all of it,
+# DESIGN.md §18), and with `--ssd-dir`, whose result
 # lines and superstep table must be the in-memory leg's (the backend
 # decides where pages live, never which are read or written). A third
 # tiered leg, `--async --metrics`, is the one run in which
@@ -175,6 +177,11 @@ for app in "pagerank" "randomwalk" "wcc --async" "pagerank --ssd-dir" "pagerank 
       exit 1
     fi
   done
+  if [[ $app == "$tiered --metrics" ]] &&
+    ! grep -q '"log_pages_retained":32,' "$smoke_dir/metrics.1.jsonl"; then
+    echo "$app: no superstep held the whole pin budget (32 pages)"
+    exit 1
+  fi
 done
 
 echo "== gen refuses a bad parameter (mlvc gen) =="

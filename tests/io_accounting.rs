@@ -373,7 +373,9 @@ fn writing_evictions_behind_moves_no_page() {
 /// synchronous PageRank of several fused batches a superstep, a walk of one,
 /// an asynchronous WCC (whose inboxes drain the write side, compute
 /// counted as each interval is prepared) and a tiered PageRank (cache hits
-/// take no channel time) — each checked to be that shape.
+/// take no channel time) — each checked to be that shape. The tiered leg's
+/// pin budget is above PageRank's largest held log tail, so the ranking
+/// has bytes left for topology pins and the leg reads through them.
 #[test]
 fn queue_clock_advances_by_the_compute_in_both_models() {
     let run = |prog: &dyn VertexProgram, cfg: EngineConfig, intervals: usize| {
@@ -393,7 +395,7 @@ fn queue_clock_advances_by_the_compute_in_both_models() {
     let cfg = EngineConfig::default().with_memory(16 << 10).with_async(true);
     let wcc = run(&Wcc, cfg, 16);
     assert!(wcc.supersteps.iter().any(|s| fused_batches(s) > 1), "wcc: one batch only");
-    let tiering = TieringConfig { cache_bytes: 8 << 10, pin_budget_bytes: 4 << 10 };
+    let tiering = TieringConfig { cache_bytes: 8 << 10, pin_budget_bytes: 128 << 10 };
     let cfg = EngineConfig::default().with_memory(32 << 10).with_tiering(tiering);
     let tiered = run(&pagerank, cfg, 4);
     assert!(tiered.supersteps.iter().any(|s| s.cache_hits > 0), "tiered: no cache hit");
@@ -515,6 +517,32 @@ fn every_flushed_log_page_is_written_or_retained() {
     let (retained, written) = (sum(|s| s.log_pages_retained), sum(|s| s.io.pages_written));
     assert!(retained > 0 && written > 0, "{retained} retained, {written} written");
     assert_eq!(retained, r.multilog.unwrap().pages_retained);
+}
+
+/// Drive entry is a tiering boundary with nothing held and no heat
+/// (DESIGN.md §18): the ranking pins nothing, so the whole pin budget arms
+/// log-tail retention. PageRank seeds no message and its superstep-1
+/// flushes outgrow the budget, so superstep 1 holds exactly the budget's
+/// pages, and none of them was written.
+#[test]
+fn drive_entry_arms_retention_with_the_whole_pin_budget() {
+    let g = mini_graph();
+    let iv = VertexIntervals::uniform(g.num_vertices(), 4);
+    let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
+    let page = ssd.page_size();
+    let sg = StoredGraph::store_with(&ssd, &g, "entry", iv).unwrap();
+    let budget = 16 * page;
+    let cfg = EngineConfig::default()
+        .with_memory(32 << 10)
+        .with_tiering(TieringConfig { cache_bytes: 8 << 10, pin_budget_bytes: budget });
+    let r = MultiLogEngine::new(ssd, sg, cfg).run(&PageRank::new(0.85, 1e-4), 2);
+    assert!(r.interrupted.is_none());
+    let (seeding, first) = (&r.seeding, &r.supersteps[0]);
+    assert_eq!(seeding.log_pages_flushed + seeding.log_pages_retained, 0, "seeding flushed");
+    let (budget_pages, flushed) = ((budget / page) as u64, first.log_pages_flushed);
+    assert!(flushed > budget_pages, "superstep 1 flushed {flushed}, within the budget");
+    assert_eq!(first.log_pages_retained, budget_pages, "superstep 1 held part of the budget");
+    assert_eq!(first.io.pages_written - first.edge_log_pages, flushed - budget_pages);
 }
 
 const PINNED_TRACE: &str = r#"{"superstep":0,"active_vertices":0,"messages_processed":0,"messages_delivered":0,"messages_sent":1,"edges_scanned":0,"fused_batches":0,"pages_read":0,"pages_written":0,"bytes_read":0,"useful_bytes_read":0,"bytes_written":0,"log_bytes_appended":18,"log_pages_flushed":0,"log_pages_carried":1,"log_pages_retained":0,"log_evictions":0,"edge_log_vertices":0,"edge_log_pages":0,"edge_log_hits":0,"ftl_host_writes":0,"ftl_physical_writes":0,"ftl_erases":0,"ftl_gc_relocations":0,"sim_time_ns":0,"io_wait_ns":0,"max_inflight":0,"mut_edges_merged":0,"mut_intervals_merged":0,"mut_dirty_vertices":0,"cache_hits":0,"cache_misses":0,"cache_evictions":0,"pinned_pages":0,"pinned_hits":0,"read_amplification":null,"write_amplification":null}

@@ -86,8 +86,9 @@ fn run_once(prog: &dyn VertexProgram, async_mode: bool, shape: Shape) -> (Vec<u6
 
 /// One tiered PageRank run on the `SMALL` shape, observability on: a cache
 /// of a handful of frames (so the replacement policy evicts all the time)
-/// plus a pin budget (so topology pins and held log tails come and go
-/// with every consume). Under the asynchronous model the same fetch path
+/// plus a pin budget a few pages above the log tail PageRank holds at once
+/// (so topology pins and held log tails come and go with every consume,
+/// in both models). Under the asynchronous model the same fetch path
 /// runs, with the write side drained into every inbox besides; PageRank is
 /// not a valid asynchronous algorithm, but what is held here is that the
 /// run is the same run at every thread count, not what it computes.
@@ -101,7 +102,7 @@ fn run_tiered(async_mode: bool) -> (Vec<u64>, RunReport) {
     let cfg = EngineConfig::default()
         .with_memory(SMALL.memory)
         .with_async(async_mode)
-        .with_tiering(TieringConfig { cache_bytes: 6 * page, pin_budget_bytes: 24 * page });
+        .with_tiering(TieringConfig { cache_bytes: 6 * page, pin_budget_bytes: 192 * page });
     let mut eng = MultiLogEngine::new(ssd, sg, cfg);
     let r = eng.run(&PageRank::new(0.85, 1e-4), 12);
     assert!(r.interrupted.is_none());
