@@ -1,6 +1,7 @@
 //! Adaptive memory tiering state of one drive (DESIGN.md §18): the page
-//! cache attach, the hot-interval pinned set and the pin-budget split that
-//! arms the multi-log's log-tail retention. One rule splits the budget,
+//! cache attach, the hot-interval pinned set — claims the load stage's own
+//! reads fill — and the pin-budget split that arms the multi-log's log-tail
+//! retention. One rule splits the budget,
 //! [`Tiering::retier`], applied at every boundary: drive entry, with
 //! nothing held and no heat, and the end of every superstep. The superstep
 //! loop calls in at fixed points — heat after the loader's page-usage
@@ -42,8 +43,8 @@ pub(crate) struct Tiering {
 
 impl Tiering {
     /// Drive entry is a tiering boundary with nothing held and no heat:
-    /// drop any topology pins an earlier drive on the same cache left
-    /// behind, so cache state and bookkeeping start in lockstep, then
+    /// drop any topology pins and claims an earlier drive on the same cache
+    /// left behind, so cache state and bookkeeping start in lockstep, then
     /// apply [`Self::retier`]'s split. With no heat the ranking pins
     /// nothing, so the whole pin budget arms the multi-log's retention for
     /// the seed messages and superstep 1's log tail. A held log page saves
@@ -94,9 +95,9 @@ impl Tiering {
     }
 
     /// A merge of the program's own structural updates rewrote CSR files
-    /// only in intervals holding a dirty
-    /// vertex — the device already dropped their pinned copies, so
-    /// unmark them and let the next retier re-pin whatever still ranks.
+    /// only in intervals holding a dirty vertex — the rewrite's truncate
+    /// already dropped their pinned copies and claims, so unmark them and
+    /// let the next retier re-claim whatever still ranks.
     pub(crate) fn unmark_dirty(&mut self, graph: &StoredGraph, dirty: &[VertexId]) {
         if self.cache.is_none() {
             return;
@@ -116,10 +117,13 @@ impl Tiering {
     /// The ranking greedily fits the hottest intervals' whole topology
     /// extents (row-pointer and column-index files) into the byte budget,
     /// hotter first, interval id as the deterministic tie-break. Intervals
-    /// staying pinned are *not* re-pinned (no probe traffic, no counter
-    /// inflation); ones falling out of the ranking are unpinned; newly
-    /// ranked ones are pinned, their fills charged through the cache like
-    /// any other read.
+    /// staying pinned are left alone; ones falling out of the ranking are
+    /// unpinned; newly ranked ones are *claimed*
+    /// ([`PageCache::claim_file`]): the claim reads nothing at the boundary,
+    /// and the pages land pinned as the load stage reads them, on the
+    /// superstep's I/O queue. A ranked extent's bytes are reserved whole
+    /// whether or not its pages have landed yet, so pinned bytes never
+    /// exceed what the ranking spent.
     ///
     /// `retained_bytes` is what the multi-log holds in host memory under
     /// its retention budget right now — the tail the next superstep
@@ -159,8 +163,8 @@ impl Tiering {
             }
             let (rp, ci) = files(i);
             if want[i] {
-                cache.pin_file(ssd, rp)?;
-                cache.pin_file(ssd, ci)?;
+                cache.claim_file(rp);
+                cache.claim_file(ci);
             } else {
                 cache.unpin_file(rp);
                 cache.unpin_file(ci);

@@ -18,14 +18,20 @@
 //!   flush the hot set). A1in and Am are each one map from stamp to frame
 //!   — the insert stamp in A1in, the last-hit stamp in Am — so a queue's
 //!   victim is its first entry and an Am hit re-keys one entry.
-//! * **Pinned tier** — [`PageCache::pin_pages`] puts an extent's pages in a
-//!   separate map that is exempt from eviction and checked before the
-//!   frame pool. The engine uses this for GraphMP-style hot-interval
-//!   topology pinning (DESIGN.md §18). Pinned copies are dropped by the
-//!   same write/truncate invalidation as frames; callers must not race a
-//!   writer against `pin_pages` itself. The tier only removes device
-//!   reads: every page in it is on the device too (the multi-log keeps
-//!   its own log pages in host memory, DESIGN.md §18).
+//! * **Pinned tier** — a separate map of pages exempt from eviction and
+//!   checked before the frame pool. The engine fills it for GraphMP-style
+//!   hot-interval topology pinning (DESIGN.md §18) with *claims*:
+//!   [`PageCache::claim_file`] reads nothing, moves the file's resident
+//!   frames into the tier, and every later demand fill of the file lands
+//!   there instead of a frame, so the pins fill from reads the caller makes
+//!   anyway. [`PageCache::pin_pages`] reads an extent into the tier at once
+//!   (the serving daemon's registration pins). Both land a page through one
+//!   routine. Pinned copies are dropped by the same write/truncate
+//!   invalidation as frames, truncate/delete and [`PageCache::unpin_file`]
+//!   drop a claim too; callers must not race a writer against `pin_pages`
+//!   itself. The tier only removes device reads: every page in it is on
+//!   the device too (the multi-log keeps its own log pages in host memory,
+//!   DESIGN.md §18).
 //! * **Lent pages** — frames and pins hold [`Page`] handles, not copies: a
 //!   hit clones the handle, a miss fill inserts the very page it returns,
 //!   and on the in-memory backend that page is the store's own allocation.
@@ -169,6 +175,8 @@ struct CacheInner {
     ghost_set: HashSet<PageKey>,
     stamp: u64,
     pinned: HashMap<PageKey, PinnedPage>,
+    /// Claimed files: their fills land in `pinned`, not in a frame.
+    claimed: HashSet<FileId>,
     pinned_bytes: u64,
     pinned_hits: u64,
     evictions: u64,
@@ -232,6 +240,7 @@ impl PageCache {
                 ghost_set: HashSet::new(),
                 stamp: 0,
                 pinned: HashMap::new(),
+                claimed: HashSet::new(),
                 pinned_bytes: 0,
                 pinned_hits: 0,
                 evictions: 0,
@@ -290,20 +299,9 @@ impl PageCache {
         let tenant = dev.tenant();
         let read = dev.read_dispatch(&reqs, Some(self))?;
         let mut guard = self.state.lock();
-        let inner = &mut *guard;
         let mut newly = 0u64;
         for (page, &(f, p, _)) in read.into_iter().zip(&reqs) {
-            let key = (f, p);
-            if inner.pinned.contains_key(&key) {
-                continue;
-            }
-            if let Some((fi, _)) = inner.map.remove(&key) {
-                release_frame(inner, fi);
-            }
-            inner.ghost_set.remove(&key);
-            inner.pinned_bytes += to_u64(page.len());
-            inner.pinned.insert(key, PinnedPage { page, inserter: tenant });
-            newly += 1;
+            newly += u64::from(pin_page(&mut guard, (f, p), page, tenant));
         }
         Ok(newly)
     }
@@ -314,10 +312,36 @@ impl PageCache {
         self.pin_pages(dev, file, 0..n)
     }
 
-    /// Drop every pinned page of `file`, returning the count dropped.
+    /// Claim `file` for the pinned tier without reading it: its resident
+    /// frames move into the tier (released, not counted as evictions; no hit
+    /// is counted), and every later fill of one of its pages lands pinned
+    /// instead of in a frame. Claiming a claimed file changes nothing. The
+    /// claim lasts until [`PageCache::unpin_file`] or a truncate/delete of
+    /// the file; a page write drops only that page's pinned copy.
+    pub fn claim_file(&self, file: FileId) {
+        let mut guard = self.state.lock();
+        let inner = &mut *guard;
+        if !inner.claimed.insert(file) {
+            return;
+        }
+        let mut resident: Vec<(PageKey, Page, TenantId)> = inner
+            .map
+            .iter()
+            .filter(|(key, _)| key.0 == file)
+            .map(|(&key, (fi, page))| (key, page.clone(), inner.frames[*fi].inserter))
+            .collect();
+        resident.sort_unstable_by_key(|r| r.0);
+        for (key, page, inserter) in resident {
+            pin_page(inner, key, page, inserter);
+        }
+    }
+
+    /// Drop every pinned page of `file` and its claim, returning the count
+    /// of pages dropped.
     pub fn unpin_file(&self, file: FileId) -> u64 {
         let mut guard = self.state.lock();
         let inner = &mut *guard;
+        inner.claimed.remove(&file);
         let mut dropped = 0u64;
         let mut freed = 0u64;
         inner.pinned.retain(|&(f, _), p| {
@@ -462,11 +486,12 @@ impl PageCache {
         }
     }
 
-    /// Drop every resident and pinned page of `file` and dirty its racing
-    /// fills (called by the device on truncate/delete).
+    /// Drop every resident and pinned page of `file` and its claim, and
+    /// dirty its racing fills (called by the device on truncate/delete).
     pub(crate) fn invalidate_file(&self, file: FileId) {
         let mut guard = self.state.lock();
         let inner = &mut *guard;
+        inner.claimed.remove(&file);
         let mut dropped: Vec<usize> = Vec::new();
         inner.map.retain(|key, (fi, _)| {
             if key.0 == file {
@@ -499,15 +524,37 @@ impl PageCache {
 }
 
 /// Land a fill its owner fetched: retire the in-flight mark, count the
-/// miss, and make the page resident — unless a write raced the fill and
-/// marked it dirty. The page is still valid for the read that fetched it
-/// (it linearizes before the write) but must not outlive it in the cache.
+/// miss, and keep the page — pinned if its file is claimed, else in a
+/// frame — unless a write raced the fill and marked it dirty. The page is
+/// still valid for the read that fetched it (it linearizes before the
+/// write) but must not outlive it in the cache.
 fn land_fill(inner: &mut CacheInner, key: PageKey, page: &Page, tenant: TenantId) {
     let dirty = inner.in_flight.remove(&key).is_none_or(|f| f.dirty);
     if !dirty {
-        insert_frame(inner, key, page.clone(), tenant);
+        if inner.claimed.contains(&key.0) {
+            pin_page(inner, key, page.clone(), tenant);
+        } else {
+            insert_frame(inner, key, page.clone(), tenant);
+        }
     }
     inner.tenants.entry(tenant).or_default().misses += 1;
+}
+
+/// Put a page into the pinned tier — the one pin landing routine, for
+/// `pin_pages`, claims and claimed fills. A page already pinned is left
+/// alone (returns `false`); a resident frame holding it is released, not
+/// counted as an eviction.
+fn pin_page(inner: &mut CacheInner, key: PageKey, page: Page, tenant: TenantId) -> bool {
+    if inner.pinned.contains_key(&key) {
+        return false;
+    }
+    if let Some((fi, _)) = inner.map.remove(&key) {
+        release_frame(inner, fi);
+    }
+    inner.ghost_set.remove(&key);
+    inner.pinned_bytes += to_u64(page.len());
+    inner.pinned.insert(key, PinnedPage { page, inserter: tenant });
+    true
 }
 
 /// Record a hit on frame `fi`: move it to the recent end of Am, and
@@ -902,10 +949,123 @@ mod tests {
         assert!(snap.pinned_hits >= 6, "the pinned extent served the workload's hot pages");
     }
 
+    /// A claim reads nothing and counts nothing: the claimed file's resident
+    /// frame moves into the pinned tier (not an eviction), a miss on the file
+    /// lands pinned, and the next read of either page is a pinned hit.
+    #[test]
+    fn a_claim_reads_nothing_and_later_fills_land_pinned() {
+        let (ssd, f) = dev_with_pages(4);
+        let cache = Arc::new(PageCache::new(8));
+        ssd.attach_cache(Arc::clone(&cache));
+        ssd.read_page(f, 1, 4).unwrap();
+        ssd.stats().reset();
+        let before = cache.snapshot();
+        cache.claim_file(f);
+        let after = cache.snapshot();
+        assert_eq!(ssd.stats().snapshot().pages_read, 0, "a claim read the device");
+        assert_eq!(after.tenants, before.tenants, "a claim counted a hit or a miss");
+        assert_eq!(after.resident_pages, before.resident_pages - 1);
+        assert_eq!(after.pinned_pages, before.pinned_pages + 1);
+        assert_eq!((after.evictions, after.pinned_hits), (before.evictions, 0));
+        assert_eq!(after.pinned_bytes, 256, "the moved frame's full page");
+        assert_queues_consistent(&cache);
+
+        ssd.read_page(f, 2, 4).unwrap();
+        let snap = cache.snapshot();
+        assert_eq!((snap.resident_pages, snap.pinned_pages), (0, 2), "the miss took a frame");
+        assert_eq!(snap.tenant(0).misses, 2);
+        ssd.read_page(f, 2, 4).unwrap();
+        ssd.read_page(f, 1, 4).unwrap();
+        assert_eq!(ssd.stats().snapshot().pages_read, 1, "only the miss read the device");
+        assert_eq!(cache.snapshot().pinned_hits, 2);
+        assert_queues_consistent(&cache);
+    }
+
+    /// A write drops only the written page's pinned copy — the claim stays,
+    /// so its next fill lands pinned again — while `unpin_file` and a
+    /// truncate drop the claim: later fills take frames and the tier's
+    /// bytes return to 0.
+    #[test]
+    fn a_write_drops_a_pinned_copy_and_unpin_or_truncate_drops_the_claim() {
+        let (ssd, f) = dev_with_pages(4);
+        let cache = Arc::new(PageCache::new(8));
+        ssd.attach_cache(Arc::clone(&cache));
+        cache.claim_file(f);
+        ssd.read_batch(&[(f, 0, 4), (f, 1, 4)]).unwrap();
+        assert_eq!(cache.pinned_pages(), 2);
+        ssd.write_page(f, 1, b"fresh").unwrap();
+        assert_eq!(cache.pinned_pages(), 1, "the written page's pin is dropped");
+        assert_eq!(&ssd.read_page(f, 1, 5).unwrap()[..5], b"fresh");
+        assert_eq!(cache.pinned_pages(), 2, "the claim outlived the write");
+
+        assert_eq!(cache.unpin_file(f), 2);
+        ssd.read_page(f, 0, 4).unwrap();
+        let snap = cache.snapshot();
+        assert_eq!((snap.resident_pages, snap.pinned_pages, snap.pinned_bytes), (1, 0, 0));
+
+        cache.claim_file(f);
+        assert_eq!(cache.pinned_pages(), 1, "the re-claim took the frame over");
+        ssd.truncate(f).unwrap();
+        ssd.append_page(f, &[9; 32]).unwrap();
+        ssd.read_page(f, 0, 4).unwrap();
+        let snap = cache.snapshot();
+        assert_eq!((snap.resident_pages, snap.pinned_pages, snap.pinned_bytes), (1, 0, 0));
+        assert_queues_consistent(&cache);
+    }
+
+    /// The accounting identity holds per tenant with claims in the mix: a
+    /// seeded sequence of two tenants' batched reads (duplicates included),
+    /// claims, unpins and writes on a cache a fraction of the files' size.
+    /// Every request is one device read uncached, so each tenant's `hits +
+    /// device reads` equals the pages it requested.
+    #[test]
+    fn accounting_identity_holds_per_tenant_with_claims() {
+        let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
+        let files: Vec<FileId> =
+            (0..2).map(|k| ssd.open_or_create(&format!("c{k}")).unwrap()).collect();
+        for &f in &files {
+            for i in 0..16u8 {
+                ssd.append_page(f, &[i; 8]).unwrap();
+            }
+        }
+        let cache = Arc::new(PageCache::new(6));
+        ssd.attach_cache(Arc::clone(&cache));
+        let views = [ssd.tenant_view(1), ssd.tenant_view(2)];
+        let mut requested = [0u64; 2];
+        let mut s: u64 = 0xc1a1_3ed5;
+        let mut next = |m: u64| {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (s >> 33) % m
+        };
+        for _ in 0..600 {
+            let (t, f) = (next(2) as usize, files[next(2) as usize]);
+            match next(10) {
+                0 => cache.claim_file(f),
+                1 => {
+                    cache.unpin_file(f);
+                }
+                2 => views[t].write_page(f, next(16), &[0xEE; 8]).unwrap(),
+                _ => {
+                    let reqs: Vec<_> = (0..1 + next(4)).map(|_| (f, next(16), 8)).collect();
+                    requested[t] += reqs.len() as u64;
+                    views[t].read_batch(&reqs).unwrap();
+                }
+            }
+            assert_queues_consistent(&cache);
+        }
+        let snap = cache.snapshot();
+        for (t, view) in (1..).zip(&views) {
+            let device = view.stats().snapshot().pages_read;
+            assert_eq!(snap.tenant(t).hits + device, requested[t as usize - 1], "tenant {t}");
+        }
+        assert!(snap.pinned_hits > 0 && snap.evictions > 0, "{snap:?}");
+    }
+
     /// 2Q queue consistency: every resident frame holds its key and sits in
     /// exactly one of A1in / Am, under its own stamp; no stamp is used
     /// twice; every queue entry and every frame not free is a resident
-    /// page; and no pinned key also holds a frame.
+    /// page; no pinned key also holds a frame; and `pinned_bytes` is what
+    /// the pinned tier holds.
     fn assert_queues_consistent(cache: &PageCache) {
         let inner = cache.state.lock();
         let mut stamps = HashSet::new();
@@ -924,6 +1084,8 @@ mod tests {
         }
         assert_eq!(inner.a1in.len() + inner.am.len(), inner.map.len(), "a queue entry of no frame");
         assert_eq!(inner.free.len() + inner.map.len(), inner.frames.len(), "a frame lost");
+        let held: u64 = inner.pinned.values().map(|p| to_u64(p.page.len())).sum();
+        assert_eq!(inner.pinned_bytes, held, "pinned_bytes is not the tier's pages");
     }
 
     /// Two tenants fill overlapping windows of one file at the same moment,

@@ -84,9 +84,12 @@ echo "== stage-table smoke (mlvc run) =="
 # tests and `sim-pins` otherwise reach at one size only) run under the
 # same budget, so the log evicts and retention holds log pages in host
 # memory instead of writing them: with `--metrics`, whose trace must also
-# show a superstep that held pages, and one that held the whole 512 KiB
+# show a superstep that held pages, one that held the whole 512 KiB
 # budget, 32 pages of 16 KiB (drive entry arms retention with all of it,
-# DESIGN.md §18), and with `--ssd-dir`, whose result
+# DESIGN.md §18), and one with a hit on a topology pin (a boundary claims
+# the hot intervals' extents and the load stage's reads fill them, so a
+# claim that never filled would turn pinning off unseen), and with
+# `--ssd-dir`, whose result
 # lines and superstep table must be the in-memory leg's (the backend
 # decides where pages live, never which are read or written). A third
 # tiered leg, `--async --metrics`, is the one run in which
@@ -170,6 +173,9 @@ for app in "pagerank" "randomwalk" "wcc --async" "pagerank --ssd-dir" "pagerank 
   fi
   if [[ $app == *--pin-budget-kb*--metrics ]]; then
     need="$need log_pages_retained"
+  fi
+  if [[ $app == "$tiered --metrics" ]]; then
+    need="$need pinned_hits"
   fi
   for field in $need; do
     if ! grep -q "\"$field\":[1-9]" "$smoke_dir/metrics.1.jsonl"; then

@@ -404,6 +404,29 @@ fn queue_clock_advances_by_the_compute_in_both_models() {
     }
 }
 
+/// Topology pins fill from the load stage's own reads (DESIGN.md §18): a
+/// retier claims the newly ranked intervals' files and reads nothing, so
+/// on a synchronous tiered PageRank whose pins land mid-run every read of
+/// a superstep still rides its I/O queue — the read time is all queue
+/// wait, in every superstep — and the landed pins serve hits.
+#[test]
+fn topology_pins_fill_from_reads_on_the_queue() {
+    let g = mini_graph();
+    let iv = VertexIntervals::uniform(g.num_vertices(), 4);
+    let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
+    let sg = StoredGraph::store_with(&ssd, &g, "claim", iv).unwrap();
+    let tiering = TieringConfig { cache_bytes: 8 << 10, pin_budget_bytes: 128 << 10 };
+    let cfg = EngineConfig::default().with_memory(32 << 10).with_tiering(tiering);
+    let r = MultiLogEngine::new(ssd, sg, cfg).run(&PageRank::new(0.85, 1e-4), 40);
+    assert!(r.interrupted.is_none());
+    for s in &r.supersteps {
+        assert_eq!(s.io.read_time_ns, s.io_wait_ns, "superstep {}: a read off the queue", s.superstep);
+    }
+    let landed = r.supersteps.windows(2).any(|w| w[1].pinned_pages > w[0].pinned_pages);
+    assert!(landed, "no pin landed after the first superstep");
+    assert!(r.supersteps.iter().any(|s| s.pinned_hits > 0), "no pinned hit");
+}
+
 fn num(v: &Json, key: &str) -> f64 {
     v.get(key)
         .and_then(Json::as_num)
@@ -546,9 +569,9 @@ fn drive_entry_arms_retention_with_the_whole_pin_budget() {
 }
 
 const PINNED_TRACE: &str = r#"{"superstep":0,"active_vertices":0,"messages_processed":0,"messages_delivered":0,"messages_sent":1,"edges_scanned":0,"fused_batches":0,"pages_read":0,"pages_written":0,"bytes_read":0,"useful_bytes_read":0,"bytes_written":0,"log_bytes_appended":18,"log_pages_flushed":0,"log_pages_carried":1,"log_pages_retained":0,"log_evictions":0,"edge_log_vertices":0,"edge_log_pages":0,"edge_log_hits":0,"ftl_host_writes":0,"ftl_physical_writes":0,"ftl_erases":0,"ftl_gc_relocations":0,"sim_time_ns":0,"io_wait_ns":0,"max_inflight":0,"mut_edges_merged":0,"mut_intervals_merged":0,"mut_dirty_vertices":0,"cache_hits":0,"cache_misses":0,"cache_evictions":0,"pinned_pages":0,"pinned_hits":0,"read_amplification":null,"write_amplification":null}
-{"superstep":1,"active_vertices":1,"messages_processed":1,"messages_delivered":1,"messages_sent":85,"edges_scanned":85,"fused_batches":1,"pages_read":6,"pages_written":0,"bytes_read":1536,"useful_bytes_read":1102,"bytes_written":0,"log_bytes_appended":882,"log_pages_flushed":0,"log_pages_carried":4,"log_pages_retained":0,"log_evictions":0,"edge_log_vertices":0,"edge_log_pages":0,"edge_log_hits":0,"ftl_host_writes":0,"ftl_physical_writes":0,"ftl_erases":0,"ftl_gc_relocations":0,"sim_time_ns":360210,"io_wait_ns":240000,"max_inflight":2,"mut_edges_merged":0,"mut_intervals_merged":0,"mut_dirty_vertices":0,"cache_hits":2,"cache_misses":6,"cache_evictions":0,"pinned_pages":6,"pinned_hits":0,"read_amplification":1.393829,"write_amplification":null}
-{"superstep":2,"active_vertices":85,"messages_processed":85,"messages_delivered":85,"messages_sent":1608,"edges_scanned":1608,"fused_batches":1,"pages_read":4,"pages_written":46,"bytes_read":1024,"useful_bytes_read":542,"bytes_written":11776,"log_bytes_appended":16624,"log_pages_flushed":56,"log_pages_carried":12,"log_pages_retained":10,"log_evictions":1,"edge_log_vertices":0,"edge_log_pages":0,"edge_log_hits":0,"ftl_host_writes":46,"ftl_physical_writes":46,"ftl_erases":0,"ftl_gc_relocations":0,"sim_time_ns":2402984,"io_wait_ns":236368,"max_inflight":4,"mut_edges_merged":0,"mut_intervals_merged":0,"mut_dirty_vertices":0,"cache_hits":6,"cache_misses":4,"cache_evictions":0,"pinned_pages":6,"pinned_hits":6,"read_amplification":1.889299,"write_amplification":1.000000}
-{"superstep":3,"active_vertices":117,"messages_processed":1608,"messages_delivered":117,"messages_sent":113,"edges_scanned":1806,"fused_batches":2,"pages_read":50,"pages_written":0,"bytes_read":12800,"useful_bytes_read":14531,"bytes_written":0,"log_bytes_appended":1178,"log_pages_flushed":0,"log_pages_carried":6,"log_pages_retained":0,"log_evictions":0,"edge_log_vertices":2,"edge_log_pages":0,"edge_log_hits":0,"ftl_host_writes":0,"ftl_physical_writes":0,"ftl_erases":0,"ftl_gc_relocations":0,"sim_time_ns":1327876,"io_wait_ns":1304674,"max_inflight":4,"mut_edges_merged":0,"mut_intervals_merged":0,"mut_dirty_vertices":0,"cache_hits":10,"cache_misses":50,"cache_evictions":4,"pinned_pages":10,"pinned_hits":6,"read_amplification":0.880875,"write_amplification":null}
+{"superstep":1,"active_vertices":1,"messages_processed":1,"messages_delivered":1,"messages_sent":85,"edges_scanned":85,"fused_batches":1,"pages_read":2,"pages_written":0,"bytes_read":512,"useful_bytes_read":78,"bytes_written":0,"log_bytes_appended":882,"log_pages_flushed":0,"log_pages_carried":4,"log_pages_retained":0,"log_evictions":0,"edge_log_vertices":0,"edge_log_pages":0,"edge_log_hits":0,"ftl_host_writes":0,"ftl_physical_writes":0,"ftl_erases":0,"ftl_gc_relocations":0,"sim_time_ns":240210,"io_wait_ns":240000,"max_inflight":2,"mut_edges_merged":0,"mut_intervals_merged":0,"mut_dirty_vertices":0,"cache_hits":0,"cache_misses":2,"cache_evictions":0,"pinned_pages":2,"pinned_hits":0,"read_amplification":6.564103,"write_amplification":null}
+{"superstep":2,"active_vertices":85,"messages_processed":85,"messages_delivered":85,"messages_sent":1608,"edges_scanned":1608,"fused_batches":1,"pages_read":8,"pages_written":46,"bytes_read":2048,"useful_bytes_read":1330,"bytes_written":11776,"log_bytes_appended":16624,"log_pages_flushed":56,"log_pages_carried":12,"log_pages_retained":10,"log_evictions":1,"edge_log_vertices":0,"edge_log_pages":0,"edge_log_hits":0,"ftl_host_writes":46,"ftl_physical_writes":46,"ftl_erases":0,"ftl_gc_relocations":0,"sim_time_ns":2522984,"io_wait_ns":356368,"max_inflight":4,"mut_edges_merged":0,"mut_intervals_merged":0,"mut_dirty_vertices":0,"cache_hits":2,"cache_misses":8,"cache_evictions":0,"pinned_pages":6,"pinned_hits":2,"read_amplification":1.539850,"write_amplification":1.000000}
+{"superstep":3,"active_vertices":117,"messages_processed":1608,"messages_delivered":117,"messages_sent":113,"edges_scanned":1806,"fused_batches":2,"pages_read":50,"pages_written":0,"bytes_read":12800,"useful_bytes_read":14531,"bytes_written":0,"log_bytes_appended":1178,"log_pages_flushed":0,"log_pages_carried":6,"log_pages_retained":0,"log_evictions":0,"edge_log_vertices":2,"edge_log_pages":0,"edge_log_hits":0,"ftl_host_writes":0,"ftl_physical_writes":0,"ftl_erases":0,"ftl_gc_relocations":0,"sim_time_ns":1327876,"io_wait_ns":1304674,"max_inflight":4,"mut_edges_merged":0,"mut_intervals_merged":0,"mut_dirty_vertices":0,"cache_hits":6,"cache_misses":50,"cache_evictions":4,"pinned_pages":10,"pinned_hits":6,"read_amplification":0.880875,"write_amplification":null}
 {"superstep":4,"active_vertices":48,"messages_processed":113,"messages_delivered":48,"messages_sent":0,"edges_scanned":1255,"fused_batches":1,"pages_read":0,"pages_written":0,"bytes_read":0,"useful_bytes_read":0,"bytes_written":0,"log_bytes_appended":0,"log_pages_flushed":0,"log_pages_carried":0,"log_pages_retained":0,"log_evictions":0,"edge_log_vertices":0,"edge_log_pages":0,"edge_log_hits":0,"ftl_host_writes":0,"ftl_physical_writes":0,"ftl_erases":0,"ftl_gc_relocations":0,"sim_time_ns":5080,"io_wait_ns":0,"max_inflight":4,"mut_edges_merged":0,"mut_intervals_merged":0,"mut_dirty_vertices":0,"cache_hits":9,"cache_misses":0,"cache_evictions":0,"pinned_pages":10,"pinned_hits":9,"read_amplification":null,"write_amplification":null}
 "#;
 

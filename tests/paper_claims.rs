@@ -239,7 +239,7 @@ fn claim_fig10_speedup_is_flat_in_memory() {
 }
 
 /// DESIGN.md §18: at a fixed DRAM budget, pinning beats caching. The best
-/// split cuts device reads 97.6 % (PageRank) and 86.3 % (WCC) against the
+/// split cuts device reads 98.4 % (PageRank) and 90.8 % (WCC) against the
 /// all-cache row; the floor is 25 %. Every split spends exactly the budget
 /// and every pin budget lands pins. A cache alone writes what no tiering
 /// writes; a pin budget writes less, since the log pages the multi-log
