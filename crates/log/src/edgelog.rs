@@ -1,10 +1,11 @@
 use crate::checked::{idx, mem_idx, to_u32, to_u64};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
 use mlvc_graph::{Adjacency, Edges, PageUsage, VertexId};
-use mlvc_ssd::{DeviceError, FileId, Reads, Ssd};
+use mlvc_ssd::{DeviceError, FileId, Reads, Ssd, Writes};
 
+use crate::pagelist::{write, Budget, Log, Source};
 use crate::BitSet;
 
 /// A column-index page whose utilization is in (0, threshold) counts as
@@ -48,8 +49,9 @@ impl EdgeLogStats {
     }
 }
 
-/// Location of one logged adjacency record on the edge log (entry units of
-/// 4 bytes within a page).
+/// Location of one logged adjacency record on the edge log: the index of
+/// its page in its log's list, and where in that page it sits (entry units
+/// of 4 bytes).
 #[derive(Debug, Clone, Copy)]
 struct RecordLoc {
     page: u64,
@@ -75,33 +77,29 @@ struct RecordLoc {
 /// 3. the record fits in one edge-log page (high-degree vertices already
 ///    use their pages efficiently and are never logged).
 ///
-/// Two files alternate between write and read roles across supersteps, so
-/// the log written during superstep `t` is consumed during `t + 1` while
-/// `t + 1` writes the other file. The pages still staged when `t` ends are
-/// not written: they stay in host memory as the read side's last pages
-/// (*carried*), count against the buffer while `t + 1` stages, and are
-/// served from there with no device request.
+/// The log is two lists of pages like a multi-log log (DESIGN.md §10),
+/// alternating write and read roles: what superstep `t` writes, `t + 1`
+/// reads. A sealed page joins the write side buffered in host memory, and
+/// the write side's buffered pages are written when those of both sides
+/// outgrow the buffer; none is held. The boundary is a flip: the pages
+/// still buffered are the read side's *carried* pages, served with no
+/// device request and counted against the buffer while `t + 1` seals.
 pub struct EdgeLogOptimizer {
     ssd: Arc<Ssd>,
     /// Host-memory cap for edge-log page buffers — the paper's "B%" of
     /// total memory.
     buffer_bytes: usize,
-    files: [FileId; 2],
-    /// Index of the file currently being *written*.
+    logs: [Log; 2],
+    /// Index of the log currently being *written*.
     write_side: usize,
-
-    // Write side (filled during the current superstep).
+    /// Buffered pages of both logs together, against `buffer_bytes`.
+    buffered: usize,
+    /// The encoded bytes of the page being filled.
+    top: Vec<u8>,
+    /// Where each vertex's record is: on the write side (logged this
+    /// superstep) and on the read side (logged the previous one).
     write_index: HashMap<VertexId, RecordLoc>,
-    top: Vec<u32>,
-    staged: Vec<Vec<u8>>,
-    sealed_pages: u64,
-    flushed_pages: u64,
-
-    // Read side (filled during the previous superstep): pages
-    // `0..read_flushed` on its file, the rest carried in host memory.
     read_index: HashMap<VertexId, RecordLoc>,
-    read_flushed: u64,
-    carried: Vec<Vec<u8>>,
 
     // Predictors: the previous superstep's active set, and the pages it
     // used inefficiently.
@@ -115,7 +113,7 @@ pub struct EdgeLogOptimizer {
 }
 
 impl EdgeLogOptimizer {
-    /// An optimizer for `num_vertices` vertices staging at most
+    /// An optimizer for `num_vertices` vertices buffering at most
     /// `buffer_bytes` of edge-log pages in memory, its two files named after
     /// `tag`.
     pub fn new(
@@ -124,25 +122,16 @@ impl EdgeLogOptimizer {
         buffer_bytes: usize,
         tag: &str,
     ) -> Result<Self, DeviceError> {
-        let files = [
-            ssd.open_or_create(&format!("{tag}.edgelog.a"))?,
-            ssd.open_or_create(&format!("{tag}.edgelog.b"))?,
-        ];
-        ssd.truncate(files[0])?;
-        ssd.truncate(files[1])?;
+        let open = |side: &str| Log::open(&ssd, &format!("{tag}.edgelog.{side}"));
         Ok(EdgeLogOptimizer {
+            logs: [open("a")?, open("b")?],
             ssd,
             buffer_bytes,
-            files,
             write_side: 0,
-            write_index: HashMap::new(),
+            buffered: 0,
             top: Vec::new(),
-            staged: Vec::new(),
-            sealed_pages: 0,
-            flushed_pages: 0,
+            write_index: HashMap::new(),
             read_index: HashMap::new(),
-            read_flushed: 0,
-            carried: Vec::new(),
             previous: BitSet::new(num_vertices),
             predicted_inefficient: HashSet::new(),
             stats: EdgeLogStats::default(),
@@ -155,10 +144,6 @@ impl EdgeLogOptimizer {
         self.stats
     }
 
-    fn entries_per_page(&self) -> usize {
-        self.ssd.page_size() / 4
-    }
-
     /// Was `v` active in the previous superstep? (The history-bit-vector
     /// predictor, N = 1.)
     pub fn predicted_active(&self, v: VertexId) -> bool {
@@ -167,7 +152,7 @@ impl EdgeLogOptimizer {
 
     /// Is any of the given column-index pages predicted inefficient for the
     /// next superstep?
-    pub fn page_predicted_inefficient(&self, file: FileId, pages: std::ops::RangeInclusive<u64>) -> bool {
+    fn page_predicted_inefficient(&self, file: FileId, pages: std::ops::RangeInclusive<u64>) -> bool {
         pages.into_iter().any(|p| self.predicted_inefficient.contains(&(file, p)))
     }
 
@@ -181,7 +166,7 @@ impl EdgeLogOptimizer {
         colidx_file: FileId,
         pages: std::ops::RangeInclusive<u64>,
     ) -> bool {
-        if degree == 0 || degree + 2 > self.entries_per_page() {
+        if degree == 0 || (degree + 2) * 4 > self.ssd.page_size() {
             return false;
         }
         if !(known_active || self.predicted_active(v)) {
@@ -199,57 +184,43 @@ impl EdgeLogOptimizer {
         edges: impl Into<Edges<'e>>,
     ) -> Result<(), DeviceError> {
         let edges = edges.into();
-        let rec_len = edges.len() + 2;
-        let cap = self.entries_per_page();
-        assert!(rec_len <= cap, "record exceeds a page; should_log must gate this");
-        if self.top.len() + rec_len > cap {
+        let rec_bytes = (edges.len() + 2) * 4;
+        assert!(rec_bytes <= self.ssd.page_size(), "record exceeds a page; should_log must gate this");
+        if self.top.len() + rec_bytes > self.ssd.page_size() {
             self.seal_top()?;
         }
-        // Both fields are bounded by entries_per_page via the assert
-        // above, so the saturating fallbacks are unreachable.
+        // Both fields are bounded by the page size via the assert above,
+        // so the saturating fallbacks are unreachable.
         let len32 = to_u32("edge-log record length", edges.len()).unwrap_or(u32::MAX);
         let loc = RecordLoc {
-            page: self.sealed_pages,
-            offset_entries: to_u32("edge-log record offset", self.top.len()).unwrap_or(u32::MAX),
+            page: to_u64(self.logs[self.write_side].pages.len()),
+            offset_entries: to_u32("edge-log record offset", self.top.len() / 4).unwrap_or(u32::MAX),
             len: len32,
         };
-        self.top.push(v);
-        self.top.push(len32);
-        self.top.extend(edges);
+        self.top.extend([v, len32].into_iter().chain(edges).flat_map(u32::to_le_bytes));
         self.write_index.insert(v, loc);
         self.stats.vertices_logged += 1;
         Ok(())
     }
 
+    /// Seal the top page onto the write side's list, and write the write
+    /// side's buffered pages — synchronously, off the superstep's queue —
+    /// when the buffered pages of both sides outgrow the buffer.
     fn seal_top(&mut self) -> Result<(), DeviceError> {
         if self.top.is_empty() {
             return Ok(());
         }
-        let mut buf = Vec::with_capacity(self.top.len() * 4);
-        for &e in &self.top {
-            buf.extend_from_slice(&e.to_le_bytes());
+        let log = &mut self.logs[self.write_side];
+        log.push(std::mem::take(&mut self.top));
+        self.buffered += 1;
+        if self.buffered * self.ssd.page_size() > self.buffer_bytes {
+            let mut out = Vec::new();
+            let page_bytes = to_u64(self.ssd.page_size());
+            let written = log.settle(page_bytes, &mut Budget::default(), &mut out).pages;
+            write(&Writes::Device(&self.ssd), &out)?;
+            self.buffered -= written;
+            self.stats.pages_written += to_u64(written);
         }
-        self.top.clear();
-        self.staged.push(buf);
-        self.sealed_pages += 1;
-        let page_size = self.ssd.page_size();
-        if (self.staged.len() + self.carried.len()) * page_size > self.buffer_bytes {
-            self.flush_staged()?;
-        }
-        Ok(())
-    }
-
-    fn flush_staged(&mut self) -> Result<(), DeviceError> {
-        if self.staged.is_empty() {
-            return Ok(());
-        }
-        let file = self.files[self.write_side];
-        let refs: Vec<&[u8]> = self.staged.iter().map(|p| p.as_slice()).collect();
-        let first = self.ssd.append_pages(file, &refs)?;
-        debug_assert_eq!(first, self.flushed_pages);
-        self.flushed_pages += to_u64(refs.len());
-        self.stats.pages_written += to_u64(refs.len());
-        self.staged.clear();
         Ok(())
     }
 
@@ -288,6 +259,10 @@ impl EdgeLogOptimizer {
     /// is high by construction — that is the optimization. A page whose
     /// bytes are not the record the index points at is
     /// [`DeviceError::Corrupt`].
+    ///
+    /// A record's page is the read side's list entry it names. Only a
+    /// write side is ever written, so the list's `Device` entries are a
+    /// prefix of it, and an entry's index is also its device page number.
     pub fn fetch(
         &mut self,
         reads: &mut Reads<'_>,
@@ -297,26 +272,19 @@ impl EdgeLogOptimizer {
         if vs.is_empty() {
             return Ok(());
         }
-        let file = self.files[1 - self.write_side];
-        let page_size = self.ssd.page_size();
+        let log = &self.logs[1 - self.write_side];
+        let is_device = |s: &Source| matches!(s, Source::Device);
+        debug_assert!(!log.pages.iter().skip(log.device_pages()).any(is_device), "written pages lead");
         let locs: Vec<RecordLoc> = vs.iter().map(|v| self.read_index[v]).collect();
         // One request per distinct page, ascending, its useful bytes the
-        // records fetched from it. Records are logged in vertex order, so
-        // the sort has nothing to move when `vs` ascends.
-        let flushed = self.read_flushed;
-        let mut touched: Vec<(u64, usize)> = locs
-            .iter()
-            .filter(|l| l.page < flushed)
-            .map(|l| (l.page, (idx(l.len) + 2) * 4))
-            .collect();
-        touched.sort_by_key(|t| t.0);
-        let mut reqs: Vec<(FileId, u64, usize)> = Vec::new();
-        for (page, bytes) in touched {
-            match reqs.last_mut() {
-                Some(r) if r.1 == page => r.2 = (r.2 + bytes).min(page_size),
-                _ => reqs.push((file, page, bytes.min(page_size))),
-            }
+        // records fetched from it.
+        let mut touched = BTreeMap::new();
+        for l in locs.iter().filter(|l| is_device(&log.pages[mem_idx(l.page)])) {
+            *touched.entry(l.page).or_insert(0) += (idx(l.len) + 2) * 4;
         }
+        let page_size = self.ssd.page_size();
+        let reqs: Vec<(FileId, u64, usize)> =
+            touched.into_iter().map(|(page, bytes)| (log.file, page, bytes.min(page_size))).collect();
         let data = if reqs.is_empty() {
             Vec::new()
         } else {
@@ -326,15 +294,10 @@ impl EdgeLogOptimizer {
         };
         // Callers pass exactly four bytes.
         let le_u32 = |c: &[u8]| u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
-        let mut k = 0usize;
         for (&v, loc) in vs.iter().zip(&locs) {
-            let page: &[u8] = if loc.page < flushed {
-                if reqs[k].1 != loc.page {
-                    k = reqs.partition_point(|r| r.1 < loc.page);
-                }
-                &data[k][..]
-            } else {
-                &self.carried[mem_idx(loc.page - flushed)][..]
+            let page: &[u8] = match &log.pages[mem_idx(loc.page)] {
+                Source::Device => &data[reqs.partition_point(|r| r.1 < loc.page)],
+                Source::Held(page) | Source::Buffered(page) => page,
             };
             let base = idx(loc.offset_entries) * 4;
             let rec = page
@@ -370,9 +333,9 @@ impl EdgeLogOptimizer {
     ///   versus the predictions made a superstep ago;
     /// * predict next superstep's inefficient pages from current usage;
     /// * keep the superstep's *actual* active set as the next one's history;
-    /// * drop the read side, seal the write side's top page and swap
-    ///   read/write files: what is still staged becomes the new read side's
-    ///   carried pages, unwritten.
+    /// * drop the read side, seal the write side's top page and flip: the
+    ///   write side's pages still buffered are the new read side's carried
+    ///   pages, unwritten.
     pub fn end_superstep(&mut self, active: &BitSet, usage: &[PageUsage]) -> Result<(), DeviceError> {
         assert_eq!(active.len(), self.previous.len());
         // Actual inefficient pages this superstep.
@@ -391,17 +354,15 @@ impl EdgeLogOptimizer {
 
         self.previous.clone_from(active);
 
-        // Carry & swap. The old read side is done with, so its carried
-        // pages no longer count against what the seal may stage.
-        self.carried.clear();
+        // The read side is done with, so its carried pages no longer count
+        // against what the seal may buffer; its file is dropped after the
+        // seal's write.
+        let read = self.logs[1 - self.write_side].take();
+        self.buffered -= read.buffered_pages();
         self.seal_top()?;
-        self.carried = std::mem::take(&mut self.staged);
-        self.read_flushed = self.flushed_pages;
+        read.discard(&self.ssd, &mut Budget::default())?;
         self.read_index = std::mem::take(&mut self.write_index);
         self.write_side = 1 - self.write_side;
-        self.ssd.truncate(self.files[self.write_side])?;
-        self.sealed_pages = 0;
-        self.flushed_pages = 0;
         Ok(())
     }
 }
@@ -459,7 +420,7 @@ mod tests {
             opt.log_edges(v, &(0..deg).collect::<Vec<_>>()).unwrap();
         }
         opt.end_superstep(&active_set(&[1, 2, 3, 4, 5]), &[]).unwrap();
-        let file = opt.files[1 - opt.write_side];
+        let file = opt.logs[1 - opt.write_side].file;
         fetched(&mut opt, &[1, 3, 4, 5]);
         // Any order of `vs` asks for the same pages in ascending order.
         fetched(&mut opt, &[5, 1]);
@@ -672,9 +633,9 @@ mod tests {
         assert_eq!(got[0].1[0], 2000);
     }
 
-    /// Pages still staged when a superstep ends stay in host memory: a
+    /// Pages still buffered when a superstep ends stay in host memory: a
     /// record on one is served with no request and no device read, and
-    /// the staging of the next superstep counts them against the buffer.
+    /// the next superstep's sealed pages count them against the buffer.
     #[test]
     fn a_record_on_a_carried_page_is_fetched_with_no_request() {
         let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));

@@ -7,9 +7,8 @@
 //!   on device pages in 10 to 16 bytes each;
 //! * [`MultiLog`] — the **Multi-Log Update Unit** (§V-A): one log per
 //!   vertex interval, page-sized top buffers in host memory, batched
-//!   page-granular eviction striped across all SSD channels, the buffered
-//!   tail carried into the next superstep in host memory rather than
-//!   written, and per-interval message counters used for interval fusing;
+//!   page-granular eviction striped across all SSD channels, and
+//!   per-interval message counters used for interval fusing;
 //! * [`plan_fusion`], [`BatchPlan`], [`group_by_dest`] — the **Sort & Group
 //!   Unit** (§V-B): fuse consecutive interval logs while they fit in the
 //!   sort budget, load them with full channel parallelism, sort **in
@@ -24,6 +23,11 @@
 //!   page utilization, and copies the out-edges of
 //!   predicted-active vertices on inefficient pages into a dense,
 //!   sequential edge log that the next superstep reads instead of the CSR.
+//!
+//! Both units keep their logs as one crate-private type: a log is its file
+//! and its pages in log order — on the device, held or buffered in host
+//! memory — written during one superstep and read during the next, its
+//! buffered tail carried across the boundary by a flip, unwritten.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -67,6 +71,7 @@ mod edgelog;
 mod fusion;
 mod multilog;
 pub mod page;
+mod pagelist;
 mod update;
 
 /// Checked width conversions shared across the format crates.

@@ -8,6 +8,7 @@ use mlvc_ssd::{DeviceError, FileId, Page, Ssd, Writes};
 use crate::page::{
     decode_log_page, pack_pages, push_record, seal_page, LogPage, PageShape,
 };
+use crate::pagelist::{write, Budget, Log, Source};
 use crate::{BitSet, FusedBatch, Update};
 
 fn elapsed_ns(since: Instant) -> u64 {
@@ -156,52 +157,7 @@ pub struct MultiLog {
     /// Log-tail retention (DESIGN.md §18): what the budget has left, and
     /// the bytes the logs' [`Source::Held`] pages took from it — one whole
     /// page each, booked until their log is consumed.
-    retain_left: u64,
-    held: u64,
-}
-
-/// One log: its file and its pages in log order — the k-th `Device` is page k.
-#[derive(Debug, Clone)]
-struct Log {
-    file: FileId,
-    pages: Vec<Source>,
-}
-
-impl Log {
-    fn count(&self, of: fn(&Source) -> bool) -> usize {
-        self.pages.iter().filter(|s| of(s)).count()
-    }
-
-    fn device_pages(&self) -> usize {
-        self.count(|s| matches!(s, Source::Device))
-    }
-}
-
-/// Where one page of a log is. A page keeps the bytes it was sealed with
-/// while it stays in host memory; it is zero-padded only where it leaves
-/// the multi-log — a device write, or a checkpoint snapshot.
-#[derive(Debug, Clone)]
-enum Source {
-    /// The next page of the log's file.
-    Device,
-    /// Held in host memory under the log-tail retention budget.
-    Held(Vec<u8>),
-    /// In host memory under the buffer budget: sealed this superstep on
-    /// the write side, carried across the boundary on the read side.
-    Buffered(Vec<u8>),
-}
-
-impl Source {
-    /// This page's bytes — a `Device` page's the next of `device` — and
-    /// whether they count as useful: a read or held page's do, a buffered
-    /// page was never written nor read.
-    fn bytes<'p>(&'p self, device: &mut impl Iterator<Item = &'p Page>) -> Option<(&'p [u8], bool)> {
-        match self {
-            Source::Device => device.next().map(|p| (&p[..], true)),
-            Source::Held(page) => Some((page, true)),
-            Source::Buffered(page) => Some((page, false)),
-        }
-    }
+    retention: Budget,
 }
 
 /// The page reads that drain a fused interval range, the pages the range
@@ -400,16 +356,12 @@ impl MultiLog {
     ) -> Result<Self, DeviceError> {
         let n = intervals.num_intervals();
         let page_size = ssd.page_size();
-        let open = |name: String| ssd.open_or_create(&name).map(|file| Log { file, pages: Vec::new() });
+        // Empty logs, whatever a previous run under the same tag left (e.g.
+        // a non-converged run's last superstep).
         let mut logs = Vec::with_capacity(n);
         for i in 0..n {
-            logs.push([open(format!("{tag}.mlog.{i}.a"))?, open(format!("{tag}.mlog.{i}.b"))?]);
-        }
-        // A fresh unit starts with empty logs even if a previous run under
-        // the same tag left residue (e.g. a non-converged run's last
-        // superstep).
-        for l in logs.iter().flatten() {
-            ssd.truncate(l.file)?;
+            let open = |side: &str| Log::open(&ssd, &format!("{tag}.mlog.{i}.{side}"));
+            logs.push([open("a")?, open("b")?]);
         }
         // "at least one log buffer is allocated for each vertex interval in
         // the entire graph" (§V-A3) — that floor is interval-count driven,
@@ -469,8 +421,7 @@ impl MultiLog {
             cap_pages,
             stats: MultiLogStats::default(),
             combine: cfg.combine,
-            retain_left: 0,
-            held: 0,
+            retention: Budget::default(),
         })
     }
 
@@ -483,32 +434,19 @@ impl MultiLog {
     /// budget; pages already held stay, and counted in
     /// [`Self::retained_bytes`], until their log is consumed.
     pub fn arm_retention(&mut self, budget_bytes: u64) {
-        self.retain_left = budget_bytes;
+        self.retention.left = budget_bytes;
     }
 
     /// Bytes this unit's logs hold under the retention budget right now.
     pub fn retained_bytes(&self) -> u64 {
-        self.held
+        self.retention.held
     }
 
     /// Take interval `ii`'s log on `side` out of the unit, whole.
     fn take_log(&mut self, ii: usize, side: usize) -> Log {
-        let log = &mut self.logs[ii][side];
-        let log = Log { file: log.file, pages: std::mem::take(&mut log.pages) };
-        self.buffered -= log.count(|s| matches!(s, Source::Buffered(_)));
+        let log = self.logs[ii][side].take();
+        self.buffered -= log.buffered_pages();
         log
-    }
-
-    /// Drop `log`, taken from the unit: its file's pages when it has any,
-    /// and the held pages' bytes back in the budget.
-    fn drop_log(&mut self, log: &Log) -> Result<(), DeviceError> {
-        if log.device_pages() > 0 {
-            self.ssd.truncate(log.file)?;
-        }
-        let bytes = to_u64(log.count(|s| matches!(s, Source::Held(_))) * self.ssd.page_size());
-        self.held -= bytes;
-        self.retain_left += bytes;
-        Ok(())
     }
 
     pub fn stats(&self) -> MultiLogStats {
@@ -546,7 +484,7 @@ impl MultiLog {
     /// at any worker-thread count (DESIGN.md §12).
     pub fn consume(&mut self, plan: &BatchPlan, batch: &FusedBatch) -> Result<(), DeviceError> {
         for (log, _) in &plan.intervals {
-            self.drop_log(log)?;
+            log.discard(&self.ssd, &mut self.retention)?;
         }
         self.ssd.declare_useful(batch.useful_bytes);
         self.stats.updates_read += batch.records;
@@ -566,8 +504,8 @@ impl MultiLog {
         let (shape, page_cap, full_bytes) = (self.shape, self.page_cap, self.full_bytes);
         let (lut, bases) = (&self.slot_lut[..], &self.slot_dest_base[..]);
         let (tops, seen) = (&mut self.tops[..], &mut self.dest_seen);
-        let log = &mut self.logs[ii][self.write_side].pages;
-        let sealed_before = log.len();
+        let log = &mut self.logs[ii][self.write_side];
+        let sealed_before = log.pages.len();
         for u in run {
             seen.set(idx(u.dest));
             let s = idx(lut[idx(u.dest)]);
@@ -578,10 +516,10 @@ impl MultiLog {
                 // fill never reallocates.
                 let mut full = std::mem::replace(top, Vec::with_capacity(full_bytes));
                 seal_page(&mut full);
-                log.push(Source::Buffered(full));
+                log.push(full);
             }
         }
-        let sealed = log.len() - sealed_before;
+        let sealed = log.pages.len() - sealed_before;
         self.buffered += sealed;
         self.top_records[ii] += run.len();
         self.top_records[ii] -= sealed * page_cap;
@@ -660,18 +598,8 @@ impl MultiLog {
     /// Sealed pages hold exactly one page of records, so the sum per
     /// interval telescopes to `ceil(buffered records / page capacity)` —
     /// the same value whatever bucket layout the records sit in.
-    pub fn buffered_pages(&self) -> usize {
+    fn buffered_pages(&self) -> usize {
         self.buffered + self.top_records.iter().map(|r| r.div_ceil(self.page_cap)).sum::<usize>()
-    }
-
-    /// Bytes currently buffered in host memory (each buffered page at the
-    /// page size it counts against the budget as, every top buffer) — what
-    /// `MultiLogConfig::buffer_bytes` caps: after any append it is at most
-    /// the cap (with its floors) plus one eviction period's worth of
-    /// records.
-    #[cfg(test)]
-    pub fn buffered_bytes(&self) -> usize {
-        self.buffered * self.ssd.page_size() + self.tops.iter().map(Vec::len).sum::<usize>()
     }
 
     /// Seal and decode interval `ii`'s top buffers in bucket order onto
@@ -705,7 +633,7 @@ impl MultiLog {
             if let (Some(s), None) = (live.next(), live.next()) {
                 let mut page = std::mem::take(&mut self.tops[s]);
                 seal_page(&mut page);
-                self.logs[ii][self.write_side].pages.push(Source::Buffered(page));
+                self.logs[ii][self.write_side].push(page);
                 self.buffered += 1;
                 self.top_records[ii] = 0;
                 continue;
@@ -732,8 +660,8 @@ impl MultiLog {
 
     /// Settle every buffered page of every log not yet planned — the write
     /// side's logs, then the read side's, each ascending by interval, so
-    /// the budget holds the logs drained first ([`Self::settle`]) — the
-    /// written ones handed to `writes` in one scattered batch. A sealed
+    /// the retention budget holds the logs drained first ([`Log::settle`])
+    /// — the written ones handed to `writes` in one scattered batch. A sealed
     /// page goes to its write-side file, a carried one to its read-side
     /// file after the pages the last superstep evicted there. The pages
     /// were encoded when their records were appended; nothing is touched
@@ -742,44 +670,21 @@ impl MultiLog {
         if self.buffered == 0 {
             return Ok(());
         }
+        let (page_bytes, w) = (to_u64(self.ssd.page_size()), self.write_side);
         let mut out = Vec::with_capacity(self.buffered);
-        for side in [self.write_side, 1 - self.write_side] {
-            for ii in 0..self.logs.len() {
-                let (pages, bytes) = self.settle(ii, side, &mut out);
-                if side == self.write_side {
-                    self.stats.pages_flushed += to_u64(pages);
-                    self.stats.bytes_appended += bytes;
+        for side in [w, 1 - w] {
+            for l in &mut self.logs {
+                let done = l[side].settle(page_bytes, &mut self.retention, &mut out);
+                self.stats.pages_retained += to_u64(done.held);
+                if side == w {
+                    self.stats.pages_flushed += to_u64(done.pages);
+                    self.stats.bytes_appended += done.bytes;
                 }
             }
         }
-        let out: Vec<(FileId, &[u8])> = out.iter().map(|(f, page)| (*f, &page[..])).collect();
-        writes.append(&out).map(drop)
-    }
-
-    /// Turn each buffered page of interval `ii`'s log on `side`, in place,
-    /// into a held page while the retention budget covers it, and into the
-    /// file's next page — queued on `out` for the caller's one dispatch —
-    /// otherwise. Returns how many pages it settled and their bytes.
-    fn settle(&mut self, ii: usize, side: usize, out: &mut Vec<(FileId, Vec<u8>)>) -> (usize, u64) {
-        let page_bytes = to_u64(self.ssd.page_size());
-        let Log { file, pages: log } = &mut self.logs[ii][side];
-        let (mut pages, mut bytes) = (0, 0);
-        for s in log {
-            let Source::Buffered(page) = s else { continue };
-            let page = std::mem::take(page);
-            (pages, bytes) = (pages + 1, bytes + to_u64(page.len()));
-            if self.retain_left >= page_bytes {
-                self.retain_left -= page_bytes;
-                self.held += page_bytes;
-                self.stats.pages_retained += 1;
-                *s = Source::Held(page);
-            } else {
-                out.push((*file, page));
-                *s = Source::Device;
-            }
-        }
-        self.buffered -= pages;
-        (pages, bytes)
+        // Every log not yet planned is in `self.logs`: none buffers a page now.
+        self.buffered = 0;
+        write(writes, &out)
     }
 
     /// End of superstep: seal every top page and flip the sides — no page
@@ -871,15 +776,14 @@ impl MultiLog {
             }
             *count = to_u64(decoded.len());
         }
+        let page_bytes = to_u64(self.ssd.page_size());
         for (ii, pages) in snapshot.iter().enumerate() {
-            let old = self.take_log(ii, side);
-            self.drop_log(&old)?;
-            self.logs[ii][side].pages = pages.iter().map(|p| Source::Buffered(p.to_vec())).collect();
-            self.buffered += pages.len();
+            self.take_log(ii, side).discard(&self.ssd, &mut self.retention)?;
+            let log = &mut self.logs[ii][side];
+            log.pages = pages.iter().map(|p| Source::Buffered(p.to_vec())).collect();
             let mut out = Vec::new();
-            self.settle(ii, side, &mut out);
-            let out: Vec<(FileId, &[u8])> = out.iter().map(|(f, page)| (*f, &page[..])).collect();
-            self.ssd.append_scattered(&out)?;
+            self.stats.pages_retained += to_u64(log.settle(page_bytes, &mut self.retention, &mut out).held);
+            write(&Writes::Device(&self.ssd), &out)?;
         }
         Ok(counts)
     }
@@ -903,7 +807,7 @@ impl MultiLog {
             useful += if counts { bytes } else { 0 };
         }
         self.ssd.declare_useful(useful);
-        self.drop_log(&log)?;
+        log.discard(&self.ssd, &mut self.retention)?;
         self.drain_tops(ii, &mut out)?;
         self.counts[ii] -= to_u64(out.len());
         self.stats.updates_read += to_u64(out.len());
@@ -945,6 +849,15 @@ pub(crate) mod tests {
         let batch = plan.decode(&pages)?;
         ml.consume(&plan, &batch)?;
         Ok(batch)
+    }
+
+    /// Bytes `ml` buffers in host memory (each buffered page at the page
+    /// size it counts against the budget as, every top buffer) — what
+    /// `MultiLogConfig::buffer_bytes` caps: after any append it is at most
+    /// the cap (with its floors) plus one eviction period's worth of
+    /// records.
+    fn buffered_bytes(ml: &MultiLog) -> usize {
+        ml.buffered * ml.ssd.page_size() + ml.tops.iter().map(Vec::len).sum::<usize>()
     }
 
     /// Consume interval `i`'s read side.
@@ -1589,9 +1502,9 @@ pub(crate) mod tests {
                 let now = ml.stats().evictions;
                 if now > evictions {
                     evictions = now;
-                    assert!(ml.buffered_bytes() <= cap_bytes, "over cap after evicting");
+                    assert!(buffered_bytes(&ml) <= cap_bytes, "over cap after evicting");
                 }
-                peak = peak.max(ml.buffered_bytes());
+                peak = peak.max(buffered_bytes(&ml));
             }
             assert!(evictions > 3, "pressure must evict repeatedly");
             assert!(ml.stats().pages_carried > 0, "pages crossed a boundary in memory");

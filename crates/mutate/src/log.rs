@@ -178,12 +178,12 @@ impl MutationLog {
         let names = [format!("{tag}.mut.manifest.0"), format!("{tag}.mut.manifest.1")];
         let mut manifests = CommitSlots::open(&ssd, names, MERGE_RECORD)?;
 
-        // Surviving log pages are only counted here, from their headers;
-        // `merge` decodes (and validates) them, `recover` discards them.
+        // Surviving log pages are only counted here, from their headers,
+        // each file read in one batch; `merge` decodes (and validates)
+        // them, `recover` discards them.
         let mut device_records = vec![0u64; n_iv];
         for (k, &f) in log_files.iter().enumerate() {
-            for p in 0..ssd.num_pages(f)? {
-                let page = ssd.read_page(f, p, ssd.page_size())?;
+            for page in ssd.read_all(f, |_| ssd.page_size())? {
                 device_records[k] += to_u64(LogPage::parse(&page).map_or(0, |p| p.len()));
             }
         }

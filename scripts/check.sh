@@ -95,8 +95,11 @@ echo "== stage-table smoke (mlvc run) =="
 # tiered leg, `--async --metrics`, is the one run in which
 # `take_log_current` drains write-side logs that mix held, written and
 # buffered pages: its trace must show evictions, carried and held pages
-# too, and its bytes must match across thread counts. Every
-# `--memory-kb` leg runs on a scale-14 graph, because at scale 12 a
+# too, and its bytes must match across thread counts. `bfs --memory-kb 256
+# --metrics` is the one leg that writes edge-log pages (a 256 KiB budget
+# leaves the edge log less than a page of buffer): its trace must show a
+# superstep that wrote one and one that served a vertex from the edge log.
+# Every `--memory-kb` leg runs on a scale-14 graph, because at scale 12 a
 # superstep's log fits under the eviction floor at any budget.
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT
@@ -107,7 +110,7 @@ done
 tiered="pagerank --memory-kb 1024 --cache-kb 256 --pin-budget-kb 512"
 for app in "pagerank" "randomwalk" "wcc --async" "pagerank --ssd-dir" "pagerank --metrics" \
   "pagerank --memory-kb 1024 --metrics" "$tiered --metrics" "$tiered --ssd-dir" \
-  "$tiered --async --metrics"; do
+  "$tiered --async --metrics" "bfs --memory-kb 256 --metrics"; do
   graph="$smoke_dir/g12.csr"
   if [[ $app == *--memory-kb* ]]; then
     graph="$smoke_dir/g14.csr"
@@ -168,8 +171,10 @@ for app in "pagerank" "randomwalk" "wcc --async" "pagerank --ssd-dir" "pagerank 
     cmp "$smoke_dir/metrics.1.prom" "$smoke_dir/metrics.2.prom"
   fi
   need=""
-  if [[ $app == *--memory-kb*--metrics ]]; then
+  if [[ $app == pagerank*--memory-kb*--metrics ]]; then
     need="log_evictions log_pages_carried"
+  elif [[ $app == bfs*--metrics ]]; then
+    need="edge_log_pages edge_log_hits"
   fi
   if [[ $app == *--pin-budget-kb*--metrics ]]; then
     need="$need log_pages_retained"

@@ -5,6 +5,7 @@
 //! (`mlvc_gen::rng::SeededRng`), so failures reproduce exactly from the
 //! seed embedded in the test.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use multilogvc::apps::{Bfs, Coloring, Mis, MisState};
@@ -306,6 +307,78 @@ fn damaged_adjacency_pages_are_an_error_or_walkable_views_never_a_panic() {
     assert!(rejected >= 64 && intact > 20, "{rejected} rejected, {intact} intact, {silent} silent");
     // 114 before CSR pages had a header that names their kind and width.
     assert!(silent <= 99, "{silent} damages came back as data");
+}
+
+/// The edge log against a `HashMap` oracle: over one to four supersteps
+/// that each log random lists (degree 1 to a page's entries less the
+/// record header), under buffers from none to several pages — so one fetch
+/// mixes written and carried pages — with random `invalidate` calls
+/// between supersteps, a fetch of every vertex the read side indexes
+/// returns the oracle's lists in request order, both right after the
+/// boundary and while the next superstep is logging. Every request names a
+/// page the device holds (a read past a file's end is an error), and a
+/// buffer that covers every page issues no request at all.
+#[test]
+fn edge_log_fetch_matches_a_map_oracle() {
+    let mut rng = SeededRng::seed_from_u64(131);
+    let shuffle = |vs: &mut Vec<VertexId>, rng: &mut SeededRng| {
+        for i in (1..vs.len()).rev() {
+            vs.swap(i, rng.gen_range(0..i + 1));
+        }
+    };
+    let mut device_reads = 0;
+    for case in 0..CASES {
+        let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
+        let max_degree = ssd.page_size() / 4 - 2;
+        let n = rng.gen_range(2usize..120);
+        let covers_all = case % 4 == 0;
+        let buffer_bytes = if covers_all { 1 << 20 } else { rng.gen_range(0..7 * ssd.page_size()) };
+        let mut elog = EdgeLogOptimizer::new(Arc::clone(&ssd), n, buffer_bytes, "pe").unwrap();
+        let mut read_side: HashMap<VertexId, Vec<u32>> = HashMap::new();
+        let check = |elog: &mut EdgeLogOptimizer, read_side: &HashMap<VertexId, Vec<u32>>, rng: &mut SeededRng| {
+            let mut vs: Vec<VertexId> = read_side.keys().copied().collect();
+            shuffle(&mut vs, rng);
+            for v in 0..n as VertexId {
+                assert_eq!(elog.contains(v), read_side.contains_key(&v), "case {case} vertex {v}");
+            }
+            let mut adj = Adjacency::default();
+            let fetched = elog.fetch(&mut Reads::Device(&ssd), &vs, &mut adj);
+            fetched.unwrap_or_else(|e| panic!("case {case}: a fetch of logged vertices failed: {e}"));
+            assert_eq!(adj.len(), vs.len(), "case {case}");
+            for (k, v) in vs.iter().enumerate() {
+                assert_eq!(adj.vertices()[k].v, *v, "case {case}");
+                assert_eq!(adj.edges(k).to_vec(), read_side[v], "case {case} vertex {v}");
+            }
+        };
+        for _ in 0..rng.gen_range(1usize..5) {
+            let mut logged: Vec<VertexId> = (0..n as VertexId).filter(|_| rng.gen_bool(0.6)).collect();
+            shuffle(&mut logged, &mut rng);
+            let mut write_side = HashMap::new();
+            for (k, &v) in logged.iter().enumerate() {
+                if k == logged.len() / 2 {
+                    check(&mut elog, &read_side, &mut rng);
+                }
+                let edges: Vec<u32> =
+                    (0..rng.gen_range(1..max_degree + 1)).map(|_| rng.next_u64() as u32).collect();
+                elog.log_edges(v, &edges).unwrap();
+                write_side.insert(v, edges);
+            }
+            elog.end_superstep(&BitSet::new(n), &[]).unwrap();
+            read_side = write_side;
+            let dropped: Vec<VertexId> = (0..n as VertexId).filter(|_| rng.gen_bool(0.2)).collect();
+            elog.invalidate(&dropped);
+            for v in &dropped {
+                read_side.remove(v);
+            }
+            check(&mut elog, &read_side, &mut rng);
+        }
+        let io = ssd.stats().snapshot();
+        if covers_all {
+            assert_eq!((io.pages_read, io.read_batches, io.pages_written), (0, 0, 0), "case {case}");
+        }
+        device_reads += io.pages_read;
+    }
+    assert!(device_reads > 0, "no case read a written page");
 }
 
 /// Interval partitions cover every vertex exactly once, whatever the
