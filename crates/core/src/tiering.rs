@@ -65,8 +65,8 @@ impl Tiering {
         let mut colidx_iv = HashMap::new();
         if let Some(c) = &cache {
             for i in 0..num_iv {
-                c.unpin_file(graph.rowptr_file(i as IntervalId));
-                c.unpin_file(graph.colidx_file(i as IntervalId));
+                c.unclaim_file(graph.rowptr_file(i as IntervalId));
+                c.unclaim_file(graph.colidx_file(i as IntervalId));
                 colidx_iv.insert(graph.colidx_file(i as IntervalId), i);
             }
         }
@@ -166,8 +166,8 @@ impl Tiering {
                 cache.claim_file(rp);
                 cache.claim_file(ci);
             } else {
-                cache.unpin_file(rp);
-                cache.unpin_file(ci);
+                cache.unclaim_file(rp);
+                cache.unclaim_file(ci);
             }
             *pinned = want[i];
         }

@@ -1137,11 +1137,12 @@ pub(crate) mod tests {
         let budget = 12 * page;
         let mut ml = setup_on(Arc::clone(&ssd), 4 * 256, true);
         let within = |ml: &MultiLog| {
-            let (pinned, held) = (cache.pinned_bytes(), ml.retained_bytes());
+            let (pinned, held) = (cache.snapshot().pinned_bytes, ml.retained_bytes());
             assert!(pinned + held <= budget, "{pinned} pinned + {held} held over {budget}");
             assert_eq!(pinned, 3 * page, "the tier holds the topology alone");
         };
-        cache.pin_file(&ssd, topology).unwrap();
+        cache.claim_file(topology);
+        ssd.read_all(topology, |_| 0).unwrap();
         let mut armed = budget - 3 * page;
         ml.arm_retention(armed);
         let mut regained = false;

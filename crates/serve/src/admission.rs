@@ -7,9 +7,10 @@
 //! injected crash unwinding the job — returns the bytes and wakes the
 //! waiters, so a dead job can never strand budget.
 //!
-//! The state is a pair of counters (reserved bytes, blocked waiters)
-//! under a poison-free lock with a [`Condvar`] to wait on: the payload is
-//! valid at every instruction, so a poisoned lock is simply recovered.
+//! The state is three counters (reserved bytes, carved bytes, blocked
+//! waiters) under a poison-free lock with a [`Condvar`] to wait on: the
+//! payload is valid at every instruction, so a poisoned lock is simply
+//! recovered.
 
 use std::sync::{Condvar, PoisonError};
 
@@ -25,9 +26,18 @@ pub const MIN_JOB_BYTES: usize = 1 << 12;
 /// Global memory budget with blocking reservations.
 pub struct Budget {
     total: usize,
-    /// (bytes reserved, threads blocked in `reserve_blocking`).
-    state: Mutex<(usize, usize)>,
+    state: Mutex<Ledger>,
     freed: Condvar,
+}
+
+#[derive(Default)]
+struct Ledger {
+    /// Bytes reserved, carves included.
+    reserved: usize,
+    /// Bytes [`Budget::carve`]d: never handed back to jobs.
+    carved: usize,
+    /// Threads blocked in [`Budget::reserve_blocking`].
+    waiting: usize,
 }
 
 /// RAII hold on budget bytes; dropping it releases them and wakes waiters.
@@ -38,7 +48,7 @@ pub struct Reservation<'a> {
 
 impl Budget {
     pub fn new(total: usize) -> Self {
-        Budget { total, state: Mutex::new((0, 0)), freed: Condvar::new() }
+        Budget { total, state: Mutex::new(Ledger::default()), freed: Condvar::new() }
     }
 
     /// Bytes the daemon may hand out in total.
@@ -46,28 +56,29 @@ impl Budget {
         self.total
     }
 
-    /// Bytes currently reserved by running jobs.
+    /// Bytes currently reserved by running jobs and carves.
     pub fn reserved(&self) -> usize {
-        self.state.lock().0
+        self.state.lock().reserved
     }
 
     /// Threads currently blocked in [`Budget::reserve_blocking`] — the
     /// daemon's "queued jobs" gauge, and the handle tests use to observe
     /// that a job is parked rather than running.
     pub fn waiting(&self) -> usize {
-        self.state.lock().1
+        self.state.lock().waiting
     }
 
     /// Admission check: can this request *ever* be scheduled? Rejects
-    /// requests larger than the whole budget (they would queue forever)
-    /// and requests below the engine minimum (they would panic the
-    /// engine). Does not reserve anything.
+    /// requests larger than the budget jobs can have — the total less what
+    /// is carved — (they would queue forever) and requests below the engine
+    /// minimum (they would panic the engine). Does not reserve anything.
     pub fn check(&self, bytes: usize) -> Result<(), RejectReason> {
         if bytes < MIN_JOB_BYTES {
             return Err(RejectReason::BudgetTooSmall { requested: bytes });
         }
-        if bytes > self.total {
-            return Err(RejectReason::BudgetExceedsTotal { requested: bytes, total: self.total });
+        let total = self.total.saturating_sub(self.state.lock().carved);
+        if bytes > total {
+            return Err(RejectReason::BudgetExceedsTotal { requested: bytes, total });
         }
         Ok(())
     }
@@ -76,10 +87,10 @@ impl Budget {
     /// right now (the caller reports the job as queued, then blocks).
     pub fn try_reserve(&self, bytes: usize) -> Option<Reservation<'_>> {
         let mut g = self.state.lock();
-        if bytes > self.total || g.0.saturating_add(bytes) > self.total {
+        if g.reserved.saturating_add(bytes) > self.total {
             return None;
         }
-        g.0 += bytes;
+        g.reserved += bytes;
         Some(Reservation { budget: self, bytes })
     }
 
@@ -90,10 +101,11 @@ impl Budget {
     /// the caller then skips the pin rather than over-committing memory.
     pub fn carve(&self, bytes: usize) -> bool {
         let mut g = self.state.lock();
-        if g.0.saturating_add(bytes) > self.total {
+        if g.reserved.saturating_add(bytes) > self.total {
             return false;
         }
-        g.0 += bytes;
+        g.reserved += bytes;
+        g.carved += bytes;
         true
     }
 
@@ -101,24 +113,29 @@ impl Budget {
     /// extents were dropped, e.g. by a mutation merge) and wake waiters.
     pub fn uncarve(&self, bytes: usize) {
         let mut g = self.state.lock();
-        g.0 = g.0.saturating_sub(bytes);
+        g.reserved = g.reserved.saturating_sub(bytes);
+        g.carved = g.carved.saturating_sub(bytes);
         drop(g);
         self.freed.notify_all();
     }
 
-    /// Reserve, waiting for running jobs to release budget if needed. The
-    /// caller must have passed [`Budget::check`] first — a request larger
-    /// than `total` would wait forever, so it is clamped to `total` here
-    /// as a defensive backstop.
+    /// Reserve, waiting for running jobs to release budget if needed. A
+    /// request larger than the budget jobs can have would wait forever, so
+    /// it is clamped to the total less what is carved (a job passed
+    /// [`Budget::check`] first; a mutation batch's footprint is only
+    /// clamped).
     pub fn reserve_blocking(&self, bytes: usize) -> Reservation<'_> {
-        let bytes = bytes.min(self.total);
         let mut g = self.state.lock();
-        g.1 += 1;
-        while g.0.saturating_add(bytes) > self.total {
+        g.waiting += 1;
+        let bytes = loop {
+            let fit = bytes.min(self.total.saturating_sub(g.carved));
+            if g.reserved.saturating_add(fit) <= self.total {
+                break fit;
+            }
             g = self.freed.wait(g).unwrap_or_else(PoisonError::into_inner);
-        }
-        g.1 -= 1;
-        g.0 += bytes;
+        };
+        g.waiting -= 1;
+        g.reserved += bytes;
         Reservation { budget: self, bytes }
     }
 }
@@ -133,7 +150,7 @@ impl Reservation<'_> {
 impl Drop for Reservation<'_> {
     fn drop(&mut self) {
         let mut g = self.budget.state.lock();
-        g.0 = g.0.saturating_sub(self.bytes);
+        g.reserved = g.reserved.saturating_sub(self.bytes);
         drop(g);
         self.budget.freed.notify_all();
     }

@@ -55,10 +55,10 @@ pub struct ServeConfig {
     pub cache_pages: usize,
     /// Worker threads executing jobs.
     pub workers: usize,
-    /// Byte budget for pinning dataset CSR extents resident at
-    /// registration time (adaptive memory tiering, DESIGN.md §18).
-    /// Pinned bytes are carved out of `memory_budget` — DRAM holding
-    /// pinned pages cannot be handed to jobs. 0 disables pinning.
+    /// Byte budget for dataset CSR extents claimed for the cache's pinned
+    /// tier at registration, which reads nothing (DESIGN.md §18); jobs'
+    /// reads fill them. The bytes are carved out of `memory_budget` — DRAM
+    /// set aside for pinned pages cannot be handed to jobs. 0 disables it.
     pub pin_budget_bytes: usize,
 }
 
@@ -141,8 +141,8 @@ struct Dataset {
     /// The on-device mutation log (DESIGN.md §17), fed by the `mutate` op.
     /// Shared so an embedding engine can attach it.
     mutations: Arc<Mutex<MutationLog>>,
-    /// The extent files the pinned tier holds, and the bytes carved from
-    /// the admission budget for them.
+    /// The extent files claimed for the pinned tier, and the bytes carved
+    /// from the admission budget for them.
     pinned: Mutex<(Vec<FileId>, usize)>,
 }
 
@@ -222,18 +222,18 @@ impl Daemon {
         Ok(())
     }
 
-    /// Pin the dataset's interval extents (row-pointer + column-index
-    /// files) into the shared cache's pinned tier, front to back, while
-    /// each interval fits both the remaining pin budget and the free
-    /// admission budget ([`Budget::carve`]). Whatever the dataset had
-    /// pinned is unpinned and its carve returned first, so after a
-    /// mutation merge rewrote the extents the pinned tier and both budgets
-    /// match the new extent sizes. Registration order and interval order
-    /// are deterministic, so the pinned set is too.
+    /// Claim the dataset's interval extents (row-pointer + column-index
+    /// files) for the shared cache's pinned tier, front to back, while each
+    /// interval fits both the remaining pin budget and the free admission
+    /// budget ([`Budget::carve`]); the first job to read a claimed page
+    /// fills it pinned. Whatever the dataset had claimed is dropped and its
+    /// carve returned first, so after a merge rewrote the extents the claims
+    /// and both budgets match the new sizes. Registration and interval order
+    /// are deterministic, so the claimed set is too. Only sizing can fail.
     fn pin(&self, ds: &Dataset) -> Result<(), DeviceError> {
         let (old, uncarved) = std::mem::take(&mut *ds.pinned.lock());
         for f in old {
-            self.cache.unpin_file(f);
+            self.cache.unclaim_file(f);
         }
         self.budget.uncarve(uncarved);
         let mut left = self.pin_left.lock();
@@ -253,8 +253,8 @@ impl Daemon {
                 usize::try_from(pages.saturating_mul(page_bytes)).unwrap_or(usize::MAX);
             sized.push((rp, ci, bytes));
         }
-        // Reserve greedily; both budgets commit before any page moves so
-        // concurrent registrations cannot overdraw.
+        // Reserve greedily under the pin-budget lock, so concurrent
+        // registrations cannot overdraw.
         let mut files: Vec<FileId> = Vec::new();
         let mut carved = 0usize;
         {
@@ -268,10 +268,10 @@ impl Daemon {
                 }
             }
         }
-        *ds.pinned.lock() = (files.clone(), carved);
-        for f in files {
-            self.cache.pin_file(&self.ssd, f)?;
+        for &f in &files {
+            self.cache.claim_file(f);
         }
+        *ds.pinned.lock() = (files, carved);
         Ok(())
     }
 
@@ -377,9 +377,8 @@ impl Daemon {
         }
         let outcome = guard.merge(&ds.graph).map_err(MutationError::into_device_error)?;
         drop(guard);
-        // The merge's truncate+append rewrite already invalidated the
-        // dirty extents' cached and pinned pages; re-pin against the new
-        // extent sizes so the pinned tier and budget carve stay accurate.
+        // The merge's rewrite already dropped the dirty extents' pages and
+        // claims; re-claim against the new sizes so the carve stays accurate.
         self.pin(ds)?;
         Ok(Some(outcome))
     }
@@ -530,7 +529,7 @@ impl Daemon {
     }
 
     /// Daemon-wide counters as one JSON line (the `stats` op reply).
-    pub fn stats_line(&self) -> String {
+    fn stats_line(&self) -> String {
         let d = self.ssd.stats().snapshot();
         let c = self.cache.snapshot();
         format!(

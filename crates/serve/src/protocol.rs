@@ -111,7 +111,7 @@ pub enum Request {
 /// machine-readable `code()` so clients can branch without parsing prose.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RejectReason {
-    /// The request asks for more memory than the daemon's whole budget —
+    /// More memory than the daemon's budget less its pin carve (`total`):
     /// it could never be scheduled, so it is rejected rather than queued.
     BudgetExceedsTotal { requested: usize, total: usize },
     /// Below the engine's minimum viable budget (4 KiB); the engine

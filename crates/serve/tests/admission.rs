@@ -2,8 +2,8 @@
 //! queueing (not starting) jobs that don't currently fit the budget, and
 //! reservation release on crash so queued jobs still run.
 
-use mlvc_graph::Csr;
-use mlvc_serve::{Daemon, JobError, JobRequest, RejectReason, ServeConfig};
+use mlvc_graph::{Csr, UPDATE_BYTES};
+use mlvc_serve::{Daemon, JobError, JobRequest, MutationRequest, RejectReason, ServeConfig};
 
 fn graph() -> Csr {
     mlvc_gen::cf_mini(8, 3).graph
@@ -88,6 +88,45 @@ fn job_that_does_not_fit_now_is_parked_not_started() {
         assert!(res.outcome.is_ok(), "parked job runs once budget frees");
     });
     assert_eq!(d.budget().reserved(), 0);
+}
+
+/// Bytes carved for the pinned tier are never handed back to jobs: a run
+/// asking for more than the total less the carve is refused with that
+/// uncarved total (admitted, it would wait forever), one asking for exactly
+/// what is left runs, and a mutation batch whose footprint lies between the
+/// two is clamped to what is left and ingests instead of waiting forever.
+#[test]
+fn admission_leaves_the_pin_carve_out_of_the_total() {
+    let total = 1 << 20;
+    let mut d = Daemon::new(ServeConfig {
+        memory_budget: total,
+        workers: 1,
+        pin_budget_bytes: total / 2,
+        ..ServeConfig::default()
+    });
+    d.add_dataset("cf", &graph()).unwrap();
+    let carved = d.budget().reserved();
+    assert!(carved > 0 && carved <= total / 2, "registration carved {carved} B");
+    let left = total - carved;
+    assert_eq!(
+        d.budget().check(left + 1),
+        Err(RejectReason::BudgetExceedsTotal { requested: left + 1, total: left }),
+        "a run no free budget can ever hold passed admission"
+    );
+    assert_eq!(reject_code(&d.run_job(&req("over", "bfs", left + 1))), "budget-exceeds-total");
+    assert!(d.run_job(&req("fits", "bfs", left)).outcome.is_ok());
+
+    let edges = left / UPDATE_BYTES + 1;
+    assert!(edges * UPDATE_BYTES <= total, "the batch's footprint fits the whole budget");
+    let n = graph().num_vertices() as u32;
+    let batch = MutationRequest {
+        id: "big".to_string(),
+        dataset: "cf".to_string(),
+        add: (0..edges as u32).map(|k| (k % n, k / n % n)).collect(),
+        remove: Vec::new(),
+    };
+    assert!(d.apply_mutation(&batch).is_ok(), "the clamped batch ingests");
+    assert_eq!(d.budget().reserved(), carved, "only the carve stays reserved");
 }
 
 #[test]

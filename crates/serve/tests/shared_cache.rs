@@ -106,27 +106,48 @@ fn eviction_pressure_preserves_results_and_accounting() {
     assert_eq!(out.cache.hits + out.device.pages_read, uncached_reads);
 }
 
-#[test]
-fn pinned_tier_preserves_identity_and_carves_the_budget() {
-    let g = graph();
-    let j = req("pinned", "pagerank", 3);
-    // 2Q (the default) plus a pinned tier big enough for the dataset's
-    // CSR extents, over a deliberately tiny frame pool so unpinned pages
-    // churn while pinned ones must not.
+/// Bytes of the dataset's interval extents (row-pointer + column-index
+/// pages) on the daemon's device right now.
+fn extent_bytes(daemon: &Daemon, dataset: &str) -> usize {
+    let ssd = daemon.device();
+    let file = |kind: &str, i: usize| ssd.lookup(&format!("{dataset}.{kind}.{i}"));
+    let pages: u64 = (0..)
+        .map_while(|i| Some([file("rowptr", i)?, file("colidx", i)?]))
+        .flatten()
+        .map(|f| ssd.num_pages(f).unwrap())
+        .sum();
+    pages as usize * ssd.page_size()
+}
+
+/// A daemon with 2Q over a deliberately tiny frame pool, so unpinned pages
+/// churn while pinned ones must not, and a pin budget big enough for the
+/// dataset's CSR extents.
+fn pinning_daemon() -> Daemon {
     let mut daemon = Daemon::new(ServeConfig {
         cache_pages: 4,
         workers: 1,
         pin_budget_bytes: 4 << 20,
         ..ServeConfig::default()
     });
-    daemon.add_dataset("cf", &g).unwrap();
+    daemon.add_dataset("cf", &graph()).unwrap();
+    daemon
+}
+
+/// Registration claims the dataset's CSR extents for the pinned tier and
+/// carves their bytes from the admission budget, reading nothing. One
+/// PageRank job, whose all-active first superstep reads every extent page,
+/// fills every claimed page pinned, and the accounting identity holds.
+#[test]
+fn pinned_tier_preserves_identity_and_carves_the_budget() {
+    let g = graph();
+    let j = req("pinned", "pagerank", 3);
+    let daemon = pinning_daemon();
+    assert_eq!(daemon.device().stats().snapshot().pages_read, 0, "registration read a page");
     let snap = daemon.cache().snapshot();
-    assert!(snap.pinned_pages > 0, "registration must pin the CSR extents");
-    assert_eq!(
-        daemon.budget().reserved(),
-        snap.pinned_bytes as usize,
-        "pinned bytes must be carved out of the admission budget"
-    );
+    assert_eq!((snap.pinned_pages, snap.pinned_bytes), (0, 0), "a claim pinned a page");
+    let extents = extent_bytes(&daemon, "cf");
+    assert!(extents > 0);
+    assert_eq!(daemon.budget().reserved(), extents, "the carve is the claimed extents' bytes");
     let out = daemon.run_job(&j).outcome.unwrap();
     let (states, _, _, uncached_reads) = standalone(&g, &j);
     assert_eq!(out.states, states, "pinning must not change results");
@@ -140,22 +161,18 @@ fn pinned_tier_preserves_identity_and_carves_the_budget() {
     assert_eq!(
         daemon.budget().reserved(),
         after.pinned_bytes as usize,
-        "the carve stays while the pins stay"
+        "the job's reads filled every claimed page"
     );
 }
 
 /// A merge rewrites a pinned dataset's extents, dropping their pinned
-/// copies; the daemon pins the rewritten extents again, so the carve still
-/// equals the pinned bytes and the next job is served from the pinned tier.
+/// copies and claims; the daemon claims the rewritten extents again, so
+/// the carve equals their bytes, and the next job fills them and is served
+/// from the pinned tier.
 #[test]
 fn a_merge_re_pins_the_rewritten_extents() {
-    let mut daemon = Daemon::new(ServeConfig {
-        cache_pages: 4,
-        workers: 1,
-        pin_budget_bytes: 4 << 20,
-        ..ServeConfig::default()
-    });
-    daemon.add_dataset("cf", &graph()).unwrap();
+    let daemon = pinning_daemon();
+    daemon.run_job(&req("before-merge", "pagerank", 3)).outcome.unwrap();
     let batch = MutationRequest {
         id: "m".to_string(),
         dataset: "cf".to_string(),
@@ -164,16 +181,16 @@ fn a_merge_re_pins_the_rewritten_extents() {
     };
     daemon.apply_mutation(&batch).unwrap();
     assert!(daemon.merge_mutations("cf").unwrap().is_some(), "the batch merges");
-    let snap = daemon.cache().snapshot();
-    assert!(snap.pinned_pages > 0, "the merge must leave the dataset pinned");
     assert_eq!(
         daemon.budget().reserved(),
-        snap.pinned_bytes as usize,
+        extent_bytes(&daemon, "cf"),
         "the carve must follow the rewritten extents"
     );
+    let snap = daemon.cache().snapshot();
     daemon.run_job(&req("after-merge", "pagerank", 3)).outcome.unwrap();
     let after = daemon.cache().snapshot();
     assert!(after.pinned_hits > snap.pinned_hits, "the job must hit the re-pinned extents");
+    assert_eq!(daemon.budget().reserved(), after.pinned_bytes as usize);
 }
 
 #[test]

@@ -19,19 +19,17 @@
 //!   — the insert stamp in A1in, the last-hit stamp in Am — so a queue's
 //!   victim is its first entry and an Am hit re-keys one entry.
 //! * **Pinned tier** — a separate map of pages exempt from eviction and
-//!   checked before the frame pool. The engine fills it for GraphMP-style
-//!   hot-interval topology pinning (DESIGN.md §18) with *claims*:
+//!   checked before the frame pool. The engine's GraphMP-style hot-interval
+//!   topology pins and the serving daemon's registration pins (DESIGN.md
+//!   §18) both fill it with *claims*, its one way in:
 //!   [`PageCache::claim_file`] reads nothing, moves the file's resident
 //!   frames into the tier, and every later demand fill of the file lands
 //!   there instead of a frame, so the pins fill from reads the caller makes
-//!   anyway. [`PageCache::pin_pages`] reads an extent into the tier at once
-//!   (the serving daemon's registration pins). Both land a page through one
-//!   routine. Pinned copies are dropped by the same write/truncate
-//!   invalidation as frames, truncate/delete and [`PageCache::unpin_file`]
-//!   drop a claim too; callers must not race a writer against `pin_pages`
-//!   itself. The tier only removes device reads: every page in it is on
-//!   the device too (the multi-log keeps its own log pages in host memory,
-//!   DESIGN.md §18).
+//!   anyway. Pinned copies are dropped by the same write/truncate
+//!   invalidation as frames; truncate/delete and [`PageCache::unclaim_file`]
+//!   drop a claim too. The tier only removes device reads: every page in
+//!   it is on the device too (the multi-log keeps its own log pages in host
+//!   memory, DESIGN.md §18).
 //! * **Lent pages** — frames and pins hold [`Page`] handles, not copies: a
 //!   hit clones the handle, a miss fill inserts the very page it returns,
 //!   and on the in-memory backend that page is the store's own allocation.
@@ -58,7 +56,6 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
-use std::ops::Range;
 use std::sync::{Condvar, PoisonError};
 
 use crate::checked::to_u64;
@@ -93,7 +90,7 @@ struct Frame {
 }
 
 /// A page held in the pinned tier: exempt from eviction, checked before
-/// the frame pool, dropped only by invalidation or [`PageCache::unpin_file`].
+/// the frame pool, dropped only by invalidation or [`PageCache::unclaim_file`].
 struct PinnedPage {
     page: Page,
     inserter: TenantId,
@@ -251,21 +248,6 @@ impl PageCache {
         }
     }
 
-    /// Number of frames.
-    pub fn capacity_pages(&self) -> usize {
-        self.state.lock().frames.len()
-    }
-
-    /// Bytes currently held by the pinned tier.
-    pub fn pinned_bytes(&self) -> u64 {
-        self.state.lock().pinned_bytes
-    }
-
-    /// Pages currently held by the pinned tier.
-    pub fn pinned_pages(&self) -> usize {
-        self.state.lock().pinned.len()
-    }
-
     /// Counters + occupancy right now.
     pub fn snapshot(&self) -> CacheSnapshot {
         let inner = self.state.lock();
@@ -281,42 +263,11 @@ impl PageCache {
         }
     }
 
-    /// Put `pages` of `file` into the pinned tier, reading any absent
-    /// pages through the cache (charged to `dev`'s tenant like any other
-    /// read). Already-pinned pages are skipped, so re-pinning a hot extent
-    /// is idempotent and free. Returns the number of *newly* pinned pages.
-    ///
-    /// A resident frame's page is handed over to the pinned tier (the frame
-    /// is released, not counted as an eviction). Callers must not run a
-    /// writer against `file` concurrently with the pin itself; after the
-    /// pin, write/truncate invalidation drops pinned copies like frames.
-    pub fn pin_pages(&self, dev: &Ssd, file: FileId, pages: Range<u64>) -> Result<u64, DeviceError> {
-        let useful = dev.page_size();
-        let reqs: Vec<(FileId, u64, usize)> = pages.map(|p| (file, p, useful)).collect();
-        if reqs.is_empty() {
-            return Ok(0);
-        }
-        let tenant = dev.tenant();
-        let read = dev.read_dispatch(&reqs, Some(self))?;
-        let mut guard = self.state.lock();
-        let mut newly = 0u64;
-        for (page, &(f, p, _)) in read.into_iter().zip(&reqs) {
-            newly += u64::from(pin_page(&mut guard, (f, p), page, tenant));
-        }
-        Ok(newly)
-    }
-
-    /// Pin every current page of `file` (see [`PageCache::pin_pages`]).
-    pub fn pin_file(&self, dev: &Ssd, file: FileId) -> Result<u64, DeviceError> {
-        let n = dev.num_pages(file)?;
-        self.pin_pages(dev, file, 0..n)
-    }
-
     /// Claim `file` for the pinned tier without reading it: its resident
     /// frames move into the tier (released, not counted as evictions; no hit
     /// is counted), and every later fill of one of its pages lands pinned
     /// instead of in a frame. Claiming a claimed file changes nothing. The
-    /// claim lasts until [`PageCache::unpin_file`] or a truncate/delete of
+    /// claim lasts until [`PageCache::unclaim_file`] or a truncate/delete of
     /// the file; a page write drops only that page's pinned copy.
     pub fn claim_file(&self, file: FileId) {
         let mut guard = self.state.lock();
@@ -338,7 +289,7 @@ impl PageCache {
 
     /// Drop every pinned page of `file` and its claim, returning the count
     /// of pages dropped.
-    pub fn unpin_file(&self, file: FileId) -> u64 {
+    pub fn unclaim_file(&self, file: FileId) -> u64 {
         let mut guard = self.state.lock();
         let inner = &mut *guard;
         inner.claimed.remove(&file);
@@ -541,12 +492,11 @@ fn land_fill(inner: &mut CacheInner, key: PageKey, page: &Page, tenant: TenantId
 }
 
 /// Put a page into the pinned tier — the one pin landing routine, for
-/// `pin_pages`, claims and claimed fills. A page already pinned is left
-/// alone (returns `false`); a resident frame holding it is released, not
-/// counted as an eviction.
-fn pin_page(inner: &mut CacheInner, key: PageKey, page: Page, tenant: TenantId) -> bool {
+/// claims and claimed fills. A page already pinned is left alone; a
+/// resident frame holding it is released, not counted as an eviction.
+fn pin_page(inner: &mut CacheInner, key: PageKey, page: Page, tenant: TenantId) {
     if inner.pinned.contains_key(&key) {
-        return false;
+        return;
     }
     if let Some((fi, _)) = inner.map.remove(&key) {
         release_frame(inner, fi);
@@ -554,7 +504,6 @@ fn pin_page(inner: &mut CacheInner, key: PageKey, page: Page, tenant: TenantId) 
     inner.ghost_set.remove(&key);
     inner.pinned_bytes += to_u64(page.len());
     inner.pinned.insert(key, PinnedPage { page, inserter: tenant });
-    true
 }
 
 /// Record a hit on frame `fi`: move it to the recent end of Am, and
@@ -657,11 +606,16 @@ mod tests {
 
     fn dev_with_pages(n: u8) -> (Arc<Ssd>, FileId) {
         let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
-        let f = ssd.open_or_create("data").unwrap();
+        let f = add_file(&ssd, "data", n);
+        (ssd, f)
+    }
+
+    fn add_file(ssd: &Ssd, name: &str, n: u8) -> FileId {
+        let f = ssd.open_or_create(name).unwrap();
         for i in 0..n {
             ssd.append_page(f, &[i; 32]).unwrap();
         }
-        (ssd, f)
+        f
     }
 
     #[test]
@@ -788,7 +742,7 @@ mod tests {
         for race in racing {
             // The owner's pass 1 and device read …
             claim();
-            let fetched = ssd.read_dispatch(&[(f, 0, 0)], None).unwrap().remove(0);
+            let fetched = ssd.read(&[(f, 0, 0)], None, &mut Vec::new()).unwrap().remove(0);
             // … the write that races them, and the landing.
             race();
             land_fill(&mut cache.state.lock(), key, &fetched, 0);
@@ -799,7 +753,7 @@ mod tests {
             ssd.write_page(f, 0, &[0; 32]).unwrap();
         }
         claim();
-        let fetched = ssd.read_dispatch(&[(f, 0, 0)], None).unwrap().remove(0);
+        let fetched = ssd.read(&[(f, 0, 0)], None, &mut Vec::new()).unwrap().remove(0);
         land_fill(&mut cache.state.lock(), key, &fetched, 0);
         assert_eq!(cache.snapshot().resident_pages, 1, "an unraced fill lands");
         assert!(Page::ptr_eq(&fetched, &ssd.read_page(f, 0, 0).unwrap()));
@@ -875,26 +829,32 @@ mod tests {
     }
 
     /// Pinned pages are exempt from eviction: an arbitrarily long scan
-    /// cannot displace them, and hits on them charge nothing.
+    /// cannot displace them, and hits on them charge nothing. The pins are
+    /// two pages of a claimed file that its own reads filled; the scan is a
+    /// second file, whose fills take frames.
     #[test]
     fn pinned_pages_survive_eviction_and_serve_hits() {
-        let (ssd, f) = dev_with_pages(16);
+        let (ssd, f) = dev_with_pages(2);
+        let scan = add_file(&ssd, "scan", 14);
         let cache = Arc::new(PageCache::new(2));
         ssd.attach_cache(Arc::clone(&cache));
-        assert_eq!(cache.pin_pages(&ssd, f, 0..2).unwrap(), 2);
-        assert_eq!(cache.pinned_bytes(), 512, "two full 256-byte pages held");
-        assert_eq!(cache.pin_pages(&ssd, f, 0..2).unwrap(), 0, "re-pin is idempotent");
+        cache.claim_file(f);
+        ssd.read_batch(&[(f, 0, 4), (f, 1, 4)]).unwrap();
+        let snap = cache.snapshot();
+        assert_eq!((snap.pinned_pages, snap.resident_pages), (2, 0), "the fills landed pinned");
+        assert_eq!(snap.pinned_bytes, 512, "two full 256-byte pages held");
+        cache.claim_file(f);
+        assert_eq!(cache.snapshot(), snap, "re-claiming is idempotent");
         ssd.stats().reset();
-        for p in 2..16u64 {
-            ssd.read_page(f, p, 4).unwrap(); // scan far beyond the 2 frames
+        for p in 0..14u64 {
+            ssd.read_page(scan, p, 4).unwrap(); // scan far beyond the 2 frames
         }
         ssd.read_page(f, 0, 4).unwrap();
         ssd.read_page(f, 1, 4).unwrap();
         assert_eq!(ssd.stats().snapshot().pages_read, 14, "pinned pages charged nothing");
         let snap = cache.snapshot();
-        assert_eq!(snap.pinned_pages, 2);
-        // 2 hits from the idempotent re-pin probe + 2 from the reads.
-        assert_eq!(snap.pinned_hits, 4);
+        assert!(snap.evictions >= 12, "the scan churned the frames: {snap:?}");
+        assert_eq!((snap.pinned_pages, snap.pinned_hits), (2, 2));
     }
 
     /// Write and truncate coherence extends to the pinned tier: no stale
@@ -904,10 +864,11 @@ mod tests {
         let (ssd, f) = dev_with_pages(4);
         let cache = Arc::new(PageCache::new(8));
         ssd.attach_cache(Arc::clone(&cache));
-        cache.pin_file(&ssd, f).unwrap();
-        assert_eq!(cache.pinned_pages(), 4);
+        cache.claim_file(f);
+        ssd.read_all(f, |_| 4).unwrap();
+        assert_eq!(cache.snapshot().pinned_pages, 4);
         ssd.write_page(f, 1, b"fresh").unwrap();
-        assert_eq!(cache.pinned_pages(), 3, "the written page's pin is dropped");
+        assert_eq!(cache.snapshot().pinned_pages, 3, "the written page's pin is dropped");
         let after = ssd.read_page(f, 1, 5).unwrap();
         assert_eq!(&after[..5], b"fresh");
         ssd.truncate(f).unwrap();
@@ -917,36 +878,43 @@ mod tests {
         assert_eq!(snap.resident_pages, 0);
     }
 
-    /// The accounting identity is preserved by pin fills: pinning charges
-    /// its own device reads like any other request, so `hits +
+    /// The accounting identity is preserved by pin fills: a claimed file's
+    /// first read of a page is a charged miss like any other, so `hits +
     /// cached_reads == uncached_reads` still balances when the uncached
     /// baseline reads the pinned extent once.
     #[test]
     fn pin_fill_preserves_accounting_identity() {
-        let reqs_for = |f: FileId| -> Vec<(FileId, u64, usize)> {
-            (0..24u64).map(|i| (f, i % 8, 8)).collect()
+        // Every fourth request reads the 2-page hot file, the rest cycle
+        // through the 8-page one.
+        let reqs_for = |f: FileId, hot: FileId| -> Vec<(FileId, u64, usize)> {
+            (0..24u64)
+                .map(|i| if i % 4 == 0 { (hot, i / 4 % 2, 8) } else { (f, i % 8, 8) })
+                .collect()
         };
         // Uncached baseline: the pin extent once, then the workload.
         let (base, fb) = dev_with_pages(8);
+        let hb = add_file(&base, "hot", 2);
         base.stats().reset();
-        base.read_batch(&[(fb, 0, 256), (fb, 1, 256)]).unwrap();
-        for r in reqs_for(fb) {
+        base.read_batch(&[(hb, 0, 256), (hb, 1, 256)]).unwrap();
+        for r in reqs_for(fb, hb) {
             base.read_batch(&[r]).unwrap();
         }
         let uncached = base.stats().snapshot().pages_read;
 
         let (ssd, f) = dev_with_pages(8);
+        let hot = add_file(&ssd, "hot", 2);
         let cache = Arc::new(PageCache::new(2));
         ssd.attach_cache(Arc::clone(&cache));
         ssd.stats().reset();
-        cache.pin_pages(&ssd, f, 0..2).unwrap();
-        for r in reqs_for(f) {
+        cache.claim_file(hot);
+        ssd.read_batch(&[(hot, 0, 256), (hot, 1, 256)]).unwrap();
+        for r in reqs_for(f, hot) {
             ssd.read_batch(&[r]).unwrap();
         }
         let snap = cache.snapshot();
         let cached = ssd.stats().snapshot().pages_read;
         assert_eq!(snap.tenant(0).hits + cached, uncached, "identity holds under pinning");
-        assert!(snap.pinned_hits >= 6, "the pinned extent served the workload's hot pages");
+        assert_eq!(snap.pinned_hits, 6, "the pinned extent served the workload's hot pages");
     }
 
     /// A claim reads nothing and counts nothing: the claimed file's resident
@@ -982,7 +950,7 @@ mod tests {
     }
 
     /// A write drops only the written page's pinned copy — the claim stays,
-    /// so its next fill lands pinned again — while `unpin_file` and a
+    /// so its next fill lands pinned again — while `unclaim_file` and a
     /// truncate drop the claim: later fills take frames and the tier's
     /// bytes return to 0.
     #[test]
@@ -992,19 +960,19 @@ mod tests {
         ssd.attach_cache(Arc::clone(&cache));
         cache.claim_file(f);
         ssd.read_batch(&[(f, 0, 4), (f, 1, 4)]).unwrap();
-        assert_eq!(cache.pinned_pages(), 2);
+        assert_eq!(cache.snapshot().pinned_pages, 2);
         ssd.write_page(f, 1, b"fresh").unwrap();
-        assert_eq!(cache.pinned_pages(), 1, "the written page's pin is dropped");
+        assert_eq!(cache.snapshot().pinned_pages, 1, "the written page's pin is dropped");
         assert_eq!(&ssd.read_page(f, 1, 5).unwrap()[..5], b"fresh");
-        assert_eq!(cache.pinned_pages(), 2, "the claim outlived the write");
+        assert_eq!(cache.snapshot().pinned_pages, 2, "the claim outlived the write");
 
-        assert_eq!(cache.unpin_file(f), 2);
+        assert_eq!(cache.unclaim_file(f), 2);
         ssd.read_page(f, 0, 4).unwrap();
         let snap = cache.snapshot();
         assert_eq!((snap.resident_pages, snap.pinned_pages, snap.pinned_bytes), (1, 0, 0));
 
         cache.claim_file(f);
-        assert_eq!(cache.pinned_pages(), 1, "the re-claim took the frame over");
+        assert_eq!(cache.snapshot().pinned_pages, 1, "the re-claim took the frame over");
         ssd.truncate(f).unwrap();
         ssd.append_page(f, &[9; 32]).unwrap();
         ssd.read_page(f, 0, 4).unwrap();
@@ -1042,7 +1010,7 @@ mod tests {
             match next(10) {
                 0 => cache.claim_file(f),
                 1 => {
-                    cache.unpin_file(f);
+                    cache.unclaim_file(f);
                 }
                 2 => views[t].write_page(f, next(16), &[0xEE; 8]).unwrap(),
                 _ => {
@@ -1118,10 +1086,11 @@ mod tests {
     }
 
     /// The queues stay consistent through a pin-and-drop sequence on a
-    /// log-like file: frames of a file, pins taken over from resident
-    /// frames beside them, hits on both, a truncate that drops the pins, an
-    /// `unpin_file` that drops them while the file keeps its pages, and the
-    /// frames a re-read of the unpinned pages fills.
+    /// log-like file: frames of a file, pins a claim takes over from
+    /// resident frames beside them and pins its fills land, hits on both, a
+    /// truncate that drops the pins, an `unclaim_file` that drops them while
+    /// the file keeps its pages, and the frames a re-read of the unpinned
+    /// pages fills.
     #[test]
     fn twoq_queues_stay_consistent_through_pinning_and_unpinning() {
         let (ssd, f) = dev_with_pages(8);
@@ -1137,26 +1106,27 @@ mod tests {
             reread(0..8, f);
             ssd.append_pages(log, &[&[round; 8][..]; 4]).unwrap();
             reread(1..3, log);
-            assert_eq!(cache.pin_pages(&ssd, log, 0..3).unwrap(), 3);
+            cache.claim_file(log);
+            assert!(cache.snapshot().pinned_pages > 0, "the claim took no frame over");
             assert_queues_consistent(&cache);
             reread(0..4, log);
-            assert_eq!(cache.pinned_pages(), 3);
+            assert_eq!(cache.snapshot().pinned_pages, 4);
             if round % 2 == 0 {
                 ssd.truncate(log).unwrap();
             } else {
                 let written = ssd.stats().snapshot().pages_written;
-                assert_eq!(cache.unpin_file(log), 3);
+                assert_eq!(cache.unclaim_file(log), 4);
                 assert_eq!(ssd.stats().snapshot().pages_written, written, "an unpin wrote");
                 reread(0..ssd.num_pages(log).unwrap(), log);
                 ssd.truncate(log).unwrap();
             }
             assert_queues_consistent(&cache);
-            assert_eq!(cache.pinned_pages(), 0);
+            assert_eq!(cache.snapshot().pinned_pages, 0);
         }
     }
 
     /// The 2Q victim order, pinned to a digest: a seeded mix of batched
-    /// reads (duplicate pages included), pins, unpins, overwrites and
+    /// reads (duplicate pages included), claims, unpins, overwrites and
     /// truncates on a 16-frame cache, folding `evictions` and the sorted
     /// resident keys in after every operation. Any change to which frame a
     /// queue gives up moves the digest.
@@ -1188,12 +1158,9 @@ mod tests {
                     let reqs: Vec<_> = (0..1 + next(6)).map(|_| (f, page(&mut next), 8)).collect();
                     ssd.read_batch(&reqs).unwrap();
                 }
-                14 | 15 => {
-                    let lo = page(&mut next);
-                    cache.pin_pages(&ssd, f, lo..(lo + 2).min(24)).unwrap();
-                }
+                14 | 15 => cache.claim_file(f),
                 16 => {
-                    cache.unpin_file(f);
+                    cache.unclaim_file(f);
                 }
                 17 | 18 => ssd.write_page(f, page(&mut next), &[0xEE; 8]).unwrap(),
                 _ => {
@@ -1214,6 +1181,6 @@ mod tests {
         }
         let evictions = cache.snapshot().evictions;
         assert!(evictions > 500 && am_peak > 4, "the mix must churn both queues");
-        assert_eq!(digest, 0x9b9e_d95c_be65_b958, "{evictions} evictions");
+        assert_eq!(digest, 0x2d3f_bd95_f57d_4317, "{evictions} evictions");
     }
 }

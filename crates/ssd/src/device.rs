@@ -509,7 +509,8 @@ impl Ssd {
     }
 
     /// Read a batch of pages dispatched together: `(file, page, useful)`.
-    /// The whole batch is charged as one parallel dispatch across channels.
+    /// The pages the device read, over every pass through the cache, are
+    /// charged as one parallel dispatch across channels.
     ///
     /// When a [`PageCache`] is attached the batch is served through it:
     /// resident pages are hits (charged nothing), concurrent fetches of the
@@ -522,18 +523,8 @@ impl Ssd {
     /// the page size fails it with [`DeviceError::PayloadTooLarge`] before
     /// any page is lent or charged.
     pub fn read_batch(&self, reqs: &[(FileId, u64, usize)]) -> Result<Vec<Page>, DeviceError> {
-        self.read_dispatch(reqs, self.cache().as_deref())
-    }
-
-    /// [`Self::read`] as one synchronous call: the pages the device read,
-    /// over every pass through `cache`, are charged as one dispatch.
-    pub(crate) fn read_dispatch(
-        &self,
-        reqs: &[(FileId, u64, usize)],
-        cache: Option<&PageCache>,
-    ) -> Result<Vec<Page>, DeviceError> {
         let mut read = Vec::new();
-        let pages = self.read(reqs, cache, &mut read);
+        let pages = self.read(reqs, self.cache().as_deref(), &mut read);
         self.charge_wait(dispatch_ns(self.config().channels, &mut read, READ_NS), false);
         pages
     }

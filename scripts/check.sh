@@ -240,7 +240,9 @@ echo "== serve smoke (mlvc serve) =="
 # pinned tier on: a run, a mutate, a second run, a run naming an unknown
 # dataset, shutdown. Replies interleave across threads, so they are
 # compared sorted; the Prometheus rollup must be the same bytes at 1 and
-# 2 threads.
+# 2 threads, and must count a pinned hit: registration claims the extents
+# and the jobs' reads fill them, so a claim that never filled would turn
+# serving pins off unseen.
 cat >"$smoke_dir/requests.jsonl" <<'EOF'
 {"op":"run","id":"before","app":"bfs","dataset":"g","memory_kb":1024,"steps":8}
 {"op":"mutate","id":"m1","dataset":"g","add":[[0,512],[512,0]],"remove":[[0,1]]}
@@ -258,6 +260,10 @@ cmp "$smoke_dir/serve.1.prom" "$smoke_dir/serve.2.prom"
 grep -c '"event":"done"' "$smoke_dir/serve.1" | grep -qx 2
 grep -q '"event":"mutated","id":"m1"' "$smoke_dir/serve.1"
 grep -q '"id":"lost","code":"unknown-dataset"' "$smoke_dir/serve.1"
+if ! grep -q '^mlvc_serve_cache_pinned_hits_total [1-9]' "$smoke_dir/serve.1.prom"; then
+  echo "mlvc serve --pin-budget-kb 512: no pinned hit in the rollup"
+  exit 1
+fi
 
 echo "== owner rows on the benchmark's job shape (examples/owner_rows) =="
 # The job shape every host-clock issue quotes — cf_mini(17, 42), 4 MiB,

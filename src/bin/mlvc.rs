@@ -114,8 +114,10 @@ them: each job's engine gets max(1, threads / N), so N jobs keep about
 as many threads runnable as the machine has, and a job whose share is
 one thread spawns none; MLVC_THREADS, when set, is each job's count
 instead. --pin-budget-kb carves DRAM from the admission
-budget to hold dataset CSR extents pinned in the cache (DESIGN.md
-§18). --metrics FILE writes the daemon-wide Prometheus rollup (per-job
+budget for dataset CSR extents claimed for the cache's pinned tier
+(DESIGN.md §18): registration reads nothing, and the first job to read
+a claimed page fills it pinned; a job may ask for at most the budget
+less the carve. --metrics FILE writes the daemon-wide Prometheus rollup (per-job
 labeled series) on shutdown.";
 
 /// Minimal flag parser: `--key value` pairs plus positionals.
