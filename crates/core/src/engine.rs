@@ -839,15 +839,15 @@ impl<'d, 'a> Superstep<'d, 'a> {
             return Ok(previous);
         }
         ioq.drain_writes();
-        let mut extra = self.d.multilog.take_log_current(i)?;
-        if extra.is_empty() {
+        let plan = self.d.multilog.plan_current(i)?;
+        let extra = plan.decode(&self.d.ssd.read_batch(&plan.reqs)?)?;
+        self.d.multilog.consume(&plan, &extra)?;
+        if extra.updates.is_empty() {
             return Ok(previous);
         }
-        self.st.messages_processed += extra.len() as u64;
-        // `extra` is in log order: a stable sort of the small run plus a
-        // two-run merge is a stable sort of the whole inbox.
-        extra.sort_by_key(|u| u.dest);
-        Ok(Inbox::Merged(merge_by_dest(previous.updates(), &extra, self.d.prog.combine())))
+        self.st.messages_processed += extra.records;
+        // Both runs are stable by destination: merged, they are the inbox.
+        Ok(Inbox::Merged(merge_by_dest(previous.updates(), &extra.updates, self.d.prog.combine())))
     }
 
     /// Read adjacency for the interval's active vertices through `reads`,
@@ -1722,9 +1722,9 @@ mod tests {
     /// The asynchronous counterpart: every message is delivered exactly once
     /// — in the superstep that sent it when its interval is still to come,
     /// in the next one otherwise — while read-side batches are in flight
-    /// (and, with a second thread, decoded by look-ahead workers) and
-    /// `take_log_current` reads and truncates write-side pages the same
-    /// superstep flushed under memory pressure.
+    /// (and, with a second thread, decoded by look-ahead workers) and the
+    /// inbox's plan of the write side (`MultiLog::plan_current`) reads and
+    /// truncates pages the same superstep flushed under memory pressure.
     #[test]
     fn async_delivery_is_exactly_once_under_memory_pressure_with_reads_in_flight() {
         /// Every vertex sends 1 over all its edges in supersteps 1–3 and

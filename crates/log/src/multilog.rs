@@ -86,7 +86,9 @@ pub struct MultiLogStats {
 /// channels, or holds them under the log-tail retention budget (DESIGN.md
 /// §18). At the superstep boundary the sides flip: the write side's
 /// buffered pages are the next superstep's read side in host memory
-/// (*carried* pages, DESIGN.md §10), within the same buffer budget.
+/// (*carried* pages, DESIGN.md §10), within the same buffer budget. Either
+/// side drains one way, plan → decode → consume: the read side in fused
+/// batches, the write side interval by interval in the asynchronous model.
 ///
 /// The unit also maintains:
 /// * per-interval message counters — "a first-order approximation of the
@@ -162,9 +164,10 @@ pub struct MultiLog {
 
 /// The page reads that drain a fused interval range, the pages the range
 /// holds in host memory, and what their decode needs — the read half of
-/// the sort & group unit. [`MultiLog::plan_reads`]
-/// builds it on the owning engine thread (so the submission order is
-/// deterministic); the pages are fetched through an [`mlvc_ssd::IoQueue`]
+/// the sort & group unit. [`MultiLog::plan_reads`] builds it over the read
+/// side, and [`MultiLog::plan_current`] over one interval's write side for
+/// the asynchronous model, on the owning engine thread (so the submission
+/// order is deterministic); the pages are fetched through an [`mlvc_ssd::IoQueue`]
 /// or a plain `read_batch`, decoded by [`Self::decode`] on whichever thread
 /// holds them, and the logs consumed by [`MultiLog::consume`] back on the
 /// owner.
@@ -462,7 +465,33 @@ impl MultiLog {
     /// at [`Self::finish_superstep`], so a plan is only good for the
     /// superstep it was made in.
     pub fn plan_reads(&mut self, range: std::ops::Range<IntervalId>) -> BatchPlan {
-        let side = 1 - self.write_side;
+        self.plan(range, 1 - self.write_side, self.combine)
+    }
+
+    /// Asynchronous-model drain (paper §V-F: "the latest updates from the
+    /// source vertices will be delivered to the target vertices, either
+    /// from the current superstep or the previous one"): plan interval
+    /// `i`'s write-side log — every update logged for it during the current
+    /// superstep, its top records sealed onto it first — for read, decode
+    /// and consume like [`Self::plan_reads`]'s. The decode keeps every
+    /// record (no `combine`), stable by destination, so a caller's merge
+    /// folds each destination's records in log order. Its pending count is
+    /// zeroed: the drained updates are not scheduled for the next
+    /// superstep again.
+    pub fn plan_current(&mut self, i: IntervalId) -> Result<BatchPlan, DeviceError> {
+        self.seal_tops(idx(i))?;
+        self.counts[idx(i)] = 0;
+        Ok(self.plan(i..i + 1, self.write_side, None))
+    }
+
+    /// Take the logs of `range` on `side` into a plan decoding with
+    /// `combine`: its device pages' requests, interval-major.
+    fn plan(
+        &mut self,
+        range: std::ops::Range<IntervalId>,
+        side: usize,
+        combine: Option<fn(u64, u64) -> u64>,
+    ) -> BatchPlan {
         let mut reqs = Vec::new();
         let mut intervals = Vec::with_capacity(range.len());
         for i in range.clone() {
@@ -470,14 +499,14 @@ impl MultiLog {
             reqs.extend((0..to_u64(log.device_pages())).map(|p| (log.file, p, 0usize)));
             intervals.push((log, self.intervals.range(i)));
         }
-        BatchPlan { range, reqs, intervals, combine: self.combine }
+        BatchPlan { range, reqs, intervals, combine }
     }
 
-    /// Consume the read-side logs `batch` was decoded from: the truncate of
-    /// every drained file the device holds pages of (and with it cache
-    /// invalidation and FTL trims), the held bytes back in the retention
-    /// budget, the useful-byte declaration — of the bytes read from the
-    /// device or held, not carried — and the `updates_read` count.
+    /// Consume the logs `batch` was decoded from, of either side: the
+    /// truncate of every drained file the device holds pages of (and with
+    /// it cache invalidation and FTL trims), the held bytes back in the
+    /// retention budget, the useful-byte declaration — of the bytes read
+    /// from the device or held, not buffered — and the `updates_read` count.
     /// Everything here moves device, cache or unit state, so it runs where
     /// the unit lives — on the engine's owner thread, in plan order, where
     /// the batch's ticket is retired — which keeps every counter identical
@@ -602,48 +631,42 @@ impl MultiLog {
         self.buffered + self.top_records.iter().map(|r| r.div_ceil(self.page_cap)).sum::<usize>()
     }
 
-    /// Seal and decode interval `ii`'s top buffers in bucket order onto
-    /// `out`, leaving them empty (capacity kept).
-    fn drain_tops(&mut self, ii: usize, out: &mut Vec<Update>) -> Result<(), DeviceError> {
-        let span = self.intervals.range(interval_id(ii));
-        for top in &mut self.tops[self.bucket_base[ii]..self.bucket_base[ii + 1]] {
-            seal_page(top);
-            decode_log_page(top, &span, out)?;
-            top.clear();
-        }
-        self.top_records[ii] = 0;
-        Ok(())
+    /// Seal every buffered top record onto its write-side log, interval by
+    /// interval ([`Self::seal_tops`]).
+    fn seal_all_tops(&mut self) -> Result<(), DeviceError> {
+        (0..self.logs.len()).try_for_each(|ii| self.seal_tops(ii))
     }
 
-    /// Seal every buffered top record onto its write-side log, interval by
-    /// interval. An interval with a single partial top seals it as is.
-    /// Otherwise its partial buckets are packed — in bucket order, so
-    /// records stay destination-clustered — into full pages
-    /// before a final partial one: offsets are re-based on each packed
-    /// page's own smallest destination, and a page whose destinations span
-    /// more than the narrow form addresses falls back to absolute ones.
-    fn seal_all_tops(&mut self) -> Result<(), DeviceError> {
-        let page_size = self.ssd.page_size();
-        for ii in 0..self.logs.len() {
-            if self.top_records[ii] == 0 {
-                continue;
-            }
-            let slots = self.bucket_base[ii]..self.bucket_base[ii + 1];
-            let mut live = slots.filter(|&s| !self.tops[s].is_empty());
-            if let (Some(s), None) = (live.next(), live.next()) {
-                let mut page = std::mem::take(&mut self.tops[s]);
-                seal_page(&mut page);
-                self.logs[ii][self.write_side].push(page);
-                self.buffered += 1;
-                self.top_records[ii] = 0;
-                continue;
-            }
-            let mut pending = Vec::with_capacity(self.top_records[ii]);
-            self.drain_tops(ii, &mut pending)?;
-            let packed = pack_pages(&pending, page_size, self.shape.has_src, true);
-            self.buffered += packed.len();
-            self.logs[ii][self.write_side].pages.extend(packed.into_iter().map(Source::Buffered));
+    /// Seal interval `ii`'s top records onto its write-side log. A single
+    /// partial top seals as is. Otherwise the partial buckets are packed —
+    /// in bucket order, so records stay destination-clustered — into full
+    /// pages before a final partial one: offsets are re-based on each
+    /// packed page's own smallest destination, and a page whose
+    /// destinations span more than the narrow form addresses falls back to
+    /// absolute ones.
+    fn seal_tops(&mut self, ii: usize) -> Result<(), DeviceError> {
+        if self.top_records[ii] == 0 {
+            return Ok(());
         }
+        let slots = self.bucket_base[ii]..self.bucket_base[ii + 1];
+        let mut live = slots.clone().filter(|&s| !self.tops[s].is_empty());
+        let pages = if let (Some(s), None) = (live.next(), live.next()) {
+            let mut page = std::mem::take(&mut self.tops[s]);
+            seal_page(&mut page);
+            vec![page]
+        } else {
+            let span = self.intervals.range(interval_id(ii));
+            let mut pending = Vec::with_capacity(self.top_records[ii]);
+            for top in &mut self.tops[slots] {
+                seal_page(top);
+                decode_log_page(top, &span, &mut pending)?;
+                top.clear();
+            }
+            pack_pages(&pending, self.ssd.page_size(), self.shape.has_src, true)
+        };
+        self.top_records[ii] = 0;
+        self.buffered += pages.len();
+        self.logs[ii][self.write_side].pages.extend(pages.into_iter().map(Source::Buffered));
         Ok(())
     }
 
@@ -744,10 +767,11 @@ impl MultiLog {
     }
 
     /// Inverse of [`Self::snapshot_pending`]: make the checkpointed log
-    /// pages the read side's logs — held while the armed budget covers
-    /// them, written to the device otherwise, one dispatch per interval:
-    /// carried ones too, as the snapshot does not say which were — and
-    /// return the per-interval pending record counts (what
+    /// pages the read side's logs — settled like an eviction's
+    /// (`flush_buffered`): held while the armed budget covers them,
+    /// written to the device otherwise, all in one dispatch, carried ones
+    /// too, as the snapshot does not say which were — and return the
+    /// per-interval pending record counts (what
     /// [`Self::finish_superstep`] returned when the snapshot was taken).
     /// The read side's logs are dropped first. Every page goes through the
     /// decoder first, so a snapshot whose pages are not this format's (or
@@ -776,42 +800,15 @@ impl MultiLog {
             }
             *count = to_u64(decoded.len());
         }
-        let page_bytes = to_u64(self.ssd.page_size());
+        debug_assert!(self.logs.iter().all(|l| l[self.write_side].pages.is_empty()), "restore over a write side");
         for (ii, pages) in snapshot.iter().enumerate() {
             self.take_log(ii, side).discard(&self.ssd, &mut self.retention)?;
-            let log = &mut self.logs[ii][side];
-            log.pages = pages.iter().map(|p| Source::Buffered(p.to_vec())).collect();
-            let mut out = Vec::new();
-            self.stats.pages_retained += to_u64(log.settle(page_bytes, &mut self.retention, &mut out).held);
-            write(&Writes::Device(&self.ssd), &out)?;
+            self.logs[ii][side].pages = pages.iter().map(|p| Source::Buffered(p.to_vec())).collect();
+            self.buffered += pages.len();
         }
+        let ssd = Arc::clone(&self.ssd);
+        self.flush_buffered(&Writes::Device(&ssd))?;
         Ok(counts)
-    }
-
-    /// Asynchronous-model drain (paper §V-F: "the latest updates from the
-    /// source vertices will be delivered to the target vertices, either
-    /// from the current superstep or the previous one"): consume every
-    /// update logged for interval `i` *during the current superstep* — its
-    /// write-side log, whose pages are on the device, held or still
-    /// buffered, then the top pages — in log order. Pending counters are
-    /// rolled back so the consumed updates are not double-scheduled for the
-    /// next superstep.
-    pub fn take_log_current(&mut self, i: IntervalId) -> Result<Vec<Update>, DeviceError> {
-        let (ii, side) = (idx(i), self.write_side);
-        let span = self.intervals.range(i);
-        let log = self.take_log(ii, side);
-        let device = if log.device_pages() > 0 { self.ssd.read_all(log.file, |_| 0)? } else { Vec::new() };
-        let (mut out, mut useful, mut device) = (Vec::new(), 0u64, device.iter());
-        for (page, counts) in log.pages.iter().filter_map(|s| s.bytes(&mut device)) {
-            let bytes = to_u64(decode_log_page(page, &span, &mut out)?);
-            useful += if counts { bytes } else { 0 };
-        }
-        self.ssd.declare_useful(useful);
-        log.discard(&self.ssd, &mut self.retention)?;
-        self.drain_tops(ii, &mut out)?;
-        self.counts[ii] -= to_u64(out.len());
-        self.stats.updates_read += to_u64(out.len());
-        Ok(out)
     }
 }
 
@@ -863,6 +860,16 @@ pub(crate) mod tests {
     /// Consume interval `i`'s read side.
     fn drain(ml: &mut MultiLog, i: IntervalId) -> Result<Vec<Update>, DeviceError> {
         Ok(drain_range(ml, i..i + 1)?.updates)
+    }
+
+    /// Consume interval `i`'s write side the way the engine's asynchronous
+    /// inbox does: plan, read, decode, consume.
+    fn drain_current(ml: &mut MultiLog, i: IntervalId) -> Result<Vec<Update>, DeviceError> {
+        let plan = ml.plan_current(i)?;
+        let pages = ml.ssd.read_batch(&plan.reqs)?;
+        let batch = plan.decode(&pages)?;
+        ml.consume(&plan, &batch)?;
+        Ok(batch.updates)
     }
 
     /// What a drain must return for `sent`: stable by destination.
@@ -961,7 +968,7 @@ pub(crate) mod tests {
     /// A plan resolves the read side when it is made: plans of two
     /// consecutive supersteps each drain their own superstep's messages,
     /// exactly once, however much the superstep they run in has flushed to
-    /// its write side — and `consume` and `take_log_current` count into one
+    /// its write side — and the drains of both sides count into one
     /// `updates_read`.
     #[test]
     fn plans_of_consecutive_supersteps_drain_their_own_messages_once() {
@@ -980,7 +987,7 @@ pub(crate) mod tests {
         }
         ml.send(Update::new(40, 9, 9)).unwrap();
         assert!(ml.stats().pages_flushed > 0, "the write side was flushed to");
-        assert_eq!(ml.take_log_current(1).unwrap(), vec![Update::new(40, 9, 9)]);
+        assert_eq!(drain_current(&mut ml, 1).unwrap(), vec![Update::new(40, 9, 9)]);
         assert_eq!(drain_range(&mut ml, 0..4).unwrap().updates, sorted(first));
         assert!(drain_range(&mut ml, 0..4).unwrap().updates.is_empty(), "drained once");
         ml.finish_superstep().unwrap();
@@ -1028,7 +1035,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn take_log_current_drains_this_superstep_only() {
+    fn the_asynchronous_drain_takes_this_superstep_only() {
         let mut ml = setup(4 * 256);
         // Previous superstep's messages for interval 0.
         ml.send(Update::new(1, 0, 11)).unwrap();
@@ -1040,12 +1047,12 @@ pub(crate) mod tests {
             ml.send(u).unwrap();
         }
         // Async drain returns exactly the current superstep's messages,
-        // per-destination order kept, without touching the read side.
-        let got = ml.take_log_current(0).unwrap();
-        assert_eq!(sorted(got), sorted(current));
+        // stable by destination, without touching the read side.
+        let got = drain_current(&mut ml, 0).unwrap();
+        assert_eq!(got, sorted(current));
         assert_eq!(drain(&mut ml, 0).unwrap(), vec![Update::new(1, 0, 11)], "read side intact");
         // Nothing left on either side for interval 0.
-        assert!(ml.take_log_current(0).unwrap().is_empty());
+        assert!(drain_current(&mut ml, 0).unwrap().is_empty());
         assert_eq!(ml.finish_superstep().unwrap()[0], 0, "counter rolled back");
         assert!(drain(&mut ml, 0).unwrap().is_empty());
     }
@@ -1178,9 +1185,10 @@ pub(crate) mod tests {
     }
 
     /// Retention re-armed between two flushes leaves a log whose pages are
-    /// held, written, held, written: it drains in log order through
-    /// `take_log_current` and through plan → decode → consume, and it
-    /// round-trips through `snapshot_pending` → `restore_pending`.
+    /// held, written, held, written: it drains in log order through both
+    /// sides' plans (`plan_current` on the write side, `plan_reads` on the
+    /// read side), and it round-trips through `snapshot_pending` →
+    /// `restore_pending`.
     #[test]
     fn a_held_written_held_log_drains_and_round_trips_in_log_order() {
         let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
@@ -1209,7 +1217,7 @@ pub(crate) mod tests {
 
         fill(&mut ml);
         held_between_written(&ml, ml.write_side);
-        assert_eq!(sorted(ml.take_log_current(0).unwrap()), sorted(sent.clone()));
+        assert_eq!(drain_current(&mut ml, 0).unwrap(), sorted(sent.clone()));
         assert_eq!(ml.retained_bytes(), 0);
 
         fill(&mut ml);
@@ -1246,8 +1254,8 @@ pub(crate) mod tests {
         assert!(matches!(ml.logs[1][w].pages[..], [Source::Device]), "interval 1's page is written");
         assert_eq!(ssd.num_pages(ml.logs[0][w].file).unwrap(), 0);
         assert_eq!(ssd.num_pages(ml.logs[1][w].file).unwrap(), 1);
-        assert_eq!(ml.take_log_current(0).unwrap(), sent(0));
-        assert_eq!(ml.take_log_current(1).unwrap(), sent(25));
+        assert_eq!(drain_current(&mut ml, 0).unwrap(), sent(0));
+        assert_eq!(drain_current(&mut ml, 1).unwrap(), sent(25));
         assert_eq!(ml.retained_bytes(), 0);
     }
 
@@ -1580,7 +1588,26 @@ pub(crate) mod tests {
         }
         assert!(ssd.num_pages(ssd.lookup("t.mlog.1.a").unwrap()).unwrap() > 0);
         corrupt(&ssd, "t.mlog.1.a");
-        assert_corrupt(ml.take_log_current(1), "take_log_current");
+        assert_corrupt(drain_current(&mut ml, 1), "plan_current");
+    }
+
+    /// A restore settles the snapshot like an eviction: the pages of every
+    /// interval that the budget does not hold go out in one dispatch.
+    #[test]
+    fn a_restore_writes_every_interval_in_one_dispatch() {
+        let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
+        let mut ml = setup_on(Arc::clone(&ssd), 1 << 20, true);
+        let sent: Vec<Update> = (0..300u32).map(|k| Update::new((k * 7) % 100, k, u64::from(k))).collect();
+        sent.iter().for_each(|&u| ml.send(u).unwrap());
+        ml.finish_superstep().unwrap();
+        let snapshot = ml.snapshot_pending().unwrap();
+        assert!(snapshot.iter().all(|pages| !pages.is_empty()), "every interval restores a page");
+        ssd.stats().reset();
+        assert_eq!(ml.restore_pending(&snapshot).unwrap().iter().sum::<u64>(), 300);
+        let s = ssd.stats().snapshot();
+        assert_eq!(s.pages_written, to_u64(snapshot.iter().map(Vec::len).sum::<usize>()));
+        assert_eq!(s.write_batches, 1, "one dispatch");
+        assert_eq!(drain_range(&mut ml, 0..4).unwrap().updates, sorted(sent));
     }
 
     /// A snapshot of a differently partitioned run is refused with a typed

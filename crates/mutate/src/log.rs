@@ -5,7 +5,7 @@
 //! in memory as multi-log records — `dest = dst`, `src = src`, `data =
 //! opcode`, laid out by the shared page codec (`mlvc_log::page`) with the
 //! source kept — spilling whole interval buffers to `<tag>.mut.<i>` extents under memory
-//! pressure with multi-log-style eviction accounting.
+//! pressure with multi-log-style eviction accounting; a merge reads the rest in place.
 //!
 //! The merge follows the PR-2 data-before-manifest protocol (DESIGN.md
 //! §11, §17): new interval extents are written to shadow files first, then
@@ -55,7 +55,7 @@ pub struct MutationStats {
     pub ingested: u64,
     /// Requests dropped by last-op-wins deduplication within their batch.
     pub deduped: u64,
-    /// Log pages flushed to the device (eviction + merge-time flushes).
+    /// Log pages flushed to the device (evictions and [`MutationLog::flush`]).
     pub log_pages_flushed: u64,
     /// Memory-pressure evictions (a whole interval buffer spilled).
     pub evictions: u64,
@@ -257,9 +257,9 @@ impl MutationLog {
         Ok(IngestStats { accepted, deduped: dropped, pages_flushed })
     }
 
-    /// Spill every buffered record to the device logs (no merge). Used
-    /// before handing the device to another process and by `merge`'s
-    /// stage 0. Returns the page count written.
+    /// Spill every buffered record to the device logs (no merge), for
+    /// handing the device to another process: a merge reads its buffered
+    /// records in place. Returns the page count written.
     pub fn flush(&mut self) -> Result<u64, MutationError> {
         let mut pages = 0u64;
         for i in 0..self.buffers.len() {
@@ -289,21 +289,16 @@ impl MutationLog {
     /// the data-before-manifest protocol. Returns the effective delta.
     pub fn merge(&mut self, graph: &StoredGraph) -> Result<MergeOutcome, MutationError> {
         self.check_target(graph)?;
-        // Stage 0: make the whole batch readable from the device logs.
-        self.flush()?;
         if self.pending() == 0 {
             return Ok(MergeOutcome::default());
         }
-        // Stage 1: drain and decode each interval's log (device order is
-        // ingest order, so last-op-wins over the log reproduces the
-        // client's intent).
+        // Stage 1: each interval's records in ingest order — its spilled
+        // pages read back and decoded, then its buffer read in place — so
+        // last-op-wins over them reproduces the client's intent.
         let per_interval = self.drain_logs()?;
         let (delta, rewritten) = self.install(graph, &per_interval)?;
         // Stage 6: retire the consumed logs and seal.
-        for &f in &self.log_files {
-            self.ssd.truncate(f)?;
-        }
-        self.device_records.fill(0);
+        self.retire()?;
         self.seal(graph, delta, rewritten)
     }
 
@@ -356,21 +351,20 @@ impl MutationLog {
         Ok(())
     }
 
-    /// Read back and decode every interval's device log, in ingest order.
+    /// Every interval's pending records in ingest order: its spilled pages
+    /// decoded, then its buffer (a spill takes a whole buffer).
     fn drain_logs(&self) -> Result<Vec<Vec<EdgeMutation>>, MutationError> {
         let page_size = self.ssd.page_size();
         let num_vertices = to_u32("vertex count", self.intervals.num_vertices())?;
         let mut per_interval: Vec<Vec<EdgeMutation>> = Vec::with_capacity(self.log_files.len());
         for (k, &f) in self.log_files.iter().enumerate() {
-            if self.device_records[k] == 0 {
-                per_interval.push(Vec::new());
-                continue;
-            }
-            let pages = self.ssd.read_all(f, |_| page_size)?;
             let mut records = Vec::new();
-            for page in &pages {
-                decode_log_page(page, &(0..num_vertices), &mut records)?;
+            if self.device_records[k] > 0 {
+                for page in &self.ssd.read_all(f, |_| page_size)? {
+                    decode_log_page(page, &(0..num_vertices), &mut records)?;
+                }
             }
+            records.extend_from_slice(&self.buffers[k]);
             let mut muts = Vec::with_capacity(records.len());
             for u in records {
                 let op = match u.data {
@@ -540,19 +534,23 @@ impl MutationLog {
             }
             _ => false,
         };
-        for &f in &self.log_files {
-            self.ssd.truncate(f)?;
-        }
-        self.device_records.fill(0);
-        for b in &mut self.buffers {
-            b.clear();
-        }
-        self.buffered = 0;
+        self.retire()?;
         if reinstalled {
             // Seal, so a second recovery does not replay the install.
             self.write_manifest(graph.num_edges(), &[])?;
         }
         Ok(reinstalled)
+    }
+
+    /// Drop every pending record, spilled or buffered.
+    fn retire(&mut self) -> Result<(), MutationError> {
+        for &f in &self.log_files {
+            self.ssd.truncate(f)?;
+        }
+        self.device_records.fill(0);
+        self.buffers.iter_mut().for_each(Vec::clear);
+        self.buffered = 0;
+        Ok(())
     }
 
     /// Encode a manifest body and commit it into the slot not holding the
@@ -631,6 +629,23 @@ mod tests {
         assert_eq!(again.stats.intervals_merged, 0);
         let replayed = sg.to_csr().unwrap();
         assert_eq!(replayed.col_idx(), golden.col_idx());
+    }
+
+    /// A batch that fits the buffer merges from host memory: no log page
+    /// is written, before the merge or during it.
+    #[test]
+    fn a_buffered_batch_merges_without_writing_a_log_page() {
+        let (ssd, sg) = setup(7);
+        let base = sg.to_csr().unwrap();
+        let batch = vec![EdgeMutation::add(2, 90), EdgeMutation::add(90, 2), EdgeMutation::remove(2, 90)];
+        let (golden, _) = apply_to_csr(&base, &batch).unwrap();
+        let mut log = log_for(&sg);
+        let on_logs = |log: &MutationLog| log.log_files.iter().map(|&f| ssd.num_pages(f).unwrap()).sum::<u64>();
+        log.ingest(&batch).unwrap();
+        assert_eq!(on_logs(&log), 0);
+        log.merge(&sg).unwrap();
+        assert_eq!((log.stats().log_pages_flushed, on_logs(&log), log.pending()), (0, 0, 0));
+        assert_eq!(sg.to_csr().unwrap(), golden);
     }
 
     #[test]

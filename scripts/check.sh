@@ -92,10 +92,11 @@ echo "== stage-table smoke (mlvc run) =="
 # `--ssd-dir`, whose result
 # lines and superstep table must be the in-memory leg's (the backend
 # decides where pages live, never which are read or written). A third
-# tiered leg, `--async --metrics`, is the one run in which
-# `take_log_current` drains write-side logs that mix held, written and
-# buffered pages: its trace must show evictions, carried and held pages
-# too, and its bytes must match across thread counts. `bfs --memory-kb 256
+# tiered leg, `--async --metrics`, is the one run in which the
+# asynchronous drain (`MultiLog::plan_current`) plans write-side logs that
+# mix held, written and buffered pages: its trace must show evictions,
+# carried and held pages too, and its bytes must match across thread
+# counts. `bfs --memory-kb 256
 # --metrics` is the one leg that writes edge-log pages (a 256 KiB budget
 # leaves the edge log less than a page of buffer): its trace must show a
 # superstep that wrote one and one that served a vertex from the edge log.
@@ -212,13 +213,23 @@ fi
 
 echo "== ingest smoke (mlvc ingest) =="
 # The CLI's mutation path end to end (DESIGN.md §17): apply an edge batch
-# from a file to a saved graph, incrementally re-converge WCC on the
-# mutated store, and save the mutated graph.
+# from a file to a saved graph and save the mutated graph, once merged
+# alone and once merged by WCC's incremental re-convergence on the mutated
+# store. Both merges read the buffered batch in place, so the two saved
+# graphs must be the same bytes, and not the input's.
 cargo run -q --release --bin mlvc -- \
   gen --kind rmat-social --scale 10 --out "$smoke_dir/mut.csr" >/dev/null
 printf 'add 0 512\nadd 512 0\nremove 0 1\n' >"$smoke_dir/batch.txt"
-cargo run -q --release --bin mlvc -- ingest --graph "$smoke_dir/mut.csr" \
-  --batch "$smoke_dir/batch.txt" --app wcc --out "$smoke_dir/mut-after.csr" >/dev/null
+for app in "" "--app wcc"; do
+  # shellcheck disable=SC2086 # $app is empty or a flag and its value
+  cargo run -q --release --bin mlvc -- ingest --graph "$smoke_dir/mut.csr" \
+    --batch "$smoke_dir/batch.txt" $app --out "$smoke_dir/mut-after${app:+.wcc}.csr" >/dev/null
+done
+cmp "$smoke_dir/mut-after.csr" "$smoke_dir/mut-after.wcc.csr"
+if cmp -s "$smoke_dir/mut.csr" "$smoke_dir/mut-after.csr"; then
+  echo "mlvc ingest: the saved graph is the input graph" >&2
+  exit 1
+fi
 
 echo "== weighted smoke (mlvc run --app sssp) =="
 # The one CLI leg that reads `val` pages, which the loader requests on a

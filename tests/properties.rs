@@ -650,8 +650,14 @@ fn par_sorts_thread_count_invariant() {
 /// are drained, so an eviction meets carried pages of intervals not yet
 /// planned and logs mix held, written and carried pages; one superstep
 /// boundary round-trips the read side through `snapshot_pending` →
-/// `restore_pending`. Each superstep drains exactly what the one before it
-/// sent, and once every log is consumed nothing is held.
+/// `restore_pending`. Between sends the asynchronous drain
+/// (`plan_current`) also takes single intervals' write sides at random —
+/// written, held and buffered pages plus partial tops — and must return
+/// what the interval was sent since its last such drain, stable by
+/// destination; what it took is neither counted by `finish_superstep` nor
+/// drained again. Each superstep drains exactly what the one before it
+/// sent and no asynchronous drain took, and once every log is consumed
+/// nothing is held.
 #[test]
 fn folded_log_drain_matches_stable_sort_oracle() {
     use multilogvc::log::{MultiLog, MultiLogConfig, Update};
@@ -659,15 +665,19 @@ fn folded_log_drain_matches_stable_sort_oracle() {
 
     /// One superstep's inputs: the stream, split into chunks each sent via
     /// `send` or `send_batch` and each preceded by an optional re-arming
-    /// (in pages); the fused ranges that drain the previous superstep, each
+    /// (in pages); the fused ranges that drain the previous superstep, and
+    /// the intervals whose write side the asynchronous drain takes, each
     /// with the chunk it is drained before.
     struct Step {
         ups: Vec<Update>,
         chunks: Vec<(usize, bool, Option<u64>)>,
         ranges: Vec<(std::ops::Range<u32>, usize)>,
+        current: Vec<(u32, usize)>,
     }
 
     let mut rng = SeededRng::seed_from_u64(111);
+    // The asynchronous drains draw from their own stream.
+    let mut async_rng = SeededRng::seed_from_u64(112);
     for case in 0..CASES {
         let n = rng.gen_range(2usize..120);
         let k = rng.gen_range(1usize..6);
@@ -700,7 +710,14 @@ fn folded_log_drain_matches_stable_sort_oracle() {
                 let mut at: Vec<usize> = ranges.iter().map(|r| r.1).collect();
                 at.sort_unstable();
                 ranges.iter_mut().zip(at).for_each(|(r, at)| r.1 = at);
-                Step { ups, chunks, ranges }
+                let mut current: Vec<(u32, usize)> = (0..async_rng.gen_range(0usize..4))
+                    .map(|_| {
+                        let i = async_rng.gen_range(0u32..k as u32);
+                        (i, async_rng.gen_range(0usize..chunks.len() + 1))
+                    })
+                    .collect();
+                current.sort_by_key(|c| c.1);
+                Step { ups, chunks, ranges, current }
             })
             .collect();
         let restore_after = rng.gen_range(0usize..steps.len());
@@ -720,15 +737,31 @@ fn folded_log_drain_matches_stable_sort_oracle() {
                 ml.consume(&plan, &got).unwrap();
                 got.updates
             };
+            // Interval `i`'s asynchronous drain against what it was sent
+            // since the last one (`sent[i]`, in send order).
+            let drain_current = |ml: &mut MultiLog, i: u32, sent: &mut Vec<Vec<Update>>, ctx: &str| {
+                let plan = ml.plan_current(i).unwrap();
+                let pages = ssd.read_batch(&plan.reqs).unwrap();
+                let got = plan.decode(&pages).unwrap();
+                ml.consume(&plan, &got).unwrap();
+                let mut want = std::mem::take(&mut sent[i as usize]);
+                want.sort_by_key(|u| u.dest);
+                assert_eq!(got.updates, want, "{ctx}: asynchronous drain of interval {i}");
+            };
             let mut want: Vec<Update> = Vec::new();
             for (s, step) in steps.iter().enumerate() {
                 let ctx = format!("case {case} superstep {s} threads={threads}");
                 let mut drained = Vec::new();
                 let mut ranges = step.ranges.iter().peekable();
+                let mut current = step.current.iter().peekable();
+                let mut sent = vec![Vec::new(); k];
                 let mut at = 0;
                 for (c, &(len, batched, arm)) in step.chunks.iter().enumerate() {
                     while let Some((range, _)) = ranges.next_if(|r| r.1 <= c) {
                         drained.extend(drain(&mut ml, range.clone()));
+                    }
+                    while let Some(&(i, _)) = current.next_if(|r| r.1 <= c) {
+                        drain_current(&mut ml, i, &mut sent, &ctx);
                     }
                     if let Some(pages) = arm {
                         ml.arm_retention(pages * page);
@@ -748,23 +781,30 @@ fn folded_log_drain_matches_stable_sort_oracle() {
                             ml.send(u).unwrap();
                         }
                     }
+                    for &u in chunk {
+                        sent[iv.interval_of(u.dest) as usize].push(u);
+                    }
                     at += len;
                 }
                 for (range, _) in ranges {
                     drained.extend(drain(&mut ml, range.clone()));
+                }
+                for &(i, _) in current {
+                    drain_current(&mut ml, i, &mut sent, &ctx);
                 }
                 assert_eq!(
                     drained, want,
                     "{ctx}: drain diverges from the stable-sort oracle"
                 );
                 let counts = ml.finish_superstep().unwrap();
-                assert_eq!(counts.iter().sum::<u64>(), step.ups.len() as u64, "{ctx}");
+                let undrained: Vec<u64> = sent.iter().map(|v| v.len() as u64).collect();
+                assert_eq!(counts, undrained, "{ctx}: counts what the asynchronous drain took");
                 if s == restore_after {
                     let snapshot = ml.snapshot_pending().unwrap();
                     ml.arm_retention(restore_budget * page);
                     assert_eq!(ml.restore_pending(&snapshot).unwrap(), counts, "{ctx}");
                 }
-                want.clone_from(&step.ups);
+                want = sent.concat();
                 want.sort_by_key(|u| u.dest);
             }
             let last = drain(&mut ml, 0..k as u32);
