@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use mlvc_core::{Engine, RunReport, TieringConfig, VertexProgram};
 use mlvc_graph::{Csr, VertexId};
-use mlvc_ssd::{FtlConfig, FtlStats, Ssd, SsdConfig};
+use mlvc_ssd::{FtlConfig, FtlStats, PageCache, Ssd, SsdConfig};
 
 use crate::rig::{Rig, Settings};
 use crate::table::{Cell, Section};
@@ -563,7 +563,7 @@ pub fn ablation_checkpoint(s: &Settings) -> Section {
     out
 }
 
-/// The extra DRAM the tiering sweep splits between cache and pins: 512
+/// The extra DRAM the tiering sweep spends as a cache or as pins: 512
 /// device pages, on the order of the default workload's per-superstep read
 /// working set (~530 pages for PageRank). That is the strongest comparison
 /// for the all-cache row: a cache this size could in principle hold nearly
@@ -573,27 +573,28 @@ pub fn ablation_checkpoint(s: &Settings) -> Section {
 const TIERING_BUDGET: usize = 8 << 20;
 
 /// Extension (DESIGN.md §18): adaptive memory tiering. Holds the extra
-/// DRAM budget fixed and sweeps how it is spent — all of it page cache (the
-/// row the reduction is against), half cache and half pin budget (what
-/// `mlvc run --cache-kb --pin-budget-kb` ships), or an eighth cache and the
-/// rest pins. The engine spends a pin budget on the hottest intervals' CSR
-/// extents and, with what the topology ranking leaves, on the tails of
-/// freshly flushed log pages, which the multi-log holds in host memory
-/// instead of writing them, so a pin split also writes fewer pages. Cache
-/// hits and pinned pages are the topology's; held log pages are counted
-/// apart. Every counter is a pure function of the
-/// workload (the engine touches the cache on its owner thread only,
-/// DESIGN.md §12), so the rows repeat exactly at any thread count.
+/// DRAM budget fixed and compares how it is spent — as a 2Q page cache
+/// attached to the device the way the serving daemon attaches its shared
+/// one (the row the reduction is against), or as the engine's one tiering
+/// budget (what `mlvc run --pin-budget-kb` ships). The engine spends that
+/// budget on the hottest intervals' CSR extents and, with what the
+/// topology ranking leaves, on the tails of freshly flushed log pages,
+/// which the multi-log holds in host memory instead of writing them, so
+/// the tiered row also writes fewer pages. Cache hits and pinned pages are
+/// the topology's; held log pages are counted apart. Every counter is a
+/// pure function of the workload (the engine touches the cache on its
+/// owner thread only, DESIGN.md §12), so the rows repeat exactly at any
+/// thread count.
 pub fn tiering(s: &Settings) -> Section {
     let mut out = Section::new(
         "Memory tiering — device reads under a fixed DRAM budget (CF)",
         &format!(
-            "A fixed {} KiB of extra DRAM split between a scan-resistant 2Q page cache and a\n\
-             pin budget the engine spends on hot-interval CSR extents (Hits and Pinned count\n\
-             their pages) and, with what those leave, on log pages the multi-log holds in host\n\
-             memory instead of writing them (Log held; DESIGN.md §18). Reduction is device\n\
-             pages read against the all-cache row of the same app; every split produces\n\
-             bit-identical states.",
+            "A fixed {} KiB of extra DRAM spent as a scan-resistant 2Q page cache on the\n\
+             device, or as the engine's one tiering budget: hot-interval CSR extents, pinned\n\
+             in a one-frame cache (Hits and Pinned count their pages), and, with what those\n\
+             leave, log pages the multi-log holds in host memory instead of writing them (Log\n\
+             held; DESIGN.md §18). Reduction is device pages read against the cache row of the\n\
+             same app; every row produces bit-identical states.",
             TIERING_BUDGET >> 10
         ),
         &[
@@ -611,12 +612,8 @@ pub fn tiering(s: &Settings) -> Section {
         ],
     );
     let d = s.cf();
-    let splits = [
-        ("none", 0, 0),
-        ("cache", TIERING_BUDGET, 0),
-        ("cache+pin", TIERING_BUDGET / 2, TIERING_BUDGET / 2),
-        ("cache+maxpin", TIERING_BUDGET / 8, TIERING_BUDGET - TIERING_BUDGET / 8),
-    ];
+    // (row, 2Q cache bytes, tiering budget bytes)
+    let splits = [("none", 0, 0), ("cache", TIERING_BUDGET, 0), ("tiered", 0, TIERING_BUDGET)];
     let progs: [(&str, Box<dyn VertexProgram>); 2] = [
         ("pagerank", Box::new(mlvc_apps::PageRank::new(0.85, 1e-4))),
         ("wcc", Box::new(mlvc_apps::Wcc)),
@@ -625,9 +622,12 @@ pub fn tiering(s: &Settings) -> Section {
         let mut untiered_states = Vec::new();
         let mut all_cache_reads = 0u64;
         for (split, cache_bytes, pin_budget_bytes) in splits {
-            let tiering = TieringConfig { cache_bytes, pin_budget_bytes };
+            let tiering = TieringConfig { cache_bytes: 0, pin_budget_bytes };
             let rig = Rig { engine: s.engine_config().with_tiering(tiering), ..s.rig(&d.graph) };
             let (ssd, mut e) = rig.mlvc();
+            if cache_bytes > 0 {
+                ssd.attach_cache(Arc::new(PageCache::new(cache_bytes / ssd.page_size())));
+            }
             let held = e.run(prog.as_ref(), s.supersteps).multilog.map_or(0, |m| m.pages_retained);
             let io = ssd.stats().snapshot();
             let pages_read = io.pages_read;

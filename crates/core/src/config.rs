@@ -2,37 +2,27 @@ use std::fmt;
 
 use mlvc_ssd::DeviceError;
 
-/// Adaptive memory-tiering configuration (DESIGN.md §18): a device-level
-/// page cache plus a pin budget shared by a GraphMP-style pinned tier for
-/// topology-hot interval extents and the multi-log's log-tail retention.
-/// Disabled by default (both budgets zero) — the engine then
-/// touches no cache at all and the historical I/O accounting is
-/// unchanged. The two budgets are *additional* DRAM on top of
-/// [`EngineConfig::memory_bytes`]: the tiering question is what to do
-/// with spare memory beyond the paper's working-set budget.
+/// Adaptive memory-tiering configuration (DESIGN.md §18): extra DRAM on
+/// top of [`EngineConfig::memory_bytes`], spent as one budget on the
+/// hottest intervals' pinned topology extents and on the log pages the
+/// multi-log holds in host memory instead of writing them. Disabled by
+/// default (both fields zero): the engine then touches no cache at all.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct TieringConfig {
-    /// Byte budget of the shared page cache attached to the device
-    /// (0 = no cache).
+    /// Part of the one budget: the engine spends the two fields' sum.
     pub cache_bytes: usize,
-    /// Byte budget shared by the hottest intervals' pinned topology
-    /// extents and the log pages the multi-log holds in host memory
-    /// instead of writing them (0 = neither; requires `cache_bytes > 0` to
-    /// take effect). Drive entry arms retention with all of it; every
-    /// superstep boundary pins what the held log tail leaves and re-arms
-    /// retention with the rest.
+    /// Part of the one budget: the engine spends the two fields' sum. Drive
+    /// entry arms retention with the whole budget; every superstep boundary
+    /// pins what the held log tail leaves and re-arms retention with the
+    /// rest.
     pub pin_budget_bytes: usize,
 }
 
 impl TieringConfig {
-    /// Whether the engine should attach a cache at all.
-    pub fn enabled(&self) -> bool {
-        self.cache_bytes > 0
-    }
-
-    /// Frame count for the configured cache budget (at least one frame).
-    pub fn cache_pages(&self, page_size: usize) -> usize {
-        (self.cache_bytes / page_size.max(1)).max(1)
+    /// The one budget the engine spends: the sum of the two fields (0 = no
+    /// tiering).
+    pub fn budget_bytes(&self) -> usize {
+        self.cache_bytes.saturating_add(self.pin_budget_bytes)
     }
 }
 
@@ -95,8 +85,8 @@ pub struct EngineConfig {
     /// daemon gives each concurrent job a unique tag so runs sharing one
     /// device never collide.
     pub tag: String,
-    /// Adaptive memory tiering (DESIGN.md §18): page cache + hot-interval
-    /// pinning. Disabled by default.
+    /// Adaptive memory tiering (DESIGN.md §18): hot-interval pinning and
+    /// log-tail retention under one budget. Disabled by default.
     pub tiering: TieringConfig,
 }
 

@@ -1996,4 +1996,27 @@ mod tests {
         assert_eq!(trace(&ra), trace(&rb), "cache + pin activity must be deterministic");
         assert!(ra.phases().any(|s| s.cache_hits > 0), "the cache must actually hit");
     }
+
+    /// A tiered run spends `cache_bytes + pin_budget_bytes` as one budget,
+    /// on a cache of one frame: how the sum is split between the two fields
+    /// moves no state and no trace field.
+    #[test]
+    fn tiering_spends_one_budget_however_it_is_split() {
+        let csr = ring(64);
+        let run = |tiering: TieringConfig| {
+            let (ssd, mut e) = tiered_engine(&csr, "t", tiering);
+            let r = e.run(&Flood, 80);
+            let cache = ssd.cache().expect("a tiered run attaches a cache").snapshot();
+            assert_eq!(cache.capacity_pages, 1, "{tiering:?}: the cache has one frame");
+            assert!(r.phases().any(|s| s.pinned_hits > 0), "{tiering:?}: the budget must pin");
+            let trace = r.phases().map(SuperstepStats::trace_fields).collect::<Vec<_>>();
+            (e.states().to_vec(), trace)
+        };
+        let (a, b) = (4 << 10, 2 << 10);
+        assert_eq!(
+            run(TieringConfig { cache_bytes: a, pin_budget_bytes: b }),
+            run(TieringConfig { cache_bytes: 0, pin_budget_bytes: a + b }),
+            "only the sum of the two fields may matter"
+        );
+    }
 }

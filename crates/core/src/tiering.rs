@@ -1,7 +1,7 @@
 //! Adaptive memory tiering state of one drive (DESIGN.md §18): the page
 //! cache attach, the hot-interval pinned set — claims the load stage's own
-//! reads fill — and the pin-budget split that arms the multi-log's log-tail
-//! retention. One rule splits the budget,
+//! reads fill — and the one budget's split that arms the multi-log's
+//! log-tail retention. One rule splits the budget,
 //! [`Tiering::retier`], applied at every boundary: drive entry, with
 //! nothing held and no heat, and the end of every superstep. The superstep
 //! loop calls in at fixed points — heat after the loader's page-usage
@@ -18,12 +18,13 @@ use mlvc_ssd::{DeviceError, FileId, PageCache, Ssd};
 
 use crate::TieringConfig;
 
-/// Attach the configured page cache before any I/O so the whole run reads
-/// through it. A cache already attached (the serving daemon's) always
+/// Attach the smallest cache `PageCache` allows, one frame, before any I/O:
+/// the claims need a cache to land in, not frames, so the whole budget goes
+/// to [`Tiering`]. A cache already attached (the serving daemon's) always
 /// wins — the engine never replaces or resizes an existing cache.
 pub(crate) fn attach_cache(ssd: &Ssd, cfg: &TieringConfig) {
-    if cfg.enabled() && ssd.cache().is_none() {
-        ssd.attach_cache(Arc::new(PageCache::new(cfg.cache_pages(ssd.page_size()))));
+    if cfg.budget_bytes() > 0 && ssd.cache().is_none() {
+        ssd.attach_cache(Arc::new(PageCache::new(1)));
     }
 }
 
@@ -32,8 +33,8 @@ pub(crate) fn attach_cache(ssd: &Ssd, cfg: &TieringConfig) {
 /// into a pinned set under the byte budget.
 pub(crate) struct Tiering {
     /// The attached cache, `Some` only while pinning is on (a cache is
-    /// attached and the pin budget is non-zero); every method below is a
-    /// no-op otherwise.
+    /// attached and the budget is non-zero); every method below is a no-op
+    /// otherwise.
     cache: Option<Arc<PageCache>>,
     budget_bytes: u64,
     heat: Vec<u64>,
@@ -46,7 +47,7 @@ impl Tiering {
     /// drop any topology pins and claims an earlier drive on the same cache
     /// left behind, so cache state and bookkeeping start in lockstep, then
     /// apply [`Self::retier`]'s split. With no heat the ranking pins
-    /// nothing, so the whole pin budget arms the multi-log's retention for
+    /// nothing, so the whole budget arms the multi-log's retention for
     /// the seed messages and superstep 1's log tail. A held log page saves
     /// a write and a read, a pinned topology page at most one read a
     /// superstep, so the budget goes to held pages while the log outgrows
@@ -60,7 +61,7 @@ impl Tiering {
         multilog: &mut MultiLog,
     ) -> Result<Tiering, DeviceError> {
         let num_iv = graph.intervals().num_intervals();
-        let budget_bytes = cfg.pin_budget_bytes as u64;
+        let budget_bytes = cfg.budget_bytes() as u64;
         let cache = ssd.cache().filter(|_| budget_bytes > 0);
         let mut colidx_iv = HashMap::new();
         if let Some(c) = &cache {

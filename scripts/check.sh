@@ -27,10 +27,9 @@ echo "== tier-1: build =="
 cargo build --release
 
 echo "== tier-1: tests =="
+# The root Cargo.toml's `default-members` is every workspace member, so
+# this is the whole workspace's tests: the set `--workspace` would run.
 cargo test -q
-
-echo "== full workspace tests =="
-cargo test -q --workspace
 
 echo "== serving smoke (DESIGN.md §15) =="
 # Multi-tenant daemon contract: 8 concurrent jobs over 2 datasets on one
@@ -79,19 +78,19 @@ echo "== stage-table smoke (mlvc run) =="
 # behind on the superstep's I/O queue, and its carry of the buffered tail
 # across a superstep boundary in host memory: its trace must show a
 # superstep that evicted and one that carried pages. The two tiered legs
-# (`--cache-kb 256 --pin-budget-kb 512`: the 2Q cache, hot-interval
-# pinning and the multi-log's log-tail retention, which the in-process
-# tests and `sim-pins` otherwise reach at one size only) run under the
-# same budget, so the log evicts and retention holds log pages in host
-# memory instead of writing them: with `--metrics`, whose trace must also
-# show a superstep that held pages, one that held the whole 512 KiB
-# budget, 32 pages of 16 KiB (drive entry arms retention with all of it,
-# DESIGN.md §18), and one with a hit on a topology pin (a boundary claims
-# the hot intervals' extents and the load stage's reads fill them, so a
-# claim that never filled would turn pinning off unseen), and with
-# `--ssd-dir`, whose result
-# lines and superstep table must be the in-memory leg's (the backend
-# decides where pages live, never which are read or written). A third
+# (`--pin-budget-kb 768`, the one tier budget: hot-interval pinning and
+# the multi-log's log-tail retention on a one-frame cache, which the
+# in-process tests and `sim-pins` otherwise reach at one size only) run
+# under the same memory budget, so the log evicts and retention holds log
+# pages in host memory instead of writing them: with `--metrics`, whose
+# trace must also show a superstep that held pages, one that held the
+# whole 768 KiB budget, 48 pages of 16 KiB (drive entry arms retention
+# with all of it, DESIGN.md §18), and one with a hit on a topology pin (a
+# boundary claims the hot intervals' extents and the load stage's reads
+# fill them, so a claim that never filled would turn pinning off unseen),
+# and with `--ssd-dir`, whose result lines and superstep table must be the
+# in-memory leg's (the backend decides where pages live, never which are
+# read or written). A third
 # tiered leg, `--async --metrics`, is the one run in which the
 # asynchronous drain (`MultiLog::plan_current`) plans write-side logs that
 # mix held, written and buffered pages: its trace must show evictions,
@@ -108,7 +107,7 @@ for scale in 12 14; do
   cargo run -q --release --bin mlvc -- \
     gen --kind rmat-social --scale $scale --seed 42 --out "$smoke_dir/g$scale.csr" >/dev/null
 done
-tiered="pagerank --memory-kb 1024 --cache-kb 256 --pin-budget-kb 512"
+tiered="pagerank --memory-kb 1024 --pin-budget-kb 768"
 for app in "pagerank" "randomwalk" "wcc --async" "pagerank --ssd-dir" "pagerank --metrics" \
   "pagerank --memory-kb 1024 --metrics" "$tiered --metrics" "$tiered --ssd-dir" \
   "$tiered --async --metrics" "bfs --memory-kb 256 --metrics"; do
@@ -190,8 +189,8 @@ for app in "pagerank" "randomwalk" "wcc --async" "pagerank --ssd-dir" "pagerank 
     fi
   done
   if [[ $app == "$tiered --metrics" ]] &&
-    ! grep -q '"log_pages_retained":32,' "$smoke_dir/metrics.1.jsonl"; then
-    echo "$app: no superstep held the whole pin budget (32 pages)"
+    ! grep -q '"log_pages_retained":48,' "$smoke_dir/metrics.1.jsonl"; then
+    echo "$app: no superstep held the whole pin budget (48 pages)"
     exit 1
   fi
 done

@@ -60,7 +60,7 @@ usage:
            --graph <file> [--engine mlvc|graphchi|grafboost|reference]
            [--steps N] [--memory-kb K] [--source V] [--seed S] [--async]
            [--ssd-dir DIR] [--checkpoint-every K] [--crash-after N]
-           [--metrics FILE] [--cache-kb K] [--pin-budget-kb K]
+           [--metrics FILE] [--pin-budget-kb K]
   mlvc resume --app <app> --graph <file> --ssd-dir DIR
            [--steps N] [--memory-kb K] [--source V] [--seed S]
            [--checkpoint-every K]
@@ -89,12 +89,14 @@ restarts an interrupted mlvc-engine run from its last durable checkpoint.
 lines and a Prometheus text snapshot of the run counters to FILE.prom;
 the run summary then also reports read/write amplification.
 
---cache-kb K (mlvc engine only) attaches a K-KiB scan-resistant (2Q)
-device page cache (adaptive memory tiering, DESIGN.md §18);
---pin-budget-kb K spends K KiB on the hottest intervals' CSR extents,
-pinned in the cache, and on the update-log pages the multi-log then
-holds in host memory instead of writing them. Cache hit, eviction, pin
-and held-page counters flow into the --metrics artifacts.
+--pin-budget-kb K (mlvc engine only) is the run's one tier budget
+(adaptive memory tiering, DESIGN.md §18): K KiB of extra DRAM spent on
+the hottest intervals' CSR extents, pinned in a one-frame device page
+cache as the load stage reads them, and on the update-log pages the
+multi-log then holds in host memory instead of writing them. Cache hit,
+pin and held-page counters flow into the --metrics artifacts.
+
+A flag the command does not read is refused by name.
 
 `ingest` applies an edge-mutation batch to a stored graph through the
 on-device mutation log (DESIGN.md §17). The batch file is text, one
@@ -120,7 +122,8 @@ a claimed page fills it pinned; a job may ask for at most the budget
 less the carve. --metrics FILE writes the daemon-wide Prometheus rollup (per-job
 labeled series) on shutdown.";
 
-/// Minimal flag parser: `--key value` pairs plus positionals.
+/// Minimal flag parser: `--key value` pairs plus positionals. Which keys a
+/// command reads is its own list in [`run`].
 struct Args<'a> {
     flags: Vec<(&'a str, &'a str)>,
     switches: Vec<&'a str>,
@@ -166,21 +169,35 @@ impl<'a> Args<'a> {
     }
 }
 
+/// A command's body, run on its parsed arguments.
+type Command = fn(&Args) -> Result<(), String>;
+
+/// The flags and switches `mlvc run` and `mlvc resume` read.
+const RUN_FLAGS: &str = "app graph engine steps memory-kb seed source checkpoint-every \
+                         crash-after pin-budget-kb metrics ssd-dir async";
+
 fn run(args: &[String]) -> Result<(), String> {
     let Some(cmd) = args.first() else {
         return Err("missing command".into());
     };
+    // Each command with the flags it reads: any other is refused, never
+    // ignored.
+    let (known, exec): (&str, Command) = match cmd.as_str() {
+        "gen" => ("kind scale vertices edges-per-vertex seed out", cmd_gen),
+        "stats" => ("", cmd_stats),
+        "convert" => ("", cmd_convert),
+        "run" => (RUN_FLAGS, |a| cmd_run(a, false)),
+        "resume" => (RUN_FLAGS, |a| cmd_run(a, true)),
+        "serve" => ("graphs memory-kb cache-kb pin-budget-kb workers requests metrics ssd-dir", cmd_serve),
+        "ingest" => ("graph batch out app steps memory-kb source seed ssd-dir", cmd_ingest),
+        other => return Err(format!("unknown command: {other}")),
+    };
     let rest = parse_args(&args[1..])?;
-    match cmd.as_str() {
-        "gen" => cmd_gen(&rest),
-        "stats" => cmd_stats(&rest),
-        "convert" => cmd_convert(&rest),
-        "run" => cmd_run(&rest, false),
-        "resume" => cmd_run(&rest, true),
-        "serve" => cmd_serve(&rest),
-        "ingest" => cmd_ingest(&rest),
-        other => Err(format!("unknown command: {other}")),
+    let mut given = rest.flags.iter().map(|(k, _)| *k).chain(rest.switches.iter().copied());
+    if let Some(key) = given.find(|k| !known.split_whitespace().any(|f| f == *k)) {
+        return Err(format!("unknown flag --{key} for {cmd}"));
     }
+    exec(&rest)
 }
 
 // --- graph file handling -------------------------------------------------
@@ -318,13 +335,11 @@ fn cmd_run(a: &Args, resume: bool) -> Result<(), String> {
     let source: u32 = a.get_parsed("source", 0u32)?;
     let checkpoint_every: usize = a.get_parsed("checkpoint-every", 0)?;
     let crash_after: u64 = a.get_parsed("crash-after", 0)?;
-    let cache_kb: usize = a.get_parsed("cache-kb", 0)?;
     let pin_budget_kb: usize = a.get_parsed("pin-budget-kb", 0)?;
     let metrics_path = a.get("metrics");
     // What only the mlvc engine reads is refused elsewhere, not ignored.
     let mlvc_only = [
         ("--metrics", metrics_path.is_some()),
-        ("--cache-kb", cache_kb > 0),
         ("--pin-budget-kb", pin_budget_kb > 0),
         ("--async", a.has("async")),
         ("--checkpoint-every", checkpoint_every > 0),
@@ -333,9 +348,6 @@ fn cmd_run(a: &Args, resume: bool) -> Result<(), String> {
         if let Some((flag, _)) = mlvc_only.iter().find(|(_, given)| *given) {
             return Err(format!("{flag} supports only --engine mlvc"));
         }
-    }
-    if pin_budget_kb > 0 && cache_kb == 0 {
-        return Err("--pin-budget-kb requires --cache-kb (the pinned tier fills through the cache)".into());
     }
     if resume {
         if engine_name != "mlvc" {
@@ -354,15 +366,10 @@ fn cmd_run(a: &Args, resume: bool) -> Result<(), String> {
     let mut cfg = EngineConfig::default()
         .with_memory(memory_kb << 10)
         .with_seed(seed)
-        .with_async(a.has("async"));
+        .with_async(a.has("async"))
+        .with_tiering(TieringConfig { cache_bytes: 0, pin_budget_bytes: pin_budget_kb << 10 });
     if checkpoint_every > 0 {
         cfg = cfg.with_checkpoint_every(checkpoint_every);
-    }
-    if cache_kb > 0 {
-        cfg = cfg.with_tiering(TieringConfig {
-            cache_bytes: cache_kb << 10,
-            pin_budget_bytes: pin_budget_kb << 10,
-        });
     }
     cfg.validate().map_err(|e| e.to_string())?;
     let iv = VertexIntervals::for_graph(&g, UPDATE_BYTES, cfg.sort_budget());
@@ -791,6 +798,22 @@ mod tests {
     }
 
     #[test]
+    fn a_flag_its_command_does_not_read_is_refused() {
+        for (args, refused) in [
+            (&["run", "--app", "bfs", "--graph", "g.csr", "--memroy-kb", "64"][..], "--memroy-kb for run"),
+            (&["run", "--app", "bfs", "--graph", "g.csr", "--cache-kb", "4096"], "--cache-kb for run"),
+            (&["resume", "--app", "bfs", "--cache-kb", "4096"], "--cache-kb for resume"),
+            (&["gen", "--kind", "er", "--async", "--out", "g.csr"], "--async for gen"),
+            (&["stats", "g.csr", "--steps", "3"], "--steps for stats"),
+        ] {
+            assert_eq!(run(&strs(args)).unwrap_err(), format!("unknown flag {refused}"), "{args:?}");
+        }
+        // The daemon's shared cache is still sized by its own flag.
+        let err = run(&strs(&["serve", "--cache-kb", "64"])).unwrap_err();
+        assert!(err.starts_with("serve needs --graphs"), "{err}");
+    }
+
+    #[test]
     fn gen_refuses_bad_parameters() {
         let out = std::env::temp_dir().join(format!("mlvc-cli-bad-{}.csr", std::process::id()));
         let out_s = out.to_str().unwrap();
@@ -900,7 +923,7 @@ mod tests {
         for engine in ["graphchi", "grafboost", "reference"] {
             for flag in [
                 &["--metrics", metrics_s][..],
-                &["--cache-kb", "64"],
+                &["--pin-budget-kb", "64"],
                 &["--async"],
                 &["--checkpoint-every", "2"],
             ] {

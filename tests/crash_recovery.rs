@@ -117,9 +117,8 @@ fn sweep_with(program: Factory<'_>, steps: usize, cfg: &EngineConfig) {
 
         // Resume from the last durable checkpoint (or from scratch when
         // the crash predates the first checkpoint).
-        let tiering = cfg().tiering;
-        if tiering.enabled() {
-            ssd.attach_cache(Arc::new(PageCache::new(tiering.cache_pages(ssd.page_size()))));
+        if cfg().tiering.budget_bytes() > 0 {
+            ssd.attach_cache(Arc::new(PageCache::new(1)));
         }
         let mut rec = MultiLogEngine::with_shared_graph(Arc::clone(&ssd), Arc::clone(&sg), cfg());
         let recovered = rec.run_recoverable(program().as_ref(), steps);
