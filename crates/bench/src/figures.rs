@@ -591,10 +591,11 @@ pub fn tiering(s: &Settings) -> Section {
         &format!(
             "A fixed {} KiB of extra DRAM spent as a scan-resistant 2Q page cache on the\n\
              device, or as the engine's one tiering budget: hot-interval CSR extents, pinned\n\
-             in a one-frame cache (Hits and Pinned count their pages), and, with what those\n\
-             leave, log pages the multi-log holds in host memory instead of writing them (Log\n\
-             held; DESIGN.md §18). Reduction is device pages read against the cache row of the\n\
-             same app; every row produces bit-identical states.",
+             in a cache of no frames, the pinned tier alone (Hits and Pinned count their\n\
+             pages), and, with what those leave, log pages the multi-log holds in host\n\
+             memory instead of writing them (Log held; DESIGN.md §18). Reduction is device\n\
+             pages read against the cache row of the same app; every row produces\n\
+             bit-identical states.",
             TIERING_BUDGET >> 10
         ),
         &[

@@ -18,13 +18,14 @@ use mlvc_ssd::{DeviceError, FileId, PageCache, Ssd};
 
 use crate::TieringConfig;
 
-/// Attach the smallest cache `PageCache` allows, one frame, before any I/O:
-/// the claims need a cache to land in, not frames, so the whole budget goes
-/// to [`Tiering`]. A cache already attached (the serving daemon's) always
-/// wins — the engine never replaces or resizes an existing cache.
+/// Attach a cache of no frames, the pinned tier alone, before any I/O: the
+/// claims need a cache to land in, not frames, so the whole budget goes to
+/// [`Tiering`] and the tier's host DRAM is exactly its budget. A cache
+/// already attached (the serving daemon's) always wins — the engine never
+/// replaces or resizes an existing cache.
 pub(crate) fn attach_cache(ssd: &Ssd, cfg: &TieringConfig) {
     if cfg.budget_bytes() > 0 && ssd.cache().is_none() {
-        ssd.attach_cache(Arc::new(PageCache::new(1)));
+        ssd.attach_cache(Arc::new(PageCache::new(0)));
     }
 }
 

@@ -266,6 +266,36 @@ fn pinned_tier_preserves_identity_and_carves_the_budget() {
     );
 }
 
+/// `cache_pages: 0` is a pin-only shared cache: registration reads
+/// nothing, the first job's reads fill the claims and the next job is
+/// served from the pinned tier; with no frame nothing is evicted, and the
+/// accounting identity holds for each job.
+#[test]
+fn a_cache_of_no_frames_is_the_pinned_tier_alone() {
+    let g = graph();
+    let mut daemon = Daemon::new(ServeConfig {
+        cache_pages: 0,
+        workers: 1,
+        pin_budget_bytes: 4 << 20,
+        ..ServeConfig::default()
+    });
+    daemon.add_dataset("cf", &g).unwrap();
+    assert_eq!(daemon.device().stats().snapshot().pages_read, 0, "registration read a page");
+    let mut pinned_hits = Vec::new();
+    for id in ["fill", "hit"] {
+        let j = req(id, "pagerank", 3);
+        let out = daemon.run_job(&j).outcome.unwrap();
+        let (states, _, _, uncached_reads) = standalone(&g, &j);
+        assert_eq!(out.states, states, "{id}: a pin-only cache changed results");
+        assert_eq!(out.cache.hits + out.device.pages_read, uncached_reads, "{id}: identity");
+        let snap = daemon.cache().snapshot();
+        assert_eq!((snap.capacity_pages, snap.resident_pages, snap.evictions), (0, 0, 0));
+        assert_eq!(daemon.budget().reserved(), snap.pinned_bytes as usize, "{id}: claims filled");
+        pinned_hits.push(snap.pinned_hits);
+    }
+    assert!(pinned_hits[1] > pinned_hits[0], "the next job must hit the filled claims");
+}
+
 /// A merge rewrites a pinned dataset's extents, dropping their pinned
 /// copies and claims; the daemon claims the rewritten extents again, so
 /// the carve equals their bytes, and the next job fills them and is served

@@ -19,9 +19,10 @@
 //!   — the insert stamp in A1in, the last-hit stamp in Am — so a queue's
 //!   victim is its first entry and an Am hit re-keys one entry.
 //! * **Pinned tier** — a separate map of pages exempt from eviction and
-//!   checked before the frame pool. The engine's GraphMP-style hot-interval
-//!   topology pins and the serving daemon's registration pins (DESIGN.md
-//!   §18) both fill it with *claims*, its one way in:
+//!   checked before the frame pool; a cache of no frames, the one a tiered
+//!   engine run attaches, is this tier alone. The engine's GraphMP-style
+//!   hot-interval topology pins and the serving daemon's registration pins
+//!   (DESIGN.md §18) both fill it with *claims*, its one way in:
 //!   [`PageCache::claim_file`] reads nothing, moves the file's resident
 //!   frames into the tier, and every later demand fill of the file lands
 //!   there instead of a frame, so the pins fill from reads the caller makes
@@ -81,6 +82,7 @@ enum QueueKind {
 /// One frame: the replacement state of a resident page (the page itself
 /// sits in [`CacheInner::map`]) and the tenant that inserted it (for
 /// cross-tenant hit attribution).
+#[derive(Clone)]
 struct Frame {
     key: Option<PageKey>,
     inserter: TenantId,
@@ -210,27 +212,18 @@ pub struct PageCache {
 }
 
 impl PageCache {
-    /// A cache holding at most `capacity_pages` resident pages (clamped to
-    /// at least one frame).
+    /// A cache holding at most `capacity_pages` resident pages; with none it
+    /// is the pinned tier alone, where an unclaimed fill lands nowhere.
     pub fn new(capacity_pages: usize) -> Self {
-        let cap = capacity_pages.max(1);
-        let mut frames = Vec::with_capacity(cap);
-        for _ in 0..cap {
-            frames.push(Frame {
-                key: None,
-                inserter: 0,
-                queue: QueueKind::A1in,
-                stamp: 0,
-            });
-        }
+        let frame = Frame { key: None, inserter: 0, queue: QueueKind::A1in, stamp: 0 };
         PageCache {
             state: Mutex::new(CacheInner {
-                frames,
+                frames: vec![frame; capacity_pages],
                 map: HashMap::new(),
                 in_flight: HashMap::new(),
                 // Reverse order so `pop()` hands out frame 0 first — keeps
                 // frame assignment deterministic.
-                free: (0..cap).rev().collect(),
+                free: (0..capacity_pages).rev().collect(),
                 a1in: BTreeMap::new(),
                 am: BTreeMap::new(),
                 ghost: VecDeque::new(),
@@ -919,34 +912,44 @@ mod tests {
 
     /// A claim reads nothing and counts nothing: the claimed file's resident
     /// frame moves into the pinned tier (not an eviction), a miss on the file
-    /// lands pinned, and the next read of either page is a pinned hit.
+    /// lands pinned, and the next read of either page is a pinned hit. With
+    /// no frames the read before the claim lands nowhere, so the claim moves
+    /// nothing and that page's next read is a miss that lands pinned.
     #[test]
     fn a_claim_reads_nothing_and_later_fills_land_pinned() {
-        let (ssd, f) = dev_with_pages(4);
-        let cache = Arc::new(PageCache::new(8));
-        ssd.attach_cache(Arc::clone(&cache));
-        ssd.read_page(f, 1, 4).unwrap();
-        ssd.stats().reset();
-        let before = cache.snapshot();
-        cache.claim_file(f);
-        let after = cache.snapshot();
-        assert_eq!(ssd.stats().snapshot().pages_read, 0, "a claim read the device");
-        assert_eq!(after.tenants, before.tenants, "a claim counted a hit or a miss");
-        assert_eq!(after.resident_pages, before.resident_pages - 1);
-        assert_eq!(after.pinned_pages, before.pinned_pages + 1);
-        assert_eq!((after.evictions, after.pinned_hits), (before.evictions, 0));
-        assert_eq!(after.pinned_bytes, 256, "the moved frame's full page");
-        assert_queues_consistent(&cache);
+        for frames in [8, 0] {
+            let moved = usize::from(frames > 0);
+            let (ssd, f) = dev_with_pages(4);
+            let cache = Arc::new(PageCache::new(frames));
+            ssd.attach_cache(Arc::clone(&cache));
+            ssd.read_page(f, 1, 4).unwrap();
+            ssd.stats().reset();
+            let before = cache.snapshot();
+            cache.claim_file(f);
+            let after = cache.snapshot();
+            assert_eq!(ssd.stats().snapshot().pages_read, 0, "a claim read the device");
+            assert_eq!(after.tenants, before.tenants, "a claim counted a hit or a miss");
+            assert_eq!(after.resident_pages + moved, before.resident_pages);
+            assert_eq!(after.pinned_pages, before.pinned_pages + moved);
+            assert_eq!((after.evictions, after.pinned_hits), (before.evictions, 0));
+            assert_eq!(after.pinned_bytes, 256 * moved as u64, "the moved frame's full page");
+            assert_queues_consistent(&cache);
 
-        ssd.read_page(f, 2, 4).unwrap();
-        let snap = cache.snapshot();
-        assert_eq!((snap.resident_pages, snap.pinned_pages), (0, 2), "the miss took a frame");
-        assert_eq!(snap.tenant(0).misses, 2);
-        ssd.read_page(f, 2, 4).unwrap();
-        ssd.read_page(f, 1, 4).unwrap();
-        assert_eq!(ssd.stats().snapshot().pages_read, 1, "only the miss read the device");
-        assert_eq!(cache.snapshot().pinned_hits, 2);
-        assert_queues_consistent(&cache);
+            ssd.read_page(f, 2, 4).unwrap();
+            let snap = cache.snapshot();
+            let landed = (snap.resident_pages, snap.pinned_pages);
+            assert_eq!(landed, (0, 1 + moved), "the miss landed pinned");
+            assert_eq!(snap.tenant(0).misses, 2);
+            ssd.read_page(f, 2, 4).unwrap();
+            ssd.read_page(f, 1, 4).unwrap();
+            let misses = 2 - moved as u64;
+            let read = ssd.stats().snapshot().pages_read;
+            assert_eq!(read, misses, "only the misses read the device");
+            let end = cache.snapshot();
+            assert_eq!(end.pinned_hits, 1 + moved as u64);
+            assert_eq!((end.resident_pages, end.evictions), (0, 0), "{frames} frames");
+            assert_queues_consistent(&cache);
+        }
     }
 
     /// A write drops only the written page's pinned copy — the claim stays,
@@ -983,50 +986,59 @@ mod tests {
 
     /// The accounting identity holds per tenant with claims in the mix: a
     /// seeded sequence of two tenants' batched reads (duplicates included),
-    /// claims, unpins and writes on a cache a fraction of the files' size.
+    /// claims, unpins and writes on a cache a fraction of the files' size,
+    /// and on a cache of no frames, where every unclaimed read is a miss.
     /// Every request is one device read uncached, so each tenant's `hits +
     /// device reads` equals the pages it requested.
     #[test]
     fn accounting_identity_holds_per_tenant_with_claims() {
-        let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
-        let files: Vec<FileId> =
-            (0..2).map(|k| ssd.open_or_create(&format!("c{k}")).unwrap()).collect();
-        for &f in &files {
-            for i in 0..16u8 {
-                ssd.append_page(f, &[i; 8]).unwrap();
-            }
-        }
-        let cache = Arc::new(PageCache::new(6));
-        ssd.attach_cache(Arc::clone(&cache));
-        let views = [ssd.tenant_view(1), ssd.tenant_view(2)];
-        let mut requested = [0u64; 2];
-        let mut s: u64 = 0xc1a1_3ed5;
-        let mut next = |m: u64| {
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (s >> 33) % m
-        };
-        for _ in 0..600 {
-            let (t, f) = (next(2) as usize, files[next(2) as usize]);
-            match next(10) {
-                0 => cache.claim_file(f),
-                1 => {
-                    cache.unclaim_file(f);
-                }
-                2 => views[t].write_page(f, next(16), &[0xEE; 8]).unwrap(),
-                _ => {
-                    let reqs: Vec<_> = (0..1 + next(4)).map(|_| (f, next(16), 8)).collect();
-                    requested[t] += reqs.len() as u64;
-                    views[t].read_batch(&reqs).unwrap();
+        for frames in [6, 0] {
+            let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
+            let files: Vec<FileId> =
+                (0..2).map(|k| ssd.open_or_create(&format!("c{k}")).unwrap()).collect();
+            for &f in &files {
+                for i in 0..16u8 {
+                    ssd.append_page(f, &[i; 8]).unwrap();
                 }
             }
-            assert_queues_consistent(&cache);
+            let cache = Arc::new(PageCache::new(frames));
+            ssd.attach_cache(Arc::clone(&cache));
+            let views = [ssd.tenant_view(1), ssd.tenant_view(2)];
+            let mut requested = [0u64; 2];
+            let mut s: u64 = 0xc1a1_3ed5;
+            let mut next = |m: u64| {
+                s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (s >> 33) % m
+            };
+            for _ in 0..600 {
+                let (t, f) = (next(2) as usize, files[next(2) as usize]);
+                match next(10) {
+                    0 => cache.claim_file(f),
+                    1 => {
+                        cache.unclaim_file(f);
+                    }
+                    2 => views[t].write_page(f, next(16), &[0xEE; 8]).unwrap(),
+                    _ => {
+                        let reqs: Vec<_> = (0..1 + next(4)).map(|_| (f, next(16), 8)).collect();
+                        requested[t] += reqs.len() as u64;
+                        views[t].read_batch(&reqs).unwrap();
+                    }
+                }
+                assert_queues_consistent(&cache);
+            }
+            let snap = cache.snapshot();
+            for (t, view) in (1..).zip(&views) {
+                let device = view.stats().snapshot().pages_read;
+                assert_eq!(snap.tenant(t).hits + device, requested[t as usize - 1], "tenant {t}");
+            }
+            assert!(snap.pinned_hits > 0, "{snap:?}");
+            if frames > 0 {
+                assert!(snap.evictions > 0, "{snap:?}");
+            } else {
+                let none = (snap.evictions, snap.resident_pages, snap.total_hits());
+                assert_eq!(none, (0, 0, snap.pinned_hits), "every hit is pinned: {snap:?}");
+            }
         }
-        let snap = cache.snapshot();
-        for (t, view) in (1..).zip(&views) {
-            let device = view.stats().snapshot().pages_read;
-            assert_eq!(snap.tenant(t).hits + device, requested[t as usize - 1], "tenant {t}");
-        }
-        assert!(snap.pinned_hits > 0 && snap.evictions > 0, "{snap:?}");
     }
 
     /// 2Q queue consistency: every resident frame holds its key and sits in

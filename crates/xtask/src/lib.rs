@@ -133,12 +133,34 @@ pub fn report_waivers(root: &Path) -> io::Result<Vec<WaiverReport>> {
     Ok(out)
 }
 
-/// Workspace root: the directory two levels above this crate's manifest.
+/// Workspace root: the directory two levels above this crate's manifest,
+/// in the checkout the binary runs in (see `manifest_dir`).
 pub fn workspace_root() -> PathBuf {
-    let manifest = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let manifest = manifest_dir(std::env::var_os("CARGO_MANIFEST_DIR"), env!("CARGO_MANIFEST_DIR"));
     manifest
         .parent()
         .and_then(Path::parent)
         .map(Path::to_path_buf)
         .unwrap_or(manifest)
+}
+
+/// This crate's manifest directory: `runtime`, the `CARGO_MANIFEST_DIR`
+/// that `cargo run` and `cargo test` set for the checkout they run in, when
+/// set, else `compiled`, the one the binary was built in. A copy of a
+/// checkout that carries its `target/` runs the copy's binary unrebuilt, so
+/// the compile-time value alone would check the original checkout.
+fn manifest_dir(runtime: Option<std::ffi::OsString>, compiled: &str) -> PathBuf {
+    runtime.map_or_else(|| PathBuf::from(compiled), PathBuf::from)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn manifest_dir_prefers_the_runtime_value() {
+        let copy = Some("/copy/crates/xtask".into());
+        assert_eq!(manifest_dir(copy, "/orig/crates/xtask"), Path::new("/copy/crates/xtask"));
+        assert_eq!(manifest_dir(None, "/orig/crates/xtask"), Path::new("/orig/crates/xtask"));
+    }
 }

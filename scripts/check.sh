@@ -79,8 +79,9 @@ echo "== stage-table smoke (mlvc run) =="
 # across a superstep boundary in host memory: its trace must show a
 # superstep that evicted and one that carried pages. The two tiered legs
 # (`--pin-budget-kb 768`, the one tier budget: hot-interval pinning and
-# the multi-log's log-tail retention on a one-frame cache, which the
-# in-process tests and `sim-pins` otherwise reach at one size only) run
+# the multi-log's log-tail retention on a cache of no frames, the pinned
+# tier alone, which the in-process tests and `sim-pins` otherwise reach at
+# one size only) run
 # under the same memory budget, so the log evicts and retention holds log
 # pages in host memory instead of writing them: with `--metrics`, whose
 # trace must also show a superstep that held pages, one that held the
@@ -95,7 +96,9 @@ echo "== stage-table smoke (mlvc run) =="
 # asynchronous drain (`MultiLog::plan_current`) plans write-side logs that
 # mix held, written and buffered pages: its trace must show evictions,
 # carried and held pages too, and its bytes must match across thread
-# counts. `bfs --memory-kb 256
+# counts. Both tiered `--metrics` legs must show the frameless tier: no
+# superstep evicts a cache frame, and the `.prom` reports a capacity of 0
+# pages. `bfs --memory-kb 256
 # --metrics` is the one leg that writes edge-log pages (a 256 KiB budget
 # leaves the edge log less than a page of buffer): its trace must show a
 # superstep that wrote one and one that served a vertex from the edge log.
@@ -188,6 +191,16 @@ for app in "pagerank" "randomwalk" "wcc --async" "pagerank --ssd-dir" "pagerank 
       exit 1
     fi
   done
+  if [[ $app == *--pin-budget-kb*--metrics ]]; then
+    if grep -q '"cache_evictions":[1-9]' "$smoke_dir/metrics.1.jsonl"; then
+      echo "$app: a superstep evicted a cache frame (the tier has none)"
+      exit 1
+    fi
+    if ! grep -qx 'mlvc_cache_capacity_pages 0' "$smoke_dir/metrics.1.prom"; then
+      echo "$app: the tier's cache has frames (want mlvc_cache_capacity_pages 0)"
+      exit 1
+    fi
+  fi
   if [[ $app == "$tiered --metrics" ]] &&
     ! grep -q '"log_pages_retained":48,' "$smoke_dir/metrics.1.jsonl"; then
     echo "$app: no superstep held the whole pin budget (48 pages)"

@@ -91,8 +91,8 @@ the run summary then also reports read/write amplification.
 
 --pin-budget-kb K (mlvc engine only) is the run's one tier budget
 (adaptive memory tiering, DESIGN.md §18): K KiB of extra DRAM spent on
-the hottest intervals' CSR extents, pinned in a one-frame device page
-cache as the load stage reads them, and on the update-log pages the
+the hottest intervals' CSR extents, pinned in a device page cache of
+no frames (the pinned tier alone) as the load stage reads them, and on the update-log pages the
 multi-log then holds in host memory instead of writing them. Cache hit,
 pin and held-page counters flow into the --metrics artifacts.
 
@@ -562,7 +562,7 @@ fn cmd_serve(a: &Args) -> Result<(), String> {
     }
 
     let ssd = make_ssd(a)?;
-    let cache_pages = ((cache_kb << 10) / ssd.page_size()).max(1);
+    let cache_pages = (cache_kb << 10) / ssd.page_size();
     let cfg = ServeConfig {
         memory_budget: memory_kb << 10,
         cache_pages,

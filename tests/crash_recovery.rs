@@ -118,7 +118,7 @@ fn sweep_with(program: Factory<'_>, steps: usize, cfg: &EngineConfig) {
         // Resume from the last durable checkpoint (or from scratch when
         // the crash predates the first checkpoint).
         if cfg().tiering.budget_bytes() > 0 {
-            ssd.attach_cache(Arc::new(PageCache::new(1)));
+            ssd.attach_cache(Arc::new(PageCache::new(0)));
         }
         let mut rec = MultiLogEngine::with_shared_graph(Arc::clone(&ssd), Arc::clone(&sg), cfg());
         let recovered = rec.run_recoverable(program().as_ref(), steps);

@@ -479,8 +479,8 @@ fn metrics_snapshot_and_trace_jsonl_match_schema() {
 /// The trace's bytes: the field order, the integer and ratio formats and
 /// `null` for a ratio over nothing, one line per phase. A four-superstep
 /// BFS under tight memory with a 12 KiB tiering budget (the engine sums
-/// the two fields) on a one-frame cache in front of the device, so the
-/// log-eviction, cache and pinned-tier columns move too, and log-tail
+/// the two fields) on a cache of no frames in front of the device, so the
+/// log-eviction, cache-hit and pinned-tier columns move too, and log-tail
 /// retention holds part of the one eviction in host memory: `log_pages_retained` moves, and those pages are not in
 /// `pages_written`, nor in the pinned tier's columns (topology alone);
 /// the log's tail crosses each boundary in host memory, so the
@@ -569,10 +569,10 @@ fn drive_entry_arms_retention_with_the_whole_pin_budget() {
 }
 
 const PINNED_TRACE: &str = r#"{"superstep":0,"active_vertices":0,"messages_processed":0,"messages_delivered":0,"messages_sent":1,"edges_scanned":0,"fused_batches":0,"pages_read":0,"pages_written":0,"bytes_read":0,"useful_bytes_read":0,"bytes_written":0,"log_bytes_appended":18,"log_pages_flushed":0,"log_pages_carried":1,"log_pages_retained":0,"log_evictions":0,"edge_log_vertices":0,"edge_log_pages":0,"edge_log_hits":0,"ftl_host_writes":0,"ftl_physical_writes":0,"ftl_erases":0,"ftl_gc_relocations":0,"sim_time_ns":0,"io_wait_ns":0,"max_inflight":0,"mut_edges_merged":0,"mut_intervals_merged":0,"mut_dirty_vertices":0,"cache_hits":0,"cache_misses":0,"cache_evictions":0,"pinned_pages":0,"pinned_hits":0,"read_amplification":null,"write_amplification":null}
-{"superstep":1,"active_vertices":1,"messages_processed":1,"messages_delivered":1,"messages_sent":85,"edges_scanned":85,"fused_batches":1,"pages_read":2,"pages_written":0,"bytes_read":512,"useful_bytes_read":78,"bytes_written":0,"log_bytes_appended":882,"log_pages_flushed":0,"log_pages_carried":4,"log_pages_retained":0,"log_evictions":0,"edge_log_vertices":0,"edge_log_pages":0,"edge_log_hits":0,"ftl_host_writes":0,"ftl_physical_writes":0,"ftl_erases":0,"ftl_gc_relocations":0,"sim_time_ns":240210,"io_wait_ns":240000,"max_inflight":2,"mut_edges_merged":0,"mut_intervals_merged":0,"mut_dirty_vertices":0,"cache_hits":0,"cache_misses":2,"cache_evictions":1,"pinned_pages":1,"pinned_hits":0,"read_amplification":6.564103,"write_amplification":null}
-{"superstep":2,"active_vertices":85,"messages_processed":85,"messages_delivered":85,"messages_sent":1608,"edges_scanned":1608,"fused_batches":1,"pages_read":9,"pages_written":14,"bytes_read":2304,"useful_bytes_read":1462,"bytes_written":3584,"log_bytes_appended":16624,"log_pages_flushed":56,"log_pages_carried":12,"log_pages_retained":42,"log_evictions":1,"edge_log_vertices":0,"edge_log_pages":0,"edge_log_hits":0,"ftl_host_writes":14,"ftl_physical_writes":14,"ftl_erases":0,"ftl_gc_relocations":0,"sim_time_ns":1226984,"io_wait_ns":476368,"max_inflight":4,"mut_edges_merged":0,"mut_intervals_merged":0,"mut_dirty_vertices":0,"cache_hits":1,"cache_misses":9,"cache_evictions":3,"pinned_pages":6,"pinned_hits":1,"read_amplification":1.575923,"write_amplification":1.000000}
-{"superstep":3,"active_vertices":117,"messages_processed":1608,"messages_delivered":117,"messages_sent":113,"edges_scanned":1806,"fused_batches":2,"pages_read":18,"pages_written":0,"bytes_read":4608,"useful_bytes_read":14531,"bytes_written":0,"log_bytes_appended":1178,"log_pages_flushed":0,"log_pages_carried":6,"log_pages_retained":0,"log_evictions":0,"edge_log_vertices":2,"edge_log_pages":0,"edge_log_hits":0,"ftl_host_writes":0,"ftl_physical_writes":0,"ftl_erases":0,"ftl_gc_relocations":0,"sim_time_ns":619876,"io_wait_ns":596674,"max_inflight":4,"mut_edges_merged":0,"mut_intervals_merged":0,"mut_dirty_vertices":0,"cache_hits":6,"cache_misses":18,"cache_evictions":17,"pinned_pages":7,"pinned_hits":6,"read_amplification":0.317115,"write_amplification":null}
-{"superstep":4,"active_vertices":48,"messages_processed":113,"messages_delivered":48,"messages_sent":0,"edges_scanned":1255,"fused_batches":1,"pages_read":3,"pages_written":0,"bytes_read":768,"useful_bytes_read":332,"bytes_written":0,"log_bytes_appended":0,"log_pages_flushed":0,"log_pages_carried":0,"log_pages_retained":0,"log_evictions":0,"edge_log_vertices":0,"edge_log_pages":0,"edge_log_hits":0,"ftl_host_writes":0,"ftl_physical_writes":0,"ftl_erases":0,"ftl_gc_relocations":0,"sim_time_ns":242250,"io_wait_ns":237170,"max_inflight":4,"mut_edges_merged":0,"mut_intervals_merged":0,"mut_dirty_vertices":0,"cache_hits":6,"cache_misses":3,"cache_evictions":0,"pinned_pages":10,"pinned_hits":6,"read_amplification":2.313253,"write_amplification":null}
+{"superstep":1,"active_vertices":1,"messages_processed":1,"messages_delivered":1,"messages_sent":85,"edges_scanned":85,"fused_batches":1,"pages_read":2,"pages_written":0,"bytes_read":512,"useful_bytes_read":78,"bytes_written":0,"log_bytes_appended":882,"log_pages_flushed":0,"log_pages_carried":4,"log_pages_retained":0,"log_evictions":0,"edge_log_vertices":0,"edge_log_pages":0,"edge_log_hits":0,"ftl_host_writes":0,"ftl_physical_writes":0,"ftl_erases":0,"ftl_gc_relocations":0,"sim_time_ns":240210,"io_wait_ns":240000,"max_inflight":2,"mut_edges_merged":0,"mut_intervals_merged":0,"mut_dirty_vertices":0,"cache_hits":0,"cache_misses":2,"cache_evictions":0,"pinned_pages":0,"pinned_hits":0,"read_amplification":6.564103,"write_amplification":null}
+{"superstep":2,"active_vertices":85,"messages_processed":85,"messages_delivered":85,"messages_sent":1608,"edges_scanned":1608,"fused_batches":1,"pages_read":10,"pages_written":14,"bytes_read":2560,"useful_bytes_read":1636,"bytes_written":3584,"log_bytes_appended":16624,"log_pages_flushed":56,"log_pages_carried":12,"log_pages_retained":42,"log_evictions":1,"edge_log_vertices":0,"edge_log_pages":0,"edge_log_hits":0,"ftl_host_writes":14,"ftl_physical_writes":14,"ftl_erases":0,"ftl_gc_relocations":0,"sim_time_ns":1226984,"io_wait_ns":476368,"max_inflight":4,"mut_edges_merged":0,"mut_intervals_merged":0,"mut_dirty_vertices":0,"cache_hits":0,"cache_misses":10,"cache_evictions":0,"pinned_pages":6,"pinned_hits":0,"read_amplification":1.564792,"write_amplification":1.000000}
+{"superstep":3,"active_vertices":117,"messages_processed":1608,"messages_delivered":117,"messages_sent":113,"edges_scanned":1806,"fused_batches":2,"pages_read":18,"pages_written":0,"bytes_read":4608,"useful_bytes_read":14531,"bytes_written":0,"log_bytes_appended":1178,"log_pages_flushed":0,"log_pages_carried":6,"log_pages_retained":0,"log_evictions":0,"edge_log_vertices":2,"edge_log_pages":0,"edge_log_hits":0,"ftl_host_writes":0,"ftl_physical_writes":0,"ftl_erases":0,"ftl_gc_relocations":0,"sim_time_ns":619876,"io_wait_ns":596674,"max_inflight":4,"mut_edges_merged":0,"mut_intervals_merged":0,"mut_dirty_vertices":0,"cache_hits":6,"cache_misses":18,"cache_evictions":0,"pinned_pages":6,"pinned_hits":6,"read_amplification":0.317115,"write_amplification":null}
+{"superstep":4,"active_vertices":48,"messages_processed":113,"messages_delivered":48,"messages_sent":0,"edges_scanned":1255,"fused_batches":1,"pages_read":3,"pages_written":0,"bytes_read":768,"useful_bytes_read":332,"bytes_written":0,"log_bytes_appended":0,"log_pages_flushed":0,"log_pages_carried":0,"log_pages_retained":0,"log_evictions":0,"edge_log_vertices":0,"edge_log_pages":0,"edge_log_hits":0,"ftl_host_writes":0,"ftl_physical_writes":0,"ftl_erases":0,"ftl_gc_relocations":0,"sim_time_ns":242250,"io_wait_ns":237170,"max_inflight":4,"mut_edges_merged":0,"mut_intervals_merged":0,"mut_dirty_vertices":0,"cache_hits":6,"cache_misses":3,"cache_evictions":0,"pinned_pages":9,"pinned_hits":6,"read_amplification":2.313253,"write_amplification":null}
 "#;
 
 /// Keeps one vertex busy for [`Countdown::STEPS`] supersteps: it messages

@@ -239,7 +239,7 @@ fn claim_fig10_speedup_is_flat_in_memory() {
 }
 
 /// DESIGN.md §18: at a fixed DRAM budget, pinning beats caching. The
-/// tiered row cuts device reads 96.7 % (PageRank) and 81.8 % (WCC) against
+/// tiered row cuts device reads 96.7 % (PageRank) and 81.6 % (WCC) against
 /// the all-cache row; the floor is 25 %. Every row spends exactly the budget, and the tiering budget lands
 /// pins. A cache alone writes what no tiering writes; the tiering budget
 /// writes less, since the log pages the multi-log holds under it are never

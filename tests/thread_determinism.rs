@@ -21,7 +21,7 @@ use multilogvc::core::{
 use multilogvc::graph::{StoredGraph, VertexId, VertexIntervals};
 use multilogvc::prelude::RmatParams;
 use multilogvc::ssd::sync::Mutex;
-use multilogvc::ssd::{DeviceError, FaultPlan, FtlConfig, Page, Ssd, SsdConfig};
+use multilogvc::ssd::{DeviceError, FaultPlan, FtlConfig, Page, PageCache, Ssd, SsdConfig};
 
 /// Held by a test for as long as it sets the thread-count override.
 static OVERRIDE: Mutex<()> = Mutex::new(());
@@ -84,9 +84,10 @@ fn run_once(prog: &dyn VertexProgram, async_mode: bool, shape: Shape) -> (Vec<u6
     (eng.states().to_vec(), steps)
 }
 
-/// One tiered PageRank run on the `SMALL` shape, observability on: a cache
-/// of a handful of frames (so the replacement policy evicts all the time)
-/// plus a pin budget a few pages above the log tail PageRank holds at once
+/// One tiered PageRank run on the `SMALL` shape, observability on: the
+/// daemon's shape, claims on a 2Q pool of a handful of frames attached
+/// before the run (so the replacement policy evicts all the time), plus a
+/// pin budget a few pages above the log tail PageRank holds at once
 /// (so topology pins and held log tails come and go with every consume,
 /// in both models). Under the asynchronous model the same fetch path
 /// runs, with the write side drained into every inbox besides; PageRank is
@@ -99,6 +100,7 @@ fn run_tiered(async_mode: bool) -> (Vec<u64>, RunReport) {
     let iv = VertexIntervals::uniform(g.num_vertices(), SMALL.intervals);
     let sg = StoredGraph::store_with(&ssd, &g, "det", iv).unwrap();
     ssd.enable_ftl(FtlConfig::default());
+    ssd.attach_cache(Arc::new(PageCache::new(6)));
     let cfg = EngineConfig::default()
         .with_memory(SMALL.memory)
         .with_async(async_mode)
