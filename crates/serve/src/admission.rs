@@ -7,10 +7,9 @@
 //! injected crash unwinding the job — returns the bytes and wakes the
 //! waiters, so a dead job can never strand budget.
 //!
-//! The state is three counters (reserved bytes, carved bytes, blocked
-//! waiters) under a poison-free lock with a [`Condvar`] to wait on: the
-//! payload is valid at every instruction, so a poisoned lock is simply
-//! recovered.
+//! The state is two counters (reserved bytes, blocked waiters) under a
+//! poison-free lock with a [`Condvar`] to wait on: the payload is valid at
+//! every instruction, so a poisoned lock is simply recovered.
 
 use std::sync::{Condvar, PoisonError};
 
@@ -32,10 +31,8 @@ pub struct Budget {
 
 #[derive(Default)]
 struct Ledger {
-    /// Bytes reserved, carves included.
+    /// Bytes reserved.
     reserved: usize,
-    /// Bytes [`Budget::carve`]d: never handed back to jobs.
-    carved: usize,
     /// Threads blocked in [`Budget::reserve_blocking`].
     waiting: usize,
 }
@@ -56,7 +53,7 @@ impl Budget {
         self.total
     }
 
-    /// Bytes currently reserved by running jobs and carves.
+    /// Bytes currently reserved by running jobs.
     pub fn reserved(&self) -> usize {
         self.state.lock().reserved
     }
@@ -69,16 +66,15 @@ impl Budget {
     }
 
     /// Admission check: can this request *ever* be scheduled? Rejects
-    /// requests larger than the budget jobs can have — the total less what
-    /// is carved — (they would queue forever) and requests below the engine
-    /// minimum (they would panic the engine). Does not reserve anything.
+    /// requests larger than the total (they would queue forever) and
+    /// requests below the engine minimum (they would panic the engine).
+    /// Does not reserve anything.
     pub fn check(&self, bytes: usize) -> Result<(), RejectReason> {
         if bytes < MIN_JOB_BYTES {
             return Err(RejectReason::BudgetTooSmall { requested: bytes });
         }
-        let total = self.total.saturating_sub(self.state.lock().carved);
-        if bytes > total {
-            return Err(RejectReason::BudgetExceedsTotal { requested: bytes, total });
+        if bytes > self.total {
+            return Err(RejectReason::BudgetExceedsTotal { requested: bytes, total: self.total });
         }
         Ok(())
     }
@@ -94,46 +90,17 @@ impl Budget {
         Some(Reservation { budget: self, bytes })
     }
 
-    /// Permanently reserve `bytes` without an RAII hold — the daemon's
-    /// pinned-tier ledger (DESIGN.md §18): pinned pages are DRAM the
-    /// admission budget can no longer hand to jobs. Returns `false`
-    /// (reserving nothing) when the free budget cannot cover the carve;
-    /// the caller then skips the pin rather than over-committing memory.
-    pub fn carve(&self, bytes: usize) -> bool {
-        let mut g = self.state.lock();
-        if g.reserved.saturating_add(bytes) > self.total {
-            return false;
-        }
-        g.reserved += bytes;
-        g.carved += bytes;
-        true
-    }
-
-    /// Return previously [`Budget::carve`]d bytes to the pool (the pinned
-    /// extents were dropped, e.g. by a mutation merge) and wake waiters.
-    pub fn uncarve(&self, bytes: usize) {
-        let mut g = self.state.lock();
-        g.reserved = g.reserved.saturating_sub(bytes);
-        g.carved = g.carved.saturating_sub(bytes);
-        drop(g);
-        self.freed.notify_all();
-    }
-
     /// Reserve, waiting for running jobs to release budget if needed. A
-    /// request larger than the budget jobs can have would wait forever, so
-    /// it is clamped to the total less what is carved (a job passed
-    /// [`Budget::check`] first; a mutation batch's footprint is only
-    /// clamped).
+    /// request larger than the total would wait forever, so it is clamped
+    /// to the total (a job passed [`Budget::check`] first; a mutation
+    /// batch's footprint is only clamped).
     pub fn reserve_blocking(&self, bytes: usize) -> Reservation<'_> {
+        let bytes = bytes.min(self.total);
         let mut g = self.state.lock();
         g.waiting += 1;
-        let bytes = loop {
-            let fit = bytes.min(self.total.saturating_sub(g.carved));
-            if g.reserved.saturating_add(fit) <= self.total {
-                break fit;
-            }
+        while g.reserved.saturating_add(bytes) > self.total {
             g = self.freed.wait(g).unwrap_or_else(PoisonError::into_inner);
-        };
+        }
         g.waiting -= 1;
         g.reserved += bytes;
         Reservation { budget: self, bytes }
@@ -184,19 +151,6 @@ mod tests {
         drop(r1);
         assert_eq!(b.reserved(), 0);
         assert!(b.try_reserve(60 << 10).is_some());
-    }
-
-    #[test]
-    fn carve_is_permanent_until_uncarved() {
-        let b = Budget::new(100 << 10);
-        assert!(b.carve(40 << 10));
-        assert_eq!(b.reserved(), 40 << 10);
-        assert!(!b.carve(70 << 10), "over-committing carve refused");
-        assert_eq!(b.reserved(), 40 << 10, "failed carve reserves nothing");
-        assert!(b.try_reserve(70 << 10).is_none(), "jobs see the carved bytes");
-        b.uncarve(40 << 10);
-        assert_eq!(b.reserved(), 0);
-        assert!(b.try_reserve(70 << 10).is_some());
     }
 
     #[test]

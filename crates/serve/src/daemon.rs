@@ -28,7 +28,7 @@ use mlvc_mutate::{
 use mlvc_obs::{to_prometheus, MetricsSnapshot};
 use mlvc_ssd::sync::Mutex;
 use mlvc_ssd::{
-    DeviceError, FaultPlan, FileId, FtlConfig, PageCache, Ssd, SsdConfig, SsdStatsSnapshot,
+    DeviceError, FaultPlan, FtlConfig, PageCache, Ssd, SsdConfig, SsdStatsSnapshot,
     TenantCacheStats, TenantId,
 };
 use std::sync::Arc;
@@ -55,11 +55,6 @@ pub struct ServeConfig {
     pub cache_pages: usize,
     /// Worker threads executing jobs.
     pub workers: usize,
-    /// Byte budget for dataset CSR extents claimed for the cache's pinned
-    /// tier at registration, which reads nothing (DESIGN.md §18); jobs'
-    /// reads fill them. The bytes are carved out of `memory_budget` — DRAM
-    /// set aside for pinned pages cannot be handed to jobs. 0 disables it.
-    pub pin_budget_bytes: usize,
 }
 
 impl Default for ServeConfig {
@@ -68,7 +63,6 @@ impl Default for ServeConfig {
             memory_budget: 64 << 20,
             cache_pages: 512,
             workers: 4,
-            pin_budget_bytes: 0,
         }
     }
 }
@@ -131,8 +125,6 @@ pub struct Daemon {
     workers: usize,
     next_tenant: AtomicU32,
     completed: Mutex<Completed>,
-    /// Unspent pin budget, in bytes (DESIGN.md §18).
-    pin_left: Mutex<usize>,
 }
 
 /// Everything the daemon keeps of one registered dataset.
@@ -141,9 +133,6 @@ struct Dataset {
     /// The on-device mutation log (DESIGN.md §17), fed by the `mutate` op.
     /// Shared so an embedding engine can attach it.
     mutations: Arc<Mutex<MutationLog>>,
-    /// The extent files claimed for the pinned tier, and the bytes carved
-    /// from the admission budget for them.
-    pinned: Mutex<(Vec<FileId>, usize)>,
 }
 
 /// How a validated job's run failed: the error's stable code and its text.
@@ -184,7 +173,6 @@ impl Daemon {
             workers: cfg.workers.max(1),
             next_tenant: AtomicU32::new(1),
             completed: Mutex::new(Completed::default()),
-            pin_left: Mutex::new(cfg.pin_budget_bytes),
         }
     }
 
@@ -215,63 +203,8 @@ impl Daemon {
                 MutationLog::new(Arc::clone(&self.ssd), iv, MutationConfig::default(), name)
                     .map_err(MutationError::into_device_error)?,
             )),
-            pinned: Mutex::new((Vec::new(), 0)),
         };
-        self.pin(&ds)?;
         self.datasets.insert(name.to_string(), ds);
-        Ok(())
-    }
-
-    /// Claim the dataset's interval extents (row-pointer + column-index
-    /// files) for the shared cache's pinned tier, front to back, while each
-    /// interval fits both the remaining pin budget and the free admission
-    /// budget ([`Budget::carve`]); the first job to read a claimed page
-    /// fills it pinned. Whatever the dataset had claimed is dropped and its
-    /// carve returned first, so after a merge rewrote the extents the claims
-    /// and both budgets match the new sizes. Registration and interval order
-    /// are deterministic, so the claimed set is too. Only sizing can fail.
-    fn pin(&self, ds: &Dataset) -> Result<(), DeviceError> {
-        let (old, uncarved) = std::mem::take(&mut *ds.pinned.lock());
-        for f in old {
-            self.cache.unclaim_file(f);
-        }
-        self.budget.uncarve(uncarved);
-        let mut left = self.pin_left.lock();
-        *left += uncarved;
-        if *left == 0 {
-            return Ok(());
-        }
-        drop(left);
-        // Size every interval's extents first, so no lock is held across
-        // a device call.
-        let page_bytes = mlvc_ssd::checked::to_u64(self.ssd.page_size());
-        let mut sized: Vec<(FileId, FileId, usize)> = Vec::new();
-        for iv in ds.graph.intervals().iter_ids() {
-            let (rp, ci) = (ds.graph.rowptr_file(iv), ds.graph.colidx_file(iv));
-            let pages = self.ssd.num_pages(rp)?.saturating_add(self.ssd.num_pages(ci)?);
-            let bytes =
-                usize::try_from(pages.saturating_mul(page_bytes)).unwrap_or(usize::MAX);
-            sized.push((rp, ci, bytes));
-        }
-        // Reserve greedily under the pin-budget lock, so concurrent
-        // registrations cannot overdraw.
-        let mut files: Vec<FileId> = Vec::new();
-        let mut carved = 0usize;
-        {
-            let mut left = self.pin_left.lock();
-            for &(rp, ci, bytes) in &sized {
-                if bytes > 0 && bytes <= *left && self.budget.carve(bytes) {
-                    *left -= bytes;
-                    carved += bytes;
-                    files.push(rp);
-                    files.push(ci);
-                }
-            }
-        }
-        for &f in &files {
-            self.cache.claim_file(f);
-        }
-        *ds.pinned.lock() = (files, carved);
         Ok(())
     }
 
@@ -371,16 +304,11 @@ impl Daemon {
         let Some(ds) = self.datasets.get(dataset) else {
             return Ok(None);
         };
-        let mut guard = ds.mutations.lock();
-        if guard.pending() == 0 {
+        let mut log = ds.mutations.lock();
+        if log.pending() == 0 {
             return Ok(None);
         }
-        let outcome = guard.merge(&ds.graph).map_err(MutationError::into_device_error)?;
-        drop(guard);
-        // The merge's rewrite already dropped the dirty extents' pages and
-        // claims; re-claim against the new sizes so the carve stays accurate.
-        self.pin(ds)?;
-        Ok(Some(outcome))
+        log.merge(&ds.graph).map(Some).map_err(MutationError::into_device_error)
     }
 
     /// The one job lifecycle after validation: admit (`on_queued` runs
@@ -454,10 +382,13 @@ impl Daemon {
 
     /// Drive the worker pool from a line-delimited JSON transport: read
     /// requests from `input`, write reply events to `output` (interleaved
-    /// across jobs; each line is one JSON object). Returns after a
-    /// `shutdown` request or EOF, once every accepted job has finished.
+    /// across jobs; each line is one JSON object). A line that is not UTF-8
+    /// is rejected like any malformed request. Returns after a `shutdown`
+    /// request or EOF, once every accepted job has finished; a read error
+    /// on `input` ends the reading the same way and is returned.
     pub fn serve<R: BufRead, W: Write + Send>(&self, input: R, output: W) -> std::io::Result<()> {
         let out = Mutex::new(output);
+        let mut read = Ok(());
         let work = |(req, ds, prog): (JobRequest, &Dataset, Box<dyn VertexProgram>)| {
             let queued = || emit(&out, &queued_line(&req.id));
             match self.admit_and_execute(&req, ds, prog.as_ref(), queued) {
@@ -476,8 +407,19 @@ impl Daemon {
             }
         };
         on_pool(self.workers, work, |q| {
-            for line in input.lines() {
-                let Ok(line) = line else { break };
+            for line in input.split(b'\n') {
+                let line = match line.map(String::from_utf8) {
+                    Ok(Ok(line)) => line,
+                    Ok(Err(_)) => {
+                        let r = RejectReason::MalformedRequest("line is not UTF-8".to_string());
+                        emit(&out, &rejected_line("", &r));
+                        continue;
+                    }
+                    Err(e) => {
+                        read = Err(e);
+                        break;
+                    }
+                };
                 let line = line.trim();
                 if line.is_empty() {
                     continue;
@@ -514,7 +456,7 @@ impl Daemon {
                 }
             }
         });
-        Ok(())
+        read
     }
 
     fn note_completed(&self, job: &str, obs: Option<MetricsSnapshot>) {
@@ -535,8 +477,8 @@ impl Daemon {
         format!(
             "{{\"event\":\"stats\",\"jobs_completed\":{},\"device_pages_read\":{},\
              \"device_pages_written\":{},\"cache_hits\":{},\"cache_misses\":{},\
-             \"cache_evictions\":{},\"cross_tenant_hits\":{},\"pinned_pages\":{},\
-             \"pinned_hits\":{},\"budget_total\":{},\"budget_reserved\":{}}}",
+             \"cache_evictions\":{},\"cross_tenant_hits\":{},\"budget_total\":{},\
+             \"budget_reserved\":{}}}",
             self.completed.lock().jobs,
             d.pages_read,
             d.pages_written,
@@ -544,8 +486,6 @@ impl Daemon {
             c.total_misses(),
             c.evictions,
             c.cross_tenant_hits,
-            c.pinned_pages,
-            c.pinned_hits,
             self.budget.total(),
             self.budget.reserved(),
         )
@@ -569,9 +509,6 @@ impl Daemon {
         s.push_str(&format!("mlvc_serve_cache_hits_total {}\n", c.total_hits()));
         s.push_str(&format!("mlvc_serve_cache_misses_total {}\n", c.total_misses()));
         s.push_str(&format!("mlvc_serve_cache_evictions_total {}\n", c.evictions));
-        s.push_str(&format!("mlvc_serve_cache_pinned_pages {}\n", c.pinned_pages));
-        s.push_str(&format!("mlvc_serve_cache_pinned_bytes {}\n", c.pinned_bytes));
-        s.push_str(&format!("mlvc_serve_cache_pinned_hits_total {}\n", c.pinned_hits));
         s.push_str(&format!(
             "mlvc_serve_cache_cross_tenant_hits_total {}\n",
             c.cross_tenant_hits

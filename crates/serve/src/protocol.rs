@@ -111,8 +111,8 @@ pub enum Request {
 /// machine-readable `code()` so clients can branch without parsing prose.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RejectReason {
-    /// More memory than the daemon's budget less its pin carve (`total`):
-    /// it could never be scheduled, so it is rejected rather than queued.
+    /// More memory than the daemon's whole budget (`total`): it could
+    /// never be scheduled, so it is rejected rather than queued.
     BudgetExceedsTotal { requested: usize, total: usize },
     /// Below the engine's minimum viable budget (4 KiB); the engine
     /// asserts on such configs, so admission rejects them up front.
@@ -233,6 +233,10 @@ impl JobRequest {
         )
         .map_err(|e| bad(format!("{e}")))?;
         let crash = field_u64(obj, "crash_after", 0)?;
+        let async_mode = match obj.get("async") {
+            None => false,
+            Some(v) => v.as_bool().ok_or_else(|| bad("async must be a boolean".to_string()))?,
+        };
         Ok(JobRequest {
             id: field_str(obj, "id")?,
             app: field_str(obj, "app")?,
@@ -241,7 +245,7 @@ impl JobRequest {
             steps,
             seed,
             source,
-            async_mode: obj.get("async").and_then(Json::as_bool).unwrap_or(false),
+            async_mode,
             crash_after: (crash > 0).then_some(crash),
         })
     }
@@ -416,6 +420,8 @@ mod tests {
             "{}",
             "{\"op\":\"run\",\"id\":\"x\",\"app\":\"bfs\",\"dataset\":\"d\",\"memory_kb\":-4}",
             "{\"op\":\"run\",\"id\":\"x\",\"app\":\"bfs\",\"dataset\":\"d\",\"steps\":1.5}",
+            "{\"op\":\"run\",\"id\":\"x\",\"app\":\"bfs\",\"dataset\":\"d\",\"async\":\"yes\"}",
+            "{\"op\":\"run\",\"id\":\"x\",\"app\":\"bfs\",\"dataset\":\"d\",\"async\":1}",
         ] {
             let Err(r) = Request::parse(line) else {
                 unreachable!("{line} should not parse");

@@ -90,34 +90,23 @@ fn job_that_does_not_fit_now_is_parked_not_started() {
     assert_eq!(d.budget().reserved(), 0);
 }
 
-/// Bytes carved for the pinned tier are never handed back to jobs: a run
-/// asking for more than the total less the carve is refused with that
-/// uncarved total (admitted, it would wait forever), one asking for exactly
-/// what is left runs, and a mutation batch whose footprint lies between the
-/// two is clamped to what is left and ingests instead of waiting forever.
+/// A run asking for more than the whole budget is refused with the total
+/// (admitted, it would wait forever), one asking for exactly the total
+/// runs, and a mutation batch whose footprint exceeds the total is clamped
+/// to it and ingests instead of waiting forever.
 #[test]
-fn admission_leaves_the_pin_carve_out_of_the_total() {
+fn admission_refuses_a_run_above_the_total_and_clamps_a_batch_to_it() {
     let total = 1 << 20;
-    let mut d = Daemon::new(ServeConfig {
-        memory_budget: total,
-        workers: 1,
-        pin_budget_bytes: total / 2,
-        ..ServeConfig::default()
-    });
-    d.add_dataset("cf", &graph()).unwrap();
-    let carved = d.budget().reserved();
-    assert!(carved > 0 && carved <= total / 2, "registration carved {carved} B");
-    let left = total - carved;
+    let d = daemon(total, 1);
     assert_eq!(
-        d.budget().check(left + 1),
-        Err(RejectReason::BudgetExceedsTotal { requested: left + 1, total: left }),
+        d.budget().check(total + 1),
+        Err(RejectReason::BudgetExceedsTotal { requested: total + 1, total }),
         "a run no free budget can ever hold passed admission"
     );
-    assert_eq!(reject_code(&d.run_job(&req("over", "bfs", left + 1))), "budget-exceeds-total");
-    assert!(d.run_job(&req("fits", "bfs", left)).outcome.is_ok());
+    assert_eq!(reject_code(&d.run_job(&req("over", "bfs", total + 1))), "budget-exceeds-total");
+    assert!(d.run_job(&req("fits", "bfs", total)).outcome.is_ok());
 
-    let edges = left / UPDATE_BYTES + 1;
-    assert!(edges * UPDATE_BYTES <= total, "the batch's footprint fits the whole budget");
+    let edges = total / UPDATE_BYTES + 1;
     let n = graph().num_vertices() as u32;
     let batch = MutationRequest {
         id: "big".to_string(),
@@ -125,8 +114,9 @@ fn admission_leaves_the_pin_carve_out_of_the_total() {
         add: (0..edges as u32).map(|k| (k % n, k / n % n)).collect(),
         remove: Vec::new(),
     };
+    assert!(batch.len() * UPDATE_BYTES > total, "the batch's footprint exceeds the budget");
     assert!(d.apply_mutation(&batch).is_ok(), "the clamped batch ingests");
-    assert_eq!(d.budget().reserved(), carved, "only the carve stays reserved");
+    assert_eq!(d.budget().reserved(), 0, "nothing stays reserved");
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! Line-protocol transport: drive `Daemon::serve` end to end through an
 //! in-memory reader/writer pair and check the reply event stream.
 
-use std::io::Cursor;
+use std::io::{BufReader, Cursor, Read};
 
 use mlvc_obs::json::Json;
 use mlvc_serve::{Daemon, JobRequest, ServeConfig};
@@ -131,4 +131,56 @@ fn run_jobs_and_serve_agree_job_for_job() {
         assert_eq!(field(done, "cache_hits"), num(o.cache.hits), "{}", r.id);
         assert_eq!(field(done, "sim_time_ns"), num(o.report.total_sim_time_ns()), "{}", r.id);
     }
+}
+
+const RUN_LINE: &str =
+    "{\"op\":\"run\",\"id\":\"r\",\"app\":\"bfs\",\"dataset\":\"cf\",\"memory_kb\":1024,\"steps\":4}\n";
+
+fn one_worker() -> Daemon {
+    let mut daemon = Daemon::new(ServeConfig { workers: 1, ..ServeConfig::default() });
+    daemon.add_dataset("cf", &mlvc_gen::cf_mini(8, 5).graph).unwrap();
+    daemon
+}
+
+/// A line that is not UTF-8 is a malformed request like any other: it
+/// gets a typed rejection and serving goes on to the next line.
+#[test]
+fn a_non_utf8_line_is_rejected_and_serving_continues() {
+    let daemon = one_worker();
+    let mut input = b"\xff\xfe garbage\n".to_vec();
+    input.extend_from_slice(RUN_LINE.as_bytes());
+    let mut out: Vec<u8> = Vec::new();
+    daemon.serve(Cursor::new(input), &mut out).unwrap();
+    let ev = events(&out);
+    assert_eq!(ev[0], ("rejected".to_string(), String::new()), "{ev:?}");
+    assert!(String::from_utf8_lossy(&out).contains("malformed-request"));
+    let of_r: Vec<&str> = ev.iter().filter(|(_, id)| id == "r").map(|(e, _)| e.as_str()).collect();
+    assert_eq!(of_r, ["accepted", "done"]);
+}
+
+/// Hands out `data`, then fails every read after it.
+struct FailsAfter {
+    data: Cursor<Vec<u8>>,
+}
+
+impl Read for FailsAfter {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        match self.data.read(buf)? {
+            0 => Err(std::io::Error::other("connection reset")),
+            n => Ok(n),
+        }
+    }
+}
+
+/// A read error is not an end of input: `serve` still drains the job it
+/// accepted before the error, then returns the error.
+#[test]
+fn a_read_error_drains_accepted_jobs_and_is_returned() {
+    let daemon = one_worker();
+    let input = BufReader::new(FailsAfter { data: Cursor::new(RUN_LINE.as_bytes().to_vec()) });
+    let mut out: Vec<u8> = Vec::new();
+    let err = daemon.serve(input, &mut out).unwrap_err();
+    assert_eq!(err.to_string(), "connection reset");
+    let of_r: Vec<String> = events(&out).into_iter().filter(|(_, id)| id == "r").map(|e| e.0).collect();
+    assert_eq!(of_r, ["accepted", "done"]);
 }

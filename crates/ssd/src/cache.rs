@@ -21,12 +21,12 @@
 //! * **Pinned tier** — a separate map of pages exempt from eviction and
 //!   checked before the frame pool; a cache of no frames, the one a tiered
 //!   engine run attaches, is this tier alone. The engine's GraphMP-style
-//!   hot-interval topology pins and the serving daemon's registration pins
-//!   (DESIGN.md §18) both fill it with *claims*, its one way in:
-//!   [`PageCache::claim_file`] reads nothing, moves the file's resident
-//!   frames into the tier, and every later demand fill of the file lands
-//!   there instead of a frame, so the pins fill from reads the caller makes
-//!   anyway. Pinned copies are dropped by the same write/truncate
+//!   hot-interval topology pins (DESIGN.md §18) fill it with *claims*, its
+//!   one way in: [`PageCache::claim_file`] reads nothing and moves nothing,
+//!   and every later demand fill of the file lands in the tier instead of
+//!   a frame, so the pins fill from reads the caller makes anyway. The
+//!   serving daemon's cache is the frame pool alone: no served job claims.
+//!   Pinned copies are dropped by the same write/truncate
 //!   invalidation as frames; truncate/delete and [`PageCache::unclaim_file`]
 //!   drop a claim too. The tier only removes device reads: every page in
 //!   it is on the device too (the multi-log keeps its own log pages in host
@@ -123,15 +123,16 @@ pub struct CacheSnapshot {
     pub capacity_pages: usize,
     /// Frames currently holding a page (pinned pages not counted).
     pub resident_pages: usize,
-    /// Frames reclaimed by the replacement policy (invalidations and pin
-    /// take-overs not counted).
+    /// Frames reclaimed by the replacement policy (invalidations not
+    /// counted).
     pub evictions: u64,
     /// Hits on frames or pins inserted by a *different* tenant — the
     /// shared-cache win the serving daemon exists to produce.
     pub cross_tenant_hits: u64,
     /// Pages in the pinned tier.
     pub pinned_pages: usize,
-    /// Bytes held by the pinned tier (the budget-ledger charge).
+    /// Bytes held by the pinned tier (what the engine's tier budget spends
+    /// on topology pins).
     pub pinned_bytes: u64,
     /// Hits served from the pinned tier (also counted in tenant hits).
     pub pinned_hits: u64,
@@ -256,28 +257,14 @@ impl PageCache {
         }
     }
 
-    /// Claim `file` for the pinned tier without reading it: its resident
-    /// frames move into the tier (released, not counted as evictions; no hit
-    /// is counted), and every later fill of one of its pages lands pinned
-    /// instead of in a frame. Claiming a claimed file changes nothing. The
-    /// claim lasts until [`PageCache::unclaim_file`] or a truncate/delete of
-    /// the file; a page write drops only that page's pinned copy.
+    /// Claim `file` for the pinned tier without reading it: every later
+    /// fill of one of its pages lands pinned instead of in a frame. The
+    /// claim moves no resident frame and counts nothing; claiming a claimed
+    /// file changes nothing. The claim lasts until
+    /// [`PageCache::unclaim_file`] or a truncate/delete of the file; a page
+    /// write drops only that page's pinned copy.
     pub fn claim_file(&self, file: FileId) {
-        let mut guard = self.state.lock();
-        let inner = &mut *guard;
-        if !inner.claimed.insert(file) {
-            return;
-        }
-        let mut resident: Vec<(PageKey, Page, TenantId)> = inner
-            .map
-            .iter()
-            .filter(|(key, _)| key.0 == file)
-            .map(|(&key, (fi, page))| (key, page.clone(), inner.frames[*fi].inserter))
-            .collect();
-        resident.sort_unstable_by_key(|r| r.0);
-        for (key, page, inserter) in resident {
-            pin_page(inner, key, page, inserter);
-        }
+        self.state.lock().claimed.insert(file);
     }
 
     /// Drop every pinned page of `file` and its claim, returning the count
@@ -475,28 +462,14 @@ impl PageCache {
 fn land_fill(inner: &mut CacheInner, key: PageKey, page: &Page, tenant: TenantId) {
     let dirty = inner.in_flight.remove(&key).is_none_or(|f| f.dirty);
     if !dirty {
-        if inner.claimed.contains(&key.0) {
-            pin_page(inner, key, page.clone(), tenant);
-        } else {
+        if !inner.claimed.contains(&key.0) {
             insert_frame(inner, key, page.clone(), tenant);
+        } else if let Entry::Vacant(slot) = inner.pinned.entry(key) {
+            inner.pinned_bytes += to_u64(page.len());
+            slot.insert(PinnedPage { page: page.clone(), inserter: tenant });
         }
     }
     inner.tenants.entry(tenant).or_default().misses += 1;
-}
-
-/// Put a page into the pinned tier — the one pin landing routine, for
-/// claims and claimed fills. A page already pinned is left alone; a
-/// resident frame holding it is released, not counted as an eviction.
-fn pin_page(inner: &mut CacheInner, key: PageKey, page: Page, tenant: TenantId) {
-    if inner.pinned.contains_key(&key) {
-        return;
-    }
-    if let Some((fi, _)) = inner.map.remove(&key) {
-        release_frame(inner, fi);
-    }
-    inner.ghost_set.remove(&key);
-    inner.pinned_bytes += to_u64(page.len());
-    inner.pinned.insert(key, PinnedPage { page, inserter: tenant });
 }
 
 /// Record a hit on frame `fi`: move it to the recent end of Am, and
@@ -579,9 +552,8 @@ fn compact_ghosts(inner: &mut CacheInner) {
     }
 }
 
-/// Clear a frame whose map entry was already removed (invalidation or pin
-/// take-over — *not* a policy eviction): it leaves its queue and returns
-/// to the free list.
+/// Clear a frame whose map entry was already removed (invalidation — *not*
+/// a policy eviction): it leaves its queue and returns to the free list.
 fn release_frame(inner: &mut CacheInner, fi: usize) {
     if inner.frames[fi].key.take().is_none() {
         return;
@@ -911,14 +883,14 @@ mod tests {
     }
 
     /// A claim reads nothing and counts nothing: the claimed file's resident
-    /// frame moves into the pinned tier (not an eviction), a miss on the file
-    /// lands pinned, and the next read of either page is a pinned hit. With
-    /// no frames the read before the claim lands nowhere, so the claim moves
-    /// nothing and that page's next read is a miss that lands pinned.
+    /// frame stays a frame, a miss on the file lands pinned, and the next
+    /// read of that page is a pinned hit, of the resident one a frame hit.
+    /// With no frames the read before the claim lands nowhere, so that
+    /// page's next read is a miss that lands pinned.
     #[test]
     fn a_claim_reads_nothing_and_later_fills_land_pinned() {
         for frames in [8, 0] {
-            let moved = usize::from(frames > 0);
+            let resident = usize::from(frames > 0);
             let (ssd, f) = dev_with_pages(4);
             let cache = Arc::new(PageCache::new(frames));
             ssd.attach_cache(Arc::clone(&cache));
@@ -926,28 +898,25 @@ mod tests {
             ssd.stats().reset();
             let before = cache.snapshot();
             cache.claim_file(f);
-            let after = cache.snapshot();
             assert_eq!(ssd.stats().snapshot().pages_read, 0, "a claim read the device");
-            assert_eq!(after.tenants, before.tenants, "a claim counted a hit or a miss");
-            assert_eq!(after.resident_pages + moved, before.resident_pages);
-            assert_eq!(after.pinned_pages, before.pinned_pages + moved);
-            assert_eq!((after.evictions, after.pinned_hits), (before.evictions, 0));
-            assert_eq!(after.pinned_bytes, 256 * moved as u64, "the moved frame's full page");
+            assert_eq!(cache.snapshot(), before, "a claim moved or counted something");
             assert_queues_consistent(&cache);
 
             ssd.read_page(f, 2, 4).unwrap();
             let snap = cache.snapshot();
             let landed = (snap.resident_pages, snap.pinned_pages);
-            assert_eq!(landed, (0, 1 + moved), "the miss landed pinned");
+            assert_eq!(landed, (resident, 1), "the miss landed pinned");
+            assert_eq!(snap.pinned_bytes, 256, "the landed fill's full page");
             assert_eq!(snap.tenant(0).misses, 2);
             ssd.read_page(f, 2, 4).unwrap();
             ssd.read_page(f, 1, 4).unwrap();
-            let misses = 2 - moved as u64;
+            let misses = 2 - resident as u64;
             let read = ssd.stats().snapshot().pages_read;
             assert_eq!(read, misses, "only the misses read the device");
             let end = cache.snapshot();
-            assert_eq!(end.pinned_hits, 1 + moved as u64);
-            assert_eq!((end.resident_pages, end.evictions), (0, 0), "{frames} frames");
+            assert_eq!(end.tenant(0).hits, 1 + resident as u64);
+            assert_eq!(end.pinned_hits, 1);
+            assert_eq!((end.resident_pages, end.evictions), (resident, 0), "{frames} frames");
             assert_queues_consistent(&cache);
         }
     }
@@ -975,7 +944,6 @@ mod tests {
         assert_eq!((snap.resident_pages, snap.pinned_pages, snap.pinned_bytes), (1, 0, 0));
 
         cache.claim_file(f);
-        assert_eq!(cache.snapshot().pinned_pages, 1, "the re-claim took the frame over");
         ssd.truncate(f).unwrap();
         ssd.append_page(f, &[9; 32]).unwrap();
         ssd.read_page(f, 0, 4).unwrap();
@@ -1098,11 +1066,11 @@ mod tests {
     }
 
     /// The queues stay consistent through a pin-and-drop sequence on a
-    /// log-like file: frames of a file, pins a claim takes over from
-    /// resident frames beside them and pins its fills land, hits on both, a
-    /// truncate that drops the pins, an `unclaim_file` that drops them while
-    /// the file keeps its pages, and the frames a re-read of the unpinned
-    /// pages fills.
+    /// log-like file: frames of a file, resident frames of the claimed file
+    /// beside the pins its fills land, hits on both, a truncate that drops
+    /// the pins and frames, an `unclaim_file` that drops the pins while the
+    /// file keeps its pages, and the frames a re-read of the unpinned pages
+    /// fills.
     #[test]
     fn twoq_queues_stay_consistent_through_pinning_and_unpinning() {
         let (ssd, f) = dev_with_pages(8);
@@ -1119,15 +1087,17 @@ mod tests {
             ssd.append_pages(log, &[&[round; 8][..]; 4]).unwrap();
             reread(1..3, log);
             cache.claim_file(log);
-            assert!(cache.snapshot().pinned_pages > 0, "the claim took no frame over");
             assert_queues_consistent(&cache);
             reread(0..4, log);
-            assert_eq!(cache.snapshot().pinned_pages, 4);
+            let pinned = cache.snapshot().pinned_pages;
+            let frames = cache.state.lock().map.keys().filter(|k| k.0 == log).count();
+            assert!(frames > 0, "no frame of the claimed file beside its pins");
+            assert_eq!(pinned + frames, 4, "a log page is neither a frame nor a pin");
             if round % 2 == 0 {
                 ssd.truncate(log).unwrap();
             } else {
                 let written = ssd.stats().snapshot().pages_written;
-                assert_eq!(cache.unclaim_file(log), 4);
+                assert_eq!(cache.unclaim_file(log), pinned as u64);
                 assert_eq!(ssd.stats().snapshot().pages_written, written, "an unpin wrote");
                 reread(0..ssd.num_pages(log).unwrap(), log);
                 ssd.truncate(log).unwrap();
@@ -1193,6 +1163,6 @@ mod tests {
         }
         let evictions = cache.snapshot().evictions;
         assert!(evictions > 500 && am_peak > 4, "the mix must churn both queues");
-        assert_eq!(digest, 0x2d3f_bd95_f57d_4317, "{evictions} evictions");
+        assert_eq!(digest, 0x6587_24d8_3101_4b10, "{evictions} evictions");
     }
 }

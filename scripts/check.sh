@@ -34,7 +34,7 @@ cargo test -q
 echo "== serving smoke (DESIGN.md §15) =="
 # Multi-tenant daemon contract: 8 concurrent jobs over 2 datasets on one
 # shared device must produce bit-identical results to standalone runs,
-# with exact per-tenant cache accounting and a pinned read reduction.
+# with exact per-tenant cache accounting and a device-read reduction.
 cargo test -q --test serve_smoke
 
 echo "== mutation smoke (DESIGN.md §17) =="
@@ -259,13 +259,13 @@ diff "$smoke_dir/sssp-det.1" "$smoke_dir/sssp-det.2"
 grep -q '^converged: true' "$smoke_dir/sssp.1"
 
 echo "== serve smoke (mlvc serve) =="
-# The daemon through the CLI (DESIGN.md §15) on the graph above, with the
-# pinned tier on: a run, a mutate, a second run, a run naming an unknown
-# dataset, shutdown. Replies interleave across threads, so they are
-# compared sorted; the Prometheus rollup must be the same bytes at 1 and
-# 2 threads, and must count a pinned hit: registration claims the extents
-# and the jobs' reads fill them, so a claim that never filled would turn
-# serving pins off unseen.
+# The daemon through the CLI (DESIGN.md §15) on the graph above, with its
+# one cache tier, the shared 2Q pool: a run, a mutate, a second run, a run
+# naming an unknown dataset, shutdown. Replies interleave across threads,
+# so they are compared sorted; the Prometheus rollup must be the same
+# bytes at 1 and 2 threads, and must count a cross-tenant hit: the second
+# job reads pages the first one's reads filled, so a shared cache that
+# stopped sharing would show here.
 cat >"$smoke_dir/requests.jsonl" <<'EOF'
 {"op":"run","id":"before","app":"bfs","dataset":"g","memory_kb":1024,"steps":8}
 {"op":"mutate","id":"m1","dataset":"g","add":[[0,512],[512,0]],"remove":[[0,1]]}
@@ -275,7 +275,7 @@ cat >"$smoke_dir/requests.jsonl" <<'EOF'
 EOF
 for t in 1 2; do
   MLVC_THREADS=$t cargo run -q --release --bin mlvc -- serve --graphs "g=$smoke_dir/mut.csr" \
-    --workers 1 --cache-kb 256 --pin-budget-kb 512 --metrics "$smoke_dir/serve.$t.prom" \
+    --workers 1 --cache-kb 256 --metrics "$smoke_dir/serve.$t.prom" \
     --requests "$smoke_dir/requests.jsonl" | sort >"$smoke_dir/serve.$t"
 done
 diff "$smoke_dir/serve.1" "$smoke_dir/serve.2"
@@ -283,8 +283,8 @@ cmp "$smoke_dir/serve.1.prom" "$smoke_dir/serve.2.prom"
 grep -c '"event":"done"' "$smoke_dir/serve.1" | grep -qx 2
 grep -q '"event":"mutated","id":"m1"' "$smoke_dir/serve.1"
 grep -q '"id":"lost","code":"unknown-dataset"' "$smoke_dir/serve.1"
-if ! grep -q '^mlvc_serve_cache_pinned_hits_total [1-9]' "$smoke_dir/serve.1.prom"; then
-  echo "mlvc serve --pin-budget-kb 512: no pinned hit in the rollup"
+if ! grep -q '^mlvc_serve_cache_cross_tenant_hits_total [1-9]' "$smoke_dir/serve.1.prom"; then
+  echo "mlvc serve --cache-kb 256: no cross-tenant hit in the rollup"
   exit 1
 fi
 

@@ -65,7 +65,7 @@ usage:
            [--steps N] [--memory-kb K] [--source V] [--seed S]
            [--checkpoint-every K]
   mlvc serve --graphs <name=file[,name=file...]> [--memory-kb K]
-           [--cache-kb K] [--pin-budget-kb K] [--workers N]
+           [--cache-kb K] [--workers N]
            [--requests FILE] [--metrics FILE] [--ssd-dir DIR]
   mlvc ingest --graph <file> --batch <file> [--out FILE]
            [--app <bfs|pagerank|wcc|...>] [--steps N] [--memory-kb K]
@@ -115,11 +115,7 @@ concurrent jobs, --cache-kb sizes the shared page cache, --workers N
 them: each job's engine gets max(1, threads / N), so N jobs keep about
 as many threads runnable as the machine has, and a job whose share is
 one thread spawns none; MLVC_THREADS, when set, is each job's count
-instead. --pin-budget-kb carves DRAM from the admission
-budget for dataset CSR extents claimed for the cache's pinned tier
-(DESIGN.md §18): registration reads nothing, and the first job to read
-a claimed page fills it pinned; a job may ask for at most the budget
-less the carve. --metrics FILE writes the daemon-wide Prometheus rollup (per-job
+instead. --metrics FILE writes the daemon-wide Prometheus rollup (per-job
 labeled series) on shutdown.";
 
 /// Minimal flag parser: `--key value` pairs plus positionals. Which keys a
@@ -188,7 +184,7 @@ fn run(args: &[String]) -> Result<(), String> {
         "convert" => ("", cmd_convert),
         "run" => (RUN_FLAGS, |a| cmd_run(a, false)),
         "resume" => (RUN_FLAGS, |a| cmd_run(a, true)),
-        "serve" => ("graphs memory-kb cache-kb pin-budget-kb workers requests metrics ssd-dir", cmd_serve),
+        "serve" => ("graphs memory-kb cache-kb workers requests metrics ssd-dir", cmd_serve),
         "ingest" => ("graph batch out app steps memory-kb source seed ssd-dir", cmd_ingest),
         other => return Err(format!("unknown command: {other}")),
     };
@@ -552,7 +548,6 @@ fn cmd_serve(a: &Args) -> Result<(), String> {
     let specs = a.get("graphs").ok_or("serve needs --graphs name=file[,name=file...]")?;
     let memory_kb: usize = a.get_parsed("memory-kb", 65536)?;
     let cache_kb: usize = a.get_parsed("cache-kb", 8192)?;
-    let pin_budget_kb: usize = a.get_parsed("pin-budget-kb", 0)?;
     let workers: usize = a.get_parsed("workers", 4)?;
     // The workers run jobs side by side, so they share the threads between
     // them; an explicit MLVC_THREADS is the operator's word on each job's.
@@ -563,12 +558,7 @@ fn cmd_serve(a: &Args) -> Result<(), String> {
 
     let ssd = make_ssd(a)?;
     let cache_pages = (cache_kb << 10) / ssd.page_size();
-    let cfg = ServeConfig {
-        memory_budget: memory_kb << 10,
-        cache_pages,
-        workers,
-        pin_budget_bytes: pin_budget_kb << 10,
-    };
+    let cfg = ServeConfig { memory_budget: memory_kb << 10, cache_pages, workers };
     let mut daemon = Daemon::with_device(cfg, Arc::clone(&ssd));
     for spec in specs.split(',') {
         let (name, path) = spec
@@ -934,6 +924,9 @@ mod tests {
                 assert_eq!(err, format!("{} supports only --engine mlvc", flag[0]));
             }
         }
+        // The tier flag is the engine's alone: the daemon has no pinned tier.
+        let err = run(&strs(&["serve", "--graphs", "g=g.csr", "--pin-budget-kb", "64"])).unwrap_err();
+        assert_eq!(err, "unknown flag --pin-budget-kb for serve");
         let _ = std::fs::remove_dir_all(dir);
     }
 

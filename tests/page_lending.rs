@@ -56,13 +56,14 @@ fn mem_reads_and_cache_hits_share_the_stores_allocation() {
     assert!(Page::ptr_eq(&fill, &hit), "a cache hit copied the frame");
     assert!(Page::ptr_eq(&first, &hit), "the frame does not alias the store");
 
-    // So does a pinned page — a claim takes the frame over — and a clone of
-    // any handle.
+    // So does a pinned page — a claimed file's fill lands pinned — and a
+    // clone of any handle.
     let cache = ssd.cache().unwrap();
     cache.claim_file(f);
-    let pinned = ssd.read_page(f, 2, 0).unwrap();
+    ssd.read_page(f, 0, 0).unwrap();
+    let pinned = ssd.read_page(f, 0, 0).unwrap();
     assert_eq!(cache.snapshot().pinned_hits, 1);
-    assert!(Page::ptr_eq(&first, &pinned));
+    assert!(Page::ptr_eq(&again[0], &pinned));
     assert!(Page::ptr_eq(&first, &first.clone()));
     assert_eq!(first, Page::from(&[3u8; PAGE][..]), "equality is by bytes");
 }

@@ -53,12 +53,8 @@ fn eight_concurrent_jobs_share_the_device_and_the_cache_pays() {
     let data = datasets();
     let jobs = job_mix();
 
-    let mut daemon = Daemon::new(ServeConfig {
-        memory_budget: 64 << 20,
-        cache_pages: 1024,
-        workers: 8,
-        ..ServeConfig::default()
-    });
+    let mut daemon =
+        Daemon::new(ServeConfig { memory_budget: 64 << 20, cache_pages: 1024, workers: 8 });
     for (name, g) in &data {
         daemon.add_dataset(name, g).unwrap();
     }

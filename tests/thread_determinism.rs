@@ -84,9 +84,10 @@ fn run_once(prog: &dyn VertexProgram, async_mode: bool, shape: Shape) -> (Vec<u6
     (eng.states().to_vec(), steps)
 }
 
-/// One tiered PageRank run on the `SMALL` shape, observability on: the
-/// daemon's shape, claims on a 2Q pool of a handful of frames attached
-/// before the run (so the replacement policy evicts all the time), plus a
+/// One tiered PageRank run on the `SMALL` shape, observability on: claims
+/// on a 2Q pool of a handful of frames attached before the run (so the
+/// replacement policy evicts all the time, and its victim order must not
+/// depend on the thread count either), plus a
 /// pin budget a few pages above the log tail PageRank holds at once
 /// (so topology pins and held log tails come and go with every consume,
 /// in both models). Under the asynchronous model the same fetch path
