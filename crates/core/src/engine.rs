@@ -1075,6 +1075,7 @@ impl<'d, 'a> Superstep<'d, 'a> {
             st.superstep
         );
         st.io_wait_ns = qw.io_wait_ns;
+        st.write_wait_ns = qw.write_wait_ns;
         st.max_inflight = qw.max_inflight;
         st.io = d.ssd.stats().snapshot().since(&io0);
         st.close_out_ns = t_close.elapsed().as_nanos() as u64;

@@ -45,6 +45,11 @@ pub struct SuperstepStats {
     /// the reads kept in flight could not hide behind compute (DESIGN.md
     /// §12).
     pub io_wait_ns: u64,
+    /// Simulated time the engine spent blocked on writes queued behind it
+    /// this superstep (eviction submission stalls + the drains). Already
+    /// included in `io.write_time_ns`: the rest of it is the synchronous
+    /// writes' time (DESIGN.md §5, rule 6).
+    pub write_wait_ns: u64,
     /// High-water mark of requests in flight on the I/O queue this
     /// superstep.
     pub max_inflight: u64,

@@ -61,6 +61,10 @@ pub struct QueueWaitStats {
     /// [`IoQueue::advance`]: the engine holds it equal to the superstep's
     /// simulated compute.
     pub advanced_ns: u64,
+    /// Virtual nanoseconds the owner spent blocked on writes: write
+    /// submission stalls plus [`IoQueue::drain_writes`] waits, all charged
+    /// to the device's `write_time_ns`.
+    pub write_wait_ns: u64,
 }
 
 struct TicketState {
@@ -259,6 +263,7 @@ impl IoQueue {
         let mut st = self.state.borrow_mut();
         let (stall, completion) = st.schedule(&placed, 0.0, self.depth, WRITE_NS);
         st.writes_done = st.writes_done.max(completion);
+        st.wait.write_wait_ns += stall;
         drop(st);
         self.ssd.charge_wait(stall, true);
         pages
@@ -271,6 +276,7 @@ impl IoQueue {
         let mut st = self.state.borrow_mut();
         let wait = ns(st.writes_done - st.now);
         st.now = st.now.max(st.writes_done);
+        st.wait.write_wait_ns += wait;
         drop(st);
         self.ssd.charge_wait(wait, true);
         wait
@@ -287,6 +293,13 @@ impl IoQueue {
                 ticket.0
             )))
         })
+    }
+
+    /// The virtual time, in whole nanoseconds, at which a ticket not yet
+    /// retired completes; `None` for one retired or never issued. Touches
+    /// no clock.
+    pub fn completion_ns(&self, ticket: Ticket) -> Option<u64> {
+        self.state.borrow().tickets.get(&ticket.0).map(|t| ns(t.completion))
     }
 
     /// Retire a ticket on the owner clock, charging the residual wait

@@ -13,7 +13,8 @@ use multilogvc::core::{
     Engine, EngineConfig, InitActive, MultiLogEngine, ReferenceEngine, RunReport, SuperstepStats,
     TieringConfig, Update, VertexCtx, VertexProgram,
 };
-use multilogvc::graph::{Csr, StoredGraph, VertexId, VertexIntervals};
+use multilogvc::graph::{Csr, EdgeMutation, StoredGraph, VertexId, VertexIntervals};
+use multilogvc::mutate::{MutationConfig, MutationLog};
 use multilogvc::obs::json::{parse, Json};
 use multilogvc::ssd::{FtlConfig, Ssd, SsdConfig, SsdStatsSnapshot};
 
@@ -402,6 +403,75 @@ fn queue_clock_advances_by_the_compute_in_both_models() {
     for r in [&sync, &walk, &wcc, &tiered] {
         assert!(r.supersteps.iter().all(|s| s.compute_ns > 0));
     }
+}
+
+/// Every superstep's simulated time is what it was charged, term by term
+/// (DESIGN.md §5): its compute, the read wait and the write wait its I/O
+/// queue charged (submission stalls, residual waits, write drains), and
+/// the time of its synchronous device calls — of which the benchmark's
+/// four pinned shapes, in miniature here, make none inside a superstep:
+/// a synchronous PageRank of several fused batches a superstep (`pr-cf`),
+/// the same on a pinned tier (`pr-cf-tiered`), a random walk (`rw-cf`), and
+/// an incremental WCC after a merge of added and removed edges
+/// (`wcc-mutate`, whose merge runs before its first superstep).
+#[test]
+fn simulated_time_is_compute_plus_the_queue_charges_in_every_pinned_shape() {
+    let g = mini_graph();
+    let store = |tag: &str| {
+        let iv = VertexIntervals::uniform(g.num_vertices(), 4);
+        let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
+        let sg = Arc::new(StoredGraph::store_with(&ssd, &g, tag, iv).unwrap());
+        (ssd, sg)
+    };
+    let run = |prog: &dyn VertexProgram, cfg: EngineConfig, tag: &str| {
+        let (ssd, sg) = store(tag);
+        let r = MultiLogEngine::with_shared_graph(ssd, sg, cfg).run(prog, 40);
+        assert!(r.interrupted.is_none(), "{tag}");
+        r
+    };
+    let pagerank = PageRank::new(0.85, 1e-4);
+    let pr = run(&pagerank, EngineConfig::default().with_memory(32 << 10), "pr");
+    let tiering = TieringConfig { cache_bytes: 0, pin_budget_bytes: 128 << 10 };
+    let cfg = EngineConfig::default().with_memory(32 << 10).with_tiering(tiering);
+    let tiered = run(&pagerank, cfg, "tiered");
+    let rw = run(&RandomWalk::new(7, 2, 6), EngineConfig::default().with_memory(512 << 10), "rw");
+    let wcc = {
+        let (ssd, sg) = store("wcc");
+        let cfg = EngineConfig::default().with_memory(32 << 10);
+        let mut eng = MultiLogEngine::with_shared_graph(Arc::clone(&ssd), Arc::clone(&sg), cfg);
+        assert!(eng.run(&Wcc, 40).converged);
+        let n = g.num_vertices() as VertexId;
+        let batch: Vec<EdgeMutation> = (0..24)
+            .map(|k| EdgeMutation::add(k * 7 % n, (k * 13 + 5) % n))
+            .chain((0..8).filter_map(|v| g.out_edges(v).first().map(|&d| EdgeMutation::remove(v, d))))
+            .collect();
+        let mut mlog =
+            MutationLog::new(ssd, sg.intervals().clone(), MutationConfig::default(), "wcc").unwrap();
+        mlog.ingest(&batch).unwrap();
+        eng.attach_mutations(Arc::new(multilogvc::ssd::sync::Mutex::new(mlog))).unwrap();
+        let r = eng.reconverge(&Wcc, 40);
+        assert!(r.interrupted.is_none() && r.mutations.is_some_and(|m| m.merges == 1));
+        r
+    };
+    assert!(pr.supersteps.iter().any(|s| fused_batches(s) > 1), "pr: one batch only");
+    assert!(tiered.supersteps.iter().any(|s| s.pinned_hits > 0), "tiered: no pinned hit");
+    assert!(rw.supersteps.iter().all(|s| fused_batches(s) == 1), "rw: several batches");
+    for (name, r) in [("pr", &pr), ("tiered", &tiered), ("rw", &rw), ("wcc", &wcc)] {
+        assert!(!r.supersteps.is_empty(), "{name}");
+        for s in &r.supersteps {
+            let what = format!("{name} superstep {}", s.superstep);
+            assert!(!s.checkpointed && s.mutations.merges == 0 && s.edge_log_pages == 0, "{what}");
+            assert_eq!(
+                s.sim_time_ns(),
+                s.compute_ns + s.io_wait_ns + s.write_wait_ns,
+                "{what}: {} read, {} written",
+                s.io.read_time_ns,
+                s.io.write_time_ns
+            );
+        }
+    }
+    let writes: u64 = pr.supersteps.iter().map(|s| s.write_wait_ns).sum();
+    assert!(writes > 0, "pr: no write wait charged");
 }
 
 /// Topology pins fill from the load stage's own reads (DESIGN.md §18): a
