@@ -5,7 +5,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use mlvc_graph::{
-    Adjacency, GraphLoader, IntervalId, StoredGraph, StructuralUpdateBuffer, VertexId,
+    Adjacency, GraphLoader, IntervalId, RowPtrs, StoredGraph, StructuralUpdateBuffer, VertexId,
 };
 use mlvc_log::{
     group_by_dest, is_inefficient, plan_fusion, BatchPlan, BitSet, EdgeLogOptimizer, FusedBatch,
@@ -527,11 +527,23 @@ struct Fetch<'s, 'e> {
     inflight: VecDeque<(Ticket, Decoder<'s>)>,
     /// The batch last retired, shared with the inboxes of its intervals.
     batch: Option<Rc<FusedBatch>>,
+    /// In the synchronous model, the intervals of the batch last retired
+    /// not yet prepared: each planned, its row pointers on the queue, when
+    /// the batch retired.
+    planned: VecDeque<Planned<'e>>,
 }
 
 impl<'s, 'e> Fetch<'s, 'e> {
     fn new(ioq: &'e IoQueue, plan: &'e [Range<IntervalId>]) -> Self {
-        Fetch { ioq, plan, submitted: 0, retired: 0, inflight: VecDeque::new(), batch: None }
+        Fetch {
+            ioq,
+            plan,
+            submitted: 0,
+            retired: 0,
+            inflight: VecDeque::new(),
+            batch: None,
+            planned: VecDeque::new(),
+        }
     }
 
     /// Whether interval `i` is the first of the next batch to retire.
@@ -629,6 +641,18 @@ impl Inbox {
     }
 }
 
+/// An interval planned for its load: its inbox, its active vertices, those
+/// of them the edge log serves, the row pointers of the rest — on the
+/// queue, their ticket among `reads` — as partitioned when it was planned.
+struct Planned<'q> {
+    i: IntervalId,
+    inbox: Inbox,
+    actives: Vec<(VertexId, Range<usize>)>,
+    elog_vs: Vec<VertexId>,
+    rows: RowPtrs,
+    reads: Reads<'q>,
+}
+
 /// An interval prepared ahead of its process stage: its inbox, its active
 /// vertices, their adjacency as stored, and the queue tickets that read it.
 struct Loaded<'q> {
@@ -714,12 +738,17 @@ impl<'d, 'a> Superstep<'d, 'a> {
     /// one order: retire it; top the read-ahead up; charge its sort to the
     /// queue clock — the batch is sorted before any of its intervals can
     /// name an active vertex, so no adjacency read of its own overlaps the
-    /// sort; then prepare the first interval. In the synchronous model that
-    /// happens before the previous batch's last interval is retired, so
-    /// the sort and the first interval's reads overlap that interval's
-    /// compute. The asynchronous model, which cannot prepare ahead, tops
-    /// the read-ahead up only once the first interval's reads are out, so
-    /// that demand reads reach the channels before prefetched ones.
+    /// sort; then, in the synchronous model, plan every interval of the
+    /// batch — its active list, and its row-pointer read on the queue, one
+    /// ticket an interval — and load the first. In the synchronous model
+    /// that happens before the previous batch's last interval is retired,
+    /// so the sort and the reads overlap that interval's compute, and each
+    /// later interval's row pointers are in flight long before its column
+    /// indices are read behind them. The asynchronous model, which cannot
+    /// prepare ahead (an interval's inbox is final only after the scatter
+    /// before it), plans each interval at its own prepare, and tops the
+    /// read-ahead up only once the first interval's reads are out, so that
+    /// demand reads reach the channels before prefetched ones.
     fn ready<'s, 'e>(
         &mut self,
         i: IntervalId,
@@ -739,12 +768,24 @@ impl<'d, 'a> Superstep<'d, 'a> {
             self.st.sort_ns += batch.sort_ns;
             self.st.messages_processed += batch.records;
             self.charge(fetch.ioq);
-            fetch.batch = Some(Rc::new(batch));
+            let batch = Rc::new(batch);
+            if ahead {
+                for j in fetch.plan[fetch.retired - 1].clone() {
+                    let planned = self.plan(j, &batch, fetch.ioq)?;
+                    fetch.planned.push_back(planned);
+                }
+            }
+            fetch.batch = Some(batch);
         }
-        let Some(batch) = &fetch.batch else {
-            return Err(DeviceError::Io(format!("no fused batch retired for interval {i}")));
+        let planned = match (fetch.planned.pop_front(), &fetch.batch) {
+            (Some(planned), _) => planned,
+            (None, Some(batch)) => self.plan(i, batch, fetch.ioq)?,
+            (None, None) => {
+                return Err(DeviceError::Io(format!("no fused batch retired for interval {i}")))
+            }
         };
-        let loaded = self.prepare(i, batch, fetch.ioq)?;
+        debug_assert_eq!(planned.i, i, "intervals planned out of order");
+        let loaded = self.load(planned)?;
         if opens && !ahead {
             let t_ahead = Instant::now();
             fetch.read_ahead(scope, &mut self.d.multilog)?;
@@ -771,15 +812,19 @@ impl<'d, 'a> Superstep<'d, 'a> {
         compute_ns(self.st.messages_processed, self.st.messages_delivered, self.st.edges_scanned)
     }
 
-    /// Prepare interval `i` of `batch`: carve its inbox and active
-    /// vertices out of the batch and read their adjacency through the
-    /// queue, the tickets left in flight.
-    fn prepare<'q>(
+    /// Plan interval `i` of `batch`: carve its inbox and active vertices out
+    /// of the batch, split them between the edge log — where the previous
+    /// superstep staged a vertex's list — and the CSR, and read the CSR
+    /// vertices' row pointers through the queue, the ticket left in flight.
+    /// Most supersteps stage nothing: the edge log's read side is probed per
+    /// vertex only when it holds something. A vertex with structural updates
+    /// pending comes from the CSR until they merge.
+    fn plan<'q>(
         &mut self,
         i: IntervalId,
         batch: &Rc<FusedBatch>,
         ioq: &'q IoQueue,
-    ) -> Result<Loaded<'q>, DeviceError> {
+    ) -> Result<Planned<'q>, DeviceError> {
         let t_assemble = Instant::now();
         let inbox = self.inbox(i, batch, ioq)?;
         let actives = actives_for_interval(
@@ -789,13 +834,19 @@ impl<'d, 'a> Superstep<'d, 'a> {
             self.d.all_active,
         );
         self.st.assemble_ns += t_assemble.elapsed().as_nanos() as u64;
-        let mut reads = Reads::Queue(ioq, Vec::new());
-        let adj = if actives.is_empty() {
-            Adjacency::default()
+        let t_adj = Instant::now();
+        let d = &mut *self.d;
+        let probe = d.use_elog() && !d.edgelog.read_side_is_empty();
+        let vs: Vec<VertexId> = actives.iter().map(|(v, _)| *v).collect();
+        let (elog_vs, csr_vs): (Vec<VertexId>, Vec<VertexId>) = if probe {
+            vs.into_iter().partition(|&v| d.edgelog.contains(v) && !d.structural.names(v))
         } else {
-            self.load(&mut reads, i, &actives)?
+            (Vec::new(), vs)
         };
-        Ok(Loaded { i, inbox, actives, adj, reads })
+        let mut reads = Reads::Queue(ioq, Vec::new());
+        let rows = d.loader.read_row_ptrs(&mut reads, d.graph, i, csr_vs, None)?;
+        self.st.adjacency_ns += t_adj.elapsed().as_nanos() as u64;
+        Ok(Planned { i, inbox, actives, elog_vs, rows, reads })
     }
 
     /// Retire a prepared interval's tickets — whatever service its reads
@@ -850,39 +901,33 @@ impl<'d, 'a> Superstep<'d, 'a> {
         Ok(Inbox::Merged(merge_by_dest(previous.updates(), &extra.updates, self.d.prog.combine())))
     }
 
-    /// Read adjacency for the interval's active vertices through `reads`,
-    /// the lists as stored: from the edge log where the previous superstep
-    /// staged it, from the CSR pages that actually hold active data
-    /// otherwise.
-    fn load(
-        &mut self,
-        reads: &mut Reads<'_>,
-        i: IntervalId,
-        actives: &[(VertexId, Range<usize>)],
-    ) -> Result<Adjacency, DeviceError> {
+    /// Read a planned interval's adjacency, the lists as stored: the column
+    /// indices (and `val`) of its CSR vertices linked behind their row
+    /// pointers, then the edge log's lists. A vertex that the interval
+    /// before named in a structural update since the plan comes from the
+    /// CSR instead — its row pointers read now, behind the planned ones —
+    /// and is patched over the stored list at its retire.
+    fn load<'q>(&mut self, planned: Planned<'q>) -> Result<Loaded<'q>, DeviceError> {
+        let Planned { i, inbox, actives, elog_vs, mut rows, mut reads } = planned;
+        if actives.is_empty() {
+            return Ok(Loaded { i, inbox, actives, adj: Adjacency::default(), reads });
+        }
         let t_adj = Instant::now();
         let d = &mut *self.d;
-        // Most supersteps stage nothing: the edge log's read side is probed
-        // per vertex only when it holds something. A vertex with structural
-        // updates pending comes from the CSR until they merge; one the
-        // interval before names meanwhile is patched over its edge-log copy,
-        // which is the stored list.
-        let probe = d.use_elog() && !d.edgelog.read_side_is_empty();
-        let vs: Vec<VertexId> = actives.iter().map(|(v, _)| *v).collect();
-        let (elog_vs, csr_vs): (Vec<VertexId>, Vec<VertexId>) = if probe {
-            vs.into_iter().partition(|&v| d.edgelog.contains(v) && !d.structural.names(v))
-        } else {
-            (Vec::new(), vs)
-        };
-        let mut adj =
-            d.loader.load_active_with(reads, d.graph, i, &csr_vs, d.prog.needs_weights())?;
+        let (elog_vs, late): (Vec<VertexId>, Vec<VertexId>) =
+            elog_vs.into_iter().partition(|&v| !d.structural.names(v));
+        if !late.is_empty() {
+            let more = d.loader.read_row_ptrs(&mut reads, d.graph, i, late, rows.ticket())?;
+            rows = rows.join(more);
+        }
+        let mut adj = d.loader.load_active_with(&mut reads, d.graph, rows, d.prog.needs_weights())?;
         if !elog_vs.is_empty() {
             self.st.edge_log_hits += elog_vs.len() as u64;
-            d.edgelog.fetch(reads, &elog_vs, &mut adj)?;
+            d.edgelog.fetch(&mut reads, &elog_vs, &mut adj)?;
             adj.sort_by_vertex();
         }
         self.st.adjacency_ns += t_adj.elapsed().as_nanos() as u64;
-        Ok(adj)
+        Ok(Loaded { i, inbox, actives, adj, reads })
     }
 
     /// Assemble work items in vertex order — borrows only, no adjacency

@@ -39,8 +39,10 @@ pub use mlvc_ssd::checked;
 pub use builder::EdgeListBuilder;
 pub use csr::Csr;
 pub use intervals::{IntervalId, VertexIntervals};
-pub use loader::{AdjVertex, Adjacency, GraphLoader, PageUsage};
-pub use stored::{read_partition, write_partition, IntervalCsr, StoredGraph, UPDATE_BYTES};
+pub use loader::{AdjVertex, Adjacency, GraphLoader, PageUsage, RowPtrs};
+pub use stored::{
+    read_partition, write_partitions, IntervalCsr, PartitionWrite, StoredGraph, UPDATE_BYTES,
+};
 pub use view::{Edges, Entry, ListView, Packed, Segment, Weights};
 pub use structural::{
     dedup_last_wins, upsert_adjacency, EdgeMutation, MutationOp, StructuralUpdateBuffer,

@@ -268,6 +268,49 @@ impl Requests {
     }
 }
 
+/// The row pointers of some sorted active vertices of one interval, read
+/// ahead of their column indices ([`GraphLoader::read_row_ptrs`]): the
+/// vertices, each page lent with its index, ascending, and the read's
+/// ticket when it went through a queue — the one the column-index read is
+/// linked behind.
+#[derive(Debug)]
+pub struct RowPtrs {
+    i: IntervalId,
+    /// The interval's extents' layout, from metadata alone.
+    lay: Partition,
+    vs: Vec<VertexId>,
+    pages: Vec<(u64, Page)>,
+    ticket: Option<Ticket>,
+}
+
+impl RowPtrs {
+    /// The vertices whose row pointers these are, ascending.
+    pub fn vertices(&self) -> &[VertexId] {
+        &self.vs
+    }
+
+    /// The ticket of the last read that lent these pages.
+    pub fn ticket(&self) -> Option<Ticket> {
+        self.ticket
+    }
+
+    /// These row pointers and `more` — of other vertices of the same
+    /// interval, read behind this read — as one set: the vertices and the
+    /// pages merged in order, and `more`'s ticket, which completes after
+    /// this one's.
+    pub fn join(self, more: RowPtrs) -> RowPtrs {
+        debug_assert_eq!(self.i, more.i, "row pointers of two intervals");
+        let mut vs = self.vs;
+        vs.extend_from_slice(&more.vs);
+        vs.sort_unstable();
+        let mut pages = self.pages;
+        pages.extend(more.pages);
+        pages.sort_by_key(|&(p, _)| p);
+        pages.dedup_by_key(|&mut (p, _)| p);
+        RowPtrs { vs, pages, ticket: more.ticket.or(self.ticket), ..self }
+    }
+}
+
 impl GraphLoader {
     pub fn new() -> Self {
         GraphLoader {
@@ -303,67 +346,84 @@ impl GraphLoader {
         patch: Option<&StructuralUpdateBuffer>,
     ) -> Result<Adjacency, DeviceError> {
         let mut reads = Reads::Device(graph.ssd());
-        let mut adj = self.load_active_with(&mut reads, graph, i, active, want_weights)?;
+        let rows = self.read_row_ptrs(&mut reads, graph, i, active.to_vec(), None)?;
+        let mut adj = self.load_active_with(&mut reads, graph, rows, want_weights)?;
         if let Some(buf) = patch {
             buf.patch(i, &mut adj);
         }
         Ok(adj)
     }
 
-    /// Load the out-adjacency of the given **sorted** active vertices of
-    /// interval `i` through `reads`, as views over the pages read, the
-    /// lists as stored. Only pages overlapping active vertex data are read,
-    /// each exactly once per call, and no stored list is decoded or copied.
-    /// The column-index and `val` requests are computed from the row
-    /// pointers' pages, so their reads are linked behind that one. The
-    /// views are validated here, once: row pointers that cannot be a CSR's,
-    /// or a lent page whose header is not its extent's or that holds fewer
-    /// entries than a list takes from it, come back as
-    /// [`DeviceError::Corrupt`] — never as a panic, now or when a view is
-    /// walked.
-    pub fn load_active_with(
+    /// Read the row pointers of the given **sorted** active vertices of
+    /// interval `i` through `reads` — entries `v − start` and the one after
+    /// it per vertex, each page once — linked behind `after` when that read
+    /// names more vertices of an earlier one. The pages are checked here:
+    /// one lent a request, each holding every entry taken from it. The
+    /// engine reads a fused batch's row pointers, one read an interval,
+    /// when the batch retires (DESIGN.md §12).
+    pub fn read_row_ptrs(
         &mut self,
         reads: &mut Reads<'_>,
         graph: &StoredGraph,
         i: IntervalId,
-        active: &[VertexId],
-        want_weights: bool,
-    ) -> Result<Adjacency, DeviceError> {
-        let mut adj = Adjacency::default();
-        if active.is_empty() {
-            return Ok(adj);
-        }
+        active: Vec<VertexId>,
+        after: Option<Ticket>,
+    ) -> Result<RowPtrs, DeviceError> {
         let ssd = graph.ssd();
-        let page_size = ssd.page_size();
-        let start = graph.intervals().start(i);
-        let end = graph.intervals().end(i);
-        debug_assert!(active.windows(2).all(|w| w[0] < w[1]), "active must be sorted+unique");
-        assert!(
-            active[0] >= start && active.last().is_some_and(|&v| v < end),
-            "vertex outside interval"
-        );
         // Every extent's layout from metadata alone, so the page of each
         // entry is known before any page is read.
-        let ci_file = graph.colidx_file(i);
-        let lay = Partition::new(page_size, graph.num_vertices(), ssd.num_pages(ci_file)?);
-
-        // --- Row pointers: entries (v-start) and (v-start+1) per vertex. ---
+        let lay = Partition::new(ssd.page_size(), graph.num_vertices(), ssd.num_pages(graph.colidx_file(i))?);
+        let mut rows = RowPtrs { i, lay, vs: active, pages: Vec::new(), ticket: None };
+        let Some(&last) = rows.vs.last() else {
+            return Ok(rows);
+        };
+        let start = graph.intervals().start(i);
+        debug_assert!(rows.vs.windows(2).all(|w| w[0] < w[1]), "active must be sorted+unique");
+        assert!(rows.vs[0] >= start && last < graph.intervals().end(i), "vertex outside interval");
         // The actives ascend, so their entries' pages do: the request list
         // comes out sorted and each page's useful bits sum in place.
         let mut rp = Requests::new(graph.rowptr_file(i), lay.rowptr);
-        for &v in active {
+        for &v in &rows.vs {
             let j = to_u64(idx(v - start));
             rp.note(j, j + 2);
         }
-        let (rp_read, rp_data) = self.read(reads, rp.finish(page_size), None)?;
+        let (ticket, pages) = self.read(reads, rp.finish(ssd.page_size()), after)?;
         self.rowptr_pages_read += to_u64(rp.reqs.len());
-        rp.check_lent(&rp_data)?;
+        rp.check_lent(&pages)?;
+        rows.pages = rp.reqs.iter().map(|r| r.1).zip(pages).collect();
+        rows.ticket = ticket;
+        Ok(rows)
+    }
+
+    /// Load the out-adjacency of the vertices whose row pointers `rows`
+    /// holds through `reads`, as views over the pages read, the lists as
+    /// stored. Only pages overlapping active vertex data are read, each
+    /// exactly once per call, and no stored list is decoded or copied. The
+    /// column-index and `val` requests are computed from the row pointers'
+    /// pages, so their reads are linked behind that read. The views are
+    /// validated here, once: row pointers that cannot be a CSR's, or a lent
+    /// page whose header is not its extent's or that holds fewer entries
+    /// than a list takes from it, come back as [`DeviceError::Corrupt`] —
+    /// never as a panic, now or when a view is walked.
+    pub fn load_active_with(
+        &mut self,
+        reads: &mut Reads<'_>,
+        graph: &StoredGraph,
+        rows: RowPtrs,
+        want_weights: bool,
+    ) -> Result<Adjacency, DeviceError> {
+        let mut adj = Adjacency::default();
+        if rows.vs.is_empty() {
+            return Ok(adj);
+        }
+        let (i, lay, page_size) = (rows.i, rows.lay, graph.ssd().page_size());
+        let start = graph.intervals().start(i);
         let mut rk = 0usize;
         let mut rp_entry = |(p, k): (u64, usize)| -> u64 {
-            while rp.reqs[rk].1 < p {
+            while rows.pages[rk].0 < p {
                 rk += 1;
             }
-            crate::page::entry(&rp_data[rk][HEADER_BYTES..], k, lay.rowptr.width)
+            crate::page::entry(&rows.pages[rk].1[HEADER_BYTES..], k, lay.rowptr.width)
         };
         // Where entry `j` and the one after it are: one division for both.
         let pair = |j: u64| {
@@ -375,12 +435,13 @@ impl GraphLoader {
         // --- Column indices (and weights): entries [lo, hi) per vertex. ---
         // Row pointers must ascend and stay inside the extent, so every list
         // lies in pages the device really holds.
+        let ci_file = graph.colidx_file(i);
         let mut ci = Requests::new(ci_file, lay.colidx);
         let mut val =
             graph.val_file(i).filter(|_| want_weights).map(|f| Requests::new(f, lay.val));
-        adj.vertices.reserve_exact(active.len());
+        adj.vertices.reserve_exact(rows.vs.len());
         let mut prev_hi = 0u64;
-        for &v in active {
+        for &v in &rows.vs {
             let (at_lo, at_hi) = pair(to_u64(idx(v - start)));
             let (lo, hi) = (rp_entry(at_lo), rp_entry(at_hi));
             if lo < prev_hi || hi < lo || hi > lay.capacity {
@@ -406,13 +467,13 @@ impl GraphLoader {
             let useful = to_u32("page useful bytes", r.2).unwrap_or(u32::MAX);
             self.colidx_usage.push((ci_file, r.1, useful));
         }
-        adj.colidx = self.read(reads, &ci.reqs, rp_read)?.1;
+        adj.colidx = self.read(reads, &ci.reqs, rows.ticket)?.1;
         self.colidx_pages_read += to_u64(ci.reqs.len());
         ci.check_lent(&adj.colidx)?;
         adj.colidx_lay = lay.colidx;
 
         if let Some(mut val) = val {
-            adj.val = self.read(reads, val.finish(page_size), rp_read)?.1;
+            adj.val = self.read(reads, val.finish(page_size), rows.ticket)?.1;
             val.check_lent(&adj.val)?;
             adj.val_lay = lay.val;
             adj.weighted = true;

@@ -66,33 +66,43 @@ impl StoredGraph {
         let mut colidx_files = Vec::with_capacity(intervals.num_intervals());
         let mut val_files = graph.has_weights().then(Vec::new);
 
-        for i in intervals.iter_ids() {
+        // Local row pointers: offsets relative to each interval's extent.
+        let locals: Vec<Vec<u64>> = intervals
+            .iter_ids()
+            .map(|i| {
+                let range = intervals.range(i);
+                let base = graph.row_ptr()[idx(range.start)];
+                (range.start..=range.end).map(|v| graph.row_ptr()[idx(v)] - base).collect()
+            })
+            .collect();
+        let mut parts = Vec::with_capacity(intervals.num_intervals());
+        for (i, local) in intervals.iter_ids().zip(&locals) {
             let range = intervals.range(i);
-            let base = graph.row_ptr()[idx(range.start)];
-            // Local row pointers: offsets relative to this interval's extent.
-            let local: Vec<u64> = (range.start..=range.end)
-                .map(|v| graph.row_ptr()[idx(v)] - base)
-                .collect();
             let lo = mem_idx(graph.row_ptr()[idx(range.start)]);
             let hi = mem_idx(graph.row_ptr()[idx(range.end)]);
-
             // `open_or_create` preserves existing contents (so a resumed run
             // can reattach to its extents); a fresh store starts clean.
             let rp = ssd.open_or_create(&format!("{name}.rowptr.{i}"))?;
             let ci = ssd.open_or_create(&format!("{name}.colidx.{i}"))?;
-            write_partition(ssd, rp, ci, &local, &graph.col_idx()[lo..hi], n)?;
             rowptr_files.push(rp);
             colidx_files.push(ci);
-
-            if let (Some(vf), Some(wall)) = (val_files.as_mut(), graph.weights_all()) {
-                let f = ssd.open_or_create(&format!("{name}.val.{i}"))?;
-                // Weights vector is parallel to col_idx.
-                let bits: Vec<u32> = wall[lo..hi].iter().map(|w| w.to_bits()).collect();
-                let pages = page::encode_pages(Kind::Val, page::VAL_WIDTH, ssd.page_size(), &bits)?;
-                replace_extent(ssd, f, &pages)?;
-                vf.push(f);
-            }
+            // The weights vector is parallel to `col_idx`.
+            let val = match (val_files.as_mut(), graph.weights_all()) {
+                (Some(vf), Some(wall)) => {
+                    vf.push(ssd.open_or_create(&format!("{name}.val.{i}"))?);
+                    vf.last().map(|&f| (f, &wall[lo..hi]))
+                }
+                _ => None,
+            };
+            parts.push(PartitionWrite {
+                rowptr_file: rp,
+                colidx_file: ci,
+                rowptr: local,
+                colidx: &graph.col_idx()[lo..hi],
+                val,
+            });
         }
+        write_partitions(ssd, n, &parts)?;
 
         Ok(StoredGraph {
             ssd: Arc::clone(ssd),
@@ -199,44 +209,62 @@ impl StoredGraph {
     }
 }
 
-/// Replace one CSR partition — a row-pointer extent and its column-index
-/// extent — with `rowptr` / `colidx`, in the page format everything here
-/// reads back ([`crate::page`]): `colidx` at the width of the largest id of
-/// a graph of `num_vertices` vertices, `rowptr` at the width of the largest
-/// offset the `colidx` pages written can hold. The one place an extent of
-/// either kind is written: a cold store, the mutation merge's shadow copies,
-/// its install over the primaries and its crash recovery all come through
-/// here, so a merged partition is bit-identical to a cold re-store of the
-/// mutated graph.
-pub fn write_partition(
+/// One CSR partition to write: its row-pointer and column-index extents,
+/// what goes in them, and — on a cold store of a weighted graph — its `val`
+/// extent with the weights, parallel to `colidx`.
+pub struct PartitionWrite<'a> {
+    pub rowptr_file: FileId,
+    pub colidx_file: FileId,
+    pub rowptr: &'a [u64],
+    pub colidx: &'a [VertexId],
+    pub val: Option<(FileId, &'a [f32])>,
+}
+
+/// Replace a set of CSR partitions in one write dispatch (DESIGN.md §5,
+/// rule 4): every extent is truncated, then all their pages are appended
+/// with one [`Ssd::append_scattered`], so the write keeps every channel
+/// busy. Pages are in the format everything here reads back
+/// ([`crate::page`]): `colidx` at the width of the largest id of a graph of
+/// `num_vertices` vertices, `rowptr` at the width of the largest offset the
+/// `colidx` pages written can hold, `val` at 32 bits. The one place an
+/// extent of any kind is written: a cold store, the mutation merge's shadow
+/// copies, its install over the primaries and its crash recovery all come
+/// through here, so a merged partition is bit-identical to a cold re-store
+/// of the mutated graph.
+pub fn write_partitions(
     ssd: &Ssd,
-    rowptr_file: FileId,
-    colidx_file: FileId,
-    rowptr: &[u64],
-    colidx: &[VertexId],
     num_vertices: usize,
+    parts: &[PartitionWrite<'_>],
 ) -> Result<(), DeviceError> {
     let ps = ssd.page_size();
     let ci_width = page::colidx_width(num_vertices);
-    let ci_pages = page::encode_pages(Kind::ColIdx, ci_width, ps, colidx)?;
-    let lay = Partition::new(ps, num_vertices, to_u64(ci_pages.len()));
-    let rp_pages = page::encode_pages(Kind::RowPtr, lay.rowptr.width, ps, rowptr)?;
-    replace_extent(ssd, rowptr_file, &rp_pages)?;
-    replace_extent(ssd, colidx_file, &ci_pages)
-}
-
-/// Truncate `file` and append `pages` in one batch.
-fn replace_extent(ssd: &Ssd, file: FileId, pages: &[Vec<u8>]) -> Result<(), DeviceError> {
-    ssd.truncate(file)?;
-    let refs: Vec<&[u8]> = pages.iter().map(Vec::as_slice).collect();
-    ssd.append_pages(file, &refs)?;
+    let mut extents: Vec<(FileId, Vec<Vec<u8>>)> = Vec::with_capacity(3 * parts.len());
+    for p in parts {
+        let ci_pages = page::encode_pages(Kind::ColIdx, ci_width, ps, p.colidx)?;
+        let lay = Partition::new(ps, num_vertices, to_u64(ci_pages.len()));
+        let rp_pages = page::encode_pages(Kind::RowPtr, lay.rowptr.width, ps, p.rowptr)?;
+        extents.push((p.rowptr_file, rp_pages));
+        extents.push((p.colidx_file, ci_pages));
+        if let Some((f, weights)) = p.val {
+            let bits: Vec<u32> = weights.iter().map(|w| w.to_bits()).collect();
+            extents.push((f, page::encode_pages(Kind::Val, page::VAL_WIDTH, ps, &bits)?));
+        }
+    }
+    for (f, _) in &extents {
+        ssd.truncate(*f)?;
+    }
+    let writes: Vec<(FileId, &[u8])> = extents
+        .iter()
+        .flat_map(|(f, pages)| pages.iter().map(move |page| (*f, page.as_slice())))
+        .collect();
+    ssd.append_scattered(&writes)?;
     Ok(())
 }
 
 /// Read one interval's partition back — `n_local + 1` row pointers, the
 /// adjacency they delimit and, when `val_file` is given, its weights — each
 /// extent in one device batch whose requests declare the packed bytes they
-/// use. The widths are derived as [`write_partition`] derived them, and
+/// use. The widths are derived as [`write_partitions`] derived them, and
 /// everything a CSR must be is checked before it is returned: each page's
 /// header (kind, width, entry count), row pointers that start at 0, ascend
 /// and end inside the `colidx` extent, and every id below `num_vertices`.

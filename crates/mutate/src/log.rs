@@ -22,7 +22,8 @@ use std::sync::Arc;
 
 use mlvc_graph::checked::{idx, to_u32, to_u64, to_usize};
 use mlvc_graph::{
-    read_partition, write_partition, IntervalId, StoredGraph, VertexId, VertexIntervals,
+    read_partition, write_partitions, IntervalId, PartitionWrite, StoredGraph, VertexId,
+    VertexIntervals,
 };
 use mlvc_log::{decode_log_page, pack_pages, LogPage, PageShape, Update};
 use mlvc_recover::{CommitSlots, MERGE_RECORD};
@@ -126,6 +127,28 @@ fn refused(e: DeviceError) -> MutationError {
         }
         other => MutationError::Device(other),
     }
+}
+
+/// A partition a merge rewrites: its interval, new row pointers and column
+/// indices, and the edge count it replaces.
+type Rewrite = (IntervalId, Vec<u64>, Vec<VertexId>, u64);
+
+/// Write `rewrites` over the extents `files` names for each interval, in
+/// one dispatch.
+fn write_rewrites(
+    ssd: &Ssd,
+    num_vertices: usize,
+    rewrites: &[Rewrite],
+    files: impl Fn(IntervalId) -> (FileId, FileId),
+) -> Result<(), DeviceError> {
+    let parts: Vec<PartitionWrite> = rewrites
+        .iter()
+        .map(|(i, rowptr, colidx, _)| {
+            let (rowptr_file, colidx_file) = files(*i);
+            PartitionWrite { rowptr_file, colidx_file, rowptr, colidx, val: None }
+        })
+        .collect();
+    write_partitions(ssd, num_vertices, &parts)
 }
 
 /// The per-interval mutation log over one device. Methods take `&mut
@@ -396,7 +419,7 @@ impl MutationLog {
         // rewrites. Intervals whose requests were all already satisfied
         // are skipped entirely.
         let mut delta = MutationDelta::default();
-        let mut rewrites: Vec<(IntervalId, Vec<u64>, Vec<VertexId>, u64)> = Vec::new();
+        let mut rewrites: Vec<Rewrite> = Vec::new();
         let n = self.intervals.num_vertices();
         for i in self.intervals.iter_ids() {
             let muts = dedup_last_wins(&per_interval[idx(i)]);
@@ -455,22 +478,19 @@ impl MutationLog {
         // Stages 3–5, chunked so each commit's manifest fits one page:
         // shadow extents first, then the manifest commit, then the
         // primary install from the in-memory copies (recovery re-reads
-        // the shadows instead).
+        // the shadows instead). Each stage is one write dispatch.
         let per_manifest = MERGE_RECORD.max_entries(self.ssd.page_size());
         let mut new_total = graph.num_edges();
         for chunk in rewrites.chunks(per_manifest.max(1)) {
+            let shadows = |i: IntervalId| (self.shadow_rowptr[idx(i)], self.shadow_colidx[idx(i)]);
+            write_rewrites(&self.ssd, n, chunk, shadows)?;
             let mut entries = Vec::with_capacity(chunk.len());
-            for (i, new_rowptr, new_colidx, old_edges) in chunk {
-                let (srp, sci) = (self.shadow_rowptr[idx(*i)], self.shadow_colidx[idx(*i)]);
-                write_partition(&self.ssd, srp, sci, new_rowptr, new_colidx, n)?;
+            for (i, _, new_colidx, old_edges) in chunk {
                 new_total = new_total + to_u64(new_colidx.len()) - old_edges;
                 entries.push((*i, to_u64(new_colidx.len())));
             }
             self.write_manifest(new_total, &entries)?;
-            for (i, new_rowptr, new_colidx, _) in chunk {
-                let (rp, ci) = (graph.rowptr_file(*i), graph.colidx_file(*i));
-                write_partition(&self.ssd, rp, ci, new_rowptr, new_colidx, n)?;
-            }
+            write_rewrites(&self.ssd, n, chunk, |i| (graph.rowptr_file(i), graph.colidx_file(i)))?;
             graph.set_num_edges(new_total);
         }
         Ok((delta, rewrites.len()))
@@ -510,25 +530,28 @@ impl MutationLog {
         let newest = self.manifests.scan(|_, _, body| Ok(decode_manifest(body)));
         let reinstalled = match newest.map_err(refused)? {
             Some((_, _, (new_num_edges, entries))) if !entries.is_empty() => {
+                // Every shadow is read and checked before the one install
+                // dispatch writes them over the primaries.
+                let n = self.intervals.num_vertices();
+                let mut shadows = Vec::with_capacity(entries.len());
                 for &(i, n_colidx) in &entries {
                     if idx(i) >= self.intervals.num_intervals() {
                         return Err(MutationError::Corrupt(format!(
                             "manifest names interval {i} outside the partition"
                         )));
                     }
-                    let (n_local, n) = (self.intervals.len_of(i), self.intervals.num_vertices());
                     let (srp, sci) = (self.shadow_rowptr[idx(i)], self.shadow_colidx[idx(i)]);
                     let (rowptr, colidx, _) =
-                        read_partition(&self.ssd, srp, sci, None, n_local, n)?;
+                        read_partition(&self.ssd, srp, sci, None, self.intervals.len_of(i), n)?;
                     if to_u64(colidx.len()) != n_colidx {
                         return Err(MutationError::Corrupt(format!(
                             "shadow of interval {i} holds {} edges, its manifest {n_colidx}",
                             colidx.len()
                         )));
                     }
-                    let (rp, ci) = (graph.rowptr_file(i), graph.colidx_file(i));
-                    write_partition(&self.ssd, rp, ci, &rowptr, &colidx, n)?;
+                    shadows.push((i, rowptr, colidx, 0));
                 }
+                write_rewrites(&self.ssd, n, &shadows, |i| (graph.rowptr_file(i), graph.colidx_file(i)))?;
                 graph.set_num_edges(new_num_edges);
                 true
             }
@@ -762,7 +785,7 @@ mod tests {
     /// two doubles the offsets it can hold, so its row pointers widen from 9
     /// bits to 10. Reads and `to_csr` equal the golden, and both merged
     /// extents are byte for byte what a cold store of the mutated graph
-    /// writes — the promise of `write_partition`'s one layout.
+    /// writes — the promise of `write_partitions`' one layout.
     #[test]
     fn a_merge_that_widens_row_pointers_equals_a_cold_store() {
         use mlvc_graph::page::WIDTH_AT;
