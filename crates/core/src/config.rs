@@ -200,6 +200,10 @@ pub enum ConfigError {
     /// structural update on a baseline, or a GraphChi message sent to a
     /// vertex that is not an out-neighbour (its messages ride on edges).
     Unsupported { engine: &'static str, what: &'static str },
+    /// A strict resume ([`crate::MultiLogEngine::resume`]) found the latest
+    /// checkpoint under its tag taken of another `differs` — `"program"`
+    /// or `"graph"` — than the run of `app` it was asked to continue.
+    ForeignCheckpoint { app: &'static str, differs: &'static str },
 }
 
 impl ConfigError {
@@ -212,6 +216,7 @@ impl ConfigError {
             ConfigError::ZeroCheckpointCadence => "zero-checkpoint-cadence",
             ConfigError::NeedsWeights { .. } => "needs-weights",
             ConfigError::Unsupported { .. } => "unsupported",
+            ConfigError::ForeignCheckpoint { .. } => "foreign-checkpoint",
         }
     }
 }
@@ -238,6 +243,11 @@ impl fmt::Display for ConfigError {
             ConfigError::Unsupported { engine, what } => {
                 write!(f, "the {engine} engine does not support {what}")
             }
+            ConfigError::ForeignCheckpoint { app, differs } => write!(
+                f,
+                "the latest checkpoint on this device was taken of another {differs}; \
+                 a run of {app} on this graph does not resume it"
+            ),
         }
     }
 }

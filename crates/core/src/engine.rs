@@ -19,7 +19,7 @@ use mlvc_ssd::{
     DeviceError, IoQueue, Page, Reads, Ssd, SsdStatsSnapshot, Ticket, Writes, QUEUE_DEPTH,
 };
 
-use crate::checkpoint::{load_resume_point, Checkpointer};
+use crate::checkpoint::{identity, load_resume_point, Checkpointer, ResumePoint};
 use crate::merge::{merge_pending, STRUCTURAL_MERGE_THRESHOLD};
 use crate::tiering::{attach_cache, Tiering};
 use crate::trace::Tracer;
@@ -155,7 +155,10 @@ impl MultiLogEngine {
 
     /// Resume from the latest valid checkpoint on this engine's device (or
     /// start fresh when none exists) and run to completion, checkpointing
-    /// along the way per [`EngineConfig::checkpoint_every`].
+    /// along the way per [`EngineConfig::checkpoint_every`]. A checkpoint
+    /// another run left under the engine's tag — of another program, or
+    /// taken on another graph (DESIGN.md §11) — is passed over: the run
+    /// starts fresh. [`Self::resume`] refuses one instead.
     ///
     /// The graph extents and checkpoint slots must live on the same device
     /// the interrupted run used; `RunReport::resumed_from` records the
@@ -169,13 +172,45 @@ impl MultiLogEngine {
         prog: &dyn VertexProgram,
         max_supersteps: usize,
     ) -> RunReport {
+        self.recover(prog, max_supersteps, false).unwrap_or_else(|e| RunReport {
+            interrupted: Some(e.into()),
+            ..self.report_for(prog)
+        })
+    }
+
+    /// [`Self::run_recoverable`] for a caller that asked to continue a run
+    /// (`mlvc resume`): a checkpoint of another program or graph under the
+    /// engine's tag is refused with [`ConfigError::ForeignCheckpoint`]
+    /// before anything runs, not passed over.
+    pub fn resume(
+        &mut self,
+        prog: &dyn VertexProgram,
+        max_supersteps: usize,
+    ) -> Result<RunReport, ConfigError> {
+        self.recover(prog, max_supersteps, true)
+    }
+
+    /// The body of [`Self::run_recoverable`] and [`Self::resume`]: a
+    /// foreign checkpoint is refused when `refuse_foreign`, passed over
+    /// otherwise.
+    fn recover(
+        &mut self,
+        prog: &dyn VertexProgram,
+        max_supersteps: usize,
+        refuse_foreign: bool,
+    ) -> Result<RunReport, ConfigError> {
         let mut report = self.report_for(prog);
-        let (mgr, resume) = match load_resume_point(&self.ssd, &self.cfg.tag, &self.graph) {
+        let (mgr, point) = match load_resume_point(&self.ssd, &self.cfg.tag, &self.graph, prog) {
             Ok(r) => r,
             Err(e) => {
                 report.interrupted = Some(e);
-                return report;
+                return Ok(report);
             }
+        };
+        let resume = match point {
+            ResumePoint::Own(cp) => Some(cp),
+            ResumePoint::Foreign(e) if refuse_foreign => return Err(e),
+            ResumePoint::Foreign(_) | ResumePoint::Fresh => None,
         };
         if let Some(cp) = &resume {
             report.resumed_from = Some(cp.superstep);
@@ -184,7 +219,7 @@ impl MultiLogEngine {
         if let Err(e) = self.drive(prog, max_supersteps, resumed, None, Some(mgr), &mut report) {
             report.interrupted = Some(e);
         }
-        report
+        Ok(report)
     }
 
     /// An empty report of a run of `prog` on this engine, under its tag.
@@ -311,7 +346,13 @@ impl<'a> Drive<'a> {
             ),
             tiering,
             tracer,
-            checkpointer: Checkpointer::open(ssd, &cfg.tag, cfg.checkpoint_every, ckpt)?,
+            checkpointer: Checkpointer::open(
+                ssd,
+                &cfg.tag,
+                cfg.checkpoint_every,
+                ckpt,
+                identity(prog, graph),
+            )?,
             sinks: Vec::new(),
             pending: Vec::new(),
             all_active: false,

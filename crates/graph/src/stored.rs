@@ -44,6 +44,8 @@ pub struct StoredGraph {
     /// A shared counter so merges can run behind a shared reference — the
     /// file set never changes after construction, only extent contents.
     num_edges: mlvc_ssd::RelaxedCounter,
+    /// [`Csr::fingerprint`] of the graph as stored (merges do not move it).
+    fingerprint: u64,
 }
 
 impl StoredGraph {
@@ -112,6 +114,7 @@ impl StoredGraph {
             colidx_files,
             val_files,
             num_edges: mlvc_ssd::RelaxedCounter::new(to_u64(graph.num_edges())),
+            fingerprint: graph.fingerprint(),
         })
     }
 
@@ -133,6 +136,7 @@ impl StoredGraph {
             colidx_files: self.colidx_files.clone(),
             val_files: self.val_files.clone(),
             num_edges: mlvc_ssd::RelaxedCounter::new(self.num_edges.get()),
+            fingerprint: self.fingerprint,
         }
     }
 
@@ -161,6 +165,13 @@ impl StoredGraph {
 
     pub fn has_weights(&self) -> bool {
         self.val_files.is_some()
+    }
+
+    /// The [`Csr::fingerprint`] of the graph this was stored from: what a
+    /// checkpoint records to know the graph it was taken on. A merge
+    /// rewrites extents but does not move it.
+    pub fn fingerprint(&self) -> u64 {
+        self.fingerprint
     }
 
     /// Row-pointer extent of interval `i` (public so the mutation merge

@@ -48,6 +48,6 @@ pub use commit::{CommitSlots, RecordFormat, UnsupportedVersion, MERGE_RECORD};
 pub use crc::{crc32, crc32_update};
 pub use manager::{CheckpointManager, CheckpointState};
 pub use manifest::{
-    Manifest, SegmentDesc, CKPT_MAGIC, CKPT_VERSION, MANIFEST_HEADER_BYTES, NUM_SEGMENTS,
-    SEG_ACTIVE, SEG_MSGS, SEG_STATES,
+    Manifest, RunIdentity, SegmentDesc, CKPT_MAGIC, CKPT_VERSION, MANIFEST_HEADER_BYTES,
+    NUM_SEGMENTS, SEG_ACTIVE, SEG_MSGS, SEG_STATES,
 };

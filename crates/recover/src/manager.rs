@@ -23,7 +23,8 @@ use mlvc_ssd::{DeviceError, FileId, Page, Ssd};
 use crate::commit::{read_u64, CommitSlots};
 use crate::crc::crc32;
 use crate::manifest::{
-    Manifest, SegmentDesc, CKPT_RECORD, NUM_SEGMENTS, SEG_ACTIVE, SEG_MSGS, SEG_STATES,
+    Manifest, RunIdentity, SegmentDesc, CKPT_RECORD, NUM_SEGMENTS, SEG_ACTIVE, SEG_MSGS,
+    SEG_STATES,
 };
 
 /// Everything a checkpoint captures about a run, in engine-neutral form.
@@ -80,9 +81,11 @@ pub struct CheckpointManager {
     ssd: Arc<Ssd>,
     manifests: CommitSlots,
     data_files: [FileId; 2],
-    /// The newest valid checkpoint and its sequence number: the one the
-    /// opening scan accepted, then each one written.
-    latest: Option<(u64, CheckpointState)>,
+    /// The newest valid checkpoint, its sequence number and identity: the
+    /// one the opening scan accepted, then each one written.
+    latest: Option<(u64, CheckpointState, RunIdentity)>,
+    /// The identity each checkpoint written records.
+    identity: RunIdentity,
 }
 
 impl CheckpointManager {
@@ -98,8 +101,21 @@ impl CheckpointManager {
         ];
         let latest = manifests
             .scan(|slot, seq, body| accept(ssd, data_files[slot], seq, body))?
-            .map(|(_, seq, state)| (seq, state));
-        Ok(CheckpointManager { ssd: Arc::clone(ssd), manifests, data_files, latest })
+            .map(|(_, seq, (state, identity))| (seq, state, identity));
+        let identity = RunIdentity::default();
+        Ok(CheckpointManager { ssd: Arc::clone(ssd), manifests, data_files, latest, identity })
+    }
+
+    /// Record `identity` in every checkpoint written from now on (a manager
+    /// opened and never identified records the default: no program, graph
+    /// 0).
+    pub fn identify(&mut self, identity: RunIdentity) {
+        self.identity = identity;
+    }
+
+    /// What the latest valid checkpoint is of.
+    pub fn latest_identity(&self) -> Option<&RunIdentity> {
+        self.latest.as_ref().map(|(_, _, identity)| identity)
     }
 
     /// Sequence number the next [`Self::write`] will stamp.
@@ -138,10 +154,11 @@ impl CheckpointManager {
             superstep: state.superstep,
             num_vertices: to_u64(state.states.len()),
             all_active: state.all_active,
+            identity: self.identity.clone(),
             segments,
         };
         let seq = self.manifests.commit(&manifest.body())?;
-        self.latest = Some((seq, state.clone()));
+        self.latest = Some((seq, state.clone(), manifest.identity));
         Ok(seq)
     }
 
@@ -150,18 +167,18 @@ impl CheckpointManager {
     /// segment CRC checked out, a slot failing either skipped in favour of
     /// the other — or the last one this manager wrote. No device I/O.
     pub fn load_latest(&self) -> Result<Option<(u64, CheckpointState)>, DeviceError> {
-        Ok(self.latest.clone())
+        Ok(self.latest.as_ref().map(|(seq, state, _)| (*seq, state.clone())))
     }
 }
 
-/// The state a slot's commit record describes, if every segment checks
-/// out in the slot's data file `data`.
+/// The state a slot's commit record describes, and its identity, if every
+/// segment checks out in the slot's data file `data`.
 fn accept(
     ssd: &Ssd,
     data: FileId,
     seq: u64,
     body: &[u8],
-) -> Result<Option<CheckpointState>, DeviceError> {
+) -> Result<Option<(CheckpointState, RunIdentity)>, DeviceError> {
     let Some(manifest) = Manifest::from_body(seq, body) else {
         return Ok(None);
     };
@@ -183,13 +200,14 @@ fn accept(
         start_page += desc.len.div_ceil(to_u64(page_size));
         segs.push(bytes);
     }
-    Ok(Some(CheckpointState {
+    let state = CheckpointState {
         superstep: manifest.superstep,
         all_active: manifest.all_active,
         states: decode_states(&segs[SEG_STATES]),
         active_bits: std::mem::take(&mut segs[SEG_ACTIVE]),
         msgs: decode_msgs(&segs[SEG_MSGS], page_size),
-    }))
+    };
+    Ok(Some((state, manifest.identity)))
 }
 
 fn read_segment(
@@ -306,6 +324,25 @@ mod tests {
         assert_eq!(got_seq, seq);
         assert_eq!(got, state);
         assert_eq!(got.vertices_from_bits(), vec![3, 17, 64]);
+    }
+
+    /// A checkpoint keeps the identity its manager was given, across a
+    /// reopen; an unidentified manager records the default.
+    #[test]
+    fn a_checkpoint_records_its_run_identity() {
+        let ssd = ssd();
+        let mut mgr = CheckpointManager::open(&ssd, "t").unwrap();
+        mgr.write(&sample_state(2)).unwrap();
+        assert_eq!(mgr.latest_identity(), Some(&RunIdentity::default()));
+        let id = RunIdentity::new("randomwalk", 0xFEED_F00D_0000_0001);
+        mgr.identify(id.clone());
+        mgr.write(&sample_state(4)).unwrap();
+        let reopened = CheckpointManager::open(&ssd, "t").unwrap();
+        assert_eq!(reopened.latest_identity(), Some(&id));
+        assert_eq!(reopened.load_latest().unwrap().unwrap().1, sample_state(4));
+        // A name longer than the field is cut at a character boundary.
+        let long = "ä".repeat(20);
+        assert_eq!(RunIdentity::new(&long, 1).program(), "ä".repeat(16));
     }
 
     #[test]

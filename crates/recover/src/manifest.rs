@@ -22,6 +22,8 @@
 //! | superstep      | [`SUPERSTEP_BYTES`]       |
 //! | num_vertices   | [`NUM_VERTICES_BYTES`]    |
 //! | flags          | [`FLAGS_BYTES`]           |
+//! | graph          | [`GRAPH_BYTES`]           |
+//! | program        | [`PROGRAM_BYTES`]         |
 //! | segment descs  | [`NUM_SEGMENTS`] × [`SEGMENT_DESC_BYTES`] |
 //! | manifest crc   | [`MANIFEST_CRC_BYTES`]    |
 //!
@@ -38,9 +40,11 @@ pub const CKPT_MAGIC: u64 = 0x4D4C_5643_434B_5054;
 
 /// On-disk checkpoint format version. Version 2 is version 1 with the
 /// pending-messages segment holding `mlvc_log::page` pages (8-byte header,
-/// 10–16-byte records) instead of fixed 16-byte-record pages; the manifest
-/// itself is unchanged.
-pub const CKPT_VERSION: u32 = 2;
+/// 10–16-byte records) instead of fixed 16-byte-record pages; version 3
+/// adds the run's identity to the manifest — the graph's fingerprint and
+/// the program's name ([`RunIdentity`]) — so a resume can tell another
+/// run's checkpoint from its own.
+pub const CKPT_VERSION: u32 = 3;
 
 /// Width of the superstep field.
 pub const SUPERSTEP_BYTES: usize = 8;
@@ -48,6 +52,10 @@ pub const SUPERSTEP_BYTES: usize = 8;
 pub const NUM_VERTICES_BYTES: usize = 8;
 /// Width of the flags field (bit 0: all-active superstep pending).
 pub const FLAGS_BYTES: usize = 4;
+/// Width of the graph-fingerprint field.
+pub const GRAPH_BYTES: usize = 8;
+/// Width of the program-name field: the name's UTF-8 bytes, zero-padded.
+pub const PROGRAM_BYTES: usize = 32;
 /// Width of one segment descriptor: byte length (u64) + CRC-32 (u32).
 pub const SEGMENT_DESC_BYTES: usize = 12;
 /// Segments per checkpoint: vertex states | active bitset | pending
@@ -57,8 +65,12 @@ pub const NUM_SEGMENTS: usize = 3;
 pub const MANIFEST_CRC_BYTES: usize = CRC_BYTES;
 
 /// The commit-record body: everything between `seq` and the CRC.
-const BODY_BYTES: usize =
-    SUPERSTEP_BYTES + NUM_VERTICES_BYTES + FLAGS_BYTES + NUM_SEGMENTS * SEGMENT_DESC_BYTES;
+const BODY_BYTES: usize = SUPERSTEP_BYTES
+    + NUM_VERTICES_BYTES
+    + FLAGS_BYTES
+    + GRAPH_BYTES
+    + PROGRAM_BYTES
+    + NUM_SEGMENTS * SEGMENT_DESC_BYTES;
 
 /// Total manifest header size; must fit in one device page.
 pub const MANIFEST_HEADER_BYTES: usize =
@@ -92,6 +104,37 @@ pub struct SegmentDesc {
     pub crc: u32,
 }
 
+/// What a checkpoint is of: the name of the program that ran
+/// (`VertexProgram::name`) and the fingerprint of the graph it ran on
+/// (`Csr::fingerprint`, taken when the graph was stored). A resume takes
+/// only a checkpoint of its own identity (DESIGN.md §11).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RunIdentity {
+    program: String,
+    graph: u64,
+}
+
+impl RunIdentity {
+    /// The identity of `program` on the graph of fingerprint `graph`; a
+    /// name longer than [`PROGRAM_BYTES`] is cut at a character boundary
+    /// to what the manifest holds.
+    pub fn new(program: &str, graph: u64) -> Self {
+        let mut end = program.len().min(PROGRAM_BYTES);
+        while !program.is_char_boundary(end) {
+            end -= 1;
+        }
+        RunIdentity { program: program[..end].to_string(), graph }
+    }
+
+    pub fn program(&self) -> &str {
+        &self.program
+    }
+
+    pub fn graph(&self) -> u64 {
+        self.graph
+    }
+}
+
 /// Decoded manifest header.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Manifest {
@@ -104,6 +147,7 @@ pub struct Manifest {
     pub num_vertices: u64,
     /// Whether the *next* superstep is an all-active one.
     pub all_active: bool,
+    pub identity: RunIdentity,
     pub segments: [SegmentDesc; NUM_SEGMENTS],
 }
 
@@ -121,6 +165,11 @@ impl Manifest {
         buf.extend_from_slice(&self.num_vertices.to_le_bytes());
         let flags: u32 = if self.all_active { FLAG_ALL_ACTIVE } else { 0 };
         buf.extend_from_slice(&flags.to_le_bytes());
+        buf.extend_from_slice(&self.identity.graph.to_le_bytes());
+        let mut program = [0u8; PROGRAM_BYTES];
+        let name = self.identity.program.as_bytes();
+        program[..name.len()].copy_from_slice(name);
+        buf.extend_from_slice(&program);
         for seg in &self.segments {
             buf.extend_from_slice(&seg.len.to_le_bytes());
             buf.extend_from_slice(&seg.crc.to_le_bytes());
@@ -145,6 +194,11 @@ impl Manifest {
         off += NUM_VERTICES_BYTES;
         let flags = read_u32(body, off)?;
         off += FLAGS_BYTES;
+        let graph = read_u64(body, off)?;
+        off += GRAPH_BYTES;
+        let name = body.get(off..off + PROGRAM_BYTES)?;
+        let program = std::str::from_utf8(&name[..name.iter().position(|&b| b == 0).unwrap_or(PROGRAM_BYTES)]).ok()?;
+        off += PROGRAM_BYTES;
         let mut segments = [SegmentDesc::default(); NUM_SEGMENTS];
         for seg in &mut segments {
             seg.len = read_u64(body, off)?;
@@ -156,6 +210,7 @@ impl Manifest {
             superstep,
             num_vertices,
             all_active: flags & FLAG_ALL_ACTIVE != 0,
+            identity: RunIdentity::new(program, graph),
             segments,
         })
     }
@@ -172,6 +227,7 @@ mod tests {
             superstep: 21,
             num_vertices: 1000,
             all_active: true,
+            identity: RunIdentity::new("pagerank", 0x0123_4567_89AB_CDEF),
             segments: [
                 SegmentDesc { len: 8000, crc: 0xDEAD_BEEF },
                 SegmentDesc { len: 125, crc: 0x1234_5678 },

@@ -388,7 +388,7 @@ fn cmd_run(a: &Args, resume: bool) -> Result<(), String> {
             ssd.enable_ftl(FtlConfig::default());
         }
     }
-    let report = engine.run(app.as_ref(), steps, resume);
+    let report = engine.run(app.as_ref(), steps, resume)?;
     print_states_summary(app_name, engine.states());
     print_report(a, &report, app_name, path)
 }
@@ -401,11 +401,13 @@ enum CliEngine {
 }
 
 impl CliEngine {
-    fn run(&mut self, prog: &dyn VertexProgram, steps: usize, resume: bool) -> RunReport {
+    /// Run `prog`; a resume refuses another run's checkpoint (another
+    /// program's, or one taken on another graph) as an error.
+    fn run(&mut self, prog: &dyn VertexProgram, steps: usize, resume: bool) -> Result<RunReport, String> {
         match self {
-            CliEngine::Mlvc(e) if resume => e.run_recoverable(prog, steps),
-            CliEngine::Mlvc(e) => e.run(prog, steps),
-            CliEngine::Other(e) => e.run(prog, steps),
+            CliEngine::Mlvc(e) if resume => e.resume(prog, steps).map_err(|e| e.to_string()),
+            CliEngine::Mlvc(e) => Ok(e.run(prog, steps)),
+            CliEngine::Other(e) => Ok(e.run(prog, steps)),
         }
     }
 
@@ -953,6 +955,13 @@ mod tests {
             "--steps", "10",
         ]))
         .unwrap();
+        // Another program does not continue PageRank's checkpoint: a typed
+        // refusal, exit 1.
+        let err = run(&strs(&[
+            "resume", "--app", "wcc", "--graph", csr_s, "--ssd-dir", dev_s, "--steps", "10",
+        ]))
+        .unwrap_err();
+        assert!(err.contains("taken of another program"), "{err}");
         // The intervals follow the sort budget: at another --memory-kb the
         // checkpoint's logs are another partition's, so it is not this
         // run's to resume from — the run starts over instead of panicking.

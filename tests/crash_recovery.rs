@@ -238,3 +238,58 @@ fn a_refused_resume_still_names_its_engine_and_job() {
     assert!(r.supersteps.is_empty(), "nothing ran");
     assert_eq!((r.engine.as_str(), r.job_id.as_str()), ("MultiLogVC", tag));
 }
+
+/// A checkpoint is resumed only by the run it was taken of (DESIGN.md
+/// §11): the same program on the same graph. Two runs leave checkpoints
+/// under the engine's tag on one device — PageRank on graph A, then the
+/// same budget and tag on graph B of the same vertex count, and WCC on
+/// graph A — and each other run refuses them: `resume` with a typed
+/// `foreign-checkpoint` error before anything runs, `run_recoverable` by
+/// starting fresh and ending where a fresh run ends. PageRank on graph A
+/// still resumes its own checkpoint.
+#[test]
+fn a_checkpoint_of_another_program_or_graph_is_not_resumed() {
+    use multilogvc::apps::Wcc;
+    use multilogvc::core::ConfigError;
+
+    let (graph_a, graph_b) = (mlvc_gen::erdos_renyi(40, 120, 7), mlvc_gen::erdos_renyi(40, 120, 8));
+    assert_eq!(graph_a.num_vertices(), graph_b.num_vertices());
+    assert_ne!(graph_a.fingerprint(), graph_b.fingerprint());
+    let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
+    let store = |g: &multilogvc::graph::Csr| {
+        let iv = VertexIntervals::uniform(g.num_vertices(), 8);
+        Arc::new(StoredGraph::store_with(&ssd, g, "cr", iv).unwrap())
+    };
+    let engine = |g: &multilogvc::graph::Csr| {
+        MultiLogEngine::with_shared_graph(Arc::clone(&ssd), store(g), cfg().with_checkpoint_every(1))
+    };
+    let fresh = |prog: &dyn VertexProgram, g: &multilogvc::graph::Csr| {
+        let mut eng = MultiLogEngine::with_shared_graph(device(g).0, device(g).1, cfg());
+        assert!(eng.run(prog, 30).interrupted.is_none());
+        eng.states().to_vec()
+    };
+    let pagerank = PageRank::new(0.85, 1e-9);
+    // Each case: the run that leaves the checkpoint, then the foreign run.
+    let cases: [(&dyn VertexProgram, &_, &dyn VertexProgram, &_, &str); 2] = [
+        (&pagerank, &graph_a, &pagerank, &graph_b, "graph"),
+        (&pagerank, &graph_a, &Wcc, &graph_a, "program"),
+    ];
+    for (owner, owner_graph, other, other_graph, differs) in cases {
+        assert!(engine(owner_graph).run(owner, 4).interrupted.is_none());
+        let refused = engine(other_graph).resume(other, 30).err();
+        let want = ConfigError::ForeignCheckpoint { app: other.name(), differs };
+        assert_eq!(refused, Some(want), "{} on another {differs}", other.name());
+        assert_eq!(want.code(), "foreign-checkpoint");
+        let mut eng = engine(other_graph);
+        let r = eng.run_recoverable(other, 30);
+        assert!(r.interrupted.is_none(), "{}: {:?}", other.name(), r.interrupted);
+        assert_eq!(r.resumed_from, None, "{} resumed a foreign checkpoint", other.name());
+        assert_eq!(eng.states(), fresh(other, other_graph), "{} on another {differs}", other.name());
+    }
+    // The owner's own checkpoint still resumes.
+    assert!(engine(&graph_a).run(&pagerank, 4).interrupted.is_none());
+    let mut eng = engine(&graph_a);
+    let r = eng.resume(&pagerank, 30).unwrap();
+    assert_eq!(r.resumed_from, Some(4));
+    assert_eq!(eng.states(), fresh(&pagerank, &graph_a));
+}

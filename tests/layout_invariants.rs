@@ -106,8 +106,9 @@ fn checkpoint_manifest_constants_are_pinned() {
     // every checkpoint on disk, so changes here must be deliberate.
     assert_eq!(rec::CKPT_MAGIC, 0x4D4C_5643_434B_5054);
     assert_eq!(rec::CKPT_MAGIC.to_be_bytes(), *b"MLVCCKPT");
-    // Version 2: the pending-messages segment holds `log::page` pages.
-    assert_eq!(rec::CKPT_VERSION, 2);
+    // Version 2: the pending-messages segment holds `log::page` pages;
+    // version 3: the manifest records the run's identity.
+    assert_eq!(rec::CKPT_VERSION, 3);
     assert_eq!(rec::NUM_SEGMENTS, 3);
     assert_eq!(
         [rec::SEG_STATES, rec::SEG_ACTIVE, rec::SEG_MSGS],
@@ -121,21 +122,23 @@ fn checkpoint_manifest_header_matches_its_field_layout() {
     use multilogvc::recover as rec;
     use multilogvc::recover::manifest as mf;
 
-    // magic + version + seq + superstep + num_vertices + flags
-    // + NUM_SEGMENTS × (len: u64, crc: u32) + trailing crc32.
+    // magic + version + seq + superstep + num_vertices + flags + graph
+    // + program + NUM_SEGMENTS × (len: u64, crc: u32) + trailing crc32.
     assert_eq!(mf::MAGIC_BYTES, 8);
     assert_eq!(mf::VERSION_BYTES, 4);
     assert_eq!(mf::SEQ_BYTES, 8);
     assert_eq!(mf::SUPERSTEP_BYTES, 8);
     assert_eq!(mf::NUM_VERTICES_BYTES, 8);
     assert_eq!(mf::FLAGS_BYTES, 4);
+    assert_eq!(mf::GRAPH_BYTES, 8);
+    assert_eq!(mf::PROGRAM_BYTES, 32);
     assert_eq!(mf::SEGMENT_DESC_BYTES, 8 + 4);
     assert_eq!(mf::MANIFEST_CRC_BYTES, 4);
     assert_eq!(
         rec::MANIFEST_HEADER_BYTES,
-        8 + 4 + 8 + 8 + 8 + 4 + rec::NUM_SEGMENTS * 12 + 4
+        8 + 4 + 8 + 8 + 8 + 4 + 8 + 32 + rec::NUM_SEGMENTS * 12 + 4
     );
-    assert_eq!(rec::MANIFEST_HEADER_BYTES, 80);
+    assert_eq!(rec::MANIFEST_HEADER_BYTES, 120);
 
     // An encoded manifest is exactly the header and round-trips.
     let m = rec::Manifest {
@@ -143,6 +146,7 @@ fn checkpoint_manifest_header_matches_its_field_layout() {
         superstep: 3,
         num_vertices: 100,
         all_active: true,
+        identity: rec::RunIdentity::new("wcc", 0x5EED),
         segments: [rec::SegmentDesc { len: 800, crc: 0xDEAD_BEEF }; rec::NUM_SEGMENTS],
     };
     let bytes = m.encode();
