@@ -44,6 +44,14 @@ use crate::protocol::{
 /// ingest path and the budget).
 pub const MAX_MUTATION_EDGES: usize = 1 << 20;
 
+/// The longest request line [`Daemon::serve`] reads whole: a `mutate` of
+/// [`MAX_MUTATION_EDGES`] edges of the widest ids, each written
+/// `[4294967295,4294967295],`, plus 64 KiB for its other fields. A longer
+/// line is rejected as a malformed request and skipped to its newline
+/// without being buffered.
+pub const MAX_LINE_BYTES: usize =
+    MAX_MUTATION_EDGES * "[4294967295,4294967295],".len() + (64 << 10);
+
 /// Daemon sizing knobs.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -382,8 +390,9 @@ impl Daemon {
 
     /// Drive the worker pool from a line-delimited JSON transport: read
     /// requests from `input`, write reply events to `output` (interleaved
-    /// across jobs; each line is one JSON object). A line that is not UTF-8
-    /// is rejected like any malformed request. Returns after a `shutdown`
+    /// across jobs; each line is one JSON object). A line that is not UTF-8,
+    /// or longer than [`MAX_LINE_BYTES`], is rejected like any malformed
+    /// request. Returns after a `shutdown`
     /// request or EOF, once every accepted job has finished; a read error
     /// on `input` ends the reading the same way and is returned.
     pub fn serve<R: BufRead, W: Write + Send>(&self, input: R, output: W) -> std::io::Result<()> {
@@ -407,20 +416,26 @@ impl Daemon {
             }
         };
         on_pool(self.workers, work, |q| {
-            for line in input.split(b'\n') {
-                let line = match line.map(String::from_utf8) {
-                    Ok(Ok(line)) => line,
-                    Ok(Err(_)) => {
-                        let r = RejectReason::MalformedRequest("line is not UTF-8".to_string());
-                        emit(&out, &rejected_line("", &r));
-                        continue;
+            let (mut input, mut buf) = (input, Vec::new());
+            loop {
+                let line = match next_line(&mut input, &mut buf, MAX_LINE_BYTES) {
+                    Ok(Line::End) => break,
+                    Ok(Line::TooLong) => Err(format!("line longer than {MAX_LINE_BYTES} bytes")),
+                    Ok(Line::Read) => {
+                        std::str::from_utf8(&buf).map_err(|_| "line is not UTF-8".to_string())
                     }
                     Err(e) => {
                         read = Err(e);
                         break;
                     }
                 };
-                let line = line.trim();
+                let line = match line {
+                    Ok(line) => line.trim(),
+                    Err(why) => {
+                        emit(&out, &rejected_line("", &RejectReason::MalformedRequest(why)));
+                        continue;
+                    }
+                };
                 if line.is_empty() {
                     continue;
                 }
@@ -531,6 +546,52 @@ impl Daemon {
     }
 }
 
+/// What [`next_line`] found.
+enum Line {
+    /// A line, now in the buffer without its newline.
+    Read,
+    /// A line longer than the cap, consumed through its newline and not
+    /// kept.
+    TooLong,
+    /// The end of the input.
+    End,
+}
+
+/// Read the next line of `input` into `buf`, holding at most `max` bytes of
+/// it: a longer line is read on to its newline, or the end of the input,
+/// and dropped chunk by chunk as the reader hands it over.
+fn next_line<R: BufRead>(input: &mut R, buf: &mut Vec<u8>, max: usize) -> std::io::Result<Line> {
+    buf.clear();
+    let (mut any, mut over) = (false, false);
+    loop {
+        let chunk = match input.fill_buf() {
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if chunk.is_empty() {
+            return Ok(match (any, over) {
+                (false, _) => Line::End,
+                (true, false) => Line::Read,
+                (true, true) => Line::TooLong,
+            });
+        }
+        any = true;
+        let newline = chunk.iter().position(|&b| b == b'\n');
+        let take = newline.unwrap_or(chunk.len());
+        over = over || buf.len() + take > max;
+        if over {
+            buf.clear();
+        } else {
+            buf.extend_from_slice(&chunk[..take]);
+        }
+        input.consume(take + usize::from(newline.is_some()));
+        if newline.is_some() {
+            return Ok(if over { Line::TooLong } else { Line::Read });
+        }
+    }
+}
+
 /// The daemon's worker pool: `workers` threads run `work` on each queued
 /// item, FIFO, while `feed` fills the queue on the calling thread. Returns
 /// once `feed` has returned and every item it queued has been worked.
@@ -591,6 +652,27 @@ impl<T> ServeQueue<T> {
 
 #[cfg(test)]
 mod tests {
+    /// A line is read whole up to the cap; a longer one is consumed to its
+    /// newline, never held past the cap, and the next line reads whole.
+    #[test]
+    fn next_line_caps_what_it_holds() {
+        use super::{next_line, Line};
+        let input = b"abc\n0123456789abcdefghij\n\nxy".to_vec();
+        let mut input = std::io::BufReader::with_capacity(4, &input[..]);
+        let mut buf = Vec::new();
+        let mut got = Vec::new();
+        loop {
+            match next_line(&mut input, &mut buf, 8).unwrap() {
+                Line::End => break,
+                Line::TooLong => got.push(None),
+                Line::Read => got.push(Some(String::from_utf8(buf.clone()).unwrap())),
+            }
+            assert!(buf.capacity() <= 16, "held {} bytes", buf.capacity());
+        }
+        let some = |s: &str| Some(s.to_string());
+        assert_eq!(got, [some("abc"), None, some(""), some("xy")]);
+    }
+
     use super::*;
 
     /// A long-lived daemon counts every job but keeps the metrics of the

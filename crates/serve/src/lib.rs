@@ -48,7 +48,7 @@ mod protocol;
 
 pub use admission::{Budget, Reservation, MIN_JOB_BYTES};
 pub use daemon::{
-    Daemon, JobError, JobOutcome, JobResult, ServeConfig, MAX_MUTATION_EDGES,
+    Daemon, JobError, JobOutcome, JobResult, ServeConfig, MAX_LINE_BYTES, MAX_MUTATION_EDGES,
 };
 pub use protocol::{
     accepted_line, done_line, failed_line, mutated_line, queued_line, rejected_line, JobRequest,

@@ -4,7 +4,7 @@
 use std::io::{BufReader, Cursor, Read};
 
 use mlvc_obs::json::Json;
-use mlvc_serve::{Daemon, JobRequest, ServeConfig};
+use mlvc_serve::{Daemon, JobRequest, ServeConfig, MAX_LINE_BYTES};
 
 fn events(output: &[u8]) -> Vec<(String, String)> {
     String::from_utf8_lossy(output)
@@ -154,6 +154,26 @@ fn a_non_utf8_line_is_rejected_and_serving_continues() {
     let ev = events(&out);
     assert_eq!(ev[0], ("rejected".to_string(), String::new()), "{ev:?}");
     assert!(String::from_utf8_lossy(&out).contains("malformed-request"));
+    let of_r: Vec<&str> = ev.iter().filter(|(_, id)| id == "r").map(|(e, _)| e.as_str()).collect();
+    assert_eq!(of_r, ["accepted", "done"]);
+}
+
+/// A line past the longest valid request is rejected as malformed, once,
+/// and serving goes on with the next line; the line arrives from a reader
+/// that makes it up as it is read, so nothing holds it whole but the
+/// daemon, and the daemon does not.
+#[test]
+fn an_over_long_line_is_rejected_and_serving_continues() {
+    let daemon = one_worker();
+    let long = std::io::repeat(b' ').take(MAX_LINE_BYTES as u64 + 1);
+    let input = BufReader::new(long.chain(Cursor::new(format!("\n{RUN_LINE}"))));
+    let mut out: Vec<u8> = Vec::new();
+    daemon.serve(input, &mut out).unwrap();
+    let text = String::from_utf8_lossy(&out);
+    let ev = events(&out);
+    assert_eq!(ev.len(), 3, "{text}");
+    assert_eq!(ev[0], ("rejected".to_string(), String::new()), "{text}");
+    assert!(text.lines().next().is_some_and(|l| l.contains("malformed-request")), "{text}");
     let of_r: Vec<&str> = ev.iter().filter(|(_, id)| id == "r").map(|(e, _)| e.as_str()).collect();
     assert_eq!(of_r, ["accepted", "done"]);
 }
