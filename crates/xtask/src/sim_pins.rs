@@ -6,8 +6,13 @@
 //! workload at the pinned seed and fails on any inequality: a host-side
 //! change must leave every one of them where it is, and a change that means
 //! to move one re-pins it in the same commit, in the open.
+//!
+//! Building the benchmark rewrites `benchmark/Cargo.lock`'s stale edges
+//! (ROADMAP 6(ix)); the check snapshots the lock before its first build and
+//! puts it back when it ends, failure included, so it leaves the lock
+//! byte-identical.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use mlvc_obs::json::{self, Json};
@@ -24,6 +29,7 @@ pub fn check(root: &Path) -> Result<Vec<String>, String> {
         .get("workloads")
         .and_then(Json::as_obj)
         .ok_or("BENCH_sim.json: no `workloads` object")?;
+    let _lock = LockSnapshot::take(&root.join("benchmark").join("Cargo.lock"));
     let mut mismatches = Vec::new();
     for (workload, want) in workloads {
         let got = run_workload(root, workload, seed)?;
@@ -44,6 +50,31 @@ pub fn check(root: &Path) -> Result<Vec<String>, String> {
         }
     }
     Ok(mismatches)
+}
+
+/// A file's bytes as they were when taken, written back when dropped — or
+/// the file removed, if there was none.
+struct LockSnapshot {
+    path: PathBuf,
+    bytes: Option<Vec<u8>>,
+}
+
+impl LockSnapshot {
+    fn take(path: &Path) -> Self {
+        LockSnapshot { path: path.to_path_buf(), bytes: std::fs::read(path).ok() }
+    }
+}
+
+impl Drop for LockSnapshot {
+    fn drop(&mut self) {
+        let restored = match &self.bytes {
+            Some(bytes) => std::fs::write(&self.path, bytes),
+            None => std::fs::remove_file(&self.path).or(Ok(())),
+        };
+        if let Err(e) = restored {
+            eprintln!("sim-pins: cannot restore {}: {e}", self.path.display());
+        }
+    }
 }
 
 /// One short run of one workload, tracing off; its last stdout line is the
@@ -90,6 +121,28 @@ fn relative_change(want: f64, got: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::relative_change;
+
+    /// What the snapshot took is what the file holds once it is dropped,
+    /// and a file that was not there is not left behind.
+    #[test]
+    fn a_lock_snapshot_puts_the_file_back() {
+        let dir = std::env::temp_dir().join(format!("sim-pins-lock-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let lock = dir.join("Cargo.lock");
+        std::fs::write(&lock, b"as committed").unwrap();
+        {
+            let _snapshot = super::LockSnapshot::take(&lock);
+            std::fs::write(&lock, b"rewritten by a build").unwrap();
+        }
+        assert_eq!(std::fs::read(&lock).unwrap(), b"as committed");
+        std::fs::remove_file(&lock).unwrap();
+        {
+            let _snapshot = super::LockSnapshot::take(&lock);
+            std::fs::write(&lock, b"made by a build").unwrap();
+        }
+        assert!(!lock.exists());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 
     #[test]
     fn a_mismatch_states_its_relative_change() {

@@ -308,7 +308,12 @@ echo "== benchmark package (read-only use of benchmark/) =="
 # compiles it: build and smoke it here, so a public-API break against its
 # allow-list (benchmark/README.md) fails before merge instead of in the
 # acceptance run. `--smoke` runs both passes, every workload and drill at
-# scale 10 and checks every golden.
+# scale 10 and checks every golden. Building it rewrites
+# `benchmark/Cargo.lock`'s stale edges (ROADMAP 6(ix)), so the lock is
+# snapshot here and put back on exit, failure included: a check leaves it
+# byte-identical (`sim-pins` below restores it itself as well).
+cp benchmark/Cargo.lock "$smoke_dir/benchmark.Cargo.lock"
+trap 'cp "$smoke_dir/benchmark.Cargo.lock" benchmark/Cargo.lock; rm -rf "$smoke_dir"' EXIT
 cargo test -q --manifest-path benchmark/Cargo.toml
 cargo run -q --release --manifest-path benchmark/Cargo.toml -- --smoke
 
