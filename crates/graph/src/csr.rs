@@ -77,20 +77,24 @@ impl Csr {
         self.weights.as_deref()
     }
 
-    /// A 64-bit FNV-1a fingerprint of the graph: `row_ptr`, `col_idx` and
-    /// the weights' bits, little-endian, eight bytes a word, the words dealt
-    /// round-robin to eight FNV-1a lanes whose states are folded by FNV-1a
-    /// in lane order. Independent lanes keep it at memory speed (≈ 2 ms for
-    /// the 3.7 M edges of CF-17), so every store computes it; a checkpoint
-    /// records it to refuse a resume on another graph (DESIGN.md §11).
+    /// A 64-bit FNV-1a fingerprint of the graph: eight FNV-1a lanes, each
+    /// of `row_ptr`, `col_idx` and the weights' bits dealt to them from
+    /// lane 0 one little-endian 8-byte word at a time (a row pointer, or
+    /// two ids or weights, the first in the low half), and the lanes'
+    /// states folded by FNV-1a in lane order. Independent lanes keep it at
+    /// memory speed (≈ 1.4 ms for the 3.7 M edges of CF-17), so every store
+    /// computes it; a checkpoint records it to refuse a resume on another
+    /// graph (DESIGN.md §11).
     pub fn fingerprint(&self) -> u64 {
-        let mut h = Fnv8::default();
-        self.row_ptr.iter().for_each(|&w| h.word(w));
-        h.pairs(self.col_idx.iter().copied());
-        if let Some(w) = &self.weights {
-            h.pairs(w.iter().map(|x| x.to_bits()));
+        let mut lanes = [FNV_BASIS; 8];
+        deal::<u64, 1>(&mut lanes, &self.row_ptr, |w| w[0]);
+        let pair = |w: &[u32]| u64::from(w[0]) | w.get(1).map_or(0, |&hi| u64::from(hi) << 32);
+        deal::<u32, 2>(&mut lanes, &self.col_idx, pair);
+        if let Some(weights) = &self.weights {
+            let bits: Vec<u32> = weights.iter().map(|w| w.to_bits()).collect();
+            deal::<u32, 2>(&mut lanes, &bits, pair);
         }
-        h.finish()
+        lanes.iter().fold(FNV_BASIS, |h, &lane| (h ^ lane).wrapping_mul(FNV_PRIME))
     }
 
     pub fn row_ptr(&self) -> &[u64] {
@@ -122,39 +126,22 @@ impl Csr {
     }
 }
 
-/// Eight FNV-1a (64-bit) lanes fed one little-endian word at a time, round
-/// robin ([`Csr::fingerprint`]).
-struct Fnv8 {
-    lanes: [u64; 8],
-    next: usize,
-}
-
 const FNV_BASIS: u64 = 0xCBF2_9CE4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
-impl Default for Fnv8 {
-    fn default() -> Self {
-        Fnv8 { lanes: [FNV_BASIS; 8], next: 0 }
-    }
-}
-
-impl Fnv8 {
-    fn word(&mut self, w: u64) {
-        let lane = &mut self.lanes[self.next];
-        *lane = (*lane ^ w).wrapping_mul(FNV_PRIME);
-        self.next = (self.next + 1) % 8;
-    }
-
-    /// 32-bit values two a word, the first in the low half; an odd last
-    /// one alone.
-    fn pairs(&mut self, mut values: impl Iterator<Item = u32>) {
-        while let Some(lo) = values.next() {
-            self.word(u64::from(lo) | values.next().map_or(0, |hi| u64::from(hi) << 32));
+/// Feed `items` to the eight FNV-1a `lanes`, `N` items a word (`word`
+/// builds it from up to `N` of them), word `k` to lane `k mod 8`
+/// ([`Csr::fingerprint`]).
+fn deal<T, const N: usize>(lanes: &mut [u64; 8], items: &[T], word: impl Fn(&[T]) -> u64) {
+    let chunks = items.chunks_exact(8 * N);
+    let rest = chunks.remainder();
+    for chunk in chunks {
+        for (lane, w) in lanes.iter_mut().zip(chunk.chunks_exact(N)) {
+            *lane = (*lane ^ word(w)).wrapping_mul(FNV_PRIME);
         }
     }
-
-    fn finish(&self) -> u64 {
-        self.lanes.iter().fold(FNV_BASIS, |h, &lane| (h ^ lane).wrapping_mul(FNV_PRIME))
+    for (lane, w) in lanes.iter_mut().zip(rest.chunks(N)) {
+        *lane = (*lane ^ word(w)).wrapping_mul(FNV_PRIME);
     }
 }
 
@@ -197,6 +184,44 @@ mod tests {
         assert_eq!(g.out_weights(3).unwrap(), &[8.0, 4.0]);
         assert_eq!(g.degree(0), 0);
         assert_eq!(g.degree(6), 5);
+    }
+
+    /// The fingerprint is the plain definition — each array's words dealt
+    /// to eight FNV-1a lanes from lane 0, the lanes folded — on graphs whose
+    /// arrays end mid-chunk and on odd id counts, tells apart graphs that
+    /// differ in one id or one weight, and is pinned on Fig. 1a's graph:
+    /// checkpoints on disk record it.
+    #[test]
+    fn fingerprint_is_eight_fnv1a_lanes_of_the_csr_words() {
+        fn plain(g: &Csr) -> u64 {
+            let fnv = |h: u64, w: u64| (h ^ w).wrapping_mul(FNV_PRIME);
+            let pairs = |v: Vec<u32>| -> Vec<u64> {
+                v.chunks(2).map(|p| u64::from(p[0]) | p.get(1).map_or(0, |&h| u64::from(h) << 32)).collect()
+            };
+            let mut lanes = [FNV_BASIS; 8];
+            let bits = g.weights_all().map(|w| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>());
+            for words in [g.row_ptr().to_vec(), pairs(g.col_idx().to_vec()), pairs(bits.unwrap_or_default())] {
+                for (k, w) in words.into_iter().enumerate() {
+                    lanes[k % 8] = fnv(lanes[k % 8], w);
+                }
+            }
+            lanes.iter().fold(FNV_BASIS, |h, &l| fnv(h, l))
+        }
+        let fig1 = paper_fig1_graph();
+        let ring = |n: u32, shift: u32| {
+            let row_ptr = (0..=u64::from(n)).map(|v| 3 * v).collect();
+            let col = (0..n).flat_map(|v| (1..=3).map(move |d| (v + d * shift) % n)).collect();
+            Csr::from_parts(row_ptr, col, None)
+        };
+        for g in [&fig1, &ring(37, 1), &ring(101, 5), &ring(8, 3)] {
+            assert_eq!(g.fingerprint(), plain(g));
+        }
+        assert_ne!(ring(37, 1).fingerprint(), ring(37, 2).fingerprint());
+        let (row_ptr, col, mut val) =
+            (fig1.row_ptr().to_vec(), fig1.col_idx().to_vec(), fig1.weights_all().unwrap().to_vec());
+        val[3] += 1.0;
+        assert_ne!(Csr::from_parts(row_ptr, col, Some(val)).fingerprint(), fig1.fingerprint());
+        assert_eq!(fig1.fingerprint(), 0x4365_4127_9E8C_ED00);
     }
 
     #[test]
