@@ -885,7 +885,7 @@ impl<'d, 'a> Superstep<'d, 'a> {
             (Vec::new(), vs)
         };
         let mut reads = Reads::Queue(ioq, Vec::new());
-        let rows = d.loader.read_row_ptrs(&mut reads, d.graph, i, csr_vs, None)?;
+        let rows = d.loader.read_row_ptrs(&mut reads, d.graph, i, csr_vs)?;
         self.st.adjacency_ns += t_adj.elapsed().as_nanos() as u64;
         Ok(Planned { i, inbox, actives, elog_vs, rows, reads })
     }
@@ -944,23 +944,17 @@ impl<'d, 'a> Superstep<'d, 'a> {
 
     /// Read a planned interval's adjacency, the lists as stored: the column
     /// indices (and `val`) of its CSR vertices linked behind their row
-    /// pointers, then the edge log's lists. A vertex that the interval
-    /// before named in a structural update since the plan comes from the
-    /// CSR instead — its row pointers read now, behind the planned ones —
-    /// and is patched over the stored list at its retire.
+    /// pointers, then the edge log's lists. The plan's split still holds:
+    /// a structural update names only the vertex that made it
+    /// (`VertexCtx::add_edge`), in its own process stage, after its load.
     fn load<'q>(&mut self, planned: Planned<'q>) -> Result<Loaded<'q>, DeviceError> {
-        let Planned { i, inbox, actives, elog_vs, mut rows, mut reads } = planned;
+        let Planned { i, inbox, actives, elog_vs, rows, mut reads } = planned;
         if actives.is_empty() {
             return Ok(Loaded { i, inbox, actives, adj: Adjacency::default(), reads });
         }
         let t_adj = Instant::now();
         let d = &mut *self.d;
-        let (elog_vs, late): (Vec<VertexId>, Vec<VertexId>) =
-            elog_vs.into_iter().partition(|&v| !d.structural.names(v));
-        if !late.is_empty() {
-            let more = d.loader.read_row_ptrs(&mut reads, d.graph, i, late, rows.ticket())?;
-            rows = rows.join(more);
-        }
+        debug_assert!(!elog_vs.iter().any(|&v| d.structural.names(v)), "named since the plan");
         let mut adj = d.loader.load_active_with(&mut reads, d.graph, rows, d.prog.needs_weights())?;
         if !elog_vs.is_empty() {
             self.st.edge_log_hits += elog_vs.len() as u64;

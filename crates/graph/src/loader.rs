@@ -283,34 +283,6 @@ pub struct RowPtrs {
     ticket: Option<Ticket>,
 }
 
-impl RowPtrs {
-    /// The vertices whose row pointers these are, ascending.
-    pub fn vertices(&self) -> &[VertexId] {
-        &self.vs
-    }
-
-    /// The ticket of the last read that lent these pages.
-    pub fn ticket(&self) -> Option<Ticket> {
-        self.ticket
-    }
-
-    /// These row pointers and `more` — of other vertices of the same
-    /// interval, read behind this read — as one set: the vertices and the
-    /// pages merged in order, and `more`'s ticket, which completes after
-    /// this one's.
-    pub fn join(self, more: RowPtrs) -> RowPtrs {
-        debug_assert_eq!(self.i, more.i, "row pointers of two intervals");
-        let mut vs = self.vs;
-        vs.extend_from_slice(&more.vs);
-        vs.sort_unstable();
-        let mut pages = self.pages;
-        pages.extend(more.pages);
-        pages.sort_by_key(|&(p, _)| p);
-        pages.dedup_by_key(|&mut (p, _)| p);
-        RowPtrs { vs, pages, ticket: more.ticket.or(self.ticket), ..self }
-    }
-}
-
 impl GraphLoader {
     pub fn new() -> Self {
         GraphLoader {
@@ -346,7 +318,7 @@ impl GraphLoader {
         patch: Option<&StructuralUpdateBuffer>,
     ) -> Result<Adjacency, DeviceError> {
         let mut reads = Reads::Device(graph.ssd());
-        let rows = self.read_row_ptrs(&mut reads, graph, i, active.to_vec(), None)?;
+        let rows = self.read_row_ptrs(&mut reads, graph, i, active.to_vec())?;
         let mut adj = self.load_active_with(&mut reads, graph, rows, want_weights)?;
         if let Some(buf) = patch {
             buf.patch(i, &mut adj);
@@ -356,8 +328,7 @@ impl GraphLoader {
 
     /// Read the row pointers of the given **sorted** active vertices of
     /// interval `i` through `reads` — entries `v − start` and the one after
-    /// it per vertex, each page once — linked behind `after` when that read
-    /// names more vertices of an earlier one. The pages are checked here:
+    /// it per vertex, each page once. The pages are checked here:
     /// one lent a request, each holding every entry taken from it. The
     /// engine reads a fused batch's row pointers, one read an interval,
     /// when the batch retires (DESIGN.md §12).
@@ -367,7 +338,6 @@ impl GraphLoader {
         graph: &StoredGraph,
         i: IntervalId,
         active: Vec<VertexId>,
-        after: Option<Ticket>,
     ) -> Result<RowPtrs, DeviceError> {
         let ssd = graph.ssd();
         // Every extent's layout from metadata alone, so the page of each
@@ -387,7 +357,7 @@ impl GraphLoader {
             let j = to_u64(idx(v - start));
             rp.note(j, j + 2);
         }
-        let (ticket, pages) = self.read(reads, rp.finish(ssd.page_size()), after)?;
+        let (ticket, pages) = self.read(reads, rp.finish(ssd.page_size()), None)?;
         self.rowptr_pages_read += to_u64(rp.reqs.len());
         rp.check_lent(&pages)?;
         rows.pages = rp.reqs.iter().map(|r| r.1).zip(pages).collect();

@@ -129,10 +129,6 @@ impl RunIdentity {
     pub fn program(&self) -> &str {
         &self.program
     }
-
-    pub fn graph(&self) -> u64 {
-        self.graph
-    }
 }
 
 /// Decoded manifest header.
