@@ -196,11 +196,13 @@ mod tests {
         fn plain(g: &Csr) -> u64 {
             let fnv = |h: u64, w: u64| (h ^ w).wrapping_mul(FNV_PRIME);
             let pairs = |v: Vec<u32>| -> Vec<u64> {
-                v.chunks(2).map(|p| u64::from(p[0]) | p.get(1).map_or(0, |&h| u64::from(h) << 32)).collect()
+                let word = |p: &[u32]| u64::from(p[0]) | p.get(1).map_or(0, |&h| u64::from(h) << 32);
+                v.chunks(2).map(word).collect()
             };
             let mut lanes = [FNV_BASIS; 8];
             let bits = g.weights_all().map(|w| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>());
-            for words in [g.row_ptr().to_vec(), pairs(g.col_idx().to_vec()), pairs(bits.unwrap_or_default())] {
+            let ids = pairs(g.col_idx().to_vec());
+            for words in [g.row_ptr().to_vec(), ids, pairs(bits.unwrap_or_default())] {
                 for (k, w) in words.into_iter().enumerate() {
                     lanes[k % 8] = fnv(lanes[k % 8], w);
                 }
@@ -217,8 +219,8 @@ mod tests {
             assert_eq!(g.fingerprint(), plain(g));
         }
         assert_ne!(ring(37, 1).fingerprint(), ring(37, 2).fingerprint());
-        let (row_ptr, col, mut val) =
-            (fig1.row_ptr().to_vec(), fig1.col_idx().to_vec(), fig1.weights_all().unwrap().to_vec());
+        let (row_ptr, col) = (fig1.row_ptr().to_vec(), fig1.col_idx().to_vec());
+        let mut val = fig1.weights_all().unwrap().to_vec();
         val[3] += 1.0;
         assert_ne!(Csr::from_parts(row_ptr, col, Some(val)).fingerprint(), fig1.fingerprint());
         assert_eq!(fig1.fingerprint(), 0x4365_4127_9E8C_ED00);

@@ -342,7 +342,8 @@ impl GraphLoader {
         let ssd = graph.ssd();
         // Every extent's layout from metadata alone, so the page of each
         // entry is known before any page is read.
-        let lay = Partition::new(ssd.page_size(), graph.num_vertices(), ssd.num_pages(graph.colidx_file(i))?);
+        let ci_pages = ssd.num_pages(graph.colidx_file(i))?;
+        let lay = Partition::new(ssd.page_size(), graph.num_vertices(), ci_pages);
         let mut rows = RowPtrs { i, lay, vs: active, pages: Vec::new(), ticket: None };
         let Some(&last) = rows.vs.last() else {
             return Ok(rows);

@@ -551,7 +551,8 @@ impl MutationLog {
                     }
                     shadows.push((i, rowptr, colidx, 0));
                 }
-                write_rewrites(&self.ssd, n, &shadows, |i| (graph.rowptr_file(i), graph.colidx_file(i)))?;
+                let primaries = |i| (graph.rowptr_file(i), graph.colidx_file(i));
+                write_rewrites(&self.ssd, n, &shadows, primaries)?;
                 graph.set_num_edges(new_num_edges);
                 true
             }

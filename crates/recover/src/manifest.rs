@@ -193,7 +193,8 @@ impl Manifest {
         let graph = read_u64(body, off)?;
         off += GRAPH_BYTES;
         let name = body.get(off..off + PROGRAM_BYTES)?;
-        let program = std::str::from_utf8(&name[..name.iter().position(|&b| b == 0).unwrap_or(PROGRAM_BYTES)]).ok()?;
+        let len = name.iter().position(|&b| b == 0).unwrap_or(PROGRAM_BYTES);
+        let program = std::str::from_utf8(&name[..len]).ok()?;
         off += PROGRAM_BYTES;
         let mut segments = [SegmentDesc::default(); NUM_SEGMENTS];
         for seg in &mut segments {

@@ -403,7 +403,12 @@ enum CliEngine {
 impl CliEngine {
     /// Run `prog`; a resume refuses another run's checkpoint (another
     /// program's, or one taken on another graph) as an error.
-    fn run(&mut self, prog: &dyn VertexProgram, steps: usize, resume: bool) -> Result<RunReport, String> {
+    fn run(
+        &mut self,
+        prog: &dyn VertexProgram,
+        steps: usize,
+        resume: bool,
+    ) -> Result<RunReport, String> {
         match self {
             CliEngine::Mlvc(e) if resume => e.resume(prog, steps).map_err(|e| e.to_string()),
             CliEngine::Mlvc(e) => Ok(e.run(prog, steps)),
