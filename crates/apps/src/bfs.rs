@@ -42,6 +42,10 @@ impl VertexProgram for Bfs {
         "bfs"
     }
 
+    fn checkpoint_name(&self) -> String {
+        format!("bfs source {}", self.source)
+    }
+
     fn init_state(&self, _v: VertexId) -> u64 {
         UNVISITED
     }

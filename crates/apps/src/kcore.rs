@@ -5,13 +5,13 @@ use mlvc_graph::VertexId;
 use mlvc_core::sync::{Mutex, RwLock};
 
 /// Distributed k-core decomposition (coreness) in the style of Montresor
-/// et al. — a DESIGN.md §8 extension app in the "merging updates not
+/// et al. — a DESIGN.md §9 extension app in the "merging updates not
 /// possible" class (each neighbor's estimate matters individually).
 ///
 /// Every vertex keeps a coreness estimate, initialized to its degree, and
 /// remembers the latest estimate announced by each neighbor (the same
 /// in-memory neighbor-state pattern as [`crate::Coloring`]; see DESIGN.md
-/// §9). Each superstep it recomputes the **H-operator**: the largest `k`
+/// §10). Each superstep it recomputes the **H-operator**: the largest `k`
 /// such that at least `k` neighbors have estimate `≥ k`, capped by its own
 /// degree. Estimates only decrease, so the process converges to the exact
 /// coreness of every vertex.

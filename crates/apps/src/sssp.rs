@@ -47,6 +47,10 @@ impl VertexProgram for Sssp {
         "sssp"
     }
 
+    fn checkpoint_name(&self) -> String {
+        format!("sssp source {}", self.source)
+    }
+
     fn init_state(&self, _v: VertexId) -> u64 {
         pack_f64(f64::INFINITY)
     }

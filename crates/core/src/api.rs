@@ -433,6 +433,12 @@ pub trait VertexProgram: Send + Sync {
         None
     }
 
+    /// The program a checkpoint records (DESIGN.md §11): the name, plus a
+    /// parameter that moves the states, such as BFS's source (≤ 32 bytes).
+    fn checkpoint_name(&self) -> String {
+        self.name().to_string()
+    }
+
     /// Whether `process` reads out-edge weights (loads `val` pages).
     fn needs_weights(&self) -> bool {
         false

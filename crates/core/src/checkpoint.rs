@@ -12,7 +12,7 @@ use crate::{ConfigError, VertexProgram};
 
 /// What a checkpoint of a run of `prog` on `graph` records it is of.
 pub(crate) fn identity(prog: &dyn VertexProgram, graph: &StoredGraph) -> RunIdentity {
-    RunIdentity::new(prog.name(), graph.fingerprint())
+    RunIdentity::new(&prog.checkpoint_name(), graph.fingerprint())
 }
 
 pub(crate) struct Checkpointer {

@@ -44,18 +44,18 @@ pub fn compute_ns(processed: u64, delivered: u64, scanned: u64) -> u64 {
     processed * SORT_NS + delivered * MSG_PROCESS_NS + scanned * EDGE_SCAN_NS
 }
 
-/// Share of [`EngineConfig::memory_bytes`] for the sort & group unit (paper
-/// Fig. 4, X% = 75%).
-pub const SORT_FRAC: f64 = 0.75;
-/// Share of the budget for multi-log page buffers (paper Fig. 4, A% = 5%).
-pub const MULTILOG_FRAC: f64 = 0.05;
-/// Share of the budget for edge-log page buffers (paper Fig. 4, B% = 5%).
-pub const EDGELOG_FRAC: f64 = 0.05;
+/// Percent of [`EngineConfig::memory_bytes`] for the sort & group unit
+/// (paper Fig. 4, X% = 75%).
+pub const SORT_PCT: usize = 75;
+/// Percent of the budget for multi-log page buffers (paper Fig. 4, A% = 5%).
+pub const MULTILOG_PCT: usize = 5;
+/// Percent of the budget for edge-log page buffers (paper Fig. 4, B% = 5%).
+pub const EDGELOG_PCT: usize = 5;
 
 /// Engine configuration: what a caller chooses about a run. The paper's
 /// memory layout (Fig. 4) is fixed — the budget splits into the sort &
-/// group area ([`SORT_FRAC`]), the multi-log buffer ([`MULTILOG_FRAC`]) and
-/// the edge-log buffer ([`EDGELOG_FRAC`]) — and so are the compute model
+/// group area ([`SORT_PCT`]), the multi-log buffer ([`MULTILOG_PCT`]) and
+/// the edge-log buffer ([`EDGELOG_PCT`]) — and so are the compute model
 /// ([`compute_ns`]) and the I/O queue's shape (DESIGN.md §12).
 ///
 /// The paper's default budget is 1 GB against ≤100 GB graphs; the
@@ -155,17 +155,22 @@ impl EngineConfig {
 
     /// Bytes allocated to the sort & group unit.
     pub fn sort_budget(&self) -> usize {
-        ((self.memory_bytes as f64) * SORT_FRAC) as usize
+        self.share(SORT_PCT)
     }
 
     /// Bytes allocated to multi-log page buffers.
     pub fn multilog_budget(&self) -> usize {
-        ((self.memory_bytes as f64) * MULTILOG_FRAC) as usize
+        self.share(MULTILOG_PCT)
     }
 
     /// Bytes allocated to edge-log page buffers.
     pub fn edgelog_budget(&self) -> usize {
-        ((self.memory_bytes as f64) * EDGELOG_FRAC) as usize
+        self.share(EDGELOG_PCT)
+    }
+
+    /// `⌊memory_bytes · pct / 100⌋`, with no product that can overflow.
+    fn share(&self, pct: usize) -> usize {
+        self.memory_bytes / 100 * pct + self.memory_bytes % 100 * pct / 100
     }
 
     /// Check every sizing rule the engines rely on. Every engine checks it
@@ -263,8 +268,15 @@ mod tests {
         let c = EngineConfig::default();
         assert_eq!(c.validate(), Ok(()));
         assert_eq!(c.sort_budget(), (16 << 20) * 3 / 4);
-        assert_eq!(c.multilog_budget(), ((16 << 20) as f64 * 0.05) as usize);
+        assert_eq!(c.multilog_budget(), (16 << 20) / 20);
         assert_eq!(c.edgelog_budget(), c.multilog_budget());
+        // Each share is ⌊m · P / 100⌋ at any budget, the largest included.
+        for m in [4096, 4099, 2_000_003, usize::MAX] {
+            let c = EngineConfig::default().with_memory(m);
+            let share = |pct: u128| usize::try_from(m as u128 * pct / 100).unwrap();
+            let split = [c.sort_budget(), c.multilog_budget(), c.edgelog_budget()];
+            assert_eq!(split, [share(75), share(5), share(5)], "{m}");
+        }
     }
 
     #[test]

@@ -900,8 +900,6 @@ impl<'d, 'a> Superstep<'d, 'a> {
         if actives.is_empty() {
             return Ok(());
         }
-        // Pending structural updates are patched in now, not at the read:
-        // the interval before may have made one since.
         let t_adj = Instant::now();
         self.d.structural.patch(i, &mut adj);
         self.st.adjacency_ns += t_adj.elapsed().as_nanos() as u64;

@@ -33,8 +33,8 @@ pub use api::{
     Combine, InitActive, Reconverge, SendSink, VertexCtx, VertexOutputs, VertexProgram,
 };
 pub use config::{
-    compute_ns, ConfigError, EngineConfig, TieringConfig, EDGELOG_FRAC, EDGE_SCAN_NS,
-    MSG_PROCESS_NS, MULTILOG_FRAC, SORT_FRAC, SORT_NS,
+    compute_ns, ConfigError, EngineConfig, TieringConfig, EDGELOG_PCT, EDGE_SCAN_NS,
+    MSG_PROCESS_NS, MULTILOG_PCT, SORT_NS, SORT_PCT,
 };
 pub use engine::{actives_for_interval, MultiLogEngine};
 pub use reference::ReferenceEngine;

@@ -20,8 +20,8 @@ use crate::{
 ///   programming model (message delivery, combine, keep-active, weights).
 ///
 /// It reports activity statistics but no I/O and no simulated time (it
-/// performs no storage accesses). Structural updates are not supported —
-/// it holds the graph immutably.
+/// performs no storage accesses). It holds the graph immutably, so a
+/// structural update ends the run with [`ConfigError::Unsupported`].
 pub struct ReferenceEngine {
     graph: Csr,
     seed: u64,
@@ -84,16 +84,9 @@ impl Engine for ReferenceEngine {
             inbox.sort_by_key(|u| u.dest);
             st.messages_processed = inbox.len() as u64;
             let mut groups: Vec<(VertexId, std::ops::Range<usize>)> = Vec::new();
-            {
-                let mut k = 0;
-                while k < inbox.len() {
-                    let d = inbox[k].dest;
-                    let start = k;
-                    while k < inbox.len() && inbox[k].dest == d {
-                        k += 1;
-                    }
-                    groups.push((d, start..k));
-                }
+            for run in inbox.chunk_by(|a, b| a.dest == b.dest) {
+                let start = groups.last().map_or(0, |(_, r)| r.end);
+                groups.push((run[0].dest, start..start + run.len()));
             }
             // Active set: receivers ∪ kept ∪ (all on superstep 1).
             let mut work: Vec<(VertexId, std::ops::Range<usize>)> = if all_active {
@@ -157,10 +150,12 @@ impl Engine for ReferenceEngine {
                     r.len() as u64
                 };
                 st.edges_scanned += self.graph.degree(*v) as u64;
-                assert!(
-                    out.structural.is_empty(),
-                    "ReferenceEngine holds the graph immutably"
-                );
+                if !out.structural.is_empty() {
+                    let what = "structural updates";
+                    let refused = ConfigError::Unsupported { engine: "Reference", what };
+                    report.interrupted = Some(refused.into());
+                    return report;
+                }
                 if out.keep_active {
                     next_self.push(*v);
                 }

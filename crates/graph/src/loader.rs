@@ -158,13 +158,6 @@ pub struct PageUsage {
     pub page_bytes: u32,
 }
 
-impl PageUsage {
-    /// Fraction of the page that was actually needed.
-    pub fn utilization(&self) -> f64 {
-        self.useful_bytes as f64 / self.page_bytes as f64
-    }
-}
-
 /// The Graph Loader Unit (paper §V-B2).
 ///
 /// "The graph data unit loops over the row pointer array for the range of
@@ -598,7 +591,7 @@ mod tests {
         // Vertex 0 has 3 edges of 6 bits = 3 bytes on one page.
         assert_eq!(usage.len(), 1);
         assert_eq!(usage[0].useful_bytes, 3);
-        assert!(usage[0].utilization() < 0.10, "inefficient page detected");
+        assert!(usage[0].useful_bytes * 10 < usage[0].page_bytes, "inefficient page detected");
         // Record cleared after take.
         assert!(loader.take_page_usage(256).is_empty());
     }

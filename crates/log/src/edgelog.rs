@@ -8,16 +8,17 @@ use mlvc_ssd::{DeviceError, FileId, Reads, Ssd, Writes};
 use crate::pagelist::{write, Budget, Log, Source};
 use crate::BitSet;
 
-/// A column-index page whose utilization is in (0, threshold) counts as
-/// inefficiently used. Paper §V-C: "we chose a threshold of 10%".
-pub const INEFFICIENCY_THRESHOLD: f64 = 0.10;
+/// A column-index page whose utilization, in percent, is in (0, threshold)
+/// counts as inefficiently used. Paper §V-C: "we chose a threshold of 10%".
+pub const INEFFICIENCY_THRESHOLD_PCT: u64 = 10;
 
 /// Whether a page a superstep read was inefficiently used: some of it was
-/// needed, and less than [`INEFFICIENCY_THRESHOLD`] of it. The one
-/// definition behind the engine's `colidx_pages_inefficient` and the edge
-/// log's page predictor (Figs. 3 and 9).
+/// needed, and less than [`INEFFICIENCY_THRESHOLD_PCT`] percent of it. The
+/// one definition behind the engine's `colidx_pages_inefficient` and the
+/// edge log's page predictor (Figs. 3 and 9).
 pub fn is_inefficient(u: &PageUsage) -> bool {
-    u.useful_bytes > 0 && u.utilization() < INEFFICIENCY_THRESHOLD
+    let (useful, page) = (u64::from(u.useful_bytes), u64::from(u.page_bytes));
+    useful > 0 && useful * 100 < INEFFICIENCY_THRESHOLD_PCT * page
 }
 
 /// Counters of edge-log behaviour — including the Fig. 9 prediction-

@@ -78,7 +78,7 @@ mod update;
 pub use mlvc_ssd::checked;
 
 pub use bitset::BitSet;
-pub use edgelog::{is_inefficient, EdgeLogOptimizer, EdgeLogStats, INEFFICIENCY_THRESHOLD};
+pub use edgelog::{is_inefficient, EdgeLogOptimizer, EdgeLogStats, INEFFICIENCY_THRESHOLD_PCT};
 pub use fusion::{group_by_dest, plan_fusion, FusedBatch};
 pub use multilog::{BatchPlan, MultiLog, MultiLogConfig, MultiLogStats};
 pub use page::{decode_log_page, pack_pages, LogPage, PageError, PageShape, ANY_DEST};

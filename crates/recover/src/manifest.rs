@@ -104,10 +104,10 @@ pub struct SegmentDesc {
     pub crc: u32,
 }
 
-/// What a checkpoint is of: the name of the program that ran
-/// (`VertexProgram::name`) and the fingerprint of the graph it ran on
-/// (`Csr::fingerprint`, taken when the graph was stored). A resume takes
-/// only a checkpoint of its own identity (DESIGN.md §11).
+/// What a checkpoint is of: the program that ran
+/// (`VertexProgram::checkpoint_name`) and the fingerprint of the graph it
+/// ran on (`Csr::fingerprint`, taken when the graph was stored). A resume
+/// takes only a checkpoint of its own identity (DESIGN.md §11).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunIdentity {
     program: String,

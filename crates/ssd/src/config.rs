@@ -4,13 +4,13 @@ use crate::{DEFAULT_CHANNELS, DEFAULT_PAGE_SIZE};
 /// Geometry of the simulated SSD. The service-time model is one device's —
 /// a SATA TLC drive in the class of the paper's Samsung 860 EVO — and lives
 /// beside the code that charges it ([`READ_NS`], [`WRITE_NS`],
-/// [`SEQ_DISCOUNT`]). Absolute values only scale the simulated clock; the
+/// [`SEQ_PRICE_PCT`]). Absolute values only scale the simulated clock; the
 /// experiments report *ratios* between engines running on identical
 /// devices, so shapes are insensitive to the exact figures.
 ///
 /// [`READ_NS`]: crate::READ_NS
 /// [`WRITE_NS`]: crate::WRITE_NS
-/// [`SEQ_DISCOUNT`]: crate::SEQ_DISCOUNT
+/// [`SEQ_PRICE_PCT`]: crate::SEQ_PRICE_PCT
 #[derive(Debug, Clone)]
 pub struct SsdConfig {
     /// Page size in bytes; minimum unit of every read and write.

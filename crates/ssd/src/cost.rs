@@ -11,9 +11,12 @@ pub const READ_NS: u64 = 120_000;
 pub const WRITE_NS: u64 = 240_000;
 const _: () = assert!(READ_NS < WRITE_NS, "flash programs are slower than reads");
 
-/// Price multiplier of a page that continues a sequential run on its
-/// channel: sequential access amortizes command setup and read-ahead.
-pub const SEQ_DISCOUNT: f64 = 0.7;
+/// Percent of the full price a page continuing a sequential run on its
+/// channel costs: sequential access amortizes command setup and read-ahead.
+pub const SEQ_PRICE_PCT: u64 = 70;
+const _: () = assert!(
+    (READ_NS * SEQ_PRICE_PCT).is_multiple_of(100) && (WRITE_NS * SEQ_PRICE_PCT).is_multiple_of(100)
+);
 
 /// Address of one page: a file and a page index within it.
 ///

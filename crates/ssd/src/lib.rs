@@ -12,7 +12,7 @@
 //! * every page read/write is charged against one device's **cost model** —
 //!   a per-page service time ([`READ_NS`], [`WRITE_NS`]), pipelined across a
 //!   configurable number of channels, with a discount for sequential runs on
-//!   the same channel ([`SEQ_DISCOUNT`]);
+//!   the same channel ([`SEQ_PRICE_PCT`]);
 //! * **statistics** record pages/bytes moved and the caller-declared *useful*
 //!   bytes of each read, from which read amplification (paper Fig. 3) is
 //!   derived.
@@ -60,7 +60,7 @@ pub mod sync;
 
 pub use cache::{CacheSnapshot, PageCache, TenantCacheStats, TenantId};
 pub use config::SsdConfig;
-pub use cost::{channel_of, PageAddr, READ_NS, SEQ_DISCOUNT, WRITE_NS};
+pub use cost::{channel_of, PageAddr, READ_NS, SEQ_PRICE_PCT, WRITE_NS};
 pub use device::{Backend, FileId, Ssd};
 pub use fault::{DeviceError, FaultCounters, FaultPlan};
 pub use ftl::{FtlConfig, FtlError, FtlModel, FtlStats, Lpa};

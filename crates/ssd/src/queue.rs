@@ -29,7 +29,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use crate::checked::to_u64;
-use crate::cost::{channel_of, PageAddr, READ_NS, SEQ_DISCOUNT, WRITE_NS};
+use crate::cost::{channel_of, PageAddr, READ_NS, SEQ_PRICE_PCT, WRITE_NS};
 use crate::device::{FileId, Ssd};
 use crate::fault::DeviceError;
 use crate::page::Page;
@@ -69,44 +69,38 @@ pub struct QueueWaitStats {
 
 struct TicketState {
     /// Virtual completion time of the last page of this ticket.
-    completion: f64,
+    completion: u64,
     /// What the read at submit returned (`None` once fetched).
     pages: Option<Result<Vec<Page>, DeviceError>>,
 }
 
 struct QueueState {
     /// The owner's virtual clock.
-    now: f64,
+    now: u64,
     /// When each channel finishes its last scheduled request.
-    chan_free: Vec<f64>,
+    chan_free: Vec<u64>,
     /// Completion times of requests still queued per channel, oldest first
     /// (lazily pruned against the owner clock) — the depth gate.
-    chan_q: Vec<VecDeque<f64>>,
+    chan_q: Vec<VecDeque<u64>>,
     tickets: HashMap<u64, TicketState>,
     next_id: u64,
     inflight: u64,
     /// Virtual completion time of the last write submitted.
-    writes_done: f64,
+    writes_done: u64,
     wait: QueueWaitStats,
 }
 
 /// Price of page `a` on its channel, given the page that channel served
-/// before it in the same dispatch: a page continuing a sequential run (same
-/// file, at most `channels` pages past the previous one) costs
-/// `per_page_ns * SEQ_DISCOUNT`, a run head full price. Striding by
-/// `channels` pages within one file keeps hitting the same channel with
-/// (nearly) consecutive physical pages — that is what a sequential stream
-/// striped across channels looks like per channel — hence the
-/// `<= channels` run test.
-fn page_cost_ns(prev: Option<PageAddr>, a: PageAddr, channels: usize, per_page_ns: u64) -> f64 {
-    let seq = matches!(
-        prev,
-        Some(p) if p.file == a.file && a.page > p.page && a.page - p.page <= to_u64(channels)
-    );
-    if seq {
-        per_page_ns as f64 * SEQ_DISCOUNT
-    } else {
-        per_page_ns as f64
+/// before it in the same dispatch: [`SEQ_PRICE_PCT`] percent of
+/// `per_page_ns` for a page continuing a sequential run — same file, at
+/// most `channels` pages on, as a stream striped across the channels looks
+/// on each — and the full price for a run head.
+fn page_cost_ns(prev: Option<PageAddr>, a: PageAddr, channels: usize, per_page_ns: u64) -> u64 {
+    match prev {
+        Some(p) if p.file == a.file && a.page > p.page && a.page - p.page <= to_u64(channels) => {
+            per_page_ns * SEQ_PRICE_PCT / 100
+        }
+        _ => per_page_ns,
     }
 }
 
@@ -114,20 +108,20 @@ fn page_cost_ns(prev: Option<PageAddr>, a: PageAddr, channels: usize, per_page_n
 /// order: one dispatch on idle channels with no depth bound.
 pub(crate) fn dispatch_ns(channels: usize, addrs: &mut [PageAddr], per_page_ns: u64) -> u64 {
     addrs.sort_unstable();
-    ns(QueueState::idle(channels).schedule(addrs, 0.0, usize::MAX, per_page_ns).1)
+    QueueState::idle(channels).schedule(addrs, 0, usize::MAX, per_page_ns).1
 }
 
 impl QueueState {
     /// Nothing scheduled, the owner clock at 0.
     fn idle(channels: usize) -> Self {
         QueueState {
-            now: 0.0,
-            chan_free: vec![0.0; channels],
+            now: 0,
+            chan_free: vec![0; channels],
             chan_q: vec![VecDeque::new(); channels],
             tickets: HashMap::new(),
             next_id: 0,
             inflight: 0,
-            writes_done: 0.0,
+            writes_done: 0,
             wait: QueueWaitStats::default(),
         }
     }
@@ -141,10 +135,10 @@ impl QueueState {
     fn schedule(
         &mut self,
         addrs: &[PageAddr],
-        after: f64,
+        after: u64,
         depth: usize,
         per_page_ns: u64,
-    ) -> (u64, f64) {
+    ) -> (u64, u64) {
         let channels = self.chan_free.len();
         let mut cursor = self.now;
         let mut chan_prev: Vec<Option<PageAddr>> = vec![None; channels];
@@ -171,18 +165,10 @@ impl QueueState {
             chan_prev[ch] = Some(a);
             completion = completion.max(fin);
         }
-        let stall = ns(cursor - self.now);
-        if stall > 0 {
-            self.now = cursor;
-        }
+        let stall = cursor - self.now;
+        self.now = cursor;
         (stall, completion)
     }
-}
-
-/// Whole virtual nanoseconds of a clock difference, 0 when negative.
-fn ns(t: f64) -> u64 {
-    // mlvc-lint: allow(no-truncating-cast) -- f64 has no TryFrom; virtual nanoseconds stay far below 2^53
-    t.max(0.0).round() as u64
 }
 
 /// A submission/completion queue over one [`Ssd`] view. See the module docs
@@ -235,7 +221,7 @@ impl IoQueue {
         read.sort_unstable();
 
         let mut st = self.state.borrow_mut();
-        let linked = after.and_then(|t| st.tickets.get(&t.0)).map_or(0.0, |t| t.completion);
+        let linked = after.and_then(|t| st.tickets.get(&t.0)).map_or(0, |t| t.completion);
         let (stall, completion) = st.schedule(&read, linked, self.depth, READ_NS);
         st.wait.io_wait_ns += stall;
         st.inflight += 1;
@@ -261,7 +247,7 @@ impl IoQueue {
         let pages = self.ssd.append(writes, &mut placed);
         placed.sort_unstable();
         let mut st = self.state.borrow_mut();
-        let (stall, completion) = st.schedule(&placed, 0.0, self.depth, WRITE_NS);
+        let (stall, completion) = st.schedule(&placed, 0, self.depth, WRITE_NS);
         st.writes_done = st.writes_done.max(completion);
         st.wait.write_wait_ns += stall;
         drop(st);
@@ -274,7 +260,7 @@ impl IoQueue {
     /// `write_time_ns`, and return it. Plan order only.
     pub fn drain_writes(&self) -> u64 {
         let mut st = self.state.borrow_mut();
-        let wait = ns(st.writes_done - st.now);
+        let wait = st.writes_done.saturating_sub(st.now);
         st.now = st.now.max(st.writes_done);
         st.wait.write_wait_ns += wait;
         drop(st);
@@ -299,7 +285,7 @@ impl IoQueue {
     /// retired completes; `None` for one retired or never issued. Touches
     /// no clock.
     pub fn completion_ns(&self, ticket: Ticket) -> Option<u64> {
-        self.state.borrow().tickets.get(&ticket.0).map(|t| ns(t.completion))
+        self.state.borrow().tickets.get(&ticket.0).map(|t| t.completion)
     }
 
     /// Retire a ticket on the owner clock, charging the residual wait
@@ -310,7 +296,7 @@ impl IoQueue {
         let Some(t) = st.tickets.remove(&ticket.0) else {
             return 0;
         };
-        let wait = ns(t.completion - st.now);
+        let wait = t.completion.saturating_sub(st.now);
         st.now = st.now.max(t.completion);
         st.inflight = st.inflight.saturating_sub(1);
         st.wait.io_wait_ns += wait;
@@ -323,7 +309,7 @@ impl IoQueue {
     /// call — this is what lets in-flight tickets overlap compute.
     pub fn advance(&self, compute_ns: u64) {
         let mut st = self.state.borrow_mut();
-        st.now += compute_ns as f64;
+        st.now += compute_ns;
         st.wait.advanced_ns += compute_ns;
     }
 
@@ -462,8 +448,7 @@ mod tests {
     fn one_channel_serializes() {
         let addrs: Vec<_> = (0..8).map(|i| PageAddr::new(0, i)).collect();
         // One head at full price + 7 sequential continuations discounted.
-        let expect = (100_000.0 + 7.0 * 100_000.0 * SEQ_DISCOUNT).round() as u64;
-        assert_eq!(dispatch(1, &addrs, 100_000), expect);
+        assert_eq!(dispatch(1, &addrs, 100_000), 100_000 + 7 * 70_000);
     }
 
     #[test]
@@ -492,16 +477,16 @@ mod tests {
     fn reference_ns(channels: usize, addrs: &[PageAddr], per_page_ns: u64) -> u64 {
         let mut sorted = addrs.to_vec();
         sorted.sort_unstable();
-        let (mut busy, mut prev) = (vec![0.0f64; channels], vec![None::<PageAddr>; channels]);
+        let (mut busy, mut prev) = (vec![0u64; channels], vec![None::<PageAddr>; channels]);
         for a in sorted {
             let ch = channel_of(a, channels);
             let run = prev[ch].is_some_and(|p| {
                 p.file == a.file && a.page > p.page && a.page - p.page <= channels as u64
             });
-            busy[ch] += per_page_ns as f64 * if run { SEQ_DISCOUNT } else { 1.0 };
+            busy[ch] += if run { per_page_ns * 7 / 10 } else { per_page_ns };
             prev[ch] = Some(a);
         }
-        busy.iter().fold(0.0f64, |m, &b| m.max(b)).round() as u64
+        busy.into_iter().max().unwrap_or(0)
     }
 
     /// One batch priced three ways — the synchronous call's charge, an idle

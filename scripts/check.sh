@@ -29,18 +29,13 @@ cargo build --release
 echo "== tier-1: tests =="
 # The root Cargo.toml's `default-members` is every workspace member, so
 # this is the whole workspace's tests: the set `--workspace` would run.
+# Among them are two contracts: `serve_smoke` (DESIGN.md §15: 8
+# concurrent jobs over 2 datasets on one shared device produce
+# bit-identical results to standalone runs, with exact per-tenant cache
+# accounting and a device-read reduction) and `mutation_equivalence`
+# (DESIGN.md §17: incremental re-convergence is bit-identical to a cold
+# recompute).
 cargo test -q
-
-echo "== serving smoke (DESIGN.md §15) =="
-# Multi-tenant daemon contract: 8 concurrent jobs over 2 datasets on one
-# shared device must produce bit-identical results to standalone runs,
-# with exact per-tenant cache accounting and a device-read reduction.
-cargo test -q --test serve_smoke
-
-echo "== mutation smoke (DESIGN.md §17) =="
-# Streaming-mutation contract: the equivalence battery pins incremental
-# re-convergence bit-identical to a cold recompute.
-cargo test -q --test mutation_equivalence
 
 echo "== reproduction pin (results_run_all.md) =="
 # The paper's tables and figures are simulated-clock numbers, so `figures`

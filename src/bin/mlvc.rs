@@ -81,7 +81,8 @@ it.
 --ssd-dir backs the simulated SSD with host files so checkpoints survive
 the process; --checkpoint-every K (mlvc engine only) writes a
 crash-consistent checkpoint every K supersteps; --crash-after N injects
-a deterministic device crash (torn page) at the Nth page write. `resume`
+a deterministic device crash (torn page) at the Nth page write; --engine
+reference runs in memory and refuses --ssd-dir and --crash-after. `resume`
 restarts an interrupted mlvc-engine run from its last durable checkpoint.
 
 --metrics FILE (mlvc engine only) turns on the observability layer
@@ -345,6 +346,11 @@ fn cmd_run(a: &Args, resume: bool) -> Result<(), String> {
             return Err(format!("{flag} supports only --engine mlvc"));
         }
     }
+    // Nor is what only a device reads on the engine that runs on none.
+    let device_flag = ["ssd-dir", "crash-after"].into_iter().find(|f| a.get(f).is_some());
+    if let (Some(flag), "reference") = (device_flag, engine_name) {
+        return Err(format!("--{flag} needs a device: --engine reference runs in memory"));
+    }
     if resume {
         if engine_name != "mlvc" {
             return Err("resume supports only --engine mlvc".into());
@@ -510,11 +516,8 @@ fn print_report(a: &Args, report: &RunReport, app_name: &str, path: &str) -> Res
     );
     if let Some(e) = &report.interrupted {
         println!("run interrupted: {e}");
-        if a.get("ssd-dir").is_some() {
-            println!(
-                "recover with: mlvc resume --app {app_name} --graph {path} --ssd-dir {}",
-                a.get("ssd-dir").unwrap_or("<dir>")
-            );
+        if let Some(dir) = a.get("ssd-dir") {
+            println!("recover with: mlvc resume --app {app_name} --graph {path} --ssd-dir {dir}");
         }
     }
     Ok(())
@@ -930,6 +933,16 @@ mod tests {
                 let err = run(&strs(&args)).unwrap_err();
                 assert_eq!(err, format!("{} supports only --engine mlvc", flag[0]));
             }
+        }
+        // What only a device reads is refused on the engine that has none.
+        let dir_s = dir.to_str().unwrap();
+        for flag in [&["--ssd-dir", dir_s][..], &["--crash-after", "5"]] {
+            let mut args =
+                vec!["run", "--app", "pagerank", "--graph", csr_s, "--engine", "reference"];
+            args.extend_from_slice(flag);
+            let err = run(&strs(&args)).unwrap_err();
+            let want = format!("{} needs a device: --engine reference runs in memory", flag[0]);
+            assert_eq!(err, want);
         }
         // The tier flag is the engine's alone: the daemon has no pinned tier.
         let err = run(&strs(&["serve", "--graphs", "g=g.csr", "--pin-budget-kb", "64"])).unwrap_err();

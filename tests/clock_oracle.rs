@@ -15,7 +15,7 @@ use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
 use multilogvc::ssd::{
-    FileId, IoQueue, PageCache, Ssd, SsdConfig, Ticket, QUEUE_DEPTH, READ_NS, SEQ_DISCOUNT,
+    FileId, IoQueue, PageCache, Ssd, SsdConfig, Ticket, QUEUE_DEPTH, READ_NS, SEQ_PRICE_PCT,
     WRITE_NS,
 };
 
@@ -392,7 +392,7 @@ fn session(seed: u64) -> Seen {
 #[test]
 fn the_model_prices_pages_as_the_device_does() {
     assert_eq!((READ_NS, WRITE_NS), (READ, WRITE));
-    assert_eq!(SEQ_DISCOUNT, 0.7);
+    assert_eq!(SEQ_PRICE_PCT, 70);
     assert_eq!((run_price(READ), run_price(WRITE)), (84_000, 168_000));
 }
 

@@ -240,10 +240,11 @@ fn a_refused_resume_still_names_its_engine_and_job() {
 }
 
 /// A checkpoint is resumed only by the run it was taken of (DESIGN.md
-/// §11): the same program on the same graph. Two runs leave checkpoints
-/// under the engine's tag on one device — PageRank on graph A, then the
-/// same budget and tag on graph B of the same vertex count, and WCC on
-/// graph A — and each other run refuses them: `resume` with a typed
+/// §11): the same program, from the same source, on the same graph. Runs
+/// leave checkpoints under the engine's tag on one device — PageRank on
+/// graph A, then the same budget and tag on graph B of the same vertex
+/// count, WCC on graph A, and BFS from source 5 after one from source 0 —
+/// and each other run refuses them: `resume` with a typed
 /// `foreign-checkpoint` error before anything runs, `run_recoverable` by
 /// starting fresh and ending where a fresh run ends. PageRank on graph A
 /// still resumes its own checkpoint.
@@ -270,9 +271,10 @@ fn a_checkpoint_of_another_program_or_graph_is_not_resumed() {
     };
     let pagerank = PageRank::new(0.85, 1e-9);
     // Each case: the run that leaves the checkpoint, then the foreign run.
-    let cases: [(&dyn VertexProgram, &_, &dyn VertexProgram, &_, &str); 2] = [
+    let cases: [(&dyn VertexProgram, &_, &dyn VertexProgram, &_, &str); 3] = [
         (&pagerank, &graph_a, &pagerank, &graph_b, "graph"),
         (&pagerank, &graph_a, &Wcc, &graph_a, "program"),
+        (&Bfs::new(0), &graph_a, &Bfs::new(5), &graph_a, "program"),
     ];
     for (owner, owner_graph, other, other_graph, differs) in cases {
         assert!(engine(owner_graph).run(owner, 4).interrupted.is_none());

@@ -690,7 +690,8 @@ impl VertexProgram for Outlaw {
 }
 
 /// What a baseline's model cannot carry — a structural update on either
-/// baseline, and on GraphChi, whose messages ride on edges, a message to a
+/// baseline or on the in-memory reference engine, which holds its graph
+/// immutably, and on GraphChi, whose messages ride on edges, a message to a
 /// vertex that is not an out-neighbour — ends the run in the superstep
 /// that asked, with a typed error and a stable code, as MultiLogVC refuses
 /// a structural update it cannot commit. Nothing panics.
@@ -720,4 +721,6 @@ fn baselines_refuse_what_their_model_cannot_carry() {
     let sg = StoredGraph::store_with(&ssd, &g, "f", iv.clone()).unwrap();
     let r = GrafBoostEngine::new(ssd, sg, cfg.clone()).run(&Outlaw(add), 10);
     refused(r, "GraFBoost", "structural updates");
+    let r = ReferenceEngine::new(g.clone(), cfg.seed).run(&Outlaw(add), 10);
+    refused(r, "Reference", "structural updates");
 }
