@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use mlvc_core::{Engine, RunReport, TieringConfig, VertexProgram};
+use mlvc_core::{Engine, RunReport, SuperstepStats, TieringConfig, VertexProgram};
 use mlvc_graph::{Csr, VertexId};
 use mlvc_ssd::{FtlConfig, FtlStats, PageCache, Ssd, SsdConfig};
 
@@ -629,13 +629,13 @@ pub fn tiering(s: &Settings) -> Section {
             if cache_bytes > 0 {
                 ssd.attach_cache(Arc::new(PageCache::new(cache_bytes / ssd.page_size())));
             }
-            let held = e.run(prog.as_ref(), s.supersteps).multilog.map_or(0, |m| m.pages_retained);
+            let r = e.run(prog.as_ref(), s.supersteps);
+            let held = r.multilog.map_or(0, |m| m.pages_retained);
             let io = ssd.stats().snapshot();
             let pages_read = io.pages_read;
-            let (hits, evictions, pinned) = ssd.cache().map_or((0, 0, 0), |c| {
-                let cs = c.snapshot();
-                (cs.tenant(ssd.tenant()).hits, cs.evictions, cs.pinned_pages as u64)
-            });
+            let sum = |f: fn(&SuperstepStats) -> u64| r.phases().map(f).sum::<u64>();
+            let (hits, evictions) = (sum(|p| p.cache_hits), sum(|p| p.cache_evictions));
+            let pinned = r.phases().last().map_or(0, |p| p.pinned_pages);
             match split {
                 "none" => untiered_states = e.states().to_vec(),
                 "cache" => all_cache_reads = pages_read,

@@ -6,7 +6,7 @@ use mlvc_ssd::DeviceError;
 /// top of [`EngineConfig::memory_bytes`], spent as one budget on the
 /// hottest intervals' pinned topology extents and on the log pages the
 /// multi-log holds in host memory instead of writing them. Disabled by
-/// default (both fields zero): the engine then touches no cache at all.
+/// default (both fields zero): the engine then holds nothing.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct TieringConfig {
     /// Part of the one budget: the engine spends the two fields' sum.

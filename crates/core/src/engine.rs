@@ -21,7 +21,7 @@ use mlvc_ssd::{
 
 use crate::checkpoint::{identity, load_resume_point, Checkpointer, ResumePoint};
 use crate::merge::{merge_pending, STRUCTURAL_MERGE_THRESHOLD};
-use crate::tiering::{attach_cache, Tiering};
+use crate::tiering::Tiering;
 use crate::trace::Tracer;
 use crate::{
     compute_ns, Combine, ConfigError, Engine, EngineConfig, InitActive, Reconverge, RunReport,
@@ -275,7 +275,7 @@ pub(crate) struct Drive<'a> {
 
     multilog: MultiLog,
     pub(crate) edgelog: EdgeLogOptimizer,
-    loader: GraphLoader,
+    pub(crate) loader: GraphLoader,
     pub(crate) structural: StructuralUpdateBuffer,
     pub(crate) tiering: Tiering,
     tracer: Tracer,
@@ -294,9 +294,8 @@ pub(crate) struct Drive<'a> {
 
 impl<'a> Drive<'a> {
     /// Build the units of one drive, in the order their device effects
-    /// must happen: the cache attaches before any I/O, the FTL before any
-    /// page write, the multi-log truncates its extents (dropping any pins
-    /// on them) before tiering arms its retention. A program that reads
+    /// must happen: the multi-log truncates its extents before tiering arms
+    /// its retention. A program that reads
     /// weights the stored graph does not have is refused before any of it.
     fn enter(
         eng: &'a mut MultiLogEngine,
@@ -309,8 +308,7 @@ impl<'a> Drive<'a> {
             return Err(ConfigError::NeedsWeights { app: prog.name() }.into());
         }
         let intervals = graph.intervals();
-        attach_cache(ssd, &cfg.tiering);
-        let tracer = Tracer::start(ssd);
+        let tracer = Tracer::start(ssd, cfg.tiering.budget_bytes() > 0);
         let mut multilog = MultiLog::new(
             Arc::clone(ssd),
             intervals.clone(),
@@ -323,7 +321,9 @@ impl<'a> Drive<'a> {
             },
             &cfg.tag,
         )?;
-        let tiering = Tiering::enter(ssd, graph, &cfg.tiering, &mut multilog)?;
+        let mut loader = GraphLoader::new();
+        let tiering =
+            Tiering::enter(ssd, graph, &cfg.tiering, &mut multilog, &mut loader.held)?;
         let edgelog = EdgeLogOptimizer::new(
             Arc::clone(ssd),
             graph.num_vertices(),
@@ -339,7 +339,7 @@ impl<'a> Drive<'a> {
             prog,
             multilog,
             edgelog,
-            loader: GraphLoader::new(),
+            loader,
             structural: StructuralUpdateBuffer::new(
                 intervals.clone(),
                 STRUCTURAL_MERGE_THRESHOLD,
@@ -410,7 +410,8 @@ impl<'a> Drive<'a> {
             io: self.tracer.io_since_start(self.ssd),
             ..Default::default()
         };
-        self.tracer.close(self.ssd, &self.multilog, &self.edgelog, &mut report.seeding);
+        let (ml, el, held) = (&self.multilog, &self.edgelog, &self.loader.held);
+        self.tracer.close(self.ssd, ml, el, held, &mut report.seeding);
         Ok(start)
     }
 
@@ -1128,7 +1129,7 @@ impl<'d, 'a> Superstep<'d, 'a> {
         st.messages_sent = d.pending.iter().sum();
         let due = d.structural.threshold();
         st.mutations = d.merge_structural(due, report)?;
-        d.tiering.retier(d.ssd, d.graph, &mut d.multilog)?;
+        d.tiering.retier(d.ssd, d.graph, &mut d.multilog, &mut d.loader.held)?;
         self.next_self_active.sort_unstable();
         self.next_self_active.dedup();
         d.self_active = self.next_self_active;
@@ -1158,7 +1159,7 @@ impl<'d, 'a> Superstep<'d, 'a> {
         st.io = d.ssd.stats().snapshot().since(&io0);
         st.close_out_ns = t_close.elapsed().as_nanos() as u64;
         st.wall_ns = wall0.elapsed().as_nanos() as u64;
-        d.tracer.close(d.ssd, &d.multilog, &d.edgelog, st);
+        d.tracer.close(d.ssd, &d.multilog, &d.edgelog, &d.loader.held, st);
         report.supersteps.push(self.st);
         Ok(())
     }
@@ -2054,8 +2055,7 @@ mod tests {
             tiered_reads < plain_reads,
             "tiering must cut device reads ({tiered_reads} vs {plain_reads})"
         );
-        let snap = ssd_b.cache().expect("tiering attaches a cache").snapshot();
-        assert!(snap.pinned_pages > 0, "the pin budget must actually pin extents");
+        assert!(ssd_b.cache().is_none(), "a tiered run attaches no cache");
         assert!(
             rb.phases().any(|s| s.pinned_pages > 0 && s.pinned_hits > 0),
             "the trace must show pinned pages serving hits"
@@ -2077,16 +2077,15 @@ mod tests {
     }
 
     /// A tiered run spends `cache_bytes + pin_budget_bytes` as one budget,
-    /// on a cache of no frames: how the sum is split between the two fields
-    /// moves no state and no trace field.
+    /// held by the engine with no cache attached: how the sum is split
+    /// between the two fields moves no state and no trace field.
     #[test]
     fn tiering_spends_one_budget_however_it_is_split() {
         let csr = ring(256);
         let run = |tiering: TieringConfig| {
             let (ssd, mut e) = tiered_engine(&csr, "t", tiering);
             let r = e.run(&Flood, 200);
-            let cache = ssd.cache().expect("a tiered run attaches a cache").snapshot();
-            assert_eq!(cache.capacity_pages, 0, "{tiering:?}: the cache has no frames");
+            assert!(ssd.cache().is_none(), "{tiering:?}: a tiered run attaches no cache");
             assert!(r.phases().all(|s| s.cache_evictions == 0), "{tiering:?}: nothing to evict");
             assert!(r.phases().any(|s| s.pinned_hits > 0), "{tiering:?}: the budget must pin");
             let trace = r.phases().map(SuperstepStats::trace_fields).collect::<Vec<_>>();
@@ -2098,5 +2097,35 @@ mod tests {
             run(TieringConfig { cache_bytes: 0, pin_budget_bytes: a + b }),
             "only the sum of the two fields may matter"
         );
+    }
+
+    /// A merge of a tiered program's own structural updates drops exactly
+    /// the held pages of the intervals it rewrote. `Shortcut` at the merge
+    /// threshold merges vertex 0's update at superstep 3's close; at one
+    /// update it waits for the drive's end. Up to that close the two runs
+    /// read the same pages, so their superstep-3 held-page gauges differ by
+    /// the pages of interval 0 its actives (vertices 0 and 1) read: row
+    /// pointer page 0 and column-index page 0. Interval 0 still ranks, so
+    /// the pins come back and serve hits after the merge, and the states
+    /// are the untiered run's.
+    #[test]
+    fn a_merge_drops_exactly_the_dirty_intervals_held_pages() {
+        let csr = ring(1024);
+        let tiering = TieringConfig { cache_bytes: 0, pin_budget_bytes: 64 << 10 };
+        let run = |tiering: TieringConfig, reps: usize| {
+            let (_ssd, mut e) = tiered_engine(&csr, "m", tiering);
+            let r = e.run(&Shortcut { reps, update: |ctx| ctx.add_edge(700) }, 12);
+            assert!(r.converged && r.interrupted.is_none(), "{tiering:?} reps={reps}");
+            (e.states().to_vec(), r)
+        };
+        let (untiered, _) = run(TieringConfig::default(), STRUCTURAL_MERGE_THRESHOLD);
+        let (states, merged) = run(tiering, STRUCTURAL_MERGE_THRESHOLD);
+        let (_, waited) = run(tiering, 1);
+        assert_eq!(states, untiered, "tiering changed a merging run's states");
+        let at = |r: &RunReport, k: usize| r.supersteps[k - 1];
+        assert_eq!(at(&merged, 3).mutations.merges, 1, "no merge at superstep 3's close");
+        assert_eq!(at(&waited, 3).mutations.merges, 0);
+        assert_eq!(at(&waited, 3).pinned_pages - at(&merged, 3).pinned_pages, 2);
+        assert!(merged.supersteps[3..].iter().any(|s| s.pinned_hits > 0), "no pin came back");
     }
 }

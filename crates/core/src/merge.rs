@@ -42,9 +42,9 @@ impl Drive<'_> {
     /// these edits itself and already computes on them (the loader showed
     /// them from the moment they were pending), so there is nothing to
     /// reconverge. Counts the merge into `report`, drops what it changed
-    /// from the edge log (it caches pre-merge adjacency) and the pinned
-    /// tier (the pre-merge CSR extents), and returns its counters, zero
-    /// when nothing was due.
+    /// from the edge log (it caches pre-merge adjacency) and the held
+    /// topology pages (the pre-merge CSR extents), and returns its
+    /// counters, zero when nothing was due.
     pub(crate) fn merge_structural(
         &mut self,
         min_pending: usize,
@@ -72,7 +72,7 @@ impl Drive<'_> {
             .map_err(MutationError::into_device_error)?;
         report.mutations.get_or_insert_with(Default::default).absorb(&outcome.stats);
         self.edgelog.invalidate(&outcome.delta.dirty);
-        self.tiering.unmark_dirty(self.graph, &outcome.delta.dirty);
+        self.tiering.unmark_dirty(self.graph, &outcome.delta.dirty, &mut self.loader.held);
         Ok(outcome.stats)
     }
 }

@@ -97,8 +97,8 @@ pub struct SuperstepStats {
     pub mutations: MutationStats,
     /// Multi-log activity this phase: update-record bytes appended across
     /// all intervals, pages flushed, pages carried into the next superstep
-    /// in host memory (DESIGN.md §10), pages log-tail retention wrote back
-    /// into the pinned tier instead of to flash (DESIGN.md §18),
+    /// in host memory (DESIGN.md §10), pages log-tail retention held in the
+    /// multi-log instead of writing them to flash (DESIGN.md §18),
     /// buffer-pressure evictions.
     pub log_bytes_appended: u64,
     pub log_pages_flushed: u64,
@@ -116,15 +116,15 @@ pub struct SuperstepStats {
     pub ftl_physical_writes: u64,
     pub ftl_erases: u64,
     pub ftl_gc_relocations: u64,
-    /// Page-cache activity this phase (0 with tiering disabled; DESIGN.md
-    /// §18): this tenant's hits and the misses it charged to the device,
-    /// and frames reclaimed by the replacement policy.
+    /// Page-cache activity this phase (DESIGN.md §18): this tenant's hits
+    /// (held topology pages included) and misses (a tiered run's device
+    /// page reads when no cache is attached), and frames reclaimed.
     pub cache_hits: u64,
     pub cache_misses: u64,
     pub cache_evictions: u64,
-    /// Pages held in the pinned tier at the phase's close (a gauge, not a
-    /// delta — pins persist across supersteps), and hits served from it
-    /// (also counted in `cache_hits`).
+    /// Topology pages the engine holds at the phase's close (a gauge, not a
+    /// delta — pins persist across supersteps), and requests answered from
+    /// them (also counted in `cache_hits`).
     pub pinned_pages: u64,
     pub pinned_hits: u64,
 }

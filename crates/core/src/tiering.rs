@@ -1,42 +1,29 @@
-//! Adaptive memory tiering state of one drive (DESIGN.md §18): the page
-//! cache attach, the hot-interval pinned set — claims the load stage's own
-//! reads fill — and the one budget's split that arms the multi-log's
-//! log-tail retention. One rule splits the budget,
+//! Adaptive memory tiering state of one drive (DESIGN.md §18): the
+//! hot-interval pinned set — files whose pages the loader keeps as its own
+//! reads return them ([`HeldPages`]) — and the one budget's split that arms
+//! the multi-log's log-tail retention. One rule splits the budget,
 //! [`Tiering::retier`], applied at every boundary: drive entry, with
 //! nothing held and no heat, and the end of every superstep. The superstep
 //! loop calls in at fixed points — heat after the loader's page-usage
 //! report, unmarks after a CSR rewrite, one retier per boundary — and
 //! every input is plan-order data, so the pinned set (and with it every
-//! cache counter) is identical for any thread count.
+//! held-page counter) is identical for any thread count.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
-use mlvc_graph::{IntervalId, PageUsage, StoredGraph, VertexId};
+use mlvc_graph::{HeldPages, IntervalId, PageUsage, StoredGraph, VertexId};
 use mlvc_log::MultiLog;
-use mlvc_ssd::{DeviceError, FileId, PageCache, Ssd};
+use mlvc_ssd::{DeviceError, FileId, Ssd};
 
 use crate::TieringConfig;
 
-/// Attach a cache of no frames, the pinned tier alone, before any I/O: the
-/// claims need a cache to land in, not frames, so the whole budget goes to
-/// [`Tiering`] and the tier's host DRAM is exactly its budget. A cache
-/// already attached (the serving daemon's) always wins — the engine never
-/// replaces or resizes an existing cache.
-pub(crate) fn attach_cache(ssd: &Ssd, cfg: &TieringConfig) {
-    if cfg.budget_bytes() > 0 && ssd.cache().is_none() {
-        ssd.attach_cache(Arc::new(PageCache::new(0)));
-    }
-}
-
 /// Hot-interval pinning state: per-interval topology heat accumulated from
 /// the loader's page-usage reports, re-ranked at every superstep boundary
-/// into a pinned set under the byte budget.
+/// into a pinned set under the byte budget. The pinned intervals' pages
+/// are held by the loader ([`HeldPages`]); this state only says which.
 pub(crate) struct Tiering {
-    /// The attached cache, `Some` only while pinning is on (a cache is
-    /// attached and the budget is non-zero); every method below is a no-op
-    /// otherwise.
-    cache: Option<Arc<PageCache>>,
+    /// The one byte budget; 0 turns tiering off, and every method below is
+    /// then a no-op.
     budget_bytes: u64,
     heat: Vec<u64>,
     pinned_ivs: Vec<bool>,
@@ -44,49 +31,37 @@ pub(crate) struct Tiering {
 }
 
 impl Tiering {
-    /// Drive entry is a tiering boundary with nothing held and no heat:
-    /// drop any topology pins and claims an earlier drive on the same cache
-    /// left behind, so cache state and bookkeeping start in lockstep, then
-    /// apply [`Self::retier`]'s split. With no heat the ranking pins
-    /// nothing, so the whole budget arms the multi-log's retention for
-    /// the seed messages and superstep 1's log tail. A held log page saves
-    /// a write and a read, a pinned topology page at most one read a
-    /// superstep, so the budget goes to held pages while the log outgrows
-    /// it; pins come in at the boundary where the held tail shrinks. (The
-    /// multi-log holds its log pages itself, never in the cache, so they
-    /// need no reset here.)
+    /// Drive entry is a tiering boundary with nothing held and no heat (the
+    /// drive's loader starts empty), so it applies [`Self::retier`]'s
+    /// split. With no heat the ranking pins nothing, so the whole budget
+    /// arms the multi-log's retention for the seed messages and superstep
+    /// 1's log tail. A held log page saves a write and a read, a pinned
+    /// topology page at most one read a superstep, so the budget goes to
+    /// held pages while the log outgrows it; pins come in at the boundary
+    /// where the held tail shrinks.
     pub(crate) fn enter(
         ssd: &Ssd,
         graph: &StoredGraph,
         cfg: &TieringConfig,
         multilog: &mut MultiLog,
+        held: &mut HeldPages,
     ) -> Result<Tiering, DeviceError> {
         let num_iv = graph.intervals().num_intervals();
-        let budget_bytes = cfg.budget_bytes() as u64;
-        let cache = ssd.cache().filter(|_| budget_bytes > 0);
-        let mut colidx_iv = HashMap::new();
-        if let Some(c) = &cache {
-            for i in 0..num_iv {
-                c.unclaim_file(graph.rowptr_file(i as IntervalId));
-                c.unclaim_file(graph.colidx_file(i as IntervalId));
-                colidx_iv.insert(graph.colidx_file(i as IntervalId), i);
-            }
-        }
+        let colidx_iv = (0..num_iv).map(|i| (graph.colidx_file(i as IntervalId), i)).collect();
         let mut tiering = Tiering {
-            cache,
-            budget_bytes,
+            budget_bytes: cfg.budget_bytes() as u64,
             heat: vec![0; num_iv],
             pinned_ivs: vec![false; num_iv],
             colidx_iv,
         };
-        tiering.retier(ssd, graph, multilog)?;
+        tiering.retier(ssd, graph, multilog, held)?;
         Ok(tiering)
     }
 
     /// Topology heat: one unit per column-index page the loader actually
     /// touched this superstep, attributed to the page's interval.
     pub(crate) fn note_usage(&mut self, usage: &[PageUsage]) {
-        if self.cache.is_none() {
+        if self.budget_bytes == 0 {
             return;
         }
         for u in usage {
@@ -97,15 +72,20 @@ impl Tiering {
     }
 
     /// A merge of the program's own structural updates rewrote CSR files
-    /// only in intervals holding a dirty vertex — the rewrite's truncate
-    /// already dropped their pinned copies and claims, so unmark them and
-    /// let the next retier re-claim whatever still ranks.
-    pub(crate) fn unmark_dirty(&mut self, graph: &StoredGraph, dirty: &[VertexId]) {
-        if self.cache.is_none() {
-            return;
-        }
+    /// only in intervals holding a dirty vertex: drop those intervals'
+    /// held pages and marks, and let the next retier re-mark whatever
+    /// still ranks.
+    pub(crate) fn unmark_dirty(
+        &mut self,
+        graph: &StoredGraph,
+        dirty: &[VertexId],
+        held: &mut HeldPages,
+    ) {
         for &v in dirty {
-            if let Some(p) = self.pinned_ivs.get_mut(graph.intervals().interval_of(v) as usize) {
+            let i = graph.intervals().interval_of(v);
+            if let Some(p) = self.pinned_ivs.get_mut(i as usize) {
+                held.release(graph.rowptr_file(i));
+                held.release(graph.colidx_file(i));
                 *p = false;
             }
         }
@@ -120,12 +100,11 @@ impl Tiering {
     /// extents (row-pointer and column-index files) into the byte budget,
     /// hotter first, interval id as the deterministic tie-break. Intervals
     /// staying pinned are left alone; ones falling out of the ranking are
-    /// unpinned; newly ranked ones are *claimed*
-    /// ([`PageCache::claim_file`]): the claim reads nothing at the boundary,
-    /// and the pages land pinned as the load stage reads them, on the
-    /// superstep's I/O queue. A ranked extent's bytes are reserved whole
-    /// whether or not its pages have landed yet, so pinned bytes never
-    /// exceed what the ranking spent.
+    /// released; newly ranked ones are *marked* ([`HeldPages::mark`]): the
+    /// mark reads nothing at the boundary, and the loader keeps the pages as
+    /// the load stage reads them, on the superstep's I/O queue. A ranked
+    /// extent's bytes are reserved whole whether or not its pages have been
+    /// read yet, so held topology bytes never exceed what the ranking spent.
     ///
     /// `retained_bytes` is what the multi-log holds in host memory under
     /// its retention budget right now — the tail the next superstep
@@ -141,10 +120,11 @@ impl Tiering {
         ssd: &Ssd,
         graph: &StoredGraph,
         multilog: &mut MultiLog,
+        held: &mut HeldPages,
     ) -> Result<(), DeviceError> {
-        let Some(cache) = self.cache.as_deref() else {
+        if self.budget_bytes == 0 {
             return Ok(());
-        };
+        }
         let files =
             |i: usize| (graph.rowptr_file(i as IntervalId), graph.colidx_file(i as IntervalId));
         let mut left = self.budget_bytes.saturating_sub(multilog.retained_bytes());
@@ -164,12 +144,12 @@ impl Tiering {
                 continue;
             }
             let (rp, ci) = files(i);
-            if want[i] {
-                cache.claim_file(rp);
-                cache.claim_file(ci);
-            } else {
-                cache.unclaim_file(rp);
-                cache.unclaim_file(ci);
+            for f in [rp, ci] {
+                if want[i] {
+                    held.mark(f);
+                } else {
+                    held.release(f);
+                }
             }
             *pinned = want[i];
         }

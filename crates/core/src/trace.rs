@@ -5,6 +5,7 @@
 
 use std::collections::BTreeMap;
 
+use mlvc_graph::HeldPages;
 use mlvc_log::{EdgeLogOptimizer, EdgeLogStats, MultiLog, MultiLogStats};
 use mlvc_obs::{HistogramSnapshot, MetricsSnapshot};
 use mlvc_ssd::{CacheSnapshot, FtlStats, Ssd, SsdStatsSnapshot};
@@ -24,13 +25,17 @@ pub(crate) struct Tracer {
     el_base: EdgeLogStats,
     ftl_base: FtlStats,
     cache_base: CacheSnapshot,
+    held_hits: u64,
+    /// Whether the run holds topology pages: with no cache attached, its
+    /// device page reads are then its cache misses.
+    tiered: bool,
 }
 
 impl Tracer {
     /// Capture the baselines — device stats may already be nonzero (graph
     /// storing), and an FTL the caller attached survives across runs on the
     /// same device.
-    pub(crate) fn start(ssd: &Ssd) -> Tracer {
+    pub(crate) fn start(ssd: &Ssd, tiered: bool) -> Tracer {
         let ftl0 = ssd.ftl_stats().unwrap_or_default();
         let cache0 = ssd.cache().map(|c| c.snapshot()).unwrap_or_default();
         Tracer {
@@ -41,6 +46,8 @@ impl Tracer {
             el_base: EdgeLogStats::default(),
             ftl_base: ftl0,
             cache_base: cache0,
+            held_hits: 0,
+            tiered,
         }
     }
 
@@ -51,21 +58,25 @@ impl Tracer {
     }
 
     /// Close the phase `st` describes: fill in its unit counters, the
-    /// deltas of the multi-log, edge-log, FTL and page-cache stats since
-    /// the previous phase closed. The seeding phase (superstep 0) closes
-    /// through here too, so the phases of a run account for every device
-    /// operation of it.
+    /// deltas of the multi-log, edge-log, FTL, page-cache and held-page
+    /// stats since the previous phase closed. The seeding phase (superstep
+    /// 0) closes through here too, so the phases of a run account for
+    /// every device operation of it. A held page answered is a hit as a
+    /// cache frame is; with no cache attached, a tiered run's misses are
+    /// the pages it read from the device.
     pub(crate) fn close(
         &mut self,
         ssd: &Ssd,
         multilog: &MultiLog,
         edgelog: &EdgeLogOptimizer,
+        held: &HeldPages,
         st: &mut SuperstepStats,
     ) {
         let ml = multilog.stats();
         let el = edgelog.stats();
         let ftl = ssd.ftl_stats().unwrap_or_default();
-        let cs = ssd.cache().map(|c| c.snapshot()).unwrap_or_default();
+        let cache = ssd.cache();
+        let cs = cache.as_ref().map(|c| c.snapshot()).unwrap_or_default();
         let (ct, cb) = (cs.tenant(ssd.tenant()), self.cache_base.tenant(ssd.tenant()));
         st.log_bytes_appended = ml.bytes_appended - self.ml_base.bytes_appended;
         st.log_pages_flushed = ml.pages_flushed - self.ml_base.pages_flushed;
@@ -78,11 +89,15 @@ impl Tracer {
         st.ftl_physical_writes = ftl.physical_writes - self.ftl_base.physical_writes;
         st.ftl_erases = ftl.erases - self.ftl_base.erases;
         st.ftl_gc_relocations = ftl.gc_relocations - self.ftl_base.gc_relocations;
-        st.cache_hits = ct.hits - cb.hits;
-        st.cache_misses = ct.misses - cb.misses;
+        st.pinned_pages = held.pages() as u64;
+        st.pinned_hits = held.hits() - self.held_hits;
+        st.cache_hits = ct.hits - cb.hits + st.pinned_hits;
+        st.cache_misses = match cache {
+            None if self.tiered => st.io.pages_read,
+            _ => ct.misses - cb.misses,
+        };
         st.cache_evictions = cs.evictions - self.cache_base.evictions;
-        st.pinned_pages = cs.pinned_pages as u64;
-        st.pinned_hits = cs.pinned_hits - self.cache_base.pinned_hits;
+        self.held_hits = held.hits();
         self.ml_base = ml;
         self.el_base = el;
         self.ftl_base = ftl;
@@ -147,9 +162,9 @@ impl Tracer {
             ("mlvc_engine_edges_scanned_total", sum(|s| s.edges_scanned)),
         ];
         let mut gauges = vec![("mlvc_engine_converged", u64::from(report.converged))];
-        // Page-cache counters (tiering, DESIGN.md §18): whole-run deltas
-        // for this engine's tenant — another tenant sharing the daemon's
-        // cache never leaks into this run's series.
+        // Page-cache counters (the daemon's shared cache, DESIGN.md §18):
+        // whole-run deltas for this engine's tenant — another tenant sharing
+        // the cache never leaks into this run's series.
         if let Some(c) = ssd.cache() {
             let cs = c.snapshot();
             let b = &self.cache_run_base;
@@ -159,13 +174,10 @@ impl Tracer {
                 ("mlvc_cache_misses_total", ct.misses - bt.misses),
                 ("mlvc_cache_bytes_saved_total", ct.bytes_saved - bt.bytes_saved),
                 ("mlvc_cache_evictions_total", cs.evictions - b.evictions),
-                ("mlvc_cache_pinned_hits_total", cs.pinned_hits - b.pinned_hits),
             ]);
             gauges.extend([
                 ("mlvc_cache_capacity_pages", cs.capacity_pages as u64),
                 ("mlvc_cache_resident_pages", cs.resident_pages as u64),
-                ("mlvc_cache_pinned_pages", cs.pinned_pages as u64),
-                ("mlvc_cache_pinned_bytes", cs.pinned_bytes),
             ]);
         }
         // Amplification ratios as milli-units (gauges are integral).

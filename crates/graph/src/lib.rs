@@ -39,7 +39,7 @@ pub use mlvc_ssd::checked;
 pub use builder::EdgeListBuilder;
 pub use csr::Csr;
 pub use intervals::{IntervalId, VertexIntervals};
-pub use loader::{AdjVertex, Adjacency, GraphLoader, PageUsage, RowPtrs};
+pub use loader::{AdjVertex, Adjacency, GraphLoader, HeldPages, PageUsage, RowPtrs};
 pub use stored::{
     read_partition, write_partitions, IntervalCsr, PartitionWrite, StoredGraph, UPDATE_BYTES,
 };

@@ -1,3 +1,5 @@
+use std::collections::HashMap;
+
 use mlvc_ssd::{DeviceError, FileId, Page, Reads, Ticket};
 
 use crate::checked::{idx, mem_idx, to_u32, to_u64};
@@ -174,6 +176,8 @@ pub struct PageUsage {
 /// * the edge-log optimizer's page-efficiency predictor (§V-C), which uses
 ///   the *current* superstep's utilization to predict the next one's.
 pub struct GraphLoader {
+    /// The topology pages a tiered engine holds: every read passes through.
+    pub held: HeldPages,
     /// `(file, page, useful bytes)` per column-index page per call, in call
     /// order; [`Self::take_page_usage`] sorts and sums it once a superstep.
     colidx_usage: Vec<(FileId, u64, u32)>,
@@ -182,6 +186,72 @@ pub struct GraphLoader {
     /// Every request list handed to the device, for the test that pins them.
     #[cfg(test)]
     issued: Vec<Vec<(FileId, u64, usize)>>,
+}
+
+/// The tiered engine's hot topology pages (DESIGN.md §18), held as the
+/// [`Page`] handles the loader's own reads were lent. A *marked* file keeps
+/// every page a read returns, and a request for a kept page is answered
+/// here, never reaching the device; [`Self::release`] drops a file's pages
+/// and mark. One owner, no lock: nothing else reads through it.
+#[derive(Debug, Default)]
+pub struct HeldPages {
+    /// The marked files, each with its kept pages by page index.
+    files: HashMap<FileId, HashMap<u64, Page>>,
+    /// Requests answered from kept pages, over the map's life.
+    hits: u64,
+}
+
+impl HeldPages {
+    pub fn mark(&mut self, file: FileId) {
+        self.files.entry(file).or_default();
+    }
+
+    pub fn release(&mut self, file: FileId) {
+        self.files.remove(&file);
+    }
+
+    /// Pages kept right now.
+    pub fn pages(&self) -> usize {
+        self.files.values().map(HashMap::len).sum()
+    }
+
+    pub fn hits(&self) -> u64 {
+        self.hits
+    }
+
+    /// Read `reqs` through `reads`, one page a request in request order:
+    /// kept pages from here, the rest as one read — submitted even when
+    /// empty, so tickets, queue depth and a crashed device's refusal do not
+    /// depend on what is kept — whose pages of a marked file are kept. A
+    /// short lend gives a short list, which the loader's page check refuses.
+    pub fn read(
+        &mut self,
+        reads: &mut Reads<'_>,
+        reqs: &[(FileId, u64, usize)],
+        after: Option<Ticket>,
+    ) -> Result<(Option<Ticket>, Vec<Page>), DeviceError> {
+        if self.files.is_empty() {
+            return reads.read(reqs, after);
+        }
+        let kept: Vec<Option<Page>> =
+            reqs.iter().map(|r| self.files.get(&r.0)?.get(&r.1).cloned()).collect();
+        let misses: Vec<_> =
+            reqs.iter().zip(&kept).filter(|k| k.1.is_none()).map(|k| *k.0).collect();
+        let (ticket, lent) = reads.read(&misses, after)?;
+        let mut lent = lent.into_iter();
+        let mut out = Vec::with_capacity(reqs.len());
+        for (&(f, p, _), k) in reqs.iter().zip(kept) {
+            self.hits += u64::from(k.is_some());
+            let Some(page) = k.or_else(|| lent.next()) else {
+                break;
+            };
+            if let Some(pages) = self.files.get_mut(&f) {
+                pages.entry(p).or_insert_with(|| page.clone());
+            }
+            out.push(page);
+        }
+        Ok((ticket, out))
+    }
 }
 
 /// One extent's request list, built in ascending page order: per page the
@@ -279,6 +349,7 @@ pub struct RowPtrs {
 impl GraphLoader {
     pub fn new() -> Self {
         GraphLoader {
+            held: HeldPages::default(),
             colidx_usage: Vec::new(),
             rowptr_pages_read: 0,
             colidx_pages_read: 0,
@@ -295,7 +366,7 @@ impl GraphLoader {
     ) -> Result<(Option<Ticket>, Vec<Page>), DeviceError> {
         #[cfg(test)]
         self.issued.push(reqs.to_vec());
-        reads.read(reqs, after)
+        self.held.read(reads, reqs, after)
     }
 
     /// Load the out-adjacency of the given **sorted** active vertices of

@@ -205,6 +205,16 @@ impl BatchPlan {
         }
     }
 
+    /// One fetched page a request: any other count is corrupt, since the
+    /// decode could not tell the plan's logs apart.
+    fn check_fetched(&self, pages: &[Page]) -> Result<(), DeviceError> {
+        if pages.len() == self.reqs.len() {
+            return Ok(());
+        }
+        let detail = format!("{} pages fetched for {} requests", pages.len(), self.reqs.len());
+        Err(DeviceError::Corrupt { what: "log page", detail })
+    }
+
     /// Each interval's vertex span and its pages in log order — those
     /// fetched for it (from `pages`, in plan order) and those it held or
     /// carried in host memory — each paired with whether its bytes are
@@ -233,7 +243,7 @@ impl BatchPlan {
     /// group would give, to the bit, for any `f`. Folded updates carry
     /// `src = VertexId::MAX`. There is no sort to time: `sort_ns` is zero.
     fn decode_folded(&self, pages: &[Page], f: fn(u64, u64) -> u64) -> Result<FusedBatch, DeviceError> {
-        assert_eq!(pages.len(), self.reqs.len(), "fetched pages must match the plan");
+        self.check_fetched(pages)?;
         let t_load = Instant::now();
         let mut out = Vec::new();
         let mut acc: Vec<u64> = Vec::new();
@@ -289,7 +299,7 @@ impl BatchPlan {
     /// Only the bytes of fetched and held pages are `useful_bytes`: a
     /// carried page was never read.
     pub fn decode_sorted(&self, pages: &[Page]) -> Result<FusedBatch, DeviceError> {
-        assert_eq!(pages.len(), self.reqs.len(), "fetched pages must match the plan");
+        self.check_fetched(pages)?;
         let t_load = Instant::now();
         let mut parsed: Vec<(LogPage<'_>, bool)> = Vec::with_capacity(pages.len());
         let mut logs = Vec::with_capacity(self.intervals.len());
@@ -831,6 +841,26 @@ pub(crate) mod tests {
         MultiLog::new(ssd, iv, cfg, "t").unwrap()
     }
 
+    /// A plan decoded with one page fewer than it requests — a splice that
+    /// lost a page — is refused as corrupt by both decoders, not a panic.
+    #[test]
+    fn a_plan_decoded_with_a_page_missing_is_corrupt() {
+        let mut ml = setup(4 * 256);
+        for k in 0..3000u32 {
+            ml.send(Update::new(k % 100, k, u64::from(k))).unwrap();
+        }
+        ml.finish_superstep().unwrap();
+        let mut plan = ml.plan_reads(0..4);
+        let mut pages = ml.ssd.read_batch(&plan.reqs).unwrap();
+        assert!(pages.pop().is_some(), "no log page reached the device");
+        let sum: fn(u64, u64) -> u64 = |a, b| a + b;
+        for combine in [None, Some(sum)] {
+            plan.combine = combine;
+            let err = plan.decode(&pages).unwrap_err();
+            assert!(matches!(err, DeviceError::Corrupt { what: "log page", .. }), "{err}");
+        }
+    }
+
     /// Drain `range` of the read side the way the engine does: plan, read,
     /// decode, consume. Each planned log lists exactly the pages its file
     /// holds: the list, not the device, says what to read.
@@ -1130,26 +1160,27 @@ pub(crate) mod tests {
     /// eviction pressure, draining in two fused batches, re-arming at each
     /// boundary with what the topology and the live tail leave, as the
     /// engine's retier does. Checked after every append (a flush may
-    /// follow) and every consume; no log page reaches the pinned tier, the
-    /// held pages are never written, and every page a flush hands over —
+    /// follow) and every consume; the topology is held where the engine
+    /// holds it, in a loader's [`mlvc_graph::HeldPages`], the held log
+    /// pages are never written, and every page a flush hands over —
     /// sealed, or carried and not yet planned — is either written or held.
     #[test]
     fn pinned_bytes_stay_within_the_budget_at_every_flush_and_consume() {
         let ssd = Arc::new(Ssd::new(SsdConfig::test_small()));
-        let cache = Arc::new(mlvc_ssd::PageCache::new(8));
-        ssd.attach_cache(Arc::clone(&cache));
         let page = to_u64(ssd.page_size());
         let topology = ssd.open_or_create("topology").unwrap();
         ssd.append_pages(topology, &[&[1u8; 8][..]; 3]).unwrap();
+        let mut topo = mlvc_graph::HeldPages::default();
+        topo.mark(topology);
+        let reqs: Vec<_> = (0..3).map(|p| (topology, p, 0)).collect();
+        topo.read(&mut mlvc_ssd::Reads::Device(&ssd), &reqs, None).unwrap();
         let budget = 12 * page;
         let mut ml = setup_on(Arc::clone(&ssd), 4 * 256, true);
         let within = |ml: &MultiLog| {
-            let (pinned, held) = (cache.snapshot().pinned_bytes, ml.retained_bytes());
+            let (pinned, held) = (to_u64(topo.pages()) * page, ml.retained_bytes());
             assert!(pinned + held <= budget, "{pinned} pinned + {held} held over {budget}");
-            assert_eq!(pinned, 3 * page, "the tier holds the topology alone");
+            assert_eq!(pinned, 3 * page, "the pinned bytes are the topology's");
         };
-        cache.claim_file(topology);
-        ssd.read_all(topology, |_| 0).unwrap();
         let mut armed = budget - 3 * page;
         ml.arm_retention(armed);
         let mut regained = false;

@@ -2,7 +2,7 @@
 //! cached pages (DESIGN.md §18).
 //!
 //! The merge rewrites each dirty interval's CSR extents with
-//! truncate+append, and the device drops every cached (and pinned) copy
+//! truncate+append, and the device drops every cached copy
 //! of a truncated file — so a stale read is impossible by construction.
 //! Clean intervals' pages are untouched and must stay resident: their
 //! re-reads are served entirely from the cache, with zero device reads

@@ -73,17 +73,18 @@ echo "== stage-table smoke (mlvc run) =="
 # behind on the superstep's I/O queue, and its carry of the buffered tail
 # across a superstep boundary in host memory: its trace must show a
 # superstep that evicted and one that carried pages. The two tiered legs
-# (`--pin-budget-kb 768`, the one tier budget: hot-interval pinning and
-# the multi-log's log-tail retention on a cache of no frames, the pinned
-# tier alone, which the in-process tests and `sim-pins` otherwise reach at
-# one size only) run
+# (`--pin-budget-kb 768`, the one tier budget: hot-interval topology pages
+# the engine holds itself and the multi-log's log-tail retention, with no
+# page cache attached, which the in-process tests and `sim-pins` otherwise
+# reach at one size only) run
 # under the same memory budget, so the log evicts and retention holds log
 # pages in host memory instead of writing them: with `--metrics`, whose
 # trace must also show a superstep that held pages, one that held the
 # whole 768 KiB budget, 48 pages of 16 KiB (drive entry arms retention
 # with all of it, DESIGN.md §18), and one with a hit on a topology pin (a
-# boundary claims the hot intervals' extents and the load stage's reads
-# fill them, so a claim that never filled would turn pinning off unseen),
+# boundary marks the hot intervals' extents and the engine keeps the pages
+# the load stage's reads return, so a mark that never filled would turn
+# pinning off unseen),
 # and with `--ssd-dir`, whose result lines and superstep table must be the
 # in-memory leg's (the backend decides where pages live, never which are
 # read or written). A third
@@ -91,9 +92,9 @@ echo "== stage-table smoke (mlvc run) =="
 # asynchronous drain (`MultiLog::plan_current`) plans write-side logs that
 # mix held, written and buffered pages: its trace must show evictions,
 # carried and held pages too, and its bytes must match across thread
-# counts. Both tiered `--metrics` legs must show the frameless tier: no
-# superstep evicts a cache frame, and the `.prom` reports a capacity of 0
-# pages. `bfs --memory-kb 256
+# counts. Both tiered `--metrics` legs must show that no cache is attached:
+# no superstep evicts a cache frame, and the `.prom` has no
+# `mlvc_cache_capacity_pages` series. `bfs --memory-kb 256
 # --metrics` is the one leg that writes edge-log pages (a 256 KiB budget
 # leaves the edge log less than a page of buffer): its trace must show a
 # superstep that wrote one and one that served a vertex from the edge log.
@@ -191,8 +192,8 @@ for app in "pagerank" "randomwalk" "wcc --async" "pagerank --ssd-dir" "pagerank 
       echo "$app: a superstep evicted a cache frame (the tier has none)"
       exit 1
     fi
-    if ! grep -qx 'mlvc_cache_capacity_pages 0' "$smoke_dir/metrics.1.prom"; then
-      echo "$app: the tier's cache has frames (want mlvc_cache_capacity_pages 0)"
+    if grep -q '^mlvc_cache_capacity_pages' "$smoke_dir/metrics.1.prom"; then
+      echo "$app: a page cache is attached (the engine holds its pins itself)"
       exit 1
     fi
   fi
@@ -202,6 +203,34 @@ for app in "pagerank" "randomwalk" "wcc --async" "pagerank --ssd-dir" "pagerank 
     exit 1
   fi
 done
+
+echo "== tiered crash and resume (mlvc run --crash-after, mlvc resume) =="
+# The tiered leg with a checkpoint every 2 supersteps on a file-backed
+# device writes 214 pages: 75 in superstep 1, superstep 2's checkpoint
+# ends at write 165, so a crash at write 190 lands in superstep 4's
+# checkpoint. The resume starts from superstep 2's, holding nothing
+# (topology pins and held log pages died with the process), and must end
+# in the uninterrupted tiered run's states; a resume of another program on
+# the same device is the `foreign-checkpoint` refusal, exit 1.
+crash_dev="$(mktemp -d -p "$smoke_dir")"
+tier_flags=(--memory-kb 1024 --pin-budget-kb 768 --checkpoint-every 2 --ssd-dir "$crash_dev")
+cargo run -q --release --bin mlvc -- run --app pagerank "${tier_flags[@]}" \
+  --crash-after 190 --graph "$smoke_dir/g14.csr" >"$smoke_dir/crashed"
+grep -q '^run interrupted: device crashed' "$smoke_dir/crashed"
+cargo run -q --release --bin mlvc -- resume --app pagerank "${tier_flags[@]}" \
+  --graph "$smoke_dir/g14.csr" >"$smoke_dir/resumed"
+grep -qx 'resumed from the checkpoint at superstep 2' "$smoke_dir/resumed"
+diff <(sed -n 2p "$smoke_dir/tiered.det") <(sed -n 2p "$smoke_dir/resumed")
+grep -q '^converged: true;' "$smoke_dir/resumed"
+set +e
+cargo run -q --release --bin mlvc -- resume --app bfs "${tier_flags[@]}" \
+  --graph "$smoke_dir/g14.csr" >/dev/null 2>"$smoke_dir/foreign.err"
+status=$?
+set -e
+if [ "$status" -ne 1 ] || ! grep -q 'taken of another program' "$smoke_dir/foreign.err"; then
+  echo "resume --app bfs on PageRank's checkpoint was not refused (exit $status)"
+  exit 1
+fi
 
 echo "== gen refuses a bad parameter (mlvc gen) =="
 # A generator's precondition is a public check the CLI calls before the

@@ -92,10 +92,10 @@ the run summary then also reports read/write amplification.
 
 --pin-budget-kb K (mlvc engine only) is the run's one tier budget
 (adaptive memory tiering, DESIGN.md §18): K KiB of extra DRAM spent on
-the hottest intervals' CSR extents, pinned in a device page cache of
-no frames (the pinned tier alone) as the load stage reads them, and on the update-log pages the
-multi-log then holds in host memory instead of writing them. Cache hit,
-pin and held-page counters flow into the --metrics artifacts.
+the hottest intervals' CSR extents, which the engine holds in host
+memory as the load stage reads them (no page cache is attached), and on
+the update-log pages the multi-log then holds instead of writing them.
+Pinned-page hits and held-page counters flow into the --metrics trace.
 
 A flag the command does not read is refused by name.
 

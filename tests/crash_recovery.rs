@@ -31,7 +31,7 @@ use multilogvc::core::{Engine, EngineConfig, MultiLogEngine, TieringConfig, Vert
 use multilogvc::graph::{StoredGraph, VertexIntervals};
 use multilogvc::recover::manifest::CKPT_RECORD;
 use multilogvc::recover::{CheckpointManager, CKPT_VERSION};
-use multilogvc::ssd::{DeviceError, FaultPlan, PageCache, Ssd, SsdConfig};
+use multilogvc::ssd::{DeviceError, FaultPlan, Ssd, SsdConfig};
 
 /// Checkpoint tag used by the engine (`mlvc-core`'s `CKPT_TAG`).
 const TAG: &str = "mlvc";
@@ -66,8 +66,8 @@ fn sweep(program: Factory<'_>, steps: usize) {
     sweep_with(program, steps, &cfg());
 }
 
-/// [`sweep`] under `cfg`. With tiering on, each resume runs on a fresh
-/// page cache of the configured size.
+/// [`sweep`] under `cfg`. With tiering on, each resume's engine starts
+/// holding nothing, as a new process would.
 fn sweep_with(program: Factory<'_>, steps: usize, cfg: &EngineConfig) {
     let cfg = || cfg.clone();
     let g = small_graph();
@@ -117,9 +117,6 @@ fn sweep_with(program: Factory<'_>, steps: usize, cfg: &EngineConfig) {
 
         // Resume from the last durable checkpoint (or from scratch when
         // the crash predates the first checkpoint).
-        if cfg().tiering.budget_bytes() > 0 {
-            ssd.attach_cache(Arc::new(PageCache::new(0)));
-        }
         let mut rec = MultiLogEngine::with_shared_graph(Arc::clone(&ssd), Arc::clone(&sg), cfg());
         let recovered = rec.run_recoverable(program().as_ref(), steps);
         assert!(
@@ -159,12 +156,11 @@ fn pagerank_recovers_bit_identical_from_any_crash_point() {
     sweep(&fresh(PageRank::default), 6);
 }
 
-/// PageRank with a page cache, topology pins and log-tail retention armed,
-/// to a tolerance that keeps it sending through every checkpoint: the
-/// crashed run loses its pinned tier and its held log pages with the
-/// process, the resume restores the checkpointed log pages on a fresh
-/// cache — holding what the budget covers, unwritten — and still ends
-/// bit-identical.
+/// PageRank with topology pins and log-tail retention armed, to a
+/// tolerance that keeps it sending through every checkpoint: the crashed
+/// run loses its held topology and log pages with the process, the resume
+/// starts holding nothing, restores the checkpointed log pages — holding
+/// what the budget covers, unwritten — and still ends bit-identical.
 #[test]
 fn pagerank_with_retention_recovers_bit_identical_from_any_crash_point() {
     let page = SsdConfig::test_small().page_size;

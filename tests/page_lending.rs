@@ -11,9 +11,9 @@ use std::sync::{Arc, Barrier};
 use multilogvc::apps::{RandomWalk, Sssp};
 use multilogvc::core::{Engine, EngineConfig, MultiLogEngine, ReferenceEngine, VertexProgram};
 use multilogvc::graph::{
-    Csr, EdgeListBuilder, GraphLoader, StoredGraph, VertexId, VertexIntervals,
+    Csr, EdgeListBuilder, GraphLoader, HeldPages, StoredGraph, VertexId, VertexIntervals,
 };
-use multilogvc::ssd::{DeviceError, FaultPlan, FileId, Page, PageCache, Ssd, SsdConfig};
+use multilogvc::ssd::{DeviceError, FaultPlan, FileId, Page, PageCache, Reads, Ssd, SsdConfig};
 
 const PAGE: usize = 256; // `SsdConfig::test_small`
 
@@ -56,14 +56,16 @@ fn mem_reads_and_cache_hits_share_the_stores_allocation() {
     assert!(Page::ptr_eq(&fill, &hit), "a cache hit copied the frame");
     assert!(Page::ptr_eq(&first, &hit), "the frame does not alias the store");
 
-    // So does a pinned page — a claimed file's fill lands pinned — and a
-    // clone of any handle.
-    let cache = ssd.cache().unwrap();
-    cache.claim_file(f);
-    ssd.read_page(f, 0, 0).unwrap();
-    let pinned = ssd.read_page(f, 0, 0).unwrap();
-    assert_eq!(cache.snapshot().pinned_hits, 1);
-    assert!(Page::ptr_eq(&again[0], &pinned));
+    // So does a held topology page — the tiered engine's loader keeps the
+    // handle its own read was lent, and answers the next request with it
+    // — and a clone of any handle.
+    let mut held = HeldPages::default();
+    held.mark(f);
+    let mut reads = Reads::Device(&ssd);
+    held.read(&mut reads, &[(f, 0, 0)], None).unwrap();
+    let (_, kept) = held.read(&mut reads, &[(f, 0, 0)], None).unwrap();
+    assert_eq!((held.hits(), held.pages()), (1, 1));
+    assert!(Page::ptr_eq(&again[0], &kept[0]), "a held page copied the store's");
     assert!(Page::ptr_eq(&first, &first.clone()));
     assert_eq!(first, Page::from(&[3u8; PAGE][..]), "equality is by bytes");
 }
